@@ -39,13 +39,17 @@
 //!   hand-rolled, versioned, checksummed binary format and warm-starts a
 //!   fresh process: a restarted service answers repeated suites with
 //!   cache hits from its very first run.
-//! * [`net`] — the TCP line protocol (`SUBMIT` / `POLL` / `WAIT` / `RUN`
-//!   / `STATS` / `SNAPSHOT`) so the service runs as a daemon in tests and
-//!   examples; the formal spec lives in `docs/PROTOCOL.md`.
+//! * [`protocol`] — the request grammar of the TCP line protocol
+//!   (`SUBMIT` / `POLL` / `WAIT` / `RUN` / `STATS` / `SNAPSHOT` …): one
+//!   parser from a request line to a typed verb, and the request framer,
+//!   shared by the daemon and the cluster router; the formal spec lives in
+//!   `docs/PROTOCOL.md`.
+//! * [`net`] — what each verb does against a service, and the [`Daemon`]
+//!   that serves it in tests and examples.
 //! * [`poller`] — readiness discovery with zero dependencies: a thin safe
-//!   wrapper over `epoll(7)` via direct syscalls (with a `poll(2)`
-//!   fallback), so a sweep touches only *ready* connections instead of
-//!   attempting a syscall on every open one.
+//!   wrapper over `epoll(7)` via direct syscalls, so a sweep touches only
+//!   *ready* connections instead of attempting a syscall on every open
+//!   one.
 //! * [`reactor`] — the non-blocking front-end behind [`Daemon`]: N
 //!   reactor threads (default `min(4, cores)`) share one accept socket,
 //!   each driving its pinned connections through a [`poller::Poller`]
@@ -102,6 +106,7 @@ pub mod cluster;
 pub mod error;
 pub mod net;
 pub mod poller;
+pub mod protocol;
 pub mod reactor;
 pub mod registry;
 pub mod router;
@@ -112,10 +117,7 @@ pub mod snapshot;
 pub use batch::ValuationRequest;
 pub use cluster::{ClusterScenario, ClusterSpec, ReplicaMove, ShardMap};
 pub use error::ServiceError;
-pub use net::{
-    dispatch, done_line, handle_command, parse_ship_header, result_line, ship_request, Daemon,
-    Reply, Request,
-};
+pub use net::{done_line, handle_command, result_line, Daemon, Reply, Request};
 pub use reactor::{ReactorConfig, Wakeup};
 pub use registry::{RegisteredScenario, ScenarioRegistry};
 pub use router::{CircuitState, Router, RouterConfig, ShippedNamespace};

@@ -1,65 +1,26 @@
-//! The TCP line-protocol front-end, served by the non-blocking reactor in
-//! [`crate::reactor`].
+//! The daemon side of the line protocol: what each [`Verb`] *does* against
+//! a [`Service`] ([`execute`]), and the [`Daemon`] that serves it over TCP
+//! through the non-blocking reactors in [`crate::reactor`].
 //!
-//! One request per line (ASCII, `\n` terminated); responses come back in
-//! request order, so clients may **pipeline** any number of requests on
-//! one connection. Commands:
-//!
-//! | command            | response                                                        |
-//! |--------------------|-----------------------------------------------------------------|
-//! | `PING`             | `PONG`                                                          |
-//! | `LIST`             | `SCENARIOS <name> <name> …`                                     |
-//! | `SUBMIT <name>`    | `TICKET <id>` — enqueue a registered scenario                   |
-//! | `RUN`              | `OK <n>` — drain the queue (n runs executed, off-thread)        |
-//! | `POLL <id>`        | `QUEUED` / `RUNNING` / `DONE entries=… states=… shared_hits=…`  |
-//! | `WAIT <id> [<id>…]`| one `DONE <id> entries=…` line per ticket, streamed in          |
-//! |                    | completion order as the jobs finish                             |
-//! | `STATS`            | `STATS hits=… misses=… entries=… evictions=… memo_entries=…`    |
-//! |                    | `… hit_rate=… uptime_s=… jobs_completed=… jobs_pending=…`       |
-//! |                    | `… dominance_comparisons=… dominance_pruned=…` (kernel work     |
-//! |                    | done vs avoided relative to the pairwise `n·(n−1)` bound)       |
-//! | `METRICS`          | `METRICS <n>` followed by `n` Prometheus-style exposition       |
-//! |                    | lines rendered from the daemon's metrics registry               |
-//! | `TRACE DUMP <n>`   | `SPANS <k>` followed by `k` (≤ n) `SPAN id=… parent=… …`        |
-//! |                    | lines — the most recent completed tracer spans                  |
-//! | `TRACE SLOW <n>`   | `SLOW <k>` followed by `k` (≤ n) `TRACE <id> dur_us=… …`        |
-//! |                    | lines — the slowest stitched traces over the service threshold  |
-//! | `EXPLAIN <ticket>` | `TIMELINE <k>` followed by `k` time-ordered `EVENT trace=… …`   |
-//! |                    | lines — the ticket's stitched trace (queue wait, job, engine)   |
-//! | `EXPLAIN TRACE <t>`| same timeline, addressed by hex trace id (the router fan-out    |
-//! |                    | form; an unindexed trace answers `TIMELINE 0`, not an error)    |
-//! | `RESULT <id>`      | `RESULT <id> entries=… <entry>…` — the finished skyline,        |
-//! |                    | byte-exactly encoded (f64 bit patterns, not decimal)            |
-//! | `SNAPSHOT <path>`  | `OK <bytes>` — persist the evaluation cache                     |
-//! | `SNAPSHOT NAMESPACE <ns>… <path>` | `OK <bytes>` — persist only the given           |
-//! |                    | namespaces (a shippable rebalancing unit)                       |
-//! | `RESTORE <path>`   | `OK <entries>` — merge a snapshot/shipment into the live cache  |
-//! | `EXPORT <ns>…`     | `SHIPMENT <digest> <len> <hex>` — the named namespaces as       |
-//! |                    | hex-encoded shipment bytes plus their content digest            |
-//! | `SHIP <ns>… <len>` | `OK <entries>` — `<len>` raw shipment bytes follow the line;    |
-//! |                    | merged into the live cache (wire-shipped rebalancing/replication)|
-//! | `QUIT`             | `BYE` (connection closes)                                       |
-//!
-//! Any request line may carry an optional `CTX <48-hex-digit>` prefix — a
-//! wire-encoded [`TraceContext`] stitching the request's spans into the
-//! sender's distributed trace (the router injects one on every forwarded
-//! verb). A malformed prefix answers `ERR …`; peers that predate the
-//! prefix never see it, so the protocol stays backward-compatible.
-//!
-//! Anything else answers `ERR …`. Registration stays in-process (substrates
-//! are live objects); the wire protocol only *drives* registered scenarios.
-//! The formal grammar — framing, pipelining rules, every error line — is
-//! specified in `docs/PROTOCOL.md` at the repository root.
+//! The request grammar — the verb table, argument checks, the `CTX`
+//! prefix, framing — lives in [`crate::protocol`]; the normative
+//! specification (pipelining rules, every error line) is
+//! `docs/PROTOCOL.md` at the repository root. Clients may **pipeline** any
+//! number of requests on one connection; responses come back in request
+//! order.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
+use crate::error::ServiceError;
+use crate::protocol::{self, Kind, Parsed, Verb};
 use crate::reactor::{wakeup_pair, Executor, Reactor, ReactorConfig, Wakeup};
 use crate::service::{JobState, Service, Ticket};
-use modis_core::telemetry::{SpanRecord, TraceContext};
+use modis_core::telemetry::SpanRecord;
 use modis_engine::ScenarioOutcome;
 
 /// Outcome of one protocol line.
@@ -80,9 +41,9 @@ impl Reply {
 }
 
 /// A deferred command body: runs on the executor thread, produces the
-/// response line. `SNAPSHOT NAMESPACE` and `RESTORE` ride on this — both
-/// serialise or merge cache state against the disk, far too slow for the
-/// reactor thread.
+/// response line. `SNAPSHOT`, `RESTORE`, `EXPORT` and `SHIP` ride on this
+/// — all serialise or merge cache state, far too slow for the reactor
+/// thread.
 pub type OffloadFn = Box<dyn FnOnce(&Service) -> String + Send>;
 
 /// How the reactor must answer one request line. Where [`handle_command`]
@@ -96,13 +57,9 @@ pub enum Request {
     /// `RUN`: drain the scheduler queue off-thread, answer `OK <n>` when
     /// the drain completes.
     Drain,
-    /// `SNAPSHOT <path>`: persist the evaluation cache off-thread (a
-    /// full-cache serialisation plus disk write must not stall the
-    /// reactor), answer `OK <bytes>`/`ERR …` when the write completes.
-    Snapshot(String),
-    /// A slow verb without dedicated state (`SNAPSHOT NAMESPACE`,
-    /// `RESTORE`): run the closure on the executor thread, answer its
-    /// returned line.
+    /// A slow verb without dedicated state (`SNAPSHOT`, `RESTORE`,
+    /// `EXPORT`, `SHIP`): run the closure on the executor thread, answer
+    /// its returned line.
     Offload(OffloadFn),
     /// `WAIT`: stream one `DONE <id> …` line per ticket as each job
     /// completes.
@@ -164,47 +121,6 @@ pub fn result_line(id: u64, outcome: &ScenarioOutcome) -> String {
     out
 }
 
-/// Parses `SNAPSHOT NAMESPACE <ns>… <path>` arguments (everything after
-/// the `NAMESPACE` keyword): at least one namespace followed by the path.
-fn parse_namespace_snapshot(rest: &str) -> Option<(Vec<String>, String)> {
-    let mut tokens: Vec<String> = rest.split_whitespace().map(str::to_string).collect();
-    if tokens.len() < 2 {
-        return None;
-    }
-    let path = tokens.pop().expect("len checked above");
-    Some((tokens, path))
-}
-
-/// Parses a `SHIP <ns> [<ns>…] <len>` header line: at least one namespace
-/// followed by the binary payload length. Returns `None` when the line is
-/// not a well-formed `SHIP` header (the reactor then treats it as an
-/// ordinary — unknown — text request and never enters binary mode).
-pub fn parse_ship_header(line: &str) -> Option<(Vec<String>, usize)> {
-    let trimmed = line.trim();
-    let (verb, rest) = trimmed.split_once(char::is_whitespace)?;
-    if !verb.eq_ignore_ascii_case("SHIP") {
-        return None;
-    }
-    let mut tokens: Vec<String> = rest.split_whitespace().map(str::to_string).collect();
-    if tokens.len() < 2 {
-        return None;
-    }
-    let len = tokens.pop().expect("len checked above").parse().ok()?;
-    Some((tokens, len))
-}
-
-/// Builds the deferred execution of a completed `SHIP` frame: the payload
-/// bytes are merged into the live cache on the executor thread (same
-/// wholesale guard validation as `RESTORE`), answering `OK <entries>`.
-pub fn ship_request(payload: Vec<u8>) -> Request {
-    Request::Offload(Box::new(move |service| {
-        match service.restore_from_bytes(&payload) {
-            Ok(entries) => format!("OK {entries}"),
-            Err(err) => format!("ERR {err}"),
-        }
-    }))
-}
-
 /// Executes `EXPORT <ns>…` against the service: the named namespaces as a
 /// hex-encoded in-memory shipment, prefixed with their stable content
 /// digest and the decoded byte length —
@@ -222,19 +138,11 @@ fn export_reply(service: &Service, namespaces: &[String]) -> String {
     out
 }
 
-/// Executes `SNAPSHOT NAMESPACE` against the service (shared by the
-/// synchronous entry point and the executor offload).
-fn snapshot_namespaces_reply(service: &Service, namespaces: &[String], path: &str) -> String {
-    match service.snapshot_namespaces_to(namespaces, std::path::Path::new(path)) {
-        Ok(bytes) => format!("OK {bytes}"),
-        Err(err) => format!("ERR {err}"),
-    }
-}
-
-/// Executes `RESTORE` against the service (shared like the above).
-fn restore_reply(service: &Service, path: &str) -> String {
-    match service.restore_from(std::path::Path::new(path)) {
-        Ok(entries) => format!("OK {entries}"),
+/// The reply line of a verb that persists or merges cache state:
+/// `OK <bytes or entries>`, or the error.
+fn ok_reply(outcome: Result<usize, ServiceError>) -> String {
+    match outcome {
+        Ok(n) => format!("OK {n}"),
         Err(err) => format!("ERR {err}"),
     }
 }
@@ -295,6 +203,36 @@ pub fn sync_observability_metrics(service: &Service) {
             "Open file descriptors of this process (0 where /proc is unavailable).",
         )
         .set(process_open_fds() as i64);
+}
+
+/// Renders the `STATS` response line.
+fn stats_reply(service: &Service) -> String {
+    let stats = service.cache_stats();
+    let cache = service.engine().cache();
+    let metrics = service.engine().metrics();
+    use modis_core::dominance_index as dx;
+    format!(
+        "STATS hits={} misses={} entries={} evictions={} memo_entries={} \
+         memo_evictions={} shards={} shard_capacity={} hit_rate={:.4} \
+         uptime_s={} jobs_completed={} jobs_pending={} \
+         dominance_comparisons={} dominance_pruned={}",
+        stats.hits,
+        stats.misses,
+        stats.entries,
+        stats.evictions,
+        stats.memo_entries,
+        stats.memo_evictions,
+        cache.shard_count(),
+        cache.per_shard_capacity(),
+        stats.hit_rate(),
+        service.uptime().as_secs(),
+        service.jobs_completed(),
+        service.pending(),
+        metrics
+            .counter(dx::COMPARISONS_TOTAL, dx::COMPARISONS_HELP)
+            .get(),
+        metrics.counter(dx::PRUNED_TOTAL, dx::PRUNED_HELP).get(),
+    )
 }
 
 /// Renders the `METRICS` response: a `METRICS <n>` header followed by `n`
@@ -376,128 +314,18 @@ fn trace_slow_reply(service: &Service, n: usize) -> String {
     out
 }
 
-/// Splits an optional `CTX <48-hex-digit>` prefix off a request line,
-/// returning the decoded context (if any) and the remaining command.
-/// A present-but-malformed prefix is an error *line* — never a panic,
-/// whatever bytes arrive on the wire.
-fn strip_ctx(line: &str) -> Result<(Option<TraceContext>, &str), String> {
-    let trimmed = line.trim();
-    let Some((verb, rest)) = trimmed.split_once(char::is_whitespace) else {
-        if trimmed.eq_ignore_ascii_case("CTX") {
-            return Err("ERR CTX expects a 48-hex-digit trace context".to_string());
-        }
-        return Ok((None, trimmed));
+/// Starts one parsed request against the service without blocking on any
+/// background work: synchronous verbs are answered now, the rest come
+/// back as the deferred [`Request`] the caller must run — the reactor on
+/// its executor thread, [`handle_command`] inline.
+pub fn execute(service: &Service, request: Parsed) -> Request {
+    let verb = match request.verb {
+        Ok(verb) => verb,
+        Err(reply) => return Request::Immediate(reply),
     };
-    if !verb.eq_ignore_ascii_case("CTX") {
-        return Ok((None, trimmed));
-    }
-    let rest = rest.trim_start();
-    let (hex, tail) = match rest.split_once(char::is_whitespace) {
-        Some((hex, tail)) => (hex, tail.trim_start()),
-        None => (rest, ""),
-    };
-    match TraceContext::decode(hex) {
-        Some(ctx) => Ok((Some(ctx), tail)),
-        None => Err("ERR CTX expects a 48-hex-digit trace context".to_string()),
-    }
-}
-
-/// Classifies one protocol line for the reactor, without blocking on any
-/// background work. Synchronous verbs are answered inline via the same
-/// code paths as [`handle_command`].
-pub fn dispatch(service: &Service, line: &str) -> Request {
-    let (ctx, trimmed) = match strip_ctx(line) {
-        Ok(stripped) => stripped,
-        Err(err) => return Request::Immediate(err),
-    };
-    let (verb, rest) = match trimmed.split_once(char::is_whitespace) {
-        Some((v, r)) => (v, r.trim()),
-        None => (trimmed, ""),
-    };
-    match verb.to_ascii_uppercase().as_str() {
-        "RUN" => Request::Drain,
-        // `SNAPSHOT NAMESPACE …` offloads with its own parse; a malformed
-        // one answers immediately so nothing slow runs for a bad line.
-        "SNAPSHOT"
-            if rest
-                .split_whitespace()
-                .next()
-                .is_some_and(|t| t.eq_ignore_ascii_case("NAMESPACE")) =>
-        {
-            let args = rest.split_once(char::is_whitespace).map_or("", |(_, r)| r);
-            match parse_namespace_snapshot(args) {
-                Some((namespaces, path)) => Request::Offload(Box::new(move |service| {
-                    snapshot_namespaces_reply(service, &namespaces, &path)
-                })),
-                None => Request::Immediate(
-                    "ERR SNAPSHOT NAMESPACE expects one or more namespaces then a path".into(),
-                ),
-            }
-        }
-        // Empty-path SNAPSHOT falls through to handle_command, which
-        // answers the seed's `ERR unknown command` for it.
-        "SNAPSHOT" if !rest.is_empty() => Request::Snapshot(rest.to_string()),
-        "RESTORE" if !rest.is_empty() => {
-            let path = rest.to_string();
-            Request::Offload(Box::new(move |service| restore_reply(service, &path)))
-        }
-        // Serialising + hex-encoding a namespace export is far too slow
-        // for the reactor thread — same offload rationale as `SNAPSHOT
-        // NAMESPACE`.
-        "EXPORT" if !rest.is_empty() => {
-            let namespaces: Vec<String> = rest.split_whitespace().map(str::to_string).collect();
-            Request::Offload(Box::new(move |service| export_reply(service, &namespaces)))
-        }
-        "WAIT" => {
-            if rest.is_empty() {
-                return Request::Immediate("ERR WAIT expects one or more numeric tickets".into());
-            }
-            let mut tickets = Vec::new();
-            for token in rest.split_whitespace() {
-                match token.parse::<u64>() {
-                    Ok(id) => tickets.push(id),
-                    Err(_) => {
-                        return Request::Immediate(
-                            "ERR WAIT expects one or more numeric tickets".into(),
-                        )
-                    }
-                }
-            }
-            Request::Wait(tickets)
-        }
-        _ => match handle_line(service, ctx, trimmed) {
-            Reply::Line(text) => Request::Immediate(text),
-            Reply::Close(text) => Request::CloseAfter(text),
-        },
-    }
-}
-
-/// Executes one protocol line against the service, synchronously.
-///
-/// This is the in-process entry point (tests, embedding, the baseline
-/// bench server). The reactor routes `RUN` and `WAIT` through
-/// [`dispatch`] instead so they cannot block the event loop; every other
-/// verb lands here. A synchronous `RUN` drains the queue on the calling
-/// thread; a synchronous `WAIT` is rejected (it only makes sense where
-/// deferred responses exist).
-pub fn handle_command(service: &Service, line: &str) -> Reply {
-    match strip_ctx(line) {
-        Ok((ctx, rest)) => handle_line(service, ctx, rest),
-        Err(err) => Reply::Line(err),
-    }
-}
-
-/// [`handle_command`] after the `CTX` prefix has been split off: `ctx` is
-/// the trace context the request arrived under, if any.
-fn handle_line(service: &Service, ctx: Option<TraceContext>, line: &str) -> Reply {
-    let line = line.trim();
-    let (verb, rest) = match line.split_once(char::is_whitespace) {
-        Some((v, r)) => (v, r.trim()),
-        None => (line, ""),
-    };
-    let reply = match verb.to_ascii_uppercase().as_str() {
-        "PING" => "PONG".to_string(),
-        "LIST" => {
+    let reply = match verb {
+        Verb::Ping => "PONG".to_string(),
+        Verb::List => {
             let mut out = String::from("SCENARIOS");
             for name in service.scenario_names() {
                 out.push(' ');
@@ -505,137 +333,86 @@ fn handle_line(service: &Service, ctx: Option<TraceContext>, line: &str) -> Repl
             }
             out
         }
-        "SUBMIT" if !rest.is_empty() => {
-            let submitted = match ctx {
-                Some(ctx) => service.submit_traced(rest, ctx),
-                None => service.submit(rest),
+        Verb::Shards => protocol::unknown_command(&request.token),
+        Verb::Submit(name) => {
+            let submitted = match request.ctx {
+                Some(ctx) => service.submit_traced(&name, ctx),
+                None => service.submit(&name),
             };
             match submitted {
                 Ok(ticket) => format!("TICKET {}", ticket.0),
                 Err(err) => format!("ERR {err}"),
             }
         }
-        "RUN" => format!("OK {}", service.run_pending()),
-        "WAIT" => "ERR WAIT requires the reactor front-end".to_string(),
-        "POLL" => match rest.parse::<u64>() {
-            Ok(id) => match service.poll(Ticket(id)) {
-                Ok(JobState::Queued) => "QUEUED".to_string(),
-                Ok(JobState::Running) => "RUNNING".to_string(),
-                Ok(JobState::Done(outcome)) => format!("DONE {}", done_line(&outcome)),
-                Err(err) => format!("ERR {err}"),
-            },
-            Err(_) => "ERR POLL expects a numeric ticket".to_string(),
-        },
-        "STATS" => {
-            let stats = service.cache_stats();
-            let cache = service.engine().cache();
-            let metrics = service.engine().metrics();
-            use modis_core::dominance_index as dx;
-            format!(
-                "STATS hits={} misses={} entries={} evictions={} memo_entries={} \
-                 memo_evictions={} shards={} shard_capacity={} hit_rate={:.4} \
-                 uptime_s={} jobs_completed={} jobs_pending={} \
-                 dominance_comparisons={} dominance_pruned={}",
-                stats.hits,
-                stats.misses,
-                stats.entries,
-                stats.evictions,
-                stats.memo_entries,
-                stats.memo_evictions,
-                cache.shard_count(),
-                cache.per_shard_capacity(),
-                stats.hit_rate(),
-                service.uptime().as_secs(),
-                service.jobs_completed(),
-                service.pending(),
-                metrics
-                    .counter(dx::COMPARISONS_TOTAL, dx::COMPARISONS_HELP)
-                    .get(),
-                metrics.counter(dx::PRUNED_TOTAL, dx::PRUNED_HELP).get(),
-            )
-        }
-        "METRICS" => metrics_reply(service),
-        "TRACE"
-            if rest
-                .split_whitespace()
-                .next()
-                .is_some_and(|t| t.eq_ignore_ascii_case("DUMP")) =>
-        {
-            let args = rest.split_once(char::is_whitespace).map_or("", |(_, r)| r);
-            match args.trim().parse::<usize>() {
-                Ok(n) => trace_dump_reply(service, n),
-                Err(_) => "ERR TRACE DUMP expects a numeric span count".to_string(),
-            }
-        }
-        "TRACE"
-            if rest
-                .split_whitespace()
-                .next()
-                .is_some_and(|t| t.eq_ignore_ascii_case("SLOW")) =>
-        {
-            let args = rest.split_once(char::is_whitespace).map_or("", |(_, r)| r);
-            match args.trim().parse::<usize>() {
-                Ok(n) => trace_slow_reply(service, n),
-                Err(_) => "ERR TRACE SLOW expects a numeric trace count".to_string(),
-            }
-        }
-        "EXPLAIN" => {
-            let mut tokens = rest.split_whitespace();
-            match tokens.next() {
-                // `EXPLAIN TRACE <hex>` — the router's fan-out form,
-                // addressing the trace directly (tickets are local ids).
-                Some(token) if token.eq_ignore_ascii_case("TRACE") => {
-                    match tokens.next().map(|hex| u64::from_str_radix(hex, 16)) {
-                        Some(Ok(trace)) => explain_reply(service, trace),
-                        _ => "ERR EXPLAIN TRACE expects a hex trace id".to_string(),
-                    }
-                }
-                Some(token) => match token.parse::<u64>() {
-                    Ok(id) => match service.trace_of(Ticket(id)) {
-                        Some(trace) => explain_reply(service, trace),
-                        None => format!("ERR unknown ticket {id}"),
-                    },
-                    Err(_) => "ERR EXPLAIN expects a ticket or TRACE <trace-id>".to_string(),
-                },
-                None => "ERR EXPLAIN expects a ticket or TRACE <trace-id>".to_string(),
-            }
-        }
-        "RESULT" => match rest.parse::<u64>() {
-            Ok(id) => match service.poll(Ticket(id)) {
-                Ok(JobState::Done(outcome)) => result_line(id, &outcome),
-                Ok(_) => format!("ERR ticket {id} is not finished"),
-                Err(err) => format!("ERR {err}"),
-            },
-            Err(_) => "ERR RESULT expects a numeric ticket".to_string(),
-        },
-        "SNAPSHOT"
-            if rest
-                .split_whitespace()
-                .next()
-                .is_some_and(|t| t.eq_ignore_ascii_case("NAMESPACE")) =>
-        {
-            let args = rest.split_once(char::is_whitespace).map_or("", |(_, r)| r);
-            match parse_namespace_snapshot(args) {
-                Some((namespaces, path)) => snapshot_namespaces_reply(service, &namespaces, &path),
-                None => "ERR SNAPSHOT NAMESPACE expects one or more namespaces then a path".into(),
-            }
-        }
-        "SNAPSHOT" if !rest.is_empty() => match service.snapshot_to(std::path::Path::new(rest)) {
-            Ok(bytes) => format!("OK {bytes}"),
+        Verb::Run => return Request::Drain,
+        Verb::Wait(tickets) => return Request::Wait(tickets),
+        Verb::Poll(id) => match service.poll(Ticket(id)) {
+            Ok(JobState::Queued) => "QUEUED".to_string(),
+            Ok(JobState::Running) => "RUNNING".to_string(),
+            Ok(JobState::Done(outcome)) => format!("DONE {}", done_line(&outcome)),
             Err(err) => format!("ERR {err}"),
         },
-        "RESTORE" if !rest.is_empty() => restore_reply(service, rest),
-        "EXPORT" if !rest.is_empty() => {
-            let namespaces: Vec<String> = rest.split_whitespace().map(str::to_string).collect();
-            export_reply(service, &namespaces)
+        Verb::Stats => stats_reply(service),
+        Verb::Metrics => metrics_reply(service),
+        Verb::TraceDump(n) => trace_dump_reply(service, n),
+        Verb::TraceSlow(n) => trace_slow_reply(service, n),
+        Verb::Explain(id) => match service.trace_of(Ticket(id)) {
+            Some(trace) => explain_reply(service, trace),
+            None => format!("ERR unknown ticket {id}"),
+        },
+        Verb::ExplainTrace(trace) => explain_reply(service, trace),
+        Verb::Result(id) => match service.poll(Ticket(id)) {
+            Ok(JobState::Done(outcome)) => result_line(id, &outcome),
+            Ok(_) => format!("ERR ticket {id} is not finished"),
+            Err(err) => format!("ERR {err}"),
+        },
+        // A full-cache serialisation plus disk write, a merge that
+        // deserialises and re-hashes every entry, a hex-encoded export:
+        // all far too slow for a reactor thread.
+        Verb::Snapshot(path) => {
+            return Request::Offload(Box::new(move |service| {
+                ok_reply(service.snapshot_to(Path::new(&path)))
+            }))
         }
-        // A SHIP header is followed by raw payload bytes, which only the
-        // reactor's binary read state can frame.
-        "SHIP" => "ERR SHIP requires the reactor front-end".to_string(),
-        "QUIT" => return Reply::Close("BYE".to_string()),
-        _ => format!("ERR unknown command {verb:?}"),
+        Verb::Restore(path) => {
+            return Request::Offload(Box::new(move |service| {
+                ok_reply(service.restore_from(Path::new(&path)))
+            }))
+        }
+        Verb::Export(namespaces) => {
+            return Request::Offload(Box::new(move |service| export_reply(service, &namespaces)))
+        }
+        Verb::Ship { payload, .. } => {
+            return Request::Offload(Box::new(move |service| {
+                ok_reply(service.restore_from_bytes(&payload))
+            }))
+        }
+        Verb::Quit => return Request::CloseAfter("BYE".to_string()),
     };
-    Reply::Line(reply)
+    Request::Immediate(reply)
+}
+
+/// Executes one protocol line against the service, synchronously.
+///
+/// This is the in-process entry point (tests, embedding, the baseline
+/// bench server): [`protocol::parse`] + [`execute`], with the deferred
+/// part run on the calling thread — a `RUN` drains the queue right here.
+/// Two verbs need a front-end and are refused by name, well-formed or
+/// not: `WAIT` (it only makes sense where deferred responses exist) and
+/// `SHIP` (only a [`protocol::Framer`] can read the payload behind its
+/// header).
+pub fn handle_command(service: &Service, line: &str) -> Reply {
+    let request = protocol::parse(line);
+    Reply::Line(match (request.kind, execute(service, request)) {
+        (Kind::Ship, _) => "ERR SHIP requires the reactor front-end".to_string(),
+        (Kind::Wait, _) | (_, Request::Wait(_)) => {
+            "ERR WAIT requires the reactor front-end".to_string()
+        }
+        (_, Request::Immediate(reply)) => reply,
+        (_, Request::CloseAfter(reply)) => return Reply::Close(reply),
+        (_, Request::Drain) => format!("OK {}", service.run_pending()),
+        (_, Request::Offload(task)) => task(service),
+    })
 }
 
 /// The daemon's worker threads — N reactors plus the drain executor —
@@ -844,7 +621,13 @@ mod tests {
     use modis_core::substrate::Substrate;
     use modis_engine::{Algorithm, Scenario};
 
+    use crate::protocol::{Frame, Framer};
     use crate::service::ServiceConfig;
+
+    /// What the reactor does with one request line, minus the socket.
+    fn dispatch(service: &Service, line: &str) -> Request {
+        execute(service, protocol::parse(line))
+    }
 
     fn service() -> Service {
         let service = Service::new(ServiceConfig::default());
@@ -1125,16 +908,10 @@ mod tests {
             .text()
             .starts_with("ERR unknown ticket"));
 
-        // Ship the namespace, merge it into a fresh service, and confirm
-        // the shipped evaluations answer the same scenario warm.
-        let reply = handle_command(
-            &warm,
-            &format!("SNAPSHOT NAMESPACE pool {}", path.display()),
-        );
+        // Persist the cache, merge the file into a fresh service, and
+        // confirm the restored evaluations answer the same scenario warm.
+        let reply = handle_command(&warm, &format!("SNAPSHOT {}", path.display()));
         assert!(reply.text().starts_with("OK "), "{}", reply.text());
-        assert!(handle_command(&warm, "SNAPSHOT NAMESPACE pool")
-            .text()
-            .starts_with("ERR SNAPSHOT NAMESPACE expects"));
 
         let fresh = service();
         let reply = handle_command(&fresh, &format!("RESTORE {}", path.display()));
@@ -1171,14 +948,9 @@ mod tests {
         // Merge the wire payload into a fresh service: the re-run answers
         // the byte-identical skyline, and the content digests now agree.
         let fresh = service();
-        match ship_request(payload) {
-            Request::Offload(f) => {
-                let merged = f(&fresh);
-                let n: usize = merged.strip_prefix("OK ").expect(&merged).parse().unwrap();
-                assert!(n > 0, "a warm namespace ships at least one evaluation");
-            }
-            _ => panic!("SHIP must offload"),
-        }
+        let merged = ship(&fresh, &payload);
+        let n: usize = merged.strip_prefix("OK ").expect(&merged).parse().unwrap();
+        assert!(n > 0, "a warm namespace ships at least one evaluation");
         let fresh_export = handle_command(&fresh, "EXPORT pool").text().to_string();
         assert_eq!(
             fresh_export.split_whitespace().nth(1),
@@ -1190,32 +962,42 @@ mod tests {
         assert_eq!(handle_command(&fresh, "RESULT 1").text(), result);
 
         // A corrupted payload is rejected wholesale.
-        match ship_request(vec![0u8; 16]) {
-            Request::Offload(f) => assert!(f(&service()).starts_with("ERR ")),
-            _ => panic!("SHIP must offload"),
-        }
+        assert!(ship(&service(), &[0u8; 16]).starts_with("ERR "));
         // The synchronous entry point cannot frame a binary payload.
         assert!(handle_command(&warm, "SHIP pool 16")
             .text()
             .starts_with("ERR SHIP requires"));
     }
 
+    /// Frames `SHIP pool <len>` + `payload` as a connection would and runs
+    /// the deferred merge inline.
+    fn ship(service: &Service, payload: &[u8]) -> String {
+        let mut framer = Framer::new(protocol::parse, 4096, 1 << 26);
+        framer.push(format!("SHIP pool {}\n", payload.len()).as_bytes());
+        framer.push(payload);
+        let Some(Frame::Request(request)) = framer.next_frame() else {
+            panic!("a complete SHIP frame must yield one request");
+        };
+        match execute(service, request) {
+            Request::Offload(task) => task(service),
+            _ => panic!("SHIP must offload"),
+        }
+    }
+
     #[test]
     fn ship_headers_parse_strictly() {
-        assert_eq!(
-            parse_ship_header("SHIP pool 128"),
-            Some((vec!["pool".to_string()], 128))
-        );
-        assert_eq!(
-            parse_ship_header("  ship a b 0\r"),
-            Some((vec!["a".to_string(), "b".to_string()], 0))
-        );
-        assert!(parse_ship_header("SHIP pool").is_none(), "missing length");
-        assert!(parse_ship_header("SHIP 128").is_none(), "missing namespace");
-        assert!(parse_ship_header("SHIP pool many").is_none());
-        assert!(parse_ship_header("SHIPPER pool 1").is_none());
-        assert!(parse_ship_header("SHIP").is_none());
-        assert!(parse_ship_header("PING").is_none());
+        let header = |line: &str| match protocol::parse(line).verb {
+            Ok(Verb::Ship { len, .. }) => Some(len),
+            _ => None,
+        };
+        assert_eq!(header("SHIP pool 128"), Some(128));
+        assert_eq!(header("  ship a b 0\r"), Some(0));
+        assert_eq!(header("SHIP pool"), None, "missing length");
+        assert_eq!(header("SHIP 128"), None, "missing namespace");
+        assert_eq!(header("SHIP pool many"), None);
+        assert_eq!(header("SHIPPER pool 1"), None);
+        assert_eq!(header("SHIP"), None);
+        assert_eq!(header("PING"), None);
     }
 
     #[test]
@@ -1257,21 +1039,13 @@ mod tests {
             Request::Wait(ids) => assert_eq!(ids, vec![3, 1, 2]),
             _ => panic!("WAIT with tickets must defer"),
         }
-        match dispatch(&service, "SNAPSHOT /tmp/some.snap") {
-            Request::Snapshot(path) => assert_eq!(path, "/tmp/some.snap"),
-            _ => panic!("SNAPSHOT with a path must defer"),
-        }
         assert!(matches!(
-            dispatch(&service, "SNAPSHOT NAMESPACE pool /tmp/x.ship"),
+            dispatch(&service, "SNAPSHOT /tmp/some.snap"),
             Request::Offload(_)
         ));
         assert!(matches!(
-            dispatch(&service, "snapshot namespace pool other /tmp/x.ship"),
+            dispatch(&service, "EXPORT pool"),
             Request::Offload(_)
-        ));
-        assert!(matches!(
-            dispatch(&service, "SNAPSHOT NAMESPACE onlyonearg"),
-            Request::Immediate(ref s) if s.starts_with("ERR SNAPSHOT NAMESPACE expects")
         ));
         assert!(matches!(
             dispatch(&service, "RESTORE /tmp/x.ship"),

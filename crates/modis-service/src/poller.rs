@@ -12,18 +12,14 @@
 //! Keeping the no-libc stance, the epoll calls go straight to the kernel
 //! through inline-assembly syscall stubs (the same way the vendored crates
 //! shim their platform layers): `epoll_create1`/`epoll_ctl`/`epoll_pwait`
-//! on Linux x86-64 and AArch64. Two fallbacks preserve portability:
+//! on Linux x86-64 and AArch64. Any other target gets the **sweep**
+//! backend instead: every registered descriptor is reported ready each
+//! wait (after a short bounded nap), which degrades exactly to the old
+//! attempt-everything sweep. Correct everywhere, fast nowhere. Which of
+//! the two a build runs on is decided at compile time; a failing
+//! `epoll_create1` is reported as the `io::Error` it is.
 //!
-//! * **`poll(2)`** (via `ppoll`) — same kernels, used when an epoll
-//!   instance cannot be created, or when `MODIS_POLLER=poll` forces it
-//!   (diagnostics, and how the test suite exercises the fallback). O(open)
-//!   per wait, but still a single syscall rather than one per connection.
-//! * **sweep** — any platform without those syscall stubs: every
-//!   registered descriptor is reported ready each wait (after a short
-//!   bounded nap), which degrades exactly to the old attempt-everything
-//!   sweep. Correct everywhere, fast nowhere.
-//!
-//! All backends are **level-triggered**: a descriptor keeps reporting
+//! Both backends are **level-triggered**: a descriptor keeps reporting
 //! ready until the condition is consumed. Callers therefore must drop
 //! interest they cannot act on (e.g. a backpressured connection must
 //! deregister read interest) or every wait returns immediately.
@@ -102,7 +98,7 @@ pub struct Event {
 /// backend re-reports anything that did not fit on the next wait.
 const MAX_EVENTS: usize = 256;
 
-/// Raw syscall stubs for the epoll/ppoll backends — Linux on x86-64 or
+/// Raw syscall stubs for the epoll backend — Linux on x86-64 or
 /// AArch64 only (the only targets with stable inline-assembly syscall
 /// conventions this module carries).
 #[cfg(all(
@@ -111,12 +107,10 @@ const MAX_EVENTS: usize = 256;
 ))]
 mod sys {
     use std::io;
-    use std::time::Duration;
 
     #[cfg(target_arch = "x86_64")]
     mod nr {
         pub const CLOSE: usize = 3;
-        pub const PPOLL: usize = 271;
         pub const EPOLL_CTL: usize = 233;
         pub const EPOLL_PWAIT: usize = 281;
         pub const EPOLL_CREATE1: usize = 291;
@@ -124,7 +118,6 @@ mod sys {
     #[cfg(target_arch = "aarch64")]
     mod nr {
         pub const CLOSE: usize = 57;
-        pub const PPOLL: usize = 73;
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_PWAIT: usize = 22;
         pub const EPOLL_CREATE1: usize = 20;
@@ -194,21 +187,6 @@ mod sys {
         pub data: u64,
     }
 
-    /// Mirror of the kernel's `struct pollfd`.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    #[repr(C)]
-    struct Timespec {
-        sec: i64,
-        nsec: i64,
-    }
-
     pub const EPOLL_CLOEXEC: usize = 0x8_0000;
     pub const EPOLL_CTL_ADD: usize = 1;
     pub const EPOLL_CTL_DEL: usize = 2;
@@ -218,11 +196,6 @@ mod sys {
     pub const EPOLLERR: u32 = 0x008;
     pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
 
     pub fn epoll_create1() -> io::Result<i32> {
         check(unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0) }).map(|fd| fd as i32)
@@ -257,46 +230,18 @@ mod sys {
         })
     }
 
-    /// `ppoll` with a NULL sigmask (`poll(2)` semantics; AArch64 does not
-    /// provide plain `poll`). A `None` timeout blocks.
-    pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-        let ts = timeout.map(|d| Timespec {
-            sec: d.as_secs().min(i64::MAX as u64) as i64,
-            nsec: i64::from(d.subsec_nanos()),
-        });
-        let ts_ptr = ts
-            .as_ref()
-            .map_or(0usize, |t| t as *const Timespec as usize);
-        check(unsafe {
-            syscall6(
-                nr::PPOLL,
-                fds.as_mut_ptr() as usize,
-                fds.len(),
-                ts_ptr,
-                0,
-                0,
-            )
-        })
-    }
-
     pub fn close(fd: i32) {
         // Best-effort: nothing to do about a failed close of our own epoll fd.
         let _ = unsafe { syscall6(nr::CLOSE, fd as usize, 0, 0, 0, 0) };
     }
 }
 
+/// The epoll backend (Linux with syscall stubs only).
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
-use self::linux_backends::{EpollBackend, PollBackend};
-
-/// The epoll and ppoll backends (Linux with syscall stubs only).
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod linux_backends {
+mod backend {
     use super::{sys, Event, Interest, RawSource, MAX_EVENTS};
     use std::io;
     use std::time::Duration;
@@ -313,13 +258,15 @@ mod linux_backends {
     }
 
     /// O(ready) readiness via an epoll instance owned by this backend.
-    pub struct EpollBackend {
+    pub struct Backend {
         epfd: i32,
     }
 
-    impl EpollBackend {
-        pub fn new() -> io::Result<EpollBackend> {
-            sys::epoll_create1().map(|epfd| EpollBackend { epfd })
+    impl Backend {
+        pub const NAME: &'static str = "epoll";
+
+        pub fn new() -> io::Result<Backend> {
+            sys::epoll_create1().map(|epfd| Backend { epfd })
         }
 
         fn ctl(
@@ -383,23 +330,36 @@ mod linux_backends {
         }
     }
 
-    impl Drop for EpollBackend {
+    impl Drop for Backend {
         fn drop(&mut self) {
             sys::close(self.epfd);
         }
     }
+}
 
-    /// O(open) readiness via one `ppoll` over the registered set — the
-    /// fallback when no epoll instance is available.
-    pub struct PollBackend {
+/// Portable degraded backend: every registered descriptor is reported
+/// ready (per its interest) on every wait, after a short bounded nap —
+/// behaviourally the old attempt-every-connection sweep.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod backend {
+    use super::{Event, Interest, RawSource, MAX_EVENTS};
+    use std::io;
+    use std::time::Duration;
+
+    pub struct Backend {
         entries: Vec<(RawSource, usize, Interest)>,
     }
 
-    impl PollBackend {
-        pub fn new() -> PollBackend {
-            PollBackend {
+    impl Backend {
+        pub const NAME: &'static str = "sweep";
+
+        pub fn new() -> io::Result<Backend> {
+            Ok(Backend {
                 entries: Vec::new(),
-            }
+            })
         }
 
         pub fn register(
@@ -408,9 +368,6 @@ mod linux_backends {
             token: usize,
             interest: Interest,
         ) -> io::Result<()> {
-            if self.entries.iter().any(|&(f, ..)| f == fd) {
-                return Err(io::Error::from_raw_os_error(17)); // EEXIST, like epoll
-            }
             self.entries.push((fd, token, interest));
             Ok(())
         }
@@ -426,225 +383,63 @@ mod linux_backends {
                     *entry = (fd, token, interest);
                     Ok(())
                 }
-                None => Err(io::Error::from_raw_os_error(2)), // ENOENT, like epoll
+                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
             }
         }
 
         pub fn deregister(&mut self, fd: RawSource) -> io::Result<()> {
-            let before = self.entries.len();
             self.entries.retain(|&(f, ..)| f != fd);
-            if self.entries.len() == before {
-                return Err(io::Error::from_raw_os_error(2)); // ENOENT
-            }
             Ok(())
         }
 
         pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            let mut fds: Vec<sys::PollFd> = self
-                .entries
-                .iter()
-                .map(|&(fd, _, interest)| sys::PollFd {
-                    fd,
-                    events: {
-                        let mut bits = 0i16;
-                        if interest.read {
-                            bits |= sys::POLLIN;
-                        }
-                        if interest.write {
-                            bits |= sys::POLLOUT;
-                        }
-                        bits
-                    },
-                    revents: 0,
-                })
-                .collect();
-            match sys::poll(&mut fds, timeout) {
-                Ok(_) => {}
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => return Ok(()),
-                Err(err) => return Err(err),
+            let nap = timeout
+                .unwrap_or(Duration::from_micros(500))
+                .min(Duration::from_micros(500));
+            if !nap.is_zero() {
+                std::thread::sleep(nap);
             }
-            for (pollfd, &(_, token, _)) in fds.iter().zip(&self.entries) {
-                if pollfd.revents == 0 {
-                    continue;
+            for &(_, token, interest) in self.entries.iter().take(MAX_EVENTS) {
+                if interest.read || interest.write {
+                    events.push(Event {
+                        token,
+                        readable: interest.read,
+                        writable: interest.write,
+                    });
                 }
-                if events.len() >= MAX_EVENTS {
-                    break; // level-triggered: re-reported next wait
-                }
-                let hangup = pollfd.revents & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0;
-                events.push(Event {
-                    token,
-                    readable: pollfd.revents & sys::POLLIN != 0 || hangup,
-                    writable: pollfd.revents & sys::POLLOUT != 0 || hangup,
-                });
             }
             Ok(())
         }
     }
-}
-
-/// Portable degraded backend: every registered descriptor is reported
-/// ready (per its interest) on every wait, after a short bounded nap —
-/// behaviourally the old attempt-every-connection sweep.
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-struct SweepBackend {
-    entries: Vec<(RawSource, usize, Interest)>,
-}
-
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-impl SweepBackend {
-    fn register(&mut self, fd: RawSource, token: usize, interest: Interest) -> io::Result<()> {
-        self.entries.push((fd, token, interest));
-        Ok(())
-    }
-
-    fn reregister(&mut self, fd: RawSource, token: usize, interest: Interest) -> io::Result<()> {
-        match self.entries.iter_mut().find(|&&mut (f, ..)| f == fd) {
-            Some(entry) => {
-                *entry = (fd, token, interest);
-                Ok(())
-            }
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-        }
-    }
-
-    fn deregister(&mut self, fd: RawSource) -> io::Result<()> {
-        self.entries.retain(|&(f, ..)| f != fd);
-        Ok(())
-    }
-
-    fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        let nap = timeout
-            .unwrap_or(Duration::from_micros(500))
-            .min(Duration::from_micros(500));
-        if !nap.is_zero() {
-            std::thread::sleep(nap);
-        }
-        for &(_, token, interest) in self.entries.iter().take(MAX_EVENTS) {
-            if interest.read || interest.write {
-                events.push(Event {
-                    token,
-                    readable: interest.read,
-                    writable: interest.write,
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-enum Backend {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Epoll(EpollBackend),
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Poll(PollBackend),
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    Sweep(SweepBackend),
 }
 
 /// A readiness selector: register descriptors with a token and an
 /// [`Interest`], then [`wait`](Poller::wait) for the ready subset.
 ///
-/// Level-triggered on every backend. One `Poller` belongs to one thread's
+/// Level-triggered on either backend. One `Poller` belongs to one thread's
 /// event loop; registration and waiting are `&mut self` by design.
 pub struct Poller {
-    backend: Backend,
+    backend: backend::Backend,
 }
 
 impl Poller {
-    /// Opens the best available backend: epoll where the syscall stubs
-    /// exist (unless `MODIS_POLLER=poll` forces the fallback), `poll(2)`
-    /// when epoll is unavailable, and the degraded sweep backend on
-    /// platforms without either.
+    /// Opens the backend this target was built with: epoll where the
+    /// syscall stubs exist, the degraded sweep backend elsewhere.
     pub fn new() -> io::Result<Poller> {
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        {
-            if std::env::var("MODIS_POLLER").is_ok_and(|v| v == "poll") {
-                return Ok(Poller {
-                    backend: Backend::Poll(PollBackend::new()),
-                });
-            }
-            Ok(match EpollBackend::new() {
-                Ok(epoll) => Poller {
-                    backend: Backend::Epoll(epoll),
-                },
-                Err(_) => Poller {
-                    backend: Backend::Poll(PollBackend::new()),
-                },
-            })
-        }
-        #[cfg(not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
-        {
-            Ok(Poller {
-                backend: Backend::Sweep(SweepBackend {
-                    entries: Vec::new(),
-                }),
-            })
-        }
+        Ok(Poller {
+            backend: backend::Backend::new()?,
+        })
     }
 
-    /// Which backend this poller runs on: `"epoll"`, `"poll"` or
-    /// `"sweep"`.
+    /// Which backend this poller runs on: `"epoll"` or `"sweep"`.
     pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Epoll(_) => "epoll",
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Poll(_) => "poll",
-            #[cfg(not(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            )))]
-            Backend::Sweep(_) => "sweep",
-        }
+        backend::Backend::NAME
     }
 
     /// Starts watching `fd`, reporting its readiness under `token`.
     /// Registering an already-registered descriptor is an error.
     pub fn register(&mut self, fd: RawSource, token: usize, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Epoll(b) => b.register(fd, token, interest),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Poll(b) => b.register(fd, token, interest),
-            #[cfg(not(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            )))]
-            Backend::Sweep(b) => b.register(fd, token, interest),
-        }
+        self.backend.register(fd, token, interest)
     }
 
     /// Replaces the token and interest of an already-registered `fd`.
@@ -654,46 +449,14 @@ impl Poller {
         token: usize,
         interest: Interest,
     ) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Epoll(b) => b.reregister(fd, token, interest),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Poll(b) => b.reregister(fd, token, interest),
-            #[cfg(not(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            )))]
-            Backend::Sweep(b) => b.reregister(fd, token, interest),
-        }
+        self.backend.reregister(fd, token, interest)
     }
 
-    /// Stops watching `fd`. Must be called *before* the descriptor is
-    /// closed when using the `poll` fallback (epoll forgets closed
-    /// descriptors on its own; a `pollfd` set does not).
+    /// Stops watching `fd`. Call it *before* the descriptor is closed:
+    /// epoll forgets closed descriptors on its own, the sweep backend's
+    /// entry list does not.
     pub fn deregister(&mut self, fd: RawSource) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Epoll(b) => b.deregister(fd),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Poll(b) => b.deregister(fd),
-            #[cfg(not(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            )))]
-            Backend::Sweep(b) => b.deregister(fd),
-        }
+        self.backend.deregister(fd)
     }
 
     /// Clears `events` and fills it with the descriptors ready now,
@@ -702,36 +465,7 @@ impl Poller {
     /// re-check their stop condition and wait again.
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         events.clear();
-        match &mut self.backend {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Epoll(b) => b.wait(events, timeout),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Poll(b) => b.wait(events, timeout),
-            #[cfg(not(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            )))]
-            Backend::Sweep(b) => b.wait(events, timeout),
-        }
-    }
-
-    /// A poller forced onto the `poll(2)` fallback backend, so tests can
-    /// exercise it deterministically regardless of environment.
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    #[cfg(test)]
-    pub(crate) fn new_poll_fallback() -> Poller {
-        Poller {
-            backend: Backend::Poll(PollBackend::new()),
-        }
+        self.backend.wait(events, timeout)
     }
 }
 
@@ -777,7 +511,9 @@ mod tests {
         panic!("token {token} never became ready");
     }
 
-    fn exercise(mut poller: Poller) {
+    #[test]
+    fn default_backend_reports_readiness_transitions() {
+        let mut poller = Poller::new().unwrap();
         let (mut tx, rx) = socket_pair();
         poller.register(source(&rx), 7, Interest::READ).unwrap();
 
@@ -818,12 +554,6 @@ mod tests {
         assert!(event.readable);
     }
 
-    #[test]
-    fn default_backend_reports_readiness_transitions() {
-        let poller = Poller::new().unwrap();
-        exercise(poller);
-    }
-
     #[cfg(all(
         target_os = "linux",
         any(target_arch = "x86_64", target_arch = "aarch64")
@@ -832,31 +562,6 @@ mod tests {
     fn epoll_is_the_default_backend_here() {
         let poller = Poller::new().unwrap();
         assert_eq!(poller.backend_name(), "epoll");
-    }
-
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    #[test]
-    fn poll_fallback_reports_readiness_transitions() {
-        let poller = Poller::new_poll_fallback();
-        assert_eq!(poller.backend_name(), "poll");
-        exercise(poller);
-    }
-
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    #[test]
-    fn poll_fallback_rejects_double_registration_and_unknown_fds() {
-        let mut poller = Poller::new_poll_fallback();
-        let (_tx, rx) = socket_pair();
-        poller.register(source(&rx), 1, Interest::READ).unwrap();
-        assert!(poller.register(source(&rx), 2, Interest::READ).is_err());
-        assert!(poller.reregister(12345, 3, Interest::READ).is_err());
-        assert!(poller.deregister(12345).is_err());
     }
 
     #[test]
@@ -868,11 +573,11 @@ mod tests {
         // so provoke a full teardown: writing to a fully-closed peer makes
         // it answer RST, which marks our socket errored — and ERR/HUP are
         // reported even with an empty interest mask (they are unmaskable
-        // in both epoll and poll), so the owner can reap the connection.
+        // in epoll), so the owner can reap the connection.
         // (The degraded sweep backend cannot detect this; skip there.)
         drop(tx);
         let _ = rx.write_all(&[1]);
-        if matches!(poller.backend_name(), "epoll" | "poll") {
+        if poller.backend_name() == "epoll" {
             let event = wait_for_token(&mut poller, 3);
             assert!(event.readable && event.writable);
         }

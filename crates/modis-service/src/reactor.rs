@@ -24,9 +24,10 @@
 //!   accepts it first, and the connection is pinned to that reactor for
 //!   its whole life. Per-reactor instruments carry a `reactor="<n>"`
 //!   label.
-//! * **Per-connection state machines** — each `Connection` owns an
-//!   incremental read buffer (lines may arrive fragmented across many
-//!   reads), an incremental write buffer (responses are flushed as the
+//! * **Per-connection state machines** — each `Connection` owns a
+//!   [`Framer`] (requests may arrive fragmented across many reads, and a
+//!   `SHIP` header is followed by raw payload bytes), an incremental write
+//!   buffer (responses are flushed as the
 //!   socket accepts them), and an ordered queue of `Slot`s: one slot per
 //!   received request, resolved strictly in request order.
 //! * **Request pipelining** — a client may enqueue any number of requests
@@ -46,9 +47,9 @@
 //!   itself now interrupts the wait.
 //! * **Off-thread slow verbs** — `RUN` hands the queue drain to the
 //!   `Executor` thread and answers `OK <n>` when it completes, and
-//!   `SNAPSHOT` persists the cache there too, so the reactors keep
-//!   serving every other connection while searches run and snapshots
-//!   hit the disk.
+//!   `SNAPSHOT`/`RESTORE`/`EXPORT`/`SHIP` move cache state there too, so
+//!   the reactors keep serving every other connection while searches run
+//!   and snapshots hit the disk.
 //!
 //! Shutdown is deterministic: [`Daemon::stop`](crate::Daemon::stop) sets
 //! the stop flag and notifies every reactor's wakeup channel; each
@@ -65,8 +66,9 @@ use std::time::{Duration, Instant};
 
 use modis_core::telemetry::{Counter, Gauge, Histogram};
 
-use crate::net::{dispatch, done_line, Request};
+use crate::net::{done_line, execute, OffloadFn, Request};
 use crate::poller::{self, Interest, Poller};
+use crate::protocol::{self, Frame, Framer, Kind, Parsed};
 use crate::service::{JobState, Service, Ticket};
 
 /// Poller token of the wakeup receiver.
@@ -131,6 +133,24 @@ impl Default for ReactorConfig {
             max_pipelined: 1024,
             max_read_per_sweep: 1 << 16,
             max_ship_bytes: 1 << 26,
+        }
+    }
+}
+
+impl ReactorConfig {
+    /// The pipeline slot of one framed request; the two over-cap frames
+    /// are answered without ever being dispatched.
+    fn slot_for(&self, frame: Frame, now: Instant) -> Slot {
+        match frame {
+            Frame::Request(request) => Slot::Request(request, now),
+            Frame::LineTooLong => Slot::Ready(format!(
+                "ERR line too long (max {} bytes)",
+                self.max_line_len
+            )),
+            Frame::ShipTooLarge => Slot::Ready(format!(
+                "ERR shipment too large (max {} bytes)",
+                self.max_ship_bytes
+            )),
         }
     }
 }
@@ -224,16 +244,12 @@ type DeferredReply = Arc<OnceLock<String>>;
 enum ExecJob {
     /// `RUN`: drain the scheduler queue, answer `OK <n>`.
     Drain(DeferredReply),
-    /// `SNAPSHOT <path>`: persist the evaluation cache (a full-cache
-    /// serialisation plus disk write — far too slow for the reactor
-    /// thread), answer `OK <bytes>` or `ERR …`.
-    Snapshot(String, DeferredReply),
-    /// A pre-bound slow verb (`SNAPSHOT NAMESPACE`, `RESTORE`): run the
-    /// closure, answer whatever line it returns.
-    Task(crate::net::OffloadFn, DeferredReply),
+    /// A pre-bound slow verb (`SNAPSHOT`, `RESTORE`, `EXPORT`, `SHIP`):
+    /// run the closure, answer whatever line it returns.
+    Task(OffloadFn, DeferredReply),
 }
 
-/// The off-reactor executor: `RUN` drains and `SNAPSHOT` writes enqueue
+/// The off-reactor executor: `RUN` drains and cache-state verbs enqueue
 /// here, a dedicated thread runs them and wakes every reactor with each
 /// result. Serialising them on one thread keeps `RUN` semantics
 /// identical to the seed (each `RUN` answers the number of runs *it*
@@ -268,13 +284,8 @@ impl Executor {
         self.submit_with(ExecJob::Drain)
     }
 
-    /// Enqueues one snapshot write and returns its reply cell.
-    fn submit_snapshot(&self, path: String) -> DeferredReply {
-        self.submit_with(|reply| ExecJob::Snapshot(path, reply))
-    }
-
     /// Enqueues an arbitrary deferred command and returns its reply cell.
-    fn submit_task(&self, task: crate::net::OffloadFn) -> DeferredReply {
+    fn submit_task(&self, task: OffloadFn) -> DeferredReply {
         self.submit_with(|reply| ExecJob::Task(task, reply))
     }
 
@@ -285,7 +296,7 @@ impl Executor {
     }
 
     /// The executor thread body: run jobs until stopped *and* empty, so
-    /// every accepted `RUN`/`SNAPSHOT` still executes during shutdown.
+    /// every accepted `RUN`/`SNAPSHOT`/… still executes during shutdown.
     /// Each finished job notifies every reactor's wakeup channel — the
     /// executor cannot know which reactor pins the waiting connection.
     pub(crate) fn run(&self, service: &Service, wakeups: &[Wakeup]) {
@@ -313,13 +324,6 @@ impl Executor {
                     drop(span);
                     let _ = reply.set(format!("OK {executed}"));
                 }
-                ExecJob::Snapshot(path, reply) => {
-                    let text = match service.snapshot_to(std::path::Path::new(&path)) {
-                        Ok(bytes) => format!("OK {bytes}"),
-                        Err(err) => format!("ERR {err}"),
-                    };
-                    let _ = reply.set(text);
-                }
                 ExecJob::Task(task, reply) => {
                     let _ = reply.set(task(service));
                 }
@@ -328,102 +332,6 @@ impl Executor {
                 wakeup.notify();
             }
         }
-    }
-}
-
-/// The verbs the reactor attributes request counters and latency to.
-/// Classification is a branchy `eq_ignore_ascii_case` over the first
-/// token — no allocation, no table lookup — so it is safe on the
-/// pipelined hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VerbClass {
-    Ping,
-    List,
-    Submit,
-    Run,
-    Poll,
-    Wait,
-    Stats,
-    Result,
-    Snapshot,
-    Restore,
-    Quit,
-    Metrics,
-    Trace,
-    Explain,
-    Export,
-    Ship,
-    Other,
-}
-
-/// Number of [`VerbClass`] variants (instrument array size).
-const VERB_CLASSES: usize = 17;
-
-impl VerbClass {
-    /// The exposition label value of this class.
-    fn label(self) -> &'static str {
-        match self {
-            VerbClass::Ping => "ping",
-            VerbClass::List => "list",
-            VerbClass::Submit => "submit",
-            VerbClass::Run => "run",
-            VerbClass::Poll => "poll",
-            VerbClass::Wait => "wait",
-            VerbClass::Stats => "stats",
-            VerbClass::Result => "result",
-            VerbClass::Snapshot => "snapshot",
-            VerbClass::Restore => "restore",
-            VerbClass::Quit => "quit",
-            VerbClass::Metrics => "metrics",
-            VerbClass::Trace => "trace",
-            VerbClass::Explain => "explain",
-            VerbClass::Export => "export",
-            VerbClass::Ship => "ship",
-            VerbClass::Other => "other",
-        }
-    }
-
-    /// Every class, in instrument-array order.
-    fn all() -> [VerbClass; VERB_CLASSES] {
-        [
-            VerbClass::Ping,
-            VerbClass::List,
-            VerbClass::Submit,
-            VerbClass::Run,
-            VerbClass::Poll,
-            VerbClass::Wait,
-            VerbClass::Stats,
-            VerbClass::Result,
-            VerbClass::Snapshot,
-            VerbClass::Restore,
-            VerbClass::Quit,
-            VerbClass::Metrics,
-            VerbClass::Trace,
-            VerbClass::Explain,
-            VerbClass::Export,
-            VerbClass::Ship,
-            VerbClass::Other,
-        ]
-    }
-
-    /// Classifies a request line by its first token, skipping over an
-    /// optional `CTX <hex>` trace-context prefix so a routed request is
-    /// counted under its real verb rather than lumped into `other`. A
-    /// bare `CTX <hex>` with nothing after it classifies as `other` and
-    /// dispatches to the empty verb, which answers a clean `ERR unknown
-    /// command` line.
-    fn classify(line: &str) -> VerbClass {
-        let mut tokens = line.split_whitespace();
-        let mut verb = tokens.next().unwrap_or("");
-        if verb.eq_ignore_ascii_case("CTX") {
-            verb = tokens.nth(1).unwrap_or("");
-        }
-        for class in VerbClass::all() {
-            if class != VerbClass::Other && verb.eq_ignore_ascii_case(class.label()) {
-                return class;
-            }
-        }
-        VerbClass::Other
     }
 }
 
@@ -442,15 +350,14 @@ struct ReactorMetrics {
     sweeps_busy: Arc<Counter>,
     sweeps_idle: Arc<Counter>,
     /// Per-verb request counter + parse-to-response latency histogram,
-    /// indexed by [`VerbClass`] discriminant order.
-    verb_requests: [Arc<Counter>; VERB_CLASSES],
-    verb_latency: [Arc<Histogram>; VERB_CLASSES],
+    /// indexed by [`Kind`] discriminant.
+    verb_requests: [Arc<Counter>; Kind::LABELS.len()],
+    verb_latency: [Arc<Histogram>; Kind::LABELS.len()],
 }
 
 impl ReactorMetrics {
     fn new(service: &Service, reactor: usize) -> ReactorMetrics {
         let metrics = service.engine().metrics();
-        let classes = VerbClass::all();
         let reactor_label = reactor.to_string();
         ReactorMetrics {
             open_connections: metrics.gauge(
@@ -485,14 +392,14 @@ impl ReactorMetrics {
                 metrics.counter_with(
                     "reactor_requests_total",
                     "Requests dispatched by the reactor, per verb.",
-                    &[("verb", classes[i].label())],
+                    &[("verb", Kind::LABELS[i])],
                 )
             }),
             verb_latency: std::array::from_fn(|i| {
                 metrics.histogram_with(
                     "reactor_request_us",
                     "Parse-to-response latency inside the reactor, per verb, microseconds. Same-sweep resolutions record 0 (sub-sweep).",
-                    &[("verb", classes[i].label())],
+                    &[("verb", Kind::LABELS[i])],
                 )
             }),
         }
@@ -509,61 +416,35 @@ impl ReactorMetrics {
 /// evaluation order.
 ///
 /// Requests carry the timestamp of the sweep that parsed them; deferred
-/// slots keep it (plus their verb class) so the latency a slow response
+/// slots keep it (plus their verb kind) so the latency a slow response
 /// accrued across sweeps is attributed to its verb when it resolves.
 /// Timestamps are amortised — one `Instant::now()` per sweep, never per
 /// request.
 enum Slot {
-    /// A raw request line, not yet evaluated, stamped at parse time.
-    Request(String, Instant),
+    /// A parsed request, not yet evaluated, stamped at parse time.
+    Request(Parsed, Instant),
     /// The response text is known; emit it when this slot reaches the
     /// front.
     Ready(String),
-    /// A `RUN` or `SNAPSHOT` handed to the executor; resolves when its
-    /// reply cell is filled.
-    Deferred(DeferredReply, VerbClass, Instant),
+    /// A slow verb handed to the executor; resolves when its reply cell
+    /// is filled.
+    Deferred(DeferredReply, Kind, Instant),
     /// A `WAIT`: emits one `DONE <id> …` line per ticket *as each job
     /// completes* (progressive streaming), resolving once none remain.
     Wait(Vec<u64>, Instant),
-    /// A completed `SHIP` binary frame: the raw shipment payload, handed
-    /// to the executor (merging deserialises and hashes — too slow for
-    /// the reactor thread) when it reaches the front.
-    Ship(Vec<u8>, Instant),
 }
 
-/// An in-progress `SHIP` binary payload: after its header line, the next
-/// `expected` raw bytes on the connection belong to this frame and bypass
-/// line parsing entirely.
-struct ShipFrame {
-    /// Payload bytes declared by the header.
-    expected: usize,
-    /// Payload bytes consumed so far (buffered *or* discarded).
-    received: usize,
-    /// The buffered payload; stays empty for an oversized (rejected)
-    /// frame, whose bytes are counted and dropped.
-    payload: Vec<u8>,
-    /// Whether the frame fits [`ReactorConfig::max_ship_bytes`] and will
-    /// be dispatched; a rejected frame already queued its `ERR` line.
-    accepted: bool,
-}
-
-/// Per-connection state machine: incremental read/write buffers plus the
-/// ordered response pipeline.
+/// Per-connection state machine: the request framer, an incremental
+/// write buffer and the ordered response pipeline.
 struct Connection {
     stream: TcpStream,
-    /// Bytes received but not yet forming a complete line.
-    read_buf: Vec<u8>,
+    /// Cuts received bytes into requests.
+    framer: Framer,
     /// Bytes owed to the client; `write_pos` marks how far flushing got.
     write_buf: Vec<u8>,
     write_pos: usize,
     /// One slot per parsed request, answered strictly in order.
     slots: VecDeque<Slot>,
-    /// An over-long line is being discarded up to its newline.
-    discarding: bool,
-    /// A `SHIP` header was parsed and its binary payload is still being
-    /// received; while set, incoming bytes feed the frame, not the line
-    /// parser.
-    ship: Option<ShipFrame>,
     /// No more requests will be read (EOF or `QUIT`); flush what is owed,
     /// then drop. Pipelined requests parsed before EOF are still answered.
     closing: bool,
@@ -578,17 +459,15 @@ struct Connection {
 }
 
 impl Connection {
-    fn new(stream: TcpStream) -> io::Result<Connection> {
+    fn new(stream: TcpStream, config: &ReactorConfig) -> io::Result<Connection> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         Ok(Connection {
             stream,
-            read_buf: Vec::new(),
+            framer: Framer::new(protocol::parse, config.max_line_len, config.max_ship_bytes),
             write_buf: Vec::new(),
             write_pos: 0,
             slots: VecDeque::new(),
-            discarding: false,
-            ship: None,
             closing: false,
             dead: false,
             backpressured: false,
@@ -623,8 +502,8 @@ pub(crate) struct Reactor {
     conns: Vec<Option<Connection>>,
     /// Freed slab slots, reused before the slab grows.
     free_slots: Vec<usize>,
-    /// Slots whose *front* slot is deferred (`RUN`/`SNAPSHOT` on the
-    /// executor, or a pending `WAIT`): exactly the connections a wakeup
+    /// Slots whose *front* slot is deferred (a slow verb on the executor,
+    /// or a pending `WAIT`): exactly the connections a wakeup
     /// notification may unblock, so a wakeup sweeps only these instead of
     /// every open connection.
     blocked: HashSet<usize>,
@@ -737,7 +616,7 @@ impl Reactor {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     progress = true;
-                    if let Ok(conn) = Connection::new(stream) {
+                    if let Ok(conn) = Connection::new(stream, &self.config) {
                         self.adopt(conn);
                     }
                 }
@@ -839,8 +718,9 @@ impl Reactor {
         }
     }
 
-    /// Drains readable bytes into the connection's line buffer and parses
-    /// every complete request line into a response slot.
+    /// Drains readable bytes into the connection's framer and queues every
+    /// complete request as a response slot. Dispatch happens later, when
+    /// the slot reaches the front (see [`Slot`]).
     fn read_ready(&mut self, index: usize, now: Instant) -> bool {
         let conn = self.conns[index].as_mut().expect("read slot is live");
         if conn.closing || conn.dead {
@@ -872,7 +752,7 @@ impl Reactor {
                 }
                 Ok(n) => {
                     consumed += n;
-                    conn.read_buf.extend_from_slice(&buf[..n]);
+                    conn.framer.push(&buf[..n]);
                     // A short read means the socket buffer is drained:
                     // stop here instead of paying a would-block read.
                     // The poller is level-triggered, so bytes that land
@@ -889,134 +769,18 @@ impl Reactor {
                 }
             }
         }
-        let mut progress = consumed > 0 || saw_eof;
-        progress |= self.parse_lines(index, now);
+        while let Some(frame) = conn.framer.next_frame() {
+            conn.slots.push_back(self.config.slot_for(frame, now));
+        }
         if saw_eof {
-            let conn = self.conns[index].as_mut().expect("read slot is live");
             // The seed's `BufRead::lines` answered a final unterminated
-            // line; preserve that. (EOF inside a SHIP payload instead
-            // drops the incomplete frame: the shipper died mid-upload.)
-            if !conn.read_buf.is_empty() && !conn.discarding && conn.ship.is_none() {
-                let line = std::mem::take(&mut conn.read_buf);
-                self.handle_line(index, &line, now);
+            // line; preserve that.
+            if let Some(frame) = conn.framer.finish() {
+                conn.slots.push_back(self.config.slot_for(frame, now));
             }
-            let conn = self.conns[index].as_mut().expect("read slot is live");
-            conn.read_buf.clear();
             conn.closing = true;
         }
-        progress
-    }
-
-    /// Extracts every complete request from the read buffer: request
-    /// *lines* under the line-length cap, plus the raw binary payload of a
-    /// framed `SHIP` (whose header switches the connection into a bounded
-    /// payload-read state until `len` bytes arrive — those bytes bypass
-    /// line parsing entirely, so an arbitrary shipment can never be
-    /// misread as protocol lines). Scans with a cursor over the taken
-    /// buffer and copies only the unterminated tail back — O(bytes) per
-    /// sweep, not O(lines × bytes).
-    fn parse_lines(&mut self, index: usize, now: Instant) -> bool {
-        let mut progress = false;
-        let buf = {
-            let conn = self.conns[index].as_mut().expect("parsed slot is live");
-            std::mem::take(&mut conn.read_buf)
-        };
-        let mut cursor = 0;
-        loop {
-            // Payload mode: the pending SHIP frame consumes raw bytes
-            // ahead of any line parsing.
-            let conn = self.conns[index].as_mut().expect("parsed slot is live");
-            if let Some(frame) = conn.ship.as_mut() {
-                let take = (frame.expected - frame.received).min(buf.len() - cursor);
-                if take > 0 {
-                    if frame.accepted {
-                        frame.payload.extend_from_slice(&buf[cursor..cursor + take]);
-                    }
-                    frame.received += take;
-                    cursor += take;
-                    progress = true;
-                }
-                if frame.received < frame.expected {
-                    // Frame still incomplete and the buffer is drained;
-                    // later bytes continue the payload next sweep.
-                    break;
-                }
-                let frame = conn.ship.take().expect("frame just borrowed");
-                if frame.accepted {
-                    conn.slots.push_back(Slot::Ship(frame.payload, now));
-                    progress = true;
-                }
-                continue;
-            }
-            let Some(offset) = buf[cursor..].iter().position(|&b| b == b'\n') else {
-                break;
-            };
-            let line = &buf[cursor..cursor + offset];
-            cursor += offset + 1;
-            progress = true;
-            if conn.discarding {
-                // Tail of an oversized line: already answered.
-                conn.discarding = false;
-            } else if line.len() > self.config.max_line_len {
-                self.reject_oversized(index);
-            } else if let Some((_namespaces, len)) = std::str::from_utf8(line)
-                .ok()
-                .and_then(crate::net::parse_ship_header)
-            {
-                let accepted = len <= self.config.max_ship_bytes;
-                if !accepted {
-                    // Reject up front, then count-and-drop the declared
-                    // payload so the connection stays in protocol sync.
-                    let reply = format!(
-                        "ERR shipment too large (max {} bytes)",
-                        self.config.max_ship_bytes
-                    );
-                    conn.slots.push_back(Slot::Ready(reply));
-                }
-                let conn = self.conns[index].as_mut().expect("parsed slot is live");
-                conn.ship = Some(ShipFrame {
-                    expected: len,
-                    received: 0,
-                    payload: Vec::new(),
-                    accepted,
-                });
-            } else {
-                self.handle_line(index, line, now);
-            }
-        }
-        let conn = self.conns[index].as_mut().expect("parsed slot is live");
-        if conn.ship.is_some() {
-            // Mid-payload: every buffered byte was consumed by the frame.
-            debug_assert_eq!(cursor, buf.len());
-            return progress;
-        }
-        let tail = &buf[cursor..];
-        if conn.discarding {
-            // Still inside an oversized line: keep discarding the tail.
-        } else if tail.len() > self.config.max_line_len {
-            conn.discarding = true;
-            self.reject_oversized(index);
-            progress = true;
-        } else {
-            conn.read_buf.extend_from_slice(tail);
-        }
-        progress
-    }
-
-    fn reject_oversized(&mut self, index: usize) {
-        let reply = format!("ERR line too long (max {} bytes)", self.config.max_line_len);
-        let conn = self.conns[index].as_mut().expect("rejected slot is live");
-        conn.slots.push_back(Slot::Ready(reply));
-    }
-
-    /// Queues one request line into the connection's pipeline. Dispatch
-    /// happens later, when the slot reaches the front (see [`Slot`]).
-    fn handle_line(&mut self, index: usize, raw: &[u8], now: Instant) {
-        // Invalid UTF-8 cannot name a verb; lossy decoding turns it into
-        // a request that answers `ERR unknown command`, never a panic.
-        let line = String::from_utf8_lossy(raw).into_owned();
-        let conn = self.conns[index].as_mut().expect("handled slot is live");
-        conn.slots.push_back(Slot::Request(line, now));
+        consumed > 0 || saw_eof
     }
 
     /// Resolves leading slots into response bytes, strictly in request
@@ -1031,7 +795,7 @@ impl Reactor {
             let conn = self.conns[index].as_mut().expect("resolved slot is live");
             match conn.slots.front_mut() {
                 Some(Slot::Request(..)) => {
-                    let Some(Slot::Request(line, stamp)) = conn.slots.pop_front() else {
+                    let Some(Slot::Request(request, stamp)) = conn.slots.pop_front() else {
                         unreachable!("front_mut just matched Request");
                     };
                     progress = true;
@@ -1043,17 +807,17 @@ impl Reactor {
                         conn.closing = true;
                         break;
                     }
-                    let class = VerbClass::classify(&line);
-                    self.metrics.verb_requests[class as usize].inc();
-                    match dispatch(&service, &line) {
+                    let kind = request.kind;
+                    self.metrics.verb_requests[kind as usize].inc();
+                    match execute(&service, request) {
                         Request::Immediate(text) => {
                             conn.queue_line(&text);
-                            self.metrics.verb_latency[class as usize]
+                            self.metrics.verb_latency[kind as usize]
                                 .record_duration(now.saturating_duration_since(stamp));
                         }
                         Request::CloseAfter(text) => {
                             conn.queue_line(&text);
-                            self.metrics.verb_latency[class as usize]
+                            self.metrics.verb_latency[kind as usize]
                                 .record_duration(now.saturating_duration_since(stamp));
                             // Later pipelined requests are dropped, as the
                             // seed's per-connection loop did on QUIT.
@@ -1065,17 +829,12 @@ impl Reactor {
                         // and resolve on subsequent iterations/sweeps.
                         Request::Drain => conn.slots.push_front(Slot::Deferred(
                             executor.submit_drain(),
-                            class,
-                            stamp,
-                        )),
-                        Request::Snapshot(path) => conn.slots.push_front(Slot::Deferred(
-                            executor.submit_snapshot(path),
-                            class,
+                            kind,
                             stamp,
                         )),
                         Request::Offload(task) => conn.slots.push_front(Slot::Deferred(
                             executor.submit_task(task),
-                            class,
+                            kind,
                             stamp,
                         )),
                         Request::Wait(tickets) => conn.slots.push_front(Slot::Wait(tickets, stamp)),
@@ -1091,11 +850,11 @@ impl Reactor {
                 Some(Slot::Deferred(reply, ..)) => {
                     let Some(text) = reply.get() else { break };
                     let text = text.clone();
-                    let Some(Slot::Deferred(_, class, stamp)) = conn.slots.pop_front() else {
+                    let Some(Slot::Deferred(_, kind, stamp)) = conn.slots.pop_front() else {
                         unreachable!("front_mut just matched Deferred");
                     };
                     conn.queue_line(&text);
-                    self.metrics.verb_latency[class as usize]
+                    self.metrics.verb_latency[kind as usize]
                         .record_duration(now.saturating_duration_since(stamp));
                     progress = true;
                 }
@@ -1123,41 +882,12 @@ impl Reactor {
                         }
                     }
                     if remaining.is_empty() {
-                        self.metrics.verb_latency[VerbClass::Wait as usize]
+                        self.metrics.verb_latency[Kind::Wait as usize]
                             .record_duration(now.saturating_duration_since(stamp));
                         progress = true;
                     } else {
                         conn.slots.push_front(Slot::Wait(remaining, stamp));
                         break;
-                    }
-                }
-                Some(Slot::Ship(..)) => {
-                    let Some(Slot::Ship(payload, stamp)) = conn.slots.pop_front() else {
-                        unreachable!("front_mut just matched Ship");
-                    };
-                    progress = true;
-                    if service.is_stopped() {
-                        conn.queue_line("ERR service is shut down");
-                        conn.slots.clear();
-                        conn.closing = true;
-                        break;
-                    }
-                    self.metrics.verb_requests[VerbClass::Ship as usize].inc();
-                    // Merging deserialises and re-hashes every shipped
-                    // entry — executor work, like RESTORE.
-                    match crate::net::ship_request(payload) {
-                        Request::Offload(task) => conn.slots.push_front(Slot::Deferred(
-                            executor.submit_task(task),
-                            VerbClass::Ship,
-                            stamp,
-                        )),
-                        other => {
-                            let text = match other {
-                                Request::Immediate(text) | Request::CloseAfter(text) => text,
-                                _ => "ERR internal: SHIP dispatched to a non-reply request".into(),
-                            };
-                            conn.queue_line(&text);
-                        }
                     }
                 }
                 None => break,
@@ -1303,19 +1033,23 @@ mod tests {
 
     #[test]
     fn verb_classification_skips_ctx_and_survives_a_bare_prefix() {
-        assert_eq!(VerbClass::classify("PING"), VerbClass::Ping);
+        let kind = |line: &str| protocol::parse(line).kind;
+        assert_eq!(kind("PING"), Kind::Ping);
         assert_eq!(
-            VerbClass::classify("CTX 000102030405060708090a0b0c0d0e0f1011121314151617 PING"),
-            VerbClass::Ping
+            kind("CTX 000102030405060708090a0b0c0d0e0f1011121314151617 PING"),
+            Kind::Ping
         );
-        // A bare CTX prefix with no verb after it: the empty verb
-        // classifies as `other` (and dispatches to a clean `ERR unknown
-        // command` line — pinned in the net/integration tests).
-        assert_eq!(VerbClass::classify("CTX"), VerbClass::Other);
+        // A bare CTX prefix with no verb after it: the empty verb counts
+        // as `other` (and answers a clean `ERR unknown command` line —
+        // pinned in the net/integration tests).
+        assert_eq!(kind("CTX"), Kind::Other);
         assert_eq!(
-            VerbClass::classify("CTX 000102030405060708090a0b0c0d0e0f1011121314151617"),
-            VerbClass::Other
+            kind("CTX 000102030405060708090a0b0c0d0e0f1011121314151617"),
+            Kind::Other
         );
+        // The arguments never change what a line counts as.
+        assert_eq!(kind("POLL zero"), Kind::Poll);
+        assert_eq!(kind("snapshot namespace pool /tmp/x"), Kind::Snapshot);
     }
 
     #[test]
@@ -1325,7 +1059,13 @@ mod tests {
         let executor = Arc::new(Executor::new());
         let first = executor.submit_drain();
         let second = executor.submit_drain();
-        let doomed = executor.submit_snapshot("/definitely/not/a/dir/x.snap".into());
+        let Request::Offload(snapshot) = execute(
+            &service,
+            protocol::parse("SNAPSHOT /definitely/not/a/dir/x.snap"),
+        ) else {
+            panic!("SNAPSHOT must offload");
+        };
+        let doomed = executor.submit_task(snapshot);
         executor.stop();
         // Queued before stop ⇒ all still answered (empty queue ⇒ 0 runs;
         // an unwritable snapshot path ⇒ a protocol error, not a panic).

@@ -82,6 +82,7 @@ use modis_core::telemetry::{Counter, MetricsRegistry, TraceContext, Tracer};
 use crate::cluster::{validate_token, ClusterSpec, ShardMap};
 use crate::error::ServiceError;
 use crate::poller::{self, Interest, Poller};
+use crate::protocol::{self, Frame, Framer, Parsed, Verb};
 use crate::reactor::{drain_wakeup, wakeup_pair, Wakeup};
 
 /// Help text of the `router_heartbeat_misses_total{shard}` counter.
@@ -1462,7 +1463,36 @@ const FRONT_BASE: usize = 2;
 /// flag now and then (readiness interrupts it for real work).
 const FRONT_IDLE_PARK: Duration = Duration::from_millis(10);
 
-/// A line-buffered connection polled with a read timeout.
+/// Prepares a socket for the handler loop: no Nagle delay, and reads
+/// polled with a timeout instead of blocking.
+fn polled(stream: TcpStream, poll_interval: Duration) -> io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(poll_interval.max(Duration::from_micros(1))))?;
+    Ok(stream)
+}
+
+fn send_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
+    stream.write_all(format!("{line}\n").as_bytes())
+}
+
+/// One read from a [`polled`] socket: `Ok(None)` when no bytes are there
+/// yet (0 bytes is end of input).
+fn read_chunk(stream: &mut TcpStream, chunk: &mut [u8]) -> io::Result<Option<usize>> {
+    match stream.read(chunk) {
+        Ok(n) => Ok(Some(n)),
+        Err(err)
+            if matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+            ) =>
+        {
+            Ok(None)
+        }
+        Err(err) => Err(err),
+    }
+}
+
+/// A line-buffered connection to a shard, polled with a read timeout.
 struct LineConn {
     stream: TcpStream,
     buf: Vec<u8>,
@@ -1484,17 +1514,11 @@ enum Polled {
 
 impl LineConn {
     fn new(stream: TcpStream, poll_interval: Duration) -> io::Result<LineConn> {
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(poll_interval.max(Duration::from_micros(1))))?;
         Ok(LineConn {
-            stream,
+            stream: polled(stream, poll_interval)?,
             buf: Vec::new(),
             eof: false,
         })
-    }
-
-    fn send(&mut self, line: &str) -> io::Result<()> {
-        self.stream.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Returns the next complete line, reading at most one chunk from the
@@ -1507,25 +1531,19 @@ impl LineConn {
             return self.drain_tail_or_eof();
         }
         let mut chunk = [0u8; 4096];
-        match self.stream.read(&mut chunk) {
-            Ok(0) => {
+        match read_chunk(&mut self.stream, &mut chunk) {
+            Ok(Some(0)) => {
                 self.eof = true;
                 self.drain_tail_or_eof()
             }
-            Ok(n) => {
+            Ok(Some(n)) => {
                 self.buf.extend_from_slice(&chunk[..n]);
                 match self.take_buffered_line() {
                     Some(line) => Polled::Line(line),
                     None => Polled::Pending,
                 }
             }
-            Err(err)
-                if err.kind() == io::ErrorKind::WouldBlock
-                    || err.kind() == io::ErrorKind::TimedOut
-                    || err.kind() == io::ErrorKind::Interrupted =>
-            {
-                Polled::Pending
-            }
+            Ok(None) => Polled::Pending,
             Err(_) => Polled::Dead,
         }
     }
@@ -1710,7 +1728,7 @@ enum Expect {
         /// The original client request, re-dispatched through
         /// [`route_request`] (which re-resolves ownership and failover)
         /// when the owed connection dies.
-        request: String,
+        request: Parsed,
         /// Remaining re-dispatch budget for this pipeline position.
         retries_left: u8,
         /// The trace context this forward was sent under
@@ -1742,11 +1760,16 @@ enum Expect {
     },
 }
 
-/// One client connection on the router's front thread: the buffered line
-/// connection, its pinned shard-connection pool, the ordered pipeline of
-/// owed responses, and the registration state mirrored from the poller.
+/// One client connection on the router's front thread: the socket and
+/// its request framer, its pinned shard-connection pool, the ordered
+/// pipeline of owed responses, and the registration state mirrored from
+/// the poller.
 struct FrontClient {
-    conn: LineConn,
+    stream: TcpStream,
+    /// Cuts received bytes into requests. Built with a zero payload cap: a
+    /// `SHIP` frame is a shard-level request, so its declared bytes are
+    /// counted and dropped, never buffered.
+    framer: Framer,
     /// One distributed trace per client connection: every request routed
     /// on this connection forwards under a child of this context, so a
     /// SUBMIT/RUN/WAIT conversation stitches into a single EXPLAIN
@@ -1754,8 +1777,6 @@ struct FrontClient {
     ctx: TraceContext,
     pool: ConnPool,
     expects: VecDeque<Expect>,
-    /// An oversized line is being discarded up to its terminator.
-    discarding: bool,
     /// No more requests will arrive; pending expectations still resolve.
     eof: bool,
     /// The interest currently registered with the front poller.
@@ -1815,7 +1836,7 @@ fn front_loop(
                 Some(client) => {
                     touched.contains(&index)
                         || !client.expects.is_empty()
-                        || !client.conn.buf.is_empty()
+                        || client.framer.has_buffered()
                         || client.eof
                 }
                 None => false,
@@ -1836,7 +1857,7 @@ fn front_loop(
     // Deterministic teardown: every open client gets a final protocol
     // error, exactly as the per-connection handlers used to send.
     for client in clients.iter_mut().flatten() {
-        let _ = client.conn.send("ERR service is shut down");
+        let _ = send_line(&mut client.stream, "ERR service is shut down");
     }
 }
 
@@ -1852,7 +1873,7 @@ fn accept_clients(
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let Ok(conn) = LineConn::new(stream, inner.config.poll_interval) else {
+                let Ok(stream) = polled(stream, inner.config.poll_interval) else {
                     continue;
                 };
                 let slot = free_slots.pop().unwrap_or_else(|| {
@@ -1860,22 +1881,18 @@ fn accept_clients(
                     clients.len() - 1
                 });
                 if front
-                    .register(
-                        poller::source(&conn.stream),
-                        FRONT_BASE + slot,
-                        Interest::READ,
-                    )
+                    .register(poller::source(&stream), FRONT_BASE + slot, Interest::READ)
                     .is_err()
                 {
                     free_slots.push(slot);
                     continue;
                 }
                 clients[slot] = Some(FrontClient {
-                    conn,
+                    stream,
+                    framer: Framer::new(protocol::parse_request, inner.config.max_line_len, 0),
                     ctx: inner.tracer.mint_context(),
                     pool: ConnPool::default(),
                     expects: VecDeque::new(),
-                    discarding: false,
                     eof: false,
                     interest: Interest::READ,
                 });
@@ -1911,55 +1928,53 @@ fn step_client(
     // and the step is capped so one firehose client cannot monopolise the
     // front thread.
     let mut budget = inner.config.max_pipelined.max(1);
-    while (readable || !client.conn.buf.is_empty())
+    while (readable || client.framer.has_buffered())
         && !closed
         && !client.eof
         && budget > 0
         && client.expects.len() < inner.config.max_pipelined
     {
         budget -= 1;
-        match client.conn.poll_line() {
-            Polled::Line(line) => {
-                if client.discarding {
-                    client.discarding = false;
-                } else if line.len() > inner.config.max_line_len {
-                    client.expects.push_back(Expect::Local(format!(
-                        "ERR line too long (max {} bytes)",
-                        inner.config.max_line_len
-                    )));
-                } else {
-                    let expect = route_request(inner, &mut client.pool, client.ctx, &line);
-                    client.expects.push_back(expect);
+        let frame = match client.framer.next_frame() {
+            Some(frame) => frame,
+            None => {
+                // Nothing complete buffered: read at most one chunk.
+                let mut chunk = [0u8; 4096];
+                let read = match read_chunk(&mut client.stream, &mut chunk) {
+                    Ok(Some(n)) => n,
+                    Ok(None) => break,
+                    Err(_) => {
+                        closed = true;
+                        break;
+                    }
+                };
+                client.framer.push(&chunk[..read]);
+                // EOF: a final unterminated line is still a request.
+                client.eof = read == 0;
+                let framed = match client.eof {
+                    true => client.framer.finish(),
+                    false => client.framer.next_frame(),
+                };
+                match framed {
+                    Some(frame) => frame,
+                    None => break,
                 }
             }
-            Polled::Pending => {
-                // An oversized partial line is rejected eagerly and
-                // discarded through its eventual terminator.
-                if !client.discarding && client.conn.buf.len() > inner.config.max_line_len {
-                    client.discarding = true;
-                    client.conn.buf.clear();
-                    client.expects.push_back(Expect::Local(format!(
-                        "ERR line too long (max {} bytes)",
-                        inner.config.max_line_len
-                    )));
-                }
-                break;
-            }
-            Polled::Eof => {
-                client.eof = true;
-                break;
-            }
-            Polled::Dead => {
-                closed = true;
-                break;
-            }
-        }
+        };
+        client.expects.push_back(match frame {
+            Frame::Request(request) => route_request(inner, &mut client.pool, client.ctx, request),
+            Frame::LineTooLong => Expect::Local(format!(
+                "ERR line too long (max {} bytes)",
+                inner.config.max_line_len
+            )),
+            Frame::ShipTooLarge => Expect::Local(SHIP_IS_SHARD_LEVEL.into()),
+        });
         match resolve_head(
             inner,
             &mut client.pool,
             client.ctx,
             &mut client.expects,
-            &mut client.conn,
+            &mut client.stream,
         ) {
             ClientState::Open => {}
             ClientState::Closed => {
@@ -1974,14 +1989,14 @@ fn step_client(
             &mut client.pool,
             client.ctx,
             &mut client.expects,
-            &mut client.conn,
+            &mut client.stream,
         ) {
             ClientState::Open => {}
             ClientState::Closed => closed = true,
         }
     }
     if closed || (client.eof && client.expects.is_empty()) {
-        let _ = front.deregister(poller::source(&client.conn.stream));
+        let _ = front.deregister(poller::source(&client.stream));
         clients[index] = None;
         free_slots.push(index);
         return;
@@ -1995,11 +2010,7 @@ fn step_client(
     };
     if want != client.interest
         && front
-            .reregister(
-                poller::source(&client.conn.stream),
-                FRONT_BASE + index,
-                want,
-            )
+            .reregister(poller::source(&client.stream), FRONT_BASE + index, want)
             .is_ok()
     {
         client.interest = want;
@@ -2011,24 +2022,26 @@ enum ClientState {
     Closed,
 }
 
-/// Classifies and forwards one request, returning the expectation that
-/// will produce its response. `conn` is the connection's trace context:
-/// every forwarded line is prefixed with `CTX <hex>` carrying a fresh
-/// child of it (or of the submitting trace, for ticket verbs).
+/// What the router answers a client that sends it a `SHIP` frame.
+const SHIP_IS_SHARD_LEVEL: &str = "ERR SHIP is a shard-level verb";
+
+/// Forwards one parsed request, returning the expectation that will
+/// produce its response. `conn` is the connection's trace context: every
+/// forwarded line is prefixed with `CTX <hex>` carrying a fresh child of
+/// it (or of the submitting trace, for ticket verbs).
 fn route_request(
     inner: &Arc<RouterInner>,
     pool: &mut ConnPool,
     conn: TraceContext,
-    line: &str,
+    request: Parsed,
 ) -> Expect {
-    let trimmed = line.trim();
-    let (verb, rest) = match trimmed.split_once(char::is_whitespace) {
-        Some((v, r)) => (v, r.trim()),
-        None => (trimmed, ""),
+    let verb = match &request.verb {
+        Ok(verb) => verb,
+        Err(reply) => return Expect::Local(reply.clone()),
     };
-    match verb.to_ascii_uppercase().as_str() {
-        "PING" => Expect::Local("PONG".into()),
-        "LIST" => {
+    match verb {
+        Verb::Ping => Expect::Local("PONG".into()),
+        Verb::List => {
             let mut out = String::from("SCENARIOS");
             for name in inner.spec.scenario_names() {
                 out.push(' ');
@@ -2036,7 +2049,7 @@ fn route_request(
             }
             Expect::Local(out)
         }
-        "SHARDS" => {
+        Verb::Shards => {
             let topology = inner.lock_topology();
             let mut shards: Vec<&ShardState> = topology.shards.iter().collect();
             shards.sort_by(|a, b| a.name.cmp(&b.name));
@@ -2055,9 +2068,9 @@ fn route_request(
             }
             Expect::Local(out)
         }
-        "SUBMIT" if !rest.is_empty() => {
-            let Some(namespace) = inner.spec.namespace_of(rest).map(str::to_string) else {
-                return Expect::Local(format!("ERR unknown scenario {rest:?}"));
+        Verb::Submit(scenario) => {
+            let Some(namespace) = inner.spec.namespace_of(scenario).map(str::to_string) else {
+                return Expect::Local(format!("ERR unknown scenario {scenario:?}"));
             };
             let owners: Vec<String> = inner
                 .lock_topology()
@@ -2082,9 +2095,10 @@ fn route_request(
             // One `forward` span per submission; its id becomes the
             // parent of every span the shard records for this request.
             let child = inner.tracer.child_context(conn);
+            let line = with_ctx(child, &format!("SUBMIT {scenario}"));
             let mut last_err = None;
             for owner in candidates {
-                match forward(inner, pool, &owner, &with_ctx(child, trimmed)) {
+                match forward(inner, pool, &owner, &line) {
                     Ok(epoch) => {
                         let degraded = owner != primary;
                         if degraded {
@@ -2095,12 +2109,12 @@ fn route_request(
                             shard: owner,
                             epoch,
                             rewrite: Rewrite::Submit {
-                                scenario: rest.to_string(),
+                                scenario: scenario.clone(),
                                 degraded,
                                 ctx: child,
                             },
                             sent: Instant::now(),
-                            request: trimmed.to_string(),
+                            request,
                             retries_left: 1,
                             trace: child,
                         };
@@ -2110,24 +2124,11 @@ fn route_request(
             }
             Expect::Local(last_err.unwrap_or_else(|| "ERR cluster has no shards".into()))
         }
-        "POLL" | "RESULT" => {
-            let upper = verb.to_ascii_uppercase();
-            let Ok(global) = rest.parse::<u64>() else {
-                return Expect::Local(if upper == "POLL" {
-                    "ERR POLL expects a numeric ticket".into()
-                } else {
-                    "ERR RESULT expects a numeric ticket".into()
-                });
-            };
+        Verb::Poll(global) | Verb::Result(global) => {
+            let global = *global;
+            let poll = matches!(verb, Verb::Poll(_));
             let Some(mut entry) = inner.lock_tickets().lookup(global) else {
                 return Expect::Local(format!("ERR unknown ticket {global}"));
-            };
-            let rewrite = |upper: &str| {
-                if upper == "POLL" {
-                    Rewrite::TicketErr { global }
-                } else {
-                    Rewrite::Result { global }
-                }
             };
             // A ticket homed on a declared-dead shard is re-homed onto a
             // warm replica *before* forwarding.
@@ -2137,210 +2138,160 @@ fn route_request(
                     Err(line) => return Expect::Local(line),
                 }
             }
-            // Ticket verbs ride on the *submitting* trace, not the
-            // connection's: the poll round-trip shows up on the same
-            // EXPLAIN timeline as the submission it asks about.
-            let ticket_trace = |trace: u64| {
-                inner.tracer.child_context(TraceContext {
-                    trace_id: trace,
+            let send = |pool: &mut ConnPool, entry: &TicketEntry| {
+                // Ticket verbs ride on the *submitting* trace, not the
+                // connection's: the poll round-trip shows up on the same
+                // EXPLAIN timeline as the submission it asks about.
+                let child = inner.tracer.child_context(TraceContext {
+                    trace_id: entry.trace,
                     span_id: 0,
                     parent_id: 0,
-                })
-            };
-            let child = ticket_trace(entry.trace);
-            match forward(
-                inner,
-                pool,
-                &entry.shard,
-                &with_ctx(child, &format!("{upper} {}", entry.local)),
-            ) {
-                Ok(epoch) => Expect::Forward {
+                });
+                let line = match poll {
+                    true => format!("POLL {}", entry.local),
+                    false => format!("RESULT {}", entry.local),
+                };
+                let epoch = forward(inner, pool, &entry.shard, &with_ctx(child, &line))?;
+                Ok(Expect::Forward {
                     shard: entry.shard.clone(),
                     epoch,
-                    rewrite: rewrite(&upper),
+                    rewrite: match poll {
+                        true => Rewrite::TicketErr { global },
+                        false => Rewrite::Result { global },
+                    },
                     sent: Instant::now(),
-                    request: trimmed.to_string(),
+                    request: request.clone(),
                     retries_left: 1,
                     trace: child,
-                },
+                })
+            };
+            match send(pool, &entry) {
+                Ok(expect) => expect,
+                // The forward just failed — maybe the shard died between
+                // heartbeats. One immediate failover attempt.
                 Err(err) => match inner.failover_ticket(global, &entry) {
-                    // The forward just failed — maybe the shard died
-                    // between heartbeats. One immediate failover attempt.
-                    Ok(rehomed) => {
-                        let retry = ticket_trace(rehomed.trace);
-                        match forward(
-                            inner,
-                            pool,
-                            &rehomed.shard,
-                            &with_ctx(retry, &format!("{upper} {}", rehomed.local)),
-                        ) {
-                            Ok(epoch) => Expect::Forward {
-                                shard: rehomed.shard.clone(),
-                                epoch,
-                                rewrite: rewrite(&upper),
-                                sent: Instant::now(),
-                                request: trimmed.to_string(),
-                                retries_left: 1,
-                                trace: retry,
-                            },
-                            Err(err2) => Expect::Local(err2),
-                        }
-                    }
+                    Ok(rehomed) => send(pool, &rehomed).unwrap_or_else(Expect::Local),
                     Err(_) => Expect::Local(err),
                 },
             }
         }
-        "RUN" => fan_out(inner, pool, conn, FanKind::Run { total: 0 }, |_| {
+        Verb::Run => fan_out(inner, pool, conn, FanKind::Run { total: 0 }, |_| {
             "RUN".into()
         }),
-        "METRICS" => gather(inner, pool, conn, GatherKind::Metrics, "METRICS"),
-        "TRACE"
-            if rest
-                .split_whitespace()
-                .next()
-                .is_some_and(|t| t.eq_ignore_ascii_case("DUMP")) =>
-        {
-            let count = rest.split_whitespace().nth(1);
-            if count.is_some_and(|t| t.parse::<u64>().is_ok()) {
-                // Each shard returns up to <n> spans; the merged dump may
-                // carry up to <n> per shard (documented in the protocol).
-                gather(inner, pool, conn, GatherKind::Trace, trimmed)
-            } else {
-                Expect::Local("ERR TRACE DUMP expects a numeric span count".into())
-            }
-        }
-        "TRACE"
-            if rest
-                .split_whitespace()
-                .next()
-                .is_some_and(|t| t.eq_ignore_ascii_case("SLOW")) =>
-        {
-            let count = rest.split_whitespace().nth(1);
-            if count.is_some_and(|t| t.parse::<u64>().is_ok()) {
-                // Each shard returns up to <n> slow traces; the merge
-                // keeps them all, slowest first.
-                gather(inner, pool, conn, GatherKind::Slow, trimmed)
-            } else {
-                Expect::Local("ERR TRACE SLOW expects a numeric trace count".into())
-            }
-        }
-        "EXPLAIN" if !rest.is_empty() => {
-            let mut tokens = rest.split_whitespace();
-            let first = tokens.next().expect("rest is non-empty");
-            let trace = if first.eq_ignore_ascii_case("TRACE") {
-                match tokens
-                    .next()
-                    .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-                {
-                    Some(trace) => trace,
-                    None => {
-                        return Expect::Local("ERR EXPLAIN TRACE expects a hex trace id".into())
-                    }
-                }
-            } else if let Ok(global) = first.parse::<u64>() {
-                match inner.lock_tickets().lookup(global) {
-                    Some(entry) => entry.trace,
-                    None => return Expect::Local(format!("ERR unknown ticket {global}")),
-                }
-            } else {
-                return Expect::Local("ERR EXPLAIN expects a ticket or TRACE <trace-id>".into());
-            };
-            gather(
-                inner,
-                pool,
-                conn,
-                GatherKind::Explain { trace },
-                &format!("EXPLAIN TRACE {trace:016x}"),
-            )
-        }
-        "EXPLAIN" => Expect::Local("ERR EXPLAIN expects a ticket or TRACE <trace-id>".into()),
-        "STATS" => fan_out(inner, pool, conn, FanKind::Stats { sums: [0; 8] }, |_| {
+        Verb::Metrics => gather(inner, pool, conn, GatherKind::Metrics, "METRICS"),
+        // Each shard returns up to <n> spans / slow traces; the merged
+        // reply may carry up to <n> per shard (documented in the protocol).
+        Verb::TraceDump(n) => gather(
+            inner,
+            pool,
+            conn,
+            GatherKind::Trace,
+            &format!("TRACE DUMP {n}"),
+        ),
+        Verb::TraceSlow(n) => gather(
+            inner,
+            pool,
+            conn,
+            GatherKind::Slow,
+            &format!("TRACE SLOW {n}"),
+        ),
+        Verb::ExplainTrace(trace) => gather_timeline(inner, pool, conn, *trace),
+        Verb::Explain(global) => match inner.lock_tickets().lookup(*global) {
+            Some(entry) => gather_timeline(inner, pool, conn, entry.trace),
+            None => Expect::Local(format!("ERR unknown ticket {global}")),
+        },
+        Verb::Stats => fan_out(inner, pool, conn, FanKind::Stats { sums: [0; 8] }, |_| {
             "STATS".into()
         }),
-        "SNAPSHOT" if !rest.is_empty() => {
-            let base = rest.to_string();
-            let render_base = base.clone();
-            fan_out(
-                inner,
-                pool,
-                conn,
-                FanKind::Snapshot {
-                    total: 0,
-                    base,
-                    written: Vec::new(),
-                },
-                move |shard| format!("SNAPSHOT {render_base}.{shard}"),
-            )
-        }
-        "WAIT" => {
-            if rest.is_empty() {
-                return Expect::Local("ERR WAIT expects one or more numeric tickets".into());
-            }
-            let mut globals = Vec::new();
-            for token in rest.split_whitespace() {
-                match token.parse::<u64>() {
-                    Ok(id) => globals.push(id),
-                    Err(_) => {
-                        return Expect::Local("ERR WAIT expects one or more numeric tickets".into())
-                    }
-                }
-            }
+        Verb::Snapshot(base) => fan_out(
+            inner,
+            pool,
+            conn,
+            FanKind::Snapshot {
+                total: 0,
+                base: base.clone(),
+                written: Vec::new(),
+            },
+            |shard| format!("SNAPSHOT {base}.{shard}"),
+        ),
+        Verb::Wait(globals) => {
             let mut pre = Vec::new();
-            let mut per_shard: Vec<(String, Vec<(u64, u64)>)> = Vec::new();
-            for global in globals {
+            let mut per_shard = Vec::new();
+            for &global in globals {
                 let entry = inner.lock_tickets().lookup(global);
-                match entry {
-                    None => pre.push(format!("ERR unknown ticket {global}")),
-                    Some(mut entry) => {
-                        if inner.shard_down(&entry.shard) {
-                            match inner.failover_ticket(global, &entry) {
-                                Ok(rehomed) => entry = rehomed,
-                                Err(line) => {
-                                    pre.push(line);
-                                    continue;
-                                }
-                            }
-                        }
-                        match per_shard.iter_mut().find(|(s, _)| *s == entry.shard) {
-                            Some((_, items)) => items.push((global, entry.local)),
-                            None => per_shard.push((entry.shard, vec![(global, entry.local)])),
-                        }
+                let homed = match entry {
+                    None => Err(format!("ERR unknown ticket {global}")),
+                    Some(entry) if inner.shard_down(&entry.shard) => {
+                        inner.failover_ticket(global, &entry)
                     }
+                    Some(entry) => Ok(entry),
+                };
+                match homed {
+                    Ok(entry) => group_wait(&mut per_shard, entry, global),
+                    Err(line) => pre.push(line),
                 }
             }
             let mut parts = Vec::new();
-            for (shard, items) in per_shard {
-                let locals_line = items
-                    .iter()
-                    .map(|(_, local)| local.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                match forward(
-                    inner,
-                    pool,
-                    &shard,
-                    &with_ctx(
-                        inner.tracer.child_context(conn),
-                        &format!("WAIT {locals_line}"),
-                    ),
-                ) {
-                    Ok(epoch) => parts.push(WaitPart {
-                        shard,
-                        epoch,
-                        globals: items.iter().map(|(global, _)| *global).collect(),
-                    }),
-                    Err(err) => {
-                        for _ in &items {
-                            pre.push(err.clone());
-                        }
-                    }
-                }
-            }
+            pre.extend(forward_waits(inner, pool, conn, per_shard, &mut parts));
             Expect::Wait { pre, parts }
         }
-        "QUIT" => Expect::Quit,
-        _ => Expect::Local(format!("ERR unknown command {verb:?}")),
+        Verb::Quit => Expect::Quit,
+        // Shard-level verbs: a client talks to the shard daemon for these.
+        Verb::Restore(_) | Verb::Export(_) => {
+            Expect::Local(protocol::unknown_command(&request.token))
+        }
+        Verb::Ship { .. } => Expect::Local(SHIP_IS_SHARD_LEVEL.into()),
     }
+}
+
+/// `EXPLAIN`, fanned out as `EXPLAIN TRACE <id>` to every shard.
+fn gather_timeline(
+    inner: &Arc<RouterInner>,
+    pool: &mut ConnPool,
+    conn: TraceContext,
+    trace: u64,
+) -> Expect {
+    let line = format!("EXPLAIN TRACE {trace:016x}");
+    gather(inner, pool, conn, GatherKind::Explain { trace }, &line)
+}
+
+/// Tickets of one `WAIT`, grouped by the shard serving them: per shard,
+/// the `(cluster id, shard-local id)` pairs in request order.
+type WaitGroups = Vec<(String, Vec<(u64, u64)>)>;
+
+fn group_wait(groups: &mut WaitGroups, entry: TicketEntry, global: u64) {
+    match groups.iter_mut().find(|(shard, _)| *shard == entry.shard) {
+        Some((_, items)) => items.push((global, entry.local)),
+        None => groups.push((entry.shard, vec![(global, entry.local)])),
+    }
+}
+
+/// Forwards one `WAIT` per group, appending a [`WaitPart`] for each that
+/// went out. Returns one error line per ticket of the groups that did not.
+fn forward_waits(
+    inner: &Arc<RouterInner>,
+    pool: &mut ConnPool,
+    conn: TraceContext,
+    groups: WaitGroups,
+    parts: &mut Vec<WaitPart>,
+) -> Vec<String> {
+    let mut errors = Vec::new();
+    for (shard, items) in groups {
+        let locals: Vec<String> = items.iter().map(|(_, local)| local.to_string()).collect();
+        let line = with_ctx(
+            inner.tracer.child_context(conn),
+            &format!("WAIT {}", locals.join(" ")),
+        );
+        match forward(inner, pool, &shard, &line) {
+            Ok(epoch) => parts.push(WaitPart {
+                shard,
+                epoch,
+                globals: items.iter().map(|(global, _)| *global).collect(),
+            }),
+            Err(err) => errors.extend(items.iter().map(|_| err.clone())),
+        }
+    }
+    errors
 }
 
 /// Forwards `line` to every shard (lines derived per shard by `render`),
@@ -2663,7 +2614,7 @@ fn forward(
         }
         let entry = pool.conns.get_mut(shard).expect("inserted above");
         let epoch = entry.epoch;
-        match entry.conn.send(line) {
+        match send_line(&mut entry.conn.stream, line) {
             Ok(()) => return Ok(epoch),
             Err(err) => {
                 // A stale pooled connection (shard restarted) fails here.
@@ -2717,7 +2668,7 @@ fn resolve_head(
     pool: &mut ConnPool,
     conn: TraceContext,
     expects: &mut VecDeque<Expect>,
-    client: &mut LineConn,
+    client: &mut TcpStream,
 ) -> ClientState {
     loop {
         let Some(head) = expects.front_mut() else {
@@ -2728,12 +2679,12 @@ fn resolve_head(
                 let Some(Expect::Local(text)) = expects.pop_front() else {
                     unreachable!("front matched Local");
                 };
-                if client.send(&text).is_err() {
+                if send_line(client, &text).is_err() {
                     return ClientState::Closed;
                 }
             }
             Expect::Quit => {
-                let _ = client.send("BYE");
+                let _ = send_line(client, "BYE");
                 return ClientState::Closed;
             }
             Expect::Forward {
@@ -2769,7 +2720,7 @@ fn resolve_head(
                         }
                         let reply = apply_rewrite(inner, &shard_name, rewrite, &line);
                         expects.pop_front();
-                        if client.send(&reply).is_err() {
+                        if send_line(client, &reply).is_err() {
                             return ClientState::Closed;
                         }
                     }
@@ -2784,7 +2735,7 @@ fn resolve_head(
                         let request = request.clone();
                         expects.pop_front();
                         if retries > 0 {
-                            let mut replacement = route_request(inner, pool, conn, &request);
+                            let mut replacement = route_request(inner, pool, conn, request);
                             if let Expect::Forward { retries_left, .. } = &mut replacement {
                                 *retries_left = retries - 1;
                             }
@@ -2792,7 +2743,7 @@ fn resolve_head(
                             continue;
                         }
                         let reply = format!("ERR shard {shard_name} unavailable (connection lost)");
-                        if client.send(&reply).is_err() {
+                        if send_line(client, &reply).is_err() {
                             return ClientState::Closed;
                         }
                     }
@@ -2865,13 +2816,13 @@ fn resolve_head(
                     }
                 };
                 expects.pop_front();
-                if client.send(&reply).is_err() {
+                if send_line(client, &reply).is_err() {
                     return ClientState::Closed;
                 }
             }
             Expect::Wait { pre, parts } => {
                 for line in pre.drain(..) {
-                    if client.send(&line).is_err() {
+                    if send_line(client, &line).is_err() {
                         return ClientState::Closed;
                     }
                 }
@@ -2898,7 +2849,7 @@ fn resolve_head(
                                         part.globals.remove(0);
                                     }
                                 }
-                                if client.send(&reply).is_err() {
+                                if send_line(client, &reply).is_err() {
                                     return ClientState::Closed;
                                 }
                             }
@@ -2912,68 +2863,23 @@ fn resolve_head(
                                 // resume waiting there.
                                 inner.note_failure(&shard, false);
                                 let orphans: Vec<u64> = std::mem::take(&mut parts[i].globals);
-                                let mut regroup: Vec<(String, Vec<(u64, u64)>)> = Vec::new();
+                                let mut regroup = Vec::new();
+                                let mut errors = Vec::new();
                                 for global in orphans {
                                     let entry = inner.lock_tickets().lookup(global);
-                                    let failure = match entry {
-                                        Some(entry) => {
-                                            match inner.failover_ticket(global, &entry) {
-                                                Ok(rehomed) => {
-                                                    match regroup
-                                                        .iter_mut()
-                                                        .find(|(s, _)| *s == rehomed.shard)
-                                                    {
-                                                        Some((_, items)) => {
-                                                            items.push((global, rehomed.local))
-                                                        }
-                                                        None => regroup.push((
-                                                            rehomed.shard.clone(),
-                                                            vec![(global, rehomed.local)],
-                                                        )),
-                                                    }
-                                                    None
-                                                }
-                                                Err(line) => Some(line),
-                                            }
-                                        }
-                                        None => Some(format!("ERR unknown ticket {global}")),
+                                    let rehomed = match entry {
+                                        Some(entry) => inner.failover_ticket(global, &entry),
+                                        None => Err(format!("ERR unknown ticket {global}")),
                                     };
-                                    if let Some(line) = failure {
-                                        if client.send(&line).is_err() {
-                                            return ClientState::Closed;
-                                        }
+                                    match rehomed {
+                                        Ok(entry) => group_wait(&mut regroup, entry, global),
+                                        Err(line) => errors.push(line),
                                     }
                                 }
-                                for (new_shard, items) in regroup {
-                                    let locals_line = items
-                                        .iter()
-                                        .map(|(_, local)| local.to_string())
-                                        .collect::<Vec<_>>()
-                                        .join(" ");
-                                    match forward(
-                                        inner,
-                                        pool,
-                                        &new_shard,
-                                        &with_ctx(
-                                            inner.tracer.child_context(conn),
-                                            &format!("WAIT {locals_line}"),
-                                        ),
-                                    ) {
-                                        Ok(epoch) => parts.push(WaitPart {
-                                            shard: new_shard,
-                                            epoch,
-                                            globals: items
-                                                .iter()
-                                                .map(|(global, _)| *global)
-                                                .collect(),
-                                        }),
-                                        Err(err) => {
-                                            for _ in &items {
-                                                if client.send(&err).is_err() {
-                                                    return ClientState::Closed;
-                                                }
-                                            }
-                                        }
+                                errors.extend(forward_waits(inner, pool, conn, regroup, parts));
+                                for line in errors {
+                                    if send_line(client, &line).is_err() {
+                                        return ClientState::Closed;
                                     }
                                 }
                             }
@@ -3036,7 +2942,7 @@ fn resolve_head(
                 }
                 let reply = render_gather(inner, kind, parts);
                 expects.pop_front();
-                if client.send(&reply).is_err() {
+                if send_line(client, &reply).is_err() {
                     return ClientState::Closed;
                 }
             }

@@ -604,39 +604,11 @@ impl Service {
         )?)
     }
 
-    /// Persists only the given cache namespaces (plus their guard pairs
-    /// and a manifest of the names) to `path` as a namespace *shipment* —
-    /// the portable unit the cluster layer moves between shard processes
-    /// when namespace ownership rebalances. Returns the size in bytes.
-    pub fn snapshot_namespaces_to(
-        &self,
-        namespaces: &[String],
-        path: &Path,
-    ) -> Result<usize, ServiceError> {
-        let keys: Vec<u64> = namespaces
-            .iter()
-            .map(|ns| modis_engine::SharedEvalCache::namespace_key(ns))
-            .collect();
-        let guards: Vec<(u64, u64)> = self
-            .engine
-            .namespace_fingerprints()
-            .into_iter()
-            .filter(|(key, _)| keys.contains(key))
-            .collect();
-        Ok(snapshot::save_shipment_to_path(
-            namespaces,
-            self.engine.cache(),
-            &keys,
-            &guards,
-            path,
-        )?)
-    }
-
     /// Encodes the given cache namespaces (plus their guard pairs and a
-    /// manifest of the names) as in-memory shipment bytes — the payload
-    /// the `SHIP` wire verb carries shard-to-shard without touching a
-    /// shared filesystem. Identical format to
-    /// [`Service::snapshot_namespaces_to`], minus the file.
+    /// manifest of the names) as an in-memory namespace *shipment* — the
+    /// portable unit the cluster layer moves between shard processes when
+    /// namespace ownership rebalances, and the payload the `SHIP` wire
+    /// verb carries shard-to-shard without touching a shared filesystem.
     pub fn shipment_bytes(&self, namespaces: &[String]) -> Vec<u8> {
         let keys: Vec<u64> = namespaces
             .iter()

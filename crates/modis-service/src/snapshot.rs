@@ -419,20 +419,6 @@ pub fn save_to_path(
     Ok(bytes.len())
 }
 
-/// Writes a namespace shipment to `path` (atomic like [`save_to_path`]),
-/// returning its size in bytes.
-pub fn save_shipment_to_path(
-    names: &[String],
-    cache: &SharedEvalCache,
-    keys: &[u64],
-    namespace_fingerprints: &[(u64, u64)],
-    path: &Path,
-) -> Result<usize, SnapshotError> {
-    let bytes = encode_shipment(names, cache, keys, namespace_fingerprints);
-    write_atomic(path, &bytes)?;
-    Ok(bytes.len())
-}
-
 /// Reads either format from `path` — a full snapshot (`MODISNAP`) or a
 /// namespace shipment (`MODISHIP`) — and **merges** its evaluations into
 /// `cache` through the hashed insertion path (no slot-geometry replay, no
@@ -623,14 +609,8 @@ mod tests {
         let ship = dir.join(format!("modis_merge_ship_{}.bin", std::process::id()));
         let alpha = modis_engine::SharedEvalCache::namespace_key("alpha");
         save_to_path(&cache, &[(alpha, 1)], &snap).unwrap();
-        save_shipment_to_path(
-            &["alpha".to_string()],
-            &cache,
-            &[alpha],
-            &[(alpha, 1)],
-            &ship,
-        )
-        .unwrap();
+        let shipment = encode_shipment(&["alpha".to_string()], &cache, &[alpha], &[(alpha, 1)]);
+        std::fs::write(&ship, shipment).unwrap();
 
         let full = Arc::new(SharedEvalCache::with_capacity(2, 0));
         let (merged, guards) = merge_from_path(&full, &snap).unwrap();

@@ -334,6 +334,44 @@ fn router_serves_cluster_verbs_and_error_paths() {
     cluster.stop();
 }
 
+/// A `SHIP` frame sent to the **router** is a shard-level request in the
+/// wrong place: one error line, the declared payload counted and dropped
+/// (never routed as requests, never buffered), the connection in sync.
+#[test]
+fn router_drops_a_ship_frame_and_stays_in_sync() {
+    let workload = ClusterWorkload {
+        namespaces: 1,
+        rows: 100,
+        max_states: 5,
+        engine_cache_capacity: 0,
+        memo_capacity: 0,
+    };
+    let cluster = workload.build_cluster(2);
+    let stream = TcpStream::connect(cluster.router.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+
+    // A payload made of valid request lines, split mid-line by the frame
+    // boundary, then a real request behind it.
+    let payload = b"LIST\n".repeat(40_000);
+    let mut burst = format!("SHIP ws0 {}\n", payload.len() - 2).into_bytes();
+    burst.extend_from_slice(&payload[..payload.len() - 2]);
+    burst.extend_from_slice(b"PING\nSHIP ws0 0\nSHIP ws0\nPING\n");
+    writer.write_all(&burst).unwrap();
+    assert_eq!(recv(&mut reader), "ERR SHIP is a shard-level verb");
+    assert_eq!(recv(&mut reader), "PONG", "no payload line was routed");
+    assert_eq!(recv(&mut reader), "ERR SHIP is a shard-level verb");
+    assert_eq!(
+        recv(&mut reader),
+        "ERR SHIP expects one or more namespaces then a byte length"
+    );
+    assert_eq!(recv(&mut reader), "PONG");
+    cluster.stop();
+}
+
 /// `METRICS` through the router merges every shard's exposition behind
 /// one scrape — samples relabeled `shard="…"`, `# HELP`/`# TYPE` comments
 /// deduplicated, the router's own families at the head — and `TRACE DUMP`

@@ -476,6 +476,60 @@ fn stopped_daemon_answers_in_flight_connections_with_an_error() {
     assert!(rest.starts_with("ERR service is shut down"), "got {rest:?}");
 }
 
+/// Regression: a `SHIP` header behind a `CTX` prefix (PROTOCOL.md §1.1
+/// allows the prefix on any request) must enter payload mode like a bare
+/// one — a header looked for before the prefix is stripped is missed, and
+/// the payload bytes are then read as request lines.
+#[test]
+fn ctx_prefixed_ship_header_enters_payload_mode() {
+    // A warm daemon exports its namespace…
+    let warm = Daemon::bind(mock_service(6), "127.0.0.1:0").unwrap();
+    let (mut writer, mut reader) = client(&warm);
+    writer
+        .write_all(b"SUBMIT apx\nRUN\nEXPORT mock-pool\n")
+        .unwrap();
+    assert_eq!(read_reply(&mut reader), "TICKET 1");
+    assert_eq!(read_reply(&mut reader), "OK 1");
+    let export = read_reply(&mut reader);
+    warm.stop();
+    let hex = export.rsplit(' ').next().unwrap();
+    let payload: Vec<u8> = (0..hex.len() / 2)
+        .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap())
+        .collect();
+    assert!(
+        payload.contains(&b'\n'),
+        "the shipment should exercise newlines"
+    );
+
+    // …and a fresh one takes it in under a trace context: exactly one
+    // reply for the frame, and the request behind it still in sync.
+    let fresh = Daemon::bind(mock_service(6), "127.0.0.1:0").unwrap();
+    let (mut writer, mut reader) = client(&fresh);
+    let ctx = "000102030405060708090a0b0c0d0e0f1011121314151617";
+    let mut burst = format!("CTX {ctx} SHIP mock-pool {}\n", payload.len()).into_bytes();
+    burst.extend_from_slice(&payload);
+    burst.extend_from_slice(b"PING\n");
+    writer.write_all(&burst).unwrap();
+    let merged = read_reply(&mut reader);
+    assert!(
+        merged
+            .strip_prefix("OK ")
+            .is_some_and(|n| n.parse::<usize>().unwrap() > 0),
+        "{merged}"
+    );
+    assert_eq!(read_reply(&mut reader), "PONG");
+    // The frame was counted once, under its verb.
+    writer.write_all(b"METRICS\n").unwrap();
+    let header = read_reply(&mut reader);
+    let lines: usize = header.strip_prefix("METRICS ").unwrap().parse().unwrap();
+    let metrics: Vec<String> = (0..lines).map(|_| read_reply(&mut reader)).collect();
+    assert!(
+        metrics.contains(&"reactor_requests_total{verb=\"ship\"} 1".to_string()),
+        "{metrics:#?}"
+    );
+    fresh.stop();
+}
+
 /// Lines of arbitrary bytes (newline-free so each is one request).
 /// Verbs with side effects beyond the protocol surface are defanged:
 /// `SNAPSHOT` writes files, `QUIT` closes early, `WAIT`/`RUN` defer —
