@@ -103,6 +103,7 @@
 
 pub mod batch;
 pub mod cluster;
+pub(crate) mod conn;
 pub mod error;
 pub mod net;
 pub mod poller;

@@ -24,11 +24,13 @@
 //!   accepts it first, and the connection is pinned to that reactor for
 //!   its whole life. Per-reactor instruments carry a `reactor="<n>"`
 //!   label.
-//! * **Per-connection state machines** — each `Connection` owns a
-//!   [`Framer`] (requests may arrive fragmented across many reads, and a
-//!   `SHIP` header is followed by raw payload bytes), an incremental write
-//!   buffer (responses are flushed as the
-//!   socket accepts them), and an ordered queue of `Slot`s: one slot per
+//! * **Per-connection state machines** — the socket, its incremental
+//!   write buffer (responses are flushed as the socket accepts them) and
+//!   its poller registration live in the crate's connection core (the
+//!   private `conn` module, which the cluster router runs on too); on top
+//!   of it each `Connection` owns a [`Framer`] (requests may arrive
+//!   fragmented across many reads, and a `SHIP` header is followed by raw
+//!   payload bytes) and an ordered queue of `Slot`s: one slot per
 //!   received request, resolved strictly in request order.
 //! * **Request pipelining** — a client may enqueue any number of requests
 //!   without waiting for responses; the reactor parses every complete
@@ -59,13 +61,14 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use modis_core::telemetry::{Counter, Gauge, Histogram};
 
+use crate::conn::{accept_ready, Entry, Slab, MAX_READ_PER_SWEEP, WRITE_HIGH_WATERMARK};
 use crate::net::{done_line, execute, OffloadFn, Request};
 use crate::poller::{self, Interest, Poller};
 use crate::protocol::{self, Frame, Framer, Kind, Parsed};
@@ -129,9 +132,9 @@ impl Default for ReactorConfig {
                 .unwrap_or(1)
                 .min(4),
             idle_park: Duration::from_millis(2),
-            write_high_watermark: 1 << 20,
+            write_high_watermark: WRITE_HIGH_WATERMARK,
             max_pipelined: 1024,
-            max_read_per_sweep: 1 << 16,
+            max_read_per_sweep: MAX_READ_PER_SWEEP,
             max_ship_bytes: 1 << 26,
         }
     }
@@ -434,15 +437,12 @@ enum Slot {
     Wait(Vec<u64>, Instant),
 }
 
-/// Per-connection state machine: the request framer, an incremental
-/// write buffer and the ordered response pipeline.
+/// Per-connection state machine on top of the socket core
+/// ([`crate::conn::Conn`]): the request framer and the ordered response
+/// pipeline.
 struct Connection {
-    stream: TcpStream,
     /// Cuts received bytes into requests.
     framer: Framer,
-    /// Bytes owed to the client; `write_pos` marks how far flushing got.
-    write_buf: Vec<u8>,
-    write_pos: usize,
     /// One slot per parsed request, answered strictly in order.
     slots: VecDeque<Slot>,
     /// No more requests will be read (EOF or `QUIT`); flush what is owed,
@@ -453,35 +453,17 @@ struct Connection {
     /// Whether the last sweep saw this connection in read-backpressure
     /// (edge-detects the backpressure-events counter).
     backpressured: bool,
-    /// The interest currently registered with the poller for this
-    /// connection's stream.
-    interest: Interest,
 }
 
 impl Connection {
-    fn new(stream: TcpStream, config: &ReactorConfig) -> io::Result<Connection> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        Ok(Connection {
-            stream,
+    fn new(config: &ReactorConfig) -> Connection {
+        Connection {
             framer: Framer::new(protocol::parse, config.max_line_len, config.max_ship_bytes),
-            write_buf: Vec::new(),
-            write_pos: 0,
             slots: VecDeque::new(),
             closing: false,
             dead: false,
             backpressured: false,
-            interest: Interest::READ,
-        })
-    }
-
-    fn queue_line(&mut self, text: &str) {
-        self.write_buf.extend_from_slice(text.as_bytes());
-        self.write_buf.push(b'\n');
-    }
-
-    fn pending_write(&self) -> usize {
-        self.write_buf.len() - self.write_pos
+        }
     }
 }
 
@@ -496,19 +478,14 @@ pub(crate) struct Reactor {
     stop: Arc<AtomicBool>,
     config: ReactorConfig,
     poller: Poller,
-    /// Slab of pinned connections: slot `i` registers with poller token
-    /// `TOKEN_BASE + i`, so tokens stay stable across unrelated connects
-    /// and disconnects.
-    conns: Vec<Option<Connection>>,
-    /// Freed slab slots, reused before the slab grows.
-    free_slots: Vec<usize>,
+    /// Pinned connections: slot `i` registers with poller token
+    /// `TOKEN_BASE + i`.
+    conns: Slab<Connection>,
     /// Slots whose *front* slot is deferred (a slow verb on the executor,
     /// or a pending `WAIT`): exactly the connections a wakeup
     /// notification may unblock, so a wakeup sweeps only these instead of
     /// every open connection.
     blocked: HashSet<usize>,
-    /// Live connections pinned to this reactor.
-    open: usize,
     /// Reused event buffer for poller waits.
     events: Vec<poller::Event>,
     metrics: ReactorMetrics,
@@ -538,10 +515,8 @@ impl Reactor {
             stop,
             config,
             poller,
-            conns: Vec::new(),
-            free_slots: Vec::new(),
+            conns: Slab::new(TOKEN_BASE),
             blocked: HashSet::new(),
-            open: 0,
             events: Vec::new(),
             metrics,
         })
@@ -575,7 +550,7 @@ impl Reactor {
                         // The slot may have died (and been reaped) earlier
                         // in this same event batch; stale events are
                         // harmless to skip.
-                        if self.conns.get(slot).is_some_and(Option::is_some) {
+                        if self.conns.get_mut(slot).is_some() {
                             progress |= self.sweep_connection(slot, sweep_start);
                         }
                     }
@@ -592,7 +567,7 @@ impl Reactor {
                 // those, keeping wakeups O(blocked), not O(open).
                 let blocked: Vec<usize> = self.blocked.iter().copied().collect();
                 for slot in blocked {
-                    if self.conns.get(slot).is_some_and(Option::is_some) {
+                    if self.conns.get_mut(slot).is_some() {
                         progress |= self.sweep_connection(slot, sweep_start);
                     }
                 }
@@ -607,54 +582,22 @@ impl Reactor {
         self.close_all();
     }
 
-    /// Accepts every connection the listener has ready. With N reactors
-    /// behind one accept socket, the kernel wakes whichever reactors are
-    /// waiting; losing the race to a sibling just means `WouldBlock`.
+    /// Accepts every connection the listener has ready and pins each to
+    /// this reactor. With N reactors behind one accept socket, the kernel
+    /// wakes whichever reactors are waiting; losing the race to a sibling
+    /// just means nothing to adopt.
     fn accept_ready(&mut self) -> bool {
-        let mut progress = false;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    progress = true;
-                    if let Ok(conn) = Connection::new(stream, &self.config) {
-                        self.adopt(conn);
-                    }
-                }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                // Transient accept errors (aborted handshake, fd pressure):
-                // skip this sweep, try again next one.
-                Err(_) => break,
+        let accepted = accept_ready(&self.listener);
+        let progress = !accepted.is_empty();
+        for conn in accepted {
+            let state = Connection::new(&self.config);
+            if self.conns.insert(&mut self.poller, conn, state).is_some() {
+                self.metrics.open_connections.add(1);
             }
         }
+        let pinned = self.conns.len() as i64;
+        self.metrics.pinned_connections.set(pinned);
         progress
-    }
-
-    /// Pins a freshly-accepted connection to this reactor: assign a slab
-    /// slot, register read interest under its token.
-    fn adopt(&mut self, conn: Connection) {
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
-            self.conns.push(None);
-            self.conns.len() - 1
-        });
-        // A connection the poller cannot watch is one this reactor cannot
-        // serve: drop it (closing the socket) rather than strand it.
-        if self
-            .poller
-            .register(
-                poller::source(&conn.stream),
-                TOKEN_BASE + slot,
-                Interest::READ,
-            )
-            .is_err()
-        {
-            self.free_slots.push(slot);
-            return;
-        }
-        self.conns[slot] = Some(conn);
-        self.open += 1;
-        self.metrics.open_connections.add(1);
-        self.metrics.pinned_connections.set(self.open as i64);
     }
 
     /// One sweep over one connection: read what is ready, parse complete
@@ -662,14 +605,18 @@ impl Reactor {
     /// accepts, then settle its registration. Returns whether any
     /// progress was made.
     fn sweep_connection(&mut self, index: usize, now: Instant) -> bool {
-        let mut progress = false;
-        progress |= self.read_ready(index, now);
+        let mut progress = self.read_ready(index, now);
         progress |= self.resolve_slots(index, now);
-        progress |= self.flush_ready(index);
-        let conn = self.conns[index].as_mut().expect("swept slot is live");
-        if conn.closing && !conn.dead && conn.slots.is_empty() && conn.pending_write() == 0 {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            conn.dead = true;
+        let Entry { conn, state } = self.conns.get_mut(index).expect("swept slot is live");
+        if !state.dead {
+            progress |= conn.flush().unwrap_or_else(|_| {
+                state.dead = true;
+                true
+            });
+        }
+        if state.closing && !state.dead && state.slots.is_empty() && conn.pending_write() == 0 {
+            conn.close();
+            state.dead = true;
             progress = true;
         }
         self.settle(index);
@@ -684,46 +631,34 @@ impl Reactor {
     /// response bytes are owed, because a drained socket is almost always
     /// writable.
     fn settle(&mut self, index: usize) {
-        let (fd, dead) = {
-            let conn = self.conns[index].as_ref().expect("settled slot is live");
-            (poller::source(&conn.stream), conn.dead)
-        };
-        if dead {
-            let _ = self.poller.deregister(fd);
-            self.conns[index] = None;
-            self.free_slots.push(index);
+        let Entry { conn, state } = self.conns.get_mut(index).expect("settled slot is live");
+        if state.dead {
+            self.conns.remove(&mut self.poller, index);
             self.blocked.remove(&index);
-            self.open -= 1;
             self.metrics.open_connections.add(-1);
-            self.metrics.pinned_connections.set(self.open as i64);
+            self.metrics.pinned_connections.set(self.conns.len() as i64);
             return;
         }
-        let conn = self.conns[index].as_mut().expect("settled slot is live");
         let backpressured = conn.pending_write() > self.config.write_high_watermark
-            || conn.slots.len() >= self.config.max_pipelined;
-        let want = Interest {
-            read: !conn.closing && !backpressured,
-            write: conn.pending_write() > 0,
-        };
-        if want != conn.interest && self.poller.reregister(fd, TOKEN_BASE + index, want).is_ok() {
-            conn.interest = want;
-        }
+            || state.slots.len() >= self.config.max_pipelined;
+        let want_read = !state.closing && !backpressured;
         if matches!(
-            conn.slots.front(),
+            state.slots.front(),
             Some(Slot::Deferred(..) | Slot::Wait(..))
         ) {
             self.blocked.insert(index);
         } else {
             self.blocked.remove(&index);
         }
+        self.conns.settle(&mut self.poller, index, want_read);
     }
 
     /// Drains readable bytes into the connection's framer and queues every
     /// complete request as a response slot. Dispatch happens later, when
     /// the slot reaches the front (see [`Slot`]).
     fn read_ready(&mut self, index: usize, now: Instant) -> bool {
-        let conn = self.conns[index].as_mut().expect("read slot is live");
-        if conn.closing || conn.dead {
+        let Entry { conn, state } = self.conns.get_mut(index).expect("read slot is live");
+        if state.closing || state.dead {
             return false;
         }
         // Backpressure, both directions: a client that does not drain
@@ -732,55 +667,34 @@ impl Reactor {
         // read once the pipeline is `max_pipelined` deep — so
         // per-connection memory stays bounded either way.
         if conn.pending_write() > self.config.write_high_watermark
-            || conn.slots.len() >= self.config.max_pipelined
+            || state.slots.len() >= self.config.max_pipelined
         {
-            if !conn.backpressured {
-                conn.backpressured = true;
+            if !state.backpressured {
+                state.backpressured = true;
                 self.metrics.backpressure_events.inc();
             }
             return false;
         }
-        conn.backpressured = false;
-        let mut consumed = 0usize;
-        let mut saw_eof = false;
-        let mut buf = [0u8; 4096];
-        while consumed < self.config.max_read_per_sweep {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    saw_eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    consumed += n;
-                    conn.framer.push(&buf[..n]);
-                    // A short read means the socket buffer is drained:
-                    // stop here instead of paying a would-block read.
-                    // The poller is level-triggered, so bytes that land
-                    // after this moment re-report on the next wait.
-                    if n < buf.len() {
-                        break;
-                    }
-                }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    return true;
-                }
-            }
+        state.backpressured = false;
+        let read = conn.read(self.config.max_read_per_sweep, |bytes| {
+            state.framer.push(bytes)
+        });
+        let Ok(read) = read else {
+            state.dead = true;
+            return true;
+        };
+        while let Some(frame) = state.framer.next_frame() {
+            state.slots.push_back(self.config.slot_for(frame, now));
         }
-        while let Some(frame) = conn.framer.next_frame() {
-            conn.slots.push_back(self.config.slot_for(frame, now));
-        }
-        if saw_eof {
+        if read.eof {
             // The seed's `BufRead::lines` answered a final unterminated
             // line; preserve that.
-            if let Some(frame) = conn.framer.finish() {
-                conn.slots.push_back(self.config.slot_for(frame, now));
+            if let Some(frame) = state.framer.finish() {
+                state.slots.push_back(self.config.slot_for(frame, now));
             }
-            conn.closing = true;
+            state.closing = true;
         }
-        consumed > 0 || saw_eof
+        read.bytes > 0 || read.eof
     }
 
     /// Resolves leading slots into response bytes, strictly in request
@@ -792,10 +706,10 @@ impl Reactor {
         loop {
             let service = Arc::clone(&self.service);
             let executor = Arc::clone(&self.executor);
-            let conn = self.conns[index].as_mut().expect("resolved slot is live");
-            match conn.slots.front_mut() {
+            let Entry { conn, state } = self.conns.get_mut(index).expect("resolved slot is live");
+            match state.slots.front_mut() {
                 Some(Slot::Request(..)) => {
-                    let Some(Slot::Request(request, stamp)) = conn.slots.pop_front() else {
+                    let Some(Slot::Request(request, stamp)) = state.slots.pop_front() else {
                         unreachable!("front_mut just matched Request");
                     };
                     progress = true;
@@ -803,8 +717,8 @@ impl Reactor {
                     // semantics: error the next line, then close).
                     if service.is_stopped() {
                         conn.queue_line("ERR service is shut down");
-                        conn.slots.clear();
-                        conn.closing = true;
+                        state.slots.clear();
+                        state.closing = true;
                         break;
                     }
                     let kind = request.kind;
@@ -821,27 +735,29 @@ impl Reactor {
                                 .record_duration(now.saturating_duration_since(stamp));
                             // Later pipelined requests are dropped, as the
                             // seed's per-connection loop did on QUIT.
-                            conn.slots.clear();
-                            conn.closing = true;
+                            state.slots.clear();
+                            state.closing = true;
                             break;
                         }
                         // Deferred verbs re-enter the queue at the front
                         // and resolve on subsequent iterations/sweeps.
-                        Request::Drain => conn.slots.push_front(Slot::Deferred(
+                        Request::Drain => state.slots.push_front(Slot::Deferred(
                             executor.submit_drain(),
                             kind,
                             stamp,
                         )),
-                        Request::Offload(task) => conn.slots.push_front(Slot::Deferred(
+                        Request::Offload(task) => state.slots.push_front(Slot::Deferred(
                             executor.submit_task(task),
                             kind,
                             stamp,
                         )),
-                        Request::Wait(tickets) => conn.slots.push_front(Slot::Wait(tickets, stamp)),
+                        Request::Wait(tickets) => {
+                            state.slots.push_front(Slot::Wait(tickets, stamp))
+                        }
                     }
                 }
                 Some(Slot::Ready(_)) => {
-                    let Some(Slot::Ready(text)) = conn.slots.pop_front() else {
+                    let Some(Slot::Ready(text)) = state.slots.pop_front() else {
                         unreachable!("front_mut just matched Ready");
                     };
                     conn.queue_line(&text);
@@ -850,7 +766,7 @@ impl Reactor {
                 Some(Slot::Deferred(reply, ..)) => {
                     let Some(text) = reply.get() else { break };
                     let text = text.clone();
-                    let Some(Slot::Deferred(_, kind, stamp)) = conn.slots.pop_front() else {
+                    let Some(Slot::Deferred(_, kind, stamp)) = state.slots.pop_front() else {
                         unreachable!("front_mut just matched Deferred");
                     };
                     conn.queue_line(&text);
@@ -859,7 +775,7 @@ impl Reactor {
                     progress = true;
                 }
                 Some(Slot::Wait(..)) => {
-                    let Some(Slot::Wait(mut remaining, stamp)) = conn.slots.pop_front() else {
+                    let Some(Slot::Wait(mut remaining, stamp)) = state.slots.pop_front() else {
                         unreachable!("front_mut just matched Wait");
                     };
                     // Emit finished tickets progressively, in completion
@@ -886,48 +802,12 @@ impl Reactor {
                             .record_duration(now.saturating_duration_since(stamp));
                         progress = true;
                     } else {
-                        conn.slots.push_front(Slot::Wait(remaining, stamp));
+                        state.slots.push_front(Slot::Wait(remaining, stamp));
                         break;
                     }
                 }
                 None => break,
             }
-        }
-        progress
-    }
-
-    /// Writes as much of the pending response bytes as the socket accepts.
-    fn flush_ready(&mut self, index: usize) -> bool {
-        let conn = self.conns[index].as_mut().expect("flushed slot is live");
-        if conn.dead || conn.pending_write() == 0 {
-            return false;
-        }
-        let mut progress = false;
-        while conn.write_pos < conn.write_buf.len() {
-            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-                Ok(0) => {
-                    conn.dead = true;
-                    return true;
-                }
-                Ok(n) => {
-                    conn.write_pos += n;
-                    progress = true;
-                }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    return true;
-                }
-            }
-        }
-        if conn.write_pos == conn.write_buf.len() {
-            conn.write_buf.clear();
-            conn.write_pos = 0;
-        } else if conn.write_pos > 64 * 1024 {
-            // Reclaim flushed prefix of a large, partially-written buffer.
-            conn.write_buf.drain(..conn.write_pos);
-            conn.write_pos = 0;
         }
         progress
     }
@@ -941,25 +821,22 @@ impl Reactor {
     /// to completion on the executor thread).
     fn close_all(&mut self) {
         let now = Instant::now();
-        for index in 0..self.conns.len() {
-            if self.conns[index].is_some() {
+        let open = self.conns.len();
+        for index in self.conns.slots() {
+            if self.conns.get_mut(index).is_some() {
                 self.resolve_slots(index, now);
             }
         }
-        for conn in self.conns.iter_mut().flatten() {
-            if conn.dead {
+        for Entry { mut conn, state } in self.conns.drain() {
+            if state.dead {
                 continue;
             }
-            if !conn.closing {
+            if !state.closing {
                 conn.queue_line("ERR service is shut down");
             }
-            let pending = conn.write_pos.min(conn.write_buf.len());
-            let _ = conn.stream.write_all(&conn.write_buf[pending..]);
-            let _ = conn.stream.shutdown(Shutdown::Both);
+            conn.close();
         }
-        self.conns.clear();
-        self.metrics.open_connections.add(-(self.open as i64));
-        self.open = 0;
+        self.metrics.open_connections.add(-(open as i64));
         self.metrics.pinned_connections.set(0);
     }
 }

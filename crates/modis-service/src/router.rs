@@ -58,28 +58,38 @@
 //!   shard death are re-homed and the wait resumes on the replica.
 //!
 //! The router itself holds no evaluation state and does no search work —
-//! it is a thin I/O forwarder. Its client-facing side runs on the same
-//! readiness core as the daemon front-end: **one** front thread drives
-//! every client connection through a [`crate::poller::Poller`] (listener,
-//! wakeup channel and all clients registered; a sweep touches only ready
-//! sockets), instead of the former thread-per-connection handler model.
-//! Shard-side connections stay blocking with a short read timeout
-//! ([`RouterConfig::poll_interval`]), polled from the same thread as the
-//! expectations owed on them come due.
+//! it is a routing and fan-out *policy* (placement, the ticket table,
+//! health, failover, the ordered queue of expectations) on top of the
+//! connection core the daemon's reactor runs on (the crate's private
+//! `conn` module). **One** front thread drives every socket the router
+//! serves through one [`crate::poller::Poller`]: the listener, the wakeup
+//! channel, every client connection and every pooled shard connection —
+//! each non-blocking under its own token, a shard connection recording the
+//! client that owns it, so a shard reply wakes exactly the client it is
+//! owed to. The thread never blocks on a peer: requests to a shard and
+//! responses to a client queue in the connection's write buffer and leave
+//! as the socket accepts them, a client that does not read its responses
+//! stops being read (and stalls nobody else), and with nothing ready the
+//! thread sleeps in one poller wait. Only what runs off the readiness
+//! path stays blocking: connecting to a shard under
+//! [`RouterConfig::connect_timeout`], and the one-shot exchanges of the
+//! heartbeat, shipping and failover paths.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use modis_core::telemetry::{Counter, MetricsRegistry, TraceContext, Tracer};
+use modis_engine::SharedEvalCache;
 
 use crate::cluster::{validate_token, ClusterSpec, ShardMap};
+use crate::conn::{accept_ready, Conn, Entry, Slab, MAX_READ_PER_SWEEP, WRITE_HIGH_WATERMARK};
 use crate::error::ServiceError;
 use crate::poller::{self, Interest, Poller};
 use crate::protocol::{self, Frame, Framer, Parsed, Verb};
@@ -100,10 +110,6 @@ const CIRCUIT_HELP: &str = "Per-shard circuit breaker state: 0 = closed (healthy
 /// change protocol semantics.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Read timeout used as the polling quantum on every connection
-    /// (client and shard side): bounds how long the handler loop blocks
-    /// before re-checking other work and the stop flag.
-    pub poll_interval: Duration,
     /// Longest accepted client request line (reactor parity).
     pub max_line_len: usize,
     /// Maximum unresolved expectations per client connection; beyond it
@@ -148,12 +154,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            // Small on purpose: every client⇄router⇄shard exchange pays up
-            // to two of these quanta, so the quantum is the router's
-            // latency floor. The cost is one read syscall per quantum per
-            // open idle connection — cheap at router connection counts
-            // (the CPU-heavy side lives in the shard daemons).
-            poll_interval: Duration::from_micros(200),
             max_line_len: 4096,
             max_pipelined: 1024,
             connect_timeout: Duration::from_secs(2),
@@ -172,28 +172,18 @@ impl Default for RouterConfig {
 }
 
 /// One shard's circuit breaker position, exposed per shard as the
-/// `router_circuit_state` gauge and via [`Router::circuit_state`].
+/// `router_circuit_state` gauge (whose value is the discriminant) and via
+/// [`Router::circuit_state`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CircuitState {
     /// Healthy: requests flow normally.
-    Closed,
+    Closed = 0,
     /// Probing: one trial request is allowed through after the open
     /// cooldown; success starts closing the breaker, failure re-opens it.
-    HalfOpen,
+    HalfOpen = 1,
     /// Declared dead: requests fail fast without touching the socket
     /// until the cooldown elapses.
-    Open,
-}
-
-impl CircuitState {
-    /// The gauge encoding of the state (0 / 1 / 2).
-    fn gauge(self) -> i64 {
-        match self {
-            CircuitState::Closed => 0,
-            CircuitState::HalfOpen => 1,
-            CircuitState::Open => 2,
-        }
-    }
+    Open = 2,
 }
 
 /// EWMA weight of the newest liveness observation (1 = success, 0 =
@@ -243,16 +233,14 @@ impl ShardHealth {
     fn on_failure(&mut self, threshold: u32) {
         self.misses = self.misses.saturating_add(1);
         self.liveness *= 1.0 - LIVENESS_ALPHA;
-        match self.state {
-            CircuitState::Closed if self.misses >= threshold => {
-                self.state = CircuitState::Open;
-                self.opened_at = Some(Instant::now());
-            }
-            CircuitState::HalfOpen => {
-                self.state = CircuitState::Open;
-                self.opened_at = Some(Instant::now());
-            }
-            _ => {}
+        let trips = match self.state {
+            CircuitState::Closed => self.misses >= threshold,
+            CircuitState::HalfOpen => true,
+            CircuitState::Open => false,
+        };
+        if trips {
+            self.state = CircuitState::Open;
+            self.opened_at = Some(Instant::now());
         }
     }
 
@@ -260,21 +248,13 @@ impl ShardHealth {
     /// transitions to half-open (and admits one trial) once `cooldown`
     /// has elapsed since it opened.
     fn allow_attempt(&mut self, cooldown: Duration) -> bool {
-        match self.state {
-            CircuitState::Closed | CircuitState::HalfOpen => true,
-            CircuitState::Open => {
-                let elapsed = self
-                    .opened_at
-                    .map(|at| at.elapsed())
-                    .unwrap_or(Duration::MAX);
-                if elapsed >= cooldown {
-                    self.state = CircuitState::HalfOpen;
-                    true
-                } else {
-                    false
-                }
+        if self.state == CircuitState::Open {
+            if self.opened_at.is_some_and(|at| at.elapsed() < cooldown) {
+                return false;
             }
+            self.state = CircuitState::HalfOpen;
         }
+        true
     }
 }
 
@@ -314,27 +294,41 @@ fn hex_decode(hex: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Reads one newline-terminated reply off a blocking stream (the
-/// one-shot `ask`/`SHIP`/heartbeat paths; handler-loop reads go through
-/// [`LineConn`] instead).
-fn read_reply_line(stream: &mut TcpStream) -> io::Result<String> {
+/// One blocking request/response exchange with a shard on a connection
+/// of its own — the heartbeat, shipping and failover paths, none of which
+/// runs on the readiness path. Connects under `connect_timeout`, writes
+/// `head` as a line followed by the raw `payload` bytes (a `SHIP` frame;
+/// empty otherwise), and reads one reply line under `reply_timeout`.
+fn one_shot(
+    addr: SocketAddr,
+    connect_timeout: Duration,
+    reply_timeout: Duration,
+    head: &str,
+    payload: &[u8],
+) -> io::Result<String> {
+    let mut stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
+    stream.set_read_timeout(Some(reply_timeout))?;
+    stream.set_nodelay(true)?;
+    stream.write_all(format!("{head}\n").as_bytes())?;
+    stream.write_all(payload)?;
     let mut reply = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed before reply",
-                ))
-            }
-            Ok(_) if byte[0] == b'\n' => break,
-            Ok(_) => reply.push(byte[0]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+    BufReader::new(stream).read_until(b'\n', &mut reply)?;
+    if reply.pop() != Some(b'\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed before reply",
+        ));
     }
     Ok(String::from_utf8_lossy(&reply).trim_end().to_string())
+}
+
+/// The error of a cluster operation that could not get what it needed
+/// from `shard`.
+fn unavailable(shard: &str, reason: impl ToString) -> ServiceError {
+    ServiceError::ShardUnavailable {
+        shard: shard.to_string(),
+        reason: reason.to_string(),
+    }
 }
 
 /// One shard's identity and current address.
@@ -484,6 +478,12 @@ struct ReplicationState {
     seq: u64,
 }
 
+/// Locks `mutex` through poisoning: every structure the router guards is
+/// updated in one step, so a panicking holder leaves it consistent.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct RouterInner {
     spec: ClusterSpec,
     topology: Mutex<Topology>,
@@ -508,114 +508,121 @@ struct RouterInner {
     /// as the shard-side spans and rendered into `EXPLAIN` timelines
     /// with a `shard=router` suffix.
     tracer: Arc<Tracer>,
+    /// How many poller waits the front thread has returned from — what
+    /// the no-polling-tick test counts.
+    #[cfg(test)]
+    front_waits: AtomicU64,
 }
 
 impl RouterInner {
-    fn lock_topology(&self) -> std::sync::MutexGuard<'_, Topology> {
-        self.topology.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_tickets(&self) -> std::sync::MutexGuard<'_, TicketTable> {
-        self.tickets.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_health(&self) -> std::sync::MutexGuard<'_, HashMap<String, ShardHealth>> {
-        self.health.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_replication(&self) -> std::sync::MutexGuard<'_, ReplicationState> {
-        self.replication
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The effective replication factor (at least 1).
     fn k(&self) -> usize {
         self.config.replication.max(1)
     }
 
+    /// The ranked owner set of `namespace` in the current topology.
+    fn owners(&self, namespace: &str) -> Vec<String> {
+        let topology = lock(&self.topology);
+        let owners = topology.map.owners_of_namespace(namespace, self.k());
+        owners.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Records that `replica` now holds the bytes of `namespace` with
+    /// this content `digest`, as of flush sequence `seq`.
+    fn remember_push(&self, replica: &str, namespace: &str, digest: u64, seq: u64) {
+        let mut rep = lock(&self.replication);
+        let key = (replica.to_string(), namespace.to_string());
+        rep.pushed.insert(key.clone(), digest);
+        rep.freshness.insert(key, seq);
+    }
+
+    /// The next flush sequence number.
+    fn next_seq(&self) -> u64 {
+        let mut rep = lock(&self.replication);
+        rep.seq += 1;
+        rep.seq
+    }
+
     /// Pre-registers every per-shard family so scrapes see them (at zero)
     /// from the first exposition, not only after the first event.
     fn register_shard_metrics(&self, shard: &str) {
-        self.metrics
-            .gauge_with("router_circuit_state", CIRCUIT_HELP, &[("shard", shard)])
-            .set(CircuitState::Closed.gauge());
-        let _ = self.metrics.counter_with(
-            "router_heartbeat_misses_total",
-            HEARTBEAT_MISS_HELP,
-            &[("shard", shard)],
-        );
-        let _ =
-            self.metrics
-                .counter_with("router_failovers_total", FAILOVER_HELP, &[("shard", shard)]);
+        let labels = [("shard", shard)];
+        self.publish_circuit(shard, CircuitState::Closed);
+        let _ = self.miss_counter(shard);
+        let _ = self.failover_counter(shard);
         let _ = self
             .metrics
-            .histogram_with("router_backoff_ms", BACKOFF_HELP, &[("shard", shard)]);
+            .histogram_with("router_backoff_ms", BACKOFF_HELP, &labels);
+    }
+
+    fn miss_counter(&self, shard: &str) -> Arc<Counter> {
+        let labels = [("shard", shard)];
+        self.metrics.counter_with(
+            "router_heartbeat_misses_total",
+            HEARTBEAT_MISS_HELP,
+            &labels,
+        )
+    }
+
+    /// The failover counter of `shard` — the shard routed *away from*.
+    fn failover_counter(&self, shard: &str) -> Arc<Counter> {
+        let labels = [("shard", shard)];
+        self.metrics
+            .counter_with("router_failovers_total", FAILOVER_HELP, &labels)
     }
 
     /// Publishes `shard`'s breaker position to the state gauge.
     fn publish_circuit(&self, shard: &str, state: CircuitState) {
         self.metrics
             .gauge_with("router_circuit_state", CIRCUIT_HELP, &[("shard", shard)])
-            .set(state.gauge());
+            .set(state as i64);
+    }
+
+    /// Applies `update` to `shard`'s health record, then publishes the
+    /// breaker position it left.
+    fn with_health<R>(&self, shard: &str, update: impl FnOnce(&mut ShardHealth) -> R) -> R {
+        let (result, state) = {
+            let mut health = lock(&self.health);
+            let entry = health.entry(shard.to_string()).or_default();
+            (update(entry), entry.state)
+        };
+        self.publish_circuit(shard, state);
+        result
     }
 
     /// Records a successful probe or forward against `shard`.
     fn note_success(&self, shard: &str) {
-        let state = {
-            let mut health = self.lock_health();
-            let entry = health.entry(shard.to_string()).or_default();
-            entry.on_success();
-            entry.state
-        };
-        self.publish_circuit(shard, state);
+        self.with_health(shard, ShardHealth::on_success);
     }
 
     /// Records a failed probe (`heartbeat_miss = true`, counted in the
     /// miss family) or a failed forward against `shard`.
     fn note_failure(&self, shard: &str, heartbeat_miss: bool) {
         if heartbeat_miss {
-            self.metrics
-                .counter_with(
-                    "router_heartbeat_misses_total",
-                    HEARTBEAT_MISS_HELP,
-                    &[("shard", shard)],
-                )
-                .inc();
+            self.miss_counter(shard).inc();
         }
-        let state = {
-            let mut health = self.lock_health();
-            let entry = health.entry(shard.to_string()).or_default();
-            entry.on_failure(self.config.heartbeat_misses.max(1));
-            entry.state
-        };
-        self.publish_circuit(shard, state);
+        let threshold = self.config.heartbeat_misses.max(1);
+        self.with_health(shard, |health| health.on_failure(threshold));
     }
 
     /// Whether a request may be attempted against `shard` right now
     /// (possibly flipping an expired open breaker to half-open).
     fn allow_attempt(&self, shard: &str) -> bool {
-        let (allowed, state) = {
-            let mut health = self.lock_health();
-            let entry = health.entry(shard.to_string()).or_default();
-            (entry.allow_attempt(self.config.open_cooldown), entry.state)
-        };
-        self.publish_circuit(shard, state);
-        allowed
+        let cooldown = self.config.open_cooldown;
+        self.with_health(shard, |health| health.allow_attempt(cooldown))
     }
 
     /// Whether `shard` is currently declared unhealthy (breaker not
     /// closed).
     fn shard_down(&self, shard: &str) -> bool {
-        self.lock_health()
+        lock(&self.health)
             .get(shard)
             .is_some_and(|h| h.state != CircuitState::Closed)
     }
 
     /// The sorted names of shards currently declared unhealthy.
     fn degraded_shards(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .lock_health()
+        let mut names: Vec<String> = lock(&self.health)
             .iter()
             .filter(|(_, h)| h.state != CircuitState::Closed)
             .map(|(name, _)| name.clone())
@@ -628,37 +635,23 @@ impl RouterInner {
     /// recovery path after a rewire (the new process starts from its
     /// snapshot; pushed copies must be re-shipped).
     fn reset_health(&self, shard: &str) {
-        self.lock_health()
-            .insert(shard.to_string(), ShardHealth::default());
+        lock(&self.health).insert(shard.to_string(), ShardHealth::default());
         self.publish_circuit(shard, CircuitState::Closed);
-        let mut rep = self.lock_replication();
+        let mut rep = lock(&self.replication);
         rep.pushed.retain(|(replica, _), _| replica != shard);
         rep.freshness.retain(|(replica, _), _| replica != shard);
     }
 
-    /// Bumps the failover counter of the shard routed *away from*.
-    fn count_failover(&self, dead: &str) {
-        self.metrics
-            .counter_with("router_failovers_total", FAILOVER_HELP, &[("shard", dead)])
-            .inc();
-    }
-
-    /// One-shot request/response against a shard daemon.
-    fn ask(&self, shard: &str, addr: SocketAddr, line: &str) -> Result<String, ServiceError> {
-        let fail = |reason: String| ServiceError::ShardUnavailable {
-            shard: shard.to_string(),
-            reason,
-        };
-        let mut stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)
-            .map_err(|e| fail(e.to_string()))?;
-        stream
-            .set_read_timeout(Some(self.config.ship_timeout))
-            .map_err(|e| fail(e.to_string()))?;
-        stream.set_nodelay(true).map_err(|e| fail(e.to_string()))?;
-        stream
-            .write_all(format!("{line}\n").as_bytes())
-            .map_err(|e| fail(e.to_string()))?;
-        read_reply_line(&mut stream).map_err(|e| fail(e.to_string()))
+    /// [`one_shot`] against a shard daemon under the lifecycle timeouts.
+    fn ask(
+        &self,
+        shard: &str,
+        addr: SocketAddr,
+        head: &str,
+        payload: &[u8],
+    ) -> Result<String, ServiceError> {
+        let (connect, reply) = (self.config.connect_timeout, self.config.ship_timeout);
+        one_shot(addr, connect, reply, head, payload).map_err(|err| unavailable(shard, err))
     }
 
     /// Exports `namespaces` from a shard over the wire: one `EXPORT`
@@ -670,34 +663,22 @@ impl RouterInner {
         addr: SocketAddr,
         namespaces: &[String],
     ) -> Result<(u64, Vec<u8>), ServiceError> {
-        let reply = self.ask(shard, addr, &format!("EXPORT {}", namespaces.join(" ")))?;
-        let fail = |reason: String| ServiceError::ShardUnavailable {
-            shard: shard.to_string(),
-            reason,
-        };
+        let head = format!("EXPORT {}", namespaces.join(" "));
+        let reply = self.ask(shard, addr, &head, &[])?;
         let mut tokens = reply.split_whitespace();
         if tokens.next() != Some("SHIPMENT") {
-            return Err(fail(reply.clone()));
+            return Err(unavailable(shard, &reply));
         }
-        let digest = tokens
-            .next()
-            .and_then(|t| u64::from_str_radix(t, 16).ok())
-            .ok_or_else(|| fail(format!("malformed SHIPMENT digest in {reply:?}")))?;
-        let len: usize = tokens
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| fail(format!("malformed SHIPMENT length in {reply:?}")))?;
+        let digest = tokens.next().and_then(|t| u64::from_str_radix(t, 16).ok());
+        let len = tokens.next().and_then(|t| t.parse::<usize>().ok());
         // A zero-length shipment renders with no hex token at all.
-        let hex = tokens.next().unwrap_or("");
-        let payload =
-            hex_decode(hex).ok_or_else(|| fail(format!("malformed SHIPMENT hex in {reply:?}")))?;
-        if payload.len() != len {
-            return Err(fail(format!(
-                "SHIPMENT length mismatch: header {len}, payload {}",
-                payload.len()
-            )));
+        let payload = hex_decode(tokens.next().unwrap_or(""));
+        match (digest, len, payload) {
+            (Some(digest), Some(len), Some(payload)) if payload.len() == len => {
+                Ok((digest, payload))
+            }
+            _ => Err(unavailable(shard, "malformed SHIPMENT reply")),
         }
-        Ok((digest, payload))
     }
 
     /// Pushes snapshot bytes into a shard over the wire with the
@@ -709,39 +690,25 @@ impl RouterInner {
         namespaces: &[String],
         payload: &[u8],
     ) -> Result<u64, ServiceError> {
-        let fail = |reason: String| ServiceError::ShardUnavailable {
-            shard: shard.to_string(),
-            reason,
-        };
-        let mut stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)
-            .map_err(|e| fail(e.to_string()))?;
-        stream
-            .set_read_timeout(Some(self.config.ship_timeout))
-            .map_err(|e| fail(e.to_string()))?;
-        stream.set_nodelay(true).map_err(|e| fail(e.to_string()))?;
-        let header = format!("SHIP {} {}\n", namespaces.join(" "), payload.len());
-        stream
-            .write_all(header.as_bytes())
-            .map_err(|e| fail(e.to_string()))?;
-        stream.write_all(payload).map_err(|e| fail(e.to_string()))?;
-        let reply = read_reply_line(&mut stream).map_err(|e| fail(e.to_string()))?;
+        let header = format!("SHIP {} {}", namespaces.join(" "), payload.len());
+        let reply = self.ask(shard, addr, &header, payload)?;
         reply
             .strip_prefix("OK ")
             .and_then(|n| n.trim().parse::<u64>().ok())
-            .ok_or_else(|| fail(reply.clone()))
+            .ok_or_else(|| unavailable(shard, &reply))
     }
 
     /// Marks a namespace as having submitted-but-not-run work.
     fn mark_dirty(&self, namespace: &str) {
         if self.k() > 1 {
-            self.lock_replication().dirty.insert(namespace.to_string());
+            lock(&self.replication).dirty.insert(namespace.to_string());
         }
     }
 
     /// Promotes dirty namespaces to ready — called once a cluster `RUN`
     /// completed, i.e. their caches have settled.
     fn promote_dirty(&self) {
-        let mut rep = self.lock_replication();
+        let mut rep = lock(&self.replication);
         let dirty: Vec<String> = rep.dirty.drain().collect();
         rep.ready.extend(dirty);
     }
@@ -752,7 +719,7 @@ impl RouterInner {
     /// number of `(replica, namespace)` copies currently confirmed warm.
     fn flush_ready_replication(&self) -> usize {
         let ready: Vec<String> = {
-            let mut rep = self.lock_replication();
+            let mut rep = lock(&self.replication);
             rep.ready.drain().collect()
         };
         let mut requeue = Vec::new();
@@ -761,7 +728,7 @@ impl RouterInner {
                 requeue.push(namespace.clone());
             }
         }
-        let mut rep = self.lock_replication();
+        let mut rep = lock(&self.replication);
         rep.ready.extend(requeue);
         rep.pushed.len()
     }
@@ -769,64 +736,46 @@ impl RouterInner {
     /// Ships one namespace from its highest-ranked live owner to every
     /// other live owner that does not already hold the current bytes.
     fn replicate_namespace(&self, namespace: &str) -> Result<(), ServiceError> {
-        let k = self.k();
-        if k <= 1 {
+        if self.k() <= 1 {
             return Ok(());
         }
-        let (owners, addrs) = {
-            let topology = self.lock_topology();
-            let owners: Vec<String> = topology
-                .map
-                .owners_of_namespace(namespace, k)
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            let addrs: HashMap<String, SocketAddr> = owners
-                .iter()
-                .filter_map(|o| topology.addr_of(o).map(|a| (o.clone(), a)))
-                .collect();
-            (owners, addrs)
+        let owners = self.owners(namespace);
+        let addrs: HashMap<String, SocketAddr> = {
+            let topology = lock(&self.topology);
+            let addr = |o: &String| topology.addr_of(o).map(|a| (o.clone(), a));
+            owners.iter().filter_map(addr).collect()
         };
         let primary = owners
             .iter()
             .find(|o| !self.shard_down(o) && addrs.contains_key(*o))
             .cloned()
-            .ok_or_else(|| ServiceError::ShardUnavailable {
-                shard: owners.first().cloned().unwrap_or_default(),
-                reason: format!("no live owner to export namespace {namespace} from"),
+            .ok_or_else(|| {
+                let reason = format!("no live owner to export namespace {namespace} from");
+                unavailable(owners.first().map_or("", String::as_str), reason)
             })?;
         let namespaces = [namespace.to_string()];
         let (digest, payload) = self.wire_export(&primary, addrs[&primary], &namespaces)?;
         if payload.is_empty() {
             return Ok(());
         }
-        let seq = {
-            let mut rep = self.lock_replication();
-            rep.seq += 1;
-            rep.seq
-        };
+        let seq = self.next_seq();
         let mut first_err = None;
         for replica in owners.iter().filter(|o| **o != primary) {
             let key = (replica.clone(), namespace.to_string());
             if self.shard_down(replica) {
-                first_err.get_or_insert_with(|| ServiceError::ShardUnavailable {
-                    shard: replica.clone(),
-                    reason: "replica down during replication flush".to_string(),
+                first_err.get_or_insert_with(|| {
+                    unavailable(replica, "replica down during replication flush")
                 });
                 continue;
             }
             let Some(addr) = addrs.get(replica).copied() else {
                 continue;
             };
-            if self.lock_replication().pushed.get(&key) == Some(&digest) {
+            if lock(&self.replication).pushed.get(&key) == Some(&digest) {
                 continue;
             }
             match self.wire_ship(replica, addr, &namespaces, &payload) {
-                Ok(_) => {
-                    let mut rep = self.lock_replication();
-                    rep.pushed.insert(key.clone(), digest);
-                    rep.freshness.insert(key, seq);
-                }
+                Ok(_) => self.remember_push(replica, namespace, digest, seq),
                 Err(err) => {
                     first_err.get_or_insert(err);
                 }
@@ -850,28 +799,16 @@ impl RouterInner {
         let Some(namespace) = self.spec.namespace_of(&entry.scenario).map(str::to_string) else {
             return Err(no_replica());
         };
-        let candidates: Vec<(String, SocketAddr)> = {
-            let topology = self.lock_topology();
-            let owners: Vec<String> = topology
-                .map
-                .owners_of_namespace(&namespace, self.k())
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            owners
-                .into_iter()
-                .filter(|o| *o != dead)
-                .filter_map(|o| topology.addr_of(&o).map(|a| (o, a)))
-                .collect()
-        };
-        let mut candidates: Vec<(String, SocketAddr)> = candidates
+        let mut candidates: Vec<(String, SocketAddr)> = self
+            .owners(&namespace)
             .into_iter()
-            .filter(|(name, _)| !self.shard_down(name))
+            .filter(|o| *o != dead && !self.shard_down(o))
+            .filter_map(|o| lock(&self.topology).addr_of(&o).map(|a| (o, a)))
             .collect();
         {
             // Freshest replica first; the sort is stable, so rendezvous
             // rank breaks ties.
-            let rep = self.lock_replication();
+            let rep = lock(&self.replication);
             candidates.sort_by_key(|(name, _)| {
                 std::cmp::Reverse(
                     rep.freshness
@@ -895,6 +832,7 @@ impl RouterInner {
                 &name,
                 addr,
                 &with_ctx(ctx, &format!("SUBMIT {}", entry.scenario)),
+                &[],
             ) {
                 Ok(reply) => reply,
                 Err(_) => {
@@ -908,17 +846,17 @@ impl RouterInner {
             else {
                 continue;
             };
-            let ran = match self.ask(&name, addr, &with_ctx(ctx, "RUN")) {
+            let ran = match self.ask(&name, addr, &with_ctx(ctx, "RUN"), &[]) {
                 Ok(reply) => reply,
                 Err(_) => continue,
             };
             if !ran.starts_with("OK") {
                 continue;
             }
-            if !self.lock_tickets().remap(global, &name, local) {
+            if !lock(&self.tickets).remap(global, &name, local) {
                 return Err(format!("ERR unknown ticket {global}"));
             }
-            self.count_failover(&dead);
+            self.failover_counter(&dead).inc();
             if entry.trace != 0 {
                 self.tracer
                     .record_at("failover", ctx, failover_start, failover_start.elapsed());
@@ -954,11 +892,11 @@ pub struct ShippedNamespace {
 pub struct Router {
     inner: Arc<RouterInner>,
     addr: SocketAddr,
-    front_thread: Mutex<Option<JoinHandle<()>>>,
+    /// The front and heartbeat threads, until [`Router::stop`] joins them.
+    threads: Mutex<Vec<JoinHandle<()>>>,
     /// Interrupts the front thread's poller wait so [`Router::stop`]
     /// never waits out a full timeout.
     front_wakeup: Wakeup,
-    heartbeat_thread: Mutex<Option<JoinHandle<()>>>,
     /// Serialises join/leave/rewire so two topology changes cannot
     /// interleave their shipping phases.
     lifecycle: Mutex<()>,
@@ -1030,42 +968,37 @@ impl Router {
             health: Mutex::new(HashMap::new()),
             replication: Mutex::new(ReplicationState::default()),
             tracer: Arc::new(Tracer::with_capacity(4096)),
+            #[cfg(test)]
+            front_waits: AtomicU64::new(0),
         });
-        {
-            let topology = inner.lock_topology();
-            let names: Vec<String> = topology.shards.iter().map(|s| s.name.clone()).collect();
-            drop(topology);
-            for name in names {
-                inner.register_shard_metrics(&name);
-            }
+        for shard in &lock(&inner.topology).shards {
+            inner.register_shard_metrics(&shard.name);
         }
-        // The client-facing front runs on one poller-driven thread (the
-        // same readiness core as the daemon's reactor); its poller and
-        // wakeup channel are built here so a failure surfaces as a bind
-        // error instead of a silently dead thread.
-        let (front_wakeup, front_wakeup_rx) = wakeup_pair()?;
-        front_wakeup_rx.set_nonblocking(true)?;
-        let mut front_poller = Poller::new()?;
-        front_poller.register(
-            poller::source(&front_wakeup_rx),
-            FRONT_WAKEUP,
-            Interest::READ,
-        )?;
-        front_poller.register(poller::source(&listener), FRONT_LISTENER, Interest::READ)?;
-        let front_thread = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || front_loop(front_poller, listener, front_wakeup_rx, inner))
+        // The front thread's poller and wakeup channel are built here so
+        // a failure surfaces as a bind error instead of a silently dead
+        // thread.
+        let (front_wakeup, wakeup_rx) = wakeup_pair()?;
+        let mut poller = Poller::new()?;
+        poller.register(poller::source(&wakeup_rx), FRONT_WAKEUP, Interest::READ)?;
+        poller.register(poller::source(&listener), FRONT_LISTENER, Interest::READ)?;
+        let front = Front {
+            inner: Arc::clone(&inner),
+            poller,
+            listener,
+            wakeup_rx,
+            clients: Slab::new(FRONT_CLIENTS),
+            links: Slab::new(FRONT_LINKS),
         };
-        let heartbeat_thread = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || heartbeat_loop(inner))
-        };
+        let heartbeat = Arc::clone(&inner);
+        let threads = vec![
+            std::thread::spawn(move || front.run()),
+            std::thread::spawn(move || heartbeat_loop(heartbeat)),
+        ];
         Ok(Router {
             inner,
             addr,
-            front_thread: Mutex::new(Some(front_thread)),
+            threads: Mutex::new(threads),
             front_wakeup,
-            heartbeat_thread: Mutex::new(Some(heartbeat_thread)),
             lifecycle: Mutex::new(()),
         })
     }
@@ -1085,12 +1018,12 @@ impl Router {
 
     /// A snapshot of the current ownership map.
     pub fn shard_map(&self) -> ShardMap {
-        self.inner.lock_topology().map.clone()
+        lock(&self.inner.topology).map.clone()
     }
 
     /// The current shard set with addresses, sorted by name.
     pub fn shards(&self) -> Vec<(String, SocketAddr)> {
-        let topology = self.inner.lock_topology();
+        let topology = lock(&self.inner.topology);
         let mut shards: Vec<(String, SocketAddr)> = topology
             .shards
             .iter()
@@ -1102,8 +1035,8 @@ impl Router {
 
     /// The shard currently owning `namespace` (the replication primary).
     pub fn owner_of(&self, namespace: &str) -> Option<String> {
-        self.inner
-            .lock_topology()
+        let topology = lock(&self.inner.topology);
+        topology
             .map
             .owner_of_namespace(namespace)
             .map(str::to_string)
@@ -1112,24 +1045,15 @@ impl Router {
     /// The ranked owner set of `namespace` under the configured
     /// replication factor: the primary first, then the failover replicas.
     pub fn owners_of(&self, namespace: &str) -> Vec<String> {
-        self.inner
-            .lock_topology()
-            .map
-            .owners_of_namespace(namespace, self.inner.k())
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
+        self.inner.owners(namespace)
     }
 
     /// The current circuit-breaker position of `shard` as seen by the
     /// heartbeat/forward machinery ([`CircuitState::Closed`] for a shard
     /// that has never failed).
     pub fn circuit_state(&self, shard: &str) -> CircuitState {
-        self.inner
-            .lock_health()
-            .get(shard)
-            .map(|h| h.state)
-            .unwrap_or(CircuitState::Closed)
+        let health = lock(&self.inner.health);
+        health.get(shard).map_or(CircuitState::Closed, |h| h.state)
     }
 
     /// Promotes every pending namespace and pushes it to its replicas
@@ -1156,12 +1080,9 @@ impl Router {
         addr: SocketAddr,
     ) -> Result<Vec<ShippedNamespace>, ServiceError> {
         validate_token(name, "shard name").map_err(ServiceError::InvalidTopology)?;
-        let _lifecycle = self
-            .lifecycle
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _lifecycle = lock(&self.lifecycle);
         let before = {
-            let topology = self.inner.lock_topology();
+            let topology = lock(&self.inner.topology);
             if topology.addr_of(name).is_some() {
                 return Err(ServiceError::InvalidTopology(format!(
                     "shard {name:?} is already a member"
@@ -1172,26 +1093,9 @@ impl Router {
         let mut after = before.clone();
         after.add(name.to_string());
 
-        let (shipped, by_pair) = replica_plan(&self.inner, &before, &after);
-        for ((source, target), namespaces) in by_pair {
-            debug_assert_eq!(
-                target, name,
-                "rendezvous join granted a namespace to an unrelated shard"
-            );
-            let source_addr = self.inner.lock_topology().addr_of(&source).ok_or_else(|| {
-                ServiceError::InvalidTopology(format!("shard {source:?} vanished"))
-            })?;
-            let target_addr = if target == name {
-                addr
-            } else {
-                self.inner.lock_topology().addr_of(&target).ok_or_else(|| {
-                    ServiceError::InvalidTopology(format!("shard {target:?} vanished"))
-                })?
-            };
-            self.ship(&source, source_addr, &namespaces, &target, target_addr)?;
-        }
+        let shipped = self.ship_plan(&before, &after, Some((name, addr)))?;
 
-        let mut topology = self.inner.lock_topology();
+        let mut topology = lock(&self.inner.topology);
         topology.shards.push(ShardState {
             name: name.to_string(),
             addr,
@@ -1210,12 +1114,9 @@ impl Router {
     /// replicas already serve; otherwise restart it from its last
     /// snapshot and [`Router::set_shard_addr`] it back in.)
     pub fn leave_shard(&self, name: &str) -> Result<Vec<ShippedNamespace>, ServiceError> {
-        let _lifecycle = self
-            .lifecycle
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _lifecycle = lock(&self.lifecycle);
         let before = {
-            let topology = self.inner.lock_topology();
+            let topology = lock(&self.inner.topology);
             topology.addr_of(name).ok_or_else(|| {
                 ServiceError::InvalidTopology(format!("shard {name:?} is not a member"))
             })?;
@@ -1229,25 +1130,16 @@ impl Router {
         let mut after = before.clone();
         after.remove(name);
 
-        let (shipped, by_pair) = replica_plan(&self.inner, &before, &after);
-        for ((source, target), namespaces) in by_pair {
-            let source_addr = self.inner.lock_topology().addr_of(&source).ok_or_else(|| {
-                ServiceError::InvalidTopology(format!("shard {source:?} vanished"))
-            })?;
-            let target_addr = self.inner.lock_topology().addr_of(&target).ok_or_else(|| {
-                ServiceError::InvalidTopology(format!("shard {target:?} vanished"))
-            })?;
-            self.ship(&source, source_addr, &namespaces, &target, target_addr)?;
-        }
+        let shipped = self.ship_plan(&before, &after, None)?;
 
-        let mut topology = self.inner.lock_topology();
+        let mut topology = lock(&self.inner.topology);
         topology.shards.retain(|s| s.name != name);
         topology.map = after;
         drop(topology);
-        self.inner.lock_tickets().purge_shard(name);
-        self.inner.lock_health().remove(name);
+        lock(&self.inner.tickets).purge_shard(name);
+        lock(&self.inner.health).remove(name);
         {
-            let mut rep = self.inner.lock_replication();
+            let mut rep = lock(&self.inner.replication);
             rep.pushed.retain(|(replica, _), _| replica != name);
             rep.freshness.retain(|(replica, _), _| replica != name);
         }
@@ -1262,12 +1154,9 @@ impl Router {
     /// handler connections to the old address are dropped on their next
     /// use.
     pub fn set_shard_addr(&self, name: &str, addr: SocketAddr) -> Result<(), ServiceError> {
-        let _lifecycle = self
-            .lifecycle
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _lifecycle = lock(&self.lifecycle);
         {
-            let mut topology = self.inner.lock_topology();
+            let mut topology = lock(&self.inner.topology);
             let shard = topology
                 .shards
                 .iter_mut()
@@ -1277,9 +1166,36 @@ impl Router {
                 })?;
             shard.addr = addr;
         }
-        self.inner.lock_tickets().purge_shard(name);
+        lock(&self.inner.tickets).purge_shard(name);
         self.inner.reset_health(name);
         Ok(())
+    }
+
+    /// Ships every namespace copy the move from topology `before` to
+    /// `after` newly grants, before routing flips. `joiner` is the shard
+    /// being added, whose address the current topology does not know yet.
+    fn ship_plan(
+        &self,
+        before: &ShardMap,
+        after: &ShardMap,
+        joiner: Option<(&str, SocketAddr)>,
+    ) -> Result<Vec<ShippedNamespace>, ServiceError> {
+        let addr_of = |shard: &str| match joiner {
+            Some((name, addr)) if name == shard => Ok(addr),
+            _ => lock(&self.inner.topology)
+                .addr_of(shard)
+                .ok_or_else(|| ServiceError::InvalidTopology(format!("shard {shard:?} vanished"))),
+        };
+        let (shipped, by_pair) = replica_plan(&self.inner, before, after);
+        for ((source, target), namespaces) in by_pair {
+            debug_assert!(
+                joiner.is_none_or(|(name, _)| name == target),
+                "rendezvous join granted a namespace to an unrelated shard"
+            );
+            let (source_addr, target_addr) = (addr_of(&source)?, addr_of(&target)?);
+            self.ship(&source, source_addr, &namespaces, &target, target_addr)?;
+        }
+        Ok(shipped)
     }
 
     /// Ships `namespaces` from one shard to another entirely over the
@@ -1303,14 +1219,8 @@ impl Router {
         if let [namespace] = namespaces {
             // Single-namespace shipments double as replication pushes:
             // remember the digest so the next flush can skip it.
-            let mut rep = self.inner.lock_replication();
-            let seq = {
-                rep.seq += 1;
-                rep.seq
-            };
-            let key = (target.to_string(), namespace.clone());
-            rep.pushed.insert(key.clone(), digest);
-            rep.freshness.insert(key, seq);
+            let seq = self.inner.next_seq();
+            self.inner.remember_push(target, namespace, digest, seq);
         }
         Ok(())
     }
@@ -1322,23 +1232,13 @@ impl Router {
     /// stopped — they are independent processes.
     pub fn stop(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
-        let mut front = self
-            .front_thread
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut threads = lock(&self.threads);
         // Notified under the lock, after the flag store: the wakeup byte
         // interrupts the front thread's poller wait so stop never sleeps
         // out a full timeout.
         self.front_wakeup.notify();
-        if let Some(handle) = front.take() {
-            let _ = handle.join();
-        }
-        drop(front);
-        let mut heartbeat = self
-            .heartbeat_thread
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(handle) = heartbeat.take() {
+        for handle in threads.drain(..) {
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }
@@ -1350,80 +1250,48 @@ impl Drop for Router {
     }
 }
 
-/// The minimal replica-aware shipping plan between two topologies: for
-/// every namespace, each shard that newly enters its owner set receives a
-/// copy from the warmest surviving old owner (falling back to the old
-/// primary when the whole set turns over). Returns the flat shipment list
-/// and the work grouped by `(source, target)` pair.
+/// The minimal replica-aware shipping plan between two topologies
+/// ([`ShardMap::reassigned_replicas`] over the spec's namespaces): each
+/// shard that newly enters a namespace's owner set receives a copy from
+/// the warmest surviving old owner. Returns the flat shipment list and the
+/// work grouped by `(source, target)` pair.
 #[allow(clippy::type_complexity)]
 fn replica_plan(
-    inner: &Arc<RouterInner>,
+    inner: &RouterInner,
     before: &ShardMap,
     after: &ShardMap,
 ) -> (Vec<ShippedNamespace>, Vec<((String, String), Vec<String>)>) {
-    let k = inner.k();
     let mut shipped = Vec::new();
     let mut by_pair: Vec<((String, String), Vec<String>)> = Vec::new();
     for namespace in inner.spec.namespaces() {
-        let before_owners: Vec<String> = before
-            .owners_of_namespace(namespace, k)
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let after_owners: Vec<String> = after
-            .owners_of_namespace(namespace, k)
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        for target in after_owners.iter().filter(|t| !before_owners.contains(t)) {
-            let Some(source) = before_owners
-                .iter()
-                .find(|s| after_owners.contains(s))
-                .or_else(|| before_owners.first())
-            else {
-                continue;
-            };
-            let pair = (source.clone(), target.clone());
-            match by_pair.iter_mut().find(|(p, _)| *p == pair) {
-                Some((_, namespaces)) => namespaces.push(namespace.to_string()),
-                None => by_pair.push((pair, vec![namespace.to_string()])),
+        let key = SharedEvalCache::namespace_key(namespace);
+        for moved in before.reassigned_replicas(after, [key], inner.k()) {
+            let Some(source) = moved.source else { continue };
+            for target in moved.gained {
+                let pair = (source.clone(), target.clone());
+                match by_pair.iter_mut().find(|(p, _)| *p == pair) {
+                    Some((_, namespaces)) => namespaces.push(namespace.to_string()),
+                    None => by_pair.push((pair, vec![namespace.to_string()])),
+                }
+                shipped.push(ShippedNamespace {
+                    namespace: namespace.to_string(),
+                    from: source.clone(),
+                    to: target,
+                });
             }
-            shipped.push(ShippedNamespace {
-                namespace: namespace.to_string(),
-                from: source.clone(),
-                to: target.clone(),
-            });
         }
     }
     (shipped, by_pair)
 }
 
-/// One heartbeat probe: connect, `PING`, expect `PONG`, all under the
-/// heartbeat timeout.
-fn heartbeat_probe(inner: &RouterInner, addr: SocketAddr) -> io::Result<()> {
-    let timeout = inner.config.heartbeat_timeout.max(Duration::from_millis(1));
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_nodelay(true)?;
-    stream.write_all(b"PING\n")?;
-    let reply = read_reply_line(&mut stream)?;
-    if reply == "PONG" {
-        Ok(())
-    } else {
-        Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unexpected heartbeat reply {reply:?}"),
-        ))
-    }
-}
-
-/// The heartbeat thread: probes every shard each interval (feeding the
-/// breakers), then flushes pending replication pushes. Sleeps in small
-/// slices so [`Router::stop`] is never blocked behind a full interval.
+/// The heartbeat thread: probes every shard each interval — connect,
+/// `PING`, expect `PONG`, all under the heartbeat timeout — feeding the
+/// breakers, then flushes pending replication pushes, then parks until
+/// the next interval or [`Router::stop`].
 fn heartbeat_loop(inner: Arc<RouterInner>) {
+    let timeout = inner.config.heartbeat_timeout.max(Duration::from_millis(1));
     while !inner.stop.load(Ordering::SeqCst) {
-        let shards: Vec<(String, SocketAddr)> = inner
-            .lock_topology()
+        let shards: Vec<(String, SocketAddr)> = lock(&inner.topology)
             .shards
             .iter()
             .map(|s| (s.name.clone(), s.addr))
@@ -1432,22 +1300,15 @@ fn heartbeat_loop(inner: Arc<RouterInner>) {
             if inner.stop.load(Ordering::SeqCst) {
                 return;
             }
-            match heartbeat_probe(&inner, addr) {
-                Ok(()) => inner.note_success(&name),
-                Err(_) => inner.note_failure(&name, true),
+            match one_shot(addr, timeout, timeout, "PING", &[]) {
+                Ok(reply) if reply == "PONG" => inner.note_success(&name),
+                _ => inner.note_failure(&name, true),
             }
         }
         if inner.k() > 1 && !inner.stop.load(Ordering::SeqCst) {
             let _ = inner.flush_ready_replication();
         }
-        let deadline = Instant::now() + inner.config.heartbeat_interval;
-        while !inner.stop.load(Ordering::SeqCst) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            std::thread::sleep((deadline - now).min(Duration::from_millis(5)));
-        }
+        std::thread::park_timeout(inner.config.heartbeat_interval);
     }
 }
 
@@ -1455,132 +1316,137 @@ fn heartbeat_loop(inner: Arc<RouterInner>) {
 const FRONT_WAKEUP: usize = 0;
 /// Poller token of the front thread's listening socket.
 const FRONT_LISTENER: usize = 1;
-/// Front poller tokens at and above this are client slots.
-const FRONT_BASE: usize = 2;
+/// Client slot `i` registers under token `FRONT_CLIENTS + i`.
+const FRONT_CLIENTS: usize = 2;
+/// Shard-link slot `i` registers under token `FRONT_LINKS + i`: the upper
+/// half of the token space, which no client slot can reach.
+const FRONT_LINKS: usize = 1 << (usize::BITS - 1);
 
-/// Backstop poller timeout while no client owes any response: nothing can
-/// come due spontaneously, so the wait only needs to re-check the stop
-/// flag now and then (readiness interrupts it for real work).
+/// Backstop timeout of the front thread's poller wait. Everything that
+/// can come due — a request, a shard reply, a drained socket, shutdown —
+/// is a readiness event that interrupts the wait; the timeout only bounds
+/// how stale the stop-flag re-check can get.
 const FRONT_IDLE_PARK: Duration = Duration::from_millis(10);
 
-/// Prepares a socket for the handler loop: no Nagle delay, and reads
-/// polled with a timeout instead of blocking.
-fn polled(stream: TcpStream, poll_interval: Duration) -> io::Result<TcpStream> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(poll_interval.max(Duration::from_micros(1))))?;
-    Ok(stream)
+/// Reply bytes received from a shard, cut into lines as they are asked
+/// for.
+#[derive(Default)]
+struct LineBuf {
+    buf: Vec<u8>,
+    /// Bytes before this offset were handed out as lines.
+    cursor: usize,
 }
 
-fn send_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
-    stream.write_all(format!("{line}\n").as_bytes())
-}
+impl LineBuf {
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
 
-/// One read from a [`polled`] socket: `Ok(None)` when no bytes are there
-/// yet (0 bytes is end of input).
-fn read_chunk(stream: &mut TcpStream, chunk: &mut [u8]) -> io::Result<Option<usize>> {
-    match stream.read(chunk) {
-        Ok(n) => Ok(Some(n)),
-        Err(err)
-            if matches!(
-                err.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-            ) =>
-        {
-            Ok(None)
+    /// End of input: a final unterminated line is still a line.
+    fn finish(&mut self) {
+        if self.buf.last().is_some_and(|&byte| byte != b'\n') {
+            self.buf.push(b'\n');
         }
-        Err(err) => Err(err),
+    }
+
+    /// The next complete line, terminator stripped.
+    fn next_line(&mut self) -> Option<String> {
+        let rest = &self.buf[self.cursor..];
+        let Some(end) = rest.iter().position(|&byte| byte == b'\n') else {
+            self.buf.drain(..self.cursor);
+            self.cursor = 0;
+            return None;
+        };
+        let line = String::from_utf8_lossy(&rest[..end]).into_owned();
+        self.cursor += end + 1;
+        Some(line)
     }
 }
 
-/// A line-buffered connection to a shard, polled with a read timeout.
-struct LineConn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    eof: bool,
+/// What a pooled shard connection carries on top of its socket: pinned
+/// to the address it was opened against so a rewired shard invalidates
+/// it, and stamped with an epoch so an expectation can only ever read
+/// from the *same* connection its request was sent on (a response owed by
+/// a dead connection must fail, never consume a fresh connection's line
+/// for a later request).
+struct ShardLink {
+    /// The client slot whose pool holds this connection — the one client
+    /// a reply arriving here can unblock.
+    owner: usize,
+    addr: SocketAddr,
+    epoch: u64,
+    /// Reply lines received and not yet claimed by an expectation.
+    replies: LineBuf,
+    /// The shard closed the connection (or it failed); buffered replies
+    /// are still served, then the link reads as dead.
+    closed: bool,
 }
 
-/// One poll of a [`LineConn`].
+/// One client's shard connections — shard name to link slot — plus the
+/// epoch counter.
+#[derive(Default)]
+struct ConnPool {
+    conns: HashMap<String, usize>,
+    next_epoch: u64,
+}
+
+/// What the routing policy works on while it serves one client: the
+/// router's shared state, the client's trace root, and the client's
+/// [`ConnPool`] together with what its slots index and register with.
+struct Route<'a> {
+    inner: &'a Arc<RouterInner>,
+    /// The client connection's trace context: every forwarded line is
+    /// prefixed with `CTX <hex>` carrying a fresh child of it (or of the
+    /// submitting trace, for ticket verbs).
+    ctx: TraceContext,
+    /// The client's slot, recorded on every link it opens.
+    owner: usize,
+    pool: &'a mut ConnPool,
+    links: &'a mut Slab<ShardLink>,
+    poller: &'a mut Poller,
+}
+
+impl Route<'_> {
+    /// The pooled connection to `shard`, if one is open.
+    fn link(&mut self, shard: &str) -> Option<(usize, &mut Entry<ShardLink>)> {
+        let slot = *self.pool.conns.get(shard)?;
+        Some((slot, self.links.get_mut(slot).expect("pooled link is live")))
+    }
+
+    /// Pools a fresh connection to `shard` under the next epoch.
+    fn open(&mut self, shard: &str, addr: SocketAddr, conn: Conn) -> io::Result<()> {
+        self.pool.next_epoch += 1;
+        let link = ShardLink {
+            owner: self.owner,
+            addr,
+            epoch: self.pool.next_epoch,
+            replies: LineBuf::default(),
+            closed: false,
+        };
+        let slot = self
+            .links
+            .insert(self.poller, conn, link)
+            .ok_or_else(|| io::Error::other("poller refused the shard connection"))?;
+        self.pool.conns.insert(shard.to_string(), slot);
+        Ok(())
+    }
+
+    /// Closes the pooled connection to `shard`, retiring its epoch.
+    fn drop_link(&mut self, shard: &str) {
+        if let Some(slot) = self.pool.conns.remove(shard) {
+            self.links.remove(self.poller, slot);
+        }
+    }
+}
+
+/// One look at the replies buffered on a shard connection.
 enum Polled {
     /// A complete line (terminator stripped).
     Line(String),
     /// Nothing complete yet.
     Pending,
-    /// Orderly end of input; a final unterminated line was already
-    /// surfaced as [`Polled::Line`].
-    Eof,
-    /// The connection failed.
+    /// The connection is gone and holds nothing further.
     Dead,
-}
-
-impl LineConn {
-    fn new(stream: TcpStream, poll_interval: Duration) -> io::Result<LineConn> {
-        Ok(LineConn {
-            stream: polled(stream, poll_interval)?,
-            buf: Vec::new(),
-            eof: false,
-        })
-    }
-
-    /// Returns the next complete line, reading at most one chunk from the
-    /// socket when the buffer has none.
-    fn poll_line(&mut self) -> Polled {
-        if let Some(line) = self.take_buffered_line() {
-            return Polled::Line(line);
-        }
-        if self.eof {
-            return self.drain_tail_or_eof();
-        }
-        let mut chunk = [0u8; 4096];
-        match read_chunk(&mut self.stream, &mut chunk) {
-            Ok(Some(0)) => {
-                self.eof = true;
-                self.drain_tail_or_eof()
-            }
-            Ok(Some(n)) => {
-                self.buf.extend_from_slice(&chunk[..n]);
-                match self.take_buffered_line() {
-                    Some(line) => Polled::Line(line),
-                    None => Polled::Pending,
-                }
-            }
-            Ok(None) => Polled::Pending,
-            Err(_) => Polled::Dead,
-        }
-    }
-
-    fn take_buffered_line(&mut self) -> Option<String> {
-        let pos = self.buf.iter().position(|&b| b == b'\n')?;
-        let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-        line.pop();
-        Some(String::from_utf8_lossy(&line).into_owned())
-    }
-
-    fn drain_tail_or_eof(&mut self) -> Polled {
-        if self.buf.is_empty() {
-            Polled::Eof
-        } else {
-            let line = String::from_utf8_lossy(&std::mem::take(&mut self.buf)).into_owned();
-            Polled::Line(line)
-        }
-    }
-}
-
-/// A cached connection to one shard, pinned to the address it was opened
-/// against so a rewired shard invalidates it, and stamped with an epoch
-/// so an expectation can only ever read from the *same* connection its
-/// request was sent on (a response owed by a dead connection must fail,
-/// never consume a fresh connection's line for a later request).
-struct ShardConn {
-    conn: LineConn,
-    addr: SocketAddr,
-    epoch: u64,
-}
-
-/// One client handler's shard connections plus the epoch counter.
-#[derive(Default)]
-struct ConnPool {
-    conns: HashMap<String, ShardConn>,
-    next_epoch: u64,
 }
 
 /// Rewrite applied to a single forwarded response line.
@@ -1593,9 +1459,6 @@ enum Rewrite {
         scenario: String,
         /// Routed to a replica because the primary was down.
         degraded: bool,
-        /// The trace context the submission was forwarded under; its
-        /// trace id is remembered in the ticket table for `EXPLAIN`.
-        ctx: TraceContext,
     },
     /// `POLL`: pass through, but re-express `ERR unknown ticket` with the
     /// cluster id the client asked about.
@@ -1760,12 +1623,10 @@ enum Expect {
     },
 }
 
-/// One client connection on the router's front thread: the socket and
-/// its request framer, its pinned shard-connection pool, the ordered
-/// pipeline of owed responses, and the registration state mirrored from
-/// the poller.
+/// What one client connection carries on top of its socket: the request
+/// framer, its pinned shard-connection pool and the ordered pipeline of
+/// owed responses.
 struct FrontClient {
-    stream: TcpStream,
     /// Cuts received bytes into requests. Built with a zero payload cap: a
     /// `SHIP` frame is a shard-level request, so its declared bytes are
     /// counted and dropped, never buffered.
@@ -1777,264 +1638,224 @@ struct FrontClient {
     ctx: TraceContext,
     pool: ConnPool,
     expects: VecDeque<Expect>,
-    /// No more requests will arrive; pending expectations still resolve.
+    /// A ticket verb framed while an earlier `SUBMIT` of this connection
+    /// is still unanswered. Its cluster id does not exist until that
+    /// answer is rewritten, so it — and everything behind it — is routed
+    /// only then (`SUBMIT x` / `WAIT 1` pipelined in one burst must work
+    /// however slow the shard is).
+    held: Option<Parsed>,
+    /// The peer closed its sending side; buffered requests and pending
+    /// expectations still resolve.
     eof: bool,
-    /// The interest currently registered with the front poller.
-    interest: Interest,
+    /// `QUIT` was answered: nothing further is parsed, and the connection
+    /// closes once `BYE` has left.
+    quit: bool,
 }
 
-/// The router's front thread: accepts and serves **every** client
-/// connection through one poller — the same O(ready) readiness core as
-/// the daemon's reactor, replacing the former thread-per-connection
-/// handler model. Client sockets stay *blocking* with the
-/// [`RouterConfig::poll_interval`] read timeout (multi-line responses are
-/// written with plain `write_all`, which must not fail mid-reply on a
-/// slow reader); the poller decides *which* clients are worth reading, so
-/// idle clients cost nothing per sweep.
-fn front_loop(
-    mut front: Poller,
-    listener: TcpListener,
-    mut wakeup_rx: TcpStream,
+impl FrontClient {
+    /// Whether the front thread reads this client right now: not after
+    /// end of input, and not under backpressure — a client that does not
+    /// drain its responses, or whose pipeline is `max_pipelined` deep,
+    /// or whose next request is [held](FrontClient::held), buffers no
+    /// further requests.
+    fn wants_read(&self, conn: &Conn, max_pipelined: usize) -> bool {
+        !(self.eof || self.quit)
+            && self.held.is_none()
+            && self.expects.len() < max_pipelined
+            && conn.pending_write() <= WRITE_HIGH_WATERMARK
+    }
+}
+
+/// Whether routing `request` reads the ticket table.
+fn reads_tickets(request: &Parsed) -> bool {
+    matches!(
+        request.verb,
+        Ok(Verb::Poll(_) | Verb::Result(_) | Verb::Wait(_) | Verb::Explain(_))
+    )
+}
+
+/// Whether a forwarded `SUBMIT` in `expects` has not been answered yet.
+fn submit_pending(expects: &VecDeque<Expect>) -> bool {
+    let submit = |expect: &Expect| {
+        matches!(
+            expect,
+            Expect::Forward {
+                rewrite: Rewrite::Submit { .. },
+                ..
+            }
+        )
+    };
+    expects.iter().any(submit)
+}
+
+/// The router's front thread: every socket the router serves — the
+/// listener, the wakeup channel, each client and each pooled shard
+/// connection — on one poller, a sweep touching only the ready ones.
+/// This is the reactor's connection core ([`crate::conn`]) with the
+/// routing policy of this module in place of the daemon's response slots.
+struct Front {
     inner: Arc<RouterInner>,
-) {
-    let mut clients: Vec<Option<FrontClient>> = Vec::new();
-    let mut free_slots: Vec<usize> = Vec::new();
-    let mut events: Vec<poller::Event> = Vec::new();
-    let mut touched: HashSet<usize> = HashSet::new();
-    while !inner.stop.load(Ordering::SeqCst) {
-        // While any client owes a shard-side response, the wait ticks at
-        // the poll interval so shard replies (which are not registered
-        // with the poller) are polled promptly; otherwise nothing can
-        // come due without readiness, and a long backstop suffices.
-        let waiting = clients.iter().flatten().any(|c| !c.expects.is_empty());
-        let timeout = if waiting {
-            inner.config.poll_interval.max(Duration::from_micros(1))
-        } else {
-            FRONT_IDLE_PARK
-        };
-        let _ = front.wait(&mut events, Some(timeout));
-        if inner.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        touched.clear();
-        for event in &events {
-            match event.token {
-                FRONT_WAKEUP => drain_wakeup(&mut wakeup_rx),
-                FRONT_LISTENER => {
-                    accept_clients(&mut front, &listener, &inner, &mut clients, &mut free_slots)
-                }
-                token => {
-                    touched.insert(token - FRONT_BASE);
-                }
-            }
-        }
-        // Step every client with something actionable: flagged readable
-        // by the poller, holding buffered bytes, or owing responses that
-        // may have come due on its shard connections.
-        for index in 0..clients.len() {
-            let actionable = match &clients[index] {
-                Some(client) => {
-                    touched.contains(&index)
-                        || !client.expects.is_empty()
-                        || client.framer.has_buffered()
-                        || client.eof
-                }
-                None => false,
-            };
-            if actionable {
-                let readable = touched.contains(&index);
-                step_client(
-                    &inner,
-                    &mut front,
-                    &mut clients,
-                    &mut free_slots,
-                    index,
-                    readable,
-                );
-            }
-        }
-    }
-    // Deterministic teardown: every open client gets a final protocol
-    // error, exactly as the per-connection handlers used to send.
-    for client in clients.iter_mut().flatten() {
-        let _ = send_line(&mut client.stream, "ERR service is shut down");
-    }
+    poller: Poller,
+    listener: TcpListener,
+    wakeup_rx: TcpStream,
+    clients: Slab<FrontClient>,
+    links: Slab<ShardLink>,
 }
 
-/// Accepts every ready client connection and registers it with the front
-/// poller under a slab slot.
-fn accept_clients(
-    front: &mut Poller,
-    listener: &TcpListener,
-    inner: &Arc<RouterInner>,
-    clients: &mut Vec<Option<FrontClient>>,
-    free_slots: &mut Vec<usize>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let Ok(stream) = polled(stream, inner.config.poll_interval) else {
-                    continue;
-                };
-                let slot = free_slots.pop().unwrap_or_else(|| {
-                    clients.push(None);
-                    clients.len() - 1
-                });
-                if front
-                    .register(poller::source(&stream), FRONT_BASE + slot, Interest::READ)
-                    .is_err()
-                {
-                    free_slots.push(slot);
-                    continue;
-                }
-                clients[slot] = Some(FrontClient {
-                    stream,
-                    framer: Framer::new(protocol::parse_request, inner.config.max_line_len, 0),
-                    ctx: inner.tracer.mint_context(),
-                    pool: ConnPool::default(),
-                    expects: VecDeque::new(),
-                    eof: false,
-                    interest: Interest::READ,
-                });
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-}
-
-/// One scheduling step for one client: parse and dispatch what it sent
-/// (pipelining: every parsed request is forwarded before earlier
-/// responses are read back, under the same backpressure rule as the
-/// reactor), resolve the head of its pipeline as far as it goes, then
-/// settle its poller registration — or reap it on QUIT/EOF/death.
-fn step_client(
-    inner: &Arc<RouterInner>,
-    front: &mut Poller,
-    clients: &mut [Option<FrontClient>],
-    free_slots: &mut Vec<usize>,
-    index: usize,
-    readable: bool,
-) {
-    let client = clients[index].as_mut().expect("stepped slot is live");
-    let mut closed = false;
-    // The read phase runs only when the poller flagged the socket (or
-    // lines are already buffered): a client merely waiting on shard
-    // responses must not pay a blocking read timeout per tick. Lines are
-    // parsed one at a time with a resolve pass between them — a pipelined
-    // ticket verb (`WAIT 1` right behind `SUBMIT …`) must observe the
-    // ticket mappings that resolving its predecessor's response creates —
-    // and the step is capped so one firehose client cannot monopolise the
-    // front thread.
-    let mut budget = inner.config.max_pipelined.max(1);
-    while (readable || client.framer.has_buffered())
-        && !closed
-        && !client.eof
-        && budget > 0
-        && client.expects.len() < inner.config.max_pipelined
-    {
-        budget -= 1;
-        let frame = match client.framer.next_frame() {
-            Some(frame) => frame,
-            None => {
-                // Nothing complete buffered: read at most one chunk.
-                let mut chunk = [0u8; 4096];
-                let read = match read_chunk(&mut client.stream, &mut chunk) {
-                    Ok(Some(n)) => n,
-                    Ok(None) => break,
-                    Err(_) => {
-                        closed = true;
-                        break;
-                    }
-                };
-                client.framer.push(&chunk[..read]);
-                // EOF: a final unterminated line is still a request.
-                client.eof = read == 0;
-                let framed = match client.eof {
-                    true => client.framer.finish(),
-                    false => client.framer.next_frame(),
-                };
-                match framed {
-                    Some(frame) => frame,
-                    None => break,
-                }
-            }
-        };
-        client.expects.push_back(match frame {
-            Frame::Request(request) => route_request(inner, &mut client.pool, client.ctx, request),
-            Frame::LineTooLong => Expect::Local(format!(
-                "ERR line too long (max {} bytes)",
-                inner.config.max_line_len
-            )),
-            Frame::ShipTooLarge => Expect::Local(SHIP_IS_SHARD_LEVEL.into()),
-        });
-        match resolve_head(
-            inner,
-            &mut client.pool,
-            client.ctx,
-            &mut client.expects,
-            &mut client.stream,
-        ) {
-            ClientState::Open => {}
-            ClientState::Closed => {
-                closed = true;
+impl Front {
+    /// The front thread body: wait for readiness, sweep exactly what is
+    /// ready, repeat until stopped; then tell every open client the
+    /// router is going away — best-effort, never waiting on one.
+    fn run(mut self) {
+        let mut events = Vec::new();
+        loop {
+            let _ = self.poller.wait(&mut events, Some(FRONT_IDLE_PARK));
+            #[cfg(test)]
+            self.inner.front_waits.fetch_add(1, Ordering::Relaxed);
+            if self.inner.stop.load(Ordering::SeqCst) {
                 break;
             }
+            for event in &events {
+                match event.token {
+                    FRONT_WAKEUP => drain_wakeup(&mut self.wakeup_rx),
+                    FRONT_LISTENER => self.accept(),
+                    token if token >= FRONT_LINKS => self.sweep_link(token - FRONT_LINKS),
+                    token => self.sweep_client(token - FRONT_CLIENTS, true),
+                }
+            }
+        }
+        for Entry { mut conn, .. } in self.clients.drain() {
+            conn.queue_line("ERR service is shut down");
+            conn.close();
         }
     }
-    if !closed {
-        match resolve_head(
-            inner,
-            &mut client.pool,
-            client.ctx,
-            &mut client.expects,
-            &mut client.stream,
-        ) {
-            ClientState::Open => {}
-            ClientState::Closed => closed = true,
-        }
-    }
-    if closed || (client.eof && client.expects.is_empty()) {
-        let _ = front.deregister(poller::source(&client.stream));
-        clients[index] = None;
-        free_slots.push(index);
-        return;
-    }
-    // Backpressure mirror of the reactor: while the pipeline is at max
-    // depth (or after EOF), drop read interest so level-triggered
-    // readiness does not spin on bytes this step refuses to parse.
-    let want = Interest {
-        read: !client.eof && client.expects.len() < inner.config.max_pipelined,
-        write: false,
-    };
-    if want != client.interest
-        && front
-            .reregister(poller::source(&client.stream), FRONT_BASE + index, want)
-            .is_ok()
-    {
-        client.interest = want;
-    }
-}
 
-enum ClientState {
-    Open,
-    Closed,
+    fn accept(&mut self) {
+        for conn in accept_ready(&self.listener) {
+            let config = &self.inner.config;
+            let client = FrontClient {
+                framer: Framer::new(protocol::parse_request, config.max_line_len, 0),
+                ctx: self.inner.tracer.mint_context(),
+                pool: ConnPool::default(),
+                expects: VecDeque::new(),
+                held: None,
+                eof: false,
+                quit: false,
+            };
+            self.clients.insert(&mut self.poller, conn, client);
+        }
+    }
+
+    /// A shard connection is ready: take in the reply bytes it has, push
+    /// out request bytes it still owes, then let the one client it
+    /// belongs to resolve what became answerable.
+    fn sweep_link(&mut self, slot: usize) {
+        let Some(Entry { conn, state: link }) = self.links.get_mut(slot) else {
+            return;
+        };
+        if link.closed {
+            return;
+        }
+        let read = conn.read(MAX_READ_PER_SWEEP, |bytes| link.replies.push(bytes));
+        link.closed = !matches!(read, Ok(ref read) if !read.eof) || conn.flush().is_err();
+        let owner = link.owner;
+        if link.closed {
+            // Replies received before the close are still owed to the
+            // client; the socket itself has nothing more to report.
+            link.replies.finish();
+            self.links.detach(&mut self.poller, slot);
+        } else {
+            self.links.settle(&mut self.poller, slot, true);
+        }
+        self.sweep_client(owner, false);
+    }
+
+    /// One step of one client: read what it sent (when `readable`), route
+    /// every request the pipeline has room for — each forwarded to its
+    /// shard on parse, so shards work concurrently on one client's burst
+    /// — resolve the head of the pipeline as far as it goes, flush, then
+    /// settle the registration or reap the connection.
+    fn sweep_client(&mut self, slot: usize, readable: bool) {
+        let Some(Entry {
+            conn,
+            state: client,
+        }) = self.clients.get_mut(slot)
+        else {
+            return;
+        };
+        let config = &self.inner.config;
+        let max_pipelined = config.max_pipelined;
+        let mut dead = false;
+        if readable && client.wants_read(conn, max_pipelined) {
+            match conn.read(MAX_READ_PER_SWEEP, |bytes| client.framer.push(bytes)) {
+                Ok(read) => client.eof = read.eof,
+                Err(_) => dead = true,
+            }
+        }
+        if !dead {
+            let mut route = Route {
+                inner: &self.inner,
+                ctx: client.ctx,
+                owner: slot,
+                pool: &mut client.pool,
+                links: &mut self.links,
+                poller: &mut self.poller,
+            };
+            // A resolve pass before every routed request: a ticket verb
+            // must observe the mappings that resolving its predecessors'
+            // responses creates.
+            loop {
+                client.quit |= resolve_head(&mut route, &mut client.expects, conn);
+                if client.quit || client.expects.len() >= max_pipelined {
+                    break;
+                }
+                // The held request first, else the next framed one; at
+                // end of input a final unterminated line is a request too.
+                let held = client.held.take().map(Frame::Request);
+                let frame = held
+                    .or_else(|| client.framer.next_frame())
+                    .or_else(|| client.eof.then(|| client.framer.finish()).flatten());
+                let expect = match frame {
+                    None => break,
+                    Some(Frame::Request(request))
+                        if reads_tickets(&request) && submit_pending(&client.expects) =>
+                    {
+                        client.held = Some(request);
+                        break;
+                    }
+                    Some(Frame::Request(request)) => route_request(&mut route, request),
+                    Some(Frame::LineTooLong) => Expect::Local(format!(
+                        "ERR line too long (max {} bytes)",
+                        config.max_line_len
+                    )),
+                    Some(Frame::ShipTooLarge) => Expect::Local(SHIP_IS_SHARD_LEVEL.into()),
+                };
+                client.expects.push_back(expect);
+            }
+            dead = conn.flush().is_err();
+        }
+        let drained =
+            client.quit || (client.eof && client.held.is_none() && !client.framer.has_buffered());
+        if dead || (drained && client.expects.is_empty() && conn.pending_write() == 0) {
+            let pooled = std::mem::take(&mut client.pool.conns);
+            self.clients.remove(&mut self.poller, slot);
+            for link in pooled.into_values() {
+                self.links.remove(&mut self.poller, link);
+            }
+        } else {
+            let want_read = client.wants_read(conn, max_pipelined);
+            self.clients.settle(&mut self.poller, slot, want_read);
+        }
+    }
 }
 
 /// What the router answers a client that sends it a `SHIP` frame.
 const SHIP_IS_SHARD_LEVEL: &str = "ERR SHIP is a shard-level verb";
 
 /// Forwards one parsed request, returning the expectation that will
-/// produce its response. `conn` is the connection's trace context: every
-/// forwarded line is prefixed with `CTX <hex>` carrying a fresh child of
-/// it (or of the submitting trace, for ticket verbs).
-fn route_request(
-    inner: &Arc<RouterInner>,
-    pool: &mut ConnPool,
-    conn: TraceContext,
-    request: Parsed,
-) -> Expect {
+/// produce its response.
+fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
+    let (inner, conn) = (route.inner, route.ctx);
     let verb = match &request.verb {
         Ok(verb) => verb,
         Err(reply) => return Expect::Local(reply.clone()),
@@ -2050,7 +1871,7 @@ fn route_request(
             Expect::Local(out)
         }
         Verb::Shards => {
-            let topology = inner.lock_topology();
+            let topology = lock(&inner.topology);
             let mut shards: Vec<&ShardState> = topology.shards.iter().collect();
             shards.sort_by(|a, b| a.name.cmp(&b.name));
             let mut out = format!("SHARDS {}", shards.len());
@@ -2072,13 +1893,7 @@ fn route_request(
             let Some(namespace) = inner.spec.namespace_of(scenario).map(str::to_string) else {
                 return Expect::Local(format!("ERR unknown scenario {scenario:?}"));
             };
-            let owners: Vec<String> = inner
-                .lock_topology()
-                .map
-                .owners_of_namespace(&namespace, inner.k())
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
+            let owners = inner.owners(&namespace);
             let Some(primary) = owners.first().cloned() else {
                 return Expect::Local("ERR cluster has no shards".into());
             };
@@ -2098,11 +1913,11 @@ fn route_request(
             let line = with_ctx(child, &format!("SUBMIT {scenario}"));
             let mut last_err = None;
             for owner in candidates {
-                match forward(inner, pool, &owner, &line) {
+                match forward(route, &owner, &line) {
                     Ok(epoch) => {
                         let degraded = owner != primary;
                         if degraded {
-                            inner.count_failover(&primary);
+                            inner.failover_counter(&primary).inc();
                         }
                         inner.mark_dirty(&namespace);
                         return Expect::Forward {
@@ -2111,7 +1926,6 @@ fn route_request(
                             rewrite: Rewrite::Submit {
                                 scenario: scenario.clone(),
                                 degraded,
-                                ctx: child,
                             },
                             sent: Instant::now(),
                             request,
@@ -2127,7 +1941,7 @@ fn route_request(
         Verb::Poll(global) | Verb::Result(global) => {
             let global = *global;
             let poll = matches!(verb, Verb::Poll(_));
-            let Some(mut entry) = inner.lock_tickets().lookup(global) else {
+            let Some(mut entry) = lock(&inner.tickets).lookup(global) else {
                 return Expect::Local(format!("ERR unknown ticket {global}"));
             };
             // A ticket homed on a declared-dead shard is re-homed onto a
@@ -2138,7 +1952,7 @@ fn route_request(
                     Err(line) => return Expect::Local(line),
                 }
             }
-            let send = |pool: &mut ConnPool, entry: &TicketEntry| {
+            let send = |route: &mut Route<'_>, entry: &TicketEntry| {
                 // Ticket verbs ride on the *submitting* trace, not the
                 // connection's: the poll round-trip shows up on the same
                 // EXPLAIN timeline as the submission it asks about.
@@ -2151,7 +1965,7 @@ fn route_request(
                     true => format!("POLL {}", entry.local),
                     false => format!("RESULT {}", entry.local),
                 };
-                let epoch = forward(inner, pool, &entry.shard, &with_ctx(child, &line))?;
+                let epoch = forward(route, &entry.shard, &with_ctx(child, &line))?;
                 Ok(Expect::Forward {
                     shard: entry.shard.clone(),
                     epoch,
@@ -2165,74 +1979,39 @@ fn route_request(
                     trace: child,
                 })
             };
-            match send(pool, &entry) {
+            match send(route, &entry) {
                 Ok(expect) => expect,
                 // The forward just failed — maybe the shard died between
                 // heartbeats. One immediate failover attempt.
                 Err(err) => match inner.failover_ticket(global, &entry) {
-                    Ok(rehomed) => send(pool, &rehomed).unwrap_or_else(Expect::Local),
+                    Ok(rehomed) => send(route, &rehomed).unwrap_or_else(Expect::Local),
                     Err(_) => Expect::Local(err),
                 },
             }
         }
-        Verb::Run => fan_out(inner, pool, conn, FanKind::Run { total: 0 }, |_| {
-            "RUN".into()
-        }),
-        Verb::Metrics => gather(inner, pool, conn, GatherKind::Metrics, "METRICS"),
+        Verb::Run => fan_out(route, FanKind::Run { total: 0 }, |_| "RUN".into()),
+        Verb::Metrics => gather(route, GatherKind::Metrics, "METRICS"),
         // Each shard returns up to <n> spans / slow traces; the merged
         // reply may carry up to <n> per shard (documented in the protocol).
-        Verb::TraceDump(n) => gather(
-            inner,
-            pool,
-            conn,
-            GatherKind::Trace,
-            &format!("TRACE DUMP {n}"),
-        ),
-        Verb::TraceSlow(n) => gather(
-            inner,
-            pool,
-            conn,
-            GatherKind::Slow,
-            &format!("TRACE SLOW {n}"),
-        ),
-        Verb::ExplainTrace(trace) => gather_timeline(inner, pool, conn, *trace),
-        Verb::Explain(global) => match inner.lock_tickets().lookup(*global) {
-            Some(entry) => gather_timeline(inner, pool, conn, entry.trace),
+        Verb::TraceDump(n) => gather(route, GatherKind::Trace, &format!("TRACE DUMP {n}")),
+        Verb::TraceSlow(n) => gather(route, GatherKind::Slow, &format!("TRACE SLOW {n}")),
+        Verb::ExplainTrace(trace) => gather_timeline(route, *trace),
+        Verb::Explain(global) => match lock(&inner.tickets).lookup(*global) {
+            Some(entry) => gather_timeline(route, entry.trace),
             None => Expect::Local(format!("ERR unknown ticket {global}")),
         },
-        Verb::Stats => fan_out(inner, pool, conn, FanKind::Stats { sums: [0; 8] }, |_| {
-            "STATS".into()
-        }),
-        Verb::Snapshot(base) => fan_out(
-            inner,
-            pool,
-            conn,
-            FanKind::Snapshot {
+        Verb::Stats => fan_out(route, FanKind::Stats { sums: [0; 8] }, |_| "STATS".into()),
+        Verb::Snapshot(base) => {
+            let kind = FanKind::Snapshot {
                 total: 0,
                 base: base.clone(),
                 written: Vec::new(),
-            },
-            |shard| format!("SNAPSHOT {base}.{shard}"),
-        ),
+            };
+            fan_out(route, kind, |shard| format!("SNAPSHOT {base}.{shard}"))
+        }
         Verb::Wait(globals) => {
-            let mut pre = Vec::new();
-            let mut per_shard = Vec::new();
-            for &global in globals {
-                let entry = inner.lock_tickets().lookup(global);
-                let homed = match entry {
-                    None => Err(format!("ERR unknown ticket {global}")),
-                    Some(entry) if inner.shard_down(&entry.shard) => {
-                        inner.failover_ticket(global, &entry)
-                    }
-                    Some(entry) => Ok(entry),
-                };
-                match homed {
-                    Ok(entry) => group_wait(&mut per_shard, entry, global),
-                    Err(line) => pre.push(line),
-                }
-            }
             let mut parts = Vec::new();
-            pre.extend(forward_waits(inner, pool, conn, per_shard, &mut parts));
+            let pre = forward_waits(route, globals, false, &mut parts);
             Expect::Wait { pre, parts }
         }
         Verb::Quit => Expect::Quit,
@@ -2245,44 +2024,50 @@ fn route_request(
 }
 
 /// `EXPLAIN`, fanned out as `EXPLAIN TRACE <id>` to every shard.
-fn gather_timeline(
-    inner: &Arc<RouterInner>,
-    pool: &mut ConnPool,
-    conn: TraceContext,
-    trace: u64,
-) -> Expect {
+fn gather_timeline(route: &mut Route<'_>, trace: u64) -> Expect {
     let line = format!("EXPLAIN TRACE {trace:016x}");
-    gather(inner, pool, conn, GatherKind::Explain { trace }, &line)
+    gather(route, GatherKind::Explain { trace }, &line)
 }
 
-/// Tickets of one `WAIT`, grouped by the shard serving them: per shard,
-/// the `(cluster id, shard-local id)` pairs in request order.
-type WaitGroups = Vec<(String, Vec<(u64, u64)>)>;
-
-fn group_wait(groups: &mut WaitGroups, entry: TicketEntry, global: u64) {
-    match groups.iter_mut().find(|(shard, _)| *shard == entry.shard) {
-        Some((_, items)) => items.push((global, entry.local)),
-        None => groups.push((entry.shard, vec![(global, entry.local)])),
-    }
-}
-
-/// Forwards one `WAIT` per group, appending a [`WaitPart`] for each that
-/// went out. Returns one error line per ticket of the groups that did not.
+/// Forwards the `WAIT` for `globals`: one per shard serving any of them,
+/// appending a [`WaitPart`] for each that went out. A ticket whose shard
+/// is declared dead — or every ticket, when `rehome` says the shard just
+/// died under them — is first re-homed onto a live replica. Returns one
+/// error line per ticket that could not be waited on.
 fn forward_waits(
-    inner: &Arc<RouterInner>,
-    pool: &mut ConnPool,
-    conn: TraceContext,
-    groups: WaitGroups,
+    route: &mut Route<'_>,
+    globals: &[u64],
+    rehome: bool,
     parts: &mut Vec<WaitPart>,
 ) -> Vec<String> {
+    let inner = route.inner;
     let mut errors = Vec::new();
+    // Per shard, the `(cluster id, shard-local id)` pairs in request order.
+    let mut groups: Vec<(String, Vec<(u64, u64)>)> = Vec::new();
+    for &global in globals {
+        let entry = lock(&inner.tickets).lookup(global);
+        let homed = match entry {
+            None => Err(format!("ERR unknown ticket {global}")),
+            Some(entry) if rehome || inner.shard_down(&entry.shard) => {
+                inner.failover_ticket(global, &entry)
+            }
+            Some(entry) => Ok(entry),
+        };
+        match homed {
+            Ok(entry) => match groups.iter_mut().find(|(shard, _)| *shard == entry.shard) {
+                Some((_, items)) => items.push((global, entry.local)),
+                None => groups.push((entry.shard, vec![(global, entry.local)])),
+            },
+            Err(line) => errors.push(line),
+        }
+    }
     for (shard, items) in groups {
         let locals: Vec<String> = items.iter().map(|(_, local)| local.to_string()).collect();
         let line = with_ctx(
-            inner.tracer.child_context(conn),
+            inner.tracer.child_context(route.ctx),
             &format!("WAIT {}", locals.join(" ")),
         );
-        match forward(inner, pool, &shard, &line) {
+        match forward(route, &shard, &line) {
             Ok(epoch) => parts.push(WaitPart {
                 shard,
                 epoch,
@@ -2299,14 +2084,9 @@ fn forward_waits(
 /// unreachable shard is skipped and reported in the `degraded=` suffix —
 /// while `SNAPSHOT` keeps all-or-nothing semantics (a partial cluster
 /// snapshot is worse than none).
-fn fan_out(
-    inner: &Arc<RouterInner>,
-    pool: &mut ConnPool,
-    conn: TraceContext,
-    kind: FanKind,
-    render: impl Fn(&str) -> String,
-) -> Expect {
-    let shards: Vec<String> = inner.lock_topology().map.shards().to_vec();
+fn fan_out(route: &mut Route<'_>, kind: FanKind, render: impl Fn(&str) -> String) -> Expect {
+    let (inner, conn) = (route.inner, route.ctx);
+    let shards: Vec<String> = lock(&inner.topology).map.shards().to_vec();
     if shards.is_empty() {
         return Expect::Local("ERR cluster has no shards".into());
     }
@@ -2316,7 +2096,7 @@ fn fan_out(
     let mut skipped = Vec::new();
     for shard in shards {
         let line = with_ctx(inner.tracer.child_context(conn), &render(&shard));
-        match forward(inner, pool, &shard, &line) {
+        match forward(route, &shard, &line) {
             Ok(epoch) => pending.push((shard, epoch)),
             Err(err) => {
                 error.get_or_insert(err);
@@ -2344,37 +2124,23 @@ fn fan_out(
 /// shard, returning the merging expectation. A shard that cannot even be
 /// reached starts out failed; the merge policy per failure lives in
 /// [`GatherKind`].
-fn gather(
-    inner: &Arc<RouterInner>,
-    pool: &mut ConnPool,
-    conn: TraceContext,
-    kind: GatherKind,
-    line: &str,
-) -> Expect {
-    let shards: Vec<String> = inner.lock_topology().map.shards().to_vec();
+fn gather(route: &mut Route<'_>, kind: GatherKind, line: &str) -> Expect {
+    let (inner, conn) = (route.inner, route.ctx);
+    let shards: Vec<String> = lock(&inner.topology).map.shards().to_vec();
     if shards.is_empty() {
         return Expect::Local("ERR cluster has no shards".into());
     }
     let mut parts = Vec::new();
     for shard in shards {
         let prefixed = with_ctx(inner.tracer.child_context(conn), line);
-        let part = match forward(inner, pool, &shard, &prefixed) {
-            Ok(epoch) => GatherPart {
-                shard,
-                epoch,
-                remaining: None,
-                lines: Vec::new(),
-                failed: None,
-            },
-            Err(err) => GatherPart {
-                shard,
-                epoch: 0,
-                remaining: None,
-                lines: Vec::new(),
-                failed: Some(err),
-            },
-        };
-        parts.push(part);
+        let sent = forward(route, &shard, &prefixed);
+        parts.push(GatherPart {
+            shard,
+            epoch: *sent.as_ref().unwrap_or(&0),
+            remaining: None,
+            lines: Vec::new(),
+            failed: sent.err(),
+        });
     }
     Expect::Gather { kind, parts }
 }
@@ -2417,82 +2183,59 @@ fn inject_shard_label(line: &str, shard: &str) -> String {
     }
 }
 
-/// Merges the completed parts of a `METRICS` / `TRACE DUMP` gather into
-/// one counted multi-line reply.
+/// Merges the completed parts of a gather into one counted multi-line
+/// reply.
 fn render_gather(inner: &Arc<RouterInner>, kind: GatherKind, parts: &[GatherPart]) -> String {
-    match kind {
-        GatherKind::Metrics => {
-            // Router-own families first (already carry their own labels;
-            // `router_*` names cannot collide with shard-side families),
-            // then each shard's exposition relabeled. `# HELP` / `# TYPE`
-            // comments repeat per shard — keep the first occurrence.
-            let mut out = Vec::new();
-            let mut seen_comments: HashSet<String> = HashSet::new();
-            for line in inner.metrics.render() {
+    let mut out = Vec::new();
+    if kind == GatherKind::Metrics {
+        // Router-own families first (already carry their own labels;
+        // `router_*` names cannot collide with shard-side families),
+        // then each shard's exposition relabeled. `# HELP` / `# TYPE`
+        // comments repeat per shard — keep the first occurrence.
+        let mut seen_comments: HashSet<String> = HashSet::new();
+        for line in inner.metrics.render() {
+            if line.starts_with('#') {
+                seen_comments.insert(line.clone());
+            }
+            out.push(line);
+        }
+        for part in parts {
+            if let Some(reason) = &part.failed {
+                // A dead shard must not kill the scrape — that is
+                // exactly when monitoring matters. Degrade to a
+                // comment so the gap is visible in the exposition.
+                out.push(format!("# shard {} unavailable: {reason}", part.shard));
+                continue;
+            }
+            for line in &part.lines {
                 if line.starts_with('#') {
-                    seen_comments.insert(line.clone());
-                }
-                out.push(line);
-            }
-            for part in parts {
-                if let Some(reason) = &part.failed {
-                    // A dead shard must not kill the scrape — that is
-                    // exactly when monitoring matters. Degrade to a
-                    // comment so the gap is visible in the exposition.
-                    out.push(format!("# shard {} unavailable: {reason}", part.shard));
-                    continue;
-                }
-                for line in &part.lines {
-                    if line.starts_with('#') {
-                        if seen_comments.insert(line.clone()) {
-                            out.push(line.clone());
-                        }
-                    } else {
-                        out.push(inject_shard_label(line, &part.shard));
+                    if seen_comments.insert(line.clone()) {
+                        out.push(line.clone());
                     }
+                } else {
+                    out.push(inject_shard_label(line, &part.shard));
                 }
             }
-            for shard in inner.degraded_shards() {
-                out.push(format!(
-                    "# shard {shard} degraded: declared dead by heartbeat; replicas serving"
-                ));
-            }
-            let mut reply = format!("METRICS {}", out.len());
-            for line in out {
-                reply.push('\n');
-                reply.push_str(&line);
-            }
-            reply
         }
-        GatherKind::Trace => {
-            if let Some(part) = parts.iter().find(|p| p.failed.is_some()) {
-                return part.failed.clone().expect("found a failed part");
-            }
-            let mut out = Vec::new();
-            for part in parts {
-                for line in &part.lines {
-                    out.push(format!("{line} shard={}", part.shard));
-                }
-            }
-            let mut reply = format!("SPANS {}", out.len());
-            for line in out {
-                reply.push('\n');
-                reply.push_str(&line);
-            }
-            reply
+        for shard in inner.degraded_shards() {
+            out.push(format!(
+                "# shard {shard} degraded: declared dead by heartbeat; replicas serving"
+            ));
         }
+    } else {
+        // A partial dump or timeline silently lies about where the time
+        // went — an unreachable shard fails the whole reply instead.
+        if let Some(failed) = parts.iter().find_map(|part| part.failed.clone()) {
+            return failed;
+        }
+        for part in parts {
+            for line in &part.lines {
+                out.push(format!("{line} shard={}", part.shard));
+            }
+        }
+    }
+    match kind {
         GatherKind::Explain { trace } => {
-            if let Some(part) = parts.iter().find(|p| p.failed.is_some()) {
-                // A partial timeline silently lies about where the time
-                // went — fail the whole EXPLAIN instead.
-                return part.failed.clone().expect("found a failed part");
-            }
-            let mut out = Vec::new();
-            for part in parts {
-                for line in &part.lines {
-                    out.push(format!("{line} shard={}", part.shard));
-                }
-            }
             // The router contributes its own spans for the trace — the
             // `forward` round-trips that parent each shard's spans.
             let anchor = inner.tracer.wall_anchor_us();
@@ -2506,32 +2249,16 @@ fn render_gather(inner: &Arc<RouterInner>, kind: GatherKind, parts: &[GatherPart
             // processes; the stable sort keeps intra-process order for
             // ties.
             out.sort_by_key(|line| field_of(line, "start_us="));
-            let mut reply = format!("TIMELINE {}", out.len());
-            for line in out {
-                reply.push('\n');
-                reply.push_str(&line);
-            }
-            reply
         }
-        GatherKind::Slow => {
-            if let Some(part) = parts.iter().find(|p| p.failed.is_some()) {
-                return part.failed.clone().expect("found a failed part");
-            }
-            let mut out = Vec::new();
-            for part in parts {
-                for line in &part.lines {
-                    out.push(format!("{line} shard={}", part.shard));
-                }
-            }
-            out.sort_by_key(|line| std::cmp::Reverse(field_of(line, "dur_us=")));
-            let mut reply = format!("SLOW {}", out.len());
-            for line in out {
-                reply.push('\n');
-                reply.push_str(&line);
-            }
-            reply
-        }
+        GatherKind::Slow => out.sort_by_key(|line| std::cmp::Reverse(field_of(line, "dur_us="))),
+        GatherKind::Metrics | GatherKind::Trace => {}
     }
+    let mut reply = format!("{} {}", kind.header(), out.len());
+    for line in out {
+        reply.push('\n');
+        reply.push_str(&line);
+    }
+    reply
 }
 
 /// Prefixes `line` with the `CTX <hex>` wire header when `ctx` carries a
@@ -2556,23 +2283,25 @@ fn field_of(line: &str, key: &str) -> u64 {
 
 /// Sends one line to `shard`, (re)connecting as needed with bounded
 /// jittered-backoff retries, gated by the shard's circuit breaker (an
-/// open circuit fails fast without touching the socket). Returns the
-/// epoch of the connection the line went out on — the expectation must
-/// read its response from that epoch only. The error value is a
-/// ready-to-emit protocol line.
-fn forward(
-    inner: &Arc<RouterInner>,
-    pool: &mut ConnPool,
-    shard: &str,
-    line: &str,
-) -> Result<u64, String> {
+/// open circuit fails fast without touching the socket). The line is
+/// queued on the pooled connection and leaves as the shard's socket
+/// accepts it — a shard that stopped reading costs memory bounded by the
+/// client's pipeline depth, never the front thread. Returns the epoch of
+/// the connection the line went out on — the expectation must read its
+/// response from that epoch only. The error value is a ready-to-emit
+/// protocol line.
+fn forward(route: &mut Route<'_>, shard: &str, line: &str) -> Result<u64, String> {
+    let inner = route.inner;
     let unavailable = |reason: &str| format!("ERR shard {shard} unavailable ({reason})");
-    let Some(addr) = inner.lock_topology().addr_of(shard) else {
+    let Some(addr) = lock(&inner.topology).addr_of(shard) else {
         return Err(unavailable("not a member"));
     };
     // A rewired shard invalidates the cached connection.
-    if pool.conns.get(shard).is_some_and(|c| c.addr != addr) {
-        pool.conns.remove(shard);
+    if route
+        .link(shard)
+        .is_some_and(|(_, link)| link.state.addr != addr)
+    {
+        route.drop_link(shard);
         inner.reconnects.inc();
     }
     let attempts = inner.config.forward_attempts.max(1);
@@ -2590,39 +2319,31 @@ fn forward(
                 .record(delay.as_millis() as u64);
             std::thread::sleep(delay);
         }
-        if !pool.conns.contains_key(shard) {
+        if route.link(shard).is_none() {
             let connected = TcpStream::connect_timeout(&addr, inner.config.connect_timeout)
-                .and_then(|stream| LineConn::new(stream, inner.config.poll_interval));
-            match connected {
-                Ok(conn) => {
-                    pool.next_epoch += 1;
-                    pool.conns.insert(
-                        shard.to_string(),
-                        ShardConn {
-                            conn,
-                            addr,
-                            epoch: pool.next_epoch,
-                        },
-                    );
-                }
-                Err(err) => {
-                    inner.note_failure(shard, false);
-                    last_err = err.to_string();
-                    continue;
-                }
+                .and_then(Conn::new)
+                .and_then(|conn| route.open(shard, addr, conn));
+            if let Err(err) = connected {
+                inner.note_failure(shard, false);
+                last_err = err.to_string();
+                continue;
             }
         }
-        let entry = pool.conns.get_mut(shard).expect("inserted above");
-        let epoch = entry.epoch;
-        match send_line(&mut entry.conn.stream, line) {
-            Ok(()) => return Ok(epoch),
+        let (slot, link) = route.link(shard).expect("pooled above");
+        let epoch = link.state.epoch;
+        link.conn.queue_line(line);
+        match link.conn.flush() {
+            Ok(_) => {
+                route.links.settle(route.poller, slot, true);
+                return Ok(epoch);
+            }
             Err(err) => {
                 // A stale pooled connection (shard restarted) fails here.
                 // Dropping it retires its epoch: responses still owed on
                 // it resolve to "shard unavailable" instead of consuming
                 // this request's reply off the fresh connection — which
                 // makes the clean retry safe.
-                pool.conns.remove(shard);
+                route.drop_link(shard);
                 inner.reconnects.inc();
                 inner.note_failure(shard, false);
                 last_err = err.to_string();
@@ -2632,60 +2353,56 @@ fn forward(
     Err(unavailable(&last_err))
 }
 
-/// Reads one response line owed by `shard` on the connection with the
-/// given `epoch`. A missing, retired (epoch mismatch) or rewired
-/// connection means the response is lost — never read a newer
-/// connection's lines for an older request.
-fn poll_shard(inner: &Arc<RouterInner>, pool: &mut ConnPool, shard: &str, epoch: u64) -> Polled {
-    let current_addr = inner.lock_topology().addr_of(shard);
-    let Some(entry) = pool.conns.get_mut(shard) else {
+/// Takes one response line owed by `shard` on the connection with the
+/// given `epoch` out of that connection's reply buffer (the front thread
+/// fills it as the socket turns readable). A missing, retired (epoch
+/// mismatch) or rewired connection means the response is lost — never
+/// read a newer connection's lines for an older request.
+fn poll_shard(route: &mut Route<'_>, shard: &str, epoch: u64) -> Polled {
+    let current_addr = lock(&route.inner.topology).addr_of(shard);
+    let Some((_, Entry { state: link, .. })) = route.link(shard) else {
         return Polled::Dead;
     };
-    if entry.epoch != epoch {
+    if link.epoch != epoch {
         // The connection this response was owed on is gone; the current
         // one carries other requests' replies.
         return Polled::Dead;
     }
-    if current_addr != Some(entry.addr) {
-        // Rewired mid-flight: the old process (and the response) is gone.
-        pool.conns.remove(shard);
-        return Polled::Dead;
-    }
-    match entry.conn.poll_line() {
-        Polled::Line(line) => Polled::Line(line),
-        Polled::Pending => Polled::Pending,
-        Polled::Eof | Polled::Dead => {
-            pool.conns.remove(shard);
-            Polled::Dead
+    if current_addr == Some(link.addr) {
+        if let Some(line) = link.replies.next_line() {
+            return Polled::Line(line);
+        }
+        if !link.closed {
+            return Polled::Pending;
         }
     }
+    // Closed and drained — or rewired mid-flight: the old process (and
+    // the response) is gone.
+    route.drop_link(shard);
+    Polled::Dead
 }
 
-/// Resolves as many leading expectations as currently possible, writing
-/// response lines to the client in order.
-fn resolve_head(
-    inner: &Arc<RouterInner>,
-    pool: &mut ConnPool,
-    conn: TraceContext,
-    expects: &mut VecDeque<Expect>,
-    client: &mut TcpStream,
-) -> ClientState {
+/// Resolves as many leading expectations as currently possible, queueing
+/// response lines for the client in order. Returns whether the client
+/// said `QUIT` (answered `BYE`; whatever was pipelined behind it is
+/// dropped, as a daemon does).
+fn resolve_head(route: &mut Route<'_>, expects: &mut VecDeque<Expect>, client: &mut Conn) -> bool {
+    let inner = route.inner;
     loop {
         let Some(head) = expects.front_mut() else {
-            return ClientState::Open;
+            return false;
         };
         match head {
             Expect::Local(_) => {
                 let Some(Expect::Local(text)) = expects.pop_front() else {
                     unreachable!("front matched Local");
                 };
-                if send_line(client, &text).is_err() {
-                    return ClientState::Closed;
-                }
+                client.queue_line(&text);
             }
             Expect::Quit => {
-                let _ = send_line(client, "BYE");
-                return ClientState::Closed;
+                client.queue_line("BYE");
+                expects.clear();
+                return true;
             }
             Expect::Forward {
                 shard,
@@ -2699,7 +2416,7 @@ fn resolve_head(
                 let shard_name = shard.clone();
                 let sent_at = *sent;
                 let trace = *trace;
-                match poll_shard(inner, pool, &shard_name, *epoch) {
+                match poll_shard(route, &shard_name, *epoch) {
                     Polled::Line(line) => {
                         inner
                             .metrics
@@ -2718,14 +2435,12 @@ fn resolve_head(
                                 .tracer
                                 .record_at("forward", trace, sent_at, sent_at.elapsed());
                         }
-                        let reply = apply_rewrite(inner, &shard_name, rewrite, &line);
+                        let reply = apply_rewrite(inner, &shard_name, rewrite, trace, &line);
                         expects.pop_front();
-                        if send_line(client, &reply).is_err() {
-                            return ClientState::Closed;
-                        }
+                        client.queue_line(&reply);
                     }
-                    Polled::Pending => return ClientState::Open,
-                    Polled::Eof | Polled::Dead => {
+                    Polled::Pending => return false,
+                    Polled::Dead => {
                         // The connection died with the response owed. Burn
                         // one re-dispatch: route_request re-resolves
                         // ownership (and ticket failover) from scratch, so
@@ -2735,7 +2450,7 @@ fn resolve_head(
                         let request = request.clone();
                         expects.pop_front();
                         if retries > 0 {
-                            let mut replacement = route_request(inner, pool, conn, request);
+                            let mut replacement = route_request(route, request);
                             if let Expect::Forward { retries_left, .. } = &mut replacement {
                                 *retries_left = retries - 1;
                             }
@@ -2743,9 +2458,7 @@ fn resolve_head(
                             continue;
                         }
                         let reply = format!("ERR shard {shard_name} unavailable (connection lost)");
-                        if send_line(client, &reply).is_err() {
-                            return ClientState::Closed;
-                        }
+                        client.queue_line(&reply);
                     }
                 }
             }
@@ -2756,36 +2469,26 @@ fn resolve_head(
                 skipped,
             } => {
                 let degrade = !matches!(kind, FanKind::Snapshot { .. });
-                let mut progressed = true;
-                while progressed && !pending.is_empty() {
-                    progressed = false;
-                    let mut index = 0;
-                    while index < pending.len() {
-                        let (shard, epoch) = pending[index].clone();
-                        match poll_shard(inner, pool, &shard, epoch) {
-                            Polled::Line(line) => {
-                                fold_fan_line(kind, error, &shard, &line);
-                                pending.remove(index);
-                                progressed = true;
-                            }
-                            Polled::Pending => index += 1,
-                            Polled::Eof | Polled::Dead => {
-                                inner.note_failure(&shard, false);
-                                if degrade {
-                                    skipped.push(shard.clone());
-                                } else {
-                                    error.get_or_insert_with(|| {
-                                        format!("ERR shard {shard} unavailable (connection lost)")
-                                    });
-                                }
-                                pending.remove(index);
-                                progressed = true;
-                            }
-                        }
+                pending.retain(|(shard, epoch)| match poll_shard(route, shard, *epoch) {
+                    Polled::Line(line) => {
+                        fold_fan_line(kind, error, shard, &line);
+                        false
                     }
-                }
+                    Polled::Pending => true,
+                    Polled::Dead => {
+                        inner.note_failure(shard, false);
+                        if degrade {
+                            skipped.push(shard.clone());
+                        } else {
+                            error.get_or_insert_with(|| {
+                                format!("ERR shard {shard} unavailable (connection lost)")
+                            });
+                        }
+                        false
+                    }
+                });
                 if !pending.is_empty() {
-                    return ClientState::Open;
+                    return false;
                 }
                 let reply = match (&mut *kind, error.take()) {
                     (FanKind::Snapshot { base, written, .. }, Some(err)) => {
@@ -2805,7 +2508,7 @@ fn resolve_head(
                     }
                     (FanKind::Snapshot { total, .. }, None) => format!("OK {total}"),
                     (FanKind::Stats { sums }, None) => {
-                        let shard_count = inner.lock_topology().map.len();
+                        let shard_count = lock(&inner.topology).map.len();
                         let mut out = String::from("STATS");
                         for (key, value) in STAT_KEYS.iter().zip(sums) {
                             out.push_str(&format!(" {key}={value}"));
@@ -2816,15 +2519,11 @@ fn resolve_head(
                     }
                 };
                 expects.pop_front();
-                if send_line(client, &reply).is_err() {
-                    return ClientState::Closed;
-                }
+                client.queue_line(&reply);
             }
             Expect::Wait { pre, parts } => {
                 for line in pre.drain(..) {
-                    if send_line(client, &line).is_err() {
-                        return ClientState::Closed;
-                    }
+                    client.queue_line(&line);
                 }
                 let mut any_pending = false;
                 let mut i = 0;
@@ -2832,55 +2531,28 @@ fn resolve_head(
                     while !parts[i].globals.is_empty() {
                         let shard = parts[i].shard.clone();
                         let epoch = parts[i].epoch;
-                        match poll_shard(inner, pool, &shard, epoch) {
+                        match poll_shard(route, &shard, epoch) {
                             Polled::Line(line) => {
                                 let (reply, resolved) = rewrite_wait_line(inner, &shard, &line);
-                                let part = &mut parts[i];
-                                match resolved
-                                    .and_then(|g| part.globals.iter().position(|x| *x == g))
-                                {
-                                    Some(pos) => {
-                                        part.globals.remove(pos);
-                                    }
-                                    None => {
-                                        // A line we cannot attribute
-                                        // (e.g. a shard-side error)
-                                        // consumes one owed slot.
-                                        part.globals.remove(0);
-                                    }
-                                }
-                                if send_line(client, &reply).is_err() {
-                                    return ClientState::Closed;
-                                }
+                                // A line we cannot attribute (e.g. a
+                                // shard-side error) consumes one owed slot.
+                                let owed = &mut parts[i].globals;
+                                let answered = owed.iter().position(|g| Some(*g) == resolved);
+                                owed.remove(answered.unwrap_or(0));
+                                client.queue_line(&reply);
                             }
                             Polled::Pending => {
                                 any_pending = true;
                                 break;
                             }
-                            Polled::Eof | Polled::Dead => {
+                            Polled::Dead => {
                                 // The shard died mid-WAIT: re-home every
                                 // still-owed ticket on a live replica and
                                 // resume waiting there.
                                 inner.note_failure(&shard, false);
-                                let orphans: Vec<u64> = std::mem::take(&mut parts[i].globals);
-                                let mut regroup = Vec::new();
-                                let mut errors = Vec::new();
-                                for global in orphans {
-                                    let entry = inner.lock_tickets().lookup(global);
-                                    let rehomed = match entry {
-                                        Some(entry) => inner.failover_ticket(global, &entry),
-                                        None => Err(format!("ERR unknown ticket {global}")),
-                                    };
-                                    match rehomed {
-                                        Ok(entry) => group_wait(&mut regroup, entry, global),
-                                        Err(line) => errors.push(line),
-                                    }
-                                }
-                                errors.extend(forward_waits(inner, pool, conn, regroup, parts));
-                                for line in errors {
-                                    if send_line(client, &line).is_err() {
-                                        return ClientState::Closed;
-                                    }
+                                let orphans = std::mem::take(&mut parts[i].globals);
+                                for line in forward_waits(route, &orphans, true, parts) {
+                                    client.queue_line(&line);
                                 }
                             }
                         }
@@ -2888,86 +2560,76 @@ fn resolve_head(
                     i += 1;
                 }
                 if any_pending {
-                    return ClientState::Open;
+                    return false;
                 }
                 expects.pop_front();
             }
             Expect::Gather { kind, parts } => {
                 let kind = *kind;
-                let mut progressed = true;
-                while progressed {
-                    progressed = false;
-                    for part in parts.iter_mut() {
-                        while !part.done() {
-                            match poll_shard(inner, pool, &part.shard, part.epoch) {
-                                Polled::Line(line) => {
-                                    progressed = true;
-                                    match part.remaining {
-                                        None => {
-                                            // First line: `<HEADER> <n>`
-                                            // or a shard-side error.
-                                            let count = line
-                                                .strip_prefix(kind.header())
-                                                .map(str::trim)
-                                                .and_then(|n| n.parse::<usize>().ok());
-                                            match count {
-                                                Some(n) => part.remaining = Some(n),
-                                                None => {
-                                                    part.failed = Some(format!(
-                                                        "ERR shard {}: unexpected reply {line:?}",
-                                                        part.shard
-                                                    ));
-                                                }
-                                            }
-                                        }
-                                        Some(n) => {
-                                            part.lines.push(line);
-                                            part.remaining = Some(n - 1);
-                                        }
+                for part in parts.iter_mut() {
+                    while !part.done() {
+                        match poll_shard(route, &part.shard, part.epoch) {
+                            Polled::Line(line) => match part.remaining {
+                                None => {
+                                    // First line: `<HEADER> <n>` or a
+                                    // shard-side error.
+                                    part.remaining = line
+                                        .strip_prefix(kind.header())
+                                        .and_then(|n| n.trim().parse::<usize>().ok());
+                                    if part.remaining.is_none() {
+                                        part.failed = Some(format!(
+                                            "ERR shard {}: unexpected reply {line:?}",
+                                            part.shard
+                                        ));
                                     }
                                 }
-                                Polled::Pending => break,
-                                Polled::Eof | Polled::Dead => {
-                                    part.failed = Some(format!(
-                                        "ERR shard {} unavailable (connection lost)",
-                                        part.shard
-                                    ));
+                                Some(n) => {
+                                    part.lines.push(line);
+                                    part.remaining = Some(n - 1);
                                 }
+                            },
+                            Polled::Pending => break,
+                            Polled::Dead => {
+                                part.failed = Some(format!(
+                                    "ERR shard {} unavailable (connection lost)",
+                                    part.shard
+                                ));
                             }
                         }
                     }
                 }
                 if parts.iter().any(|p| !p.done()) {
-                    return ClientState::Open;
+                    return false;
                 }
                 let reply = render_gather(inner, kind, parts);
                 expects.pop_front();
-                if send_line(client, &reply).is_err() {
-                    return ClientState::Closed;
-                }
+                client.queue_line(&reply);
             }
         }
     }
 }
 
 /// Applies a single-line response rewrite.
-fn apply_rewrite(inner: &Arc<RouterInner>, shard: &str, rewrite: &Rewrite, line: &str) -> String {
+fn apply_rewrite(
+    inner: &RouterInner,
+    shard: &str,
+    rewrite: &Rewrite,
+    trace: TraceContext,
+    line: &str,
+) -> String {
     match rewrite {
-        Rewrite::Submit {
-            scenario,
-            degraded,
-            ctx,
-        } => match line
+        Rewrite::Submit { scenario, degraded } => match line
             .strip_prefix("TICKET ")
             .and_then(|s| s.parse::<u64>().ok())
         {
             Some(local) => {
-                let global = inner.lock_tickets().allocate(
+                // The submission's trace id is remembered for `EXPLAIN`.
+                let global = lock(&inner.tickets).allocate(
                     shard,
                     local,
                     scenario,
                     *degraded,
-                    ctx.trace_id,
+                    trace.trace_id,
                     inner.config.max_tickets,
                 );
                 inner.remaps.inc();
@@ -2986,7 +2648,7 @@ fn apply_rewrite(inner: &Arc<RouterInner>, shard: &str, rewrite: &Rewrite, line:
             if let Some(rest) = line.strip_prefix("RESULT ") {
                 // Stand-in service is flagged: the payload is correct
                 // (warm replica cache) but served by a non-primary.
-                let flag = if inner.lock_tickets().degraded(*global) {
+                let flag = if lock(&inner.tickets).degraded(*global) {
                     format!(" degraded={shard}")
                 } else {
                     String::new()
@@ -3014,36 +2676,9 @@ fn fold_fan_line(kind: &mut FanKind, error: &mut Option<String>, shard: &str, li
         error.get_or_insert_with(|| format!("ERR shard {shard}: {}", &line[4..]));
         return;
     }
-    match kind {
-        FanKind::Run { total } => {
-            match line.strip_prefix("OK ").and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) => *total += n,
-                None => {
-                    error.get_or_insert_with(|| {
-                        format!("ERR shard {shard}: unexpected reply {line:?}")
-                    });
-                }
-            }
-        }
-        FanKind::Snapshot { total, written, .. } => {
-            match line.strip_prefix("OK ").and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) => {
-                    *total += n;
-                    written.push(shard.to_string());
-                }
-                None => {
-                    error.get_or_insert_with(|| {
-                        format!("ERR shard {shard}: unexpected reply {line:?}")
-                    });
-                }
-            }
-        }
-        FanKind::Stats { sums } => {
-            if !line.starts_with("STATS ") {
-                error
-                    .get_or_insert_with(|| format!("ERR shard {shard}: unexpected reply {line:?}"));
-                return;
-            }
+    let count = line.strip_prefix("OK ").and_then(|s| s.parse::<u64>().ok());
+    match (kind, count) {
+        (FanKind::Stats { sums }, _) if line.starts_with("STATS ") => {
             for token in line.split_whitespace().skip(1) {
                 if let Some((key, value)) = token.split_once('=') {
                     if let (Some(slot), Ok(v)) = (
@@ -3055,6 +2690,14 @@ fn fold_fan_line(kind: &mut FanKind, error: &mut Option<String>, shard: &str, li
                 }
             }
         }
+        (FanKind::Run { total }, Some(n)) => *total += n,
+        (FanKind::Snapshot { total, written, .. }, Some(n)) => {
+            *total += n;
+            written.push(shard.to_string());
+        }
+        _ => {
+            error.get_or_insert_with(|| format!("ERR shard {shard}: unexpected reply {line:?}"));
+        }
     }
 }
 
@@ -3062,7 +2705,7 @@ fn fold_fan_line(kind: &mut FanKind, error: &mut Option<String>, shard: &str, li
 /// cluster ticket ids, returning the rewritten line and the cluster id it
 /// resolved, when attributable.
 fn rewrite_wait_line(inner: &Arc<RouterInner>, shard: &str, line: &str) -> (String, Option<u64>) {
-    let translate = |local: u64| inner.lock_tickets().global_for(shard, local);
+    let translate = |local: u64| lock(&inner.tickets).global_for(shard, local);
     if let Some(rest) = line.strip_prefix("DONE ") {
         if let Some((id, payload)) = rest.split_once(' ') {
             if let Some(global) = id.parse::<u64>().ok().and_then(translate) {
@@ -3080,6 +2723,7 @@ fn rewrite_wait_line(inner: &Arc<RouterInner>, shard: &str, line: &str) -> (Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     #[test]
     fn backoff_delays_grow_and_stay_inside_the_jitter_window() {
@@ -3216,6 +2860,113 @@ mod tests {
         }
         assert_eq!(router.circuit_state("s0"), CircuitState::Closed);
         assert_eq!(router.circuit_state("ghost"), CircuitState::Closed);
+        router.stop();
+    }
+
+    /// The one-shot helper reads its reply through a buffer — not one
+    /// `read(2)` per byte — however the reply is segmented: a 1 MiB line
+    /// (an `EXPORT` reply's size class) written in uneven pieces with
+    /// pauses arrives whole, the `SHIP`-style payload reaches the shard
+    /// verbatim, and a peer that closes mid-line is an error, never a
+    /// truncated reply.
+    #[test]
+    fn one_shot_reads_a_large_reply_written_in_several_pieces() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind responder");
+        let addr = listener.local_addr().expect("responder addr");
+        let line: Vec<u8> = (0..1 << 20).map(|i| b'a' + (i % 23) as u8).collect();
+        let reply = line.clone();
+        let responder = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("first exchange");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut head = String::new();
+            reader.read_line(&mut head).expect("head line");
+            let mut payload = [0u8; 5];
+            reader.read_exact(&mut payload).expect("payload");
+            let mut stream = stream;
+            for piece in reply.chunks(300_007) {
+                stream.write_all(piece).expect("piece");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            stream.write_all(b"  \r\n").expect("terminator");
+            // Second exchange: half a line, then close.
+            let (mut stream, _) = listener.accept().expect("second exchange");
+            let mut export = String::new();
+            BufReader::new(stream.try_clone().expect("clone"))
+                .read_line(&mut export)
+                .expect("second head");
+            stream.write_all(b"SHIPMENT 00").expect("half a line");
+            (head, payload)
+        });
+        let timeout = Duration::from_secs(10);
+        let got = one_shot(addr, timeout, timeout, "SHIP ns 5", b"AB\nCD").expect("whole reply");
+        assert_eq!(got.len(), line.len());
+        assert!(got.as_bytes() == line.as_slice(), "reply bytes differ");
+        let err = one_shot(addr, timeout, timeout, "EXPORT ns", &[]).expect_err("cut mid-line");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let (head, payload) = responder.join().expect("responder");
+        assert_eq!(head, "SHIP ns 5\n");
+        assert_eq!(&payload, b"AB\nCD");
+    }
+
+    /// With a client parked on an unfinished `WAIT` and no traffic, the
+    /// front thread sleeps in its poller wait: it returns at the
+    /// `FRONT_IDLE_PARK` backstop only — not every 200 µs to poll shard
+    /// sockets, as it did when those were not registered — and the reply,
+    /// when the shard finally sends it, still arrives promptly.
+    #[test]
+    fn front_thread_does_not_tick_while_a_wait_is_pending() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+        let addr = listener.local_addr().expect("fake shard addr");
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(mut stream) = stream else { break };
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                let mut line = String::new();
+                let _ = reader.read_line(&mut line);
+                if line == "PING\n" {
+                    let _ = stream.write_all(b"PONG\n");
+                    continue;
+                }
+                // The routed connection: SUBMIT, then a WAIT that is
+                // answered only once the test says so.
+                let _ = stream.write_all(b"TICKET 7\n");
+                let _ = reader.read_line(&mut line);
+                let _ = released.recv();
+                let _ = stream.write_all(b"DONE 7 entries=0\n");
+                let _ = reader.read_line(&mut line);
+            }
+        });
+        let spec = ClusterSpec::new([("scen", "ns")]).expect("spec");
+        let router =
+            Router::bind(spec, vec![("s0".to_string(), addr)], "127.0.0.1:0").expect("bind router");
+        let stream = TcpStream::connect(router.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut recv = move || {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("reply line");
+            reply
+        };
+        (&stream).write_all(b"SUBMIT scen\nWAIT 1\n").expect("send");
+        assert_eq!(recv(), "TICKET 1\n");
+        std::thread::sleep(Duration::from_millis(50));
+
+        let before = router.inner.front_waits.load(Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(200));
+        let waits = router.inner.front_waits.load(Ordering::Relaxed) - before;
+        let backstop = 200 / FRONT_IDLE_PARK.as_millis() as u64;
+        assert!(
+            waits <= 2 * backstop,
+            "{waits} poller waits in 200 ms with nothing ready (backstop alone: {backstop})"
+        );
+
+        let sent = Instant::now();
+        release.send(()).expect("release the WAIT");
+        assert_eq!(recv(), "DONE 1 entries=0\n");
+        assert!(sent.elapsed() < Duration::from_secs(2));
         router.stop();
     }
 }

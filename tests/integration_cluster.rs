@@ -14,7 +14,7 @@
 //! the guarantee the snapshot-shipping tentpole must provide.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1138,5 +1138,264 @@ fn primary_sigkill_fails_over_to_warm_replica_without_operator_action() {
         "STATS must flag the dead shard: {stats}"
     );
 
+    router.stop();
+}
+
+// ---------------------------------------------------------------------------
+// The front thread never blocks on a peer
+// ---------------------------------------------------------------------------
+
+/// A client that pipelines 20,000 `METRICS` and never reads a byte of the
+/// replies parks nothing but itself: the router stops reading it once
+/// its write buffer is over the high watermark, a second client is served
+/// as if it were alone, and `Router::stop` — whose farewell line to the
+/// stuck client is best-effort — returns.
+#[test]
+fn a_client_that_never_reads_stalls_nobody_else_and_stop_returns() {
+    let workload = ClusterWorkload {
+        namespaces: 2,
+        rows: 100,
+        max_states: 5,
+        engine_cache_capacity: 0,
+        memo_capacity: 0,
+    };
+    let cluster = workload.build_cluster(2);
+    let addr = cluster.router.addr();
+
+    // Declared after `cluster`, so a failing assertion drops (closes) it
+    // before the router is stopped.
+    let mut hog = TcpStream::connect(addr).unwrap();
+    hog.set_write_timeout(Some(Duration::from_secs(2))).unwrap();
+    for _ in 0..20 {
+        // Once the router stops reading, the kernel buffers fill and the
+        // write times out: everything it will ever take has been sent.
+        if hog.write_all(&b"METRICS\n".repeat(1_000)).is_err() {
+            break;
+        }
+    }
+
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    writer.write_all(b"PING\n").unwrap();
+    assert_eq!(recv(&mut reader), "PONG", "the hog stalled a second client");
+
+    let outcomes = drive_suite(addr, &workload.scenario_names());
+    assert_eq!(outcomes.len(), workload.scenario_names().len());
+    assert!(outcomes.iter().all(|o| o.result.starts_with("entries=")));
+
+    let (stopped, wait) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        cluster.stop();
+        let _ = stopped.send(());
+    });
+    wait.recv_timeout(Duration::from_secs(10))
+        .expect("Router::stop must not wait on a client that never reads");
+    drop(hog);
+}
+
+// ---------------------------------------------------------------------------
+// The non-blocking shard side, against a scripted fake shard
+// ---------------------------------------------------------------------------
+
+/// The verb and arguments of a forwarded line, `CTX <hex>` prefix dropped.
+fn forwarded(line: &str) -> &str {
+    let line = line.trim_end();
+    match line.strip_prefix("CTX ") {
+        Some(rest) => rest.split_once(' ').map_or("", |(_, request)| request),
+        None => line,
+    }
+}
+
+/// A scripted stand-in for a shard daemon — a plain listener, no
+/// `Service` behind it. Heartbeat probes (a bare `PING`: forwarded lines
+/// always carry a `CTX` prefix) are answered `PONG`; every other
+/// connection is handed to `script` with its first line already read.
+/// The threads die with the test process.
+fn fake_shard(
+    script: impl Fn(String, BufReader<TcpStream>, TcpStream) + Send + Sync + 'static,
+) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let script = Arc::new(script);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            let script = Arc::clone(&script);
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut first = String::new();
+                if reader.read_line(&mut first).unwrap_or(0) == 0 {
+                    return;
+                }
+                if first.trim_end() == "PING" {
+                    let _ = stream.write_all(b"PONG\n");
+                } else {
+                    script(first, reader, stream);
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A router over the one fake shard `s0`, and a client connected to it.
+fn fake_cluster(
+    shard: SocketAddr,
+    config: RouterConfig,
+) -> (Router, TcpStream, BufReader<TcpStream>) {
+    let spec = ClusterSpec::new([("scen", "ns")]).unwrap();
+    let router =
+        Router::bind_with(spec, vec![("s0".to_string(), shard)], "127.0.0.1:0", config).unwrap();
+    let stream = TcpStream::connect(router.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let writer = stream.try_clone().unwrap();
+    (router, writer, BufReader::new(stream))
+}
+
+/// A reply split mid-line across two segments 50 ms apart is one reply.
+#[test]
+fn shard_reply_split_across_two_writes_is_reassembled() {
+    let shard = fake_shard(|first, _reader, mut stream| {
+        assert_eq!(forwarded(&first), "SUBMIT scen");
+        stream.write_all(b"TICK").unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        stream.write_all(b"ET 7\n").unwrap();
+        std::thread::sleep(Duration::from_secs(5));
+    });
+    let (router, mut writer, mut reader) = fake_cluster(shard, RouterConfig::default());
+    writer.write_all(b"SUBMIT scen\nPING\n").unwrap();
+    assert_eq!(recv(&mut reader), "TICKET 1");
+    assert_eq!(recv(&mut reader), "PONG");
+    router.stop();
+}
+
+/// Two replies arriving in one segment answer two pipelined requests, in
+/// order — and the ticket verb pipelined behind them waits for the ids
+/// they create instead of racing them.
+#[test]
+fn coalesced_shard_replies_answer_pipelined_requests_in_order() {
+    let shard = fake_shard(|first, mut reader, mut stream| {
+        let mut second = String::new();
+        reader.read_line(&mut second).unwrap();
+        assert_eq!(forwarded(&first), "SUBMIT scen");
+        assert_eq!(forwarded(&second), "SUBMIT scen");
+        // Late, so the POLL behind the SUBMITs is framed long before the
+        // ticket it names exists.
+        std::thread::sleep(Duration::from_millis(100));
+        stream.write_all(b"TICKET 7\nTICKET 8\n").unwrap();
+        let mut poll = String::new();
+        reader.read_line(&mut poll).unwrap();
+        stream
+            .write_all(format!("echo:{}\n", forwarded(&poll)).as_bytes())
+            .unwrap();
+        std::thread::sleep(Duration::from_secs(5));
+    });
+    let (router, mut writer, mut reader) = fake_cluster(shard, RouterConfig::default());
+    writer
+        .write_all(b"SUBMIT scen\nSUBMIT scen\nPOLL 2\nPING\n")
+        .unwrap();
+    assert_eq!(recv(&mut reader), "TICKET 1");
+    assert_eq!(recv(&mut reader), "TICKET 2");
+    assert_eq!(
+        recv(&mut reader),
+        "echo:POLL 8",
+        "cluster id 2 is local id 8"
+    );
+    assert_eq!(recv(&mut reader), "PONG");
+    router.stop();
+}
+
+/// A shard connection that closes with a reply owed costs exactly one
+/// re-dispatch on a fresh connection, then a clean error line.
+#[test]
+fn shard_connection_lost_with_a_reply_owed_is_retried_once_then_reported() {
+    let attempts = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&attempts);
+    let shard = fake_shard(move |first, _reader, _stream| {
+        assert_eq!(forwarded(&first), "SUBMIT scen");
+        seen.fetch_add(1, Ordering::SeqCst);
+        // Returning drops both halves: closed, nothing answered.
+    });
+    let (router, mut writer, mut reader) = fake_cluster(shard, RouterConfig::default());
+    writer.write_all(b"SUBMIT scen\nPING\n").unwrap();
+    assert_eq!(
+        recv(&mut reader),
+        "ERR shard s0 unavailable (connection lost)"
+    );
+    assert_eq!(recv(&mut reader), "PONG");
+    assert_eq!(attempts.load(Ordering::SeqCst), 2, "one re-dispatch");
+    router.stop();
+}
+
+/// A shard that accepts but stops reading: the requests one client
+/// pipelines at it queue in the router only up to `max_pipelined` — then
+/// that client stops being read — while a second client is served as if
+/// alone. When the shard resumes, all 10,000 answers arrive in order.
+#[test]
+fn shard_that_stops_reading_bounds_one_pipeline_and_stalls_no_other_client() {
+    const DEPTH: usize = 64;
+    const POLLS: usize = 10_000;
+    let (resume, resumed) = std::sync::mpsc::channel::<()>();
+    let resumed = std::sync::Mutex::new(resumed);
+    let (report, reported) = std::sync::mpsc::channel::<usize>();
+    let report = std::sync::Mutex::new(report);
+    let shard = fake_shard(move |first, mut reader, mut stream| {
+        assert_eq!(forwarded(&first), "SUBMIT scen");
+        stream.write_all(b"TICKET 7\n").unwrap();
+        // Not reading: whatever the router forwards piles up unread.
+        resumed.lock().unwrap().recv().unwrap();
+        // Everything forwarded while we slept, until the line goes quiet.
+        stream
+            .set_read_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
+        let mut piled = 0usize;
+        let mut line = String::new();
+        while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+            assert_eq!(forwarded(&line), "POLL 7");
+            piled += 1;
+            line.clear();
+        }
+        report.lock().unwrap().send(piled).unwrap();
+        stream.set_read_timeout(None).unwrap();
+        stream.write_all(&b"QUEUED\n".repeat(piled)).unwrap();
+        while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+            stream.write_all(b"QUEUED\n").unwrap();
+            line.clear();
+        }
+    });
+    let config = RouterConfig {
+        max_pipelined: DEPTH,
+        ..RouterConfig::default()
+    };
+    let (router, mut writer, mut reader) = fake_cluster(shard, config);
+    writer.write_all(b"SUBMIT scen\n").unwrap();
+    assert_eq!(recv(&mut reader), "TICKET 1");
+    writer.write_all(&b"POLL 1\n".repeat(POLLS)).unwrap();
+
+    let other = TcpStream::connect(router.addr()).unwrap();
+    other
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    let mut other_reader = BufReader::new(other.try_clone().unwrap());
+    (&other).write_all(b"PING\n").unwrap();
+    assert_eq!(recv(&mut other_reader), "PONG");
+
+    resume.send(()).unwrap();
+    let piled = reported
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shard report");
+    assert_eq!(
+        piled, DEPTH,
+        "the router forwarded past max_pipelined for a shard that was not reading"
+    );
+    for i in 0..POLLS {
+        assert_eq!(recv(&mut reader), "QUEUED", "reply {i}");
+    }
     router.stop();
 }

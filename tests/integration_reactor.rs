@@ -15,7 +15,7 @@ use modis_core::prelude::*;
 use modis_core::substrate::mock::MockSubstrate;
 use modis_core::substrate::Substrate;
 use modis_engine::{Algorithm, Scenario};
-use modis_service::{Daemon, ReactorConfig, Service, ServiceConfig};
+use modis_service::{ClusterSpec, Daemon, ReactorConfig, Router, Service, ServiceConfig};
 
 fn oracle_config(max_states: usize) -> ModisConfig {
     ModisConfig::default()
@@ -418,6 +418,119 @@ fn thousands_of_idle_connections_stay_served_and_reaped() {
             rest.starts_with("ERR service is shut down"),
             "survivor got {rest:?}"
         );
+    }
+}
+
+/// The same soak through the cluster router, whose front thread runs on
+/// the reactor's connection core: a thousand idle client connections held
+/// open while one hot client pipelines 5,000 `PING`s and then a full
+/// submit/run/wait/result suite — every reply in order — and after
+/// `Router::stop` every descriptor the router held is closed.
+#[cfg(target_os = "linux")]
+#[test]
+fn router_serves_a_hot_client_through_a_thousand_idle_ones_and_leaks_nothing() {
+    let idle_target = if max_open_files() > 10_000 {
+        1_000
+    } else {
+        200
+    };
+    let shards: Vec<Daemon> = (0..2)
+        .map(|_| Daemon::bind(mock_service(6), "127.0.0.1:0").unwrap())
+        .collect();
+    let baseline = open_fds();
+    let spec = ClusterSpec::new([
+        ("apx", "mock-pool"),
+        ("bi", "mock-pool"),
+        ("div", "mock-pool"),
+    ])
+    .unwrap();
+    let router = Router::bind(
+        spec,
+        vec![
+            ("shard0".to_string(), shards[0].addr()),
+            ("shard1".to_string(), shards[1].addr()),
+        ],
+        "127.0.0.1:0",
+    )
+    .unwrap();
+
+    let batch = 100;
+    let mut idle: Vec<TcpStream> = Vec::with_capacity(idle_target);
+    while idle.len() < idle_target {
+        for _ in 0..batch {
+            let stream = TcpStream::connect(router.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            idle.push(stream);
+        }
+        let probe = idle.last_mut().unwrap();
+        probe.write_all(b"PING\n").unwrap();
+        assert_eq!(read_line_raw(probe), "PONG");
+    }
+
+    let stream = TcpStream::connect(router.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    for round in 0..2 {
+        writer.write_all(&b"PING\n".repeat(5_000)).unwrap();
+        for i in 0..5_000 {
+            assert_eq!(read_reply(&mut reader), "PONG", "round {round} reply {i}");
+        }
+        let first = 3 * round + 1;
+        let suite = format!(
+            "SUBMIT apx\nSUBMIT bi\nSUBMIT div\nRUN\nWAIT {first} {} {}\nRESULT {first}\nPING\n",
+            first + 1,
+            first + 2
+        );
+        writer.write_all(suite.as_bytes()).unwrap();
+        for ticket in first..first + 3 {
+            assert_eq!(read_reply(&mut reader), format!("TICKET {ticket}"));
+        }
+        assert_eq!(read_reply(&mut reader), "OK 3");
+        let mut done: Vec<String> = (0..3).map(|_| read_reply(&mut reader)).collect();
+        done.sort();
+        for (ticket, line) in (first..).zip(&done) {
+            assert!(
+                line.starts_with(&format!("DONE {ticket} entries=")),
+                "{line}"
+            );
+        }
+        let result = read_reply(&mut reader);
+        assert!(
+            result.starts_with(&format!("RESULT {first} entries=")),
+            "{result}"
+        );
+        assert_eq!(read_reply(&mut reader), "PONG");
+    }
+
+    // The idle mass is still served from behind the hot client.
+    for index in (0..idle.len()).step_by(100) {
+        let probe = &mut idle[index];
+        probe.write_all(b"PING\n").unwrap();
+        assert_eq!(read_line_raw(probe), "PONG", "idle connection {index}");
+    }
+
+    let started = Instant::now();
+    router.stop();
+    assert!(started.elapsed() < Duration::from_secs(5));
+    drop((idle, writer, reader));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let slack = 64;
+    let mut current = open_fds();
+    while current > baseline + slack {
+        assert!(
+            Instant::now() < deadline,
+            "descriptor leak: baseline {baseline}, still {current} after Router::stop"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+        current = open_fds();
+    }
+    for shard in shards {
+        shard.stop();
     }
 }
 
