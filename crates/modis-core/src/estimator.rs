@@ -98,6 +98,11 @@ pub struct ValuationStats {
 
 struct Inner {
     records: Vec<TestRecord>,
+    /// `Substrate::state_features` of `records[i]`'s state, once something
+    /// has needed it: a surrogate prediction, or the first refit after the
+    /// record became oracle-backed. A state's features never change, so a
+    /// refit computes only the rows it has not seen.
+    features: Vec<Option<Vec<f64>>>,
     by_bitmap: HashMap<StateBitmap, usize>,
     surrogate: Option<MultiOutputGbm>,
     records_at_last_fit: usize,
@@ -106,7 +111,8 @@ struct Inner {
 }
 
 impl Inner {
-    /// Inserts or upgrades an oracle-backed record for `bitmap`.
+    /// Inserts or upgrades an oracle-backed record for `bitmap`; an upgraded
+    /// record keeps the feature row its surrogate prediction computed.
     fn commit_oracle(&mut self, bitmap: &StateBitmap, perf: &[f64], raw: Vec<f64>) {
         let record = TestRecord {
             bitmap: bitmap.clone(),
@@ -124,6 +130,7 @@ impl Inner {
             None => {
                 let idx = self.records.len();
                 self.records.push(record);
+                self.features.push(None);
                 self.by_bitmap.insert(bitmap.clone(), idx);
                 self.oracle_records += 1;
             }
@@ -148,6 +155,7 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
             hook: None,
             inner: Mutex::new(Inner {
                 records: Vec::new(),
+                features: Vec::new(),
                 by_bitmap: HashMap::new(),
                 surrogate: None,
                 records_at_last_fit: 0,
@@ -208,6 +216,7 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
                     raw: Vec::new(),
                     oracle: false,
                 });
+                inner.features.push(Some(feats));
                 inner.by_bitmap.insert(bitmap.clone(), idx);
                 return perf;
             }
@@ -386,12 +395,17 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
         if inner.surrogate.is_some() && n < inner.records_at_last_fit + refresh {
             return;
         }
-        let oracle_records: Vec<&TestRecord> = inner.records.iter().filter(|r| r.oracle).collect();
-        let x: Vec<Vec<f64>> = oracle_records
-            .iter()
-            .map(|r| self.substrate.state_features(&r.bitmap))
-            .collect();
-        let y: Vec<Vec<f64>> = oracle_records.iter().map(|r| r.perf.clone()).collect();
+        let Inner {
+            records, features, ..
+        } = &mut *inner;
+        let (mut x, mut y) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (record, row) in records.iter().zip(features.iter_mut()) {
+            if record.oracle {
+                let row = row.get_or_insert_with(|| self.substrate.state_features(&record.bitmap));
+                x.push(row.clone());
+                y.push(record.perf.clone());
+            }
+        }
         let params = GbmParams {
             n_estimators: 30,
             ..GbmParams::default()
@@ -468,6 +482,72 @@ mod tests {
             .find(|r| r.bitmap == target)
             .unwrap();
         assert!(rec.oracle);
+    }
+
+    /// Delegates to a `MockSubstrate` and counts `state_features` calls.
+    struct CountingSubstrate {
+        inner: MockSubstrate,
+        feature_calls: Mutex<HashMap<StateBitmap, usize>>,
+    }
+
+    impl Substrate for CountingSubstrate {
+        fn num_units(&self) -> usize {
+            self.inner.num_units()
+        }
+        fn unit_label(&self, unit: usize) -> String {
+            self.inner.unit_label(unit)
+        }
+        fn backward_start(&self) -> StateBitmap {
+            self.inner.backward_start()
+        }
+        fn measures(&self) -> &crate::measure::MeasureSet {
+            self.inner.measures()
+        }
+        fn evaluate_raw(&self, bitmap: &StateBitmap) -> Vec<f64> {
+            self.inner.evaluate_raw(bitmap)
+        }
+        fn state_features(&self, bitmap: &StateBitmap) -> Vec<f64> {
+            *self.feature_calls.lock().entry(bitmap.clone()).or_insert(0) += 1;
+            self.inner.state_features(bitmap)
+        }
+        fn artifact_size(&self, bitmap: &StateBitmap) -> (usize, usize) {
+            self.inner.artifact_size(bitmap)
+        }
+    }
+
+    /// Refits compute a record's feature row once, however many refits see
+    /// the record, and a surrogate-valuated state that `raw_for` upgrades
+    /// keeps the row its prediction computed.
+    #[test]
+    fn refits_compute_each_feature_row_once() {
+        let sub = CountingSubstrate {
+            inner: MockSubstrate::new(8),
+            feature_calls: Mutex::new(HashMap::new()),
+        };
+        let ctx = ValuationContext::new(
+            &sub,
+            EstimatorMode::Surrogate {
+                warmup: 3,
+                refresh: 2,
+            },
+        );
+        let full = StateBitmap::full(8);
+        // Warm-up and four refreshes on oracle valuations …
+        for i in 0..8 {
+            ctx.valuate_oracle(&full.flipped(i));
+        }
+        // … a surrogate valuation, upgraded, and two more refreshes.
+        let estimated = full.flipped(0).flipped(1);
+        ctx.valuate(&estimated);
+        assert_eq!(ctx.stats().surrogate_calls, 1);
+        ctx.raw_for(&estimated);
+        for i in 2..6 {
+            ctx.valuate_oracle(&full.flipped(0).flipped(i));
+        }
+        assert_eq!(ctx.oracle_record_count(), 13);
+        let calls = sub.feature_calls.lock();
+        assert_eq!(calls.len(), 13, "every oracle record was featurised");
+        assert!(calls.values().all(|&n| n == 1), "{calls:?}");
     }
 
     #[derive(Default)]

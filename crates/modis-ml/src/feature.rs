@@ -4,18 +4,19 @@
 //! as secondary measures for tasks T1 and T2 (Table 3), and the SkSFM / H2O
 //! baselines select features by such scores.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Fisher score of one feature for a labelled dataset.
 ///
 /// `F(j) = Σ_c n_c (μ_{c,j} − μ_j)² / Σ_c n_c σ²_{c,j}`; larger is better.
-/// Returns 0 when the denominator vanishes.
+/// Returns 0 when the denominator vanishes. Classes are summed in ascending
+/// label order, so the score of one input is one bit pattern.
 pub fn fisher_score_feature(values: &[f64], labels: &[f64]) -> f64 {
     if values.len() != labels.len() || values.is_empty() {
         return 0.0;
     }
     let overall_mean = values.iter().sum::<f64>() / values.len() as f64;
-    let mut groups: HashMap<i64, Vec<f64>> = HashMap::new();
+    let mut groups: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
     for (&v, &l) in values.iter().zip(labels.iter()) {
         groups.entry(l.round() as i64).or_default().push(v);
     }
@@ -90,15 +91,16 @@ pub fn discretise(values: &[f64], bins: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Mutual information (nats) between two discretised variables.
+/// Mutual information (nats) between two discretised variables, summed over
+/// the occupied cells in ascending `(x, y)` order.
 pub fn mutual_information_discrete(xs: &[usize], ys: &[usize]) -> f64 {
     if xs.len() != ys.len() || xs.is_empty() {
         return 0.0;
     }
     let n = xs.len() as f64;
-    let mut joint: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut px: HashMap<usize, f64> = HashMap::new();
-    let mut py: HashMap<usize, f64> = HashMap::new();
+    let mut joint: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+    let mut px: BTreeMap<usize, f64> = BTreeMap::new();
+    let mut py: BTreeMap<usize, f64> = BTreeMap::new();
     for (&x, &y) in xs.iter().zip(ys.iter()) {
         *joint.entry((x, y)).or_insert(0.0) += 1.0;
         *px.entry(x).or_insert(0.0) += 1.0;
@@ -221,6 +223,26 @@ mod tests {
         assert!(mis[0] > mis[1]);
         assert!(fisher_score(&x, &y) > 0.0);
         assert!(mutual_information(&x, &y, 5) > 0.0);
+    }
+
+    /// A float sum over three or more groups depends on the order of its
+    /// addends; with a per-instance hash order these differed in their last
+    /// bits from call to call.
+    #[test]
+    fn scores_over_three_groups_are_one_bit_pattern() {
+        let x: Vec<Vec<f64>> = (0..90)
+            .map(|i| {
+                let i = i as f64;
+                vec![(i * 0.37).sin() * 3.1, (i * 1.3).cos() + i / 7.0, i % 5.0]
+            })
+            .collect();
+        let labels: Vec<f64> = (0..90).map(|i| ((i * 7) % 4) as f64).collect();
+        let fisher = fisher_score(&x, &labels).to_bits();
+        let mi = mutual_information(&x, &labels, 6).to_bits();
+        for _ in 0..25 {
+            assert_eq!(fisher_score(&x, &labels).to_bits(), fisher);
+            assert_eq!(mutual_information(&x, &labels, 6).to_bits(), mi);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::tree::{Criterion, DecisionTree, TreeParams};
+use crate::tree::{Columns, Criterion, DecisionTree, TreeBuilder, TreeParams};
 
 /// Random forest hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -76,22 +76,16 @@ impl RandomForest {
             .max_features
             .or_else(|| Some(((n_features as f64).sqrt().ceil() as usize).max(1)));
         let mut rng = StdRng::seed_from_u64(params.seed);
+        let cols = Columns::from_rows(x);
+        let mut builder = TreeBuilder::default();
         let mut trees = Vec::with_capacity(params.n_trees);
         for t in 0..params.n_trees {
             let sample_size = ((n as f64) * params.sample_fraction).round() as usize;
             let sample_size = sample_size.clamp(1.min(n), n.max(1)).min(n);
-            let (bx, by): (Vec<Vec<f64>>, Vec<f64>) = if n == 0 {
-                (Vec::new(), Vec::new())
-            } else {
-                (0..sample_size)
-                    .map(|_| {
-                        let i = rng.gen_range(0..n);
-                        (x[i].clone(), y[i])
-                    })
-                    .unzip()
-            };
-            let tree = DecisionTree::fit_with_features(
-                &bx,
+            let rows: Vec<usize> = (0..sample_size).map(|_| rng.gen_range(0..n)).collect();
+            let by: Vec<f64> = rows.iter().map(|&i| y[i]).collect();
+            let tree = builder.fit(
+                &cols.gather(&rows),
                 &by,
                 params.tree,
                 max_features,
@@ -193,6 +187,117 @@ impl RandomForest {
 mod tests {
     use super::*;
     use crate::metrics::{accuracy, r2};
+    use crate::tree::fixtures::{bits, class_target, matrix, regression_target, SIZES};
+    use crate::tree::oracle;
+    use proptest::prelude::*;
+
+    /// `RandomForest::fit` as it was before the trees gathered their
+    /// bootstrap samples from shared `Columns`: every sampled row cloned,
+    /// every tree grown by the previous split search.
+    fn old_forest(
+        x: &[Vec<f64>],
+        y: &[f64],
+        n_classes: usize,
+        params: ForestParams,
+    ) -> RandomForest {
+        let n = x.len();
+        let n_features = x.first().map(|r| r.len()).unwrap_or(0);
+        let max_features = params
+            .max_features
+            .or_else(|| Some(((n_features as f64).sqrt().ceil() as usize).max(1)));
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let trees = (0..params.n_trees)
+            .map(|t| {
+                let sample_size = ((n as f64) * params.sample_fraction).round() as usize;
+                let sample_size = sample_size.clamp(1.min(n), n.max(1)).min(n);
+                let (bx, by): (Vec<Vec<f64>>, Vec<f64>) = if n == 0 {
+                    (Vec::new(), Vec::new())
+                } else {
+                    (0..sample_size)
+                        .map(|_| {
+                            let i = rng.gen_range(0..n);
+                            (x[i].clone(), y[i])
+                        })
+                        .unzip()
+                };
+                oracle::fit_with_features(
+                    &bx,
+                    &by,
+                    params.tree,
+                    max_features,
+                    params.seed.wrapping_add(t as u64 * 7919),
+                )
+            })
+            .collect();
+        RandomForest {
+            trees,
+            params,
+            n_classes,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Regression and two-class forests predict, bit for bit, what the
+        /// same bootstrap draws over the previous split search predict.
+        #[test]
+        fn forests_predict_what_the_old_kernel_predicts(
+            seed in any::<u64>(),
+            size in 0usize..6,
+            classify in any::<bool>(),
+            fraction in 0usize..3,
+            subset in 0usize..3,
+        ) {
+            let mut g = StdRng::seed_from_u64(seed);
+            let x = matrix(&mut g, SIZES[size]);
+            let probes = matrix(&mut g, 8);
+            let (y, n_classes, preset) = if classify {
+                (class_target(&mut g, &x, 2), 2, ForestParams::classification(7))
+            } else {
+                (regression_target(&mut g, &x), 0, ForestParams::regression(7))
+            };
+            let params = ForestParams {
+                max_features: [None, Some(2), Some(100)][subset],
+                sample_fraction: [1.0, 0.6, 0.01][fraction],
+                seed: seed >> 3,
+                ..preset
+            };
+            let new = RandomForest::fit(&x, &y, n_classes, params);
+            let old = old_forest(&x, &y, n_classes, params);
+            for row in x.iter().chain(probes.iter()) {
+                prop_assert_eq!(new.predict_one(row).to_bits(), old.predict_one(row).to_bits());
+                prop_assert_eq!(bits(&new.predict_scores_one(row)), bits(&old.predict_scores_one(row)));
+            }
+            prop_assert_eq!(bits(&new.feature_importance()), bits(&old.feature_importance()));
+        }
+    }
+
+    /// ROADMAP 1(b): with three classes the Gini sum has three addends, and
+    /// in a per-map hash order its last bit — and with it split tie-breaks —
+    /// moved from fit to fit.
+    #[test]
+    fn three_class_forest_is_bit_reproducible_in_one_process() {
+        let mut g = StdRng::seed_from_u64(9);
+        let x = matrix(&mut g, 120);
+        let labels = class_target(&mut g, &x, 3);
+        let fit = || {
+            let rf = RandomForest::fit(&x, &labels, 3, ForestParams::classification(12));
+            let scores: Vec<u64> = x
+                .iter()
+                .flat_map(|r| bits(&rf.predict_scores_one(r)))
+                .collect();
+            (
+                scores,
+                bits(&rf.predict(&x)),
+                bits(&rf.feature_importance()),
+            )
+        };
+        let first = fit();
+        for _ in 1..25 {
+            assert_eq!(fit(), first);
+        }
+    }
 
     fn make_regression(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let x: Vec<Vec<f64>> = (0..n)

@@ -7,7 +7,7 @@
 //! * [`MultiOutputGbm`] — one boosted regressor per output dimension; the
 //!   paper's default performance estimator `E` (MO-GBM, §2/§6).
 
-use crate::tree::{Criterion, DecisionTree, TreeParams};
+use crate::tree::{Columns, Criterion, DecisionTree, TreeBuilder, TreeParams};
 
 /// Hyper-parameters shared by the boosting models.
 #[derive(Debug, Clone, Copy)]
@@ -45,6 +45,24 @@ pub struct GradientBoostingRegressor {
 impl GradientBoostingRegressor {
     /// Fits the regressor.
     pub fn fit(x: &[Vec<f64>], y: &[f64], params: GbmParams) -> Self {
+        Self::fit_columns(
+            x,
+            &Columns::from_rows(x),
+            &mut TreeBuilder::default(),
+            y,
+            params,
+        )
+    }
+
+    /// [`Self::fit`] on `x` already transposed into `cols`, so the caller
+    /// can share the columns and the builder with other fits on `x`.
+    fn fit_columns(
+        x: &[Vec<f64>],
+        cols: &Columns,
+        builder: &mut TreeBuilder,
+        y: &[f64],
+        params: GbmParams,
+    ) -> Self {
         let base = if y.is_empty() {
             0.0
         } else {
@@ -55,7 +73,7 @@ impl GradientBoostingRegressor {
         if !x.is_empty() {
             for _ in 0..params.n_estimators {
                 let residuals: Vec<f64> = y.iter().zip(preds.iter()).map(|(t, p)| t - p).collect();
-                let tree = DecisionTree::fit(x, &residuals, params.tree);
+                let tree = builder.fit(cols, &residuals, params.tree, None, 0);
                 for (i, row) in x.iter().enumerate() {
                     preds[i] += params.learning_rate * tree.predict_one(row);
                 }
@@ -130,6 +148,8 @@ impl GradientBoostingClassifier {
     pub fn fit(x: &[Vec<f64>], y: &[f64], n_classes: usize, params: GbmParams) -> Self {
         let n_classes = n_classes.max(2);
         let n_stages = if n_classes == 2 { 1 } else { n_classes };
+        let cols = Columns::from_rows(x);
+        let mut builder = TreeBuilder::default();
         let mut stages = Vec::with_capacity(n_stages);
         for c in 0..n_stages {
             let targets: Vec<f64> = y
@@ -163,7 +183,7 @@ impl GradientBoostingClassifier {
                         .zip(raw.iter())
                         .map(|(t, r)| t - sigmoid(*r))
                         .collect();
-                    let tree = DecisionTree::fit(x, &gradients, params.tree);
+                    let tree = builder.fit(&cols, &gradients, params.tree, None, 0);
                     for (i, row) in x.iter().enumerate() {
                         raw[i] += params.learning_rate * tree.predict_one(row);
                     }
@@ -275,10 +295,12 @@ impl MultiOutputGbm {
     /// Fits one boosted regressor per column of `y`.
     pub fn fit(x: &[Vec<f64>], y: &[Vec<f64>], params: GbmParams) -> Self {
         let n_outputs = y.first().map(|r| r.len()).unwrap_or(0);
+        let cols = Columns::from_rows(x);
+        let mut builder = TreeBuilder::default();
         let models = (0..n_outputs)
             .map(|k| {
                 let yk: Vec<f64> = y.iter().map(|r| r[k]).collect();
-                GradientBoostingRegressor::fit(x, &yk, params)
+                GradientBoostingRegressor::fit_columns(x, &cols, &mut builder, &yk, params)
             })
             .collect();
         MultiOutputGbm { models }
@@ -304,6 +326,171 @@ impl MultiOutputGbm {
 mod tests {
     use super::*;
     use crate::metrics::{accuracy, r2};
+    use crate::tree::fixtures::{bits, class_target, matrix, regression_target, SIZES};
+    use crate::tree::oracle;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    /// `GradientBoostingRegressor::fit` as it was before the models shared
+    /// `Columns`, composed over the previous split search.
+    fn old_regressor(x: &[Vec<f64>], y: &[f64], params: GbmParams) -> GradientBoostingRegressor {
+        let base = if y.is_empty() {
+            0.0
+        } else {
+            y.iter().sum::<f64>() / y.len() as f64
+        };
+        let mut preds = vec![base; y.len()];
+        let mut trees = Vec::new();
+        if !x.is_empty() {
+            for _ in 0..params.n_estimators {
+                let residuals: Vec<f64> = y.iter().zip(preds.iter()).map(|(t, p)| t - p).collect();
+                let tree = oracle::fit_with_features(x, &residuals, params.tree, None, 0);
+                for (i, row) in x.iter().enumerate() {
+                    preds[i] += params.learning_rate * tree.predict_one(row);
+                }
+                trees.push(tree);
+            }
+        }
+        GradientBoostingRegressor {
+            base,
+            trees,
+            params,
+        }
+    }
+
+    /// `GradientBoostingClassifier::fit` as it was, likewise.
+    fn old_classifier(
+        x: &[Vec<f64>],
+        y: &[f64],
+        n_classes: usize,
+        params: GbmParams,
+    ) -> GradientBoostingClassifier {
+        let n_stages = if n_classes == 2 { 1 } else { n_classes };
+        let stages = (0..n_stages)
+            .map(|c| {
+                let positive = if n_classes == 2 { 1 } else { c };
+                let targets: Vec<f64> = y
+                    .iter()
+                    .map(|&v| f64::from(u8::from(v.round() as usize == positive)))
+                    .collect();
+                let pos_rate = if targets.is_empty() {
+                    0.5
+                } else {
+                    (targets.iter().sum::<f64>() / targets.len() as f64).clamp(1e-6, 1.0 - 1e-6)
+                };
+                let base = (pos_rate / (1.0 - pos_rate)).ln();
+                let mut raw = vec![base; targets.len()];
+                let mut trees = Vec::new();
+                if !x.is_empty() {
+                    for _ in 0..params.n_estimators {
+                        let gradients: Vec<f64> = targets
+                            .iter()
+                            .zip(raw.iter())
+                            .map(|(t, r)| t - sigmoid(*r))
+                            .collect();
+                        let tree = oracle::fit_with_features(x, &gradients, params.tree, None, 0);
+                        for (i, row) in x.iter().enumerate() {
+                            raw[i] += params.learning_rate * tree.predict_one(row);
+                        }
+                        trees.push(tree);
+                    }
+                }
+                (base, trees)
+            })
+            .collect();
+        GradientBoostingClassifier {
+            stages,
+            n_classes,
+            params,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(18))]
+
+        /// Regressor, classifier (two and three classes: the weak learners
+        /// are `Mse` trees either way) and `MultiOutputGbm` for k = 1…5
+        /// predict, bit for bit, what the same models over the previous
+        /// split search predict.
+        #[test]
+        fn boosted_models_predict_what_the_old_kernel_predicts(
+            seed in any::<u64>(),
+            size in 0usize..6,
+            n_outputs in 1usize..6,
+        ) {
+            let mut g = StdRng::seed_from_u64(seed);
+            let x = matrix(&mut g, SIZES[size]);
+            let probes = matrix(&mut g, 8);
+            let rows = || x.iter().chain(probes.iter());
+            let params = GbmParams {
+                n_estimators: 6,
+                ..GbmParams::default()
+            };
+
+            let y = regression_target(&mut g, &x);
+            let new = GradientBoostingRegressor::fit(&x, &y, params);
+            let old = old_regressor(&x, &y, params);
+            for row in rows() {
+                prop_assert_eq!(new.predict_one(row).to_bits(), old.predict_one(row).to_bits());
+            }
+            prop_assert_eq!(bits(&new.feature_importance()), bits(&old.feature_importance()));
+
+            for n_classes in [2, 3] {
+                let labels = class_target(&mut g, &x, n_classes);
+                let new = GradientBoostingClassifier::fit(&x, &labels, n_classes, params);
+                let old = old_classifier(&x, &labels, n_classes, params);
+                for row in rows() {
+                    prop_assert_eq!(
+                        bits(&new.predict_scores_one(row)),
+                        bits(&old.predict_scores_one(row))
+                    );
+                }
+                prop_assert_eq!(bits(&new.feature_importance()), bits(&old.feature_importance()));
+            }
+
+            let targets: Vec<Vec<f64>> = (0..n_outputs)
+                .map(|_| regression_target(&mut g, &x))
+                .collect();
+            let ys: Vec<Vec<f64>> = (0..x.len())
+                .map(|i| targets.iter().map(|t| t[i]).collect())
+                .collect();
+            let new = MultiOutputGbm::fit(&x, &ys, params);
+            prop_assert_eq!(new.n_outputs(), if x.is_empty() { 0 } else { n_outputs });
+            let old: Vec<GradientBoostingRegressor> = targets
+                .iter()
+                .take(new.n_outputs())
+                .map(|t| old_regressor(&x, t, params))
+                .collect();
+            for row in rows() {
+                let old: Vec<f64> = old.iter().map(|m| m.predict_one(row)).collect();
+                prop_assert_eq!(bits(&new.predict_one(row)), bits(&old));
+            }
+        }
+    }
+
+    /// ROADMAP 1(b): nothing in a three-class fit depends on a hash order.
+    #[test]
+    fn three_class_classifier_is_bit_reproducible_in_one_process() {
+        let mut g = StdRng::seed_from_u64(5);
+        let x = matrix(&mut g, 90);
+        let labels = class_target(&mut g, &x, 3);
+        let params = GbmParams {
+            n_estimators: 5,
+            ..GbmParams::default()
+        };
+        let fit = || {
+            let clf = GradientBoostingClassifier::fit(&x, &labels, 3, params);
+            let scores: Vec<u64> = x
+                .iter()
+                .flat_map(|r| bits(&clf.predict_scores_one(r)))
+                .collect();
+            (scores, bits(&clf.feature_importance()))
+        };
+        let first = fit();
+        for _ in 1..25 {
+            assert_eq!(fit(), first);
+        }
+    }
 
     #[test]
     fn regressor_fits_quadratic() {
