@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 
 use modis_data::{
     derive_attribute_literals, universal_table, ClusterConfig, Dataset, DatasetView, Literal,
-    RowMask, StateBitmap,
+    RowMask, StateBitmap, TableProjection,
 };
 
 use crate::clock_cache::ClockCache;
@@ -101,8 +101,16 @@ pub use crate::substrate::SubstrateCacheStats;
 /// [`TableSubstrate::materialize_view`] then reduces a state to a handful of
 /// word-wise AND-NOTs plus an attribute mask — O(rows/64 × cleared units),
 /// zero row clones.
+///
+/// Beside the universal table the substrate owns its [`TableProjection`]:
+/// every view it materialises carries it, so each column is decoded at most
+/// once per substrate — on the first state that reads it, not at
+/// construction — and a state's matrix is a gather from it.
 pub struct TableSubstrate {
     universal: Dataset,
+    /// Typed column-major decoding of `universal` (immutable after
+    /// construction, so there is nothing to invalidate); dropped with it.
+    projection: TableProjection,
     units: Vec<TableUnit>,
     /// For cluster units: the rows of the universal table matching the
     /// literal. `None` for attribute units.
@@ -173,6 +181,7 @@ impl TableSubstrate {
             })
             .collect();
         TableSubstrate {
+            projection: TableProjection::new(&universal),
             universal,
             units,
             unit_masks,
@@ -231,7 +240,7 @@ impl TableSubstrate {
                 }
             }
         }
-        DatasetView::new(&self.universal, mask, masked_cols)
+        DatasetView::new(&self.universal, mask, masked_cols).with_projection(&self.projection)
     }
 
     /// Materialises the dataset denoted by a state bitmap as an owned copy —
@@ -613,6 +622,190 @@ mod tests {
             assert_eq!(view.reported_size(), baseline.reported_size(), "{s}");
             assert!((view.missing_ratio() - baseline.missing_ratio()).abs() < 1e-12);
         }
+    }
+
+    /// A pool with what the encoder has to decide per state: floats with
+    /// nulls, an integer, two categoricals (one with nulls) and a column that
+    /// is numeric except for one row.
+    fn mixed_pool() -> Vec<Dataset> {
+        const REGIONS: [&str; 4] = ["north", "south", "east", "west"];
+        const TIERS: [&str; 3] = ["basic", "plus", "pro"];
+        let rows = (0..150i64)
+            .map(|i| {
+                let x1 = ((i * 37) % 101) as f64 / 50.0 - 1.0;
+                let x2 = ((i * 53) % 89) as f64 / 44.0 - 1.0;
+                let (region, tier) = ((i * 7 % 4) as usize, (i * 5 % 3) as usize);
+                vec![
+                    Value::Int(i),
+                    Value::Float(x1),
+                    if i % 11 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float(x2)
+                    },
+                    Value::Int(i % 40),
+                    Value::Str(REGIONS[region].into()),
+                    if i % 17 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Str(TIERS[tier].into())
+                    },
+                    if i == 3 {
+                        Value::Str("n/a".into())
+                    } else {
+                        Value::Float((i % 9) as f64)
+                    },
+                    Value::Float(1.5 * x1 - x2 + 0.3 * tier as f64 - 0.1 * region as f64),
+                ]
+            })
+            .collect();
+        let schema = Schema::from_attributes(
+            [Attribute::key("id")]
+                .into_iter()
+                .chain(["x1", "x2", "visits", "region", "tier", "grade"].map(Attribute::feature))
+                .chain([Attribute::target("y")]),
+        );
+        vec![Dataset::from_rows("mixed", schema, rows).unwrap()]
+    }
+
+    /// Ridge without `TrainTime`: every raw metric is deterministic.
+    fn ridge_task() -> TaskSpec {
+        TaskSpec {
+            measures: MeasureSet::new(vec![
+                MeasureSpec::maximise("p_R2"),
+                MeasureSpec::minimise("p_MSE", 4.0),
+                MeasureSpec::minimise("p_MAE", 2.0),
+            ]),
+            metric_kinds: vec![MetricKind::R2, MetricKind::Mse, MetricKind::Mae],
+            ..task()
+        }
+    }
+
+    /// Both start states, every single flip and a chain of multi-flips.
+    fn sample_states(sub: &TableSubstrate) -> Vec<StateBitmap> {
+        let mut states = vec![sub.forward_start(), sub.backward_start()];
+        states.extend((0..sub.num_units()).map(|i| sub.forward_start().flipped(i)));
+        let mut chain = sub.forward_start();
+        for i in (0..sub.num_units()).step_by(2) {
+            chain = chain.flipped(i);
+            states.push(chain.clone());
+        }
+        states
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn valuation_through_the_projection_equals_valuation_of_the_owned_copy() {
+        let sub = TableSubstrate::from_pool(&mixed_pool(), ridge_task(), &Default::default());
+        let states = sample_states(&sub);
+        assert!(states.len() > 20);
+        for s in &states {
+            let owned = sub.materialize(s);
+            let expected = crate::task::evaluate_dataset(sub.task(), &owned);
+            assert_eq!(bits(&sub.evaluate_raw(s)), bits(&expected.raw), "{s}");
+            assert_eq!(sub.artifact_size(s), owned.reported_size(), "{s}");
+
+            // The null statistics: popcounts against the projection's masks
+            // equal the scan of the same selection's cells.
+            let fast = sub.materialize_view(s);
+            let masked = (0..fast.num_columns())
+                .map(|c| fast.is_col_masked(c))
+                .collect();
+            let scan = DatasetView::new(sub.universal(), fast.mask().clone(), masked);
+            assert!(fast.projection().is_some() && scan.projection().is_none());
+            assert_eq!(fast.reported_size(), scan.reported_size(), "{s}");
+            assert_eq!(
+                fast.missing_ratio().to_bits(),
+                scan.missing_ratio().to_bits(),
+                "{s}"
+            );
+            assert_eq!(
+                fast.missing_ratio().to_bits(),
+                owned.missing_ratio().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn views_share_one_projection_decoded_only_where_read() {
+        use modis_ml::encoding::encode_view;
+        let sub = TableSubstrate::from_pool(&mixed_pool(), ridge_task(), &Default::default());
+        let schema = sub.universal().schema();
+        let col = |name: &str| schema.position(name).unwrap();
+        let (a, b) = (
+            sub.materialize_view(&sub.forward_start()),
+            sub.materialize_view(&sub.backward_start()),
+        );
+        let shared = a
+            .projection()
+            .expect("substrate views carry the projection");
+        assert!(std::ptr::eq(shared, b.projection().unwrap()));
+        assert!(
+            (0..schema.len()).all(|c| !shared.is_decoded(c)),
+            "construction and materialisation decode nothing"
+        );
+
+        // The backward start masks every feature: only the target is read.
+        let opts = sub.task().encode_options();
+        encode_view(&b, &opts);
+        assert!(shared.is_decoded(col("y")) && !shared.is_decoded(col("x1")));
+        encode_view(&a, &opts);
+        assert!(["x1", "x2", "visits", "region", "tier", "grade"]
+            .iter()
+            .all(|name| shared.is_decoded(col(name))));
+        assert!(!shared.is_decoded(col("id")), "the key is never encoded");
+        // Dictionaries exist for the columns some state read categorically.
+        for (name, categorical) in [
+            ("region", true),
+            ("grade", true),
+            ("x2", false),
+            ("y", false),
+        ] {
+            assert_eq!(shared.has_dictionary(col(name)), categorical, "{name}");
+        }
+    }
+
+    #[test]
+    fn concurrent_first_touch_yields_the_sequential_matrix() {
+        use modis_ml::encoding::encode_view;
+        let sequential =
+            TableSubstrate::from_pool(&mixed_pool(), ridge_task(), &Default::default());
+        let states = sample_states(&sequential);
+        let opts = sequential.task().encode_options();
+        // What a thread must see of a state: its matrix and its valuation.
+        let observe = |sub: &TableSubstrate, s: &StateBitmap| {
+            let e = encode_view(&sub.materialize_view(s), &opts);
+            let rows: Vec<Vec<u64>> = e.features.iter().map(|r| bits(r)).collect();
+            let raw = bits(&sub.evaluate_raw(s));
+            (rows, bits(&e.targets), e.feature_names, raw)
+        };
+        let expected: Vec<_> = states.iter().map(|s| observe(&sequential, s)).collect();
+
+        // ApxMODis' wave workers first-touch a fresh substrate together.
+        const THREADS: usize = 8;
+        let fresh = TableSubstrate::from_pool(&mixed_pool(), ridge_task(), &Default::default());
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (fresh, barrier, states, observe, expected) =
+                    (&fresh, &barrier, &states, &observe, &expected);
+                scope.spawn(move || {
+                    barrier.wait();
+                    // Every thread starts somewhere else in the state list.
+                    for k in 0..states.len() {
+                        let i = (k + t * 5) % states.len();
+                        assert_eq!(
+                            observe(fresh, &states[i]),
+                            expected[i],
+                            "thread {t} state {i}"
+                        );
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -277,11 +277,12 @@ fn evaluate_encoded(task: &TaskSpec, encoded: Encoded, size: (usize, usize)) -> 
             size,
         };
     }
-    let (train, test) = encoded.split(task.train_ratio, task.seed);
-    let (train, test) = if test.is_empty() {
-        (encoded.clone(), encoded.clone())
+    // With nothing left to test on, the model is scored on the (unshuffled)
+    // matrix it was trained on.
+    let (train, test) = if encoded.train_len(task.train_ratio) == encoded.len() {
+        (encoded.clone(), encoded)
     } else {
-        (train, test)
+        encoded.into_split(task.train_ratio, task.seed)
     };
 
     let start = Instant::now();
@@ -431,6 +432,43 @@ mod tests {
         assert_eq!(via_view.raw[0], via_copy.raw[0]);
         assert_eq!(via_view.size, via_copy.size);
         assert_eq!(via_view.normalised[0], via_copy.normalised[0]);
+    }
+
+    #[test]
+    fn an_empty_test_split_scores_the_model_on_its_training_matrix() {
+        // `train_ratio = 1.0` leaves nothing to test on: the model is fitted
+        // on, and scored against, the whole matrix in encoding order.
+        let task = TaskSpec {
+            model: ModelKind::LinearRegressor,
+            measures: MeasureSet::new(vec![
+                MeasureSpec::maximise("p_R2"),
+                MeasureSpec::minimise("p_MSE", 4.0),
+            ]),
+            metric_kinds: vec![MetricKind::R2, MetricKind::Mse],
+            train_ratio: 1.0,
+            ..regression_task()
+        };
+        let data = regression_data(60);
+        let all = encode(&data, &task.encode_options());
+        let model = RidgeRegression::fit(&all.features, &all.targets, 1.0);
+        let predicted = model.predict(&all.features);
+        let expected = [
+            metrics::r2(&all.targets, &predicted).max(0.0),
+            metrics::mse(&all.targets, &predicted),
+        ];
+        let eval = evaluate_dataset(&task, &data);
+        assert_eq!(eval.raw[0].to_bits(), expected[0].to_bits());
+        assert_eq!(eval.raw[1].to_bits(), expected[1].to_bits());
+        assert!(eval.raw[0] > 0.9 && eval.raw[1] > 0.0);
+        // One row short of everything is a real split again.
+        let split = TaskSpec {
+            train_ratio: 0.98,
+            ..task
+        };
+        assert_ne!(
+            evaluate_dataset(&split, &data).raw[1].to_bits(),
+            expected[1].to_bits()
+        );
     }
 
     #[test]

@@ -233,6 +233,18 @@ impl StateBitmap {
         out
     }
 
+    /// Number of entries set in both bitmaps: the popcount of the word-wise
+    /// AND, without materialising it. Entries beyond the shorter bitmap
+    /// read 0.
+    #[inline]
+    pub fn intersection_count(&self, other: &StateBitmap) -> usize {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
+    }
+
     /// Zeroes any bits of the last word beyond `len`, restoring the padding
     /// invariant after a word-wise op that may have set them.
     fn clear_tail(&mut self) {
@@ -253,12 +265,7 @@ impl StateBitmap {
         // Zero-padding makes the word-wise AND vanish beyond the shorter
         // bitmap, so the dot product over zipped words is exactly the dot
         // product over the common prefix.
-        let dot: usize = self
-            .words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum();
+        let dot = self.intersection_count(other);
         let na = self.count_ones() as f64;
         let nb = other.count_ones() as f64;
         if na == 0.0 || nb == 0.0 {

@@ -20,6 +20,9 @@
 //!   BiMODis, packed into `u64` words;
 //! * [`view`] — packed [`view::RowMask`] selection vectors and zero-copy
 //!   [`view::DatasetView`]s, the columnar materialisation path;
+//! * [`projection::TableProjection`] — the typed column-major decoding
+//!   (null/numeric masks, `f64` readings, dictionary codes) the owner of an
+//!   immutable table keeps beside it, decoded once per column;
 //! * [`stats`] — Pearson/Spearman correlation, cosine/Euclidean distances and
 //!   column statistics used by correlation-based pruning and
 //!   diversification;
@@ -35,6 +38,7 @@ pub mod error;
 pub mod join;
 pub mod literal;
 pub mod ops;
+pub mod projection;
 pub mod schema;
 pub mod stats;
 pub mod value;
@@ -47,6 +51,7 @@ pub use error::DataError;
 pub use join::{hash_join, union_all, universal_table, JoinKind};
 pub use literal::{Condition, Literal};
 pub use ops::{apply_operator, augment, augment_aligned, mask_attribute, reduct, Operator};
+pub use projection::{ColumnProjection, Dictionary, TableProjection};
 pub use schema::{universal_schema, Attribute, AttributeRole, Schema};
 pub use value::Value;
 pub use view::{DatasetView, RowMask};

@@ -9,11 +9,20 @@
 //! and a masked-column set, and reads cell values straight out of the
 //! borrowed table — masked attributes read as `Null`, deselected rows are
 //! skipped by the iterators. Materialising a state becomes a handful of
-//! word-wise AND-NOTs over precomputed per-unit masks; downstream encoding
-//! reads through the view without ever copying a `Value`.
+//! word-wise AND-NOTs over precomputed per-unit masks.
+//!
+//! A view may also carry the base table's [`TableProjection`] — the typed,
+//! column-major decoding its owner keeps beside an immutable table. With
+//! one attached, [`DatasetView::col_is_all_null`],
+//! [`DatasetView::reported_size`] and [`DatasetView::missing_ratio`] are
+//! popcounts of the selection ANDed with the column's null mask instead of
+//! scans over enum cells, and `modis_ml::encoding::encode_view` gathers the
+//! state's matrix from the decoded columns. Without one the same answers
+//! come from the cells (and the encoder decodes a transient projection).
 
 use crate::bitmap::StateBitmap;
 use crate::dataset::Dataset;
+use crate::projection::TableProjection;
 use crate::schema::Schema;
 use crate::value::Value;
 
@@ -82,6 +91,14 @@ impl RowMask {
         self.bits.count_ones()
     }
 
+    /// Number of rows selected by both masks (popcount of the word-wise
+    /// AND; nothing is allocated).
+    #[inline]
+    pub fn count_and(&self, other: &RowMask) -> usize {
+        debug_assert_eq!(self.len(), other.len());
+        self.bits.intersection_count(&other.bits)
+    }
+
     /// Word-wise `self &= other` (masks must range over the same rows).
     pub fn intersect_with(&mut self, other: &RowMask) {
         debug_assert_eq!(self.len(), other.len());
@@ -114,12 +131,14 @@ impl RowMask {
 }
 
 /// A zero-copy dataset: a borrowed base table, a row selection and a set of
-/// masked (all-null reading) attributes.
+/// masked (all-null reading) attributes — plus, when the base table's owner
+/// keeps one, the table's decoded [`TableProjection`].
 #[derive(Debug, Clone)]
 pub struct DatasetView<'a> {
     base: &'a Dataset,
     mask: RowMask,
     masked_cols: Vec<bool>,
+    projection: Option<&'a TableProjection>,
 }
 
 impl<'a> DatasetView<'a> {
@@ -135,21 +154,35 @@ impl<'a> DatasetView<'a> {
             base,
             mask,
             masked_cols,
+            projection: None,
         }
     }
 
     /// The identity view: every row selected, no column masked.
     pub fn full(base: &'a Dataset) -> Self {
-        DatasetView {
-            mask: RowMask::all(base.num_rows()),
-            masked_cols: vec![false; base.num_columns()],
+        DatasetView::new(
             base,
-        }
+            RowMask::all(base.num_rows()),
+            vec![false; base.num_columns()],
+        )
+    }
+
+    /// Attaches the base table's projection, so the view's null statistics
+    /// and its encoding read decoded columns. `projection` must have been
+    /// created for [`Self::base`], which must not change while it lives.
+    pub fn with_projection(mut self, projection: &'a TableProjection) -> Self {
+        self.projection = Some(projection);
+        self
     }
 
     /// The borrowed base table.
     pub fn base(&self) -> &'a Dataset {
         self.base
+    }
+
+    /// The base table's projection, when its owner attached one.
+    pub fn projection(&self) -> Option<&'a TableProjection> {
+        self.projection
     }
 
     /// The row-selection mask.
@@ -204,16 +237,25 @@ impl<'a> DatasetView<'a> {
         self.mask.iter()
     }
 
+    /// Number of selected rows whose cell in the (unmasked) column `c` is
+    /// not null: a popcount against the projection's null mask when one is
+    /// attached, a scan of the cells otherwise.
+    fn non_null_count(&self, c: usize) -> usize {
+        match self.projection {
+            Some(p) => self.mask.count_and(p.column(self.base, c).non_null()),
+            None => {
+                let rows = self.base.rows();
+                self.row_indices()
+                    .filter(|&r| !rows[r][c].is_null())
+                    .count()
+            }
+        }
+    }
+
     /// Whether column `c` reads entirely null over the selected rows
-    /// (masked columns trivially do).
+    /// (masked columns trivially do, as does a column the table lacks).
     pub fn col_is_all_null(&self, c: usize) -> bool {
-        self.is_col_masked(c)
-            || self.row_indices().all(|r| {
-                self.base
-                    .row(r)
-                    .and_then(|row| row.get(c))
-                    .is_none_or(Value::is_null)
-            })
+        c >= self.num_columns() || self.is_col_masked(c) || self.non_null_count(c) == 0
     }
 
     /// Dataset size `(rows, columns)` as reported in the paper's tables,
@@ -234,17 +276,15 @@ impl<'a> DatasetView<'a> {
         if total == 0 {
             return 0.0;
         }
-        let masked = self.masked_cols.iter().filter(|&&m| m).count();
-        let mut missing = masked * rows;
-        for r in self.row_indices() {
-            if let Some(row) = self.base.row(r) {
-                missing += row
-                    .iter()
-                    .enumerate()
-                    .filter(|(c, v)| !self.masked_cols[*c] && v.is_null())
-                    .count();
-            }
-        }
+        let missing: usize = (0..self.num_columns())
+            .map(|c| {
+                if self.masked_cols[c] {
+                    rows
+                } else {
+                    rows - self.non_null_count(c)
+                }
+            })
+            .sum();
         missing as f64 / total as f64
     }
 
@@ -363,6 +403,40 @@ mod tests {
         let owned = v.to_dataset();
         assert_eq!(owned.num_rows(), 5);
         assert_eq!(owned.value(0, 0), &Value::Int(1));
+    }
+
+    #[test]
+    fn projection_answers_equal_the_cell_scan() {
+        let d = toy();
+        let projection = TableProjection::new(&d);
+        let masks = [
+            RowMask::all(10),
+            RowMask::none(10),
+            RowMask::from_pred(10, |r| r % 3 == 0),
+            RowMask::from_pred(10, |r| r % 3 != 0),
+            RowMask::from_pred(10, |r| r == 4),
+        ];
+        for mask in masks {
+            for masked_cols in [vec![false; 3], vec![false, true, false], vec![true; 3]] {
+                let scan = DatasetView::new(&d, mask.clone(), masked_cols);
+                let fast = scan.clone().with_projection(&projection);
+                assert_eq!(fast.reported_size(), scan.reported_size());
+                assert_eq!(
+                    fast.missing_ratio().to_bits(),
+                    scan.missing_ratio().to_bits()
+                );
+                for c in 0..4 {
+                    assert_eq!(fast.col_is_all_null(c), scan.col_is_all_null(c), "col {c}");
+                }
+                // Both equal the owned copy's own answers.
+                let owned = scan.to_dataset();
+                assert_eq!(scan.reported_size(), owned.reported_size());
+                assert_eq!(
+                    scan.missing_ratio().to_bits(),
+                    owned.missing_ratio().to_bits()
+                );
+            }
+        }
     }
 
     #[test]

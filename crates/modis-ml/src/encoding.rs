@@ -7,15 +7,37 @@
 //! and the declared target attribute becomes the label vector (class ids
 //! for classification, raw values for regression).
 //!
-//! [`encode_view`] is the primary implementation: it reads cell values
-//! straight through the view's selection vector and attribute mask, so
-//! oracle training never copies a `Value`. [`encode`] wraps a full-table
-//! view around a `Dataset` and produces bit-identical output to the
-//! pre-columnar row-copying encoder.
+//! [`encode_view`] is the one encoder. It never looks at a `Value`: what a
+//! cell *is* (null, a finite number, which value class) is decoded once per
+//! column into the base table's [`TableProjection`] — the one a substrate's
+//! view carries, or a transient one for a bare view ([`encode`] wraps a
+//! full-table view around a `Dataset`) — and what depends on the *state* is
+//! decided here, per state, from popcounts and one ascending pass over the
+//! selected rows per column. The output is bit-identical to the row-scanning
+//! encoder it replaced (kept under `cfg(test)` as the oracle of a
+//! differential proptest); these are the rules that make it so:
+//!
+//! * a column is a feature iff it is not the target, a key, excluded or
+//!   masked, and `popcount(selection & non_null) > 0`;
+//! * **numeric or categorical is decided per state**: numeric iff
+//!   `numeric > 0 && numeric == non_null` over the *selected* rows — a
+//!   column with one unparsable string is categorical in the pool and
+//!   numeric in a selection that drops that row. `" 4.5 "` reads 4.5;
+//!   `"inf"`, `"nan"` and `Float(NaN)` are non-null and not numeric;
+//! * the imputation mean is `sum / numeric` with the addends added one by
+//!   one in ascending selected-row order from `0.0` — no prefix, pairwise
+//!   or chunked sums, which round differently;
+//! * category ids (and class ids) are numbered by **first appearance among
+//!   the selected rows**, keyed by `Value`'s `Ord`: `Int(3)` and
+//!   `Float(3.0)` are one key, `Str("3")` is another although it reads 3.0;
+//!   a null categorical is `-1`;
+//! * `class_values[k]` is a clone of the first *selected* cell of class
+//!   `k`, not of the pool's first;
+//! * means and ids are computed over all selected rows **before** rows with
+//!   a null (regression: or non-finite) target are dropped;
+//! * a masked target returns the empty matrix, with the feature names.
 
-use std::collections::BTreeMap;
-
-use modis_data::{AttributeRole, Dataset, DatasetView, Value};
+use modis_data::{AttributeRole, Dataset, DatasetView, Dictionary, TableProjection, Value};
 
 /// The kind of supervised task the downstream model solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,8 +84,20 @@ impl Encoded {
         self.features.iter().map(|r| r[j]).collect()
     }
 
+    /// Number of rows [`Self::split`] deals to the training side.
+    pub fn train_len(&self, train_ratio: f64) -> usize {
+        let n = self.len();
+        (((n as f64) * train_ratio).round() as usize).min(n)
+    }
+
     /// Splits rows into (train, test) deterministically.
     pub fn split(&self, train_ratio: f64, seed: u64) -> (Encoded, Encoded) {
+        self.clone().into_split(train_ratio, seed)
+    }
+
+    /// [`Self::split`] for a caller that owns the matrix: the same two
+    /// halves, with every row moved into its half instead of cloned.
+    pub fn into_split(mut self, train_ratio: f64, seed: u64) -> (Encoded, Encoded) {
         let n = self.len();
         let mut idx: Vec<usize> = (0..n).collect();
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -74,16 +108,20 @@ impl Encoded {
             let j = (state >> 33) as usize % (i + 1);
             idx.swap(i, j);
         }
-        let cut = ((n as f64) * train_ratio).round() as usize;
-        let cut = cut.min(n);
-        let take = |ids: &[usize]| Encoded {
-            features: ids.iter().map(|&i| self.features[i].clone()).collect(),
+        let cut = self.train_len(train_ratio);
+        // `idx` is a permutation, so every row is taken exactly once.
+        let mut take = |ids: &[usize]| Encoded {
+            features: ids
+                .iter()
+                .map(|&i| std::mem::take(&mut self.features[i]))
+                .collect(),
             targets: ids.iter().map(|&i| self.targets[i]).collect(),
             feature_names: self.feature_names.clone(),
             n_classes: self.n_classes,
             class_values: self.class_values.clone(),
         };
-        (take(&idx[..cut]), take(&idx[cut..]))
+        let train = take(&idx[..cut]);
+        (train, take(&idx[cut..]))
     }
 
     /// Selects a subset of feature columns (by index), keeping targets.
@@ -161,153 +199,138 @@ pub fn encode(data: &Dataset, opts: &EncodeOptions) -> Encoded {
     encode_view(&DatasetView::full(data), opts)
 }
 
-/// Encodes a zero-copy [`DatasetView`] into a numeric matrix, reading cell
-/// values straight through the view's selection vector and attribute mask.
+/// Encodes a zero-copy [`DatasetView`] into a numeric matrix by gathering
+/// from the base table's [`TableProjection`] — the one the view carries, or
+/// a transient one decoded here through the same code when it carries none.
 ///
 /// Produces exactly the matrix [`encode`] would produce on the materialised
 /// view (`view.to_dataset()`): masked attributes read all-null and are
 /// dropped, deselected rows never contribute to imputation means, category
-/// ids or class ids.
+/// ids or class ids. The module docs list the rules that make it so.
 pub fn encode_view(view: &DatasetView<'_>, opts: &EncodeOptions) -> Encoded {
+    let base = view.base();
     let schema = view.schema();
+    let mask = view.mask();
+    let transient;
+    let projection = match view.projection() {
+        Some(attached) => attached,
+        None => {
+            transient = TableProjection::new(base);
+            &transient
+        }
+    };
     let target_col = opts
         .target
         .as_ref()
         .and_then(|n| schema.position(n))
         .or_else(|| schema.target_index());
 
-    // Determine feature columns.
-    let mut feature_cols: Vec<usize> = Vec::new();
-    for (i, attr) in schema.attributes().iter().enumerate() {
-        if Some(i) == target_col {
+    // Feature columns: not the target, a key or excluded, and not reading
+    // all-null over the selection (masked attributes do by definition).
+    let mut feature_cols = Vec::new();
+    for (c, attr) in schema.attributes().iter().enumerate() {
+        if Some(c) == target_col
+            || attr.role == AttributeRole::Key
+            || opts.exclude.iter().any(|e| e == &attr.name)
+            || view.is_col_masked(c)
+        {
             continue;
         }
-        if attr.role == AttributeRole::Key {
-            continue;
+        let column = projection.column(base, c);
+        let non_null = mask.count_and(column.non_null());
+        if non_null > 0 {
+            feature_cols.push((c, column, non_null));
         }
-        if opts.exclude.iter().any(|e| e == &attr.name) {
-            continue;
-        }
-        // Skip all-null columns (masked attributes).
-        if view.col_is_all_null(i) {
-            continue;
-        }
-        feature_cols.push(i);
     }
-
     let feature_names: Vec<String> = feature_cols
         .iter()
-        .map(|&c| {
-            schema
-                .attribute(c)
-                .map(|a| a.name.clone())
-                .unwrap_or_default()
+        .map(|&(c, ..)| schema.attributes()[c].name.clone())
+        .collect();
+
+    // A masked target reads null on every selected row: all rows drop.
+    if target_col.is_some_and(|tc| view.is_col_masked(tc)) {
+        return Encoded {
+            feature_names,
+            ..Encoded::default()
+        };
+    }
+
+    // Every pass below walks the selection in ascending row order: means
+    // add in that order, ids are numbered by first appearance in it.
+    let rows: Vec<usize> = view.row_indices().collect();
+
+    enum Reading<'p> {
+        Numeric { cells: &'p [f64], mean: f64 },
+        Categorical { codes: &'p [u32], ids: Vec<f64> },
+    }
+    let readings: Vec<Reading<'_>> = feature_cols
+        .iter()
+        .map(|&(c, column, non_null)| {
+            let numeric = mask.count_and(column.numeric());
+            if numeric > 0 && numeric == non_null {
+                let cells = column.readings();
+                let mut sum = 0.0;
+                for &r in &rows {
+                    if !cells[r].is_nan() {
+                        sum += cells[r];
+                    }
+                }
+                Reading::Numeric {
+                    cells,
+                    mean: sum / numeric as f64,
+                }
+            } else {
+                let dictionary = projection.dictionary(base, c);
+                let (ids, _) = first_appearance_ids(dictionary, &rows);
+                Reading::Categorical {
+                    codes: dictionary.codes(),
+                    ids,
+                }
+            }
         })
         .collect();
 
-    // Every feature column is unmasked (a masked column reads all-null and
-    // was skipped above), so the passes below index the base rows directly
-    // — one slice lookup per row, not an Option chain per cell. The only
-    // possibly-masked column left is the target; when it is masked every
-    // selected row's target reads null and all rows drop.
-    if target_col.is_some_and(|tc| view.is_col_masked(tc)) {
-        return Encoded {
-            features: Vec::new(),
-            targets: Vec::new(),
-            feature_names,
-            n_classes: 0,
-            class_values: Vec::new(),
-        };
+    enum Target<'p> {
+        Absent,
+        Number(&'p [f64]),
+        Class { codes: &'p [u32], ids: Vec<f64> },
     }
-    let base_rows = view.base().rows();
-
-    // Build per-column encoders.
-    enum ColEncoder {
-        Numeric { mean: f64 },
-        Categorical { map: BTreeMap<Value, f64> },
-    }
-    let mut encoders = Vec::with_capacity(feature_cols.len());
-    for &c in &feature_cols {
-        let mut sum = 0.0;
-        let mut numeric = 0usize;
-        let mut non_null = 0usize;
-        for r in view.row_indices() {
-            let v = &base_rows[r][c];
-            if !v.is_null() {
-                non_null += 1;
-            }
-            if let Some(x) = v.as_f64().filter(|x| x.is_finite()) {
-                sum += x;
-                numeric += 1;
-            }
-        }
-        if numeric > 0 && numeric == non_null {
-            encoders.push(ColEncoder::Numeric {
-                mean: sum / numeric as f64,
-            });
-        } else {
-            let mut map = BTreeMap::new();
-            for r in view.row_indices() {
-                let v = &base_rows[r][c];
-                if !v.is_null() && !map.contains_key(v) {
-                    let id = map.len() as f64;
-                    map.insert(v.clone(), id);
-                }
-            }
-            encoders.push(ColEncoder::Categorical { map });
-        }
-    }
-
-    // Target encoding.
     let mut class_values: Vec<Value> = Vec::new();
-    let mut class_map: BTreeMap<Value, f64> = BTreeMap::new();
-    if let (Some(tc), TaskKind::Classification) = (target_col, opts.task) {
-        for r in view.row_indices() {
-            let v = &base_rows[r][tc];
-            if !v.is_null() && !class_map.contains_key(v) {
-                class_map.insert(v.clone(), class_values.len() as f64);
-                class_values.push(v.clone());
+    let target = match (target_col, opts.task) {
+        (None, _) => Target::Absent,
+        (Some(tc), TaskKind::Regression) => Target::Number(projection.column(base, tc).readings()),
+        (Some(tc), TaskKind::Classification) => {
+            let dictionary = projection.dictionary(base, tc);
+            let (ids, firsts) = first_appearance_ids(dictionary, &rows);
+            class_values = firsts.iter().map(|&r| base.rows()[r][tc].clone()).collect();
+            Target::Class {
+                codes: dictionary.codes(),
+                ids,
             }
         }
-    }
+    };
 
-    let mut features = Vec::new();
-    let mut targets = Vec::new();
-    for r in view.row_indices() {
-        let row = &base_rows[r];
-        let target_val = match target_col {
-            Some(tc) => {
-                let v = &row[tc];
-                if v.is_null() {
-                    continue;
-                }
-                match opts.task {
-                    TaskKind::Regression => match v.as_f64() {
-                        Some(x) if x.is_finite() => x,
-                        _ => continue,
-                    },
-                    TaskKind::Classification => *class_map.get(v).unwrap_or(&0.0),
-                }
-            }
-            None => 0.0,
+    // Rows whose target is null (or, for regression, not a finite number)
+    // drop here — after the means and ids above saw them.
+    let mut features = Vec::with_capacity(rows.len());
+    let mut targets = Vec::with_capacity(rows.len());
+    for &r in &rows {
+        let target_val = match &target {
+            Target::Absent => 0.0,
+            Target::Number(cells) if cells[r].is_nan() => continue,
+            Target::Number(cells) => cells[r],
+            Target::Class { codes, .. } if codes[r] == Dictionary::NULL => continue,
+            Target::Class { codes, ids } => ids[codes[r] as usize],
         };
-        let mut feat = Vec::with_capacity(feature_cols.len());
-        for (k, &c) in feature_cols.iter().enumerate() {
-            let v = &row[c];
-            let x = match &encoders[k] {
-                ColEncoder::Numeric { mean } => {
-                    v.as_f64().filter(|x| x.is_finite()).unwrap_or(*mean)
-                }
-                ColEncoder::Categorical { map } => {
-                    if v.is_null() {
-                        -1.0
-                    } else {
-                        *map.get(v).unwrap_or(&-1.0)
-                    }
-                }
-            };
-            feat.push(x);
-        }
+        let feat: Vec<f64> = readings
+            .iter()
+            .map(|reading| match reading {
+                Reading::Numeric { cells, mean } if cells[r].is_nan() => *mean,
+                Reading::Numeric { cells, .. } => cells[r],
+                Reading::Categorical { codes, .. } if codes[r] == Dictionary::NULL => -1.0,
+                Reading::Categorical { codes, ids } => ids[codes[r] as usize],
+            })
+            .collect();
         features.push(feat);
         targets.push(target_val);
     }
@@ -316,12 +339,195 @@ pub fn encode_view(view: &DatasetView<'_>, opts: &EncodeOptions) -> Encoded {
         features,
         targets,
         feature_names,
-        n_classes: if opts.task == TaskKind::Classification {
-            class_values.len()
-        } else {
-            0
-        },
+        n_classes: class_values.len(),
         class_values,
+    }
+}
+
+/// Numbers a column's dictionary keys `0, 1, …` in order of first
+/// appearance among `rows` (ascending): `ids[code]` is the key's id as the
+/// matrix stores it (`-1.0` for a key no selected row holds), and the second
+/// vector holds, per id, the row it first appeared in.
+fn first_appearance_ids(dictionary: &Dictionary, rows: &[usize]) -> (Vec<f64>, Vec<usize>) {
+    let codes = dictionary.codes();
+    let mut ids = vec![-1.0; dictionary.cardinality()];
+    let mut firsts = Vec::new();
+    for &r in rows {
+        let code = codes[r];
+        if code != Dictionary::NULL && ids[code as usize] < 0.0 {
+            ids[code as usize] = firsts.len() as f64;
+            firsts.push(r);
+        }
+    }
+    (ids, firsts)
+}
+
+/// The encoder this module had before the projection: 2–5 row-major passes
+/// per column over the `Value` cells, a `BTreeMap<Value, f64>` per
+/// categorical column. Its body is kept verbatim as the reference the
+/// differential tests compare [`encode_view`] with, bit for bit.
+#[cfg(test)]
+mod oracle {
+    use std::collections::BTreeMap;
+
+    use super::{EncodeOptions, Encoded, TaskKind};
+    use modis_data::{AttributeRole, DatasetView, Value};
+
+    pub fn encode_view(view: &DatasetView<'_>, opts: &EncodeOptions) -> Encoded {
+        let schema = view.schema();
+        let target_col = opts
+            .target
+            .as_ref()
+            .and_then(|n| schema.position(n))
+            .or_else(|| schema.target_index());
+
+        // Determine feature columns.
+        let mut feature_cols: Vec<usize> = Vec::new();
+        for (i, attr) in schema.attributes().iter().enumerate() {
+            if Some(i) == target_col {
+                continue;
+            }
+            if attr.role == AttributeRole::Key {
+                continue;
+            }
+            if opts.exclude.iter().any(|e| e == &attr.name) {
+                continue;
+            }
+            // Skip all-null columns (masked attributes).
+            if view.col_is_all_null(i) {
+                continue;
+            }
+            feature_cols.push(i);
+        }
+
+        let feature_names: Vec<String> = feature_cols
+            .iter()
+            .map(|&c| {
+                schema
+                    .attribute(c)
+                    .map(|a| a.name.clone())
+                    .unwrap_or_default()
+            })
+            .collect();
+
+        // Every feature column is unmasked (a masked column reads all-null and
+        // was skipped above), so the passes below index the base rows directly
+        // — one slice lookup per row, not an Option chain per cell. The only
+        // possibly-masked column left is the target; when it is masked every
+        // selected row's target reads null and all rows drop.
+        if target_col.is_some_and(|tc| view.is_col_masked(tc)) {
+            return Encoded {
+                features: Vec::new(),
+                targets: Vec::new(),
+                feature_names,
+                n_classes: 0,
+                class_values: Vec::new(),
+            };
+        }
+        let base_rows = view.base().rows();
+
+        // Build per-column encoders.
+        enum ColEncoder {
+            Numeric { mean: f64 },
+            Categorical { map: BTreeMap<Value, f64> },
+        }
+        let mut encoders = Vec::with_capacity(feature_cols.len());
+        for &c in &feature_cols {
+            let mut sum = 0.0;
+            let mut numeric = 0usize;
+            let mut non_null = 0usize;
+            for r in view.row_indices() {
+                let v = &base_rows[r][c];
+                if !v.is_null() {
+                    non_null += 1;
+                }
+                if let Some(x) = v.as_f64().filter(|x| x.is_finite()) {
+                    sum += x;
+                    numeric += 1;
+                }
+            }
+            if numeric > 0 && numeric == non_null {
+                encoders.push(ColEncoder::Numeric {
+                    mean: sum / numeric as f64,
+                });
+            } else {
+                let mut map = BTreeMap::new();
+                for r in view.row_indices() {
+                    let v = &base_rows[r][c];
+                    if !v.is_null() && !map.contains_key(v) {
+                        let id = map.len() as f64;
+                        map.insert(v.clone(), id);
+                    }
+                }
+                encoders.push(ColEncoder::Categorical { map });
+            }
+        }
+
+        // Target encoding.
+        let mut class_values: Vec<Value> = Vec::new();
+        let mut class_map: BTreeMap<Value, f64> = BTreeMap::new();
+        if let (Some(tc), TaskKind::Classification) = (target_col, opts.task) {
+            for r in view.row_indices() {
+                let v = &base_rows[r][tc];
+                if !v.is_null() && !class_map.contains_key(v) {
+                    class_map.insert(v.clone(), class_values.len() as f64);
+                    class_values.push(v.clone());
+                }
+            }
+        }
+
+        let mut features = Vec::new();
+        let mut targets = Vec::new();
+        for r in view.row_indices() {
+            let row = &base_rows[r];
+            let target_val = match target_col {
+                Some(tc) => {
+                    let v = &row[tc];
+                    if v.is_null() {
+                        continue;
+                    }
+                    match opts.task {
+                        TaskKind::Regression => match v.as_f64() {
+                            Some(x) if x.is_finite() => x,
+                            _ => continue,
+                        },
+                        TaskKind::Classification => *class_map.get(v).unwrap_or(&0.0),
+                    }
+                }
+                None => 0.0,
+            };
+            let mut feat = Vec::with_capacity(feature_cols.len());
+            for (k, &c) in feature_cols.iter().enumerate() {
+                let v = &row[c];
+                let x = match &encoders[k] {
+                    ColEncoder::Numeric { mean } => {
+                        v.as_f64().filter(|x| x.is_finite()).unwrap_or(*mean)
+                    }
+                    ColEncoder::Categorical { map } => {
+                        if v.is_null() {
+                            -1.0
+                        } else {
+                            *map.get(v).unwrap_or(&-1.0)
+                        }
+                    }
+                };
+                feat.push(x);
+            }
+            features.push(feat);
+            targets.push(target_val);
+        }
+
+        Encoded {
+            features,
+            targets,
+            feature_names,
+            n_classes: if opts.task == TaskKind::Classification {
+                class_values.len()
+            } else {
+                0
+            },
+            class_values,
+        }
     }
 }
 
@@ -384,12 +590,31 @@ mod tests {
         assert!((e.features[1][0] - 3.0).abs() < 1e-12);
     }
 
+    /// `color` of the encoded rows.
+    fn colors(e: &Encoded) -> Vec<f64> {
+        e.features.iter().map(|row| row[1]).collect()
+    }
+
     #[test]
     fn categorical_encoding_assigns_ids() {
+        // First appearance: red → 0, blue → 1; a null categorical is -1.
         let e = encode(&toy(), &EncodeOptions::regression());
-        assert_eq!(e.features[0][1], e.features[0][1]);
-        // Null categorical becomes -1.
-        assert_eq!(e.features[2][1], -1.0);
+        assert_eq!(colors(&e), vec![0.0, 1.0, -1.0]);
+    }
+
+    #[test]
+    fn category_ids_are_first_appearance_among_the_selected_rows() {
+        use modis_data::RowMask;
+        let mut d = toy();
+        d.set_value(2, 3, Value::Float(25.0)).unwrap();
+        let all = encode(&d, &EncodeOptions::regression());
+        assert_eq!(colors(&all), vec![0.0, 1.0, 0.0, -1.0]);
+        // A selection that starts at the blue row swaps the ids: they are
+        // decided per state, not per pool.
+        let from_blue = RowMask::from_pred(d.num_rows(), |r| r >= 1);
+        let view = DatasetView::new(&d, from_blue, vec![false; 4]);
+        let e = encode_view(&view, &EncodeOptions::regression());
+        assert_eq!(colors(&e), vec![0.0, 1.0, -1.0]);
     }
 
     #[test]
@@ -443,6 +668,283 @@ mod tests {
         let (tr, te) = e.split(0.67, 1);
         assert_eq!(tr.len() + te.len(), e.len());
         assert_eq!(tr.num_features(), e.num_features());
+        assert_eq!(tr.len(), e.train_len(0.67));
+    }
+
+    #[test]
+    fn into_split_moves_the_rows_split_clones() {
+        let mut d = toy();
+        for i in 4..40 {
+            d.push_row(vec![
+                Value::Int(i),
+                Value::Float(i as f64 * 0.5),
+                Value::Str(["red", "blue", "green"][i as usize % 3].into()),
+                Value::Float(i as f64),
+            ]);
+        }
+        let e = encode(&d, &EncodeOptions::regression());
+        for (ratio, seed) in [(0.7, 1), (0.5, 9), (0.0, 3), (1.0, 3), (0.999, 4)] {
+            let (train, test) = e.split(ratio, seed);
+            let (moved_train, moved_test) = e.clone().into_split(ratio, seed);
+            assert_same(&moved_train, &train, "train");
+            assert_same(&moved_test, &test, "test");
+            assert_eq!(train.len() + test.len(), e.len());
+        }
+    }
+
+    /// Bit-for-bit equality of two encodings (`==` would let `-0.0` pass for
+    /// `0.0` and `Int(1)` for `Float(1.0)`).
+    fn assert_same(new: &Encoded, old: &Encoded, context: &str) {
+        let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            m.iter()
+                .map(|row| row.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&new.features), bits(&old.features), "{context}");
+        assert_eq!(
+            bits(std::slice::from_ref(&new.targets)),
+            bits(std::slice::from_ref(&old.targets)),
+            "{context}"
+        );
+        assert_eq!(new.feature_names, old.feature_names, "{context}");
+        assert_eq!(new.n_classes, old.n_classes, "{context}");
+        assert_eq!(
+            format!("{:?}", new.class_values),
+            format!("{:?}", old.class_values),
+            "{context}"
+        );
+    }
+
+    mod differential {
+        use super::super::oracle;
+        use super::*;
+        use modis_data::{RowMask, TableProjection};
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const COLUMNS: [&str; 10] = [
+            "id", "float", "int", "mixed", "cat", "one_bad", "empty", "flag", "wide", "t",
+        ];
+        const SIZES: [usize; 8] = [0, 1, 5, 7, 8, 40, 64, 130];
+
+        fn s(text: &str) -> Value {
+            Value::Str(text.into())
+        }
+
+        /// One cell of the named column. Magnitudes in `float` differ by
+        /// sixteen orders so that a mean summed in another order differs.
+        fn cell(g: &mut StdRng, column: &str, row: usize, bad_row: usize, classes: bool) -> Value {
+            let pick = g.gen_range(0..12usize);
+            match column {
+                "id" => Value::Int(row as i64),
+                "float" => match pick {
+                    0 => Value::Null,
+                    1 => Value::Float(f64::NAN),
+                    2 => Value::Float(-0.0),
+                    3 => Value::Float(1e16),
+                    4 => Value::Float(-1e16),
+                    _ => Value::Float(g.gen_range(-3.0..3.0)),
+                },
+                "int" => match pick {
+                    0 | 1 => Value::Null,
+                    _ => Value::Int(g.gen_range(0..6usize) as i64 - 2),
+                },
+                "mixed" => match pick {
+                    0 => Value::Null,
+                    1 => Value::Int(3),
+                    2 => Value::Float(3.0),
+                    3 => s("3"),
+                    4 => s(" 4.5 "),
+                    5 => s("inf"),
+                    6 => s("nan"),
+                    7 => Value::Bool(true),
+                    8 => Value::Float(f64::INFINITY),
+                    9 => s("1e3"),
+                    10 => Value::Float(0.0),
+                    _ => s("north"),
+                },
+                "cat" => match pick {
+                    0 => Value::Null,
+                    _ => s(["north", "south", "east", "west", " north"][pick % 5]),
+                },
+                // Numeric but for one row: categorical in the pool, numeric
+                // in every selection that drops that row.
+                "one_bad" if row == bad_row => s("oops"),
+                "one_bad" => match pick {
+                    0 => Value::Null,
+                    _ => Value::Float(g.gen_range(0..4usize) as f64 * 0.5),
+                },
+                "empty" => Value::Null,
+                "flag" => match pick {
+                    0 => Value::Null,
+                    _ => Value::Bool(pick % 2 == 0),
+                },
+                // One key per row (what a float column is to a dictionary).
+                "wide" => s(&format!("k{row}")),
+                "t" if classes => match pick {
+                    0 => Value::Null,
+                    1 => Value::Int(1),
+                    2 => Value::Float(1.0),
+                    3 => s("1"),
+                    4 => Value::Bool(true),
+                    5 => Value::Float(f64::NAN),
+                    6 => Value::Float(-0.0),
+                    7 => Value::Int(0),
+                    _ => s(["yes", "no"][pick % 2]),
+                },
+                "t" => match pick {
+                    0 => Value::Null,
+                    1 => s("2.5"),
+                    2 => s("bad"),
+                    3 => Value::Float(f64::NAN),
+                    4 => Value::Float(f64::INFINITY),
+                    5 => Value::Int(7),
+                    _ => Value::Float(g.gen_range(-1.0..1.0)),
+                },
+                other => unreachable!("no column {other}"),
+            }
+        }
+
+        fn table(g: &mut StdRng, n: usize, classes: bool, declare_target: bool) -> Dataset {
+            let schema = Schema::from_attributes(COLUMNS.iter().map(|&name| match name {
+                "id" => Attribute::key(name),
+                "t" if declare_target => Attribute::target(name),
+                _ => Attribute::feature(name),
+            }));
+            let bad_row = g.gen_range(0..n.max(1));
+            let rows = (0..n)
+                .map(|r| {
+                    COLUMNS
+                        .iter()
+                        .map(|&name| cell(g, name, r, bad_row, classes))
+                        .collect()
+                })
+                .collect();
+            Dataset::from_rows("generated", schema, rows).unwrap()
+        }
+
+        fn row_mask(g: &mut StdRng, n: usize) -> RowMask {
+            match g.gen_range(0..6usize) {
+                0 => RowMask::none(n),
+                1 => RowMask::all(n),
+                2 => {
+                    let few: Vec<usize> = (0..g.gen_range(0..8usize))
+                        .map(|_| g.gen_range(0..n.max(1)))
+                        .collect();
+                    RowMask::from_pred(n, |r| few.contains(&r))
+                }
+                _ => {
+                    let density = g.gen_range(0.05..0.95);
+                    RowMask::from_pred(n, |_| g.gen_bool(density))
+                }
+            }
+        }
+
+        fn options(g: &mut StdRng, classes: bool) -> EncodeOptions {
+            let base = if classes {
+                EncodeOptions::classification()
+            } else {
+                EncodeOptions::regression()
+            };
+            let base = match g.gen_range(0..6usize) {
+                0 => base.with_target("t"),
+                1 => base.with_target("no_such_column"),
+                2 => base.with_target("cat"),
+                _ => base,
+            };
+            let mut exclude: Vec<&str> = COLUMNS
+                .iter()
+                .copied()
+                .filter(|_| g.gen_bool(0.15))
+                .collect();
+            if g.gen_bool(0.2) {
+                exclude.push("no_such_column");
+            }
+            base.with_exclude(exclude)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(320))]
+
+            /// The contract of the projection: whatever the row-scanning
+            /// encoder produced, the gather produces, bit for bit — for
+            /// many selections of one table sharing one lazily decoded
+            /// projection, and through a transient one.
+            #[test]
+            fn gather_encodes_what_the_row_scan_encoded(
+                seed in any::<u64>(),
+                size in 0usize..8,
+                classes in any::<bool>(),
+                undeclared_target in 0usize..5,
+            ) {
+                let mut g = StdRng::seed_from_u64(seed);
+                let n = SIZES[size];
+                let data = table(&mut g, n, classes, undeclared_target != 0);
+                let projection = TableProjection::new(&data);
+                for state in 0..6 {
+                    let mask = row_mask(&mut g, n);
+                    let masked: Vec<bool> = COLUMNS.iter().map(|_| g.gen_bool(0.15)).collect();
+                    let opts = options(&mut g, classes);
+                    let context = format!(
+                        "seed {seed} n {n} state {state} rows {:?} masked {masked:?} {opts:?}",
+                        mask.iter().collect::<Vec<_>>()
+                    );
+                    let bare = DatasetView::new(&data, mask, masked);
+                    let expected = oracle::encode_view(&bare, &opts);
+                    assert_same(&encode_view(&bare, &opts), &expected, &context);
+                    let attached = bare.clone().with_projection(&projection);
+                    assert_same(&encode_view(&attached, &opts), &expected, &context);
+                }
+            }
+        }
+
+        /// The generator reaches the cases the contract names (otherwise
+        /// the property above could pass without meeting them).
+        #[test]
+        fn the_generated_tables_cover_the_named_cases() {
+            let mut seen = [false; 6];
+            for seed in 0..200 {
+                let mut g = StdRng::seed_from_u64(seed);
+                let data = table(&mut g, 40, seed % 2 == 0, true);
+                let opts = if seed % 2 == 0 {
+                    EncodeOptions::classification()
+                } else {
+                    EncodeOptions::regression()
+                };
+                let bad_row = (0..40)
+                    .find(|&r| data.rows()[r][5] == s("oops"))
+                    .expect("one unparsable cell");
+                let all = oracle::encode_view(&DatasetView::full(&data), &opts);
+                let without = DatasetView::new(
+                    &data,
+                    RowMask::from_pred(40, |r| r != bad_row),
+                    vec![false; COLUMNS.len()],
+                );
+                let without = oracle::encode_view(&without, &opts);
+                let col = all
+                    .feature_names
+                    .iter()
+                    .position(|f| f == "one_bad")
+                    .unwrap();
+                // Categorical over the pool (ids are whole numbers from 0),
+                // numeric once the row is gone (halves appear).
+                seen[0] |= all.features.iter().all(|row| row[col].fract() == 0.0);
+                seen[1] |= without.features.iter().any(|row| row[col].fract() != 0.0);
+                seen[2] |= !all.feature_names.contains(&"empty".to_string());
+                // Int(1) and Float(1.0) are one class, Str("1") another.
+                let classes = format!("{:?}", all.class_values);
+                seen[3] |= classes.contains("Str(\"1\")")
+                    && (classes.contains("Int(1)") ^ classes.contains("Float(1.0)"));
+                seen[4] |= all.len() < 40 && all.len() >= 8;
+                seen[5] |= all
+                    .features
+                    .iter()
+                    .flatten()
+                    .any(|x| x.to_bits() == (-0.0f64).to_bits());
+            }
+            assert_eq!(seen, [true; 6]);
+        }
     }
 
     #[test]
