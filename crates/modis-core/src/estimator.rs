@@ -9,6 +9,14 @@
 //! * an optional MO-GBM surrogate that takes over after a warm-up of oracle
 //!   valuations and is refreshed periodically,
 //! * counters used by the efficiency experiments.
+//!
+//! A fitted surrogate is a pure function of its training matrix and
+//! hyper-parameters, so the context does not call `MultiOutputGbm::fit`
+//! itself when an [`EvaluationHook`] is installed: it asks the hook
+//! ([`EvaluationHook::surrogate`]), which may hand back a model fitted
+//! earlier on the same arguments. The context only counts which of the two
+//! happened ([`ValuationStats::surrogate_fits`] /
+//! [`ValuationStats::surrogate_reuses`]); either way it holds the same bits.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,7 +24,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use modis_data::StateBitmap;
-use modis_ml::gbm::{GbmParams, MultiOutputGbm};
+/// The surrogate model and its hyper-parameters, re-exported because they
+/// appear in [`EvaluationHook::surrogate`]'s signature.
+pub use modis_ml::gbm::{GbmParams, MultiOutputGbm};
 
 use crate::substrate::Substrate;
 
@@ -43,6 +53,23 @@ pub trait EvaluationHook: Send + Sync {
 
     /// Records a fresh oracle evaluation of `bitmap`.
     fn record(&self, bitmap: &StateBitmap, evaluation: &SharedEvaluation);
+
+    /// The MO-GBM surrogate for training matrix `x → y`, and whether it was
+    /// reused (`true`) rather than fitted by this call (`false`). The
+    /// default fits. An implementor may return a model it fitted earlier
+    /// only when every argument — each hyper-parameter, the shapes, every
+    /// cell on `f64::to_bits` — was equal: a fit draws no random number and
+    /// sums in a fixed order, so such a model is bit-equal to a new fit,
+    /// and the caller's results must not depend on which of the two
+    /// happened.
+    fn surrogate(
+        &self,
+        x: &[Vec<f64>],
+        y: &[Vec<f64>],
+        params: GbmParams,
+    ) -> (Arc<MultiOutputGbm>, bool) {
+        (Arc::new(MultiOutputGbm::fit(x, y, params)), false)
+    }
 }
 
 /// How the search valuates states.
@@ -83,7 +110,7 @@ pub struct TestRecord {
 }
 
 /// Counters exposed for the efficiency experiments.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ValuationStats {
     /// Number of oracle (real training) valuations.
     pub oracle_calls: usize,
@@ -94,6 +121,11 @@ pub struct ValuationStats {
     /// Number of oracle valuations answered by the [`EvaluationHook`]
     /// (shared cross-run cache) instead of actual training.
     pub shared_hits: usize,
+    /// Number of surrogate (re)fits that ran `MultiOutputGbm::fit`.
+    pub surrogate_fits: usize,
+    /// Number of surrogate (re)fits the [`EvaluationHook`] answered with a
+    /// model fitted earlier on the same training matrix.
+    pub surrogate_reuses: usize,
 }
 
 struct Inner {
@@ -104,7 +136,7 @@ struct Inner {
     /// refit computes only the rows it has not seen.
     features: Vec<Option<Vec<f64>>>,
     by_bitmap: HashMap<StateBitmap, usize>,
-    surrogate: Option<MultiOutputGbm>,
+    surrogate: Option<Arc<MultiOutputGbm>>,
     records_at_last_fit: usize,
     oracle_records: usize,
     stats: ValuationStats,
@@ -410,7 +442,15 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
             n_estimators: 30,
             ..GbmParams::default()
         };
-        let model = MultiOutputGbm::fit(&x, &y, params);
+        let (model, reused) = match &self.hook {
+            Some(hook) => hook.surrogate(&x, &y, params),
+            None => (Arc::new(MultiOutputGbm::fit(&x, &y, params)), false),
+        };
+        if reused {
+            inner.stats.surrogate_reuses += 1;
+        } else {
+            inner.stats.surrogate_fits += 1;
+        }
         inner.surrogate = Some(model);
         inner.records_at_last_fit = n;
     }

@@ -20,6 +20,22 @@
 //! scenarios may share a namespace only when they search the same substrate
 //! with the same task (measures included). Scenarios that must not share
 //! simply use distinct namespace strings.
+//!
+//! Beside the shards the cache owns the **fitted-surrogate memo**: the
+//! MO-GBM models `ValuationContext` asked for through
+//! [`EvaluationHook::surrogate`], keyed by the exact content of the fit's
+//! arguments (every hyper-parameter, the shapes and the `to_bits` of every
+//! cell, compared by equality — a digest that collided would hand back a
+//! wrong model silently). A scenario that runs again over a warm
+//! evaluation cache loads the same oracle records in the same order, builds
+//! the same training matrix, and gets the model back instead of refitting
+//! it. The key holds no namespace and no fingerprint:
+//! equal matrices fit equal models whatever produced them, and a state
+//! re-trained to a different wall-clock `p_Train` after an eviction is a
+//! different `y`, hence a miss. The memo lives and dies with the process:
+//! it is never exported, shipped or snapshotted (a model is two orders of
+//! magnitude larger than the evaluations it was fitted on, and one fit
+//! rebuilds it).
 
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
@@ -28,7 +44,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use modis_core::clock_cache::ClockCache;
 use modis_core::codec::{fnv1a, FNV_OFFSET_BASIS};
-use modis_core::estimator::{EvaluationHook, SharedEvaluation};
+use modis_core::estimator::{EvaluationHook, GbmParams, MultiOutputGbm, SharedEvaluation};
 use modis_core::substrate::SubstrateCacheStats;
 use modis_data::StateBitmap;
 
@@ -127,6 +143,46 @@ struct Shard {
     map: Mutex<ClockCache<CacheKey, SharedEvaluation>>,
 }
 
+/// How many fitted surrogates a [`SharedEvalCache`] keeps. A constant, not
+/// a knob: a paper scenario fits one model per run (12 warm-up records; a
+/// second fit needs 20), so this holds the 16 scenarios of `bench_e2e`'s
+/// warm workloads eight times over, and a model past it is one ≈ 1.3 ms
+/// fit away. Measured with a counting allocator, a 30-estimator model on a
+/// 12 × 24 matrix is ≈ 27 KB per output (boxed nodes and a per-tree
+/// importance vector; 81 KB for three measures, 137 KB for five) and its
+/// key ≈ 3 KB: a full memo is at most ≈ 18 MB.
+const SURROGATE_MEMO_CAPACITY: usize = 128;
+
+/// Everything `MultiOutputGbm::fit` reads, as words: every hyper-parameter,
+/// the row counts, then each row of `x` and of `y` as its width followed by
+/// the `to_bits` of its cells. The encoding is injective, so equal keys are
+/// equal arguments and (a fit draws no random number and sums in a fixed
+/// order) bit-equal models. `-0.0` and `0.0`, and two NaN payloads, are
+/// different keys: the split kernel may not tell them apart, the key does
+/// not assume so. A hyper-parameter added to `GbmParams`/`TreeParams` must
+/// be added here; the test that changes each one names every field, so it
+/// stops compiling until that is done.
+fn surrogate_key(x: &[Vec<f64>], y: &[Vec<f64>], params: GbmParams) -> Vec<u64> {
+    let words = |m: &[Vec<f64>]| m.iter().map(|row| row.len() + 1).sum::<usize>();
+    let mut key = Vec::with_capacity(9 + words(x) + words(y));
+    key.extend([
+        params.n_estimators as u64,
+        params.learning_rate.to_bits(),
+        params.tree.max_depth as u64,
+        params.tree.min_samples_split as u64,
+        params.tree.min_samples_leaf as u64,
+        params.tree.max_thresholds as u64,
+        params.tree.criterion as u64,
+        x.len() as u64,
+        y.len() as u64,
+    ]);
+    for row in x.iter().chain(y) {
+        key.push(row.len() as u64);
+        key.extend(row.iter().map(|v| v.to_bits()));
+    }
+    key
+}
+
 /// A process-wide evaluation cache, sharded by key hash.
 ///
 /// Create once per [`crate::Engine`] (or share one across engines), then
@@ -136,6 +192,9 @@ pub struct SharedEvalCache {
     per_shard_capacity: usize,
     hits: AtomicUsize,
     misses: AtomicUsize,
+    /// The fitted-surrogate memo (module docs): [`surrogate_key`] → model,
+    /// at most [`SURROGATE_MEMO_CAPACITY`] of them.
+    surrogates: Mutex<ClockCache<Arc<[u64]>, Arc<MultiOutputGbm>>>,
 }
 
 /// One evaluation of a shard snapshot, in clock-slot order.
@@ -187,6 +246,7 @@ impl SharedEvalCache {
             per_shard_capacity: per_shard,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
+            surrogates: Mutex::new(ClockCache::new(SURROGATE_MEMO_CAPACITY)),
         }
     }
 
@@ -418,6 +478,31 @@ impl SharedEvalCache {
             .unwrap_or_else(PoisonError::into_inner)
             .insert(key, evaluation.clone());
     }
+
+    fn surrogate(
+        &self,
+        x: &[Vec<f64>],
+        y: &[Vec<f64>],
+        params: GbmParams,
+    ) -> (Arc<MultiOutputGbm>, bool) {
+        let key = surrogate_key(x, y, params);
+        let memo = || {
+            self.surrogates
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        let hit = memo().get(key.as_slice()).cloned();
+        if let Some(model) = hit {
+            return (model, true);
+        }
+        // Fitted outside the lock: a millisecond of training must not
+        // serialise every other scenario's lookup. Two scenarios that miss
+        // on one key at once both fit; the models are bit-equal, so it does
+        // not matter whose insert lands last.
+        let model = Arc::new(MultiOutputGbm::fit(x, y, params));
+        memo().insert(key.into(), Arc::clone(&model));
+        (model, false)
+    }
 }
 
 /// A namespaced view of a [`SharedEvalCache`]; implements
@@ -434,6 +519,15 @@ impl EvaluationHook for CacheHandle {
 
     fn record(&self, bitmap: &StateBitmap, evaluation: &SharedEvaluation) {
         self.cache.record(self.namespace, bitmap, evaluation);
+    }
+
+    fn surrogate(
+        &self,
+        x: &[Vec<f64>],
+        y: &[Vec<f64>],
+        params: GbmParams,
+    ) -> (Arc<MultiOutputGbm>, bool) {
+        self.cache.surrogate(x, y, params)
     }
 }
 
@@ -647,6 +741,221 @@ mod tests {
         let small = Arc::new(SharedEvalCache::with_capacity(1, 4));
         small.import_shards(source.export_shards());
         assert!(small.stats().entries <= 4);
+    }
+
+    /// 12 records × 6 features → 2 outputs: the shape of a warm-up fit.
+    /// `x[0][0]` is `0.0` (the signed-zero case needs one).
+    fn training_set() -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let x: Vec<Vec<f64>> = (0..12)
+            .map(|i| (0..6).map(|j| ((i * 7 + j * 3) % 5) as f64 * 0.5).collect())
+            .collect();
+        let y = x
+            .iter()
+            .map(|r| vec![0.3 * r[0] - 0.1 * r[2] + 0.5, 0.2 * r[1] * r[3]])
+            .collect();
+        (x, y)
+    }
+
+    /// What a model predicts over the training rows and a few rows off
+    /// them, on bits.
+    fn answers(model: &MultiOutputGbm) -> Vec<Vec<u64>> {
+        let (mut probes, _) = training_set();
+        probes.extend((0..8).map(|i| vec![i as f64 * 0.3 - 0.4; 6]));
+        probes
+            .iter()
+            .map(|row| model.predict_one(row).iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// The memo's key is the exact content of the fit's arguments: one
+    /// flipped bit, one more record, another order or any one changed
+    /// hyper-parameter is another model, fitted afresh and equal to what
+    /// `MultiOutputGbm::fit` returns for those arguments.
+    #[test]
+    fn surrogate_memo_misses_on_any_changed_bit_record_or_parameter() {
+        use modis_ml::tree::{Criterion, TreeParams};
+
+        let cache = SharedEvalCache::new(1);
+        let (x, y) = training_set();
+        let p = GbmParams {
+            n_estimators: 8,
+            ..GbmParams::default()
+        };
+        // Every hyper-parameter by name, no `..`: a new field stops this
+        // compiling until `surrogate_key` and the list below know it.
+        let GbmParams {
+            n_estimators: _,
+            learning_rate: _,
+            tree:
+                TreeParams {
+                    max_depth: _,
+                    min_samples_split: _,
+                    min_samples_leaf: _,
+                    max_thresholds: _,
+                    criterion: _,
+                },
+        } = p;
+        let flip = |v: f64| f64::from_bits(v.to_bits() ^ 1);
+        let edit = |cell: (usize, usize), to: f64| {
+            let mut x = x.clone();
+            x[cell.0][cell.1] = to;
+            x
+        };
+        let tree = |tree: TreeParams| GbmParams { tree, ..p };
+
+        let mut variants = vec![
+            ("the base arguments", x.clone(), y.clone(), p),
+            (
+                "one bit of an x cell",
+                edit((3, 2), flip(x[3][2])),
+                y.clone(),
+                p,
+            ),
+            ("-0.0 for 0.0", edit((0, 0), -0.0), y.clone(), p),
+            ("a NaN", edit((0, 0), f64::NAN), y.clone(), p),
+            (
+                "another NaN payload",
+                edit((0, 0), flip(f64::NAN)),
+                y.clone(),
+                p,
+            ),
+        ];
+        assert_eq!(x[0][0].to_bits(), 0, "the signed-zero case needs a +0.0");
+        let mut y2 = y.clone();
+        y2[5][1] = flip(y2[5][1]);
+        variants.push(("one bit of a y cell", x.clone(), y2, p));
+        let (mut x2, mut y2) = (x.clone(), y.clone());
+        x2.push(x[0].clone());
+        y2.push(y[0].clone());
+        variants.push(("one record appended", x2, y2, p));
+        let (mut x2, mut y2) = (x.clone(), y.clone());
+        x2.swap(1, 7);
+        y2.swap(1, 7);
+        variants.push(("two records swapped", x2, y2, p));
+        for (what, params) in [
+            (
+                "n_estimators",
+                GbmParams {
+                    n_estimators: 9,
+                    ..p
+                },
+            ),
+            (
+                "learning_rate",
+                GbmParams {
+                    learning_rate: flip(p.learning_rate),
+                    ..p
+                },
+            ),
+            (
+                "max_depth",
+                tree(TreeParams {
+                    max_depth: 2,
+                    ..p.tree
+                }),
+            ),
+            (
+                "min_samples_split",
+                tree(TreeParams {
+                    min_samples_split: 4,
+                    ..p.tree
+                }),
+            ),
+            (
+                "min_samples_leaf",
+                tree(TreeParams {
+                    min_samples_leaf: 2,
+                    ..p.tree
+                }),
+            ),
+            (
+                "max_thresholds",
+                tree(TreeParams {
+                    max_thresholds: 3,
+                    ..p.tree
+                }),
+            ),
+            (
+                "criterion",
+                tree(TreeParams {
+                    criterion: Criterion::Gini,
+                    ..p.tree
+                }),
+            ),
+        ] {
+            variants.push((what, x.clone(), y.clone(), params));
+        }
+
+        let mut expected = Vec::new();
+        for (what, x, y, params) in &variants {
+            let (fitted, reused) = cache.surrogate(x, y, *params);
+            assert!(!reused, "{what}: a miss");
+            let direct = answers(&MultiOutputGbm::fit(x, y, *params));
+            assert_eq!(answers(&fitted), direct, "{what}");
+            expected.push(direct);
+        }
+        // Every variant is its own entry, and each still answers for itself.
+        for ((what, x, y, params), direct) in variants.iter().zip(&expected) {
+            let (model, reused) = cache.surrogate(x, y, *params);
+            assert!(reused, "{what}: a hit");
+            assert_eq!(&answers(&model), direct, "{what}");
+        }
+    }
+
+    /// The same cells cut into other shapes — between rows, or between `x`
+    /// and `y` — are other keys; equal arguments are equal keys.
+    #[test]
+    fn surrogate_key_separates_shapes_that_hold_the_same_cells() {
+        let p = GbmParams::default();
+        let key = surrogate_key;
+        let (a, b) = (vec![vec![1.0], vec![2.0, 3.0]], vec![vec![4.0]]);
+        assert_eq!(key(&a, &b, p), key(&a.clone(), &b.clone(), p));
+        let reshaped = vec![vec![1.0, 2.0], vec![3.0]];
+        assert_ne!(key(&a, &b, p), key(&reshaped, &b, p));
+        let (x, y) = (vec![vec![1.0], vec![2.0]], vec![vec![3.0], vec![4.0]]);
+        let (x3, y1) = (vec![vec![1.0], vec![2.0], vec![3.0]], vec![vec![4.0]]);
+        assert_ne!(key(&x, &y, p), key(&x3, &y1, p));
+        assert_ne!(key(&x, &y, p), key(&y, &x, p));
+        assert_ne!(key(&[], &[], p), key(&[vec![]], &[], p));
+    }
+
+    /// More distinct training matrices than the memo holds: it stays at its
+    /// bound, and a matrix that was evicted is fitted again to a model that
+    /// predicts the same bits.
+    #[test]
+    fn surrogate_memo_is_bounded_and_an_evicted_matrix_refits_to_the_same_bits() {
+        let cache = SharedEvalCache::new(1);
+        let p = GbmParams {
+            n_estimators: 2,
+            ..GbmParams::default()
+        };
+        let matrix = |i: usize| {
+            let x = vec![vec![0.0; 6], vec![1.0; 6], vec![i as f64 + 2.0; 6]];
+            (x, vec![vec![0.0], vec![1.0], vec![0.5]])
+        };
+        let resident = || cache.surrogates.lock().unwrap().len();
+        let first: Vec<Arc<MultiOutputGbm>> = (0..SURROGATE_MEMO_CAPACITY + 8)
+            .map(|i| {
+                let (x, y) = matrix(i);
+                let (model, reused) = cache.surrogate(&x, &y, p);
+                assert!(!reused, "matrix {i} is new");
+                assert!(resident() <= SURROGATE_MEMO_CAPACITY);
+                model
+            })
+            .collect();
+        assert_eq!(resident(), SURROGATE_MEMO_CAPACITY);
+        assert_eq!(cache.surrogates.lock().unwrap().evictions(), 8);
+
+        let mut refitted = 0;
+        for (i, earlier) in first.iter().enumerate() {
+            let (x, y) = matrix(i);
+            let (model, reused) = cache.surrogate(&x, &y, p);
+            assert_eq!(reused, Arc::ptr_eq(&model, earlier), "matrix {i}");
+            refitted += usize::from(!reused);
+            assert_eq!(answers(&model), answers(earlier), "matrix {i}");
+            assert!(resident() <= SURROGATE_MEMO_CAPACITY);
+        }
+        assert!(refitted >= 8, "the evicted matrices were fitted again");
     }
 
     #[test]

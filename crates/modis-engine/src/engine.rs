@@ -390,7 +390,7 @@ impl Engine {
             });
         let shared_hits = resolved.iter().filter(|(_, hit)| *hit).count();
         let trained = unique.len() - shared_hits;
-        self.record_valuations(namespace, trained as u64, shared_hits as u64);
+        self.record_valuations(namespace, trained, shared_hits);
         if states.len() > unique.len() {
             self.telemetry
                 .metrics
@@ -408,29 +408,38 @@ impl Engine {
         }
     }
 
-    /// Attributes paid (oracle-trained) vs cache-served valuations to a
-    /// namespace — the per-tenant cost-accounting counters.
-    fn record_valuations(&self, namespace: &str, paid: u64, cached: u64) {
-        if paid > 0 {
+    /// Adds `by` (when nonzero) to a counter family labelled by cache
+    /// namespace — the per-tenant accounting counters.
+    fn count(&self, name: &'static str, help: &'static str, namespace: &str, by: usize) {
+        if by > 0 {
             self.telemetry
                 .metrics
-                .counter_with(
-                    "engine_paid_valuations_total",
-                    "Oracle valuations paid for (model training runs) per cache namespace.",
-                    &[("namespace", namespace)],
-                )
-                .add(paid);
+                .counter_with(name, help, &[("namespace", namespace)])
+                .add(by as u64);
         }
-        if cached > 0 {
-            self.telemetry
-                .metrics
-                .counter_with(
-                    "engine_cached_valuations_total",
-                    "Oracle valuations answered by the shared cache per cache namespace.",
-                    &[("namespace", namespace)],
-                )
-                .add(cached);
-        }
+    }
+
+    /// Attributes paid vs cache-served valuations to a namespace. "Paid" is
+    /// the scheduler's cost — [`SkylineResult::valuation_cost`]: model
+    /// trainings *plus* surrogate predictions — so on a warm namespace it
+    /// counts predictions only.
+    ///
+    /// [`SkylineResult::valuation_cost`]: modis_core::config::SkylineResult::valuation_cost
+    fn record_valuations(&self, namespace: &str, paid: usize, cached: usize) {
+        self.count(
+            "engine_paid_valuations_total",
+            "Valuations paid for per cache namespace: model trainings plus surrogate predictions \
+             (DONE cost=). Trainings alone are STATS misses=, surrogate fits \
+             engine_surrogate_fits_total; the rest are predictions.",
+            namespace,
+            paid,
+        );
+        self.count(
+            "engine_cached_valuations_total",
+            "Oracle valuations answered by the shared cache per cache namespace.",
+            namespace,
+            cached,
+        );
     }
 
     /// Runs one scenario on the calling thread (the wave expander may still
@@ -506,8 +515,22 @@ impl Engine {
         };
         self.record_valuations(
             scenario.namespace(),
-            outcome.valuation_cost() as u64,
-            outcome.shared_hits() as u64,
+            outcome.valuation_cost(),
+            outcome.shared_hits(),
+        );
+        let stats = outcome.result.stats;
+        self.count(
+            "engine_surrogate_fits_total",
+            "MO-GBM surrogate fits a scenario ran (MultiOutputGbm::fit), per cache namespace.",
+            scenario.namespace(),
+            stats.surrogate_fits,
+        );
+        self.count(
+            "engine_surrogate_reused_total",
+            "MO-GBM surrogate fits answered by the fitted-surrogate memo (same training matrix \
+             fitted before in this process), per cache namespace.",
+            scenario.namespace(),
+            stats.surrogate_reuses,
         );
         self.telemetry
             .metrics
@@ -544,6 +567,7 @@ impl Engine {
 mod tests {
     use super::*;
     use modis_core::config::ModisConfig;
+    use modis_core::estimator::ValuationStats;
     use modis_core::substrate::mock::MockSubstrate;
 
     fn oracle_config() -> ModisConfig {
@@ -683,6 +707,209 @@ mod tests {
         assert!(stats.entries > 0, "shared cache recorded valuations");
         assert_eq!(stats.memo_entries, 0);
         assert!(stats.hit_rate() >= 0.0);
+    }
+
+    /// A 40-row regression pool scored on deterministic measures only (no
+    /// wall-clock `TrainTime`), so a cold and a warm run valuate to the
+    /// same bits.
+    fn small_table() -> Arc<dyn Substrate> {
+        use modis_core::prelude::*;
+        use modis_data::{Attribute, Dataset, Schema, Value};
+        let rows = (0..40i64)
+            .map(|i| {
+                let (a, b) = ((i % 5) as f64, (i % 7) as f64);
+                vec![
+                    Value::Int(i),
+                    Value::Float(a),
+                    Value::Float(b),
+                    Value::Float(2.0 * a - 0.5 * b + (i % 3) as f64 * 0.1),
+                ]
+            })
+            .collect();
+        let schema = Schema::from_attributes(vec![
+            Attribute::key("id"),
+            Attribute::feature("a"),
+            Attribute::feature("b"),
+            Attribute::target("y"),
+        ]);
+        let task = TaskSpec {
+            name: "small".into(),
+            model: ModelKind::LinearRegressor,
+            target: "y".into(),
+            key: Some("id".into()),
+            measures: MeasureSet::new(vec![
+                MeasureSpec::maximise("p_R2"),
+                MeasureSpec::minimise("p_MSE", 4.0),
+            ]),
+            metric_kinds: vec![MetricKind::R2, MetricKind::Mse],
+            train_ratio: 0.7,
+            seed: 7,
+        };
+        let base = Dataset::from_rows("base", schema, rows).unwrap();
+        Arc::new(TableSubstrate::from_pool(
+            &[base],
+            task,
+            &TableSpaceConfig::default(),
+        ))
+    }
+
+    fn surrogate_scenario(substrate: &Arc<dyn Substrate>, algorithm: Algorithm) -> Scenario {
+        let config = ModisConfig::default()
+            .with_estimator(EstimatorMode::Surrogate {
+                warmup: 3,
+                refresh: 1,
+            })
+            .with_max_states(60)
+            .with_max_level(4);
+        Scenario::new("memo", substrate.clone(), algorithm, config)
+    }
+
+    /// Everything of a run that must not depend on whether its surrogates
+    /// were fitted or reused, floats on their bits. (`oracle_calls` vs
+    /// `shared_hits` is not in it: that split tells a cold evaluation cache
+    /// from a warm one.)
+    fn answer(outcome: &ScenarioOutcome) -> impl PartialEq + std::fmt::Debug {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+        let entries: Vec<_> = outcome
+            .result
+            .entries
+            .iter()
+            .map(|e| (e.bitmap.clone(), bits(&e.perf), bits(&e.raw), e.size))
+            .collect();
+        let stats = outcome.result.stats;
+        (
+            entries,
+            outcome.result.states_valuated,
+            stats.surrogate_calls,
+            stats.surrogate_fits + stats.surrogate_reuses,
+        )
+    }
+
+    /// One value of a labelled counter family, 0 while it is unregistered.
+    fn counter(engine: &Engine, family: &str) -> u64 {
+        let prefix = format!("{family}{{namespace=\"memo\"}} ");
+        engine
+            .metrics()
+            .render()
+            .iter()
+            .find_map(|line| line.strip_prefix(&prefix)?.trim().parse().ok())
+            .unwrap_or(0)
+    }
+
+    /// The fitted-surrogate memo changes which runs fit, never what a run
+    /// returns: every algorithm, on a mock and on a tabular substrate,
+    /// answers its second and third run (and a run on a fresh engine) with
+    /// the first run's bytes, and only the first run fits.
+    #[test]
+    fn warm_runs_reuse_every_surrogate_and_return_the_cold_runs_bytes() {
+        let mock: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(8));
+        for substrate in [mock, small_table()] {
+            for algorithm in [
+                Algorithm::Apx,
+                Algorithm::NoBi,
+                Algorithm::Bi,
+                Algorithm::Div,
+            ] {
+                let scenario = surrogate_scenario(&substrate, algorithm);
+                let engine = Engine::new(EngineConfig::default().with_worker_threads(2));
+                let [first, second, third] = [(); 3].map(|()| engine.run_scenario(&scenario));
+                let fresh = Engine::new(EngineConfig::default().with_worker_threads(2))
+                    .run_scenario(&scenario);
+                let label = algorithm.name();
+                let fits = first.result.stats.surrogate_fits;
+                assert!(fits >= 1, "{label}: the surrogate took over");
+                assert!(first.result.stats.surrogate_calls > 0, "{label}");
+                assert_eq!(first.result.stats.surrogate_reuses, 0, "{label}");
+                assert_eq!(fresh.result.stats, first.result.stats, "{label}");
+                for (run, name) in [(&second, "second"), (&third, "third"), (&fresh, "fresh")] {
+                    assert_eq!(answer(run), answer(&first), "{label}: {name} run");
+                }
+                assert_eq!(second.result.stats.surrogate_fits, 0, "{label}");
+                assert_eq!(second.result.stats.surrogate_reuses, fits, "{label}");
+                assert_eq!(second.result.stats.oracle_calls, 0, "{label}: warm cache");
+                assert_eq!(third.result.stats, second.result.stats, "{label}");
+                // Both counter families are live and agree with the runs.
+                assert_eq!(counter(&engine, "engine_surrogate_fits_total"), fits as u64);
+                assert_eq!(
+                    counter(&engine, "engine_surrogate_reused_total"),
+                    2 * fits as u64,
+                    "{label}"
+                );
+            }
+        }
+    }
+
+    /// Without a hook the context fits for itself; with the engine's hook
+    /// it fits through the memo or reuses. Same search, same result.
+    #[test]
+    fn a_hooked_context_returns_what_a_hookless_one_returns() {
+        let substrate = small_table();
+        let scenario = surrogate_scenario(&substrate, Algorithm::Bi);
+        let run = |hook: Option<Arc<dyn EvaluationHook>>| {
+            let ctx = ValuationContext::new(substrate.as_ref(), scenario.config.estimator);
+            let ctx = match hook {
+                Some(hook) => ctx.with_hook(hook),
+                None => ctx,
+            };
+            ScenarioOutcome {
+                name: "memo".into(),
+                algorithm: Algorithm::Bi,
+                result: bi_modis_with_context(&ctx, &scenario.config, true).0,
+                wall_seconds: 0.0,
+                substrate_cache: Default::default(),
+            }
+        };
+        let cache = Arc::new(SharedEvalCache::new(4));
+        let bare = run(None);
+        let cold = run(Some(cache.handle("memo")));
+        let warm = run(Some(cache.handle("memo")));
+        assert!(bare.result.stats.surrogate_fits >= 1);
+        assert_eq!(bare.result.stats, cold.result.stats);
+        assert_eq!(warm.result.stats.surrogate_fits, 0);
+        assert_eq!(answer(&cold), answer(&bare));
+        assert_eq!(answer(&warm), answer(&bare));
+    }
+
+    /// Eight threads released together onto one scenario of one engine
+    /// race on the memo (a key may be fitted more than once: the fit runs
+    /// outside the lock). Every thread still returns the sequential result,
+    /// and every refit it made was either a fit or a reuse.
+    #[test]
+    fn racing_runs_of_one_scenario_all_return_the_sequential_result() {
+        let substrate: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(8));
+        let scenario = surrogate_scenario(&substrate, Algorithm::NoBi);
+        let config = || EngineConfig::default().with_worker_threads(1);
+        let sequential = Engine::new(config()).run_scenario(&scenario);
+        let refits = sequential.result.stats.surrogate_fits;
+        assert!(refits >= 2, "more than one key to race on");
+
+        let engine = Engine::new(config());
+        let barrier = std::sync::Barrier::new(8);
+        let outcomes: Vec<ScenarioOutcome> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        engine.run_scenario(&scenario)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for outcome in &outcomes {
+            assert_eq!(answer(outcome), answer(&sequential));
+        }
+        let total = |field: fn(&ValuationStats) -> usize| -> usize {
+            outcomes.iter().map(|o| field(&o.result.stats)).sum()
+        };
+        let (fits, reuses) = (total(|s| s.surrogate_fits), total(|s| s.surrogate_reuses));
+        assert_eq!(fits + reuses, 8 * refits);
+        assert!(fits >= refits, "somebody fitted each model");
+        assert_eq!(counter(&engine, "engine_surrogate_fits_total"), fits as u64);
+        assert_eq!(
+            counter(&engine, "engine_surrogate_reused_total"),
+            reuses as u64
+        );
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   `(namespace, state) → evaluation` store installed behind the
 //!   [`modis_core::estimator::EvaluationHook`] seam, so states revisited
 //!   across passes and across scenarios sharing a pool are trained once.
-//!   Hit/miss counters are surfaced in every result.
+//!   Hit/miss counters are surfaced in every result. Beside it, behind the
+//!   same seam, a bounded memo of fitted MO-GBM surrogates keyed by the
+//!   exact content of their training matrix: a scenario that runs again
+//!   over a warm cache refits nothing and returns the same bytes.
 //! * **A scenario runner** ([`engine`]) — [`Engine::run_suite`] executes a
 //!   registry of named scenarios (substrate × algorithm × config)
 //!   concurrently under a configurable parallelism budget and returns

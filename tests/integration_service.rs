@@ -16,9 +16,12 @@ use modis_core::prelude::*;
 use modis_core::substrate::mock::MockSubstrate;
 use modis_core::substrate::Substrate;
 use modis_data::StateBitmap;
-use modis_engine::{Algorithm, Engine, EngineConfig, Scenario, ScenarioOutcome, SharedEvalCache};
+use modis_engine::{
+    Algorithm, Engine, EngineConfig, ExportedEvaluation, Scenario, ScenarioOutcome, SharedEvalCache,
+};
 use modis_service::{
-    snapshot, Daemon, JobState, Service, ServiceConfig, ServiceError, ValuationRequest,
+    handle_command, snapshot, Daemon, JobState, Service, ServiceConfig, ServiceError,
+    ValuationRequest,
 };
 
 static TEMP_COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -43,6 +46,10 @@ fn oracle_config(max_states: usize) -> ModisConfig {
 
 /// Registers the standard three-algorithm mock suite on a service.
 fn register_mock_suite(service: &Service, units: usize) {
+    register_mock_suite_with(service, units, oracle_config(60));
+}
+
+fn register_mock_suite_with(service: &Service, units: usize, config: ModisConfig) {
     let substrate: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(units));
     for (name, alg) in [
         ("apx", Algorithm::Apx),
@@ -51,7 +58,7 @@ fn register_mock_suite(service: &Service, units: usize) {
     ] {
         service
             .register(
-                Scenario::new(name, substrate.clone(), alg, oracle_config(60))
+                Scenario::new(name, substrate.clone(), alg, config.clone())
                     .with_cache_namespace("mock-pool"),
             )
             .unwrap();
@@ -246,6 +253,136 @@ fn restarted_service_warm_starts_a_real_tabular_workload() {
         "first run after restart hits the cache"
     );
     assert_identical(&warm.result, &cold.result, "t3 warm vs cold");
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// The fitted-surrogate memo is process state and nothing else. A snapshot
+/// of a service that ran surrogate-mode scenarios has HEAD's version and
+/// sections and holds evaluations only; a service restored from it answers
+/// byte-identically, refits on its first request exactly what a fresh
+/// process fits, reuses from then on — and filling its memo changes no
+/// byte of what `SNAPSHOT`, `EXPORT` or `SHIP` would send.
+#[test]
+fn the_surrogate_memo_never_reaches_persistence_and_a_restored_service_refits_once() {
+    let surrogate = oracle_config(60).with_estimator(EstimatorMode::Surrogate {
+        warmup: 3,
+        refresh: 1,
+    });
+    let wave = |service: &Service| -> Vec<ScenarioOutcome> {
+        let tickets = service.submit_many(["apx", "bi", "div"]).unwrap();
+        assert_eq!(service.run_pending(), 3);
+        tickets.iter().map(|&t| done_outcome(service, t)).collect()
+    };
+    let counter = |service: &Service, family: &str| -> u64 {
+        let prefix = format!("{family}{{namespace=\"mock-pool\"}} ");
+        let lines = service.engine().metrics().render();
+        lines
+            .iter()
+            .find_map(|line| line.strip_prefix(&prefix)?.trim().parse().ok())
+            .unwrap_or(0)
+    };
+    let total = |outcomes: &[ScenarioOutcome], field: fn(&ValuationStats) -> usize| -> u64 {
+        outcomes.iter().map(|o| field(&o.result.stats) as u64).sum()
+    };
+
+    // "Process 1": a fresh service fits, then snapshots.
+    let path = temp_path("memo");
+    let first = Service::new(ServiceConfig::default());
+    register_mock_suite_with(&first, 10, surrogate.clone());
+    let cold = wave(&first);
+    let fresh_fits = counter(&first, "engine_surrogate_fits_total");
+    let refits = fresh_fits + counter(&first, "engine_surrogate_reused_total");
+    assert!(fresh_fits >= 3, "every scenario fitted: {fresh_fits}");
+    assert_eq!(fresh_fits, total(&cold, |s| s.surrogate_fits));
+    first.snapshot_to(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let geometry = first.engine().config().clone();
+    drop(first);
+
+    // The format is HEAD's: version 2, and the sections of
+    // `snapshot.rs`'s module docs account for every byte. (The patterns
+    // name every field: a new one on either struct stops this compiling.)
+    assert_eq!(
+        (snapshot::SNAPSHOT_VERSION, snapshot::SHIPMENT_VERSION),
+        (2, 1)
+    );
+    let decoded = snapshot::decode_snapshot(&bytes).unwrap();
+    let header = 8 + 4 + 4 + 8;
+    let slots: usize = decoded
+        .shards
+        .iter()
+        .flat_map(|shard| &shard.entries)
+        .map(|entry| {
+            let ExportedEvaluation {
+                namespace: _,
+                bitmap,
+                referenced: _,
+                evaluation: SharedEvaluation { raw, perf },
+            } = entry;
+            8 + 8 + 8 * bitmap.words().len() + 1 + 8 + 8 * raw.len() + 8 + 8 * perf.len()
+        })
+        .sum();
+    let guards = 8 + 16 * decoded.namespace_fingerprints.len();
+    assert_eq!(
+        bytes.len(),
+        header + 16 * decoded.shards.len() + slots + guards + 8
+    );
+    // A cache that never saw a surrogate, holding the decoded evaluations,
+    // encodes to the same bytes.
+    let memoless = SharedEvalCache::with_capacity(geometry.cache_shards, geometry.cache_capacity);
+    memoless.import_shards(decoded.shards);
+    assert_eq!(
+        snapshot::encode_snapshot(&memoless, &decoded.namespace_fingerprints),
+        bytes
+    );
+
+    // "Process 2": restored, its memo empty.
+    let revived = Service::from_snapshot(ServiceConfig::default(), &path).unwrap();
+    register_mock_suite_with(&revived, 10, surrogate);
+    let persisted = |service: &Service| {
+        let engine = service.engine();
+        (
+            snapshot::encode_snapshot(engine.cache(), &engine.namespace_fingerprints()),
+            service.shipment_bytes(&["mock-pool".to_string()]),
+            handle_command(service, "EXPORT mock-pool")
+                .text()
+                .to_string(),
+        )
+    };
+    let before = persisted(&revived);
+    assert_eq!(before.0, bytes);
+
+    let warm = wave(&revived);
+    for (warm, cold) in warm.iter().zip(&cold) {
+        assert_identical(&warm.result, &cold.result, &warm.name);
+        assert_eq!(warm.result.stats.oracle_calls, 0, "{}", warm.name);
+    }
+    assert_eq!(
+        counter(&revived, "engine_surrogate_fits_total"),
+        fresh_fits,
+        "the first request after a restore fits what a fresh process fits"
+    );
+    assert_eq!(total(&warm, |s| s.surrogate_fits), fresh_fits);
+
+    let again = wave(&revived);
+    for (again, cold) in again.iter().zip(&cold) {
+        assert_identical(&again.result, &cold.result, &again.name);
+    }
+    assert_eq!(total(&again, |s| s.surrogate_fits), 0);
+    assert_eq!(
+        counter(&revived, "engine_surrogate_fits_total"),
+        fresh_fits,
+        "and then stops fitting"
+    );
+    assert_eq!(
+        counter(&revived, "engine_surrogate_reused_total"),
+        2 * refits - fresh_fits
+    );
+    assert_eq!(
+        persisted(&revived),
+        before,
+        "a full memo changes nothing a peer or a disk would receive"
+    );
     std::fs::remove_file(&path).unwrap();
 }
 
