@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the skyline machinery: dominance checks, exact
-//! skyline (Kung's algorithm), ε-skyline maintenance (UPareto) and the
+//! skyline (the pairwise scan), ε-skyline maintenance (UPareto) and the
 //! diversification score (Eq. 2).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,12 +1,12 @@
-//! Synthetic skyline frontiers for the dominance kernel benchmarks and the
-//! differential test harness.
+//! Synthetic skyline frontiers: the input generator of the differential
+//! test harness (`tests/integration_dominance.rs`).
 //!
 //! The shapes follow the classic skyline benchmarking families
 //! (Börzsönyi-style independent / correlated / anti-correlated) plus the
-//! two adversarial families the MODis kernels must survive byte-identically:
+//! two adversarial families the skyline scan must keep its contract on:
 //! duplicate-heavy pools and NaN/∞-laced vectors. All generators are
-//! deterministic in `(n, dims, seed)` via a local xorshift so benches,
-//! tests and CI agree on the exact inputs.
+//! deterministic in `(n, dims, seed)` via a local xorshift so tests and CI
+//! agree on the exact inputs.
 
 /// Frontier family to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +26,7 @@ pub enum Frontier {
 }
 
 impl Frontier {
-    /// Stable lowercase name used in benchmark JSON and labels.
+    /// Stable lowercase name used in test labels.
     pub fn name(self) -> &'static str {
         match self {
             Frontier::Uniform => "uniform",

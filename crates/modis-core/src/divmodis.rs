@@ -53,8 +53,9 @@ pub fn diversify_level(
     if entries.len() <= k {
         return entries;
     }
-    // Initialise with the first k entries (a deterministic stand-in for the
-    // random initialisation of Alg. 3, keeping runs reproducible).
+    // Initialise with the first k entries — the k lowest cell keys of
+    // `EpsilonSkyline::entries` — a deterministic stand-in for the random
+    // initialisation of Alg. 3, keeping runs reproducible.
     let mut selected: Vec<SkylineEntry> = entries[..k].to_vec();
     let mut score = diversification_score(&selected, alpha, euc_max);
     let mut improved = true;
@@ -154,6 +155,7 @@ pub fn div_modis_with_context<S: Substrate + ?Sized>(
 mod tests {
     use super::*;
     use crate::estimator::EstimatorMode;
+    use crate::measure::{MeasureSet, MeasureSpec};
     use crate::substrate::mock::MockSubstrate;
     use modis_data::StateBitmap;
 
@@ -210,6 +212,43 @@ mod tests {
     fn diversify_level_noop_when_small() {
         let entries = vec![entry(vec![true], vec![0.1, 0.2])];
         assert_eq!(diversify_level(entries.clone(), 3, 0.5, 1.0).len(), 1);
+    }
+
+    /// The greedy replacement starts from the first `k` entries, so DivMODis
+    /// repeats only if `EpsilonSkyline::entries` is a function of the offers.
+    #[test]
+    fn same_offers_give_one_entry_order_and_one_diversified_set() {
+        let measures = MeasureSet::new(vec![
+            MeasureSpec::maximise("a"),
+            MeasureSpec::maximise("b"),
+            MeasureSpec::minimise("c", 1.0),
+        ]);
+        let run = |k: usize| {
+            let mut sky = EpsilonSkyline::new(measures.clone(), 0.1, None);
+            // 14 offers in 14 cells whose greedy replacement has several
+            // local optima: seeded in `HashMap` order they diversified to
+            // 3 distinct sets at k = 2 and 2 at k = 4.
+            for i in 0..14usize {
+                let coord = |step: usize| 0.05 + 0.06 * ((i * step + (i * i) % 3) % 14) as f64;
+                let bits = (0..14).map(|u| (i * 7 + u * 3) % 5 >= 2).collect();
+                let perf = [coord(5), coord(3), coord(11)];
+                sky.offer(&StateBitmap::from_bits(bits), &perf, 0);
+            }
+            let order: Vec<Vec<f64>> = sky.entries().into_iter().map(|e| e.perf).collect();
+            assert!(order.len() > k);
+            let mut kept: Vec<Vec<f64>> = diversify_level(sky.entries(), k, 0.5, 1.0)
+                .into_iter()
+                .map(|e| e.perf)
+                .collect();
+            kept.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            (order, kept)
+        };
+        for k in [2, 4] {
+            let first = run(k);
+            for _ in 1..25 {
+                assert_eq!(run(k), first, "k={k}");
+            }
+        }
     }
 
     #[test]

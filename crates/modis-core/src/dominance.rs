@@ -4,14 +4,34 @@
 //!   performance vectors;
 //! * [`epsilon_dominates`] — the `(1+ε)` relaxation used by the
 //!   `(N, ε)`-approximation;
-//! * [`skyline`] — exact Pareto front, dispatching to the fast kernels of
-//!   [`crate::dominance_index`] (exact 2D sort-and-scan, sum-sorted scans
-//!   with early termination, u64 level-mask pre-filters);
-//! * [`skyline_pairwise_baseline`] — the retained `O(n²·|P|)` reference
-//!   kernel every fast kernel is differentially tested against;
-//! * [`dominated_flags`] — the dominance-only predicate (no duplicate rule)
-//!   used by skyline finalisation;
-//! * [`epsilon_skyline_cover`] — verifies the ε-skyline covering property.
+//! * [`skyline`] — exact Pareto front with the first-occurrence duplicate
+//!   rule, and [`dominated_flags`] — the dominance-only predicate used by
+//!   skyline finalisation: two readings of one `O(n²·|P|)` pairwise scan;
+//! * [`epsilon_skyline_cover`] — verifies the ε-skyline covering property;
+//! * [`take_tally`] — the calling thread's comparison / pruned counts.
+//!
+//! The pairwise scan **is** the contract, and it is the only kernel.
+//! [`dominates`] is tolerance-based (`1e-12` margins), which makes it
+//! non-transitive — `q` may dominate `p` while a dominator of `q` does not
+//! (margins add up) — so a dominated vector still counts as a dominator, and
+//! algorithms that compare only against accepted skyline members (SFS, BNL
+//! windows) return a different set. A request reaches the scan once, at
+//! finalisation, with at most `max_states` vectors (4–47 in every
+//! `bench_e2e` workload), where it is also the fastest path.
+
+use std::cell::Cell;
+
+use crate::telemetry;
+
+/// Metric name for total f64 dominance comparisons performed by the scan.
+pub const COMPARISONS_TOTAL: &str = "dominance_comparisons_total";
+/// Help text for [`COMPARISONS_TOTAL`].
+pub const COMPARISONS_HELP: &str = "Full f64 dominance comparisons performed by the skyline scan.";
+/// Metric name for comparisons skipped relative to the pairwise bound.
+pub const PRUNED_TOTAL: &str = "dominance_pruned_total";
+/// Help text for [`PRUNED_TOTAL`].
+pub const PRUNED_HELP: &str =
+    "Dominance comparisons the scan's early exit skipped relative to the full n*(n-1) bound.";
 
 /// Strict Pareto dominance: `a ≺ b` means `b` dominates `a`.
 ///
@@ -52,121 +72,81 @@ pub fn epsilon_dominates(b: &[f64], a: &[f64], epsilon: f64) -> bool {
     some_no_worse
 }
 
-/// Retained pairwise reference skyline (`O(n²·|P|)`): the indices of
-/// vectors no other vector [`dominates`], minus exact duplicates of earlier
-/// vectors, preserving input order.
-///
-/// Every fast kernel in [`crate::dominance_index`] is differentially tested
-/// to return a byte-identical index set; this baseline **is** the public
-/// contract of [`skyline`] and must not be "optimised".
-pub fn skyline_pairwise_baseline<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
-    skyline_pairwise_with_stats(points).0
+thread_local! {
+    static TALLY: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-/// [`skyline_pairwise_baseline`] with comparison counting.
-pub(crate) fn skyline_pairwise_with_stats<P: AsRef<[f64]>>(
-    points: &[P],
-) -> (Vec<usize>, crate::dominance_index::DominanceStats) {
-    let mut stats = crate::dominance_index::DominanceStats::new("pairwise");
-    let mut result = Vec::new();
-    'outer: for (i, p) in points.iter().enumerate() {
-        let p = p.as_ref();
-        for (j, q) in points.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            let q = q.as_ref();
-            stats.comparisons += 1;
-            if dominates(q, p) {
-                continue 'outer;
-            }
-            // Tie-break exact duplicates: keep only the first occurrence.
-            if j < i && q == p {
-                continue 'outer;
-            }
-        }
-        result.push(i);
+/// Takes (and resets) this thread's accumulated `(comparisons, pruned)`
+/// tally. The engine brackets an algorithm run with this to attribute
+/// dominance work to a namespace without threading counts through every
+/// signature.
+pub fn take_tally() -> (u64, u64) {
+    TALLY.with(|t| t.replace((0, 0)))
+}
+
+/// Adds one scan's work over `n` vectors to the thread-local tally and —
+/// when an ambient [`telemetry`] scope is open — the ambient metrics
+/// registry. `pruned` is what the early exit skipped of the `n·(n−1)` bound.
+fn record(comparisons: u64, n: usize) {
+    let n = n as u64;
+    let pruned = (n * n.saturating_sub(1)).saturating_sub(comparisons);
+    TALLY.with(|t| {
+        let (c, p) = t.get();
+        t.set((c + comparisons, p + pruned));
+    });
+    if let Some(t) = telemetry::ambient() {
+        t.metrics
+            .counter(COMPARISONS_TOTAL, COMPARISONS_HELP)
+            .add(comparisons);
+        t.metrics.counter(PRUNED_TOTAL, PRUNED_HELP).add(pruned);
     }
-    stats.finish(points.len());
-    (result, stats)
 }
 
-/// Pairwise dominance-only flags (no duplicate rule): `flags[i]` is true
-/// iff some other vector dominates vector `i`.
-pub(crate) fn pairwise_flags_with_stats<P: AsRef<[f64]>>(
-    points: &[P],
-) -> (Vec<bool>, crate::dominance_index::DominanceStats) {
-    let mut stats = crate::dominance_index::DominanceStats::new("pairwise");
-    let flags = points
+/// The pairwise scan: `out[i]` is true iff some other vector [`dominates`]
+/// vector `i` or — under `first_occurrence` — an earlier vector equals it.
+/// Each vector's scan stops at its first hit, so the comparison count
+/// depends on input order.
+fn scan<P: AsRef<[f64]>>(points: &[P], first_occurrence: bool) -> Vec<bool> {
+    let mut comparisons = 0u64;
+    let out = points
         .iter()
         .enumerate()
         .map(|(i, p)| {
+            let p = p.as_ref();
             points.iter().enumerate().any(|(j, q)| {
                 if i == j {
                     return false;
                 }
-                stats.comparisons += 1;
-                dominates(q.as_ref(), p.as_ref())
+                let q = q.as_ref();
+                comparisons += 1;
+                dominates(q, p) || (first_occurrence && j < i && q == p)
             })
         })
         .collect();
-    stats.finish(points.len());
-    (flags, stats)
+    record(comparisons, points.len());
+    out
 }
 
-/// Exact skyline (Pareto front) of a set of performance vectors; returns the
-/// indices of non-dominated vectors, preserving input order.
+/// Exact skyline (Pareto front) of a set of performance vectors: the indices
+/// of vectors no other vector [`dominates`], minus exact duplicates of
+/// earlier vectors, preserving input order.
 ///
-/// Dispatches to the fastest applicable kernel of
-/// [`crate::dominance_index`] — all byte-identical to
-/// [`skyline_pairwise_baseline`] — and flushes the kernel's work statistics
-/// into the ambient telemetry (when a scope is open) and the thread-local
-/// dominance tally.
+/// Adds its work to the ambient telemetry (when a scope is open) and the
+/// thread-local dominance tally.
 pub fn skyline<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
-    let (keep, stats) = skyline_with_stats(points);
-    crate::dominance_index::record_stats(&stats);
-    keep
-}
-
-/// [`skyline`] returning the kernel's work statistics without flushing them.
-pub fn skyline_with_stats<P: AsRef<[f64]>>(
-    points: &[P],
-) -> (Vec<usize>, crate::dominance_index::DominanceStats) {
-    use crate::dominance_index as dx;
-    match dx::uniform_dims(points) {
-        None => skyline_pairwise_with_stats(points),
-        Some(_) if points.len() < 2 => skyline_pairwise_with_stats(points),
-        Some(2) => dx::skyline_scan_2d_with_stats(points),
-        Some(_) if points.len() >= dx::MASK_MIN_POINTS => dx::skyline_indexed_with_stats(points),
-        Some(_) => dx::skyline_sorted_with_stats(points),
-    }
+    scan(points, true)
+        .into_iter()
+        .enumerate()
+        .filter(|(_, out)| !out)
+        .map(|(i, _)| i)
+        .collect()
 }
 
 /// Dominance-only flags: `flags[i]` is true iff some *other* vector
 /// dominates vector `i` (exact duplicates are not flagged — they do not
-/// dominate each other). Kernel-accelerated like [`skyline`]; flushes work
-/// statistics the same way.
+/// dominate each other). Counts its work like [`skyline`].
 pub fn dominated_flags<P: AsRef<[f64]>>(points: &[P]) -> Vec<bool> {
-    let (flags, stats) = dominated_flags_with_stats(points);
-    crate::dominance_index::record_stats(&stats);
-    flags
-}
-
-/// [`dominated_flags`] returning the kernel's work statistics without
-/// flushing them.
-pub fn dominated_flags_with_stats<P: AsRef<[f64]>>(
-    points: &[P],
-) -> (Vec<bool>, crate::dominance_index::DominanceStats) {
-    use crate::dominance_index as dx;
-    match dx::uniform_dims(points) {
-        None => pairwise_flags_with_stats(points),
-        Some(_) if points.len() < 2 => pairwise_flags_with_stats(points),
-        Some(2) => match dx::flags_scan_2d(points) {
-            Some(res) => res,
-            None => pairwise_flags_with_stats(points),
-        },
-        Some(_) => dx::indexed_flags_with_stats(points, points.len() >= dx::MASK_MIN_POINTS),
-    }
+    scan(points, false)
 }
 
 /// Checks the ε-skyline covering property: every vector in `all` is
@@ -178,20 +158,6 @@ pub fn epsilon_skyline_cover(all: &[Vec<f64>], subset: &[usize], epsilon: f64) -
                 .iter()
                 .any(|&j| epsilon_dominates(&all[j], p, epsilon))
     })
-}
-
-/// Removes vectors of `indices` that are dominated by another member of
-/// `indices` (mutual non-dominance property of a skyline set).
-pub fn prune_dominated(points: &[Vec<f64>], indices: &[usize]) -> Vec<usize> {
-    indices
-        .iter()
-        .copied()
-        .filter(|&i| {
-            !indices
-                .iter()
-                .any(|&j| j != i && dominates(&points[j], &points[i]))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -272,13 +238,6 @@ mod tests {
         assert!(!epsilon_skyline_cover(&all, &[1], 0.2));
     }
 
-    #[test]
-    fn prune_dominated_removes_inner_points() {
-        let pts = vec![vec![0.1, 0.5], vec![0.2, 0.6], vec![0.5, 0.1]];
-        let pruned = prune_dominated(&pts, &[0, 1, 2]);
-        assert_eq!(pruned, vec![0, 2]);
-    }
-
     /// Pins the NaN/∞ semantics of [`dominates`] that every kernel must
     /// reproduce: a NaN coordinate passes both the "no worse" and the
     /// "strictly better" checks vacuously in *both* directions, so a
@@ -296,10 +255,8 @@ mod tests {
         assert_eq!(skyline(&pts), vec![0, 1]);
     }
 
-    /// Regression for the seed-era 2D kernel, whose
-    /// `partial_cmp(..).unwrap_or(Equal)` sort silently misordered NaN
-    /// points: the dispatcher's 2D scan must agree with the pairwise
-    /// baseline on NaN- and ∞-laced two-measure inputs.
+    /// NaN- and ∞-laced two-measure inputs, which a sort-based 2D kernel
+    /// (`partial_cmp(..).unwrap_or(Equal)`) silently misorders.
     #[test]
     fn skyline_2d_nan_and_infinite_regression() {
         let pts = vec![
@@ -311,14 +268,12 @@ mod tests {
             vec![f64::NEG_INFINITY, 0.9],
             vec![0.2, 0.5],
         ];
-        let base = skyline_pairwise_baseline(&pts);
-        assert_eq!(skyline(&pts), base);
         // Pin the exact set. Vacuous NaN checks make dominance cyclic here:
         // [inf, 0.05] beats [NaN, 0.2] on y, [0.1, NaN] beats [inf, 0.05]
         // on x, [-inf, 0.9] beats [0.1, NaN] on x, and [NaN, 0.2] beats
         // [-inf, 0.9] (and every finite point) on y — so only the all-NaN
         // vector, which nothing strictly beats, survives.
-        assert_eq!(base, vec![2]);
+        assert_eq!(skyline(&pts), vec![2]);
     }
 
     /// Two points closer than the dominance tolerance on every coordinate

@@ -1,6 +1,7 @@
 //! The exact (fixed-parameter tractable) algorithm of Theorem 1: exhaust the
 //! runnings of the generator, valuate every reachable state, and apply a
-//! multi-objective optimiser (Kung's algorithm) to the valuated set.
+//! multi-objective optimiser (the pairwise scan of [`crate::dominance`]) to
+//! the valuated set.
 //!
 //! Intended for small search spaces (unit counts up to ~14) and as a ground
 //! truth for testing the approximation quality of ApxMODis/BiMODis.

@@ -76,7 +76,6 @@ pub mod config;
 pub mod correlation;
 pub mod divmodis;
 pub mod dominance;
-pub mod dominance_index;
 pub mod estimator;
 pub mod exact;
 pub mod graph_substrate;
@@ -98,14 +97,7 @@ pub mod prelude {
     pub use crate::clock_cache::ClockCache;
     pub use crate::config::{ModisConfig, SkylineEntry, SkylineResult};
     pub use crate::divmodis::{div_modis, div_modis_with_context, diversification_score};
-    pub use crate::dominance::{
-        dominated_flags, dominates, epsilon_dominates, skyline, skyline_pairwise_baseline,
-        skyline_with_stats,
-    };
-    pub use crate::dominance_index::{
-        skyline_blocks, skyline_indexed, skyline_scan_2d, skyline_sorted, DominanceIndex,
-        DominanceStats,
-    };
+    pub use crate::dominance::{dominated_flags, dominates, epsilon_dominates, skyline};
     pub use crate::estimator::{
         EstimatorMode, EvaluationHook, SharedEvaluation, ValuationContext, ValuationStats,
     };

@@ -202,31 +202,6 @@ pub fn position(perf: &[f64], measures: &MeasureSet, epsilon: f64, decisive: usi
         .collect()
 }
 
-/// Ascending, strictly de-duplicated quantile thresholds over `sorted`
-/// (an ascending, NaN-free sample): one cut per level at the upper
-/// `k/levels` quantile, always ending at the sample maximum.
-///
-/// [`crate::dominance_index::DominanceIndex`] uses these thresholds to
-/// quantise each measure into the per-level u64 masks of the word-parallel
-/// dominance pre-filter; a query point's constraint "candidate must be
-/// ≤ p_m + tolerance" is widened to the first cut at or above that bound,
-/// so the mask test is complete (never refutes a true dominator).
-pub fn quantile_cuts(sorted: &[f64], levels: usize) -> Vec<f64> {
-    let n = sorted.len();
-    if n == 0 || levels == 0 {
-        return Vec::new();
-    }
-    let mut cuts: Vec<f64> = Vec::with_capacity(levels);
-    for k in 1..=levels {
-        let idx = (k * n).div_ceil(levels).clamp(1, n) - 1;
-        let v = sorted[idx];
-        if cuts.last().is_none_or(|&last| v > last) {
-            cuts.push(v);
-        }
-    }
-    cuts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

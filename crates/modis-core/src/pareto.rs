@@ -5,7 +5,7 @@
 //! replaces the occupant only when it is strictly better on the decisive
 //! measure. Candidates violating an upper bound `p_u` are skipped early.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use modis_data::StateBitmap;
 
@@ -19,7 +19,10 @@ pub struct EpsilonSkyline {
     measures: MeasureSet,
     epsilon: f64,
     decisive: usize,
-    cells: HashMap<Vec<i64>, SkylineEntry>,
+    /// Ordered by cell key, so [`EpsilonSkyline::entries`] — the seed of
+    /// DivMODis' greedy replacement and the input order the finalisation
+    /// scan's comparison count depends on — is a function of the offers.
+    cells: BTreeMap<Vec<i64>, SkylineEntry>,
 }
 
 impl EpsilonSkyline {
@@ -30,7 +33,7 @@ impl EpsilonSkyline {
             measures,
             epsilon,
             decisive,
-            cells: HashMap::new(),
+            cells: BTreeMap::new(),
         }
     }
 
@@ -103,7 +106,7 @@ impl EpsilonSkyline {
             .any(|e| epsilon_dominates(&e.perf, perf, self.epsilon))
     }
 
-    /// Current members (arbitrary order).
+    /// Current members, in cell-key order.
     pub fn entries(&self) -> Vec<SkylineEntry> {
         self.cells.values().cloned().collect()
     }
@@ -119,9 +122,6 @@ impl EpsilonSkyline {
 
     /// Final clean-up: removes members dominated (exactly) by another member,
     /// so the output satisfies the mutual non-dominance property of §4.
-    ///
-    /// Runs through the kernel-accelerated [`dominated_flags`], which is
-    /// differentially tested to match the pairwise definition exactly.
     pub fn finalize(&self) -> Vec<SkylineEntry> {
         let entries = self.entries();
         let perfs: Vec<&[f64]> = entries.iter().map(|e| e.perf.as_slice()).collect();

@@ -476,7 +476,7 @@ impl Engine {
         // Install the engine's telemetry as the ambient for the algorithm
         // call tree, so deep layers (the wave expander) can time themselves
         // without any signature changes.
-        let _ = modis_core::dominance_index::take_tally();
+        let _ = modis_core::dominance::take_tally();
         let result = telemetry::with_ambient(self.telemetry.clone(), || match scenario.algorithm {
             Algorithm::Apx => parallel_apx_modis_with_context(&ctx, &scenario.config, threads),
             Algorithm::Exact => parallel_exact_modis_with_context(&ctx, &scenario.config, threads),
@@ -484,16 +484,16 @@ impl Engine {
             Algorithm::NoBi => bi_modis_with_context(&ctx, &scenario.config, false).0,
             Algorithm::Div => div_modis_with_context(&ctx, &scenario.config),
         });
-        // The dominance kernels tally their work on the calling thread;
+        // The skyline scan tallies its work on the calling thread;
         // attribute this scenario's share to its namespace.
-        let (dom_comparisons, dom_pruned) = modis_core::dominance_index::take_tally();
+        let (dom_comparisons, dom_pruned) = modis_core::dominance::take_tally();
         if dom_comparisons > 0 || dom_pruned > 0 {
             let labels = [("namespace", scenario.namespace())];
             self.telemetry
                 .metrics
                 .counter_with(
                     "engine_dominance_comparisons_total",
-                    "Dominance comparisons performed by skyline kernels, per namespace.",
+                    "Dominance comparisons performed by the skyline scan, per namespace.",
                     &labels,
                 )
                 .add(dom_comparisons);
@@ -501,7 +501,7 @@ impl Engine {
                 .metrics
                 .counter_with(
                     "engine_dominance_pruned_total",
-                    "Dominance comparisons avoided by skyline kernels, per namespace.",
+                    "Dominance comparisons the scan's early exit skipped, per namespace.",
                     &labels,
                 )
                 .add(dom_pruned);

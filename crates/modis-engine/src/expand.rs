@@ -26,6 +26,7 @@
 use std::time::Instant;
 
 use modis_core::config::{ModisConfig, SkylineEntry, SkylineResult};
+use modis_core::dominance::skyline;
 use modis_core::estimator::{EstimatorMode, ValuationContext};
 use modis_core::pareto::EpsilonSkyline;
 use modis_core::search_common::{finalize_result, op_gen, Direction, ProtectedSet, VisitedSet};
@@ -279,7 +280,7 @@ pub fn parallel_exact_modis_with_context<S: Substrate + ?Sized>(
         .filter(|&i| !measures.violates_upper(&perfs[i]))
         .collect();
     let candidate_perfs: Vec<Vec<f64>> = candidate_idx.iter().map(|&i| perfs[i].clone()).collect();
-    let front_local = crate::skyline::parallel_skyline(&candidate_perfs, threads);
+    let front_local = skyline(&candidate_perfs);
 
     let entries: Vec<SkylineEntry> = front_local
         .into_iter()

@@ -56,7 +56,6 @@ pub mod engine;
 pub mod expand;
 mod pool;
 pub mod scenario;
-pub mod skyline;
 
 pub use cache::{CacheHandle, CacheStats, ExportedEvaluation, ShardExport, SharedEvalCache};
 pub use engine::{BatchValuation, Engine, EngineConfig, SuiteResult};
@@ -64,4 +63,3 @@ pub use expand::{
     parallel_apx_modis, parallel_apx_modis_with_context, parallel_exact_modis_with_context,
 };
 pub use scenario::{Algorithm, Scenario, ScenarioOutcome};
-pub use skyline::{parallel_skyline, parallel_skyline_with_stats};

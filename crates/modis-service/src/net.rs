@@ -210,7 +210,7 @@ fn stats_reply(service: &Service) -> String {
     let stats = service.cache_stats();
     let cache = service.engine().cache();
     let metrics = service.engine().metrics();
-    use modis_core::dominance_index as dx;
+    use modis_core::dominance as dx;
     format!(
         "STATS hits={} misses={} entries={} evictions={} memo_entries={} \
          memo_evictions={} shards={} shard_capacity={} hit_rate={:.4} \

@@ -114,24 +114,24 @@ fn main() {
         }),
         "no shard reported paid valuations: {paid:?}"
     );
-    // The dominance kernels ran inside every shard's scenario runs; the
-    // merged scrape must show them pruning comparisons somewhere.
-    let pruned: Vec<&String> = lines
+    // The skyline scan ran inside every shard's scenario runs; the merged
+    // scrape must show its comparisons somewhere.
+    let comparisons: Vec<&String> = lines
         .iter()
-        .filter(|l| l.starts_with("dominance_pruned_total{"))
+        .filter(|l| l.starts_with("dominance_comparisons_total{"))
         .collect();
-    println!("  dominance-kernel pruning counters:");
-    for line in &pruned {
+    println!("  dominance comparison counters:");
+    for line in &comparisons {
         println!("  {line}");
     }
     assert!(
-        pruned.iter().any(|l| {
+        comparisons.iter().any(|l| {
             l.rsplit(' ')
                 .next()
                 .and_then(|v| v.parse::<u64>().ok())
                 .is_some_and(|v| v > 0)
         }),
-        "no shard reported pruned dominance comparisons: {pruned:?}"
+        "no shard reported dominance comparisons: {comparisons:?}"
     );
 
     // ── Merged trace dump: the newest spans across the cluster ────────────
