@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use modis_ml::forest::{ForestParams, RandomForest};
 use modis_ml::gbm::{GbmParams, GradientBoostingRegressor, MultiOutputGbm};
 use modis_ml::linear::RidgeRegression;
+use modis_ml::matrix::Matrix;
 
 fn make_regression(n: usize, d: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     let x: Vec<Vec<f64>> = (0..n)
@@ -21,6 +22,7 @@ fn bench_ml(c: &mut Criterion) {
 
     for &n in &[200usize, 600] {
         let (x, y) = make_regression(n, 8);
+        let x = Matrix::from_rows(&x);
         group.bench_with_input(BenchmarkId::new("gbm_regressor_fit", n), &n, |b, _| {
             b.iter(|| {
                 GradientBoostingRegressor::fit(

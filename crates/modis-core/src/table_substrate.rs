@@ -778,7 +778,7 @@ mod tests {
         // What a thread must see of a state: its matrix and its valuation.
         let observe = |sub: &TableSubstrate, s: &StateBitmap| {
             let e = encode_view(&sub.materialize_view(s), &opts);
-            let rows: Vec<Vec<u64>> = e.features.iter().map(|r| bits(r)).collect();
+            let rows: Vec<Vec<u64>> = e.features.rows().map(bits).collect();
             let raw = bits(&sub.evaluate_raw(s));
             (rows, bits(&e.targets), e.feature_names, raw)
         };

@@ -14,6 +14,7 @@ use modis_ml::feature::{fisher_score, mutual_information};
 use modis_ml::forest::{ForestParams, RandomForest};
 use modis_ml::gbm::{GbmParams, GradientBoostingClassifier, GradientBoostingRegressor};
 use modis_ml::linear::{LogisticRegression, RidgeRegression};
+use modis_ml::matrix::Matrix;
 use modis_ml::metrics;
 
 use crate::measure::MeasureSet;
@@ -165,7 +166,7 @@ enum FittedModel {
 }
 
 impl FittedModel {
-    fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
         match self {
             FittedModel::GbReg(m) => m.predict(x),
             FittedModel::RfCls(m) | FittedModel::RfReg(m) => m.predict(x),
@@ -175,7 +176,7 @@ impl FittedModel {
         }
     }
 
-    fn predict_scores(&self, x: &[Vec<f64>]) -> Option<Vec<Vec<f64>>> {
+    fn predict_scores(&self, x: &Matrix) -> Option<Vec<Vec<f64>>> {
         match self {
             FittedModel::RfCls(m) => Some(m.predict_scores(x)),
             FittedModel::Logistic(m) => Some(m.predict_scores(x)),
@@ -279,14 +280,16 @@ fn evaluate_encoded(task: &TaskSpec, encoded: Encoded, size: (usize, usize)) -> 
     }
     // With nothing left to test on, the model is scored on the (unshuffled)
     // matrix it was trained on.
+    let halves;
     let (train, test) = if encoded.train_len(task.train_ratio) == encoded.len() {
-        (encoded.clone(), encoded)
+        (&encoded, &encoded)
     } else {
-        encoded.into_split(task.train_ratio, task.seed)
+        halves = encoded.split(task.train_ratio, task.seed);
+        (&halves.0, &halves.1)
     };
 
     let start = Instant::now();
-    let model = fit_model(task.model, &train, task.seed);
+    let model = fit_model(task.model, train, task.seed);
     // Fold an explicit size-dependent cost into the measured time so that the
     // training-cost measure scales with the data volume even for very fast
     // fits (mirrors the second-scale costs reported in the paper).
@@ -295,7 +298,13 @@ fn evaluate_encoded(task: &TaskSpec, encoded: Encoded, size: (usize, usize)) -> 
 
     let y_true = &test.targets;
     let y_pred = model.predict(&test.features);
-    let scores = model.predict_scores(&test.features);
+    // Per-class scores are a second pass of the model over the test rows;
+    // AUC is the one metric that reads them.
+    let scores = if task.metric_kinds.contains(&MetricKind::Auc) {
+        model.predict_scores(&test.features)
+    } else {
+        None
+    };
 
     let raw: Vec<f64> = task
         .metric_kinds
@@ -314,8 +323,8 @@ fn evaluate_encoded(task: &TaskSpec, encoded: Encoded, size: (usize, usize)) -> 
             MetricKind::Rmse => metrics::rmse(y_true, &y_pred),
             MetricKind::R2 => metrics::r2(y_true, &y_pred).max(0.0),
             MetricKind::TrainTime => train_seconds,
-            MetricKind::FisherScore => fisher_normalised(&train),
-            MetricKind::MutualInfo => mi_normalised(&train),
+            MetricKind::FisherScore => fisher_normalised(train),
+            MetricKind::MutualInfo => mi_normalised(train),
         })
         .collect();
     let normalised = task.measures.normalise(&raw);

@@ -14,7 +14,7 @@ use modis_data::StateBitmap;
 
 use crate::cache::{CacheStats, SharedEvalCache};
 use crate::expand::{parallel_apx_modis_with_context, parallel_exact_modis_with_context};
-use crate::pool::parallel_map;
+use crate::pool::{parallel_map, probe_then_map};
 use crate::scenario::{Algorithm, Scenario, ScenarioOutcome};
 
 /// Engine parallelism and cache configuration.
@@ -76,6 +76,29 @@ impl EngineConfig {
         self.cache_capacity = capacity;
         self
     }
+}
+
+/// Resolves distinct `states` as `(evaluation, from the cache)`, in order:
+/// `hook` is probed on the calling thread, and each state it misses is
+/// trained once on the pool and recorded back.
+fn resolve_states(
+    hook: &dyn EvaluationHook,
+    substrate: &dyn Substrate,
+    states: &[&StateBitmap],
+    workers: usize,
+) -> Vec<(SharedEvaluation, bool)> {
+    probe_then_map(
+        states.len(),
+        workers,
+        |i| hook.lookup(states[i]),
+        |i| {
+            let raw = substrate.evaluate_raw(states[i]);
+            let perf = substrate.measures().normalise(&raw);
+            let evaluation = SharedEvaluation { raw, perf };
+            hook.record(states[i], &evaluation);
+            evaluation
+        },
+    )
 }
 
 /// Result of one [`Engine::valuate_states`] batch: evaluations aligned with
@@ -348,10 +371,11 @@ impl Engine {
     /// concurrent requests onto.
     ///
     /// Each *distinct* state is resolved once: answered from the shared
-    /// cache under `namespace` when recorded, trained fresh otherwise (and
-    /// published back), with up to [`EngineConfig::worker_threads`] states
-    /// in flight at a time. Results come back aligned with `states`;
-    /// duplicates within the batch share one resolution.
+    /// cache under `namespace` when recorded (the cache is read on the
+    /// calling thread), trained fresh otherwise (and published back), with
+    /// up to [`EngineConfig::worker_threads`] trainings in flight at a
+    /// time. Results come back aligned with `states`; duplicates within the
+    /// batch share one resolution.
     pub fn valuate_states(
         &self,
         namespace: &str,
@@ -376,18 +400,12 @@ impl Engine {
                 })
             })
             .collect();
-        let resolved: Vec<(SharedEvaluation, bool)> =
-            parallel_map(unique.len(), self.config.worker_threads, |i| {
-                let bitmap = unique[i];
-                if let Some(hit) = hook.lookup(bitmap) {
-                    return (hit, true);
-                }
-                let raw = substrate.evaluate_raw(bitmap);
-                let perf = substrate.measures().normalise(&raw);
-                let evaluation = SharedEvaluation { raw, perf };
-                hook.record(bitmap, &evaluation);
-                (evaluation, false)
-            });
+        let resolved = resolve_states(
+            hook.as_ref(),
+            substrate.as_ref(),
+            &unique,
+            self.config.worker_threads,
+        );
         let shared_hits = resolved.iter().filter(|(_, hit)| *hit).count();
         let trained = unique.len() - shared_hits;
         self.record_valuations(namespace, trained, shared_hits);
@@ -692,6 +710,56 @@ mod tests {
         assert_eq!(second.shared_hits, 3);
         assert_eq!(second.trained, 0);
         assert_eq!(second.evaluations[1], first.evaluations[1]);
+    }
+
+    /// The batch path reads the cache on the caller's thread and hands the
+    /// pool only what it missed: a mixed batch trains each miss exactly
+    /// once, an all-hit batch trains nothing and returns the same answers.
+    #[test]
+    fn a_batch_probes_on_the_callers_thread_and_trains_each_miss_once() {
+        use crate::expand::testing::RecordingHook;
+        let substrate = MockSubstrate::new(8);
+        let full = StateBitmap::full(8);
+        let states: Vec<StateBitmap> = (0..6).map(|unit| full.flipped(unit)).collect();
+        let hook = RecordingHook::default();
+        let caller = std::thread::current().id();
+        let on_the_caller = |hook: &RecordingHook, lookups: usize| {
+            let threads = std::mem::take(&mut *hook.lookup_threads.lock().unwrap());
+            assert_eq!(threads.len(), lookups);
+            assert!(threads.iter().all(|&thread| thread == caller));
+        };
+
+        // States 1 and 4 are known; the other four are misses.
+        let known: Vec<&StateBitmap> = vec![&states[1], &states[4]];
+        let seeded = resolve_states(&hook, &substrate, &known, 4);
+        assert!(seeded.iter().all(|(_, hit)| !hit));
+        on_the_caller(&hook, 2);
+
+        let all: Vec<&StateBitmap> = states.iter().collect();
+        let mixed = resolve_states(&hook, &substrate, &all, 4);
+        on_the_caller(&hook, 6);
+        let hits: Vec<bool> = mixed.iter().map(|(_, hit)| *hit).collect();
+        assert_eq!(hits, [false, true, false, false, true, false]);
+        for (state, (evaluation, _)) in states.iter().zip(&mixed) {
+            assert_eq!(evaluation.raw, substrate.evaluate_raw(state));
+        }
+        let mut recorded = hook.recorded.lock().unwrap().clone();
+        assert_eq!(recorded.len(), 6, "two seeded, four misses, each once");
+        recorded.sort();
+        recorded.dedup();
+        assert_eq!(recorded.len(), 6);
+
+        let warm = resolve_states(&hook, &substrate, &all, 4);
+        on_the_caller(&hook, 6);
+        assert!(warm.iter().all(|(_, hit)| *hit));
+        let answers = |batch: &[(SharedEvaluation, bool)]| -> Vec<SharedEvaluation> {
+            batch
+                .iter()
+                .map(|(evaluation, _)| evaluation.clone())
+                .collect()
+        };
+        assert_eq!(answers(&warm), answers(&mixed));
+        assert_eq!(hook.recorded.lock().unwrap().len(), 6);
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! 1. a cheap sequential **schedule enumeration** that replays the exact
 //!    BFS traversal (visited-set, level cap, valuation budget) without
 //!    valuating anything, and
-//! 2. a **wave-parallel evaluation** of the schedule: worker threads score
-//!    `op_gen` children concurrently (probing the shared cache first),
-//!    while results are *committed* — recorded in the valuation context and
-//!    offered to the [`EpsilonSkyline`] — strictly in schedule order.
+//! 2. a **wave-parallel evaluation** of the schedule: the coordinator
+//!    probes the shared cache and worker threads score the `op_gen`
+//!    children it misses concurrently, while results are *committed* —
+//!    recorded in the valuation context and offered to the
+//!    [`EpsilonSkyline`] — strictly in schedule order.
 //!
 //! Because commits happen in the sequential algorithm's order, a parallel
 //! run produces byte-identical skylines to the sequential one, for any
@@ -33,7 +34,7 @@ use modis_core::search_common::{finalize_result, op_gen, Direction, ProtectedSet
 use modis_core::substrate::Substrate;
 use modis_data::StateBitmap;
 
-use crate::pool::parallel_map;
+use crate::pool::probe_then_map;
 
 /// How many schedule entries each worker thread gets per wave, on average.
 const WAVE_FACTOR: usize = 4;
@@ -88,9 +89,10 @@ fn enumerate_forward_schedule<S: Substrate + ?Sized>(
     schedule
 }
 
-/// Evaluates one wave of states in parallel. Each worker probes the shared
-/// cache (when installed) and falls back to the substrate's oracle; results
-/// come back in wave order as `(raw, from_shared)`.
+/// Evaluates one wave of states. The shared cache (when installed) is
+/// probed on the calling thread, in wave order; the states it misses go to
+/// the substrate's oracle in parallel. Results come back in wave order as
+/// `(raw, from_shared)`.
 fn evaluate_wave<S: Substrate + ?Sized>(
     ctx: &ValuationContext<'_, S>,
     wave: &[(StateBitmap, usize)],
@@ -98,15 +100,12 @@ fn evaluate_wave<S: Substrate + ?Sized>(
 ) -> Vec<WaveResult> {
     let substrate = ctx.substrate();
     let hook = ctx.hook();
-    let evaluate_one = |bitmap: &StateBitmap| -> WaveResult {
-        if let Some(hit) = hook.and_then(|h| h.lookup(bitmap)) {
-            (hit.raw, true)
-        } else {
-            (substrate.evaluate_raw(bitmap), false)
-        }
-    };
-
-    parallel_map(wave.len(), threads, |i| evaluate_one(&wave[i].0))
+    probe_then_map(
+        wave.len(),
+        threads,
+        |i| hook.and_then(|h| h.lookup(&wave[i].0)).map(|hit| hit.raw),
+        |i| substrate.evaluate_raw(&wave[i].0),
+    )
 }
 
 /// Runs a valuation schedule: oracle phases are evaluated wave-parallel and
@@ -305,6 +304,44 @@ pub fn parallel_exact_modis_with_context<S: Substrate + ?Sized>(
     }
 }
 
+/// A hook for this crate's tests (here and in `engine`): an unbounded map
+/// that remembers which thread every `lookup` ran on and every state that
+/// was recorded, in order.
+#[cfg(test)]
+pub(crate) mod testing {
+    use std::collections::HashMap;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
+    use modis_core::estimator::{EvaluationHook, SharedEvaluation};
+    use modis_data::StateBitmap;
+
+    #[derive(Default)]
+    pub(crate) struct RecordingHook {
+        entries: Mutex<HashMap<StateBitmap, SharedEvaluation>>,
+        pub(crate) lookup_threads: Mutex<Vec<ThreadId>>,
+        pub(crate) recorded: Mutex<Vec<StateBitmap>>,
+    }
+
+    impl EvaluationHook for RecordingHook {
+        fn lookup(&self, bitmap: &StateBitmap) -> Option<SharedEvaluation> {
+            self.lookup_threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            self.entries.lock().unwrap().get(bitmap).cloned()
+        }
+
+        fn record(&self, bitmap: &StateBitmap, evaluation: &SharedEvaluation) {
+            self.recorded.lock().unwrap().push(bitmap.clone());
+            self.entries
+                .lock()
+                .unwrap()
+                .insert(bitmap.clone(), evaluation.clone());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,6 +456,40 @@ mod tests {
         assert_same_result(&par, &seq);
         assert_eq!(par.stats.oracle_calls, seq.stats.oracle_calls);
         assert_eq!(par.stats.cache_hits, seq.stats.cache_hits);
+    }
+
+    /// No thread is spawned to read the cache: a search whose every wave
+    /// is answered by the hook looks up on the caller's thread only, and
+    /// returns what the search that paid for the states returned.
+    #[test]
+    fn an_all_hit_search_looks_up_on_the_callers_thread_only() {
+        use std::sync::Arc;
+        let sub = MockSubstrate::new(8);
+        let cfg = oracle_config();
+        let hook = Arc::new(testing::RecordingHook::default());
+        let run = || {
+            let ctx = ValuationContext::new(&sub, EstimatorMode::Oracle).with_hook(hook.clone());
+            parallel_apx_modis_with_context(&ctx, &cfg, 4)
+        };
+        let cold = run();
+        assert_eq!(cold.stats.shared_hits, 0);
+        let paid = hook.recorded.lock().unwrap().len();
+        assert_eq!(paid, cold.stats.oracle_calls);
+
+        hook.lookup_threads.lock().unwrap().clear();
+        let warm = run();
+        assert_same_result(&warm, &cold);
+        assert_eq!(warm.stats.oracle_calls, 0);
+        assert_eq!(warm.stats.shared_hits, paid);
+        assert_eq!(
+            hook.recorded.lock().unwrap().len(),
+            paid,
+            "nothing is paid twice"
+        );
+        let lookups = hook.lookup_threads.lock().unwrap();
+        assert_eq!(lookups.len(), paid);
+        let caller = std::thread::current().id();
+        assert!(lookups.iter().all(|&thread| thread == caller));
     }
 
     #[test]

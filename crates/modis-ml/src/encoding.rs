@@ -39,6 +39,8 @@
 
 use modis_data::{AttributeRole, Dataset, DatasetView, Dictionary, TableProjection, Value};
 
+use crate::matrix::Matrix;
+
 /// The kind of supervised task the downstream model solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
@@ -51,8 +53,8 @@ pub enum TaskKind {
 /// A dense numeric design matrix with labels.
 #[derive(Debug, Clone, Default)]
 pub struct Encoded {
-    /// Row-major feature matrix, `rows × features`.
-    pub features: Vec<Vec<f64>>,
+    /// Feature matrix, `rows × features`.
+    pub features: Matrix,
     /// Label vector aligned with `features`.
     pub targets: Vec<f64>,
     /// Feature names aligned with matrix columns.
@@ -81,7 +83,7 @@ impl Encoded {
 
     /// One feature column as a vector.
     pub fn feature_column(&self, j: usize) -> Vec<f64> {
-        self.features.iter().map(|r| r[j]).collect()
+        self.features.rows().map(|r| r[j]).collect()
     }
 
     /// Number of rows [`Self::split`] deals to the training side.
@@ -90,14 +92,10 @@ impl Encoded {
         (((n as f64) * train_ratio).round() as usize).min(n)
     }
 
-    /// Splits rows into (train, test) deterministically.
+    /// Splits rows into (train, test) deterministically: a seeded
+    /// permutation of the row indices, its first [`Self::train_len`] rows
+    /// gathered into one matrix and the rest into the other.
     pub fn split(&self, train_ratio: f64, seed: u64) -> (Encoded, Encoded) {
-        self.clone().into_split(train_ratio, seed)
-    }
-
-    /// [`Self::split`] for a caller that owns the matrix: the same two
-    /// halves, with every row moved into its half instead of cloned.
-    pub fn into_split(mut self, train_ratio: f64, seed: u64) -> (Encoded, Encoded) {
         let n = self.len();
         let mut idx: Vec<usize> = (0..n).collect();
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -108,30 +106,35 @@ impl Encoded {
             let j = (state >> 33) as usize % (i + 1);
             idx.swap(i, j);
         }
-        let cut = self.train_len(train_ratio);
-        // `idx` is a permutation, so every row is taken exactly once.
-        let mut take = |ids: &[usize]| Encoded {
-            features: ids
-                .iter()
-                .map(|&i| std::mem::take(&mut self.features[i]))
-                .collect(),
-            targets: ids.iter().map(|&i| self.targets[i]).collect(),
-            feature_names: self.feature_names.clone(),
-            n_classes: self.n_classes,
-            class_values: self.class_values.clone(),
+        let take = |ids: &[usize]| {
+            let mut features = Matrix::with_capacity(ids.len(), self.features.n_cols());
+            for &i in ids {
+                features.push_row(self.features.row(i));
+            }
+            Encoded {
+                features,
+                targets: ids.iter().map(|&i| self.targets[i]).collect(),
+                feature_names: self.feature_names.clone(),
+                n_classes: self.n_classes,
+                class_values: self.class_values.clone(),
+            }
         };
-        let train = take(&idx[..cut]);
-        (train, take(&idx[cut..]))
+        let (train, test) = idx.split_at(self.train_len(train_ratio));
+        (take(train), take(test))
     }
 
     /// Selects a subset of feature columns (by index), keeping targets.
     pub fn select_features(&self, cols: &[usize]) -> Encoded {
+        let mut features = Matrix::with_capacity(self.len(), cols.len());
+        let mut selected = vec![0.0; cols.len()];
+        for row in self.features.rows() {
+            for (cell, &c) in selected.iter_mut().zip(cols) {
+                *cell = row[c];
+            }
+            features.push_row(&selected);
+        }
         Encoded {
-            features: self
-                .features
-                .iter()
-                .map(|r| cols.iter().map(|&c| r[c]).collect())
-                .collect(),
+            features,
             targets: self.targets.clone(),
             feature_names: cols
                 .iter()
@@ -250,6 +253,7 @@ pub fn encode_view(view: &DatasetView<'_>, opts: &EncodeOptions) -> Encoded {
     // A masked target reads null on every selected row: all rows drop.
     if target_col.is_some_and(|tc| view.is_col_masked(tc)) {
         return Encoded {
+            features: Matrix::with_capacity(0, feature_names.len()),
             feature_names,
             ..Encoded::default()
         };
@@ -257,7 +261,8 @@ pub fn encode_view(view: &DatasetView<'_>, opts: &EncodeOptions) -> Encoded {
 
     // Every pass below walks the selection in ascending row order: means
     // add in that order, ids are numbered by first appearance in it.
-    let rows: Vec<usize> = view.row_indices().collect();
+    let mut rows = Vec::with_capacity(mask.count());
+    rows.extend(view.row_indices());
 
     enum Reading<'p> {
         Numeric { cells: &'p [f64], mean: f64 },
@@ -311,29 +316,43 @@ pub fn encode_view(view: &DatasetView<'_>, opts: &EncodeOptions) -> Encoded {
     };
 
     // Rows whose target is null (or, for regression, not a finite number)
-    // drop here — after the means and ids above saw them.
-    let mut features = Vec::with_capacity(rows.len());
+    // drop here — after the means and ids above saw them; `rows` is the
+    // rows of the matrix from here on.
     let mut targets = Vec::with_capacity(rows.len());
-    for &r in &rows {
-        let target_val = match &target {
+    rows.retain(|&r| {
+        targets.push(match &target {
             Target::Absent => 0.0,
-            Target::Number(cells) if cells[r].is_nan() => continue,
+            Target::Number(cells) if cells[r].is_nan() => return false,
             Target::Number(cells) => cells[r],
-            Target::Class { codes, .. } if codes[r] == Dictionary::NULL => continue,
+            Target::Class { codes, .. } if codes[r] == Dictionary::NULL => return false,
             Target::Class { codes, ids } => ids[codes[r] as usize],
-        };
-        let feat: Vec<f64> = readings
-            .iter()
-            .map(|reading| match reading {
-                Reading::Numeric { cells, mean } if cells[r].is_nan() => *mean,
-                Reading::Numeric { cells, .. } => cells[r],
-                Reading::Categorical { codes, .. } if codes[r] == Dictionary::NULL => -1.0,
-                Reading::Categorical { codes, ids } => ids[codes[r] as usize],
-            })
-            .collect();
-        features.push(feat);
-        targets.push(target_val);
+        });
+        true
+    });
+
+    // One allocation, filled a column at a time: what a column reads like
+    // is decided once per column, not once per cell.
+    let d = readings.len();
+    let mut data = vec![0.0; rows.len() * d];
+    for (j, reading) in readings.iter().enumerate() {
+        let column = data.iter_mut().skip(j).step_by(d).zip(&rows);
+        match reading {
+            Reading::Numeric { cells, mean } => {
+                for (cell, &r) in column {
+                    *cell = if cells[r].is_nan() { *mean } else { cells[r] };
+                }
+            }
+            Reading::Categorical { codes, ids } => {
+                for (cell, &r) in column {
+                    *cell = match codes[r] {
+                        Dictionary::NULL => -1.0,
+                        code => ids[code as usize],
+                    };
+                }
+            }
+        }
     }
+    let features = Matrix::from_vec(rows.len(), d, data);
 
     Encoded {
         features,
@@ -364,13 +383,14 @@ fn first_appearance_ids(dictionary: &Dictionary, rows: &[usize]) -> (Vec<f64>, V
 
 /// The encoder this module had before the projection: 2–5 row-major passes
 /// per column over the `Value` cells, a `BTreeMap<Value, f64>` per
-/// categorical column. Its body is kept verbatim as the reference the
+/// categorical column. Its body is kept verbatim (it collects row vectors
+/// and hands them to `Matrix::from_rows` at the end) as the reference the
 /// differential tests compare [`encode_view`] with, bit for bit.
 #[cfg(test)]
 mod oracle {
     use std::collections::BTreeMap;
 
-    use super::{EncodeOptions, Encoded, TaskKind};
+    use super::{EncodeOptions, Encoded, Matrix, TaskKind};
     use modis_data::{AttributeRole, DatasetView, Value};
 
     pub fn encode_view(view: &DatasetView<'_>, opts: &EncodeOptions) -> Encoded {
@@ -417,7 +437,7 @@ mod oracle {
         // selected row's target reads null and all rows drop.
         if target_col.is_some_and(|tc| view.is_col_masked(tc)) {
             return Encoded {
-                features: Vec::new(),
+                features: Matrix::from_rows(&[]),
                 targets: Vec::new(),
                 feature_names,
                 n_classes: 0,
@@ -518,7 +538,7 @@ mod oracle {
         }
 
         Encoded {
-            features,
+            features: Matrix::from_rows(&features),
             targets,
             feature_names,
             n_classes: if opts.task == TaskKind::Classification {
@@ -587,12 +607,12 @@ mod tests {
     fn numeric_nulls_are_mean_imputed() {
         let e = encode(&toy(), &EncodeOptions::regression());
         // mean of x over non-null cells {1,3,5} = 3
-        assert!((e.features[1][0] - 3.0).abs() < 1e-12);
+        assert!((e.features.row(1)[0] - 3.0).abs() < 1e-12);
     }
 
     /// `color` of the encoded rows.
     fn colors(e: &Encoded) -> Vec<f64> {
-        e.features.iter().map(|row| row[1]).collect()
+        e.feature_column(1)
     }
 
     #[test]
@@ -671,41 +691,98 @@ mod tests {
         assert_eq!(tr.len(), e.train_len(0.67));
     }
 
+    /// `Encoded::split` as it was while the matrix was a `Vec` of row
+    /// `Vec`s: the same permutation, every row moved out of its slot.
+    #[allow(clippy::type_complexity)]
+    fn old_split(
+        mut features: Vec<Vec<f64>>,
+        targets: &[f64],
+        train_ratio: f64,
+        seed: u64,
+    ) -> [(Vec<Vec<f64>>, Vec<f64>); 2] {
+        let n = features.len();
+        let mut idx: Vec<usize> = (0..n).collect();
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+        for i in (1..n).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let j = (state >> 33) as usize % (i + 1);
+            idx.swap(i, j);
+        }
+        let cut = (((n as f64) * train_ratio).round() as usize).min(n);
+        let mut take = |ids: &[usize]| {
+            (
+                ids.iter()
+                    .map(|&i| std::mem::take(&mut features[i]))
+                    .collect(),
+                ids.iter().map(|&i| targets[i]).collect(),
+            )
+        };
+        let train = take(&idx[..cut]);
+        [train, take(&idx[cut..])]
+    }
+
+    fn row_bits(m: &Matrix) -> Vec<Vec<u64>> {
+        m.rows()
+            .map(|row| row.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
     #[test]
-    fn into_split_moves_the_rows_split_clones() {
-        let mut d = toy();
-        for i in 4..40 {
-            d.push_row(vec![
-                Value::Int(i),
-                Value::Float(i as f64 * 0.5),
-                Value::Str(["red", "blue", "green"][i as usize % 3].into()),
-                Value::Float(i as f64),
-            ]);
-        }
-        let e = encode(&d, &EncodeOptions::regression());
-        for (ratio, seed) in [(0.7, 1), (0.5, 9), (0.0, 3), (1.0, 3), (0.999, 4)] {
+    fn split_gathers_the_rows_of_the_permutation_it_always_used() {
+        // 1,000 rows that differ in every cell, one of them `-0.0`.
+        let rows: Vec<Vec<f64>> = (0..1000)
+            .map(|i| vec![i as f64, -(i as f64) * 0.25, (i as f64 * 0.37).sin()])
+            .collect();
+        let e = Encoded {
+            features: Matrix::from_rows(&rows),
+            targets: (0..1000).map(|i| i as f64 + 0.5).collect(),
+            feature_names: vec!["a".into(), "b".into(), "c".into()],
+            ..Encoded::default()
+        };
+        for (ratio, seed) in [(0.7, 1), (0.5, 9), (0.0, 3), (1.0, 3), (0.9996, 4)] {
             let (train, test) = e.split(ratio, seed);
-            let (moved_train, moved_test) = e.clone().into_split(ratio, seed);
-            assert_same(&moved_train, &train, "train");
-            assert_same(&moved_test, &test, "test");
-            assert_eq!(train.len() + test.len(), e.len());
+            let [old_train, old_test] = old_split(rows.clone(), &e.targets, ratio, seed);
+            for (new, (old_rows, old_targets)) in [(&train, old_train), (&test, old_test)] {
+                let context = format!("ratio {ratio} seed {seed}");
+                assert_eq!(
+                    row_bits(&new.features),
+                    row_bits(&Matrix::from_rows(&old_rows)),
+                    "{context}"
+                );
+                assert_eq!(new.features.n_cols(), 3, "{context}");
+                assert_eq!(new.targets, old_targets, "{context}");
+                assert_eq!(new.feature_names, e.feature_names, "{context}");
+            }
+            assert_eq!(train.len(), e.train_len(ratio));
+            assert_eq!(train.len() + test.len(), 1000);
         }
+        // The permutation itself, pinned: the first column is the row id.
+        let (train, test) = e.split(0.7, 1);
+        assert_eq!(train.feature_column(0)[..4], [963.0, 190.0, 434.0, 182.0]);
+        assert_eq!(test.feature_column(0)[296..], [357.0, 344.0, 254.0, 911.0]);
+        // Nothing left to test on: every row trains, shuffled all the same.
+        let (all, none) = e.split(1.0, 1);
+        assert_eq!(
+            (all.len(), none.len(), none.features.n_cols()),
+            (1000, 0, 3)
+        );
+        assert_eq!(all.feature_column(0)[..4], [963.0, 190.0, 434.0, 182.0]);
+        assert_eq!(all.feature_column(0)[996..], [357.0, 344.0, 254.0, 911.0]);
     }
 
     /// Bit-for-bit equality of two encodings (`==` would let `-0.0` pass for
     /// `0.0` and `Int(1)` for `Float(1.0)`).
     fn assert_same(new: &Encoded, old: &Encoded, context: &str) {
-        let bits = |m: &[Vec<f64>]| -> Vec<Vec<u64>> {
-            m.iter()
-                .map(|row| row.iter().map(|x| x.to_bits()).collect())
-                .collect()
-        };
-        assert_eq!(bits(&new.features), bits(&old.features), "{context}");
         assert_eq!(
-            bits(std::slice::from_ref(&new.targets)),
-            bits(std::slice::from_ref(&old.targets)),
+            row_bits(&new.features),
+            row_bits(&old.features),
             "{context}"
         );
+        assert_eq!(new.features.n_cols(), new.num_features(), "{context}");
+        let bits = |values: &[f64]| -> Vec<u64> { values.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(bits(&new.targets), bits(&old.targets), "{context}");
         assert_eq!(new.feature_names, old.feature_names, "{context}");
         assert_eq!(new.n_classes, old.n_classes, "{context}");
         assert_eq!(
@@ -864,6 +941,18 @@ mod tests {
             base.with_exclude(exclude)
         }
 
+        /// One state of a table: a row selection, the masked columns and
+        /// the options. One state in eight masks every column but the last,
+        /// so that rows survive with no feature column left.
+        fn state(g: &mut StdRng, n: usize, classes: bool) -> (RowMask, Vec<bool>, EncodeOptions) {
+            let mask = row_mask(g, n);
+            let mut masked: Vec<bool> = COLUMNS.iter().map(|_| g.gen_bool(0.15)).collect();
+            if g.gen_range(0..8usize) == 0 {
+                masked[..COLUMNS.len() - 1].fill(true);
+            }
+            (mask, masked, options(g, classes))
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(320))]
 
@@ -882,12 +971,10 @@ mod tests {
                 let n = SIZES[size];
                 let data = table(&mut g, n, classes, undeclared_target != 0);
                 let projection = TableProjection::new(&data);
-                for state in 0..6 {
-                    let mask = row_mask(&mut g, n);
-                    let masked: Vec<bool> = COLUMNS.iter().map(|_| g.gen_bool(0.15)).collect();
-                    let opts = options(&mut g, classes);
+                for at in 0..6 {
+                    let (mask, masked, opts) = state(&mut g, n, classes);
                     let context = format!(
-                        "seed {seed} n {n} state {state} rows {:?} masked {masked:?} {opts:?}",
+                        "seed {seed} n {n} state {at} rows {:?} masked {masked:?} {opts:?}",
                         mask.iter().collect::<Vec<_>>()
                     );
                     let bare = DatasetView::new(&data, mask, masked);
@@ -897,6 +984,30 @@ mod tests {
                     assert_same(&encode_view(&attached, &opts), &expected, &context);
                 }
             }
+        }
+
+        /// The generated states reach the shapes one flat buffer can get
+        /// wrong where a vector of rows could not: rows without a feature
+        /// column, no row at all, a masked target (columns, no rows), one
+        /// row.
+        #[test]
+        fn the_generated_states_cover_the_degenerate_shapes() {
+            let mut seen = [false; 4];
+            for seed in 0..300 {
+                let mut g = StdRng::seed_from_u64(seed);
+                let n = SIZES[seed as usize % SIZES.len()];
+                let data = table(&mut g, n, seed % 2 == 0, true);
+                let (mask, masked, opts) = state(&mut g, n, seed % 2 == 0);
+                let target_masked = opts.target.is_none() && masked[COLUMNS.len() - 1];
+                let e = encode_view(&DatasetView::new(&data, mask, masked), &opts);
+                assert_eq!(e.features.n_cols(), e.num_features());
+                assert_eq!(e.features.len(), e.targets.len());
+                seen[0] |= e.num_features() == 0 && e.len() > 1;
+                seen[1] |= e.num_features() > 0 && e.is_empty() && !target_masked;
+                seen[2] |= e.num_features() > 0 && e.is_empty() && target_masked;
+                seen[3] |= e.num_features() > 0 && e.len() == 1;
+            }
+            assert_eq!(seen, [true; 4]);
         }
 
         /// The generator reaches the cases the contract names (otherwise
@@ -929,8 +1040,8 @@ mod tests {
                     .unwrap();
                 // Categorical over the pool (ids are whole numbers from 0),
                 // numeric once the row is gone (halves appear).
-                seen[0] |= all.features.iter().all(|row| row[col].fract() == 0.0);
-                seen[1] |= without.features.iter().any(|row| row[col].fract() != 0.0);
+                seen[0] |= all.features.rows().all(|row| row[col].fract() == 0.0);
+                seen[1] |= without.features.rows().any(|row| row[col].fract() != 0.0);
                 seen[2] |= !all.feature_names.contains(&"empty".to_string());
                 // Int(1) and Float(1.0) are one class, Str("1") another.
                 let classes = format!("{:?}", all.class_values);
@@ -939,7 +1050,7 @@ mod tests {
                 seen[4] |= all.len() < 40 && all.len() >= 8;
                 seen[5] |= all
                     .features
-                    .iter()
+                    .rows()
                     .flatten()
                     .any(|x| x.to_bits() == (-0.0f64).to_bits());
             }
@@ -952,6 +1063,7 @@ mod tests {
         let e = encode(&toy(), &EncodeOptions::regression());
         let sel = e.select_features(&[1]);
         assert_eq!(sel.feature_names, vec!["color"]);
-        assert_eq!(sel.features[0].len(), 1);
+        assert_eq!(sel.features.n_cols(), 1);
+        assert_eq!(sel.feature_column(0), e.feature_column(1));
     }
 }

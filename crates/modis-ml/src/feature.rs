@@ -6,6 +6,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::matrix::Matrix;
+
 /// Fisher score of one feature for a labelled dataset.
 ///
 /// `F(j) = Σ_c n_c (μ_{c,j} − μ_j)² / Σ_c n_c σ²_{c,j}`; larger is better.
@@ -40,14 +42,14 @@ pub fn fisher_score_feature(values: &[f64], labels: &[f64]) -> f64 {
 
 /// Fills `col` with column `j` of the row-major matrix `x`, reusing the
 /// buffer so per-feature scoring costs no allocation.
-fn fill_column(x: &[Vec<f64>], j: usize, col: &mut Vec<f64>) {
+fn fill_column(x: &Matrix, j: usize, col: &mut Vec<f64>) {
     col.clear();
-    col.extend(x.iter().map(|r| r[j]));
+    col.extend(x.rows().map(|r| r[j]));
 }
 
 /// Mean Fisher score of a feature matrix against labels.
-pub fn fisher_score(x: &[Vec<f64>], labels: &[f64]) -> f64 {
-    let d = x.first().map(|r| r.len()).unwrap_or(0);
+pub fn fisher_score(x: &Matrix, labels: &[f64]) -> f64 {
+    let d = x.n_cols();
     if d == 0 {
         return 0.0;
     }
@@ -61,8 +63,8 @@ pub fn fisher_score(x: &[Vec<f64>], labels: &[f64]) -> f64 {
 }
 
 /// Per-feature Fisher scores.
-pub fn fisher_scores(x: &[Vec<f64>], labels: &[f64]) -> Vec<f64> {
-    let d = x.first().map(|r| r.len()).unwrap_or(0);
+pub fn fisher_scores(x: &Matrix, labels: &[f64]) -> Vec<f64> {
+    let d = x.n_cols();
     let mut col = Vec::with_capacity(x.len());
     (0..d)
         .map(|j| {
@@ -128,8 +130,8 @@ pub fn mutual_information_feature(values: &[f64], labels: &[f64], bins: usize) -
 }
 
 /// Mean mutual information of a feature matrix against labels.
-pub fn mutual_information(x: &[Vec<f64>], labels: &[f64], bins: usize) -> f64 {
-    let d = x.first().map(|r| r.len()).unwrap_or(0);
+pub fn mutual_information(x: &Matrix, labels: &[f64], bins: usize) -> f64 {
+    let d = x.n_cols();
     if d == 0 {
         return 0.0;
     }
@@ -143,8 +145,8 @@ pub fn mutual_information(x: &[Vec<f64>], labels: &[f64], bins: usize) -> f64 {
 }
 
 /// Per-feature mutual information scores.
-pub fn mutual_information_scores(x: &[Vec<f64>], labels: &[f64], bins: usize) -> Vec<f64> {
-    let d = x.first().map(|r| r.len()).unwrap_or(0);
+pub fn mutual_information_scores(x: &Matrix, labels: &[f64], bins: usize) -> Vec<f64> {
+    let d = x.n_cols();
     let mut col = Vec::with_capacity(x.len());
     (0..d)
         .map(|j| {
@@ -168,9 +170,93 @@ pub fn top_k_features(scores: &[f64], k: usize) -> Vec<usize> {
     idx
 }
 
+/// `fisher_score` and `mutual_information` as they were on a `Vec` of row
+/// `Vec`s: the oracle the differential test compares the `Matrix` bodies
+/// with.
+#[cfg(test)]
+mod oracle {
+    use super::{fisher_score_feature, mutual_information_feature};
+
+    fn fill_column(x: &[Vec<f64>], j: usize, col: &mut Vec<f64>) {
+        col.clear();
+        col.extend(x.iter().map(|r| r[j]));
+    }
+
+    pub fn fisher_score(x: &[Vec<f64>], labels: &[f64]) -> f64 {
+        let d = x.first().map(|r| r.len()).unwrap_or(0);
+        if d == 0 {
+            return 0.0;
+        }
+        let mut sum = 0.0;
+        let mut col = Vec::with_capacity(x.len());
+        for j in 0..d {
+            fill_column(x, j, &mut col);
+            sum += fisher_score_feature(&col, labels);
+        }
+        sum / d as f64
+    }
+
+    pub fn mutual_information(x: &[Vec<f64>], labels: &[f64], bins: usize) -> f64 {
+        let d = x.first().map(|r| r.len()).unwrap_or(0);
+        if d == 0 {
+            return 0.0;
+        }
+        let mut sum = 0.0;
+        let mut col = Vec::with_capacity(x.len());
+        for j in 0..d {
+            fill_column(x, j, &mut col);
+            sum += mutual_information_feature(&col, labels, bins);
+        }
+        sum / d as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Mean and per-feature scores of a matrix are, bit for bit, the
+        /// scores of the same cells held as rows.
+        #[test]
+        fn scores_of_a_matrix_are_the_scores_of_its_rows(
+            seed in any::<u64>(),
+            n in 0usize..60,
+            d in 0usize..7,
+            n_classes in 1usize..5,
+        ) {
+            let mut g = StdRng::seed_from_u64(seed);
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| {
+                    (0..d)
+                        .map(|j| match j % 3 {
+                            0 => g.gen_range(-4.0..4.0),
+                            1 => g.gen_range(0..4usize) as f64,
+                            _ => 1.5,
+                        })
+                        .collect()
+                })
+                .collect();
+            let labels: Vec<f64> = (0..n).map(|_| g.gen_range(0..n_classes) as f64).collect();
+            let x = Matrix::from_rows(&rows);
+            let fisher = fisher_score(&x, &labels);
+            let mi = mutual_information(&x, &labels, 6);
+            prop_assert_eq!(fisher.to_bits(), oracle::fisher_score(&rows, &labels).to_bits());
+            prop_assert_eq!(mi.to_bits(), oracle::mutual_information(&rows, &labels, 6).to_bits());
+            // The means are the per-feature scores added in column order.
+            let mean = |scores: Vec<f64>| match scores.len() {
+                0 => 0.0,
+                d => scores.iter().fold(0.0, |sum, s| sum + s) / d as f64,
+            };
+            prop_assert_eq!(mean(fisher_scores(&x, &labels)).to_bits(), fisher.to_bits());
+            prop_assert_eq!(mean(mutual_information_scores(&x, &labels, 6)).to_bits(), mi.to_bits());
+        }
+    }
 
     #[test]
     fn fisher_score_separable_feature_is_large() {
@@ -213,9 +299,10 @@ mod tests {
 
     #[test]
     fn feature_matrix_scores() {
-        let x: Vec<Vec<f64>> = (0..60)
+        let rows: Vec<Vec<f64>> = (0..60)
             .map(|i| vec![if i < 30 { 0.0 } else { 5.0 }, (i % 3) as f64])
             .collect();
+        let x = Matrix::from_rows(&rows);
         let y: Vec<f64> = (0..60).map(|i| if i < 30 { 0.0 } else { 1.0 }).collect();
         let fs = fisher_scores(&x, &y);
         assert!(fs[0] > fs[1]);
@@ -230,12 +317,13 @@ mod tests {
     /// bits from call to call.
     #[test]
     fn scores_over_three_groups_are_one_bit_pattern() {
-        let x: Vec<Vec<f64>> = (0..90)
+        let rows: Vec<Vec<f64>> = (0..90)
             .map(|i| {
                 let i = i as f64;
                 vec![(i * 0.37).sin() * 3.1, (i * 1.3).cos() + i / 7.0, i % 5.0]
             })
             .collect();
+        let x = Matrix::from_rows(&rows);
         let labels: Vec<f64> = (0..90).map(|i| ((i * 7) % 4) as f64).collect();
         let fisher = fisher_score(&x, &labels).to_bits();
         let mi = mutual_information(&x, &labels, 6).to_bits();
@@ -254,8 +342,15 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_safe() {
-        assert_eq!(fisher_score(&[], &[]), 0.0);
-        assert_eq!(mutual_information(&[], &[], 4), 0.0);
+        assert_eq!(fisher_score(&Matrix::default(), &[]), 0.0);
+        assert_eq!(mutual_information(&Matrix::default(), &[], 4), 0.0);
+        // Columns without rows score nothing, like no columns at all.
+        let no_rows = Matrix::with_capacity(0, 3);
+        assert_eq!(fisher_score(&no_rows, &[]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            mutual_information(&no_rows, &[], 4).to_bits(),
+            0.0f64.to_bits()
+        );
         assert_eq!(mutual_information_discrete(&[], &[]), 0.0);
     }
 }

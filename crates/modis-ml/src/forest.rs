@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::matrix::Matrix;
 use crate::tree::{Columns, Criterion, DecisionTree, TreeBuilder, TreeParams};
 
 /// Random forest hyper-parameters.
@@ -69,14 +70,14 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Fits a forest; `n_classes > 0` switches vote-based prediction on.
-    pub fn fit(x: &[Vec<f64>], y: &[f64], n_classes: usize, params: ForestParams) -> RandomForest {
+    pub fn fit(x: &Matrix, y: &[f64], n_classes: usize, params: ForestParams) -> RandomForest {
         let n = x.len();
-        let n_features = x.first().map(|r| r.len()).unwrap_or(0);
+        let n_features = x.n_cols();
         let max_features = params
             .max_features
             .or_else(|| Some(((n_features as f64).sqrt().ceil() as usize).max(1)));
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let cols = Columns::from_rows(x);
+        let cols = Columns::from_matrix(x);
         let mut builder = TreeBuilder::default();
         let mut trees = Vec::with_capacity(params.n_trees);
         for t in 0..params.n_trees {
@@ -137,13 +138,13 @@ impl RandomForest {
     }
 
     /// Batch prediction.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
-        x.iter().map(|r| self.predict_one(r)).collect()
+    pub fn predict(&self, x: &Matrix) -> Vec<f64> {
+        x.rows().map(|r| self.predict_one(r)).collect()
     }
 
     /// Batch per-class scores.
-    pub fn predict_scores(&self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        x.iter().map(|r| self.predict_scores_one(r)).collect()
+    pub fn predict_scores(&self, x: &Matrix) -> Vec<Vec<f64>> {
+        x.rows().map(|r| self.predict_scores_one(r)).collect()
     }
 
     /// Average (over trees) impurity-based feature importance, normalised to
@@ -263,7 +264,7 @@ mod tests {
                 seed: seed >> 3,
                 ..preset
             };
-            let new = RandomForest::fit(&x, &y, n_classes, params);
+            let new = RandomForest::fit(&Matrix::from_rows(&x), &y, n_classes, params);
             let old = old_forest(&x, &y, n_classes, params);
             for row in x.iter().chain(probes.iter()) {
                 prop_assert_eq!(new.predict_one(row).to_bits(), old.predict_one(row).to_bits());
@@ -279,14 +280,12 @@ mod tests {
     #[test]
     fn three_class_forest_is_bit_reproducible_in_one_process() {
         let mut g = StdRng::seed_from_u64(9);
-        let x = matrix(&mut g, 120);
-        let labels = class_target(&mut g, &x, 3);
+        let rows = matrix(&mut g, 120);
+        let labels = class_target(&mut g, &rows, 3);
+        let x = Matrix::from_rows(&rows);
         let fit = || {
             let rf = RandomForest::fit(&x, &labels, 3, ForestParams::classification(12));
-            let scores: Vec<u64> = x
-                .iter()
-                .flat_map(|r| bits(&rf.predict_scores_one(r)))
-                .collect();
+            let scores: Vec<u64> = rf.predict_scores(&x).iter().flat_map(|s| bits(s)).collect();
             (
                 scores,
                 bits(&rf.predict(&x)),
@@ -299,15 +298,15 @@ mod tests {
         }
     }
 
-    fn make_regression(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+    fn make_regression(n: usize) -> (Matrix, Vec<f64>) {
         let x: Vec<Vec<f64>> = (0..n)
             .map(|i| vec![i as f64 / n as f64, ((i * 7) % 13) as f64])
             .collect();
         let y: Vec<f64> = x.iter().map(|r| 3.0 * r[0] + 0.1 * r[1]).collect();
-        (x, y)
+        (Matrix::from_rows(&x), y)
     }
 
-    fn make_classification(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+    fn make_classification(n: usize) -> (Matrix, Vec<f64>) {
         let x: Vec<Vec<f64>> = (0..n)
             .map(|i| vec![(i % 10) as f64, ((i * 3) % 7) as f64])
             .collect();
@@ -315,7 +314,7 @@ mod tests {
             .iter()
             .map(|r| if r[0] >= 5.0 { 1.0 } else { 0.0 })
             .collect();
-        (x, y)
+        (Matrix::from_rows(&x), y)
     }
 
     #[test]
@@ -338,7 +337,7 @@ mod tests {
     fn scores_sum_to_one() {
         let (x, y) = make_classification(60);
         let rf = RandomForest::fit(&x, &y, 2, ForestParams::classification(9));
-        let s = rf.predict_scores_one(&x[0]);
+        let s = rf.predict_scores_one(x.row(0));
         assert_eq!(s.len(), 2);
         assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
@@ -364,7 +363,7 @@ mod tests {
 
     #[test]
     fn empty_training_data_is_safe() {
-        let rf = RandomForest::fit(&[], &[], 0, ForestParams::regression(3));
+        let rf = RandomForest::fit(&Matrix::default(), &[], 0, ForestParams::regression(3));
         assert_eq!(rf.predict_one(&[1.0]), 0.0);
         assert!(!rf.is_empty());
     }

@@ -7,6 +7,7 @@
 //! * [`MultiOutputGbm`] — one boosted regressor per output dimension; the
 //!   paper's default performance estimator `E` (MO-GBM, §2/§6).
 
+use crate::matrix::Matrix;
 use crate::tree::{Columns, Criterion, DecisionTree, TreeBuilder, TreeParams};
 
 /// Hyper-parameters shared by the boosting models.
@@ -44,20 +45,18 @@ pub struct GradientBoostingRegressor {
 
 impl GradientBoostingRegressor {
     /// Fits the regressor.
-    pub fn fit(x: &[Vec<f64>], y: &[f64], params: GbmParams) -> Self {
+    pub fn fit(x: &Matrix, y: &[f64], params: GbmParams) -> Self {
         Self::fit_columns(
-            x,
-            &Columns::from_rows(x),
+            &Columns::from_matrix(x),
             &mut TreeBuilder::default(),
             y,
             params,
         )
     }
 
-    /// [`Self::fit`] on `x` already transposed into `cols`, so the caller
-    /// can share the columns and the builder with other fits on `x`.
+    /// [`Self::fit`] on a matrix already transposed into `cols`, so the
+    /// caller can share the columns and the builder with other fits on it.
     fn fit_columns(
-        x: &[Vec<f64>],
         cols: &Columns,
         builder: &mut TreeBuilder,
         y: &[f64],
@@ -70,12 +69,12 @@ impl GradientBoostingRegressor {
         };
         let mut preds = vec![base; y.len()];
         let mut trees = Vec::with_capacity(params.n_estimators);
-        if !x.is_empty() {
+        if cols.n_rows() > 0 {
             for _ in 0..params.n_estimators {
                 let residuals: Vec<f64> = y.iter().zip(preds.iter()).map(|(t, p)| t - p).collect();
                 let tree = builder.fit(cols, &residuals, params.tree, None, 0);
-                for (i, row) in x.iter().enumerate() {
-                    preds[i] += params.learning_rate * tree.predict_one(row);
+                for (i, pred) in preds.iter_mut().enumerate().take(cols.n_rows()) {
+                    *pred += params.learning_rate * tree.predict_row(cols, i);
                 }
                 trees.push(tree);
             }
@@ -97,8 +96,8 @@ impl GradientBoostingRegressor {
     }
 
     /// Predicts a batch.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
-        x.iter().map(|r| self.predict_one(r)).collect()
+    pub fn predict(&self, x: &Matrix) -> Vec<f64> {
+        x.rows().map(|r| self.predict_one(r)).collect()
     }
 
     /// Normalised impurity-based feature importance.
@@ -145,10 +144,10 @@ pub struct GradientBoostingClassifier {
 
 impl GradientBoostingClassifier {
     /// Fits the classifier for labels in `0..n_classes`.
-    pub fn fit(x: &[Vec<f64>], y: &[f64], n_classes: usize, params: GbmParams) -> Self {
+    pub fn fit(x: &Matrix, y: &[f64], n_classes: usize, params: GbmParams) -> Self {
         let n_classes = n_classes.max(2);
         let n_stages = if n_classes == 2 { 1 } else { n_classes };
-        let cols = Columns::from_rows(x);
+        let cols = Columns::from_matrix(x);
         let mut builder = TreeBuilder::default();
         let mut stages = Vec::with_capacity(n_stages);
         for c in 0..n_stages {
@@ -184,8 +183,8 @@ impl GradientBoostingClassifier {
                         .map(|(t, r)| t - sigmoid(*r))
                         .collect();
                     let tree = builder.fit(&cols, &gradients, params.tree, None, 0);
-                    for (i, row) in x.iter().enumerate() {
-                        raw[i] += params.learning_rate * tree.predict_one(row);
+                    for (i, r) in raw.iter_mut().enumerate().take(x.len()) {
+                        *r += params.learning_rate * tree.predict_row(&cols, i);
                     }
                     trees.push(tree);
                 }
@@ -242,13 +241,13 @@ impl GradientBoostingClassifier {
     }
 
     /// Batch prediction.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
-        x.iter().map(|r| self.predict_one(r)).collect()
+    pub fn predict(&self, x: &Matrix) -> Vec<f64> {
+        x.rows().map(|r| self.predict_one(r)).collect()
     }
 
     /// Batch probability scores.
-    pub fn predict_scores(&self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        x.iter().map(|r| self.predict_scores_one(r)).collect()
+    pub fn predict_scores(&self, x: &Matrix) -> Vec<Vec<f64>> {
+        x.rows().map(|r| self.predict_scores_one(r)).collect()
     }
 
     /// Number of classes.
@@ -292,15 +291,17 @@ pub struct MultiOutputGbm {
 }
 
 impl MultiOutputGbm {
-    /// Fits one boosted regressor per column of `y`.
+    /// Fits one boosted regressor per column of `y`. The callers hold one
+    /// cached feature row per record — tens of rows — so `x` stays a slice
+    /// of rows and is copied into a [`Matrix`] here.
     pub fn fit(x: &[Vec<f64>], y: &[Vec<f64>], params: GbmParams) -> Self {
         let n_outputs = y.first().map(|r| r.len()).unwrap_or(0);
-        let cols = Columns::from_rows(x);
+        let cols = Columns::from_matrix(&Matrix::from_rows(x));
         let mut builder = TreeBuilder::default();
         let models = (0..n_outputs)
             .map(|k| {
                 let yk: Vec<f64> = y.iter().map(|r| r[k]).collect();
-                GradientBoostingRegressor::fit_columns(x, &cols, &mut builder, &yk, params)
+                GradientBoostingRegressor::fit_columns(&cols, &mut builder, &yk, params)
             })
             .collect();
         MultiOutputGbm { models }
@@ -420,6 +421,7 @@ mod tests {
         ) {
             let mut g = StdRng::seed_from_u64(seed);
             let x = matrix(&mut g, SIZES[size]);
+            let x_matrix = Matrix::from_rows(&x);
             let probes = matrix(&mut g, 8);
             let rows = || x.iter().chain(probes.iter());
             let params = GbmParams {
@@ -428,7 +430,7 @@ mod tests {
             };
 
             let y = regression_target(&mut g, &x);
-            let new = GradientBoostingRegressor::fit(&x, &y, params);
+            let new = GradientBoostingRegressor::fit(&x_matrix, &y, params);
             let old = old_regressor(&x, &y, params);
             for row in rows() {
                 prop_assert_eq!(new.predict_one(row).to_bits(), old.predict_one(row).to_bits());
@@ -437,7 +439,7 @@ mod tests {
 
             for n_classes in [2, 3] {
                 let labels = class_target(&mut g, &x, n_classes);
-                let new = GradientBoostingClassifier::fit(&x, &labels, n_classes, params);
+                let new = GradientBoostingClassifier::fit(&x_matrix, &labels, n_classes, params);
                 let old = old_classifier(&x, &labels, n_classes, params);
                 for row in rows() {
                     prop_assert_eq!(
@@ -472,17 +474,19 @@ mod tests {
     #[test]
     fn three_class_classifier_is_bit_reproducible_in_one_process() {
         let mut g = StdRng::seed_from_u64(5);
-        let x = matrix(&mut g, 90);
-        let labels = class_target(&mut g, &x, 3);
+        let rows = matrix(&mut g, 90);
+        let labels = class_target(&mut g, &rows, 3);
+        let x = Matrix::from_rows(&rows);
         let params = GbmParams {
             n_estimators: 5,
             ..GbmParams::default()
         };
         let fit = || {
             let clf = GradientBoostingClassifier::fit(&x, &labels, 3, params);
-            let scores: Vec<u64> = x
+            let scores: Vec<u64> = clf
+                .predict_scores(&x)
                 .iter()
-                .flat_map(|r| bits(&clf.predict_scores_one(r)))
+                .flat_map(|s| bits(s))
                 .collect();
             (scores, bits(&clf.feature_importance()))
         };
@@ -494,8 +498,8 @@ mod tests {
 
     #[test]
     fn regressor_fits_quadratic() {
-        let x: Vec<Vec<f64>> = (0..80).map(|i| vec![i as f64 / 10.0]).collect();
-        let y: Vec<f64> = x.iter().map(|r| r[0] * r[0]).collect();
+        let x = Matrix::from_rows(&(0..80).map(|i| vec![i as f64 / 10.0]).collect::<Vec<_>>());
+        let y: Vec<f64> = x.rows().map(|r| r[0] * r[0]).collect();
         let gbm = GradientBoostingRegressor::fit(&x, &y, GbmParams::default());
         let pred = gbm.predict(&x);
         assert!(r2(&y, &pred) > 0.95);
@@ -504,33 +508,33 @@ mod tests {
 
     #[test]
     fn regressor_on_empty_data() {
-        let gbm = GradientBoostingRegressor::fit(&[], &[], GbmParams::default());
+        let gbm = GradientBoostingRegressor::fit(&Matrix::default(), &[], GbmParams::default());
         assert_eq!(gbm.predict_one(&[1.0]), 0.0);
         assert!(gbm.is_empty());
     }
 
     #[test]
     fn binary_classifier_learns_threshold() {
-        let x: Vec<Vec<f64>> = (0..100).map(|i| vec![(i % 20) as f64]).collect();
+        let x = Matrix::from_rows(&(0..100).map(|i| vec![(i % 20) as f64]).collect::<Vec<_>>());
         let y: Vec<f64> = x
-            .iter()
+            .rows()
             .map(|r| if r[0] >= 10.0 { 1.0 } else { 0.0 })
             .collect();
         let clf = GradientBoostingClassifier::fit(&x, &y, 2, GbmParams::default());
         let pred = clf.predict(&x);
         assert!(accuracy(&y, &pred) > 0.95);
-        let s = clf.predict_scores_one(&x[0]);
+        let s = clf.predict_scores_one(x.row(0));
         assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn multiclass_classifier_one_vs_rest() {
-        let x: Vec<Vec<f64>> = (0..90).map(|i| vec![(i % 30) as f64]).collect();
-        let y: Vec<f64> = x.iter().map(|r| (r[0] / 10.0).floor()).collect();
+        let x = Matrix::from_rows(&(0..90).map(|i| vec![(i % 30) as f64]).collect::<Vec<_>>());
+        let y: Vec<f64> = x.rows().map(|r| (r[0] / 10.0).floor()).collect();
         let clf = GradientBoostingClassifier::fit(&x, &y, 3, GbmParams::default());
         let pred = clf.predict(&x);
         assert!(accuracy(&y, &pred) > 0.9);
-        assert_eq!(clf.predict_scores_one(&x[0]).len(), 3);
+        assert_eq!(clf.predict_scores_one(x.row(0)).len(), 3);
         assert_eq!(clf.n_classes(), 3);
     }
 
@@ -550,8 +554,8 @@ mod tests {
 
     #[test]
     fn feature_importance_sums_to_one_when_trained() {
-        let x: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, 0.0]).collect();
-        let y: Vec<f64> = x.iter().map(|r| r[0]).collect();
+        let x = Matrix::from_rows(&(0..40).map(|i| vec![i as f64, 0.0]).collect::<Vec<_>>());
+        let y: Vec<f64> = x.rows().map(|r| r[0]).collect();
         let gbm = GradientBoostingRegressor::fit(&x, &y, GbmParams::default());
         let imp = gbm.feature_importance();
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);

@@ -7,6 +7,8 @@
 //! not provide drop-in equivalents, so this crate implements the required
 //! models directly:
 //!
+//! * [`matrix`] — the row-major design [`Matrix`] every task model fits and
+//!   predicts on;
 //! * [`encoding`] — [`Dataset`](modis_data::Dataset) → numeric design matrix;
 //! * [`tree`] / [`forest`] — CART trees and random forests (RFhouse, case
 //!   studies);
@@ -30,6 +32,7 @@ pub mod gbm;
 pub mod graph;
 pub mod kmeans;
 pub mod linear;
+pub mod matrix;
 pub mod metrics;
 pub mod tree;
 
@@ -42,4 +45,5 @@ pub use gbm::{GbmParams, GradientBoostingClassifier, GradientBoostingRegressor, 
 pub use graph::{evaluate_ranking, BipartiteGraph, LightGcn, LightGcnParams};
 pub use kmeans::{kmeans, select_k_elbow, KMeansResult};
 pub use linear::{LogisticRegression, RidgeRegression};
+pub use matrix::Matrix;
 pub use tree::{Criterion, DecisionTree, TreeParams};

@@ -6,6 +6,8 @@
 //! regression uses batch gradient descent. These power the LRavocado model
 //! (task T3) and the H2O-style baseline's linear feature selection.
 
+use crate::matrix::Matrix;
+
 /// Ridge regression fitted via normal equations.
 #[derive(Debug, Clone)]
 pub struct RidgeRegression {
@@ -65,10 +67,9 @@ pub fn solve_linear_system(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<
 impl RidgeRegression {
     /// Fits ridge regression with regularisation strength `alpha`
     /// (`alpha = 0` gives OLS; the intercept is never regularised).
-    pub fn fit(x: &[Vec<f64>], y: &[f64], alpha: f64) -> RidgeRegression {
-        let n = x.len();
-        let d = x.first().map(|r| r.len()).unwrap_or(0);
-        if n == 0 || d == 0 {
+    pub fn fit(x: &Matrix, y: &[f64], alpha: f64) -> RidgeRegression {
+        let d = x.n_cols();
+        if x.is_empty() || d == 0 {
             let intercept = if y.is_empty() {
                 0.0
             } else {
@@ -80,19 +81,27 @@ impl RidgeRegression {
                 alpha,
             };
         }
-        // Build augmented design: [1, x_1 … x_d].
+        // Normal equations over the augmented design [1, x_1 … x_d]. `XᵀX`
+        // is symmetric and `a·b` has the bits of `b·a`, so only the upper
+        // triangle is accumulated — each cell still receives its addends in
+        // ascending row order — and mirrored: cell for cell the full matrix.
         let dim = d + 1;
         let mut xtx = vec![vec![0.0; dim]; dim];
         let mut xty = vec![0.0; dim];
-        for (row, &target) in x.iter().zip(y.iter()) {
-            let mut aug = Vec::with_capacity(dim);
-            aug.push(1.0);
-            aug.extend_from_slice(row);
+        let mut aug = vec![1.0; dim];
+        for (row, &target) in x.rows().zip(y.iter()) {
+            aug[1..].copy_from_slice(row);
             for i in 0..dim {
                 xty[i] += aug[i] * target;
-                for j in 0..dim {
+                for j in i..dim {
                     xtx[i][j] += aug[i] * aug[j];
                 }
+            }
+        }
+        for i in 1..dim {
+            let (above, below) = xtx.split_at_mut(i);
+            for (cell, row) in below[0].iter_mut().zip(above.iter()) {
+                *cell = row[i];
             }
         }
         for (i, row) in xtx.iter_mut().enumerate().skip(1) {
@@ -122,8 +131,8 @@ impl RidgeRegression {
     }
 
     /// Predicts a batch.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
-        x.iter().map(|r| self.predict_one(r)).collect()
+    pub fn predict(&self, x: &Matrix) -> Vec<f64> {
+        x.rows().map(|r| self.predict_one(r)).collect()
     }
 
     /// Absolute standardised coefficients, usable as feature importance.
@@ -154,18 +163,12 @@ fn sigmoid(z: f64) -> f64 {
 
 impl LogisticRegression {
     /// Fits logistic regression for labels in `0..n_classes`.
-    pub fn fit(
-        x: &[Vec<f64>],
-        y: &[f64],
-        n_classes: usize,
-        learning_rate: f64,
-        epochs: usize,
-    ) -> Self {
+    pub fn fit(x: &Matrix, y: &[f64], n_classes: usize, learning_rate: f64, epochs: usize) -> Self {
         let n_classes = n_classes.max(2);
-        let d = x.first().map(|r| r.len()).unwrap_or(0);
+        let d = x.n_cols();
         let n_stages = if n_classes == 2 { 1 } else { n_classes };
         // Standardise features for stable gradient descent.
-        let (means, stds) = standardise_stats(x, d);
+        let (means, stds) = standardise_stats(x);
         let mut stages = Vec::with_capacity(n_stages);
         for c in 0..n_stages {
             let targets: Vec<f64> = y
@@ -190,7 +193,7 @@ impl LogisticRegression {
                 for _ in 0..epochs {
                     let mut gw = vec![0.0; d];
                     let mut gb = 0.0;
-                    for (row, &t) in x.iter().zip(targets.iter()) {
+                    for (row, &t) in x.rows().zip(targets.iter()) {
                         let z: f64 = b + w
                             .iter()
                             .enumerate()
@@ -262,13 +265,13 @@ impl LogisticRegression {
     }
 
     /// Batch prediction.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
-        x.iter().map(|r| self.predict_one(r)).collect()
+    pub fn predict(&self, x: &Matrix) -> Vec<f64> {
+        x.rows().map(|r| self.predict_one(r)).collect()
     }
 
     /// Batch per-class scores.
-    pub fn predict_scores(&self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        x.iter().map(|r| self.predict_scores_one(r)).collect()
+    pub fn predict_scores(&self, x: &Matrix) -> Vec<Vec<f64>> {
+        x.rows().map(|r| self.predict_scores_one(r)).collect()
     }
 
     /// Number of classes.
@@ -295,10 +298,11 @@ impl LogisticRegression {
     }
 }
 
-fn standardise_stats(x: &[Vec<f64>], d: usize) -> (Vec<f64>, Vec<f64>) {
+fn standardise_stats(x: &Matrix) -> (Vec<f64>, Vec<f64>) {
+    let d = x.n_cols();
     let n = x.len().max(1) as f64;
     let mut means = vec![0.0; d];
-    for row in x {
+    for row in x.rows() {
         for j in 0..d {
             means[j] += row[j];
         }
@@ -307,7 +311,7 @@ fn standardise_stats(x: &[Vec<f64>], d: usize) -> (Vec<f64>, Vec<f64>) {
         *m /= n;
     }
     let mut stds = vec![0.0; d];
-    for row in x {
+    for row in x.rows() {
         for j in 0..d {
             stds[j] += (row[j] - means[j]).powi(2);
         }
@@ -321,10 +325,252 @@ fn standardise_stats(x: &[Vec<f64>], d: usize) -> (Vec<f64>, Vec<f64>) {
     (means, stds)
 }
 
+/// `RidgeRegression::fit`, `LogisticRegression::fit` and the batch
+/// predictions as they were on a `Vec` of row `Vec`s, bodies verbatim: the
+/// oracle the differential tests compare the `Matrix` bodies with.
+#[cfg(test)]
+mod oracle {
+    use super::{sigmoid, solve_linear_system, LogisticRegression, RidgeRegression};
+
+    pub fn ridge(x: &[Vec<f64>], y: &[f64], alpha: f64) -> RidgeRegression {
+        let n = x.len();
+        let d = x.first().map(|r| r.len()).unwrap_or(0);
+        if n == 0 || d == 0 {
+            let intercept = if y.is_empty() {
+                0.0
+            } else {
+                y.iter().sum::<f64>() / y.len() as f64
+            };
+            return RidgeRegression {
+                weights: vec![0.0; d],
+                intercept,
+                alpha,
+            };
+        }
+        // Build augmented design: [1, x_1 … x_d].
+        let dim = d + 1;
+        let mut xtx = vec![vec![0.0; dim]; dim];
+        let mut xty = vec![0.0; dim];
+        for (row, &target) in x.iter().zip(y.iter()) {
+            let mut aug = Vec::with_capacity(dim);
+            aug.push(1.0);
+            aug.extend_from_slice(row);
+            for i in 0..dim {
+                xty[i] += aug[i] * target;
+                for j in 0..dim {
+                    xtx[i][j] += aug[i] * aug[j];
+                }
+            }
+        }
+        for (i, row) in xtx.iter_mut().enumerate().skip(1) {
+            row[i] += alpha;
+        }
+        // A tiny jitter keeps the system solvable for collinear features.
+        for (i, row) in xtx.iter_mut().enumerate() {
+            row[i] += 1e-9;
+        }
+        let sol = solve_linear_system(xtx, xty).unwrap_or_else(|| vec![0.0; dim]);
+        RidgeRegression {
+            intercept: sol[0],
+            weights: sol[1..].to_vec(),
+            alpha,
+        }
+    }
+
+    pub fn logistic(
+        x: &[Vec<f64>],
+        y: &[f64],
+        n_classes: usize,
+        learning_rate: f64,
+        epochs: usize,
+    ) -> LogisticRegression {
+        let n_classes = n_classes.max(2);
+        let d = x.first().map(|r| r.len()).unwrap_or(0);
+        let n_stages = if n_classes == 2 { 1 } else { n_classes };
+        // Standardise features for stable gradient descent.
+        let (means, stds) = standardise_stats(x, d);
+        let mut stages = Vec::with_capacity(n_stages);
+        for c in 0..n_stages {
+            let targets: Vec<f64> = y
+                .iter()
+                .map(|&v| {
+                    let label = v.round() as usize;
+                    let pos = if n_classes == 2 {
+                        label == 1
+                    } else {
+                        label == c
+                    };
+                    if pos {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let mut w = vec![0.0; d];
+            let mut b = 0.0;
+            if !x.is_empty() && d > 0 {
+                for _ in 0..epochs {
+                    let mut gw = vec![0.0; d];
+                    let mut gb = 0.0;
+                    for (row, &t) in x.iter().zip(targets.iter()) {
+                        let z: f64 = b + w
+                            .iter()
+                            .enumerate()
+                            .map(|(j, wj)| wj * ((row[j] - means[j]) / stds[j]))
+                            .sum::<f64>();
+                        let err = sigmoid(z) - t;
+                        for j in 0..d {
+                            gw[j] += err * ((row[j] - means[j]) / stds[j]);
+                        }
+                        gb += err;
+                    }
+                    let scale = learning_rate / x.len() as f64;
+                    for j in 0..d {
+                        w[j] -= scale * gw[j];
+                    }
+                    b -= scale * gb;
+                }
+            }
+            // Fold standardisation into the weights so prediction is direct.
+            let mut folded_w = vec![0.0; d];
+            let mut folded_b = b;
+            for j in 0..d {
+                folded_w[j] = w[j] / stds[j];
+                folded_b -= w[j] * means[j] / stds[j];
+            }
+            stages.push((folded_w, folded_b));
+        }
+        LogisticRegression {
+            stages,
+            n_classes,
+            learning_rate,
+            epochs,
+        }
+    }
+
+    fn standardise_stats(x: &[Vec<f64>], d: usize) -> (Vec<f64>, Vec<f64>) {
+        let n = x.len().max(1) as f64;
+        let mut means = vec![0.0; d];
+        for row in x {
+            for j in 0..d {
+                means[j] += row[j];
+            }
+        }
+        for m in &mut means {
+            *m /= n;
+        }
+        let mut stds = vec![0.0; d];
+        for row in x {
+            for j in 0..d {
+                stds[j] += (row[j] - means[j]).powi(2);
+            }
+        }
+        for s in &mut stds {
+            *s = (*s / n).sqrt();
+            if *s < 1e-9 {
+                *s = 1.0;
+            }
+        }
+        (means, stds)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::{accuracy, r2};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `n` rows of `d` columns cycling through the kinds the normal matrix
+    /// treats differently: continuous, constant, a copy of column 0 (exactly
+    /// collinear), all-zero, and magnitudes sixteen orders apart (a sum in
+    /// another order rounds differently).
+    fn design(g: &mut StdRng, n: usize, d: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|_| {
+                let mut row: Vec<f64> = Vec::with_capacity(d);
+                for j in 0..d {
+                    row.push(match j % 5 {
+                        0 => g.gen_range(-3.0..3.0),
+                        1 => 2.5,
+                        2 => row[0],
+                        3 => 0.0,
+                        _ => [1e8, -1e8, 1e-8, 0.5][g.gen_range(0..4usize)],
+                    });
+                }
+                row
+            })
+            .collect()
+    }
+
+    const ROWS: [usize; 7] = [0, 1, 2, 3, 9, 40, 300];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// One scratch row and half a normal matrix, mirrored, solve to the
+        /// weights the per-row `aug` and the full matrix solved to, bit for
+        /// bit — also for `n < d`, collinear, constant and all-zero columns.
+        #[test]
+        fn ridge_on_a_matrix_is_ridge_on_rows_bit_for_bit(
+            seed in any::<u64>(),
+            size in 0usize..7,
+            d in 0usize..9,
+            alpha in 0usize..3,
+        ) {
+            let mut g = StdRng::seed_from_u64(seed);
+            let x = design(&mut g, ROWS[size], d);
+            let y: Vec<f64> = x
+                .iter()
+                .map(|r| r.iter().sum::<f64>() + g.gen_range(-1.0..1.0))
+                .collect();
+            let alpha = [0.0, 1.0, 1000.0][alpha];
+            let matrix = Matrix::from_rows(&x);
+            let new = RidgeRegression::fit(&matrix, &y, alpha);
+            let old = oracle::ridge(&x, &y, alpha);
+            prop_assert_eq!(new.intercept.to_bits(), old.intercept.to_bits());
+            prop_assert_eq!(bits(&new.weights), bits(&old.weights));
+            let old_predictions: Vec<f64> = x.iter().map(|r| old.predict_one(r)).collect();
+            prop_assert_eq!(bits(&new.predict(&matrix)), bits(&old_predictions));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Two and three classes: stages, batch predictions and scores.
+        #[test]
+        fn logistic_on_a_matrix_is_logistic_on_rows_bit_for_bit(
+            seed in any::<u64>(),
+            size in 0usize..6,
+            d in 0usize..7,
+            n_classes in 2usize..4,
+        ) {
+            let mut g = StdRng::seed_from_u64(seed);
+            let x = design(&mut g, ROWS[size], d);
+            let y: Vec<f64> = x.iter().map(|_| g.gen_range(0..n_classes) as f64).collect();
+            let matrix = Matrix::from_rows(&x);
+            let new = LogisticRegression::fit(&matrix, &y, n_classes, 0.3, 25);
+            let old = oracle::logistic(&x, &y, n_classes, 0.3, 25);
+            prop_assert_eq!(new.stages.len(), old.stages.len());
+            for ((new_w, new_b), (old_w, old_b)) in new.stages.iter().zip(&old.stages) {
+                prop_assert_eq!(bits(new_w), bits(old_w));
+                prop_assert_eq!(new_b.to_bits(), old_b.to_bits());
+            }
+            let old_labels: Vec<f64> = x.iter().map(|r| old.predict_one(r)).collect();
+            prop_assert_eq!(bits(&new.predict(&matrix)), bits(&old_labels));
+            for (new_scores, row) in new.predict_scores(&matrix).iter().zip(&x) {
+                prop_assert_eq!(bits(new_scores), bits(&old.predict_scores_one(row)));
+            }
+        }
+    }
 
     #[test]
     fn solve_linear_system_known_solution() {
@@ -343,10 +589,11 @@ mod tests {
 
     #[test]
     fn ols_recovers_linear_coefficients() {
-        let x: Vec<Vec<f64>> = (0..50)
+        let rows: Vec<Vec<f64>> = (0..50)
             .map(|i| vec![i as f64, (i * i % 7) as f64])
             .collect();
-        let y: Vec<f64> = x.iter().map(|r| 3.0 + 2.0 * r[0] - 0.5 * r[1]).collect();
+        let y: Vec<f64> = rows.iter().map(|r| 3.0 + 2.0 * r[0] - 0.5 * r[1]).collect();
+        let x = Matrix::from_rows(&rows);
         let m = RidgeRegression::fit(&x, &y, 0.0);
         assert!((m.intercept - 3.0).abs() < 1e-6);
         assert!((m.weights[0] - 2.0).abs() < 1e-6);
@@ -356,8 +603,9 @@ mod tests {
 
     #[test]
     fn ridge_shrinks_weights() {
-        let x: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64]).collect();
-        let y: Vec<f64> = x.iter().map(|r| 4.0 * r[0]).collect();
+        let rows: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64]).collect();
+        let y: Vec<f64> = rows.iter().map(|r| 4.0 * r[0]).collect();
+        let x = Matrix::from_rows(&rows);
         let ols = RidgeRegression::fit(&x, &y, 0.0);
         let ridge = RidgeRegression::fit(&x, &y, 1000.0);
         assert!(ridge.weights[0].abs() < ols.weights[0].abs());
@@ -365,17 +613,18 @@ mod tests {
 
     #[test]
     fn ridge_on_empty_input() {
-        let m = RidgeRegression::fit(&[], &[], 1.0);
+        let m = RidgeRegression::fit(&Matrix::default(), &[], 1.0);
         assert_eq!(m.predict_one(&[]), 0.0);
     }
 
     #[test]
     fn logistic_binary_separates_classes() {
-        let x: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 10.0]).collect();
-        let y: Vec<f64> = x
+        let rows: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 10.0]).collect();
+        let y: Vec<f64> = rows
             .iter()
             .map(|r| if r[0] > 5.0 { 1.0 } else { 0.0 })
             .collect();
+        let x = Matrix::from_rows(&rows);
         let m = LogisticRegression::fit(&x, &y, 2, 0.5, 300);
         assert!(accuracy(&y, &m.predict(&x)) > 0.9);
         let s = m.predict_scores_one(&[9.0]);
@@ -384,8 +633,9 @@ mod tests {
 
     #[test]
     fn logistic_multiclass() {
-        let x: Vec<Vec<f64>> = (0..90).map(|i| vec![(i % 30) as f64]).collect();
-        let y: Vec<f64> = x.iter().map(|r| (r[0] / 10.0).floor()).collect();
+        let rows: Vec<Vec<f64>> = (0..90).map(|i| vec![(i % 30) as f64]).collect();
+        let y: Vec<f64> = rows.iter().map(|r| (r[0] / 10.0).floor()).collect();
+        let x = Matrix::from_rows(&rows);
         let m = LogisticRegression::fit(&x, &y, 3, 0.5, 400);
         assert!(accuracy(&y, &m.predict(&x)) > 0.8);
         assert_eq!(m.n_classes(), 3);
@@ -393,9 +643,9 @@ mod tests {
 
     #[test]
     fn importances_are_normalised() {
-        let x: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, 1.0]).collect();
-        let y: Vec<f64> = x.iter().map(|r| r[0]).collect();
-        let m = RidgeRegression::fit(&x, &y, 0.0);
+        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, 1.0]).collect();
+        let y: Vec<f64> = rows.iter().map(|r| r[0]).collect();
+        let m = RidgeRegression::fit(&Matrix::from_rows(&rows), &y, 0.0);
         let imp = m.importance();
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }

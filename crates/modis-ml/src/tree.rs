@@ -10,12 +10,13 @@
 //! Every model in this crate that grows trees goes through one split
 //! search, `TreeBuilder`, over one layout, `Columns`:
 //!
-//! * **Layout.** `Columns` is the design matrix transposed once per fit
-//!   (feature `f` is one contiguous slice) plus a flag per feature saying
-//!   whether its cells differ at all — a constant column is never a
-//!   candidate. A boosted model transposes `x` once and shares the
-//!   `Columns` across all its rounds, one-vs-rest stages and (for
-//!   `MultiOutputGbm`) outputs; a forest transposes once and gathers each
+//! * **Layout.** `Columns` is the row-major design [`Matrix`] transposed
+//!   once per fit by `Columns::from_matrix` (feature `f` is one contiguous
+//!   slice) plus a flag per feature saying whether its cells differ at all
+//!   — a constant column is never a candidate. A boosted model transposes
+//!   `x` once and shares the `Columns` across all its rounds, one-vs-rest
+//!   stages and (for `MultiOutputGbm`) outputs, and reads its training-row
+//!   predictions back from them; a forest transposes once and gathers each
 //!   tree's bootstrap rows from it. The builder owns every scratch buffer,
 //!   so a node allocates nothing per feature or per threshold.
 //! * **One pass per feature.** A node gathers the feature's cells, sorts
@@ -49,6 +50,8 @@
 //!   `f64::to_bits`.
 
 use std::cmp::Ordering;
+
+use crate::matrix::Matrix;
 
 /// Split criterion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +115,7 @@ pub struct DecisionTree {
 
 impl DecisionTree {
     /// Fits a tree on the full feature set.
-    pub fn fit(x: &[Vec<f64>], y: &[f64], params: TreeParams) -> DecisionTree {
+    pub fn fit(x: &Matrix, y: &[f64], params: TreeParams) -> DecisionTree {
         Self::fit_with_features(x, y, params, None, 0)
     }
 
@@ -120,17 +123,18 @@ impl DecisionTree {
     /// features at each split (used by random forests). `seed` makes the
     /// randomness deterministic.
     pub fn fit_with_features(
-        x: &[Vec<f64>],
+        x: &Matrix,
         y: &[f64],
         params: TreeParams,
         max_features: Option<usize>,
         seed: u64,
     ) -> DecisionTree {
-        TreeBuilder::default().fit(&Columns::from_rows(x), y, params, max_features, seed)
+        TreeBuilder::default().fit(&Columns::from_matrix(x), y, params, max_features, seed)
     }
 
-    /// Predicts a single sample.
-    pub fn predict_one(&self, row: &[f64]) -> f64 {
+    /// The leaf value reached by the sample whose feature `f` reads
+    /// `cell(f)`.
+    fn descend(&self, cell: impl Fn(usize) -> f64) -> f64 {
         let mut node = &self.root;
         loop {
             match node {
@@ -141,16 +145,29 @@ impl DecisionTree {
                     left,
                     right,
                 } => {
-                    let v = row.get(*feature).copied().unwrap_or(0.0);
-                    node = if v <= *threshold { left } else { right };
+                    node = if cell(*feature) <= *threshold {
+                        left
+                    } else {
+                        right
+                    };
                 }
             }
         }
     }
 
+    /// Predicts a single sample (a feature the row lacks reads 0).
+    pub fn predict_one(&self, row: &[f64]) -> f64 {
+        self.descend(|f| row.get(f).copied().unwrap_or(0.0))
+    }
+
+    /// Predicts row `i` of the matrix `cols` was transposed from.
+    pub(crate) fn predict_row(&self, cols: &Columns, i: usize) -> f64 {
+        self.descend(|f| cols.column(f)[i])
+    }
+
     /// Predicts a batch of samples.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
-        x.iter().map(|r| self.predict_one(r)).collect()
+    pub fn predict(&self, x: &Matrix) -> Vec<f64> {
+        x.rows().map(|r| self.predict_one(r)).collect()
     }
 
     /// Number of features seen at fit time.
@@ -191,7 +208,7 @@ impl DecisionTree {
     }
 }
 
-/// A design matrix transposed once: feature `f` is one contiguous slice.
+/// A design [`Matrix`] transposed once: feature `f` is one contiguous slice.
 ///
 /// Built once per fit and shared by every tree of a boosted model (all
 /// rounds, stages and outputs); a forest gathers each tree's bootstrap
@@ -209,14 +226,19 @@ pub(crate) struct Columns {
 }
 
 impl Columns {
-    /// Transposes row-major `x`; the feature count is the first row's.
-    pub(crate) fn from_rows(x: &[Vec<f64>]) -> Columns {
-        let n_features = x.first().map(|r| r.len()).unwrap_or(0);
+    /// Transposes row-major `x`.
+    pub(crate) fn from_matrix(x: &Matrix) -> Columns {
+        let n_features = x.n_cols();
         let mut data = Vec::with_capacity(x.len() * n_features);
         for f in 0..n_features {
-            data.extend(x.iter().map(|r| r[f]));
+            data.extend(x.rows().map(|r| r[f]));
         }
         Columns::new(x.len(), n_features, data)
+    }
+
+    /// Number of rows of the transposed matrix.
+    pub(crate) fn n_rows(&self) -> usize {
+        self.n_rows
     }
 
     /// The sample `rows` (repeats allowed, order kept) as columns of its own.
@@ -958,10 +980,10 @@ pub(crate) mod fixtures {
 mod tests {
     use super::*;
 
-    fn step_data() -> (Vec<Vec<f64>>, Vec<f64>) {
+    fn step_data() -> (Matrix, Vec<f64>) {
         let x: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, (i % 3) as f64]).collect();
         let y: Vec<f64> = (0..40).map(|i| if i < 20 { 1.0 } else { 5.0 }).collect();
-        (x, y)
+        (Matrix::from_rows(&x), y)
     }
 
     #[test]
@@ -975,7 +997,7 @@ mod tests {
 
     #[test]
     fn classification_tree_learns_parity_free_split() {
-        let x: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64]).collect();
+        let x = Matrix::from_rows(&(0..30).map(|i| vec![i as f64]).collect::<Vec<_>>());
         let y: Vec<f64> = (0..30).map(|i| if i < 15 { 0.0 } else { 1.0 }).collect();
         let params = TreeParams {
             criterion: Criterion::Gini,
@@ -988,7 +1010,7 @@ mod tests {
 
     #[test]
     fn pure_node_becomes_leaf() {
-        let x = vec![vec![1.0], vec![2.0], vec![3.0]];
+        let x = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]);
         let y = vec![4.0, 4.0, 4.0];
         let tree = DecisionTree::fit(&x, &y, TreeParams::default());
         assert_eq!(tree.num_leaves(), 1);
@@ -1018,7 +1040,7 @@ mod tests {
 
     #[test]
     fn empty_input_predicts_zero() {
-        let tree = DecisionTree::fit(&[], &[], TreeParams::default());
+        let tree = DecisionTree::fit(&Matrix::default(), &[], TreeParams::default());
         assert_eq!(tree.predict_one(&[1.0]), 0.0);
         assert_eq!(tree.n_features(), 0);
     }
@@ -1131,8 +1153,9 @@ mod tests {
             let outcome = |fit: &dyn Fn() -> DecisionTree| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(fit)).ok()
             };
+            let matrix = Matrix::from_rows(&x);
             let new = outcome(&|| {
-                DecisionTree::fit_with_features(&x, &y, params, max_features, tree_seed)
+                DecisionTree::fit_with_features(&matrix, &y, params, max_features, tree_seed)
             });
             let old = outcome(&|| {
                 oracle::fit_with_features(&x, &y, params, max_features, tree_seed)
@@ -1191,7 +1214,7 @@ mod tests {
                             criterion,
                             ..TreeParams::default()
                         };
-                        let new = DecisionTree::fit(x, y, params);
+                        let new = DecisionTree::fit(&Matrix::from_rows(x), y, params);
                         let old = oracle::fit_with_features(x, y, params, None, 0);
                         assert_same_tree(&new, &old);
                     }
@@ -1223,10 +1246,17 @@ mod tests {
             } else {
                 regression_target(&mut g, &x)
             };
-            let cols = Columns::from_rows(&x);
+            let cols = Columns::from_matrix(&Matrix::from_rows(&x));
             let reused = builder.fit(&cols, &y, params, Some(3), 11);
             let fresh = TreeBuilder::default().fit(&cols, &y, params, Some(3), 11);
             assert_same_tree(&reused, &fresh);
+            // A training row reads the same from the columns as from itself.
+            for (i, row) in x.iter().enumerate() {
+                assert_eq!(
+                    reused.predict_row(&cols, i).to_bits(),
+                    reused.predict_one(row).to_bits()
+                );
+            }
         }
     }
 
@@ -1238,8 +1268,8 @@ mod tests {
         let x = matrix(&mut g, 40);
         let rows: Vec<usize> = (0..55).map(|_| g.gen_range(0..40)).collect();
         let cloned: Vec<Vec<f64>> = rows.iter().map(|&r| x[r].clone()).collect();
-        let gathered = Columns::from_rows(&x).gather(&rows);
-        let direct = Columns::from_rows(&cloned);
+        let gathered = Columns::from_matrix(&Matrix::from_rows(&x)).gather(&rows);
+        let direct = Columns::from_matrix(&Matrix::from_rows(&cloned));
         assert_eq!(bits(&gathered.data), bits(&direct.data));
         assert_eq!(gathered.varies, direct.varies);
         assert_eq!(

@@ -1,0 +1,149 @@
+//! The mechanism behind the flat design matrix, not its speed: valuating a
+//! state allocates a fixed number of times, however many rows the state
+//! selects. While the matrix was a `Vec` of row `Vec`s, `encode_view` made
+//! one allocation per selected row and `RidgeRegression::fit` one more per
+//! training row (≈ 1.7 per row); a refactor that brings either back trips
+//! this test before any benchmark does.
+//!
+//! A test binary of its own, with one `#[test]`: the counting allocator is
+//! global to the binary, and it counts per thread so that the harness's own
+//! threads stay out of the figure.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use modis_core::prelude::*;
+use modis_data::{Attribute, Dataset, DatasetView, RowMask, Schema, TableProjection, Value};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting the calls that hand out memory.
+struct Counting;
+
+fn count() {
+    // A thread that is tearing its locals down allocates uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a `const`-initialised
+// thread-local `Cell` without a destructor, so touching it neither
+// allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's `layout` is passed on as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with `layout`; the caller guarantees the rest.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const ROWS: usize = 1_000;
+
+/// A churn-shaped pool: two floats (one with nulls), an integer, two
+/// categoricals (one with nulls), a noise column and a linear target.
+fn pool() -> Dataset {
+    const REGIONS: [&str; 4] = ["north", "south", "east", "west"];
+    const TIERS: [&str; 3] = ["basic", "plus", "pro"];
+    let schema = Schema::from_attributes(vec![
+        Attribute::key("id"),
+        Attribute::feature("x1"),
+        Attribute::feature("x2"),
+        Attribute::feature("visits"),
+        Attribute::feature("region"),
+        Attribute::feature("tier"),
+        Attribute::feature("noise"),
+        Attribute::target("y"),
+    ]);
+    let rows = (0..ROWS)
+        .map(|i| {
+            let unit = |salt: usize| ((i * 37 + salt * 101) % 997) as f64 / 997.0;
+            let (x1, x2, noise) = (unit(1) * 2.0 - 1.0, unit(2) * 2.0 - 1.0, unit(3));
+            let (visits, region, tier) = ((i * 7) % 40, (i * 3) % 4, (i * 5) % 3);
+            let y = 1.5 * x1 - x2 + 0.02 * visits as f64 + 0.3 * tier as f64 - 0.1 * region as f64;
+            vec![
+                Value::Int(i as i64),
+                Value::Float(x1),
+                if i % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(x2)
+                },
+                Value::Int(visits as i64),
+                Value::Str(REGIONS[region].into()),
+                if i % 17 == 0 {
+                    Value::Null
+                } else {
+                    Value::Str(TIERS[tier].into())
+                },
+                Value::Float(noise),
+                Value::Float(y),
+            ]
+        })
+        .collect();
+    Dataset::from_rows("churn", schema, rows).expect("rows match the schema")
+}
+
+#[test]
+fn a_valuation_allocates_the_same_whatever_the_row_count() {
+    let data = pool();
+    let projection = TableProjection::new(&data);
+    let task = TaskSpec {
+        name: "churn".into(),
+        model: ModelKind::LinearRegressor,
+        target: "y".into(),
+        key: Some("id".into()),
+        measures: MeasureSet::new(vec![
+            MeasureSpec::maximise("p_R2"),
+            MeasureSpec::minimise("p_MSE", 4.0),
+            MeasureSpec::minimise("p_MAE", 2.0),
+        ]),
+        metric_kinds: vec![MetricKind::R2, MetricKind::Mse, MetricKind::Mae],
+        train_ratio: 0.7,
+        seed: 1,
+    };
+    let view = |selected: usize| {
+        let mask = RowMask::from_pred(ROWS, |r| r % (ROWS / selected) == 0);
+        assert_eq!(mask.count(), selected);
+        DatasetView::new(&data, mask, vec![false; 8]).with_projection(&projection)
+    };
+    let (quarter, all) = (view(250), view(ROWS));
+    let allocations_of = |view: &DatasetView<'_>| {
+        let before = ALLOCATIONS.with(Cell::get);
+        let evaluation = evaluate_dataset_view(&task, view);
+        let made = ALLOCATIONS.with(Cell::get) - before;
+        assert!(evaluation.raw[0] > 0.8, "R² = {}", evaluation.raw[0]);
+        made
+    };
+    // The projection decodes a column on its first use; that is paid once
+    // per pool, not per valuation, and stays out of the count.
+    allocations_of(&all);
+    let (few, many) = (allocations_of(&quarter), allocations_of(&all));
+    assert!(
+        few.abs_diff(many) <= 8,
+        "{few} allocations for 250 rows, {many} for 1,000"
+    );
+    assert!(many < 100, "{many} allocations for one 1,000-row valuation");
+}
