@@ -1,7 +1,6 @@
 //! Shared workload for the cluster layer: the in-process harness that the
-//! cluster bench (`benches/bench_cluster.rs` + `bench_cluster_baseline`),
-//! the integration tests and the `cluster_demo` example all drive, so they
-//! measure and assert against the same thing.
+//! integration tests and the `cluster_demo` example drive, so they assert
+//! against the same thing.
 //!
 //! A "cluster" here is N shard daemons — each a full [`Service`] behind
 //! its own reactor [`Daemon`], with its **own engine and its own bounded
@@ -14,19 +13,16 @@
 //! The workload is `namespaces` independent synthetic tabular pools
 //! (distinct seeds ⇒ distinct datasets and fingerprints), two scenarios
 //! each (`ws<i>/apx`, `ws<i>/bi`) sharing the pool's cache namespace
-//! `ws<i>-pool`. Per-process resources are deliberately bounded — the
-//! engine cache holds roughly one namespace's working set and the
-//! substrate memo is tiny — because that is the regime where partitioning
-//! namespaces across processes pays: a single shard serving every
-//! namespace thrashes its cache between waves, while each shard of a
-//! 2-shard cluster keeps its namespaces resident.
+//! `ws<i>-pool`. The two capacities bound per-process resources: with an
+//! engine cache of roughly one namespace's working set and a tiny
+//! substrate memo, a single shard serving every namespace thrashes its
+//! cache between waves while each shard of a 2-shard cluster keeps its
+//! namespaces resident (not measured today; ROADMAP item 2 lists it).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use modis_core::telemetry::Histogram;
+use std::time::Duration;
 
 use modis_core::config::ModisConfig;
 use modis_core::estimator::EstimatorMode;
@@ -47,7 +43,6 @@ pub struct ClusterWorkload {
     /// Search state budget per scenario.
     pub max_states: usize,
     /// Per-shard engine shared-cache capacity (entries; 0 = unbounded).
-    /// Sized to roughly one namespace's working set in the benches.
     pub engine_cache_capacity: usize,
     /// Per-substrate raw-metrics memo capacity (kept tiny so the shared
     /// cache — the store sharding partitions — carries the hits).
@@ -55,23 +50,6 @@ pub struct ClusterWorkload {
 }
 
 impl ClusterWorkload {
-    /// The bench workload: two namespaces whose combined working set
-    /// overflows one shard's cache but fits two shards' caches.
-    pub fn bench(rows: usize, max_states: usize) -> Self {
-        ClusterWorkload {
-            namespaces: 2,
-            rows,
-            max_states,
-            // Tuned against the suite's distinct-state count: the apx+bi
-            // pair valuates up to ~2×max_states distinct states per pool
-            // (their visit sets overlap but are not identical), so one
-            // namespace fits with headroom while two namespaces overflow
-            // and thrash.
-            engine_cache_capacity: max_states * 2 + 8,
-            memo_capacity: 4,
-        }
-    }
-
     /// Scenario names in submission order.
     pub fn scenario_names(&self) -> Vec<String> {
         (0..self.namespaces)
@@ -284,27 +262,14 @@ pub struct DrivenOutcome {
 /// one burst, `WAIT` for all tickets, then fetch every `RESULT`. Returns
 /// outcomes in submission order.
 pub fn drive_suite(addr: SocketAddr, scenarios: &[String]) -> Vec<DrivenOutcome> {
-    drive_suite_timed(addr, scenarios).0
-}
-
-/// [`drive_suite`] plus the per-response latency distribution: every
-/// response line (tickets, drain `OK`, streamed `DONE`s, `RESULT`s) is
-/// recorded as microseconds since its request burst was written — the
-/// latency a pipelining suite client observes. Clock reads are noise
-/// next to scenario execution, so [`drive_suite`] shares this path.
-pub fn drive_suite_timed(
-    addr: SocketAddr,
-    scenarios: &[String],
-) -> (Vec<DrivenOutcome>, Histogram) {
     let stream = TcpStream::connect(addr).expect("connect front-end");
     stream
         .set_read_timeout(Some(Duration::from_secs(300)))
         .expect("read timeout");
     // Without this, a request split across several small `write` calls
     // (e.g. `writeln!` fragments) stalls ~40ms behind the server's
-    // delayed ACK (Nagle) — which would dominate every latency number
-    // this harness produces. Requests are also built as single strings
-    // and sent with one `write_all` each.
+    // delayed ACK (Nagle). Requests are also built as single strings and
+    // sent with one `write_all` each.
     stream.set_nodelay(true).expect("nodelay");
     let mut writer = stream.try_clone().expect("clone stream");
     let mut reader = BufReader::new(stream);
@@ -315,22 +280,18 @@ pub fn drive_suite_timed(
         reply.trim_end().to_string()
     };
 
-    let latency = Histogram::new();
-
     // One pipelined burst: all submissions plus the drain.
     let mut burst = String::new();
     for name in scenarios {
         burst.push_str(&format!("SUBMIT {name}\n"));
     }
     burst.push_str("RUN\n");
-    let burst_start = Instant::now();
     writer.write_all(burst.as_bytes()).expect("send burst");
 
     let tickets: Vec<u64> = scenarios
         .iter()
         .map(|name| {
             let reply = recv();
-            latency.record_duration(burst_start.elapsed());
             reply
                 .strip_prefix("TICKET ")
                 .unwrap_or_else(|| panic!("SUBMIT {name}: {reply}"))
@@ -339,18 +300,15 @@ pub fn drive_suite_timed(
         })
         .collect();
     let run = recv();
-    latency.record_duration(burst_start.elapsed());
     assert!(run.starts_with("OK "), "RUN: {run}");
 
     let ids: Vec<String> = tickets.iter().map(u64::to_string).collect();
-    let wait_start = Instant::now();
     writer
         .write_all(format!("WAIT {}\n", ids.join(" ")).as_bytes())
         .expect("send WAIT");
     let mut done: std::collections::HashMap<u64, String> = std::collections::HashMap::new();
     for _ in &tickets {
         let reply = recv();
-        latency.record_duration(wait_start.elapsed());
         let rest = reply
             .strip_prefix("DONE ")
             .unwrap_or_else(|| panic!("WAIT line: {reply}"));
@@ -363,14 +321,12 @@ pub fn drive_suite_timed(
     for ticket in &tickets {
         result_burst.push_str(&format!("RESULT {ticket}\n"));
     }
-    let result_start = Instant::now();
     writer
         .write_all(result_burst.as_bytes())
         .expect("send RESULTs");
     let mut outcomes = Vec::new();
     for (name, &ticket) in scenarios.iter().zip(&tickets) {
         let reply = recv();
-        latency.record_duration(result_start.elapsed());
         let rest = reply
             .strip_prefix("RESULT ")
             .unwrap_or_else(|| panic!("RESULT {ticket}: {reply}"));
@@ -384,7 +340,7 @@ pub fn drive_suite_timed(
         });
     }
     let _ = writer.write_all(b"QUIT\n");
-    (outcomes, latency)
+    outcomes
 }
 
 /// Asks any front-end for its `STATS` line.

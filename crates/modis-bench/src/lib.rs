@@ -2,35 +2,25 @@
 //!
 //! Experiment harness for the MODis reproduction: task definitions matching
 //! the paper's T1–T5 (§6, Table 3), method runners producing the rows of
-//! Tables 4–6, and plain-text report helpers used by the `fig*`/`table*`
-//! binaries and the Criterion micro-benchmarks.
+//! Tables 4–6, the in-process cluster harness the integration tests and
+//! `modis_shard` drive, and plain-text report helpers used by the
+//! `fig*`/`table*` binaries. Speed is measured in one place only: the
+//! stand-alone `bench_e2e` package under `src/bin/bench_e2e/`, declared by
+//! the repository's `BENCHMARK.json`.
 
 #![warn(missing_docs)]
 
 pub mod cluster_workload;
 pub mod dominance_workload;
-pub mod reactor_workload;
 pub mod report;
-pub mod service_workload;
 pub mod workloads;
 
 pub use cluster_workload::{
-    drive_suite, drive_suite_timed, fetch_stats, register_t3_cluster, t3_cluster_namespace,
-    t3_cluster_scenarios, t3_cluster_spec, ClusterHarness, ClusterShard, ClusterWorkload,
-    DrivenOutcome,
-};
-pub use reactor_workload::{
-    drive_clients, drive_clients_timed, max_open_files, open_idle_connections, requests_per_sec,
-    scrape_sweep_totals, BlockingDaemon, ClientMode, DriveReport,
+    drive_suite, fetch_stats, register_t3_cluster, t3_cluster_namespace, t3_cluster_scenarios,
+    t3_cluster_spec, ClusterHarness, ClusterShard, ClusterWorkload, DrivenOutcome,
 };
 pub use report::{print_method_table, print_series, print_table, Row};
-pub use service_workload::{
-    register_service_suite, register_service_suite_over, service_config, service_probe_states,
-    service_substrate, service_valuation_requests, service_with_probe_states,
-    SERVICE_SCENARIO_NAMES,
-};
 pub use workloads::{
-    materialize_state, materialize_substrate, materialize_substrate_with, run_graph_methods,
-    run_table_methods, run_variant, skyline_to_row, t5_measures, task_t1, task_t2, task_t3,
+    run_graph_methods, run_table_methods, run_variant, t5_measures, task_t1, task_t2, task_t3,
     task_t4, MethodRow, ModisVariant, Workload,
 };

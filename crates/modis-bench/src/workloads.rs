@@ -8,7 +8,7 @@
 //! Table 5.
 
 use modis_core::prelude::*;
-use modis_data::{Attribute, Dataset, Schema, StateBitmap, Value};
+use modis_data::{Attribute, Dataset, Schema, Value};
 use modis_datagen::tables::TablePool;
 use modis_ml::graph::BipartiteGraph;
 
@@ -227,11 +227,7 @@ pub fn run_variant<S: Substrate + ?Sized>(
 /// Converts a skyline result into a comparison row by picking the member with
 /// the best *primary* measure (index 0), as the paper does when comparing
 /// against single-output baselines.
-pub fn skyline_to_row(
-    name: &str,
-    result: &SkylineResult,
-    primary_higher_is_better: bool,
-) -> MethodRow {
+fn skyline_to_row(name: &str, result: &SkylineResult, primary_higher_is_better: bool) -> MethodRow {
     let best = result
         .best_by_raw(0, primary_higher_is_better)
         .cloned()
@@ -301,17 +297,12 @@ pub fn run_table_methods(workload: &Workload, config: &ModisConfig) -> Vec<Metho
     rows
 }
 
-/// Synthetic single-table substrate of `rows` tuples used by the
-/// materialisation benchmarks: mixed numeric/categorical features with
-/// missingness over a linear target, deterministic in `seed`.
-pub fn materialize_substrate(rows: usize, seed: u64) -> TableSubstrate {
-    materialize_substrate_with(rows, seed, &TableSpaceConfig::default())
-}
-
-/// [`materialize_substrate`] with an explicit space configuration — the
-/// cluster benchmarks bound the per-substrate raw-metrics memo
-/// (`eval_cache_capacity`) so that serving performance is carried by the
-/// engine's shared evaluation cache, the store that sharding partitions.
+/// Synthetic single-table substrate of `rows` tuples: mixed
+/// numeric/categorical features with missingness over a linear target,
+/// deterministic in `seed`. The cluster harness passes a space
+/// configuration that bounds the per-substrate raw-metrics memo
+/// (`eval_cache_capacity`), so that serving is carried by the engine's
+/// shared evaluation cache, the store that sharding partitions.
 pub fn materialize_substrate_with(
     rows: usize,
     seed: u64,
@@ -366,16 +357,6 @@ pub fn materialize_substrate_with(
         seed,
     };
     TableSubstrate::from_universal(data, task, space)
-}
-
-/// A representative non-trivial state for the materialisation benchmarks:
-/// every third unit cleared (mixing attribute masks and cluster removals).
-pub fn materialize_state(substrate: &TableSubstrate) -> StateBitmap {
-    let mut bitmap = substrate.forward_start();
-    for i in (0..substrate.num_units()).step_by(3) {
-        bitmap.set(i, false);
-    }
-    bitmap
 }
 
 /// Runs the MODis variants on the T5 graph workload (Table 5 compares only

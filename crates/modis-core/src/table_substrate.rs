@@ -246,46 +246,12 @@ impl TableSubstrate {
     /// Materialises the dataset denoted by a state bitmap as an owned copy —
     /// a thin [`DatasetView::to_dataset`] kept for consumers that need an
     /// owned table. Identical rows/schema to the pre-columnar
-    /// clone-and-filter implementation (see [`Self::materialize_baseline`]).
+    /// clone-and-filter implementation this module's tests keep as their
+    /// reference.
     pub fn materialize(&self, bitmap: &StateBitmap) -> Dataset {
         self.materialize_view(bitmap)
             .to_dataset()
             .with_name(format!("{}@{}", self.universal.name, bitmap))
-    }
-
-    /// The pre-columnar reference materialisation: deep-clones the universal
-    /// table, re-filters it row by row per cleared cluster unit and nulls
-    /// masked attributes cell by cell.
-    ///
-    /// Kept (not wired into any hot path) as the ground truth for the
-    /// equivalence property tests and the speedup baseline recorded in
-    /// `BENCH_materialize.json`.
-    pub fn materialize_baseline(&self, bitmap: &StateBitmap) -> Dataset {
-        let mut masked: Vec<&str> = Vec::new();
-        let mut removals: Vec<&Literal> = Vec::new();
-        for (i, unit) in self.units.iter().enumerate() {
-            if bitmap.get(i) {
-                continue;
-            }
-            match unit {
-                TableUnit::Attribute { name } => masked.push(name.as_str()),
-                TableUnit::Cluster { attribute, literal } => {
-                    if !masked.contains(&attribute.as_str()) {
-                        removals.push(literal);
-                    }
-                }
-            }
-        }
-        let mut data = self.universal.clone();
-        for lit in removals {
-            data.retain(|row| !lit.matches_row(&self.universal, row));
-        }
-        for name in masked {
-            if let Ok(d) = modis_data::mask_attribute(&data, name) {
-                data = d;
-            }
-        }
-        data.with_name(format!("{}@{}", self.universal.name, bitmap))
     }
 
     /// Counters of the bounded raw-metrics memo.
@@ -443,6 +409,7 @@ mod tests {
     use crate::measure::{MeasureSet, MeasureSpec};
     use crate::task::{MetricKind, ModelKind};
     use modis_data::{Attribute, Schema, Value};
+    use proptest::prelude::*;
 
     fn pool() -> Vec<Dataset> {
         let base = Dataset::from_rows(
@@ -599,6 +566,40 @@ mod tests {
         assert_eq!(f.len(), sub.num_units() + 4);
     }
 
+    impl TableSubstrate {
+        /// The pre-columnar reference materialisation: deep-clones the
+        /// universal table, re-filters it row by row per cleared cluster
+        /// unit and nulls masked attributes cell by cell. Ground truth for
+        /// the two equivalence tests below.
+        fn materialize_baseline(&self, bitmap: &StateBitmap) -> Dataset {
+            let mut masked: Vec<&str> = Vec::new();
+            let mut removals: Vec<&Literal> = Vec::new();
+            for (i, unit) in self.units.iter().enumerate() {
+                if bitmap.get(i) {
+                    continue;
+                }
+                match unit {
+                    TableUnit::Attribute { name } => masked.push(name.as_str()),
+                    TableUnit::Cluster { attribute, literal } => {
+                        if !masked.contains(&attribute.as_str()) {
+                            removals.push(literal);
+                        }
+                    }
+                }
+            }
+            let mut data = self.universal.clone();
+            for lit in removals {
+                data.retain(|row| !lit.matches_row(&self.universal, row));
+            }
+            for name in masked {
+                if let Ok(d) = modis_data::mask_attribute(&data, name) {
+                    data = d;
+                }
+            }
+            data.with_name(format!("{}@{}", self.universal.name, bitmap))
+        }
+    }
+
     #[test]
     fn view_materialisation_matches_clone_and_filter_baseline() {
         let sub = TableSubstrate::from_pool(&pool(), task(), &TableSpaceConfig::default());
@@ -621,6 +622,52 @@ mod tests {
             let view = sub.materialize_view(s);
             assert_eq!(view.reported_size(), baseline.reported_size(), "{s}");
             assert!((view.missing_ratio() - baseline.missing_ratio()).abs() < 1e-12);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On a full `TableSubstrate` over a random pool, the columnar
+        /// (mask-intersection) materialisation is byte-identical to the
+        /// seed's clone-and-filter implementation for random states.
+        #[test]
+        fn substrate_view_materialisation_matches_baseline(
+            xs in prop::collection::vec(0i64..9, 24..60),
+            state_bits in prop::collection::vec(any::<bool>(), 64),
+        ) {
+            let schema = Schema::from_attributes(vec![
+                Attribute::key("id"),
+                Attribute::feature("x"),
+                Attribute::feature("z"),
+                Attribute::target("y"),
+            ]);
+            let rows: Vec<Vec<Value>> = xs
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| {
+                    vec![
+                        Value::Int(i as i64),
+                        Value::Float(x as f64),
+                        if x % 4 == 0 { Value::Null } else { Value::Int(x % 3) },
+                        Value::Float(2.0 * x as f64),
+                    ]
+                })
+                .collect();
+            let data = Dataset::from_rows("pool", schema, rows).unwrap();
+            let sub = TableSubstrate::from_universal(data, task(), &TableSpaceConfig::default());
+            let bitmap = StateBitmap::from_bits(
+                (0..sub.num_units()).map(|i| state_bits[i % state_bits.len()]).collect(),
+            );
+            let via_view = sub.materialize(&bitmap);
+            let baseline = sub.materialize_baseline(&bitmap);
+            prop_assert_eq!(via_view.rows(), baseline.rows());
+            prop_assert_eq!(via_view.schema().names(), baseline.schema().names());
+            prop_assert_eq!(&via_view.name, &baseline.name);
+            prop_assert_eq!(
+                sub.materialize_view(&bitmap).reported_size(),
+                baseline.reported_size()
+            );
         }
     }
 

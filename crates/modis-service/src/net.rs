@@ -394,9 +394,9 @@ pub fn execute(service: &Service, request: Parsed) -> Request {
 
 /// Executes one protocol line against the service, synchronously.
 ///
-/// This is the in-process entry point (tests, embedding, the baseline
-/// bench server): [`protocol::parse`] + [`execute`], with the deferred
-/// part run on the calling thread — a `RUN` drains the queue right here.
+/// This is the in-process entry point (tests, embedding):
+/// [`protocol::parse`] + [`execute`], with the deferred part run on the
+/// calling thread — a `RUN` drains the queue right here.
 /// Two verbs need a front-end and are refused by name, well-formed or
 /// not: `WAIT` (it only makes sense where deferred responses exist) and
 /// `SHIP` (only a [`protocol::Framer`] can read the payload behind its

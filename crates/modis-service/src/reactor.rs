@@ -83,7 +83,7 @@ const TOKEN_LISTENER: usize = 1;
 const TOKEN_BASE: usize = 2;
 
 /// Tuning knobs of the reactor loop. The defaults suit tests, examples and
-/// the benches; none of them change protocol semantics.
+/// the benchmark; none of them change protocol semantics.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
     /// Longest accepted request line in bytes (terminator excluded). A

@@ -25,7 +25,7 @@ use proptest::prelude::*;
 
 use modis_bench::{
     drive_suite, fetch_stats, register_t3_cluster, t3_cluster_namespace, t3_cluster_scenarios,
-    t3_cluster_spec, ClusterWorkload,
+    t3_cluster_spec, ClusterHarness, ClusterWorkload,
 };
 use modis_core::config::ModisConfig;
 use modis_core::estimator::EstimatorMode;
@@ -483,6 +483,112 @@ fn router_merges_cluster_metrics_and_trace_dumps() {
     );
     assert_eq!(recv(&mut reader), "PONG");
     assert_eq!(recv(&mut reader), "BYE");
+    cluster.stop();
+}
+
+/// The metric catalog of `docs/OBSERVABILITY.md` is live, both ways: a
+/// suite with one surrogate-mode scenario (the two surrogate families
+/// register on the first refit and the first memo hit), driven through a
+/// router over two shards, makes every documented family appear in the
+/// merged scrape, and the scrape holds no family the catalog has no row
+/// for.
+#[test]
+fn metric_catalog_and_cluster_scrape_name_the_same_families() {
+    use std::collections::BTreeSet;
+
+    let docs = include_str!("../docs/OBSERVABILITY.md");
+    let catalog = docs
+        .split_once("\n## Metric catalog\n")
+        .and_then(|(_, rest)| rest.split_once("\n## "))
+        .expect("a `## Metric catalog` section followed by another")
+        .0;
+    let documented: BTreeSet<&str> = catalog
+        .lines()
+        .filter_map(|l| {
+            l.strip_prefix("| `")?
+                .split_once("` | ")
+                .map(|(name, _)| name)
+        })
+        .collect();
+
+    let workload = ClusterWorkload {
+        namespaces: 2,
+        rows: 100,
+        max_states: 5,
+        engine_cache_capacity: 0,
+        memo_capacity: 0,
+    };
+    let surrogate = ModisConfig::default()
+        .with_max_states(40)
+        .with_max_level(4)
+        .with_estimator(EstimatorMode::Surrogate {
+            warmup: 8,
+            refresh: 8,
+        });
+    let shards: Vec<_> = ["shard0", "shard1"]
+        .iter()
+        .map(|name| {
+            let shard = workload.spawn_shard(name);
+            let substrate: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(8));
+            shard
+                .service
+                .register(
+                    Scenario::new("sur/apx", substrate, Algorithm::Apx, surrogate.clone())
+                        .with_cache_namespace("sur-pool"),
+                )
+                .unwrap();
+            shard
+        })
+        .collect();
+    let mut names = workload.scenario_names();
+    names.push("sur/apx".to_string());
+    let spec = ClusterSpec::new(names.iter().map(|name| {
+        let pool = name.split_once('/').expect("pool/algorithm").0;
+        (name.clone(), format!("{pool}-pool"))
+    }))
+    .unwrap();
+    let router = Router::bind(
+        spec,
+        shards
+            .iter()
+            .map(|s| (s.name.clone(), s.daemon.addr()))
+            .collect(),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let cluster = ClusterHarness { shards, router };
+    let _ = drive_suite(cluster.router.addr(), &names);
+    // `engine_surrogate_reused_total` registers on the first memo hit: the
+    // same scenario again, over the now-warm cache, refits the same matrix.
+    let _ = drive_suite(cluster.router.addr(), &["sur/apx".to_string()]);
+
+    let stream = TcpStream::connect(cluster.router.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    writer.write_all(b"METRICS\nQUIT\n").unwrap();
+    let header = recv(&mut reader);
+    let count: usize = header
+        .strip_prefix("METRICS ")
+        .unwrap_or_else(|| panic!("bad METRICS header {header:?}"))
+        .parse()
+        .expect("numeric line count");
+    let lines: Vec<String> = (0..count).map(|_| recv(&mut reader)).collect();
+    let registered: BTreeSet<&str> = lines
+        .iter()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+        .collect();
+
+    let never_registered: Vec<_> = documented.difference(&registered).collect();
+    let undocumented: Vec<_> = registered.difference(&documented).collect();
+    assert!(
+        never_registered.is_empty() && undocumented.is_empty(),
+        "docs/OBSERVABILITY.md catalog vs cluster scrape: documented but never \
+         registered {never_registered:?}, registered but undocumented {undocumented:?}"
+    );
+
     cluster.stop();
 }
 

@@ -216,65 +216,4 @@ proptest! {
         prop_assert_eq!(view.reported_size(), reference.reported_size());
         prop_assert!((view.missing_ratio() - reference.missing_ratio()).abs() < 1e-12);
     }
-
-    /// On a full `TableSubstrate` over a random pool, the columnar
-    /// (mask-intersection) materialisation is byte-identical to the seed's
-    /// clone-and-filter implementation for random states.
-    #[test]
-    fn substrate_view_materialisation_matches_baseline(
-        xs in prop::collection::vec(0i64..9, 24..60),
-        state_bits in prop::collection::vec(any::<bool>(), 64),
-    ) {
-        use modis_core::table_substrate::{TableSpaceConfig, TableSubstrate};
-        use modis_core::task::{MetricKind, ModelKind, TaskSpec};
-        use modis_core::measure::{MeasureSet, MeasureSpec};
-        use modis_data::Attribute;
-        use modis_core::substrate::Substrate;
-
-        let schema = Schema::from_attributes(vec![
-            Attribute::key("id"),
-            Attribute::feature("x"),
-            Attribute::feature("z"),
-            Attribute::target("y"),
-        ]);
-        let rows: Vec<Vec<Value>> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| {
-                vec![
-                    Value::Int(i as i64),
-                    Value::Float(x as f64),
-                    if x % 4 == 0 { Value::Null } else { Value::Int(x % 3) },
-                    Value::Float(2.0 * x as f64),
-                ]
-            })
-            .collect();
-        let data = Dataset::from_rows("pool", schema, rows).unwrap();
-        let task = TaskSpec {
-            name: "prop".into(),
-            model: ModelKind::LinearRegressor,
-            target: "y".into(),
-            key: Some("id".into()),
-            measures: MeasureSet::new(vec![
-                MeasureSpec::maximise("p_R2"),
-                MeasureSpec::minimise("p_Train", 2.0),
-            ]),
-            metric_kinds: vec![MetricKind::R2, MetricKind::TrainTime],
-            train_ratio: 0.7,
-            seed: 1,
-        };
-        let sub = TableSubstrate::from_universal(data, task, &TableSpaceConfig::default());
-        let bitmap = StateBitmap::from_bits(
-            (0..sub.num_units()).map(|i| state_bits[i % state_bits.len()]).collect(),
-        );
-        let via_view = sub.materialize(&bitmap);
-        let baseline = sub.materialize_baseline(&bitmap);
-        prop_assert_eq!(via_view.rows(), baseline.rows());
-        prop_assert_eq!(via_view.schema().names(), baseline.schema().names());
-        prop_assert_eq!(&via_view.name, &baseline.name);
-        prop_assert_eq!(
-            sub.materialize_view(&bitmap).reported_size(),
-            baseline.reported_size()
-        );
-    }
 }
