@@ -5,16 +5,18 @@
 //! (d) discovery time vs the largest active-domain size |adom| (controlled by
 //!     the number of clusters per attribute).
 
-use modis_bench::{print_series, task_t1, ModisVariant};
+use modis_bench::{print_series, task_t1};
 use modis_core::prelude::*;
 use modis_datagen::tables::{generate_table_pool, TablePoolConfig};
 
-fn time_of(substrate: &TableSubstrate, variant: ModisVariant, config: &ModisConfig) -> f64 {
-    modis_bench::run_variant(variant, substrate, config).elapsed_seconds
+fn time_of(substrate: &TableSubstrate, variant: Algorithm, config: &ModisConfig) -> f64 {
+    variant
+        .run(&ValuationContext::new(substrate, config.estimator), config)
+        .elapsed_seconds
 }
 
 fn main() {
-    let names: Vec<&str> = ModisVariant::all().iter().map(|v| v.name()).collect();
+    let names: Vec<&str> = Algorithm::PAPER_VARIANTS.iter().map(|v| v.name()).collect();
     let base_cfg =
         ModisConfig::default()
             .with_max_states(40)
@@ -30,7 +32,7 @@ fn main() {
     let mut series = vec![Vec::new(); 4];
     for &e in &eps {
         let cfg = base_cfg.clone().with_epsilon(e).with_max_level(6);
-        for (i, v) in ModisVariant::all().iter().enumerate() {
+        for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
             series[i].push(time_of(&substrate, *v, &cfg));
         }
     }
@@ -50,7 +52,7 @@ fn main() {
             .clone()
             .with_epsilon(0.2)
             .with_max_level(l as usize);
-        for (i, v) in ModisVariant::all().iter().enumerate() {
+        for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
             series[i].push(time_of(&substrate, *v, &cfg));
         }
     }
@@ -78,7 +80,7 @@ fn main() {
         let w = task_t1(42);
         let sub = TableSubstrate::from_pool(&pool.tables, w.task.clone(), &w.space);
         let cfg = base_cfg.clone().with_epsilon(0.2).with_max_level(4);
-        for (i, v) in ModisVariant::all().iter().enumerate() {
+        for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
             series[i].push(time_of(&sub, *v, &cfg));
         }
     }
@@ -101,7 +103,7 @@ fn main() {
         };
         let sub = TableSubstrate::from_pool(&w.pool.tables, w.task.clone(), &space);
         let cfg = base_cfg.clone().with_epsilon(0.2).with_max_level(4);
-        for (i, v) in ModisVariant::all().iter().enumerate() {
+        for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
             series[i].push(time_of(&sub, *v, &cfg));
         }
     }

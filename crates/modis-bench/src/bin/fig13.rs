@@ -1,12 +1,12 @@
 //! Figure 13: efficiency of the MODis variants on T5 (graph data, a/b) and
 //! T3 (avocado regression, c/d), varying ε and maxl.
 
-use modis_bench::{print_series, t5_measures, task_t3, ModisVariant};
+use modis_bench::{print_series, t5_measures, task_t3};
 use modis_core::prelude::*;
 use modis_datagen::t5_recommendation;
 
 fn main() {
-    let names: Vec<&str> = ModisVariant::all().iter().map(|v| v.name()).collect();
+    let names: Vec<&str> = Algorithm::PAPER_VARIANTS.iter().map(|v| v.name()).collect();
 
     // T5 graph substrate.
     let graph = t5_recommendation(42);
@@ -27,8 +27,11 @@ fn main() {
     let mut series = vec![Vec::new(); 4];
     for &e in &eps {
         let cfg = base.clone().with_epsilon(e).with_max_level(4);
-        for (i, v) in ModisVariant::all().iter().enumerate() {
-            series[i].push(modis_bench::run_variant(*v, &graph_sub, &cfg).elapsed_seconds);
+        for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
+            series[i].push(
+                v.run(&ValuationContext::new(&graph_sub, cfg.estimator), &cfg)
+                    .elapsed_seconds,
+            );
         }
     }
     print_series(
@@ -44,8 +47,11 @@ fn main() {
     let mut series = vec![Vec::new(); 4];
     for &l in &maxls {
         let cfg = base.clone().with_epsilon(0.1).with_max_level(l as usize);
-        for (i, v) in ModisVariant::all().iter().enumerate() {
-            series[i].push(modis_bench::run_variant(*v, &graph_sub, &cfg).elapsed_seconds);
+        for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
+            series[i].push(
+                v.run(&ValuationContext::new(&graph_sub, cfg.estimator), &cfg)
+                    .elapsed_seconds,
+            );
         }
     }
     print_series(
@@ -71,8 +77,11 @@ fn main() {
     let mut series = vec![Vec::new(); 4];
     for &e in &eps {
         let cfg = base.clone().with_epsilon(e).with_max_level(5);
-        for (i, v) in ModisVariant::all().iter().enumerate() {
-            series[i].push(modis_bench::run_variant(*v, &table_sub, &cfg).elapsed_seconds);
+        for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
+            series[i].push(
+                v.run(&ValuationContext::new(&table_sub, cfg.estimator), &cfg)
+                    .elapsed_seconds,
+            );
         }
     }
     print_series(
@@ -88,8 +97,11 @@ fn main() {
     let mut series = vec![Vec::new(); 4];
     for &l in &maxls {
         let cfg = base.clone().with_epsilon(0.1).with_max_level(l as usize);
-        for (i, v) in ModisVariant::all().iter().enumerate() {
-            series[i].push(modis_bench::run_variant(*v, &table_sub, &cfg).elapsed_seconds);
+        for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
+            series[i].push(
+                v.run(&ValuationContext::new(&table_sub, cfg.estimator), &cfg)
+                    .elapsed_seconds,
+            );
         }
     }
     print_series(

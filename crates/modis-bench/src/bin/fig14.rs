@@ -2,12 +2,12 @@
 //! node features |A| (via edge-feature dimensionality) and the number of edge
 //! clusters |adom|.
 
-use modis_bench::{print_series, t5_measures, ModisVariant};
+use modis_bench::{print_series, t5_measures};
 use modis_core::prelude::*;
 use modis_datagen::graphs::{generate_bipartite_graph, GraphConfig};
 
 fn main() {
-    let names: Vec<&str> = ModisVariant::all().iter().map(|v| v.name()).collect();
+    let names: Vec<&str> = Algorithm::PAPER_VARIANTS.iter().map(|v| v.name()).collect();
     let base = ModisConfig::default()
         .with_epsilon(0.2)
         .with_max_states(20)
@@ -31,8 +31,11 @@ fn main() {
                 ..GraphSpaceConfig::default()
             },
         );
-        for (i, v) in ModisVariant::all().iter().enumerate() {
-            series[i].push(modis_bench::run_variant(*v, &sub, &base).elapsed_seconds);
+        for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
+            series[i].push(
+                v.run(&ValuationContext::new(&sub, base.estimator), &base)
+                    .elapsed_seconds,
+            );
         }
     }
     print_series(
@@ -59,8 +62,11 @@ fn main() {
                 ..GraphSpaceConfig::default()
             },
         );
-        for (i, v) in ModisVariant::all().iter().enumerate() {
-            series[i].push(modis_bench::run_variant(*v, &sub, &base).elapsed_seconds);
+        for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
+            series[i].push(
+                v.run(&ValuationContext::new(&sub, base.estimator), &base)
+                    .elapsed_seconds,
+            );
         }
     }
     print_series(

@@ -2,7 +2,7 @@
 //! primary ranking measure (P@5) relative to the original graph, as a
 //! function of the maximum path length and of ε.
 
-use modis_bench::{print_series, t5_measures, ModisVariant};
+use modis_bench::{print_series, t5_measures};
 use modis_core::prelude::*;
 use modis_datagen::t5_recommendation;
 
@@ -25,7 +25,7 @@ fn main() {
         },
     );
     let original_p5 = sub.evaluate_raw(&sub.forward_start())[0];
-    let names: Vec<&str> = ModisVariant::all().iter().map(|v| v.name()).collect();
+    let names: Vec<&str> = Algorithm::PAPER_VARIANTS.iter().map(|v| v.name()).collect();
     let base = ModisConfig::default()
         .with_max_states(25)
         .with_estimator(EstimatorMode::Oracle);
@@ -35,8 +35,8 @@ fn main() {
     let mut series = vec![Vec::new(); 4];
     for &l in &maxls {
         let cfg = base.clone().with_epsilon(0.1).with_max_level(l as usize);
-        for (i, v) in ModisVariant::all().iter().enumerate() {
-            let res = modis_bench::run_variant(*v, &sub, &cfg);
+        for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
+            let res = v.run(&ValuationContext::new(&sub, cfg.estimator), &cfg);
             let best = res
                 .best_by_raw(0, true)
                 .map(|e| e.raw[0])
@@ -57,8 +57,8 @@ fn main() {
     let mut series = vec![Vec::new(); 4];
     for &e in &eps {
         let cfg = base.clone().with_epsilon(e).with_max_level(3);
-        for (i, v) in ModisVariant::all().iter().enumerate() {
-            let res = modis_bench::run_variant(*v, &sub, &cfg);
+        for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
+            let res = v.run(&ValuationContext::new(&sub, cfg.estimator), &cfg);
             let best = res
                 .best_by_raw(0, true)
                 .map(|e| e.raw[0])

@@ -1,21 +1,21 @@
 //! Figure 8: impact of ε (a, c) and of the maximum path length maxl (b, d) on
 //! the accuracy/F1 achieved by the MODis variants, for T1 and T2.
 
-use modis_bench::{print_series, task_t1, task_t2, ModisVariant, Workload};
+use modis_bench::{print_series, task_t1, task_t2, Workload};
 use modis_core::prelude::*;
 
-fn best_primary(workload: &Workload, variant: ModisVariant, config: &ModisConfig) -> f64 {
+fn best_primary(workload: &Workload, variant: Algorithm, config: &ModisConfig) -> f64 {
     let substrate = workload.substrate();
-    let res = modis_bench::run_variant(variant, &substrate, config);
+    let res = variant.run(&ValuationContext::new(&substrate, config.estimator), config);
     res.best_by_raw(0, true).map(|e| e.raw[0]).unwrap_or(0.0)
 }
 
 fn sweep(workload: &Workload, configs: &[(f64, ModisConfig)], title: &str, x_label: &str) {
-    let names: Vec<&str> = ModisVariant::all().iter().map(|v| v.name()).collect();
+    let names: Vec<&str> = Algorithm::PAPER_VARIANTS.iter().map(|v| v.name()).collect();
     let xs: Vec<f64> = configs.iter().map(|(x, _)| *x).collect();
     let mut series: Vec<Vec<f64>> = vec![Vec::new(); names.len()];
     for (_, cfg) in configs {
-        for (i, v) in ModisVariant::all().iter().enumerate() {
+        for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
             series[i].push(best_primary(workload, *v, cfg));
         }
     }

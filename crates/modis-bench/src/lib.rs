@@ -21,6 +21,6 @@ pub use cluster_workload::{
 };
 pub use report::{print_method_table, print_series, print_table, Row};
 pub use workloads::{
-    run_graph_methods, run_table_methods, run_variant, t5_measures, task_t1, task_t2, task_t3,
-    task_t4, MethodRow, ModisVariant, Workload,
+    run_graph_methods, run_table_methods, t5_measures, task_t1, task_t2, task_t3, task_t4,
+    MethodRow, Workload,
 };

@@ -175,55 +175,6 @@ pub fn t5_measures() -> MeasureSet {
     ])
 }
 
-/// The four MODis variants compared throughout the experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModisVariant {
-    /// ApxMODis (reduce from universal).
-    Apx,
-    /// NOBiMODis (bi-directional, no pruning).
-    NoBi,
-    /// BiMODis (bi-directional with pruning).
-    Bi,
-    /// DivMODis (diversified).
-    Div,
-}
-
-impl ModisVariant {
-    /// All variants in the order the paper's tables use.
-    pub fn all() -> [ModisVariant; 4] {
-        [
-            ModisVariant::Apx,
-            ModisVariant::NoBi,
-            ModisVariant::Bi,
-            ModisVariant::Div,
-        ]
-    }
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ModisVariant::Apx => "ApxMODis",
-            ModisVariant::NoBi => "NOBiMODis",
-            ModisVariant::Bi => "BiMODis",
-            ModisVariant::Div => "DivMODis",
-        }
-    }
-}
-
-/// Runs one MODis variant over a substrate.
-pub fn run_variant<S: Substrate + ?Sized>(
-    variant: ModisVariant,
-    substrate: &S,
-    config: &ModisConfig,
-) -> SkylineResult {
-    match variant {
-        ModisVariant::Apx => apx_modis(substrate, config),
-        ModisVariant::NoBi => nobi_modis(substrate, config),
-        ModisVariant::Bi => bi_modis(substrate, config),
-        ModisVariant::Div => div_modis(substrate, config),
-    }
-}
-
 /// Converts a skyline result into a comparison row by picking the member with
 /// the best *primary* measure (index 0), as the paper does when comparing
 /// against single-output baselines.
@@ -290,8 +241,8 @@ pub fn run_table_methods(workload: &Workload, config: &ModisConfig) -> Vec<Metho
     rows.push(baseline_row(sksfm(&universal, task)));
     rows.push(baseline_row(h2o(&universal, task)));
 
-    for variant in ModisVariant::all() {
-        let result = run_variant(variant, &substrate, config);
+    for variant in Algorithm::PAPER_VARIANTS {
+        let result = variant.run(&ValuationContext::new(&substrate, config.estimator), config);
         rows.push(skyline_to_row(variant.name(), &result, primary_hib));
     }
     rows
@@ -379,8 +330,8 @@ pub fn run_graph_methods(
         discovery_seconds: 0.0,
     });
 
-    for variant in ModisVariant::all() {
-        let result = run_variant(variant, &substrate, config);
+    for variant in Algorithm::PAPER_VARIANTS {
+        let result = variant.run(&ValuationContext::new(&substrate, config.estimator), config);
         rows.push(skyline_to_row(variant.name(), &result, true));
     }
     rows
@@ -427,7 +378,7 @@ mod tests {
     #[test]
     fn variant_names_are_unique() {
         let names: std::collections::BTreeSet<&str> =
-            ModisVariant::all().iter().map(|v| v.name()).collect();
+            Algorithm::PAPER_VARIANTS.iter().map(|v| v.name()).collect();
         assert_eq!(names.len(), 4);
     }
 

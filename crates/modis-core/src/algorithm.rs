@@ -1,0 +1,69 @@
+//! The one enumeration of the MODis searches, shared by the engine, the
+//! service's wire protocol and the experiment harness.
+
+use crate::apx::apx_modis_with_context;
+use crate::bimodis::bi_modis_with_context;
+use crate::config::{ModisConfig, SkylineResult};
+use crate::divmodis::div_modis_with_context;
+use crate::estimator::ValuationContext;
+use crate::exact::exact_modis_with_context;
+use crate::substrate::Substrate;
+
+/// Which MODis search to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Algorithm {
+    /// ApxMODis — reduce-from-universal `(N, ε)`-approximation
+    /// (wave-parallel in the engine).
+    Apx,
+    /// NOBiMODis — bi-directional search without correlation pruning.
+    NoBi,
+    /// BiMODis — bi-directional search with correlation pruning.
+    Bi,
+    /// DivMODis — diversified skyline generation.
+    Div,
+    /// The exact Pareto front over the bounded space (wave-parallel in the
+    /// engine; always oracle-valuated).
+    Exact,
+}
+
+impl Algorithm {
+    /// The four variants the paper's experiments compare, in its tables'
+    /// order.
+    pub const PAPER_VARIANTS: [Algorithm; 4] = [
+        Algorithm::Apx,
+        Algorithm::NoBi,
+        Algorithm::Bi,
+        Algorithm::Div,
+    ];
+
+    /// Human-readable algorithm name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Algorithm::Apx => "ApxMODis",
+            Algorithm::NoBi => "NOBiMODis",
+            Algorithm::Bi => "BiMODis",
+            Algorithm::Div => "DivMODis",
+            Algorithm::Exact => "Exact",
+        }
+    }
+
+    /// Runs the search sequentially on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// [`Algorithm::Exact`] on a context that is not in
+    /// [`crate::estimator::EstimatorMode::Oracle`].
+    pub fn run<S: Substrate + ?Sized>(
+        self,
+        ctx: &ValuationContext<'_, S>,
+        config: &ModisConfig,
+    ) -> SkylineResult {
+        match self {
+            Algorithm::Apx => apx_modis_with_context(ctx, config),
+            Algorithm::NoBi => bi_modis_with_context(ctx, config, false).0,
+            Algorithm::Bi => bi_modis_with_context(ctx, config, true).0,
+            Algorithm::Div => div_modis_with_context(ctx, config),
+            Algorithm::Exact => exact_modis_with_context(ctx, config),
+        }
+    }
+}

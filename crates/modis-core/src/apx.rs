@@ -6,13 +6,12 @@
 //! (`UPareto`); the search stops when `N` states have been valuated, the
 //! maximum path length is reached, or no new state can be generated.
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use crate::config::{ModisConfig, SkylineResult};
 use crate::estimator::ValuationContext;
 use crate::pareto::EpsilonSkyline;
-use crate::search_common::{finalize_result, op_gen, Direction, ProtectedSet, VisitedSet};
+use crate::search_common::{finalize_result, Direction, Frontier, VisitedSet};
 use crate::substrate::Substrate;
 
 /// Runs ApxMODis over a substrate.
@@ -30,36 +29,21 @@ pub fn apx_modis_with_context<S: Substrate + ?Sized>(
     let start = Instant::now();
     let substrate = ctx.substrate();
     let measures = substrate.measures().clone();
-    let protected = ProtectedSet::of(substrate);
     let mut skyline = EpsilonSkyline::new(measures, config.epsilon, config.decisive);
     let mut visited = VisitedSet::new();
-    let mut queue: VecDeque<(modis_data::StateBitmap, usize)> = VecDeque::new();
+    let mut frontier = Frontier::new(substrate, Direction::Forward, config.max_level);
 
     let s_u = substrate.forward_start();
     let perf_u = ctx.valuate(&s_u);
     skyline.offer(&s_u, &perf_u, 0);
-    visited.insert(&s_u);
-    queue.push_back((s_u, 0));
+    frontier.start(&mut visited, s_u, ());
 
-    while let Some((state, level)) = queue.pop_front() {
-        if ctx.num_valuated() >= config.max_states {
-            break;
-        }
-        if level >= config.max_level {
-            continue;
-        }
-        for child in op_gen(&state, Direction::Forward, &protected) {
-            if ctx.num_valuated() >= config.max_states {
-                break;
-            }
-            if !visited.insert(&child) {
-                continue;
-            }
-            let perf = ctx.valuate(&child);
-            skyline.offer(&child, &perf, level + 1);
-            queue.push_back((child, level + 1));
-        }
-    }
+    let open = || ctx.num_valuated() < config.max_states;
+    while frontier.step(&mut visited, open, |child, level, _| {
+        let perf = ctx.valuate(child);
+        skyline.offer(child, &perf, level);
+        Some(())
+    }) {}
 
     finalize_result(&skyline, ctx, config, start.elapsed().as_secs_f64())
 }

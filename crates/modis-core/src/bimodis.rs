@@ -9,26 +9,25 @@
 //! optimistic bound is already ε-dominated by a skyline member are pruned
 //! without valuation (Lemma 4).
 
-use std::collections::VecDeque;
 use std::time::Instant;
-
-use modis_data::StateBitmap;
 
 use crate::config::{ModisConfig, SkylineResult};
 use crate::correlation::{CorrelationGraph, DeltaTracker, PerfBounds};
 use crate::estimator::ValuationContext;
 use crate::pareto::EpsilonSkyline;
-use crate::search_common::{finalize_result, op_gen, Direction, ProtectedSet, VisitedSet};
+use crate::search_common::{finalize_result, Direction, Frontier, VisitedSet};
 use crate::substrate::Substrate;
 
 /// Runs BiMODis (with correlation-based pruning) over a substrate.
 pub fn bi_modis<S: Substrate + ?Sized>(substrate: &S, config: &ModisConfig) -> SkylineResult {
-    run_bidirectional(substrate, config, true)
+    let ctx = ValuationContext::new(substrate, config.estimator);
+    bi_modis_with_context(&ctx, config, true).0
 }
 
 /// Runs NOBiMODis: the bi-directional search without correlation pruning.
 pub fn nobi_modis<S: Substrate + ?Sized>(substrate: &S, config: &ModisConfig) -> SkylineResult {
-    run_bidirectional(substrate, config, false)
+    let ctx = ValuationContext::new(substrate, config.estimator);
+    bi_modis_with_context(&ctx, config, false).0
 }
 
 /// Statistics specific to the bi-directional search.
@@ -38,24 +37,6 @@ pub struct BiStats {
     pub pruned: usize,
     /// Number of levels processed before the frontiers met or emptied.
     pub levels: usize,
-}
-
-/// Bi-directional search result together with its pruning statistics.
-pub fn bi_modis_with_stats<S: Substrate + ?Sized>(
-    substrate: &S,
-    config: &ModisConfig,
-    prune: bool,
-) -> (SkylineResult, BiStats) {
-    let ctx = ValuationContext::new(substrate, config.estimator);
-    bi_modis_with_context(&ctx, config, prune)
-}
-
-fn run_bidirectional<S: Substrate + ?Sized>(
-    substrate: &S,
-    config: &ModisConfig,
-    prune: bool,
-) -> SkylineResult {
-    bi_modis_with_stats(substrate, config, prune).0
 }
 
 /// Runs the bi-directional search with an externally managed valuation
@@ -69,10 +50,8 @@ pub fn bi_modis_with_context<S: Substrate + ?Sized>(
     let start = Instant::now();
     let substrate = ctx.substrate();
     let measures = substrate.measures().clone();
-    let protected = ProtectedSet::of(substrate);
     let m = measures.len();
     let mut skyline = EpsilonSkyline::new(measures, config.epsilon, config.decisive);
-    let mut visited = VisitedSet::new();
     let mut deltas = DeltaTracker::new(m);
     let mut stats = BiStats::default();
 
@@ -80,70 +59,48 @@ pub fn bi_modis_with_context<S: Substrate + ?Sized>(
     let s_b = substrate.backward_start();
     let perf_u = ctx.valuate(&s_u);
     skyline.offer(&s_u, &perf_u, 0);
-    visited.insert(&s_u);
     let perf_b = if s_b != s_u {
         let p = ctx.valuate(&s_b);
         skyline.offer(&s_b, &p, 0);
-        visited.insert(&s_b);
         p
     } else {
         perf_u.clone()
     };
 
-    let mut forward: VecDeque<(StateBitmap, Vec<f64>, usize)> = VecDeque::new();
-    let mut backward: VecDeque<(StateBitmap, Vec<f64>, usize)> = VecDeque::new();
-    forward.push_back((s_u, perf_u, 0));
-    backward.push_back((s_b, perf_b, 0));
+    // One visited set for both directions: a state reachable from both ends
+    // is expanded by whichever frontier spawns it first — the paper's
+    // Q_f ∩ Q_b ≠ ∅ termination is approximated by the level cap.
+    let mut visited = VisitedSet::new();
+    let mut forward = Frontier::new(substrate, Direction::Forward, config.max_level);
+    let mut backward = Frontier::new(substrate, Direction::Backward, config.max_level);
+    forward.start(&mut visited, s_u, perf_u);
+    backward.start(&mut visited, s_b, perf_b);
 
-    while !forward.is_empty() || !backward.is_empty() {
-        if ctx.num_valuated() >= config.max_states {
-            break;
-        }
-        // Frontier meeting condition: a state reachable from both ends has
-        // been visited by both searches; with a shared `visited` set this is
-        // detected implicitly when a child is already visited by the other
-        // frontier — the paper's Q_f ∩ Q_b ≠ ∅ termination is approximated by
-        // the level cap below.
+    let open = || ctx.num_valuated() < config.max_states;
+    while open() && (forward.next_level().is_some() || backward.next_level().is_some()) {
         let corr = CorrelationGraph::from_series(&ctx.measure_series(), config.theta);
-
-        for (queue, direction) in [
-            (&mut forward, Direction::Forward),
-            (&mut backward, Direction::Backward),
-        ] {
-            let Some((state, parent_perf, level)) = queue.pop_front() else {
-                continue;
-            };
-            if level >= config.max_level {
-                continue;
+        for frontier in [&mut forward, &mut backward] {
+            if let Some(level) = frontier.next_level().filter(|&l| l < config.max_level) {
+                stats.levels = stats.levels.max(level + 1);
             }
-            stats.levels = stats.levels.max(level + 1);
-            for child in op_gen(&state, direction, &protected) {
-                if ctx.num_valuated() >= config.max_states {
-                    break;
-                }
-                if !visited.insert(&child) {
-                    continue;
-                }
+            frontier.step(&mut visited, open, |child, level, parent_perf| {
                 if prune && deltas.observations() >= 3 {
                     let bounds =
-                        PerfBounds::from_parent(&parent_perf, &deltas.min, &deltas.max, &corr);
+                        PerfBounds::from_parent(parent_perf, &deltas.min, &deltas.max, &corr);
                     let dominated = skyline
                         .entries()
                         .iter()
                         .any(|e| bounds.epsilon_dominated_by(&e.perf, config.epsilon));
                     if dominated {
                         stats.pruned += 1;
-                        continue;
+                        return None;
                     }
                 }
-                let perf = ctx.valuate(&child);
-                deltas.observe(&parent_perf, &perf);
-                skyline.offer(&child, &perf, level + 1);
-                queue.push_back((child, perf, level + 1));
-            }
-        }
-        if forward.is_empty() && backward.is_empty() {
-            break;
+                let perf = ctx.valuate(child);
+                deltas.observe(parent_perf, &perf);
+                skyline.offer(child, &perf, level);
+                Some(perf)
+            });
         }
     }
 
@@ -198,8 +155,10 @@ mod tests {
     fn pruning_reduces_valuations() {
         let sub = MockSubstrate::new(10);
         let cfg = oracle_config().with_max_states(500).with_max_level(5);
-        let (with, stats_with) = bi_modis_with_stats(&sub, &cfg, true);
-        let (without, _) = bi_modis_with_stats(&sub, &cfg, false);
+        let run =
+            |prune| bi_modis_with_context(&ValuationContext::new(&sub, cfg.estimator), &cfg, prune);
+        let (with, stats_with) = run(true);
+        let (without, _) = run(false);
         assert!(with.states_valuated <= without.states_valuated);
         // At least some states considered (pruning counter is well-defined).
         assert!(stats_with.pruned < 10_000);

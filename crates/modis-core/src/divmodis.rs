@@ -7,7 +7,6 @@
 //! `div(D_F) = Σ_{i<j} dis(D_i, D_j)` with
 //! `dis = α·(1 − cos(L_i, L_j))/2 + (1 − α)·euc(P_i, P_j)/euc_max`.
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use modis_data::stats::euclidean;
@@ -15,7 +14,7 @@ use modis_data::stats::euclidean;
 use crate::config::{ModisConfig, SkylineEntry, SkylineResult};
 use crate::estimator::ValuationContext;
 use crate::pareto::EpsilonSkyline;
-use crate::search_common::{finalize_result, op_gen, Direction, ProtectedSet, VisitedSet};
+use crate::search_common::{finalize_result, Direction, Frontier, VisitedSet};
 use crate::substrate::Substrate;
 
 /// Pairwise distance `dis(D_i, D_j)` of Eq. (2).
@@ -99,26 +98,22 @@ pub fn div_modis_with_context<S: Substrate + ?Sized>(
     let start = Instant::now();
     let substrate = ctx.substrate();
     let measures = substrate.measures().clone();
-    let protected = ProtectedSet::of(substrate);
     let mut skyline = EpsilonSkyline::new(measures, config.epsilon, config.decisive);
     let mut visited = VisitedSet::new();
-    let mut queue: VecDeque<(modis_data::StateBitmap, usize)> = VecDeque::new();
+    let mut frontier = Frontier::new(substrate, Direction::Forward, config.max_level);
 
     let s_u = substrate.forward_start();
     let perf_u = ctx.valuate(&s_u);
     skyline.offer(&s_u, &perf_u, 0);
-    visited.insert(&s_u);
-    queue.push_back((s_u, 0));
+    frontier.start(&mut visited, s_u, ());
 
     // Normalisation constant euc_m: the maximum Euclidean distance among the
     // historical performances in T, updated as the search proceeds.
     let mut euc_max: f64 = 1e-9;
     let mut current_level = 0usize;
 
-    while let Some((state, level)) = queue.pop_front() {
-        if ctx.num_valuated() >= config.max_states {
-            break;
-        }
+    let open = || ctx.num_valuated() < config.max_states;
+    while let Some(level) = frontier.next_level().filter(|_| open()) {
         if level > current_level {
             // Level boundary: diversify the skyline kept so far (Alg. 3 is
             // invoked on D_F^i before level i+1 is processed).
@@ -126,23 +121,14 @@ pub fn div_modis_with_context<S: Substrate + ?Sized>(
             skyline.replace_entries(diversified);
             current_level = level;
         }
-        if level >= config.max_level {
-            continue;
-        }
-        for child in op_gen(&state, Direction::Forward, &protected) {
-            if ctx.num_valuated() >= config.max_states {
-                break;
-            }
-            if !visited.insert(&child) {
-                continue;
-            }
-            let perf = ctx.valuate(&child);
+        frontier.step(&mut visited, open, |child, level, _| {
+            let perf = ctx.valuate(child);
             for rec in skyline.entries() {
                 euc_max = euc_max.max(euclidean(&rec.perf, &perf));
             }
-            skyline.offer(&child, &perf, level + 1);
-            queue.push_back((child, level + 1));
-        }
+            skyline.offer(child, &perf, level);
+            Some(())
+        });
     }
 
     // Final diversification pass.

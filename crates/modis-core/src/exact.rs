@@ -6,7 +6,6 @@
 //! Intended for small search spaces (unit counts up to ~14) and as a ground
 //! truth for testing the approximation quality of ApxMODis/BiMODis.
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use modis_data::StateBitmap;
@@ -14,7 +13,7 @@ use modis_data::StateBitmap;
 use crate::config::{ModisConfig, SkylineEntry, SkylineResult};
 use crate::dominance::skyline;
 use crate::estimator::{EstimatorMode, ValuationContext};
-use crate::search_common::{op_gen, Direction, ProtectedSet, VisitedSet};
+use crate::search_common::forward_schedule;
 use crate::substrate::Substrate;
 
 /// Runs the exact algorithm: every state reachable from `s_U` within
@@ -28,62 +27,56 @@ pub fn exact_modis<S: Substrate + ?Sized>(substrate: &S, config: &ModisConfig) -
 /// Runs the exact algorithm with an externally managed valuation context
 /// (lets callers install an [`crate::estimator::EvaluationHook`] and share
 /// test records across runs).
+///
+/// # Panics
+///
+/// If `ctx` is not in [`EstimatorMode::Oracle`] (see [`exact_front`]).
 pub fn exact_modis_with_context<S: Substrate + ?Sized>(
     ctx: &ValuationContext<'_, S>,
     config: &ModisConfig,
 ) -> SkylineResult {
+    exact_front(ctx, config, |states| {
+        states.iter().map(|(state, _)| ctx.valuate(state)).collect()
+    })
+}
+
+/// The exact algorithm around its one free choice, how the states get
+/// valuated: enumerates `s_U` plus the forward schedule (`config.max_states`
+/// states at most, those `ctx` already holds not counted), has
+/// `valuate_all` return their performance vectors in order, and keeps the
+/// members within the measures' upper bounds that no other member dominates.
+///
+/// # Panics
+///
+/// If `ctx` is not in [`EstimatorMode::Oracle`]: a front over surrogate
+/// estimates is not exact.
+pub fn exact_front<S: Substrate + ?Sized>(
+    ctx: &ValuationContext<'_, S>,
+    config: &ModisConfig,
+    valuate_all: impl FnOnce(&[(StateBitmap, usize)]) -> Vec<Vec<f64>>,
+) -> SkylineResult {
+    assert_eq!(ctx.mode(), EstimatorMode::Oracle, "exact needs the oracle");
     let start = Instant::now();
     let substrate = ctx.substrate();
-    let protected = ProtectedSet::of(substrate);
+    let mut states = vec![(substrate.forward_start(), 0)];
+    let budget = config.max_states.saturating_sub(1);
+    states.extend(forward_schedule(ctx, config, budget));
+    let perfs = valuate_all(&states);
 
-    let mut visited = VisitedSet::new();
-    let mut states: Vec<(StateBitmap, usize)> = Vec::new();
-    let mut queue: VecDeque<(StateBitmap, usize)> = VecDeque::new();
-    let s_u = substrate.forward_start();
-    visited.insert(&s_u);
-    queue.push_back((s_u.clone(), 0));
-    states.push((s_u, 0));
-
-    while let Some((state, level)) = queue.pop_front() {
-        if states.len() >= config.max_states {
-            break;
-        }
-        if level >= config.max_level {
-            continue;
-        }
-        for child in op_gen(&state, Direction::Forward, &protected) {
-            if states.len() >= config.max_states {
-                break;
-            }
-            if visited.insert(&child) {
-                states.push((child.clone(), level + 1));
-                queue.push_back((child, level + 1));
-            }
-        }
-    }
-
-    // Valuate every enumerated state and keep those within bounds.
-    let measures = substrate.measures().clone();
-    let mut perfs: Vec<Vec<f64>> = Vec::with_capacity(states.len());
-    for (bitmap, _) in &states {
-        perfs.push(ctx.valuate(bitmap));
-    }
+    let measures = substrate.measures();
     let candidate_idx: Vec<usize> = (0..states.len())
         .filter(|&i| !measures.violates_upper(&perfs[i]))
         .collect();
     let candidate_perfs: Vec<Vec<f64>> = candidate_idx.iter().map(|&i| perfs[i].clone()).collect();
-    let front_local = skyline(&candidate_perfs);
-
-    let entries: Vec<SkylineEntry> = front_local
+    let entries: Vec<SkylineEntry> = skyline(&candidate_perfs)
         .into_iter()
         .map(|li| {
             let i = candidate_idx[li];
             let (bitmap, level) = &states[i];
-            let raw = ctx.raw_for(bitmap);
             SkylineEntry {
                 bitmap: bitmap.clone(),
                 perf: perfs[i].clone(),
-                raw,
+                raw: ctx.raw_for(bitmap),
                 size: substrate.artifact_size(bitmap),
                 level: *level,
             }
@@ -152,5 +145,19 @@ mod tests {
             .with_max_level(10);
         let res = exact_modis(&sub, &cfg);
         assert!(res.states_valuated <= 31);
+    }
+
+    /// The contract "valuated with the oracle" is enforced, not assumed: a
+    /// surrogate-mode context would yield a front built from estimates.
+    #[test]
+    #[should_panic(expected = "exact needs the oracle")]
+    fn exact_refuses_a_surrogate_context() {
+        let sub = MockSubstrate::new(4);
+        let mode = EstimatorMode::Surrogate {
+            warmup: 3,
+            refresh: 3,
+        };
+        let ctx = ValuationContext::new(&sub, mode);
+        exact_modis_with_context(&ctx, &ModisConfig::default());
     }
 }

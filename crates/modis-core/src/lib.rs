@@ -67,6 +67,7 @@
 
 #![deny(missing_docs)]
 
+pub mod algorithm;
 pub mod apx;
 pub mod baselines;
 pub mod bimodis;
@@ -89,11 +90,12 @@ pub mod telemetry;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
+    pub use crate::algorithm::Algorithm;
     pub use crate::apx::{apx_modis, apx_modis_with_context};
     pub use crate::baselines::{
         h2o, hydragan_like, metam, metam_mo, original, sksfm, starmie, BaselineOutput,
     };
-    pub use crate::bimodis::{bi_modis, bi_modis_with_context, bi_modis_with_stats, nobi_modis};
+    pub use crate::bimodis::{bi_modis, bi_modis_with_context, nobi_modis};
     pub use crate::clock_cache::ClockCache;
     pub use crate::config::{ModisConfig, SkylineEntry, SkylineResult};
     pub use crate::divmodis::{div_modis, div_modis_with_context, diversification_score};

@@ -1,6 +1,7 @@
 //! Helpers shared by the MODis search algorithms.
 
-use std::collections::HashSet;
+use std::cell::Cell;
+use std::collections::{HashSet, VecDeque};
 
 use modis_data::StateBitmap;
 
@@ -114,6 +115,111 @@ impl VisitedSet {
     }
 }
 
+/// The one running of the generator every MODis search is built on: a
+/// level-capped breadth-first frontier that pops a parent, spawns its `OpGen`
+/// children and hands the unvisited ones to the caller's `visit`, which alone
+/// decides what a search does with a child (valuate, bound, schedule).
+///
+/// `P` is a per-node payload handed back when the node's children are visited
+/// (`()` for the forward searches, the parent's performance vector for
+/// BiMODis, whose two frontiers share the [`VisitedSet`] borrowed per call).
+pub struct Frontier<P> {
+    queue: VecDeque<(StateBitmap, P, usize)>,
+    direction: Direction,
+    protected: ProtectedSet,
+    max_level: usize,
+}
+
+impl<P> Frontier<P> {
+    /// An empty frontier that expands no node at `max_level` or deeper.
+    pub fn new<S: Substrate + ?Sized>(
+        substrate: &S,
+        direction: Direction,
+        max_level: usize,
+    ) -> Self {
+        Frontier {
+            queue: VecDeque::new(),
+            direction,
+            protected: ProtectedSet::of(substrate),
+            max_level,
+        }
+    }
+
+    /// Marks `state` visited and queues it as a level-0 node.
+    pub fn start(&mut self, visited: &mut VisitedSet, state: StateBitmap, payload: P) {
+        visited.insert(&state);
+        self.queue.push_back((state, payload, 0));
+    }
+
+    /// Level of the node the next [`Frontier::step`] pops; `None` once the
+    /// frontier is exhausted.
+    pub fn next_level(&self) -> Option<usize> {
+        self.queue.front().map(|(_, _, level)| *level)
+    }
+
+    /// Pops the next parent and, while the caller's budget predicate `open`
+    /// holds, hands each child not yet in `visited` to
+    /// `visit(child, child_level, &parent_payload)`. A child is queued iff
+    /// `visit` returns its payload; one it refuses stays visited and is never
+    /// expanded. Returns `false` — and pops nothing — once the budget is
+    /// closed or the frontier is exhausted.
+    pub fn step(
+        &mut self,
+        visited: &mut VisitedSet,
+        open: impl Fn() -> bool,
+        mut visit: impl FnMut(&StateBitmap, usize, &P) -> Option<P>,
+    ) -> bool {
+        if !open() {
+            return false;
+        }
+        let Some((state, payload, level)) = self.queue.pop_front() else {
+            return false;
+        };
+        if level < self.max_level {
+            for child in op_gen(&state, self.direction, &self.protected) {
+                if !open() {
+                    break;
+                }
+                if !visited.insert(&child) {
+                    continue;
+                }
+                if let Some(child_payload) = visit(&child, level + 1, &payload) {
+                    self.queue.push_back((child, child_payload, level + 1));
+                }
+            }
+        }
+        true
+    }
+}
+
+/// The forward (reduce-from-universal) traversal without its valuations: the
+/// ordered `(child, level)` list a sequential search visits after the start
+/// state `s_U`, honouring the visited-set and `config.max_level`. `budget` is
+/// how many states not yet recorded in `ctx` the schedule may hold — states a
+/// (pre-warmed) context already holds are scheduled but consume none, just as
+/// a sequential `valuate` memo hit leaves `ctx.num_valuated()` unchanged.
+pub fn forward_schedule<S: Substrate + ?Sized>(
+    ctx: &ValuationContext<'_, S>,
+    config: &ModisConfig,
+    budget: usize,
+) -> Vec<(StateBitmap, usize)> {
+    let substrate = ctx.substrate();
+    let mut visited = VisitedSet::new();
+    let mut frontier = Frontier::new(substrate, Direction::Forward, config.max_level);
+    frontier.start(&mut visited, substrate.forward_start(), ());
+    let left = Cell::new(budget);
+    let mut schedule = Vec::new();
+    let open = || left.get() > 0;
+    while frontier.step(&mut visited, open, |child, level, _| {
+        if !ctx.contains(child) {
+            left.set(left.get() - 1);
+        }
+        schedule.push((child.clone(), level));
+        Some(())
+    }) {}
+    schedule
+}
+
 /// Finalises a search: the ε-skyline members are re-valuated with the oracle
 /// (actual model training), sized, pruned of exact dominance, and wrapped in
 /// a [`SkylineResult`].
@@ -164,7 +270,148 @@ pub fn finalize_result<S: Substrate + ?Sized>(
 mod tests {
     use super::*;
     use crate::estimator::EstimatorMode;
+    use crate::measure::MeasureSet;
     use crate::substrate::mock::MockSubstrate;
+    use proptest::prelude::*;
+
+    /// The traversal as the parent commit's `apx.rs` spelled it out, its
+    /// valuation stripped (the budget counts emitted states): the one
+    /// hand-written BFS left, kept as the differential oracle for
+    /// [`Frontier`] and [`forward_schedule`].
+    fn reference_bfs(
+        start: StateBitmap,
+        direction: Direction,
+        protected: &ProtectedSet,
+        max_level: usize,
+        budget: usize,
+    ) -> Vec<(StateBitmap, usize)> {
+        let mut visited = VisitedSet::new();
+        let mut queue: VecDeque<(StateBitmap, usize)> = VecDeque::new();
+        let mut emitted = Vec::new();
+        visited.insert(&start);
+        queue.push_back((start, 0));
+        while let Some((state, level)) = queue.pop_front() {
+            if emitted.len() >= budget {
+                break;
+            }
+            if level >= max_level {
+                continue;
+            }
+            for child in op_gen(&state, direction, protected) {
+                if emitted.len() >= budget {
+                    break;
+                }
+                if !visited.insert(&child) {
+                    continue;
+                }
+                emitted.push((child.clone(), level + 1));
+                queue.push_back((child, level + 1));
+            }
+        }
+        emitted
+    }
+
+    /// [`MockSubstrate`] with some units protected.
+    struct Fenced(MockSubstrate, Vec<usize>);
+
+    impl Substrate for Fenced {
+        fn num_units(&self) -> usize {
+            self.0.num_units()
+        }
+        fn unit_label(&self, unit: usize) -> String {
+            self.0.unit_label(unit)
+        }
+        fn backward_start(&self) -> StateBitmap {
+            self.0.backward_start()
+        }
+        fn measures(&self) -> &MeasureSet {
+            self.0.measures()
+        }
+        fn evaluate_raw(&self, bitmap: &StateBitmap) -> Vec<f64> {
+            self.0.evaluate_raw(bitmap)
+        }
+        fn state_features(&self, bitmap: &StateBitmap) -> Vec<f64> {
+            self.0.state_features(bitmap)
+        }
+        fn artifact_size(&self, bitmap: &StateBitmap) -> (usize, usize) {
+            self.0.artifact_size(bitmap)
+        }
+        fn protected_units(&self) -> Vec<usize> {
+            self.1.clone()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `Frontier` (both directions) and `forward_schedule` emit the
+        /// reference BFS's `(state, level)` sequence, state for state.
+        #[test]
+        fn frontier_and_schedule_match_the_reference_bfs(
+            num_units in 1usize..11,
+            protected_mask in prop::collection::vec(any::<bool>(), 10),
+            max_level in 0usize..7,
+            budget_choice in 0usize..6,
+            backward in any::<bool>(),
+        ) {
+            let budget = [0, 1, 2, 7, 40, usize::MAX][budget_choice];
+            let protected_units: Vec<usize> =
+                (0..num_units).filter(|&u| protected_mask[u]).collect();
+            let sub = Fenced(MockSubstrate::new(num_units), protected_units);
+            let (direction, start) = if backward {
+                (Direction::Backward, sub.backward_start())
+            } else {
+                (Direction::Forward, sub.forward_start())
+            };
+            let expected =
+                reference_bfs(start.clone(), direction, &ProtectedSet::of(&sub), max_level, budget);
+
+            let mut visited = VisitedSet::new();
+            let mut frontier = Frontier::new(&sub, direction, max_level);
+            frontier.start(&mut visited, start, ());
+            let emitted = std::cell::RefCell::new(Vec::new());
+            let open = || emitted.borrow().len() < budget;
+            while frontier.step(&mut visited, open, |child, level, _| {
+                emitted.borrow_mut().push((child.clone(), level));
+                Some(())
+            }) {}
+            prop_assert_eq!(&emitted.into_inner(), &expected);
+
+            if !backward {
+                let ctx = ValuationContext::new(&sub, EstimatorMode::Oracle);
+                let config = ModisConfig::default().with_max_level(max_level);
+                prop_assert_eq!(&forward_schedule(&ctx, &config, budget), &expected);
+            }
+        }
+    }
+
+    /// A child `visit` refuses (BiMODis' pruning) is remembered as visited,
+    /// never queued and never expanded; its own children are still reached
+    /// through its siblings.
+    #[test]
+    fn a_refused_child_stays_visited_and_is_never_expanded() {
+        let sub = MockSubstrate::new(3);
+        let refused = sub.forward_start().flipped(0);
+        let mut visited = VisitedSet::new();
+        let mut frontier = Frontier::new(&sub, Direction::Forward, 3);
+        frontier.start(&mut visited, sub.forward_start(), sub.forward_start());
+        // The payload is the node itself, so `visit` sees every child's parent.
+        let mut handed: Vec<(StateBitmap, StateBitmap)> = Vec::new();
+        while frontier.step(
+            &mut visited,
+            || true,
+            |child, _, parent| {
+                handed.push((child.clone(), parent.clone()));
+                (*child != refused).then(|| child.clone())
+            },
+        ) {}
+        assert_eq!(handed.iter().filter(|(c, _)| *c == refused).count(), 1);
+        assert!(handed.iter().all(|(_, parent)| *parent != refused));
+        assert!(!visited.insert(&refused));
+        // 2³ states, all but the start handed out exactly once.
+        assert_eq!(handed.len(), 7);
+        assert_eq!(visited.len(), 8);
+    }
 
     #[test]
     fn op_gen_forward_flips_ones() {

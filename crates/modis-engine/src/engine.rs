@@ -5,8 +5,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::Instant;
 
-use modis_core::bimodis::bi_modis_with_context;
-use modis_core::divmodis::div_modis_with_context;
+use modis_core::algorithm::Algorithm;
 use modis_core::estimator::{EstimatorMode, EvaluationHook, SharedEvaluation, ValuationContext};
 use modis_core::substrate::Substrate;
 use modis_core::telemetry::{self, MetricsRegistry, Telemetry, TraceContext, Tracer};
@@ -15,7 +14,7 @@ use modis_data::StateBitmap;
 use crate::cache::{CacheStats, SharedEvalCache};
 use crate::expand::{parallel_apx_modis_with_context, parallel_exact_modis_with_context};
 use crate::pool::{parallel_map, probe_then_map};
-use crate::scenario::{Algorithm, Scenario, ScenarioOutcome};
+use crate::scenario::{Scenario, ScenarioOutcome};
 
 /// Engine parallelism and cache configuration.
 #[derive(Debug, Clone)]
@@ -498,9 +497,7 @@ impl Engine {
         let result = telemetry::with_ambient(self.telemetry.clone(), || match scenario.algorithm {
             Algorithm::Apx => parallel_apx_modis_with_context(&ctx, &scenario.config, threads),
             Algorithm::Exact => parallel_exact_modis_with_context(&ctx, &scenario.config, threads),
-            Algorithm::Bi => bi_modis_with_context(&ctx, &scenario.config, true).0,
-            Algorithm::NoBi => bi_modis_with_context(&ctx, &scenario.config, false).0,
-            Algorithm::Div => div_modis_with_context(&ctx, &scenario.config),
+            sequential => sequential.run(&ctx, &scenario.config),
         });
         // The skyline scan tallies its work on the calling thread;
         // attribute this scenario's share to its namespace.
@@ -922,7 +919,7 @@ mod tests {
             ScenarioOutcome {
                 name: "memo".into(),
                 algorithm: Algorithm::Bi,
-                result: bi_modis_with_context(&ctx, &scenario.config, true).0,
+                result: Algorithm::Bi.run(&ctx, &scenario.config),
                 wall_seconds: 0.0,
                 substrate_cache: Default::default(),
             }

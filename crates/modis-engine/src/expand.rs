@@ -2,15 +2,15 @@
 //!
 //! ApxMODis (and the exact enumerator) share a property the engine
 //! exploits: their traversal order is a pure function of the search-space
-//! structure — `op_gen` children are spawned, deduplicated and queued
+//! structure — `OpGen` children are spawned, deduplicated and queued
 //! regardless of how the spawned states *score*. The engine therefore
 //! splits each search into
 //!
-//! 1. a cheap sequential **schedule enumeration** that replays the exact
-//!    BFS traversal (visited-set, level cap, valuation budget) without
-//!    valuating anything, and
-//! 2. a **wave-parallel evaluation** of the schedule: the coordinator
-//!    probes the shared cache and worker threads score the `op_gen`
+//! 1. the core crate's **schedule** ([`forward_schedule`]) — the sequential
+//!    searches' own `Frontier` (visited-set, level cap, valuation budget)
+//!    run without valuating — and
+//! 2. a **wave-parallel evaluation** of it, which is all this module holds:
+//!    the coordinator probes the shared cache and worker threads score the
 //!    children it misses concurrently, while results are *committed* —
 //!    recorded in the valuation context and offered to the
 //!    [`EpsilonSkyline`] — strictly in schedule order.
@@ -26,11 +26,11 @@
 
 use std::time::Instant;
 
-use modis_core::config::{ModisConfig, SkylineEntry, SkylineResult};
-use modis_core::dominance::skyline;
+use modis_core::config::{ModisConfig, SkylineResult};
 use modis_core::estimator::{EstimatorMode, ValuationContext};
+use modis_core::exact::exact_front;
 use modis_core::pareto::EpsilonSkyline;
-use modis_core::search_common::{finalize_result, op_gen, Direction, ProtectedSet, VisitedSet};
+use modis_core::search_common::{finalize_result, forward_schedule};
 use modis_core::substrate::Substrate;
 use modis_data::StateBitmap;
 
@@ -42,52 +42,6 @@ const WAVE_FACTOR: usize = 4;
 /// A worker's evaluation of one state: the raw metrics plus a flag marking
 /// results loaded from the shared cache rather than trained.
 type WaveResult = (Vec<f64>, bool);
-
-/// Replays the ApxMODis BFS traversal without valuating: returns the ordered
-/// list of `(child, level)` the sequential search would visit after the
-/// start state, honouring the visited-set, `max_level` and the `max_states`
-/// budget. Budget accounting mirrors `ctx.num_valuated()` exactly — states
-/// already recorded in the (possibly pre-warmed) context are scheduled but
-/// consume none, just as a sequential `valuate` memo hit would not. Call
-/// *after* the start state has been valuated.
-fn enumerate_forward_schedule<S: Substrate + ?Sized>(
-    ctx: &ValuationContext<'_, S>,
-    config: &ModisConfig,
-) -> Vec<(StateBitmap, usize)> {
-    let substrate = ctx.substrate();
-    let protected = ProtectedSet::of(substrate);
-    let mut visited = VisitedSet::new();
-    let mut schedule: Vec<(StateBitmap, usize)> = Vec::new();
-    let mut queue: std::collections::VecDeque<(StateBitmap, usize)> = Default::default();
-    let mut budget_used = ctx.num_valuated();
-
-    let s_u = substrate.forward_start();
-    visited.insert(&s_u);
-    queue.push_back((s_u, 0));
-
-    while let Some((state, level)) = queue.pop_front() {
-        if budget_used >= config.max_states {
-            break;
-        }
-        if level >= config.max_level {
-            continue;
-        }
-        for child in op_gen(&state, Direction::Forward, &protected) {
-            if budget_used >= config.max_states {
-                break;
-            }
-            if !visited.insert(&child) {
-                continue;
-            }
-            if !ctx.contains(&child) {
-                budget_used += 1;
-            }
-            schedule.push((child.clone(), level + 1));
-            queue.push_back((child, level + 1));
-        }
-    }
-    schedule
-}
 
 /// Evaluates one wave of states. The shared cache (when installed) is
 /// probed on the calling thread, in wave order; the states it misses go to
@@ -212,7 +166,8 @@ pub fn parallel_apx_modis_with_context<S: Substrate + ?Sized>(
     let perf_u = ctx.valuate(&s_u);
     sky.offer(&s_u, &perf_u, 0);
 
-    let schedule = enumerate_forward_schedule(ctx, config);
+    let budget = config.max_states.saturating_sub(ctx.num_valuated());
+    let schedule = forward_schedule(ctx, config, budget);
     process_schedule(ctx, &schedule, threads, |state, level, perf| {
         sky.offer(state, &perf, level);
     });
@@ -231,77 +186,23 @@ pub fn parallel_apx_modis<S: Substrate + ?Sized>(
     parallel_apx_modis_with_context(&ctx, config, threads)
 }
 
-/// Wave-parallel exact algorithm: enumerates every state reachable within
-/// `max_level` reductions (up to `max_states`), valuates them across the
-/// worker pool and returns the exact Pareto front. Byte-identical to
+/// Wave-parallel exact algorithm: [`exact_front`] with its states valuated
+/// across the worker pool. Byte-identical to
 /// [`modis_core::exact::exact_modis_with_context`] on the same context.
+///
+/// # Panics
+///
+/// If `ctx` is not in [`EstimatorMode::Oracle`] (see [`exact_front`]).
 pub fn parallel_exact_modis_with_context<S: Substrate + ?Sized>(
     ctx: &ValuationContext<'_, S>,
     config: &ModisConfig,
     threads: usize,
 ) -> SkylineResult {
-    let start = Instant::now();
-    let substrate = ctx.substrate();
-    let protected = ProtectedSet::of(substrate);
-
-    // Enumeration identical to `exact_modis`: `states` holds the start state
-    // plus every reachable child, in BFS order, capped at `max_states`.
-    let mut visited = VisitedSet::new();
-    let mut states: Vec<(StateBitmap, usize)> = Vec::new();
-    let mut queue: std::collections::VecDeque<(StateBitmap, usize)> = Default::default();
-    let s_u = substrate.forward_start();
-    visited.insert(&s_u);
-    queue.push_back((s_u.clone(), 0));
-    states.push((s_u, 0));
-    while let Some((state, level)) = queue.pop_front() {
-        if states.len() >= config.max_states {
-            break;
-        }
-        if level >= config.max_level {
-            continue;
-        }
-        for child in op_gen(&state, Direction::Forward, &protected) {
-            if states.len() >= config.max_states {
-                break;
-            }
-            if visited.insert(&child) {
-                states.push((child.clone(), level + 1));
-                queue.push_back((child, level + 1));
-            }
-        }
-    }
-
-    let mut perfs: Vec<Vec<f64>> = Vec::with_capacity(states.len());
-    process_schedule(ctx, &states, threads, |_, _, perf| perfs.push(perf));
-
-    let measures = substrate.measures().clone();
-    let candidate_idx: Vec<usize> = (0..states.len())
-        .filter(|&i| !measures.violates_upper(&perfs[i]))
-        .collect();
-    let candidate_perfs: Vec<Vec<f64>> = candidate_idx.iter().map(|&i| perfs[i].clone()).collect();
-    let front_local = skyline(&candidate_perfs);
-
-    let entries: Vec<SkylineEntry> = front_local
-        .into_iter()
-        .map(|li| {
-            let i = candidate_idx[li];
-            let (bitmap, level) = &states[i];
-            SkylineEntry {
-                bitmap: bitmap.clone(),
-                perf: perfs[i].clone(),
-                raw: ctx.raw_for(bitmap),
-                size: substrate.artifact_size(bitmap),
-                level: *level,
-            }
-        })
-        .collect();
-
-    SkylineResult {
-        entries,
-        states_valuated: ctx.num_valuated(),
-        elapsed_seconds: start.elapsed().as_secs_f64(),
-        stats: ctx.stats(),
-    }
+    exact_front(ctx, config, |states| {
+        let mut perfs = Vec::with_capacity(states.len());
+        process_schedule(ctx, states, threads, |_, _, perf| perfs.push(perf));
+        perfs
+    })
 }
 
 /// A hook for this crate's tests (here and in `engine`): an unbounded map
@@ -375,7 +276,7 @@ mod tests {
         let cfg = oracle_config();
         let schedule_ctx = ValuationContext::new(&sub, EstimatorMode::Oracle);
         schedule_ctx.valuate(&sub.forward_start());
-        let schedule = enumerate_forward_schedule(&schedule_ctx, &cfg);
+        let schedule = forward_schedule(&schedule_ctx, &cfg, cfg.max_states - 1);
         let ctx = ValuationContext::new(&sub, EstimatorMode::Oracle);
         let seq = apx_modis_with_context(&ctx, &cfg);
         assert_eq!(1 + schedule.len(), seq.states_valuated);
@@ -503,5 +404,28 @@ mod tests {
         let par_ctx = ValuationContext::new(&sub, EstimatorMode::Oracle);
         let par = parallel_exact_modis_with_context(&par_ctx, &cfg, 4);
         assert_same_result(&par, &seq);
+    }
+
+    /// Sequential and parallel exact share one schedule, so a re-used
+    /// context's memoised states are budget-free memo hits in both.
+    #[test]
+    fn parallel_exact_matches_sequential_on_prewarmed_context() {
+        let sub = MockSubstrate::new(8);
+        let warm_cfg = oracle_config().with_max_states(15);
+        let cfg = oracle_config().with_max_states(25);
+        let prewarmed = || {
+            let ctx = ValuationContext::new(&sub, EstimatorMode::Oracle);
+            let _ = apx_modis_with_context(&ctx, &warm_cfg);
+            ctx
+        };
+
+        let seq = exact_modis_with_context(&prewarmed(), &cfg);
+        assert!(seq.stats.cache_hits > 0, "the warm-up must be replayed");
+        for threads in [1, 2, 8] {
+            let par = parallel_exact_modis_with_context(&prewarmed(), &cfg, threads);
+            assert_same_result(&par, &seq);
+            assert_eq!(par.stats.oracle_calls, seq.stats.oracle_calls);
+            assert_eq!(par.stats.cache_hits, seq.stats.cache_hits);
+        }
     }
 }

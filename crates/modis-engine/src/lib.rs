@@ -3,14 +3,15 @@
 //! A parallel, cache-aware execution engine for multi-scenario MODis
 //! skyline generation.
 //!
-//! The core crate's algorithms (`apx_modis`, `bi_modis`, `div_modis`,
-//! `exact_modis`) are single-threaded and score every state from scratch.
-//! This crate wraps them in a reusable engine with three pieces:
+//! The core crate's algorithms ([`Algorithm::run`]) are single-threaded and
+//! remember nothing between runs. This crate wraps them in a reusable
+//! engine with three pieces:
 //!
-//! * **Wave-parallel frontier expansion** ([`expand`]) — `op_gen` children
-//!   are evaluated across a worker pool and committed to the ε-skyline in
-//!   the sequential algorithm's order, so a parallel run produces
-//!   *byte-identical* skylines to a sequential one for any thread count.
+//! * **Wave-parallel frontier expansion** ([`expand`]) — the schedule the
+//!   core crate's one traversal (`Frontier`) emits is evaluated across a
+//!   worker pool and committed to the ε-skyline in the sequential
+//!   algorithm's order, so a parallel run produces *byte-identical*
+//!   skylines to a sequential one for any thread count.
 //! * **A shared evaluation cache** ([`cache`]) — a sharded
 //!   `(namespace, state) → evaluation` store installed behind the
 //!   [`modis_core::estimator::EvaluationHook`] seam, so states revisited
@@ -62,4 +63,5 @@ pub use engine::{BatchValuation, Engine, EngineConfig, SuiteResult};
 pub use expand::{
     parallel_apx_modis, parallel_apx_modis_with_context, parallel_exact_modis_with_context,
 };
-pub use scenario::{Algorithm, Scenario, ScenarioOutcome};
+pub use modis_core::algorithm::Algorithm;
+pub use scenario::{Scenario, ScenarioOutcome};

@@ -4,38 +4,9 @@
 
 use std::sync::Arc;
 
+use modis_core::algorithm::Algorithm;
 use modis_core::config::{ModisConfig, SkylineResult};
 use modis_core::substrate::{Substrate, SubstrateCacheStats};
-
-/// Which MODis search a scenario runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algorithm {
-    /// ApxMODis — reduce-from-universal `(N, ε)`-approximation
-    /// (wave-parallel in the engine).
-    Apx,
-    /// NOBiMODis — bi-directional search without correlation pruning.
-    NoBi,
-    /// BiMODis — bi-directional search with correlation pruning.
-    Bi,
-    /// DivMODis — diversified skyline generation.
-    Div,
-    /// The exact Pareto front over the bounded space (wave-parallel in the
-    /// engine; always oracle-valuated).
-    Exact,
-}
-
-impl Algorithm {
-    /// Human-readable algorithm name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algorithm::Apx => "ApxMODis",
-            Algorithm::NoBi => "NOBiMODis",
-            Algorithm::Bi => "BiMODis",
-            Algorithm::Div => "DivMODis",
-            Algorithm::Exact => "Exact",
-        }
-    }
-}
 
 /// One named unit of engine work: a search space, an algorithm and its
 /// configuration.
