@@ -80,9 +80,9 @@ impl RandomForest {
         let cols = Columns::from_matrix(x);
         let mut builder = TreeBuilder::default();
         let mut trees = Vec::with_capacity(params.n_trees);
+        let sample_size = ((n as f64) * params.sample_fraction).round() as usize;
+        let sample_size = sample_size.clamp(1.min(n), n.max(1)).min(n);
         for t in 0..params.n_trees {
-            let sample_size = ((n as f64) * params.sample_fraction).round() as usize;
-            let sample_size = sample_size.clamp(1.min(n), n.max(1)).min(n);
             let rows: Vec<usize> = (0..sample_size).map(|_| rng.gen_range(0..n)).collect();
             let by: Vec<f64> = rows.iter().map(|&i| y[i]).collect();
             let tree = builder.fit(

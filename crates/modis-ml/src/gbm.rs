@@ -68,10 +68,13 @@ impl GradientBoostingRegressor {
             y.iter().sum::<f64>() / y.len() as f64
         };
         let mut preds = vec![base; y.len()];
+        let mut residuals = vec![0.0; y.len()];
         let mut trees = Vec::with_capacity(params.n_estimators);
         if cols.n_rows() > 0 {
             for _ in 0..params.n_estimators {
-                let residuals: Vec<f64> = y.iter().zip(preds.iter()).map(|(t, p)| t - p).collect();
+                for ((residual, t), p) in residuals.iter_mut().zip(y).zip(&preds) {
+                    *residual = t - p;
+                }
                 let tree = builder.fit(cols, &residuals, params.tree, None, 0);
                 for (i, pred) in preds.iter_mut().enumerate().take(cols.n_rows()) {
                     *pred += params.learning_rate * tree.predict_row(cols, i);
@@ -150,6 +153,7 @@ impl GradientBoostingClassifier {
         let cols = Columns::from_matrix(x);
         let mut builder = TreeBuilder::default();
         let mut stages = Vec::with_capacity(n_stages);
+        let mut gradients = vec![0.0; y.len()];
         for c in 0..n_stages {
             let targets: Vec<f64> = y
                 .iter()
@@ -177,11 +181,9 @@ impl GradientBoostingClassifier {
             let mut trees = Vec::with_capacity(params.n_estimators);
             if !x.is_empty() {
                 for _ in 0..params.n_estimators {
-                    let gradients: Vec<f64> = targets
-                        .iter()
-                        .zip(raw.iter())
-                        .map(|(t, r)| t - sigmoid(*r))
-                        .collect();
+                    for ((gradient, t), r) in gradients.iter_mut().zip(&targets).zip(&raw) {
+                        *gradient = t - sigmoid(*r);
+                    }
                     let tree = builder.fit(&cols, &gradients, params.tree, None, 0);
                     for (i, r) in raw.iter_mut().enumerate().take(x.len()) {
                         *r += params.learning_rate * tree.predict_row(&cols, i);

@@ -12,42 +12,65 @@
 //!
 //! * **Layout.** `Columns` is the row-major design [`Matrix`] transposed
 //!   once per fit by `Columns::from_matrix` (feature `f` is one contiguous
-//!   slice) plus a flag per feature saying whether its cells differ at all
-//!   — a constant column is never a candidate. A boosted model transposes
-//!   `x` once and shares the `Columns` across all its rounds, one-vs-rest
-//!   stages and (for `MultiOutputGbm`) outputs, and reads its training-row
-//!   predictions back from them; a forest transposes once and gathers each
-//!   tree's bootstrap rows from it. The builder owns every scratch buffer,
-//!   so a node allocates nothing per feature or per threshold.
-//! * **One pass per feature.** A node gathers the feature's cells, sorts
-//!   and dedups them (the same stable sort as ever, so the representative
-//!   of `0.0`/`-0.0` ties is the same cell), derives the ≤ `max_thresholds`
-//!   candidate thresholds and assigns every row once to the run of
-//!   thresholds it lies left (`<=`) and right (`>`) of; a NaN cell lies on
-//!   neither side of any threshold. All thresholds are then scored
-//!   together without materialising a `left`/`right` index list.
+//!   slice), the rank of every cell within its feature — the one sort a
+//!   fit makes per feature; cells that compare equal (`0.0` and `-0.0`)
+//!   share a rank — plus a flag per feature saying whether its cells differ
+//!   at all: a constant column is never a candidate. A boosted model
+//!   transposes and ranks `x` once and shares the `Columns` across all its
+//!   rounds, one-vs-rest stages and (for `MultiOutputGbm`) outputs, and
+//!   reads its training-row predictions back from them; a forest does so
+//!   once and gathers each tree's bootstrap rows from it, ranks copied
+//!   along with the cells (ranks order cells; they need not be dense). The
+//!   builder owns every scratch buffer, so a node allocates nothing per
+//!   feature or per threshold.
+//! * **One pass per feature, no sort per node.** A node's rows mark their
+//!   ranks in a bitset, in ascending row order, and the first cell seen
+//!   with a rank represents it — the cell a stable sort followed by `dedup`
+//!   would keep, which matters for the sign of a zero. Walking the set bits
+//!   yields the node's distinct cells in ascending order; from them come
+//!   the ≤ `max_thresholds` candidate thresholds, one merge of the two
+//!   ascending lists bounds every distinct cell by the run of thresholds it
+//!   lies right (`>`) and left (`<=`) of, and one pass over the rows looks
+//!   each row's bounds up under its rank and histograms it. All thresholds
+//!   are then scored together without materialising a `left`/`right` index
+//!   list.
+//! * **The one retained branch: a column holding a NaN cell** is left
+//!   unranked and is sorted node by node as before (`sort_by`, `dedup`, two
+//!   binary searches per row). `partial_cmp` is no total order there, so
+//!   what `sort_by` leaves depends on the order it met the cells in and
+//!   cannot be reproduced from ranks. A NaN cell lies on neither side of
+//!   any threshold. `encode_view` imputes, so no product fit takes this
+//!   branch; the differential tests do.
 //! * **Bit-identity, not closeness.** The fitted tree — feature, threshold
 //!   bits, leaf bits, importance bits — is a function of the order in
 //!   which floats are added. Under `Mse` every threshold therefore keeps
 //!   *its own* left and right accumulator, and each accumulator receives
 //!   exactly the targets of its rows in ascending row order, starting from
 //!   `Iterator::sum`'s identity: pass 1 the sums, pass 2 the squared
-//!   deviations from each side's own mean. A prefix-sum sweep over the
-//!   sorted cells would add the same numbers in another order and round
-//!   differently, so it is not allowed for floats. Under `Gini` the sides
-//!   are integer class counts, which are exact in any order: rows are
-//!   histogrammed per threshold run and class and the histogram is
-//!   prefix-summed; the squared shares are then added in ascending class
-//!   order over a dense class table (no hash map, no iteration-order
-//!   dependence). Candidates are rejected by `min_samples_leaf` before
-//!   they are scored, compared with a strict `score < best` in
-//!   feature-then-threshold order (first wins), and the per-node feature
-//!   draws happen in pre-order.
+//!   deviations from each side's own mean. The accumulators of the `T`
+//!   thresholds lie in one slice, `[left 0..T | right 0..T]`: a row left of
+//!   thresholds `hi..` and right of thresholds `..lo` (always `lo <= hi`)
+//!   feeds exactly the contiguous run `hi..T + lo` — `T` accumulators for
+//!   every row that no NaN touches, which for the default `T = 16` is a
+//!   fixed-size array the compiler turns into vector adds. The layout
+//!   changes which accumulators are neighbours, not what any one of them is
+//!   fed or in which order, so no bit moves; a NaN cell, the NaN midpoint
+//!   of `-inf` and `+inf` and the one-threshold-at-a-time path are the same
+//!   run, shorter. A prefix-sum sweep over the sorted cells would add the
+//!   same numbers in another order and round differently, so it is not
+//!   allowed for floats. Under `Gini` the sides are integer class counts,
+//!   which are exact in any order: rows are histogrammed per threshold run
+//!   and class and the histogram is prefix-summed; the squared shares are
+//!   then added in ascending class order over a dense class table (no hash
+//!   map, no iteration-order dependence). Candidates are rejected by
+//!   `min_samples_leaf` before they are scored, compared with a strict
+//!   `score < best` in feature-then-threshold order (first wins), and the
+//!   per-node feature draws happen in pre-order.
 //! * **How to check it.** `bench_e2e` prints a `references=` digest of
 //!   every skyline it returns; a change to this kernel that moves any
 //!   digest changed a model. The unit tests compare every fitted node with
-//!   the previous kernel, kept as a test-only oracle (`oracle`), on
-//!   `f64::to_bits`.
+//!   the per-threshold index-list search this kernel replaced, kept as a
+//!   test-only oracle (`oracle`), on `f64::to_bits`.
 
 use std::cmp::Ordering;
 
@@ -218,6 +241,15 @@ pub(crate) struct Columns {
     n_features: usize,
     /// Feature `f` occupies `data[f * n_rows..(f + 1) * n_rows]`.
     data: Vec<f64>,
+    /// The rank of every cell within its feature, laid out like `data`:
+    /// `rank[a] < rank[b]` exactly when `cell[a] < cell[b]`, and cells that
+    /// compare equal (`0.0` and `-0.0`) share a rank. Ranks order cells;
+    /// they need not be dense (a gathered sample keeps its source's).
+    ranks: Vec<u32>,
+    /// Per feature, one more than its largest possible rank; 0 for a
+    /// feature holding a NaN cell, which has no order to rank by and is
+    /// sorted per node instead.
+    rank_space: Vec<usize>,
     /// Whether feature `f` has a cell that differs from its first cell. A
     /// feature that does not has fewer than two distinct values at every
     /// node and is never a split candidate. (A NaN cell differs from
@@ -226,14 +258,27 @@ pub(crate) struct Columns {
 }
 
 impl Columns {
-    /// Transposes row-major `x`.
+    /// Transposes row-major `x` and ranks every NaN-free feature: the one
+    /// sort a fit makes per feature.
     pub(crate) fn from_matrix(x: &Matrix) -> Columns {
-        let n_features = x.n_cols();
-        let mut data = Vec::with_capacity(x.len() * n_features);
+        let (n_rows, n_features) = (x.len(), x.n_cols());
+        assert!(
+            u32::try_from(n_rows).is_ok(),
+            "a rank is a u32: at most u32::MAX rows"
+        );
+        let mut data = Vec::with_capacity(n_rows * n_features);
         for f in 0..n_features {
             data.extend(x.rows().map(|r| r[f]));
         }
-        Columns::new(x.len(), n_features, data)
+        let mut ranks = vec![0; data.len()];
+        let mut order: Vec<u32> = Vec::with_capacity(n_rows);
+        let rank_space = (0..n_features)
+            .map(|f| {
+                let span = f * n_rows..(f + 1) * n_rows;
+                rank_column(&data[span.clone()], &mut order, &mut ranks[span])
+            })
+            .collect();
+        Columns::new(n_rows, n_features, data, ranks, rank_space)
     }
 
     /// Number of rows of the transposed matrix.
@@ -241,17 +286,32 @@ impl Columns {
         self.n_rows
     }
 
-    /// The sample `rows` (repeats allowed, order kept) as columns of its own.
+    /// The sample `rows` (repeats allowed, order kept) as columns of its
+    /// own. Ranks are copied with their cells, so nothing is sorted.
     pub(crate) fn gather(&self, rows: &[usize]) -> Columns {
         let mut data = Vec::with_capacity(rows.len() * self.n_features);
+        let mut ranks = Vec::with_capacity(rows.len() * self.n_features);
         for f in 0..self.n_features {
-            let col = self.column(f);
+            let (col, col_ranks) = (self.column(f), self.column_ranks(f));
             data.extend(rows.iter().map(|&r| col[r]));
+            ranks.extend(rows.iter().map(|&r| col_ranks[r]));
         }
-        Columns::new(rows.len(), self.n_features, data)
+        Columns::new(
+            rows.len(),
+            self.n_features,
+            data,
+            ranks,
+            self.rank_space.clone(),
+        )
     }
 
-    fn new(n_rows: usize, n_features: usize, data: Vec<f64>) -> Columns {
+    fn new(
+        n_rows: usize,
+        n_features: usize,
+        data: Vec<f64>,
+        ranks: Vec<u32>,
+        rank_space: Vec<usize>,
+    ) -> Columns {
         let varies = (0..n_features)
             .map(|f| {
                 let col = &data[f * n_rows..(f + 1) * n_rows];
@@ -262,12 +322,53 @@ impl Columns {
             n_rows,
             n_features,
             data,
+            ranks,
+            rank_space,
             varies,
         }
     }
 
     fn column(&self, f: usize) -> &[f64] {
         &self.data[f * self.n_rows..(f + 1) * self.n_rows]
+    }
+
+    fn column_ranks(&self, f: usize) -> &[u32] {
+        &self.ranks[f * self.n_rows..(f + 1) * self.n_rows]
+    }
+}
+
+/// Writes the dense rank of every cell of `col` into `ranks` and returns
+/// the number of ranks; leaves `ranks` alone and returns 0 when a cell is
+/// NaN. `order` is scratch.
+fn rank_column(col: &[f64], order: &mut Vec<u32>, ranks: &mut [u32]) -> usize {
+    if col.iter().any(|v| v.is_nan()) {
+        return 0;
+    }
+    #[cfg(test)]
+    COLUMNS_RANKED.with(|c| c.set(c.get() + 1));
+    order.clear();
+    order.extend(0..col.len() as u32);
+    // Without NaN `total_cmp` is `partial_cmp` refined by the sign of zero,
+    // so cells that compare equal end up adjacent.
+    order.sort_unstable_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+    let mut rank = 0;
+    for (at, &row) in order.iter().enumerate() {
+        if at > 0 && col[row as usize] != col[order[at - 1] as usize] {
+            rank += 1;
+        }
+        ranks[row as usize] = rank;
+    }
+    rank as usize + 1
+}
+
+/// Hands `run` to `body`, as a fixed-size array when it is as long as the
+/// default `max_thresholds` — the run of every row of a product fit — so
+/// that the compiler unrolls `body`'s loop into vector adds.
+#[inline(always)]
+fn on_run(run: &mut [f64], body: impl Fn(&mut [f64])) {
+    match <&mut [f64; 16]>::try_from(&mut *run) {
+        Ok(fixed) => body(fixed),
+        Err(_) => body(run),
     }
 }
 
@@ -313,26 +414,33 @@ pub(crate) struct TreeBuilder {
     ys: Vec<f64>,
     cls: Vec<usize>,
     node_counts: Vec<usize>,
-    /// Cells of the current feature at the node's rows; the same sorted and
-    /// deduplicated; the candidate thresholds derived from those.
-    xs: Vec<f64>,
-    sorted: Vec<f64>,
+    /// The current feature's distinct cells at the node in ascending order
+    /// and the candidate thresholds derived from them.
+    distinct: Vec<f64>,
     thresholds: Vec<f64>,
-    /// Per row: it lies right of thresholds `..lo` and left of `hi..`.
-    lo: Vec<usize>,
-    hi: Vec<usize>,
+    /// Ranked feature. A bit per rank present at the node; per present
+    /// rank the first cell seen with it, and the thresholds it lies right
+    /// (`..lo`) and left (`hi..`) of as `[lo, hi]`; the present ranks in
+    /// ascending order.
+    seen: Vec<u64>,
+    first_cell: Vec<f64>,
+    rank_bounds: Vec<[u32; 2]>,
+    present: Vec<u32>,
+    /// Unranked feature: its cells at the node's rows.
+    xs: Vec<f64>,
+    /// Per row `[lo, hi]`: it lies right of thresholds `..lo` and left of
+    /// `hi..`.
+    bounds: Vec<[u32; 2]>,
     /// Per threshold (and class): rows on its left / right. `cnt_l` block
     /// `j` and `cnt_r` block `j + 1` belong to threshold `j`.
     cnt_l: Vec<usize>,
     cnt_r: Vec<usize>,
-    n_l: Vec<usize>,
-    n_r: Vec<usize>,
-    /// Per threshold under `Mse`: each side's sum (then mean) of targets
-    /// and its sum of squared deviations.
-    mean_l: Vec<f64>,
-    mean_r: Vec<f64>,
-    sq_l: Vec<f64>,
-    sq_r: Vec<f64>,
+    /// The accumulators of the `T` thresholds scored together, laid out
+    /// `[left 0..T | right 0..T]`: row counts, and under `Mse` each side's
+    /// sum (then mean) of targets and its sum of squared deviations.
+    n_side: Vec<usize>,
+    mean: Vec<f64>,
+    sq: Vec<f64>,
 }
 
 impl TreeBuilder {
@@ -363,9 +471,11 @@ impl TreeBuilder {
                 }
                 Criterion::Gini => {
                     let label = |v: f64| v.round() as i64;
-                    self.labels.extend(y.iter().map(|&v| label(v)));
-                    self.labels.sort_unstable();
-                    self.labels.dedup();
+                    for &v in y {
+                        if let Err(at) = self.labels.binary_search(&label(v)) {
+                            self.labels.insert(at, label(v));
+                        }
+                    }
                     let labels = &self.labels;
                     self.class_of_row.extend(y.iter().map(|&v| {
                         labels
@@ -502,7 +612,15 @@ impl Fit<'_> {
         let mut best: Option<(usize, f64, f64)> = None;
         for at in 0..self.s.features.len() {
             let f = self.s.features[at];
-            if !self.cols.varies[f] || !self.candidate_thresholds(f, lo, hi) {
+            if !self.cols.varies[f] {
+                continue;
+            }
+            if self.cols.rank_space[f] > 0 {
+                self.distinct_by_rank(f, lo, hi);
+            } else {
+                self.distinct_by_sort(f, lo, hi);
+            }
+            if !self.candidate_thresholds() {
                 continue;
             }
             // Thresholds in ascending order are scored together. A NaN among
@@ -512,15 +630,16 @@ impl Fit<'_> {
             let ordered = self.s.thresholds.windows(2).all(|w| w[0] <= w[1]);
             let step = if ordered { n_thresholds } else { 1 };
             for start in (0..n_thresholds).step_by(step) {
-                self.score_thresholds(start, start + step);
+                self.bucket_rows(f, lo, hi, start, start + step);
+                self.score_thresholds(step);
                 let s = &*self.s;
                 for j in 0..step {
-                    let (n_l, n_r) = (s.n_l[j], s.n_r[j]);
+                    let (n_l, n_r) = (s.n_side[j], s.n_side[step + j]);
                     if n_l < min_leaf || n_r < min_leaf {
                         continue;
                     }
                     let (impurity_l, impurity_r) = match self.params.criterion {
-                        Criterion::Mse => (mse(s.sq_l[j], n_l), mse(s.sq_r[j], n_r)),
+                        Criterion::Mse => (mse(s.sq[j], n_l), mse(s.sq[step + j], n_r)),
                         Criterion::Gini => (
                             gini(&s.cnt_l[j * n_classes..][..n_classes], n_l),
                             gini(&s.cnt_r[(j + 1) * n_classes..][..n_classes], n_r),
@@ -538,20 +657,63 @@ impl Fit<'_> {
         best
     }
 
-    /// Gathers feature `f` at the node's rows into `xs` and derives its
-    /// candidate thresholds; `false` when the node sees fewer than two
-    /// distinct values.
-    fn candidate_thresholds(&mut self, f: usize, lo: usize, hi: usize) -> bool {
+    /// Fills `distinct` with ranked feature `f`'s distinct cells at the node,
+    /// ascending, and `present` with their ranks: the node's rows mark
+    /// their ranks in a bitset in ascending row order, the first cell seen
+    /// with a rank represents it (the cell a stable sort followed by
+    /// `dedup` keeps), and the set bits are walked in order.
+    fn distinct_by_rank(&mut self, f: usize, lo: usize, hi: usize) {
+        let s = &mut *self.s;
+        let (col, ranks) = (self.cols.column(f), self.cols.column_ranks(f));
+        let rank_space = self.cols.rank_space[f];
+        s.seen.clear();
+        s.seen.resize(rank_space.div_ceil(64), 0);
+        if s.first_cell.len() < rank_space {
+            s.first_cell.resize(rank_space, 0.0);
+            s.rank_bounds.resize(rank_space, [0, 0]);
+        }
+        for &row in &s.rows[lo..hi] {
+            let rank = ranks[row] as usize;
+            let (word, bit) = (&mut s.seen[rank / 64], 1u64 << (rank % 64));
+            if *word & bit == 0 {
+                *word |= bit;
+                s.first_cell[rank] = col[row];
+            }
+        }
+        s.present.clear();
+        s.distinct.clear();
+        for (at, &word) in s.seen.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let rank = at * 64 + bits.trailing_zeros() as usize;
+                s.present.push(rank as u32);
+                s.distinct.push(s.first_cell[rank]);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Fills `distinct` with unranked feature `f`'s distinct cells at the
+    /// node and `xs` with its cell per row. A NaN cell makes the comparator
+    /// no total order; what `sort_by` then leaves cannot be told from
+    /// ranks, so this column is sorted node by node.
+    fn distinct_by_sort(&mut self, f: usize, lo: usize, hi: usize) {
         let s = &mut *self.s;
         let col = self.cols.column(f);
         s.xs.clear();
         s.xs.extend(s.rows[lo..hi].iter().map(|&r| col[r]));
-        s.sorted.clear();
-        s.sorted.extend_from_slice(&s.xs);
-        s.sorted
+        s.distinct.clear();
+        s.distinct.extend_from_slice(&s.xs);
+        s.distinct
             .sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
-        s.sorted.dedup();
-        let vals = &s.sorted;
+        s.distinct.dedup();
+    }
+
+    /// Derives the candidate thresholds from `distinct`; `false` when the
+    /// node sees fewer than two distinct values.
+    fn candidate_thresholds(&mut self) -> bool {
+        let s = &mut *self.s;
+        let vals = &s.distinct;
         if vals.len() < 2 {
             return false;
         }
@@ -570,86 +732,108 @@ impl Fit<'_> {
         true
     }
 
-    /// For `thresholds[from..to]` — ascending, or a single one — fills, per
-    /// threshold, the row (and class) counts of both sides and, under
-    /// `Mse`, both sides' sums of squared deviations.
-    fn score_thresholds(&mut self, from: usize, to: usize) {
+    /// For `thresholds[from..to]` — ascending, or a single one — finds
+    /// every row's `[lo, hi]` and histograms the rows, by class, under
+    /// both. A row is right of the thresholds below its cell and left of
+    /// those at or above it; a NaN cell (or threshold) is on neither side,
+    /// which is why "not left of" is spelt `!(x <= t)` and not `x > t`.
+    fn bucket_rows(&mut self, f: usize, lo: usize, hi: usize, from: usize, to: usize) {
         let s = &mut *self.s;
         let ts = &s.thresholds[from..to];
-        let n_t = ts.len();
         let n_classes = s.labels.len();
-
-        // A row is right of the thresholds below its cell and left of those
-        // at or above it; a NaN cell (or threshold) is on neither side, which
-        // is why "not left of" is spelt `!(x <= t)` and not `x > t`.
-        s.lo.clear();
-        s.lo.extend(s.xs.iter().map(|&x| ts.partition_point(|&t| x > t)));
-        s.hi.clear();
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        s.hi.extend(s.xs.iter().map(|&x| ts.partition_point(|&t| !(x <= t))));
-
-        // Integer counts are exact in any order: histogram, then sweep.
         for cnt in [&mut s.cnt_l, &mut s.cnt_r] {
             cnt.clear();
-            cnt.resize((n_t + 1) * n_classes, 0);
+            cnt.resize((ts.len() + 1) * n_classes, 0);
         }
-        for ((&lo, &hi), &c) in s.lo.iter().zip(&s.hi).zip(&s.cls) {
-            s.cnt_l[hi * n_classes + c] += 1;
-            s.cnt_r[lo * n_classes + c] += 1;
+        s.bounds.clear();
+        let mut record = |bounds: [u32; 2], class: usize| {
+            s.cnt_l[bounds[1] as usize * n_classes + class] += 1;
+            s.cnt_r[bounds[0] as usize * n_classes + class] += 1;
+            s.bounds.push(bounds);
+        };
+        if self.cols.rank_space[f] > 0 {
+            // Cells and thresholds both ascend: one merge bounds every
+            // distinct cell, and a row reads its bounds under its rank.
+            let (mut below, mut not_above) = (0, 0);
+            for (&rank, &x) in s.present.iter().zip(&s.distinct) {
+                while below < ts.len() && x > ts[below] {
+                    below += 1;
+                }
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                while not_above < ts.len() && !(x <= ts[not_above]) {
+                    not_above += 1;
+                }
+                s.rank_bounds[rank as usize] = [below as u32, not_above as u32];
+            }
+            let ranks = self.cols.column_ranks(f);
+            for (&row, &class) in s.rows[lo..hi].iter().zip(&s.cls) {
+                record(s.rank_bounds[ranks[row] as usize], class);
+            }
+        } else {
+            for (&x, &class) in s.xs.iter().zip(&s.cls) {
+                let below = ts.partition_point(|&t| x > t);
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let not_above = ts.partition_point(|&t| !(x <= t));
+                record([below as u32, not_above as u32], class);
+            }
         }
+    }
+
+    /// Fills, for the `n_t` thresholds `bucket_rows` bucketed against, the
+    /// row (and class) counts of both sides and, under `Mse`, both sides'
+    /// sums of squared deviations.
+    fn score_thresholds(&mut self, n_t: usize) {
+        let s = &mut *self.s;
+        let n_classes = s.labels.len();
+
+        // Integer counts are exact in any order: sweep the histograms.
         for at in n_classes..(n_t + 1) * n_classes {
             s.cnt_l[at] += s.cnt_l[at - n_classes];
         }
         for at in (0..n_t * n_classes).rev() {
             s.cnt_r[at] += s.cnt_r[at + n_classes];
         }
-        s.n_l.clear();
-        s.n_l.extend(
-            s.cnt_l
-                .chunks(n_classes)
-                .take(n_t)
-                .map(|c| c.iter().sum::<usize>()),
-        );
-        s.n_r.clear();
-        s.n_r.extend(
-            s.cnt_r
-                .chunks(n_classes)
-                .skip(1)
-                .map(|c| c.iter().sum::<usize>()),
-        );
+        let total = |block: &[usize]| block.iter().sum::<usize>();
+        s.n_side.clear();
+        s.n_side
+            .extend(s.cnt_l.chunks(n_classes).take(n_t).map(total));
+        s.n_side
+            .extend(s.cnt_r.chunks(n_classes).skip(1).map(total));
 
         if self.params.criterion != Criterion::Mse {
             return;
         }
 
         // Float sums are not: every threshold's two sides get their own
-        // accumulator, fed in ascending row order from `sum`'s identity.
+        // accumulator, fed in ascending row order from `sum`'s identity. A
+        // row feeds the left side of thresholds `hi..` and the right side
+        // of `..lo`, and `lo <= hi`: in the `[left | right]` layout that is
+        // the one run `hi..n_t + lo`.
         let zero: f64 = std::iter::empty::<f64>().sum();
-        for acc in [&mut s.mean_l, &mut s.mean_r, &mut s.sq_l, &mut s.sq_r] {
+        for acc in [&mut s.mean, &mut s.sq] {
             acc.clear();
-            acc.resize(n_t, zero);
+            acc.resize(2 * n_t, zero);
         }
-        for ((&lo, &hi), &y) in s.lo.iter().zip(&s.hi).zip(&s.ys) {
-            for sum in &mut s.mean_l[hi..] {
-                *sum += y;
-            }
-            for sum in &mut s.mean_r[..lo] {
-                *sum += y;
-            }
+        let (mean, sq) = (&mut s.mean[..], &mut s.sq[..]);
+        let rows = || s.bounds.iter().zip(&s.ys);
+        for (&[lo, hi], &y) in rows() {
+            on_run(&mut mean[hi as usize..n_t + lo as usize], |sums| {
+                for sum in sums {
+                    *sum += y;
+                }
+            });
         }
-        for (sum, &n) in s.mean_l.iter_mut().zip(&s.n_l) {
+        for (sum, &n) in mean.iter_mut().zip(&s.n_side) {
             *sum /= n as f64;
         }
-        for (sum, &n) in s.mean_r.iter_mut().zip(&s.n_r) {
-            *sum /= n as f64;
-        }
-        for ((&lo, &hi), &y) in s.lo.iter().zip(&s.hi).zip(&s.ys) {
-            for (sq, &mean) in s.sq_l[hi..].iter_mut().zip(&s.mean_l[hi..]) {
-                *sq += (y - mean).powi(2);
-            }
-            for (sq, &mean) in s.sq_r[..lo].iter_mut().zip(&s.mean_r[..lo]) {
-                *sq += (y - mean).powi(2);
-            }
+        for (&[lo, hi], &y) in rows() {
+            let run = hi as usize..n_t + lo as usize;
+            let means = &mean[run.clone()];
+            on_run(&mut sq[run], |sqs| {
+                for (sq, &mean) in sqs.iter_mut().zip(means) {
+                    *sq += (y - mean).powi(2);
+                }
+            });
         }
     }
 
@@ -679,6 +863,13 @@ impl Fit<'_> {
         s.rows[end_left..end_left + s.spill.len()].copy_from_slice(&s.spill);
         (end_left - lo, s.spill.len())
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Columns `rank_column` has ranked (that is, sorted) on this thread: what
+    /// the mechanism tests count. Test-only, like everything from here on.
+    static COLUMNS_RANKED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The split search this module had before [`TreeBuilder`], moved here
@@ -1166,6 +1357,52 @@ mod tests {
                 _ => panic!("one kernel panicked, the other fitted"),
             }
         }
+
+        /// What ranks could get wrong and the fixture never shows: a
+        /// `±inf` column (the midpoint of `-inf` and `+inf` is a NaN
+        /// threshold no row is on either side of), a column of signed
+        /// zeros under a `max_thresholds` small enough that the zero a node
+        /// keeps is itself a threshold (its sign bit is in the fitted
+        /// tree), and row counts one past a bitset word.
+        #[test]
+        fn ranked_kernel_keeps_infinities_signed_zeros_and_word_boundaries(
+            seed in any::<u64>(),
+            long in any::<bool>(),
+            min_leaf in 0usize..3,
+            thresholds in 0usize..5,
+            gini in any::<bool>(),
+            subset in 0usize..4,
+        ) {
+            let mut g = StdRng::seed_from_u64(seed);
+            let inf = f64::INFINITY;
+            let mut x = matrix(&mut g, if long { 129 } else { 65 });
+            let mut y = if gini {
+                class_target(&mut g, &x, 2)
+            } else {
+                regression_target(&mut g, &x)
+            };
+            for (row, y) in x.iter_mut().zip(&mut y) {
+                let infinite = [-inf, inf, -inf, inf, 0.5][g.gen_range(0..5usize)];
+                let zero = [0.0, -0.0, 0.0, -0.0, -1.0, 1.0, 2.0][g.gen_range(0..7usize)];
+                row.extend([infinite, zero]);
+                if !gini {
+                    *y += infinite.signum() + zero;
+                }
+            }
+            let params = TreeParams {
+                max_depth: 5,
+                min_samples_split: 2,
+                min_samples_leaf: [0, 1, 3][min_leaf],
+                max_thresholds: [0, 1, 2, 3, 16][thresholds],
+                criterion: if gini { Criterion::Gini } else { Criterion::Mse },
+            };
+            let max_features = [None, Some(1), Some(2), Some(4)][subset];
+            let new = DecisionTree::fit_with_features(
+                &Matrix::from_rows(&x), &y, params, max_features, seed >> 7,
+            );
+            let old = oracle::fit_with_features(&x, &y, params, max_features, seed >> 7);
+            assert_same_tree(&new, &old);
+        }
     }
 
     /// Inputs on which a threshold is NaN or equals the largest value, a
@@ -1276,5 +1513,75 @@ mod tests {
             (gathered.n_rows, gathered.n_features),
             (55, fixtures::WIDTH)
         );
+    }
+
+    /// Columns this thread ranks while `fit` runs.
+    fn columns_ranked_by(fit: impl FnOnce()) -> usize {
+        let before = COLUMNS_RANKED.with(|c| c.get());
+        fit();
+        COLUMNS_RANKED.with(|c| c.get()) - before
+    }
+
+    /// One sort per feature and fit, whatever the number of rounds, stages
+    /// or trees: the boosted models share the ranked columns and a forest's
+    /// bootstrap samples copy their ranks.
+    #[test]
+    fn a_fit_ranks_every_column_exactly_once() {
+        use crate::forest::{ForestParams, RandomForest};
+        use crate::gbm::{GbmParams, GradientBoostingClassifier, GradientBoostingRegressor};
+        let mut g = StdRng::seed_from_u64(21);
+        let rows = matrix(&mut g, 120);
+        let x = Matrix::from_rows(&rows);
+        let y = regression_target(&mut g, &rows);
+        let labels = class_target(&mut g, &rows, 3);
+        let rounds = GbmParams {
+            n_estimators: 40,
+            ..GbmParams::default()
+        };
+        let regressor = columns_ranked_by(|| {
+            assert_eq!(GradientBoostingRegressor::fit(&x, &y, rounds).len(), 40);
+        });
+        assert_eq!(regressor, fixtures::WIDTH);
+        let classifier = columns_ranked_by(|| {
+            GradientBoostingClassifier::fit(&x, &labels, 3, rounds);
+        });
+        assert_eq!(classifier, fixtures::WIDTH);
+        let forest = columns_ranked_by(|| {
+            let forest = RandomForest::fit(&x, &labels, 3, ForestParams::classification(20));
+            assert_eq!(forest.len(), 20);
+        });
+        assert_eq!(forest, fixtures::WIDTH);
+        let cols = Columns::from_matrix(&x);
+        assert_eq!(columns_ranked_by(|| drop(cols.gather(&[5, 5, 119, 0]))), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Gathered ranks order gathered cells: a sample with repeats needs
+        /// no sort of its own.
+        #[test]
+        fn gathered_ranks_order_gathered_cells(
+            seed in any::<u64>(),
+            size in 2usize..6,
+            sample in 1usize..80,
+        ) {
+            let mut g = StdRng::seed_from_u64(seed);
+            let n = SIZES[size];
+            let cols = Columns::from_matrix(&Matrix::from_rows(&matrix(&mut g, n)));
+            let rows: Vec<usize> = (0..sample).map(|_| g.gen_range(0..n)).collect();
+            let gathered = cols.gather(&rows);
+            for f in 0..fixtures::WIDTH {
+                prop_assert!(gathered.rank_space[f] > 0);
+                let (cells, ranks) = (gathered.column(f), gathered.column_ranks(f));
+                for a in 0..sample {
+                    prop_assert!((ranks[a] as usize) < gathered.rank_space[f]);
+                    for b in 0..sample {
+                        prop_assert_eq!(ranks[a] < ranks[b], cells[a] < cells[b]);
+                        prop_assert_eq!(ranks[a] == ranks[b], cells[a] == cells[b]);
+                    }
+                }
+            }
+        }
     }
 }
