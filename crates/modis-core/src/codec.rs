@@ -87,8 +87,7 @@ impl ByteWriter {
     }
 
     /// Appends a length-prefixed UTF-8 string (`u64` byte length, then the
-    /// bytes). Used by formats that carry names — e.g. the namespace
-    /// manifest of a cluster snapshot shipment.
+    /// bytes), for formats that carry names.
     pub fn put_str(&mut self, s: &str) {
         self.put_u64(s.len() as u64);
         self.put_bytes(s.as_bytes());

@@ -32,7 +32,7 @@ use modis_engine::SharedEvalCache;
 use crate::error::ServiceError;
 
 /// Validates a token that will travel on the whitespace-delimited wire
-/// protocol (shard name, scenario name, namespace, staged shipment path):
+/// protocol (shard name, scenario name, namespace):
 /// non-empty, no whitespace, no control characters. The single source of
 /// truth for every entry point that admits names into a topology.
 pub(crate) fn validate_token(token: &str, what: &str) -> Result<(), String> {

@@ -124,6 +124,4 @@ pub use registry::{RegisteredScenario, ScenarioRegistry};
 pub use router::{CircuitState, Router, RouterConfig, ShippedNamespace};
 pub use scheduler::{CostModel, CostScheduler, QueuedRequest};
 pub use service::{CompletionNotifier, JobState, Service, ServiceConfig, Ticket};
-pub use snapshot::{
-    SnapshotError, SHIPMENT_MAGIC, SHIPMENT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-};
+pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

@@ -122,7 +122,7 @@ pub fn result_line(id: u64, outcome: &ScenarioOutcome) -> String {
 }
 
 /// Executes `EXPORT <ns>…` against the service: the named namespaces as a
-/// hex-encoded in-memory shipment, prefixed with their stable content
+/// hex-encoded namespace snapshot, prefixed with their stable content
 /// digest and the decoded byte length —
 /// `SHIPMENT <digest> <len> <hex>`. The digest lets a replication driver
 /// skip pushing a payload its replica already holds.
@@ -943,7 +943,7 @@ mod tests {
         let payload: Vec<u8> = (0..len)
             .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap())
             .collect();
-        assert!(payload.starts_with(crate::snapshot::SHIPMENT_MAGIC));
+        assert!(payload.starts_with(crate::snapshot::SNAPSHOT_MAGIC));
 
         // Merge the wire payload into a fresh service: the re-run answers
         // the byte-identical skyline, and the content digests now agree.

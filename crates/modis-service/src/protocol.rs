@@ -32,10 +32,10 @@
 //! | `RESULT <id>`        | `RESULT <id> entries=… <entry>…` — the finished skyline,      |
 //! |                      | byte-exactly encoded (f64 bit patterns, not decimal)          |
 //! | `SNAPSHOT <path>`    | `OK <bytes>` — persist the evaluation cache                   |
-//! | `RESTORE <path>`     | `OK <entries>` — merge a snapshot/shipment into the live cache|
-//! | `EXPORT <ns>…`       | `SHIPMENT <digest> <len> <hex>` — the named namespaces as     |
-//! |                      | hex-encoded shipment bytes plus their content digest          |
-//! | `SHIP <ns>… <len>`   | `OK <entries>` — `<len>` raw shipment bytes follow the line;  |
+//! | `RESTORE <path>`     | `OK <entries>` — merge a snapshot file into the live cache    |
+//! | `EXPORT <ns>…`       | `SHIPMENT <digest> <len> <hex>` — the named namespaces as a   |
+//! |                      | hex-encoded snapshot plus their content digest                |
+//! | `SHIP <ns>… <len>`   | `OK <entries>` — `<len>` raw snapshot bytes follow the line;  |
 //! |                      | merged into the live cache (wire-shipped rebalancing/replication)|
 //! | `SHARDS`             | `SHARDS <n>` + `n` `SHARD …` lines — cluster router only      |
 //! | `QUIT`               | `BYE` (connection closes)                                     |
@@ -98,7 +98,7 @@ pub enum Verb {
     Ship {
         /// The payload length the header declares.
         len: usize,
-        /// The raw shipment bytes.
+        /// The raw snapshot bytes.
         payload: Vec<u8>,
     },
     /// `QUIT`.
@@ -311,8 +311,8 @@ fn parse_explain(rest: &str) -> Result<Verb, &'static str> {
 }
 
 /// `SHIP <ns> [<ns>…] <len>`: at least one namespace, then the payload
-/// length. The namespaces are for the reader of the wire — the shipment
-/// itself carries the manifest that is merged.
+/// length. The namespaces are for the reader of the wire — what is merged
+/// is whatever slots the payload (a namespace snapshot) holds.
 fn parse_ship(rest: &str) -> Result<Verb, &'static str> {
     let mut tokens = rest.split_whitespace();
     let len = tokens.next_back().and_then(|len| len.parse().ok());

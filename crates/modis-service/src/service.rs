@@ -14,12 +14,13 @@
 //! 5. **snapshot** — the shared cache persists to disk on demand and a
 //!    fresh process warm-starts from the file.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use modis_core::codec::CodecError;
 use modis_core::estimator::SharedEvaluation;
 use modis_core::telemetry::{Counter, Gauge, Histogram, TraceContext};
 use modis_data::StateBitmap;
@@ -36,13 +37,9 @@ use crate::snapshot;
 pub struct ServiceConfig {
     /// Configuration of the owned engine (threads, cache shards/capacity).
     pub engine: EngineConfig,
-    /// EWMA weight of the newest cost observation in `(0, 1]`.
-    pub cost_smoothing: f64,
     /// Whether `run_pending` batch-valuates the start states of every
     /// queued scenario (one pass per namespace) before running searches.
     pub prewarm_start_states: bool,
-    /// How long the background worker sleeps when the queue is empty.
-    pub worker_poll: Duration,
     /// How many finished outcomes the service retains for polling (0 =
     /// unbounded). A long-lived daemon would otherwise accumulate one
     /// skyline result per submission forever; once a run's outcome is
@@ -58,9 +55,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             engine: EngineConfig::default(),
-            cost_smoothing: 0.5,
             prewarm_start_states: true,
-            worker_poll: Duration::from_millis(20),
             completed_retention: 4096,
             slow_request_threshold: Duration::from_millis(250),
         }
@@ -205,6 +200,13 @@ pub struct Service {
     started: Instant,
 }
 
+/// EWMA weight of the newest cost observation ([`CostModel::new`]).
+const COST_SMOOTHING: f64 = 0.5;
+
+/// How long the background worker ([`Service::spawn_worker`]) sleeps when
+/// the queue is empty.
+const WORKER_POLL: Duration = Duration::from_millis(20);
+
 impl Service {
     /// Creates a service with a cold cache.
     pub fn new(config: ServiceConfig) -> Self {
@@ -214,7 +216,7 @@ impl Service {
             inner: Mutex::new(Inner {
                 registry: ScenarioRegistry::new(),
                 scheduler: CostScheduler::new(),
-                costs: CostModel::new(config.cost_smoothing),
+                costs: CostModel::new(COST_SMOOTHING),
                 jobs: HashMap::new(),
                 completed: VecDeque::new(),
                 traces: HashMap::new(),
@@ -604,11 +606,12 @@ impl Service {
         )?)
     }
 
-    /// Encodes the given cache namespaces (plus their guard pairs and a
-    /// manifest of the names) as an in-memory namespace *shipment* — the
-    /// portable unit the cluster layer moves between shard processes when
-    /// namespace ownership rebalances, and the payload the `SHIP` wire
-    /// verb carries shard-to-shard without touching a shared filesystem.
+    /// Encodes the given cache namespaces (their slots, every hand 0, plus
+    /// their guard pairs) as an in-memory namespace snapshot — the same
+    /// format as [`Service::snapshot_to`], and the portable unit the
+    /// cluster layer moves between shard processes when namespace
+    /// ownership rebalances: what `EXPORT` returns and `SHIP` carries
+    /// shard-to-shard without touching a shared filesystem.
     pub fn shipment_bytes(&self, namespaces: &[String]) -> Vec<u8> {
         let keys: Vec<u64> = namespaces
             .iter()
@@ -620,7 +623,7 @@ impl Service {
             .into_iter()
             .filter(|(key, _)| keys.contains(key))
             .collect();
-        snapshot::encode_shipment(namespaces, self.engine.cache(), &keys, &guards)
+        snapshot::encode_shards(&self.engine.cache().export_namespaces(&keys), &guards)
     }
 
     /// The stable content digest of the given cache namespaces
@@ -636,26 +639,34 @@ impl Service {
         self.engine.cache().namespace_digest(&keys)
     }
 
-    /// Merges a snapshot or namespace shipment from `path` into the live
-    /// cache (hashed insertion — no slot-geometry replay, safe while
-    /// serving), returning the number of evaluations merged.
+    /// Merges a full or namespace snapshot from `path` into the live cache
+    /// (hashed insertion — no slot-geometry replay, safe while serving),
+    /// returning the number of evaluations merged.
     ///
     /// Guard pairs carried by the file are validated against this engine's
-    /// namespace guard *before* anything is merged: a shipment whose
-    /// fingerprint disagrees with what this process has recorded for the
-    /// same namespace describes a different search space, and merging it
-    /// would poison valuations — the whole file is rejected instead.
+    /// namespace guard *before* anything is merged: every namespace with a
+    /// slot in the file must carry a pair (a slot no fingerprint covers
+    /// would later be served to any substrate registered under that name),
+    /// and a pair whose fingerprint disagrees with what this process has
+    /// recorded for the same namespace describes a different search space.
+    /// Either way the whole file is rejected and nothing is merged.
     pub fn restore_from(&self, path: &Path) -> Result<usize, ServiceError> {
         let bytes = std::fs::read(path).map_err(snapshot::SnapshotError::Io)?;
         self.restore_from_bytes(&bytes)
     }
 
     /// [`Service::restore_from`] for in-memory bytes — the receive side of
-    /// the `SHIP` wire verb. Same wholesale guard validation: a
-    /// fingerprint conflict rejects the entire payload and merges nothing.
+    /// the `SHIP` wire verb. Same wholesale guard validation: a missing or
+    /// conflicting guard pair rejects the entire payload and merges nothing.
     pub fn restore_from_bytes(&self, bytes: &[u8]) -> Result<usize, ServiceError> {
         let _span = self.engine.tracer().span("restore");
-        let decoded = snapshot::decode_any(bytes)?;
+        let decoded = snapshot::decode_snapshot(bytes)?;
+        let guarded: HashSet<u64> = decoded.namespace_fingerprints.iter().map(|g| g.0).collect();
+        let mut slots = decoded.shards.iter().flat_map(|shard| &shard.entries);
+        if !slots.all(|entry| guarded.contains(&entry.namespace)) {
+            let unguarded = CodecError::Invalid("a namespace with slots carries no guard pair");
+            return Err(snapshot::SnapshotError::Corrupt(unguarded).into());
+        }
         for &(key, fingerprint) in &decoded.namespace_fingerprints {
             if let Some(recorded) = self.engine.namespace_fingerprint(key) {
                 if recorded != fingerprint {
@@ -691,17 +702,16 @@ impl Service {
     }
 
     /// Spawns the background worker: a thread that drains the queue via
-    /// [`Service::run_pending`] and naps [`ServiceConfig::worker_poll`]
-    /// when idle, until [`Service::shutdown`]. After observing the stop
-    /// flag it drains once more, so a submission that raced the shutdown
-    /// (accepted before the flag became visible) still executes instead of
-    /// sitting queued forever.
+    /// [`Service::run_pending`] and naps 20 ms when idle, until
+    /// [`Service::shutdown`]. After observing the stop flag it drains once
+    /// more, so a submission that raced the shutdown (accepted before the
+    /// flag became visible) still executes instead of sitting queued forever.
     pub fn spawn_worker(self: &Arc<Self>) -> std::thread::JoinHandle<()> {
         let service = Arc::clone(self);
         std::thread::spawn(move || {
             while !service.is_stopped() {
                 if service.run_pending() == 0 {
-                    std::thread::sleep(service.config.worker_poll);
+                    std::thread::sleep(WORKER_POLL);
                 }
             }
             service.run_pending();

@@ -40,6 +40,14 @@
 //! field is bounds-checked against the remaining input, so truncated or
 //! corrupted snapshots are rejected cleanly instead of poisoning the
 //! cache.
+//!
+//! This is the only cache-state format. A *namespace snapshot* — what
+//! `EXPORT` sends and `SHIP` receives ([`crate::Service::shipment_bytes`])
+//! — is the same layout holding only the named namespaces' slots, every
+//! hand 0, and only their guard pairs: it is merged into a live cache, never
+//! replayed slot for slot. Whatever merges a payload into a live service
+//! ([`crate::Service::restore_from_bytes`]) requires a guard pair for every
+//! namespace that has a slot in it.
 
 use std::fmt;
 use std::path::Path;
@@ -54,21 +62,6 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MODISNAP";
 
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u32 = 2;
-
-/// File magic of a namespace *shipment* — the per-namespace snapshot slice
-/// a cluster ships between shard processes when ownership rebalances. A
-/// shipment wraps a standard snapshot (filtered to the shipped namespaces)
-/// with a manifest of the namespace names it carries.
-pub const SHIPMENT_MAGIC: &[u8; 8] = b"MODISHIP";
-
-/// Current shipment format version.
-pub const SHIPMENT_VERSION: u32 = 1;
-
-/// Upper bound accepted for a shipped namespace name's byte length.
-const MAX_NAMESPACE_NAME: usize = 1 << 12;
-
-/// Upper bound accepted for the number of namespaces in one shipment.
-const MAX_SHIPMENT_NAMESPACES: usize = 1 << 16;
 
 /// Upper bound accepted for a single bitmap's bit length (a corrupted
 /// length field must not drive a huge allocation).
@@ -143,13 +136,6 @@ pub struct DecodedSnapshot {
     pub namespace_fingerprints: Vec<(u64, u64)>,
 }
 
-/// Serialises the cache's contents *without* guard state — shorthand for
-/// [`encode_snapshot`] with an empty guard section (cache-only tooling and
-/// tests).
-pub fn encode_cache(cache: &SharedEvalCache) -> Vec<u8> {
-    encode_snapshot(cache, &[])
-}
-
 /// Serialises the cache's current contents plus the engine's namespace
 /// guard into the versioned snapshot format (including the trailing
 /// checksum seal).
@@ -159,8 +145,12 @@ pub fn encode_snapshot(cache: &SharedEvalCache, namespace_fingerprints: &[(u64, 
 
 /// Serialises pre-exported shard contents plus guard pairs into the
 /// snapshot format — the writer shared by full snapshots
-/// ([`encode_snapshot`]) and namespace shipments ([`encode_shipment`]).
-fn encode_shards(shards: &[ShardExport], namespace_fingerprints: &[(u64, u64)]) -> Vec<u8> {
+/// ([`encode_snapshot`]) and namespace snapshots (over
+/// [`SharedEvalCache::export_namespaces`]).
+pub(crate) fn encode_shards(
+    shards: &[ShardExport],
+    namespace_fingerprints: &[(u64, u64)],
+) -> Vec<u8> {
     let total: usize = shards.iter().map(|s| s.entries.len()).sum();
     let mut w = ByteWriter::with_capacity(64 + total * 96);
     w.put_bytes(SNAPSHOT_MAGIC);
@@ -295,90 +285,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
     })
 }
 
-/// Restores a snapshot's evaluations into `cache` (ignoring the guard
-/// section), returning how many were processed. Same shard geometry ⇒
-/// exact restore (slot order, referenced bits, hand); otherwise entries
-/// are rehashed.
-pub fn restore_cache(cache: &SharedEvalCache, bytes: &[u8]) -> Result<usize, SnapshotError> {
-    Ok(cache.import_shards(decode_snapshot(bytes)?.shards))
-}
-
-/// A decoded namespace shipment: the manifest of shipped namespace names
-/// plus the wrapped (filtered) snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodedShipment {
-    /// Names of the namespaces this shipment carries, as the exporting
-    /// shard knew them (observability: keys in the payload are hashed).
-    pub namespaces: Vec<String>,
-    /// The wrapped snapshot: entries of the shipped namespaces only, plus
-    /// their guard pairs.
-    pub snapshot: DecodedSnapshot,
-}
-
-/// Serialises a namespace shipment: the entries of the hashed `keys` (in
-/// the order [`SharedEvalCache::export_namespaces`] yields them), the
-/// matching guard pairs, and a manifest of the human-readable `names`.
-pub fn encode_shipment(
-    names: &[String],
-    cache: &SharedEvalCache,
-    keys: &[u64],
-    namespace_fingerprints: &[(u64, u64)],
-) -> Vec<u8> {
-    let inner = encode_shards(&cache.export_namespaces(keys), namespace_fingerprints);
-    let mut w = ByteWriter::with_capacity(64 + inner.len());
-    w.put_bytes(SHIPMENT_MAGIC);
-    w.put_u32(SHIPMENT_VERSION);
-    w.put_u64(names.len() as u64);
-    for name in names {
-        w.put_str(name);
-    }
-    w.put_u64(inner.len() as u64);
-    w.put_bytes(&inner);
-    let seal = checksum(w.bytes());
-    w.put_u64(seal);
-    w.into_bytes()
-}
-
-/// Decodes a shipment produced by [`encode_shipment`], validating the
-/// outer magic/version/checksum, the manifest, and the wrapped snapshot.
-pub fn decode_shipment(bytes: &[u8]) -> Result<DecodedShipment, SnapshotError> {
-    if bytes.len() < SHIPMENT_MAGIC.len() + 4 + 8 {
-        return Err(SnapshotError::Corrupt(CodecError::Truncated {
-            needed: SHIPMENT_MAGIC.len() + 12,
-            remaining: bytes.len(),
-        }));
-    }
-    let (payload, seal) = bytes.split_at(bytes.len() - 8);
-    let mut r = ByteReader::new(payload);
-    if r.get_bytes(SHIPMENT_MAGIC.len())? != SHIPMENT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.get_u32()?;
-    if version != SHIPMENT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let declared = u64::from_le_bytes(seal.try_into().unwrap());
-    if checksum(payload) != declared {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-    let count = r.get_len(MAX_SHIPMENT_NAMESPACES)?;
-    let mut namespaces = Vec::with_capacity(count);
-    for _ in 0..count {
-        namespaces.push(r.get_str(MAX_NAMESPACE_NAME)?);
-    }
-    let inner_len = r.get_len(r.remaining())?;
-    let inner = r.get_bytes(inner_len)?;
-    if !r.is_exhausted() {
-        return Err(SnapshotError::Corrupt(CodecError::Invalid(
-            "trailing bytes after wrapped snapshot",
-        )));
-    }
-    Ok(DecodedShipment {
-        namespaces,
-        snapshot: decode_snapshot(inner)?,
-    })
-}
-
 /// Writes `bytes` to `path` atomically via a uniquely-named sibling
 /// temporary file, so a concurrent reader never observes a half-written
 /// snapshot and concurrent writers never clobber each other's temp file.
@@ -417,31 +323,6 @@ pub fn save_to_path(
     let bytes = encode_snapshot(cache, namespace_fingerprints);
     write_atomic(path, &bytes)?;
     Ok(bytes.len())
-}
-
-/// Reads either format from `path` — a full snapshot (`MODISNAP`) or a
-/// namespace shipment (`MODISHIP`) — and **merges** its evaluations into
-/// `cache` through the hashed insertion path (no slot-geometry replay, no
-/// hand movement: safe on a cache already serving traffic). Returns the
-/// merged entry count plus the guard pairs for the caller to seed.
-pub fn merge_from_path(
-    cache: &SharedEvalCache,
-    path: &Path,
-) -> Result<(usize, Vec<(u64, u64)>), SnapshotError> {
-    let bytes = std::fs::read(path)?;
-    let decoded = decode_any(&bytes)?;
-    let merged = cache.merge_exports(decoded.shards);
-    Ok((merged, decoded.namespace_fingerprints))
-}
-
-/// Decodes either format — a full snapshot (`MODISNAP`) or a namespace
-/// shipment (`MODISHIP`) — to the wrapped snapshot contents.
-pub fn decode_any(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
-    if bytes.starts_with(SHIPMENT_MAGIC) {
-        Ok(decode_shipment(bytes)?.snapshot)
-    } else {
-        decode_snapshot(bytes)
-    }
 }
 
 /// Reads a snapshot file, restores its evaluations into `cache` and
@@ -493,23 +374,25 @@ mod tests {
         let decoded = decode_snapshot(&bytes).unwrap();
         assert_eq!(decoded.shards, cache.export_shards());
         assert_eq!(decoded.namespace_fingerprints, guards);
-        // The cache-only shorthand carries an empty guard section.
-        let plain = decode_snapshot(&encode_cache(&cache)).unwrap();
+        let plain = decode_snapshot(&encode_snapshot(&cache, &[])).unwrap();
         assert!(plain.namespace_fingerprints.is_empty());
     }
 
     #[test]
     fn restore_into_same_geometry_is_identical() {
         let cache = populated_cache();
-        let bytes = encode_cache(&cache);
+        let bytes = encode_snapshot(&cache, &[]);
         let fresh = Arc::new(SharedEvalCache::with_capacity(4, 256));
-        assert_eq!(restore_cache(&fresh, &bytes).unwrap(), 40);
+        assert_eq!(
+            fresh.import_shards(decode_snapshot(&bytes).unwrap().shards),
+            40
+        );
         assert_eq!(fresh.export_shards(), cache.export_shards());
     }
 
     #[test]
     fn truncation_anywhere_is_rejected() {
-        let bytes = encode_cache(&populated_cache());
+        let bytes = encode_snapshot(&populated_cache(), &[]);
         for cut in [0, 7, 11, 20, bytes.len() / 2, bytes.len() - 1] {
             assert!(
                 decode_snapshot(&bytes[..cut]).is_err(),
@@ -520,7 +403,7 @@ mod tests {
 
     #[test]
     fn corruption_anywhere_is_rejected() {
-        let bytes = encode_cache(&populated_cache());
+        let bytes = encode_snapshot(&populated_cache(), &[]);
         // Flip one bit at a spread of positions: either the checksum seal
         // catches it, or (when the flip lands in the seal itself) the seal
         // no longer matches the payload.
@@ -536,7 +419,7 @@ mod tests {
 
     #[test]
     fn wrong_magic_and_version_are_distinct_errors() {
-        let bytes = encode_cache(&populated_cache());
+        let bytes = encode_snapshot(&populated_cache(), &[]);
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(matches!(
@@ -556,72 +439,60 @@ mod tests {
         ));
     }
 
+    /// A service holding `populated_cache` with guard pairs alpha → 1 and
+    /// beta → 2 (sorted), and the namespace snapshot it ships for alpha.
+    fn alpha_shipment() -> (crate::Service, Vec<(u64, u64)>, Vec<u8>) {
+        let keys = ["alpha", "beta"].map(SharedEvalCache::namespace_key);
+        let mut guards = vec![(keys[0], 1), (keys[1], 2)];
+        guards.sort_unstable(); // the order namespace_fingerprints reports
+        let exporter = crate::Service::new(crate::ServiceConfig::default());
+        let shards = populated_cache().export_shards();
+        exporter.engine().cache().import_shards(shards);
+        exporter.engine().seed_namespace_fingerprints(&guards);
+        let shipment = exporter.shipment_bytes(&["alpha".to_string()]);
+        (exporter, guards, shipment)
+    }
+
     #[test]
     fn shipment_round_trips_and_rejects_damage() {
-        let cache = populated_cache();
-        let keys = [modis_engine::SharedEvalCache::namespace_key("alpha")];
-        let names = vec!["alpha".to_string()];
-        let guards = vec![(keys[0], 0xfeedu64)];
-        let bytes = encode_shipment(&names, &cache, &keys, &guards);
-        let decoded = decode_shipment(&bytes).unwrap();
-        assert_eq!(decoded.namespaces, names);
-        assert_eq!(decoded.snapshot.namespace_fingerprints, guards);
-        let shipped: usize = decoded
-            .snapshot
-            .shards
-            .iter()
-            .map(|s| s.entries.len())
-            .sum();
-        assert_eq!(shipped, 20, "only alpha's 20 entries travel");
-        assert!(decoded
-            .snapshot
-            .shards
-            .iter()
-            .flat_map(|s| &s.entries)
-            .all(|e| e.namespace == keys[0]));
-
-        // A shipment is not a snapshot and vice versa.
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(SnapshotError::BadMagic)
-        ));
-        assert!(matches!(
-            decode_shipment(&encode_cache(&cache)),
-            Err(SnapshotError::BadMagic)
-        ));
-        // Bit flips anywhere are rejected (outer seal, or inner seal when
-        // the flip lands inside the outer seal bytes).
-        for pos in (0..bytes.len()).step_by(89) {
-            let mut corrupted = bytes.clone();
+        // What EXPORT / SHIP carry: alpha's slots, alpha's pair, hand 0.
+        let (exporter, _, shipment) = alpha_shipment();
+        let alpha = SharedEvalCache::namespace_key("alpha");
+        let decoded = decode_snapshot(&shipment).unwrap();
+        let expected = exporter.engine().cache().export_namespaces(&[alpha]);
+        assert_eq!(decoded.shards, expected);
+        assert_eq!(decoded.namespace_fingerprints, vec![(alpha, 1)]);
+        assert!(decoded.shards.iter().all(|s| s.hand == 0));
+        let slots: Vec<_> = decoded.shards.iter().flat_map(|s| &s.entries).collect();
+        assert_eq!(slots.len(), 20, "only alpha's 20 slots travel");
+        assert!(slots.iter().all(|e| e.namespace == alpha));
+        for pos in (0..shipment.len()).step_by(89) {
+            let mut corrupted = shipment.clone();
             corrupted[pos] ^= 0x20;
-            assert!(decode_shipment(&corrupted).is_err(), "flip at {pos}");
+            assert!(decode_snapshot(&corrupted).is_err(), "flip at {pos}");
         }
-        for cut in [0, 9, 30, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_shipment(&bytes[..cut]).is_err(), "cut at {cut}");
+        for cut in [0, 9, 30, shipment.len() / 2, shipment.len() - 1] {
+            assert!(decode_snapshot(&shipment[..cut]).is_err(), "cut at {cut}");
         }
     }
 
     #[test]
     fn merge_from_path_accepts_both_formats() {
-        let cache = populated_cache();
+        // A namespace snapshot file merges through RESTORE beside a full one.
+        let (exporter, guards, shipment) = alpha_shipment();
         let dir = std::env::temp_dir();
-        let snap = dir.join(format!("modis_merge_snap_{}.bin", std::process::id()));
-        let ship = dir.join(format!("modis_merge_ship_{}.bin", std::process::id()));
-        let alpha = modis_engine::SharedEvalCache::namespace_key("alpha");
-        save_to_path(&cache, &[(alpha, 1)], &snap).unwrap();
-        let shipment = encode_shipment(&["alpha".to_string()], &cache, &[alpha], &[(alpha, 1)]);
-        std::fs::write(&ship, shipment).unwrap();
-
-        let full = Arc::new(SharedEvalCache::with_capacity(2, 0));
-        let (merged, guards) = merge_from_path(&full, &snap).unwrap();
-        assert_eq!((merged, guards), (40, vec![(alpha, 1)]));
-
-        let partial = Arc::new(SharedEvalCache::with_capacity(2, 0));
-        let (merged, guards) = merge_from_path(&partial, &ship).unwrap();
-        assert_eq!((merged, guards), (20, vec![(alpha, 1)]));
-        assert_eq!(partial.stats().entries, 20);
-        std::fs::remove_file(&snap).unwrap();
+        let ship = dir.join(format!("modis_ns_snap_{}.bin", std::process::id()));
+        let full = dir.join(format!("modis_full_snap_{}.bin", std::process::id()));
+        std::fs::write(&ship, &shipment).unwrap();
+        save_to_path(exporter.engine().cache(), &guards, &full).unwrap();
+        let target = crate::Service::new(crate::ServiceConfig::default());
+        assert_eq!(target.restore_from(&ship).unwrap(), 20);
+        assert_eq!(target.cache_stats().entries, 20);
+        assert_eq!(target.restore_from(&full).unwrap(), 40);
+        assert_eq!(target.cache_stats().entries, 40);
+        assert_eq!(target.engine().namespace_fingerprints(), guards);
         std::fs::remove_file(&ship).unwrap();
+        std::fs::remove_file(&full).unwrap();
     }
 
     #[test]

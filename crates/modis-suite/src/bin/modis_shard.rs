@@ -21,9 +21,9 @@
 //! A shard needs no replication configuration of its own: the router's
 //! K-way placement drives everything through the ordinary wire protocol.
 //! `PING` answers the router's heartbeat probes, `EXPORT` serializes
-//! namespaces into a wire shipment on a primary, and `SHIP` installs a
-//! shipment pushed to a replica — so any shard can be promoted to serve a
-//! dead primary's namespaces from its warm replica cache.
+//! namespaces into a namespace snapshot on a primary, and `SHIP` merges
+//! one pushed to a replica — so any shard can be promoted to serve a dead
+//! primary's namespaces from its warm replica cache.
 
 use std::io::Read;
 use std::sync::Arc;

@@ -13,9 +13,9 @@
 //!    spans and both shards' queue-wait/engine spans into one
 //!    wall-clock-ordered timeline under a single trace id,
 //! 5. grow the cluster: a third shard joins, the namespaces it now owns
-//!    are shipped as snapshot shipments, and its **first** request is
-//!    answered entirely from the shipped warm cache (zero paid
-//!    valuations).
+//!    are shipped as namespace snapshots (`EXPORT` → `SHIP`, no files),
+//!    and its **first** request is answered entirely from the shipped
+//!    warm cache (zero paid valuations).
 //!
 //! Run with `cargo run --release --example cluster_demo`.
 

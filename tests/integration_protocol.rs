@@ -26,6 +26,7 @@ use modis_core::substrate::mock::MockSubstrate;
 use modis_core::substrate::Substrate;
 use modis_engine::{Algorithm, Scenario};
 use modis_service::protocol::{self, Framer, Kind};
+use modis_service::snapshot;
 use modis_service::{
     handle_command, ClusterSpec, Daemon, ReactorConfig, Router, Service, ServiceConfig,
 };
@@ -514,6 +515,54 @@ fn shipped_payload_is_merged_and_requests_pipeline_behind_it() {
         "served from the shipment: {done}"
     );
     assert_eq!(recv(&mut reader), result);
+    daemon.stop();
+}
+
+/// The `entries=` figure of a `STATS` reply.
+fn stats_entries(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> usize {
+    writer.write_all(b"STATS\n").unwrap();
+    let stats = recv(reader);
+    stats
+        .split(' ')
+        .find_map(|field| field.strip_prefix("entries="))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no entries= in {stats:?}"))
+}
+
+/// Every namespace with a slot in a shipped payload must carry a guard
+/// pair: a slot no fingerprint covers would be served to whatever substrate
+/// is later registered under that namespace. Such a payload is refused
+/// whole — one `ERR`, nothing merged — and the same cache shipped with its
+/// guards merges.
+#[test]
+fn a_shipment_without_guard_pairs_is_refused_whole() {
+    let warm = service();
+    assert_eq!(handle_command(&warm, "SUBMIT apx").text(), "TICKET 1");
+    assert_eq!(handle_command(&warm, "RUN").text(), "OK 1");
+    let engine = warm.engine();
+    let unguarded = snapshot::encode_snapshot(engine.cache(), &[]);
+    let guarded = snapshot::encode_snapshot(engine.cache(), &engine.namespace_fingerprints());
+
+    let daemon = Daemon::bind(service(), "127.0.0.1:0").unwrap();
+    let (mut writer, mut reader) = connect(daemon.addr());
+    let ship = |writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, payload: &[u8]| {
+        let mut burst = format!("SHIP pool {}\n", payload.len()).into_bytes();
+        burst.extend_from_slice(payload);
+        writer.write_all(&burst).unwrap();
+        recv(reader)
+    };
+    assert_eq!(stats_entries(&mut writer, &mut reader), 0);
+    let refused = ship(&mut writer, &mut reader, &unguarded);
+    assert!(
+        refused.starts_with("ERR ") && refused.contains("guard pair"),
+        "{refused}"
+    );
+    assert_eq!(stats_entries(&mut writer, &mut reader), 0, "nothing merged");
+
+    let merged = ship(&mut writer, &mut reader, &guarded);
+    let n: usize = merged.strip_prefix("OK ").expect(&merged).parse().unwrap();
+    assert!(n > 0, "a warm namespace ships evaluations");
+    assert_eq!(stats_entries(&mut writer, &mut reader), n);
     daemon.stop();
 }
 
