@@ -78,18 +78,19 @@ pub fn bi_modis_with_context<S: Substrate + ?Sized>(
 
     let open = || ctx.num_valuated() < config.max_states;
     while open() && (forward.next_level().is_some() || backward.next_level().is_some()) {
-        let corr = CorrelationGraph::from_series(&ctx.measure_series(), config.theta);
+        // NOBiMODis never reads the graph, so only a pruning run builds it.
+        let corr =
+            prune.then(|| CorrelationGraph::from_series(&ctx.measure_series(), config.theta));
         for frontier in [&mut forward, &mut backward] {
             if let Some(level) = frontier.next_level().filter(|&l| l < config.max_level) {
                 stats.levels = stats.levels.max(level + 1);
             }
             frontier.step(&mut visited, open, |child, level, parent_perf| {
-                if prune && deltas.observations() >= 3 {
+                if let Some(corr) = corr.as_ref().filter(|_| deltas.observations() >= 3) {
                     let bounds =
-                        PerfBounds::from_parent(parent_perf, &deltas.min, &deltas.max, &corr);
+                        PerfBounds::from_parent(parent_perf, &deltas.min, &deltas.max, corr);
                     let dominated = skyline
                         .entries()
-                        .iter()
                         .any(|e| bounds.epsilon_dominated_by(&e.perf, config.epsilon));
                     if dominated {
                         stats.pruned += 1;
@@ -162,6 +163,49 @@ mod tests {
         assert!(with.states_valuated <= without.states_valuated);
         // At least some states considered (pruning counter is well-defined).
         assert!(stats_with.pruned < 10_000);
+    }
+
+    /// What pruning skips and what both variants valuate, pinned: reading the
+    /// skyline by reference and building `G_C` only when pruning must not
+    /// move a count.
+    #[test]
+    fn pruning_and_valuation_counts_are_pinned() {
+        let cases = [
+            // (units, surrogate, ε) → (pruned, BiMODis states, members, NOBiMODis states)
+            ((8, false, 0.3), (106, 132, 5, 256)),
+            ((10, false, 0.1), (310, 472, 6, 500)),
+            ((12, false, 0.3), (822, 480, 6, 500)),
+            ((8, true, 0.3), (23, 223, 4, 256)),
+            ((10, true, 0.3), (49, 500, 3, 500)),
+            ((12, true, 0.1), (39, 500, 3, 500)),
+        ];
+        for ((n, surrogate, epsilon), expected) in cases {
+            let estimator = if surrogate {
+                EstimatorMode::default()
+            } else {
+                EstimatorMode::Oracle
+            };
+            let cfg = ModisConfig::default()
+                .with_estimator(estimator)
+                .with_epsilon(epsilon)
+                .with_max_states(500)
+                .with_max_level(5);
+            let sub = MockSubstrate::new(n);
+            let run =
+                |prune| bi_modis_with_context(&ValuationContext::new(&sub, estimator), &cfg, prune);
+            let ((bi, stats), (nobi, nobi_stats)) = (run(true), run(false));
+            assert_eq!(
+                (
+                    stats.pruned,
+                    bi.states_valuated,
+                    bi.len(),
+                    nobi.states_valuated
+                ),
+                expected,
+                "n={n} surrogate={surrogate} ε={epsilon}"
+            );
+            assert_eq!(nobi_stats.pruned, 0);
+        }
     }
 
     #[test]

@@ -47,13 +47,6 @@ impl CorrelationGraph {
         i < self.len() && j < self.len() && self.matrix[i][j].abs() >= self.theta
     }
 
-    /// Indices of measures strongly correlated with `i` (excluding `i`).
-    pub fn neighbours(&self, i: usize) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&j| j != i && self.strongly_correlated(i, j))
-            .collect()
-    }
-
     /// Number of strongly-correlated pairs (edges of `G_C`).
     pub fn num_edges(&self) -> usize {
         let m = self.len();
@@ -100,8 +93,8 @@ impl PerfBounds {
         // correlated with a narrow-ranged neighbour inherits a proportional
         // share of that neighbour's range around the parent value.
         for i in 0..m {
-            for &j in &graph.neighbours(i) {
-                if graph.matrix[i][j] > 0.0 {
+            for j in 0..graph.len() {
+                if j != i && graph.strongly_correlated(i, j) && graph.matrix[i][j] > 0.0 {
                     let width_j = upper[j] - lower[j];
                     let width_i = upper[i] - lower[i];
                     if width_j < width_i {
@@ -187,7 +180,7 @@ mod tests {
         let g = CorrelationGraph::from_series(&series, 0.8);
         assert!(g.strongly_correlated(0, 1));
         assert!(!g.strongly_correlated(0, 2));
-        assert_eq!(g.neighbours(0), vec![1]);
+        assert!(!g.strongly_correlated(1, 2));
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.len(), 3);
     }

@@ -32,10 +32,22 @@ pub fn diversification_distance(
 
 /// Diversification score `div(D_F)` of a set of entries.
 pub fn diversification_score(entries: &[SkylineEntry], alpha: f64, euc_max: f64) -> f64 {
+    pairwise_score(entries.len(), |i| &entries[i], alpha, euc_max)
+}
+
+/// `div` over the `n` members `member(0..n)`, pair by pair in slot order —
+/// the one summation [`diversification_score`] and [`diversify_level`]'s
+/// trials share, so both add the same distances in the same order.
+fn pairwise_score<'a>(
+    n: usize,
+    member: impl Fn(usize) -> &'a SkylineEntry,
+    alpha: f64,
+    euc_max: f64,
+) -> f64 {
     let mut score = 0.0;
-    for i in 0..entries.len() {
-        for j in (i + 1)..entries.len() {
-            score += diversification_distance(&entries[i], &entries[j], alpha, euc_max);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            score += diversification_distance(member(i), member(j), alpha, euc_max);
         }
     }
     score
@@ -43,6 +55,9 @@ pub fn diversification_score(entries: &[SkylineEntry], alpha: f64, euc_max: f64)
 
 /// One diversification step at a level (Alg. 3): keeps at most `k` entries by
 /// greedy replacement maximising `div`.
+///
+/// The replacement runs on positions into `entries`; a trial costs one
+/// score and no copy, and the `k` winners are cloned once, at the end.
 pub fn diversify_level(
     entries: Vec<SkylineEntry>,
     k: usize,
@@ -52,34 +67,35 @@ pub fn diversify_level(
     if entries.len() <= k {
         return entries;
     }
+    let score_of = |picks: &[usize]| pairwise_score(k, |i| &entries[picks[i]], alpha, euc_max);
     // Initialise with the first k entries — the k lowest cell keys of
     // `EpsilonSkyline::entries` — a deterministic stand-in for the random
     // initialisation of Alg. 3, keeping runs reproducible.
-    let mut selected: Vec<SkylineEntry> = entries[..k].to_vec();
-    let mut score = diversification_score(&selected, alpha, euc_max);
+    let mut selected: Vec<usize> = (0..k).collect();
+    let mut trial = selected.clone();
+    let mut score = score_of(&selected);
     let mut improved = true;
     while improved {
         improved = false;
-        for slot in 0..selected.len() {
-            for candidate in &entries {
-                if selected
-                    .iter()
-                    .any(|s| s.bitmap == candidate.bitmap && s.perf == candidate.perf)
-                {
+        for slot in 0..k {
+            for (c, candidate) in entries.iter().enumerate() {
+                if selected.iter().any(|&s| {
+                    entries[s].bitmap == candidate.bitmap && entries[s].perf == candidate.perf
+                }) {
                     continue;
                 }
-                let mut trial = selected.clone();
-                trial[slot] = candidate.clone();
-                let trial_score = diversification_score(&trial, alpha, euc_max);
+                trial.copy_from_slice(&selected);
+                trial[slot] = c;
+                let trial_score = score_of(&trial);
                 if trial_score > score + 1e-12 {
-                    selected = trial;
+                    selected.copy_from_slice(&trial);
                     score = trial_score;
                     improved = true;
                 }
             }
         }
     }
-    selected
+    selected.iter().map(|&i| entries[i].clone()).collect()
 }
 
 /// Runs DivMODis over a substrate.
@@ -117,7 +133,8 @@ pub fn div_modis_with_context<S: Substrate + ?Sized>(
         if level > current_level {
             // Level boundary: diversify the skyline kept so far (Alg. 3 is
             // invoked on D_F^i before level i+1 is processed).
-            let diversified = diversify_level(skyline.entries(), config.k, config.alpha, euc_max);
+            let entries = skyline.entries().cloned().collect();
+            let diversified = diversify_level(entries, config.k, config.alpha, euc_max);
             skyline.replace_entries(diversified);
             current_level = level;
         }
@@ -132,9 +149,50 @@ pub fn div_modis_with_context<S: Substrate + ?Sized>(
     }
 
     // Final diversification pass.
-    let diversified = diversify_level(skyline.entries(), config.k, config.alpha, euc_max);
+    let entries = skyline.entries().cloned().collect();
+    let diversified = diversify_level(entries, config.k, config.alpha, euc_max);
     skyline.replace_entries(diversified);
     finalize_result(&skyline, ctx, config, start.elapsed().as_secs_f64())
+}
+
+/// The greedy replacement as it was before it ran on positions: every trial
+/// clones the selected set and the candidate. Kept as the bit-identity
+/// oracle of [`diversify_level`].
+#[cfg(test)]
+fn diversify_level_oracle(
+    entries: Vec<SkylineEntry>,
+    k: usize,
+    alpha: f64,
+    euc_max: f64,
+) -> Vec<SkylineEntry> {
+    if entries.len() <= k {
+        return entries;
+    }
+    let mut selected: Vec<SkylineEntry> = entries[..k].to_vec();
+    let mut score = diversification_score(&selected, alpha, euc_max);
+    let mut improved = true;
+    while improved {
+        improved = false;
+        for slot in 0..selected.len() {
+            for candidate in &entries {
+                if selected
+                    .iter()
+                    .any(|s| s.bitmap == candidate.bitmap && s.perf == candidate.perf)
+                {
+                    continue;
+                }
+                let mut trial = selected.clone();
+                trial[slot] = candidate.clone();
+                let trial_score = diversification_score(&trial, alpha, euc_max);
+                if trial_score > score + 1e-12 {
+                    selected = trial;
+                    score = trial_score;
+                    improved = true;
+                }
+            }
+        }
+    }
+    selected
 }
 
 #[cfg(test)]
@@ -144,6 +202,7 @@ mod tests {
     use crate::measure::{MeasureSet, MeasureSpec};
     use crate::substrate::mock::MockSubstrate;
     use modis_data::StateBitmap;
+    use proptest::prelude::*;
 
     fn entry(bits: Vec<bool>, perf: Vec<f64>) -> SkylineEntry {
         SkylineEntry {
@@ -220,12 +279,13 @@ mod tests {
                 let perf = [coord(5), coord(3), coord(11)];
                 sky.offer(&StateBitmap::from_bits(bits), &perf, 0);
             }
-            let order: Vec<Vec<f64>> = sky.entries().into_iter().map(|e| e.perf).collect();
+            let order: Vec<Vec<f64>> = sky.entries().map(|e| e.perf.clone()).collect();
             assert!(order.len() > k);
-            let mut kept: Vec<Vec<f64>> = diversify_level(sky.entries(), k, 0.5, 1.0)
-                .into_iter()
-                .map(|e| e.perf)
-                .collect();
+            let mut kept: Vec<Vec<f64>> =
+                diversify_level(sky.entries().cloned().collect(), k, 0.5, 1.0)
+                    .into_iter()
+                    .map(|e| e.perf)
+                    .collect();
             kept.sort_by(|a, b| a.partial_cmp(b).unwrap());
             (order, kept)
         };
@@ -234,6 +294,46 @@ mod tests {
             for _ in 1..25 {
                 assert_eq!(run(k), first, "k={k}");
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The position-based replacement returns the oracle's entries, in
+        /// the oracle's slot order, with the oracle's score to the bit. Bits
+        /// over 4 units and perf on a coarse grid make duplicate entries
+        /// (the skip test) common.
+        #[test]
+        fn diversify_level_matches_the_cloning_oracle(
+            codes in prop::collection::vec(0usize..16 * 6 * 6, 1..14),
+            k in 1usize..7,
+            alpha_choice in 0usize..3,
+            euc_max in 0.0f64..2.0,
+        ) {
+            let alpha = [0.0, 0.5, 1.0][alpha_choice];
+            let entries: Vec<SkylineEntry> = codes
+                .iter()
+                .map(|&code| {
+                    let (bits, a, b) = (code % 16, code / 16 % 6, code / 96);
+                    let bits = (0..4).map(|u| bits >> u & 1 == 1).collect();
+                    entry(bits, vec![0.05 + 0.15 * a as f64, 0.1 + 0.17 * b as f64])
+                })
+                .collect();
+            let new = diversify_level(entries.clone(), k, alpha, euc_max);
+            let old = diversify_level_oracle(entries, k, alpha, euc_max);
+            let bitmaps = |v: &[SkylineEntry]| v.iter().map(|e| e.bitmap.clone()).collect::<Vec<_>>();
+            let perfs = |v: &[SkylineEntry]| {
+                v.iter()
+                    .map(|e| e.perf.iter().map(|p| p.to_bits()).collect::<Vec<_>>())
+                    .collect::<Vec<_>>()
+            };
+            prop_assert_eq!(bitmaps(&new), bitmaps(&old));
+            prop_assert_eq!(perfs(&new), perfs(&old));
+            prop_assert_eq!(
+                diversification_score(&new, alpha, euc_max).to_bits(),
+                diversification_score(&old, alpha, euc_max).to_bits()
+            );
         }
     }
 

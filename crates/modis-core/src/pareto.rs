@@ -19,9 +19,10 @@ pub struct EpsilonSkyline {
     measures: MeasureSet,
     epsilon: f64,
     decisive: usize,
-    /// Ordered by cell key, so [`EpsilonSkyline::entries`] — the seed of
-    /// DivMODis' greedy replacement and the input order the finalisation
-    /// scan's comparison count depends on — is a function of the offers.
+    /// Ordered by cell key, so the order [`EpsilonSkyline::entries`] visits
+    /// the members in — the seed of DivMODis' greedy replacement and the
+    /// input order the finalisation scan's comparison count depends on — is
+    /// a function of the offers.
     cells: BTreeMap<Vec<i64>, SkylineEntry>,
 }
 
@@ -106,9 +107,11 @@ impl EpsilonSkyline {
             .any(|e| epsilon_dominates(&e.perf, perf, self.epsilon))
     }
 
-    /// Current members, in cell-key order.
-    pub fn entries(&self) -> Vec<SkylineEntry> {
-        self.cells.values().cloned().collect()
+    /// Borrows the current members, in cell-key order. The search loops
+    /// read every member once per visited child, so nothing is copied here;
+    /// a caller that needs owned entries says so with `.cloned()`.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = &SkylineEntry> {
+        self.cells.values()
     }
 
     /// Replaces the member set (used by the level-wise diversification).
@@ -123,14 +126,13 @@ impl EpsilonSkyline {
     /// Final clean-up: removes members dominated (exactly) by another member,
     /// so the output satisfies the mutual non-dominance property of §4.
     pub fn finalize(&self) -> Vec<SkylineEntry> {
-        let entries = self.entries();
-        let perfs: Vec<&[f64]> = entries.iter().map(|e| e.perf.as_slice()).collect();
+        let perfs: Vec<&[f64]> = self.entries().map(|e| e.perf.as_slice()).collect();
         let flags = dominated_flags(&perfs);
-        entries
-            .into_iter()
+        self.entries()
             .zip(flags)
             .filter(|(_, dominated)| !dominated)
             .map(|(e, _)| e)
+            .cloned()
             .collect()
     }
 }
@@ -157,7 +159,7 @@ mod tests {
         // Same cell, worse decisive is rejected.
         assert!(!sky.offer(&b.flipped(1), &[0.2, 0.6], 1));
         assert_eq!(sky.len(), 1);
-        assert_eq!(sky.entries()[0].perf[1], 0.4);
+        assert_eq!(sky.entries().cloned().collect::<Vec<_>>()[0].perf[1], 0.4);
     }
 
     #[test]
@@ -195,7 +197,7 @@ mod tests {
         let b = StateBitmap::full(2);
         sky.offer(&b, &[0.05, 0.8], 0);
         sky.offer(&b.flipped(0), &[0.6, 0.1], 0);
-        let mut entries = sky.entries();
+        let mut entries: Vec<SkylineEntry> = sky.entries().cloned().collect();
         entries.truncate(1);
         sky.replace_entries(entries);
         assert_eq!(sky.len(), 1);

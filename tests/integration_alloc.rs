@@ -1,18 +1,26 @@
-//! The mechanism behind the flat design matrix, not its speed: valuating a
-//! state allocates a fixed number of times, however many rows the state
-//! selects. While the matrix was a `Vec` of row `Vec`s, `encode_view` made
-//! one allocation per selected row and `RidgeRegression::fit` one more per
-//! training row (≈ 1.7 per row); a refactor that brings either back trips
-//! this test before any benchmark does.
+//! Mechanisms, not speed, pinned by counting allocations:
 //!
-//! A test binary of its own, with one `#[test]`: the counting allocator is
-//! global to the binary, and it counts per thread so that the harness's own
-//! threads stay out of the figure.
+//! - the flat design matrix: valuating a state allocates a fixed number of
+//!   times, however many rows the state selects. While the matrix was a
+//!   `Vec` of row `Vec`s, `encode_view` made one allocation per selected
+//!   row and `RidgeRegression::fit` one more per training row (≈ 1.7 per
+//!   row);
+//! - the borrowed skyline: a warm search's child allocates a fixed number
+//!   of times, however many members the ε-skyline holds. While
+//!   `EpsilonSkyline::entries` copied them, every child paid two
+//!   allocations per member.
+//!
+//! A refactor that brings either cost back trips this file before any
+//! benchmark moves. A test binary of its own: the counting allocator is
+//! global to the binary, and it counts per thread so that the harness's
+//! other threads (and the other test) stay out of each figure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use modis_core::pareto::EpsilonSkyline;
 use modis_core::prelude::*;
+use modis_core::substrate::mock::MockSubstrate;
 use modis_data::{Attribute, Dataset, DatasetView, RowMask, Schema, TableProjection, Value};
 
 thread_local! {
@@ -146,4 +154,64 @@ fn a_valuation_allocates_the_same_whatever_the_row_count() {
         "{few} allocations for 250 rows, {many} for 1,000"
     );
     assert!(many < 100, "{many} allocations for one 1,000-row valuation");
+}
+
+/// Allocations per visited child of a warm search — one whose every
+/// valuation is a hit in the context's own records, as on a warm request —
+/// and the size of the ε-skyline the per-child closures scan by the end.
+///
+/// The first run valuates (and fits the surrogate, a fixed cost that would
+/// swamp the per-child figure); the second, on the same context, is counted.
+/// A child is valuated or pruned; both kinds read the skyline.
+fn warm_search_allocations(epsilon: f64, diversified: bool) -> (f64, usize) {
+    let sub = MockSubstrate::new(8);
+    let config = ModisConfig::default()
+        .with_estimator(EstimatorMode::default())
+        .with_epsilon(epsilon)
+        .with_max_states(512)
+        .with_max_level(8)
+        .with_diversification(16, 0.5);
+    let ctx = ValuationContext::new(&sub, config.estimator);
+    let run = || {
+        if diversified {
+            div_modis_with_context(&ctx, &config);
+            0
+        } else {
+            bi_modis_with_context(&ctx, &config, true).1.pruned
+        }
+    };
+    run();
+    let valuations = |s: ValuationStats| s.cache_hits + s.surrogate_calls + s.oracle_calls;
+    let (before, counted) = (ALLOCATIONS.with(Cell::get), valuations(ctx.stats()));
+    let pruned = run();
+    let made = ALLOCATIONS.with(Cell::get) - before;
+    let children = valuations(ctx.stats()) - counted + pruned;
+    // Every state the context holds has been offered: the search's own
+    // ε-skyline has exactly this many cells (a cell is kept once occupied).
+    let mut skyline = EpsilonSkyline::new(sub.measures().clone(), epsilon, None);
+    for record in ctx.records() {
+        skyline.offer(&record.bitmap, &record.perf, 0);
+    }
+    (made as f64 / children as f64, skyline.len())
+}
+
+/// BiMODis' pruning test and DivMODis' `euc_max` fold read every skyline
+/// member for every child. While `EpsilonSkyline::entries` copied the
+/// members, a child cost two allocations per member; borrowed, what a child
+/// allocates does not depend on how many members there are.
+#[test]
+fn a_warm_search_child_allocates_the_same_whatever_the_skyline_size() {
+    for (diversified, small_epsilon, large_epsilon) in [(false, 0.02, 0.6), (true, 0.02, 4.0)] {
+        let (per_child_big, big) = warm_search_allocations(small_epsilon, diversified);
+        let (per_child_small, small) = warm_search_allocations(large_epsilon, diversified);
+        assert!(
+            big >= 2 * small,
+            "diversified={diversified}: {big} cells at ε={small_epsilon}, {small} at ε={large_epsilon}"
+        );
+        assert!(
+            per_child_big <= per_child_small + 1.0,
+            "diversified={diversified}: {per_child_big:.1} allocations per child beside \
+             {big} members, {per_child_small:.1} beside {small}"
+        );
+    }
 }
