@@ -86,13 +86,6 @@ impl ByteWriter {
         self.put_u64(v.to_bits());
     }
 
-    /// Appends a length-prefixed UTF-8 string (`u64` byte length, then the
-    /// bytes), for formats that carry names.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_u64(s.len() as u64);
-        self.put_bytes(s.as_bytes());
-    }
-
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -184,15 +177,6 @@ impl<'a> ByteReader<'a> {
     /// Reads an `f64` from its IEEE-754 bit pattern.
     pub fn get_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a string written by [`ByteWriter::put_str`]: the length field
-    /// is bounds-checked against both `limit` and the remaining input, and
-    /// the bytes must be valid UTF-8.
-    pub fn get_str(&mut self, limit: usize) -> Result<String, CodecError> {
-        let len = self.get_len(limit.min(self.remaining()))?;
-        let bytes = self.get_bytes(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Invalid("string is not UTF-8"))
     }
 }
 
@@ -320,42 +304,6 @@ mod tests {
         assert!(r.get_f64().unwrap().is_nan());
         assert_eq!(r.get_bytes(4).unwrap(), b"tail");
         assert!(r.is_exhausted());
-    }
-
-    #[test]
-    fn strings_round_trip_and_reject_bad_input() {
-        let mut w = ByteWriter::new();
-        w.put_str("t3-pool");
-        w.put_str("");
-        w.put_str("naïve ✓");
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.get_str(64).unwrap(), "t3-pool");
-        assert_eq!(r.get_str(64).unwrap(), "");
-        assert_eq!(r.get_str(64).unwrap(), "naïve ✓");
-        assert!(r.is_exhausted());
-
-        // Length beyond the limit is rejected before any allocation.
-        let mut w = ByteWriter::new();
-        w.put_str("abcdefgh");
-        let bytes = w.into_bytes();
-        assert_eq!(
-            ByteReader::new(&bytes).get_str(4).unwrap_err(),
-            CodecError::Invalid("length field exceeds limit")
-        );
-        // A length field pointing past the input is truncation, not a huge
-        // allocation: the limit is clamped to the remaining bytes first.
-        let mut w = ByteWriter::new();
-        w.put_u64(1 << 40);
-        assert!(ByteReader::new(w.bytes()).get_str(usize::MAX).is_err());
-        // Invalid UTF-8 is a codec error, not a panic.
-        let mut w = ByteWriter::new();
-        w.put_u64(2);
-        w.put_bytes(&[0xFF, 0xFE]);
-        assert_eq!(
-            ByteReader::new(w.bytes()).get_str(64).unwrap_err(),
-            CodecError::Invalid("string is not UTF-8")
-        );
     }
 
     #[test]

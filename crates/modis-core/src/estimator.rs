@@ -23,6 +23,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use modis_data::bitmap::BuildWordHasher;
 use modis_data::StateBitmap;
 /// The surrogate model and its hyper-parameters, re-exported because they
 /// appear in [`EvaluationHook::surrogate`]'s signature.
@@ -135,7 +136,10 @@ struct Inner {
     /// record became oracle-backed. A state's features never change, so a
     /// refit computes only the rows it has not seen.
     features: Vec<Option<Vec<f64>>>,
-    by_bitmap: HashMap<StateBitmap, usize>,
+    /// Index of `records` by state. Hashed with
+    /// [`modis_data::bitmap::WordHasher`]: only the search inserts here (a
+    /// hook's evaluations enter under the state the search asked for).
+    by_bitmap: HashMap<StateBitmap, usize, BuildWordHasher>,
     surrogate: Option<Arc<MultiOutputGbm>>,
     records_at_last_fit: usize,
     oracle_records: usize,
@@ -188,7 +192,7 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
             inner: Mutex::new(Inner {
                 records: Vec::new(),
                 features: Vec::new(),
-                by_bitmap: HashMap::new(),
+                by_bitmap: HashMap::default(),
                 surrogate: None,
                 records_at_last_fit: 0,
                 oracle_records: 0,

@@ -3,9 +3,11 @@
 use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
 
+use modis_data::bitmap::BuildWordHasher;
 use modis_data::StateBitmap;
 
 use crate::config::{ModisConfig, SkylineEntry, SkylineResult};
+use crate::dominance::dominated_flags;
 use crate::estimator::ValuationContext;
 use crate::pareto::EpsilonSkyline;
 use crate::substrate::Substrate;
@@ -88,9 +90,12 @@ pub fn op_gen(
 }
 
 /// Tracks which states have already been spawned to avoid revisiting them.
+///
+/// Hashed with [`modis_data::bitmap::WordHasher`]: every key is a state the
+/// search spawned itself, never one a peer sent.
 #[derive(Debug, Default)]
 pub struct VisitedSet {
-    seen: HashSet<StateBitmap>,
+    seen: HashSet<StateBitmap, BuildWordHasher>,
 }
 
 impl VisitedSet {
@@ -220,9 +225,13 @@ pub fn forward_schedule<S: Substrate + ?Sized>(
     schedule
 }
 
-/// Finalises a search: the ε-skyline members are re-valuated with the oracle
-/// (actual model training), sized, pruned of exact dominance, and wrapped in
-/// a [`SkylineResult`].
+/// Finalises a search: the ε-skyline's members, pruned of exact dominance
+/// among the vectors the search saw, are re-valuated with the oracle (actual
+/// model training) and sized. Re-valuation replaces a surrogate estimate by
+/// the oracle's vector, which can leave one member dominating another, so
+/// when any member's vector changed the members are pruned of exact
+/// dominance again: no returned entry is dominated by another. The result is
+/// wrapped in a [`SkylineResult`].
 pub fn finalize_result<S: Substrate + ?Sized>(
     skyline: &EpsilonSkyline,
     ctx: &ValuationContext<'_, S>,
@@ -230,17 +239,33 @@ pub fn finalize_result<S: Substrate + ?Sized>(
     elapsed_seconds: f64,
 ) -> SkylineResult {
     let _ = config;
+    let mut revalued = false;
     let mut entries: Vec<SkylineEntry> = skyline
         .finalize()
         .into_iter()
         .map(|mut e| {
             let raw = ctx.raw_for(&e.bitmap);
-            e.perf = ctx.substrate().measures().normalise(&raw);
+            let perf = ctx.substrate().measures().normalise(&raw);
+            revalued |= !perf
+                .iter()
+                .map(|p| p.to_bits())
+                .eq(e.perf.iter().map(|p| p.to_bits()));
+            e.perf = perf;
             e.raw = raw;
             e.size = ctx.substrate().artifact_size(&e.bitmap);
             e
         })
         .collect();
+    if revalued {
+        let perfs: Vec<&[f64]> = entries.iter().map(|e| e.perf.as_slice()).collect();
+        let dominated = dominated_flags(&perfs);
+        entries = entries
+            .into_iter()
+            .zip(dominated)
+            .filter(|(_, dominated)| !dominated)
+            .map(|(e, _)| e)
+            .collect();
+    }
     // Total order (perf sum, then lexicographic perf, then bitmap): ties on
     // the sum must not leave the output order at the mercy of HashMap
     // iteration, or parallel and repeated runs could not be compared
@@ -467,5 +492,24 @@ mod tests {
         assert_eq!(res.entries[0].raw.len(), 2);
         assert_eq!(res.entries[0].size, (40, 4));
         assert!(res.states_valuated >= 1);
+    }
+
+    /// Two members the search saw as mutually non-dominated (estimates) are
+    /// re-valuated by the oracle into a dominated pair: only the dominating
+    /// one is returned.
+    #[test]
+    fn finalize_result_drops_members_revaluation_made_dominated() {
+        let sub = MockSubstrate::new(4);
+        let ctx = ValuationContext::new(&sub, EstimatorMode::Oracle);
+        let cfg = ModisConfig::default();
+        let mut sky = EpsilonSkyline::new(sub.measures().clone(), cfg.epsilon, None);
+        // Clearing the noise unit 3 keeps the quality and lowers the cost.
+        let (full, lean) = (StateBitmap::full(4), StateBitmap::full(4).flipped(3));
+        sky.offer(&full, &[0.1, 0.6], 0);
+        sky.offer(&lean, &[0.6, 0.1], 1);
+        assert_eq!(sky.finalize().len(), 2);
+        let res = finalize_result(&sky, &ctx, &cfg, 0.0);
+        let kept: Vec<&StateBitmap> = res.entries.iter().map(|e| &e.bitmap).collect();
+        assert_eq!(kept, vec![&lean]);
     }
 }

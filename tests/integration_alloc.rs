@@ -8,7 +8,12 @@
 //! - the borrowed skyline: a warm search's child allocates a fixed number
 //!   of times, however many members the ε-skyline holds. While
 //!   `EpsilonSkyline::entries` copied them, every child paid two
-//!   allocations per member.
+//!   allocations per member;
+//! - the inline state: a `StateBitmap` of up to 128 units is cloned without
+//!   allocating, so a warm search's child stays under an absolute ceiling.
+//!   While the words were a `Vec`, every copy of a state — `OpGen`'s flip,
+//!   the visited set's, the record store's and its index's, the
+//!   ε-skyline's — was one more allocation.
 //!
 //! A refactor that brings either cost back trips this file before any
 //! benchmark moves. A test binary of its own: the counting allocator is
@@ -21,7 +26,9 @@ use std::cell::Cell;
 use modis_core::pareto::EpsilonSkyline;
 use modis_core::prelude::*;
 use modis_core::substrate::mock::MockSubstrate;
-use modis_data::{Attribute, Dataset, DatasetView, RowMask, Schema, TableProjection, Value};
+use modis_data::{
+    Attribute, Dataset, DatasetView, RowMask, Schema, StateBitmap, TableProjection, Value,
+};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -214,4 +221,42 @@ fn a_warm_search_child_allocates_the_same_whatever_the_skyline_size() {
              {big} members, {per_child_small:.1} beside {small}"
         );
     }
+}
+
+/// What one visited child of a warm search may allocate, whatever the
+/// skyline size: BiMODis' two `PerfBounds` vectors and its parent-vector
+/// payload, the performance vectors the context hands out, `OpGen`'s child
+/// list per parent — but no copy of a state. With the words on the heap a
+/// child cost 22.7–23.5 (Bi) and 11.8–12.0 (Div) allocations.
+#[test]
+fn a_warm_search_child_allocates_under_a_ceiling() {
+    for (diversified, ceiling) in [(false, 18.0), (true, 6.0)] {
+        for epsilon in [0.02, 0.6, 4.0] {
+            let (per_child, members) = warm_search_allocations(epsilon, diversified);
+            assert!(
+                per_child <= ceiling,
+                "diversified={diversified}, ε={epsilon}: {per_child:.1} allocations per \
+                 child beside {members} members (ceiling {ceiling})"
+            );
+        }
+    }
+}
+
+/// Cloning a state of up to 128 units (two words) is a copy; one unit more
+/// puts the words on the heap, and a clone allocates them once.
+#[test]
+fn cloning_a_state_allocates_only_beyond_128_units() {
+    let allocations_of_clone = |units: usize| {
+        let state = StateBitmap::full(units).flipped(units / 2);
+        let before = ALLOCATIONS.with(Cell::get);
+        let copy = std::hint::black_box(&state).clone();
+        let made = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(copy, state);
+        made
+    };
+    for units in [0, 1, 42, 64, 65, 128] {
+        assert_eq!(allocations_of_clone(units), 0, "{units} units");
+    }
+    assert_eq!(allocations_of_clone(129), 1);
+    assert_eq!(allocations_of_clone(500), 1);
 }
