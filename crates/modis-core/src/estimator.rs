@@ -17,6 +17,12 @@
 //! earlier on the same arguments. The context only counts which of the two
 //! happened ([`ValuationStats::surrogate_fits`] /
 //! [`ValuationStats::surrogate_reuses`]); either way it holds the same bits.
+//!
+//! An estimate is in turn a pure function of the model's bits and the
+//! feature row's bits, so the model comes as a [`FittedSurrogate`], which
+//! remembers what it estimated: a warm request that reuses a model asks it
+//! for rows it has predicted before and gets the stored bits back instead
+//! of walking every tree again ([`ValuationStats::estimate_reuses`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,10 +32,88 @@ use parking_lot::Mutex;
 use modis_data::bitmap::BuildWordHasher;
 use modis_data::StateBitmap;
 /// The surrogate model and its hyper-parameters, re-exported because they
-/// appear in [`EvaluationHook::surrogate`]'s signature.
+/// appear in [`FittedSurrogate`]'s and [`EvaluationHook::surrogate`]'s
+/// signatures.
 pub use modis_ml::gbm::{GbmParams, MultiOutputGbm};
 
 use crate::substrate::Substrate;
+
+/// How many estimates one [`FittedSurrogate`] remembers. Past it a new row
+/// is still predicted exactly, only not remembered: the table stops growing
+/// and never evicts. A constant, not a knob: one default-budget run
+/// valuates at most 200 states, and on `bench_e2e`'s warm workloads no model
+/// is asked for more than 188 distinct rows. Measured with a counting
+/// allocator, an estimate of a paper-task shape (a 24-cell row, two to five
+/// outputs) holds 274–298 bytes with its table slot, so a full table is
+/// 140–153 KB, about the size of a paper model, and the engine's 128-model
+/// memo full of full tables holds ≈ 20 MB of estimates.
+pub const ESTIMATE_TABLE_CAPACITY: usize = 512;
+
+/// A fitted MO-GBM surrogate `E` and the estimates it has made.
+///
+/// [`FittedSurrogate::predict`] answers a row it has predicted before from
+/// its table, on the bits [`MultiOutputGbm::predict_one`] returned then,
+/// and asks the model otherwise; so whether a row was remembered changes
+/// no result and no count but [`ValuationStats::estimate_reuses`]. The
+/// table is keyed by the row's `f64::to_bits` (`0.0` and `-0.0`, or two NaN
+/// payloads, are two rows) and hashed with the unkeyed
+/// [`modis_data::bitmap::WordHasher`]: its keys are feature rows the local
+/// substrate computed, never bytes a peer sent. It lives and dies with the
+/// model — in process memory only, never exported, shipped or
+/// snapshotted.
+pub struct FittedSurrogate {
+    model: MultiOutputGbm,
+    estimates: Mutex<Estimates>,
+}
+
+/// A [`FittedSurrogate`]'s estimates, keyed by the row's `to_bits`.
+#[derive(Default)]
+struct Estimates {
+    /// The key of the row being looked up, built in place, so a lookup
+    /// copies no row onto the heap.
+    probe: Vec<u64>,
+    table: HashMap<Box<[u64]>, Box<[f64]>, BuildWordHasher>,
+}
+
+impl FittedSurrogate {
+    /// Fits the model ([`MultiOutputGbm::fit`]); the table starts empty.
+    pub fn fit(x: &[Vec<f64>], y: &[Vec<f64>], params: GbmParams) -> Self {
+        FittedSurrogate {
+            model: MultiOutputGbm::fit(x, y, params),
+            estimates: Mutex::default(),
+        }
+    }
+
+    /// The fitted model.
+    pub fn model(&self) -> &MultiOutputGbm {
+        &self.model
+    }
+
+    /// The estimate for `features`, and whether the table answered it
+    /// (`true`) rather than the model (`false`). Either way the bits are
+    /// `model().predict_one(features)`'s; a table hit allocates nothing but
+    /// the returned vector.
+    pub fn predict(&self, features: &[f64]) -> (Vec<f64>, bool) {
+        let key: Box<[u64]> = {
+            let mut estimates = self.estimates.lock();
+            let Estimates { probe, table } = &mut *estimates;
+            probe.clear();
+            probe.extend(features.iter().map(|cell| cell.to_bits()));
+            if let Some(estimate) = table.get(probe.as_slice()) {
+                return (estimate.to_vec(), true);
+            }
+            probe.as_slice().into()
+        };
+        // Predicted outside the lock; two threads that miss on one row at
+        // once both predict it, to the same bits.
+        let estimate = self.model.predict_one(features);
+        let table = &mut self.estimates.lock().table;
+        if table.len() < ESTIMATE_TABLE_CAPACITY {
+            table.insert(key, estimate.as_slice().into());
+        }
+        (estimate, false)
+    }
+}
 
 /// An oracle evaluation exchanged through an [`EvaluationHook`].
 #[derive(Debug, Clone, PartialEq)]
@@ -62,14 +146,14 @@ pub trait EvaluationHook: Send + Sync {
     /// cell on `f64::to_bits` — was equal: a fit draws no random number and
     /// sums in a fixed order, so such a model is bit-equal to a new fit,
     /// and the caller's results must not depend on which of the two
-    /// happened.
+    /// happened. A reused model brings the estimates it has made with it.
     fn surrogate(
         &self,
         x: &[Vec<f64>],
         y: &[Vec<f64>],
         params: GbmParams,
-    ) -> (Arc<MultiOutputGbm>, bool) {
-        (Arc::new(MultiOutputGbm::fit(x, y, params)), false)
+    ) -> (Arc<FittedSurrogate>, bool) {
+        (Arc::new(FittedSurrogate::fit(x, y, params)), false)
     }
 }
 
@@ -127,6 +211,10 @@ pub struct ValuationStats {
     /// Number of surrogate (re)fits the [`EvaluationHook`] answered with a
     /// model fitted earlier on the same training matrix.
     pub surrogate_reuses: usize,
+    /// Number of surrogate valuations ([`Self::surrogate_calls`]) the
+    /// model's [`FittedSurrogate`] answered from its table: the same model
+    /// had estimated the same feature row before.
+    pub estimate_reuses: usize,
 }
 
 struct Inner {
@@ -140,7 +228,7 @@ struct Inner {
     /// [`modis_data::bitmap::WordHasher`]: only the search inserts here (a
     /// hook's evaluations enter under the state the search asked for).
     by_bitmap: HashMap<StateBitmap, usize, BuildWordHasher>,
-    surrogate: Option<Arc<MultiOutputGbm>>,
+    surrogate: Option<Arc<FittedSurrogate>>,
     records_at_last_fit: usize,
     oracle_records: usize,
     stats: ValuationStats,
@@ -240,11 +328,12 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
             let feats = self.substrate.state_features(bitmap);
             let mut inner = self.inner.lock();
             if let Some(model) = &inner.surrogate {
-                let mut perf = model.predict_one(&feats);
+                let (mut perf, reused) = model.predict(&feats);
                 for p in &mut perf {
                     *p = p.clamp(1e-6, 1.0);
                 }
                 inner.stats.surrogate_calls += 1;
+                inner.stats.estimate_reuses += usize::from(reused);
                 let idx = inner.records.len();
                 inner.records.push(TestRecord {
                     bitmap: bitmap.clone(),
@@ -448,7 +537,7 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
         };
         let (model, reused) = match &self.hook {
             Some(hook) => hook.surrogate(&x, &y, params),
-            None => (Arc::new(MultiOutputGbm::fit(&x, &y, params)), false),
+            None => (Arc::new(FittedSurrogate::fit(&x, &y, params)), false),
         };
         if reused {
             inner.stats.surrogate_reuses += 1;
@@ -464,6 +553,9 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
 mod tests {
     use super::*;
     use crate::substrate::mock::MockSubstrate;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+    use std::sync::Barrier;
 
     #[test]
     fn oracle_mode_always_calls_substrate() {
@@ -631,6 +723,103 @@ mod tests {
         assert_eq!(second.stats().shared_hits, 1);
         assert_eq!(second.raw_for(&full).len(), 2);
         assert!(*hook.lookups.lock() >= 2);
+    }
+
+    /// A 10-estimator surrogate over four features, two outputs.
+    fn fitted(x: &[Vec<f64>]) -> FittedSurrogate {
+        let y: Vec<Vec<f64>> = x
+            .iter()
+            .map(|r| vec![r[0] - 0.5 * r[1], r[2] * r[3]])
+            .collect();
+        let params = GbmParams {
+            n_estimators: 10,
+            ..GbmParams::default()
+        };
+        FittedSurrogate::fit(x, &y, params)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|c| c.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `FittedSurrogate::predict` answers every row on `predict_one`'s
+        /// bits: asked first or again, for rows that differ only in a zero's
+        /// sign or a NaN's payload (two keys, each answered for itself), and
+        /// with the table at its cap. It reports a hit exactly when a model
+        /// of the table (a miss inserts while below the cap) holds the row,
+        /// and the table never outgrows the cap.
+        #[test]
+        fn predict_returns_predict_ones_bits_first_repeated_and_past_the_cap(
+            x in prop::collection::vec(prop::collection::vec(-2.0f64..2.0, 4), 3..16),
+            probes in prop::collection::vec(prop::collection::vec(-2.0f64..2.0, 4), 1..8),
+            fill in 0usize..3,
+            cell in 0usize..4,
+        ) {
+            let surrogate = fitted(&x);
+            let fill = [0, ESTIMATE_TABLE_CAPACITY - 3, ESTIMATE_TABLE_CAPACITY][fill];
+            let mut rows: Vec<Vec<f64>> = (0..fill).map(|i| vec![4.0 + i as f64; 4]).collect();
+            for probe in probes {
+                rows.extend([probe.clone(), probe.clone()]);
+                let nan = f64::NAN;
+                for special in [0.0, -0.0, nan, f64::from_bits(nan.to_bits() ^ 1)] {
+                    let mut row = probe.clone();
+                    row[cell] = special;
+                    rows.extend([row.clone(), row]);
+                }
+            }
+            let mut table = HashSet::new();
+            for row in &rows {
+                let (estimate, hit) = surrogate.predict(row);
+                prop_assert_eq!(bits(&estimate), bits(&surrogate.model().predict_one(row)));
+                prop_assert_eq!(hit, table.contains(&bits(row)));
+                if !hit && table.len() < ESTIMATE_TABLE_CAPACITY {
+                    table.insert(bits(row));
+                }
+                prop_assert_eq!(surrogate.estimates.lock().table.len(), table.len());
+            }
+        }
+    }
+
+    /// Eight threads released together predict overlapping rows, each row
+    /// twice: every answer carries `predict_one`'s bits, and the table ends
+    /// up holding every distinct row once.
+    #[test]
+    fn racing_threads_all_get_predict_ones_bits() {
+        let x: Vec<Vec<f64>> = (0..12)
+            .map(|i| {
+                (0..4)
+                    .map(|j| ((i * 5 + j * 3) % 7) as f64 * 0.25)
+                    .collect()
+            })
+            .collect();
+        let surrogate = fitted(&x);
+        let row = |i: usize| {
+            let f = i as f64;
+            vec![(i % 7) as f64 * 0.3, (i % 5) as f64 * -0.2, f * 0.01, f]
+        };
+        let barrier = Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (surrogate, barrier) = (&surrogate, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let rows = t * 4..t * 4 + 24;
+                    for i in rows.clone().chain(rows) {
+                        let (estimate, _) = surrogate.predict(&row(i));
+                        let direct = surrogate.model().predict_one(&row(i));
+                        assert_eq!(bits(&estimate), bits(&direct), "row {i}");
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            surrogate.estimates.lock().table.len(),
+            52,
+            "rows 0..52, once each"
+        );
     }
 
     #[test]

@@ -36,6 +36,14 @@
 //! it is never exported, shipped or snapshotted (a model is two orders of
 //! magnitude larger than the evaluations it was fitted on, and one fit
 //! rebuilds it).
+//!
+//! A memo entry is a [`FittedSurrogate`]: the model plus the estimates it
+//! has made, keyed by the exact bits of each feature row. A warm scenario
+//! that gets its model back asks it for the rows it asked for last time,
+//! and the table answers them without walking a tree
+//! (`ValuationStats::estimate_reuses`). The estimates live and die with
+//! their model — evicted with it, never exported, shipped or snapshotted —
+//! and a refitted model starts with an empty table.
 
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
@@ -44,7 +52,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use modis_core::clock_cache::ClockCache;
 use modis_core::codec::{fnv1a, FNV_OFFSET_BASIS};
-use modis_core::estimator::{EvaluationHook, GbmParams, MultiOutputGbm, SharedEvaluation};
+use modis_core::estimator::{EvaluationHook, FittedSurrogate, GbmParams, SharedEvaluation};
 use modis_core::substrate::SubstrateCacheStats;
 use modis_data::StateBitmap;
 
@@ -150,7 +158,8 @@ struct Shard {
 /// fit away. Measured with a counting allocator, a 30-estimator model on a
 /// 12 × 24 matrix is ≈ 27 KB per output (boxed nodes and a per-tree
 /// importance vector; 81 KB for three measures, 137 KB for five) and its
-/// key ≈ 3 KB: a full memo is at most ≈ 18 MB.
+/// key ≈ 3 KB: a full memo is at most ≈ 18 MB, plus ≈ 20 MB if every model
+/// also filled its estimate table (`ESTIMATE_TABLE_CAPACITY`).
 const SURROGATE_MEMO_CAPACITY: usize = 128;
 
 /// Everything `MultiOutputGbm::fit` reads, as words: every hyper-parameter,
@@ -194,7 +203,7 @@ pub struct SharedEvalCache {
     misses: AtomicUsize,
     /// The fitted-surrogate memo (module docs): [`surrogate_key`] → model,
     /// at most [`SURROGATE_MEMO_CAPACITY`] of them.
-    surrogates: Mutex<ClockCache<Arc<[u64]>, Arc<MultiOutputGbm>>>,
+    surrogates: Mutex<ClockCache<Arc<[u64]>, Arc<FittedSurrogate>>>,
 }
 
 /// One evaluation of a shard snapshot, in clock-slot order.
@@ -484,7 +493,7 @@ impl SharedEvalCache {
         x: &[Vec<f64>],
         y: &[Vec<f64>],
         params: GbmParams,
-    ) -> (Arc<MultiOutputGbm>, bool) {
+    ) -> (Arc<FittedSurrogate>, bool) {
         let key = surrogate_key(x, y, params);
         let memo = || {
             self.surrogates
@@ -499,7 +508,7 @@ impl SharedEvalCache {
         // serialise every other scenario's lookup. Two scenarios that miss
         // on one key at once both fit; the models are bit-equal, so it does
         // not matter whose insert lands last.
-        let model = Arc::new(MultiOutputGbm::fit(x, y, params));
+        let model = Arc::new(FittedSurrogate::fit(x, y, params));
         memo().insert(key.into(), Arc::clone(&model));
         (model, false)
     }
@@ -526,7 +535,7 @@ impl EvaluationHook for CacheHandle {
         x: &[Vec<f64>],
         y: &[Vec<f64>],
         params: GbmParams,
-    ) -> (Arc<MultiOutputGbm>, bool) {
+    ) -> (Arc<FittedSurrogate>, bool) {
         self.cache.surrogate(x, y, params)
     }
 }
@@ -534,6 +543,7 @@ impl EvaluationHook for CacheHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use modis_core::estimator::MultiOutputGbm;
 
     fn eval(v: f64) -> SharedEvaluation {
         SharedEvaluation {
@@ -891,14 +901,14 @@ mod tests {
             let (fitted, reused) = cache.surrogate(x, y, *params);
             assert!(!reused, "{what}: a miss");
             let direct = answers(&MultiOutputGbm::fit(x, y, *params));
-            assert_eq!(answers(&fitted), direct, "{what}");
+            assert_eq!(answers(fitted.model()), direct, "{what}");
             expected.push(direct);
         }
         // Every variant is its own entry, and each still answers for itself.
         for ((what, x, y, params), direct) in variants.iter().zip(&expected) {
             let (model, reused) = cache.surrogate(x, y, *params);
             assert!(reused, "{what}: a hit");
-            assert_eq!(&answers(&model), direct, "{what}");
+            assert_eq!(&answers(model.model()), direct, "{what}");
         }
     }
 
@@ -934,7 +944,7 @@ mod tests {
             (x, vec![vec![0.0], vec![1.0], vec![0.5]])
         };
         let resident = || cache.surrogates.lock().unwrap().len();
-        let first: Vec<Arc<MultiOutputGbm>> = (0..SURROGATE_MEMO_CAPACITY + 8)
+        let first: Vec<Arc<FittedSurrogate>> = (0..SURROGATE_MEMO_CAPACITY + 8)
             .map(|i| {
                 let (x, y) = matrix(i);
                 let (model, reused) = cache.surrogate(&x, &y, p);
@@ -952,7 +962,11 @@ mod tests {
             let (model, reused) = cache.surrogate(&x, &y, p);
             assert_eq!(reused, Arc::ptr_eq(&model, earlier), "matrix {i}");
             refitted += usize::from(!reused);
-            assert_eq!(answers(&model), answers(earlier), "matrix {i}");
+            assert_eq!(
+                answers(model.model()),
+                answers(earlier.model()),
+                "matrix {i}"
+            );
             assert!(resident() <= SURROGATE_MEMO_CAPACITY);
         }
         assert!(refitted >= 8, "the evicted matrices were fitted again");

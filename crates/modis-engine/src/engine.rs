@@ -547,6 +547,13 @@ impl Engine {
             scenario.namespace(),
             stats.surrogate_reuses,
         );
+        self.count(
+            "engine_surrogate_estimates_reused_total",
+            "Surrogate predictions answered by the model's estimate table (the same model had \
+             estimated the same feature row before in this process), per cache namespace.",
+            scenario.namespace(),
+            stats.estimate_reuses,
+        );
         self.telemetry
             .metrics
             .histogram(
@@ -864,11 +871,16 @@ mod tests {
     /// The fitted-surrogate memo changes which runs fit, never what a run
     /// returns: every algorithm, on a mock and on a tabular substrate,
     /// answers its second and third run (and a run on a fresh engine) with
-    /// the first run's bytes, and only the first run fits.
+    /// the first run's bytes, and only the first run fits. A reused model
+    /// brings its estimates along, so the warm runs predict nothing: the
+    /// table answers every surrogate valuation. A first run's models are
+    /// new, so the table answers only rows that run repeats — none on the
+    /// tabular substrate, whose feature row spells out the state; the
+    /// mock's two-cell rows (ones, zeros) repeat.
     #[test]
     fn warm_runs_reuse_every_surrogate_and_return_the_cold_runs_bytes() {
         let mock: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(8));
-        for substrate in [mock, small_table()] {
+        for (substrate, rows_repeat) in [(mock, true), (small_table(), false)] {
             for algorithm in [
                 Algorithm::Apx,
                 Algorithm::NoBi,
@@ -893,11 +905,23 @@ mod tests {
                 assert_eq!(second.result.stats.surrogate_reuses, fits, "{label}");
                 assert_eq!(second.result.stats.oracle_calls, 0, "{label}: warm cache");
                 assert_eq!(third.result.stats, second.result.stats, "{label}");
-                // Both counter families are live and agree with the runs.
+                let (calls, repeats) = (
+                    first.result.stats.surrogate_calls,
+                    first.result.stats.estimate_reuses,
+                );
+                assert_eq!(repeats > 0, rows_repeat, "{label}: {repeats} of {calls}");
+                assert!(repeats < calls, "{label}");
+                assert_eq!(second.result.stats.estimate_reuses, calls, "{label}");
+                // The counter families are live and agree with the runs.
                 assert_eq!(counter(&engine, "engine_surrogate_fits_total"), fits as u64);
                 assert_eq!(
                     counter(&engine, "engine_surrogate_reused_total"),
                     2 * fits as u64,
+                    "{label}"
+                );
+                assert_eq!(
+                    counter(&engine, "engine_surrogate_estimates_reused_total"),
+                    (repeats + 2 * calls) as u64,
                     "{label}"
                 );
             }
@@ -937,8 +961,10 @@ mod tests {
 
     /// Eight threads released together onto one scenario of one engine
     /// race on the memo (a key may be fitted more than once: the fit runs
-    /// outside the lock). Every thread still returns the sequential result,
-    /// and every refit it made was either a fit or a reuse.
+    /// outside the lock) and on the estimate tables of the models they
+    /// share. Every thread still returns the sequential result, every refit
+    /// it made was either a fit or a reuse, and the tables answered no more
+    /// predictions than were asked for.
     #[test]
     fn racing_runs_of_one_scenario_all_return_the_sequential_result() {
         let substrate: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(8));
@@ -974,6 +1000,12 @@ mod tests {
         assert_eq!(
             counter(&engine, "engine_surrogate_reused_total"),
             reuses as u64
+        );
+        let estimates = total(|s| s.estimate_reuses);
+        assert!(estimates <= total(|s| s.surrogate_calls));
+        assert_eq!(
+            counter(&engine, "engine_surrogate_estimates_reused_total"),
+            estimates as u64
         );
     }
 

@@ -314,11 +314,6 @@ impl MultiOutputGbm {
         self.models.iter().map(|m| m.predict_one(row)).collect()
     }
 
-    /// Predicts the output matrix for a batch.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        x.iter().map(|r| self.predict_one(r)).collect()
-    }
-
     /// Number of output dimensions.
     pub fn n_outputs(&self) -> usize {
         self.models.len()

@@ -133,12 +133,10 @@ impl Inner {
     fn finish_job(&mut self, ticket: u64, outcome: ScenarioOutcome, retention: usize) {
         self.jobs.insert(ticket, JobState::Done(Box::new(outcome)));
         self.completed.push_back(ticket);
-        if retention > 0 {
-            while self.completed.len() > retention {
-                if let Some(oldest) = self.completed.pop_front() {
-                    self.jobs.remove(&oldest);
-                    self.traces.remove(&oldest);
-                }
+        while retention > 0 && self.completed.len() > retention {
+            if let Some(oldest) = self.completed.pop_front() {
+                self.jobs.remove(&oldest);
+                self.traces.remove(&oldest);
             }
         }
     }
@@ -251,11 +249,8 @@ impl Service {
     /// silently being served the stale evaluations.
     pub fn from_snapshot(config: ServiceConfig, path: &Path) -> Result<Self, ServiceError> {
         let service = Service::new(config);
-        let (_imported, namespace_fingerprints) =
-            snapshot::load_from_path(service.engine.cache(), path)?;
-        service
-            .engine
-            .seed_namespace_fingerprints(&namespace_fingerprints);
+        let (_, guard) = snapshot::load_from_path(service.engine.cache(), path)?;
+        service.engine.seed_namespace_fingerprints(&guard);
         Ok(service)
     }
 
@@ -356,11 +351,16 @@ impl Service {
         Ok(ticket)
     }
 
-    /// Enqueues several runs at once, returning tickets in input order.
+    /// Enqueues several runs at once, returning tickets in input order. All
+    /// or nothing: every name is checked before any run is enqueued.
     pub fn submit_many<'a>(
         &self,
         names: impl IntoIterator<Item = &'a str>,
     ) -> Result<Vec<Ticket>, ServiceError> {
+        let names: Vec<&str> = names.into_iter().collect();
+        for name in &names {
+            self.lock().registry.require(name)?;
+        }
         names.into_iter().map(|n| self.submit(n)).collect()
     }
 

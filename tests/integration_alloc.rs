@@ -13,7 +13,10 @@
 //!   allocating, so a warm search's child stays under an absolute ceiling.
 //!   While the words were a `Vec`, every copy of a state — `OpGen`'s flip,
 //!   the visited set's, the record store's and its index's, the
-//!   ε-skyline's — was one more allocation.
+//!   ε-skyline's — was one more allocation;
+//! - the remembered estimate: a surrogate prediction the model's table
+//!   answers allocates only the vector it returns; the table is probed with
+//!   a key built in place, not with a copy of the feature row.
 //!
 //! A refactor that brings either cost back trips this file before any
 //! benchmark moves. A test binary of its own: the counting allocator is
@@ -23,6 +26,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use modis_core::estimator::{FittedSurrogate, GbmParams};
 use modis_core::pareto::EpsilonSkyline;
 use modis_core::prelude::*;
 use modis_core::substrate::mock::MockSubstrate;
@@ -259,4 +263,34 @@ fn cloning_a_state_allocates_only_beyond_128_units() {
     }
     assert_eq!(allocations_of_clone(129), 1);
     assert_eq!(allocations_of_clone(500), 1);
+}
+
+/// A prediction the estimate table answers allocates once: the returned
+/// vector. (The first prediction, a miss, also sizes the probe buffer and
+/// stores the row.)
+#[test]
+fn a_remembered_estimate_allocates_only_the_returned_vector() {
+    let x: Vec<Vec<f64>> = (0..12)
+        .map(|i| {
+            (0..24)
+                .map(|j| ((i * 7 + j * 3) % 11) as f64 * 0.1)
+                .collect()
+        })
+        .collect();
+    let y: Vec<Vec<f64>> = x.iter().map(|r| vec![r[0], r[1] - r[2], r[3]]).collect();
+    let params = GbmParams {
+        n_estimators: 30,
+        ..GbmParams::default()
+    };
+    let surrogate = FittedSurrogate::fit(&x, &y, params);
+    let row = vec![0.3; 24];
+    let (first, hit) = surrogate.predict(&row);
+    assert!(!hit);
+    let before = ALLOCATIONS.with(Cell::get);
+    let (again, hit) = surrogate.predict(&row);
+    let made = ALLOCATIONS.with(Cell::get) - before;
+    assert!(hit);
+    let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&again), bits(&first));
+    assert_eq!(made, 1);
 }

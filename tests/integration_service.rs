@@ -214,6 +214,30 @@ fn restarted_service_matches_cold_run_with_warm_cache() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// `submit_many` is all or nothing: one unknown name rejects the batch
+/// before any run is enqueued, so no run executes behind a ticket the
+/// caller never received.
+#[test]
+fn submit_many_with_an_unknown_name_enqueues_nothing() {
+    use modis_service::Ticket;
+    let service = Service::new(ServiceConfig::default());
+    register_mock_suite(&service, 6);
+    let rejected = service.submit_many(["apx", "nope", "bi"]);
+    assert!(
+        matches!(&rejected, Err(ServiceError::UnknownScenario(name)) if name == "nope"),
+        "{rejected:?}"
+    );
+    assert_eq!(service.pending(), 0);
+    assert!(matches!(
+        service.poll(Ticket(1)),
+        Err(ServiceError::UnknownTicket(1))
+    ));
+    assert_eq!(service.run_pending(), 0);
+    // No ticket was spent: the next batch starts at the first one.
+    let tickets = service.submit_many(["apx", "bi"]).unwrap();
+    assert_eq!(tickets, [Ticket(1), Ticket(2)]);
+}
+
 #[test]
 fn restarted_service_warm_starts_a_real_tabular_workload() {
     let path = temp_path("restart_t3");
