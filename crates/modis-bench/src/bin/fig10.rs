@@ -11,7 +11,11 @@ use modis_datagen::tables::{generate_table_pool, TablePoolConfig};
 
 fn time_of(substrate: &TableSubstrate, variant: Algorithm, config: &ModisConfig) -> f64 {
     variant
-        .run(&ValuationContext::new(substrate, config.estimator), config)
+        .run(
+            &ValuationContext::new(substrate, config.estimator),
+            config,
+            1,
+        )
         .elapsed_seconds
 }
 

@@ -29,7 +29,7 @@ fn main() {
         let cfg = base.clone().with_epsilon(e).with_max_level(4);
         for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
             series[i].push(
-                v.run(&ValuationContext::new(&graph_sub, cfg.estimator), &cfg)
+                v.run(&ValuationContext::new(&graph_sub, cfg.estimator), &cfg, 1)
                     .elapsed_seconds,
             );
         }
@@ -49,7 +49,7 @@ fn main() {
         let cfg = base.clone().with_epsilon(0.1).with_max_level(l as usize);
         for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
             series[i].push(
-                v.run(&ValuationContext::new(&graph_sub, cfg.estimator), &cfg)
+                v.run(&ValuationContext::new(&graph_sub, cfg.estimator), &cfg, 1)
                     .elapsed_seconds,
             );
         }
@@ -79,7 +79,7 @@ fn main() {
         let cfg = base.clone().with_epsilon(e).with_max_level(5);
         for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
             series[i].push(
-                v.run(&ValuationContext::new(&table_sub, cfg.estimator), &cfg)
+                v.run(&ValuationContext::new(&table_sub, cfg.estimator), &cfg, 1)
                     .elapsed_seconds,
             );
         }
@@ -99,7 +99,7 @@ fn main() {
         let cfg = base.clone().with_epsilon(0.1).with_max_level(l as usize);
         for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
             series[i].push(
-                v.run(&ValuationContext::new(&table_sub, cfg.estimator), &cfg)
+                v.run(&ValuationContext::new(&table_sub, cfg.estimator), &cfg, 1)
                     .elapsed_seconds,
             );
         }

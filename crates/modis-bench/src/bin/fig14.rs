@@ -33,7 +33,7 @@ fn main() {
         );
         for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
             series[i].push(
-                v.run(&ValuationContext::new(&sub, base.estimator), &base)
+                v.run(&ValuationContext::new(&sub, base.estimator), &base, 1)
                     .elapsed_seconds,
             );
         }
@@ -64,7 +64,7 @@ fn main() {
         );
         for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
             series[i].push(
-                v.run(&ValuationContext::new(&sub, base.estimator), &base)
+                v.run(&ValuationContext::new(&sub, base.estimator), &base, 1)
                     .elapsed_seconds,
             );
         }

@@ -36,7 +36,7 @@ fn main() {
     for &l in &maxls {
         let cfg = base.clone().with_epsilon(0.1).with_max_level(l as usize);
         for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
-            let res = v.run(&ValuationContext::new(&sub, cfg.estimator), &cfg);
+            let res = v.run(&ValuationContext::new(&sub, cfg.estimator), &cfg, 1);
             let best = res
                 .best_by_raw(0, true)
                 .map(|e| e.raw[0])
@@ -58,7 +58,7 @@ fn main() {
     for &e in &eps {
         let cfg = base.clone().with_epsilon(e).with_max_level(3);
         for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
-            let res = v.run(&ValuationContext::new(&sub, cfg.estimator), &cfg);
+            let res = v.run(&ValuationContext::new(&sub, cfg.estimator), &cfg, 1);
             let best = res
                 .best_by_raw(0, true)
                 .map(|e| e.raw[0])

@@ -6,7 +6,11 @@ use modis_core::prelude::*;
 
 fn best_primary(workload: &Workload, variant: Algorithm, config: &ModisConfig) -> f64 {
     let substrate = workload.substrate();
-    let res = variant.run(&ValuationContext::new(&substrate, config.estimator), config);
+    let res = variant.run(
+        &ValuationContext::new(&substrate, config.estimator),
+        config,
+        1,
+    );
     res.best_by_raw(0, true).map(|e| e.raw[0]).unwrap_or(0.0)
 }
 

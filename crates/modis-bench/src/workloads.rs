@@ -242,7 +242,11 @@ pub fn run_table_methods(workload: &Workload, config: &ModisConfig) -> Vec<Metho
     rows.push(baseline_row(h2o(&universal, task)));
 
     for variant in Algorithm::PAPER_VARIANTS {
-        let result = variant.run(&ValuationContext::new(&substrate, config.estimator), config);
+        let result = variant.run(
+            &ValuationContext::new(&substrate, config.estimator),
+            config,
+            1,
+        );
         rows.push(skyline_to_row(variant.name(), &result, primary_hib));
     }
     rows
@@ -331,7 +335,11 @@ pub fn run_graph_methods(
     });
 
     for variant in Algorithm::PAPER_VARIANTS {
-        let result = variant.run(&ValuationContext::new(&substrate, config.estimator), config);
+        let result = variant.run(
+            &ValuationContext::new(&substrate, config.estimator),
+            config,
+            1,
+        );
         rows.push(skyline_to_row(variant.name(), &result, true));
     }
     rows

@@ -12,8 +12,7 @@ use crate::substrate::Substrate;
 /// Which MODis search to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// ApxMODis — reduce-from-universal `(N, ε)`-approximation
-    /// (wave-parallel in the engine).
+    /// ApxMODis — reduce-from-universal `(N, ε)`-approximation.
     Apx,
     /// NOBiMODis — bi-directional search without correlation pruning.
     NoBi,
@@ -21,8 +20,8 @@ pub enum Algorithm {
     Bi,
     /// DivMODis — diversified skyline generation.
     Div,
-    /// The exact Pareto front over the bounded space (wave-parallel in the
-    /// engine; always oracle-valuated).
+    /// The exact Pareto front over the bounded space (always
+    /// oracle-valuated).
     Exact,
 }
 
@@ -47,7 +46,10 @@ impl Algorithm {
         }
     }
 
-    /// Runs the search sequentially on the calling thread.
+    /// Runs the search. ApxMODis and the exact algorithm train up to
+    /// `workers` states at a time and return the same result for every
+    /// `workers` value; BiMODis, NOBiMODis and DivMODis valuate one child at
+    /// a time on the calling thread.
     ///
     /// # Panics
     ///
@@ -57,13 +59,14 @@ impl Algorithm {
         self,
         ctx: &ValuationContext<'_, S>,
         config: &ModisConfig,
+        workers: usize,
     ) -> SkylineResult {
         match self {
-            Algorithm::Apx => apx_modis_with_context(ctx, config),
+            Algorithm::Apx => apx_modis_with_context(ctx, config, workers),
             Algorithm::NoBi => bi_modis_with_context(ctx, config, false).0,
             Algorithm::Bi => bi_modis_with_context(ctx, config, true).0,
             Algorithm::Div => div_modis_with_context(ctx, config),
-            Algorithm::Exact => exact_modis_with_context(ctx, config),
+            Algorithm::Exact => exact_modis_with_context(ctx, config, workers),
         }
     }
 }

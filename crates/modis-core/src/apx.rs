@@ -5,27 +5,63 @@
 //! valuated (estimator or oracle, §5.2) and offered to the ε-skyline grid
 //! (`UPareto`); the search stops when `N` states have been valuated, the
 //! maximum path length is reached, or no new state can be generated.
+//!
+//! Which states get spawned never depends on how they score, so the search
+//! lists its traversal first (`forward_schedule`) and has the context
+//! valuate the list in waves, offering each state in traversal order: the
+//! result is the same for every worker count.
 
 use std::time::Instant;
 
 use crate::config::{ModisConfig, SkylineResult};
 use crate::estimator::ValuationContext;
 use crate::pareto::EpsilonSkyline;
-use crate::search_common::{finalize_result, Direction, Frontier, VisitedSet};
+use crate::search_common::{finalize_result, forward_schedule};
 use crate::substrate::Substrate;
 
-/// Runs ApxMODis over a substrate.
+/// Runs ApxMODis over a substrate on the calling thread.
 pub fn apx_modis<S: Substrate + ?Sized>(substrate: &S, config: &ModisConfig) -> SkylineResult {
     let ctx = ValuationContext::new(substrate, config.estimator);
-    apx_modis_with_context(&ctx, config)
+    apx_modis_with_context(&ctx, config, 1)
 }
 
 /// Runs ApxMODis with an externally managed valuation context (lets callers
-/// share test records across runs, as the experiments do).
+/// share test records across runs, as the experiments do), training up to
+/// `workers` states at a time. Every `workers` value returns the same
+/// result, also on a re-used, pre-warmed context, whose memoised states
+/// replay as budget-free memo hits.
 pub fn apx_modis_with_context<S: Substrate + ?Sized>(
     ctx: &ValuationContext<'_, S>,
     config: &ModisConfig,
+    workers: usize,
 ) -> SkylineResult {
+    let start = Instant::now();
+    let substrate = ctx.substrate();
+    let measures = substrate.measures().clone();
+    let mut skyline = EpsilonSkyline::new(measures, config.epsilon, config.decisive);
+
+    let s_u = substrate.forward_start();
+    let perf_u = ctx.valuate(&s_u);
+    skyline.offer(&s_u, &perf_u, 0);
+
+    let budget = config.max_states.saturating_sub(ctx.num_valuated());
+    let schedule = forward_schedule(ctx, config, budget);
+    ctx.valuate_schedule(&schedule, workers, |state, level, perf| {
+        skyline.offer(state, &perf, level);
+    });
+
+    finalize_result(&skyline, ctx, config, start.elapsed().as_secs_f64())
+}
+
+/// ApxMODis as one [`crate::search_common::Frontier`] visitor that valuates
+/// every child as it is spawned: the one-state-at-a-time form the
+/// wave-valuated search must reproduce, kept as its differential oracle.
+#[cfg(test)]
+pub(crate) fn reference_apx<S: Substrate + ?Sized>(
+    ctx: &ValuationContext<'_, S>,
+    config: &ModisConfig,
+) -> SkylineResult {
+    use crate::search_common::{Direction, Frontier, VisitedSet};
     let start = Instant::now();
     let substrate = ctx.substrate();
     let measures = substrate.measures().clone();

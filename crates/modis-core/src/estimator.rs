@@ -313,18 +313,7 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
                 return inner.records[idx].perf.clone();
             }
         }
-        let use_surrogate = match self.mode {
-            EstimatorMode::Oracle => false,
-            EstimatorMode::Surrogate { warmup, .. } => {
-                // Count oracle-backed *records*, not oracle calls: shared-
-                // cache hits then advance the warm-up exactly like fresh
-                // trainings, so warm and cold runs switch to the surrogate at
-                // the same point and stay comparable.
-                let inner = self.inner.lock();
-                inner.oracle_records >= warmup && inner.surrogate.is_some()
-            }
-        };
-        if use_surrogate {
+        if self.surrogate_active() {
             let feats = self.substrate.state_features(bitmap);
             let mut inner = self.inner.lock();
             if let Some(model) = &inner.surrogate {
@@ -364,28 +353,12 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
             self.maybe_refit();
             return hit.perf;
         }
-        let raw = self.substrate.evaluate_raw(bitmap);
-        let perf = self.substrate.measures().normalise(&raw);
-        if let Some(hook) = &self.hook {
-            hook.record(
-                bitmap,
-                &SharedEvaluation {
-                    raw: raw.clone(),
-                    perf: perf.clone(),
-                },
-            );
-        }
-        let mut inner = self.inner.lock();
-        inner.stats.oracle_calls += 1;
-        inner.commit_oracle(bitmap, &perf, raw);
-        drop(inner);
-        self.maybe_refit();
-        perf
+        self.record_oracle(bitmap, self.substrate.evaluate_raw(bitmap), false)
     }
 
-    /// The installed [`EvaluationHook`], if any. Parallel expanders use this
-    /// to probe the shared cache from worker threads before training.
-    pub fn hook(&self) -> Option<&Arc<dyn EvaluationHook>> {
+    /// The installed [`EvaluationHook`], if any; a schedule's waves probe it
+    /// before training.
+    pub(crate) fn hook(&self) -> Option<&Arc<dyn EvaluationHook>> {
         self.hook.as_ref()
     }
 
@@ -396,10 +369,14 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
 
     /// Whether the surrogate has taken over from the oracle (always `false`
     /// in [`EstimatorMode::Oracle`]).
-    pub fn surrogate_active(&self) -> bool {
+    pub(crate) fn surrogate_active(&self) -> bool {
         match self.mode {
             EstimatorMode::Oracle => false,
             EstimatorMode::Surrogate { warmup, .. } => {
+                // Count oracle-backed *records*, not oracle calls: shared-
+                // cache hits then advance the warm-up exactly like fresh
+                // trainings, so warm and cold runs switch to the surrogate at
+                // the same point and stay comparable.
                 let inner = self.inner.lock();
                 inner.oracle_records >= warmup && inner.surrogate.is_some()
             }
@@ -407,26 +384,26 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
     }
 
     /// Number of oracle-backed records in `T` (drives the surrogate warm-up).
-    pub fn oracle_record_count(&self) -> usize {
+    pub(crate) fn oracle_record_count(&self) -> usize {
         self.inner.lock().oracle_records
     }
 
     /// Whether `bitmap` already has a record in `T`. [`Self::valuate`] on
     /// such a state is a memo hit: it returns the stored performance without
-    /// consuming valuation budget. Parallel expanders use this to replay the
-    /// sequential budget accounting on re-used (pre-warmed) contexts.
-    pub fn contains(&self, bitmap: &StateBitmap) -> bool {
+    /// consuming valuation budget. Schedules use this to replay the
+    /// one-at-a-time budget accounting on re-used (pre-warmed) contexts.
+    pub(crate) fn contains(&self, bitmap: &StateBitmap) -> bool {
         self.inner.lock().by_bitmap.contains_key(bitmap)
     }
 
-    /// Commits an oracle evaluation whose raw metrics were computed
-    /// externally (by a parallel worker), exactly as [`Self::valuate_oracle`]
-    /// would have: the record enters `T` oracle-backed, counters advance, and
-    /// the surrogate refit schedule is consulted. `from_shared` marks results
-    /// loaded from the shared cache (counted as hits, not published back).
+    /// Commits an oracle evaluation whose raw metrics the caller computed
+    /// (here, or on a wave's worker thread): the record enters `T`
+    /// oracle-backed, counters advance, and the surrogate refit schedule is
+    /// consulted. `from_shared` marks results loaded from the shared cache
+    /// (counted as hits, not published back).
     ///
     /// Returns the normalised performance vector.
-    pub fn record_oracle(
+    pub(crate) fn record_oracle(
         &self,
         bitmap: &StateBitmap,
         raw: Vec<f64>,

@@ -16,53 +16,57 @@ use crate::estimator::{EstimatorMode, ValuationContext};
 use crate::search_common::forward_schedule;
 use crate::substrate::Substrate;
 
-/// Runs the exact algorithm: every state reachable from `s_U` within
-/// `config.max_level` reductions is valuated with the oracle and the exact
-/// Pareto front is returned.
+/// Runs the exact algorithm on the calling thread: every state reachable
+/// from `s_U` within `config.max_level` reductions is valuated with the
+/// oracle and the exact Pareto front is returned.
 pub fn exact_modis<S: Substrate + ?Sized>(substrate: &S, config: &ModisConfig) -> SkylineResult {
     let ctx = ValuationContext::new(substrate, EstimatorMode::Oracle);
-    exact_modis_with_context(&ctx, config)
+    exact_modis_with_context(&ctx, config, 1)
 }
 
 /// Runs the exact algorithm with an externally managed valuation context
 /// (lets callers install an [`crate::estimator::EvaluationHook`] and share
-/// test records across runs).
-///
-/// # Panics
-///
-/// If `ctx` is not in [`EstimatorMode::Oracle`] (see [`exact_front`]).
-pub fn exact_modis_with_context<S: Substrate + ?Sized>(
-    ctx: &ValuationContext<'_, S>,
-    config: &ModisConfig,
-) -> SkylineResult {
-    exact_front(ctx, config, |states| {
-        states.iter().map(|(state, _)| ctx.valuate(state)).collect()
-    })
-}
-
-/// The exact algorithm around its one free choice, how the states get
-/// valuated: enumerates `s_U` plus the forward schedule (`config.max_states`
-/// states at most, those `ctx` already holds not counted), has
-/// `valuate_all` return their performance vectors in order, and keeps the
-/// members within the measures' upper bounds that no other member dominates.
+/// test records across runs), training up to `workers` states at a time.
+/// Every `workers` value returns the same result.
 ///
 /// # Panics
 ///
 /// If `ctx` is not in [`EstimatorMode::Oracle`]: a front over surrogate
 /// estimates is not exact.
-pub fn exact_front<S: Substrate + ?Sized>(
+pub fn exact_modis_with_context<S: Substrate + ?Sized>(
     ctx: &ValuationContext<'_, S>,
     config: &ModisConfig,
-    valuate_all: impl FnOnce(&[(StateBitmap, usize)]) -> Vec<Vec<f64>>,
+    workers: usize,
 ) -> SkylineResult {
-    assert_eq!(ctx.mode(), EstimatorMode::Oracle, "exact needs the oracle");
     let start = Instant::now();
-    let substrate = ctx.substrate();
-    let mut states = vec![(substrate.forward_start(), 0)];
+    let states = exact_schedule(ctx, config);
+    let mut perfs = Vec::with_capacity(states.len());
+    ctx.valuate_schedule(&states, workers, |_, _, perf| perfs.push(perf));
+    pareto_front(ctx, &states, &perfs, start)
+}
+
+/// `s_U` plus the forward schedule: `config.max_states` states at most,
+/// those `ctx` already holds not counted.
+fn exact_schedule<S: Substrate + ?Sized>(
+    ctx: &ValuationContext<'_, S>,
+    config: &ModisConfig,
+) -> Vec<(StateBitmap, usize)> {
+    assert_eq!(ctx.mode(), EstimatorMode::Oracle, "exact needs the oracle");
+    let mut states = vec![(ctx.substrate().forward_start(), 0)];
     let budget = config.max_states.saturating_sub(1);
     states.extend(forward_schedule(ctx, config, budget));
-    let perfs = valuate_all(&states);
+    states
+}
 
+/// The members of `states` (valuated to `perfs`) within the measures' upper
+/// bounds that no other member dominates.
+fn pareto_front<S: Substrate + ?Sized>(
+    ctx: &ValuationContext<'_, S>,
+    states: &[(StateBitmap, usize)],
+    perfs: &[Vec<f64>],
+    start: Instant,
+) -> SkylineResult {
+    let substrate = ctx.substrate();
     let measures = substrate.measures();
     let candidate_idx: Vec<usize> = (0..states.len())
         .filter(|&i| !measures.violates_upper(&perfs[i]))
@@ -89,6 +93,20 @@ pub fn exact_front<S: Substrate + ?Sized>(
         elapsed_seconds: start.elapsed().as_secs_f64(),
         stats: ctx.stats(),
     }
+}
+
+/// The exact algorithm valuating its states one at a time with
+/// [`ValuationContext::valuate`]: the differential oracle of the
+/// wave-valuated form.
+#[cfg(test)]
+pub(crate) fn reference_exact<S: Substrate + ?Sized>(
+    ctx: &ValuationContext<'_, S>,
+    config: &ModisConfig,
+) -> SkylineResult {
+    let start = Instant::now();
+    let states = exact_schedule(ctx, config);
+    let perfs: Vec<Vec<f64>> = states.iter().map(|(state, _)| ctx.valuate(state)).collect();
+    pareto_front(ctx, &states, &perfs, start)
 }
 
 #[cfg(test)]
@@ -158,6 +176,6 @@ mod tests {
             refresh: 3,
         };
         let ctx = ValuationContext::new(&sub, mode);
-        exact_modis_with_context(&ctx, &ModisConfig::default());
+        exact_modis_with_context(&ctx, &ModisConfig::default(), 1);
     }
 }

@@ -20,7 +20,9 @@
 //! * [`correlation`] — the correlation graph `G_C` and parameterised
 //!   dominance bounds;
 //! * [`apx`] / [`bimodis`] / [`divmodis`] / [`exact`] — the paper's
-//!   algorithms (ApxMODis, BiMODis, NOBiMODis, DivMODis, exact);
+//!   algorithms (ApxMODis, BiMODis, NOBiMODis, DivMODis, exact), named by
+//!   [`algorithm::Algorithm`]; ApxMODis and exact valuate their traversal
+//!   in waves across [`pool`]'s worker threads;
 //! * [`baselines`] — METAM, METAM-MO, Starmie, SkSFM, H2O, HydraGAN-style
 //!   comparators;
 //! * [`config`] — run configuration and skyline results.
@@ -79,9 +81,11 @@ pub mod divmodis;
 pub mod dominance;
 pub mod estimator;
 pub mod exact;
+mod expand;
 pub mod graph_substrate;
 pub mod measure;
 pub mod pareto;
+pub mod pool;
 pub mod search_common;
 pub mod substrate;
 pub mod table_substrate;

@@ -1,11 +1,13 @@
-//! A minimal work pool shared by the wave expander and the suite runner.
+//! A minimal work pool shared by the waves ApxMODis and the exact algorithm
+//! valuate their schedules in, and by the execution engine's batch path and
+//! suite runner.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Applies `f` to every index in `0..n` across up to `workers` scoped
 /// threads and returns the results in index order. Serial when `workers`
 /// or `n` is 1. A panicking worker propagates its panic to the caller.
-pub(crate) fn parallel_map<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
+pub fn parallel_map<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -46,7 +48,7 @@ where
 /// it answers `None` for are paid for with `pay` across the pool. A probe is
 /// a cache read of a few hundred nanoseconds; opening a thread scope to run
 /// two of them costs a hundred times the reads.
-pub(crate) fn probe_then_map<T, P, F>(n: usize, workers: usize, probe: P, pay: F) -> Vec<(T, bool)>
+pub fn probe_then_map<T, P, F>(n: usize, workers: usize, probe: P, pay: F) -> Vec<(T, bool)>
 where
     T: Send,
     P: FnMut(usize) -> Option<T>,

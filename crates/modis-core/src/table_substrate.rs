@@ -52,8 +52,6 @@ pub struct TableSpaceConfig {
     /// Maximum number of cluster units per attribute actually exposed to the
     /// search (keeps `|adom_m|` bounded as discussed under Theorem 1).
     pub max_clusters_per_attr: usize,
-    /// Whether to include per-attribute presence units (masking reducts).
-    pub attribute_units: bool,
     /// Capacity of the per-substrate raw-metrics memo (states; 0 =
     /// unbounded). Evicted entries are simply re-valuated on the next visit.
     ///
@@ -77,7 +75,6 @@ impl Default for TableSpaceConfig {
                 iterations: 20,
             },
             max_clusters_per_attr: 3,
-            attribute_units: true,
             eval_cache_capacity: 16_384,
         }
     }
@@ -149,9 +146,7 @@ impl TableSubstrate {
             {
                 continue;
             }
-            if config.attribute_units {
-                units.push(TableUnit::Attribute { name: name.clone() });
-            }
+            units.push(TableUnit::Attribute { name: name.clone() });
             let clusters = derive_attribute_literals(&universal, name, &config.cluster);
             for c in clusters.into_iter().take(config.max_clusters_per_attr) {
                 units.push(TableUnit::Cluster {

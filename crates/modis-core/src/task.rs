@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use modis_data::{Dataset, DatasetView};
-use modis_ml::encoding::{encode, encode_view, EncodeOptions, Encoded, TaskKind};
+use modis_ml::encoding::{encode, encode_view, EncodeOptions, Encoded};
 use modis_ml::feature::{fisher_score, mutual_information};
 use modis_ml::forest::{ForestParams, RandomForest};
 use modis_ml::gbm::{GbmParams, GradientBoostingClassifier, GradientBoostingRegressor};
@@ -129,15 +129,6 @@ impl TaskSpec {
         match &self.key {
             Some(k) => base.with_exclude([k.clone()]),
             None => base,
-        }
-    }
-
-    /// Task kind (classification vs regression).
-    pub fn task_kind(&self) -> TaskKind {
-        if self.model.is_classification() {
-            TaskKind::Classification
-        } else {
-            TaskKind::Regression
         }
     }
 }

@@ -4,7 +4,7 @@
 //! transducer: operators augment them with new attributes/tuples or reduce
 //! them by removing tuples matching a literal (§3).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::error::DataError;
@@ -97,12 +97,6 @@ impl Dataset {
             .unwrap_or(&Value::Null)
     }
 
-    /// Value at `(row, attribute-name)`.
-    pub fn value_by_name(&self, row: usize, name: &str) -> Option<&Value> {
-        let c = self.schema.position(name)?;
-        self.rows.get(row).and_then(|r| r.get(c))
-    }
-
     /// Appends a tuple, padding/truncating to the schema width.
     pub fn push_row(&mut self, mut row: Vec<Value>) {
         row.resize(self.schema.len(), Value::Null);
@@ -166,24 +160,6 @@ impl Dataset {
             .filter_map(|r| r.get(col))
             .filter(|v| !v.is_null())
             .cloned()
-            .collect()
-    }
-
-    /// Active domain by attribute name.
-    pub fn active_domain_by_name(&self, name: &str) -> BTreeSet<Value> {
-        self.schema
-            .position(name)
-            .map(|c| self.active_domain(c))
-            .unwrap_or_default()
-    }
-
-    /// Sizes of all active domains, keyed by attribute name.
-    pub fn active_domain_sizes(&self) -> BTreeMap<String, usize> {
-        self.schema
-            .names()
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.to_string(), self.active_domain(i).len()))
             .collect()
     }
 

@@ -7,20 +7,20 @@ use std::time::Instant;
 
 use modis_core::algorithm::Algorithm;
 use modis_core::estimator::{EstimatorMode, EvaluationHook, SharedEvaluation, ValuationContext};
+use modis_core::pool::{parallel_map, probe_then_map};
 use modis_core::substrate::Substrate;
 use modis_core::telemetry::{self, MetricsRegistry, Telemetry, TraceContext, Tracer};
 use modis_data::StateBitmap;
 
 use crate::cache::{CacheStats, SharedEvalCache};
-use crate::expand::{parallel_apx_modis_with_context, parallel_exact_modis_with_context};
-use crate::pool::{parallel_map, probe_then_map};
 use crate::scenario::{Scenario, ScenarioOutcome};
 
 /// Engine parallelism and cache configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Threads used by the wave-parallel frontier expander *within* one
-    /// scenario (Apx / Exact). 1 disables intra-scenario parallelism.
+    /// Threads that train states *within* one scenario (ApxMODis' and the
+    /// exact algorithm's waves) and one batch ([`Engine::valuate_states`]).
+    /// 1 disables intra-scenario parallelism.
     pub worker_threads: usize,
     /// How many scenarios of a suite run concurrently.
     pub scenario_parallelism: usize,
@@ -61,18 +61,6 @@ impl EngineConfig {
     /// Builder-style scenario-parallelism setter.
     pub fn with_scenario_parallelism(mut self, budget: usize) -> Self {
         self.scenario_parallelism = budget.max(1);
-        self
-    }
-
-    /// Builder-style cache-shard setter.
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards.max(1);
-        self
-    }
-
-    /// Builder-style cache-capacity setter (0 = unbounded).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
         self
     }
 }
@@ -136,11 +124,6 @@ impl SuiteResult {
     /// suite's scenarios.
     pub fn total_shared_hits(&self) -> usize {
         self.outcomes.iter().map(|o| o.shared_hits()).sum()
-    }
-
-    /// Total states valuated across the suite's scenarios.
-    pub fn total_states_valuated(&self) -> usize {
-        self.outcomes.iter().map(|o| o.result.states_valuated).sum()
     }
 }
 
@@ -459,8 +442,8 @@ impl Engine {
         );
     }
 
-    /// Runs one scenario on the calling thread (the wave expander may still
-    /// fan out to [`EngineConfig::worker_threads`]).
+    /// Runs one scenario on the calling thread (its waves may still fan out
+    /// to [`EngineConfig::worker_threads`]).
     pub fn run_scenario(&self, scenario: &Scenario) -> ScenarioOutcome {
         self.run_scenario_traced(scenario, TraceContext::NONE)
     }
@@ -479,9 +462,10 @@ impl Engine {
         let substrate: &dyn Substrate = scenario.substrate.as_ref();
         // The exact algorithm is oracle-valuated by definition; every other
         // algorithm honours the scenario's estimator mode.
-        let mode = match scenario.algorithm {
-            Algorithm::Exact => EstimatorMode::Oracle,
-            _ => scenario.config.estimator,
+        let mode = if scenario.algorithm == Algorithm::Exact {
+            EstimatorMode::Oracle
+        } else {
+            scenario.config.estimator
         };
         let ctx = ValuationContext::new(substrate, mode).with_hook(hook);
         let threads = self.config.worker_threads;
@@ -491,13 +475,11 @@ impl Engine {
             self.telemetry.tracer.span_with("scenario", trace)
         };
         // Install the engine's telemetry as the ambient for the algorithm
-        // call tree, so deep layers (the wave expander) can time themselves
+        // call tree, so deep layers (a schedule's waves) can time themselves
         // without any signature changes.
         let _ = modis_core::dominance::take_tally();
-        let result = telemetry::with_ambient(self.telemetry.clone(), || match scenario.algorithm {
-            Algorithm::Apx => parallel_apx_modis_with_context(&ctx, &scenario.config, threads),
-            Algorithm::Exact => parallel_exact_modis_with_context(&ctx, &scenario.config, threads),
-            sequential => sequential.run(&ctx, &scenario.config),
+        let result = telemetry::with_ambient(self.telemetry.clone(), || {
+            scenario.algorithm.run(&ctx, &scenario.config, threads)
         });
         // The skyline scan tallies its work on the calling thread;
         // attribute this scenario's share to its namespace.
@@ -716,12 +698,38 @@ mod tests {
         assert_eq!(second.evaluations[1], first.evaluations[1]);
     }
 
+    /// An unbounded map that remembers which thread every `lookup` ran on
+    /// and every state that was recorded, in order.
+    #[derive(Default)]
+    struct RecordingHook {
+        entries: Mutex<HashMap<StateBitmap, SharedEvaluation>>,
+        lookup_threads: Mutex<Vec<std::thread::ThreadId>>,
+        recorded: Mutex<Vec<StateBitmap>>,
+    }
+
+    impl EvaluationHook for RecordingHook {
+        fn lookup(&self, bitmap: &StateBitmap) -> Option<SharedEvaluation> {
+            self.lookup_threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            self.entries.lock().unwrap().get(bitmap).cloned()
+        }
+
+        fn record(&self, bitmap: &StateBitmap, evaluation: &SharedEvaluation) {
+            self.recorded.lock().unwrap().push(bitmap.clone());
+            self.entries
+                .lock()
+                .unwrap()
+                .insert(bitmap.clone(), evaluation.clone());
+        }
+    }
+
     /// The batch path reads the cache on the caller's thread and hands the
     /// pool only what it missed: a mixed batch trains each miss exactly
     /// once, an all-hit batch trains nothing and returns the same answers.
     #[test]
     fn a_batch_probes_on_the_callers_thread_and_trains_each_miss_once() {
-        use crate::expand::testing::RecordingHook;
         let substrate = MockSubstrate::new(8);
         let full = StateBitmap::full(8);
         let states: Vec<StateBitmap> = (0..6).map(|unit| full.flipped(unit)).collect();
@@ -943,7 +951,7 @@ mod tests {
             ScenarioOutcome {
                 name: "memo".into(),
                 algorithm: Algorithm::Bi,
-                result: Algorithm::Bi.run(&ctx, &scenario.config),
+                result: Algorithm::Bi.run(&ctx, &scenario.config, 1),
                 wall_seconds: 0.0,
                 substrate_cache: Default::default(),
             }

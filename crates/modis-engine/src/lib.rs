@@ -1,17 +1,11 @@
 //! # modis-engine
 //!
-//! A parallel, cache-aware execution engine for multi-scenario MODis
-//! skyline generation.
+//! A cache-aware execution engine for multi-scenario MODis skyline
+//! generation.
 //!
-//! The core crate's algorithms ([`Algorithm::run`]) are single-threaded and
-//! remember nothing between runs. This crate wraps them in a reusable
-//! engine with three pieces:
+//! The core crate's algorithms ([`Algorithm::run`]) remember nothing
+//! between runs. This crate wraps them in a reusable engine with two pieces:
 //!
-//! * **Wave-parallel frontier expansion** ([`expand`]) — the schedule the
-//!   core crate's one traversal (`Frontier`) emits is evaluated across a
-//!   worker pool and committed to the ε-skyline in the sequential
-//!   algorithm's order, so a parallel run produces *byte-identical*
-//!   skylines to a sequential one for any thread count.
 //! * **A shared evaluation cache** ([`cache`]) — a sharded
 //!   `(namespace, state) → evaluation` store installed behind the
 //!   [`modis_core::estimator::EvaluationHook`] seam, so states revisited
@@ -23,15 +17,17 @@
 //! * **A scenario runner** ([`engine`]) — [`Engine::run_suite`] executes a
 //!   registry of named scenarios (substrate × algorithm × config)
 //!   concurrently under a configurable parallelism budget and returns
-//!   per-scenario [`ScenarioOutcome`]s plus cache statistics.
+//!   per-scenario [`ScenarioOutcome`]s plus cache statistics. Each search
+//!   gets [`EngineConfig::worker_threads`] workers, with which ApxMODis and
+//!   the exact algorithm train their states in waves; the skyline is the
+//!   one a single thread returns.
 //!
 //! ```
 //! use std::sync::Arc;
 //! use modis_core::prelude::*;
 //! use modis_core::substrate::Substrate;
-//! use modis_engine::{parallel_apx_modis, Engine};
+//! use modis_engine::{Engine, EngineConfig, Scenario};
 //!
-//! // Parallel drop-in for `apx_modis`, identical output:
 //! # struct Demo;
 //! # impl Substrate for Demo {
 //! #     fn num_units(&self) -> usize { 4 }
@@ -42,10 +38,16 @@
 //! #     fn state_features(&self, b: &modis_data::StateBitmap) -> Vec<f64> { vec![b.count_ones() as f64] }
 //! #     fn artifact_size(&self, b: &modis_data::StateBitmap) -> (usize, usize) { (b.count_ones(), 1) }
 //! # }
-//! # let substrate = Demo;
+//! let substrate: Arc<dyn Substrate> = Arc::new(Demo);
 //! let config = ModisConfig::default().with_estimator(EstimatorMode::Oracle);
-//! let skyline = parallel_apx_modis(&substrate, &config, 4);
-//! assert!(!skyline.is_empty());
+//! // Four workers, the one-thread answer:
+//! let engine = Engine::new(EngineConfig::default().with_worker_threads(4));
+//! let scenario = Scenario::new("demo", substrate.clone(), Algorithm::Apx, config.clone());
+//! let outcome = engine.run_scenario(&scenario);
+//! let ctx = ValuationContext::new(substrate.as_ref(), config.estimator);
+//! let sequential = Algorithm::Apx.run(&ctx, &config, 1);
+//! assert!(!sequential.is_empty());
+//! assert_eq!(outcome.result.states_valuated, sequential.states_valuated);
 //! ```
 //!
 //! See [`Engine`] for the multi-scenario entry point.
@@ -54,14 +56,13 @@
 
 pub mod cache;
 pub mod engine;
-pub mod expand;
-mod pool;
 pub mod scenario;
 
 pub use cache::{CacheHandle, CacheStats, ExportedEvaluation, ShardExport, SharedEvalCache};
 pub use engine::{BatchValuation, Engine, EngineConfig, SuiteResult};
-pub use expand::{
-    parallel_apx_modis, parallel_apx_modis_with_context, parallel_exact_modis_with_context,
-};
 pub use modis_core::algorithm::Algorithm;
+// `bench_e2e`'s search replay (`layers.rs`) compiles against these names;
+// each is the core function itself, same `(ctx, config, workers)` signature.
+pub use modis_core::apx::apx_modis_with_context as parallel_apx_modis_with_context;
+pub use modis_core::exact::exact_modis_with_context as parallel_exact_modis_with_context;
 pub use scenario::{Scenario, ScenarioOutcome};

@@ -258,17 +258,16 @@ enum ExecJob {
 /// identical to the seed (each `RUN` answers the number of runs *it*
 /// executed) without ever blocking a reactor.
 pub(crate) struct Executor {
-    queue: Mutex<VecDeque<ExecJob>>,
+    /// Queued jobs and the stop flag, under the one lock the thread parks on.
+    queue: Mutex<(VecDeque<ExecJob>, bool)>,
     ready: Condvar,
-    stop: AtomicBool,
 }
 
 impl Executor {
     pub(crate) fn new() -> Self {
         Executor {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new((VecDeque::new(), false)),
             ready: Condvar::new(),
-            stop: AtomicBool::new(false),
         }
     }
 
@@ -277,6 +276,7 @@ impl Executor {
         self.queue
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+            .0
             .push_back(job(Arc::clone(&reply)));
         self.ready.notify_one();
         reply
@@ -294,7 +294,7 @@ impl Executor {
 
     /// Signals the executor thread to exit once its queue is empty.
     pub(crate) fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner).1 = true;
         self.ready.notify_all();
     }
 
@@ -307,10 +307,10 @@ impl Executor {
             let job = {
                 let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
                 loop {
-                    if let Some(job) = queue.pop_front() {
+                    if let Some(job) = queue.0.pop_front() {
                         break Some(job);
                     }
-                    if self.stop.load(Ordering::SeqCst) {
+                    if queue.1 {
                         break None;
                     }
                     queue = self

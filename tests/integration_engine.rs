@@ -1,7 +1,7 @@
 //! Integration tests of the `modis-engine` execution engine over real
-//! tabular workloads: parallel-vs-sequential skyline equivalence, shared
-//! evaluation-cache behaviour across overlapping scenarios, and run-to-run
-//! determinism.
+//! tabular workloads: equivalence across worker counts and between the
+//! engine and the core search, shared evaluation-cache behaviour across
+//! overlapping scenarios, and run-to-run determinism.
 //!
 //! Equivalence fixtures share one substrate instance between the compared
 //! runs: substrates memoise `evaluate_raw`, which pins noisy raw metrics
@@ -12,10 +12,7 @@ use std::sync::Arc;
 use modis_bench::{task_t1, task_t3};
 use modis_core::prelude::*;
 use modis_core::substrate::Substrate;
-use modis_engine::{
-    parallel_apx_modis, parallel_exact_modis_with_context, Algorithm, Engine, EngineConfig,
-    Scenario,
-};
+use modis_engine::{Algorithm, Engine, EngineConfig, Scenario};
 
 fn oracle_config() -> ModisConfig {
     ModisConfig::default()
@@ -49,10 +46,9 @@ fn parallel_apx_is_byte_identical_to_sequential_on_t1() {
     let substrate = task_t1(21).substrate();
     let config = oracle_config();
     let sequential = apx_modis(&substrate, &config);
-    for threads in [1, 4] {
-        let parallel = parallel_apx_modis(&substrate, &config, threads);
-        assert_identical(&parallel, &sequential, &format!("t1 apx x{threads}"));
-    }
+    let ctx = ValuationContext::new(&substrate, config.estimator);
+    let parallel = apx_modis_with_context(&ctx, &config, 4);
+    assert_identical(&parallel, &sequential, "t1 apx x4");
     assert!(!sequential.is_empty());
 }
 
@@ -68,7 +64,8 @@ fn parallel_apx_is_byte_identical_to_sequential_with_surrogate() {
             refresh: 10,
         });
     let sequential = apx_modis(&substrate, &config);
-    let parallel = parallel_apx_modis(&substrate, &config, 4);
+    let ctx = ValuationContext::new(&substrate, config.estimator);
+    let parallel = apx_modis_with_context(&ctx, &config, 4);
     assert_identical(&parallel, &sequential, "t3 apx surrogate");
     assert_eq!(parallel.stats.oracle_calls, sequential.stats.oracle_calls);
     assert_eq!(
@@ -83,8 +80,66 @@ fn parallel_exact_is_byte_identical_to_sequential_on_t3() {
     let config = ModisConfig::default().with_max_states(20).with_max_level(2);
     let sequential = exact_modis(&substrate, &config);
     let ctx = ValuationContext::new(&substrate, EstimatorMode::Oracle);
-    let parallel = parallel_exact_modis_with_context(&ctx, &config, 4);
+    let parallel = exact_modis_with_context(&ctx, &config, 4);
     assert_identical(&parallel, &sequential, "t3 exact");
+}
+
+/// The engine adds a shared cache, a surrogate memo and worker threads
+/// around the core search, and changes none of its answers: every variant,
+/// oracle- and surrogate-valuated, returns through `Engine::run_scenario`
+/// at four workers what `Algorithm::run` returns on one thread over the
+/// same substrate instance — entries on their bits, the valuation count,
+/// the trainings (paid or loaded) and the estimates.
+#[test]
+fn the_engine_returns_what_the_core_search_returns() {
+    let substrate: Arc<dyn Substrate> = Arc::new(task_t1(21).substrate());
+    let surrogate = EstimatorMode::Surrogate {
+        warmup: 8,
+        refresh: 6,
+    };
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+    let answer = |r: &SkylineResult| {
+        let entries: Vec<_> = r
+            .entries
+            .iter()
+            .map(|e| (e.bitmap.clone(), bits(&e.perf), bits(&e.raw)))
+            .collect();
+        let s = r.stats;
+        let trainings = s.oracle_calls + s.shared_hits;
+        (entries, r.states_valuated, trainings, s.surrogate_calls)
+    };
+    let engine = Engine::new(EngineConfig::default().with_worker_threads(4));
+    for estimator in [EstimatorMode::Oracle, surrogate] {
+        let config = oracle_config().with_estimator(estimator);
+        for algorithm in [
+            Algorithm::Apx,
+            Algorithm::NoBi,
+            Algorithm::Bi,
+            Algorithm::Div,
+            Algorithm::Exact,
+        ] {
+            let label = format!("{} {estimator:?}", algorithm.name());
+            // The exact algorithm is oracle-valuated in either mode.
+            let mode = match algorithm {
+                Algorithm::Exact => EstimatorMode::Oracle,
+                _ => estimator,
+            };
+            let ctx = ValuationContext::new(substrate.as_ref(), mode);
+            let core = algorithm.run(&ctx, &config, 1);
+            let scenario =
+                Scenario::new(label.clone(), substrate.clone(), algorithm, config.clone())
+                    .with_cache_namespace(label.clone());
+            let served = engine.run_scenario(&scenario).result;
+            assert!(!core.is_empty(), "{label}");
+            assert_eq!(answer(&served), answer(&core), "{label}");
+            if estimator == surrogate && algorithm != Algorithm::Exact {
+                assert!(
+                    core.stats.surrogate_calls > 0,
+                    "{label}: the surrogate took over"
+                );
+            }
+        }
+    }
 }
 
 #[test]

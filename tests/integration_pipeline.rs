@@ -94,7 +94,7 @@ fn no_returned_entry_is_dominated_after_oracle_revaluation() {
     let config = ModisConfig::default();
     for algorithm in Algorithm::PAPER_VARIANTS {
         let ctx = ValuationContext::new(&substrate, config.estimator);
-        let result = algorithm.run(&ctx, &config);
+        let result = algorithm.run(&ctx, &config, 1);
         assert!(!result.is_empty(), "{}", algorithm.name());
         let perfs: Vec<&[f64]> = result.entries.iter().map(|e| e.perf.as_slice()).collect();
         assert_eq!(
