@@ -3,8 +3,8 @@
 //! against the same thing.
 //!
 //! A "cluster" here is N shard daemons — each a full [`Service`] behind
-//! its own reactor [`Daemon`], with its **own engine and its own bounded
-//! shared evaluation cache** — fronted by one [`Router`]. Every shard
+//! its own reactor [`Daemon`], with its **own engine and its own shared
+//! evaluation cache** — fronted by one [`Router`]. Every shard
 //! registers the full scenario set over *fresh* substrate instances
 //! (substrates are live objects that never cross the wire; distinct
 //! instances share no memo state), and the router's rendezvous map decides
@@ -13,11 +13,8 @@
 //! The workload is `namespaces` independent synthetic tabular pools
 //! (distinct seeds ⇒ distinct datasets and fingerprints), two scenarios
 //! each (`ws<i>/apx`, `ws<i>/bi`) sharing the pool's cache namespace
-//! `ws<i>-pool`. The two capacities bound per-process resources: with an
-//! engine cache of roughly one namespace's working set and a tiny
-//! substrate memo, a single shard serving every namespace thrashes its
-//! cache between waves while each shard of a 2-shard cluster keeps its
-//! namespaces resident (not measured today; ROADMAP item 2 lists it).
+//! `ws<i>-pool`. Every shard's engine cache and every substrate's memo are
+//! unbounded: the workload checks placement and answers, not eviction.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -42,11 +39,6 @@ pub struct ClusterWorkload {
     pub rows: usize,
     /// Search state budget per scenario.
     pub max_states: usize,
-    /// Per-shard engine shared-cache capacity (entries; 0 = unbounded).
-    pub engine_cache_capacity: usize,
-    /// Per-substrate raw-metrics memo capacity (kept tiny so the shared
-    /// cache — the store sharding partitions — carries the hits).
-    pub memo_capacity: usize,
 }
 
 impl ClusterWorkload {
@@ -85,8 +77,9 @@ impl ClusterWorkload {
     /// Registers the full scenario set on a service over fresh substrate
     /// instances (deterministic in the pool index).
     pub fn register_on(&self, service: &Service) {
+        // 0: each substrate remembers every state it valuated.
         let space = TableSpaceConfig {
-            eval_cache_capacity: self.memo_capacity,
+            eval_cache_capacity: 0,
             ..TableSpaceConfig::default()
         };
         let config = self.config();
@@ -112,13 +105,11 @@ impl ClusterWorkload {
         }
     }
 
-    /// The per-shard service configuration (bounded engine cache). One
-    /// cache shard, so the configured capacity is exact — with the default
-    /// 16 shards a small capacity splinters into per-shard slivers whose
-    /// hash imbalance evicts even a fitting working set.
+    /// The per-shard service configuration: one unbounded engine-cache
+    /// shard (`cache_capacity` 0), so no shard ever evicts.
     pub fn service_config(&self) -> ServiceConfig {
         ServiceConfig::default().with_engine(EngineConfig {
-            cache_capacity: self.engine_cache_capacity,
+            cache_capacity: 0,
             cache_shards: 1,
             ..EngineConfig::default()
         })
@@ -369,8 +360,6 @@ mod tests {
             namespaces: 2,
             rows: 120,
             max_states: 6,
-            engine_cache_capacity: 0,
-            memo_capacity: 0,
         };
         let cluster = workload.build_cluster(2);
         let names = workload.scenario_names();

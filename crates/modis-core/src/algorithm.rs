@@ -2,9 +2,9 @@
 //! service's wire protocol and the experiment harness.
 
 use crate::apx::apx_modis_with_context;
-use crate::bimodis::bi_modis_with_context;
+use crate::bimodis::bi_search;
 use crate::config::{ModisConfig, SkylineResult};
-use crate::divmodis::div_modis_with_context;
+use crate::divmodis::div_search;
 use crate::estimator::ValuationContext;
 use crate::exact::exact_modis_with_context;
 use crate::substrate::Substrate;
@@ -46,10 +46,12 @@ impl Algorithm {
         }
     }
 
-    /// Runs the search. ApxMODis and the exact algorithm train up to
-    /// `workers` states at a time and return the same result for every
-    /// `workers` value; BiMODis, NOBiMODis and DivMODis valuate one child at
-    /// a time on the calling thread.
+    /// Runs the search, training up to `workers` states at a time; every
+    /// `workers` value returns the same result. ApxMODis and the exact
+    /// algorithm train their whole traversal that way, NOBiMODis and
+    /// DivMODis every step's children, and BiMODis its start pair and the
+    /// children it valuates before its pruning is armed; the surrogate
+    /// phase runs on the calling thread.
     ///
     /// # Panics
     ///
@@ -63,9 +65,9 @@ impl Algorithm {
     ) -> SkylineResult {
         match self {
             Algorithm::Apx => apx_modis_with_context(ctx, config, workers),
-            Algorithm::NoBi => bi_modis_with_context(ctx, config, false).0,
-            Algorithm::Bi => bi_modis_with_context(ctx, config, true).0,
-            Algorithm::Div => div_modis_with_context(ctx, config),
+            Algorithm::NoBi => bi_search(ctx, config, false, workers).0,
+            Algorithm::Bi => bi_search(ctx, config, true, workers).0,
+            Algorithm::Div => div_search(ctx, config, workers),
             Algorithm::Exact => exact_modis_with_context(ctx, config, workers),
         }
     }

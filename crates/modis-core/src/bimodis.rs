@@ -31,7 +31,7 @@ pub fn nobi_modis<S: Substrate + ?Sized>(substrate: &S, config: &ModisConfig) ->
 }
 
 /// Statistics specific to the bi-directional search.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BiStats {
     /// Number of children skipped by correlation-based pruning.
     pub pruned: usize,
@@ -39,13 +39,30 @@ pub struct BiStats {
     pub levels: usize,
 }
 
+/// How many parent → child transitions arm BiMODis' pruning: before that
+/// many deltas are observed, every child is valuated.
+const ARMED_AFTER: usize = 3;
+
 /// Runs the bi-directional search with an externally managed valuation
 /// context (lets callers install an [`crate::estimator::EvaluationHook`]
-/// and share test records across runs).
+/// and share test records across runs), on the calling thread.
 pub fn bi_modis_with_context<S: Substrate + ?Sized>(
     ctx: &ValuationContext<'_, S>,
     config: &ModisConfig,
     prune: bool,
+) -> (SkylineResult, BiStats) {
+    bi_search(ctx, config, prune, 1)
+}
+
+/// The bi-directional search, training up to `workers` states at a time
+/// what it is certain to valuate: its start pair and, while the pruning
+/// is unarmed (or off, NOBiMODis), the children its next step valuates.
+/// Every `workers` value returns the same result and [`BiStats`].
+pub(crate) fn bi_search<S: Substrate + ?Sized>(
+    ctx: &ValuationContext<'_, S>,
+    config: &ModisConfig,
+    prune: bool,
+    workers: usize,
 ) -> (SkylineResult, BiStats) {
     let start = Instant::now();
     let substrate = ctx.substrate();
@@ -57,6 +74,22 @@ pub fn bi_modis_with_context<S: Substrate + ?Sized>(
 
     let s_u = substrate.forward_start();
     let s_b = substrate.backward_start();
+    // One visited set for both directions: a state reachable from both ends
+    // is expanded by whichever frontier spawns it first — the paper's
+    // Q_f ∩ Q_b ≠ ∅ termination is approximated by the level cap.
+    let mut visited = VisitedSet::new();
+    let mut forward = Frontier::new(substrate, Direction::Forward, config.max_level);
+    let mut backward = Frontier::new(substrate, Direction::Backward, config.max_level);
+    // The frontiers start before the start pair is valuated, so the pair and
+    // the forward frontier's first children are trained in one wave; each
+    // start node gets its performance vector once valuated.
+    forward.start(&mut visited, s_u.clone(), Vec::new());
+    backward.start(&mut visited, s_b.clone(), Vec::new());
+    let pair = [&s_u, &s_b];
+    let pair = if s_b != s_u { &pair[..] } else { &pair[..1] };
+    let certain = if prune { ARMED_AFTER } else { usize::MAX };
+    forward.train_ahead(&visited, ctx, config, workers, pair, certain);
+
     let perf_u = ctx.valuate(&s_u);
     skyline.offer(&s_u, &perf_u, 0);
     let perf_b = if s_b != s_u {
@@ -66,15 +99,9 @@ pub fn bi_modis_with_context<S: Substrate + ?Sized>(
     } else {
         perf_u.clone()
     };
-
-    // One visited set for both directions: a state reachable from both ends
-    // is expanded by whichever frontier spawns it first — the paper's
-    // Q_f ∩ Q_b ≠ ∅ termination is approximated by the level cap.
-    let mut visited = VisitedSet::new();
-    let mut forward = Frontier::new(substrate, Direction::Forward, config.max_level);
-    let mut backward = Frontier::new(substrate, Direction::Backward, config.max_level);
-    forward.start(&mut visited, s_u, perf_u);
-    backward.start(&mut visited, s_b, perf_b);
+    for (frontier, perf) in [(&mut forward, perf_u), (&mut backward, perf_b)] {
+        *frontier.front_payload_mut().expect("a started frontier") = perf;
+    }
 
     let open = || ctx.num_valuated() < config.max_states;
     while open() && (forward.next_level().is_some() || backward.next_level().is_some()) {
@@ -85,23 +112,41 @@ pub fn bi_modis_with_context<S: Substrate + ?Sized>(
             if let Some(level) = frontier.next_level().filter(|&l| l < config.max_level) {
                 stats.levels = stats.levels.max(level + 1);
             }
-            frontier.step(&mut visited, open, |child, level, parent_perf| {
-                if let Some(corr) = corr.as_ref().filter(|_| deltas.observations() >= 3) {
-                    let bounds =
-                        PerfBounds::from_parent(parent_perf, &deltas.min, &deltas.max, corr);
-                    let dominated = skyline
-                        .entries()
-                        .any(|e| bounds.epsilon_dominated_by(&e.perf, config.epsilon));
-                    if dominated {
-                        stats.pruned += 1;
-                        return None;
+            // Armed, the prune test reads the skyline and the deltas that
+            // every earlier sibling's valuation can move, so no child is
+            // certain to be valuated before its turn.
+            let certain = if prune {
+                ARMED_AFTER.saturating_sub(deltas.observations())
+            } else {
+                usize::MAX
+            };
+            frontier.step_valuating(
+                &mut visited,
+                ctx,
+                config,
+                workers,
+                certain,
+                |child, level, parent_perf| {
+                    if let Some(corr) = corr
+                        .as_ref()
+                        .filter(|_| deltas.observations() >= ARMED_AFTER)
+                    {
+                        let bounds =
+                            PerfBounds::from_parent(parent_perf, &deltas.min, &deltas.max, corr);
+                        let dominated = skyline
+                            .entries()
+                            .any(|e| bounds.epsilon_dominated_by(&e.perf, config.epsilon));
+                        if dominated {
+                            stats.pruned += 1;
+                            return None;
+                        }
                     }
-                }
-                let perf = ctx.valuate(child);
-                deltas.observe(parent_perf, &perf);
-                skyline.offer(child, &perf, level);
-                Some(perf)
-            });
+                    let perf = ctx.valuate(child);
+                    deltas.observe(parent_perf, &perf);
+                    skyline.offer(child, &perf, level);
+                    Some(perf)
+                },
+            );
         }
     }
 
@@ -165,9 +210,9 @@ mod tests {
         assert!(stats_with.pruned < 10_000);
     }
 
-    /// What pruning skips and what both variants valuate, pinned: reading the
-    /// skyline by reference and building `G_C` only when pruning must not
-    /// move a count.
+    /// What pruning skips and what both variants valuate, pinned at one
+    /// worker and at four: reading the skyline by reference, building `G_C`
+    /// only when pruning and training ahead must not move a count.
     #[test]
     fn pruning_and_valuation_counts_are_pinned() {
         let cases = [
@@ -191,20 +236,28 @@ mod tests {
                 .with_max_states(500)
                 .with_max_level(5);
             let sub = MockSubstrate::new(n);
-            let run =
-                |prune| bi_modis_with_context(&ValuationContext::new(&sub, estimator), &cfg, prune);
-            let ((bi, stats), (nobi, nobi_stats)) = (run(true), run(false));
-            assert_eq!(
-                (
-                    stats.pruned,
-                    bi.states_valuated,
-                    bi.len(),
-                    nobi.states_valuated
-                ),
-                expected,
-                "n={n} surrogate={surrogate} ε={epsilon}"
-            );
-            assert_eq!(nobi_stats.pruned, 0);
+            for workers in [1, 4] {
+                let run = |prune| {
+                    bi_search(
+                        &ValuationContext::new(&sub, estimator),
+                        &cfg,
+                        prune,
+                        workers,
+                    )
+                };
+                let ((bi, stats), (nobi, nobi_stats)) = (run(true), run(false));
+                assert_eq!(
+                    (
+                        stats.pruned,
+                        bi.states_valuated,
+                        bi.len(),
+                        nobi.states_valuated
+                    ),
+                    expected,
+                    "n={n} surrogate={surrogate} ε={epsilon} workers={workers}"
+                );
+                assert_eq!(nobi_stats.pruned, 0);
+            }
         }
     }
 

@@ -106,10 +106,21 @@ pub fn div_modis<S: Substrate + ?Sized>(substrate: &S, config: &ModisConfig) -> 
 
 /// Runs DivMODis with an externally managed valuation context (lets callers
 /// install an [`crate::estimator::EvaluationHook`] and share test records
-/// across runs).
+/// across runs), on the calling thread.
 pub fn div_modis_with_context<S: Substrate + ?Sized>(
     ctx: &ValuationContext<'_, S>,
     config: &ModisConfig,
+) -> SkylineResult {
+    div_search(ctx, config, 1)
+}
+
+/// DivMODis, training up to `workers` states at a time: it valuates every
+/// child a step spawns, so each step's children are trained ahead. Every
+/// `workers` value returns the same result.
+pub(crate) fn div_search<S: Substrate + ?Sized>(
+    ctx: &ValuationContext<'_, S>,
+    config: &ModisConfig,
+    workers: usize,
 ) -> SkylineResult {
     let start = Instant::now();
     let substrate = ctx.substrate();
@@ -138,14 +149,21 @@ pub fn div_modis_with_context<S: Substrate + ?Sized>(
             skyline.replace_entries(diversified);
             current_level = level;
         }
-        frontier.step(&mut visited, open, |child, level, _| {
-            let perf = ctx.valuate(child);
-            for rec in skyline.entries() {
-                euc_max = euc_max.max(euclidean(&rec.perf, &perf));
-            }
-            skyline.offer(child, &perf, level);
-            Some(())
-        });
+        frontier.step_valuating(
+            &mut visited,
+            ctx,
+            config,
+            workers,
+            usize::MAX,
+            |child, level, _| {
+                let perf = ctx.valuate(child);
+                for rec in skyline.entries() {
+                    euc_max = euc_max.max(euclidean(&rec.perf, &perf));
+                }
+                skyline.offer(child, &perf, level);
+                Some(())
+            },
+        );
     }
 
     // Final diversification pass.

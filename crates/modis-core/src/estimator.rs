@@ -217,6 +217,16 @@ pub struct ValuationStats {
     pub estimate_reuses: usize,
 }
 
+/// An oracle valuation made ahead of the moment the search valuates its
+/// state (`ValuationContext::train_ahead`); it waits, out of `T`, until
+/// [`ValuationContext::valuate_oracle`] commits it.
+pub(crate) enum Ahead {
+    /// The [`EvaluationHook`]'s recorded evaluation.
+    Shared(SharedEvaluation),
+    /// Raw metrics the substrate's oracle trained.
+    Trained(Vec<f64>),
+}
+
 struct Inner {
     records: Vec<TestRecord>,
     /// `Substrate::state_features` of `records[i]`'s state, once something
@@ -228,6 +238,9 @@ struct Inner {
     /// [`modis_data::bitmap::WordHasher`]: only the search inserts here (a
     /// hook's evaluations enter under the state the search asked for).
     by_bitmap: HashMap<StateBitmap, usize, BuildWordHasher>,
+    /// Oracle valuations made ahead, by state; empty between a search's
+    /// steps.
+    parked: HashMap<StateBitmap, Ahead, BuildWordHasher>,
     surrogate: Option<Arc<FittedSurrogate>>,
     records_at_last_fit: usize,
     oracle_records: usize,
@@ -281,6 +294,7 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
                 records: Vec::new(),
                 features: Vec::new(),
                 by_bitmap: HashMap::default(),
+                parked: HashMap::default(),
                 surrogate: None,
                 records_at_last_fit: 0,
                 oracle_records: 0,
@@ -343,9 +357,17 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
     ///
     /// When an [`EvaluationHook`] is installed, a recorded evaluation of the
     /// same state is loaded instead of retraining; fresh valuations are
-    /// published back through the hook.
+    /// published back through the hook. A valuation the context made ahead
+    /// for this state (`train_ahead`) is committed here, as if it were made
+    /// now.
     pub fn valuate_oracle(&self, bitmap: &StateBitmap) -> Vec<f64> {
-        if let Some(hit) = self.hook.as_ref().and_then(|h| h.lookup(bitmap)) {
+        let ahead = self.inner.lock().parked.remove(bitmap);
+        let shared = match ahead {
+            Some(Ahead::Trained(raw)) => return self.record_oracle(bitmap, raw),
+            Some(Ahead::Shared(hit)) => Some(hit),
+            None => self.hook.as_ref().and_then(|h| h.lookup(bitmap)),
+        };
+        if let Some(hit) = shared {
             let mut inner = self.inner.lock();
             inner.stats.shared_hits += 1;
             inner.commit_oracle(bitmap, &hit.perf, hit.raw);
@@ -353,7 +375,7 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
             self.maybe_refit();
             return hit.perf;
         }
-        self.record_oracle(bitmap, self.substrate.evaluate_raw(bitmap), false)
+        self.record_oracle(bitmap, self.substrate.evaluate_raw(bitmap))
     }
 
     /// The installed [`EvaluationHook`], if any; a schedule's waves probe it
@@ -383,11 +405,6 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
         }
     }
 
-    /// Number of oracle-backed records in `T` (drives the surrogate warm-up).
-    pub(crate) fn oracle_record_count(&self) -> usize {
-        self.inner.lock().oracle_records
-    }
-
     /// Whether `bitmap` already has a record in `T`. [`Self::valuate`] on
     /// such a state is a memo hit: it returns the stored performance without
     /// consuming valuation budget. Schedules use this to replay the
@@ -396,38 +413,84 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
         self.inner.lock().by_bitmap.contains_key(bitmap)
     }
 
-    /// Commits an oracle evaluation whose raw metrics the caller computed
-    /// (here, or on a wave's worker thread): the record enters `T`
-    /// oracle-backed, counters advance, and the surrogate refit schedule is
-    /// consulted. `from_shared` marks results loaded from the shared cache
-    /// (counted as hits, not published back).
+    /// Holds oracle valuations made ahead until [`Self::valuate_oracle`]
+    /// asks for their states; nothing else reads them.
+    pub(crate) fn park<'s>(&self, ahead: impl IntoIterator<Item = (&'s StateBitmap, Ahead)>) {
+        let mut inner = self.inner.lock();
+        for (state, valuation) in ahead {
+            inner.parked.insert(state.clone(), valuation);
+        }
+    }
+
+    /// How many valuations made ahead wait for their state's valuation.
+    pub(crate) fn parked(&self) -> usize {
+        self.inner.lock().parked.len()
+    }
+
+    /// Of `states`, named in the order a one-at-a-time search valuates
+    /// them, those it would train with the oracle while `T` holds fewer
+    /// than `max_states` records, less those already made ahead. A state
+    /// `T` holds is a memo hit and skipped; every other state takes a
+    /// record, and the oracle's only until the surrogate takes over (none
+    /// in its phase). `states` is read under the context's lock, so it must
+    /// not call into the context.
+    pub(crate) fn oracle_states_ahead<'s>(
+        &self,
+        states: impl IntoIterator<Item = &'s StateBitmap>,
+        max_states: usize,
+    ) -> Vec<&'s StateBitmap> {
+        let inner = self.inner.lock();
+        let oracle_left = match self.mode {
+            EstimatorMode::Oracle => usize::MAX,
+            EstimatorMode::Surrogate { warmup, .. } => {
+                if inner.oracle_records >= warmup && inner.surrogate.is_some() {
+                    return Vec::new();
+                }
+                // `max(1)`: with no model fitted yet the next state is the
+                // oracle's even when the warm-up count is met.
+                warmup.saturating_sub(inner.oracle_records).max(1)
+            }
+        };
+        let mut left = max_states
+            .saturating_sub(inner.records.len())
+            .min(oracle_left);
+        let mut ahead = Vec::new();
+        for state in states {
+            if left == 0 {
+                break;
+            }
+            if inner.by_bitmap.contains_key(state) {
+                continue;
+            }
+            left -= 1;
+            if !inner.parked.contains_key(state) {
+                ahead.push(state);
+            }
+        }
+        ahead
+    }
+
+    /// Commits an oracle evaluation the substrate trained (here, or ahead
+    /// on a wave's worker thread): it is published to the hook, the record
+    /// enters `T` oracle-backed, counters advance, and the surrogate refit
+    /// schedule is consulted.
     ///
     /// Returns the normalised performance vector.
-    pub(crate) fn record_oracle(
-        &self,
-        bitmap: &StateBitmap,
-        raw: Vec<f64>,
-        from_shared: bool,
-    ) -> Vec<f64> {
+    fn record_oracle(&self, bitmap: &StateBitmap, raw: Vec<f64>) -> Vec<f64> {
         let perf = self.substrate.measures().normalise(&raw);
-        if from_shared {
-            let mut inner = self.inner.lock();
-            inner.stats.shared_hits += 1;
-            inner.commit_oracle(bitmap, &perf, raw);
-        } else {
-            if let Some(hook) = &self.hook {
-                hook.record(
-                    bitmap,
-                    &SharedEvaluation {
-                        raw: raw.clone(),
-                        perf: perf.clone(),
-                    },
-                );
-            }
-            let mut inner = self.inner.lock();
-            inner.stats.oracle_calls += 1;
-            inner.commit_oracle(bitmap, &perf, raw);
+        if let Some(hook) = &self.hook {
+            hook.record(
+                bitmap,
+                &SharedEvaluation {
+                    raw: raw.clone(),
+                    perf: perf.clone(),
+                },
+            );
         }
+        let mut inner = self.inner.lock();
+        inner.stats.oracle_calls += 1;
+        inner.commit_oracle(bitmap, &perf, raw);
+        drop(inner);
         self.maybe_refit();
         perf
     }
@@ -657,7 +720,7 @@ mod tests {
         for i in 2..6 {
             ctx.valuate_oracle(&full.flipped(0).flipped(i));
         }
-        assert_eq!(ctx.oracle_record_count(), 13);
+        assert_eq!(ctx.records().iter().filter(|r| r.oracle).count(), 13);
         let calls = sub.feature_calls.lock();
         assert_eq!(calls.len(), 13, "every oracle record was featurised");
         assert!(calls.values().all(|&n| n == 1), "{calls:?}");

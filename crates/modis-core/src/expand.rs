@@ -1,22 +1,29 @@
-//! How a [`ValuationContext`] valuates a schedule: in waves.
+//! How a [`ValuationContext`] trains ahead: in waves.
 //!
-//! ApxMODis and the exact algorithm share a property: their traversal order
-//! is a pure function of the search-space structure — `OpGen` children are
-//! spawned, deduplicated and queued regardless of how they *score*. Each of
-//! them therefore lists its traversal first
-//! ([`crate::search_common::forward_schedule`]) and then has the context
-//! valuate that list in waves: the installed [`EvaluationHook`] is probed on
-//! the calling thread, up to `workers` threads train the states it misses,
-//! and the results are *committed* — recorded in the context and handed to
-//! the search — strictly in schedule order.
+//! A search knows some of its oracle valuations before it makes them.
+//! ApxMODis and the exact algorithm know all of them: their traversal is a
+//! pure function of the search-space structure (`OpGen` children are
+//! spawned, deduplicated and queued regardless of how they *score*), so each
+//! lists it first ([`crate::search_common::forward_schedule`]) and has the
+//! context valuate the list, a wave at a time. NOBiMODis and DivMODis valuate
+//! every child a step spawns, and BiMODis its start pair and, until its
+//! pruning is armed, its first children; they name those before each step
+//! ([`crate::search_common::Frontier::train_ahead`]), BiMODis its start pair
+//! together with its first step's.
 //!
-//! Because commits happen in the order a one-state-at-a-time search would
-//! valuate, the outcome is the same for every worker count, 1 included.
-//! Under [`EstimatorMode::Surrogate`] waves never straddle the
+//! Either way the context trains the named states ahead
+//! ([`ValuationContext::train_ahead`]): the installed [`EvaluationHook`] is
+//! probed on the calling thread, up to `workers` threads train the states
+//! it misses, and each result is *parked* until the search valuates its
+//! state. Only then is it committed — recorded in the context, published
+//! to the hook, counted and handed to the search — so commits happen in
+//! the order a one-state-at-a-time search makes them and the outcome is the
+//! same for every worker count, 1 included. Under
+//! [`EstimatorMode::Surrogate`] nothing is trained past the
 //! oracle→surrogate switch-over, and the cheap surrogate phase runs one
-//! state at a time. BiMODis prunes a child against a skyline its earlier
-//! siblings have just grown, so its traversal depends on every earlier
-//! valuation and it valuates one child at a time (still through the hook).
+//! state at a time. Once BiMODis' pruning is armed, whether a child is
+//! valuated depends on its earlier siblings' valuations, so it trains
+//! nothing ahead and valuates one child at a time (still through the hook).
 //!
 //! [`EvaluationHook`]: crate::estimator::EvaluationHook
 
@@ -24,68 +31,69 @@ use std::time::Instant;
 
 use modis_data::StateBitmap;
 
-use crate::estimator::{EstimatorMode, ValuationContext};
+use crate::estimator::{Ahead, ValuationContext};
 use crate::pool::probe_then_map;
 use crate::substrate::Substrate;
 use crate::telemetry;
 
-/// How many schedule entries each worker thread gets per wave, on average.
+/// How many states each worker thread gets per wave, on average.
 const WAVE_FACTOR: usize = 4;
 
 impl<S: Substrate + ?Sized> ValuationContext<'_, S> {
     /// Valuates `schedule` in order and hands every entry to
-    /// `commit(state, level, perf)` in schedule order: oracle phases in
-    /// waves trained by up to `workers` threads, states the context already
-    /// holds and the surrogate phase one at a time. Counters, budget and
-    /// the surrogate's refits come out as if every state had gone through
-    /// [`ValuationContext::valuate`] in turn.
+    /// `commit(state, level, perf)` in schedule order: a wave of entries is
+    /// trained ahead by up to `workers` threads, then valuated one at a
+    /// time. Counters, budget and the surrogate's refits come out as if
+    /// every state had gone through [`ValuationContext::valuate`] in turn,
+    /// because every state does.
     pub(crate) fn valuate_schedule(
         &self,
         schedule: &[(StateBitmap, usize)],
         workers: usize,
         mut commit: impl FnMut(&StateBitmap, usize, Vec<f64>),
     ) {
-        let mut i = 0;
-        while i < schedule.len() {
-            if self.surrogate_active() {
-                for (state, level) in &schedule[i..] {
-                    commit(state, *level, self.valuate(state));
-                }
-                return;
-            }
-            // States already recorded in a (pre-warmed) context are memo hits
-            // one at a time — replay them through `valuate` so counters and
-            // budget behave identically, and never hand them to a wave.
-            let (state, level) = &schedule[i];
-            if self.contains(state) {
+        for wave in schedule.chunks(workers.max(1) * WAVE_FACTOR) {
+            let states = wave.iter().map(|(state, _)| state);
+            self.train_ahead(states, usize::MAX, workers);
+            for (state, level) in wave {
                 commit(state, *level, self.valuate(state));
-                i += 1;
-                continue;
             }
-            let mut take = (workers.max(1) * WAVE_FACTOR).min(schedule.len() - i);
-            if let EstimatorMode::Surrogate { warmup, .. } = self.mode() {
-                // Never straddle the oracle→surrogate switch-over: the states
-                // a one-at-a-time run would score with the surrogate must not
-                // be trained by an over-eager wave.
-                let remaining_warmup = warmup.saturating_sub(self.oracle_record_count());
-                take = take.min(remaining_warmup.max(1));
-            }
-            // A wave holds only fresh states; it ends at the next memoised one.
-            let mut end = i + 1;
-            while end < i + take && !self.contains(&schedule[end].0) {
-                end += 1;
-            }
-            let wave = &schedule[i..end];
+        }
+    }
+
+    /// Makes ahead the oracle valuations of `states` (distinct, in the
+    /// order the search will valuate them, within a budget of `max_states`
+    /// records), in waves of up to `workers · WAVE_FACTOR` states: the hook
+    /// is probed on the calling thread and the misses are trained across
+    /// the pool. Each result is parked until
+    /// [`ValuationContext::valuate_oracle`] asks for its state, which
+    /// commits it then.
+    ///
+    /// Only what the one-at-a-time search would train is made ahead
+    /// (`oracle_states_ahead`): no memo hit, nothing past the budget, and
+    /// nothing the surrogate would estimate. The caller names only states
+    /// it is certain to valuate: a parked result nobody asks for would be a
+    /// training the one-at-a-time search never pays. `states` is read under
+    /// the context's lock, so it must not call into the context.
+    pub(crate) fn train_ahead<'s>(
+        &self,
+        states: impl IntoIterator<Item = &'s StateBitmap>,
+        max_states: usize,
+        workers: usize,
+    ) {
+        let ahead = self.oracle_states_ahead(states, max_states);
+        for wave in ahead.chunks(workers.max(1) * WAVE_FACTOR) {
             let wave_start = Instant::now();
             // Spans open on the coordinator thread, so they inherit the
             // enclosing scenario span's trace through the thread-local stack;
             // "valuation" times the thread-pool pass itself, "wave" adds the
-            // scatter/commit bookkeeping around it.
+            // parking around it.
             let ambient = telemetry::ambient();
             let _wave_span = ambient.as_ref().map(|t| t.tracer.span("wave"));
             let valuation_span = ambient.as_ref().map(|t| t.tracer.span("valuation"));
             let results = self.evaluate_wave(wave, workers);
             drop(valuation_span);
+            self.park(wave.iter().copied().zip(results));
             if let Some(telemetry) = ambient {
                 telemetry
                     .metrics
@@ -102,30 +110,24 @@ impl<S: Substrate + ?Sized> ValuationContext<'_, S> {
                     )
                     .record(wave.len() as u64);
             }
-            for ((state, level), (raw, from_shared)) in wave.iter().zip(results) {
-                commit(state, *level, self.record_oracle(state, raw, from_shared));
-            }
-            i = end;
         }
     }
 
-    /// The raw metrics of one wave's states, in wave order, each flagged
-    /// `true` when the hook answered it rather than the substrate's oracle.
-    /// The hook is probed on the calling thread; the misses are trained
-    /// across the pool.
-    fn evaluate_wave(
-        &self,
-        wave: &[(StateBitmap, usize)],
-        workers: usize,
-    ) -> Vec<(Vec<f64>, bool)> {
+    /// The oracle valuations of one wave's states, in wave order: the
+    /// hook's evaluation where it has one, probed on the calling thread,
+    /// and the misses trained across the pool.
+    fn evaluate_wave(&self, wave: &[&StateBitmap], workers: usize) -> Vec<Ahead> {
         let substrate = self.substrate();
         let hook = self.hook();
         probe_then_map(
             wave.len(),
             workers,
-            |i| hook.and_then(|h| h.lookup(&wave[i].0)).map(|hit| hit.raw),
-            |i| substrate.evaluate_raw(&wave[i].0),
+            |i| hook.and_then(|h| h.lookup(wave[i])).map(Ahead::Shared),
+            |i| Ahead::Trained(substrate.evaluate_raw(wave[i])),
         )
+        .into_iter()
+        .map(|(valuation, _)| valuation)
+        .collect()
     }
 }
 
@@ -136,9 +138,12 @@ mod tests {
     use std::thread::ThreadId;
 
     use super::*;
+    use crate::algorithm::Algorithm;
     use crate::apx::{apx_modis_with_context, reference_apx};
+    use crate::bimodis::{bi_search, BiStats};
     use crate::config::{ModisConfig, SkylineResult};
-    use crate::estimator::{EvaluationHook, SharedEvaluation};
+    use crate::divmodis::div_search;
+    use crate::estimator::{EstimatorMode, EvaluationHook, SharedEvaluation};
     use crate::exact::{exact_modis_with_context, reference_exact};
     use crate::search_common::forward_schedule;
     use crate::substrate::mock::MockSubstrate;
@@ -338,6 +343,201 @@ mod tests {
             let ctx = ValuationContext::new(&sub, EstimatorMode::Oracle);
             let waved = exact_modis_with_context(&ctx, &cfg, workers);
             assert_same_result(&waved, &reference, workers);
+        }
+    }
+
+    /// A [`MockSubstrate`] that logs every training: the state and the
+    /// thread it ran on.
+    struct Counted {
+        inner: MockSubstrate,
+        trained: Mutex<Vec<(StateBitmap, ThreadId)>>,
+    }
+
+    impl Counted {
+        fn new(n: usize) -> Self {
+            Counted {
+                inner: MockSubstrate::new(n),
+                trained: Mutex::default(),
+            }
+        }
+
+        /// The trained states, sorted: a multiset.
+        fn trained(&self) -> Vec<StateBitmap> {
+            let mut states: Vec<StateBitmap> = self
+                .trained
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|(state, _)| state.clone())
+                .collect();
+            states.sort();
+            states
+        }
+
+        /// Whether a training ran off the calling thread: a wave held at
+        /// least two states the hook missed.
+        fn trained_on_the_pool(&self) -> bool {
+            let caller = std::thread::current().id();
+            self.trained
+                .lock()
+                .unwrap()
+                .iter()
+                .any(|&(_, t)| t != caller)
+        }
+    }
+
+    impl Substrate for Counted {
+        fn num_units(&self) -> usize {
+            self.inner.num_units()
+        }
+        fn unit_label(&self, unit: usize) -> String {
+            self.inner.unit_label(unit)
+        }
+        fn backward_start(&self) -> StateBitmap {
+            self.inner.backward_start()
+        }
+        fn measures(&self) -> &crate::measure::MeasureSet {
+            self.inner.measures()
+        }
+        fn evaluate_raw(&self, bitmap: &StateBitmap) -> Vec<f64> {
+            let thread = std::thread::current().id();
+            self.trained.lock().unwrap().push((bitmap.clone(), thread));
+            self.inner.evaluate_raw(bitmap)
+        }
+        fn state_features(&self, bitmap: &StateBitmap) -> Vec<f64> {
+            self.inner.state_features(bitmap)
+        }
+        fn artifact_size(&self, bitmap: &StateBitmap) -> (usize, usize) {
+            self.inner.artifact_size(bitmap)
+        }
+    }
+
+    /// The searches that train ahead per `Frontier` step.
+    const FRONTIER_SEARCHES: [Algorithm; 3] = [Algorithm::Bi, Algorithm::NoBi, Algorithm::Div];
+
+    fn frontier_search<S: Substrate + ?Sized>(
+        algorithm: Algorithm,
+        ctx: &ValuationContext<'_, S>,
+        cfg: &ModisConfig,
+        workers: usize,
+    ) -> (SkylineResult, BiStats) {
+        match algorithm {
+            Algorithm::Bi => bi_search(ctx, cfg, true, workers),
+            Algorithm::NoBi => bi_search(ctx, cfg, false, workers),
+            Algorithm::Div => (div_search(ctx, cfg, workers), BiStats::default()),
+            other => unreachable!("{other:?} lists its whole traversal"),
+        }
+    }
+
+    /// Bi, NOBi and Div at 2 / 4 / 8 workers return what they return at 1
+    /// — entries on their bits, `states_valuated`, the whole
+    /// `ValuationStats` and `BiStats` — and train exactly the states the
+    /// 1-worker run trains, each as often. Every run has its own substrate
+    /// and a context in `cfg.estimator`'s mode, first pre-warmed by a
+    /// reference ApxMODis run under `prewarm` when one is given. Returns
+    /// whether some search trained a wave of two or more states on the pool.
+    fn frontier_searches_match_one_worker(
+        n: usize,
+        cfg: &ModisConfig,
+        prewarm: Option<&ModisConfig>,
+    ) -> bool {
+        let mut pooled = false;
+        for algorithm in FRONTIER_SEARCHES {
+            let run = |workers: usize| {
+                let sub = Counted::new(n);
+                let ctx = ValuationContext::new(&sub, cfg.estimator);
+                if let Some(warm_cfg) = prewarm {
+                    let _ = reference_apx(&ctx, warm_cfg);
+                }
+                let (result, stats) = frontier_search(algorithm, &ctx, cfg, workers);
+                (result, stats, sub.trained(), sub.trained_on_the_pool())
+            };
+            let (reference, reference_stats, reference_trained, serial) = run(1);
+            assert!(!serial, "{algorithm:?}: one worker trains on the caller");
+            for workers in [2, 4, 8] {
+                let (result, stats, trained, on_pool) = run(workers);
+                let label = format!("{algorithm:?} x{workers}");
+                assert_same_result(&result, &reference, workers);
+                assert_eq!(stats, reference_stats, "{label}");
+                assert_eq!(trained, reference_trained, "{label}: trainings");
+                pooled |= on_pool;
+            }
+        }
+        pooled
+    }
+
+    #[test]
+    fn frontier_searches_match_one_worker_on_a_fresh_context() {
+        let cfg = oracle_config().with_max_states(120).with_max_level(5);
+        assert!(frontier_searches_match_one_worker(8, &cfg, None));
+    }
+
+    /// The warm-up caps what is trained ahead: nothing the 1-worker run
+    /// estimates with the surrogate is trained (the trainings would differ).
+    #[test]
+    fn frontier_searches_match_one_worker_across_the_surrogate_switch_over() {
+        for warmup in [3, 7] {
+            let estimator = EstimatorMode::Surrogate { warmup, refresh: 5 };
+            let cfg = oracle_config()
+                .with_estimator(estimator)
+                .with_max_states(80)
+                .with_max_level(5);
+            assert!(frontier_searches_match_one_worker(8, &cfg, None));
+        }
+    }
+
+    #[test]
+    fn frontier_searches_match_one_worker_under_a_tight_budget() {
+        let cfg = oracle_config().with_max_states(17);
+        assert!(frontier_searches_match_one_worker(10, &cfg, None));
+    }
+
+    /// A re-used context's memoised states are memo hits that consume no
+    /// budget and are never trained ahead.
+    #[test]
+    fn frontier_searches_match_one_worker_on_a_prewarmed_context() {
+        let cfg = oracle_config().with_max_states(40).with_max_level(5);
+        let warm_cfg = oracle_config().with_max_states(15);
+        assert!(frontier_searches_match_one_worker(8, &cfg, Some(&warm_cfg)));
+    }
+
+    /// A hook that answers every state is probed once per oracle valuation,
+    /// on the caller's thread, whether the state was named ahead or not;
+    /// nothing is trained and no pool thread opens.
+    #[test]
+    fn frontier_searches_on_an_all_hit_hook_look_up_on_the_callers_thread_only() {
+        let sub = Counted::new(8);
+        let cfg = oracle_config().with_max_states(120).with_max_level(5);
+        let caller = std::thread::current().id();
+        for algorithm in FRONTIER_SEARCHES {
+            let reference = {
+                let ctx = ValuationContext::new(&sub, EstimatorMode::Oracle);
+                frontier_search(algorithm, &ctx, &cfg, 1).0
+            };
+            for workers in WORKERS {
+                let hook = Arc::new(RecordingHook::default());
+                let run = || {
+                    let ctx =
+                        ValuationContext::new(&sub, EstimatorMode::Oracle).with_hook(hook.clone());
+                    frontier_search(algorithm, &ctx, &cfg, workers).0
+                };
+                let cold = run();
+                assert_same_result(&cold, &reference, workers);
+                let paid = hook.recorded.lock().unwrap().len();
+                assert_eq!(paid, cold.stats.oracle_calls);
+                assert_eq!(hook.lookup_threads.lock().unwrap().len(), paid);
+
+                hook.lookup_threads.lock().unwrap().clear();
+                sub.trained.lock().unwrap().clear();
+                let warm = run();
+                assert_same_answer(&warm, &cold, workers);
+                assert_eq!(warm.stats.oracle_calls, 0);
+                assert_eq!(warm.stats.shared_hits, paid);
+                assert!(sub.trained().is_empty(), "{algorithm:?} x{workers}");
+                let lookups = hook.lookup_threads.lock().unwrap();
+                assert_eq!(lookups.len(), paid, "one probe per valuation");
+                assert!(lookups.iter().all(|&thread| thread == caller));
+            }
         }
     }
 

@@ -22,7 +22,9 @@
 //! * [`apx`] / [`bimodis`] / [`divmodis`] / [`exact`] — the paper's
 //!   algorithms (ApxMODis, BiMODis, NOBiMODis, DivMODis, exact), named by
 //!   [`algorithm::Algorithm`]; ApxMODis and exact valuate their traversal
-//!   in waves across [`pool`]'s worker threads;
+//!   in waves across [`pool`]'s worker threads, and BiMODis, NOBiMODis and
+//!   DivMODis train there, ahead, the oracle valuations they are certain to
+//!   make;
 //! * [`baselines`] — METAM, METAM-MO, Starmie, SkSFM, H2O, HydraGAN-style
 //!   comparators;
 //! * [`config`] — run configuration and skyline results.

@@ -109,6 +109,11 @@ impl VisitedSet {
         self.seen.insert(bitmap.clone())
     }
 
+    /// Whether `bitmap` was inserted.
+    pub(crate) fn contains(&self, bitmap: &StateBitmap) -> bool {
+        self.seen.contains(bitmap)
+    }
+
     /// Number of visited states.
     pub fn len(&self) -> usize {
         self.seen.len()
@@ -133,6 +138,10 @@ pub struct Frontier<P> {
     direction: Direction,
     protected: ProtectedSet,
     max_level: usize,
+    /// The front node's children, once [`Frontier::train_ahead`] has
+    /// listed them; the step that pops the node hands out these instead of
+    /// spawning them again.
+    listed: Option<Vec<StateBitmap>>,
 }
 
 impl<P> Frontier<P> {
@@ -147,6 +156,7 @@ impl<P> Frontier<P> {
             direction,
             protected: ProtectedSet::of(substrate),
             max_level,
+            listed: None,
         }
     }
 
@@ -180,20 +190,92 @@ impl<P> Frontier<P> {
         let Some((state, payload, level)) = self.queue.pop_front() else {
             return false;
         };
-        if level < self.max_level {
-            for child in op_gen(&state, self.direction, &self.protected) {
-                if !open() {
-                    break;
-                }
-                if !visited.insert(&child) {
-                    continue;
-                }
-                if let Some(child_payload) = visit(&child, level + 1, &payload) {
-                    self.queue.push_back((child, child_payload, level + 1));
-                }
+        let children = match self.listed.take() {
+            Some(listed) => listed,
+            None if level < self.max_level => op_gen(&state, self.direction, &self.protected),
+            None => Vec::new(),
+        };
+        for child in children {
+            if !open() {
+                break;
+            }
+            if !visited.insert(&child) {
+                continue;
+            }
+            if let Some(child_payload) = visit(&child, level + 1, &payload) {
+                self.queue.push_back((child, child_payload, level + 1));
             }
         }
         true
+    }
+
+    /// The front node's `OpGen` children (none at `max_level`), spawned
+    /// once: the step that pops the node hands out these.
+    fn listed(&mut self) -> &[StateBitmap] {
+        let Some((state, _, level)) = self.queue.front() else {
+            return &[];
+        };
+        self.listed.get_or_insert_with(|| {
+            if *level < self.max_level {
+                op_gen(state, self.direction, &self.protected)
+            } else {
+                Vec::new()
+            }
+        })
+    }
+
+    /// The payload of the node the next [`Frontier::step`] pops: a start
+    /// node queued before its payload was known gets it here.
+    pub(crate) fn front_payload_mut(&mut self) -> Option<&mut P> {
+        self.queue.front_mut().map(|(_, payload, _)| payload)
+    }
+
+    /// With more than one worker and `ctx` still in its oracle phase, has
+    /// `ctx` train ahead on up to `workers` threads (its `train_ahead`, one
+    /// body with ApxMODis' waves) what the caller is certain to valuate
+    /// next, whatever anything scores: `lead`, states it valuates before
+    /// this frontier's next step, then the first `certain` children that
+    /// step hands to `visit`, as far as a budget of `config.max_states`
+    /// valuated states reaches. Each valuation still commits where the
+    /// caller makes it, so the search's outcome is the same for every
+    /// `workers`.
+    pub(crate) fn train_ahead<S: Substrate + ?Sized>(
+        &mut self,
+        visited: &VisitedSet,
+        ctx: &ValuationContext<'_, S>,
+        config: &ModisConfig,
+        workers: usize,
+        lead: &[&StateBitmap],
+        certain: usize,
+    ) {
+        if workers <= 1 || ctx.surrogate_active() {
+            return;
+        }
+        // The step skips a visited child; the budget is the context's.
+        let children = self
+            .listed()
+            .iter()
+            .filter(|child| !visited.contains(child));
+        let named = lead.iter().copied().chain(children.take(certain));
+        ctx.train_ahead(named, config.max_states, workers);
+    }
+
+    /// [`Frontier::step`] for a search that valuates through `ctx` with a
+    /// budget of `config.max_states` valuated states, the first `certain`
+    /// children trained ahead ([`Frontier::train_ahead`]).
+    pub(crate) fn step_valuating<S: Substrate + ?Sized>(
+        &mut self,
+        visited: &mut VisitedSet,
+        ctx: &ValuationContext<'_, S>,
+        config: &ModisConfig,
+        workers: usize,
+        certain: usize,
+        visit: impl FnMut(&StateBitmap, usize, &P) -> Option<P>,
+    ) -> bool {
+        self.train_ahead(visited, ctx, config, workers, &[], certain);
+        let stepped = self.step(visited, || ctx.num_valuated() < config.max_states, visit);
+        debug_assert_eq!(ctx.parked(), 0, "a state trained ahead was not valuated");
+        stepped
     }
 }
 

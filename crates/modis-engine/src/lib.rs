@@ -18,9 +18,9 @@
 //!   registry of named scenarios (substrate × algorithm × config)
 //!   concurrently under a configurable parallelism budget and returns
 //!   per-scenario [`ScenarioOutcome`]s plus cache statistics. Each search
-//!   gets [`EngineConfig::worker_threads`] workers, with which ApxMODis and
-//!   the exact algorithm train their states in waves; the skyline is the
-//!   one a single thread returns.
+//!   gets [`EngineConfig::worker_threads`] workers, to train in waves the
+//!   oracle valuations it is certain to make (BiMODis: those before its
+//!   pruning is armed); the skyline is the one a single thread returns.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -1,7 +1,7 @@
 //! The sharded cluster, end to end:
 //!
 //! 1. boot a 2-shard cluster (two full services, each with its own engine
-//!    and bounded cache, behind their own reactors) fronted by a router,
+//!    and cache, behind their own reactors) fronted by a router,
 //! 2. drive a pipelined suite through the router — placement by
 //!    rendezvous hashing is invisible to the client,
 //! 3. print per-shard (`SHARDS`) and aggregated cluster (`STATS`)
@@ -29,8 +29,6 @@ fn main() {
         namespaces: 3,
         rows: 400,
         max_states: 12,
-        engine_cache_capacity: 0,
-        memo_capacity: 0,
     };
     let cluster = workload.build_cluster(2);
     println!(

@@ -279,8 +279,6 @@ fn router_serves_cluster_verbs_and_error_paths() {
         namespaces: 2,
         rows: 100,
         max_states: 5,
-        engine_cache_capacity: 0,
-        memo_capacity: 0,
     };
     let cluster = workload.build_cluster(2);
 
@@ -343,8 +341,6 @@ fn router_drops_a_ship_frame_and_stays_in_sync() {
         namespaces: 1,
         rows: 100,
         max_states: 5,
-        engine_cache_capacity: 0,
-        memo_capacity: 0,
     };
     let cluster = workload.build_cluster(2);
     let stream = TcpStream::connect(cluster.router.addr()).unwrap();
@@ -383,8 +379,6 @@ fn router_merges_cluster_metrics_and_trace_dumps() {
         namespaces: 2,
         rows: 100,
         max_states: 5,
-        engine_cache_capacity: 0,
-        memo_capacity: 0,
     };
     let cluster = workload.build_cluster(2);
     let names = workload.scenario_names();
@@ -515,8 +509,6 @@ fn metric_catalog_and_cluster_scrape_name_the_same_families() {
         namespaces: 2,
         rows: 100,
         max_states: 5,
-        engine_cache_capacity: 0,
-        memo_capacity: 0,
     };
     let surrogate = ModisConfig::default()
         .with_max_states(40)
@@ -617,8 +609,6 @@ fn joined_shard_serves_its_first_request_from_the_shipped_warm_cache() {
         namespaces: 2,
         rows: 160,
         max_states: 8,
-        engine_cache_capacity: 0,
-        memo_capacity: 0,
     };
     let cluster = workload.build_cluster(1);
     let names = workload.scenario_names();
@@ -1262,8 +1252,6 @@ fn a_client_that_never_reads_stalls_nobody_else_and_stop_returns() {
         namespaces: 2,
         rows: 100,
         max_states: 5,
-        engine_cache_capacity: 0,
-        memo_capacity: 0,
     };
     let cluster = workload.build_cluster(2);
     let addr = cluster.router.addr();

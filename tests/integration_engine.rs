@@ -142,6 +142,25 @@ fn the_engine_returns_what_the_core_search_returns() {
     }
 }
 
+/// A fresh BiMODis scenario at two workers trains its start pair and its
+/// first children in waves, and an operator sees them: `engine_wave_states`
+/// holds a sample of two states or more.
+#[test]
+fn a_fresh_bimodis_scenario_shows_its_waves() {
+    let substrate: Arc<dyn Substrate> = Arc::new(task_t1(21).substrate());
+    let engine = Engine::new(EngineConfig::default().with_worker_threads(2));
+    let scenario = Scenario::new("t1-bi", substrate, Algorithm::Bi, oracle_config());
+    let outcome = engine.run_scenario(&scenario);
+    assert!(outcome.result.stats.oracle_calls >= 2);
+    let waves = engine.telemetry().metrics.histogram(
+        "engine_wave_states",
+        "States valuated per parallel wave expansion.",
+    );
+    // Bucket i holds the samples of bit width i: 2 and up from bucket 2.
+    let two_or_more: u64 = waves.snapshot()[2..].iter().sum();
+    assert!(two_or_more > 0, "wave sizes {:?}", waves.snapshot());
+}
+
 #[test]
 fn suite_with_shared_pool_reports_cache_hits() {
     let substrate: Arc<dyn Substrate> = Arc::new(task_t3(5).substrate());
