@@ -6,11 +6,10 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::Instant;
 
 use modis_core::algorithm::Algorithm;
-use modis_core::estimator::{EstimatorMode, EvaluationHook, SharedEvaluation, ValuationContext};
-use modis_core::pool::{parallel_map, probe_then_map};
+use modis_core::estimator::{EstimatorMode, ValuationContext};
+use modis_core::pool::parallel_map;
 use modis_core::substrate::Substrate;
 use modis_core::telemetry::{self, MetricsRegistry, Telemetry, TraceContext, Tracer};
-use modis_data::StateBitmap;
 
 use crate::cache::{CacheStats, SharedEvalCache};
 use crate::scenario::{Scenario, ScenarioOutcome};
@@ -18,9 +17,9 @@ use crate::scenario::{Scenario, ScenarioOutcome};
 /// Engine parallelism and cache configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Threads that train states *within* one scenario (ApxMODis' and the
-    /// exact algorithm's waves) and one batch ([`Engine::valuate_states`]).
-    /// 1 disables intra-scenario parallelism.
+    /// Threads that train states *within* one scenario: every algorithm's
+    /// waves train ahead the oracle valuations its search is certain to
+    /// make. 1 disables intra-scenario parallelism.
     pub worker_threads: usize,
     /// How many scenarios of a suite run concurrently.
     pub scenario_parallelism: usize,
@@ -63,43 +62,6 @@ impl EngineConfig {
         self.scenario_parallelism = budget.max(1);
         self
     }
-}
-
-/// Resolves distinct `states` as `(evaluation, from the cache)`, in order:
-/// `hook` is probed on the calling thread, and each state it misses is
-/// trained once on the pool and recorded back.
-fn resolve_states(
-    hook: &dyn EvaluationHook,
-    substrate: &dyn Substrate,
-    states: &[&StateBitmap],
-    workers: usize,
-) -> Vec<(SharedEvaluation, bool)> {
-    probe_then_map(
-        states.len(),
-        workers,
-        |i| hook.lookup(states[i]),
-        |i| {
-            let raw = substrate.evaluate_raw(states[i]);
-            let perf = substrate.measures().normalise(&raw);
-            let evaluation = SharedEvaluation { raw, perf };
-            hook.record(states[i], &evaluation);
-            evaluation
-        },
-    )
-}
-
-/// Result of one [`Engine::valuate_states`] batch: evaluations aligned with
-/// the input states plus batch-level counters.
-#[derive(Debug, Clone)]
-pub struct BatchValuation {
-    /// One evaluation per input state, in input order.
-    pub evaluations: Vec<SharedEvaluation>,
-    /// Distinct states the batch resolved (duplicates collapse).
-    pub unique_states: usize,
-    /// Distinct states answered from the shared cache.
-    pub shared_hits: usize,
-    /// Distinct states trained fresh in this pass.
-    pub trained: usize,
 }
 
 /// Result of [`Engine::run_suite`]: per-scenario outcomes (input order) plus
@@ -348,66 +310,6 @@ impl Engine {
         }
     }
 
-    /// Valuates a batch of states against one substrate in a single
-    /// thread-pool pass — the batched oracle path the service layer groups
-    /// concurrent requests onto.
-    ///
-    /// Each *distinct* state is resolved once: answered from the shared
-    /// cache under `namespace` when recorded (the cache is read on the
-    /// calling thread), trained fresh otherwise (and published back), with
-    /// up to [`EngineConfig::worker_threads`] trainings in flight at a
-    /// time. Results come back aligned with `states`; duplicates within the
-    /// batch share one resolution.
-    pub fn valuate_states(
-        &self,
-        namespace: &str,
-        substrate: &Arc<dyn Substrate>,
-        states: &[StateBitmap],
-    ) -> BatchValuation {
-        self.guard_namespace(namespace, substrate.as_ref());
-        self.track_memo_source(substrate);
-        // Implicit parentage: a batch valuated from inside a traced call
-        // tree (prewarm under a drain span, a traced job) inherits that
-        // trace from the thread-local span stack.
-        let _span = self.telemetry.tracer.span("valuation");
-        let hook = self.cache.handle(namespace);
-        let mut unique: Vec<&StateBitmap> = Vec::new();
-        let mut index_of: HashMap<&StateBitmap, usize> = HashMap::new();
-        let slot: Vec<usize> = states
-            .iter()
-            .map(|state| {
-                *index_of.entry(state).or_insert_with(|| {
-                    unique.push(state);
-                    unique.len() - 1
-                })
-            })
-            .collect();
-        let resolved = resolve_states(
-            hook.as_ref(),
-            substrate.as_ref(),
-            &unique,
-            self.config.worker_threads,
-        );
-        let shared_hits = resolved.iter().filter(|(_, hit)| *hit).count();
-        let trained = unique.len() - shared_hits;
-        self.record_valuations(namespace, trained, shared_hits);
-        if states.len() > unique.len() {
-            self.telemetry
-                .metrics
-                .counter(
-                    "engine_batch_dedup_saved_total",
-                    "Valuations avoided because duplicate states within one batch share a resolution.",
-                )
-                .add((states.len() - unique.len()) as u64);
-        }
-        BatchValuation {
-            unique_states: unique.len(),
-            shared_hits,
-            trained,
-            evaluations: slot.into_iter().map(|i| resolved[i].0.clone()).collect(),
-        }
-    }
-
     /// Adds `by` (when nonzero) to a counter family labelled by cache
     /// namespace — the per-tenant accounting counters.
     fn count(&self, name: &'static str, help: &'static str, namespace: &str, by: usize) {
@@ -571,7 +473,7 @@ impl Engine {
 mod tests {
     use super::*;
     use modis_core::config::ModisConfig;
-    use modis_core::estimator::ValuationStats;
+    use modis_core::estimator::{EvaluationHook, ValuationStats};
     use modis_core::substrate::mock::MockSubstrate;
 
     fn oracle_config() -> ModisConfig {
@@ -664,114 +566,6 @@ mod tests {
             &Scenario::new("b", b, Algorithm::Apx, oracle_config()).with_cache_namespace("shared"),
         );
         assert!(out.shared_hits() > 0, "identical space reuses evaluations");
-    }
-
-    #[test]
-    fn valuate_states_batches_dedups_and_hits_cache() {
-        let engine = Engine::new(EngineConfig::default().with_worker_threads(4));
-        let substrate: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(8));
-        let full = StateBitmap::full(8);
-        let states: Vec<StateBitmap> = vec![
-            full.clone(),
-            full.flipped(0),
-            full.clone(), // duplicate within the batch
-            full.flipped(1),
-        ];
-        let first = engine.valuate_states("batch", &substrate, &states);
-        assert_eq!(first.evaluations.len(), 4);
-        assert_eq!(first.unique_states, 3);
-        assert_eq!(first.trained, 3);
-        assert_eq!(first.shared_hits, 0);
-        // Duplicate inputs share one resolution.
-        assert_eq!(first.evaluations[0], first.evaluations[2]);
-        // Values match a direct oracle valuation.
-        let raw = substrate.evaluate_raw(&full);
-        assert_eq!(first.evaluations[0].raw, raw);
-        assert_eq!(
-            first.evaluations[0].perf,
-            substrate.measures().normalise(&raw)
-        );
-        // A second batch over the same states is answered by the cache.
-        let second = engine.valuate_states("batch", &substrate, &states);
-        assert_eq!(second.shared_hits, 3);
-        assert_eq!(second.trained, 0);
-        assert_eq!(second.evaluations[1], first.evaluations[1]);
-    }
-
-    /// An unbounded map that remembers which thread every `lookup` ran on
-    /// and every state that was recorded, in order.
-    #[derive(Default)]
-    struct RecordingHook {
-        entries: Mutex<HashMap<StateBitmap, SharedEvaluation>>,
-        lookup_threads: Mutex<Vec<std::thread::ThreadId>>,
-        recorded: Mutex<Vec<StateBitmap>>,
-    }
-
-    impl EvaluationHook for RecordingHook {
-        fn lookup(&self, bitmap: &StateBitmap) -> Option<SharedEvaluation> {
-            self.lookup_threads
-                .lock()
-                .unwrap()
-                .push(std::thread::current().id());
-            self.entries.lock().unwrap().get(bitmap).cloned()
-        }
-
-        fn record(&self, bitmap: &StateBitmap, evaluation: &SharedEvaluation) {
-            self.recorded.lock().unwrap().push(bitmap.clone());
-            self.entries
-                .lock()
-                .unwrap()
-                .insert(bitmap.clone(), evaluation.clone());
-        }
-    }
-
-    /// The batch path reads the cache on the caller's thread and hands the
-    /// pool only what it missed: a mixed batch trains each miss exactly
-    /// once, an all-hit batch trains nothing and returns the same answers.
-    #[test]
-    fn a_batch_probes_on_the_callers_thread_and_trains_each_miss_once() {
-        let substrate = MockSubstrate::new(8);
-        let full = StateBitmap::full(8);
-        let states: Vec<StateBitmap> = (0..6).map(|unit| full.flipped(unit)).collect();
-        let hook = RecordingHook::default();
-        let caller = std::thread::current().id();
-        let on_the_caller = |hook: &RecordingHook, lookups: usize| {
-            let threads = std::mem::take(&mut *hook.lookup_threads.lock().unwrap());
-            assert_eq!(threads.len(), lookups);
-            assert!(threads.iter().all(|&thread| thread == caller));
-        };
-
-        // States 1 and 4 are known; the other four are misses.
-        let known: Vec<&StateBitmap> = vec![&states[1], &states[4]];
-        let seeded = resolve_states(&hook, &substrate, &known, 4);
-        assert!(seeded.iter().all(|(_, hit)| !hit));
-        on_the_caller(&hook, 2);
-
-        let all: Vec<&StateBitmap> = states.iter().collect();
-        let mixed = resolve_states(&hook, &substrate, &all, 4);
-        on_the_caller(&hook, 6);
-        let hits: Vec<bool> = mixed.iter().map(|(_, hit)| *hit).collect();
-        assert_eq!(hits, [false, true, false, false, true, false]);
-        for (state, (evaluation, _)) in states.iter().zip(&mixed) {
-            assert_eq!(evaluation.raw, substrate.evaluate_raw(state));
-        }
-        let mut recorded = hook.recorded.lock().unwrap().clone();
-        assert_eq!(recorded.len(), 6, "two seeded, four misses, each once");
-        recorded.sort();
-        recorded.dedup();
-        assert_eq!(recorded.len(), 6);
-
-        let warm = resolve_states(&hook, &substrate, &all, 4);
-        on_the_caller(&hook, 6);
-        assert!(warm.iter().all(|(_, hit)| *hit));
-        let answers = |batch: &[(SharedEvaluation, bool)]| -> Vec<SharedEvaluation> {
-            batch
-                .iter()
-                .map(|(evaluation, _)| evaluation.clone())
-                .collect()
-        };
-        assert_eq!(answers(&warm), answers(&mixed));
-        assert_eq!(hook.recorded.lock().unwrap().len(), 6);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod engine;
 pub mod scenario;
 
 pub use cache::{CacheHandle, CacheStats, ExportedEvaluation, ShardExport, SharedEvalCache};
-pub use engine::{BatchValuation, Engine, EngineConfig, SuiteResult};
+pub use engine::{Engine, EngineConfig, SuiteResult};
 pub use modis_core::algorithm::Algorithm;
 // `bench_e2e`'s search replay (`layers.rs`) compiles against these names;
 // each is the core function itself, same `(ctx, config, workers)` signature.

@@ -14,11 +14,6 @@
 //!   └────────────┘             └────────┬─────────┘
 //!     fingerprint-guarded               │ drain (worker thread / RUN)
 //!     namespaces                        ▼
-//!                              ┌──────────────────┐
-//!                              │ batched oracle   │  one thread-pool pass
-//!                              │ valuation        │  per namespace
-//!                              └────────┬─────────┘
-//!                                       ▼
 //!                              ┌──────────────────┐     ┌──────────────┐
 //!                              │ Engine + shared  │◀───▶│  snapshot    │
 //!                              │ evaluation cache │     │  file (disk) │
@@ -32,9 +27,6 @@
 //!   before their dependants: namespace groups keep arrival fairness, and
 //!   within a group the cheapest run (by an EWMA over observed paid
 //!   valuation cost) goes first.
-//! * [`batch`] — pending state valuations from concurrent requests are
-//!   grouped into one thread-pool pass per namespace (start-state prewarm
-//!   plus the explicit [`ValuationRequest`] API).
 //! * [`snapshot`] — the shared evaluation cache persists to disk in a
 //!   hand-rolled, versioned, checksummed binary format and warm-starts a
 //!   fresh process: a restarted service answers repeated suites with
@@ -101,7 +93,6 @@
 
 #![deny(missing_docs)]
 
-pub mod batch;
 pub mod cluster;
 pub(crate) mod conn;
 pub mod error;
@@ -115,7 +106,6 @@ pub mod scheduler;
 pub mod service;
 pub mod snapshot;
 
-pub use batch::ValuationRequest;
 pub use cluster::{ClusterScenario, ClusterSpec, ReplicaMove, ShardMap};
 pub use error::ServiceError;
 pub use net::{done_line, handle_command, result_line, Daemon, Reply, Request};

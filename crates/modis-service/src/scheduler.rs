@@ -119,11 +119,6 @@ impl CostScheduler {
         self.pending.is_empty()
     }
 
-    /// The queued requests, in arrival order (telemetry / batch prewarm).
-    pub fn queued(&self) -> &[QueuedRequest] {
-        &self.pending
-    }
-
     /// Removes and returns the next request to run.
     pub fn pop(&mut self) -> Option<QueuedRequest> {
         if self.pending.is_empty() {

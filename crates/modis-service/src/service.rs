@@ -8,9 +8,8 @@
 //! 2. **submit** — clients enqueue runs by name and get a [`Ticket`];
 //! 3. **schedule** — queued runs are ordered by the cost-aware,
 //!    namespace-grouped scheduler so cache-warming runs go first;
-//! 4. **batch** — the start states of every queued run (and any explicit
-//!    [`ValuationRequest`]s) are valuated in one thread-pool pass per
-//!    namespace before the searches start;
+//! 4. **run** — each run's search valuates its own start states in its
+//!    first wave, so what a run trains is paid for in its own cost;
 //! 5. **snapshot** — the shared cache persists to disk on demand and a
 //!    fresh process warm-starts from the file.
 
@@ -21,12 +20,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use modis_core::codec::CodecError;
-use modis_core::estimator::SharedEvaluation;
 use modis_core::telemetry::{Counter, Gauge, Histogram, TraceContext};
-use modis_data::StateBitmap;
-use modis_engine::{BatchValuation, CacheStats, Engine, EngineConfig, Scenario, ScenarioOutcome};
+use modis_engine::{CacheStats, Engine, EngineConfig, Scenario, ScenarioOutcome};
 
-use crate::batch::{group_requests, start_states, ValuationRequest};
 use crate::error::ServiceError;
 use crate::registry::ScenarioRegistry;
 use crate::scheduler::{CostModel, CostScheduler, QueuedRequest};
@@ -37,9 +33,6 @@ use crate::snapshot;
 pub struct ServiceConfig {
     /// Configuration of the owned engine (threads, cache shards/capacity).
     pub engine: EngineConfig,
-    /// Whether `run_pending` batch-valuates the start states of every
-    /// queued scenario (one pass per namespace) before running searches.
-    pub prewarm_start_states: bool,
     /// How many finished outcomes the service retains for polling (0 =
     /// unbounded). A long-lived daemon would otherwise accumulate one
     /// skyline result per submission forever; once a run's outcome is
@@ -55,7 +48,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             engine: EngineConfig::default(),
-            prewarm_start_states: true,
             completed_retention: 4096,
             slow_request_threshold: Duration::from_millis(250),
         }
@@ -66,12 +58,6 @@ impl ServiceConfig {
     /// Builder-style engine-config setter.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Builder-style prewarm toggle.
-    pub fn with_prewarm(mut self, prewarm: bool) -> Self {
-        self.prewarm_start_states = prewarm;
         self
     }
 
@@ -385,17 +371,13 @@ impl Service {
         self.lock().scheduler.len()
     }
 
-    /// Drains the queue: prewarms start states in batched passes (when
-    /// configured), then executes every queued run in scheduler order on
+    /// Drains the queue: executes every queued run in scheduler order on
     /// the calling thread. Returns the number of runs executed.
     ///
     /// This is the service's worker step — call it directly for
     /// deterministic draining (tests, benches) or let a
     /// [`Service::spawn_worker`] thread call it in a loop.
     pub fn run_pending(&self) -> usize {
-        if self.config.prewarm_start_states {
-            self.prewarm_queued();
-        }
         let mut executed = 0;
         loop {
             let (request, scenario) = {
@@ -512,79 +494,6 @@ impl Service {
         for notify in &notifiers {
             notify();
         }
-    }
-
-    /// Batch-valuates the start states of every queued scenario, one
-    /// thread-pool pass per namespace, so the searches themselves open on
-    /// cache hits. Skips scenarios whose namespace has already been warmed
-    /// by an earlier pass within this call.
-    fn prewarm_queued(&self) {
-        let requests: Vec<ValuationRequest> = {
-            let inner = self.lock();
-            inner
-                .scheduler
-                .queued()
-                .iter()
-                .filter_map(|req| {
-                    let registered = inner.registry.get(&req.scenario)?;
-                    Some(ValuationRequest {
-                        scenario: req.scenario.clone(),
-                        states: start_states(&registered.scenario),
-                    })
-                })
-                .collect()
-        };
-        if !requests.is_empty() {
-            // Errors cannot occur here (every name came from the registry),
-            // but a failed prewarm must never block the runs themselves.
-            let _ = self.valuate_many(&requests);
-        }
-    }
-
-    /// Valuates a batch of states under one registered scenario's
-    /// namespace in a single thread-pool pass.
-    pub fn valuate_batch(
-        &self,
-        name: &str,
-        states: &[StateBitmap],
-    ) -> Result<BatchValuation, ServiceError> {
-        let (namespace, substrate) = {
-            let inner = self.lock();
-            let registered = inner.registry.require(name)?;
-            (
-                registered.scenario.namespace().to_string(),
-                registered.scenario.substrate.clone(),
-            )
-        };
-        Ok(self.engine.valuate_states(&namespace, &substrate, states))
-    }
-
-    /// Valuates many clients' requests with the fewest engine passes: all
-    /// requests sharing a cache namespace are grouped into one thread-pool
-    /// pass, and the evaluations are scattered back per request (aligned
-    /// with each request's states).
-    pub fn valuate_many(
-        &self,
-        requests: &[ValuationRequest],
-    ) -> Result<Vec<Vec<SharedEvaluation>>, ServiceError> {
-        let batches = {
-            let inner = self.lock();
-            group_requests(&inner.registry, requests)?
-        };
-        let mut results: Vec<Vec<SharedEvaluation>> = requests
-            .iter()
-            .map(|r| Vec::with_capacity(r.states.len()))
-            .collect();
-        for batch in batches {
-            let valuation =
-                self.engine
-                    .valuate_states(&batch.namespace, &batch.substrate, &batch.states);
-            for (request_index, offset, len) in batch.spans {
-                results[request_index]
-                    .extend_from_slice(&valuation.evaluations[offset..offset + len]);
-            }
-        }
-        Ok(results)
     }
 
     /// Merged cache telemetry: shared-cache counters plus the substrate
@@ -823,30 +732,6 @@ mod tests {
             service.submit("nope"),
             Err(ServiceError::UnknownScenario(_))
         ));
-    }
-
-    #[test]
-    fn batched_and_single_valuations_agree() {
-        let service = mock_service();
-        let states: Vec<StateBitmap> = (0..6).map(|i| StateBitmap::full(8).flipped(i)).collect();
-        let batch = service.valuate_batch("apx", &states).unwrap();
-        assert_eq!(batch.evaluations.len(), 6);
-        assert_eq!(batch.trained, 6);
-        // The same states again through valuate_many: all hits, same values.
-        let again = service
-            .valuate_many(&[
-                ValuationRequest {
-                    scenario: "bi".into(),
-                    states: states[..3].to_vec(),
-                },
-                ValuationRequest {
-                    scenario: "apx".into(),
-                    states: states[3..].to_vec(),
-                },
-            ])
-            .unwrap();
-        assert_eq!(again[0].as_slice(), &batch.evaluations[..3]);
-        assert_eq!(again[1].as_slice(), &batch.evaluations[3..]);
     }
 
     #[test]

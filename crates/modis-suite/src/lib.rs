@@ -23,10 +23,8 @@ pub mod prelude {
     pub use modis_core::prelude::*;
     pub use modis_data::{Dataset, StateBitmap};
     pub use modis_engine::{
-        Algorithm, BatchValuation, CacheStats, Engine, EngineConfig, Scenario, ScenarioOutcome,
-        SharedEvalCache, SuiteResult,
+        Algorithm, CacheStats, Engine, EngineConfig, Scenario, ScenarioOutcome, SharedEvalCache,
+        SuiteResult,
     };
-    pub use modis_service::{
-        Daemon, JobState, Service, ServiceConfig, ServiceError, Ticket, ValuationRequest,
-    };
+    pub use modis_service::{Daemon, JobState, Service, ServiceConfig, ServiceError, Ticket};
 }

@@ -1,7 +1,8 @@
 //! Integration tests of the `modis-service` subsystem: snapshot round-trip
 //! properties (value identity, eviction-order survivability, clean
 //! rejection of corrupted/truncated files), warm restarts from disk,
-//! cost-aware scheduling order, batched valuation and the TCP front-end.
+//! cost-aware scheduling order, per-request cost accounting and the TCP
+//! front-end.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -21,7 +22,6 @@ use modis_engine::{
 };
 use modis_service::{
     handle_command, snapshot, Daemon, JobState, Service, ServiceConfig, ServiceError,
-    ValuationRequest,
 };
 
 static TEMP_COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -413,8 +413,7 @@ fn the_surrogate_memo_never_reaches_persistence_and_a_restored_service_refits_on
 
 #[test]
 fn scheduler_runs_the_cache_warming_scenario_first() {
-    // Prewarm off so scheduling order alone explains the hit pattern.
-    let service = Service::new(ServiceConfig::default().with_prewarm(false));
+    let service = Service::new(ServiceConfig::default());
     let substrate: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(9));
     service
         .register(
@@ -453,33 +452,77 @@ fn scheduler_runs_the_cache_warming_scenario_first() {
     );
 }
 
+/// Every model the service trains is paid for by the request whose search
+/// trained it: one drain of four algorithms, each in its own namespace,
+/// trains what the four searches train alone at one worker, each job's
+/// cost counts exactly its own trainings, and the scheduler's observed
+/// cost agrees with the engine's paid counter in every namespace.
 #[test]
-fn batched_valuation_matches_direct_oracle_results() {
+fn a_request_pays_for_every_model_the_service_trains() {
     let service = Service::new(ServiceConfig::default());
     let substrate: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(8));
-    service
-        .register(
-            Scenario::new("apx", substrate.clone(), Algorithm::Apx, oracle_config(40))
-                .with_cache_namespace("pool"),
-        )
-        .unwrap();
-    let states: Vec<StateBitmap> = (0..8).map(|i| StateBitmap::full(8).flipped(i)).collect();
-    let batch = service.valuate_batch("apx", &states).unwrap();
-    assert_eq!(batch.evaluations.len(), states.len());
-    assert_eq!(batch.trained, states.len());
-    for (state, evaluation) in states.iter().zip(&batch.evaluations) {
-        let raw = substrate.evaluate_raw(state);
-        assert_eq!(evaluation.raw, raw);
-        assert_eq!(evaluation.perf, substrate.measures().normalise(&raw));
+    let config = oracle_config(60);
+    let algorithms = [
+        Algorithm::Apx,
+        Algorithm::Bi,
+        Algorithm::NoBi,
+        Algorithm::Div,
+    ];
+    for algorithm in algorithms {
+        service
+            .register(
+                Scenario::new(
+                    algorithm.name(),
+                    substrate.clone(),
+                    algorithm,
+                    config.clone(),
+                )
+                .with_cache_namespace(algorithm.name()),
+            )
+            .unwrap();
     }
-    // Grouped multi-request path: same namespace ⇒ one pass, all hits now.
-    let grouped = service
-        .valuate_many(&[ValuationRequest {
-            scenario: "apx".into(),
-            states: states.clone(),
-        }])
+    let tickets = service
+        .submit_many(algorithms.iter().map(|a| a.name()))
         .unwrap();
-    assert_eq!(grouped[0], batch.evaluations);
+    assert_eq!(service.run_pending(), algorithms.len());
+
+    let alone: usize = algorithms
+        .iter()
+        .map(|algorithm| {
+            let ctx = ValuationContext::new(substrate.as_ref(), EstimatorMode::Oracle);
+            algorithm.run(&ctx, &config, 1).stats.oracle_calls
+        })
+        .sum();
+    let stats = handle_command(&service, "STATS").text().to_string();
+    let misses: usize = stats
+        .split_whitespace()
+        .find_map(|field| field.strip_prefix("misses=")?.parse().ok())
+        .unwrap_or_else(|| panic!("{stats}"));
+    assert_eq!(misses, alone, "the drain trains what the searches train");
+    let costs: usize = tickets
+        .iter()
+        .map(|&t| done_outcome(&service, t).valuation_cost())
+        .sum();
+    assert_eq!(costs, misses, "every training is some job's cost");
+
+    let scrape = handle_command(&service, "METRICS").text().to_string();
+    let counter = |family: &str, namespace: &str| -> u64 {
+        let prefix = format!("{family}{{namespace=\"{namespace}\"}} ");
+        scrape
+            .lines()
+            .find_map(|line| line.strip_prefix(&prefix)?.trim().parse().ok())
+            .unwrap_or(0)
+    };
+    for algorithm in algorithms {
+        let namespace = algorithm.name();
+        let paid = counter("engine_paid_valuations_total", namespace);
+        assert!(paid > 0, "{namespace}");
+        assert_eq!(
+            counter("service_observed_cost_total", namespace),
+            paid,
+            "{namespace}: the scheduler sees what the engine paid"
+        );
+    }
 }
 
 #[test]
