@@ -50,7 +50,7 @@ pub fn apx_modis_with_context<S: Substrate + ?Sized>(
         skyline.offer(state, &perf, level);
     });
 
-    finalize_result(&skyline, ctx, config, start.elapsed().as_secs_f64())
+    finalize_result(&skyline, ctx, start.elapsed().as_secs_f64())
 }
 
 /// ApxMODis as one [`crate::search_common::Frontier`] visitor that valuates
@@ -81,7 +81,7 @@ pub(crate) fn reference_apx<S: Substrate + ?Sized>(
         Some(())
     }) {}
 
-    finalize_result(&skyline, ctx, config, start.elapsed().as_secs_f64())
+    finalize_result(&skyline, ctx, start.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]

@@ -150,7 +150,7 @@ pub(crate) fn bi_search<S: Substrate + ?Sized>(
         }
     }
 
-    let result = finalize_result(&skyline, ctx, config, start.elapsed().as_secs_f64());
+    let result = finalize_result(&skyline, ctx, start.elapsed().as_secs_f64());
     (result, stats)
 }
 

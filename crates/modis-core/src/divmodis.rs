@@ -170,7 +170,7 @@ pub(crate) fn div_search<S: Substrate + ?Sized>(
     let entries = skyline.entries().cloned().collect();
     let diversified = diversify_level(entries, config.k, config.alpha, euc_max);
     skyline.replace_entries(diversified);
-    finalize_result(&skyline, ctx, config, start.elapsed().as_secs_f64())
+    finalize_result(&skyline, ctx, start.elapsed().as_secs_f64())
 }
 
 /// The greedy replacement as it was before it ran on positions: every trial

@@ -14,8 +14,8 @@ use modis_data::StateBitmap;
 use modis_ml::graph::{evaluate_ranking, BipartiteGraph, LightGcn, LightGcnParams};
 use modis_ml::kmeans::kmeans;
 
-use crate::clock_cache::ClockCache;
 use crate::measure::MeasureSet;
+use crate::sieve_cache::SieveCache;
 use crate::substrate::{Substrate, SubstrateCacheStats};
 
 /// Configuration of the graph search space.
@@ -64,7 +64,7 @@ pub struct GraphSubstrate {
     n_clusters: usize,
     measures: MeasureSet,
     config: GraphSpaceConfig,
-    cache: Mutex<ClockCache<StateBitmap, Vec<f64>>>,
+    cache: Mutex<SieveCache<StateBitmap, Vec<f64>>>,
     /// Lazily computed full-content fingerprint (the universal graph is
     /// immutable after construction).
     fingerprint_memo: std::sync::OnceLock<u64>,
@@ -91,7 +91,7 @@ impl GraphSubstrate {
         } else {
             kmeans(&points, n_clusters, 25, config.seed).assignment
         };
-        let cache = Mutex::new(ClockCache::new(config.eval_cache_capacity));
+        let cache = Mutex::new(SieveCache::new(config.eval_cache_capacity));
         GraphSubstrate {
             universal,
             edge_cluster: assignment,

@@ -75,7 +75,6 @@ pub mod algorithm;
 pub mod apx;
 pub mod baselines;
 pub mod bimodis;
-pub mod clock_cache;
 pub mod codec;
 pub mod config;
 pub mod correlation;
@@ -89,6 +88,7 @@ pub mod measure;
 pub mod pareto;
 pub mod pool;
 pub mod search_common;
+pub mod sieve_cache;
 pub mod substrate;
 pub mod table_substrate;
 pub mod task;
@@ -102,7 +102,6 @@ pub mod prelude {
         h2o, hydragan_like, metam, metam_mo, original, sksfm, starmie, BaselineOutput,
     };
     pub use crate::bimodis::{bi_modis, bi_modis_with_context, nobi_modis};
-    pub use crate::clock_cache::ClockCache;
     pub use crate::config::{ModisConfig, SkylineEntry, SkylineResult};
     pub use crate::divmodis::{div_modis, div_modis_with_context, diversification_score};
     pub use crate::dominance::{dominated_flags, dominates, epsilon_dominates, skyline};
@@ -113,6 +112,7 @@ pub mod prelude {
     pub use crate::graph_substrate::{GraphSpaceConfig, GraphSubstrate};
     pub use crate::measure::{Direction as MeasureDirection, MeasureSet, MeasureSpec};
     pub use crate::search_common::ProtectedSet;
+    pub use crate::sieve_cache::SieveCache;
     pub use crate::substrate::{Substrate, SubstrateCacheStats};
     pub use crate::table_substrate::{TableSpaceConfig, TableSubstrate};
     pub use crate::task::{

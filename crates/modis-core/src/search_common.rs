@@ -317,10 +317,8 @@ pub fn forward_schedule<S: Substrate + ?Sized>(
 pub fn finalize_result<S: Substrate + ?Sized>(
     skyline: &EpsilonSkyline,
     ctx: &ValuationContext<'_, S>,
-    config: &ModisConfig,
     elapsed_seconds: f64,
 ) -> SkylineResult {
-    let _ = config;
     let mut revalued = false;
     let mut entries: Vec<SkylineEntry> = skyline
         .finalize()
@@ -569,7 +567,7 @@ mod tests {
         let b = StateBitmap::full(4);
         let perf = ctx.valuate(&b);
         sky.offer(&b, &perf, 0);
-        let res = finalize_result(&sky, &ctx, &cfg, 0.1);
+        let res = finalize_result(&sky, &ctx, 0.1);
         assert_eq!(res.entries.len(), 1);
         assert_eq!(res.entries[0].raw.len(), 2);
         assert_eq!(res.entries[0].size, (40, 4));
@@ -590,7 +588,7 @@ mod tests {
         sky.offer(&full, &[0.1, 0.6], 0);
         sky.offer(&lean, &[0.6, 0.1], 1);
         assert_eq!(sky.finalize().len(), 2);
-        let res = finalize_result(&sky, &ctx, &cfg, 0.0);
+        let res = finalize_result(&sky, &ctx, 0.0);
         let kept: Vec<&StateBitmap> = res.entries.iter().map(|e| &e.bitmap).collect();
         assert_eq!(kept, vec![&lean]);
     }

@@ -20,8 +20,8 @@ use modis_data::{
     RowMask, StateBitmap, TableProjection,
 };
 
-use crate::clock_cache::ClockCache;
 use crate::measure::MeasureSet;
+use crate::sieve_cache::SieveCache;
 use crate::substrate::Substrate;
 use crate::task::{evaluate_dataset_view, TaskSpec};
 
@@ -116,7 +116,7 @@ pub struct TableSubstrate {
     /// (`None` when the attribute is not in the schema).
     unit_cols: Vec<Option<usize>>,
     task: TaskSpec,
-    cache: Mutex<ClockCache<StateBitmap, StateRecord>>,
+    cache: Mutex<SieveCache<StateBitmap, StateRecord>>,
     /// Lazily computed full-content fingerprint (the universal table is
     /// immutable after construction, so one digest serves every call).
     fingerprint_memo: std::sync::OnceLock<u64>,
@@ -182,7 +182,7 @@ impl TableSubstrate {
             unit_masks,
             unit_cols,
             task,
-            cache: Mutex::new(ClockCache::new(config.eval_cache_capacity)),
+            cache: Mutex::new(SieveCache::new(config.eval_cache_capacity)),
             fingerprint_memo: std::sync::OnceLock::new(),
         }
     }

@@ -8,12 +8,12 @@
 //! each scenario a namespaced handle. Sharding keeps lock contention low
 //! when many worker threads probe the cache concurrently.
 //!
-//! Each shard is a bounded [`ClockCache`]: when a capacity is configured
+//! Each shard is a bounded [`SieveCache`]: when a capacity is configured
 //! (see [`SharedEvalCache::with_capacity`] and
-//! [`crate::EngineConfig::cache_capacity`]), cold evaluations are reclaimed
-//! by second-chance eviction instead of growing the store without bound
-//! over long suites; an evicted state is simply re-trained on its next
-//! visit. Evictions are surfaced in [`CacheStats::evictions`].
+//! [`crate::EngineConfig::cache_capacity`]), evaluations not read since
+//! they were stored are reclaimed by SIEVE eviction instead of growing the
+//! store without bound over long suites; an evicted state is simply
+//! re-trained on its next visit. Evictions are in [`CacheStats::evictions`].
 //!
 //! Namespaces isolate substrates from one another: a `StateBitmap` only
 //! identifies a dataset *relative to* the substrate that produced it, so two
@@ -50,9 +50,9 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use modis_core::clock_cache::ClockCache;
 use modis_core::codec::{fnv1a, FNV_OFFSET_BASIS};
 use modis_core::estimator::{EvaluationHook, FittedSurrogate, GbmParams, SharedEvaluation};
+use modis_core::sieve_cache::SieveCache;
 use modis_core::substrate::SubstrateCacheStats;
 use modis_data::StateBitmap;
 
@@ -69,7 +69,7 @@ pub struct CacheStats {
     pub misses: usize,
     /// Evaluations currently stored in the shared cache.
     pub entries: usize,
-    /// Evaluations reclaimed by the clock eviction policy.
+    /// Evaluations reclaimed by the SIEVE eviction policy.
     pub evictions: usize,
     /// Entries across the substrate-level memos of every substrate the
     /// engine has run (0 until a scenario executes).
@@ -148,7 +148,7 @@ impl PartialEq for dyn KeyPair + '_ {
 impl Eq for dyn KeyPair + '_ {}
 
 struct Shard {
-    map: Mutex<ClockCache<CacheKey, SharedEvaluation>>,
+    map: Mutex<SieveCache<CacheKey, SharedEvaluation>>,
 }
 
 /// How many fitted surrogates a [`SharedEvalCache`] keeps. A constant, not
@@ -203,29 +203,29 @@ pub struct SharedEvalCache {
     misses: AtomicUsize,
     /// The fitted-surrogate memo (module docs): [`surrogate_key`] → model,
     /// at most [`SURROGATE_MEMO_CAPACITY`] of them.
-    surrogates: Mutex<ClockCache<Arc<[u64]>, Arc<FittedSurrogate>>>,
+    surrogates: Mutex<SieveCache<Arc<[u64]>, Arc<FittedSurrogate>>>,
 }
 
-/// One evaluation of a shard snapshot, in clock-slot order.
+/// One evaluation of a shard snapshot, in queue order (oldest first).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExportedEvaluation {
     /// Hashed cache namespace the evaluation belongs to.
     pub namespace: u64,
     /// The valuated state.
     pub bitmap: StateBitmap,
-    /// The slot's second-chance referenced bit at export time.
-    pub referenced: bool,
+    /// The entry's visited bit at export time.
+    pub visited: bool,
     /// The recorded oracle evaluation.
     pub evaluation: SharedEvaluation,
 }
 
-/// One shard's contents: entries in slot order plus the clock-hand
-/// position, which together determine future eviction behaviour.
+/// One shard's contents: entries in queue order plus the hand's position
+/// in it, which together determine future eviction behaviour.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardExport {
-    /// Clock-hand position at export time.
+    /// The hand's queue position at export time (0 = the oldest entry).
     pub hand: usize,
-    /// Entries in slot order.
+    /// Entries in queue order, oldest first.
     pub entries: Vec<ExportedEvaluation>,
 }
 
@@ -238,7 +238,7 @@ impl SharedEvalCache {
 
     /// Creates a cache bounded at roughly `capacity` total evaluations
     /// (0 = unbounded), spread evenly over the shards; each shard evicts
-    /// with the second-chance clock policy once its share fills.
+    /// with the SIEVE policy once its share fills.
     pub fn with_capacity(shards: usize, capacity: usize) -> Self {
         let shards = shards.clamp(1, 1 << 16).next_power_of_two();
         let per_shard = if capacity == 0 {
@@ -249,13 +249,13 @@ impl SharedEvalCache {
         SharedEvalCache {
             shards: (0..shards)
                 .map(|_| Shard {
-                    map: Mutex::new(ClockCache::new(per_shard)),
+                    map: Mutex::new(SieveCache::new(per_shard)),
                 })
                 .collect(),
             per_shard_capacity: per_shard,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
-            surrogates: Mutex::new(ClockCache::new(SURROGATE_MEMO_CAPACITY)),
+            surrogates: Mutex::new(SieveCache::new(SURROGATE_MEMO_CAPACITY)),
         }
     }
 
@@ -269,8 +269,8 @@ impl SharedEvalCache {
         self.per_shard_capacity
     }
 
-    /// Exports every shard's contents — entries in clock-slot order with
-    /// their referenced bits, plus the hand position — for persistence.
+    /// Exports every shard's contents — entries in queue order with their
+    /// visited bits, plus the hand position — for persistence.
     /// Shards are locked one at a time, so the export is per-shard (not
     /// globally) atomic; snapshot a quiescent cache for exact restores.
     pub fn export_shards(&self) -> Vec<ShardExport> {
@@ -282,10 +282,10 @@ impl SharedEvalCache {
                     hand: map.hand(),
                     entries: map
                         .iter_slots()
-                        .map(|(key, value, referenced)| ExportedEvaluation {
+                        .map(|(key, value, visited)| ExportedEvaluation {
                             namespace: key.0,
                             bitmap: key.1.clone(),
-                            referenced,
+                            visited,
                             evaluation: value.clone(),
                         })
                         .collect(),
@@ -310,10 +310,10 @@ impl SharedEvalCache {
                     entries: map
                         .iter_slots()
                         .filter(|(key, _, _)| keys.contains(&key.0))
-                        .map(|(key, value, referenced)| ExportedEvaluation {
+                        .map(|(key, value, visited)| ExportedEvaluation {
                             namespace: key.0,
                             bitmap: key.1.clone(),
-                            referenced,
+                            visited,
                             evaluation: value.clone(),
                         })
                         .collect(),
@@ -354,7 +354,7 @@ impl SharedEvalCache {
     /// Merges exported entries into the cache through the normal hashed
     /// insertion path, returning how many were processed. Unlike
     /// [`Self::import_shards`] this never replays slot geometry or moves
-    /// the clock hand, so it is safe on a cache that is already serving
+    /// the hand, so it is safe on a cache that is already serving
     /// traffic — the shape a shard is in when a rebalanced namespace's
     /// snapshot arrives.
     pub fn merge_exports(&self, shards: Vec<ShardExport>) -> usize {
@@ -375,11 +375,11 @@ impl SharedEvalCache {
     /// [`CacheStats::entries`] — can be lower than the return value.)
     ///
     /// When the snapshot's shard count matches this cache's (and each shard
-    /// fits its capacity), slots are replayed in order with their referenced
-    /// bits and the hand is repositioned — the restored cache then evicts
-    /// exactly as the exporter would have. Otherwise entries are re-inserted
-    /// through the normal hashed-shard path: values survive byte-for-byte,
-    /// but slot order and referenced bits are rebuilt from scratch.
+    /// fits its capacity), slots are replayed in queue order with their
+    /// visited bits and the hand is repositioned — the restored cache then
+    /// evicts exactly as the exporter would have. Otherwise entries are
+    /// re-inserted through the normal hashed-shard path: values survive
+    /// byte-for-byte, queue order and visited bits are rebuilt.
     pub fn import_shards(&self, shards: Vec<ShardExport>) -> usize {
         let mut imported = 0;
         if shards.len() == self.shards.len() {
@@ -392,7 +392,7 @@ impl SharedEvalCache {
                     {
                         map.insert(key, entry.evaluation);
                     } else {
-                        map.restore_slot(key, entry.evaluation, entry.referenced);
+                        map.restore_slot(key, entry.evaluation, entry.visited);
                     }
                     imported += 1;
                 }
@@ -645,7 +645,7 @@ mod tests {
         }
         let export = source.export_shards();
 
-        // Same geometry ⇒ exact restore (slot order, referenced bits, hand).
+        // Same geometry ⇒ exact restore (queue order, visited bits, hand).
         let target = Arc::new(SharedEvalCache::with_capacity(4, 256));
         assert_eq!(target.import_shards(export.clone()), 24);
         assert_eq!(target.export_shards(), export);

@@ -27,7 +27,7 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Total capacity of the shared evaluation cache (entries across all
     /// shards; 0 = unbounded). Cold entries beyond it are reclaimed by
-    /// second-chance eviction and re-trained on their next visit. For tasks
+    /// SIEVE eviction and re-trained on their next visit. For tasks
     /// whose measures include wall-clock training time, a re-trained state
     /// re-measures the clock, so cross-scenario byte-stability of raw
     /// metrics holds only while the suite's distinct-state count stays

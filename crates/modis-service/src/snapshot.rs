@@ -11,13 +11,13 @@
 //! shards   u32      shard count at export time
 //! entries  u64      total evaluations
 //! per shard:
-//!   hand   u64      clock-hand position
+//!   hand   u64      the hand's queue position
 //!   count  u64      slots in this shard
-//!   per slot (clock order):
+//!   per slot (queue order, oldest first):
 //!     namespace  u64        hashed cache namespace
 //!     bits       u64        bitmap length
 //!     words      n × u64    packed bitmap words
-//!     referenced u8         second-chance bit
+//!     visited    u8         visited bit
 //!     raw        u64 + n × f64  raw metric vector
 //!     perf       u64 + n × f64  normalised performance vector
 //! guards   u64      namespace-guard pair count
@@ -27,10 +27,10 @@
 //! checksum u64      FNV-1a over every preceding byte
 //! ```
 //!
-//! Slots are written in clock order together with their referenced bits and
-//! the hand position, so a restore into a cache of the same geometry
-//! reproduces not just the values but the *eviction schedule*; a restore
-//! into a different geometry rehashes the entries and keeps the values.
+//! Slots are written in SIEVE queue order, oldest first, with their visited
+//! bits and the hand position, so a restore into a cache of the same
+//! geometry reproduces not just the values but the *eviction schedule*; a
+//! restore into a different geometry rehashes the entries, keeps the values.
 //! The guard section carries the engine's namespace → fingerprint map, so
 //! the "no incompatible substrate may reuse a warm namespace" protection
 //! survives the restart along with the evaluations it protects — without
@@ -129,7 +129,7 @@ impl From<CodecError> for SnapshotError {
 /// namespace-guard pairs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedSnapshot {
-    /// Cache contents in clock order, one entry per shard.
+    /// Cache contents in queue order, one entry per shard.
     pub shards: Vec<ShardExport>,
     /// `(namespace key, substrate fingerprint)` pairs recorded by the
     /// exporting engine's namespace guard.
@@ -166,7 +166,7 @@ pub(crate) fn encode_shards(
             for &word in entry.bitmap.words() {
                 w.put_u64(word);
             }
-            w.put_u8(entry.referenced as u8);
+            w.put_u8(entry.visited as u8);
             w.put_u64(entry.evaluation.raw.len() as u64);
             for &v in &entry.evaluation.raw {
                 w.put_f64(v);
@@ -233,12 +233,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
             let bitmap = StateBitmap::from_words(words, bits).ok_or(SnapshotError::Corrupt(
                 CodecError::Invalid("bitmap padding bits set"),
             ))?;
-            let referenced = match r.get_u8()? {
+            let visited = match r.get_u8()? {
                 0 => false,
                 1 => true,
                 _ => {
                     return Err(SnapshotError::Corrupt(CodecError::Invalid(
-                        "referenced bit out of range",
+                        "visited bit out of range",
                     )))
                 }
             };
@@ -255,7 +255,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
             entries.push(ExportedEvaluation {
                 namespace,
                 bitmap,
-                referenced,
+                visited,
                 evaluation: SharedEvaluation { raw, perf },
             });
             seen += 1;

@@ -246,3 +246,56 @@ fn isolated_namespaces_stay_isolated_across_workloads() {
     );
     assert!(suite.outcomes.iter().all(|o| !o.result.is_empty()));
 }
+
+/// An engine cache smaller than two namespaces' union keeps the one whose
+/// scenario keeps coming back: a hot scenario re-run between the runs of
+/// ever larger cold searches is answered by the cache every time, because
+/// an entry read since it was stored outlives the one-off entries stored
+/// after it.
+#[test]
+fn a_hot_scenario_keeps_its_hits_between_cold_searches() {
+    use modis_core::substrate::mock::MockSubstrate;
+    let engine = Engine::new(EngineConfig {
+        worker_threads: 1,
+        scenario_parallelism: 1,
+        cache_shards: 1,
+        cache_capacity: 32,
+    });
+    let hot = Scenario::new(
+        "hot",
+        Arc::new(MockSubstrate::new(6)),
+        Algorithm::Apx,
+        oracle_config().with_max_states(16).with_max_level(6),
+    )
+    .with_cache_namespace("hot");
+    let cold: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(14));
+    let counts = |outcome: &modis_engine::ScenarioOutcome| {
+        (outcome.shared_hits(), outcome.result.stats.oracle_calls)
+    };
+    assert_eq!(counts(&engine.run_scenario(&hot)), (0, 16));
+    assert_eq!(counts(&engine.run_scenario(&hot)), (16, 0));
+    let mut cold_trainings = 0;
+    for (round, algorithm) in [
+        Algorithm::Apx,
+        Algorithm::Bi,
+        Algorithm::Div,
+        Algorithm::NoBi,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let config = oracle_config()
+            .with_max_states(24 + 4 * round)
+            .with_max_level(8);
+        let search =
+            Scenario::new("cold", cold.clone(), algorithm, config).with_cache_namespace("cold");
+        cold_trainings += engine.run_scenario(&search).result.stats.oracle_calls;
+        assert_eq!(
+            counts(&engine.run_scenario(&hot)),
+            (16, 0),
+            "after cold {round}"
+        );
+    }
+    assert_eq!(cold_trainings, 24 + 28 + 32 + 36);
+    assert_eq!(engine.cache_stats().entries, 32);
+}

@@ -86,8 +86,8 @@ fn done_outcome(service: &Service, ticket: modis_service::Ticket) -> ScenarioOut
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Snapshot → bytes → restore is value-identical — including slot
-    /// order, referenced bits and the clock hand, so the restored cache
+    /// Snapshot → bytes → restore is value-identical — including queue
+    /// order, visited bits and the hand, so the restored cache
     /// *evicts the same victims* as the original would have.
     #[test]
     fn snapshot_round_trip_preserves_values_and_eviction_order(
@@ -107,8 +107,8 @@ proptest! {
                 raw: vec![v, i as f64],
                 perf: vec![v, 1.0 - v],
             });
-            // Mixed referenced bits: re-touch a pseudo-random subset so the
-            // snapshot has to carry real second-chance state.
+            // Mixed visited bits: re-touch a pseudo-random subset so the
+            // snapshot has to carry real SIEVE state.
             if touch[i % touch.len()] {
                 handle.lookup(&bitmap);
             }
@@ -288,8 +288,9 @@ fn restarted_service_warm_starts_a_real_tabular_workload() {
 /// of a service that ran surrogate-mode scenarios has HEAD's version and
 /// sections and holds evaluations only; a service restored from it answers
 /// byte-identically, refits on its first request exactly what a fresh
-/// process fits, reuses from then on — and filling its memo changes no
-/// byte of what `SNAPSHOT`, `EXPORT` or `SHIP` would send.
+/// process fits, reuses from then on — and filling its memo changes
+/// nothing of what `SNAPSHOT`, `EXPORT` or `SHIP` would send but the
+/// visited bits its all-hit waves set.
 #[test]
 fn the_surrogate_memo_never_reaches_persistence_and_a_restored_service_refits_once() {
     let surrogate = oracle_config(60).with_estimator(EstimatorMode::Surrogate {
@@ -341,7 +342,7 @@ fn the_surrogate_memo_never_reaches_persistence_and_a_restored_service_refits_on
             let ExportedEvaluation {
                 namespace: _,
                 bitmap,
-                referenced: _,
+                visited: _,
                 evaluation: SharedEvaluation { raw, perf },
             } = entry;
             8 + 8 + 8 * bitmap.words().len() + 1 + 8 + 8 * raw.len() + 8 + 8 * perf.len()
@@ -403,11 +404,51 @@ fn the_surrogate_memo_never_reaches_persistence_and_a_restored_service_refits_on
         counter(&revived, "engine_surrogate_reused_total"),
         2 * refits - fresh_fits
     );
+    // The two all-hit waves set visited bits, which a peer or a disk does
+    // receive. Nothing else moved: every slot, in order, every hand and
+    // every guard pair is the restore's…
+    let after = persisted(&revived);
+    let contents = |bytes: &[u8]| {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+        let decoded = snapshot::decode_snapshot(bytes).unwrap();
+        let shards: Vec<_> = decoded
+            .shards
+            .iter()
+            .map(|shard| {
+                let slots: Vec<_> = shard
+                    .entries
+                    .iter()
+                    .map(|e| {
+                        let eval = &e.evaluation;
+                        (
+                            e.namespace,
+                            e.bitmap.clone(),
+                            bits(&eval.raw),
+                            bits(&eval.perf),
+                        )
+                    })
+                    .collect();
+                (shard.hand, slots)
+            })
+            .collect();
+        (shards, decoded.namespace_fingerprints)
+    };
+    assert_eq!(contents(&after.0), contents(&before.0), "SNAPSHOT");
+    assert_eq!(contents(&after.1), contents(&before.1), "SHIP");
+    // …the bytes are what a cache that never saw a surrogate encodes for
+    // the same slots…
+    let decoded = snapshot::decode_snapshot(&after.0).unwrap();
+    let memoless = SharedEvalCache::with_capacity(geometry.cache_shards, geometry.cache_capacity);
+    memoless.import_shards(decoded.shards);
     assert_eq!(
-        persisted(&revived),
-        before,
+        snapshot::encode_snapshot(&memoless, &decoded.namespace_fingerprints),
+        after.0,
         "a full memo changes nothing a peer or a disk would receive"
     );
+    // …and `EXPORT`'s content digest has not moved.
+    let digest = |reply: &str| reply.split_whitespace().nth(1).map(str::to_string);
+    assert!(digest(&before.2).is_some(), "{}", before.2);
+    assert_eq!(digest(&after.2), digest(&before.2));
     std::fs::remove_file(&path).unwrap();
 }
 
