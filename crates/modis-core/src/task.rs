@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use modis_data::{Dataset, DatasetView};
-use modis_ml::encoding::{encode, encode_view, EncodeOptions, Encoded};
+use modis_ml::encoding::{encode_view_split, EncodeOptions, Encoded};
 use modis_ml::feature::{fisher_score, mutual_information};
 use modis_ml::forest::{ForestParams, RandomForest};
 use modis_ml::gbm::{GbmParams, GradientBoostingClassifier, GradientBoostingRegressor};
@@ -231,35 +231,28 @@ fn fit_model(kind: ModelKind, train: &Encoded, seed: u64) -> FittedModel {
 }
 
 /// Trains the task's model on `data` and valuates every raw metric and the
-/// normalised performance vector.
-///
-/// Degenerate datasets (no usable rows or features after encoding) receive
-/// worst-case metrics so the search can simply discard them.
+/// normalised performance vector: [`evaluate_dataset_view`] over the whole
+/// table.
 pub fn evaluate_dataset(task: &TaskSpec, data: &Dataset) -> TaskEvaluation {
-    evaluate_encoded(
-        task,
-        encode(data, &task.encode_options()),
-        data.reported_size(),
-    )
+    evaluate_dataset_view(task, &DatasetView::full(data))
 }
 
-/// Trains the task's model on a zero-copy [`DatasetView`] — the columnar
-/// counterpart of [`evaluate_dataset`], reading features straight through
-/// the view's selection vector without materialising the table.
+/// Trains the task's model on a zero-copy [`DatasetView`] — reading
+/// features straight through the view's selection vector without
+/// materialising the table — and valuates every raw metric and the
+/// normalised performance vector.
+///
+/// The encoder writes the train and test matrices directly
+/// ([`encode_view_split`]). Degenerate states (fewer than 8 usable rows,
+/// or no feature column, after encoding) receive worst-case metrics so the
+/// search can simply discard them.
 ///
 /// Byte-identical to `evaluate_dataset(task, &view.to_dataset())`.
 pub fn evaluate_dataset_view(task: &TaskSpec, view: &DatasetView<'_>) -> TaskEvaluation {
-    evaluate_encoded(
-        task,
-        encode_view(view, &task.encode_options()),
-        view.reported_size(),
-    )
-}
-
-/// Shared oracle-evaluation tail: trains the model on an already-encoded
-/// design matrix and computes the raw + normalised metric vectors.
-fn evaluate_encoded(task: &TaskSpec, encoded: Encoded, size: (usize, usize)) -> TaskEvaluation {
-    if encoded.len() < 8 || encoded.num_features() == 0 {
+    let size = view.reported_size();
+    let (train, test) =
+        encode_view_split(view, &task.encode_options(), task.train_ratio, task.seed);
+    if train.len() + test.as_ref().map_or(0, Encoded::len) < 8 || train.num_features() == 0 {
         let raw = worst_case_raw(task);
         let normalised = task.measures.normalise(&raw);
         return TaskEvaluation {
@@ -271,13 +264,8 @@ fn evaluate_encoded(task: &TaskSpec, encoded: Encoded, size: (usize, usize)) -> 
     }
     // With nothing left to test on, the model is scored on the (unshuffled)
     // matrix it was trained on.
-    let halves;
-    let (train, test) = if encoded.train_len(task.train_ratio) == encoded.len() {
-        (&encoded, &encoded)
-    } else {
-        halves = encoded.split(task.train_ratio, task.seed);
-        (&halves.0, &halves.1)
-    };
+    let test = test.as_ref().unwrap_or(&train);
+    let train = &train;
 
     let start = Instant::now();
     let model = fit_model(task.model, train, task.seed);
@@ -449,7 +437,7 @@ mod tests {
             ..regression_task()
         };
         let data = regression_data(60);
-        let all = encode(&data, &task.encode_options());
+        let all = modis_ml::encoding::encode(&data, &task.encode_options());
         let model = RidgeRegression::fit(&all.features, &all.targets, 1.0);
         let predicted = model.predict(&all.features);
         let expected = [
@@ -469,6 +457,77 @@ mod tests {
             evaluate_dataset(&split, &data).raw[1].to_bits(),
             expected[1].to_bits()
         );
+    }
+
+    /// A linear task with deterministic measures only (no training clock).
+    fn ridge_task(train_ratio: f64) -> TaskSpec {
+        TaskSpec {
+            model: ModelKind::LinearRegressor,
+            measures: MeasureSet::new(vec![
+                MeasureSpec::maximise("p_R2"),
+                MeasureSpec::minimise("p_MSE", 4.0),
+                MeasureSpec::minimise("p_MAE", 4.0),
+            ]),
+            metric_kinds: vec![MetricKind::R2, MetricKind::Mse, MetricKind::Mae],
+            train_ratio,
+            ..regression_task()
+        }
+    }
+
+    /// A view's valuation trains and scores on exactly the matrices
+    /// `encode_view` + `Encoded::split` give — or, when every row trains,
+    /// on the whole unshuffled matrix — although the encoder now deals the
+    /// rows to their sides as it writes them.
+    #[test]
+    fn a_view_is_valuated_on_the_split_of_its_encoding() {
+        use modis_data::RowMask;
+        use modis_ml::encoding::encode_view;
+        let data = regression_data(120);
+        let mask = RowMask::from_pred(data.num_rows(), |r| r % 5 != 2);
+        let view = DatasetView::new(&data, mask, vec![false, false, true, false]);
+        for ratio in [0.5, 0.7, 0.98, 1.0] {
+            let task = ridge_task(ratio);
+            let whole = encode_view(&view, &task.encode_options());
+            let (train, test) = whole.split(ratio, task.seed);
+            let (train, test) = if test.is_empty() {
+                (&whole, &whole)
+            } else {
+                (&train, &test)
+            };
+            let model = RidgeRegression::fit(&train.features, &train.targets, 1.0);
+            let predicted = model.predict(&test.features);
+            let expected = [
+                metrics::r2(&test.targets, &predicted).max(0.0),
+                metrics::mse(&test.targets, &predicted),
+                metrics::mae(&test.targets, &predicted),
+            ];
+            let eval = evaluate_dataset_view(&task, &view);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&eval.raw), bits(&expected), "ratio {ratio}");
+            assert_eq!(eval.size, view.reported_size());
+        }
+    }
+
+    /// Fewer than 8 usable rows after encoding is a degenerate state, and
+    /// rows whose target is null do not count; 8 rows are a real one.
+    #[test]
+    fn a_view_of_fewer_than_eight_usable_rows_gets_the_worst_case() {
+        use modis_data::RowMask;
+        let task = ridge_task(0.7);
+        let worst = task.measures.normalise(&worst_case_raw(&task));
+        let mut data = regression_data(40);
+        // Row 3's target is null: selected, but not a usable row.
+        data.set_value(3, 3, Value::Null).unwrap();
+        for (rows, degenerate) in [(7, true), (8, true), (9, false), (40, false)] {
+            let mask = RowMask::from_pred(data.num_rows(), |r| r < rows);
+            let view = DatasetView::new(&data, mask, vec![false; 4]);
+            let eval = evaluate_dataset_view(&task, &view);
+            assert_eq!(eval.normalised == worst, degenerate, "{rows} rows");
+            assert_eq!(eval.size, view.reported_size(), "{rows} rows");
+        }
+        // No feature column left (both masked): degenerate at any size.
+        let view = DatasetView::new(&data, RowMask::all(40), vec![false, true, true, false]);
+        assert_eq!(evaluate_dataset_view(&task, &view).normalised, worst);
     }
 
     #[test]

@@ -7,13 +7,17 @@
 //! and the declared target attribute becomes the label vector (class ids
 //! for classification, raw values for regression).
 //!
-//! [`encode_view`] is the one encoder. It never looks at a `Value`: what a
+//! [`encode_view_split`] is the one encoder body — a valuation calls it with
+//! its train ratio and seed, and [`encode_view`] is it with every row on the
+//! training side. It never looks at a `Value`: what a
 //! cell *is* (null, a finite number, which value class) is decoded once per
 //! column into the base table's [`TableProjection`] — the one a substrate's
 //! view carries, or a transient one for a bare view ([`encode`] wraps a
 //! full-table view around a `Dataset`) — and what depends on the *state* is
-//! decided here, per state, from popcounts and one ascending pass over the
-//! selected rows per column. The output is bit-identical to the row-scanning
+//! decided here, per state, from popcounts and ascending passes over the
+//! selected rows: one for every numeric column's mean together, one per
+//! categorical column's ids — and each kept row is written straight to its
+//! side of the train/test split. The output is bit-identical to the row-scanning
 //! encoder it replaced (kept under `cfg(test)` as the oracle of a
 //! differential proptest); these are the rules that make it so:
 //!
@@ -26,7 +30,8 @@
 //!   `"inf"`, `"nan"` and `Float(NaN)` are non-null and not numeric;
 //! * the imputation mean is `sum / numeric` with the addends added one by
 //!   one in ascending selected-row order from `0.0` — no prefix, pairwise
-//!   or chunked sums, which round differently;
+//!   or chunked sums, which round differently (the columns' sums share one
+//!   pass; each keeps its own order);
 //! * category ids (and class ids) are numbered by **first appearance among
 //!   the selected rows**, keyed by `Value`'s `Ord`: `Int(3)` and
 //!   `Float(3.0)` are one key, `Str("3")` is another although it reads 3.0;
@@ -35,7 +40,12 @@
 //!   `k`, not of the pool's first;
 //! * means and ids are computed over all selected rows **before** rows with
 //!   a null (regression: or non-finite) target are dropped;
-//! * a masked target returns the empty matrix, with the feature names.
+//! * a masked target returns the empty matrix, with the feature names;
+//! * the split is [`Encoded::split`]'s seeded permutation, applied to the
+//!   kept rows — after the means and ids, after the drop — before a cell is
+//!   written, so each side is filled in its final order; when every row
+//!   trains there is no test side and the matrix keeps the selection's
+//!   order.
 
 use modis_data::{AttributeRole, Dataset, DatasetView, Dictionary, TableProjection, Value};
 
@@ -82,28 +92,24 @@ impl Encoded {
     }
 
     /// One feature column as a vector.
+    #[cfg(test)]
     pub fn feature_column(&self, j: usize) -> Vec<f64> {
         self.features.rows().map(|r| r[j]).collect()
     }
 
     /// Number of rows [`Self::split`] deals to the training side.
     pub fn train_len(&self, train_ratio: f64) -> usize {
-        let n = self.len();
-        (((n as f64) * train_ratio).round() as usize).min(n)
+        train_len(self.len(), train_ratio)
     }
 
     /// Splits rows into (train, test) deterministically: a seeded
     /// permutation of the row indices, its first [`Self::train_len`] rows
     /// gathered into one matrix and the rest into the other.
+    /// [`encode_view_split`] deals the rows of the same permutation as it
+    /// writes them, without this copy.
     pub fn split(&self, train_ratio: f64, seed: u64) -> (Encoded, Encoded) {
-        let n = self.len();
-        let mut idx: Vec<usize> = (0..n).collect();
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        for i in (1..n).rev() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
+        let mut idx: Vec<usize> = (0..self.len()).collect();
+        for (i, j) in shuffle_swaps(idx.len(), seed) {
             idx.swap(i, j);
         }
         let take = |ids: &[usize]| {
@@ -122,28 +128,24 @@ impl Encoded {
         let (train, test) = idx.split_at(self.train_len(train_ratio));
         (take(train), take(test))
     }
+}
 
-    /// Selects a subset of feature columns (by index), keeping targets.
-    pub fn select_features(&self, cols: &[usize]) -> Encoded {
-        let mut features = Matrix::with_capacity(self.len(), cols.len());
-        let mut selected = vec![0.0; cols.len()];
-        for row in self.features.rows() {
-            for (cell, &c) in selected.iter_mut().zip(cols) {
-                *cell = row[c];
-            }
-            features.push_row(&selected);
-        }
-        Encoded {
-            features,
-            targets: self.targets.clone(),
-            feature_names: cols
-                .iter()
-                .map(|&c| self.feature_names[c].clone())
-                .collect(),
-            n_classes: self.n_classes,
-            class_values: self.class_values.clone(),
-        }
-    }
+/// Rows of `n` that a split at `train_ratio` deals to the training side.
+fn train_len(n: usize, train_ratio: f64) -> usize {
+    (((n as f64) * train_ratio).round() as usize).min(n)
+}
+
+/// The split's seeded permutation of `n` positions, as the swaps of one
+/// Fisher–Yates pass: applied in order to any `n`-element slice, they leave
+/// at position `p` the element the permutation deals to `p`.
+fn shuffle_swaps(n: usize, seed: u64) -> impl Iterator<Item = (usize, usize)> {
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+    (1..n).rev().map(move |i| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (i, (state >> 33) as usize % (i + 1))
+    })
 }
 
 /// Options controlling encoding.
@@ -211,6 +213,23 @@ pub fn encode(data: &Dataset, opts: &EncodeOptions) -> Encoded {
 /// dropped, deselected rows never contribute to imputation means, category
 /// ids or class ids. The module docs list the rules that make it so.
 pub fn encode_view(view: &DatasetView<'_>, opts: &EncodeOptions) -> Encoded {
+    encode_view_split(view, opts, 1.0, 0).0
+}
+
+/// [`encode_view`] and [`Encoded::split`] in one pass: every kept row is
+/// written straight to the position the split's seeded permutation deals it
+/// to, on the training side or the test side, so the matrix is never copied.
+///
+/// Bit for bit `encode_view(view, opts).split(train_ratio, seed)`, with one
+/// exception: when every row trains ([`Encoded::train_len`] is the row
+/// count) the training side is the whole matrix **unshuffled** and the test
+/// side is `None` — there is nothing left to test on.
+pub fn encode_view_split(
+    view: &DatasetView<'_>,
+    opts: &EncodeOptions,
+    train_ratio: f64,
+    seed: u64,
+) -> (Encoded, Option<Encoded>) {
     let base = view.base();
     let schema = view.schema();
     let mask = view.mask();
@@ -252,11 +271,12 @@ pub fn encode_view(view: &DatasetView<'_>, opts: &EncodeOptions) -> Encoded {
 
     // A masked target reads null on every selected row: all rows drop.
     if target_col.is_some_and(|tc| view.is_col_masked(tc)) {
-        return Encoded {
+        let empty = Encoded {
             features: Matrix::with_capacity(0, feature_names.len()),
             feature_names,
             ..Encoded::default()
         };
+        return (empty, None);
     }
 
     // Every pass below walks the selection in ascending row order: means
@@ -264,36 +284,55 @@ pub fn encode_view(view: &DatasetView<'_>, opts: &EncodeOptions) -> Encoded {
     let mut rows = Vec::with_capacity(mask.count());
     rows.extend(view.row_indices());
 
-    enum Reading<'p> {
-        Numeric { cells: &'p [f64], mean: f64 },
-        Categorical { codes: &'p [u32], ids: Vec<f64> },
+    // What each feature column (matrix column `j`) reads like is decided
+    // once per state: numbers imputed with the selection's mean, or
+    // category ids.
+    struct Numeric<'p> {
+        j: usize,
+        cells: &'p [f64],
+        /// The running sum until the pass below divides it by `count`.
+        mean: f64,
+        count: usize,
     }
-    let readings: Vec<Reading<'_>> = feature_cols
-        .iter()
-        .map(|&(c, column, non_null)| {
-            let numeric = mask.count_and(column.numeric());
-            if numeric > 0 && numeric == non_null {
-                let cells = column.readings();
-                let mut sum = 0.0;
-                for &r in &rows {
-                    if !cells[r].is_nan() {
-                        sum += cells[r];
-                    }
-                }
-                Reading::Numeric {
-                    cells,
-                    mean: sum / numeric as f64,
-                }
-            } else {
-                let dictionary = projection.dictionary(base, c);
-                let (ids, _) = first_appearance_ids(dictionary, &rows);
-                Reading::Categorical {
-                    codes: dictionary.codes(),
-                    ids,
-                }
+    struct Categorical<'p> {
+        j: usize,
+        codes: &'p [u32],
+        ids: Vec<f64>,
+    }
+    let mut numeric = Vec::new();
+    let mut categorical = Vec::new();
+    for (j, &(c, column, non_null)) in feature_cols.iter().enumerate() {
+        let count = mask.count_and(column.numeric());
+        if count > 0 && count == non_null {
+            numeric.push(Numeric {
+                j,
+                cells: column.readings(),
+                mean: 0.0,
+                count,
+            });
+        } else {
+            let dictionary = projection.dictionary(base, c);
+            let (ids, _) = first_appearance_ids(dictionary, &rows);
+            categorical.push(Categorical {
+                j,
+                codes: dictionary.codes(),
+                ids,
+            });
+        }
+    }
+    // One pass for every numeric column's mean: each column's sum starts
+    // at `0.0` and takes its addends in ascending row order; only the
+    // columns' chains interleave.
+    for &r in &rows {
+        for column in &mut numeric {
+            if !column.cells[r].is_nan() {
+                column.mean += column.cells[r];
             }
-        })
-        .collect();
+        }
+    }
+    for column in &mut numeric {
+        column.mean /= column.count as f64;
+    }
 
     enum Target<'p> {
         Absent,
@@ -330,43 +369,60 @@ pub fn encode_view(view: &DatasetView<'_>, opts: &EncodeOptions) -> Encoded {
         true
     });
 
-    // One allocation, filled a column at a time: what a column reads like
-    // is decided once per column, not once per cell.
-    let d = readings.len();
-    let mut data = vec![0.0; rows.len() * d];
-    for (j, reading) in readings.iter().enumerate() {
-        let column = data.iter_mut().skip(j).step_by(d).zip(&rows);
-        match reading {
-            Reading::Numeric { cells, mean } => {
-                for (cell, &r) in column {
-                    *cell = if cells[r].is_nan() { *mean } else { cells[r] };
-                }
-            }
-            Reading::Categorical { codes, ids } => {
-                for (cell, &r) in column {
-                    *cell = match codes[r] {
-                        Dictionary::NULL => -1.0,
-                        code => ids[code as usize],
-                    };
-                }
-            }
+    // The split: the permutation's swaps move the kept rows (and their
+    // targets) to the positions they are dealt to before a cell is
+    // written, so each side is filled in its final order.
+    let cut = train_len(rows.len(), train_ratio);
+    if cut < rows.len() {
+        for (i, j) in shuffle_swaps(rows.len(), seed) {
+            rows.swap(i, j);
+            targets.swap(i, j);
         }
     }
-    let features = Matrix::from_vec(rows.len(), d, data);
 
-    Encoded {
-        features,
+    // One allocation per side, filled a column at a time.
+    let d = feature_cols.len();
+    let fill = |rows: &[usize]| {
+        let mut data = vec![0.0; rows.len() * d];
+        for &Numeric { j, cells, mean, .. } in &numeric {
+            for (cell, &r) in data.iter_mut().skip(j).step_by(d).zip(rows) {
+                *cell = if cells[r].is_nan() { mean } else { cells[r] };
+            }
+        }
+        for Categorical { j, codes, ids } in &categorical {
+            for (cell, &r) in data.iter_mut().skip(*j).step_by(d).zip(rows) {
+                *cell = match codes[r] {
+                    Dictionary::NULL => -1.0,
+                    code => ids[code as usize],
+                };
+            }
+        }
+        Matrix::from_vec(rows.len(), d, data)
+    };
+    let n_classes = class_values.len();
+    // Every row trains: the whole matrix, unshuffled, and no test side.
+    let test = (cut < rows.len()).then(|| Encoded {
+        features: fill(&rows[cut..]),
+        targets: targets.split_off(cut),
+        feature_names: feature_names.clone(),
+        n_classes,
+        class_values: class_values.clone(),
+    });
+    let train = Encoded {
+        features: fill(&rows[..cut]),
         targets,
         feature_names,
-        n_classes: class_values.len(),
+        n_classes,
         class_values,
-    }
+    };
+    (train, test)
 }
 
 /// Numbers a column's dictionary keys `0, 1, …` in order of first
 /// appearance among `rows` (ascending): `ids[code]` is the key's id as the
 /// matrix stores it (`-1.0` for a key no selected row holds), and the second
-/// vector holds, per id, the row it first appeared in.
+/// vector holds, per id, the row it first appeared in. The scan stops once
+/// every key has an id: no later row can change either vector.
 fn first_appearance_ids(dictionary: &Dictionary, rows: &[usize]) -> (Vec<f64>, Vec<usize>) {
     let codes = dictionary.codes();
     let mut ids = vec![-1.0; dictionary.cardinality()];
@@ -376,6 +432,9 @@ fn first_appearance_ids(dictionary: &Dictionary, rows: &[usize]) -> (Vec<f64>, V
         if code != Dictionary::NULL && ids[code as usize] < 0.0 {
             ids[code as usize] = firsts.len() as f64;
             firsts.push(r);
+            if firsts.len() == ids.len() {
+                break;
+            }
         }
     }
     (ids, firsts)
@@ -986,6 +1045,119 @@ mod tests {
             }
         }
 
+        /// What the valuation trains and tests on: the split dealt as the
+        /// rows are written, against the whole matrix and `Encoded::split`.
+        fn assert_dealt_as_split(
+            view: &DatasetView<'_>,
+            opts: &EncodeOptions,
+            ratio: f64,
+            seed: u64,
+            context: &str,
+        ) {
+            let whole = encode_view(view, opts);
+            let (train, test) = encode_view_split(view, opts, ratio, seed);
+            let context = format!("{context} ratio {ratio} split seed {seed}");
+            if whole.train_len(ratio) == whole.len() {
+                // Nothing to test on: the whole matrix, unshuffled.
+                assert!(test.is_none(), "{context}");
+                assert_same(&train, &whole, &context);
+            } else {
+                let (want_train, want_test) = whole.split(ratio, seed);
+                assert_same(&train, &want_train, &context);
+                assert_same(&test.expect("rows left to test on"), &want_test, &context);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(160))]
+
+            /// The encoder that deals each row to its side of the split as
+            /// it writes the matrix writes what `encode_view` followed by
+            /// `Encoded::split` wrote, bit for bit: for every generated
+            /// shape (nulls, unparsable strings, `"inf"`, masked columns and
+            /// target, 0..n selected rows), every ratio and several seeds.
+            #[test]
+            fn the_dealt_split_is_the_encoding_split(
+                seed in any::<u64>(),
+                size in 0usize..8,
+                classes in any::<bool>(),
+                undeclared_target in 0usize..5,
+                split_seed in any::<u64>(),
+            ) {
+                let mut g = StdRng::seed_from_u64(seed);
+                let n = SIZES[size];
+                let data = table(&mut g, n, classes, undeclared_target != 0);
+                let projection = TableProjection::new(&data);
+                for at in 0..4 {
+                    let (mask, masked, opts) = state(&mut g, n, classes);
+                    let context = format!(
+                        "seed {seed} n {n} state {at} rows {:?} masked {masked:?} {opts:?}",
+                        mask.iter().collect::<Vec<_>>()
+                    );
+                    let view = DatasetView::new(&data, mask, masked);
+                    let view = if at % 2 == 0 {
+                        view.with_projection(&projection)
+                    } else {
+                        view
+                    };
+                    for ratio in [0.0, 0.5, 0.7, 1.0] {
+                        for split_seed in [split_seed, at as u64, 1] {
+                            assert_dealt_as_split(&view, &opts, ratio, split_seed, &context);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The class scan stops once every key has an id. A class that
+        /// first appears late (more classes than the first rows show) still
+        /// gets the next id, and a scan that ends early — every class seen by
+        /// row 160 of 200, every category by row 2 — agrees with the row
+        /// scan.
+        #[test]
+        fn class_ids_are_whole_whether_or_not_the_scan_ends_early() {
+            let schema = Schema::from_attributes(vec![
+                Attribute::feature("x"),
+                Attribute::feature("cat"),
+                Attribute::target("label"),
+            ]);
+            let n = 200;
+            let rows = (0..n)
+                .map(|r| {
+                    let label = match r {
+                        150 => s("c"),
+                        160 => Value::Int(7),
+                        _ if r % 3 == 0 => s("a"),
+                        _ => s("b"),
+                    };
+                    vec![
+                        Value::Float(r as f64 * 0.5),
+                        s(["north", "south", "east"][r % 3]),
+                        label,
+                    ]
+                })
+                .collect();
+            let data = Dataset::from_rows("late classes", schema, rows).unwrap();
+            let opts = EncodeOptions::classification();
+            let selections = [
+                (RowMask::all(n), 4),
+                (RowMask::from_pred(n, |r| r < 150), 2),
+                (RowMask::from_pred(n, |r| r >= 100), 4),
+                (RowMask::from_pred(n, |r| r >= 150), 4),
+                (RowMask::from_pred(n, |r| r % 50 == 0 || r == 160), 4),
+            ];
+            for (mask, n_classes) in selections {
+                let context = format!("rows {:?}", mask.iter().collect::<Vec<_>>());
+                let view = DatasetView::new(&data, mask, vec![false; 3]);
+                let expected = oracle::encode_view(&view, &opts);
+                assert_same(&encode_view(&view, &opts), &expected, &context);
+                assert_eq!(expected.n_classes, n_classes, "{context}");
+                for ratio in [0.0, 0.5, 0.7, 1.0] {
+                    assert_dealt_as_split(&view, &opts, ratio, 3, &context);
+                }
+            }
+        }
+
         /// The generated states reach the shapes one flat buffer can get
         /// wrong where a vector of rows could not: rows without a feature
         /// column, no row at all, a masked target (columns, no rows), one
@@ -1056,14 +1228,5 @@ mod tests {
             }
             assert_eq!(seen, [true; 6]);
         }
-    }
-
-    #[test]
-    fn select_features_projects_columns() {
-        let e = encode(&toy(), &EncodeOptions::regression());
-        let sel = e.select_features(&[1]);
-        assert_eq!(sel.feature_names, vec!["color"]);
-        assert_eq!(sel.features.n_cols(), 1);
-        assert_eq!(sel.feature_column(0), e.feature_column(1));
     }
 }

@@ -64,6 +64,27 @@ pub fn solve_linear_system(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<
     Some(x)
 }
 
+/// Cells of the normal equations [`RidgeRegression::fit`] accumulates at
+/// once: one register accumulator each, over the rows.
+const DOTS: usize = 8;
+
+/// `Σ_r row_r[i] · row_r[start + k]` for the `DOTS` cells `k` of one block,
+/// over the rows of width `width` laid out one after another in `rows`;
+/// every sum starts at `0.0` and adds its rows in order.
+fn dots(rows: &[f64], width: usize, i: usize, start: usize) -> [f64; DOTS] {
+    let mut sums = [0.0; DOTS];
+    for row in rows.chunks_exact(width) {
+        let a = row[i];
+        let block: &[f64; DOTS] = row[start..start + DOTS]
+            .try_into()
+            .expect("a block lies within its row");
+        for (sum, &b) in sums.iter_mut().zip(block) {
+            *sum += a * b;
+        }
+    }
+    sums
+}
+
 impl RidgeRegression {
     /// Fits ridge regression with regularisation strength `alpha`
     /// (`alpha = 0` gives OLS; the intercept is never regularised).
@@ -81,21 +102,44 @@ impl RidgeRegression {
                 alpha,
             };
         }
-        // Normal equations over the augmented design [1, x_1 … x_d]. `XᵀX`
-        // is symmetric and `a·b` has the bits of `b·a`, so only the upper
-        // triangle is accumulated — each cell still receives its addends in
-        // ascending row order — and mirrored: cell for cell the full matrix.
+        // Normal equations over the augmented rows [1, x_1 … x_d, y]
+        // (zero-padded to at least one block): every upper-triangle cell of
+        // `XᵀX`, and every cell of `Xᵀy`, receives `aug[i] · aug[j]`
+        // (`aug[i] · target`) from `0.0` in ascending row order — no
+        // pairwise or chunked sums, which round differently — and a block
+        // of `DOTS` cells of one row `i` is summed at a time in register
+        // accumulators, over the block's contiguous slice of each row. `XᵀX` is symmetric and `a·b` has the
+        // bits of `b·a`, so the lower triangle is the mirrored upper one.
         let dim = d + 1;
+        let width = (dim + 1).max(DOTS);
+        let n = x.len().min(y.len());
+        let mut aug = vec![0.0; n * width];
+        for ((out, row), &target) in aug.chunks_exact_mut(width).zip(x.rows()).zip(y) {
+            // Cell by cell: a `copy_from_slice` of a few cells is a
+            // `memcpy` call per row.
+            out[0] = 1.0;
+            for (cell, &value) in out[1..dim].iter_mut().zip(row) {
+                *cell = value;
+            }
+            out[dim] = target;
+        }
         let mut xtx = vec![vec![0.0; dim]; dim];
         let mut xty = vec![0.0; dim];
-        let mut aug = vec![1.0; dim];
-        for (row, &target) in x.rows().zip(y.iter()) {
-            aug[1..].copy_from_slice(row);
-            for i in 0..dim {
-                xty[i] += aug[i] * target;
-                for j in i..dim {
-                    xtx[i][j] += aug[i] * aug[j];
+        for i in 0..dim {
+            let mut j = i;
+            while j <= dim {
+                // The last block of a row ends at the row's end; cells it
+                // repeats from the block before are not stored again.
+                let start = j.min(width - DOTS);
+                let sums = dots(&aug, width, i, start);
+                for (cell, sum) in (j..=dim).zip(&sums[j - start..]) {
+                    if cell == dim {
+                        xty[i] = *sum;
+                    } else {
+                        xtx[i][cell] = *sum;
+                    }
                 }
+                j = start + DOTS;
             }
         }
         for i in 1..dim {
@@ -539,6 +583,28 @@ mod tests {
             prop_assert_eq!(bits(&new.weights), bits(&old.weights));
             let old_predictions: Vec<f64> = x.iter().map(|r| old.predict_one(r)).collect();
             prop_assert_eq!(bits(&new.predict(&matrix)), bits(&old_predictions));
+        }
+    }
+
+    /// Designs whose augmented rows take several blocks of accumulators,
+    /// the last one ending at the row's end and repeating cells of the one
+    /// before: still the per-row oracle's bits.
+    #[test]
+    fn ridge_across_several_blocks_is_ridge_on_rows_bit_for_bit() {
+        let mut g = StdRng::seed_from_u64(11);
+        for d in [6, 7, 8, 9, 14, 15, 16, 23] {
+            for n in [1, 9, 40, 300] {
+                let x = design(&mut g, n, d);
+                let y: Vec<f64> = x.iter().map(|r| r[0] + g.gen_range(-1.0..1.0)).collect();
+                let new = RidgeRegression::fit(&Matrix::from_rows(&x), &y, 1.0);
+                let old = oracle::ridge(&x, &y, 1.0);
+                assert_eq!(
+                    new.intercept.to_bits(),
+                    old.intercept.to_bits(),
+                    "d {d} n {n}"
+                );
+                assert_eq!(bits(&new.weights), bits(&old.weights), "d {d} n {n}");
+            }
         }
     }
 

@@ -1,8 +1,9 @@
 //! The design matrix every task model fits and predicts on.
 //!
-//! One row-major buffer: [`encode_view`](crate::encoding::encode_view) fills
-//! it in one allocation, [`Encoded::split`](crate::encoding::Encoded::split)
-//! gathers rows of it into two more, and the linear models and every
+//! One row-major buffer:
+//! [`encode_view_split`](crate::encoding::encode_view_split) fills the train
+//! and the test matrix of a valuation in one allocation each, dealing every
+//! row straight to its side of the split, and the linear models and every
 //! `predict` read it a row slice at a time. The tree models transpose it once
 //! per fit (`tree::Columns::from_matrix`). The type exists to make the matrix
 //! rectangular by construction — every row has [`Matrix::n_cols`] cells, also

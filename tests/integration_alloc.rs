@@ -4,7 +4,8 @@
 //!   times, however many rows the state selects. While the matrix was a
 //!   `Vec` of row `Vec`s, `encode_view` made one allocation per selected
 //!   row and `RidgeRegression::fit` one more per training row (≈ 1.7 per
-//!   row);
+//!   row). The ceiling is what the encoder writing the train/test split
+//!   directly measures (45; 54 while `Encoded::split` copied the matrix);
 //! - the borrowed skyline: a warm search's child allocates a fixed number
 //!   of times, however many members the ε-skyline holds. While
 //!   `EpsilonSkyline::entries` copied them, every child paid two
@@ -164,7 +165,7 @@ fn a_valuation_allocates_the_same_whatever_the_row_count() {
         few.abs_diff(many) <= 8,
         "{few} allocations for 250 rows, {many} for 1,000"
     );
-    assert!(many < 100, "{many} allocations for one 1,000-row valuation");
+    assert!(many <= 45, "{many} allocations for one 1,000-row valuation");
 }
 
 /// Allocations per visited child of a warm search — one whose every
