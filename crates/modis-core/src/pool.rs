@@ -1,13 +1,12 @@
-//! A minimal work pool shared by the waves ApxMODis and the exact algorithm
-//! valuate their schedules in, and by the execution engine's batch path and
-//! suite runner.
+//! A minimal work pool: the waves every search trains ahead in
+//! ([`probe_then_map`]) pay their cache misses across it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Applies `f` to every index in `0..n` across up to `workers` scoped
 /// threads and returns the results in index order. Serial when `workers`
 /// or `n` is 1. A panicking worker propagates its panic to the caller.
-pub fn parallel_map<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
+fn parallel_map<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

@@ -80,7 +80,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Folds a substrate memo's counters into the aggregate view.
-    pub fn absorb_memo(&mut self, memo: SubstrateCacheStats) {
+    pub(crate) fn absorb_memo(&mut self, memo: SubstrateCacheStats) {
         self.memo_entries += memo.entries;
         self.memo_evictions += memo.evictions;
     }
@@ -230,15 +230,10 @@ pub struct ShardExport {
 }
 
 impl SharedEvalCache {
-    /// Creates an unbounded cache with `shards` independent lock domains
-    /// (clamped to a power of two, minimum 1).
-    pub fn new(shards: usize) -> Self {
-        Self::with_capacity(shards, 0)
-    }
-
-    /// Creates a cache bounded at roughly `capacity` total evaluations
-    /// (0 = unbounded), spread evenly over the shards; each shard evicts
-    /// with the SIEVE policy once its share fills.
+    /// Creates a cache with `shards` independent lock domains (clamped to
+    /// a power of two, minimum 1), bounded at roughly `capacity` total
+    /// evaluations (0 = unbounded) spread evenly over the shards; each
+    /// shard evicts with the SIEVE policy once its share fills.
     pub fn with_capacity(shards: usize, capacity: usize) -> Self {
         let shards = shards.clamp(1, 1 << 16).next_power_of_two();
         let per_shard = if capacity == 0 {
@@ -554,7 +549,7 @@ mod tests {
 
     #[test]
     fn records_and_hits_within_a_namespace() {
-        let cache = Arc::new(SharedEvalCache::new(8));
+        let cache = Arc::new(SharedEvalCache::with_capacity(8, 0));
         let handle = cache.handle("t1");
         let b = StateBitmap::full(5);
         assert!(handle.lookup(&b).is_none());
@@ -567,7 +562,7 @@ mod tests {
 
     #[test]
     fn namespaces_are_isolated() {
-        let cache = Arc::new(SharedEvalCache::new(4));
+        let cache = Arc::new(SharedEvalCache::with_capacity(4, 0));
         let a = cache.handle("task-a");
         let b = cache.handle("task-b");
         let bitmap = StateBitmap::full(3);
@@ -579,7 +574,7 @@ mod tests {
 
     #[test]
     fn handles_share_one_store() {
-        let cache = Arc::new(SharedEvalCache::new(2));
+        let cache = Arc::new(SharedEvalCache::with_capacity(2, 0));
         let h1 = cache.handle("shared");
         let h2 = cache.handle("shared");
         let bitmap = StateBitmap::empty(4);
@@ -589,7 +584,7 @@ mod tests {
 
     #[test]
     fn overwrite_does_not_double_count_entries() {
-        let cache = Arc::new(SharedEvalCache::new(1));
+        let cache = Arc::new(SharedEvalCache::with_capacity(1, 0));
         let h = cache.handle("n");
         let bitmap = StateBitmap::full(2);
         h.record(&bitmap, &eval(0.1));
@@ -785,7 +780,7 @@ mod tests {
     fn surrogate_memo_misses_on_any_changed_bit_record_or_parameter() {
         use modis_ml::tree::{Criterion, TreeParams};
 
-        let cache = SharedEvalCache::new(1);
+        let cache = SharedEvalCache::with_capacity(1, 0);
         let (x, y) = training_set();
         let p = GbmParams {
             n_estimators: 8,
@@ -934,7 +929,7 @@ mod tests {
     /// predicts the same bits.
     #[test]
     fn surrogate_memo_is_bounded_and_an_evicted_matrix_refits_to_the_same_bits() {
-        let cache = SharedEvalCache::new(1);
+        let cache = SharedEvalCache::with_capacity(1, 0);
         let p = GbmParams {
             n_estimators: 2,
             ..GbmParams::default()
@@ -974,7 +969,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_consistent() {
-        let cache = Arc::new(SharedEvalCache::new(16));
+        let cache = Arc::new(SharedEvalCache::with_capacity(16, 0));
         std::thread::scope(|scope| {
             for t in 0..8 {
                 let handle = cache.handle("stress");

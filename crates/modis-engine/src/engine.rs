@@ -1,5 +1,6 @@
-//! The execution engine: runs suites of scenarios concurrently over one
-//! shared evaluation cache.
+//! The execution engine: runs one scenario per call over one shared
+//! evaluation cache, which scenarios sharing a namespace read each other's
+//! valuations from.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError, Weak};
@@ -7,7 +8,6 @@ use std::time::Instant;
 
 use modis_core::algorithm::Algorithm;
 use modis_core::estimator::{EstimatorMode, ValuationContext};
-use modis_core::pool::parallel_map;
 use modis_core::substrate::Substrate;
 use modis_core::telemetry::{self, MetricsRegistry, Telemetry, TraceContext, Tracer};
 
@@ -21,7 +21,10 @@ pub struct EngineConfig {
     /// waves train ahead the oracle valuations its search is certain to
     /// make. 1 disables intra-scenario parallelism.
     pub worker_threads: usize,
-    /// How many scenarios of a suite run concurrently.
+    /// Read by nothing: the engine runs one scenario per call. Kept only
+    /// because the end-to-end benchmark's churn configuration names every
+    /// other field and then `..EngineConfig::default()`, which would become
+    /// a needless struct update without it.
     pub scenario_parallelism: usize,
     /// Shard count of the shared evaluation cache.
     pub cache_shards: usize,
@@ -30,9 +33,10 @@ pub struct EngineConfig {
     /// SIEVE eviction and re-trained on their next visit. For tasks
     /// whose measures include wall-clock training time, a re-trained state
     /// re-measures the clock, so cross-scenario byte-stability of raw
-    /// metrics holds only while the suite's distinct-state count stays
-    /// within capacity (per-scenario determinism is unaffected — each
-    /// scenario's `ValuationContext` record store never evicts).
+    /// metrics holds only while the distinct states of the served
+    /// scenarios stay within capacity (per-scenario determinism is
+    /// unaffected — each scenario's `ValuationContext` record store never
+    /// evicts).
     pub cache_capacity: usize,
 }
 
@@ -56,41 +60,12 @@ impl EngineConfig {
         self.worker_threads = threads.max(1);
         self
     }
-
-    /// Builder-style scenario-parallelism setter.
-    pub fn with_scenario_parallelism(mut self, budget: usize) -> Self {
-        self.scenario_parallelism = budget.max(1);
-        self
-    }
 }
 
-/// Result of [`Engine::run_suite`]: per-scenario outcomes (input order) plus
-/// engine-level statistics.
-#[derive(Debug, Clone)]
-pub struct SuiteResult {
-    /// One outcome per scenario, in registration order.
-    pub outcomes: Vec<ScenarioOutcome>,
-    /// Shared evaluation-cache counters after the suite.
-    pub cache: CacheStats,
-    /// Wall-clock seconds for the whole suite.
-    pub wall_seconds: f64,
-}
-
-impl SuiteResult {
-    /// The outcome registered under `name`, if any.
-    pub fn outcome(&self, name: &str) -> Option<&ScenarioOutcome> {
-        self.outcomes.iter().find(|o| o.name == name)
-    }
-
-    /// Total oracle valuations answered by the shared cache across the
-    /// suite's scenarios.
-    pub fn total_shared_hits(&self) -> usize {
-        self.outcomes.iter().map(|o| o.shared_hits()).sum()
-    }
-}
-
-/// A reusable execution engine: one shared evaluation cache plus a
-/// parallelism budget for running scenario suites.
+/// A reusable execution engine: one shared evaluation cache, the
+/// namespace guard in front of it and the worker threads each scenario's
+/// waves train on. The service runs every request through
+/// [`Engine::run_scenario_traced`].
 ///
 /// ```
 /// use std::sync::Arc;
@@ -129,13 +104,13 @@ impl SuiteResult {
 ///
 /// let config = ModisConfig::default().with_max_states(20).with_estimator(EstimatorMode::Oracle);
 /// let engine = Engine::new(EngineConfig::default());
-/// let suite = engine.run_suite(&[
-///     Scenario::new("apx", substrate.clone(), Algorithm::Apx, config.clone())
-///         .with_cache_namespace("demo-pool"),
-///     Scenario::new("bi", substrate, Algorithm::Bi, config)
-///         .with_cache_namespace("demo-pool"),
-/// ]);
-/// assert_eq!(suite.outcomes.len(), 2);
+/// let apx = Scenario::new("apx", substrate.clone(), Algorithm::Apx, config.clone())
+///     .with_cache_namespace("demo-pool");
+/// let bi = Scenario::new("bi", substrate, Algorithm::Bi, config)
+///     .with_cache_namespace("demo-pool");
+/// assert_eq!(engine.run_scenario(&apx).shared_hits(), 0);
+/// // Both start from the same state: the second reads the first's valuations.
+/// assert!(engine.run_scenario(&bi).shared_hits() > 0);
 /// ```
 pub struct Engine {
     config: EngineConfig,
@@ -167,19 +142,12 @@ impl Engine {
     /// Creates an engine with its own shared evaluation cache, bounded at
     /// [`EngineConfig::cache_capacity`] evaluations.
     pub fn new(config: EngineConfig) -> Self {
-        let cache = Arc::new(SharedEvalCache::with_capacity(
-            config.cache_shards,
-            config.cache_capacity,
-        ));
-        Engine::with_cache(config, cache)
-    }
-
-    /// Creates an engine over an existing cache (lets several engines — or
-    /// several suites over time — share evaluations).
-    pub fn with_cache(config: EngineConfig, cache: Arc<SharedEvalCache>) -> Self {
         Engine {
+            cache: Arc::new(SharedEvalCache::with_capacity(
+                config.cache_shards,
+                config.cache_capacity,
+            )),
             config,
-            cache,
             memo_sources: Mutex::new(Vec::new()),
             namespace_guard: Mutex::new(HashMap::new()),
             telemetry: Telemetry {
@@ -447,26 +415,6 @@ impl Engine {
             .record_duration(start.elapsed());
         outcome
     }
-
-    /// Executes a suite of scenarios, at most
-    /// [`EngineConfig::scenario_parallelism`] concurrently, and returns the
-    /// outcomes in registration order.
-    ///
-    /// Each scenario's own result is independent of scheduling, but when
-    /// scenarios *share a cache namespace* the hit/miss split between them
-    /// depends on completion order; totals (states valuated per scenario,
-    /// skyline contents) do not.
-    pub fn run_suite(&self, scenarios: &[Scenario]) -> SuiteResult {
-        let start = Instant::now();
-        let outcomes = parallel_map(scenarios.len(), self.config.scenario_parallelism, |i| {
-            self.run_scenario(&scenarios[i])
-        });
-        SuiteResult {
-            outcomes,
-            cache: self.cache_stats(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -509,39 +457,35 @@ mod tests {
     }
 
     #[test]
-    fn suite_returns_outcomes_in_registration_order() {
-        let engine = Engine::new(EngineConfig::default().with_scenario_parallelism(4));
-        let suite = engine.run_suite(&mock_suite(false));
-        assert_eq!(suite.outcomes.len(), 4);
-        assert_eq!(suite.outcomes[0].algorithm, Algorithm::Apx);
-        assert_eq!(suite.outcomes[3].algorithm, Algorithm::Div);
-        assert!(suite.outcomes.iter().all(|o| !o.result.is_empty()));
-        assert!(suite.outcome("mock-BiMODis").is_some());
-        assert!(suite.outcome("absent").is_none());
-    }
-
-    #[test]
     fn shared_namespace_produces_cache_hits() {
-        let engine = Engine::new(EngineConfig::default().with_scenario_parallelism(1));
-        let suite = engine.run_suite(&mock_suite(true));
+        let engine = Engine::new(EngineConfig::default());
+        let outcomes: Vec<ScenarioOutcome> = mock_suite(true)
+            .iter()
+            .map(|s| engine.run_scenario(s))
+            .collect();
         // All four scenarios search the same space from the same start state;
         // everything after the first scenario's valuations should hit.
-        assert!(suite.total_shared_hits() > 0, "expected shared-cache hits");
-        assert!(suite.cache.hits >= suite.total_shared_hits());
-        assert!(suite.cache.entries > 0);
+        assert_eq!(outcomes[0].shared_hits(), 0, "the first run starts cold");
+        let hits: usize = outcomes.iter().map(|o| o.shared_hits()).sum();
+        assert!(hits > 0, "expected shared-cache hits");
+        let stats = engine.cache_stats();
+        assert!(stats.hits >= hits);
+        assert!(stats.entries > 0);
     }
 
     #[test]
     fn isolated_namespaces_do_not_share() {
-        let engine = Engine::new(EngineConfig::default().with_scenario_parallelism(2));
-        let suite = engine.run_suite(&mock_suite(false));
-        assert_eq!(suite.total_shared_hits(), 0);
+        let engine = Engine::new(EngineConfig::default());
+        for scenario in &mock_suite(false) {
+            assert_eq!(engine.run_scenario(scenario).shared_hits(), 0);
+        }
+        assert_eq!(engine.cache_stats().hits, 0);
     }
 
     #[test]
     #[should_panic(expected = "re-used over an incompatible substrate/task")]
     fn namespace_guard_rejects_incompatible_substrates() {
-        let engine = Engine::new(EngineConfig::default().with_scenario_parallelism(1));
+        let engine = Engine::new(EngineConfig::default());
         let a: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(6));
         let b: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(8));
         engine.run_scenario(
@@ -555,7 +499,7 @@ mod tests {
 
     #[test]
     fn namespace_guard_accepts_equal_fingerprints() {
-        let engine = Engine::new(EngineConfig::default().with_scenario_parallelism(1));
+        let engine = Engine::new(EngineConfig::default());
         // Two *instances* with identical structure may share a namespace.
         let a: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(6));
         let b: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(6));
@@ -750,7 +694,7 @@ mod tests {
                 substrate_cache: Default::default(),
             }
         };
-        let cache = Arc::new(SharedEvalCache::new(4));
+        let cache = Arc::new(SharedEvalCache::with_capacity(4, 0));
         let bare = run(None);
         let cold = run(Some(cache.handle("memo")));
         let warm = run(Some(cache.handle("memo")));
@@ -811,18 +755,26 @@ mod tests {
         );
     }
 
+    /// Four scenarios over one namespace, run in turn on one engine and
+    /// at once on another, return the same skylines: only which of them
+    /// pays a training and which reads it from the cache depends on timing.
     #[test]
     fn concurrent_and_serial_suites_agree_on_skylines() {
         let scenarios = mock_suite(true);
-        let serial =
-            Engine::new(EngineConfig::default().with_scenario_parallelism(1)).run_suite(&scenarios);
-        let concurrent = Engine::new(
-            EngineConfig::default()
-                .with_scenario_parallelism(4)
-                .with_worker_threads(4),
-        )
-        .run_suite(&scenarios);
-        for (a, b) in serial.outcomes.iter().zip(&concurrent.outcomes) {
+        let serial_engine = Engine::new(EngineConfig::default().with_worker_threads(1));
+        let serial: Vec<ScenarioOutcome> = scenarios
+            .iter()
+            .map(|s| serial_engine.run_scenario(s))
+            .collect();
+        let engine = Engine::new(EngineConfig::default().with_worker_threads(4));
+        let concurrent: Vec<ScenarioOutcome> = std::thread::scope(|scope| {
+            let handles: Vec<_> = scenarios
+                .iter()
+                .map(|s| scope.spawn(|| engine.run_scenario(s)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (a, b) in serial.iter().zip(&concurrent) {
             assert_eq!(a.result.entries.len(), b.result.entries.len(), "{}", a.name);
             for (x, y) in a.result.entries.iter().zip(&b.result.entries) {
                 assert_eq!(x.bitmap, y.bitmap);

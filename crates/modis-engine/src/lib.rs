@@ -1,7 +1,7 @@
 //! # modis-engine
 //!
-//! A cache-aware execution engine for multi-scenario MODis skyline
-//! generation.
+//! A cache-aware execution engine for MODis skyline generation: one
+//! scenario per call, over an evaluation cache every scenario shares.
 //!
 //! The core crate's algorithms ([`Algorithm::run`]) remember nothing
 //! between runs. This crate wraps them in a reusable engine with two pieces:
@@ -14,11 +14,11 @@
 //!   same seam, a bounded memo of fitted MO-GBM surrogates keyed by the
 //!   exact content of their training matrix: a scenario that runs again
 //!   over a warm cache refits nothing and returns the same bytes.
-//! * **A scenario runner** ([`engine`]) — [`Engine::run_suite`] executes a
-//!   registry of named scenarios (substrate × algorithm × config)
-//!   concurrently under a configurable parallelism budget and returns
-//!   per-scenario [`ScenarioOutcome`]s plus cache statistics. Each search
-//!   gets [`EngineConfig::worker_threads`] workers, to train in waves the
+//! * **A scenario runner** ([`engine`]) — [`Engine::run_scenario`] runs
+//!   one named scenario (substrate × algorithm × config) behind the
+//!   cache's namespace guard and returns its [`ScenarioOutcome`]; the
+//!   service runs every request this way. Each search gets
+//!   [`EngineConfig::worker_threads`] workers, to train in waves the
 //!   oracle valuations it is certain to make (BiMODis: those before its
 //!   pruning is armed); the skyline is the one a single thread returns.
 //!
@@ -50,7 +50,7 @@
 //! assert_eq!(outcome.result.states_valuated, sequential.states_valuated);
 //! ```
 //!
-//! See [`Engine`] for the multi-scenario entry point.
+//! See [`Engine`] for scenarios that share a cache namespace.
 
 #![warn(missing_docs)]
 
@@ -59,7 +59,7 @@ pub mod engine;
 pub mod scenario;
 
 pub use cache::{CacheHandle, CacheStats, ExportedEvaluation, ShardExport, SharedEvalCache};
-pub use engine::{Engine, EngineConfig, SuiteResult};
+pub use engine::{Engine, EngineConfig};
 pub use modis_core::algorithm::Algorithm;
 // `bench_e2e`'s search replay (`layers.rs`) compiles against these names;
 // each is the core function itself, same `(ctx, config, workers)` signature.

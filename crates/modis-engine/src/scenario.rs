@@ -1,6 +1,5 @@
-//! Scenario registry types: a *scenario* names one `(substrate × algorithm ×
-//! config)` job, and a suite is an ordered list of scenarios the engine
-//! executes under a parallelism budget.
+//! Scenario types: a *scenario* names one `(substrate × algorithm ×
+//! config)` job, the unit the engine runs and the service registers.
 
 use std::sync::Arc;
 

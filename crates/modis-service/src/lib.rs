@@ -1,7 +1,7 @@
 //! # modis-service
 //!
 //! A persistent skyline-serving subsystem over the `modis-engine`
-//! execution engine: where the engine runs one suite fast, the service
+//! execution engine: where the engine runs one scenario fast, the service
 //! keeps that machinery warm *across* requests and *across* processes.
 //!
 //! ```text

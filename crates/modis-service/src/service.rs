@@ -240,7 +240,7 @@ impl Service {
         Ok(service)
     }
 
-    /// The owned engine (for direct suite runs or telemetry).
+    /// The owned engine (for telemetry, the cache and its namespace guard).
     pub fn engine(&self) -> &Engine {
         &self.engine
     }

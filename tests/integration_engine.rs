@@ -1,7 +1,8 @@
 //! Integration tests of the `modis-engine` execution engine over real
 //! tabular workloads: equivalence across worker counts and between the
 //! engine and the core search, shared evaluation-cache behaviour across
-//! overlapping scenarios, and run-to-run determinism.
+//! overlapping scenarios served the way users run them (a `Service`
+//! draining its queue), and run-to-run determinism.
 //!
 //! Equivalence fixtures share one substrate instance between the compared
 //! runs: substrates memoise `evaluate_raw`, which pins noisy raw metrics
@@ -12,7 +13,8 @@ use std::sync::Arc;
 use modis_bench::{task_t1, task_t3};
 use modis_core::prelude::*;
 use modis_core::substrate::Substrate;
-use modis_engine::{Algorithm, Engine, EngineConfig, Scenario};
+use modis_engine::{Algorithm, Engine, EngineConfig, Scenario, ScenarioOutcome};
+use modis_service::{JobState, Service, ServiceConfig};
 
 fn oracle_config() -> ModisConfig {
     ModisConfig::default()
@@ -161,47 +163,52 @@ fn a_fresh_bimodis_scenario_shows_its_waves() {
     assert!(two_or_more > 0, "wave sizes {:?}", waves.snapshot());
 }
 
+/// Runs every named request through one drain of `service` and returns
+/// the outcomes in submission order.
+fn serve(service: &Service, names: &[&str]) -> Vec<ScenarioOutcome> {
+    let tickets = service.submit_many(names.iter().copied()).unwrap();
+    assert_eq!(service.run_pending(), names.len());
+    tickets
+        .into_iter()
+        .map(|ticket| match service.poll(ticket).unwrap() {
+            JobState::Done(outcome) => *outcome,
+            other => panic!("expected a finished job, got {other:?}"),
+        })
+        .collect()
+}
+
 #[test]
 fn suite_with_shared_pool_reports_cache_hits() {
     let substrate: Arc<dyn Substrate> = Arc::new(task_t3(5).substrate());
     let config = oracle_config().with_max_states(20);
-    let scenarios: Vec<Scenario> = [
+    let service = Service::new(ServiceConfig::default());
+    let algorithms = [
         Algorithm::Apx,
         Algorithm::NoBi,
         Algorithm::Bi,
         Algorithm::Div,
-    ]
-    .into_iter()
-    .map(|alg| {
-        Scenario::new(
-            format!("t3-{}", alg.name()),
-            substrate.clone(),
-            alg,
-            config.clone(),
-        )
-        .with_cache_namespace("t3-pool")
-    })
-    .collect();
+    ];
+    for alg in algorithms {
+        let scenario = Scenario::new(alg.name(), substrate.clone(), alg, config.clone())
+            .with_cache_namespace("t3-pool");
+        service.register(scenario).unwrap();
+    }
 
-    let engine = Engine::new(EngineConfig::default().with_scenario_parallelism(2));
-    let suite = engine.run_suite(&scenarios);
+    let outcomes = serve(&service, &algorithms.map(|alg| alg.name()));
 
-    assert_eq!(suite.outcomes.len(), 4);
-    assert!(
-        suite.outcomes.iter().all(|o| !o.result.is_empty()),
-        "every scenario finds a skyline"
-    );
+    // Each ticket answers the scenario it named, whatever order the
+    // scheduler ran them in.
+    for (outcome, alg) in outcomes.iter().zip(algorithms) {
+        assert_eq!(outcome.algorithm, alg);
+        assert!(!outcome.result.is_empty(), "{}: a skyline", outcome.name);
+    }
     // All scenarios expand from the same universal state, so at least the
     // later scenarios must reuse the earlier scenarios' oracle valuations.
-    assert!(
-        suite.total_shared_hits() > 0,
-        "expected nonzero shared-cache hits"
-    );
-    assert!(suite.cache.entries > 0);
-    assert!(suite.cache.hits >= suite.total_shared_hits());
-    // Outcomes keep registration order.
-    assert_eq!(suite.outcomes[0].algorithm, Algorithm::Apx);
-    assert_eq!(suite.outcomes[3].algorithm, Algorithm::Div);
+    let hits: usize = outcomes.iter().map(|o| o.shared_hits()).sum();
+    assert!(hits > 0, "expected nonzero shared-cache hits");
+    let stats = service.cache_stats();
+    assert!(stats.entries > 0);
+    assert!(stats.hits >= hits);
 }
 
 #[test]
@@ -234,17 +241,24 @@ fn isolated_namespaces_stay_isolated_across_workloads() {
     let t1: Arc<dyn Substrate> = Arc::new(task_t1(21).substrate());
     let t3: Arc<dyn Substrate> = Arc::new(task_t3(5).substrate());
     let config = oracle_config().with_max_states(15);
-    let engine = Engine::new(EngineConfig::default().with_scenario_parallelism(2));
-    let suite = engine.run_suite(&[
-        Scenario::new("t1-apx", t1, Algorithm::Apx, config.clone()),
-        Scenario::new("t3-apx", t3, Algorithm::Apx, config),
-    ]);
-    assert_eq!(
-        suite.total_shared_hits(),
-        0,
-        "distinct namespaces must not share"
-    );
-    assert!(suite.outcomes.iter().all(|o| !o.result.is_empty()));
+    let service = Service::new(ServiceConfig::default());
+    service
+        .register(Scenario::new("t1-apx", t1, Algorithm::Apx, config.clone()))
+        .unwrap();
+    service
+        .register(Scenario::new("t3-apx", t3, Algorithm::Apx, config))
+        .unwrap();
+    let outcomes = serve(&service, &["t1-apx", "t3-apx"]);
+    for outcome in &outcomes {
+        assert_eq!(
+            outcome.shared_hits(),
+            0,
+            "{}: distinct namespaces must not share",
+            outcome.name
+        );
+        assert!(!outcome.result.is_empty());
+    }
+    assert_eq!(service.cache_stats().hits, 0);
 }
 
 /// An engine cache smaller than two namespaces' union keeps the one whose
@@ -257,9 +271,9 @@ fn a_hot_scenario_keeps_its_hits_between_cold_searches() {
     use modis_core::substrate::mock::MockSubstrate;
     let engine = Engine::new(EngineConfig {
         worker_threads: 1,
-        scenario_parallelism: 1,
         cache_shards: 1,
         cache_capacity: 32,
+        ..EngineConfig::default()
     });
     let hot = Scenario::new(
         "hot",
@@ -269,9 +283,8 @@ fn a_hot_scenario_keeps_its_hits_between_cold_searches() {
     )
     .with_cache_namespace("hot");
     let cold: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(14));
-    let counts = |outcome: &modis_engine::ScenarioOutcome| {
-        (outcome.shared_hits(), outcome.result.stats.oracle_calls)
-    };
+    let counts =
+        |outcome: &ScenarioOutcome| (outcome.shared_hits(), outcome.result.stats.oracle_calls);
     assert_eq!(counts(&engine.run_scenario(&hot)), (0, 16));
     assert_eq!(counts(&engine.run_scenario(&hot)), (16, 0));
     let mut cold_trainings = 0;

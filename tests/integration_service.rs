@@ -186,7 +186,7 @@ fn restarted_service_matches_cold_run_with_warm_cache() {
 
     // A cold *sequential* reference run (fresh engine, no cache file).
     let reference: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(10));
-    let cold_engine = Engine::new(EngineConfig::default().with_scenario_parallelism(1));
+    let cold_engine = Engine::new(EngineConfig::default());
     let cold_reference = cold_engine.run_scenario(
         &Scenario::new("apx-ref", reference, Algorithm::Apx, oracle_config(60))
             .with_cache_namespace("ref-pool"),
