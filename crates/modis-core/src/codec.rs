@@ -184,7 +184,7 @@ impl<'a> ByteReader<'a> {
 pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// FNV-1a continuation over `bytes` from state `h`. This is the single
 /// source of truth for every hash that outlives the process (snapshot

@@ -117,15 +117,6 @@ impl SkylineResult {
         })
     }
 
-    /// Entry with the smallest normalised value of measure `index`.
-    pub fn best_by_normalised(&self, index: usize) -> Option<&SkylineEntry> {
-        self.entries.iter().min_by(|a, b| {
-            a.perf[index]
-                .partial_cmp(&b.perf[index])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
-
     /// The run's *paid* valuation cost: oracle trainings plus surrogate
     /// predictions, excluding valuations answered free of charge by the
     /// record store or the shared cross-run cache. This is the counter
@@ -192,7 +183,6 @@ mod tests {
         };
         assert_eq!(res.best_by_raw(0, true).unwrap().raw[0], 0.8);
         assert_eq!(res.best_by_raw(1, false).unwrap().raw[1], 2.0);
-        assert_eq!(res.best_by_normalised(1).unwrap().perf[1], 0.1);
         assert_eq!(res.len(), 2);
         assert!(!res.is_empty());
     }

@@ -37,35 +37,20 @@ impl CorrelationGraph {
         self.matrix.len()
     }
 
-    /// Whether the graph has no measures.
-    pub fn is_empty(&self) -> bool {
-        self.matrix.is_empty()
-    }
-
     /// Whether measures `i` and `j` are strongly correlated.
     pub fn strongly_correlated(&self, i: usize, j: usize) -> bool {
         i < self.len() && j < self.len() && self.matrix[i][j].abs() >= self.theta
     }
-
-    /// Number of strongly-correlated pairs (edges of `G_C`).
-    pub fn num_edges(&self) -> usize {
-        let m = self.len();
-        (0..m)
-            .flat_map(|i| ((i + 1)..m).map(move |j| (i, j)))
-            .filter(|&(i, j)| self.strongly_correlated(i, j))
-            .count()
-    }
 }
 
-/// Parameterised performance bounds `[p̂_l, p̂_u]` of a not-yet-valuated
-/// state, derived from the valuated performance of a neighbouring state and
-/// globally observed per-transition deltas.
+/// The optimistic end `p̂_l` of the parameterised performance bounds
+/// `[p̂_l, p̂_u]` of a not-yet-valuated state, derived from the valuated
+/// performance of a neighbouring state and globally observed per-transition
+/// deltas. Only `p̂_l` decides a prune; `p̂_u` is computed only to tighten it.
 #[derive(Debug, Clone)]
 pub struct PerfBounds {
     /// Per-measure lower bounds (optimistic estimate).
     pub lower: Vec<f64>,
-    /// Per-measure upper bounds (pessimistic estimate).
-    pub upper: Vec<f64>,
 }
 
 impl PerfBounds {
@@ -106,7 +91,7 @@ impl PerfBounds {
                 }
             }
         }
-        PerfBounds { lower, upper }
+        PerfBounds { lower }
     }
 
     /// Parameterised ε-dominance check (Lemma 4, Case 3a): an existing
@@ -181,7 +166,6 @@ mod tests {
         assert!(g.strongly_correlated(0, 1));
         assert!(!g.strongly_correlated(0, 2));
         assert!(!g.strongly_correlated(1, 2));
-        assert_eq!(g.num_edges(), 1);
         assert_eq!(g.len(), 3);
     }
 
@@ -203,7 +187,6 @@ mod tests {
         let g = CorrelationGraph::from_series(&series, 0.8);
         let bounds = PerfBounds::from_parent(&[0.5, 0.5], &[-0.05, -0.05], &[0.05, 0.05], &g);
         assert!(bounds.lower[0] >= 0.44 && bounds.lower[0] <= 0.46);
-        assert!(bounds.upper[0] <= 0.56);
         // A very strong existing vector dominates anything in these bounds.
         assert!(bounds.epsilon_dominated_by(&[0.1, 0.1], 0.1));
         // A weak vector does not.
@@ -212,10 +195,7 @@ mod tests {
 
     #[test]
     fn empty_bounds_are_never_dominated() {
-        let b = PerfBounds {
-            lower: vec![],
-            upper: vec![],
-        };
+        let b = PerfBounds { lower: vec![] };
         assert!(!b.epsilon_dominated_by(&[], 0.1));
     }
 }

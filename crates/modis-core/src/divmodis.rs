@@ -18,7 +18,7 @@ use crate::search_common::{finalize_result, Direction, Frontier, VisitedSet};
 use crate::substrate::Substrate;
 
 /// Pairwise distance `dis(D_i, D_j)` of Eq. (2).
-pub fn diversification_distance(
+pub(crate) fn diversification_distance(
     a: &SkylineEntry,
     b: &SkylineEntry,
     alpha: f64,
@@ -58,7 +58,7 @@ fn pairwise_score<'a>(
 ///
 /// The replacement runs on positions into `entries`; a trial costs one
 /// score and no copy, and the `k` winners are cloned once, at the end.
-pub fn diversify_level(
+pub(crate) fn diversify_level(
     entries: Vec<SkylineEntry>,
     k: usize,
     alpha: f64,

@@ -47,7 +47,7 @@ use crate::substrate::Substrate;
 /// outputs) holds 274–298 bytes with its table slot, so a full table is
 /// 140–153 KB, about the size of a paper model, and the engine's 128-model
 /// memo full of full tables holds ≈ 20 MB of estimates.
-pub const ESTIMATE_TABLE_CAPACITY: usize = 512;
+pub(crate) const ESTIMATE_TABLE_CAPACITY: usize = 512;
 
 /// A fitted MO-GBM surrogate `E` and the estimates it has made.
 ///
@@ -496,7 +496,7 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
     }
 
     /// Raw metric values for a state, valuating with the oracle if needed.
-    pub fn raw_for(&self, bitmap: &StateBitmap) -> Vec<f64> {
+    pub(crate) fn raw_for(&self, bitmap: &StateBitmap) -> Vec<f64> {
         {
             let inner = self.inner.lock();
             if let Some(&idx) = inner.by_bitmap.get(bitmap) {
@@ -516,7 +516,7 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
     }
 
     /// Number of valuated states (tests in `T`).
-    pub fn num_valuated(&self) -> usize {
+    pub(crate) fn num_valuated(&self) -> usize {
         self.inner.lock().records.len()
     }
 
@@ -532,7 +532,7 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
 
     /// Per-measure series of the oracle-valuated performance values, used to
     /// maintain the correlation graph `G_C`.
-    pub fn measure_series(&self) -> Vec<Vec<f64>> {
+    pub(crate) fn measure_series(&self) -> Vec<Vec<f64>> {
         let inner = self.inner.lock();
         let m = self.substrate.measures().len();
         let mut series = vec![Vec::new(); m];

@@ -11,22 +11,22 @@
 //!   the position grid of Eq. (1);
 //! * [`dominance`] — Pareto and ε-dominance, exact skyline computation;
 //! * [`task`] — downstream models `M` and oracle evaluation of datasets;
-//! * [`substrate`] / [`table_substrate`] / [`graph_substrate`] — the
+//! * [`substrate`] / [`table_substrate`] / [`GraphSubstrate`] — the
 //!   finite-state-transducer search space over tables (T1–T4) and bipartite
 //!   graphs (T5);
 //! * [`estimator`] — the MO-GBM surrogate estimator `E` and the shared
 //!   valuation context (test set `T`);
 //! * [`pareto`] — the `UPareto` ε-skyline maintenance structure;
-//! * [`correlation`] — the correlation graph `G_C` and parameterised
-//!   dominance bounds;
+//! * `correlation` (private) — the correlation graph `G_C` and
+//!   parameterised dominance bounds BiMODis prunes with;
 //! * [`apx`] / [`bimodis`] / [`divmodis`] / [`exact`] — the paper's
 //!   algorithms (ApxMODis, BiMODis, NOBiMODis, DivMODis, exact), named by
 //!   [`algorithm::Algorithm`]; ApxMODis and exact valuate their traversal
-//!   in waves across [`pool`]'s worker threads, and BiMODis, NOBiMODis and
+//!   in waves across a pool of worker threads, and BiMODis, NOBiMODis and
 //!   DivMODis train there, ahead, the oracle valuations they are certain to
 //!   make;
-//! * [`baselines`] — METAM, METAM-MO, Starmie, SkSFM, H2O, HydraGAN-style
-//!   comparators;
+//! * the baselines [`metam`], [`metam_mo`], [`starmie`], [`sksfm`],
+//!   [`h2o`] and [`hydragan_like`] — the paper's comparators;
 //! * [`config`] — run configuration and skyline results.
 //!
 //! ## Quick example
@@ -73,20 +73,20 @@
 
 pub mod algorithm;
 pub mod apx;
-pub mod baselines;
+mod baselines;
 pub mod bimodis;
 pub mod codec;
 pub mod config;
-pub mod correlation;
+mod correlation;
 pub mod divmodis;
 pub mod dominance;
 pub mod estimator;
 pub mod exact;
 mod expand;
-pub mod graph_substrate;
+mod graph_substrate;
 pub mod measure;
 pub mod pareto;
-pub mod pool;
+mod pool;
 pub mod search_common;
 pub mod sieve_cache;
 pub mod substrate;

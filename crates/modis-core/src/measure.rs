@@ -75,23 +75,9 @@ impl MeasureSpec {
         v.clamp(1e-6, 1.0)
     }
 
-    /// Inverse of [`normalise`](Self::normalise) for reporting purposes:
-    /// converts a normalised value back to the raw metric scale.
-    pub fn denormalise(&self, normalised: f64) -> f64 {
-        match self.direction {
-            Direction::HigherIsBetter => 1.0 - normalised,
-            Direction::LowerIsBetter => normalised * self.scale,
-        }
-    }
-
     /// Whether a normalised value satisfies the measure's range.
     pub fn within_bounds(&self, normalised: f64) -> bool {
         normalised >= self.lower - 1e-12 && normalised <= self.upper + 1e-12
-    }
-
-    /// Ratio `p_u / p_l` used by the complexity bound (`p_m` in Theorem 1).
-    pub fn bound_ratio(&self) -> f64 {
-        self.upper / self.lower
     }
 }
 
@@ -140,7 +126,7 @@ impl MeasureSet {
     }
 
     /// Index of the decisive measure (the last one by default).
-    pub fn decisive_index(&self) -> usize {
+    pub(crate) fn decisive_index(&self) -> usize {
         self.specs.len().saturating_sub(1)
     }
 
@@ -168,14 +154,6 @@ impl MeasureSet {
             .iter()
             .zip(normalised.iter())
             .any(|(s, &v)| v > s.upper + 1e-12)
-    }
-
-    /// Maximum bound ratio `p_m = max p_u / p_l` over all measures.
-    pub fn max_bound_ratio(&self) -> f64 {
-        self.specs
-            .iter()
-            .map(|s| s.bound_ratio())
-            .fold(1.0, f64::max)
     }
 
     /// Measure names in order.
@@ -217,7 +195,6 @@ mod tests {
     fn maximise_measures_are_inverted() {
         let m = MeasureSpec::maximise("acc");
         assert!((m.normalise(0.9) - 0.1).abs() < 1e-9);
-        assert!((m.denormalise(0.1) - 0.9).abs() < 1e-9);
         // Clamped away from zero to stay in (0,1].
         assert!(m.normalise(1.0) > 0.0);
     }
@@ -227,7 +204,6 @@ mod tests {
         let m = MeasureSpec::minimise("time", 10.0);
         assert!((m.normalise(5.0) - 0.5).abs() < 1e-9);
         assert_eq!(m.normalise(20.0), 1.0);
-        assert!((m.denormalise(0.5) - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -236,7 +212,6 @@ mod tests {
         assert!(m.within_bounds(0.3));
         assert!(!m.within_bounds(0.7));
         assert!(!m.within_bounds(0.05));
-        assert!((m.bound_ratio() - 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -272,11 +247,5 @@ mod tests {
         let a = position(&[0.100, 0.4], &set, 0.5, 1);
         let b = position(&[0.105, 0.4], &set, 0.5, 1);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn max_bound_ratio() {
-        let set = example_set();
-        assert!((set.max_bound_ratio() - 80.0).abs() < 1e-9);
     }
 }

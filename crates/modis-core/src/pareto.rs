@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use modis_data::StateBitmap;
 
 use crate::config::SkylineEntry;
-use crate::dominance::{dominated_flags, epsilon_dominates};
+use crate::dominance::dominated_flags;
 use crate::measure::{position, MeasureSet};
 
 /// A cell-indexed ε-skyline under construction.
@@ -100,13 +100,6 @@ impl EpsilonSkyline {
         }
     }
 
-    /// Whether some current member ε-dominates the given performance vector.
-    pub fn epsilon_dominated(&self, perf: &[f64]) -> bool {
-        self.cells
-            .values()
-            .any(|e| epsilon_dominates(&e.perf, perf, self.epsilon))
-    }
-
     /// Borrows the current members, in cell-key order. The search loops
     /// read every member once per visited child, so nothing is copied here;
     /// a caller that needs owned entries says so with `.cloned()`.
@@ -115,7 +108,7 @@ impl EpsilonSkyline {
     }
 
     /// Replaces the member set (used by the level-wise diversification).
-    pub fn replace_entries(&mut self, entries: Vec<SkylineEntry>) {
+    pub(crate) fn replace_entries(&mut self, entries: Vec<SkylineEntry>) {
         self.cells.clear();
         for e in entries {
             let pos = position(&e.perf, &self.measures, self.epsilon, self.decisive);
@@ -176,8 +169,6 @@ mod tests {
         assert!(sky.offer(&b, &[0.05, 0.8], 0));
         assert!(sky.offer(&b.flipped(0), &[0.6, 0.1], 0));
         assert_eq!(sky.len(), 2);
-        assert!(sky.epsilon_dominated(&[0.7, 0.2]));
-        assert!(!sky.epsilon_dominated(&[0.04, 0.05]));
     }
 
     #[test]

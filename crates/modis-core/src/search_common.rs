@@ -14,7 +14,7 @@ use crate::substrate::Substrate;
 
 /// Search direction of an `OpGen` expansion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
+pub(crate) enum Direction {
     /// Forward search: flip 1 → 0 (reduct operators).
     Forward,
     /// Backward search: flip 0 → 1 (augment operators).
@@ -34,7 +34,7 @@ pub struct ProtectedSet {
 
 impl ProtectedSet {
     /// Builds the set from unit indices, sized for a `num_units` universe.
-    pub fn from_indices(indices: &[usize], num_units: usize) -> Self {
+    pub(crate) fn from_indices(indices: &[usize], num_units: usize) -> Self {
         let mut words = vec![0u64; num_units.div_ceil(64)];
         let mut len = 0;
         for &i in indices {
@@ -77,7 +77,7 @@ impl ProtectedSet {
 
 /// Procedure `OpGen`: spawns every one-flip child of a state in the given
 /// direction, skipping protected units.
-pub fn op_gen(
+pub(crate) fn op_gen(
     bitmap: &StateBitmap,
     direction: Direction,
     protected: &ProtectedSet,
@@ -94,7 +94,7 @@ pub fn op_gen(
 /// Hashed with [`modis_data::bitmap::WordHasher`]: every key is a state the
 /// search spawned itself, never one a peer sent.
 #[derive(Debug, Default)]
-pub struct VisitedSet {
+pub(crate) struct VisitedSet {
     seen: HashSet<StateBitmap, BuildWordHasher>,
 }
 
@@ -113,16 +113,6 @@ impl VisitedSet {
     pub(crate) fn contains(&self, bitmap: &StateBitmap) -> bool {
         self.seen.contains(bitmap)
     }
-
-    /// Number of visited states.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
 }
 
 /// The one running of the generator every MODis search is built on: a
@@ -133,7 +123,7 @@ impl VisitedSet {
 /// `P` is a per-node payload handed back when the node's children are visited
 /// (`()` for the forward searches, the parent's performance vector for
 /// BiMODis, whose two frontiers share the [`VisitedSet`] borrowed per call).
-pub struct Frontier<P> {
+pub(crate) struct Frontier<P> {
     queue: VecDeque<(StateBitmap, P, usize)>,
     direction: Direction,
     protected: ProtectedSet,
@@ -168,7 +158,7 @@ impl<P> Frontier<P> {
 
     /// Level of the node the next [`Frontier::step`] pops; `None` once the
     /// frontier is exhausted.
-    pub fn next_level(&self) -> Option<usize> {
+    pub(crate) fn next_level(&self) -> Option<usize> {
         self.queue.front().map(|(_, _, level)| *level)
     }
 
@@ -285,7 +275,7 @@ impl<P> Frontier<P> {
 /// how many states not yet recorded in `ctx` the schedule may hold — states a
 /// (pre-warmed) context already holds are scheduled but consume none, just as
 /// a sequential `valuate` memo hit leaves `ctx.num_valuated()` unchanged.
-pub fn forward_schedule<S: Substrate + ?Sized>(
+pub(crate) fn forward_schedule<S: Substrate + ?Sized>(
     ctx: &ValuationContext<'_, S>,
     config: &ModisConfig,
     budget: usize,
@@ -314,7 +304,7 @@ pub fn forward_schedule<S: Substrate + ?Sized>(
 /// when any member's vector changed the members are pruned of exact
 /// dominance again: no returned entry is dominated by another. The result is
 /// wrapped in a [`SkylineResult`].
-pub fn finalize_result<S: Substrate + ?Sized>(
+pub(crate) fn finalize_result<S: Substrate + ?Sized>(
     skyline: &EpsilonSkyline,
     ctx: &ValuationContext<'_, S>,
     elapsed_seconds: f64,
@@ -515,7 +505,6 @@ mod tests {
         assert!(!visited.insert(&refused));
         // 2³ states, all but the start handed out exactly once.
         assert_eq!(handed.len(), 7);
-        assert_eq!(visited.len(), 8);
     }
 
     #[test]
@@ -554,8 +543,6 @@ mod tests {
         let b = StateBitmap::full(3);
         assert!(v.insert(&b));
         assert!(!v.insert(&b));
-        assert_eq!(v.len(), 1);
-        assert!(!v.is_empty());
     }
 
     #[test]

@@ -34,14 +34,6 @@ pub struct SubstrateCacheStats {
     pub evictions: usize,
 }
 
-impl SubstrateCacheStats {
-    /// Accumulates another memo's counters into this one.
-    pub fn merge(&mut self, other: SubstrateCacheStats) {
-        self.entries += other.entries;
-        self.evictions += other.evictions;
-    }
-}
-
 /// A search space over artefacts encoded by state bitmaps.
 ///
 /// Substrates are required to be `Send + Sync`: the execution engine
@@ -94,7 +86,7 @@ pub trait Substrate: Send + Sync {
     /// valuations. The default folds everything that determines what a
     /// bitmap means (unit count and labels, start states, protected units)
     /// and what an evaluation means (the measure set) into one hash; see
-    /// [`structural_fingerprint`]. Implementations whose valuations depend
+    /// `structural_fingerprint`. Implementations whose valuations depend
     /// on more than the structure (e.g. a downstream model spec) should
     /// override this and mix the extra identity in.
     fn fingerprint(&self) -> u64 {
@@ -118,7 +110,7 @@ pub trait Substrate: Send + Sync {
 /// are persisted inside evaluation-cache snapshots and compared across
 /// processes (and toolchains) to keep a warm-started namespace from
 /// serving another substrate's evaluations.
-pub fn structural_fingerprint<S: Substrate + ?Sized>(substrate: &S) -> u64 {
+pub(crate) fn structural_fingerprint<S: Substrate + ?Sized>(substrate: &S) -> u64 {
     let mut h = StableHasher::new();
     substrate.num_units().hash(&mut h);
     for unit in 0..substrate.num_units() {

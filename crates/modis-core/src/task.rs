@@ -39,7 +39,7 @@ pub enum ModelKind {
 
 impl ModelKind {
     /// Whether the model solves a classification task.
-    pub fn is_classification(&self) -> bool {
+    pub(crate) fn is_classification(&self) -> bool {
         matches!(
             self,
             ModelKind::RandomForestClassifier

@@ -8,7 +8,7 @@
 //! everything above builds on:
 //!
 //! * a [`MetricsRegistry`] of lock-free instruments — [`Counter`]s,
-//!   [`Gauge`]s and log2-bucketed latency [`Histogram`]s with p50/p90/p99
+//!   [`Gauge`]s and log2-bucketed latency [`Histogram`]s with p50/p99
 //!   estimation and lossless [`Histogram::merge`] — rendered on demand as
 //!   Prometheus-style text exposition ([`MetricsRegistry::render`]);
 //! * a fixed-capacity ring-buffer span [`Tracer`] with scoped [`Span`]
@@ -43,7 +43,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// Number of log2 buckets a [`Histogram`] keeps: one per possible bit
 /// width of a `u64` sample (0 has width 0), so every sample maps to
 /// exactly one bucket with two instructions and no branches.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A monotonically increasing counter (relaxed atomic increments).
 #[derive(Debug, Default)]
@@ -217,11 +217,6 @@ impl Histogram {
     /// Estimated median (`quantile(0.5)`).
     pub fn p50(&self) -> u64 {
         self.quantile(0.5)
-    }
-
-    /// Estimated 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.9)
     }
 
     /// Estimated 99th percentile.
@@ -964,7 +959,7 @@ thread_local! {
 /// Runs `f` with `telemetry` installed as this thread's ambient
 /// telemetry (restoring the previous ambient afterwards, panics
 /// included). Deep layers that cannot reach a registry by reference —
-/// a schedule's waves inside a search — read it back with [`ambient`].
+/// a schedule's waves inside a search — read it back with `ambient`.
 pub fn with_ambient<R>(telemetry: Telemetry, f: impl FnOnce() -> R) -> R {
     struct Restore;
     impl Drop for Restore {
@@ -980,7 +975,7 @@ pub fn with_ambient<R>(telemetry: Telemetry, f: impl FnOnce() -> R) -> R {
 }
 
 /// This thread's ambient telemetry, if a [`with_ambient`] scope is open.
-pub fn ambient() -> Option<Telemetry> {
+pub(crate) fn ambient() -> Option<Telemetry> {
     AMBIENT.with(|stack| stack.borrow().last().cloned())
 }
 

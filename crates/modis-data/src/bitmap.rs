@@ -212,16 +212,6 @@ impl StateBitmap {
         (0..self.len).map(|i| self.get(i))
     }
 
-    /// Indices of set entries.
-    pub fn ones(&self) -> Vec<usize> {
-        self.iter_ones().collect()
-    }
-
-    /// Indices of cleared entries.
-    pub fn zeros(&self) -> Vec<usize> {
-        self.iter_zeros().collect()
-    }
-
     /// The bits as a `Vec<bool>` (unpacked copy).
     pub fn bits(&self) -> Vec<bool> {
         self.iter().collect()
@@ -248,7 +238,7 @@ impl StateBitmap {
     /// In-place word-wise intersection (`self &= other`). `self` keeps its
     /// length; entries of `other` beyond it are ignored, entries missing
     /// from `other` read 0.
-    pub fn and_with(&mut self, other: &StateBitmap) {
+    pub(crate) fn and_with(&mut self, other: &StateBitmap) {
         let other = other.words();
         let words = self.words_mut();
         for (w, o) in words.iter_mut().zip(other) {
@@ -261,7 +251,7 @@ impl StateBitmap {
 
     /// In-place word-wise union (`self |= other`). `self` keeps its length;
     /// entries of `other` beyond it are ignored.
-    pub fn or_with(&mut self, other: &StateBitmap) {
+    pub(crate) fn or_with(&mut self, other: &StateBitmap) {
         for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
             *w |= o;
         }
@@ -270,7 +260,7 @@ impl StateBitmap {
 
     /// In-place word-wise difference (`self &= !other`). `self` keeps its
     /// length; entries of `other` beyond it are ignored.
-    pub fn and_not_with(&mut self, other: &StateBitmap) {
+    pub(crate) fn and_not_with(&mut self, other: &StateBitmap) {
         for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
             *w &= !o;
         }
@@ -292,19 +282,11 @@ impl StateBitmap {
         out
     }
 
-    /// Word-wise difference (`self AND NOT other`). The result has `self`'s
-    /// length; entries of `other` beyond it are ignored.
-    pub fn and_not(&self, other: &StateBitmap) -> StateBitmap {
-        let mut out = self.clone();
-        out.and_not_with(other);
-        out
-    }
-
     /// Number of entries set in both bitmaps: the popcount of the word-wise
     /// AND, without materialising it. Entries beyond the shorter bitmap
     /// read 0.
     #[inline]
-    pub fn intersection_count(&self, other: &StateBitmap) -> usize {
+    pub(crate) fn intersection_count(&self, other: &StateBitmap) -> usize {
         self.words()
             .iter()
             .zip(other.words())
@@ -340,26 +322,6 @@ impl StateBitmap {
         } else {
             dot as f64 / (na.sqrt() * nb.sqrt())
         }
-    }
-
-    /// Hamming distance between two bitmaps (differing positions; the longer
-    /// bitmap's tail counts where it has set bits).
-    pub fn hamming_distance(&self, other: &StateBitmap) -> usize {
-        let (short, long) = if self.words().len() <= other.words().len() {
-            (self.words(), other.words())
-        } else {
-            (other.words(), self.words())
-        };
-        let mut d: usize = short
-            .iter()
-            .zip(long)
-            .map(|(a, b)| (a ^ b).count_ones() as usize)
-            .sum();
-        d += long[short.len()..]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum::<usize>();
-        d
     }
 }
 
@@ -511,7 +473,6 @@ mod tests {
         let e = StateBitmap::empty(4);
         assert_eq!(f.count_ones(), 4);
         assert_eq!(e.count_ones(), 0);
-        assert_eq!(f.hamming_distance(&e), 4);
     }
 
     #[test]
@@ -534,8 +495,8 @@ mod tests {
     #[test]
     fn ones_and_zeros_partition_indices() {
         let b = StateBitmap::from_bits(vec![true, false, true, false]);
-        assert_eq!(b.ones(), vec![0, 2]);
-        assert_eq!(b.zeros(), vec![1, 3]);
+        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(b.iter_zeros().collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(b.count_zeros(), 2);
     }
 
@@ -545,7 +506,7 @@ mod tests {
         for i in [0, 63, 64, 127, 129] {
             b.set(i, true);
         }
-        assert_eq!(b.ones(), vec![0, 63, 64, 127, 129]);
+        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![0, 63, 64, 127, 129]);
         assert_eq!(b.count_ones(), 5);
     }
 
@@ -592,13 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn different_length_hamming() {
-        let a = StateBitmap::from_bits(vec![true]);
-        let b = StateBitmap::from_bits(vec![true, true, false]);
-        assert_eq!(a.hamming_distance(&b), 1);
-    }
-
-    #[test]
     fn ordering_matches_vec_bool_lexicographic() {
         let cases = [
             (vec![false, true], vec![true, false]),
@@ -624,10 +578,6 @@ mod tests {
         assert_eq!(
             a.or(&b),
             StateBitmap::from_bits(vec![true, true, true, false])
-        );
-        assert_eq!(
-            a.and_not(&b),
-            StateBitmap::from_bits(vec![false, true, false, false])
         );
         // Shorter `other` reads as zero-padded.
         let short = StateBitmap::from_bits(vec![true]);
@@ -748,7 +698,6 @@ mod tests {
             let and_not: Vec<bool> = (0..la).map(|i| ma[i] && !other(i)).collect();
             prop_assert_eq!(a.and(&b).bits(), and.clone());
             prop_assert_eq!(a.or(&b).bits(), or.clone());
-            prop_assert_eq!(a.and_not(&b).bits(), and_not.clone());
             let (mut x, mut y, mut z) = (a.clone(), a.clone(), a.clone());
             x.and_with(&b);
             y.or_with(&b);
@@ -757,11 +706,6 @@ mod tests {
             prop_assert_eq!(a.or(&b).count_ones(), (0..la).filter(|&i| ma[i] || other(i)).count());
             let common = and.iter().filter(|&&v| v).count();
             prop_assert_eq!(a.intersection_count(&b), common);
-            let hamming = (0..la.max(lb))
-                .filter(|&i| (i < la && ma[i]) != other(i))
-                .count();
-            prop_assert_eq!(a.hamming_distance(&b), hamming);
-            prop_assert_eq!(b.hamming_distance(&a), hamming);
             let (na, nb) = (ones.len() as f64, mb.iter().filter(|&&v| v).count() as f64);
             let cosine = if na == 0.0 || nb == 0.0 {
                 0.0

@@ -184,23 +184,6 @@ pub fn derive_attribute_literals(
     }
 }
 
-/// Derives literals for every attribute of the dataset except the listed
-/// exclusions (typically the join key and the target attribute).
-pub fn derive_all_literals(
-    data: &Dataset,
-    exclude: &[&str],
-    config: &ClusterConfig,
-) -> Vec<DomainCluster> {
-    let mut out = Vec::new();
-    for name in data.schema().names() {
-        if exclude.contains(&name) {
-            continue;
-        }
-        out.extend(derive_attribute_literals(data, name, config));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,17 +253,6 @@ mod tests {
         assert!(clusters
             .iter()
             .all(|c| matches!(c.literal.condition, crate::literal::Condition::Equals(_))));
-    }
-
-    #[test]
-    fn derive_all_literals_respects_exclusions() {
-        let data = numeric_data(30);
-        let cfg = ClusterConfig {
-            max_k: 4,
-            iterations: 10,
-        };
-        let all = derive_all_literals(&data, &["label"], &cfg);
-        assert!(all.iter().all(|c| c.attribute == "x"));
     }
 
     #[test]

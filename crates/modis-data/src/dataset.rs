@@ -139,19 +139,6 @@ impl Dataset {
             .collect()
     }
 
-    /// The column by attribute name.
-    pub fn column_by_name(&self, name: &str) -> Option<Vec<Value>> {
-        self.schema.position(name).map(|c| self.column(c))
-    }
-
-    /// Numeric view of a column; non-numeric / missing cells become `None`.
-    pub fn numeric_column(&self, col: usize) -> Vec<Option<f64>> {
-        self.rows
-            .iter()
-            .map(|r| r.get(col).and_then(|v| v.as_f64()))
-            .collect()
-    }
-
     /// Active domain `adom(A)` of a column: the set of distinct non-null
     /// values occurring in the dataset (§2).
     pub fn active_domain(&self, col: usize) -> BTreeSet<Value> {
@@ -178,7 +165,7 @@ impl Dataset {
     }
 
     /// Projection onto a subset of columns (by index).
-    pub fn project(&self, indices: &[usize]) -> Dataset {
+    pub(crate) fn project(&self, indices: &[usize]) -> Dataset {
         let schema = self.schema.project(indices);
         let rows = self
             .rows
@@ -224,18 +211,6 @@ impl Dataset {
         before - self.rows.len()
     }
 
-    /// Drops all columns whose cells are entirely null and returns the new
-    /// dataset together with retained column indices.
-    ///
-    /// The paper reports output sizes "excluding attributes with all cells
-    /// masked" (§6).
-    pub fn drop_all_null_columns(&self) -> (Dataset, Vec<usize>) {
-        let keep: Vec<usize> = (0..self.num_columns())
-            .filter(|&c| self.rows.iter().any(|r| !r[c].is_null()))
-            .collect();
-        (self.project(&keep), keep)
-    }
-
     /// Dataset size `(rows, columns)` as reported in the paper's tables,
     /// excluding all-null columns.
     pub fn reported_size(&self) -> (usize, usize) {
@@ -269,18 +244,6 @@ impl Dataset {
             schema: self.schema.clone(),
             rows,
         }
-    }
-
-    /// Vertically concatenates another dataset with an identical schema.
-    pub fn append(&mut self, other: &Dataset) -> Result<(), DataError> {
-        if other.schema.names() != self.schema.names() {
-            return Err(DataError::SchemaMismatch {
-                left: self.schema.to_string(),
-                right: other.schema.to_string(),
-            });
-        }
-        self.rows.extend(other.rows.iter().cloned());
-        Ok(())
     }
 
     /// Splits the dataset into (train, test) by a ratio, deterministically.
@@ -398,9 +361,6 @@ mod tests {
     fn drop_all_null_columns_removes_masked() {
         let mut d = toy();
         d.add_column(Attribute::feature("empty"));
-        let (clean, kept) = d.drop_all_null_columns();
-        assert_eq!(clean.num_columns(), 2);
-        assert_eq!(kept, vec![0, 1]);
         assert_eq!(d.reported_size(), (3, 2));
     }
 
@@ -417,15 +377,5 @@ mod tests {
         let s1 = d.sample(2, 42);
         let s2 = d.sample(2, 42);
         assert_eq!(s1.rows(), s2.rows());
-    }
-
-    #[test]
-    fn append_requires_same_schema() {
-        let mut d = toy();
-        let other = toy();
-        assert!(d.append(&other).is_ok());
-        assert_eq!(d.num_rows(), 6);
-        let bad = Dataset::new("x", Schema::from_names(["z"]));
-        assert!(d.append(&bad).is_err());
     }
 }

@@ -18,14 +18,8 @@ pub enum DataError {
     UnknownColumnIndex(usize),
     /// Column name not present in the schema.
     UnknownColumn(String),
-    /// Two schemas that must match do not.
-    SchemaMismatch { left: String, right: String },
     /// A join key attribute was missing from one of the operands.
     MissingJoinKey(String),
-    /// CSV parsing failed.
-    Csv(String),
-    /// An operator was applied in an invalid configuration.
-    InvalidOperator(String),
 }
 
 impl fmt::Display for DataError {
@@ -46,12 +40,7 @@ impl fmt::Display for DataError {
             }
             DataError::UnknownColumnIndex(i) => write!(f, "unknown column index {i}"),
             DataError::UnknownColumn(n) => write!(f, "unknown column `{n}`"),
-            DataError::SchemaMismatch { left, right } => {
-                write!(f, "schema mismatch: {left} vs {right}")
-            }
             DataError::MissingJoinKey(k) => write!(f, "join key `{k}` missing from operand"),
-            DataError::Csv(msg) => write!(f, "csv error: {msg}"),
-            DataError::InvalidOperator(msg) => write!(f, "invalid operator: {msg}"),
         }
     }
 }

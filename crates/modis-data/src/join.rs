@@ -216,7 +216,7 @@ mod tests {
         let j = hash_join(&left(), &right(), "id", JoinKind::FullOuter).unwrap();
         // 2 matches + 1 unmatched left + 1 unmatched right
         assert_eq!(j.num_rows(), 4);
-        let ids: Vec<_> = j.column_by_name("id").unwrap();
+        let ids = j.column(j.schema().position("id").unwrap());
         assert!(ids.contains(&Value::Int(4)));
     }
 

@@ -25,8 +25,6 @@ pub enum Condition {
     },
     /// `A` is missing.
     IsNull,
-    /// `A` is present.
-    NotNull,
 }
 
 /// A literal `c` posed on a named attribute.
@@ -64,16 +62,8 @@ impl Literal {
         }
     }
 
-    /// Builds a `NOT NULL` literal.
-    pub fn not_null(attribute: impl Into<String>) -> Self {
-        Literal {
-            attribute: attribute.into(),
-            condition: Condition::NotNull,
-        }
-    }
-
     /// Evaluates the literal on a single value.
-    pub fn matches_value(&self, v: &Value) -> bool {
+    pub(crate) fn matches_value(&self, v: &Value) -> bool {
         match &self.condition {
             Condition::Equals(target) => v == target,
             Condition::Range { lo, hi } => match v.as_f64() {
@@ -81,7 +71,6 @@ impl Literal {
                 None => false,
             },
             Condition::IsNull => v.is_null(),
-            Condition::NotNull => !v.is_null(),
         }
     }
 
@@ -102,14 +91,6 @@ impl Literal {
             .filter(|r| self.matches_row(data, r))
             .count()
     }
-
-    /// Fraction of rows of `data` satisfying the literal (0 for empty data).
-    pub fn selectivity(&self, data: &Dataset) -> f64 {
-        if data.num_rows() == 0 {
-            return 0.0;
-        }
-        self.selectivity_count(data) as f64 / data.num_rows() as f64
-    }
 }
 
 impl fmt::Display for Literal {
@@ -118,7 +99,6 @@ impl fmt::Display for Literal {
             Condition::Equals(v) => write!(f, "{} = {}", self.attribute, v),
             Condition::Range { lo, hi } => write!(f, "{} ∈ [{}, {}]", self.attribute, lo, hi),
             Condition::IsNull => write!(f, "{} IS NULL", self.attribute),
-            Condition::NotNull => write!(f, "{} IS NOT NULL", self.attribute),
         }
     }
 }
@@ -153,7 +133,6 @@ mod tests {
         let d = toy();
         let lit = Literal::range("year", 2000.0, 2006.0);
         assert_eq!(lit.selectivity_count(&d), 2);
-        assert!((lit.selectivity(&d) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -166,7 +145,6 @@ mod tests {
     fn null_literals() {
         let d = toy();
         assert_eq!(Literal::is_null("season").selectivity_count(&d), 1);
-        assert_eq!(Literal::not_null("season").selectivity_count(&d), 2);
     }
 
     #[test]

@@ -6,68 +6,13 @@
 //! * [`reduct`] — `⊖_c(D_M)`: select the tuples of `D_M` satisfying `c` and
 //!   remove them.
 //!
-//! Both are polynomial-time and expressible as SPJ queries; the
-//! [`Operator`] enum packages them so the transducer can treat them
-//! uniformly.
-
-use std::fmt;
+//! Both are polynomial-time and expressible as SPJ queries.
 
 use crate::dataset::Dataset;
 use crate::error::DataError;
 use crate::literal::Literal;
 use crate::schema::Attribute;
 use crate::value::Value;
-
-/// A primitive operator of the data generator `T = (s_M, S, O, S_F, δ)`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Operator {
-    /// `⊕_c(·, D)`: augment with attribute `attribute` from source table
-    /// `source` subject to literal `c`.
-    Augment {
-        /// Name of the source table in the pool `D`.
-        source: String,
-        /// Attribute of the source table to add (also used for value
-        /// alignment when already present).
-        attribute: String,
-        /// Literal constraining which source tuples are brought in.
-        literal: Literal,
-    },
-    /// `⊖_c(·)`: remove the tuples satisfying `literal`.
-    Reduct {
-        /// Literal selecting the tuples to remove.
-        literal: Literal,
-    },
-}
-
-impl Operator {
-    /// Returns the literal carried by the operator.
-    pub fn literal(&self) -> &Literal {
-        match self {
-            Operator::Augment { literal, .. } => literal,
-            Operator::Reduct { literal } => literal,
-        }
-    }
-
-    /// Whether this is an augmentation.
-    pub fn is_augment(&self) -> bool {
-        matches!(self, Operator::Augment { .. })
-    }
-}
-
-impl fmt::Display for Operator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Operator::Augment {
-                source,
-                attribute,
-                literal,
-            } => {
-                write!(f, "⊕[{source}.{attribute} | {literal}]")
-            }
-            Operator::Reduct { literal } => write!(f, "⊖[{literal}]"),
-        }
-    }
-}
 
 /// Applies `⊕_c(base, source)` (§3, Augment).
 ///
@@ -118,66 +63,6 @@ pub fn augment(
     Ok(out)
 }
 
-/// Applies `⊗`-style *value alignment* augmentation used when constructing
-/// the universal table: instead of appending rows, fills the `attribute`
-/// column of `base` by matching on a join key, and appends unmatched source
-/// tuples satisfying the literal.
-///
-/// This mirrors the spatial-join style augmentation of Example 3: attributes
-/// are joined tuple-by-tuple where a key matches, and genuinely new evidence
-/// is appended as new (partially null) tuples.
-pub fn augment_aligned(
-    base: &Dataset,
-    source: &Dataset,
-    attribute: &str,
-    key: &str,
-    literal: &Literal,
-) -> Result<Dataset, DataError> {
-    let src_attr_col = source
-        .schema()
-        .position(attribute)
-        .ok_or_else(|| DataError::UnknownColumn(attribute.to_string()))?;
-    let src_key_col = source
-        .schema()
-        .position(key)
-        .ok_or_else(|| DataError::MissingJoinKey(key.to_string()))?;
-    let base_key_col = base
-        .schema()
-        .position(key)
-        .ok_or_else(|| DataError::MissingJoinKey(key.to_string()))?;
-
-    let mut out = base.clone();
-    out.name = format!("{}+{}", base.name, attribute);
-    let attr = source
-        .schema()
-        .attribute(src_attr_col)
-        .cloned()
-        .unwrap_or_else(|| Attribute::feature(attribute));
-    let out_attr_col = out.add_column(attr);
-
-    // Index matching source rows by key value.
-    use std::collections::HashMap;
-    let mut index: HashMap<Value, Value> = HashMap::new();
-    for row in source.rows() {
-        if !literal.matches_row(source, row) {
-            continue;
-        }
-        let k = row[src_key_col].clone();
-        if k.is_null() {
-            continue;
-        }
-        index.entry(k).or_insert_with(|| row[src_attr_col].clone());
-    }
-
-    for r in 0..out.num_rows() {
-        let k = out.value(r, base_key_col).clone();
-        if let Some(v) = index.get(&k) {
-            out.set_value(r, out_attr_col, v.clone())?;
-        }
-    }
-    Ok(out)
-}
-
 /// Applies `⊖_c(base)` (§3, Reduct): removes all tuples satisfying the
 /// literal and returns the reduced dataset together with the number of
 /// removed tuples.
@@ -204,28 +89,6 @@ pub fn mask_attribute(base: &Dataset, attribute: &str) -> Result<Dataset, DataEr
         out.set_value(r, col, Value::Null)?;
     }
     Ok(out)
-}
-
-/// Applies a generic [`Operator`] given the source table pool.
-pub fn apply_operator(
-    base: &Dataset,
-    pool: &[Dataset],
-    op: &Operator,
-) -> Result<Dataset, DataError> {
-    match op {
-        Operator::Augment {
-            source,
-            attribute,
-            literal,
-        } => {
-            let src = pool
-                .iter()
-                .find(|d| d.name == *source)
-                .ok_or_else(|| DataError::UnknownColumn(format!("source table {source}")))?;
-            augment(base, src, attribute, literal)
-        }
-        Operator::Reduct { literal } => Ok(reduct(base, literal).0),
-    }
 }
 
 #[cfg(test)]
@@ -282,18 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn augment_aligned_joins_on_key() {
-        let base = water();
-        let src = phosphorus();
-        let lit = Literal::not_null("phosphorus");
-        let out = augment_aligned(&base, &src, "phosphorus", "site", &lit).unwrap();
-        assert_eq!(out.num_rows(), 2);
-        let c = out.schema().position("phosphorus").unwrap();
-        assert_eq!(out.value(0, c), &Value::Float(0.3));
-        assert_eq!(out.value(1, c), &Value::Float(0.9));
-    }
-
-    #[test]
     fn reduct_removes_matching_rows() {
         let src = phosphorus();
         let lit = Literal::range("year", 0.0, 2012.0);
@@ -318,32 +169,5 @@ mod tests {
         let c = out.schema().position("phosphorus").unwrap();
         assert!(out.rows().iter().all(|r| r[c].is_null()));
         assert_eq!(out.num_columns(), src.num_columns());
-    }
-
-    #[test]
-    fn apply_operator_dispatches() {
-        let base = water();
-        let pool = vec![phosphorus()];
-        let op = Operator::Augment {
-            source: "phos".into(),
-            attribute: "phosphorus".into(),
-            literal: Literal::equals("year", 2013),
-        };
-        let out = apply_operator(&base, &pool, &op).unwrap();
-        assert!(out.schema().contains("phosphorus"));
-        let op2 = Operator::Reduct {
-            literal: Literal::equals("site", 1),
-        };
-        let out2 = apply_operator(&out, &pool, &op2).unwrap();
-        assert!(out2.num_rows() < out.num_rows());
-    }
-
-    #[test]
-    fn operator_display() {
-        let op = Operator::Reduct {
-            literal: Literal::equals("a", 1),
-        };
-        assert!(op.to_string().contains('⊖'));
-        assert!(!op.is_augment());
     }
 }

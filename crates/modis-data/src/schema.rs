@@ -146,23 +146,6 @@ impl Schema {
             .position(|a| a.role == AttributeRole::Target)
     }
 
-    /// Index of the join-key attribute, if declared.
-    pub fn key_index(&self) -> Option<usize> {
-        self.attributes
-            .iter()
-            .position(|a| a.role == AttributeRole::Key)
-    }
-
-    /// Indices of feature attributes (excludes key and target).
-    pub fn feature_indices(&self) -> Vec<usize> {
-        self.attributes
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.role == AttributeRole::Feature)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Union of two schemas (the universal-schema construction `R_U`).
     ///
     /// Attribute order: all of `self` first, then attributes of `other` not
@@ -176,7 +159,7 @@ impl Schema {
     }
 
     /// Projection of the schema onto a set of column indices.
-    pub fn project(&self, indices: &[usize]) -> Schema {
+    pub(crate) fn project(&self, indices: &[usize]) -> Schema {
         Schema::from_attributes(indices.iter().filter_map(|&i| self.attribute(i).cloned()))
     }
 }
@@ -193,15 +176,6 @@ impl fmt::Display for Schema {
                 .join(", ")
         )
     }
-}
-
-/// Builds the universal schema of a set of local schemas (§2).
-pub fn universal_schema<'a, I: IntoIterator<Item = &'a Schema>>(schemas: I) -> Schema {
-    let mut u = Schema::new();
-    for s in schemas {
-        u = u.union(s);
-    }
-    u
 }
 
 #[cfg(test)]
@@ -226,25 +200,13 @@ mod tests {
     }
 
     #[test]
-    fn universal_schema_of_many() {
-        let s1 = Schema::from_names(["k", "a"]);
-        let s2 = Schema::from_names(["k", "b"]);
-        let s3 = Schema::from_names(["k", "c", "a"]);
-        let u = universal_schema([&s1, &s2, &s3]);
-        assert_eq!(u.len(), 4);
-        assert!(u.contains("c"));
-    }
-
-    #[test]
     fn role_lookup() {
         let s = Schema::from_attributes(vec![
             Attribute::key("id"),
             Attribute::feature("x"),
             Attribute::target("y"),
         ]);
-        assert_eq!(s.key_index(), Some(0));
         assert_eq!(s.target_index(), Some(2));
-        assert_eq!(s.feature_indices(), vec![1]);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! diversification distance and several baselines also need column summary
 //! statistics.
 
-use crate::dataset::Dataset;
-
 /// Summary statistics of a numeric column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
@@ -57,11 +55,6 @@ impl ColumnStats {
             max,
         }
     }
-
-    /// Statistics for a dataset column.
-    pub fn from_column(data: &Dataset, col: usize) -> ColumnStats {
-        ColumnStats::from_values(&data.numeric_column(col))
-    }
 }
 
 /// Mean of a slice (0 for an empty slice).
@@ -85,7 +78,7 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 /// Pearson product-moment correlation coefficient.
 ///
 /// Returns 0 when either slice is constant or the lengths differ.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+pub(crate) fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     if xs.len() != ys.len() || xs.len() < 2 {
         return 0.0;
     }
@@ -175,8 +168,6 @@ pub fn cosine_similarity(xs: &[f64], ys: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Schema;
-    use crate::value::Value;
 
     #[test]
     fn column_stats_basic() {
@@ -193,18 +184,6 @@ mod tests {
         let s = ColumnStats::from_values(&[None, None]);
         assert_eq!(s.count, 0);
         assert_eq!(s.nulls, 2);
-    }
-
-    #[test]
-    fn column_stats_from_dataset() {
-        let d = Dataset::from_rows(
-            "d",
-            Schema::from_names(["x"]),
-            vec![vec![Value::Float(4.0)], vec![Value::Float(8.0)]],
-        )
-        .unwrap();
-        let s = ColumnStats::from_column(&d, 0);
-        assert!((s.mean - 6.0).abs() < 1e-12);
     }
 
     #[test]

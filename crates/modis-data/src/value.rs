@@ -49,16 +49,6 @@ impl Value {
         }
     }
 
-    /// Converts the value into `i64` when lossless.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            Value::Float(f) if f.fract() == 0.0 => Some(*f as i64),
-            Value::Bool(b) => Some(i64::from(*b)),
-            _ => None,
-        }
-    }
-
     /// Returns the string payload if the value is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -304,12 +294,5 @@ mod tests {
         let nan = Value::Float(f64::NAN);
         assert_eq!(nan, Value::Float(f64::NAN));
         assert_eq!(nan.cmp(&Value::Float(1.0)), Ordering::Greater);
-    }
-
-    #[test]
-    fn as_i64_lossless_only() {
-        assert_eq!(Value::Float(3.0).as_i64(), Some(3));
-        assert_eq!(Value::Float(3.5).as_i64(), None);
-        assert_eq!(Value::Bool(true).as_i64(), Some(1));
     }
 }

@@ -99,24 +99,12 @@ impl RowMask {
         self.bits.intersection_count(&other.bits)
     }
 
-    /// Word-wise `self &= other` (masks must range over the same rows).
-    pub fn intersect_with(&mut self, other: &RowMask) {
-        debug_assert_eq!(self.len(), other.len());
-        self.bits.and_with(&other.bits);
-    }
-
     /// Word-wise `self &= !other`: removes `other`'s rows from the
     /// selection. This is the reduct `⊖_c`: `other` holds the rows matching
     /// the literal, and subtracting it keeps exactly the non-matching rows.
     pub fn subtract(&mut self, other: &RowMask) {
         debug_assert_eq!(self.len(), other.len());
         self.bits.and_not_with(&other.bits);
-    }
-
-    /// Word-wise `self |= other`.
-    pub fn union_with(&mut self, other: &RowMask) {
-        debug_assert_eq!(self.len(), other.len());
-        self.bits.or_with(&other.bits);
     }
 
     /// Iterates the selected row indices in increasing order.
@@ -361,15 +349,9 @@ mod tests {
     fn row_mask_set_ops_match_per_bit_semantics() {
         let even = RowMask::from_pred(10, |r| r % 2 == 0);
         let small = RowMask::from_pred(10, |r| r < 5);
-        let mut a = even.clone();
-        a.intersect_with(&small);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![0, 2, 4]);
         let mut b = even.clone();
         b.subtract(&small);
         assert_eq!(b.iter().collect::<Vec<_>>(), vec![6, 8]);
-        let mut c = RowMask::none(10);
-        c.union_with(&even);
-        assert_eq!(c, even);
     }
 
     #[test]

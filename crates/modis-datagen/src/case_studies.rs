@@ -203,7 +203,7 @@ mod tests {
         // aligned with the 3 classes; a noise feature should not separate.
         let u = universal_table(&pool.tables, &pool.join_key).unwrap();
         let sig = &pool.informative[0];
-        let col = u.column_by_name(sig).unwrap();
+        let col = u.column(u.schema().position(sig).unwrap());
         let distinct_rounded: std::collections::BTreeSet<i64> = col
             .iter()
             .filter_map(|v| v.as_f64())

@@ -6,7 +6,7 @@
 //! The core crate's algorithms ([`Algorithm::run`]) remember nothing
 //! between runs. This crate wraps them in a reusable engine with two pieces:
 //!
-//! * **A shared evaluation cache** ([`cache`]) — a sharded
+//! * **A shared evaluation cache** ([`SharedEvalCache`]) — a sharded
 //!   `(namespace, state) → evaluation` store installed behind the
 //!   [`modis_core::estimator::EvaluationHook`] seam, so states revisited
 //!   across passes and across scenarios sharing a pool are trained once.
@@ -14,7 +14,7 @@
 //!   same seam, a bounded memo of fitted MO-GBM surrogates keyed by the
 //!   exact content of their training matrix: a scenario that runs again
 //!   over a warm cache refits nothing and returns the same bytes.
-//! * **A scenario runner** ([`engine`]) — [`Engine::run_scenario`] runs
+//! * **A scenario runner** ([`Engine`]) — [`Engine::run_scenario`] runs
 //!   one named scenario (substrate × algorithm × config) behind the
 //!   cache's namespace guard and returns its [`ScenarioOutcome`]; the
 //!   service runs every request this way. Each search gets
@@ -54,9 +54,9 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod engine;
-pub mod scenario;
+mod cache;
+mod engine;
+mod scenario;
 
 pub use cache::{CacheHandle, CacheStats, ExportedEvaluation, ShardExport, SharedEvalCache};
 pub use engine::{Engine, EngineConfig};

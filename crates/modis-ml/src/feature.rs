@@ -13,7 +13,7 @@ use crate::matrix::Matrix;
 /// `F(j) = Σ_c n_c (μ_{c,j} − μ_j)² / Σ_c n_c σ²_{c,j}`; larger is better.
 /// Returns 0 when the denominator vanishes. Classes are summed in ascending
 /// label order, so the score of one input is one bit pattern.
-pub fn fisher_score_feature(values: &[f64], labels: &[f64]) -> f64 {
+pub(crate) fn fisher_score_feature(values: &[f64], labels: &[f64]) -> f64 {
     if values.len() != labels.len() || values.is_empty() {
         return 0.0;
     }
@@ -75,7 +75,7 @@ pub fn fisher_scores(x: &Matrix, labels: &[f64]) -> Vec<f64> {
 }
 
 /// Equal-width discretisation of a continuous slice into `bins` buckets.
-pub fn discretise(values: &[f64], bins: usize) -> Vec<usize> {
+pub(crate) fn discretise(values: &[f64], bins: usize) -> Vec<usize> {
     if values.is_empty() || bins == 0 {
         return vec![0; values.len()];
     }
@@ -95,7 +95,7 @@ pub fn discretise(values: &[f64], bins: usize) -> Vec<usize> {
 
 /// Mutual information (nats) between two discretised variables, summed over
 /// the occupied cells in ascending `(x, y)` order.
-pub fn mutual_information_discrete(xs: &[usize], ys: &[usize]) -> f64 {
+pub(crate) fn mutual_information_discrete(xs: &[usize], ys: &[usize]) -> f64 {
     if xs.len() != ys.len() || xs.is_empty() {
         return 0.0;
     }
@@ -120,7 +120,7 @@ pub fn mutual_information_discrete(xs: &[usize], ys: &[usize]) -> f64 {
 
 /// Mutual information between a continuous feature and labels, using
 /// equal-width binning of the feature.
-pub fn mutual_information_feature(values: &[f64], labels: &[f64], bins: usize) -> f64 {
+pub(crate) fn mutual_information_feature(values: &[f64], labels: &[f64], bins: usize) -> f64 {
     let xs = discretise(values, bins);
     let ys: Vec<usize> = labels
         .iter()

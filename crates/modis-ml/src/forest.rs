@@ -120,7 +120,7 @@ impl RandomForest {
     }
 
     /// Per-class vote shares for one sample (classification only).
-    pub fn predict_scores_one(&self, row: &[f64]) -> Vec<f64> {
+    pub(crate) fn predict_scores_one(&self, row: &[f64]) -> Vec<f64> {
         let k = self.n_classes.max(1);
         let mut votes = vec![0.0; k];
         for t in &self.trees {

@@ -201,7 +201,7 @@ impl GradientBoostingClassifier {
     }
 
     /// Per-class probability scores for one sample.
-    pub fn predict_scores_one(&self, row: &[f64]) -> Vec<f64> {
+    pub(crate) fn predict_scores_one(&self, row: &[f64]) -> Vec<f64> {
         if self.n_classes == 2 {
             let (base, trees) = &self.stages[0];
             let mut raw = *base;

@@ -58,55 +58,18 @@ impl BipartiteGraph {
         true
     }
 
-    /// Removes an edge; returns whether it existed.
-    pub fn remove_edge(&mut self, user: usize, item: usize) -> bool {
-        if let Some(pos) = self.edges.iter().position(|&(u, i)| u == user && i == item) {
-            self.edges.remove(pos);
-            self.edge_features.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
         self.edges.len()
     }
 
     /// Items interacted with by a user.
-    pub fn items_of(&self, user: usize) -> BTreeSet<usize> {
+    pub(crate) fn items_of(&self, user: usize) -> BTreeSet<usize> {
         self.edges
             .iter()
             .filter(|&&(u, _)| u == user)
             .map(|&(_, i)| i)
             .collect()
-    }
-
-    /// Users interacting with an item.
-    pub fn users_of(&self, item: usize) -> BTreeSet<usize> {
-        self.edges
-            .iter()
-            .filter(|&&(_, i)| i == item)
-            .map(|&(u, _)| u)
-            .collect()
-    }
-
-    /// Retains only the edges satisfying a predicate over `(user, item,
-    /// features)`. Returns the number of removed edges.
-    pub fn retain_edges<F: Fn(usize, usize, &[f64]) -> bool>(&mut self, keep: F) -> usize {
-        let before = self.edges.len();
-        let mut new_edges = Vec::new();
-        let mut new_feats = Vec::new();
-        for (idx, &(u, i)) in self.edges.iter().enumerate() {
-            if keep(u, i, &self.edge_features[idx]) {
-                new_edges.push((u, i));
-                new_feats.push(self.edge_features[idx].clone());
-            }
-        }
-        self.edges = new_edges;
-        self.edge_features = new_feats;
-        before - self.edges.len()
     }
 
     /// Splits the edges into (train, test) graphs deterministically.
@@ -286,7 +249,7 @@ impl LightGcn {
     }
 
     /// Items ranked by score for a user, excluding the provided known items.
-    pub fn rank_items(&self, user: usize, exclude: &BTreeSet<usize>) -> Vec<usize> {
+    pub(crate) fn rank_items(&self, user: usize, exclude: &BTreeSet<usize>) -> Vec<usize> {
         let mut scored: Vec<(usize, f64)> = (0..self.item_emb.len())
             .filter(|i| !exclude.contains(i))
             .map(|i| (i, self.score(user, i)))
@@ -416,9 +379,6 @@ mod tests {
         assert!(!g.add_edge(0, 1, vec![]));
         assert!(!g.add_edge(5, 1, vec![]));
         assert_eq!(g.num_edges(), 1);
-        assert!(g.remove_edge(0, 1));
-        assert!(!g.remove_edge(0, 1));
-        assert_eq!(g.num_edges(), 0);
     }
 
     #[test]
@@ -427,16 +387,6 @@ mod tests {
         let items = g.items_of(0);
         assert_eq!(items.len(), 4);
         assert!(items.iter().all(|&i| i < 5));
-        assert!(!g.users_of(0).is_empty());
-    }
-
-    #[test]
-    fn retain_edges_filters() {
-        let mut g = block_graph();
-        let before = g.num_edges();
-        let removed = g.retain_edges(|u, _, _| u < 5);
-        assert_eq!(removed, before - g.num_edges());
-        assert!(g.edges.iter().all(|&(u, _)| u < 5));
     }
 
     #[test]

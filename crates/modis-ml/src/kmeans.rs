@@ -115,36 +115,6 @@ pub fn kmeans(points: &[Vec<f64>], k: usize, iterations: usize, seed: u64) -> KM
     }
 }
 
-/// Picks a number of clusters by the "elbow" heuristic: the smallest `k` in
-/// `[min_k, max_k]` whose relative inertia improvement over `k − 1` drops
-/// below `threshold`.
-pub fn select_k_elbow(
-    points: &[Vec<f64>],
-    min_k: usize,
-    max_k: usize,
-    threshold: f64,
-    seed: u64,
-) -> usize {
-    let min_k = min_k.max(1);
-    let max_k = max_k.max(min_k);
-    let baseline = kmeans(points, min_k, 20, seed).inertia;
-    if baseline < 1e-12 {
-        return min_k;
-    }
-    let mut prev = baseline;
-    for k in (min_k + 1)..=max_k {
-        let cur = kmeans(points, k, 20, seed).inertia;
-        // Improvement is measured against the baseline inertia so that tiny
-        // refinements of an already-good clustering do not inflate k.
-        let improvement = (prev - cur) / baseline;
-        if improvement < threshold {
-            return k - 1;
-        }
-        prev = cur;
-    }
-    max_k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,13 +153,6 @@ mod tests {
         let pts = vec![vec![1.0], vec![2.0]];
         let res = kmeans(&pts, 10, 10, 3);
         assert!(res.centroids.len() <= 2);
-    }
-
-    #[test]
-    fn elbow_finds_two_clusters() {
-        let pts = blobs();
-        let k = select_k_elbow(&pts, 1, 6, 0.3, 1);
-        assert!((2..=3).contains(&k), "k = {k}");
     }
 
     #[test]

@@ -37,13 +37,11 @@ pub mod metrics;
 pub mod tree;
 
 pub use encoding::{encode, EncodeOptions, Encoded, TaskKind};
-pub use feature::{
-    fisher_score, fisher_scores, mutual_information, mutual_information_scores, top_k_features,
-};
+pub use feature::{fisher_score, mutual_information, top_k_features};
 pub use forest::{ForestParams, RandomForest};
 pub use gbm::{GbmParams, GradientBoostingClassifier, GradientBoostingRegressor, MultiOutputGbm};
 pub use graph::{evaluate_ranking, BipartiteGraph, LightGcn, LightGcnParams};
-pub use kmeans::{kmeans, select_k_elbow, KMeansResult};
+pub use kmeans::{kmeans, KMeansResult};
 pub use linear::{LogisticRegression, RidgeRegression};
 pub use matrix::Matrix;
-pub use tree::{Criterion, DecisionTree, TreeParams};
+pub use tree::{Criterion, TreeParams};

@@ -21,7 +21,7 @@ pub struct RidgeRegression {
 
 /// Solves the dense linear system `A·x = b` by Gaussian elimination with
 /// partial pivoting. Returns `None` when the system is singular.
-pub fn solve_linear_system(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+pub(crate) fn solve_linear_system(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = a.len();
     if n == 0 || a.iter().any(|r| r.len() != n) || b.len() != n {
         return None;
@@ -274,7 +274,7 @@ impl LogisticRegression {
     }
 
     /// Per-class probability scores for one sample.
-    pub fn predict_scores_one(&self, row: &[f64]) -> Vec<f64> {
+    pub(crate) fn predict_scores_one(&self, row: &[f64]) -> Vec<f64> {
         if self.n_classes == 2 {
             let (w, b) = &self.stages[0];
             let z = b + w.iter().zip(row.iter()).map(|(wj, v)| wj * v).sum::<f64>();

@@ -32,7 +32,7 @@ impl Matrix {
     ///
     /// # Panics
     /// When `data` does not hold `n_rows * n_cols` cells.
-    pub fn from_vec(n_rows: usize, n_cols: usize, data: Vec<f64>) -> Matrix {
+    pub(crate) fn from_vec(n_rows: usize, n_cols: usize, data: Vec<f64>) -> Matrix {
         assert_eq!(
             data.len(),
             n_rows * n_cols,

@@ -160,7 +160,7 @@ pub fn f1_score(y_true: &[f64], y_pred: &[f64]) -> f64 {
 
 /// Area under the ROC curve for binary labels (`y_true` ∈ {0,1}) given
 /// continuous scores. Uses the rank-sum (Mann–Whitney) formulation.
-pub fn auc_binary(y_true: &[f64], scores: &[f64]) -> f64 {
+pub(crate) fn auc_binary(y_true: &[f64], scores: &[f64]) -> f64 {
     let pos: Vec<f64> = y_true
         .iter()
         .zip(scores.iter())
@@ -220,7 +220,7 @@ pub fn auc_ovr(y_true: &[f64], scores: &[Vec<f64>]) -> f64 {
 }
 
 /// Precision@k for a ranked list of predicted item ids against a relevant set.
-pub fn precision_at_k(ranked: &[usize], relevant: &[usize], k: usize) -> f64 {
+pub(crate) fn precision_at_k(ranked: &[usize], relevant: &[usize], k: usize) -> f64 {
     if k == 0 {
         return 0.0;
     }
@@ -233,7 +233,7 @@ pub fn precision_at_k(ranked: &[usize], relevant: &[usize], k: usize) -> f64 {
 }
 
 /// Recall@k.
-pub fn recall_at_k(ranked: &[usize], relevant: &[usize], k: usize) -> f64 {
+pub(crate) fn recall_at_k(ranked: &[usize], relevant: &[usize], k: usize) -> f64 {
     if relevant.is_empty() {
         return 0.0;
     }
@@ -243,7 +243,7 @@ pub fn recall_at_k(ranked: &[usize], relevant: &[usize], k: usize) -> f64 {
 }
 
 /// Normalised discounted cumulative gain at k (binary relevance).
-pub fn ndcg_at_k(ranked: &[usize], relevant: &[usize], k: usize) -> f64 {
+pub(crate) fn ndcg_at_k(ranked: &[usize], relevant: &[usize], k: usize) -> f64 {
     if relevant.is_empty() || k == 0 {
         return 0.0;
     }

@@ -214,17 +214,6 @@ impl DecisionTree {
         depth_of(&self.root)
     }
 
-    /// Number of leaves.
-    pub fn num_leaves(&self) -> usize {
-        fn count(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => count(left) + count(right),
-            }
-        }
-        count(&self.root)
-    }
-
     /// Tree parameters used at fit time.
     pub fn params(&self) -> &TreeParams {
         &self.params
@@ -1204,7 +1193,7 @@ mod tests {
         let x = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]);
         let y = vec![4.0, 4.0, 4.0];
         let tree = DecisionTree::fit(&x, &y, TreeParams::default());
-        assert_eq!(tree.num_leaves(), 1);
+        assert_eq!(tree.depth(), 0);
         assert_eq!(tree.predict_one(&[100.0]), 4.0);
     }
 
@@ -1216,7 +1205,7 @@ mod tests {
             ..Default::default()
         };
         let tree = DecisionTree::fit(&x, &y, params);
-        assert_eq!(tree.num_leaves(), 1);
+        assert_eq!(tree.depth(), 0);
         let mean = y.iter().sum::<f64>() / y.len() as f64;
         assert!((tree.predict_one(&[0.0, 0.0]) - mean).abs() < 1e-9);
     }
@@ -1245,7 +1234,7 @@ mod tests {
         };
         let tree = DecisionTree::fit(&x, &y, params);
         // No split can produce two leaves of >= 25 samples out of 40.
-        assert_eq!(tree.num_leaves(), 1);
+        assert_eq!(tree.depth(), 0);
     }
 
     #[test]

@@ -153,25 +153,8 @@ impl ShardMap {
     }
 
     /// Convenience: the ranked owners of a namespace given by name.
-    pub fn owners_of_namespace(&self, namespace: &str, k: usize) -> Vec<&str> {
+    pub(crate) fn owners_of_namespace(&self, namespace: &str, k: usize) -> Vec<&str> {
         self.owners_of(SharedEvalCache::namespace_key(namespace), k)
-    }
-
-    /// The namespace keys (from `keys`) whose owner differs between `self`
-    /// and `other`, with both owners: `(key, owner in self, owner in
-    /// other)`. This is the rebalancing plan for a topology change.
-    pub fn reassigned<'a>(
-        &'a self,
-        other: &'a ShardMap,
-        keys: impl IntoIterator<Item = u64>,
-    ) -> Vec<(u64, &'a str, &'a str)> {
-        keys.into_iter()
-            .filter_map(|key| {
-                let before = self.owner_of(key)?;
-                let after = other.owner_of(key)?;
-                (before != after).then_some((key, before, after))
-            })
-            .collect()
     }
 
     /// The replica-aware rebalancing plan for a topology change under
@@ -240,16 +223,6 @@ pub struct ReplicaMove {
     pub lost: Vec<String>,
 }
 
-/// One routable scenario: its registered name and the cache namespace that
-/// decides which shard executes it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterScenario {
-    /// The scenario's registered name (`Scenario::name`).
-    pub name: String,
-    /// Its cache namespace (`Scenario::namespace()`).
-    pub namespace: String,
-}
-
 /// The routing table a cluster router is built over: scenario name →
 /// namespace. Substrates are live objects that never cross the wire, so
 /// every shard registers the full scenario set in-process and the router
@@ -286,7 +259,7 @@ impl ClusterSpec {
     }
 
     /// The namespace of a scenario, if the spec routes it.
-    pub fn namespace_of(&self, scenario: &str) -> Option<&str> {
+    pub(crate) fn namespace_of(&self, scenario: &str) -> Option<&str> {
         self.scenarios.get(scenario).map(String::as_str)
     }
 
@@ -340,12 +313,14 @@ mod tests {
         let keys: Vec<u64> = (0..500u64)
             .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .collect();
-        let moved = before.reassigned(&after, keys.iter().copied());
+        let moved = before.reassigned_replicas(&after, keys.iter().copied(), 1);
         assert!(!moved.is_empty(), "some namespace lands on the new shard");
-        for (key, _, to) in moved {
+        for mv in moved {
             assert_eq!(
-                to, "s3",
-                "key {key:#x} moved to a shard that did not change"
+                mv.gained,
+                ["s3"],
+                "key {:#x} moved to a shard that did not change",
+                mv.key
             );
         }
     }
@@ -359,8 +334,13 @@ mod tests {
         let keys: Vec<u64> = (0..500u64)
             .map(|i| i.wrapping_mul(0x517c_c1b7_2722_0a95))
             .collect();
-        for (key, from, _) in before.reassigned(&after, keys.iter().copied()) {
-            assert_eq!(from, "s2", "key {key:#x} moved off a surviving shard");
+        for mv in before.reassigned_replicas(&after, keys.iter().copied(), 1) {
+            assert_eq!(
+                mv.lost,
+                ["s2"],
+                "key {:#x} moved off a surviving shard",
+                mv.key
+            );
         }
     }
 

@@ -20,12 +20,11 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use crate::poller::{self, Interest, Poller};
 
 /// Pending-response bytes above which a connection's owner stops reading
-/// it: the default of [`crate::ReactorConfig::write_high_watermark`], and
-/// what the router applies to its clients.
+/// it: what the reactor applies to its connections and the router to its
+/// clients.
 pub(crate) const WRITE_HIGH_WATERMARK: usize = 1 << 20;
-/// Most bytes read from one connection per sweep: the default of
-/// [`crate::ReactorConfig::max_read_per_sweep`], and what the router
-/// applies to every socket it serves.
+/// Most bytes read from one connection per sweep: what the reactor and the
+/// router apply to every socket they serve.
 pub(crate) const MAX_READ_PER_SWEEP: usize = 1 << 16;
 
 /// What one [`Conn::read`] took off the socket.
@@ -315,7 +314,11 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(5));
         assert!(slab.get_mut(slot).unwrap().conn.pending_write() > 0);
         slab.settle(&mut poller, slot, true);
-        assert_eq!(interest(&mut slab), Some(Interest::BOTH));
+        let both = Interest {
+            read: true,
+            write: true,
+        };
+        assert_eq!(interest(&mut slab), Some(both));
 
         peer.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();

@@ -20,10 +20,10 @@
 //!                              └──────────────────┘     └──────────────┘
 //! ```
 //!
-//! * [`registry`] — scenarios are registered once by name; cache
+//! * `registry` — scenarios are registered once by name; cache
 //!   namespaces are keyed by substrate/task fingerprint, so incompatible
 //!   spaces can never share (and poison) evaluations.
-//! * [`scheduler`] — queued runs are ordered so cache-warming runs execute
+//! * `scheduler` — queued runs are ordered so cache-warming runs execute
 //!   before their dependants: namespace groups keep arrival fairness, and
 //!   within a group the cheapest run (by an EWMA over observed paid
 //!   valuation cost) goes first.
@@ -36,23 +36,23 @@
 //!   parser from a request line to a typed verb, and the request framer,
 //!   shared by the daemon and the cluster router; the formal spec lives in
 //!   `docs/PROTOCOL.md`.
-//! * [`net`] — what each verb does against a service, and the [`Daemon`]
+//! * `net` — what each verb does against a service, and the [`Daemon`]
 //!   that serves it in tests and examples.
-//! * [`poller`] — readiness discovery with zero dependencies: a thin safe
+//! * `poller` — readiness discovery with zero dependencies: a thin safe
 //!   wrapper over `epoll(7)` via direct syscalls, so a sweep touches only
 //!   *ready* connections instead of attempting a syscall on every open
 //!   one.
-//! * [`reactor`] — the non-blocking front-end behind [`Daemon`]: N
+//! * `reactor` — the non-blocking front-end behind [`Daemon`]: N
 //!   reactor threads (default `min(4, cores)`) share one accept socket,
-//!   each driving its pinned connections through a [`poller::Poller`]
+//!   each driving its pinned connections through a `Poller`
 //!   (`std::net` sockets in non-blocking mode, O(ready) sweeps), requests
 //!   pipeline freely with strictly ordered responses, `RUN` drains and
 //!   `SNAPSHOT` writes execute on a companion executor thread, and
 //!   per-reactor wakeup socket pairs connect job completions and shutdown
 //!   to reactors parked in `epoll_wait`.
-//! * [`cluster`] + [`router`] — the horizontal scaling layer: cache
+//! * `cluster` + `router` — the horizontal scaling layer: cache
 //!   namespaces are partitioned across shard daemons by rendezvous
-//!   hashing ([`cluster::ShardMap`]), and a [`Router`] fronts the shard
+//!   hashing ([`ShardMap`]), and a [`Router`] fronts the shard
 //!   set behind the same wire protocol (pipelining preserved end-to-end,
 //!   cluster-wide tickets, aggregated `STATS`). Topology changes ship
 //!   exactly the namespaces that move as wire shipments (`EXPORT` /
@@ -93,25 +93,22 @@
 
 #![deny(missing_docs)]
 
-pub mod cluster;
+mod cluster;
 pub(crate) mod conn;
-pub mod error;
-pub mod net;
-pub mod poller;
+mod error;
+mod net;
+mod poller;
 pub mod protocol;
-pub mod reactor;
-pub mod registry;
-pub mod router;
-pub mod scheduler;
-pub mod service;
+mod reactor;
+mod registry;
+mod router;
+mod scheduler;
+mod service;
 pub mod snapshot;
 
-pub use cluster::{ClusterScenario, ClusterSpec, ReplicaMove, ShardMap};
+pub use cluster::{ClusterSpec, ReplicaMove, ShardMap};
 pub use error::ServiceError;
-pub use net::{done_line, handle_command, result_line, Daemon, Reply, Request};
-pub use reactor::{ReactorConfig, Wakeup};
-pub use registry::{RegisteredScenario, ScenarioRegistry};
+pub use net::{handle_command, result_line, Daemon, Reply};
+pub use reactor::ReactorConfig;
 pub use router::{CircuitState, Router, RouterConfig, ShippedNamespace};
-pub use scheduler::{CostModel, CostScheduler, QueuedRequest};
-pub use service::{CompletionNotifier, JobState, Service, ServiceConfig, Ticket};
-pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use service::{JobState, Service, ServiceConfig, Ticket};

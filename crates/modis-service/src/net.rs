@@ -44,12 +44,12 @@ impl Reply {
 /// response line. `SNAPSHOT`, `RESTORE`, `EXPORT` and `SHIP` ride on this
 /// — all serialise or merge cache state, far too slow for the reactor
 /// thread.
-pub type OffloadFn = Box<dyn FnOnce(&Service) -> String + Send>;
+pub(crate) type OffloadFn = Box<dyn FnOnce(&Service) -> String + Send>;
 
 /// How the reactor must answer one request line. Where [`handle_command`]
 /// executes everything synchronously, the reactor defers the verbs whose
 /// responses depend on background work.
-pub enum Request {
+pub(crate) enum Request {
     /// The response is known now; emit it in order.
     Immediate(String),
     /// Emit the response in order, then close the connection (`QUIT`).
@@ -68,7 +68,7 @@ pub enum Request {
 
 /// The key/value payload of a `DONE` response for `outcome` (shared by
 /// `POLL`, which prefixes nothing, and `WAIT`, which prefixes the ticket).
-pub fn done_line(outcome: &ScenarioOutcome) -> String {
+pub(crate) fn done_line(outcome: &ScenarioOutcome) -> String {
     format!(
         "entries={} states={} shared_hits={} cost={} valuations={}",
         outcome.result.len(),
@@ -175,7 +175,7 @@ fn process_open_fds() -> u64 {
 /// accounting and process vitals from `/proc/self`. Called at bind time —
 /// so the gauges exist in every exposition — and again on each `METRICS`
 /// scrape so the values are current.
-pub fn sync_observability_metrics(service: &Service) {
+pub(crate) fn sync_observability_metrics(service: &Service) {
     let registry = service.engine().metrics();
     let tracer = service.engine().tracer();
     let dropped = registry.counter(
@@ -269,7 +269,7 @@ fn trace_dump_reply(service: &Service, n: usize) -> String {
 /// times are shifted by the tracer's wall anchor to absolute microseconds
 /// since the Unix epoch, so timelines gathered from different processes
 /// sort on one shared axis.
-pub fn render_event(anchor_us: u64, span: &SpanRecord) -> String {
+pub(crate) fn render_event(anchor_us: u64, span: &SpanRecord) -> String {
     format!(
         "EVENT trace={:016x} span={} parent={} name={} thread={:x} start_us={} dur_us={}",
         span.trace,
@@ -318,7 +318,7 @@ fn trace_slow_reply(service: &Service, n: usize) -> String {
 /// background work: synchronous verbs are answered now, the rest come
 /// back as the deferred [`Request`] the caller must run — the reactor on
 /// its executor thread, [`handle_command`] inline.
-pub fn execute(service: &Service, request: Parsed) -> Request {
+pub(crate) fn execute(service: &Service, request: Parsed) -> Request {
     let verb = match request.verb {
         Ok(verb) => verb,
         Err(reply) => return Request::Immediate(reply),
@@ -395,7 +395,7 @@ pub fn execute(service: &Service, request: Parsed) -> Request {
 /// Executes one protocol line against the service, synchronously.
 ///
 /// This is the in-process entry point (tests, embedding):
-/// [`protocol::parse`] + [`execute`], with the deferred part run on the
+/// [`protocol::parse`] + `execute`, with the deferred part run on the
 /// calling thread — a `RUN` drains the queue right here.
 /// Two verbs need a front-end and are refused by name, well-formed or
 /// not: `WAIT` (it only makes sense where deferred responses exist) and
@@ -425,7 +425,7 @@ type DaemonThreads = (Vec<JoinHandle<()>>, Option<JoinHandle<()>>);
 /// Unlike the seed's thread-per-connection daemon, a `Daemon` serves its
 /// connections from a small pool of non-blocking reactor threads
 /// ([`ReactorConfig::reactors`], default `min(4, cores)`) sharing one
-/// accept socket (see [`crate::reactor`]): each connection is pinned to
+/// accept socket (see `reactor.rs`): each connection is pinned to
 /// the reactor that accepted it, clients may pipeline requests, `RUN`
 /// drains execute on the companion executor thread, and [`Daemon::stop`]
 /// tears everything down deterministically through the per-reactor
@@ -743,8 +743,10 @@ mod tests {
     #[test]
     fn ctx_prefix_explain_and_slow_log_cover_the_trace_protocol() {
         use std::time::Duration;
-        let service =
-            Service::new(ServiceConfig::default().with_slow_request_threshold(Duration::ZERO));
+        let service = Service::new(ServiceConfig {
+            slow_request_threshold: Duration::ZERO,
+            ..ServiceConfig::default()
+        });
         let substrate: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(6));
         let config = ModisConfig::default()
             .with_estimator(EstimatorMode::Oracle)

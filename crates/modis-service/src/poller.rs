@@ -64,34 +64,11 @@ impl Interest {
         read: true,
         write: false,
     };
-    /// Write readiness only.
-    pub const WRITE: Interest = Interest {
-        read: false,
-        write: true,
-    };
-    /// Both directions.
-    pub const BOTH: Interest = Interest {
-        read: true,
-        write: true,
-    };
     /// No readiness subscriptions (error/hangup still reported).
     pub const NONE: Interest = Interest {
         read: false,
         write: false,
     };
-}
-
-/// One ready descriptor, as returned by [`Poller::wait`]. Error and
-/// hangup conditions set both flags so the owner attempts I/O and
-/// discovers the failure through the normal read/write paths.
-#[derive(Debug, Clone, Copy)]
-pub struct Event {
-    /// The token the descriptor was registered with.
-    pub token: usize,
-    /// The descriptor is readable (data, EOF, error or hangup pending).
-    pub readable: bool,
-    /// The descriptor is writable (or in an error/hangup state).
-    pub writable: bool,
 }
 
 /// Most events one [`Poller::wait`] call surfaces; a level-triggered
@@ -193,9 +170,6 @@ mod sys {
     pub const EPOLL_CTL_MOD: usize = 3;
     pub const EPOLLIN: u32 = 0x001;
     pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
 
     pub fn epoll_create1() -> io::Result<i32> {
         check(unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0) }).map(|fd| fd as i32)
@@ -242,7 +216,7 @@ mod sys {
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod backend {
-    use super::{sys, Event, Interest, RawSource, MAX_EVENTS};
+    use super::{sys, Interest, RawSource, MAX_EVENTS};
     use std::io;
     use std::time::Duration;
 
@@ -300,7 +274,7 @@ mod backend {
             self.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::NONE)
         }
 
-        pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        pub fn wait(&self, tokens: &mut Vec<usize>, timeout: Option<Duration>) -> io::Result<()> {
             let mut buf = [sys::EpollEvent::default(); MAX_EVENTS];
             // Round a sub-millisecond timeout *up*: rounding to 0 would
             // turn a short park into a busy spin.
@@ -311,15 +285,7 @@ mod backend {
             };
             match sys::epoll_wait(self.epfd, &mut buf, ms) {
                 Ok(n) => {
-                    for event in &buf[..n] {
-                        let bits = event.events;
-                        let hangup = bits & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0;
-                        events.push(Event {
-                            token: event.data as usize,
-                            readable: bits & sys::EPOLLIN != 0 || hangup,
-                            writable: bits & sys::EPOLLOUT != 0 || hangup,
-                        });
-                    }
+                    tokens.extend(buf[..n].iter().map(|event| event.data as usize));
                     Ok(())
                 }
                 // A signal is not an event; the caller's loop re-checks its
@@ -345,7 +311,7 @@ mod backend {
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
 mod backend {
-    use super::{Event, Interest, RawSource, MAX_EVENTS};
+    use super::{Interest, RawSource, MAX_EVENTS};
     use std::io;
     use std::time::Duration;
 
@@ -392,7 +358,7 @@ mod backend {
             Ok(())
         }
 
-        pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        pub fn wait(&self, tokens: &mut Vec<usize>, timeout: Option<Duration>) -> io::Result<()> {
             let nap = timeout
                 .unwrap_or(Duration::from_micros(500))
                 .min(Duration::from_micros(500));
@@ -401,11 +367,7 @@ mod backend {
             }
             for &(_, token, interest) in self.entries.iter().take(MAX_EVENTS) {
                 if interest.read || interest.write {
-                    events.push(Event {
-                        token,
-                        readable: interest.read,
-                        writable: interest.write,
-                    });
+                    tokens.push(token);
                 }
             }
             Ok(())
@@ -459,13 +421,16 @@ impl Poller {
         self.backend.deregister(fd)
     }
 
-    /// Clears `events` and fills it with the descriptors ready now,
-    /// blocking up to `timeout` (`None` blocks until something is ready).
-    /// An interrupted wait (EINTR) returns `Ok` with no events — callers
-    /// re-check their stop condition and wait again.
-    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        events.clear();
-        self.backend.wait(events, timeout)
+    /// Clears `tokens` and fills it with the tokens of the descriptors
+    /// ready now — readable, writable, or in an error or hangup state (the
+    /// owner sweeps each in both directions and discovers a failure through
+    /// the normal read/write paths) — blocking up to `timeout` (`None`
+    /// blocks until something is ready). An interrupted wait (EINTR)
+    /// returns `Ok` with no tokens — callers re-check their stop condition
+    /// and wait again.
+    pub fn wait(&mut self, tokens: &mut Vec<usize>, timeout: Option<Duration>) -> io::Result<()> {
+        tokens.clear();
+        self.backend.wait(tokens, timeout)
     }
 }
 
@@ -497,15 +462,15 @@ mod tests {
         (tx, rx)
     }
 
-    fn wait_for_token(poller: &mut Poller, token: usize) -> Event {
+    fn wait_for_token(poller: &mut Poller, token: usize) {
         let mut events = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         while Instant::now() < deadline {
             poller
                 .wait(&mut events, Some(Duration::from_millis(50)))
                 .unwrap();
-            if let Some(event) = events.iter().find(|e| e.token == token) {
-                return *event;
+            if events.contains(&token) {
+                return;
             }
         }
         panic!("token {token} never became ready");
@@ -526,20 +491,21 @@ mod tests {
         assert!(events.is_empty(), "unexpected events: {events:?}");
         assert!(start.elapsed() < Duration::from_secs(2));
 
-        // A byte arrives: the registered token reports readable, and keeps
+        // A byte arrives: the registered token reports ready, and keeps
         // reporting it (level-triggered) until consumed.
         tx.write_all(&[1]).unwrap();
-        let event = wait_for_token(&mut poller, 7);
-        assert!(event.readable);
-        let event = wait_for_token(&mut poller, 7);
-        assert!(event.readable);
+        wait_for_token(&mut poller, 7);
+        wait_for_token(&mut poller, 7);
 
         // Interest change to write-only: the unread byte no longer wakes
-        // us as readable, but the idle socket is writable.
-        poller.reregister(source(&rx), 9, Interest::WRITE).unwrap();
-        let event = wait_for_token(&mut poller, 9);
-        assert!(event.writable);
-        assert!(!events.iter().any(|e| e.token == 7));
+        // the old token, but the idle socket is writable.
+        let write_only = Interest {
+            read: false,
+            write: true,
+        };
+        poller.reregister(source(&rx), 9, write_only).unwrap();
+        wait_for_token(&mut poller, 9);
+        assert!(!events.contains(&7));
 
         // Deregistered: silence, even with the byte still pending.
         poller.deregister(source(&rx)).unwrap();
@@ -550,8 +516,7 @@ mod tests {
 
         // Re-registering after deregistration works.
         poller.register(source(&rx), 11, Interest::READ).unwrap();
-        let event = wait_for_token(&mut poller, 11);
-        assert!(event.readable);
+        wait_for_token(&mut poller, 11);
     }
 
     #[cfg(all(
@@ -578,8 +543,7 @@ mod tests {
         drop(tx);
         let _ = rx.write_all(&[1]);
         if poller.backend_name() == "epoll" {
-            let event = wait_for_token(&mut poller, 3);
-            assert!(event.readable && event.writable);
+            wait_for_token(&mut poller, 3);
         }
     }
 }

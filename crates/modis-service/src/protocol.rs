@@ -1,6 +1,6 @@
 //! The request grammar of the line protocol — the one module that knows
 //! it. A request line is parsed **once**, by [`parse`], into a typed
-//! [`Verb`]; the daemon ([`crate::net::execute`]) and the cluster router
+//! [`Verb`]; the daemon (`net::execute`) and the cluster router
 //! (`crate::router`) each hold one `match` over that type, and the
 //! [`Framer`] cuts both front-ends' byte streams into requests.
 //!
@@ -164,7 +164,7 @@ pub struct Parsed {
 /// The `ERR unknown command "<token>"` line: what answers an unknown verb
 /// token — and what a front-end answers for a well-formed verb it does not
 /// serve.
-pub fn unknown_command(token: &str) -> String {
+pub(crate) fn unknown_command(token: &str) -> String {
     format!("ERR unknown command {token:?}")
 }
 
@@ -350,6 +350,12 @@ struct Shipping {
     payload: Vec<u8>,
 }
 
+/// Longest accepted request line in bytes (terminator excluded), on the
+/// daemon's reactors and on the router alike. A longer line is answered
+/// with a protocol error and discarded up to its terminating newline; the
+/// connection stays usable.
+pub(crate) const MAX_LINE_LEN: usize = 4096;
+
 /// Incremental request framing for one connection: bytes in (however TCP
 /// fragments them), [`Frame`]s out. Lines are capped, and a `SHIP` header
 /// switches the stream into a payload mode in which the next `len` bytes
@@ -391,7 +397,7 @@ impl Framer {
 
     /// Whether received bytes are waiting to be framed (a partial line
     /// included).
-    pub fn has_buffered(&self) -> bool {
+    pub(crate) fn has_buffered(&self) -> bool {
         self.cursor < self.buf.len()
     }
 

@@ -44,7 +44,7 @@
 //!   whenever something a waiting reactor may care about happens (a job
 //!   finished, a drain completed, shutdown was requested); the receiving
 //!   end is registered with the poller, so the wait returns immediately.
-//!   Idling is a single poller wait with the [`ReactorConfig::idle_park`]
+//!   Idling is a single poller wait with the `IDLE_PARK` (2 ms)
 //!   timeout — the old two-phase nap/park spin is gone, because readiness
 //!   itself now interrupts the wait.
 //! * **Off-thread slow verbs** — `RUN` hands the queue drain to the
@@ -82,40 +82,33 @@ const TOKEN_LISTENER: usize = 1;
 /// TOKEN_BASE` indexes the slab).
 const TOKEN_BASE: usize = 2;
 
+/// Backstop timeout of one poller wait. Readiness (new connections,
+/// request bytes, drained sockets) and wakeup-channel notifications (job
+/// completions, drains, shutdown) interrupt the wait immediately; the
+/// timeout only bounds how stale the stop-flag re-check can get, so it
+/// costs a handful of idle sweeps per second.
+const IDLE_PARK: Duration = Duration::from_millis(2);
+
+/// Maximum unresolved pipeline slots per connection. While a connection's
+/// queue is at this depth — e.g. requests piling up behind a pending
+/// `WAIT` — the reactor stops reading from it, so per-connection memory
+/// stays bounded by `MAX_PIPELINED × MAX_LINE_LEN` even when the head
+/// response is slow. Beside it, a connection whose write buffer sits above
+/// `WRITE_HIGH_WATERMARK` is not read either (natural pipelining
+/// backpressure: a client that never drains responses cannot buffer
+/// unbounded requests), and one sweep reads at most `MAX_READ_PER_SWEEP`
+/// bytes from one connection, so a firehose client cannot monopolise it.
+const MAX_PIPELINED: usize = 1024;
+
 /// Tuning knobs of the reactor loop. The defaults suit tests, examples and
 /// the benchmark; none of them change protocol semantics.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Longest accepted request line in bytes (terminator excluded). A
-    /// longer line is answered with a protocol error and discarded up to
-    /// its terminating newline; the connection stays usable.
-    pub max_line_len: usize,
     /// Reactor threads sharing the accept socket (clamped to at least 1).
     /// Each accepted connection is pinned to the reactor that accepted it
     /// for its whole life; per-reactor instruments are labeled
     /// `reactor="<n>"`. Defaults to `min(4, available cores)`.
     pub reactors: usize,
-    /// Backstop timeout of one poller wait. Readiness (new connections,
-    /// request bytes, drained sockets) and wakeup-channel notifications
-    /// (job completions, drains, shutdown) interrupt the wait immediately;
-    /// the timeout only bounds how stale the stop-flag re-check can get,
-    /// so it costs a handful of idle sweeps per second.
-    pub idle_park: Duration,
-    /// Pending-response high watermark per connection, in bytes. While a
-    /// connection's write buffer sits above this, the reactor stops
-    /// *reading* from it (natural pipelining backpressure: a client that
-    /// never drains responses cannot buffer unbounded requests).
-    pub write_high_watermark: usize,
-    /// Maximum unresolved pipeline slots per connection. While a
-    /// connection's queue is at this depth — e.g. requests piling up
-    /// behind a pending `WAIT` — the reactor stops reading from it, so
-    /// per-connection memory stays bounded by
-    /// `max_pipelined × max_line_len` even when the head response is
-    /// slow.
-    pub max_pipelined: usize,
-    /// Upper bound on bytes read from one connection per sweep, so a
-    /// firehose client cannot monopolise a sweep.
-    pub max_read_per_sweep: usize,
     /// Largest accepted `SHIP` binary payload, in bytes. A frame declaring
     /// more is answered with a protocol error and its payload bytes are
     /// discarded as they arrive (never buffered), so the connection stays
@@ -126,15 +119,10 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
-            max_line_len: 4096,
             reactors: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
                 .min(4),
-            idle_park: Duration::from_millis(2),
-            write_high_watermark: WRITE_HIGH_WATERMARK,
-            max_pipelined: 1024,
-            max_read_per_sweep: MAX_READ_PER_SWEEP,
             max_ship_bytes: 1 << 26,
         }
     }
@@ -148,7 +136,7 @@ impl ReactorConfig {
             Frame::Request(request) => Slot::Request(request, now),
             Frame::LineTooLong => Slot::Ready(format!(
                 "ERR line too long (max {} bytes)",
-                self.max_line_len
+                protocol::MAX_LINE_LEN
             )),
             Frame::ShipTooLarge => Slot::Ready(format!(
                 "ERR shipment too large (max {} bytes)",
@@ -458,7 +446,11 @@ struct Connection {
 impl Connection {
     fn new(config: &ReactorConfig) -> Connection {
         Connection {
-            framer: Framer::new(protocol::parse, config.max_line_len, config.max_ship_bytes),
+            framer: Framer::new(
+                protocol::parse,
+                protocol::MAX_LINE_LEN,
+                config.max_ship_bytes,
+            ),
             slots: VecDeque::new(),
             closing: false,
             dead: false,
@@ -486,8 +478,8 @@ pub(crate) struct Reactor {
     /// notification may unblock, so a wakeup sweeps only these instead of
     /// every open connection.
     blocked: HashSet<usize>,
-    /// Reused event buffer for poller waits.
-    events: Vec<poller::Event>,
+    /// Reused ready-token buffer for poller waits.
+    events: Vec<usize>,
     metrics: ReactorMetrics,
 }
 
@@ -533,7 +525,7 @@ impl Reactor {
     pub(crate) fn run(mut self) {
         while !self.stop.load(Ordering::SeqCst) {
             let mut events = std::mem::take(&mut self.events);
-            let _ = self.poller.wait(&mut events, Some(self.config.idle_park));
+            let _ = self.poller.wait(&mut events, Some(IDLE_PARK));
             // One clock read per sweep: every request parsed or resolved
             // this sweep shares this timestamp, so telemetry adds no
             // per-request syscalls to the pipelined hot path. Taken after
@@ -541,8 +533,8 @@ impl Reactor {
             let sweep_start = Instant::now();
             let mut progress = false;
             let mut woken = false;
-            for event in &events {
-                match event.token {
+            for &token in &events {
+                match token {
                     TOKEN_WAKEUP => woken = true,
                     TOKEN_LISTENER => progress |= self.accept_ready(),
                     token => {
@@ -639,8 +631,8 @@ impl Reactor {
             self.metrics.pinned_connections.set(self.conns.len() as i64);
             return;
         }
-        let backpressured = conn.pending_write() > self.config.write_high_watermark
-            || state.slots.len() >= self.config.max_pipelined;
+        let backpressured =
+            conn.pending_write() > WRITE_HIGH_WATERMARK || state.slots.len() >= MAX_PIPELINED;
         let want_read = !state.closing && !backpressured;
         if matches!(
             state.slots.front(),
@@ -664,11 +656,9 @@ impl Reactor {
         // Backpressure, both directions: a client that does not drain
         // responses does not get new requests parsed, and requests piling
         // up behind a slow head response (a pending WAIT/RUN) stop being
-        // read once the pipeline is `max_pipelined` deep — so
+        // read once the pipeline is `MAX_PIPELINED` deep — so
         // per-connection memory stays bounded either way.
-        if conn.pending_write() > self.config.write_high_watermark
-            || state.slots.len() >= self.config.max_pipelined
-        {
+        if conn.pending_write() > WRITE_HIGH_WATERMARK || state.slots.len() >= MAX_PIPELINED {
             if !state.backpressured {
                 state.backpressured = true;
                 self.metrics.backpressure_events.inc();
@@ -676,9 +666,7 @@ impl Reactor {
             return false;
         }
         state.backpressured = false;
-        let read = conn.read(self.config.max_read_per_sweep, |bytes| {
-            state.framer.push(bytes)
-        });
+        let read = conn.read(MAX_READ_PER_SWEEP, |bytes| state.framer.push(bytes));
         let Ok(read) = read else {
             state.dead = true;
             return true;

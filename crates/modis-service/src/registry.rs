@@ -14,20 +14,10 @@ use modis_engine::Scenario;
 
 use crate::error::ServiceError;
 
-/// A registered scenario plus the identity facts the service needs without
-/// touching the substrate again.
-#[derive(Clone)]
-pub struct RegisteredScenario {
-    /// The runnable scenario (substrate × algorithm × config).
-    pub scenario: Scenario,
-    /// The substrate/task fingerprint recorded at registration.
-    pub fingerprint: u64,
-}
-
 /// Name → scenario map with namespace-fingerprint guarding.
 #[derive(Default)]
 pub struct ScenarioRegistry {
-    scenarios: HashMap<String, RegisteredScenario>,
+    scenarios: HashMap<String, Scenario>,
     /// namespace → (fingerprint, first registrant) for conflict reporting.
     namespaces: HashMap<String, (u64, String)>,
 }
@@ -59,23 +49,17 @@ impl ScenarioRegistry {
                     .insert(namespace, (fingerprint, scenario.name.clone()));
             }
         }
-        self.scenarios.insert(
-            scenario.name.clone(),
-            RegisteredScenario {
-                scenario,
-                fingerprint,
-            },
-        );
+        self.scenarios.insert(scenario.name.clone(), scenario);
         Ok(())
     }
 
     /// Looks up a registered scenario by name.
-    pub fn get(&self, name: &str) -> Option<&RegisteredScenario> {
+    pub fn get(&self, name: &str) -> Option<&Scenario> {
         self.scenarios.get(name)
     }
 
     /// Looks up a scenario or returns [`ServiceError::UnknownScenario`].
-    pub fn require(&self, name: &str) -> Result<&RegisteredScenario, ServiceError> {
+    pub fn require(&self, name: &str) -> Result<&Scenario, ServiceError> {
         self.get(name)
             .ok_or_else(|| ServiceError::UnknownScenario(name.to_string()))
     }
@@ -85,16 +69,6 @@ impl ScenarioRegistry {
         let mut names: Vec<&str> = self.scenarios.keys().map(String::as_str).collect();
         names.sort_unstable();
         names
-    }
-
-    /// Number of registered scenarios.
-    pub fn len(&self) -> usize {
-        self.scenarios.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.scenarios.is_empty()
     }
 }
 
@@ -120,7 +94,6 @@ mod tests {
         reg.register(scenario("b", 6, "pool-b")).unwrap();
         reg.register(scenario("a", 6, "pool-a")).unwrap();
         assert_eq!(reg.names(), vec!["a", "b"]);
-        assert_eq!(reg.len(), 2);
         assert!(reg.get("a").is_some());
         assert!(matches!(
             reg.require("missing"),

@@ -71,9 +71,8 @@
 //! as the socket accepts them, a client that does not read its responses
 //! stops being read (and stalls nobody else), and with nothing ready the
 //! thread sleeps in one poller wait. Only what runs off the readiness
-//! path stays blocking: connecting to a shard under
-//! [`RouterConfig::connect_timeout`], and the one-shot exchanges of the
-//! heartbeat, shipping and failover paths.
+//! path stays blocking: connecting to a shard under `CONNECT_TIMEOUT`, and
+//! the one-shot exchanges of the heartbeat, shipping and failover paths.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
@@ -106,24 +105,26 @@ const BACKOFF_HELP: &str =
 const CIRCUIT_HELP: &str = "Per-shard circuit breaker state: 0 = closed (healthy), \
      1 = half-open (probing), 2 = open (declared dead).";
 
+/// Connect timeout for shard connections.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long a lifecycle operation (wire shipping on join/leave and
+/// replication pushes) waits for one shard reply.
+const SHIP_TIMEOUT: Duration = Duration::from_secs(120);
+/// How many ticket mappings the router retains (FIFO). Mirrors the shard
+/// daemons' bounded completed-job retention — a ticket older than either
+/// bound answers `ERR unknown ticket`.
+const MAX_TICKETS: usize = 1 << 16;
+/// Total send attempts per forwarded request (first try + retries), each
+/// retry preceded by a jittered exponential backoff sleep.
+const FORWARD_ATTEMPTS: u32 = 3;
+
 /// Tuning knobs of the router. Defaults suit tests and examples; none
 /// change protocol semantics.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Longest accepted client request line (reactor parity).
-    pub max_line_len: usize,
     /// Maximum unresolved expectations per client connection; beyond it
     /// the router stops reading that client (pipelining backpressure).
     pub max_pipelined: usize,
-    /// Connect timeout for shard connections.
-    pub connect_timeout: Duration,
-    /// How long a lifecycle operation (wire shipping on join/leave and
-    /// replication pushes) waits for one shard reply.
-    pub ship_timeout: Duration,
-    /// How many ticket mappings the router retains (FIFO; 0 = unbounded).
-    /// Mirrors the shard daemons' bounded completed-job retention — a
-    /// ticket older than either bound answers `ERR unknown ticket`.
-    pub max_tickets: usize,
     /// Replication factor K: every namespace is owned by the K
     /// highest-ranked shards of its rendezvous order (clamped to the
     /// cluster size). `1` disables replication entirely — no pushes, no
@@ -139,9 +140,6 @@ pub struct RouterConfig {
     /// which a shard's circuit breaker opens and the shard is declared
     /// dead.
     pub heartbeat_misses: u32,
-    /// Total send attempts per forwarded request (first try + retries),
-    /// each retry preceded by a jittered exponential backoff sleep.
-    pub forward_attempts: u32,
     /// Backoff before the first retry; doubles per further retry.
     pub backoff_base: Duration,
     /// Upper bound on any single backoff sleep.
@@ -154,16 +152,11 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            max_line_len: 4096,
             max_pipelined: 1024,
-            connect_timeout: Duration::from_secs(2),
-            ship_timeout: Duration::from_secs(120),
-            max_tickets: 1 << 16,
             replication: 1,
             heartbeat_interval: Duration::from_millis(150),
             heartbeat_timeout: Duration::from_millis(250),
             heartbeat_misses: 3,
-            forward_attempts: 3,
             backoff_base: Duration::from_millis(15),
             backoff_max: Duration::from_millis(400),
             open_cooldown: Duration::from_millis(400),
@@ -372,7 +365,7 @@ struct TicketEntry {
 }
 
 /// Cluster-wide ticket table: router ids ↔ per-shard local ids, retained
-/// FIFO up to [`RouterConfig::max_tickets`] (the shard daemons bound their
+/// FIFO up to `MAX_TICKETS` (the shard daemons bound their
 /// own completed-job retention, so an unbounded router-side table would
 /// mostly map ids the shards have already forgotten — and grow with every
 /// request the router ever served).
@@ -650,8 +643,8 @@ impl RouterInner {
         head: &str,
         payload: &[u8],
     ) -> Result<String, ServiceError> {
-        let (connect, reply) = (self.config.connect_timeout, self.config.ship_timeout);
-        one_shot(addr, connect, reply, head, payload).map_err(|err| unavailable(shard, err))
+        one_shot(addr, CONNECT_TIMEOUT, SHIP_TIMEOUT, head, payload)
+            .map_err(|err| unavailable(shard, err))
     }
 
     /// Exports `namespaces` from a shard over the wire: one `EXPORT`
@@ -1715,8 +1708,8 @@ impl Front {
             if self.inner.stop.load(Ordering::SeqCst) {
                 break;
             }
-            for event in &events {
-                match event.token {
+            for &token in &events {
+                match token {
                     FRONT_WAKEUP => drain_wakeup(&mut self.wakeup_rx),
                     FRONT_LISTENER => self.accept(),
                     token if token >= FRONT_LINKS => self.sweep_link(token - FRONT_LINKS),
@@ -1732,9 +1725,8 @@ impl Front {
 
     fn accept(&mut self) {
         for conn in accept_ready(&self.listener) {
-            let config = &self.inner.config;
             let client = FrontClient {
-                framer: Framer::new(protocol::parse_request, config.max_line_len, 0),
+                framer: Framer::new(protocol::parse_request, protocol::MAX_LINE_LEN, 0),
                 ctx: self.inner.tracer.mint_context(),
                 pool: ConnPool::default(),
                 expects: VecDeque::new(),
@@ -1826,7 +1818,7 @@ impl Front {
                     Some(Frame::Request(request)) => route_request(&mut route, request),
                     Some(Frame::LineTooLong) => Expect::Local(format!(
                         "ERR line too long (max {} bytes)",
-                        config.max_line_len
+                        protocol::MAX_LINE_LEN
                     )),
                     Some(Frame::ShipTooLarge) => Expect::Local(SHIP_IS_SHARD_LEVEL.into()),
                 };
@@ -2304,10 +2296,9 @@ fn forward(route: &mut Route<'_>, shard: &str, line: &str) -> Result<u64, String
         route.drop_link(shard);
         inner.reconnects.inc();
     }
-    let attempts = inner.config.forward_attempts.max(1);
     let mut rng = jitter_rng();
     let mut last_err = String::from("no attempt allowed");
-    for attempt in 0..attempts {
+    for attempt in 0..FORWARD_ATTEMPTS {
         if !inner.allow_attempt(shard) {
             return Err(unavailable("circuit open"));
         }
@@ -2320,7 +2311,7 @@ fn forward(route: &mut Route<'_>, shard: &str, line: &str) -> Result<u64, String
             std::thread::sleep(delay);
         }
         if route.link(shard).is_none() {
-            let connected = TcpStream::connect_timeout(&addr, inner.config.connect_timeout)
+            let connected = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)
                 .and_then(Conn::new)
                 .and_then(|conn| route.open(shard, addr, conn));
             if let Err(err) = connected {
@@ -2630,7 +2621,7 @@ fn apply_rewrite(
                     scenario,
                     *degraded,
                     trace.trace_id,
-                    inner.config.max_tickets,
+                    MAX_TICKETS,
                 );
                 inner.remaps.inc();
                 format!("TICKET {global}")

@@ -114,11 +114,6 @@ impl CostScheduler {
         self.pending.len()
     }
 
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
     /// Removes and returns the next request to run.
     pub fn pop(&mut self) -> Option<QueuedRequest> {
         if self.pending.is_empty() {

@@ -60,18 +60,6 @@ impl ServiceConfig {
         self.engine = engine;
         self
     }
-
-    /// Builder-style completed-outcome retention setter (0 = unbounded).
-    pub fn with_completed_retention(mut self, retention: usize) -> Self {
-        self.completed_retention = retention;
-        self
-    }
-
-    /// Builder-style slow-request threshold setter.
-    pub fn with_slow_request_threshold(mut self, threshold: Duration) -> Self {
-        self.slow_request_threshold = threshold;
-        self
-    }
 }
 
 /// Handle to a submitted run.
@@ -131,7 +119,7 @@ impl Inner {
 /// Callback invoked whenever a submitted job finishes (and on shutdown):
 /// the reactor front-end registers its wakeup channel here so deferred
 /// `WAIT` responses stream the moment their jobs complete.
-pub type CompletionNotifier = Arc<dyn Fn() + Send + Sync>;
+pub(crate) type CompletionNotifier = Arc<dyn Fn() + Send + Sync>;
 
 /// Pre-resolved handles into the engine's metrics registry for the
 /// service's own instruments (resolved once — job paths never take the
@@ -217,13 +205,13 @@ impl Service {
     }
 
     /// How long this service has been up.
-    pub fn uptime(&self) -> Duration {
+    pub(crate) fn uptime(&self) -> Duration {
         self.started.elapsed()
     }
 
     /// Run requests finished over the service lifetime (monotonic — not
     /// bounded by the completed-outcome retention window).
-    pub fn jobs_completed(&self) -> u64 {
+    pub(crate) fn jobs_completed(&self) -> u64 {
         self.metrics.jobs_completed.get()
     }
 
@@ -254,8 +242,8 @@ impl Service {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Registers a scenario under its name; see
-    /// [`ScenarioRegistry::register`] for the namespace guarantees. On a
+    /// Registers a scenario under its name; see `ScenarioRegistry::register`
+    /// (`registry.rs`) for the namespace guarantees. On a
     /// warm-started service the namespace is additionally checked against
     /// the fingerprint recorded by the *snapshotting* process — the cached
     /// evaluations under this namespace belong to that substrate, so an
@@ -290,7 +278,7 @@ impl Service {
     ///
     /// A fresh trace is minted for the run; to stitch it into a trace the
     /// caller already carries (a routed request arriving with a `CTX` wire
-    /// prefix), use [`Service::submit_traced`].
+    /// prefix), use `Service::submit_traced`.
     pub fn submit(&self, name: &str) -> Result<Ticket, ServiceError> {
         let ctx = self.engine.tracer().mint_context();
         self.submit_traced(name, ctx)
@@ -301,7 +289,11 @@ impl Service {
     /// its queue-wait, job, scenario, and valuation spans all stitch into
     /// the submitter's trace — across the thread hop and, when `ctx`
     /// arrived over the wire, across the process hop too.
-    pub fn submit_traced(&self, name: &str, ctx: TraceContext) -> Result<Ticket, ServiceError> {
+    pub(crate) fn submit_traced(
+        &self,
+        name: &str,
+        ctx: TraceContext,
+    ) -> Result<Ticket, ServiceError> {
         let mut inner = self.lock();
         // Checked *under* the inner lock: shutdown() also takes it while
         // setting the flag, so a submission either completes before the
@@ -311,10 +303,10 @@ impl Service {
             return Err(ServiceError::Stopped);
         }
         let registered = inner.registry.require(name)?;
-        let namespace = registered.scenario.namespace().to_string();
+        let namespace = registered.namespace().to_string();
         // Prior before the first observation: the configured state budget —
         // an upper bound on paid valuations, comparable across scenarios.
-        let prior = registered.scenario.config.max_states as f64;
+        let prior = registered.config.max_states as f64;
         let estimated_cost = inner.costs.estimate(name, prior);
         let ticket = Ticket(inner.next_ticket);
         inner.next_ticket += 1;
@@ -362,7 +354,7 @@ impl Service {
     /// The trace id the ticket's run was submitted under (`EXPLAIN`
     /// resolves tickets to traces through this). `None` once the ticket
     /// has fallen off the completed-outcome retention window.
-    pub fn trace_of(&self, ticket: Ticket) -> Option<u64> {
+    pub(crate) fn trace_of(&self, ticket: Ticket) -> Option<u64> {
         self.lock().traces.get(&ticket.0).copied()
     }
 
@@ -387,7 +379,7 @@ impl Service {
                 };
                 self.metrics.queue_depth.set(inner.scheduler.len() as i64);
                 let scenario = match inner.registry.get(&request.scenario) {
-                    Some(registered) => registered.scenario.clone(),
+                    Some(registered) => registered.clone(),
                     // Registry entries are never removed, so a queued name
                     // always resolves; guard anyway to stay panic-free.
                     None => continue,
@@ -458,7 +450,7 @@ impl Service {
     /// that re-binds does not leave stale wakeup handles behind. A
     /// multi-reactor front-end registers its first wakeup here and fans
     /// the rest out via [`add_completion_notifier`](Self::add_completion_notifier).
-    pub fn set_completion_notifier(&self, notifier: CompletionNotifier) {
+    pub(crate) fn set_completion_notifier(&self, notifier: CompletionNotifier) {
         *self
             .notifiers
             .lock()
@@ -469,7 +461,7 @@ impl Service {
     /// already registered — the fan-out path for a front-end with N
     /// reactor wakeup channels (every reactor must wake: the service
     /// cannot know which one pins the waiting connection).
-    pub fn add_completion_notifier(&self, notifier: CompletionNotifier) {
+    pub(crate) fn add_completion_notifier(&self, notifier: CompletionNotifier) {
         self.notifiers
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -478,7 +470,7 @@ impl Service {
 
     /// Removes every completion notifier (a stopping front-end detaching
     /// its wakeup channels).
-    pub fn clear_completion_notifier(&self) {
+    pub(crate) fn clear_completion_notifier(&self) {
         self.notifiers
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -691,7 +683,10 @@ mod tests {
 
     #[test]
     fn completed_outcomes_are_retained_up_to_the_bound() {
-        let service = Service::new(ServiceConfig::default().with_completed_retention(2));
+        let service = Service::new(ServiceConfig {
+            completed_retention: 2,
+            ..ServiceConfig::default()
+        });
         let substrate: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(6));
         service
             .register(

@@ -315,7 +315,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
 
 /// Writes a snapshot of `cache` plus the guard pairs to `path` (atomically
 /// via a sibling temporary file), returning the snapshot size in bytes.
-pub fn save_to_path(
+pub(crate) fn save_to_path(
     cache: &SharedEvalCache,
     namespace_fingerprints: &[(u64, u64)],
     path: &Path,
@@ -329,7 +329,7 @@ pub fn save_to_path(
 /// returns `(entries processed, guard pairs)` — callers seed the guard
 /// pairs into their engine so the namespace protection survives the
 /// restart.
-pub fn load_from_path(
+pub(crate) fn load_from_path(
     cache: &SharedEvalCache,
     path: &Path,
 ) -> Result<(usize, Vec<(u64, u64)>), SnapshotError> {

@@ -34,7 +34,7 @@ use modis_core::substrate::Substrate;
 use modis_engine::{Algorithm, Scenario, SharedEvalCache};
 use modis_service::{
     result_line, CircuitState, ClusterSpec, Daemon, JobState, Router, RouterConfig, Service,
-    ServiceConfig, ShardMap,
+    ServiceConfig, ServiceError, ShardMap,
 };
 
 static TEMP_COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -96,8 +96,8 @@ proptest! {
         // Join: everything that moves, moves to the joiner.
         let mut joined = before.clone();
         joined.add("joiner".to_string());
-        for (key, _, to) in before.reassigned(&joined, keys.iter().copied()) {
-            prop_assert_eq!(to, "joiner", "key {:#x} moved to an unrelated shard", key);
+        for mv in before.reassigned_replicas(&joined, keys.iter().copied(), 1) {
+            prop_assert_eq!(&mv.gained, &vec!["joiner".to_string()], "key {:#x} moved to an unrelated shard", mv.key);
         }
         // Ownership of unmoved keys is untouched even by name: re-check
         // against an independently rebuilt map (pure function of the set).
@@ -113,8 +113,8 @@ proptest! {
             let victim = names[victim_pick % shard_count].clone();
             let mut left = before.clone();
             left.remove(&victim);
-            for (key, from, _) in before.reassigned(&left, keys.iter().copied()) {
-                prop_assert_eq!(from, victim.as_str(), "key {:#x} moved off a survivor", key);
+            for mv in before.reassigned_replicas(&left, keys.iter().copied(), 1) {
+                prop_assert_eq!(&mv.lost, &vec![victim.clone()], "key {:#x} moved off a survivor", mv.key);
             }
             // Join-then-leave of the same shard is a perfect round trip.
             let mut back = joined.clone();
@@ -693,6 +693,113 @@ fn joined_shard_serves_its_first_request_from_the_shipped_warm_cache() {
 
     cluster.stop();
     new_shard.daemon.stop();
+}
+
+/// A graceful leave ships exactly the leaver's namespaces to the survivor
+/// before the leaver drops out of the topology, so the shrunk cluster's
+/// first requests on the moved namespaces are served entirely from the
+/// shipped cache: zero paid valuations, byte-identical skylines. A leave
+/// that would empty the cluster, or names no member, is refused.
+#[test]
+fn left_shard_hands_its_namespaces_warm_to_the_survivor() {
+    let workload = ClusterWorkload {
+        namespaces: 2,
+        rows: 160,
+        max_states: 8,
+    };
+    let cluster = workload.build_cluster(2);
+    let names = workload.scenario_names();
+    let first = drive_suite(cluster.router.addr(), &names);
+
+    // The leaver is a shard that owns at least one namespace (ownership is
+    // a pure function of the name set, so the test derives it).
+    let map = cluster.router.shard_map();
+    let owner = |ns: &str| {
+        map.owner_of(SharedEvalCache::namespace_key(ns))
+            .expect("a non-empty cluster owns every namespace")
+            .to_string()
+    };
+    let namespaces: Vec<String> = (0..workload.namespaces)
+        .map(|i| workload.namespace(i))
+        .collect();
+    let leaver = owner(&namespaces[0]);
+    let survivor = ["shard0", "shard1"]
+        .into_iter()
+        .find(|name| *name != leaver)
+        .expect("two shards")
+        .to_string();
+    let mut owned: Vec<String> = namespaces
+        .iter()
+        .filter(|ns| owner(ns) == leaver)
+        .cloned()
+        .collect();
+    owned.sort();
+
+    let shipped = cluster
+        .router
+        .leave_shard(&leaver)
+        .expect("leave ships and commits");
+    for shipment in &shipped {
+        assert_eq!(shipment.from, leaver, "a leave ships only off the leaver");
+        assert_eq!(shipment.to, survivor, "a leave ships only to the survivor");
+    }
+    let mut moved: Vec<String> = shipped.iter().map(|s| s.namespace.clone()).collect();
+    moved.sort();
+    assert_eq!(moved, owned, "exactly the leaver's namespaces move");
+    for ns in &namespaces {
+        assert_eq!(cluster.router.owner_of(ns), Some(survivor.clone()));
+    }
+    let members: Vec<String> = cluster
+        .router
+        .shards()
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
+    assert_eq!(members, vec![survivor.clone()]);
+
+    // Second wave through the shrunk cluster: every scenario now runs on
+    // the survivor, the moved ones warm from the shipment.
+    let second = drive_suite(cluster.router.addr(), &names);
+    let mut warm_checked = 0;
+    for (a, b) in first.iter().zip(&second) {
+        assert_eq!(
+            a.result, b.result,
+            "{}: the skyline must survive the leave byte for byte",
+            a.scenario
+        );
+        let pool: usize = a.scenario[2..a.scenario.find('/').unwrap()]
+            .parse()
+            .expect("ws<i>/… scenario name");
+        if moved.contains(&workload.namespace(pool)) {
+            assert_eq!(
+                done_field(&b.done, "cost"),
+                0,
+                "{}: first request after the leave paid for valuations ({})",
+                a.scenario,
+                b.done
+            );
+            assert!(
+                done_field(&b.done, "shared_hits") > 0,
+                "{}: no cache hits on the survivor ({})",
+                a.scenario,
+                b.done
+            );
+            warm_checked += 1;
+        }
+    }
+    assert!(warm_checked > 0);
+
+    // The survivor is the last shard, and a stranger is no member.
+    assert!(matches!(
+        cluster.router.leave_shard(&survivor),
+        Err(ServiceError::InvalidTopology(_))
+    ));
+    assert!(matches!(
+        cluster.router.leave_shard("no-such-shard"),
+        Err(ServiceError::InvalidTopology(_))
+    ));
+
+    cluster.stop();
 }
 
 // ---------------------------------------------------------------------------
