@@ -24,7 +24,7 @@ pub enum ServiceError {
     /// completed outcome has already been evicted by the retention policy
     /// (`ServiceConfig::completed_retention`).
     UnknownTicket(u64),
-    /// A submission arrived after [`crate::Service::shutdown`]: no worker
+    /// A submission arrived after [`crate::Service::shutdown`]: nothing
     /// will ever drain it, so accepting it would strand the ticket in the
     /// queue forever.
     Stopped,

@@ -12,7 +12,7 @@
 //!   │  scenario  │────────────▶│  cost-aware      │  namespace-grouped,
 //!   │  registry  │             │  scheduler       │  cheapest-first order
 //!   └────────────┘             └────────┬─────────┘
-//!     fingerprint-guarded               │ drain (worker thread / RUN)
+//!     fingerprint-guarded               │ drain (RUN on the executor)
 //!     namespaces                        ▼
 //!                              ┌──────────────────┐     ┌──────────────┐
 //!                              │ Engine + shared  │◀───▶│  snapshot    │
@@ -42,14 +42,13 @@
 //!   wrapper over `epoll(7)` via direct syscalls, so a sweep touches only
 //!   *ready* connections instead of attempting a syscall on every open
 //!   one.
-//! * `reactor` — the non-blocking front-end behind [`Daemon`]: N
-//!   reactor threads (default `min(4, cores)`) share one accept socket,
-//!   each driving its pinned connections through a `Poller`
+//! * `reactor` — the non-blocking front-end behind [`Daemon`], which is
+//!   two threads: one reactor drives every connection through a `Poller`
 //!   (`std::net` sockets in non-blocking mode, O(ready) sweeps), requests
 //!   pipeline freely with strictly ordered responses, `RUN` drains and
-//!   `SNAPSHOT` writes execute on a companion executor thread, and
-//!   per-reactor wakeup socket pairs connect job completions and shutdown
-//!   to reactors parked in `epoll_wait`.
+//!   `SNAPSHOT` writes are sent over a channel to one executor thread,
+//!   and a wakeup socket pair connects job completions and shutdown to
+//!   the reactor parked in `epoll_wait`.
 //! * `cluster` + `router` — the horizontal scaling layer: cache
 //!   namespaces are partitioned across shard daemons by rendezvous
 //!   hashing ([`ShardMap`]), and a [`Router`] fronts the shard

@@ -1,6 +1,6 @@
 //! The daemon side of the line protocol: what each [`Verb`] *does* against
 //! a [`Service`] ([`execute`]), and the [`Daemon`] that serves it over TCP
-//! through the non-blocking reactors in [`crate::reactor`].
+//! through the non-blocking reactor in [`crate::reactor`].
 //!
 //! The request grammar — the verb table, argument checks, the `CTX`
 //! prefix, framing — lives in [`crate::protocol`]; the normative
@@ -13,12 +13,12 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::error::ServiceError;
 use crate::protocol::{self, Kind, Parsed, Verb};
-use crate::reactor::{wakeup_pair, Executor, Reactor, ReactorConfig, Wakeup};
+use crate::reactor::{run_executor, wakeup_pair, Reactor, ReactorConfig, Wakeup};
 use crate::service::{JobState, Service, Ticket};
 use modis_core::telemetry::SpanRecord;
 use modis_engine::ScenarioOutcome;
@@ -415,21 +415,14 @@ pub fn handle_command(service: &Service, line: &str) -> Reply {
     })
 }
 
-/// The daemon's worker threads — N reactors plus the drain executor —
-/// `take`n exactly once during stop.
-type DaemonThreads = (Vec<JoinHandle<()>>, Option<JoinHandle<()>>);
-
-/// A running TCP front-end: the bound address plus the reactor pool and
-/// drain executor threads.
+/// A running TCP front-end: the bound address plus its two threads, the
+/// reactor and the executor.
 ///
-/// Unlike the seed's thread-per-connection daemon, a `Daemon` serves its
-/// connections from a small pool of non-blocking reactor threads
-/// ([`ReactorConfig::reactors`], default `min(4, cores)`) sharing one
-/// accept socket (see `reactor.rs`): each connection is pinned to
-/// the reactor that accepted it, clients may pipeline requests, `RUN`
-/// drains execute on the companion executor thread, and [`Daemon::stop`]
-/// tears everything down deterministically through the per-reactor
-/// wakeup channels.
+/// Unlike the seed's thread-per-connection daemon, a `Daemon` serves every
+/// connection from one non-blocking reactor thread (see `reactor.rs`):
+/// clients may pipeline requests, `RUN` drains and the cache-state verbs
+/// execute on the companion executor thread, and [`Daemon::stop`] tears
+/// both down deterministically through the wakeup channel.
 ///
 /// ```
 /// use std::io::{BufRead, BufReader, Write};
@@ -457,15 +450,14 @@ pub struct Daemon {
     service: Arc<Service>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    wakeups: Vec<Wakeup>,
-    executor: Arc<Executor>,
+    wakeup: Wakeup,
     /// Reactor + executor join handles, taken exactly once. The mutex is
     /// what makes [`Daemon::stop`] idempotent under concurrent double-stop
     /// (e.g. an explicit `stop` racing a `Drop`, or two owners of an
     /// `Arc<Daemon>`): the winner holds the lock through the whole
     /// teardown, losers block until it finishes and then find the handles
     /// already taken.
-    threads: Mutex<DaemonThreads>,
+    threads: Mutex<Option<(JoinHandle<()>, JoinHandle<()>)>>,
 }
 
 impl Daemon {
@@ -484,28 +476,16 @@ impl Daemon {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let executor = Arc::new(Executor::new());
-        // N reactors behind one accept socket: each gets its own dup of
-        // the listening fd (shared kernel accept queue) and its own
-        // wakeup channel; the kernel spreads incoming connections over
-        // whichever reactors are waiting in their pollers.
-        let reactor_count = config.reactors.max(1);
-        let mut wakeups = Vec::with_capacity(reactor_count);
-        let mut reactors = Vec::with_capacity(reactor_count);
-        for index in 0..reactor_count {
-            let (wakeup, wakeup_rx) = wakeup_pair()?;
-            let reactor = Reactor::new(
-                listener.try_clone()?,
-                Arc::clone(&service),
-                Arc::clone(&executor),
-                wakeup_rx,
-                Arc::clone(&stop),
-                config.clone(),
-                index,
-            )?;
-            wakeups.push(wakeup);
-            reactors.push(reactor);
-        }
+        let (wakeup, wakeup_rx) = wakeup_pair()?;
+        let (executor, jobs) = mpsc::channel();
+        let reactor = Reactor::new(
+            listener,
+            Arc::clone(&service),
+            executor,
+            wakeup_rx,
+            Arc::clone(&stop),
+            config,
+        )?;
 
         // Register the tracer-retention and process-vitals instruments now
         // (refreshed again on every METRICS scrape): a daemon that has not
@@ -513,39 +493,25 @@ impl Daemon {
         sync_observability_metrics(&service);
 
         // Registered only after every fallible step: a failed bind must
-        // not leave dead notifiers on the service. Completions anywhere
-        // (the drain executor, an external `spawn_worker` thread,
-        // in-process `run_pending` calls) wake every parked reactor so
-        // `WAIT` responses stream immediately — the service cannot know
-        // which reactor pins the waiting connection. One front-end per
-        // service: the first registration replaces any earlier front-end's
-        // notifiers wholesale, the rest fan out alongside it.
-        for (index, wakeup) in wakeups.iter().enumerate() {
-            let wakeup = wakeup.clone();
-            if index == 0 {
-                service.set_completion_notifier(Arc::new(move || wakeup.notify()));
-            } else {
-                service.add_completion_notifier(Arc::new(move || wakeup.notify()));
-            }
-        }
+        // not leave a dead notifier on the service. Completions anywhere
+        // (the executor, in-process `run_pending` calls) wake the reactor
+        // so `WAIT` responses stream immediately. One front-end per
+        // service: this registration replaces any earlier front-end's.
+        let notify = wakeup.clone();
+        service.set_completion_notifier(Arc::new(move || notify.notify()));
 
-        let reactor_threads: Vec<JoinHandle<()>> = reactors
-            .into_iter()
-            .map(|reactor| std::thread::spawn(move || reactor.run()))
-            .collect();
+        let reactor_thread = std::thread::spawn(move || reactor.run());
         let executor_thread = {
             let service = Arc::clone(&service);
-            let executor = Arc::clone(&executor);
-            let wakeups = wakeups.clone();
-            std::thread::spawn(move || executor.run(&service, &wakeups))
+            let wakeup = wakeup.clone();
+            std::thread::spawn(move || run_executor(jobs, &service, &wakeup))
         };
         Ok(Daemon {
             service,
             addr,
             stop,
-            wakeups,
-            executor,
-            threads: Mutex::new((reactor_threads, Some(executor_thread))),
+            wakeup,
+            threads: Mutex::new(Some((reactor_thread, executor_thread))),
         })
     }
 
@@ -556,17 +522,17 @@ impl Daemon {
 
     /// Stops the front-end deterministically and joins both threads. This
     /// also calls [`Service::shutdown`]: open connections are flushed a
-    /// final error line and closed, further submissions (in-process
-    /// included) are rejected with `ServiceError::Stopped`, and any
-    /// [`Service::spawn_worker`] thread exits its loop. Read-only calls
+    /// final error line and closed, and further submissions (in-process
+    /// included) are rejected with `ServiceError::Stopped`. Read-only calls
     /// (`poll`, `cache_stats`, `snapshot_to`) remain usable in-process.
     ///
-    /// The shutdown path is the wakeup channels: the stop flag is set, a
-    /// wakeup byte interrupts every reactor's poller wait, and each
-    /// reactor closes its listener dup and pinned connections before
-    /// exiting — no throwaway connection, no waiting for a future client.
-    /// Once `stop` returns, the listening port is fully released and
-    /// immediately rebindable.
+    /// The shutdown path is the wakeup channel: the stop flag is set, a
+    /// wakeup byte interrupts the reactor's poller wait, and the reactor
+    /// closes the listener and every connection before exiting — no
+    /// throwaway connection, no waiting for a future client. Its exit
+    /// drops the executor's sender, so the executor finishes every job
+    /// already queued and exits too. Once `stop` returns, the listening
+    /// port is fully released and immediately rebindable.
     ///
     /// `stop` is **idempotent, including under concurrency**: any number
     /// of callers (say two threads sharing an `Arc<Daemon>`, or a manual
@@ -580,24 +546,16 @@ impl Daemon {
 
     fn stop_inner(&self) {
         let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
-        if threads.0.is_empty() && threads.1.is_none() {
+        let Some((reactor, executor)) = threads.take() else {
             return;
-        }
+        };
         self.service.shutdown();
         self.stop.store(true, Ordering::SeqCst);
-        self.executor.stop();
         // Notified under the lock: a racing second stopper cannot interleave
-        // between the flag store and the wakeup bytes (the race that could
-        // previously leave a parked reactor sleeping out its timeout).
-        for wakeup in &self.wakeups {
-            wakeup.notify();
-        }
-        for handle in threads.0.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(handle) = threads.1.take() {
-            let _ = handle.join();
-        }
+        // between the flag store and the wakeup byte.
+        self.wakeup.notify();
+        let _ = reactor.join();
+        let _ = executor.join();
         self.service.clear_completion_notifier();
     }
 }

@@ -351,7 +351,7 @@ struct Shipping {
 }
 
 /// Longest accepted request line in bytes (terminator excluded), on the
-/// daemon's reactors and on the router alike. A longer line is answered
+/// daemon's reactor and on the router alike. A longer line is answered
 /// with a protocol error and discarded up to its terminating newline; the
 /// connection stays usable.
 pub(crate) const MAX_LINE_LEN: usize = 4096;

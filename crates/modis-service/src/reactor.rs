@@ -1,4 +1,4 @@
-//! Non-blocking TCP reactors for the line protocol.
+//! The non-blocking TCP reactor for the line protocol.
 //!
 //! The seed front-end was a thread-per-connection blocking loop: one OS
 //! thread per client, blocked in `read(2)` between requests, with `RUN`
@@ -7,7 +7,7 @@
 //! throwaway connection unblocking `accept(2)`, and a slow search stalls
 //! its connection entirely.
 //!
-//! This module replaces it with a pool of reactors:
+//! This module replaces it with one reactor thread and one executor thread:
 //!
 //! * **O(ready) sweeps** — the listener, the wakeup channel and every
 //!   accepted stream are registered with a [`Poller`](crate::poller) (a
@@ -18,12 +18,9 @@
 //!   interest is kept minimal (read interest is dropped under
 //!   backpressure, write interest exists only while bytes are owed), so
 //!   level-triggered readiness never spins.
-//! * **N reactors, one accept socket** — [`ReactorConfig::reactors`]
-//!   threads (default `min(4, cores)`) each own a dup of the listening
-//!   socket; the kernel hands each new connection to whichever reactor
-//!   accepts it first, and the connection is pinned to that reactor for
-//!   its whole life. Per-reactor instruments carry a `reactor="<n>"`
-//!   label.
+//! * **One reactor** — every search and model training runs on the
+//!   executor, so the reactor only parses requests and answers cheap
+//!   verbs; one thread serves every connection.
 //! * **Per-connection state machines** — the socket, its incremental
 //!   write buffer (responses are flushed as the socket accepts them) and
 //!   its poller registration live in the crate's connection core (the
@@ -38,32 +35,35 @@
 //!   Slow responses (a `RUN` drain, a `WAIT` on unfinished jobs) hold
 //!   *their* position in the queue without blocking the reactor, other
 //!   connections, or the parsing of later requests.
-//! * **Wakeup channel** — a connected loopback socket pair per reactor.
-//!   The scheduler worker ([`Service::spawn_worker`]), the drain executor
-//!   and [`Service::shutdown`] write a byte to the [`Wakeup`] handles
-//!   whenever something a waiting reactor may care about happens (a job
-//!   finished, a drain completed, shutdown was requested); the receiving
-//!   end is registered with the poller, so the wait returns immediately.
-//!   Idling is a single poller wait with the `IDLE_PARK` (2 ms)
-//!   timeout — the old two-phase nap/park spin is gone, because readiness
-//!   itself now interrupts the wait.
-//! * **Off-thread slow verbs** — `RUN` hands the queue drain to the
-//!   `Executor` thread and answers `OK <n>` when it completes, and
-//!   `SNAPSHOT`/`RESTORE`/`EXPORT`/`SHIP` move cache state there too, so
-//!   the reactors keep serving every other connection while searches run
-//!   and snapshots hit the disk.
+//! * **Wakeup channel** — a connected loopback socket pair. The executor,
+//!   any in-process [`Service::run_pending`] and [`Service::shutdown`]
+//!   write a byte to the [`Wakeup`] handle whenever something the waiting
+//!   reactor may care about happens (a job finished, a drain completed,
+//!   shutdown was requested); the receiving end is registered with the
+//!   poller, so the wait returns immediately. Idling is a single poller
+//!   wait with the `IDLE_PARK` (2 ms) timeout — readiness itself
+//!   interrupts the wait.
+//! * **Off-thread slow verbs** — `RUN` sends the queue drain to the
+//!   executor thread over a channel and answers `OK <n>` when it
+//!   completes, and `SNAPSHOT`/`RESTORE`/`EXPORT`/`SHIP` move cache state
+//!   there too, so the reactor keeps serving every other connection while
+//!   searches run and snapshots hit the disk. The reactor owns the
+//!   channel's only sender; the executor runs jobs until that sender is
+//!   dropped and the queue is empty.
 //!
 //! Shutdown is deterministic: [`Daemon::stop`](crate::Daemon::stop) sets
-//! the stop flag and notifies every reactor's wakeup channel; each
-//! reactor wakes (it never blocks anywhere else), flushes a final `ERR`
-//! to every open connection, drops its listener dup and exits — no
-//! throwaway connection, no reliance on a future client arriving.
+//! the stop flag and notifies the wakeup channel; the reactor wakes (it
+//! never blocks anywhere else), flushes a final `ERR` to every open
+//! connection, drops the listener and the executor's sender and exits — no
+//! throwaway connection, no reliance on a future client arriving. The
+//! executor then finishes what was queued and exits too.
 
 use std::collections::{HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use modis_core::telemetry::{Counter, Gauge, Histogram};
@@ -100,15 +100,10 @@ const IDLE_PARK: Duration = Duration::from_millis(2);
 /// bytes from one connection, so a firehose client cannot monopolise it.
 const MAX_PIPELINED: usize = 1024;
 
-/// Tuning knobs of the reactor loop. The defaults suit tests, examples and
-/// the benchmark; none of them change protocol semantics.
+/// Tuning knobs of the reactor loop. The default suits tests, examples and
+/// the benchmark; it does not change protocol semantics.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Reactor threads sharing the accept socket (clamped to at least 1).
-    /// Each accepted connection is pinned to the reactor that accepted it
-    /// for its whole life; per-reactor instruments are labeled
-    /// `reactor="<n>"`. Defaults to `min(4, available cores)`.
-    pub reactors: usize,
     /// Largest accepted `SHIP` binary payload, in bytes. A frame declaring
     /// more is answered with a protocol error and its payload bytes are
     /// discarded as they arrive (never buffered), so the connection stays
@@ -119,10 +114,6 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
-            reactors: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(4),
             max_ship_bytes: 1 << 26,
         }
     }
@@ -231,111 +222,44 @@ pub(crate) fn drain_wakeup(rx: &mut impl Read) {
 /// the final reply text, the reactor emits the slot once the cell fills.
 type DeferredReply = Arc<OnceLock<String>>;
 
-/// Work the reactor hands to the executor thread.
-enum ExecJob {
-    /// `RUN`: drain the scheduler queue, answer `OK <n>`.
-    Drain(DeferredReply),
-    /// A pre-bound slow verb (`SNAPSHOT`, `RESTORE`, `EXPORT`, `SHIP`):
-    /// run the closure, answer whatever line it returns.
-    Task(OffloadFn, DeferredReply),
+/// Work the reactor hands to the executor thread: a deferred command body
+/// and the cell its reply line goes in.
+pub(crate) type ExecJob = (OffloadFn, DeferredReply);
+
+/// Sends one deferred command body to the executor and returns the cell
+/// its reply will appear in.
+fn submit(executor: &Sender<ExecJob>, task: OffloadFn) -> DeferredReply {
+    let reply: DeferredReply = Arc::new(OnceLock::new());
+    // The executor receives until this sender is dropped, so the send
+    // fails only if a job panicked the executor thread.
+    let _ = executor.send((task, Arc::clone(&reply)));
+    reply
 }
 
-/// The off-reactor executor: `RUN` drains and cache-state verbs enqueue
-/// here, a dedicated thread runs them and wakes every reactor with each
-/// result. Serialising them on one thread keeps `RUN` semantics
-/// identical to the seed (each `RUN` answers the number of runs *it*
-/// executed) without ever blocking a reactor.
-pub(crate) struct Executor {
-    /// Queued jobs and the stop flag, under the one lock the thread parks on.
-    queue: Mutex<(VecDeque<ExecJob>, bool)>,
-    ready: Condvar,
+/// The body of a `RUN`: drain the scheduler queue, answer `OK <n>`.
+fn drain(service: &Service) -> String {
+    let _span = service.engine().tracer().span("drain");
+    format!("OK {}", service.run_pending())
 }
 
-impl Executor {
-    pub(crate) fn new() -> Self {
-        Executor {
-            queue: Mutex::new((VecDeque::new(), false)),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn submit_with(&self, job: impl FnOnce(DeferredReply) -> ExecJob) -> DeferredReply {
-        let reply: DeferredReply = Arc::new(OnceLock::new());
-        self.queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .0
-            .push_back(job(Arc::clone(&reply)));
-        self.ready.notify_one();
-        reply
-    }
-
-    /// Enqueues one drain and returns the cell its reply will appear in.
-    fn submit_drain(&self) -> DeferredReply {
-        self.submit_with(ExecJob::Drain)
-    }
-
-    /// Enqueues an arbitrary deferred command and returns its reply cell.
-    fn submit_task(&self, task: OffloadFn) -> DeferredReply {
-        self.submit_with(|reply| ExecJob::Task(task, reply))
-    }
-
-    /// Signals the executor thread to exit once its queue is empty.
-    pub(crate) fn stop(&self) {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner).1 = true;
-        self.ready.notify_all();
-    }
-
-    /// The executor thread body: run jobs until stopped *and* empty, so
-    /// every accepted `RUN`/`SNAPSHOT`/… still executes during shutdown.
-    /// Each finished job notifies every reactor's wakeup channel — the
-    /// executor cannot know which reactor pins the waiting connection.
-    pub(crate) fn run(&self, service: &Service, wakeups: &[Wakeup]) {
-        loop {
-            let job = {
-                let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                loop {
-                    if let Some(job) = queue.0.pop_front() {
-                        break Some(job);
-                    }
-                    if queue.1 {
-                        break None;
-                    }
-                    queue = self
-                        .ready
-                        .wait(queue)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            let Some(job) = job else { return };
-            match job {
-                ExecJob::Drain(reply) => {
-                    let span = service.engine().tracer().span("drain");
-                    let executed = service.run_pending();
-                    drop(span);
-                    let _ = reply.set(format!("OK {executed}"));
-                }
-                ExecJob::Task(task, reply) => {
-                    let _ = reply.set(task(service));
-                }
-            }
-            for wakeup in wakeups {
-                wakeup.notify();
-            }
-        }
+/// The executor thread body: `RUN` drains and cache-state verbs arrive
+/// from the reactor, run here one at a time, and each result wakes the
+/// reactor. Serialising them on one thread keeps `RUN` semantics identical
+/// to the seed (each `RUN` answers the number of runs *it* executed)
+/// without ever blocking the reactor. The loop ends once the reactor has
+/// dropped its sender and the queue is empty, so every accepted
+/// `RUN`/`SNAPSHOT`/… still executes during shutdown.
+pub(crate) fn run_executor(jobs: Receiver<ExecJob>, service: &Service, wakeup: &Wakeup) {
+    for (task, reply) in jobs {
+        let _ = reply.set(task(service));
+        wakeup.notify();
     }
 }
 
-/// Pre-resolved instrument handles for one reactor (looked up once at
+/// Pre-resolved instrument handles of the reactor (looked up once at
 /// construction — the sweep loop only touches relaxed atomics).
-///
-/// The per-verb and connection-count families are shared by all reactors
-/// (their wire-visible series must not change with the reactor count);
-/// sweep instruments and the pinned-connection gauge carry a
-/// `reactor="<n>"` label so per-thread behaviour stays observable.
 struct ReactorMetrics {
     open_connections: Arc<Gauge>,
-    pinned_connections: Arc<Gauge>,
     backpressure_events: Arc<Counter>,
     sweep_us: Arc<Histogram>,
     sweeps_busy: Arc<Counter>,
@@ -347,37 +271,30 @@ struct ReactorMetrics {
 }
 
 impl ReactorMetrics {
-    fn new(service: &Service, reactor: usize) -> ReactorMetrics {
+    fn new(service: &Service) -> ReactorMetrics {
         let metrics = service.engine().metrics();
-        let reactor_label = reactor.to_string();
         ReactorMetrics {
             open_connections: metrics.gauge(
                 "reactor_open_connections",
-                "Client connections currently held, across all reactor threads.",
-            ),
-            pinned_connections: metrics.gauge_with(
-                "reactor_pinned_connections",
-                "Client connections currently pinned to one reactor thread.",
-                &[("reactor", &reactor_label)],
+                "Client connections currently held by the reactor.",
             ),
             backpressure_events: metrics.counter(
                 "reactor_backpressure_events_total",
                 "Times a connection crossed into read-backpressure (write buffer above the high watermark or pipeline at max depth).",
             ),
-            sweep_us: metrics.histogram_with(
+            sweep_us: metrics.histogram(
                 "reactor_sweep_us",
                 "Duration of one reactor sweep, microseconds. Idle sweeps are recorded too; reactor_sweeps_total splits the counts.",
-                &[("reactor", &reactor_label)],
             ),
             sweeps_busy: metrics.counter_with(
                 "reactor_sweeps_total",
                 "Reactor sweeps, split by whether the sweep made progress.",
-                &[("reactor", &reactor_label), ("kind", "busy")],
+                &[("kind", "busy")],
             ),
             sweeps_idle: metrics.counter_with(
                 "reactor_sweeps_total",
                 "Reactor sweeps, split by whether the sweep made progress.",
-                &[("reactor", &reactor_label), ("kind", "idle")],
+                &[("kind", "idle")],
             ),
             verb_requests: std::array::from_fn(|i| {
                 metrics.counter_with(
@@ -459,18 +376,19 @@ impl Connection {
     }
 }
 
-/// One reactor: owns a dup of the shared listener, its pinned
-/// connections, a poller watching all of them, and the receiving end of
-/// its wakeup channel; runs the O(ready) sweep until stopped.
+/// The reactor: owns the listener, every connection, a poller watching
+/// all of them, the receiving end of the wakeup channel and the executor's
+/// only sender; runs the O(ready) sweep until stopped.
 pub(crate) struct Reactor {
     listener: TcpListener,
     service: Arc<Service>,
-    executor: Arc<Executor>,
+    /// Dropped when the reactor exits, which ends the executor's loop.
+    executor: Sender<ExecJob>,
     wakeup_rx: TcpStream,
     stop: Arc<AtomicBool>,
     config: ReactorConfig,
     poller: Poller,
-    /// Pinned connections: slot `i` registers with poller token
+    /// Open connections: slot `i` registers with poller token
     /// `TOKEN_BASE + i`.
     conns: Slab<Connection>,
     /// Slots whose *front* slot is deferred (a slow verb on the executor,
@@ -487,18 +405,17 @@ impl Reactor {
     pub(crate) fn new(
         listener: TcpListener,
         service: Arc<Service>,
-        executor: Arc<Executor>,
+        executor: Sender<ExecJob>,
         wakeup_rx: TcpStream,
         stop: Arc<AtomicBool>,
         config: ReactorConfig,
-        index: usize,
     ) -> io::Result<Reactor> {
         listener.set_nonblocking(true)?;
         wakeup_rx.set_nonblocking(true)?;
         let mut poller = Poller::new()?;
         poller.register(poller::source(&wakeup_rx), TOKEN_WAKEUP, Interest::READ)?;
         poller.register(poller::source(&listener), TOKEN_LISTENER, Interest::READ)?;
-        let metrics = ReactorMetrics::new(&service, index);
+        let metrics = ReactorMetrics::new(&service);
         Ok(Reactor {
             listener,
             service,
@@ -574,10 +491,7 @@ impl Reactor {
         self.close_all();
     }
 
-    /// Accepts every connection the listener has ready and pins each to
-    /// this reactor. With N reactors behind one accept socket, the kernel
-    /// wakes whichever reactors are waiting; losing the race to a sibling
-    /// just means nothing to adopt.
+    /// Accepts every connection the listener has ready.
     fn accept_ready(&mut self) -> bool {
         let accepted = accept_ready(&self.listener);
         let progress = !accepted.is_empty();
@@ -587,8 +501,6 @@ impl Reactor {
                 self.metrics.open_connections.add(1);
             }
         }
-        let pinned = self.conns.len() as i64;
-        self.metrics.pinned_connections.set(pinned);
         progress
     }
 
@@ -628,7 +540,6 @@ impl Reactor {
             self.conns.remove(&mut self.poller, index);
             self.blocked.remove(&index);
             self.metrics.open_connections.add(-1);
-            self.metrics.pinned_connections.set(self.conns.len() as i64);
             return;
         }
         let backpressured =
@@ -693,7 +604,6 @@ impl Reactor {
         let mut progress = false;
         loop {
             let service = Arc::clone(&self.service);
-            let executor = Arc::clone(&self.executor);
             let Entry { conn, state } = self.conns.get_mut(index).expect("resolved slot is live");
             match state.slots.front_mut() {
                 Some(Slot::Request(..)) => {
@@ -730,12 +640,12 @@ impl Reactor {
                         // Deferred verbs re-enter the queue at the front
                         // and resolve on subsequent iterations/sweeps.
                         Request::Drain => state.slots.push_front(Slot::Deferred(
-                            executor.submit_drain(),
+                            submit(&self.executor, Box::new(drain)),
                             kind,
                             stamp,
                         )),
                         Request::Offload(task) => state.slots.push_front(Slot::Deferred(
-                            executor.submit_task(task),
+                            submit(&self.executor, task),
                             kind,
                             stamp,
                         )),
@@ -825,7 +735,6 @@ impl Reactor {
             conn.close();
         }
         self.metrics.open_connections.add(-(open as i64));
-        self.metrics.pinned_connections.set(0);
     }
 }
 
@@ -921,20 +830,21 @@ mod tests {
     fn executor_answers_queued_jobs_even_after_stop() {
         let service = Service::new(crate::ServiceConfig::default());
         let (wakeup, _rx) = wakeup_pair().unwrap();
-        let executor = Arc::new(Executor::new());
-        let first = executor.submit_drain();
-        let second = executor.submit_drain();
+        let (executor, jobs) = std::sync::mpsc::channel();
+        let first = submit(&executor, Box::new(drain));
+        let second = submit(&executor, Box::new(drain));
         let Request::Offload(snapshot) = execute(
             &service,
             protocol::parse("SNAPSHOT /definitely/not/a/dir/x.snap"),
         ) else {
             panic!("SNAPSHOT must offload");
         };
-        let doomed = executor.submit_task(snapshot);
-        executor.stop();
-        // Queued before stop ⇒ all still answered (empty queue ⇒ 0 runs;
-        // an unwritable snapshot path ⇒ a protocol error, not a panic).
-        executor.run(&service, std::slice::from_ref(&wakeup));
+        let doomed = submit(&executor, snapshot);
+        drop(executor);
+        // Queued before the sender dropped ⇒ all still answered (empty
+        // queue ⇒ 0 runs; an unwritable snapshot path ⇒ a protocol error,
+        // not a panic).
+        run_executor(jobs, &service, &wakeup);
         assert_eq!(first.get().map(String::as_str), Some("OK 0"));
         assert_eq!(second.get().map(String::as_str), Some("OK 0"));
         assert!(doomed.get().unwrap().starts_with("ERR "));

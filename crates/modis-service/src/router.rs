@@ -32,9 +32,10 @@
 //!   every shard each [`RouterConfig::heartbeat_interval`], feeding an
 //!   EWMA liveness score and a per-shard breaker
 //!   (closed → open → half-open → closed, exposed as
-//!   `router_circuit_state`). Forwards retry with jittered exponential
-//!   backoff while the breaker allows, and fail fast (`circuit open`)
-//!   once a shard is declared dead — no request ever hangs on a corpse.
+//!   `router_circuit_state`). A forward makes one attempt while the
+//!   breaker allows — never a sleep on the front thread — and fails fast
+//!   (`circuit open`) once a shard is declared dead, so no request ever
+//!   hangs on a corpse.
 //! * **Replication shipping over the wire** — after each completed `RUN`
 //!   the primaries' updated namespaces are exported (`EXPORT` → one
 //!   `SHIPMENT` line) and pushed to their replicas with the binary-framed
@@ -77,12 +78,10 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use modis_core::telemetry::{Counter, MetricsRegistry, TraceContext, Tracer};
 use modis_engine::SharedEvalCache;
@@ -98,9 +97,6 @@ use crate::reactor::{drain_wakeup, wakeup_pair, Wakeup};
 const HEARTBEAT_MISS_HELP: &str = "Heartbeat probes (PING) a shard failed to answer in time.";
 /// Help text of the `router_failovers_total{shard}` counter.
 const FAILOVER_HELP: &str = "Requests transparently re-routed away from this shard to a replica.";
-/// Help text of the `router_backoff_ms{shard}` histogram.
-const BACKOFF_HELP: &str =
-    "Jittered exponential-backoff delays slept before forward retries, in milliseconds.";
 /// Help text of the `router_circuit_state{shard}` gauge.
 const CIRCUIT_HELP: &str = "Per-shard circuit breaker state: 0 = closed (healthy), \
      1 = half-open (probing), 2 = open (declared dead).";
@@ -114,9 +110,6 @@ const SHIP_TIMEOUT: Duration = Duration::from_secs(120);
 /// daemons' bounded completed-job retention — a ticket older than either
 /// bound answers `ERR unknown ticket`.
 const MAX_TICKETS: usize = 1 << 16;
-/// Total send attempts per forwarded request (first try + retries), each
-/// retry preceded by a jittered exponential backoff sleep.
-const FORWARD_ATTEMPTS: u32 = 3;
 
 /// Tuning knobs of the router. Defaults suit tests and examples; none
 /// change protocol semantics.
@@ -140,10 +133,6 @@ pub struct RouterConfig {
     /// which a shard's circuit breaker opens and the shard is declared
     /// dead.
     pub heartbeat_misses: u32,
-    /// Backoff before the first retry; doubles per further retry.
-    pub backoff_base: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub backoff_max: Duration,
     /// How long an open circuit stays fail-fast before one half-open
     /// trial attempt is allowed through.
     pub open_cooldown: Duration,
@@ -157,8 +146,6 @@ impl Default for RouterConfig {
             heartbeat_interval: Duration::from_millis(150),
             heartbeat_timeout: Duration::from_millis(250),
             heartbeat_misses: 3,
-            backoff_base: Duration::from_millis(15),
-            backoff_max: Duration::from_millis(400),
             open_cooldown: Duration::from_millis(400),
         }
     }
@@ -249,28 +236,6 @@ impl ShardHealth {
         }
         true
     }
-}
-
-/// A deterministic-enough jitter source: seeded from a global counter so
-/// concurrent handler threads draw different streams without consulting
-/// the wall clock.
-fn jitter_rng() -> StdRng {
-    static SEED: AtomicU64 = AtomicU64::new(0x9E37_79B9_7F4A_7C15);
-    let n = SEED.fetch_add(0x9E37_79B9, Ordering::Relaxed);
-    StdRng::seed_from_u64(n ^ u64::from(std::process::id()).rotate_left(32))
-}
-
-/// The sleep before retry number `attempt` (1-based): exponential from
-/// [`RouterConfig::backoff_base`], capped at [`RouterConfig::backoff_max`],
-/// jittered uniformly into `[cap/2, cap]` so a burst of failing handlers
-/// does not hammer a recovering shard in lockstep.
-fn backoff_delay(config: &RouterConfig, attempt: u32, rng: &mut StdRng) -> Duration {
-    let base = config.backoff_base.max(Duration::from_micros(100));
-    let shift = attempt.saturating_sub(1).min(16);
-    let uncapped = base.saturating_mul(1 << shift);
-    let cap = uncapped.min(config.backoff_max.max(base));
-    let micros = cap.as_micros().max(2) as u64;
-    Duration::from_micros(rng.gen_range(micros / 2..micros + 1))
 }
 
 /// Decodes the lowercase-hex payload of a `SHIPMENT` reply.
@@ -504,7 +469,7 @@ struct RouterInner {
     /// How many poller waits the front thread has returned from — what
     /// the no-polling-tick test counts.
     #[cfg(test)]
-    front_waits: AtomicU64,
+    front_waits: std::sync::atomic::AtomicU64,
 }
 
 impl RouterInner {
@@ -539,13 +504,9 @@ impl RouterInner {
     /// Pre-registers every per-shard family so scrapes see them (at zero)
     /// from the first exposition, not only after the first event.
     fn register_shard_metrics(&self, shard: &str) {
-        let labels = [("shard", shard)];
         self.publish_circuit(shard, CircuitState::Closed);
         let _ = self.miss_counter(shard);
         let _ = self.failover_counter(shard);
-        let _ = self
-            .metrics
-            .histogram_with("router_backoff_ms", BACKOFF_HELP, &labels);
     }
 
     fn miss_counter(&self, shard: &str) -> Arc<Counter> {
@@ -962,7 +923,7 @@ impl Router {
             replication: Mutex::new(ReplicationState::default()),
             tracer: Arc::new(Tracer::with_capacity(4096)),
             #[cfg(test)]
-            front_waits: AtomicU64::new(0),
+            front_waits: std::sync::atomic::AtomicU64::new(0),
         });
         for shard in &lock(&inner.topology).shards {
             inner.register_shard_metrics(&shard.name);
@@ -1002,9 +963,9 @@ impl Router {
     }
 
     /// The router's own metrics registry (forward latency, reconnects,
-    /// ticket remaps, heartbeat misses, failovers, backoff delays and
-    /// circuit states per shard). Rendered at the head of every merged
-    /// `METRICS` reply; exposed for tests and embedding processes.
+    /// ticket remaps, heartbeat misses, failovers and circuit states per
+    /// shard). Rendered at the head of every merged `METRICS` reply;
+    /// exposed for tests and embedding processes.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.inner.metrics
     }
@@ -2273,15 +2234,19 @@ fn field_of(line: &str, key: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Sends one line to `shard`, (re)connecting as needed with bounded
-/// jittered-backoff retries, gated by the shard's circuit breaker (an
-/// open circuit fails fast without touching the socket). The line is
-/// queued on the pooled connection and leaves as the shard's socket
-/// accepts it — a shard that stopped reading costs memory bounded by the
-/// client's pipeline depth, never the front thread. Returns the epoch of
-/// the connection the line went out on — the expectation must read its
-/// response from that epoch only. The error value is a ready-to-emit
-/// protocol line.
+/// Sends one line to `shard` in one attempt, gated by the shard's circuit
+/// breaker (an open circuit fails fast without touching the socket). A
+/// connection the shard refuses, or a fresh link that fails its write, is
+/// one breaker failure and an error at once; only a pooled link that fails
+/// its write (stale: the shard restarted) is replaced, once and at once.
+/// Retrying lives above the forward: an expectation re-dispatches a lost
+/// reply once, `SUBMIT` walks the live owners and a ticket fails over.
+/// The line is queued on the pooled connection and leaves as the shard's
+/// socket accepts it — a shard that stopped reading costs memory bounded
+/// by the client's pipeline depth, never the front thread. Returns the
+/// epoch of the connection the line went out on — the expectation must
+/// read its response from that epoch only. The error value is a
+/// ready-to-emit protocol line.
 fn forward(route: &mut Route<'_>, shard: &str, line: &str) -> Result<u64, String> {
     let inner = route.inner;
     let unavailable = |reason: &str| format!("ERR shard {shard} unavailable ({reason})");
@@ -2296,28 +2261,18 @@ fn forward(route: &mut Route<'_>, shard: &str, line: &str) -> Result<u64, String
         route.drop_link(shard);
         inner.reconnects.inc();
     }
-    let mut rng = jitter_rng();
-    let mut last_err = String::from("no attempt allowed");
-    for attempt in 0..FORWARD_ATTEMPTS {
-        if !inner.allow_attempt(shard) {
-            return Err(unavailable("circuit open"));
-        }
-        if attempt > 0 {
-            let delay = backoff_delay(&inner.config, attempt, &mut rng);
-            inner
-                .metrics
-                .histogram_with("router_backoff_ms", BACKOFF_HELP, &[("shard", shard)])
-                .record(delay.as_millis() as u64);
-            std::thread::sleep(delay);
-        }
-        if route.link(shard).is_none() {
+    if !inner.allow_attempt(shard) {
+        return Err(unavailable("circuit open"));
+    }
+    let mut pooled = route.link(shard).is_some();
+    loop {
+        if !pooled {
             let connected = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)
                 .and_then(Conn::new)
                 .and_then(|conn| route.open(shard, addr, conn));
             if let Err(err) = connected {
                 inner.note_failure(shard, false);
-                last_err = err.to_string();
-                continue;
+                return Err(unavailable(&err.to_string()));
             }
         }
         let (slot, link) = route.link(shard).expect("pooled above");
@@ -2329,19 +2284,20 @@ fn forward(route: &mut Route<'_>, shard: &str, line: &str) -> Result<u64, String
                 return Ok(epoch);
             }
             Err(err) => {
-                // A stale pooled connection (shard restarted) fails here.
-                // Dropping it retires its epoch: responses still owed on
-                // it resolve to "shard unavailable" instead of consuming
+                // Dropping the link retires its epoch: responses still owed
+                // on it resolve to "shard unavailable" instead of consuming
                 // this request's reply off the fresh connection — which
-                // makes the clean retry safe.
+                // makes the one reconnect of a stale link safe.
                 route.drop_link(shard);
                 inner.reconnects.inc();
-                inner.note_failure(shard, false);
-                last_err = err.to_string();
+                if !pooled {
+                    inner.note_failure(shard, false);
+                    return Err(unavailable(&err.to_string()));
+                }
+                pooled = false;
             }
         }
     }
-    Err(unavailable(&last_err))
 }
 
 /// Takes one response line owed by `shard` on the connection with the
@@ -2717,32 +2673,6 @@ mod tests {
     use std::io::Read;
 
     #[test]
-    fn backoff_delays_grow_and_stay_inside_the_jitter_window() {
-        let config = RouterConfig::default();
-        let mut rng = jitter_rng();
-        let mut caps = Vec::new();
-        for attempt in 1..=8u32 {
-            let cap = config
-                .backoff_base
-                .saturating_mul(1 << (attempt - 1))
-                .min(config.backoff_max);
-            caps.push(cap);
-            for _ in 0..32 {
-                let delay = backoff_delay(&config, attempt, &mut rng);
-                assert!(delay <= cap, "attempt {attempt}: {delay:?} > cap {cap:?}");
-                let floor = Duration::from_micros(cap.as_micros() as u64 / 2);
-                assert!(
-                    delay >= floor,
-                    "attempt {attempt}: {delay:?} < jitter floor {floor:?}"
-                );
-            }
-        }
-        // Exponential until the cap, then flat.
-        assert!(caps[0] < caps[1] && caps[1] < caps[2]);
-        assert_eq!(*caps.last().expect("caps"), config.backoff_max);
-    }
-
-    #[test]
     fn circuit_breaker_walks_closed_open_half_open_closed() {
         let mut health = ShardHealth::default();
         assert_eq!(health.state, CircuitState::Closed);
@@ -2811,10 +2741,10 @@ mod tests {
         assert_eq!(hex_decode("zz"), None, "non-hex digit");
     }
 
-    /// The four failover telemetry families render — at zero, with the
+    /// The three failover telemetry families render — at zero, with the
     /// shard label — from the moment the router binds, so a scrape never
-    /// misses them just because nothing failed yet (satellite: telemetry
-    /// for heartbeat misses, failovers, backoff and circuit state).
+    /// misses them just because nothing failed yet (heartbeat misses,
+    /// failovers and circuit state).
     #[test]
     fn per_shard_failover_families_render_from_bind() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind responder");
@@ -2842,7 +2772,6 @@ mod tests {
             "router_circuit_state{shard=\"s0\"} 0",
             "router_heartbeat_misses_total{shard=\"s0\"} 0",
             "router_failovers_total{shard=\"s0\"} 0",
-            "router_backoff_ms_bucket{shard=\"s0\"",
         ] {
             assert!(
                 lines.iter().any(|l| l.starts_with(needle)),

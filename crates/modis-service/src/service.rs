@@ -167,17 +167,13 @@ pub struct Service {
     engine: Engine,
     inner: Mutex<Inner>,
     stop: AtomicBool,
-    notifiers: Mutex<Vec<CompletionNotifier>>,
+    notifier: Mutex<Option<CompletionNotifier>>,
     metrics: ServiceMetrics,
     started: Instant,
 }
 
 /// EWMA weight of the newest cost observation ([`CostModel::new`]).
 const COST_SMOOTHING: f64 = 0.5;
-
-/// How long the background worker ([`Service::spawn_worker`]) sleeps when
-/// the queue is empty.
-const WORKER_POLL: Duration = Duration::from_millis(20);
 
 impl Service {
     /// Creates a service with a cold cache.
@@ -198,7 +194,7 @@ impl Service {
             engine,
             config,
             stop: AtomicBool::new(false),
-            notifiers: Mutex::new(Vec::new()),
+            notifier: Mutex::new(None),
             metrics,
             started: Instant::now(),
         }
@@ -273,7 +269,7 @@ impl Service {
     }
 
     /// Enqueues a run of a registered scenario and returns its ticket.
-    /// Rejected once [`Service::shutdown`] has been called — no worker will
+    /// Rejected once [`Service::shutdown`] has been called — nothing will
     /// drain the queue any more, so the ticket would hang forever.
     ///
     /// A fresh trace is minted for the run; to stitch it into a trace the
@@ -297,8 +293,8 @@ impl Service {
         let mut inner = self.lock();
         // Checked *under* the inner lock: shutdown() also takes it while
         // setting the flag, so a submission either completes before the
-        // flag is visible (and the worker's final drain executes it) or
-        // observes the flag and is rejected — never stranded in between.
+        // flag is visible or observes the flag and is rejected — never
+        // accepted once shutdown has begun.
         if self.is_stopped() {
             return Err(ServiceError::Stopped);
         }
@@ -366,9 +362,9 @@ impl Service {
     /// Drains the queue: executes every queued run in scheduler order on
     /// the calling thread. Returns the number of runs executed.
     ///
-    /// This is the service's worker step — call it directly for
-    /// deterministic draining (tests, benches) or let a
-    /// [`Service::spawn_worker`] thread call it in a loop.
+    /// This is the one drain path: a `RUN` calls it on the daemon's
+    /// executor thread, and in-process callers (tests, benches) call it
+    /// directly for deterministic draining.
     pub fn run_pending(&self) -> usize {
         let mut executed = 0;
         loop {
@@ -444,46 +440,27 @@ impl Service {
         executed
     }
 
-    /// Registers the callbacks invoked after every finished job and on
-    /// shutdown (the reactor wakeup channels). One *front-end* at a time:
-    /// a later registration replaces every earlier notifier, so a daemon
-    /// that re-binds does not leave stale wakeup handles behind. A
-    /// multi-reactor front-end registers its first wakeup here and fans
-    /// the rest out via [`add_completion_notifier`](Self::add_completion_notifier).
+    /// Registers the callback invoked after every finished job and on
+    /// shutdown (the reactor's wakeup channel). One front-end at a time: a
+    /// later registration replaces the earlier notifier, so a daemon that
+    /// re-binds does not leave a stale wakeup handle behind.
     pub(crate) fn set_completion_notifier(&self, notifier: CompletionNotifier) {
-        *self
-            .notifiers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = vec![notifier];
+        *self.notifier.lock().unwrap_or_else(PoisonError::into_inner) = Some(notifier);
     }
 
-    /// Appends one more completion notifier without disturbing the ones
-    /// already registered — the fan-out path for a front-end with N
-    /// reactor wakeup channels (every reactor must wake: the service
-    /// cannot know which one pins the waiting connection).
-    pub(crate) fn add_completion_notifier(&self, notifier: CompletionNotifier) {
-        self.notifiers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(notifier);
-    }
-
-    /// Removes every completion notifier (a stopping front-end detaching
-    /// its wakeup channels).
+    /// Removes the completion notifier (a stopping front-end detaching its
+    /// wakeup channel).
     pub(crate) fn clear_completion_notifier(&self) {
-        self.notifiers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        *self.notifier.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     fn notify_completion(&self) {
-        let notifiers = self
-            .notifiers
+        let notifier = self
+            .notifier
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
-        for notify in &notifiers {
+        if let Some(notify) = notifier {
             notify();
         }
     }
@@ -584,10 +561,9 @@ impl Service {
         Ok(merged)
     }
 
-    /// Signals the background worker (and any front-end loops) to stop.
+    /// Signals the front-end to stop and rejects every later submission.
     /// Taken under the inner lock so it serialises against in-flight
-    /// [`Service::submit`] calls; together with the worker's final drain,
-    /// every accepted submission is guaranteed to execute.
+    /// [`Service::submit`] calls.
     pub fn shutdown(&self) {
         {
             let _inner = self.lock();
@@ -600,23 +576,6 @@ impl Service {
     /// Whether [`Service::shutdown`] has been called.
     pub fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Spawns the background worker: a thread that drains the queue via
-    /// [`Service::run_pending`] and naps 20 ms when idle, until
-    /// [`Service::shutdown`]. After observing the stop flag it drains once
-    /// more, so a submission that raced the shutdown (accepted before the
-    /// flag became visible) still executes instead of sitting queued forever.
-    pub fn spawn_worker(self: &Arc<Self>) -> std::thread::JoinHandle<()> {
-        let service = Arc::clone(self);
-        std::thread::spawn(move || {
-            while !service.is_stopped() {
-                if service.run_pending() == 0 {
-                    std::thread::sleep(WORKER_POLL);
-                }
-            }
-            service.run_pending();
-        })
     }
 }
 
@@ -727,22 +686,5 @@ mod tests {
             service.submit("nope"),
             Err(ServiceError::UnknownScenario(_))
         ));
-    }
-
-    #[test]
-    fn worker_thread_drains_submissions() {
-        let service = Arc::new(mock_service());
-        let worker = service.spawn_worker();
-        let ticket = service.submit("div").unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            if let JobState::Done(_) = service.poll(ticket).unwrap() {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "worker too slow");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        service.shutdown();
-        worker.join().unwrap();
     }
 }

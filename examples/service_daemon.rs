@@ -1,9 +1,10 @@
 //! The persistent skyline service, driven end-to-end as a daemon:
 //!
 //! 1. register scenarios over two tabular pools,
-//! 2. start the background worker and the non-blocking reactor front-end,
-//! 3. **pipeline** a burst of SUBMITs on one connection, then WAIT —
-//!    completions stream back progressively as the worker finishes them,
+//! 2. start the daemon (one reactor thread, one executor thread),
+//! 3. **pipeline** a burst of SUBMITs on one connection, then WAIT, and
+//!    `RUN` on a second connection — completions stream back to the first
+//!    progressively as the executor finishes them,
 //! 4. drive STATS / SNAPSHOT over the same socket,
 //! 5. restart a fresh service from the snapshot and show its first run
 //!    answering from the warm cache.
@@ -56,7 +57,6 @@ fn main() {
     // ── Process 1: cold service behind a TCP daemon ────────────────────
     let service = Arc::new(Service::new(ServiceConfig::default()));
     register_scenarios(&service);
-    let worker = service.spawn_worker();
     let daemon = Daemon::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind daemon");
     println!("daemon listening on {}", daemon.addr());
 
@@ -92,12 +92,20 @@ fn main() {
         tickets.push((name, id));
     }
 
-    // WAIT subscribes to all four jobs: the background worker drains the
-    // queue and each DONE line streams back the moment that run finishes
-    // (completion order — no polling, no sleeps).
+    // WAIT subscribes to all four jobs; a RUN on a second connection
+    // drains the queue on the executor, and each DONE line streams back
+    // the moment that run finishes (completion order — no polling, no
+    // sleeps).
     let ids: Vec<String> = tickets.iter().map(|(_, id)| id.to_string()).collect();
     writeln!(writer, "WAIT {}", ids.join(" ")).expect("send wait");
     println!("> WAIT {}", ids.join(" "));
+    let mut runner = TcpStream::connect(daemon.addr()).expect("connect runner");
+    runner.write_all(b"RUN\n").expect("send run");
+    let mut drained = String::new();
+    BufReader::new(&runner)
+        .read_line(&mut drained)
+        .expect("recv run");
+    println!("> RUN (second connection)\n< {}", drained.trim_end());
     for _ in &tickets {
         println!("< {}", recv());
     }
@@ -115,7 +123,6 @@ fn main() {
     println!("> QUIT\n< {}", ask("QUIT"));
 
     daemon.stop();
-    worker.join().expect("worker joins");
 
     // ── Process 2: a fresh service warm-started from the snapshot ──────
     println!("\nrestarting from {} …", snapshot_path.display());

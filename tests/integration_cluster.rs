@@ -1215,8 +1215,6 @@ fn primary_sigkill_fails_over_to_warm_replica_without_operator_action() {
         heartbeat_interval: Duration::from_millis(40),
         heartbeat_timeout: Duration::from_millis(150),
         heartbeat_misses: 2,
-        backoff_base: Duration::from_millis(5),
-        backoff_max: Duration::from_millis(40),
         open_cooldown: Duration::from_millis(250),
         ..RouterConfig::default()
     };
@@ -1531,6 +1529,42 @@ fn shard_connection_lost_with_a_reply_owed_is_retried_once_then_reported() {
     );
     assert_eq!(recv(&mut reader), "PONG");
     assert_eq!(attempts.load(Ordering::SeqCst), 2, "one re-dispatch");
+    router.stop();
+}
+
+/// A forward to a shard that refuses connections makes one attempt: it
+/// fails at once, counts one breaker failure and sleeps nowhere. With the
+/// heartbeat's first miss already counted, that is two misses of the
+/// three that open the breaker, so the reply names the refused connection
+/// (not `circuit open`) and the breaker stays closed.
+#[test]
+fn a_refused_forward_is_one_failure_and_no_retry() {
+    let shard = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let config = RouterConfig {
+        heartbeat_interval: Duration::from_secs(3600),
+        ..RouterConfig::default()
+    };
+    let (router, mut writer, mut reader) = fake_cluster(shard, config);
+    let missed = "router_heartbeat_misses_total{shard=\"s0\"} 1";
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !router.metrics().render().iter().any(|l| l == missed) {
+        assert!(
+            Instant::now() < deadline,
+            "the first heartbeat never missed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    writer.write_all(b"SUBMIT scen\nPING\n").unwrap();
+    let reply = recv(&mut reader);
+    assert!(
+        reply.starts_with("ERR shard s0 unavailable (") && !reply.ends_with("(circuit open)"),
+        "{reply}"
+    );
+    assert_eq!(recv(&mut reader), "PONG");
+    assert_eq!(router.circuit_state("s0"), CircuitState::Closed);
     router.stop();
 }
 

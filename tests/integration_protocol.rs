@@ -595,10 +595,7 @@ fn ship_payload_may_contain_newlines() {
 /// them is the next thing answered and the connection stays usable.
 #[test]
 fn oversized_ship_is_rejected_once_and_its_payload_dropped() {
-    let config = ReactorConfig {
-        max_ship_bytes: 64,
-        ..ReactorConfig::default()
-    };
+    let config = ReactorConfig { max_ship_bytes: 64 };
     let daemon = Daemon::bind_with(service(), "127.0.0.1:0", config).unwrap();
     let (mut writer, mut reader) = connect(daemon.addr());
     let payload = b"PING\n".repeat(2000);

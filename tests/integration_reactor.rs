@@ -15,7 +15,7 @@ use modis_core::prelude::*;
 use modis_core::substrate::mock::MockSubstrate;
 use modis_core::substrate::Substrate;
 use modis_engine::{Algorithm, Scenario};
-use modis_service::{ClusterSpec, Daemon, ReactorConfig, Router, Service, ServiceConfig};
+use modis_service::{ClusterSpec, Daemon, Router, Service, ServiceConfig};
 
 fn oracle_config(max_states: usize) -> ModisConfig {
     ModisConfig::default()
@@ -172,21 +172,23 @@ fn oversized_lines_are_rejected_without_killing_the_connection() {
 }
 
 #[test]
-fn wait_streams_completions_from_the_worker() {
+fn wait_streams_completions_from_another_connections_run() {
     let service = mock_service(8);
-    let worker = service.spawn_worker();
     let daemon = Daemon::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let (mut writer, mut reader) = client(&daemon);
 
-    // Submissions and the WAIT pipeline in one burst; the background
-    // worker drains the queue and each completion is pushed through the
-    // wakeup channel to the parked reactor.
+    // Submissions and the WAIT pipeline in one burst; a RUN on a second
+    // connection drains the queue on the executor, and each completion is
+    // pushed through the wakeup channel to the parked reactor.
     writer
         .write_all(b"SUBMIT apx\nSUBMIT bi\nSUBMIT div\nWAIT 1 2 3\nPING\n")
         .unwrap();
     assert_eq!(read_reply(&mut reader), "TICKET 1");
     assert_eq!(read_reply(&mut reader), "TICKET 2");
     assert_eq!(read_reply(&mut reader), "TICKET 3");
+    let (mut runner, mut run_reply) = client(&daemon);
+    runner.write_all(b"RUN\n").unwrap();
+    assert_eq!(read_reply(&mut run_reply), "OK 3");
     let mut done_ids = Vec::new();
     for _ in 0..3 {
         let reply = read_reply(&mut reader);
@@ -211,7 +213,6 @@ fn wait_streams_completions_from_the_worker() {
     assert!(read_reply(&mut reader).starts_with("ERR WAIT expects"));
 
     daemon.stop();
-    worker.join().unwrap();
 }
 
 /// Open file descriptors of this process (Linux; the only platform CI and
@@ -315,8 +316,8 @@ fn read_line_raw(stream: &mut TcpStream) -> String {
 /// open, mostly idle connections with a handful of hot ones. Hot
 /// pipelines stay strictly ordered, sampled idle connections still answer
 /// from behind the sleeping mass, descriptors return to baseline once the
-/// mass closes, and stop stays deterministic with N reactors — with the
-/// old attempt-every-connection sweep this load made every sweep
+/// mass closes, and stop stays deterministic — with the old
+/// attempt-every-connection sweep this load made every sweep
 /// O(thousands); under the poller it is O(ready).
 #[cfg(target_os = "linux")]
 #[test]
@@ -325,13 +326,7 @@ fn thousands_of_idle_connections_stay_served_and_reaped() {
     // shrink (never skip) on constrained machines.
     let idle_target = if max_open_files() > 6_000 { 2_048 } else { 512 };
     let service = mock_service(6);
-    // Multi-reactor explicitly: the default shrinks to the core count,
-    // and this test must exercise connections pinned across N reactors.
-    let config = ReactorConfig {
-        reactors: 4,
-        ..ReactorConfig::default()
-    };
-    let daemon = Daemon::bind_with(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
+    let daemon = Daemon::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
 
     // One warm-up conversation, fully closed, to reach steady state.
     {
@@ -345,8 +340,8 @@ fn thousands_of_idle_connections_stay_served_and_reaped() {
 
     // Open the idle mass in accept-backlog-sized batches, with one
     // round-trip through the newest connection per batch: the listener's
-    // shared accept queue drains in arrival order, so an answered probe
-    // proves the whole batch was adopted by some reactor.
+    // accept queue drains in arrival order, so an answered probe proves
+    // the whole batch was adopted by the reactor.
     let batch = 128;
     let mut idle: Vec<TcpStream> = Vec::with_capacity(idle_target);
     while idle.len() < idle_target {
@@ -388,7 +383,7 @@ fn thousands_of_idle_connections_stay_served_and_reaped() {
     }
 
     // Keep a handful open through stop (they must get the shutdown error);
-    // close the rest and wait for the reactors to reap them.
+    // close the rest and wait for the reactor to reap them.
     let survivors: Vec<TcpStream> = idle.split_off(idle.len() - 4);
     drop(idle);
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -403,13 +398,13 @@ fn thousands_of_idle_connections_stay_served_and_reaped() {
         current = open_fds();
     }
 
-    // Deterministic stop with 4 reactors and open connections; the
+    // Deterministic stop with open connections; the
     // survivors are flushed a final protocol error, then EOF.
     let started = Instant::now();
     daemon.stop();
     assert!(
         started.elapsed() < Duration::from_secs(5),
-        "multi-reactor stop must not wait on external events"
+        "stop must not wait on external events"
     );
     for mut survivor in survivors {
         let mut rest = String::new();
