@@ -3,15 +3,14 @@
 //! generative augmenter. Each baseline takes the same inputs as MODis (a base
 //! table, a pool of candidate tables and a downstream task) and returns a
 //! single output dataset plus its oracle evaluation, exactly as the paper's
-//! tables report them.
+//! tables report them. The "Original" row of those tables is the base table
+//! under [`evaluate_dataset`].
 
-use modis_data::{hash_join, union_all, Dataset, JoinKind, Value};
-use modis_ml::encoding::encode;
-use modis_ml::feature::top_k_features;
+use modis_core::task::{evaluate_dataset, TaskEvaluation, TaskSpec};
+use modis_data::{hash_join, Dataset, JoinKind, Value};
+use modis_ml::encoding::{encode, TaskKind};
 use modis_ml::forest::{ForestParams, RandomForest};
 use modis_ml::linear::RidgeRegression;
-
-use crate::task::{evaluate_dataset, TaskEvaluation, TaskSpec};
 
 /// A baseline's output: the discovered dataset and its evaluation.
 #[derive(Debug, Clone)]
@@ -33,12 +32,6 @@ fn finish(method: &str, dataset: Dataset, task: &TaskSpec) -> BaselineOutput {
     }
 }
 
-/// "Original": the input/base table evaluated as-is (the yardstick row of
-/// Tables 4–6).
-pub fn original(base: &Dataset, task: &TaskSpec) -> BaselineOutput {
-    finish("Original", base.clone(), task)
-}
-
 /// METAM-style goal-oriented discovery: greedily joins candidate tables,
 /// keeping a join only when the single utility measure (index
 /// `utility_index` into the task's measures, compared on the *normalised*
@@ -50,28 +43,9 @@ pub fn metam(
     join_key: &str,
     utility_index: usize,
 ) -> BaselineOutput {
-    let mut current = base.clone();
-    let mut best = evaluate_dataset(task, &current);
-    for candidate in pool {
-        if candidate.name == base.name || !candidate.schema().contains(join_key) {
-            continue;
-        }
-        let Ok(joined) = hash_join(&current, candidate, join_key, JoinKind::LeftOuter) else {
-            continue;
-        };
-        let eval = evaluate_dataset(task, &joined);
-        let better = eval.normalised.get(utility_index).copied().unwrap_or(1.0)
-            < best.normalised.get(utility_index).copied().unwrap_or(1.0) - 1e-12;
-        if better {
-            current = joined;
-            best = eval;
-        }
-    }
-    BaselineOutput {
-        method: "METAM".into(),
-        dataset: current,
-        evaluation: best,
-    }
+    greedy_join("METAM", base, pool, task, join_key, |eval| {
+        eval.normalised.get(utility_index).copied().unwrap_or(1.0)
+    })
 }
 
 /// METAM-MO: the multi-objective extension that folds every measure into one
@@ -82,7 +56,21 @@ pub fn metam_mo(
     task: &TaskSpec,
     join_key: &str,
 ) -> BaselineOutput {
-    let score = |eval: &TaskEvaluation| -> f64 { eval.normalised.iter().sum::<f64>() };
+    greedy_join("METAM-MO", base, pool, task, join_key, |eval| {
+        eval.normalised.iter().sum::<f64>()
+    })
+}
+
+/// The METAM loop: left-joins each pool table on `join_key` in turn and keeps
+/// the join when it lowers `utility` by more than `1e-12`.
+fn greedy_join(
+    method: &str,
+    base: &Dataset,
+    pool: &[Dataset],
+    task: &TaskSpec,
+    join_key: &str,
+    utility: impl Fn(&TaskEvaluation) -> f64,
+) -> BaselineOutput {
     let mut current = base.clone();
     let mut best = evaluate_dataset(task, &current);
     for candidate in pool {
@@ -93,13 +81,13 @@ pub fn metam_mo(
             continue;
         };
         let eval = evaluate_dataset(task, &joined);
-        if score(&eval) < score(&best) - 1e-12 {
+        if utility(&eval) < utility(&best) - 1e-12 {
             current = joined;
             best = eval;
         }
     }
     BaselineOutput {
-        method: "METAM-MO".into(),
+        method: method.into(),
         dataset: current,
         evaluation: best,
     }
@@ -150,15 +138,40 @@ pub fn starmie(
     finish("Starmie", current, task)
 }
 
+/// Union-compatible vertical concatenation: aligns on the universal schema of
+/// both operands and stacks the rows (Starmie's table union).
+fn union_all(left: &Dataset, right: &Dataset) -> Dataset {
+    let schema = left.schema().union(right.schema());
+    let mut out = Dataset::new(format!("{}∪{}", left.name, right.name), schema);
+    let width = out.num_columns();
+    for src in [left, right] {
+        let map: Vec<usize> = src
+            .schema()
+            .names()
+            .iter()
+            .map(|n| out.schema().position(n).expect("union schema"))
+            .collect();
+        for row in src.rows() {
+            let mut new_row = vec![Value::Null; width];
+            for (ci, &oi) in map.iter().enumerate() {
+                new_row[oi] = row[ci].clone();
+            }
+            out.push_row(new_row);
+        }
+    }
+    out
+}
+
 /// SkSFM: scikit-learn `SelectFromModel`-style feature selection. A tree
 /// ensemble is fitted on the encoded base data and features whose importance
 /// exceeds the mean importance are retained.
 pub fn sksfm(base: &Dataset, task: &TaskSpec) -> BaselineOutput {
-    let encoded = encode(base, &task.encode_options());
+    let options = task.encode_options();
+    let encoded = encode(base, &options);
     if encoded.is_empty() || encoded.num_features() == 0 {
         return finish("SkSFM", base.clone(), task);
     }
-    let n_classes = if task.model.is_classification() {
+    let n_classes = if options.task == TaskKind::Classification {
         encoded.n_classes.max(2)
     } else {
         0
@@ -194,7 +207,7 @@ pub fn h2o(base: &Dataset, task: &TaskSpec) -> BaselineOutput {
         return finish("H2O", base.clone(), task);
     }
     let ridge = RidgeRegression::fit(&encoded.features, &encoded.targets, 1.0);
-    let importance = ridge.importance();
+    let importance = ridge_importance(&ridge);
     let k = (encoded.num_features() / 2).max(1);
     let top = top_k_features(&importance, k);
     let keep: Vec<&str> = top
@@ -203,6 +216,30 @@ pub fn h2o(base: &Dataset, task: &TaskSpec) -> BaselineOutput {
         .collect();
     let selected = project_with_context(base, task, &keep);
     finish("H2O", selected, task)
+}
+
+/// Absolute standardised coefficients of a ridge fit, normalised to sum to
+/// one: H2O's feature importance.
+fn ridge_importance(ridge: &RidgeRegression) -> Vec<f64> {
+    let total: f64 = ridge.weights.iter().map(|w| w.abs()).sum();
+    if total == 0.0 {
+        return vec![0.0; ridge.weights.len()];
+    }
+    ridge.weights.iter().map(|w| w.abs() / total).collect()
+}
+
+/// Selects the indices of the top-`k` features by a score vector
+/// (descending); ties broken by index.
+fn top_k_features(scores: &[f64], k: usize) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..scores.len()).collect();
+    idx.sort_by(|&a, &b| {
+        scores[b]
+            .partial_cmp(&scores[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    idx.truncate(k);
+    idx
 }
 
 /// HydraGAN-style generative augmentation: synthesises `n_rows` new tuples by
@@ -265,9 +302,10 @@ fn project_with_context(base: &Dataset, task: &TaskSpec, features: &[&str]) -> D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::{MeasureSet, MeasureSpec};
-    use crate::task::{MetricKind, ModelKind};
+    use modis_core::measure::{MeasureSet, MeasureSpec};
+    use modis_core::task::{MetricKind, ModelKind};
     use modis_data::{Attribute, Schema};
+    use modis_ml::Matrix;
 
     fn task() -> TaskSpec {
         TaskSpec {
@@ -328,12 +366,8 @@ mod tests {
     #[test]
     fn original_reports_base_performance() {
         let (base, _) = base_and_pool();
-        let out = original(&base, &task());
-        assert_eq!(out.method, "Original");
-        assert!(
-            out.evaluation.raw[0] < 0.5,
-            "weak feature should give low R²"
-        );
+        let original = evaluate_dataset(&task(), &base);
+        assert!(original.raw[0] < 0.5, "weak feature should give low R²");
     }
 
     #[test]
@@ -341,17 +375,17 @@ mod tests {
         let (base, pool) = base_and_pool();
         let out = metam(&base, &pool, &task(), "id", 0);
         assert!(out.dataset.schema().contains("strong"));
-        let orig = original(&base, &task());
-        assert!(out.evaluation.raw[0] > orig.evaluation.raw[0]);
+        let orig = evaluate_dataset(&task(), &base);
+        assert!(out.evaluation.raw[0] > orig.raw[0]);
     }
 
     #[test]
     fn metam_mo_uses_weighted_sum() {
         let (base, pool) = base_and_pool();
         let out = metam_mo(&base, &pool, &task(), "id");
-        let orig = original(&base, &task());
+        let orig = evaluate_dataset(&task(), &base);
         let sum = |e: &TaskEvaluation| e.normalised.iter().sum::<f64>();
-        assert!(sum(&out.evaluation) <= sum(&orig.evaluation) + 1e-9);
+        assert!(sum(&out.evaluation) <= sum(&orig) + 1e-9);
     }
 
     #[test]
@@ -359,6 +393,15 @@ mod tests {
         let (base, pool) = base_and_pool();
         let out = starmie(&base, &pool, &task(), "id", 2);
         assert!(out.dataset.num_columns() >= base.num_columns());
+    }
+
+    #[test]
+    fn union_all_stacks_rows() {
+        let (base, pool) = base_and_pool();
+        let u = union_all(&base, &pool[0]);
+        assert_eq!(u.num_rows(), base.num_rows() + pool[0].num_rows());
+        // id, weak, y from the base and strong from the pool table.
+        assert_eq!(u.num_columns(), 4);
     }
 
     #[test]
@@ -379,6 +422,22 @@ mod tests {
         let out = h2o(&joined, &task());
         assert!(out.dataset.num_columns() < joined.num_columns());
         assert!(out.dataset.schema().contains("y"));
+    }
+
+    #[test]
+    fn importances_are_normalised() {
+        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, 1.0]).collect();
+        let y: Vec<f64> = rows.iter().map(|r| r[0]).collect();
+        let m = RidgeRegression::fit(&Matrix::from_rows(&rows), &y, 0.0);
+        let imp = ridge_importance(&m);
+        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn top_k_orders_descending() {
+        let idx = top_k_features(&[0.1, 0.9, 0.5], 2);
+        assert_eq!(idx, vec![1, 2]);
+        assert_eq!(top_k_features(&[0.5, 0.5], 5), vec![0, 1]);
     }
 
     #[test]

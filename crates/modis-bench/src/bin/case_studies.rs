@@ -8,9 +8,10 @@
 //! datasets over which an image classifier satisfies "accuracy > 0.85" and
 //! "training cost < 30 s".
 
-use modis_bench::print_method_table;
+use modis_bench::baselines::metam;
+use modis_bench::case_studies::{image_feature_pool, xray_material_pool};
+use modis_bench::{print_method_table, MethodRow};
 use modis_core::prelude::*;
-use modis_datagen::{image_feature_pool, xray_material_pool};
 
 fn xray_task(pool_target: &str, key: &str, seed: u64) -> TaskSpec {
     TaskSpec {
@@ -48,21 +49,13 @@ fn main() {
             refresh: 10,
         });
 
-    let mut rows = Vec::new();
-    let orig = original(pool.base(), &task);
-    rows.push(modis_bench::MethodRow {
-        method: orig.method,
-        raw: orig.evaluation.raw,
-        size: orig.evaluation.size,
-        discovery_seconds: 0.0,
-    });
-    let metam_out = metam(pool.base(), &pool.tables, &task, &pool.join_key, 2);
-    rows.push(modis_bench::MethodRow {
-        method: "METAM(F1)".into(),
-        raw: metam_out.evaluation.raw,
-        size: metam_out.evaluation.size,
-        discovery_seconds: 0.0,
-    });
+    let mut rows = vec![
+        MethodRow::evaluated("Original", evaluate_dataset(&task, pool.base())),
+        MethodRow::evaluated(
+            "METAM(F1)",
+            metam(pool.base(), &pool.tables, &task, &pool.join_key, 2).evaluation,
+        ),
+    ];
     let bi = bi_modis(&substrate, &config);
     println!("Case 1: BiMODis generated {} candidate datasets:", bi.len());
     for (i, e) in bi.entries.iter().enumerate().take(3) {
@@ -74,7 +67,7 @@ fn main() {
             e.raw[2],
             e.size
         );
-        rows.push(modis_bench::MethodRow {
+        rows.push(MethodRow {
             method: format!("BiMODis-D{}", i + 1),
             raw: e.raw.clone(),
             size: e.size,
@@ -123,12 +116,12 @@ fn main() {
         "\nCase 2: BiMODis generated {} test datasets satisfying the constraints",
         result.len()
     );
-    let rows: Vec<modis_bench::MethodRow> = result
+    let rows: Vec<MethodRow> = result
         .entries
         .iter()
         .take(3)
         .enumerate()
-        .map(|(i, e)| modis_bench::MethodRow {
+        .map(|(i, e)| MethodRow {
             method: format!("TestSet-{}", i + 1),
             raw: e.raw.clone(),
             size: e.size,

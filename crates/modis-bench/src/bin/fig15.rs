@@ -2,7 +2,7 @@
 //! primary ranking measure (P@5) relative to the original graph, as a
 //! function of the maximum path length and of ε.
 
-use modis_bench::{print_series, t5_measures};
+use modis_bench::{best_by_raw, print_series, t5_measures};
 use modis_core::prelude::*;
 use modis_datagen::t5_recommendation;
 
@@ -37,8 +37,7 @@ fn main() {
         let cfg = base.clone().with_epsilon(0.1).with_max_level(l as usize);
         for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
             let res = v.run(&ValuationContext::new(&sub, cfg.estimator), &cfg, 1);
-            let best = res
-                .best_by_raw(0, true)
+            let best = best_by_raw(&res, 0, true)
                 .map(|e| e.raw[0])
                 .unwrap_or(original_p5);
             series[i].push(percentage_change(best, original_p5));
@@ -59,8 +58,7 @@ fn main() {
         let cfg = base.clone().with_epsilon(e).with_max_level(3);
         for (i, v) in Algorithm::PAPER_VARIANTS.iter().enumerate() {
             let res = v.run(&ValuationContext::new(&sub, cfg.estimator), &cfg, 1);
-            let best = res
-                .best_by_raw(0, true)
+            let best = best_by_raw(&res, 0, true)
                 .map(|e| e.raw[0])
                 .unwrap_or(original_p5);
             series[i].push(percentage_change(best, original_p5));

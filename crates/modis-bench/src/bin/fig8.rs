@@ -1,7 +1,7 @@
 //! Figure 8: impact of ε (a, c) and of the maximum path length maxl (b, d) on
 //! the accuracy/F1 achieved by the MODis variants, for T1 and T2.
 
-use modis_bench::{print_series, task_t1, task_t2, Workload};
+use modis_bench::{best_by_raw, print_series, task_t1, task_t2, Workload};
 use modis_core::prelude::*;
 
 fn best_primary(workload: &Workload, variant: Algorithm, config: &ModisConfig) -> f64 {
@@ -11,7 +11,7 @@ fn best_primary(workload: &Workload, variant: Algorithm, config: &ModisConfig) -
         config,
         1,
     );
-    res.best_by_raw(0, true).map(|e| e.raw[0]).unwrap_or(0.0)
+    best_by_raw(&res, 0, true).map(|e| e.raw[0]).unwrap_or(0.0)
 }
 
 fn sweep(workload: &Workload, configs: &[(f64, ModisConfig)], title: &str, x_label: &str) {

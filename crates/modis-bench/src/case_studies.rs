@@ -7,15 +7,15 @@
 //!   feature tables from which test datasets satisfying accuracy / training
 //!   cost constraints must be generated.
 //!
-//! Both generators reuse the table-pool machinery with domain-flavoured
-//! attribute names so the case-study binaries read like the paper's text.
+//! Both generators reuse the table-pool machinery of `modis-datagen` with
+//! domain-flavoured attribute names so the case-study binaries read like the
+//! paper's text.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use modis_data::{Attribute, Dataset, Schema, Value};
-
-use crate::tables::{generate_table_pool, TablePool, TablePoolConfig};
+use modis_datagen::tables::{generate_table_pool, TablePool, TablePoolConfig};
 
 /// Case 1: X-ray diffraction peak-classification pool.
 ///

@@ -12,6 +12,8 @@ use modis_data::{Attribute, Dataset, Schema, Value};
 use modis_datagen::tables::TablePool;
 use modis_ml::graph::BipartiteGraph;
 
+use crate::baselines::{h2o, metam, metam_mo, sksfm, starmie};
+
 /// One row of a method-comparison table: the raw metric values (aligned with
 /// the task's measures) and the output size.
 #[derive(Debug, Clone)]
@@ -24,6 +26,19 @@ pub struct MethodRow {
     pub size: (usize, usize),
     /// Wall-clock discovery time in seconds (0 for baselines evaluated once).
     pub discovery_seconds: f64,
+}
+
+impl MethodRow {
+    /// The row of a method whose output was evaluated once: a baseline's,
+    /// or the base table's ("Original").
+    pub fn evaluated(method: impl Into<String>, evaluation: TaskEvaluation) -> MethodRow {
+        MethodRow {
+            method: method.into(),
+            raw: evaluation.raw,
+            size: evaluation.size,
+            discovery_seconds: 0.0,
+        }
+    }
 }
 
 /// A tabular workload: the generated pool plus its task specification.
@@ -175,12 +190,30 @@ pub fn t5_measures() -> MeasureSet {
     ])
 }
 
+/// Skyline entry whose *raw* value of measure `index` is best, where "best"
+/// follows `higher_is_better`. This mirrors the paper's protocol of picking
+/// the skyline table with the best estimated primary measure for
+/// single-number comparisons against baselines.
+pub fn best_by_raw(
+    result: &SkylineResult,
+    index: usize,
+    higher_is_better: bool,
+) -> Option<&SkylineEntry> {
+    result.entries.iter().min_by(|a, b| {
+        let (x, y) = (
+            a.raw.get(index).copied().unwrap_or(f64::NAN),
+            b.raw.get(index).copied().unwrap_or(f64::NAN),
+        );
+        let (x, y) = if higher_is_better { (-x, -y) } else { (x, y) };
+        x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal)
+    })
+}
+
 /// Converts a skyline result into a comparison row by picking the member with
 /// the best *primary* measure (index 0), as the paper does when comparing
 /// against single-output baselines.
 fn skyline_to_row(name: &str, result: &SkylineResult, primary_higher_is_better: bool) -> MethodRow {
-    let best = result
-        .best_by_raw(0, primary_higher_is_better)
+    let best = best_by_raw(result, 0, primary_higher_is_better)
         .cloned()
         .unwrap_or_else(|| SkylineEntry {
             bitmap: modis_data::StateBitmap::empty(0),
@@ -205,41 +238,23 @@ pub fn run_table_methods(workload: &Workload, config: &ModisConfig) -> Vec<Metho
     let base = pool.base();
     let primary_hib = task.metric_kinds[0].higher_is_better();
 
-    let mut rows = Vec::new();
-    let baseline_row = |out: BaselineOutput| MethodRow {
-        method: out.method.clone(),
-        raw: out.evaluation.raw.clone(),
-        size: out.evaluation.size,
-        discovery_seconds: 0.0,
-    };
-
-    rows.push(baseline_row(original(base, task)));
-    rows.push(baseline_row(metam(
-        base,
-        &pool.tables,
-        task,
-        &pool.join_key,
-        0,
-    )));
-    rows.push(baseline_row(metam_mo(
-        base,
-        &pool.tables,
-        task,
-        &pool.join_key,
-    )));
-    rows.push(baseline_row(starmie(
-        base,
-        &pool.tables,
-        task,
-        &pool.join_key,
-        3,
-    )));
-
-    // Feature-selection baselines run on the universal table, as in §6.
     let substrate = workload.substrate();
-    let universal = substrate.universal().clone();
-    rows.push(baseline_row(sksfm(&universal, task)));
-    rows.push(baseline_row(h2o(&universal, task)));
+    // Feature-selection baselines run on the universal table, as in §6.
+    let universal = substrate.universal();
+    let mut rows = vec![MethodRow::evaluated(
+        "Original",
+        evaluate_dataset(task, base),
+    )];
+    rows.extend(
+        [
+            metam(base, &pool.tables, task, &pool.join_key, 0),
+            metam_mo(base, &pool.tables, task, &pool.join_key),
+            starmie(base, &pool.tables, task, &pool.join_key, 3),
+            sksfm(universal, task),
+            h2o(universal, task),
+        ]
+        .map(|out| MethodRow::evaluated(out.method, out.evaluation)),
+    );
 
     for variant in Algorithm::PAPER_VARIANTS {
         let result = variant.run(
@@ -395,6 +410,28 @@ mod tests {
         let row = skyline_to_row("X", &SkylineResult::default(), true);
         assert_eq!(row.method, "X");
         assert!(row.raw.is_empty());
+    }
+
+    #[test]
+    fn best_by_raw_respects_direction() {
+        let entry = |perf: Vec<f64>, raw: Vec<f64>| SkylineEntry {
+            bitmap: modis_data::StateBitmap::full(3),
+            perf,
+            raw,
+            size: (10, 3),
+            level: 1,
+        };
+        let res = SkylineResult {
+            entries: vec![
+                entry(vec![0.2, 0.3], vec![0.8, 5.0]),
+                entry(vec![0.4, 0.1], vec![0.6, 2.0]),
+            ],
+            ..Default::default()
+        };
+        assert_eq!(best_by_raw(&res, 0, true).unwrap().raw[0], 0.8);
+        assert_eq!(best_by_raw(&res, 1, false).unwrap().raw[1], 2.0);
+        assert_eq!(res.len(), 2);
+        assert!(!res.is_empty());
     }
 
     #[test]

@@ -102,21 +102,6 @@ pub struct SkylineResult {
 }
 
 impl SkylineResult {
-    /// Entry whose *raw* value of measure `index` is best, where "best"
-    /// follows `higher_is_better`. This mirrors the paper's protocol of
-    /// picking the skyline table with the best estimated primary measure
-    /// for single-number comparisons against baselines.
-    pub fn best_by_raw(&self, index: usize, higher_is_better: bool) -> Option<&SkylineEntry> {
-        self.entries.iter().min_by(|a, b| {
-            let (x, y) = (
-                a.raw.get(index).copied().unwrap_or(f64::NAN),
-                b.raw.get(index).copied().unwrap_or(f64::NAN),
-            );
-            let (x, y) = if higher_is_better { (-x, -y) } else { (x, y) };
-            x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
-
     /// The run's *paid* valuation cost: oracle trainings plus surrogate
     /// predictions, excluding valuations answered free of charge by the
     /// record store or the shared cross-run cache. This is the counter
@@ -150,16 +135,6 @@ impl SkylineResult {
 mod tests {
     use super::*;
 
-    fn entry(perf: Vec<f64>, raw: Vec<f64>) -> SkylineEntry {
-        SkylineEntry {
-            bitmap: StateBitmap::full(3),
-            perf,
-            raw,
-            size: (10, 3),
-            level: 1,
-        }
-    }
-
     #[test]
     fn config_builders_clamp_values() {
         let cfg = ModisConfig::default()
@@ -170,20 +145,5 @@ mod tests {
         assert_eq!(cfg.max_states, 1);
         assert_eq!(cfg.k, 1);
         assert_eq!(cfg.alpha, 1.0);
-    }
-
-    #[test]
-    fn best_by_raw_respects_direction() {
-        let res = SkylineResult {
-            entries: vec![
-                entry(vec![0.2, 0.3], vec![0.8, 5.0]),
-                entry(vec![0.4, 0.1], vec![0.6, 2.0]),
-            ],
-            ..Default::default()
-        };
-        assert_eq!(res.best_by_raw(0, true).unwrap().raw[0], 0.8);
-        assert_eq!(res.best_by_raw(1, false).unwrap().raw[1], 2.0);
-        assert_eq!(res.len(), 2);
-        assert!(!res.is_empty());
     }
 }

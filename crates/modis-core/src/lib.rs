@@ -25,8 +25,6 @@
 //!   in waves across a pool of worker threads, and BiMODis, NOBiMODis and
 //!   DivMODis train there, ahead, the oracle valuations they are certain to
 //!   make;
-//! * the baselines [`metam`], [`metam_mo`], [`starmie`], [`sksfm`],
-//!   [`h2o`] and [`hydragan_like`] — the paper's comparators;
 //! * [`config`] — run configuration and skyline results.
 //!
 //! ## Quick example
@@ -73,7 +71,6 @@
 
 pub mod algorithm;
 pub mod apx;
-mod baselines;
 pub mod bimodis;
 pub mod codec;
 pub mod config;
@@ -98,9 +95,6 @@ pub mod telemetry;
 pub mod prelude {
     pub use crate::algorithm::Algorithm;
     pub use crate::apx::{apx_modis, apx_modis_with_context};
-    pub use crate::baselines::{
-        h2o, hydragan_like, metam, metam_mo, original, sksfm, starmie, BaselineOutput,
-    };
     pub use crate::bimodis::{bi_modis, bi_modis_with_context, nobi_modis};
     pub use crate::config::{ModisConfig, SkylineEntry, SkylineResult};
     pub use crate::divmodis::{div_modis, div_modis_with_context, diversification_score};

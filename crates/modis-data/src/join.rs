@@ -140,31 +140,6 @@ pub fn universal_table(pool: &[Dataset], key: &str) -> Result<Dataset, DataError
     Ok(acc)
 }
 
-/// Union-compatible vertical concatenation: aligns on the universal schema of
-/// both operands and stacks the rows. Used by the Starmie-style baseline
-/// (table-union search).
-pub fn union_all(left: &Dataset, right: &Dataset) -> Dataset {
-    let schema = left.schema().union(right.schema());
-    let mut out = Dataset::new(format!("{}∪{}", left.name, right.name), schema);
-    let width = out.num_columns();
-    for src in [left, right] {
-        let map: Vec<usize> = src
-            .schema()
-            .names()
-            .iter()
-            .map(|n| out.schema().position(n).expect("union schema"))
-            .collect();
-        for row in src.rows() {
-            let mut new_row = vec![Value::Null; width];
-            for (ci, &oi) in map.iter().enumerate() {
-                new_row[oi] = row[ci].clone();
-            }
-            out.push_row(new_row);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,13 +221,6 @@ mod tests {
         let u = universal_table(&[], "id").unwrap();
         assert_eq!(u.num_rows(), 0);
         assert_eq!(u.num_columns(), 0);
-    }
-
-    #[test]
-    fn union_all_stacks_rows() {
-        let u = union_all(&left(), &right());
-        assert_eq!(u.num_rows(), 6);
-        assert_eq!(u.num_columns(), 3);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use bitmap::StateBitmap;
 pub use cluster::{derive_attribute_literals, ClusterConfig, DomainCluster};
 pub use dataset::Dataset;
 pub use error::DataError;
-pub use join::{hash_join, union_all, universal_table, JoinKind};
+pub use join::{hash_join, universal_table, JoinKind};
 pub use literal::{Condition, Literal};
 pub use ops::{augment, mask_attribute, reduct};
 pub use projection::{ColumnProjection, Dictionary, TableProjection};

@@ -2,8 +2,7 @@
 //!
 //! BiMODis maintains a correlation graph `G_C` whose edges connect measures
 //! with Spearman correlation coefficient above a threshold θ (§5.3); the
-//! diversification distance and several baselines also need column summary
-//! statistics.
+//! diversification distance also needs column summary statistics.
 
 /// Summary statistics of a numeric column.
 #[derive(Debug, Clone, PartialEq)]

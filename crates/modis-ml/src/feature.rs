@@ -1,8 +1,7 @@
 //! Feature scoring: Fisher score and mutual information.
 //!
 //! The paper reports `p_Fsc` (Fisher score) and `p_MI` (mutual information)
-//! as secondary measures for tasks T1 and T2 (Table 3), and the SkSFM / H2O
-//! baselines select features by such scores.
+//! as secondary measures for tasks T1 and T2 (Table 3).
 
 use std::collections::BTreeMap;
 
@@ -154,20 +153,6 @@ pub fn mutual_information_scores(x: &Matrix, labels: &[f64], bins: usize) -> Vec
             mutual_information_feature(&col, labels, bins)
         })
         .collect()
-}
-
-/// Selects the indices of the top-`k` features by a score vector
-/// (descending); ties broken by index.
-pub fn top_k_features(scores: &[f64], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx
 }
 
 /// `fisher_score` and `mutual_information` as they were on a `Vec` of row
@@ -331,13 +316,6 @@ mod tests {
             assert_eq!(fisher_score(&x, &labels).to_bits(), fisher);
             assert_eq!(mutual_information(&x, &labels, 6).to_bits(), mi);
         }
-    }
-
-    #[test]
-    fn top_k_orders_descending() {
-        let idx = top_k_features(&[0.1, 0.9, 0.5], 2);
-        assert_eq!(idx, vec![1, 2]);
-        assert_eq!(top_k_features(&[0.5, 0.5], 5), vec![0, 1]);
     }
 
     #[test]

@@ -14,12 +14,11 @@
 //!   studies);
 //! * [`gbm`] — gradient-boosting regressor/classifier and the multi-output
 //!   GBM estimator (GBmovie, LGCmental, MO-GBM);
-//! * [`linear`] — ridge/OLS and logistic regression (LRavocado, H2O-style
-//!   baseline);
+//! * [`linear`] — ridge/OLS and logistic regression (LRavocado; the
+//!   H2O-style baseline ranks features by ridge weights);
 //! * [`kmeans`](mod@kmeans) — multi-dimensional k-means (universal-table compression,
 //!   scalability sweeps);
-//! * [`feature`] — Fisher score, mutual information, top-k selection
-//!   (`p_Fsc`, `p_MI`, SkSFM baseline);
+//! * [`feature`] — Fisher score and mutual information (`p_Fsc`, `p_MI`);
 //! * [`graph`] — bipartite graphs and a LightGCN-style recommender (task T5);
 //! * [`metrics`] — every performance measure of Table 3.
 
@@ -37,7 +36,7 @@ pub mod metrics;
 pub mod tree;
 
 pub use encoding::{encode, EncodeOptions, Encoded, TaskKind};
-pub use feature::{fisher_score, mutual_information, top_k_features};
+pub use feature::{fisher_score, mutual_information};
 pub use forest::{ForestParams, RandomForest};
 pub use gbm::{GbmParams, GradientBoostingClassifier, GradientBoostingRegressor, MultiOutputGbm};
 pub use graph::{evaluate_ranking, BipartiteGraph, LightGcn, LightGcnParams};

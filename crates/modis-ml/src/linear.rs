@@ -4,7 +4,7 @@
 //! Ridge regression solves the normal equations with a Gaussian-elimination
 //! solver (the feature counts in the MODis workloads are small); logistic
 //! regression uses batch gradient descent. These power the LRavocado model
-//! (task T3) and the H2O-style baseline's linear feature selection.
+//! (task T3) and the logistic classifier.
 
 use crate::matrix::Matrix;
 
@@ -178,15 +178,6 @@ impl RidgeRegression {
     pub fn predict(&self, x: &Matrix) -> Vec<f64> {
         x.rows().map(|r| self.predict_one(r)).collect()
     }
-
-    /// Absolute standardised coefficients, usable as feature importance.
-    pub fn importance(&self) -> Vec<f64> {
-        let total: f64 = self.weights.iter().map(|w| w.abs()).sum();
-        if total == 0.0 {
-            return vec![0.0; self.weights.len()];
-        }
-        self.weights.iter().map(|w| w.abs() / total).collect()
-    }
 }
 
 /// Binary / one-vs-rest logistic regression trained by gradient descent.
@@ -321,24 +312,6 @@ impl LogisticRegression {
     /// Number of classes.
     pub fn n_classes(&self) -> usize {
         self.n_classes
-    }
-
-    /// Normalised absolute coefficients (averaged over stages).
-    pub fn importance(&self) -> Vec<f64> {
-        let d = self.stages.first().map(|(w, _)| w.len()).unwrap_or(0);
-        let mut imp = vec![0.0; d];
-        for (w, _) in &self.stages {
-            for (j, wj) in w.iter().enumerate() {
-                imp[j] += wj.abs();
-            }
-        }
-        let total: f64 = imp.iter().sum();
-        if total > 0.0 {
-            for v in &mut imp {
-                *v /= total;
-            }
-        }
-        imp
     }
 }
 
@@ -705,14 +678,5 @@ mod tests {
         let m = LogisticRegression::fit(&x, &y, 3, 0.5, 400);
         assert!(accuracy(&y, &m.predict(&x)) > 0.8);
         assert_eq!(m.n_classes(), 3);
-    }
-
-    #[test]
-    fn importances_are_normalised() {
-        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, 1.0]).collect();
-        let y: Vec<f64> = rows.iter().map(|r| r[0]).collect();
-        let m = RidgeRegression::fit(&Matrix::from_rows(&rows), &y, 0.0);
-        let imp = m.importance();
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 }

@@ -286,10 +286,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
 }
 
 /// Writes `bytes` to `path` atomically via a uniquely-named sibling
-/// temporary file, so a concurrent reader never observes a half-written
-/// snapshot and concurrent writers never clobber each other's temp file.
+/// temporary file, synced before the rename: a concurrent reader never
+/// observes a half-written snapshot, a crash never leaves a renamed file
+/// whose bytes had not reached the disk, and concurrent writers never
+/// clobber each other's temp file.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::{io::Write, sync::atomic::AtomicU64, sync::atomic::Ordering};
     static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
     let tmp = path.with_file_name(format!(
         "{}.{}.{}.tmp",
@@ -299,18 +301,16 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
         std::process::id(),
         TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
     ));
-    if let Err(err) = std::fs::write(&tmp, bytes) {
-        // A failed write (disk full, permissions revoked mid-write) can
-        // still have created a partial temp file — remove it so error
-        // paths leave no litter next to the real snapshot.
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| file.write_all(bytes).and_then(|()| file.sync_all()))
+        .and_then(|()| std::fs::rename(&tmp, path));
+    // A failed write, sync or rename (disk full, permissions revoked
+    // mid-write) can still have left a partial temp file — remove it so
+    // error paths leave no litter next to the real snapshot.
+    if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
-        return Err(err.into());
     }
-    if let Err(err) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(err.into());
-    }
-    Ok(())
+    Ok(written?)
 }
 
 /// Writes a snapshot of `cache` plus the guard pairs to `path` (atomically

@@ -4,8 +4,8 @@
 //!
 //! Run with `cargo run --example benchmark_testgen`.
 
+use modis_bench::case_studies::image_feature_pool;
 use modis_core::prelude::*;
-use modis_datagen::image_feature_pool;
 
 fn main() {
     // A pool of image-feature tables (a reduced-scale stand-in for the

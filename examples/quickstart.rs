@@ -71,9 +71,9 @@ fn main() {
     }
 
     // 5. Compare against the original (un-augmented) base table.
-    let baseline = original(pool.base(), substrate.task());
+    let baseline = evaluate_dataset(substrate.task(), pool.base());
     println!(
         "\nOriginal base table: R² {:.3}, training cost {:.3}s",
-        baseline.evaluation.raw[0], baseline.evaluation.raw[1]
+        baseline.raw[0], baseline.raw[1]
     );
 }

@@ -1,5 +1,6 @@
 //! Integration tests for the baseline comparison pipeline (Tables 4 / 6 rows).
 
+use modis_bench::baselines::hydragan_like;
 use modis_bench::{run_table_methods, task_t2, task_t3};
 use modis_core::prelude::*;
 
@@ -89,4 +90,83 @@ fn hydragan_baseline_cannot_use_external_attributes() {
     // Synthetic rows only: same schema as the base, more rows.
     assert_eq!(out.dataset.num_columns(), base.num_columns());
     assert_eq!(out.dataset.num_rows(), base.num_rows() + 100);
+}
+
+/// FNV-1a over every cell of a dataset, row by row, with a tag per variant.
+fn rows_digest(data: &modis_data::Dataset) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for row in data.rows() {
+        for cell in row {
+            match cell {
+                modis_data::Value::Null => eat(&[0]),
+                modis_data::Value::Int(i) => {
+                    eat(&[1]);
+                    eat(&i.to_le_bytes());
+                }
+                modis_data::Value::Float(x) => {
+                    eat(&[2]);
+                    eat(&x.to_bits().to_le_bytes());
+                }
+                modis_data::Value::Str(s) => {
+                    eat(&[3]);
+                    eat(s.as_bytes());
+                    eat(&[0xff]);
+                }
+                modis_data::Value::Bool(b) => eat(&[4, u8::from(*b)]),
+            }
+        }
+    }
+    h
+}
+
+/// The witness that moving the baselines changed no result: the rows of
+/// `run_table_methods` on T3 that read no clock, pinned to the bit. Each row
+/// keeps `to_bits` of every raw value except `p_Train` (wall-clock), plus
+/// its size. METAM-MO is left out on purpose: its utility sums every
+/// normalised measure, `p_Train` included, so which joins it keeps can flip
+/// with the clock (ROADMAP item 1). The MODis rows are the search's, pinned
+/// by the end-to-end digests.
+#[test]
+fn baseline_rows_are_pinned_t3() {
+    const PINNED: [(&str, [u64; 2], (usize, usize)); 5] = [
+        (
+            "Original",
+            [0x3ff422c3f4fdab89, 0x3fedcbb1927e2ba5],
+            (400, 3),
+        ),
+        ("METAM", [0x3fae9111c5ddc9c3, 0x3fc6c357d2e66bad], (400, 13)),
+        (
+            "Starmie",
+            [0x3fae9111c5ddc9c5, 0x3fc6c357d2e66bb2],
+            (400, 13),
+        ),
+        ("SkSFM", [0x3fc7cab0582b3346, 0x3fd677cd3862b210], (400, 5)),
+        ("H2O", [0x3fab9408a40cf45d, 0x3fc5b66731a1841b], (400, 7)),
+    ];
+    let workload = task_t3(31);
+    let rows = run_table_methods(&workload, &fast_config());
+    for (name, bits, size) in PINNED {
+        let row = rows.iter().find(|r| r.method == name).unwrap();
+        let got: Vec<u64> = row
+            .raw
+            .iter()
+            .zip(&workload.task.metric_kinds)
+            .filter(|(_, k)| **k != MetricKind::TrainTime)
+            .map(|(v, _)| v.to_bits())
+            .collect();
+        assert_eq!((got.as_slice(), row.size), (&bits[..], size), "{name}");
+    }
+
+    let workload = task_t3(34);
+    let out = hydragan_like(workload.pool.base(), &workload.task, 100, 9);
+    assert_eq!(
+        (out.dataset.num_rows(), out.dataset.num_columns()),
+        (500, 3)
+    );
+    assert_eq!(rows_digest(&out.dataset), 0x27708c7b31e1897b);
 }

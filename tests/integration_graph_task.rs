@@ -1,6 +1,6 @@
 //! Integration tests for the T5 graph task: GraphSubstrate + MODis variants.
 
-use modis_bench::{run_graph_methods, t5_measures};
+use modis_bench::{best_by_raw, run_graph_methods, t5_measures};
 use modis_core::prelude::*;
 use modis_datagen::graphs::{generate_bipartite_graph, GraphConfig};
 
@@ -55,7 +55,9 @@ fn reducing_noise_edges_does_not_hurt_ranking_much() {
     let result = apx_modis(&substrate, &fast_modis_config());
     assert!(!result.is_empty());
     let original_p5 = substrate.evaluate_raw(&substrate.forward_start())[0];
-    let best_p5 = result.best_by_raw(0, true).map(|e| e.raw[0]).unwrap_or(0.0);
+    let best_p5 = best_by_raw(&result, 0, true)
+        .map(|e| e.raw[0])
+        .unwrap_or(0.0);
     // The skyline's best P@5 should be at least comparable to the original
     // graph (the search may also strictly improve it by dropping noise).
     assert!(

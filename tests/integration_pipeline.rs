@@ -1,7 +1,7 @@
 //! End-to-end integration tests: datagen → substrate construction → MODis
 //! algorithms → skyline results, across crates.
 
-use modis_bench::{task_t1, task_t3};
+use modis_bench::{best_by_raw, task_t1, task_t3};
 use modis_core::prelude::*;
 
 fn fast_config() -> ModisConfig {
@@ -23,11 +23,10 @@ fn apx_modis_improves_over_base_table_on_t1() {
     assert!(!result.is_empty(), "skyline should not be empty");
 
     // The original (weak-feature) base table.
-    let base_eval = original(workload.pool.base(), substrate.task());
-    let base_r2 = base_eval.evaluation.raw[0];
+    let base_r2 = evaluate_dataset(substrate.task(), workload.pool.base()).raw[0];
 
     // Best skyline member by accuracy (R²) should improve over the base.
-    let best = result.best_by_raw(0, true).expect("skyline entry");
+    let best = best_by_raw(&result, 0, true).expect("skyline entry");
     assert!(
         best.raw[0] > base_r2,
         "skyline R² {} should beat base R² {}",
