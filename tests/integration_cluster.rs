@@ -1634,3 +1634,335 @@ fn shard_that_stops_reading_bounds_one_pipeline_and_stalls_no_other_client() {
     }
     router.stop();
 }
+
+// ---------------------------------------------------------------------------
+// The fan-in verbs against a failing shard
+// ---------------------------------------------------------------------------
+
+/// The seven verbs the router sends to every shard and answers with one
+/// reply built from all of theirs.
+const FAN_IN_VERBS: [&str; 7] = [
+    "RUN",
+    "STATS",
+    "SNAPSHOT",
+    "METRICS",
+    "TRACE DUMP 5",
+    "TRACE SLOW 5",
+    "EXPLAIN TRACE 00000000000000ab",
+];
+
+/// How the scripted shard `s1` of the fault table answers a fan-in verb.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Fault {
+    /// Like a healthy shard.
+    None,
+    /// `ERR boom`.
+    Err,
+    /// A line no verb expects.
+    Malformed,
+    /// Reads the request and closes with the reply owed.
+    Close,
+    /// Refuses the connection.
+    Refuse,
+}
+
+/// A fake shard daemon that answers the fan-in verbs, and how many
+/// heartbeat probes it has answered.
+struct FanShard {
+    addr: SocketAddr,
+    probes: Arc<AtomicUsize>,
+}
+
+/// What a healthy fake shard answers to `request`; `k` tells the two
+/// shards' numbers apart (and orders their trace lines).
+fn fan_answer(k: u64, request: &str) -> String {
+    let (verb, arg) = request.split_once(' ').unwrap_or((request, ""));
+    match verb {
+        "RUN" => format!("OK {k}"),
+        "STATS" => format!(
+            "STATS hits={k} misses={} entries=3 evictions=0 memo_entries=1 memo_evictions=0 \
+             dominance_comparisons=10 dominance_pruned={k} shards=9",
+            2 * k
+        ),
+        "SNAPSHOT" => {
+            std::fs::write(arg, b"snap").unwrap();
+            "OK 4".into()
+        }
+        "METRICS" => format!(
+            "METRICS 3\n# HELP fake_total A fake counter.\n# TYPE fake_total counter\nfake_total {k}"
+        ),
+        "TRACE" if arg.starts_with("DUMP") => {
+            format!("SPANS 1\nspan=dump{k} start_us={k}0 dur_us={k}")
+        }
+        "TRACE" => format!("SLOW 1\ntrace=slow{k} dur_us={k}"),
+        "EXPLAIN" => format!("TIMELINE 1\nspan=step{k} start_us={} dur_us=1", 30 - 10 * k),
+        _ => panic!("not a fan-in verb: {request:?}"),
+    }
+}
+
+/// A fake shard answering the fan-in verbs as `fault` says. A refusing
+/// shard is the address of a listener already closed.
+fn fan_shard(k: u64, fault: Fault) -> FanShard {
+    let probes = Arc::new(AtomicUsize::new(0));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    if fault == Fault::Refuse {
+        return FanShard { addr, probes };
+    }
+    let counted = Arc::clone(&probes);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            let probes = Arc::clone(&counted);
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let (mut line, mut probe) = (String::new(), false);
+                while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                    probe |= line == "PING\n";
+                    let reply = match (forwarded(&line), fault) {
+                        ("PING", _) => "PONG".to_string(),
+                        (_, Fault::Close) => return,
+                        (_, Fault::Err) => "ERR boom".into(),
+                        (_, Fault::Malformed) => "GARBAGE".into(),
+                        (request, _) => fan_answer(k, request),
+                    };
+                    if stream.write_all(format!("{reply}\n").as_bytes()).is_err() {
+                        return;
+                    }
+                    line.clear();
+                }
+                // A probe counts once the router has read its PONG and
+                // hung up.
+                if probe {
+                    probes.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+    });
+    FanShard { addr, probes }
+}
+
+/// A router over `s0` and `s1`, returned once its first heartbeat has
+/// probed both (no other comes: the interval is an hour).
+fn fan_router(s0: &FanShard, s1: &FanShard, s1_refuses: bool, misses: u32) -> Router {
+    let spec = ClusterSpec::new([("scen", "ns")]).unwrap();
+    let config = RouterConfig {
+        heartbeat_interval: Duration::from_secs(3600),
+        heartbeat_misses: misses,
+        ..RouterConfig::default()
+    };
+    let probed = s1.probes.load(Ordering::SeqCst);
+    let shards = vec![("s0".to_string(), s0.addr), ("s1".to_string(), s1.addr)];
+    let router = Router::bind_with(spec, shards, "127.0.0.1:0", config).unwrap();
+    // The heartbeat probes s0, then s1.
+    let missed = "router_heartbeat_misses_total{shard=\"s1\"} 1";
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !match s1_refuses {
+        true => router.metrics().render().iter().any(|l| l == missed),
+        false => s1.probes.load(Ordering::SeqCst) > probed,
+    } {
+        assert!(Instant::now() < deadline, "the first heartbeat never ran");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // The heartbeat records the probe just after the shard sees it.
+    std::thread::sleep(Duration::from_millis(20));
+    router
+}
+
+/// Sends `request` to the router and reads its whole reply: one line, or
+/// a `<HEADER> <n>` line and n more. A `METRICS` reply loses the router's
+/// own `router_*` families and, with them, the count on its header.
+fn fan_in_reply(router: &Router, request: &str) -> Vec<String> {
+    let stream = TcpStream::connect(router.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (&stream)
+        .write_all(format!("{request}\n").as_bytes())
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    let head = recv(&mut reader);
+    let count = match head.split_once(' ') {
+        Some(("METRICS" | "SPANS" | "SLOW" | "TIMELINE", n)) => n.parse().unwrap(),
+        _ => 0,
+    };
+    let body: Vec<String> = (0..count).map(|_| recv(&mut reader)).collect();
+    if !head.starts_with("METRICS ") {
+        return std::iter::once(head).chain(body).collect();
+    }
+    let own = |line: &String| line.starts_with("router_") || line.contains(" router_");
+    let shards = body.into_iter().filter(|line| !own(line));
+    std::iter::once("METRICS".to_string())
+        .chain(shards)
+        .collect()
+}
+
+/// What the router answers fan-in verb `verb` (an index into
+/// [`FAN_IN_VERBS`]) when `s0` is healthy and `s1` fails as `fault`, or
+/// when both refuse; `refused` is what a refused connect reads as.
+fn fan_in_expected(verb: usize, fault: Fault, both_refuse: bool, refused: &str) -> Vec<String> {
+    let unavailable = |shard: &str| format!("ERR shard {shard} unavailable ({refused})");
+    let s1_error = match fault {
+        Fault::None => None,
+        Fault::Err => Some("ERR shard s1: unexpected reply \"ERR boom\"".to_string()),
+        Fault::Malformed => Some("ERR shard s1: unexpected reply \"GARBAGE\"".to_string()),
+        Fault::Close => Some("ERR shard s1 unavailable (connection lost)".to_string()),
+        Fault::Refuse => Some(unavailable("s1")),
+    };
+    // A one-line verb folds what the shard said; a counted verb reads a
+    // shard that answers no header as failed.
+    let s1_line_error = match fault {
+        Fault::Err => Some("ERR shard s1: boom".to_string()),
+        _ => s1_error.clone(),
+    };
+    let stats_s0 = "STATS hits=1 misses=2 entries=3 evictions=0 memo_entries=1 memo_evictions=0 \
+                    dominance_comparisons=10 dominance_pruned=1 cluster_shards=2 degraded=s1";
+    let metrics_head = [
+        "METRICS",
+        "# HELP fake_total A fake counter.",
+        "# TYPE fake_total counter",
+    ];
+    let lines = |lines: &[&str]| lines.iter().map(|l| l.to_string()).collect::<Vec<_>>();
+    if both_refuse {
+        return match verb {
+            3 => vec![
+                "METRICS".to_string(),
+                format!("# shard s0 unavailable: {}", unavailable("s0")),
+                format!("# shard s1 unavailable: {}", unavailable("s1")),
+            ],
+            _ => vec![unavailable("s0")],
+        };
+    }
+    let lost = matches!(fault, Fault::Close | Fault::Refuse);
+    match (verb, s1_error) {
+        (0, None) => lines(&["OK 3"]),
+        (1, None) => lines(&[
+            "STATS hits=3 misses=6 entries=6 evictions=0 memo_entries=2 memo_evictions=0 \
+             dominance_comparisons=20 dominance_pruned=3 cluster_shards=2",
+        ]),
+        (2, None) => lines(&["OK 8"]),
+        (3, None) => {
+            let mut out = lines(&metrics_head);
+            out.extend(lines(&[
+                "fake_total{shard=\"s0\"} 1",
+                "fake_total{shard=\"s1\"} 2",
+            ]));
+            out
+        }
+        (4, None) => lines(&[
+            "SPANS 2",
+            "span=dump1 start_us=10 dur_us=1 shard=s0",
+            "span=dump2 start_us=20 dur_us=2 shard=s1",
+        ]),
+        (5, None) => lines(&[
+            "SLOW 2",
+            "trace=slow2 dur_us=2 shard=s1",
+            "trace=slow1 dur_us=1 shard=s0",
+        ]),
+        (_, None) => lines(&[
+            "TIMELINE 2",
+            "span=step2 start_us=10 dur_us=1 shard=s1",
+            "span=step1 start_us=20 dur_us=1 shard=s0",
+        ]),
+        // RUN and STATS skip a shard they lost and name it.
+        (0, Some(_)) if lost => lines(&["OK 1 degraded=s1"]),
+        (1, Some(_)) if lost => lines(&[stats_s0]),
+        (0..=2, Some(_)) => vec![s1_line_error.unwrap()],
+        // METRICS keeps a comment line where the shard's families were.
+        (3, Some(error)) => {
+            let mut out = lines(&metrics_head);
+            out.push("fake_total{shard=\"s0\"} 1".into());
+            out.push(format!("# shard s1 unavailable: {error}"));
+            out
+        }
+        (_, Some(error)) => vec![error],
+    }
+}
+
+/// Every fan-in verb against a healthy `s0` and an `s1` that answers
+/// normally, `ERR boom`, a malformed line, closes with the reply owed or
+/// refuses the connection — plus both shards refusing: the exact reply,
+/// and which `<base>.<shard>` files a `SNAPSHOT` leaves (all of them, or
+/// none).
+#[test]
+fn fan_in_verbs_answer_a_failing_shard_as_the_table_says() {
+    let refused_addr = fan_shard(0, Fault::Refuse).addr;
+    let refused = TcpStream::connect(refused_addr).unwrap_err().to_string();
+    let s0 = fan_shard(1, Fault::None);
+    let mut rows: Vec<(Fault, bool)> = [
+        Fault::None,
+        Fault::Err,
+        Fault::Malformed,
+        Fault::Close,
+        Fault::Refuse,
+    ]
+    .into_iter()
+    .map(|fault| (fault, false))
+    .collect();
+    rows.push((Fault::Refuse, true));
+    for (fault, both_refuse) in rows {
+        let s1 = fan_shard(2, fault);
+        let s0 = match both_refuse {
+            true => fan_shard(1, Fault::Refuse),
+            false => FanShard {
+                addr: s0.addr,
+                probes: Arc::clone(&s0.probes),
+            },
+        };
+        for (verb, request) in FAN_IN_VERBS.iter().enumerate() {
+            let router = fan_router(&s0, &s1, fault == Fault::Refuse, 3);
+            let base = temp_path("fan_in").display().to_string();
+            let request = match *request {
+                "SNAPSHOT" => format!("SNAPSHOT {base}"),
+                other => other.to_string(),
+            };
+            let reply = fan_in_reply(&router, &request);
+            router.stop();
+            let row = format!("{request} with s1 {fault:?} (both refuse: {both_refuse})");
+            assert_eq!(
+                reply,
+                fan_in_expected(verb, fault, both_refuse, &refused),
+                "{row}"
+            );
+            let left: Vec<&str> = ["s0", "s1"]
+                .into_iter()
+                .filter(|shard| std::fs::remove_file(format!("{base}.{shard}")).is_ok())
+                .collect();
+            let whole = verb == 2 && fault == Fault::None;
+            let expected_files: &[&str] = if whole { &["s0", "s1"] } else { &[] };
+            assert_eq!(left, expected_files, "files left by {row}");
+        }
+    }
+}
+
+/// A fan-in verb that loses its link to a shard counts one breaker
+/// failure, whichever verb it is: at a threshold of one miss, `s1`'s
+/// breaker is open after every verb, and the `METRICS` reply says so.
+#[test]
+fn a_lost_fan_in_link_is_a_breaker_failure_for_every_verb() {
+    let refused = TcpStream::connect(fan_shard(0, Fault::Refuse).addr)
+        .unwrap_err()
+        .to_string();
+    let (s0, s1) = (fan_shard(1, Fault::None), fan_shard(2, Fault::Close));
+    let mut wrong = Vec::new();
+    for (verb, request) in FAN_IN_VERBS.iter().enumerate() {
+        let router = fan_router(&s0, &s1, false, 1);
+        let base = temp_path("fan_in_lost").display().to_string();
+        let request = match *request {
+            "SNAPSHOT" => format!("SNAPSHOT {base}"),
+            other => other.to_string(),
+        };
+        let reply = fan_in_reply(&router, &request);
+        let state = router.circuit_state("s1");
+        router.stop();
+        let mut expected = fan_in_expected(verb, Fault::Close, false, &refused);
+        if verb == 3 {
+            expected
+                .push("# shard s1 degraded: declared dead by heartbeat; replicas serving".into());
+        }
+        if state != CircuitState::Open || reply != expected {
+            wrong.push(format!("{request}: breaker {state:?}, reply {reply:?}"));
+        }
+    }
+    assert!(wrong.is_empty(), "{wrong:#?}");
+}
