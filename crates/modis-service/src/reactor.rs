@@ -41,8 +41,8 @@
 //!   reactor may care about happens (a job finished, a drain completed,
 //!   shutdown was requested); the receiving end is registered with the
 //!   poller, so the wait returns immediately. Idling is a single poller
-//!   wait with the `IDLE_PARK` (2 ms) timeout — readiness itself
-//!   interrupts the wait.
+//!   wait with no timeout: readiness and the wakeup channel are all that
+//!   end it, so an idle reactor does not sweep.
 //! * **Off-thread slow verbs** — `RUN` sends the queue drain to the
 //!   executor thread over a channel and answers `OK <n>` when it
 //!   completes, and `SNAPSHOT`/`RESTORE`/`EXPORT`/`SHIP` move cache state
@@ -64,7 +64,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use modis_core::telemetry::{Counter, Gauge, Histogram};
 
@@ -81,13 +81,6 @@ const TOKEN_LISTENER: usize = 1;
 /// Poller tokens at and above this are connection slots (`token -
 /// TOKEN_BASE` indexes the slab).
 const TOKEN_BASE: usize = 2;
-
-/// Backstop timeout of one poller wait. Readiness (new connections,
-/// request bytes, drained sockets) and wakeup-channel notifications (job
-/// completions, drains, shutdown) interrupt the wait immediately; the
-/// timeout only bounds how stale the stop-flag re-check can get, so it
-/// costs a handful of idle sweeps per second.
-const IDLE_PARK: Duration = Duration::from_millis(2);
 
 /// Maximum unresolved pipeline slots per connection. While a connection's
 /// queue is at this depth — e.g. requests piling up behind a pending
@@ -442,7 +435,10 @@ impl Reactor {
     pub(crate) fn run(mut self) {
         while !self.stop.load(Ordering::SeqCst) {
             let mut events = std::mem::take(&mut self.events);
-            let _ = self.poller.wait(&mut events, Some(IDLE_PARK));
+            // No timeout: readiness (new connections, request bytes,
+            // drained sockets) and wakeup-channel notifications (job
+            // completions, drains, shutdown) are all that can come due.
+            let _ = self.poller.wait(&mut events, None);
             // One clock read per sweep: every request parsed or resolved
             // this sweep shares this timestamp, so telemetry adds no
             // per-request syscalls to the pipelined hot path. Taken after
@@ -741,6 +737,7 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn wakeup_pair_notifies_without_blocking() {

@@ -23,11 +23,15 @@
 //!   When a primary dies, a ticket is *re-homed*: the scenario is
 //!   re-submitted on the freshest live replica and the cluster id remapped
 //!   in place, so the client's id keeps working across the failure.
-//! * **Fan-out verbs** — `RUN` drains every live shard concurrently and
-//!   sums the counts; `STATS` aggregates every shard's counters into one
-//!   cluster-wide line (plus a `SHARDS` verb for per-shard telemetry);
-//!   `SNAPSHOT <path>` persists every shard to `<path>.<shard>` and
-//!   removes the partial per-shard files when the fan-out fails midway.
+//! * **Fan-in verbs** — `RUN`, `STATS`, `SNAPSHOT`, `METRICS`,
+//!   `TRACE DUMP`, `TRACE SLOW` and `EXPLAIN` go to every shard through
+//!   one sender and one expectation, and one renderer builds the reply:
+//!   `RUN` drains every live shard concurrently and sums the counts,
+//!   `STATS` aggregates every shard's counters into one cluster-wide line
+//!   (plus a `SHARDS` verb for per-shard telemetry), `SNAPSHOT <path>`
+//!   persists every shard to `<path>.<shard>` and removes the partial
+//!   per-shard files when the fan-in fails, and the counted verbs merge
+//!   every shard's lines under a `shard=` label.
 //! * **Heartbeats and circuit breakers** — a background thread `PING`s
 //!   every shard each [`RouterConfig::heartbeat_interval`], feeding an
 //!   EWMA liveness score and a per-shard breaker
@@ -67,13 +71,18 @@
 //! channel, every client connection and every pooled shard connection —
 //! each non-blocking under its own token, a shard connection recording the
 //! client that owns it, so a shard reply wakes exactly the client it is
-//! owed to. The thread never blocks on a peer: requests to a shard and
-//! responses to a client queue in the connection's write buffer and leave
-//! as the socket accepts them, a client that does not read its responses
-//! stops being read (and stalls nobody else), and with nothing ready the
-//! thread sleeps in one poller wait. Only what runs off the readiness
-//! path stays blocking: connecting to a shard under `CONNECT_TIMEOUT`, and
-//! the one-shot exchanges of the heartbeat, shipping and failover paths.
+//! owed to. Requests to a shard and responses to a client queue in the
+//! connection's write buffer and leave as the socket accepts them, a
+//! client that does not read its responses stops being read (and stalls
+//! nobody else), and with nothing ready the thread sleeps in one poller
+//! wait with no timeout. Two things still block the front thread, and
+//! with it every client: `forward` opens a shard connection with a
+//! blocking connect under `CONNECT_TIMEOUT` (2 s), and re-homing a ticket
+//! (`RouterInner::failover_ticket`, on the `POLL`/`RESULT` path and in
+//! `forward_waits`) runs a blocking one-shot `SUBMIT` and then `RUN` on
+//! each candidate replica, each exchange costing up to `CONNECT_TIMEOUT`
+//! plus `SHIP_TIMEOUT` (120 s). The heartbeat and shipping exchanges block
+//! too, off the front thread.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
@@ -426,12 +435,10 @@ struct ReplicationState {
     /// Namespaces whose `RUN` completed: the cache settled, push on the
     /// next flush.
     ready: HashSet<String>,
-    /// `(replica, namespace)` → the content digest last pushed there;
-    /// an unchanged digest skips the push entirely.
-    pushed: HashMap<(String, String), u64>,
-    /// `(replica, namespace)` → the flush sequence number of the last
-    /// push; failover prefers the replica with the freshest copy.
-    freshness: HashMap<(String, String), u64>,
+    /// `(replica, namespace)` → the content digest and flush sequence
+    /// number of the last push there: an unchanged digest skips the push
+    /// entirely, and failover prefers the replica with the freshest copy.
+    pushed: HashMap<(String, String), (u64, u64)>,
     /// Monotonic flush sequence.
     seq: u64,
 }
@@ -488,10 +495,8 @@ impl RouterInner {
     /// Records that `replica` now holds the bytes of `namespace` with
     /// this content `digest`, as of flush sequence `seq`.
     fn remember_push(&self, replica: &str, namespace: &str, digest: u64, seq: u64) {
-        let mut rep = lock(&self.replication);
         let key = (replica.to_string(), namespace.to_string());
-        rep.pushed.insert(key.clone(), digest);
-        rep.freshness.insert(key, seq);
+        lock(&self.replication).pushed.insert(key, (digest, seq));
     }
 
     /// The next flush sequence number.
@@ -593,7 +598,6 @@ impl RouterInner {
         self.publish_circuit(shard, CircuitState::Closed);
         let mut rep = lock(&self.replication);
         rep.pushed.retain(|(replica, _), _| replica != shard);
-        rep.freshness.retain(|(replica, _), _| replica != shard);
     }
 
     /// [`one_shot`] against a shard daemon under the lifecycle timeouts.
@@ -725,7 +729,12 @@ impl RouterInner {
             let Some(addr) = addrs.get(replica).copied() else {
                 continue;
             };
-            if lock(&self.replication).pushed.get(&key) == Some(&digest) {
+            if lock(&self.replication)
+                .pushed
+                .get(&key)
+                .map(|&(last, _)| last)
+                == Some(digest)
+            {
                 continue;
             }
             match self.wire_ship(replica, addr, &namespaces, &payload) {
@@ -764,12 +773,8 @@ impl RouterInner {
             // rank breaks ties.
             let rep = lock(&self.replication);
             candidates.sort_by_key(|(name, _)| {
-                std::cmp::Reverse(
-                    rep.freshness
-                        .get(&(name.clone(), namespace.clone()))
-                        .copied()
-                        .unwrap_or(0),
-                )
+                let pushed = rep.pushed.get(&(name.clone(), namespace.clone()));
+                std::cmp::Reverse(pushed.map_or(0, |&(_, seq)| seq))
             });
         }
         // The re-submission rides on the original submission's trace, so
@@ -1092,11 +1097,8 @@ impl Router {
         drop(topology);
         lock(&self.inner.tickets).purge_shard(name);
         lock(&self.inner.health).remove(name);
-        {
-            let mut rep = lock(&self.inner.replication);
-            rep.pushed.retain(|(replica, _), _| replica != name);
-            rep.freshness.retain(|(replica, _), _| replica != name);
-        }
+        let mut rep = lock(&self.inner.replication);
+        rep.pushed.retain(|(replica, _), _| replica != name);
         Ok(shipped)
     }
 
@@ -1276,12 +1278,6 @@ const FRONT_CLIENTS: usize = 2;
 /// half of the token space, which no client slot can reach.
 const FRONT_LINKS: usize = 1 << (usize::BITS - 1);
 
-/// Backstop timeout of the front thread's poller wait. Everything that
-/// can come due — a request, a shard reply, a drained socket, shutdown —
-/// is a readiness event that interrupts the wait; the timeout only bounds
-/// how stale the stop-flag re-check can get.
-const FRONT_IDLE_PARK: Duration = Duration::from_millis(10);
-
 /// Reply bytes received from a shard, cut into lines as they are asked
 /// for.
 #[derive(Default)]
@@ -1428,32 +1424,6 @@ enum Rewrite {
     },
 }
 
-/// A fan-out verb's accumulator.
-enum FanKind {
-    /// `RUN`: sum the per-shard `OK <n>` counts.
-    Run {
-        /// Jobs executed across all reachable shards.
-        total: u64,
-    },
-    /// `SNAPSHOT <path>`: sum the per-shard `OK <bytes>` sizes, tracking
-    /// which per-shard files were written so a failed fan-out can remove
-    /// its partial output.
-    Snapshot {
-        /// Bytes written across all shards.
-        total: u64,
-        /// The client-given base path (per-shard files are
-        /// `<base>.<shard>`).
-        base: String,
-        /// Shards whose snapshot file was confirmed written.
-        written: Vec<String>,
-    },
-    /// `STATS`: sum the per-shard cache counters.
-    Stats {
-        /// Running sums in [`STAT_KEYS`] order.
-        sums: [u64; 8],
-    },
-}
-
 /// STATS keys aggregated cluster-wide, in output order.
 const STAT_KEYS: [&str; 8] = [
     "hits",
@@ -1473,56 +1443,76 @@ struct WaitPart {
     globals: Vec<u64>,
 }
 
-/// Which counted multi-line verb a [`Expect::Gather`] is collecting.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum GatherKind {
-    /// `METRICS`: per-shard header `METRICS <n>`, merged with `shard=`
-    /// labels; an unreachable shard degrades to a comment line.
+/// A fan-in verb: one the router sends to every shard and answers with
+/// one reply built from all of theirs ([`render_fan_in`] says what each
+/// answers when a shard fails).
+enum FanIn {
+    /// `RUN`: sums the shards' `OK <n>` counts.
+    Run,
+    /// `STATS`: sums the shards' cache counters.
+    Stats,
+    /// `SNAPSHOT <base>`: every shard writes `<base>.<shard>`; the reply
+    /// sums their `OK <bytes>` sizes.
+    Snapshot(String),
+    /// `METRICS`: each shard's exposition relabeled with `shard=`, after
+    /// the router's own.
     Metrics,
-    /// `TRACE DUMP <n>`: per-shard header `SPANS <k>`, merged with a
-    /// `shard=` suffix; an unreachable shard fails the whole reply.
-    Trace,
-    /// `EXPLAIN` (fanned out as `EXPLAIN TRACE <id>`): per-shard header
-    /// `TIMELINE <k>`, merged time-ordered with a `shard=` suffix plus
-    /// the router's own spans for the trace; an unreachable shard fails
-    /// the whole reply (a partial timeline silently lies).
-    Explain {
-        /// The trace id being stitched.
-        trace: u64,
-    },
-    /// `TRACE SLOW <n>`: per-shard header `SLOW <k>`, merged
-    /// slowest-first with a `shard=` suffix; an unreachable shard fails
-    /// the whole reply.
-    Slow,
+    /// `TRACE DUMP <n>`: each shard's spans with a `shard=` suffix.
+    TraceDump(usize),
+    /// `TRACE SLOW <n>`: each shard's slow traces with a `shard=` suffix,
+    /// slowest first.
+    TraceSlow(usize),
+    /// `EXPLAIN` of one trace, sent as `EXPLAIN TRACE <id>`: each shard's
+    /// timeline with a `shard=` suffix plus the router's own spans, in
+    /// time order.
+    Explain(u64),
 }
 
-impl GatherKind {
-    /// The header word a shard's reply must start with.
-    fn header(self) -> &'static str {
+impl FanIn {
+    /// The line `shard` is sent.
+    fn line(&self, shard: &str) -> String {
         match self {
-            GatherKind::Metrics => "METRICS",
-            GatherKind::Trace => "SPANS",
-            GatherKind::Explain { .. } => "TIMELINE",
-            GatherKind::Slow => "SLOW",
+            FanIn::Run => "RUN".into(),
+            FanIn::Stats => "STATS".into(),
+            FanIn::Snapshot(base) => format!("SNAPSHOT {base}.{shard}"),
+            FanIn::Metrics => "METRICS".into(),
+            FanIn::TraceDump(n) => format!("TRACE DUMP {n}"),
+            FanIn::TraceSlow(n) => format!("TRACE SLOW {n}"),
+            FanIn::Explain(trace) => format!("EXPLAIN TRACE {trace:016x}"),
+        }
+    }
+
+    /// The word that heads a counted verb's reply, a shard's `<HEADER> <n>`
+    /// count line and the router's merged one alike; `None` for a verb
+    /// each shard answers with one line.
+    fn header(&self) -> Option<&'static str> {
+        match self {
+            FanIn::Run | FanIn::Stats | FanIn::Snapshot(_) => None,
+            FanIn::Metrics => Some("METRICS"),
+            FanIn::TraceDump(_) => Some("SPANS"),
+            FanIn::TraceSlow(_) => Some("SLOW"),
+            FanIn::Explain(_) => Some("TIMELINE"),
         }
     }
 }
 
-/// One shard's slice of a counted multi-line fan-in.
-struct GatherPart {
+/// One shard's part of a fan-in.
+struct FanPart {
     shard: String,
     epoch: u64,
-    /// `None` until the `<HEADER> <n>` count line arrives.
-    remaining: Option<usize>,
-    /// Body lines collected so far (un-relabeled).
+    /// Lines the shard still owes: one for a one-line verb; for a counted
+    /// verb `None` until its `<HEADER> <n>` line arrives.
+    owed: Option<usize>,
+    /// The lines received (a counted verb's header excluded).
     lines: Vec<String>,
-    /// Set when the shard failed (unavailable, or a malformed header).
+    /// The error line of a shard that failed: it could not be sent the
+    /// verb, lost the link, or headed a counted reply wrongly.
     failed: Option<String>,
 }
 
-impl GatherPart {
+impl FanPart {
     fn done(&self) -> bool {
-        self.failed.is_some() || self.remaining == Some(0)
+        self.failed.is_some() || self.owed == Some(0)
     }
 }
 
@@ -1554,26 +1544,13 @@ enum Expect {
         /// span the request produced — when the response arrives.
         trace: TraceContext,
     },
-    /// One line owed by each listed shard, folded into one response.
-    FanOut {
-        kind: FanKind,
-        pending: Vec<(String, u64)>,
-        error: Option<String>,
-        /// Shards skipped because they were unreachable — the degraded
-        /// remainder of a `RUN`/`STATS` fan-out.
-        skipped: Vec<String>,
-    },
+    /// A fan-in verb's reply, owed by every shard.
+    FanIn { verb: FanIn, parts: Vec<FanPart> },
     /// A cross-shard `WAIT`: local error lines first, then streamed
     /// `DONE`s merged in arrival order.
     Wait {
         pre: Vec<String>,
         parts: Vec<WaitPart>,
-    },
-    /// A counted multi-line reply owed by each shard (`METRICS` /
-    /// `TRACE DUMP`), merged into one counted reply with shard labels.
-    Gather {
-        kind: GatherKind,
-        parts: Vec<GatherPart>,
     },
 }
 
@@ -1663,7 +1640,10 @@ impl Front {
     fn run(mut self) {
         let mut events = Vec::new();
         loop {
-            let _ = self.poller.wait(&mut events, Some(FRONT_IDLE_PARK));
+            // No timeout: everything that can come due — a request, a
+            // shard reply, a drained socket, `Router::stop` — is a
+            // readiness event on this poller.
+            let _ = self.poller.wait(&mut events, None);
             #[cfg(test)]
             self.inner.front_waits.fetch_add(1, Ordering::Relaxed);
             if self.inner.stop.load(Ordering::SeqCst) {
@@ -1942,26 +1922,19 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
                 },
             }
         }
-        Verb::Run => fan_out(route, FanKind::Run { total: 0 }, |_| "RUN".into()),
-        Verb::Metrics => gather(route, GatherKind::Metrics, "METRICS"),
+        Verb::Run => fan_in(route, FanIn::Run),
+        Verb::Stats => fan_in(route, FanIn::Stats),
+        Verb::Snapshot(base) => fan_in(route, FanIn::Snapshot(base.clone())),
+        Verb::Metrics => fan_in(route, FanIn::Metrics),
         // Each shard returns up to <n> spans / slow traces; the merged
         // reply may carry up to <n> per shard (documented in the protocol).
-        Verb::TraceDump(n) => gather(route, GatherKind::Trace, &format!("TRACE DUMP {n}")),
-        Verb::TraceSlow(n) => gather(route, GatherKind::Slow, &format!("TRACE SLOW {n}")),
-        Verb::ExplainTrace(trace) => gather_timeline(route, *trace),
+        Verb::TraceDump(n) => fan_in(route, FanIn::TraceDump(*n)),
+        Verb::TraceSlow(n) => fan_in(route, FanIn::TraceSlow(*n)),
+        Verb::ExplainTrace(trace) => fan_in(route, FanIn::Explain(*trace)),
         Verb::Explain(global) => match lock(&inner.tickets).lookup(*global) {
-            Some(entry) => gather_timeline(route, entry.trace),
+            Some(entry) => fan_in(route, FanIn::Explain(entry.trace)),
             None => Expect::Local(format!("ERR unknown ticket {global}")),
         },
-        Verb::Stats => fan_out(route, FanKind::Stats { sums: [0; 8] }, |_| "STATS".into()),
-        Verb::Snapshot(base) => {
-            let kind = FanKind::Snapshot {
-                total: 0,
-                base: base.clone(),
-                written: Vec::new(),
-            };
-            fan_out(route, kind, |shard| format!("SNAPSHOT {base}.{shard}"))
-        }
         Verb::Wait(globals) => {
             let mut parts = Vec::new();
             let pre = forward_waits(route, globals, false, &mut parts);
@@ -1974,12 +1947,6 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
         }
         Verb::Ship { .. } => Expect::Local(SHIP_IS_SHARD_LEVEL.into()),
     }
-}
-
-/// `EXPLAIN`, fanned out as `EXPLAIN TRACE <id>` to every shard.
-fn gather_timeline(route: &mut Route<'_>, trace: u64) -> Expect {
-    let line = format!("EXPLAIN TRACE {trace:016x}");
-    gather(route, GatherKind::Explain { trace }, &line)
 }
 
 /// Forwards the `WAIT` for `globals`: one per shard serving any of them,
@@ -2032,52 +1999,11 @@ fn forward_waits(
     errors
 }
 
-/// Forwards `line` to every shard (lines derived per shard by `render`),
-/// returning the folding expectation. `RUN` and `STATS` degrade — an
-/// unreachable shard is skipped and reported in the `degraded=` suffix —
-/// while `SNAPSHOT` keeps all-or-nothing semantics (a partial cluster
-/// snapshot is worse than none).
-fn fan_out(route: &mut Route<'_>, kind: FanKind, render: impl Fn(&str) -> String) -> Expect {
-    let (inner, conn) = (route.inner, route.ctx);
-    let shards: Vec<String> = lock(&inner.topology).map.shards().to_vec();
-    if shards.is_empty() {
-        return Expect::Local("ERR cluster has no shards".into());
-    }
-    let degrade = !matches!(kind, FanKind::Snapshot { .. });
-    let mut pending = Vec::new();
-    let mut error = None;
-    let mut skipped = Vec::new();
-    for shard in shards {
-        let line = with_ctx(inner.tracer.child_context(conn), &render(&shard));
-        match forward(route, &shard, &line) {
-            Ok(epoch) => pending.push((shard, epoch)),
-            Err(err) => {
-                error.get_or_insert(err);
-                if degrade {
-                    skipped.push(shard);
-                }
-            }
-        }
-    }
-    if pending.is_empty() {
-        return Expect::Local(error.unwrap_or_else(|| "ERR cluster has no shards".into()));
-    }
-    if degrade {
-        error = None;
-    }
-    Expect::FanOut {
-        kind,
-        pending,
-        error,
-        skipped,
-    }
-}
-
-/// Forwards a counted multi-line verb (`METRICS` / `TRACE DUMP`) to every
-/// shard, returning the merging expectation. A shard that cannot even be
-/// reached starts out failed; the merge policy per failure lives in
-/// [`GatherKind`].
-fn gather(route: &mut Route<'_>, kind: GatherKind, line: &str) -> Expect {
+/// Sends `verb` to every shard, returning the expectation that collects
+/// their replies. A shard that cannot be sent the verb starts out failed;
+/// a one-line verb that no shard could be sent answers the first error at
+/// once.
+fn fan_in(route: &mut Route<'_>, verb: FanIn) -> Expect {
     let (inner, conn) = (route.inner, route.ctx);
     let shards: Vec<String> = lock(&inner.topology).map.shards().to_vec();
     if shards.is_empty() {
@@ -2085,21 +2011,24 @@ fn gather(route: &mut Route<'_>, kind: GatherKind, line: &str) -> Expect {
     }
     let mut parts = Vec::new();
     for shard in shards {
-        let prefixed = with_ctx(inner.tracer.child_context(conn), line);
-        let sent = forward(route, &shard, &prefixed);
-        parts.push(GatherPart {
+        let line = with_ctx(inner.tracer.child_context(conn), &verb.line(&shard));
+        let sent = forward(route, &shard, &line);
+        parts.push(FanPart {
             shard,
             epoch: *sent.as_ref().unwrap_or(&0),
-            remaining: None,
+            owed: verb.header().map_or(Some(1), |_| None),
             lines: Vec::new(),
             failed: sent.err(),
         });
     }
-    Expect::Gather { kind, parts }
+    if verb.header().is_none() && parts.iter().all(|part| part.failed.is_some()) {
+        return Expect::Local(parts.swap_remove(0).failed.expect("every part failed"));
+    }
+    Expect::FanIn { verb, parts }
 }
 
 /// The ` degraded=<shards>` suffix appended to degraded `RUN`/`STATS`
-/// replies: the union of shards skipped by this fan-out and shards the
+/// replies: the union of shards skipped by this fan-in and shards the
 /// heartbeat currently declares dead, sorted and comma-joined. Empty when
 /// the cluster is healthy.
 fn degraded_suffix(inner: &Arc<RouterInner>, skipped: &[String]) -> String {
@@ -2136,11 +2065,19 @@ fn inject_shard_label(line: &str, shard: &str) -> String {
     }
 }
 
-/// Merges the completed parts of a gather into one counted multi-line
-/// reply.
-fn render_gather(inner: &Arc<RouterInner>, kind: GatherKind, parts: &[GatherPart]) -> String {
+/// Builds a fan-in's one reply from every shard's part. What a failed
+/// shard costs depends on the verb: `RUN` and `STATS` skip it and name it
+/// in ` degraded=`, `METRICS` keeps a comment line in its place, and
+/// `SNAPSHOT` (removing the files the other shards wrote), `TRACE DUMP`,
+/// `TRACE SLOW` and `EXPLAIN` fail whole — a partial snapshot, dump or
+/// timeline silently lies. A one-line verb also fails whole on a shard that
+/// answered an error or an unexpected line.
+fn render_fan_in(inner: &Arc<RouterInner>, verb: &FanIn, parts: &[FanPart]) -> String {
+    let Some(header) = verb.header() else {
+        return fold_lines(inner, verb, parts);
+    };
     let mut out = Vec::new();
-    if kind == GatherKind::Metrics {
+    if let FanIn::Metrics = verb {
         // Router-own families first (already carry their own labels;
         // `router_*` names cannot collide with shard-side families),
         // then each shard's exposition relabeled. `# HELP` / `# TYPE`
@@ -2155,8 +2092,7 @@ fn render_gather(inner: &Arc<RouterInner>, kind: GatherKind, parts: &[GatherPart
         for part in parts {
             if let Some(reason) = &part.failed {
                 // A dead shard must not kill the scrape — that is
-                // exactly when monitoring matters. Degrade to a
-                // comment so the gap is visible in the exposition.
+                // exactly when monitoring matters.
                 out.push(format!("# shard {} unavailable: {reason}", part.shard));
                 continue;
             }
@@ -2175,24 +2111,21 @@ fn render_gather(inner: &Arc<RouterInner>, kind: GatherKind, parts: &[GatherPart
                 "# shard {shard} degraded: declared dead by heartbeat; replicas serving"
             ));
         }
+    } else if let Some(failed) = parts.iter().find_map(|part| part.failed.clone()) {
+        return failed;
     } else {
-        // A partial dump or timeline silently lies about where the time
-        // went — an unreachable shard fails the whole reply instead.
-        if let Some(failed) = parts.iter().find_map(|part| part.failed.clone()) {
-            return failed;
-        }
         for part in parts {
             for line in &part.lines {
                 out.push(format!("{line} shard={}", part.shard));
             }
         }
     }
-    match kind {
-        GatherKind::Explain { trace } => {
+    match verb {
+        FanIn::Explain(trace) => {
             // The router contributes its own spans for the trace — the
             // `forward` round-trips that parent each shard's spans.
             let anchor = inner.tracer.wall_anchor_us();
-            for span in inner.tracer.trace_spans(trace) {
+            for span in inner.tracer.trace_spans(*trace) {
                 out.push(format!(
                     "{} shard=router",
                     crate::net::render_event(anchor, &span)
@@ -2203,15 +2136,88 @@ fn render_gather(inner: &Arc<RouterInner>, kind: GatherKind, parts: &[GatherPart
             // ties.
             out.sort_by_key(|line| field_of(line, "start_us="));
         }
-        GatherKind::Slow => out.sort_by_key(|line| std::cmp::Reverse(field_of(line, "dur_us="))),
-        GatherKind::Metrics | GatherKind::Trace => {}
+        FanIn::TraceSlow(_) => out.sort_by_key(|line| std::cmp::Reverse(field_of(line, "dur_us="))),
+        _ => {}
     }
-    let mut reply = format!("{} {}", kind.header(), out.len());
+    let mut reply = format!("{header} {}", out.len());
     for line in out {
         reply.push('\n');
         reply.push_str(&line);
     }
     reply
+}
+
+/// [`render_fan_in`] for `RUN`, `STATS` and `SNAPSHOT`: sums every
+/// shard's one line.
+fn fold_lines(inner: &Arc<RouterInner>, verb: &FanIn, parts: &[FanPart]) -> String {
+    // `STATS` sums in `STAT_KEYS` order; `RUN` and `SNAPSHOT` into the first.
+    let mut sums = [0u64; STAT_KEYS.len()];
+    // The shards `RUN`/`STATS` lost, and those that answered `OK` (whose
+    // `SNAPSHOT` file is on disk).
+    let (mut skipped, mut written, mut error) = (Vec::new(), Vec::new(), None);
+    for part in parts {
+        let shard = &part.shard;
+        if let Some(lost) = &part.failed {
+            match verb {
+                FanIn::Snapshot(_) => {
+                    error.get_or_insert_with(|| lost.clone());
+                }
+                _ => skipped.push(shard.clone()),
+            }
+            continue;
+        }
+        let line = &part.lines[0];
+        let count = line.strip_prefix("OK ").and_then(|n| n.parse::<u64>().ok());
+        match (verb, count) {
+            _ if line.starts_with("ERR ") => {
+                error.get_or_insert_with(|| format!("ERR shard {shard}: {}", &line[4..]));
+            }
+            (FanIn::Stats, _) if line.starts_with("STATS ") => {
+                for (key, value) in line.split_whitespace().filter_map(|t| t.split_once('=')) {
+                    let slot = STAT_KEYS.iter().position(|k| *k == key);
+                    if let (Some(slot), Ok(value)) = (slot, value.parse::<u64>()) {
+                        sums[slot] += value;
+                    }
+                }
+            }
+            (FanIn::Run | FanIn::Snapshot(_), Some(n)) => {
+                sums[0] += n;
+                written.push(shard);
+            }
+            _ => {
+                error
+                    .get_or_insert_with(|| format!("ERR shard {shard}: unexpected reply {line:?}"));
+            }
+        }
+    }
+    match (verb, error) {
+        (FanIn::Snapshot(base), Some(err)) => {
+            // A failed fan-in must not leave partial per-shard files
+            // behind: remove what was written.
+            for shard in written {
+                let _ = std::fs::remove_file(format!("{base}.{shard}"));
+            }
+            err
+        }
+        (_, Some(err)) => err,
+        (FanIn::Stats, None) => {
+            let shard_count = lock(&inner.topology).map.len();
+            let mut out = String::from("STATS");
+            for (key, value) in STAT_KEYS.iter().zip(sums) {
+                out.push_str(&format!(" {key}={value}"));
+            }
+            out.push_str(&format!(" cluster_shards={shard_count}"));
+            out.push_str(&degraded_suffix(inner, &skipped));
+            out
+        }
+        (FanIn::Run, None) => {
+            // The cluster's queues drained: replica caches can be
+            // refreshed on the next flush.
+            inner.promote_dirty();
+            format!("OK {}{}", sums[0], degraded_suffix(inner, &skipped))
+        }
+        (_, None) => format!("OK {}", sums[0]),
+    }
 }
 
 /// Prefixes `line` with the `CTX <hex>` wire header when `ctx` carries a
@@ -2226,7 +2232,7 @@ fn with_ctx(ctx: TraceContext, line: &str) -> String {
 
 /// Extracts the numeric value of the `<key><value>` token (e.g.
 /// `start_us=173…`) from a rendered timeline or slow-trace line, or 0
-/// when absent — the merge sort keys of [`render_gather`].
+/// when absent — the merge sort keys of [`render_fan_in`].
 fn field_of(line: &str, key: &str) -> u64 {
     line.split_whitespace()
         .find_map(|token| token.strip_prefix(key))
@@ -2409,62 +2415,44 @@ fn resolve_head(route: &mut Route<'_>, expects: &mut VecDeque<Expect>, client: &
                     }
                 }
             }
-            Expect::FanOut {
-                kind,
-                pending,
-                error,
-                skipped,
-            } => {
-                let degrade = !matches!(kind, FanKind::Snapshot { .. });
-                pending.retain(|(shard, epoch)| match poll_shard(route, shard, *epoch) {
-                    Polled::Line(line) => {
-                        fold_fan_line(kind, error, shard, &line);
-                        false
-                    }
-                    Polled::Pending => true,
-                    Polled::Dead => {
-                        inner.note_failure(shard, false);
-                        if degrade {
-                            skipped.push(shard.clone());
-                        } else {
-                            error.get_or_insert_with(|| {
-                                format!("ERR shard {shard} unavailable (connection lost)")
-                            });
+            Expect::FanIn { verb, parts } => {
+                for part in parts.iter_mut() {
+                    while !part.done() {
+                        match poll_shard(route, &part.shard, part.epoch) {
+                            Polled::Line(line) => match part.owed {
+                                Some(n) => {
+                                    part.lines.push(line);
+                                    part.owed = Some(n - 1);
+                                }
+                                // A counted reply's `<HEADER> <n>` line.
+                                None => {
+                                    part.owed = verb
+                                        .header()
+                                        .and_then(|header| line.strip_prefix(header))
+                                        .and_then(|n| n.trim().parse::<usize>().ok());
+                                    if part.owed.is_none() {
+                                        part.failed = Some(format!(
+                                            "ERR shard {}: unexpected reply {line:?}",
+                                            part.shard
+                                        ));
+                                    }
+                                }
+                            },
+                            Polled::Pending => break,
+                            Polled::Dead => {
+                                inner.note_failure(&part.shard, false);
+                                part.failed = Some(format!(
+                                    "ERR shard {} unavailable (connection lost)",
+                                    part.shard
+                                ));
+                            }
                         }
-                        false
                     }
-                });
-                if !pending.is_empty() {
+                }
+                if parts.iter().any(|part| !part.done()) {
                     return false;
                 }
-                let reply = match (&mut *kind, error.take()) {
-                    (FanKind::Snapshot { base, written, .. }, Some(err)) => {
-                        // A failed fan-out must not leave partial
-                        // per-shard files behind: remove what was written.
-                        for shard in written.drain(..) {
-                            let _ = std::fs::remove_file(format!("{base}.{shard}"));
-                        }
-                        err
-                    }
-                    (_, Some(err)) => err,
-                    (FanKind::Run { total }, None) => {
-                        // The cluster's queues drained: replica caches can
-                        // be refreshed on the next flush.
-                        inner.promote_dirty();
-                        format!("OK {total}{}", degraded_suffix(inner, skipped))
-                    }
-                    (FanKind::Snapshot { total, .. }, None) => format!("OK {total}"),
-                    (FanKind::Stats { sums }, None) => {
-                        let shard_count = lock(&inner.topology).map.len();
-                        let mut out = String::from("STATS");
-                        for (key, value) in STAT_KEYS.iter().zip(sums) {
-                            out.push_str(&format!(" {key}={value}"));
-                        }
-                        out.push_str(&format!(" cluster_shards={shard_count}"));
-                        out.push_str(&degraded_suffix(inner, skipped));
-                        out
-                    }
-                };
+                let reply = render_fan_in(inner, verb, parts);
                 expects.pop_front();
                 client.queue_line(&reply);
             }
@@ -2510,47 +2498,6 @@ fn resolve_head(route: &mut Route<'_>, expects: &mut VecDeque<Expect>, client: &
                     return false;
                 }
                 expects.pop_front();
-            }
-            Expect::Gather { kind, parts } => {
-                let kind = *kind;
-                for part in parts.iter_mut() {
-                    while !part.done() {
-                        match poll_shard(route, &part.shard, part.epoch) {
-                            Polled::Line(line) => match part.remaining {
-                                None => {
-                                    // First line: `<HEADER> <n>` or a
-                                    // shard-side error.
-                                    part.remaining = line
-                                        .strip_prefix(kind.header())
-                                        .and_then(|n| n.trim().parse::<usize>().ok());
-                                    if part.remaining.is_none() {
-                                        part.failed = Some(format!(
-                                            "ERR shard {}: unexpected reply {line:?}",
-                                            part.shard
-                                        ));
-                                    }
-                                }
-                                Some(n) => {
-                                    part.lines.push(line);
-                                    part.remaining = Some(n - 1);
-                                }
-                            },
-                            Polled::Pending => break,
-                            Polled::Dead => {
-                                part.failed = Some(format!(
-                                    "ERR shard {} unavailable (connection lost)",
-                                    part.shard
-                                ));
-                            }
-                        }
-                    }
-                }
-                if parts.iter().any(|p| !p.done()) {
-                    return false;
-                }
-                let reply = render_gather(inner, kind, parts);
-                expects.pop_front();
-                client.queue_line(&reply);
             }
         }
     }
@@ -2613,37 +2560,6 @@ fn apply_rewrite(
             } else {
                 line.to_string()
             }
-        }
-    }
-}
-
-/// Folds one shard's fan-out response line into the accumulator.
-fn fold_fan_line(kind: &mut FanKind, error: &mut Option<String>, shard: &str, line: &str) {
-    if line.starts_with("ERR ") {
-        error.get_or_insert_with(|| format!("ERR shard {shard}: {}", &line[4..]));
-        return;
-    }
-    let count = line.strip_prefix("OK ").and_then(|s| s.parse::<u64>().ok());
-    match (kind, count) {
-        (FanKind::Stats { sums }, _) if line.starts_with("STATS ") => {
-            for token in line.split_whitespace().skip(1) {
-                if let Some((key, value)) = token.split_once('=') {
-                    if let (Some(slot), Ok(v)) = (
-                        STAT_KEYS.iter().position(|k| *k == key),
-                        value.parse::<u64>(),
-                    ) {
-                        sums[slot] += v;
-                    }
-                }
-            }
-        }
-        (FanKind::Run { total }, Some(n)) => *total += n,
-        (FanKind::Snapshot { total, written, .. }, Some(n)) => {
-            *total += n;
-            written.push(shard.to_string());
-        }
-        _ => {
-            error.get_or_insert_with(|| format!("ERR shard {shard}: unexpected reply {line:?}"));
         }
     }
 }
@@ -2829,10 +2745,9 @@ mod tests {
     }
 
     /// With a client parked on an unfinished `WAIT` and no traffic, the
-    /// front thread sleeps in its poller wait: it returns at the
-    /// `FRONT_IDLE_PARK` backstop only — not every 200 µs to poll shard
-    /// sockets, as it did when those were not registered — and the reply,
-    /// when the shard finally sends it, still arrives promptly.
+    /// front thread sleeps in its poller wait — no timer wakes it, and it
+    /// does not poll shard sockets — and the reply, when the shard finally
+    /// sends it, still arrives promptly.
     #[test]
     fn front_thread_does_not_tick_while_a_wait_is_pending() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
@@ -2877,10 +2792,9 @@ mod tests {
         let before = router.inner.front_waits.load(Ordering::Relaxed);
         std::thread::sleep(Duration::from_millis(200));
         let waits = router.inner.front_waits.load(Ordering::Relaxed) - before;
-        let backstop = 200 / FRONT_IDLE_PARK.as_millis() as u64;
         assert!(
-            waits <= 2 * backstop,
-            "{waits} poller waits in 200 ms with nothing ready (backstop alone: {backstop})"
+            waits <= 2,
+            "{waits} poller waits in 200 ms with nothing ready"
         );
 
         let sent = Instant::now();

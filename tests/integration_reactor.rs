@@ -568,6 +568,41 @@ fn daemon_stop_is_deterministic_and_the_port_is_immediately_reusable() {
     revived.stop();
 }
 
+/// Every reactor sweep so far, busy and idle.
+fn reactor_sweeps(service: &Service) -> u64 {
+    let lines = service.engine().metrics().render();
+    let sweeps = lines
+        .iter()
+        .filter(|line| line.starts_with("reactor_sweeps_total{"));
+    sweeps
+        .filter_map(|line| line.rsplit(' ').next()?.parse::<u64>().ok())
+        .sum()
+}
+
+/// An idle daemon with one open connection does not sweep: no timer
+/// wakes the reactor, only readiness and the wakeup channel do.
+#[test]
+fn an_idle_daemon_does_not_sweep() {
+    let service = mock_service(6);
+    let daemon = Daemon::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let (mut writer, mut reader) = client(&daemon);
+    writer.write_all(b"PING\n").unwrap();
+    assert_eq!(read_reply(&mut reader), "PONG");
+    std::thread::sleep(Duration::from_millis(50));
+
+    let before = reactor_sweeps(&service);
+    std::thread::sleep(Duration::from_millis(200));
+    let sweeps = reactor_sweeps(&service) - before;
+    assert!(
+        sweeps <= 2,
+        "{sweeps} reactor sweeps in 200 ms with nothing to do"
+    );
+
+    writer.write_all(b"PING\n").unwrap();
+    assert_eq!(read_reply(&mut reader), "PONG");
+    daemon.stop();
+}
+
 #[test]
 fn stopped_daemon_answers_in_flight_connections_with_an_error() {
     let service = mock_service(6);
