@@ -5,10 +5,10 @@
 //! against and the comparison protocol ([`best_by_raw`]), the two
 //! [`case_studies`] pools of Fig. 11, method runners producing the rows of
 //! Tables 4–6, the in-process cluster harness the integration tests and
-//! `modis_shard` drive, and plain-text report helpers used by the
-//! `fig*`/`table*` binaries. Speed is measured in one place only: the
-//! stand-alone `bench_e2e` package under `src/bin/bench_e2e/`, declared by
-//! the repository's `BENCHMARK.json`.
+//! `modis_shard` drive, and plain-text report helpers used by the `repro`
+//! binary, whose rows are the paper's §6 experiments. Speed is measured in
+//! one place only: the stand-alone `bench_e2e` package under
+//! `src/bin/bench_e2e/`, declared by the repository's `BENCHMARK.json`.
 
 #![warn(missing_docs)]
 

@@ -269,24 +269,7 @@ impl SharedEvalCache {
     /// Shards are locked one at a time, so the export is per-shard (not
     /// globally) atomic; snapshot a quiescent cache for exact restores.
     pub fn export_shards(&self) -> Vec<ShardExport> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let map = shard.map.lock().unwrap_or_else(PoisonError::into_inner);
-                ShardExport {
-                    hand: map.hand(),
-                    entries: map
-                        .iter_slots()
-                        .map(|(key, value, visited)| ExportedEvaluation {
-                            namespace: key.0,
-                            bitmap: key.1.clone(),
-                            visited,
-                            evaluation: value.clone(),
-                        })
-                        .collect(),
-                }
-            })
-            .collect()
+        self.export(None)
     }
 
     /// Exports only the entries belonging to the given hashed namespace
@@ -296,15 +279,21 @@ impl SharedEvalCache {
     /// filtered export is for *merging* into a live cache
     /// ([`Self::merge_exports`]), not for geometry-exact restores.
     pub fn export_namespaces(&self, keys: &[u64]) -> Vec<ShardExport> {
+        self.export(Some(keys))
+    }
+
+    /// The one export body: every slot with the hand, or only the slots of
+    /// `keys` with hand 0.
+    fn export(&self, keys: Option<&[u64]>) -> Vec<ShardExport> {
         self.shards
             .iter()
             .map(|shard| {
                 let map = shard.map.lock().unwrap_or_else(PoisonError::into_inner);
                 ShardExport {
-                    hand: 0,
+                    hand: if keys.is_some() { 0 } else { map.hand() },
                     entries: map
                         .iter_slots()
-                        .filter(|(key, _, _)| keys.contains(&key.0))
+                        .filter(|(key, _, _)| keys.is_none_or(|keys| keys.contains(&key.0)))
                         .map(|(key, value, visited)| ExportedEvaluation {
                             namespace: key.0,
                             bitmap: key.1.clone(),
@@ -376,30 +365,24 @@ impl SharedEvalCache {
     /// re-inserted through the normal hashed-shard path: values survive
     /// byte-for-byte, queue order and visited bits are rebuilt.
     pub fn import_shards(&self, shards: Vec<ShardExport>) -> usize {
-        let mut imported = 0;
-        if shards.len() == self.shards.len() {
-            for (shard, export) in self.shards.iter().zip(shards) {
-                let mut map = shard.map.lock().unwrap_or_else(PoisonError::into_inner);
-                for entry in export.entries {
-                    let key = (entry.namespace, entry.bitmap);
-                    if map.contains(&key as &dyn KeyPair)
-                        || (map.capacity() != 0 && map.len() >= map.capacity())
-                    {
-                        map.insert(key, entry.evaluation);
-                    } else {
-                        map.restore_slot(key, entry.evaluation, entry.visited);
-                    }
-                    imported += 1;
-                }
-                map.set_hand(export.hand);
-            }
-            return imported;
+        if shards.len() != self.shards.len() {
+            return self.merge_exports(shards);
         }
-        for export in shards {
+        let mut imported = 0;
+        for (shard, export) in self.shards.iter().zip(shards) {
+            let mut map = shard.map.lock().unwrap_or_else(PoisonError::into_inner);
             for entry in export.entries {
-                self.record(entry.namespace, &entry.bitmap, &entry.evaluation);
+                let key = (entry.namespace, entry.bitmap);
+                if map.contains(&key as &dyn KeyPair)
+                    || (map.capacity() != 0 && map.len() >= map.capacity())
+                {
+                    map.insert(key, entry.evaluation);
+                } else {
+                    map.restore_slot(key, entry.evaluation, entry.visited);
+                }
                 imported += 1;
             }
+            map.set_hand(export.hand);
         }
         imported
     }

@@ -224,7 +224,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
             let namespace = r.get_u64()?;
-            let bits = r.get_len(MAX_BITMAP_BITS)?;
+            // Each length is capped by what the bytes left can hold, so a
+            // sealed but lying header reserves nothing it cannot fill.
+            let bits = r.get_len(MAX_BITMAP_BITS.min(r.remaining().saturating_mul(8)))?;
             let nwords = bits.div_ceil(64);
             let mut words = Vec::with_capacity(nwords);
             for _ in 0..nwords {
@@ -242,12 +244,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
                     )))
                 }
             };
-            let nraw = r.get_len(MAX_METRICS)?;
+            let nraw = r.get_len(MAX_METRICS.min(r.remaining() / 8))?;
             let mut raw = Vec::with_capacity(nraw);
             for _ in 0..nraw {
                 raw.push(r.get_f64()?);
             }
-            let nperf = r.get_len(MAX_METRICS)?;
+            let nperf = r.get_len(MAX_METRICS.min(r.remaining() / 8))?;
             let mut perf = Vec::with_capacity(nperf);
             for _ in 0..nperf {
                 perf.push(r.get_f64()?);
@@ -436,6 +438,29 @@ mod tests {
         assert!(matches!(
             decode_snapshot(&wrong_version),
             Err(SnapshotError::UnsupportedVersion(99))
+        ));
+    }
+
+    #[test]
+    fn a_sealed_length_past_the_input_is_rejected_before_any_reservation() {
+        // One shard, one slot declaring a 2^28-bit bitmap, one word of it,
+        // then the correct seal: only the length bound can refuse it.
+        let mut w = ByteWriter::with_capacity(72);
+        w.put_bytes(SNAPSHOT_MAGIC);
+        w.put_u32(SNAPSHOT_VERSION);
+        w.put_u32(1);
+        for word in [1, 0, 1, 0, 1 << 28, 0] {
+            w.put_u64(word);
+        }
+        let seal = checksum(w.bytes());
+        w.put_u64(seal);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 72);
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(SnapshotError::Corrupt(CodecError::Invalid(
+                "length field exceeds limit"
+            )))
         ));
     }
 

@@ -171,6 +171,70 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// A sealed snapshot never panics the decoder, and whatever it accepts
+    /// imports into a fresh cache without panicking. The seal is correct,
+    /// so every case reaches the structural decoder. Half the payloads are
+    /// arbitrary: after the magic, version 2 and a shard count come
+    /// little-endian words, mostly small so that counts and lengths are
+    /// plausible, now and then a huge one, and now and then a single byte
+    /// (a slot's visited flag is one byte wide). The other half are real
+    /// snapshots with one such word written over any field, lengths and
+    /// counts included.
+    #[test]
+    fn sealed_snapshots_never_panic(
+        arbitrary in any::<bool>(),
+        shard_count in 0usize..4,
+        tokens in prop::collection::vec(any::<u64>(), 1..40),
+        at in 0.0f64..1.0,
+        geometry in 0usize..4,
+    ) {
+        let word = |t: u64| match t % 8 {
+            0 => t,
+            1 => (t >> 3) % 160,
+            _ => (t >> 3) % 3,
+        }
+        .to_le_bytes();
+        let mut bytes = if arbitrary {
+            let mut bytes = snapshot::SNAPSHOT_MAGIC.to_vec();
+            bytes.extend_from_slice(&snapshot::SNAPSHOT_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&(shard_count as u32).to_le_bytes());
+            for &t in &tokens {
+                if t % 16 == 15 {
+                    bytes.push((t >> 4) as u8 % 2);
+                } else {
+                    bytes.extend_from_slice(&word(t));
+                }
+            }
+            bytes
+        } else {
+            let cache = Arc::new(SharedEvalCache::with_capacity(1 << (shard_count % 2), 0));
+            for &t in &tokens[1..] {
+                let mut bitmap = StateBitmap::empty((t % 130) as usize + 1);
+                bitmap.set((t >> 8) as usize % bitmap.len(), true);
+                let raw = vec![(t % 7) as f64; (t >> 16) as usize % 3];
+                let evaluation = SharedEvaluation { perf: raw.clone(), raw };
+                cache.handle(["a", "b"][(t >> 24) as usize % 2]).record(&bitmap, &evaluation);
+            }
+            let mut bytes = snapshot::encode_snapshot(&cache, &[(7, tokens[0])]);
+            bytes.truncate(bytes.len() - 8);
+            let offset = 16 + (at * (bytes.len() - 24) as f64) as usize;
+            bytes[offset..offset + 8].copy_from_slice(&word(tokens[0]));
+            bytes
+        };
+        let seal = modis_core::codec::checksum(&bytes);
+        bytes.extend_from_slice(&seal.to_le_bytes());
+
+        if let Ok(decoded) = snapshot::decode_snapshot(&bytes) {
+            let cache = SharedEvalCache::with_capacity(1 << (geometry % 2), 4 * (geometry / 2));
+            cache.import_shards(decoded.shards);
+            cache.export_shards();
+        }
+    }
+}
+
 #[test]
 fn restarted_service_matches_cold_run_with_warm_cache() {
     // "Process 1": cold service, run the suite, snapshot, shut down.
