@@ -1,0 +1,270 @@
+//! What every model family answers, pinned bit for bit.
+//!
+//! Each family is fitted on the same seeded fixtures (0, 1, 2, 17, 60 and
+//! 150 rows; 1–5 features; 2, 3 and 4 classes), and the `to_bits` of
+//! everything it answers through the public API — predictions, per-class
+//! scores, feature importances, the Table-3 metrics of its predictions —
+//! is folded into one FNV-1a hash. The differential tests inside the crate
+//! rebuild a model's fields from an old fit and read them back through the
+//! current methods, so they cannot see a changed prediction, score or
+//! importance formula; these hashes can. A hash moves only with a change
+//! that states it changes results.
+
+use modis_ml::feature::{
+    fisher_score, fisher_scores, mutual_information, mutual_information_scores,
+};
+use modis_ml::metrics::{accuracy, auc_ovr, f1_score, mae, mse, precision, r2, recall, rmse};
+use modis_ml::{
+    ForestParams, GbmParams, GradientBoostingClassifier, GradientBoostingRegressor,
+    LogisticRegression, Matrix, MultiOutputGbm, RandomForest, RidgeRegression,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// FNV-1a over the little-endian bytes of every value folded in.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// The length first, so a shape change moves the hash too.
+    fn floats(&mut self, values: &[f64]) {
+        self.word(values.len() as u64);
+        for v in values {
+            self.word(v.to_bits());
+        }
+    }
+
+    fn rows(&mut self, rows: &[Vec<f64>]) {
+        self.word(rows.len() as u64);
+        for row in rows {
+            self.floats(row);
+        }
+    }
+}
+
+struct Fixture {
+    x: Matrix,
+    rows: Vec<Vec<f64>>,
+    probe_rows: Vec<Vec<f64>>,
+    probes: Matrix,
+    labels: Vec<f64>,
+    target: Vec<f64>,
+    n_classes: usize,
+}
+
+/// One cell of column `j`: continuous, small integers, `±0.0`/`1.0` ties,
+/// and a continuous column on another scale.
+fn cell(g: &mut StdRng, j: usize) -> f64 {
+    match j % 4 {
+        0 => g.gen_range(-2.0..2.0),
+        1 => g.gen_range(0..5usize) as f64,
+        2 => [-0.0, 0.0, 1.0][g.gen_range(0..3usize)],
+        _ => g.gen_range(0.0..1000.0),
+    }
+}
+
+fn fixtures() -> Vec<Fixture> {
+    let mut out = Vec::new();
+    for (i, n) in [0usize, 1, 2, 17, 60, 150].into_iter().enumerate() {
+        for (k, n_classes) in [2usize, 3, 4].into_iter().enumerate() {
+            let d = 1 + (i + k) % 5;
+            let mut g = StdRng::seed_from_u64((i * 3 + k) as u64);
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..d).map(|j| cell(&mut g, j)).collect())
+                .collect();
+            let probe_rows: Vec<Vec<f64>> = (0..5)
+                .map(|_| (0..d).map(|j| cell(&mut g, j)).collect())
+                .collect();
+            // Labels follow column 0 with one in five drawn at random.
+            let labels: Vec<f64> = rows
+                .iter()
+                .map(|r| {
+                    if g.gen_range(0..5usize) == 0 {
+                        g.gen_range(0..n_classes) as f64
+                    } else {
+                        let c = ((r[0] + 2.0) / 4.0 * n_classes as f64).floor();
+                        c.clamp(0.0, (n_classes - 1) as f64)
+                    }
+                })
+                .collect();
+            let target: Vec<f64> = rows
+                .iter()
+                .map(|r| r.iter().sum::<f64>() + g.gen_range(-0.5..0.5))
+                .collect();
+            out.push(Fixture {
+                x: Matrix::from_rows(&rows),
+                rows,
+                probes: Matrix::from_rows(&probe_rows),
+                probe_rows,
+                labels,
+                target,
+                n_classes,
+            });
+        }
+    }
+    out
+}
+
+fn gbm_params() -> GbmParams {
+    GbmParams {
+        n_estimators: 8,
+        ..GbmParams::default()
+    }
+}
+
+fn regression_metrics(h: &mut Fnv, y: &[f64], pred: &[f64]) {
+    h.floats(&[mse(y, pred), mae(y, pred), rmse(y, pred), r2(y, pred)]);
+}
+
+fn classification_metrics(h: &mut Fnv, y: &[f64], pred: &[f64], scores: &[Vec<f64>]) {
+    h.floats(&[
+        accuracy(y, pred),
+        precision(y, pred),
+        recall(y, pred),
+        f1_score(y, pred),
+        auc_ovr(y, scores),
+    ]);
+}
+
+/// Hashes one classifier's predictions, scores and metrics on the training
+/// rows and on the probes.
+fn classifier_answers(
+    h: &mut Fnv,
+    f: &Fixture,
+    predict: impl Fn(&Matrix) -> Vec<f64>,
+    scores: impl Fn(&Matrix) -> Vec<Vec<f64>>,
+) {
+    let pred = predict(&f.x);
+    let s = scores(&f.x);
+    h.floats(&pred);
+    h.rows(&s);
+    classification_metrics(h, &f.labels, &pred, &s);
+    h.floats(&predict(&f.probes));
+    h.rows(&scores(&f.probes));
+}
+
+fn regressor_answers(h: &mut Fnv, f: &Fixture, predict: impl Fn(&Matrix) -> Vec<f64>) {
+    let pred = predict(&f.x);
+    h.floats(&pred);
+    regression_metrics(h, &f.target, &pred);
+    h.floats(&predict(&f.probes));
+}
+
+fn check(family: &str, actual: u64, pinned: u64) {
+    assert_eq!(
+        actual, pinned,
+        "{family}: {actual:#018x}, pinned {pinned:#018x}"
+    );
+}
+
+#[test]
+fn gradient_boosting_regressor_answers_are_pinned() {
+    let mut h = Fnv::new();
+    for f in fixtures() {
+        let m = GradientBoostingRegressor::fit(&f.x, &f.target, gbm_params());
+        regressor_answers(&mut h, &f, |x| m.predict(x));
+        h.floats(&m.feature_importance());
+        h.word(m.len() as u64);
+    }
+    check("GradientBoostingRegressor", h.0, 0x28a6_6ada_1662_b930);
+}
+
+#[test]
+fn gradient_boosting_classifier_answers_are_pinned() {
+    let mut h = Fnv::new();
+    for f in fixtures() {
+        let m = GradientBoostingClassifier::fit(&f.x, &f.labels, f.n_classes, gbm_params());
+        classifier_answers(&mut h, &f, |x| m.predict(x), |x| m.predict_scores(x));
+        h.floats(&m.feature_importance());
+        h.word(m.n_classes() as u64);
+    }
+    check("GradientBoostingClassifier", h.0, 0xf428_8aa3_581f_6d3a);
+}
+
+#[test]
+fn logistic_regression_answers_are_pinned() {
+    let mut h = Fnv::new();
+    for f in fixtures() {
+        let m = LogisticRegression::fit(&f.x, &f.labels, f.n_classes, 0.3, 40);
+        classifier_answers(&mut h, &f, |x| m.predict(x), |x| m.predict_scores(x));
+        h.word(m.n_classes() as u64);
+    }
+    check("LogisticRegression", h.0, 0x6bf4_0d7c_8a9c_727e);
+}
+
+#[test]
+fn random_forest_classifier_answers_are_pinned() {
+    let mut h = Fnv::new();
+    for f in fixtures() {
+        let params = ForestParams::classification(9);
+        let m = RandomForest::fit(&f.x, &f.labels, f.n_classes, params);
+        classifier_answers(&mut h, &f, |x| m.predict(x), |x| m.predict_scores(x));
+        h.floats(&m.feature_importance());
+    }
+    check("RandomForest (classifier)", h.0, 0x8afe_7dd4_76da_3032);
+}
+
+#[test]
+fn random_forest_regressor_answers_are_pinned() {
+    let mut h = Fnv::new();
+    for f in fixtures() {
+        let m = RandomForest::fit(&f.x, &f.target, 0, ForestParams::regression(9));
+        regressor_answers(&mut h, &f, |x| m.predict(x));
+        h.floats(&m.feature_importance());
+    }
+    check("RandomForest (regressor)", h.0, 0x98e1_a58c_bf9f_927e);
+}
+
+#[test]
+fn ridge_regression_answers_are_pinned() {
+    let mut h = Fnv::new();
+    for f in fixtures() {
+        let m = RidgeRegression::fit(&f.x, &f.target, 1.0);
+        regressor_answers(&mut h, &f, |x| m.predict(x));
+        h.floats(&m.weights);
+        h.word(m.intercept.to_bits());
+    }
+    check("RidgeRegression", h.0, 0xa89c_0734_5d8d_db39);
+}
+
+#[test]
+fn multi_output_gbm_answers_are_pinned() {
+    let mut h = Fnv::new();
+    for f in fixtures() {
+        // Two outputs: the regression target and the label.
+        let y: Vec<Vec<f64>> = f
+            .target
+            .iter()
+            .zip(&f.labels)
+            .map(|(&t, &l)| vec![t, l])
+            .collect();
+        let m = MultiOutputGbm::fit(&f.rows, &y, gbm_params());
+        h.word(m.n_outputs() as u64);
+        for row in f.rows.iter().chain(&f.probe_rows) {
+            h.floats(&m.predict_one(row));
+        }
+    }
+    check("MultiOutputGbm", h.0, 0x7996_ef7d_eaf0_b3f8);
+}
+
+#[test]
+fn feature_scores_are_pinned() {
+    let mut h = Fnv::new();
+    for f in fixtures() {
+        h.floats(&fisher_scores(&f.x, &f.labels));
+        h.floats(&mutual_information_scores(&f.x, &f.labels, 6));
+        h.word(fisher_score(&f.x, &f.labels).to_bits());
+        h.word(mutual_information(&f.x, &f.labels, 6).to_bits());
+    }
+    check("feature scores", h.0, 0x9470_3768_2232_bfe4);
+}
