@@ -39,38 +39,36 @@ pub(crate) fn fisher_score_feature(values: &[f64], labels: &[f64]) -> f64 {
     }
 }
 
-/// Fills `col` with column `j` of the row-major matrix `x`, reusing the
-/// buffer so per-feature scoring costs no allocation.
-fn fill_column(x: &Matrix, j: usize, col: &mut Vec<f64>) {
-    col.clear();
-    col.extend(x.rows().map(|r| r[j]));
+/// `score` of every column of the row-major matrix `x`, in column order,
+/// each column copied into one reused buffer.
+fn column_scores(x: &Matrix, score: impl Fn(&[f64]) -> f64) -> Vec<f64> {
+    let mut col = Vec::with_capacity(x.len());
+    (0..x.n_cols())
+        .map(|j| {
+            col.clear();
+            col.extend(x.rows().map(|r| r[j]));
+            score(&col)
+        })
+        .collect()
+}
+
+/// The scores added from `0.0` in column order, over their number; `0.0`
+/// for no columns.
+fn mean(scores: &[f64]) -> f64 {
+    if scores.is_empty() {
+        return 0.0;
+    }
+    scores.iter().fold(0.0, |sum, s| sum + s) / scores.len() as f64
 }
 
 /// Mean Fisher score of a feature matrix against labels.
 pub fn fisher_score(x: &Matrix, labels: &[f64]) -> f64 {
-    let d = x.n_cols();
-    if d == 0 {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    let mut col = Vec::with_capacity(x.len());
-    for j in 0..d {
-        fill_column(x, j, &mut col);
-        sum += fisher_score_feature(&col, labels);
-    }
-    sum / d as f64
+    mean(&fisher_scores(x, labels))
 }
 
 /// Per-feature Fisher scores.
 pub fn fisher_scores(x: &Matrix, labels: &[f64]) -> Vec<f64> {
-    let d = x.n_cols();
-    let mut col = Vec::with_capacity(x.len());
-    (0..d)
-        .map(|j| {
-            fill_column(x, j, &mut col);
-            fisher_score_feature(&col, labels)
-        })
-        .collect()
+    column_scores(x, |col| fisher_score_feature(col, labels))
 }
 
 /// Equal-width discretisation of a continuous slice into `bins` buckets.
@@ -130,29 +128,12 @@ pub(crate) fn mutual_information_feature(values: &[f64], labels: &[f64], bins: u
 
 /// Mean mutual information of a feature matrix against labels.
 pub fn mutual_information(x: &Matrix, labels: &[f64], bins: usize) -> f64 {
-    let d = x.n_cols();
-    if d == 0 {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    let mut col = Vec::with_capacity(x.len());
-    for j in 0..d {
-        fill_column(x, j, &mut col);
-        sum += mutual_information_feature(&col, labels, bins);
-    }
-    sum / d as f64
+    mean(&mutual_information_scores(x, labels, bins))
 }
 
 /// Per-feature mutual information scores.
 pub fn mutual_information_scores(x: &Matrix, labels: &[f64], bins: usize) -> Vec<f64> {
-    let d = x.n_cols();
-    let mut col = Vec::with_capacity(x.len());
-    (0..d)
-        .map(|j| {
-            fill_column(x, j, &mut col);
-            mutual_information_feature(&col, labels, bins)
-        })
-        .collect()
+    column_scores(x, |col| mutual_information_feature(col, labels, bins))
 }
 
 /// `fisher_score` and `mutual_information` as they were on a `Vec` of row

@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::ensemble;
 use crate::matrix::Matrix;
 use crate::tree::{Columns, Criterion, DecisionTree, TreeBuilder, TreeParams};
 
@@ -107,13 +108,7 @@ impl RandomForest {
             return 0.0;
         }
         if self.n_classes > 0 {
-            let scores = self.predict_scores_one(row);
-            scores
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(c, _)| c as f64)
-                .unwrap_or(0.0)
+            ensemble::label(&self.predict_scores_one(row))
         } else {
             self.trees.iter().map(|t| t.predict_one(row)).sum::<f64>() / self.trees.len() as f64
         }
@@ -128,12 +123,7 @@ impl RandomForest {
             let c = c.clamp(0, (k - 1) as i64) as usize;
             votes[c] += 1.0;
         }
-        let total: f64 = votes.iter().sum();
-        if total > 0.0 {
-            for v in &mut votes {
-                *v /= total;
-            }
-        }
+        ensemble::normalise(&mut votes);
         votes
     }
 
@@ -150,22 +140,7 @@ impl RandomForest {
     /// Average (over trees) impurity-based feature importance, normalised to
     /// sum to 1 when any split happened.
     pub fn feature_importance(&self) -> Vec<f64> {
-        let n_features = self.trees.first().map(|t| t.n_features()).unwrap_or(0);
-        let mut imp = vec![0.0; n_features];
-        for t in &self.trees {
-            for (i, v) in t.feature_importance().iter().enumerate() {
-                if i < imp.len() {
-                    imp[i] += v;
-                }
-            }
-        }
-        let total: f64 = imp.iter().sum();
-        if total > 0.0 {
-            for v in &mut imp {
-                *v /= total;
-            }
-        }
-        imp
+        ensemble::importance(&self.trees)
     }
 
     /// Number of trees.

@@ -7,6 +7,7 @@
 //! * [`MultiOutputGbm`] — one boosted regressor per output dimension; the
 //!   paper's default performance estimator `E` (MO-GBM, §2/§6).
 
+use crate::ensemble;
 use crate::matrix::Matrix;
 use crate::tree::{Columns, Criterion, DecisionTree, TreeBuilder, TreeParams};
 
@@ -33,6 +34,46 @@ impl Default for GbmParams {
             },
         }
     }
+}
+
+/// The boosting loop of every boosted model. Every row starts at `base`;
+/// each of `params.n_estimators` rounds fits a tree to the gradients
+/// `targets[i] − link(raw[i])` and adds `learning_rate` times its
+/// prediction to each row's `raw`. No rows, no trees.
+fn boost(
+    cols: &Columns,
+    builder: &mut TreeBuilder,
+    targets: &[f64],
+    base: f64,
+    params: GbmParams,
+    link: impl Fn(f64) -> f64,
+) -> Vec<DecisionTree> {
+    let mut raw = vec![base; targets.len()];
+    let mut gradients = vec![0.0; targets.len()];
+    let mut trees = Vec::with_capacity(params.n_estimators);
+    if cols.n_rows() > 0 {
+        for _ in 0..params.n_estimators {
+            for ((gradient, t), r) in gradients.iter_mut().zip(targets).zip(&raw) {
+                *gradient = t - link(*r);
+            }
+            let tree = builder.fit(cols, &gradients, params.tree, None, 0);
+            for (i, r) in raw.iter_mut().enumerate().take(cols.n_rows()) {
+                *r += params.learning_rate * tree.predict_row(cols, i);
+            }
+            trees.push(tree);
+        }
+    }
+    trees
+}
+
+/// A boosted model's raw output for `row`: `base` plus `learning_rate`
+/// times each tree's prediction, added in tree order.
+fn margin(base: f64, trees: &[DecisionTree], learning_rate: f64, row: &[f64]) -> f64 {
+    let mut raw = base;
+    for t in trees {
+        raw += learning_rate * t.predict_one(row);
+    }
+    raw
 }
 
 /// Least-squares gradient boosting regressor.
@@ -67,35 +108,16 @@ impl GradientBoostingRegressor {
         } else {
             y.iter().sum::<f64>() / y.len() as f64
         };
-        let mut preds = vec![base; y.len()];
-        let mut residuals = vec![0.0; y.len()];
-        let mut trees = Vec::with_capacity(params.n_estimators);
-        if cols.n_rows() > 0 {
-            for _ in 0..params.n_estimators {
-                for ((residual, t), p) in residuals.iter_mut().zip(y).zip(&preds) {
-                    *residual = t - p;
-                }
-                let tree = builder.fit(cols, &residuals, params.tree, None, 0);
-                for (i, pred) in preds.iter_mut().enumerate().take(cols.n_rows()) {
-                    *pred += params.learning_rate * tree.predict_row(cols, i);
-                }
-                trees.push(tree);
-            }
-        }
         GradientBoostingRegressor {
             base,
-            trees,
+            trees: boost(cols, builder, y, base, params, |p| p),
             params,
         }
     }
 
     /// Predicts one sample.
     pub fn predict_one(&self, row: &[f64]) -> f64 {
-        let mut p = self.base;
-        for t in &self.trees {
-            p += self.params.learning_rate * t.predict_one(row);
-        }
-        p
+        margin(self.base, &self.trees, self.params.learning_rate, row)
     }
 
     /// Predicts a batch.
@@ -105,20 +127,7 @@ impl GradientBoostingRegressor {
 
     /// Normalised impurity-based feature importance.
     pub fn feature_importance(&self) -> Vec<f64> {
-        let n_features = self.trees.first().map(|t| t.n_features()).unwrap_or(0);
-        let mut imp = vec![0.0; n_features];
-        for t in &self.trees {
-            for (i, v) in t.feature_importance().iter().enumerate() {
-                imp[i] += v;
-            }
-        }
-        let total: f64 = imp.iter().sum();
-        if total > 0.0 {
-            for v in &mut imp {
-                *v /= total;
-            }
-        }
-        imp
+        ensemble::importance(&self.trees)
     }
 
     /// Number of fitted trees.
@@ -130,10 +139,6 @@ impl GradientBoostingRegressor {
     pub fn is_empty(&self) -> bool {
         self.trees.is_empty()
     }
-}
-
-fn sigmoid(z: f64) -> f64 {
-    1.0 / (1.0 + (-z).exp())
 }
 
 /// Binary / one-vs-rest gradient boosting classifier with logistic loss.
@@ -149,50 +154,28 @@ impl GradientBoostingClassifier {
     /// Fits the classifier for labels in `0..n_classes`.
     pub fn fit(x: &Matrix, y: &[f64], n_classes: usize, params: GbmParams) -> Self {
         let n_classes = n_classes.max(2);
-        let n_stages = if n_classes == 2 { 1 } else { n_classes };
         let cols = Columns::from_matrix(x);
         let mut builder = TreeBuilder::default();
-        let mut stages = Vec::with_capacity(n_stages);
-        let mut gradients = vec![0.0; y.len()];
-        for c in 0..n_stages {
-            let targets: Vec<f64> = y
-                .iter()
-                .map(|&v| {
-                    let label = v.round() as usize;
-                    let positive = if n_classes == 2 {
-                        label == 1
-                    } else {
-                        label == c
-                    };
-                    if positive {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            let pos_rate = if targets.is_empty() {
-                0.5
-            } else {
-                (targets.iter().sum::<f64>() / targets.len() as f64).clamp(1e-6, 1.0 - 1e-6)
-            };
-            let base = (pos_rate / (1.0 - pos_rate)).ln();
-            let mut raw = vec![base; targets.len()];
-            let mut trees = Vec::with_capacity(params.n_estimators);
-            if !x.is_empty() {
-                for _ in 0..params.n_estimators {
-                    for ((gradient, t), r) in gradients.iter_mut().zip(&targets).zip(&raw) {
-                        *gradient = t - sigmoid(*r);
-                    }
-                    let tree = builder.fit(&cols, &gradients, params.tree, None, 0);
-                    for (i, r) in raw.iter_mut().enumerate().take(x.len()) {
-                        *r += params.learning_rate * tree.predict_row(&cols, i);
-                    }
-                    trees.push(tree);
-                }
-            }
-            stages.push((base, trees));
-        }
+        let stages = (0..ensemble::stage_count(n_classes))
+            .map(|c| {
+                let targets = ensemble::stage_targets(y, n_classes, c);
+                let pos_rate = if targets.is_empty() {
+                    0.5
+                } else {
+                    (targets.iter().sum::<f64>() / targets.len() as f64).clamp(1e-6, 1.0 - 1e-6)
+                };
+                let base = (pos_rate / (1.0 - pos_rate)).ln();
+                let trees = boost(
+                    &cols,
+                    &mut builder,
+                    &targets,
+                    base,
+                    params,
+                    ensemble::sigmoid,
+                );
+                (base, trees)
+            })
+            .collect();
         GradientBoostingClassifier {
             stages,
             n_classes,
@@ -202,44 +185,14 @@ impl GradientBoostingClassifier {
 
     /// Per-class probability scores for one sample.
     pub(crate) fn predict_scores_one(&self, row: &[f64]) -> Vec<f64> {
-        if self.n_classes == 2 {
-            let (base, trees) = &self.stages[0];
-            let mut raw = *base;
-            for t in trees {
-                raw += self.params.learning_rate * t.predict_one(row);
-            }
-            let p1 = sigmoid(raw);
-            vec![1.0 - p1, p1]
-        } else {
-            let mut scores: Vec<f64> = self
-                .stages
-                .iter()
-                .map(|(base, trees)| {
-                    let mut raw = *base;
-                    for t in trees {
-                        raw += self.params.learning_rate * t.predict_one(row);
-                    }
-                    sigmoid(raw)
-                })
-                .collect();
-            let total: f64 = scores.iter().sum();
-            if total > 0.0 {
-                for s in &mut scores {
-                    *s /= total;
-                }
-            }
-            scores
-        }
+        ensemble::class_scores(&self.stages, self.n_classes, |(base, trees)| {
+            margin(*base, trees, self.params.learning_rate, row)
+        })
     }
 
     /// Predicted class label for one sample.
     pub fn predict_one(&self, row: &[f64]) -> f64 {
-        self.predict_scores_one(row)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(c, _)| c as f64)
-            .unwrap_or(0.0)
+        ensemble::label(&self.predict_scores_one(row))
     }
 
     /// Batch prediction.
@@ -259,27 +212,7 @@ impl GradientBoostingClassifier {
 
     /// Normalised feature importance aggregated over all stages.
     pub fn feature_importance(&self) -> Vec<f64> {
-        let n_features = self
-            .stages
-            .first()
-            .and_then(|(_, trees)| trees.first())
-            .map(|t| t.n_features())
-            .unwrap_or(0);
-        let mut imp = vec![0.0; n_features];
-        for (_, trees) in &self.stages {
-            for t in trees {
-                for (i, v) in t.feature_importance().iter().enumerate() {
-                    imp[i] += v;
-                }
-            }
-        }
-        let total: f64 = imp.iter().sum();
-        if total > 0.0 {
-            for v in &mut imp {
-                *v /= total;
-            }
-        }
-        imp
+        ensemble::importance(self.stages.iter().flat_map(|(_, trees)| trees))
     }
 }
 
@@ -323,6 +256,7 @@ impl MultiOutputGbm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ensemble::sigmoid;
     use crate::metrics::{accuracy, r2};
     use crate::tree::fixtures::{bits, class_target, matrix, regression_target, SIZES};
     use crate::tree::oracle;

@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod encoding;
+mod ensemble;
 pub mod feature;
 pub mod forest;
 pub mod gbm;

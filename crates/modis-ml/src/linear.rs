@@ -6,6 +6,7 @@
 //! regression uses batch gradient descent. These power the LRavocado model
 //! (task T3) and the logistic classifier.
 
+use crate::ensemble;
 use crate::matrix::Matrix;
 
 /// Ridge regression fitted via normal equations.
@@ -192,36 +193,17 @@ pub struct LogisticRegression {
     pub epochs: usize,
 }
 
-fn sigmoid(z: f64) -> f64 {
-    1.0 / (1.0 + (-z).exp())
-}
-
 impl LogisticRegression {
     /// Fits logistic regression for labels in `0..n_classes`.
     pub fn fit(x: &Matrix, y: &[f64], n_classes: usize, learning_rate: f64, epochs: usize) -> Self {
         let n_classes = n_classes.max(2);
         let d = x.n_cols();
-        let n_stages = if n_classes == 2 { 1 } else { n_classes };
+        let n_stages = ensemble::stage_count(n_classes);
         // Standardise features for stable gradient descent.
         let (means, stds) = standardise_stats(x);
         let mut stages = Vec::with_capacity(n_stages);
         for c in 0..n_stages {
-            let targets: Vec<f64> = y
-                .iter()
-                .map(|&v| {
-                    let label = v.round() as usize;
-                    let pos = if n_classes == 2 {
-                        label == 1
-                    } else {
-                        label == c
-                    };
-                    if pos {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
+            let targets = ensemble::stage_targets(y, n_classes, c);
             let mut w = vec![0.0; d];
             let mut b = 0.0;
             if !x.is_empty() && d > 0 {
@@ -234,7 +216,7 @@ impl LogisticRegression {
                             .enumerate()
                             .map(|(j, wj)| wj * ((row[j] - means[j]) / stds[j]))
                             .sum::<f64>();
-                        let err = sigmoid(z) - t;
+                        let err = ensemble::sigmoid(z) - t;
                         for j in 0..d {
                             gw[j] += err * ((row[j] - means[j]) / stds[j]);
                         }
@@ -266,37 +248,14 @@ impl LogisticRegression {
 
     /// Per-class probability scores for one sample.
     pub(crate) fn predict_scores_one(&self, row: &[f64]) -> Vec<f64> {
-        if self.n_classes == 2 {
-            let (w, b) = &self.stages[0];
-            let z = b + w.iter().zip(row.iter()).map(|(wj, v)| wj * v).sum::<f64>();
-            let p1 = sigmoid(z);
-            vec![1.0 - p1, p1]
-        } else {
-            let mut scores: Vec<f64> = self
-                .stages
-                .iter()
-                .map(|(w, b)| {
-                    sigmoid(b + w.iter().zip(row.iter()).map(|(wj, v)| wj * v).sum::<f64>())
-                })
-                .collect();
-            let total: f64 = scores.iter().sum();
-            if total > 0.0 {
-                for s in &mut scores {
-                    *s /= total;
-                }
-            }
-            scores
-        }
+        ensemble::class_scores(&self.stages, self.n_classes, |(w, b)| {
+            b + w.iter().zip(row.iter()).map(|(wj, v)| wj * v).sum::<f64>()
+        })
     }
 
     /// Predicted class label for one sample.
     pub fn predict_one(&self, row: &[f64]) -> f64 {
-        self.predict_scores_one(row)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(c, _)| c as f64)
-            .unwrap_or(0.0)
+        ensemble::label(&self.predict_scores_one(row))
     }
 
     /// Batch prediction.
@@ -347,7 +306,8 @@ fn standardise_stats(x: &Matrix) -> (Vec<f64>, Vec<f64>) {
 /// oracle the differential tests compare the `Matrix` bodies with.
 #[cfg(test)]
 mod oracle {
-    use super::{sigmoid, solve_linear_system, LogisticRegression, RidgeRegression};
+    use super::{solve_linear_system, LogisticRegression, RidgeRegression};
+    use crate::ensemble::sigmoid;
 
     pub fn ridge(x: &[Vec<f64>], y: &[f64], alpha: f64) -> RidgeRegression {
         let n = x.len();

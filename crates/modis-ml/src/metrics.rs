@@ -94,44 +94,23 @@ fn classes(y_true: &[f64]) -> Vec<i64> {
     cs
 }
 
-/// Macro-averaged precision.
-pub fn precision(y_true: &[f64], y_pred: &[f64]) -> f64 {
-    let cs = classes(y_true);
-    if cs.is_empty() {
-        return 0.0;
+/// `tp / den`, or `0.0` when `den` is 0.
+fn ratio(tp: usize, den: usize) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        tp as f64 / den as f64
     }
-    let mut sum = 0.0;
-    for c in &cs {
-        let (tp, fp, _) = confusion(y_true, y_pred, *c);
-        sum += if tp + fp == 0 {
-            0.0
-        } else {
-            tp as f64 / (tp + fp) as f64
-        };
-    }
-    sum / cs.len() as f64
 }
 
-/// Macro-averaged recall.
-pub fn recall(y_true: &[f64], y_pred: &[f64]) -> f64 {
-    let cs = classes(y_true);
-    if cs.is_empty() {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    for c in &cs {
-        let (tp, _, fne) = confusion(y_true, y_pred, *c);
-        sum += if tp + fne == 0 {
-            0.0
-        } else {
-            tp as f64 / (tp + fne) as f64
-        };
-    }
-    sum / cs.len() as f64
-}
-
-/// Macro-averaged F1 score.
-pub fn f1_score(y_true: &[f64], y_pred: &[f64]) -> f64 {
+/// `per_class(tp, fp, fn)` of every class of the ground truth, added from
+/// `0.0` in ascending label order, over the number of classes; `0.0` when
+/// there are none.
+fn macro_average(
+    y_true: &[f64],
+    y_pred: &[f64],
+    per_class: impl Fn(usize, usize, usize) -> f64,
+) -> f64 {
     let cs = classes(y_true);
     if cs.is_empty() {
         return 0.0;
@@ -139,23 +118,31 @@ pub fn f1_score(y_true: &[f64], y_pred: &[f64]) -> f64 {
     let mut sum = 0.0;
     for c in &cs {
         let (tp, fp, fne) = confusion(y_true, y_pred, *c);
-        let p = if tp + fp == 0 {
-            0.0
-        } else {
-            tp as f64 / (tp + fp) as f64
-        };
-        let r = if tp + fne == 0 {
-            0.0
-        } else {
-            tp as f64 / (tp + fne) as f64
-        };
-        sum += if p + r == 0.0 {
+        sum += per_class(tp, fp, fne);
+    }
+    sum / cs.len() as f64
+}
+
+/// Macro-averaged precision.
+pub fn precision(y_true: &[f64], y_pred: &[f64]) -> f64 {
+    macro_average(y_true, y_pred, |tp, fp, _| ratio(tp, tp + fp))
+}
+
+/// Macro-averaged recall.
+pub fn recall(y_true: &[f64], y_pred: &[f64]) -> f64 {
+    macro_average(y_true, y_pred, |tp, _, fne| ratio(tp, tp + fne))
+}
+
+/// Macro-averaged F1 score.
+pub fn f1_score(y_true: &[f64], y_pred: &[f64]) -> f64 {
+    macro_average(y_true, y_pred, |tp, fp, fne| {
+        let (p, r) = (ratio(tp, tp + fp), ratio(tp, tp + fne));
+        if p + r == 0.0 {
             0.0
         } else {
             2.0 * p * r / (p + r)
-        };
-    }
-    sum / cs.len() as f64
+        }
+    })
 }
 
 /// Area under the ROC curve for binary labels (`y_true` ∈ {0,1}) given
