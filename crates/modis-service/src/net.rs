@@ -541,10 +541,6 @@ impl Daemon {
     /// and then return with nothing left to do. Every caller observes a
     /// fully-stopped daemon when its call returns.
     pub fn stop(&self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&self) {
         let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
         let Some((reactor, executor)) = threads.take() else {
             return;
@@ -564,7 +560,7 @@ impl Drop for Daemon {
     /// A dropped daemon stops exactly like [`Daemon::stop`] — tests that
     /// panic mid-protocol still release their port and threads.
     fn drop(&mut self) {
-        self.stop_inner();
+        self.stop();
     }
 }
 

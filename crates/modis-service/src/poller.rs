@@ -24,9 +24,6 @@
 //! interest they cannot act on (e.g. a backpressured connection must
 //! deregister read interest) or every wait returns immediately.
 
-use std::io;
-use std::time::Duration;
-
 /// The raw descriptor type registered with a [`Poller`] (`RawFd` on Unix).
 #[cfg(unix)]
 pub type RawSource = std::os::unix::io::RawFd;
@@ -231,16 +228,27 @@ mod backend {
         bits
     }
 
-    /// O(ready) readiness via an epoll instance owned by this backend.
-    pub struct Backend {
+    /// A readiness selector: register descriptors with a token and an
+    /// [`Interest`], then [`wait`](Poller::wait) for the ready subset —
+    /// O(ready) readiness via an epoll instance it owns.
+    ///
+    /// Level-triggered on either backend. One `Poller` belongs to one
+    /// thread's event loop; registration and waiting are `&mut self` by
+    /// design.
+    pub struct Poller {
         epfd: i32,
     }
 
-    impl Backend {
-        pub const NAME: &'static str = "epoll";
+    impl Poller {
+        /// Opens the epoll instance.
+        pub fn new() -> io::Result<Poller> {
+            sys::epoll_create1().map(|epfd| Poller { epfd })
+        }
 
-        pub fn new() -> io::Result<Backend> {
-            sys::epoll_create1().map(|epfd| Backend { epfd })
+        /// Which backend this poller runs on.
+        #[cfg(test)]
+        pub fn backend_name(&self) -> &'static str {
+            "epoll"
         }
 
         fn ctl(
@@ -257,12 +265,20 @@ mod backend {
             sys::epoll_ctl(self.epfd, op, fd, &mut event)
         }
 
-        pub fn register(&self, fd: RawSource, token: usize, interest: Interest) -> io::Result<()> {
+        /// Starts watching `fd`, reporting its readiness under `token`.
+        /// Registering an already-registered descriptor is an error.
+        pub fn register(
+            &mut self,
+            fd: RawSource,
+            token: usize,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
         }
 
+        /// Replaces the token and interest of an already-registered `fd`.
         pub fn reregister(
-            &self,
+            &mut self,
             fd: RawSource,
             token: usize,
             interest: Interest,
@@ -270,11 +286,26 @@ mod backend {
             self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
         }
 
-        pub fn deregister(&self, fd: RawSource) -> io::Result<()> {
+        /// Stops watching `fd`. Call it *before* the descriptor is closed:
+        /// epoll forgets closed descriptors on its own, the sweep backend's
+        /// entry list does not.
+        pub fn deregister(&mut self, fd: RawSource) -> io::Result<()> {
             self.ctl(sys::EPOLL_CTL_DEL, fd, 0, Interest::NONE)
         }
 
-        pub fn wait(&self, tokens: &mut Vec<usize>, timeout: Option<Duration>) -> io::Result<()> {
+        /// Clears `tokens` and fills it with the tokens of the descriptors
+        /// ready now — readable, writable, or in an error or hangup state
+        /// (the owner sweeps each in both directions and discovers a
+        /// failure through the normal read/write paths) — blocking up to
+        /// `timeout` (`None` blocks until something is ready). An
+        /// interrupted wait (EINTR) returns `Ok` with no tokens — callers
+        /// re-check their stop condition and wait again.
+        pub fn wait(
+            &mut self,
+            tokens: &mut Vec<usize>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
+            tokens.clear();
             let mut buf = [sys::EpollEvent::default(); MAX_EVENTS];
             // Round a sub-millisecond timeout *up*: rounding to 0 would
             // turn a short park into a busy spin.
@@ -296,7 +327,7 @@ mod backend {
         }
     }
 
-    impl Drop for Backend {
+    impl Drop for Poller {
         fn drop(&mut self) {
             sys::close(self.epfd);
         }
@@ -305,27 +336,32 @@ mod backend {
 
 /// Portable degraded backend: every registered descriptor is reported
 /// ready (per its interest) on every wait, after a short bounded nap —
-/// behaviourally the old attempt-every-connection sweep.
+/// behaviourally the old attempt-every-connection sweep. Its `Poller` has
+/// the epoll backend's interface, documented there.
 #[cfg(not(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
+#[allow(missing_docs)]
 mod backend {
     use super::{Interest, RawSource, MAX_EVENTS};
     use std::io;
     use std::time::Duration;
 
-    pub struct Backend {
+    pub struct Poller {
         entries: Vec<(RawSource, usize, Interest)>,
     }
 
-    impl Backend {
-        pub const NAME: &'static str = "sweep";
-
-        pub fn new() -> io::Result<Backend> {
-            Ok(Backend {
+    impl Poller {
+        pub fn new() -> io::Result<Poller> {
+            Ok(Poller {
                 entries: Vec::new(),
             })
+        }
+
+        #[cfg(test)]
+        pub fn backend_name(&self) -> &'static str {
+            "sweep"
         }
 
         pub fn register(
@@ -358,7 +394,12 @@ mod backend {
             Ok(())
         }
 
-        pub fn wait(&self, tokens: &mut Vec<usize>, timeout: Option<Duration>) -> io::Result<()> {
+        pub fn wait(
+            &mut self,
+            tokens: &mut Vec<usize>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
+            tokens.clear();
             let nap = timeout
                 .unwrap_or(Duration::from_micros(500))
                 .min(Duration::from_micros(500));
@@ -375,79 +416,14 @@ mod backend {
     }
 }
 
-/// A readiness selector: register descriptors with a token and an
-/// [`Interest`], then [`wait`](Poller::wait) for the ready subset.
-///
-/// Level-triggered on either backend. One `Poller` belongs to one thread's
-/// event loop; registration and waiting are `&mut self` by design.
-pub struct Poller {
-    backend: backend::Backend,
-}
-
-impl Poller {
-    /// Opens the backend this target was built with: epoll where the
-    /// syscall stubs exist, the degraded sweep backend elsewhere.
-    pub fn new() -> io::Result<Poller> {
-        Ok(Poller {
-            backend: backend::Backend::new()?,
-        })
-    }
-
-    /// Which backend this poller runs on: `"epoll"` or `"sweep"`.
-    pub fn backend_name(&self) -> &'static str {
-        backend::Backend::NAME
-    }
-
-    /// Starts watching `fd`, reporting its readiness under `token`.
-    /// Registering an already-registered descriptor is an error.
-    pub fn register(&mut self, fd: RawSource, token: usize, interest: Interest) -> io::Result<()> {
-        self.backend.register(fd, token, interest)
-    }
-
-    /// Replaces the token and interest of an already-registered `fd`.
-    pub fn reregister(
-        &mut self,
-        fd: RawSource,
-        token: usize,
-        interest: Interest,
-    ) -> io::Result<()> {
-        self.backend.reregister(fd, token, interest)
-    }
-
-    /// Stops watching `fd`. Call it *before* the descriptor is closed:
-    /// epoll forgets closed descriptors on its own, the sweep backend's
-    /// entry list does not.
-    pub fn deregister(&mut self, fd: RawSource) -> io::Result<()> {
-        self.backend.deregister(fd)
-    }
-
-    /// Clears `tokens` and fills it with the tokens of the descriptors
-    /// ready now — readable, writable, or in an error or hangup state (the
-    /// owner sweeps each in both directions and discovers a failure through
-    /// the normal read/write paths) — blocking up to `timeout` (`None`
-    /// blocks until something is ready). An interrupted wait (EINTR)
-    /// returns `Ok` with no tokens — callers re-check their stop condition
-    /// and wait again.
-    pub fn wait(&mut self, tokens: &mut Vec<usize>, timeout: Option<Duration>) -> io::Result<()> {
-        tokens.clear();
-        self.backend.wait(tokens, timeout)
-    }
-}
-
-impl std::fmt::Debug for Poller {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Poller")
-            .field("backend", &self.backend_name())
-            .finish()
-    }
-}
+pub use backend::Poller;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn socket_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
