@@ -33,9 +33,9 @@
 //!   per-shard files when the fan-in fails, and the counted verbs merge
 //!   every shard's lines under a `shard=` label.
 //! * **Heartbeats and circuit breakers** — a background thread `PING`s
-//!   every shard each [`RouterConfig::heartbeat_interval`], feeding an
-//!   EWMA liveness score and a per-shard breaker
-//!   (closed → open → half-open → closed, exposed as
+//!   every shard each [`RouterConfig::heartbeat_interval`], feeding a
+//!   per-shard breaker that consecutive failures open and two consecutive
+//!   successes close (closed → open → half-open → closed, exposed as
 //!   `router_circuit_state`). A forward makes one attempt while the
 //!   breaker allows — never a sleep on the front thread — and fails fast
 //!   (`circuit open`) once a shard is declared dead, so no request ever
@@ -142,8 +142,8 @@ pub struct RouterConfig {
     /// which a shard's circuit breaker opens and the shard is declared
     /// dead.
     pub heartbeat_misses: u32,
-    /// How long an open circuit stays fail-fast before one half-open
-    /// trial attempt is allowed through.
+    /// How long an open circuit stays fail-fast before it turns half-open
+    /// and lets requests through again.
     pub open_cooldown: Duration,
 }
 
@@ -167,29 +167,27 @@ impl Default for RouterConfig {
 pub enum CircuitState {
     /// Healthy: requests flow normally.
     Closed = 0,
-    /// Probing: one trial request is allowed through after the open
-    /// cooldown; success starts closing the breaker, failure re-opens it.
+    /// Probing: once the open cooldown has elapsed, requests go through
+    /// again; two consecutive successes close the breaker, and any failure
+    /// re-opens it.
     HalfOpen = 1,
     /// Declared dead: requests fail fast without touching the socket
     /// until the cooldown elapses.
     Open = 2,
 }
 
-/// EWMA weight of the newest liveness observation (1 = success, 0 =
-/// failure): `live = (1 - α)·live + α·observation`.
-const LIVENESS_ALPHA: f64 = 0.4;
-/// Smoothed liveness at or above which a non-closed breaker closes —
-/// reached after two consecutive successful probes from any depth.
-const LIVENESS_CLOSE: f64 = 0.6;
+/// Consecutive successes (probes or forwards) that close a non-closed
+/// breaker, however many failures came before them.
+const CLOSE_STREAK: u32 = 2;
 
 /// Health book-keeping for one shard: the breaker state, the consecutive
-/// miss count that opens it, and an EWMA-smoothed liveness score that
-/// closes it again (two consecutive successes from any depth).
+/// miss count that opens it, and the consecutive success count that
+/// closes it again (two, from any depth).
 #[derive(Debug, Clone)]
 struct ShardHealth {
     state: CircuitState,
     misses: u32,
-    liveness: f64,
+    successes: u32,
     opened_at: Option<Instant>,
 }
 
@@ -198,30 +196,31 @@ impl Default for ShardHealth {
         ShardHealth {
             state: CircuitState::Closed,
             misses: 0,
-            liveness: 1.0,
+            successes: 0,
             opened_at: None,
         }
     }
 }
 
 impl ShardHealth {
-    /// A successful probe or forward: resets the miss streak, bumps the
-    /// EWMA, and closes a non-closed breaker once liveness recovers.
+    /// A successful probe or forward: resets the miss streak, extends the
+    /// success streak, and closes a non-closed breaker once that streak
+    /// reaches [`CLOSE_STREAK`].
     fn on_success(&mut self) {
         self.misses = 0;
-        self.liveness = (1.0 - LIVENESS_ALPHA) * self.liveness + LIVENESS_ALPHA;
-        if self.state != CircuitState::Closed && self.liveness >= LIVENESS_CLOSE {
+        self.successes = self.successes.saturating_add(1);
+        if self.state != CircuitState::Closed && self.successes >= CLOSE_STREAK {
             self.state = CircuitState::Closed;
             self.opened_at = None;
         }
     }
 
-    /// A failed probe or forward: decays the EWMA; `threshold`
-    /// consecutive misses open a closed breaker, and any failure of a
-    /// half-open trial re-opens it immediately.
+    /// A failed probe or forward: resets the success streak; `threshold`
+    /// consecutive misses open a closed breaker, and any failure while it
+    /// is half-open re-opens it immediately.
     fn on_failure(&mut self, threshold: u32) {
         self.misses = self.misses.saturating_add(1);
-        self.liveness *= 1.0 - LIVENESS_ALPHA;
+        self.successes = 0;
         let trips = match self.state {
             CircuitState::Closed => self.misses >= threshold,
             CircuitState::HalfOpen => true,
@@ -234,8 +233,8 @@ impl ShardHealth {
     }
 
     /// Whether a request may touch the socket right now. An open breaker
-    /// transitions to half-open (and admits one trial) once `cooldown`
-    /// has elapsed since it opened.
+    /// turns half-open once `cooldown` has elapsed since it opened, and a
+    /// half-open one admits every request until one fails.
     fn allow_attempt(&mut self, cooldown: Duration) -> bool {
         if self.state == CircuitState::Open {
             if self.opened_at.is_some_and(|at| at.elapsed() < cooldown) {
@@ -463,8 +462,8 @@ struct RouterInner {
     reconnects: Arc<Counter>,
     /// Shard-local ticket ids remapped to cluster-wide ids.
     remaps: Arc<Counter>,
-    /// Per-shard breaker + liveness state, fed by heartbeats and forward
-    /// failures.
+    /// Per-shard breaker state and failure / success streaks, fed by
+    /// heartbeats and forwards.
     health: Mutex<HashMap<String, ShardHealth>>,
     /// Replication push queue and per-replica freshness.
     replication: Mutex<ReplicationState>,
@@ -2590,38 +2589,41 @@ mod tests {
 
     #[test]
     fn circuit_breaker_walks_closed_open_half_open_closed() {
-        let mut health = ShardHealth::default();
-        assert_eq!(health.state, CircuitState::Closed);
-        health.on_failure(3);
-        health.on_failure(3);
-        assert_eq!(health.state, CircuitState::Closed, "below the threshold");
-        health.on_failure(3);
-        assert_eq!(health.state, CircuitState::Open, "threshold reached");
-        assert!(
-            !health.allow_attempt(Duration::from_secs(3600)),
-            "open circuit fails fast inside the cooldown"
-        );
-        assert!(
-            health.allow_attempt(Duration::ZERO),
-            "cooldown elapsed: one trial goes through"
-        );
-        assert_eq!(health.state, CircuitState::HalfOpen);
-        health.on_failure(3);
-        assert_eq!(health.state, CircuitState::Open, "failed trial re-opens");
-        assert!(health.allow_attempt(Duration::ZERO));
-        health.on_success();
-        assert_eq!(
-            health.state,
-            CircuitState::HalfOpen,
-            "one success is not enough to close"
-        );
-        health.on_success();
-        assert_eq!(
-            health.state,
-            CircuitState::Closed,
-            "two consecutive successes close the breaker"
-        );
-        assert_eq!(health.misses, 0);
+        for threshold in 1..=4 {
+            let mut health = ShardHealth::default();
+            assert_eq!(health.state, CircuitState::Closed);
+            for _ in 1..threshold {
+                health.on_failure(threshold);
+                assert_eq!(health.state, CircuitState::Closed, "below {threshold}");
+            }
+            health.on_failure(threshold);
+            assert_eq!(health.state, CircuitState::Open, "{threshold} reached");
+            assert!(
+                !health.allow_attempt(Duration::from_secs(3600)),
+                "open circuit fails fast inside the cooldown"
+            );
+            assert!(
+                health.allow_attempt(Duration::ZERO),
+                "cooldown elapsed: a trial goes through"
+            );
+            assert_eq!(health.state, CircuitState::HalfOpen);
+            health.on_failure(threshold);
+            assert_eq!(health.state, CircuitState::Open, "failed trial re-opens");
+            assert!(health.allow_attempt(Duration::ZERO));
+            health.on_success();
+            assert_eq!(
+                health.state,
+                CircuitState::HalfOpen,
+                "one success is not enough to close (threshold {threshold})"
+            );
+            health.on_success();
+            assert_eq!(
+                health.state,
+                CircuitState::Closed,
+                "two consecutive successes close the breaker"
+            );
+            assert_eq!(health.misses, 0);
+        }
     }
 
     #[test]
