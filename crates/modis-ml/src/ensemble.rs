@@ -4,10 +4,9 @@
 //! tree importance of every tree ensemble.
 //!
 //! A binary problem is one stage whose positive class is `1`; `k > 2`
-//! classes are `k` stages, stage `c` taking class `c` as positive. Every
-//! function keeps the operands and the order of the float operations its
-//! callers made before they shared it, so no fit, score or importance moves
-//! by a bit.
+//! classes are `k` stages, stage `c` taking class `c` as positive. A
+//! float operation here must keep its operands and its order: every fit,
+//! score and importance is pinned bit for bit (`tests/pinned_outputs.rs`).
 
 use std::cmp::Ordering;
 

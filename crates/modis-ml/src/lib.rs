@@ -21,6 +21,14 @@
 //! * [`feature`] — Fisher score and mutual information (`p_Fsc`, `p_MI`);
 //! * [`graph`] — bipartite graphs and a LightGCN-style recommender (task T5);
 //! * [`metrics`] — every performance measure of Table 3.
+//!
+//! The ensembles share one core (the private `ensemble.rs`): the logistic
+//! link, the one-vs-rest stages of the two per-class classifiers, their
+//! per-class scores and predicted label, score normalisation and the summed
+//! tree importance. Every boosted model — the regressor, each classifier
+//! stage and, through the regressor, [`MultiOutputGbm`] — runs one boosting
+//! loop in [`gbm`], and every tree of every model is grown by one CART
+//! split kernel in [`tree`].
 
 #![warn(missing_docs)]
 
