@@ -348,6 +348,80 @@ fn restarted_service_warm_starts_a_real_tabular_workload() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A warm start enters the cache the way `RESTORE` and `SHIP` do: a file
+/// holding slots that no guard pair covers is refused whole, so none of
+/// them can be served to a substrate registered later under their
+/// namespace. The same slots with their pair warm-start.
+#[test]
+fn a_warm_start_refuses_slots_no_guard_pair_covers() {
+    let cache = Arc::new(SharedEvalCache::with_capacity(4, 0));
+    let handle = cache.handle("mock-pool");
+    for i in 0..6 {
+        let mut bitmap = StateBitmap::empty(10);
+        bitmap.set(i, true);
+        let evaluation = SharedEvaluation {
+            raw: vec![i as f64],
+            perf: vec![0.1 * i as f64],
+        };
+        handle.record(&bitmap, &evaluation);
+    }
+    let path = temp_path("unguarded");
+    std::fs::write(&path, snapshot::encode_snapshot(&cache, &[])).unwrap();
+    let refused = Service::from_snapshot(ServiceConfig::default(), &path).err();
+    assert!(
+        matches!(
+            refused,
+            Some(ServiceError::Snapshot(snapshot::SnapshotError::Corrupt(_)))
+        ),
+        "{refused:?}"
+    );
+
+    let key = SharedEvalCache::namespace_key("mock-pool");
+    std::fs::write(&path, snapshot::encode_snapshot(&cache, &[(key, 1)])).unwrap();
+    let warm = Service::from_snapshot(ServiceConfig::default(), &path).unwrap();
+    assert_eq!(warm.cache_stats().entries, 6);
+    assert_eq!(warm.engine().namespace_fingerprints(), [(key, 1)]);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A version-2 file — one shard with one slot, its visited byte and its
+/// hand, and the guard pair for that slot's namespace — is an unsupported
+/// snapshot version: neither decoded, nor merged, nor warm-started from.
+#[test]
+fn a_version_2_snapshot_is_refused_and_never_replayed() {
+    let key = SharedEvalCache::namespace_key("mock-pool");
+    let mut bytes = snapshot::SNAPSHOT_MAGIC.to_vec();
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // shards
+    let slot = [1, 0, 1, key, 10, 0b1]; // entries, hand, count, namespace, bits, word
+    for word in slot {
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    bytes.push(1); // visited
+    for metrics in [[0.5f64], [0.25]] {
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&metrics[0].to_le_bytes());
+    }
+    for word in [1, key, 1] {
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    let seal = modis_core::codec::checksum(&bytes);
+    bytes.extend_from_slice(&seal.to_le_bytes());
+
+    assert!(matches!(
+        snapshot::decode_snapshot(&bytes),
+        Err(snapshot::SnapshotError::UnsupportedVersion(2))
+    ));
+    let service = Service::new(ServiceConfig::default());
+    assert!(service.restore_from_bytes(&bytes).is_err());
+    assert_eq!(service.cache_stats().entries, 0);
+    assert!(service.engine().namespace_fingerprints().is_empty());
+    let path = temp_path("version2");
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(Service::from_snapshot(ServiceConfig::default(), &path).is_err());
+    std::fs::remove_file(&path).unwrap();
+}
+
 /// The fitted-surrogate memo is process state and nothing else. A snapshot
 /// of a service that ran surrogate-mode scenarios has HEAD's version and
 /// sections and holds evaluations only; a service restored from it answers
