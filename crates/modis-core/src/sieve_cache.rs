@@ -68,59 +68,20 @@ impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
         self.slots.is_empty()
     }
 
-    /// The configured capacity (0 = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of entries evicted so far.
     pub fn evictions(&self) -> usize {
         self.evictions
     }
 
-    /// Position of the hand in queue order (0 = the oldest entry): the
-    /// next eviction examines that entry first.
-    pub fn hand(&self) -> usize {
-        self.queue().position(|idx| idx == self.hand).unwrap_or(0)
-    }
-
-    /// Iterates the stored entries in *queue order*, oldest to newest,
-    /// together with their visited bits. Queue order plus [`Self::hand`]
-    /// fully determines future eviction behaviour, so a snapshot taken
-    /// through this iterator and replayed through [`Self::restore_slot`] /
-    /// [`Self::set_hand`] reproduces the cache exactly — values, order and
-    /// eviction schedule.
-    pub fn iter_slots(&self) -> impl Iterator<Item = (&K, &V, bool)> {
+    /// Iterates the stored entries in *queue order*, oldest to newest.
+    /// Inserting them in this order into an empty cache of the same
+    /// capacity rebuilds every value and the queue; visited bits and the
+    /// hand start over.
+    pub fn iter_slots(&self) -> impl Iterator<Item = (&K, &V)> {
         self.queue().map(|idx| {
             let slot = &self.slots[idx];
-            (&slot.key, &slot.value, slot.visited)
+            (&slot.key, &slot.value)
         })
-    }
-
-    /// Appends an entry at the newest end, preserving an explicit visited
-    /// bit — the restore-side counterpart of [`Self::iter_slots`]. Returns
-    /// `false` (and stores nothing) when the key is already present or the
-    /// cache is at capacity; restores into a smaller cache should fall back
-    /// to [`Self::insert`].
-    pub fn restore_slot(&mut self, key: K, value: V, visited: bool) -> bool {
-        if self.map.contains_key(&key) {
-            return false;
-        }
-        if self.capacity != 0 && self.slots.len() >= self.capacity {
-            return false;
-        }
-        self.push(key, value, visited);
-        true
-    }
-
-    /// Moves the hand to a queue position (taken modulo the entry count);
-    /// pairs with [`Self::restore_slot`] when rebuilding a cache from a
-    /// snapshot.
-    pub fn set_hand(&mut self, hand: usize) {
-        self.hand = match self.slots.len() {
-            0 => 0,
-            len => self.queue().nth(hand % len).unwrap_or(0),
-        };
     }
 
     /// Looks up `key`, marking the entry visited. Accepts any borrowed form
@@ -146,15 +107,6 @@ impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
         Some(&mut slot.value)
     }
 
-    /// Whether `key` is stored (does not touch the visited bit).
-    pub fn contains<Q>(&self, key: &Q) -> bool
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.map.contains_key(key)
-    }
-
     /// Inserts or replaces `key`'s entry, evicting the SIEVE victim when the
     /// cache is full. Replacing marks the entry visited; a new entry joins
     /// the newest end unvisited. Returns `true` when an unrelated entry was
@@ -167,7 +119,7 @@ impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
             return false;
         }
         if self.capacity == 0 || self.slots.len() < self.capacity {
-            self.push(key, value, false);
+            self.push(key, value);
             return false;
         }
         // Clear visited bits until an unvisited victim turns up. Terminates
@@ -208,14 +160,14 @@ impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
         }
     }
 
-    /// Stores a new entry in a new slot at the newest end.
-    fn push(&mut self, key: K, value: V, visited: bool) {
+    /// Stores a new, unvisited entry in a new slot at the newest end.
+    fn push(&mut self, key: K, value: V) {
         let idx = self.slots.len();
         self.map.insert(key.clone(), idx);
         self.slots.push(Slot {
             key,
             value,
-            visited,
+            visited: false,
             older: NIL,
             newer: NIL,
         });
@@ -248,6 +200,13 @@ impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
+        /// Whether `key` is stored (does not touch the visited bit).
+        fn contains(&self, key: &K) -> bool {
+            self.map.contains_key(key)
+        }
+    }
 
     #[test]
     fn unbounded_cache_never_evicts() {
@@ -303,47 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn slot_snapshot_reproduces_eviction_schedule() {
-        // Build a cache with a mixed visited pattern and a moved hand…
-        let mut original = SieveCache::new(3);
-        original.insert("a", 1);
-        original.insert("b", 2);
-        original.insert("c", 3);
-        original.insert("d", 4); // evicts "a", hand moves
-        original.get(&"b");
-
-        // …replay its slots and hand into a fresh cache…
-        let mut restored = SieveCache::new(3);
-        let slots: Vec<(&str, i32, bool)> =
-            original.iter_slots().map(|(k, v, r)| (*k, *v, r)).collect();
-        for (k, v, r) in slots {
-            assert!(restored.restore_slot(k, v, r));
-        }
-        restored.set_hand(original.hand());
-
-        // …and check both caches pick the same victim next.
-        original.insert("x", 9);
-        restored.insert("x", 9);
-        fn keys(c: &SieveCache<&'static str, i32>) -> Vec<&'static str> {
-            let mut k: Vec<&'static str> = c.iter_slots().map(|(k, _, _)| *k).collect();
-            k.sort_unstable();
-            k
-        }
-        assert_eq!(keys(&original), keys(&restored));
-    }
-
-    #[test]
-    fn restore_slot_refuses_duplicates_and_overflow() {
-        let mut c = SieveCache::new(2);
-        assert!(c.restore_slot(1, "a", true));
-        assert!(!c.restore_slot(1, "b", false), "duplicate key");
-        assert!(c.restore_slot(2, "b", false));
-        assert!(!c.restore_slot(3, "c", true), "beyond capacity");
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.get(&1), Some(&"a"));
-    }
-
-    #[test]
     fn get_mut_updates_in_place() {
         let mut c = SieveCache::new(2);
         c.insert(1, vec![1.0]);
@@ -374,20 +292,12 @@ mod tests {
         assert_eq!(c.evictions(), 62);
     }
 
-    /// Inserts `key` and names the entry it evicted, if any.
-    fn insert_naming_victim(c: &mut SieveCache<u64, u64>, key: u64, value: u64) -> Option<u64> {
-        let before: Vec<u64> = c.iter_slots().map(|(k, _, _)| *k).collect();
-        c.insert(key, value)
-            .then(|| before.into_iter().find(|k| !c.contains(k)).unwrap())
-    }
-
-    /// A seeded stream of reads and inserts, snapshotted through
-    /// `iter_slots` / `hand` every 1,000 operations: the snapshot lists the
-    /// entries oldest to newest, and every cache rebuilt from one evicts the
-    /// same victims, in the same order, as the original over the rest of
-    /// the stream.
+    /// A seeded stream of reads and inserts, listed through `iter_slots`
+    /// every 1,000 operations: the listing runs oldest to newest, and
+    /// inserting it in that order into an empty cache of the same capacity
+    /// lists the same entries, with the same values, in the same order.
     #[test]
-    fn a_restored_cache_evicts_the_exporters_victim_sequence() {
+    fn reinserting_the_listed_slots_rebuilds_values_and_queue_order() {
         let mut state = 0x5eed_u64;
         let mut next = move || {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -397,9 +307,7 @@ mod tests {
             z ^ (z >> 31)
         };
         let mut original = SieveCache::new(16);
-        let mut restored: Vec<SieveCache<u64, u64>> = Vec::new();
         let mut born = HashMap::new();
-        let mut victims = 0;
         for op in 0..10_000u64 {
             let key = if next() % 3 == 0 {
                 next() % 6
@@ -407,46 +315,27 @@ mod tests {
                 next() % 64
             };
             if next() % 2 == 0 {
-                let hit = original.get(&key).copied();
-                for copy in &mut restored {
-                    assert_eq!(copy.get(&key).copied(), hit, "op {op}");
-                }
+                original.get(&key);
             } else {
                 born.entry(key).or_insert(op);
-                let victim = insert_naming_victim(&mut original, key, op);
-                if let Some(gone) = victim {
-                    born.remove(&gone);
-                    victims += 1;
-                }
-                for copy in &mut restored {
-                    assert_eq!(insert_naming_victim(copy, key, op), victim, "op {op}");
-                }
+                original.insert(key, op);
+                born.retain(|k, _| original.contains(k));
             }
             if op % 1_000 == 999 {
-                let listed: Vec<u64> = original.iter_slots().map(|(k, _, _)| born[k]).collect();
+                let listed: Vec<(u64, u64)> =
+                    original.iter_slots().map(|(&k, &v)| (k, v)).collect();
                 assert!(
-                    listed.windows(2).all(|w| w[0] < w[1]),
+                    listed.windows(2).all(|w| born[&w[0].0] < born[&w[1].0]),
                     "slots listed oldest to newest at op {op}: {listed:?}"
                 );
                 let mut copy = SieveCache::new(16);
-                for (&k, &v, visited) in original.iter_slots() {
-                    assert!(copy.restore_slot(k, v, visited));
+                for &(k, v) in &listed {
+                    assert!(!copy.insert(k, v), "nothing evicted at op {op}");
                 }
-                copy.set_hand(original.hand());
-                restored.push(copy);
+                let relisted: Vec<(u64, u64)> = copy.iter_slots().map(|(&k, &v)| (k, v)).collect();
+                assert_eq!(relisted, listed, "op {op}");
             }
         }
-        assert!(victims > 1_000, "the stream evicts: {victims}");
-        let slots = |c: &SieveCache<u64, u64>| {
-            (
-                c.hand(),
-                c.iter_slots()
-                    .map(|(&k, &v, b)| (k, v, b))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        for copy in &restored {
-            assert_eq!(slots(copy), slots(&original));
-        }
+        assert!(original.evictions() > 1_000, "the stream evicts");
     }
 }

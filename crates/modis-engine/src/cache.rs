@@ -206,27 +206,15 @@ pub struct SharedEvalCache {
     surrogates: Mutex<SieveCache<Arc<[u64]>, Arc<FittedSurrogate>>>,
 }
 
-/// One evaluation of a shard snapshot, in queue order (oldest first).
+/// One exported evaluation: what a snapshot holds per cached state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExportedEvaluation {
     /// Hashed cache namespace the evaluation belongs to.
     pub namespace: u64,
     /// The valuated state.
     pub bitmap: StateBitmap,
-    /// The entry's visited bit at export time.
-    pub visited: bool,
     /// The recorded oracle evaluation.
     pub evaluation: SharedEvaluation,
-}
-
-/// One shard's contents: entries in queue order plus the hand's position
-/// in it, which together determine future eviction behaviour.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardExport {
-    /// The hand's queue position at export time (0 = the oldest entry).
-    pub hand: usize,
-    /// Entries in queue order, oldest first.
-    pub entries: Vec<ExportedEvaluation>,
 }
 
 impl SharedEvalCache {
@@ -264,46 +252,37 @@ impl SharedEvalCache {
         self.per_shard_capacity
     }
 
-    /// Exports every shard's contents — entries in queue order with their
-    /// visited bits, plus the hand position — for persistence.
-    /// Shards are locked one at a time, so the export is per-shard (not
-    /// globally) atomic; snapshot a quiescent cache for exact restores.
-    pub fn export_shards(&self) -> Vec<ShardExport> {
+    /// Exports every evaluation, shard by shard and oldest first within
+    /// a shard — for persistence. Shards are locked one at a time, so the
+    /// export is per-shard (not globally) atomic.
+    pub fn export_all(&self) -> Vec<ExportedEvaluation> {
         self.export(None)
     }
 
     /// Exports only the entries belonging to the given hashed namespace
-    /// keys ([`Self::namespace_key`]) — the portable unit a cluster ships
-    /// between shard processes when namespace ownership moves. Slot order
-    /// within each shard is preserved; the hand is reported as 0 because a
-    /// filtered export is for *merging* into a live cache
-    /// ([`Self::merge_exports`]), not for geometry-exact restores.
-    pub fn export_namespaces(&self, keys: &[u64]) -> Vec<ShardExport> {
+    /// keys ([`Self::namespace_key`]), in the same order — the portable
+    /// unit a cluster ships between shard processes when namespace
+    /// ownership moves.
+    pub fn export_namespaces(&self, keys: &[u64]) -> Vec<ExportedEvaluation> {
         self.export(Some(keys))
     }
 
-    /// The one export body: every slot with the hand, or only the slots of
-    /// `keys` with hand 0.
-    fn export(&self, keys: Option<&[u64]>) -> Vec<ShardExport> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let map = shard.map.lock().unwrap_or_else(PoisonError::into_inner);
-                ShardExport {
-                    hand: if keys.is_some() { 0 } else { map.hand() },
-                    entries: map
-                        .iter_slots()
-                        .filter(|(key, _, _)| keys.is_none_or(|keys| keys.contains(&key.0)))
-                        .map(|(key, value, visited)| ExportedEvaluation {
-                            namespace: key.0,
-                            bitmap: key.1.clone(),
-                            visited,
-                            evaluation: value.clone(),
-                        })
-                        .collect(),
-                }
-            })
-            .collect()
+    /// The one export body: every entry, or only the entries of `keys`.
+    fn export(&self, keys: Option<&[u64]>) -> Vec<ExportedEvaluation> {
+        let mut entries = Vec::new();
+        for shard in &self.shards {
+            let map = shard.map.lock().unwrap_or_else(PoisonError::into_inner);
+            entries.extend(
+                map.iter_slots()
+                    .filter(|(key, _)| keys.is_none_or(|keys| keys.contains(&key.0)))
+                    .map(|(key, value)| ExportedEvaluation {
+                        namespace: key.0,
+                        bitmap: key.1.clone(),
+                        evaluation: value.clone(),
+                    }),
+            );
+        }
+        entries
     }
 
     /// A stable content digest over the entries of the given hashed
@@ -320,7 +299,7 @@ impl SharedEvalCache {
         let mut count = 0u64;
         for shard in &self.shards {
             let map = shard.map.lock().unwrap_or_else(PoisonError::into_inner);
-            for (key, _, _) in map.iter_slots() {
+            for (key, _) in map.iter_slots() {
                 if keys.contains(&key.0) {
                     let mut h = fnv1a(FNV_OFFSET_BASIS, &key.0.to_le_bytes());
                     for &word in key.1.words() {
@@ -336,55 +315,19 @@ impl SharedEvalCache {
     }
 
     /// Merges exported entries into the cache through the normal hashed
-    /// insertion path, returning how many were processed. Unlike
-    /// [`Self::import_shards`] this never replays slot geometry or moves
-    /// the hand, so it is safe on a cache that is already serving
-    /// traffic — the shape a shard is in when a rebalanced namespace's
-    /// snapshot arrives.
-    pub fn merge_exports(&self, shards: Vec<ShardExport>) -> usize {
-        let mut merged = 0;
-        for export in shards {
-            for entry in export.entries {
-                self.record(entry.namespace, &entry.bitmap, &entry.evaluation);
-                merged += 1;
-            }
+    /// insertion path, returning how many were processed — the one way a
+    /// snapshot enters a cache, live or fresh. (An entry may overwrite a
+    /// duplicate key, and a bounded shard evicts to make room, so the
+    /// resident count afterwards — see [`CacheStats::entries`] — can be
+    /// lower.) Merging a whole export into an empty cache with the same
+    /// shard count and capacity rebuilds every value and each shard's
+    /// queue order; visited bits and the hand start over.
+    pub fn merge_exports(&self, entries: Vec<ExportedEvaluation>) -> usize {
+        let merged = entries.len();
+        for entry in entries {
+            self.record(entry.namespace, &entry.bitmap, &entry.evaluation);
         }
         merged
-    }
-
-    /// Imports a snapshot produced by [`Self::export_shards`], returning the
-    /// number of snapshot entries *processed*. (An entry may overwrite a
-    /// duplicate key, and restoring more entries than a bounded shard holds
-    /// evicts earlier ones, so the resident count afterwards — see
-    /// [`CacheStats::entries`] — can be lower than the return value.)
-    ///
-    /// When the snapshot's shard count matches this cache's (and each shard
-    /// fits its capacity), slots are replayed in queue order with their
-    /// visited bits and the hand is repositioned — the restored cache then
-    /// evicts exactly as the exporter would have. Otherwise entries are
-    /// re-inserted through the normal hashed-shard path: values survive
-    /// byte-for-byte, queue order and visited bits are rebuilt.
-    pub fn import_shards(&self, shards: Vec<ShardExport>) -> usize {
-        if shards.len() != self.shards.len() {
-            return self.merge_exports(shards);
-        }
-        let mut imported = 0;
-        for (shard, export) in self.shards.iter().zip(shards) {
-            let mut map = shard.map.lock().unwrap_or_else(PoisonError::into_inner);
-            for entry in export.entries {
-                let key = (entry.namespace, entry.bitmap);
-                if map.contains(&key as &dyn KeyPair)
-                    || (map.capacity() != 0 && map.len() >= map.capacity())
-                {
-                    map.insert(key, entry.evaluation);
-                } else {
-                    map.restore_slot(key, entry.evaluation, entry.visited);
-                }
-                imported += 1;
-            }
-            map.set_hand(export.hand);
-        }
-        imported
     }
 
     /// A handle scoped to `namespace`, usable as an
@@ -426,10 +369,10 @@ impl SharedEvalCache {
         fnv1a(FNV_OFFSET_BASIS, namespace.as_bytes())
     }
 
-    /// Picks the shard for a key. Shard placement is baked into snapshots
-    /// (each shard exports its own slots), so the mapping must be stable
-    /// across processes and toolchains — FNV-1a over the key's bytes, not
-    /// std's unspecified `DefaultHasher`.
+    /// Picks the shard for a key: FNV-1a over the key's bytes, masked to
+    /// the shard count. A snapshot records no shard placement (a restore
+    /// rehashes every entry); what it does record, [`Self::namespace_key`],
+    /// is what must stay stable across processes and toolchains.
     fn shard_for(&self, namespace: u64, bitmap: &StateBitmap) -> &Shard {
         let mut h = fnv1a(FNV_OFFSET_BASIS, &namespace.to_le_bytes());
         for &word in bitmap.words() {
@@ -613,7 +556,7 @@ mod tests {
     }
 
     #[test]
-    fn export_import_round_trips_values_order_and_hand() {
+    fn export_merge_round_trips_values_and_order() {
         let source = Arc::new(SharedEvalCache::with_capacity(4, 256));
         let h = source.handle("roundtrip");
         for i in 0..24 {
@@ -621,12 +564,12 @@ mod tests {
             b.set(i, true);
             h.record(&b, &eval(i as f64));
         }
-        let export = source.export_shards();
+        let export = source.export_all();
 
-        // Same geometry ⇒ exact restore (queue order, visited bits, hand).
+        // Same shard count ⇒ the same entries in the same order.
         let target = Arc::new(SharedEvalCache::with_capacity(4, 256));
-        assert_eq!(target.import_shards(export.clone()), 24);
-        assert_eq!(target.export_shards(), export);
+        assert_eq!(target.merge_exports(export.clone()), 24);
+        assert_eq!(target.export_all(), export);
         let th = target.handle("roundtrip");
         for i in 0..24 {
             let mut b = StateBitmap::empty(32);
@@ -634,9 +577,9 @@ mod tests {
             assert_eq!(th.lookup(&b), Some(eval(i as f64)), "entry {i}");
         }
 
-        // Different geometry ⇒ values still all present, rehashed.
+        // Different shard count ⇒ values still all present, rehashed.
         let reshaped = Arc::new(SharedEvalCache::with_capacity(2, 256));
-        assert_eq!(reshaped.import_shards(export), 24);
+        assert_eq!(reshaped.merge_exports(export), 24);
         assert_eq!(reshaped.stats().entries, 24);
         let rh = reshaped.handle("roundtrip");
         let mut b = StateBitmap::empty(32);
@@ -660,12 +603,12 @@ mod tests {
             SharedEvalCache::namespace_key("keep-b"),
         ];
         let export = source.export_namespaces(&keys);
-        let exported: usize = export.iter().map(|s| s.entries.len()).sum();
-        assert_eq!(exported, 12, "only the selected namespaces are exported");
-        assert!(export
-            .iter()
-            .flat_map(|s| &s.entries)
-            .all(|e| keys.contains(&e.namespace)));
+        assert_eq!(
+            export.len(),
+            12,
+            "only the selected namespaces are exported"
+        );
+        assert!(export.iter().all(|e| keys.contains(&e.namespace)));
 
         // Merge into a cache that already serves other namespaces: the
         // resident state survives, the shipped entries answer afterwards.
@@ -727,8 +670,9 @@ mod tests {
             h.record(&b, &eval(i as f64));
         }
         let small = Arc::new(SharedEvalCache::with_capacity(1, 4));
-        small.import_shards(source.export_shards());
-        assert!(small.stats().entries <= 4);
+        assert_eq!(small.merge_exports(source.export_all()), 10);
+        let stats = small.stats();
+        assert_eq!((stats.entries, stats.evictions), (4, 6));
     }
 
     /// 12 records × 6 features → 2 outputs: the shape of a warm-up fit.

@@ -212,15 +212,16 @@ impl Service {
     }
 
     /// Creates a service whose shared cache is warm-started from a snapshot
-    /// file written by [`Service::snapshot_to`]. The snapshot's namespace
-    /// guard is seeded into the engine as well, so a substrate that is
-    /// incompatible with what originally filled a namespace (e.g. refreshed
-    /// data under the old name) is rejected at registration instead of
-    /// silently being served the stale evaluations.
+    /// file written by [`Service::snapshot_to`]: [`Service::new`] followed
+    /// by [`Service::restore_from`], so a warm start passes the guard check
+    /// `RESTORE` and `SHIP` do. The snapshot's namespace guard is seeded
+    /// into the engine as well, so a substrate that is incompatible with
+    /// what originally filled a namespace (e.g. refreshed data under the old
+    /// name) is rejected at registration instead of silently being served
+    /// the stale evaluations.
     pub fn from_snapshot(config: ServiceConfig, path: &Path) -> Result<Self, ServiceError> {
         let service = Service::new(config);
-        let (_, guard) = snapshot::load_from_path(service.engine.cache(), path)?;
-        service.engine.seed_namespace_fingerprints(&guard);
+        service.restore_from(path)?;
         Ok(service)
     }
 
@@ -473,8 +474,8 @@ impl Service {
 
     /// Persists the shared evaluation cache and the engine's namespace
     /// guard to `path`, returning the snapshot size in bytes. Take
-    /// snapshots between `run_pending` waves for an exact
-    /// (eviction-order-preserving) capture.
+    /// snapshots between `run_pending` waves for a capture no run is
+    /// writing into.
     pub fn snapshot_to(&self, path: &Path) -> Result<usize, ServiceError> {
         let _span = self.engine.tracer().span("snapshot");
         Ok(snapshot::save_to_path(
@@ -484,8 +485,8 @@ impl Service {
         )?)
     }
 
-    /// Encodes the given cache namespaces (their slots, every hand 0, plus
-    /// their guard pairs) as an in-memory namespace snapshot — the same
+    /// Encodes the given cache namespaces (their evaluations plus their
+    /// guard pairs) as an in-memory namespace snapshot — the same
     /// format as [`Service::snapshot_to`], and the portable unit the
     /// cluster layer moves between shard processes when namespace
     /// ownership rebalances: what `EXPORT` returns and `SHIP` carries
@@ -501,7 +502,7 @@ impl Service {
             .into_iter()
             .filter(|(key, _)| keys.contains(key))
             .collect();
-        snapshot::encode_shards(&self.engine.cache().export_namespaces(&keys), &guards)
+        snapshot::encode_entries(&self.engine.cache().export_namespaces(&keys), &guards)
     }
 
     /// The stable content digest of the given cache namespaces
@@ -518,12 +519,12 @@ impl Service {
     }
 
     /// Merges a full or namespace snapshot from `path` into the live cache
-    /// (hashed insertion — no slot-geometry replay, safe while serving),
-    /// returning the number of evaluations merged.
+    /// (hashed insertion, safe while serving), returning the number of
+    /// evaluations merged.
     ///
     /// Guard pairs carried by the file are validated against this engine's
-    /// namespace guard *before* anything is merged: every namespace with a
-    /// slot in the file must carry a pair (a slot no fingerprint covers
+    /// namespace guard *before* anything is merged: every namespace with an
+    /// entry in the file must carry a pair (an entry no fingerprint covers
     /// would later be served to any substrate registered under that name),
     /// and a pair whose fingerprint disagrees with what this process has
     /// recorded for the same namespace describes a different search space.
@@ -540,8 +541,11 @@ impl Service {
         let _span = self.engine.tracer().span("restore");
         let decoded = snapshot::decode_snapshot(bytes)?;
         let guarded: HashSet<u64> = decoded.namespace_fingerprints.iter().map(|g| g.0).collect();
-        let mut slots = decoded.shards.iter().flat_map(|shard| &shard.entries);
-        if !slots.all(|entry| guarded.contains(&entry.namespace)) {
+        if !decoded
+            .entries
+            .iter()
+            .all(|e| guarded.contains(&e.namespace))
+        {
             let unguarded = CodecError::Invalid("a namespace with slots carries no guard pair");
             return Err(snapshot::SnapshotError::Corrupt(unguarded).into());
         }
@@ -555,7 +559,7 @@ impl Service {
                 }
             }
         }
-        let merged = self.engine.cache().merge_exports(decoded.shards);
+        let merged = self.engine.cache().merge_exports(decoded.entries);
         self.engine
             .seed_namespace_fingerprints(&decoded.namespace_fingerprints);
         Ok(merged)

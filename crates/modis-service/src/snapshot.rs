@@ -7,19 +7,14 @@
 //!
 //! ```text
 //! magic    8 × u8   b"MODISNAP"
-//! version  u32      2
-//! shards   u32      shard count at export time
-//! entries  u64      total evaluations
-//! per shard:
-//!   hand   u64      the hand's queue position
-//!   count  u64      slots in this shard
-//!   per slot (queue order, oldest first):
-//!     namespace  u64        hashed cache namespace
-//!     bits       u64        bitmap length
-//!     words      n × u64    packed bitmap words
-//!     visited    u8         visited bit
-//!     raw        u64 + n × f64  raw metric vector
-//!     perf       u64 + n × f64  normalised performance vector
+//! version  u32      3
+//! entries  u64      evaluation count
+//! per entry (shard by shard, oldest first within a shard):
+//!   namespace  u64        hashed cache namespace
+//!   bits       u64        bitmap length
+//!   words      n × u64    packed bitmap words
+//!   raw        u64 + n × f64  raw metric vector
+//!   perf       u64 + n × f64  normalised performance vector
 //! guards   u64      namespace-guard pair count
 //! per pair:
 //!   key          u64   hashed cache namespace
@@ -27,27 +22,29 @@
 //! checksum u64      FNV-1a over every preceding byte
 //! ```
 //!
-//! Slots are written in SIEVE queue order, oldest first, with their visited
-//! bits and the hand position, so a restore into a cache of the same
-//! geometry reproduces not just the values but the *eviction schedule*; a
-//! restore into a different geometry rehashes the entries, keeps the values.
-//! The guard section carries the engine's namespace → fingerprint map, so
-//! the "no incompatible substrate may reuse a warm namespace" protection
-//! survives the restart along with the evaluations it protects — without
-//! it, a restarted service would accept refreshed data into a stale
-//! namespace and serve the old evaluations. Every decode validates magic,
-//! version and checksum before touching the payload, and every length
-//! field is bounds-checked against the remaining input, so truncated or
-//! corrupted snapshots are rejected cleanly instead of poisoning the
-//! cache.
+//! A snapshot is what MODis needs to reuse a recorded test instead of
+//! training it again: each state's raw metrics and performance vector,
+//! nothing of the cache's eviction state. Every restore merges the entries
+//! through the cache's hashed insertion path
+//! ([`SharedEvalCache::merge_exports`]); into an empty cache with the same
+//! shard count and capacity that rebuilds every value and each shard's
+//! queue order, and visited bits and the hand start over. The guard section
+//! carries the engine's namespace → fingerprint map, so the "no
+//! incompatible substrate may reuse a warm namespace" protection survives
+//! the restart along with the evaluations it protects — without it, a
+//! restarted service would accept refreshed data into a stale namespace and
+//! serve the old evaluations. Every decode validates magic, version and
+//! checksum before touching the payload, and every length field is
+//! bounds-checked against the remaining input, so truncated or corrupted
+//! snapshots are rejected cleanly instead of poisoning the cache.
 //!
 //! This is the only cache-state format. A *namespace snapshot* — what
 //! `EXPORT` sends and `SHIP` receives ([`crate::Service::shipment_bytes`])
-//! — is the same layout holding only the named namespaces' slots, every
-//! hand 0, and only their guard pairs: it is merged into a live cache, never
-//! replayed slot for slot. Whatever merges a payload into a live service
-//! ([`crate::Service::restore_from_bytes`]) requires a guard pair for every
-//! namespace that has a slot in it.
+//! — is the same layout holding only the named namespaces' entries and
+//! only their guard pairs. Every way into a service — `RESTORE`, `SHIP` and
+//! the warm start — goes through [`crate::Service::restore_from_bytes`],
+//! which requires a guard pair for every namespace that has an entry in the
+//! payload.
 
 use std::fmt;
 use std::path::Path;
@@ -55,13 +52,13 @@ use std::path::Path;
 use modis_core::codec::{checksum, ByteReader, ByteWriter, CodecError};
 use modis_core::estimator::SharedEvaluation;
 use modis_data::StateBitmap;
-use modis_engine::{ExportedEvaluation, ShardExport, SharedEvalCache};
+use modis_engine::{ExportedEvaluation, SharedEvalCache};
 
 /// File magic every snapshot starts with.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MODISNAP";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Upper bound accepted for a single bitmap's bit length (a corrupted
 /// length field must not drive a huge allocation).
@@ -125,12 +122,12 @@ impl From<CodecError> for SnapshotError {
     }
 }
 
-/// A decoded snapshot: per-shard cache contents plus the persisted
+/// A decoded snapshot: the cached evaluations plus the persisted
 /// namespace-guard pairs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedSnapshot {
-    /// Cache contents in queue order, one entry per shard.
-    pub shards: Vec<ShardExport>,
+    /// The evaluations, in the order they were exported.
+    pub entries: Vec<ExportedEvaluation>,
     /// `(namespace key, substrate fingerprint)` pairs recorded by the
     /// exporting engine's namespace guard.
     pub namespace_fingerprints: Vec<(u64, u64)>,
@@ -140,39 +137,29 @@ pub struct DecodedSnapshot {
 /// guard into the versioned snapshot format (including the trailing
 /// checksum seal).
 pub fn encode_snapshot(cache: &SharedEvalCache, namespace_fingerprints: &[(u64, u64)]) -> Vec<u8> {
-    encode_shards(&cache.export_shards(), namespace_fingerprints)
+    encode_entries(&cache.export_all(), namespace_fingerprints)
 }
 
-/// Serialises pre-exported shard contents plus guard pairs into the
-/// snapshot format — the writer shared by full snapshots
-/// ([`encode_snapshot`]) and namespace snapshots (over
-/// [`SharedEvalCache::export_namespaces`]).
-pub(crate) fn encode_shards(
-    shards: &[ShardExport],
+/// Serialises exported evaluations plus guard pairs into the snapshot
+/// format — the writer shared by full snapshots ([`encode_snapshot`]) and
+/// namespace snapshots (over [`SharedEvalCache::export_namespaces`]).
+pub(crate) fn encode_entries(
+    entries: &[ExportedEvaluation],
     namespace_fingerprints: &[(u64, u64)],
 ) -> Vec<u8> {
-    let total: usize = shards.iter().map(|s| s.entries.len()).sum();
-    let mut w = ByteWriter::with_capacity(64 + total * 96);
+    let mut w = ByteWriter::with_capacity(64 + entries.len() * 96);
     w.put_bytes(SNAPSHOT_MAGIC);
     w.put_u32(SNAPSHOT_VERSION);
-    w.put_u32(shards.len() as u32);
-    w.put_u64(total as u64);
-    for shard in shards {
-        w.put_u64(shard.hand as u64);
-        w.put_u64(shard.entries.len() as u64);
-        for entry in &shard.entries {
-            w.put_u64(entry.namespace);
-            w.put_u64(entry.bitmap.len() as u64);
-            for &word in entry.bitmap.words() {
-                w.put_u64(word);
-            }
-            w.put_u8(entry.visited as u8);
-            w.put_u64(entry.evaluation.raw.len() as u64);
-            for &v in &entry.evaluation.raw {
-                w.put_f64(v);
-            }
-            w.put_u64(entry.evaluation.perf.len() as u64);
-            for &v in &entry.evaluation.perf {
+    w.put_u64(entries.len() as u64);
+    for entry in entries {
+        w.put_u64(entry.namespace);
+        w.put_u64(entry.bitmap.len() as u64);
+        for &word in entry.bitmap.words() {
+            w.put_u64(word);
+        }
+        for metrics in [&entry.evaluation.raw, &entry.evaluation.perf] {
+            w.put_u64(metrics.len() as u64);
+            for &v in metrics {
                 w.put_f64(v);
             }
         }
@@ -185,6 +172,13 @@ pub(crate) fn encode_shards(
     let seal = checksum(w.bytes());
     w.put_u64(seal);
     w.into_bytes()
+}
+
+/// Reads one metric vector: a length capped by what the bytes left can
+/// hold, then that many `f64`s.
+fn get_metrics(r: &mut ByteReader<'_>) -> Result<Vec<f64>, CodecError> {
+    let n = r.get_len(MAX_METRICS.min(r.remaining() / 8))?;
+    (0..n).map(|_| r.get_f64()).collect()
 }
 
 /// Decodes a snapshot produced by [`encode_snapshot`], validating magic,
@@ -209,65 +203,27 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
     if checksum(payload) != declared {
         return Err(SnapshotError::ChecksumMismatch);
     }
-    let shard_count = r.get_u32()? as usize;
-    if shard_count == 0 || shard_count > 1 << 16 {
-        return Err(SnapshotError::Corrupt(CodecError::Invalid(
-            "shard count out of range",
-        )));
-    }
-    let total = r.get_len(usize::MAX >> 1)?;
-    let mut shards = Vec::with_capacity(shard_count);
-    let mut seen = 0usize;
-    for _ in 0..shard_count {
-        let hand = r.get_len(usize::MAX >> 1)?;
-        let count = r.get_len(r.remaining() / 8)?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let namespace = r.get_u64()?;
-            // Each length is capped by what the bytes left can hold, so a
-            // sealed but lying header reserves nothing it cannot fill.
-            let bits = r.get_len(MAX_BITMAP_BITS.min(r.remaining().saturating_mul(8)))?;
-            let nwords = bits.div_ceil(64);
-            let mut words = Vec::with_capacity(nwords);
-            for _ in 0..nwords {
-                words.push(r.get_u64()?);
-            }
-            let bitmap = StateBitmap::from_words(words, bits).ok_or(SnapshotError::Corrupt(
-                CodecError::Invalid("bitmap padding bits set"),
-            ))?;
-            let visited = match r.get_u8()? {
-                0 => false,
-                1 => true,
-                _ => {
-                    return Err(SnapshotError::Corrupt(CodecError::Invalid(
-                        "visited bit out of range",
-                    )))
-                }
-            };
-            let nraw = r.get_len(MAX_METRICS.min(r.remaining() / 8))?;
-            let mut raw = Vec::with_capacity(nraw);
-            for _ in 0..nraw {
-                raw.push(r.get_f64()?);
-            }
-            let nperf = r.get_len(MAX_METRICS.min(r.remaining() / 8))?;
-            let mut perf = Vec::with_capacity(nperf);
-            for _ in 0..nperf {
-                perf.push(r.get_f64()?);
-            }
-            entries.push(ExportedEvaluation {
-                namespace,
-                bitmap,
-                visited,
-                evaluation: SharedEvaluation { raw, perf },
-            });
-            seen += 1;
-        }
-        shards.push(ShardExport { hand, entries });
-    }
-    if seen != total {
-        return Err(SnapshotError::Corrupt(CodecError::Invalid(
-            "entry count disagrees with header",
-        )));
+    // The smallest entry is four u64s (namespace, bits, two lengths).
+    let count = r.get_len(r.remaining() / 32)?;
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        let namespace = r.get_u64()?;
+        // Each length is capped by what the bytes left can hold, so a
+        // sealed but lying header reserves nothing it cannot fill.
+        let bits = r.get_len(MAX_BITMAP_BITS.min(r.remaining().saturating_mul(8)))?;
+        let words = (0..bits.div_ceil(64))
+            .map(|_| r.get_u64())
+            .collect::<Result<Vec<u64>, _>>()?;
+        let bitmap = StateBitmap::from_words(words, bits).ok_or(SnapshotError::Corrupt(
+            CodecError::Invalid("bitmap padding bits set"),
+        ))?;
+        let raw = get_metrics(&mut r)?;
+        let perf = get_metrics(&mut r)?;
+        entries.push(ExportedEvaluation {
+            namespace,
+            bitmap,
+            evaluation: SharedEvaluation { raw, perf },
+        });
     }
     let guard_count = r.get_len(r.remaining() / 16)?;
     let mut namespace_fingerprints = Vec::with_capacity(guard_count);
@@ -282,7 +238,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
         )));
     }
     Ok(DecodedSnapshot {
-        shards,
+        entries,
         namespace_fingerprints,
     })
 }
@@ -327,20 +283,6 @@ pub(crate) fn save_to_path(
     Ok(bytes.len())
 }
 
-/// Reads a snapshot file, restores its evaluations into `cache` and
-/// returns `(entries processed, guard pairs)` — callers seed the guard
-/// pairs into their engine so the namespace protection survives the
-/// restart.
-pub(crate) fn load_from_path(
-    cache: &SharedEvalCache,
-    path: &Path,
-) -> Result<(usize, Vec<(u64, u64)>), SnapshotError> {
-    let bytes = std::fs::read(path)?;
-    let decoded = decode_snapshot(&bytes)?;
-    let imported = cache.import_shards(decoded.shards);
-    Ok((imported, decoded.namespace_fingerprints))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,7 +316,7 @@ mod tests {
         let guards = vec![(7u64, 0xdead_beefu64), (9, 42)];
         let bytes = encode_snapshot(&cache, &guards);
         let decoded = decode_snapshot(&bytes).unwrap();
-        assert_eq!(decoded.shards, cache.export_shards());
+        assert_eq!(decoded.entries, cache.export_all());
         assert_eq!(decoded.namespace_fingerprints, guards);
         let plain = decode_snapshot(&encode_snapshot(&cache, &[])).unwrap();
         assert!(plain.namespace_fingerprints.is_empty());
@@ -385,11 +327,9 @@ mod tests {
         let cache = populated_cache();
         let bytes = encode_snapshot(&cache, &[]);
         let fresh = Arc::new(SharedEvalCache::with_capacity(4, 256));
-        assert_eq!(
-            fresh.import_shards(decode_snapshot(&bytes).unwrap().shards),
-            40
-        );
-        assert_eq!(fresh.export_shards(), cache.export_shards());
+        let entries = decode_snapshot(&bytes).unwrap().entries;
+        assert_eq!(fresh.merge_exports(entries), 40);
+        assert_eq!(fresh.export_all(), cache.export_all());
     }
 
     #[test]
@@ -443,19 +383,18 @@ mod tests {
 
     #[test]
     fn a_sealed_length_past_the_input_is_rejected_before_any_reservation() {
-        // One shard, one slot declaring a 2^28-bit bitmap, one word of it,
-        // then the correct seal: only the length bound can refuse it.
-        let mut w = ByteWriter::with_capacity(72);
+        // One entry declaring a 2^28-bit bitmap, one word of it, then the
+        // correct seal: only the length bound can refuse it.
+        let mut w = ByteWriter::with_capacity(52);
         w.put_bytes(SNAPSHOT_MAGIC);
         w.put_u32(SNAPSHOT_VERSION);
-        w.put_u32(1);
-        for word in [1, 0, 1, 0, 1 << 28, 0] {
+        for word in [1, 0, 1 << 28, 0] {
             w.put_u64(word);
         }
         let seal = checksum(w.bytes());
         w.put_u64(seal);
         let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 72);
+        assert_eq!(bytes.len(), 52);
         assert!(matches!(
             decode_snapshot(&bytes),
             Err(SnapshotError::Corrupt(CodecError::Invalid(
@@ -471,8 +410,8 @@ mod tests {
         let mut guards = vec![(keys[0], 1), (keys[1], 2)];
         guards.sort_unstable(); // the order namespace_fingerprints reports
         let exporter = crate::Service::new(crate::ServiceConfig::default());
-        let shards = populated_cache().export_shards();
-        exporter.engine().cache().import_shards(shards);
+        let entries = populated_cache().export_all();
+        exporter.engine().cache().merge_exports(entries);
         exporter.engine().seed_namespace_fingerprints(&guards);
         let shipment = exporter.shipment_bytes(&["alpha".to_string()]);
         (exporter, guards, shipment)
@@ -480,17 +419,15 @@ mod tests {
 
     #[test]
     fn shipment_round_trips_and_rejects_damage() {
-        // What EXPORT / SHIP carry: alpha's slots, alpha's pair, hand 0.
+        // What EXPORT / SHIP carry: alpha's entries and alpha's pair.
         let (exporter, _, shipment) = alpha_shipment();
         let alpha = SharedEvalCache::namespace_key("alpha");
         let decoded = decode_snapshot(&shipment).unwrap();
         let expected = exporter.engine().cache().export_namespaces(&[alpha]);
-        assert_eq!(decoded.shards, expected);
+        assert_eq!(decoded.entries, expected);
         assert_eq!(decoded.namespace_fingerprints, vec![(alpha, 1)]);
-        assert!(decoded.shards.iter().all(|s| s.hand == 0));
-        let slots: Vec<_> = decoded.shards.iter().flat_map(|s| &s.entries).collect();
-        assert_eq!(slots.len(), 20, "only alpha's 20 slots travel");
-        assert!(slots.iter().all(|e| e.namespace == alpha));
+        assert_eq!(decoded.entries.len(), 20, "only alpha's 20 entries travel");
+        assert!(decoded.entries.iter().all(|e| e.namespace == alpha));
         for pos in (0..shipment.len()).step_by(89) {
             let mut corrupted = shipment.clone();
             corrupted[pos] ^= 0x20;
@@ -542,17 +479,18 @@ mod tests {
         let cache = populated_cache();
         let path =
             std::env::temp_dir().join(format!("modis_snapshot_test_{}.bin", std::process::id()));
-        let guards = vec![(1u64, 2u64)];
+        let mut guards = ["alpha", "beta"].map(|ns| (SharedEvalCache::namespace_key(ns), 2));
+        guards.sort_unstable();
         let bytes = save_to_path(&cache, &guards, &path).unwrap();
-        assert!(bytes > 0);
-        let fresh = Arc::new(SharedEvalCache::with_capacity(4, 256));
-        let (imported, restored_guards) = load_from_path(&fresh, &path).unwrap();
-        assert_eq!(imported, 40);
-        assert_eq!(restored_guards, guards);
+        assert_eq!(bytes, std::fs::metadata(&path).unwrap().len() as usize);
+        let config = crate::ServiceConfig::default();
+        let revived = crate::Service::from_snapshot(config.clone(), &path).unwrap();
+        assert_eq!(revived.cache_stats().entries, 40);
+        assert_eq!(revived.engine().namespace_fingerprints(), guards);
         std::fs::remove_file(&path).unwrap();
         assert!(matches!(
-            load_from_path(&fresh, &path),
-            Err(SnapshotError::Io(_))
+            crate::Service::from_snapshot(config, &path).err(),
+            Some(crate::ServiceError::Snapshot(SnapshotError::Io(_)))
         ));
     }
 }
