@@ -26,6 +26,13 @@ pub(crate) const WRITE_HIGH_WATERMARK: usize = 1 << 20;
 /// Most bytes read from one connection per sweep: what the reactor and the
 /// router apply to every socket they serve.
 pub(crate) const MAX_READ_PER_SWEEP: usize = 1 << 16;
+/// Most unanswered requests one connection may have in flight: while a
+/// connection's pipeline is this deep — e.g. requests piling up behind a
+/// pending `WAIT`, or behind a shard that stopped reading — its owner stops
+/// reading it, so per-connection memory stays bounded by `MAX_PIPELINED ×
+/// MAX_LINE_LEN` however slow the head response is. What the reactor
+/// applies to its connections and the router to its clients.
+pub const MAX_PIPELINED: usize = 1024;
 
 /// What one [`Conn::read`] took off the socket.
 pub(crate) struct ReadOutcome {

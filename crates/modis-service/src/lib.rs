@@ -106,6 +106,7 @@ mod service;
 pub mod snapshot;
 
 pub use cluster::{ClusterSpec, ReplicaMove, ShardMap};
+pub use conn::MAX_PIPELINED;
 pub use error::ServiceError;
 pub use net::{handle_command, result_line, Daemon, Reply};
 pub use reactor::ReactorConfig;

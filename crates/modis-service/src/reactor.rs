@@ -68,7 +68,9 @@ use std::time::Instant;
 
 use modis_core::telemetry::{Counter, Gauge, Histogram};
 
-use crate::conn::{accept_ready, Entry, Slab, MAX_READ_PER_SWEEP, WRITE_HIGH_WATERMARK};
+use crate::conn::{
+    accept_ready, Entry, Slab, MAX_PIPELINED, MAX_READ_PER_SWEEP, WRITE_HIGH_WATERMARK,
+};
 use crate::net::{done_line, execute, OffloadFn, Request};
 use crate::poller::{self, Interest, Poller};
 use crate::protocol::{self, Frame, Framer, Kind, Parsed};
@@ -81,17 +83,6 @@ const TOKEN_LISTENER: usize = 1;
 /// Poller tokens at and above this are connection slots (`token -
 /// TOKEN_BASE` indexes the slab).
 const TOKEN_BASE: usize = 2;
-
-/// Maximum unresolved pipeline slots per connection. While a connection's
-/// queue is at this depth — e.g. requests piling up behind a pending
-/// `WAIT` — the reactor stops reading from it, so per-connection memory
-/// stays bounded by `MAX_PIPELINED × MAX_LINE_LEN` even when the head
-/// response is slow. Beside it, a connection whose write buffer sits above
-/// `WRITE_HIGH_WATERMARK` is not read either (natural pipelining
-/// backpressure: a client that never drains responses cannot buffer
-/// unbounded requests), and one sweep reads at most `MAX_READ_PER_SWEEP`
-/// bytes from one connection, so a firehose client cannot monopolise it.
-const MAX_PIPELINED: usize = 1024;
 
 /// Tuning knobs of the reactor loop. The default suits tests, examples and
 /// the benchmark; it does not change protocol semantics.

@@ -96,7 +96,9 @@ use modis_core::telemetry::{Counter, MetricsRegistry, TraceContext, Tracer};
 use modis_engine::SharedEvalCache;
 
 use crate::cluster::{validate_token, ClusterSpec, ShardMap};
-use crate::conn::{accept_ready, Conn, Entry, Slab, MAX_READ_PER_SWEEP, WRITE_HIGH_WATERMARK};
+use crate::conn::{
+    accept_ready, Conn, Entry, Slab, MAX_PIPELINED, MAX_READ_PER_SWEEP, WRITE_HIGH_WATERMARK,
+};
 use crate::error::ServiceError;
 use crate::poller::{self, Interest, Poller};
 use crate::protocol::{self, Frame, Framer, Parsed, Verb};
@@ -124,9 +126,6 @@ const MAX_TICKETS: usize = 1 << 16;
 /// change protocol semantics.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Maximum unresolved expectations per client connection; beyond it
-    /// the router stops reading that client (pipelining backpressure).
-    pub max_pipelined: usize,
     /// Replication factor K: every namespace is owned by the K
     /// highest-ranked shards of its rendezvous order (clamped to the
     /// cluster size). `1` disables replication entirely — no pushes, no
@@ -150,7 +149,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            max_pipelined: 1024,
             replication: 1,
             heartbeat_interval: Duration::from_millis(150),
             heartbeat_timeout: Duration::from_millis(250),
@@ -337,7 +335,7 @@ struct TicketEntry {
     trace: u64,
 }
 
-/// Cluster-wide ticket table: router ids ↔ per-shard local ids, retained
+/// Cluster-wide ticket table: router id → per-shard local id, retained
 /// FIFO up to `MAX_TICKETS` (the shard daemons bound their
 /// own completed-job retention, so an unbounded router-side table would
 /// mostly map ids the shards have already forgotten — and grow with every
@@ -346,7 +344,6 @@ struct TicketEntry {
 struct TicketTable {
     next: u64,
     forward: HashMap<u64, TicketEntry>,
-    reverse: HashMap<(String, u64), u64>,
     /// Allocation order, for FIFO eviction.
     order: VecDeque<u64>,
 }
@@ -373,14 +370,11 @@ impl TicketTable {
                 trace,
             },
         );
-        self.reverse.insert((shard.to_string(), local), global);
         self.order.push_back(global);
         if retention > 0 {
             while self.order.len() > retention {
                 if let Some(oldest) = self.order.pop_front() {
-                    if let Some(entry) = self.forward.remove(&oldest) {
-                        self.reverse.remove(&(entry.shard, entry.local));
-                    }
+                    self.forward.remove(&oldest);
                 }
             }
         }
@@ -393,11 +387,9 @@ impl TicketTable {
         let Some(entry) = self.forward.get_mut(&global) else {
             return false;
         };
-        self.reverse.remove(&(entry.shard.clone(), entry.local));
         entry.shard = shard.to_string();
         entry.local = local;
         entry.degraded = true;
-        self.reverse.insert((shard.to_string(), local), global);
         true
     }
 
@@ -410,15 +402,10 @@ impl TicketTable {
         self.forward.get(&global).is_some_and(|e| e.degraded)
     }
 
-    fn global_for(&self, shard: &str, local: u64) -> Option<u64> {
-        self.reverse.get(&(shard.to_string(), local)).copied()
-    }
-
     /// Drops every mapping of `shard` — its process died (or was
     /// replaced), so its local ids no longer name anything.
     fn purge_shard(&mut self, shard: &str) {
         self.forward.retain(|_, e| e.shard != shard);
-        self.reverse.retain(|(s, _), _| s != shard);
         let forward = &self.forward;
         self.order.retain(|g| forward.contains_key(g));
     }
@@ -1435,11 +1422,12 @@ const STAT_KEYS: [&str; 8] = [
     "dominance_pruned",
 ];
 
-/// One pending `WAIT` slice on one shard: the cluster ids still owed.
+/// One pending `WAIT` slice on one shard: the `(cluster id, shard-local
+/// id)` pairs still owed.
 struct WaitPart {
     shard: String,
     epoch: u64,
-    globals: Vec<u64>,
+    owed: Vec<(u64, u64)>,
 }
 
 /// A fan-in verb: one the router sends to every shard and answers with
@@ -1585,13 +1573,13 @@ struct FrontClient {
 impl FrontClient {
     /// Whether the front thread reads this client right now: not after
     /// end of input, and not under backpressure — a client that does not
-    /// drain its responses, or whose pipeline is `max_pipelined` deep,
+    /// drain its responses, or whose pipeline is [`MAX_PIPELINED`] deep,
     /// or whose next request is [held](FrontClient::held), buffers no
     /// further requests.
-    fn wants_read(&self, conn: &Conn, max_pipelined: usize) -> bool {
+    fn wants_read(&self, conn: &Conn) -> bool {
         !(self.eof || self.quit)
             && self.held.is_none()
-            && self.expects.len() < max_pipelined
+            && self.expects.len() < MAX_PIPELINED
             && conn.pending_write() <= WRITE_HIGH_WATERMARK
     }
 }
@@ -1715,10 +1703,8 @@ impl Front {
         else {
             return;
         };
-        let config = &self.inner.config;
-        let max_pipelined = config.max_pipelined;
         let mut dead = false;
-        if readable && client.wants_read(conn, max_pipelined) {
+        if readable && client.wants_read(conn) {
             match conn.read(MAX_READ_PER_SWEEP, |bytes| client.framer.push(bytes)) {
                 Ok(read) => client.eof = read.eof,
                 Err(_) => dead = true,
@@ -1738,7 +1724,7 @@ impl Front {
             // responses creates.
             loop {
                 client.quit |= resolve_head(&mut route, &mut client.expects, conn);
-                if client.quit || client.expects.len() >= max_pipelined {
+                if client.quit || client.expects.len() >= MAX_PIPELINED {
                     break;
                 }
                 // The held request first, else the next framed one; at
@@ -1775,7 +1761,7 @@ impl Front {
                 self.links.remove(&mut self.poller, link);
             }
         } else {
-            let want_read = client.wants_read(conn, max_pipelined);
+            let want_read = client.wants_read(conn);
             self.clients.settle(&mut self.poller, slot, want_read);
         }
     }
@@ -1990,7 +1976,7 @@ fn forward_waits(
             Ok(epoch) => parts.push(WaitPart {
                 shard,
                 epoch,
-                globals: items.iter().map(|(global, _)| *global).collect(),
+                owed: items,
             }),
             Err(err) => errors.extend(items.iter().map(|_| err.clone())),
         }
@@ -2462,16 +2448,15 @@ fn resolve_head(route: &mut Route<'_>, expects: &mut VecDeque<Expect>, client: &
                 let mut any_pending = false;
                 let mut i = 0;
                 while i < parts.len() {
-                    while !parts[i].globals.is_empty() {
+                    while !parts[i].owed.is_empty() {
                         let shard = parts[i].shard.clone();
                         let epoch = parts[i].epoch;
                         match poll_shard(route, &shard, epoch) {
                             Polled::Line(line) => {
-                                let (reply, resolved) = rewrite_wait_line(inner, &shard, &line);
+                                let owed = &mut parts[i].owed;
+                                let (reply, answered) = rewrite_wait_line(owed, &line);
                                 // A line we cannot attribute (e.g. a
                                 // shard-side error) consumes one owed slot.
-                                let owed = &mut parts[i].globals;
-                                let answered = owed.iter().position(|g| Some(*g) == resolved);
                                 owed.remove(answered.unwrap_or(0));
                                 client.queue_line(&reply);
                             }
@@ -2484,7 +2469,8 @@ fn resolve_head(route: &mut Route<'_>, expects: &mut VecDeque<Expect>, client: &
                                 // still-owed ticket on a live replica and
                                 // resume waiting there.
                                 inner.note_failure(&shard, false);
-                                let orphans = std::mem::take(&mut parts[i].globals);
+                                let orphans: Vec<u64> =
+                                    parts[i].owed.drain(..).map(|(global, _)| global).collect();
                                 for line in forward_waits(route, &orphans, true, parts) {
                                     client.queue_line(&line);
                                 }
@@ -2563,20 +2549,25 @@ fn apply_rewrite(
     }
 }
 
-/// Rewrites one streamed `WAIT` line (`DONE <local> …` or an error) to
-/// cluster ticket ids, returning the rewritten line and the cluster id it
-/// resolved, when attributable.
-fn rewrite_wait_line(inner: &Arc<RouterInner>, shard: &str, line: &str) -> (String, Option<u64>) {
-    let translate = |local: u64| lock(&inner.tickets).global_for(shard, local);
+/// Rewrites one streamed `WAIT` line (`DONE <local> …` or `ERR unknown
+/// ticket <local>`) to the cluster id its part owes under that local id,
+/// returning the rewritten line and that pair's position in `owed`, when
+/// attributable.
+fn rewrite_wait_line(owed: &[(u64, u64)], line: &str) -> (String, Option<usize>) {
+    let translate = |id: &str| {
+        let local = id.trim().parse::<u64>().ok()?;
+        let at = owed.iter().position(|&(_, l)| l == local)?;
+        Some((owed[at].0, at))
+    };
     if let Some(rest) = line.strip_prefix("DONE ") {
         if let Some((id, payload)) = rest.split_once(' ') {
-            if let Some(global) = id.parse::<u64>().ok().and_then(translate) {
-                return (format!("DONE {global} {payload}"), Some(global));
+            if let Some((global, at)) = translate(id) {
+                return (format!("DONE {global} {payload}"), Some(at));
             }
         }
     } else if let Some(rest) = line.strip_prefix("ERR unknown ticket ") {
-        if let Some(global) = rest.trim().parse::<u64>().ok().and_then(translate) {
-            return (format!("ERR unknown ticket {global}"), Some(global));
+        if let Some((global, at)) = translate(rest) {
+            return (format!("ERR unknown ticket {global}"), Some(at));
         }
     }
     (line.to_string(), None)
@@ -2630,7 +2621,8 @@ mod tests {
     fn ticket_table_remaps_onto_a_replica_and_flags_degraded() {
         let mut table = TicketTable::default();
         let global = table.allocate("a", 7, "scen", false, 0x77, 8);
-        assert_eq!(table.global_for("a", 7), Some(global));
+        let entry = table.lookup(global).expect("allocated entry");
+        assert_eq!((entry.shard.as_str(), entry.local), ("a", 7));
         assert!(!table.degraded(global));
 
         assert!(table.remap(global, "b", 3), "known id remaps");
@@ -2639,12 +2631,6 @@ mod tests {
         assert_eq!(entry.scenario, "scen");
         assert_eq!(entry.trace, 0x77, "remap keeps the submitting trace");
         assert!(entry.degraded && table.degraded(global));
-        assert_eq!(
-            table.global_for("a", 7),
-            None,
-            "the old reverse mapping is gone"
-        );
-        assert_eq!(table.global_for("b", 3), Some(global));
 
         table.purge_shard("b");
         assert!(table.lookup(global).is_none());

@@ -34,7 +34,7 @@ use modis_core::substrate::Substrate;
 use modis_engine::{Algorithm, Scenario, SharedEvalCache};
 use modis_service::{
     result_line, CircuitState, ClusterSpec, Daemon, JobState, Router, RouterConfig, Service,
-    ServiceConfig, ServiceError, ShardMap,
+    ServiceConfig, ServiceError, ShardMap, MAX_PIPELINED,
 };
 
 static TEMP_COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -1216,7 +1216,6 @@ fn primary_sigkill_fails_over_to_warm_replica_without_operator_action() {
         heartbeat_timeout: Duration::from_millis(150),
         heartbeat_misses: 2,
         open_cooldown: Duration::from_millis(250),
-        ..RouterConfig::default()
     };
     let router = Router::bind_with(
         t3_cluster_spec(&seeds),
@@ -1569,12 +1568,11 @@ fn a_refused_forward_is_one_failure_and_no_retry() {
 }
 
 /// A shard that accepts but stops reading: the requests one client
-/// pipelines at it queue in the router only up to `max_pipelined` — then
+/// pipelines at it queue in the router only up to `MAX_PIPELINED` — then
 /// that client stops being read — while a second client is served as if
 /// alone. When the shard resumes, all 10,000 answers arrive in order.
 #[test]
 fn shard_that_stops_reading_bounds_one_pipeline_and_stalls_no_other_client() {
-    const DEPTH: usize = 64;
     const POLLS: usize = 10_000;
     let (resume, resumed) = std::sync::mpsc::channel::<()>();
     let resumed = std::sync::Mutex::new(resumed);
@@ -1604,11 +1602,7 @@ fn shard_that_stops_reading_bounds_one_pipeline_and_stalls_no_other_client() {
             line.clear();
         }
     });
-    let config = RouterConfig {
-        max_pipelined: DEPTH,
-        ..RouterConfig::default()
-    };
-    let (router, mut writer, mut reader) = fake_cluster(shard, config);
+    let (router, mut writer, mut reader) = fake_cluster(shard, RouterConfig::default());
     writer.write_all(b"SUBMIT scen\n").unwrap();
     assert_eq!(recv(&mut reader), "TICKET 1");
     writer.write_all(&b"POLL 1\n".repeat(POLLS)).unwrap();
@@ -1626,8 +1620,8 @@ fn shard_that_stops_reading_bounds_one_pipeline_and_stalls_no_other_client() {
         .recv_timeout(Duration::from_secs(10))
         .expect("shard report");
     assert_eq!(
-        piled, DEPTH,
-        "the router forwarded past max_pipelined for a shard that was not reading"
+        piled, MAX_PIPELINED,
+        "the router forwarded past MAX_PIPELINED for a shard that was not reading"
     );
     for i in 0..POLLS {
         assert_eq!(recv(&mut reader), "QUEUED", "reply {i}");
