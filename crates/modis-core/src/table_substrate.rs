@@ -93,11 +93,17 @@ pub use crate::substrate::SubstrateCacheStats;
 
 /// The tabular [`Substrate`]: universal table + units + downstream task.
 ///
-/// Construction valuates every cluster literal against the universal table
-/// exactly once, storing one packed [`RowMask`] per cluster unit;
-/// [`TableSubstrate::materialize_view`] then reduces a state to a handful of
-/// word-wise AND-NOTs plus an attribute mask — O(rows/64 × cleared units),
-/// zero row clones.
+/// Building one ([`TableSubstrate::from_pool`] / `from_universal`) walks
+/// the universal table's non-key, non-target attributes in schema order.
+/// Each contributes an attribute unit and up to `max_clusters_per_attr`
+/// cluster units, whose literals [`derive_attribute_literals`] reads from
+/// one sort of the column's row indices (no cell is cloned). Each cluster
+/// literal then meets the table once, through [`Literal::mask`], which
+/// resolves its column once and tests every cell of it: the packed
+/// [`RowMask`] it returns is kept per cluster unit. No row is copied and no
+/// column is decoded. [`TableSubstrate::materialize_view`] then reduces a
+/// state to a handful of word-wise AND-NOTs plus an attribute mask —
+/// O(rows/64 × cleared units), zero row clones.
 ///
 /// Beside the universal table the substrate owns its [`TableProjection`]:
 /// every view it materialises carries it, so each column is decoded at most
@@ -157,15 +163,11 @@ impl TableSubstrate {
         }
         // Valuate each cluster literal against the universal table exactly
         // once; every later materialisation is a word-wise mask intersection.
-        let nrows = universal.num_rows();
-        let rows = universal.rows();
         let unit_masks: Vec<Option<RowMask>> = units
             .iter()
             .map(|u| match u {
                 TableUnit::Attribute { .. } => None,
-                TableUnit::Cluster { literal, .. } => Some(RowMask::from_pred(nrows, |r| {
-                    literal.matches_row(&universal, &rows[r])
-                })),
+                TableUnit::Cluster { literal, .. } => Some(literal.mask(&universal)),
             })
             .collect();
         let unit_cols: Vec<Option<usize>> = units
@@ -584,7 +586,7 @@ mod tests {
             }
             let mut data = self.universal.clone();
             for lit in removals {
-                data.retain(|row| !lit.matches_row(&self.universal, row));
+                data = modis_data::reduct(&data, lit).0;
             }
             for name in masked {
                 if let Ok(d) = modis_data::mask_attribute(&data, name) {

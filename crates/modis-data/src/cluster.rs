@@ -5,6 +5,7 @@
 //! derive one equality/range literal per cluster. This bounds the number of
 //! reduct operators per attribute regardless of `|adom(A)|`.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use crate::dataset::Dataset;
@@ -117,6 +118,9 @@ pub fn kmeans_1d(points: &[f64], k: usize, iterations: usize) -> (Vec<usize>, Ve
 ///   with 1-D k-means, producing one closed-range literal per cluster.
 /// * Small / categorical domains produce one equality literal per distinct
 ///   value (capped at `max_k` most frequent values).
+///
+/// The active domain comes from one sort of the column's non-null row
+/// indices; no cell is cloned but the one each equality literal keeps.
 pub fn derive_attribute_literals(
     data: &Dataset,
     attribute: &str,
@@ -126,7 +130,10 @@ pub fn derive_attribute_literals(
         Some(c) => c,
         None => return Vec::new(),
     };
-    let adom = data.active_domain(col);
+    let SortedDomain {
+        values: adom,
+        mut classes,
+    } = SortedDomain::of(data, col);
     if adom.is_empty() {
         return Vec::new();
     }
@@ -159,17 +166,10 @@ pub fn derive_attribute_literals(
             })
             .collect()
     } else {
-        // Frequency-ranked equality literals.
-        let mut freq: BTreeMap<Value, usize> = BTreeMap::new();
-        for row in data.rows() {
-            let v = &row[col];
-            if !v.is_null() {
-                *freq.entry(v.clone()).or_insert(0) += 1;
-            }
-        }
-        let mut ranked: Vec<(Value, usize)> = freq.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        ranked
+        // Frequency-ranked equality literals; the stable sort keeps equally
+        // frequent values in `Value` order.
+        classes.sort_by_key(|&(_, support)| Reverse(support));
+        classes
             .into_iter()
             .take(config.max_k)
             .enumerate()
@@ -177,10 +177,157 @@ pub fn derive_attribute_literals(
                 attribute: attribute.to_string(),
                 cluster_id: idx,
                 centroid: v.as_f64().unwrap_or(idx as f64),
-                literal: Literal::equals(attribute, v),
+                literal: Literal::equals(attribute, v.clone()),
                 support,
             })
             .collect()
+    }
+}
+
+/// The active domain `adom(A)` of one column, read from a single sort of
+/// its non-null rows in `Value` order (row order among equal cells).
+///
+/// It has two readings because `Value`'s `==` is finer than its `Ord` and
+/// not transitive: `Int(2^53)` and `Int(2^53 + 1)` are `Ord`-equal but not
+/// `==`, both `==` `Float(2^53)`, and `Float(inf)` is not `==` itself.
+/// The k-means points are the distinct values as a collected `BTreeSet`
+/// holds them, the frequency ranking counts the classes a `BTreeMap` keys.
+struct SortedDomain<'a> {
+    /// Of each run of adjacent sorted cells equal under `==`, the last.
+    values: Vec<&'a Value>,
+    /// Per class of `Ord`-equal cells: its first cell in row order and its
+    /// number of rows.
+    classes: Vec<(&'a Value, usize)>,
+}
+
+impl<'a> SortedDomain<'a> {
+    fn of(data: &'a Dataset, col: usize) -> Self {
+        let rows = data.rows();
+        let cell = |r: usize| &rows[r][col];
+        let mut order: Vec<usize> = (0..rows.len()).filter(|&r| !cell(r).is_null()).collect();
+        if order.iter().all(|&r| cell(r).is_numeric()) {
+            // Numbers compare by their `f64` reading: sort that as an
+            // integer key, the row breaking ties.
+            let mut keyed: Vec<(u64, usize)> =
+                order.iter().map(|&r| (order_key(cell(r)), r)).collect();
+            keyed.sort_unstable();
+            for (slot, (_, r)) in order.iter_mut().zip(keyed) {
+                *slot = r;
+            }
+        } else {
+            order.sort_by(|&a, &b| cell(a).cmp(cell(b)));
+        }
+        let mut domain = SortedDomain {
+            values: Vec::new(),
+            classes: Vec::new(),
+        };
+        for (i, &r) in order.iter().enumerate() {
+            let v = cell(r);
+            if order.get(i + 1).is_none_or(|&next| cell(next) != v) {
+                domain.values.push(v);
+            }
+            match domain.classes.last_mut() {
+                Some((first, support)) if Value::cmp(first, v).is_eq() => *support += 1,
+                _ => domain.classes.push((v, 1)),
+            }
+        }
+        domain
+    }
+}
+
+/// An integer key ordering `Int` / `Float` cells as `Value`'s `Ord` does:
+/// by the `f64` reading, `-0.0` tied with `0.0`, every NaN tied and last.
+fn order_key(v: &Value) -> u64 {
+    let x = v.as_f64().unwrap_or(f64::NAN);
+    if x.is_nan() {
+        return u64::MAX;
+    }
+    // `+ 0.0` turns `-0.0` into `0.0` and leaves every other number as is.
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// `derive_attribute_literals` as it was before it sorted the column once:
+/// the active domain from a cloning `BTreeSet`, the frequencies from a
+/// cloning `BTreeMap`. The oracle the differential test below compares
+/// every derivation with; nothing of it is compiled into the product.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use std::collections::BTreeMap;
+
+    use super::{kmeans_1d, ClusterConfig, DomainCluster};
+    use crate::dataset::Dataset;
+    use crate::literal::Literal;
+    use crate::value::Value;
+
+    pub(crate) fn derive_attribute_literals(
+        data: &Dataset,
+        attribute: &str,
+        config: &ClusterConfig,
+    ) -> Vec<DomainCluster> {
+        let col = match data.schema().position(attribute) {
+            Some(c) => c,
+            None => return Vec::new(),
+        };
+        let adom = data.active_domain(col);
+        if adom.is_empty() {
+            return Vec::new();
+        }
+
+        let numeric: Vec<f64> = adom.iter().filter_map(|v| v.as_f64()).collect();
+        let all_numeric = numeric.len() == adom.len();
+
+        if all_numeric && adom.len() > config.max_k {
+            let k = config.max_k.max(1);
+            let (assignment, centroids) = kmeans_1d(&numeric, k, config.iterations);
+            let mut clusters: BTreeMap<usize, (f64, f64, usize)> = BTreeMap::new();
+            for (i, &c) in assignment.iter().enumerate() {
+                let v = numeric[i];
+                let e = clusters
+                    .entry(c)
+                    .or_insert((f64::INFINITY, f64::NEG_INFINITY, 0));
+                e.0 = e.0.min(v);
+                e.1 = e.1.max(v);
+                e.2 += 1;
+            }
+            clusters
+                .into_iter()
+                .enumerate()
+                .map(|(idx, (c, (lo, hi, support)))| DomainCluster {
+                    attribute: attribute.to_string(),
+                    cluster_id: idx,
+                    centroid: centroids.get(c).copied().unwrap_or((lo + hi) / 2.0),
+                    literal: Literal::range(attribute, lo, hi),
+                    support,
+                })
+                .collect()
+        } else {
+            let mut freq: BTreeMap<Value, usize> = BTreeMap::new();
+            for row in data.rows() {
+                let v = &row[col];
+                if !v.is_null() {
+                    *freq.entry(v.clone()).or_insert(0) += 1;
+                }
+            }
+            let mut ranked: Vec<(Value, usize)> = freq.into_iter().collect();
+            ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            ranked
+                .into_iter()
+                .take(config.max_k)
+                .enumerate()
+                .map(|(idx, (v, support))| DomainCluster {
+                    attribute: attribute.to_string(),
+                    cluster_id: idx,
+                    centroid: v.as_f64().unwrap_or(idx as f64),
+                    literal: Literal::equals(attribute, v),
+                    support,
+                })
+                .collect()
+        }
     }
 }
 
@@ -188,6 +335,7 @@ pub fn derive_attribute_literals(
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use proptest::prelude::*;
 
     fn numeric_data(n: usize) -> Dataset {
         let schema = Schema::from_names(["x", "label"]);
@@ -235,12 +383,9 @@ mod tests {
             .iter()
             .all(|c| matches!(c.literal.condition, crate::literal::Condition::Range { .. })));
         // Every row is covered by exactly one cluster literal.
-        for row in data.rows() {
-            let hits = clusters
-                .iter()
-                .filter(|c| c.literal.matches_row(&data, row))
-                .count();
-            assert_eq!(hits, 1);
+        let masks: Vec<_> = clusters.iter().map(|c| c.literal.mask(&data)).collect();
+        for r in 0..data.num_rows() {
+            assert_eq!(masks.iter().filter(|m| m.get(r)).count(), 1);
         }
     }
 
@@ -259,5 +404,83 @@ mod tests {
     fn unknown_attribute_yields_empty() {
         let data = numeric_data(10);
         assert!(derive_attribute_literals(&data, "nope", &ClusterConfig::default()).is_empty());
+    }
+
+    /// One cell of a drawn column. `kind` picks the column's mixture: 0
+    /// numbers with the edge cases of `Value`'s order (2^53 and 2^53 + 1,
+    /// NaN, ±inf, ±0.0, floats equal to an `Int`), 1 plain floats, 2
+    /// strings (padded numeric and plain), 3 padded numeric strings only, 4
+    /// booleans, 5 everything, 6 nothing but nulls.
+    fn drawn_cell(kind: usize, draw: u64) -> Value {
+        const TWO_53: i64 = 1 << 53;
+        let pick = (draw % 23) as usize;
+        let n = (draw >> 8) % 40;
+        let number = match pick % 12 {
+            0 => Value::Int(TWO_53),
+            1 if draw & 1 == 0 => Value::Int(TWO_53 + 1),
+            1 => Value::Float(TWO_53 as f64),
+            2 => Value::Float(f64::NAN),
+            3 => Value::Float(f64::INFINITY),
+            4 => Value::Float(f64::NEG_INFINITY),
+            5 => Value::Float(-0.0),
+            6 => Value::Float(0.0),
+            7 => Value::Float(n as f64),
+            8 | 9 => Value::Int(n as i64 - 20),
+            _ => Value::Float(n as f64 / 8.0 - 2.5),
+        };
+        let text = match pick % 4 {
+            0 => Value::Str(format!(" {n}")),
+            1 => Value::Str(format!("{n} ")),
+            2 => Value::Str(["north", "south", "east"][(n % 3) as usize].into()),
+            _ => Value::Str(format!("s{}", n % 7)),
+        };
+        if pick == 22 && kind != 1 {
+            return Value::Null;
+        }
+        match kind {
+            0 => number,
+            1 => Value::Float((draw >> 8) as f64 / (1u64 << 50) as f64),
+            2 => text,
+            3 => Value::Str(format!("{:>3}", n % 9)),
+            4 => Value::Bool(draw & 1 == 1),
+            5 => [number, text, Value::Bool(draw & 1 == 1)]
+                .into_iter()
+                .nth((draw >> 40) as usize % 3)
+                .unwrap(),
+            _ => Value::Null,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// The sorted-pass derivation returns exactly what the cloning
+        /// oracle returns (the sign of zero included), and every literal's
+        /// resolved-column mask equals the per-row oracle mask.
+        #[test]
+        fn sorted_pass_derivation_matches_the_cloning_oracle(
+            kind in 0usize..7,
+            draws in prop::collection::vec(any::<u64>(), 0..90),
+        ) {
+            let rows: Vec<Vec<Value>> = draws
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| vec![Value::Int(i as i64), drawn_cell(kind, d)])
+                .collect();
+            let data = Dataset::from_rows("drawn", Schema::from_names(["id", "x"]), rows).unwrap();
+            for max_k in [1, 2, 4, 30] {
+                let cfg = ClusterConfig { max_k, iterations: 20 };
+                let got = derive_attribute_literals(&data, "x", &cfg);
+                let want = oracle::derive_attribute_literals(&data, "x", &cfg);
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                let extra = [Literal::is_null("x"), Literal::equals("absent", 1)];
+                for literal in got.iter().map(|c| &c.literal).chain(&extra) {
+                    prop_assert_eq!(
+                        literal.mask(&data),
+                        crate::literal::oracle::mask(literal, &data)
+                    );
+                }
+            }
+        }
     }
 }

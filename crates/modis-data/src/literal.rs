@@ -10,6 +10,7 @@ use std::fmt;
 
 use crate::dataset::Dataset;
 use crate::value::Value;
+use crate::view::RowMask;
 
 /// A single selection condition on one attribute.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,22 +75,20 @@ impl Literal {
         }
     }
 
-    /// Evaluates the literal on a row of the given dataset.
-    ///
-    /// Rows of datasets that do not contain the attribute never match.
-    pub fn matches_row(&self, data: &Dataset, row: &[Value]) -> bool {
+    /// The rows of `data` satisfying the literal: the attribute's column is
+    /// resolved once and every cell of it tested. A dataset without the
+    /// attribute matches no row.
+    pub fn mask(&self, data: &Dataset) -> RowMask {
+        let rows = data.rows();
         match data.schema().position(&self.attribute) {
-            Some(col) => row.get(col).map(|v| self.matches_value(v)).unwrap_or(false),
-            None => false,
+            Some(col) => RowMask::from_pred(rows.len(), |r| self.matches_value(&rows[r][col])),
+            None => RowMask::none(rows.len()),
         }
     }
 
     /// Number of rows of `data` satisfying the literal.
     pub fn selectivity_count(&self, data: &Dataset) -> usize {
-        data.rows()
-            .iter()
-            .filter(|r| self.matches_row(data, r))
-            .count()
+        self.mask(data).count()
     }
 }
 
@@ -100,6 +99,28 @@ impl fmt::Display for Literal {
             Condition::Range { lo, hi } => write!(f, "{} ∈ [{}, {}]", self.attribute, lo, hi),
             Condition::IsNull => write!(f, "{} IS NULL", self.attribute),
         }
+    }
+}
+
+/// The mask of a literal as it was computed before [`Literal::mask`]
+/// resolved the column once: a schema lookup per row. Test-only.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::Literal;
+    use crate::dataset::Dataset;
+    use crate::view::RowMask;
+
+    pub(crate) fn mask(literal: &Literal, data: &Dataset) -> RowMask {
+        RowMask::from_pred(data.num_rows(), |r| {
+            let row = &data.rows()[r];
+            match data.schema().position(&literal.attribute) {
+                Some(col) => row
+                    .get(col)
+                    .map(|v| literal.matches_value(v))
+                    .unwrap_or(false),
+                None => false,
+            }
+        })
     }
 }
 

@@ -13,6 +13,7 @@ use crate::error::DataError;
 use crate::literal::Literal;
 use crate::schema::Attribute;
 use crate::value::Value;
+use crate::view::{DatasetView, RowMask};
 
 /// Applies `⊕_c(base, source)` (§3, Augment).
 ///
@@ -50,10 +51,8 @@ pub fn augment(
         .filter_map(|(si, name)| out.schema().position(name).map(|oi| (si, oi)))
         .collect();
 
-    for row in source.rows() {
-        if !literal.matches_row(source, row) {
-            continue;
-        }
+    for r in literal.mask(source).iter() {
+        let row = &source.rows()[r];
         let mut new_row = vec![Value::Null; out.num_columns()];
         for &(si, oi) in &shared {
             new_row[oi] = row.get(si).cloned().unwrap_or(Value::Null);
@@ -67,10 +66,13 @@ pub fn augment(
 /// literal and returns the reduced dataset together with the number of
 /// removed tuples.
 pub fn reduct(base: &Dataset, literal: &Literal) -> (Dataset, usize) {
-    let mut out = base.clone();
-    out.name = format!("{}−[{}]", base.name, literal);
-    let removed = out.retain(|row| !literal.matches_row(base, row));
-    (out, removed)
+    let removed = literal.mask(base);
+    let mut kept = RowMask::all(base.num_rows());
+    kept.subtract(&removed);
+    let out = DatasetView::new(base, kept, vec![false; base.num_columns()])
+        .to_dataset()
+        .with_name(format!("{}−[{}]", base.name, literal));
+    (out, removed.count())
 }
 
 /// Masks an attribute entirely: every cell of `attribute` becomes null.

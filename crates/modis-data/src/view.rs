@@ -55,13 +55,13 @@ impl RowMask {
 
     /// Mask selecting the rows for which `pred` holds.
     pub fn from_pred<F: FnMut(usize) -> bool>(nrows: usize, mut pred: F) -> Self {
-        let mut mask = RowMask::none(nrows);
+        let mut words = vec![0u64; nrows.div_ceil(64)];
         for r in 0..nrows {
-            if pred(r) {
-                mask.bits.set(r, true);
-            }
+            words[r / 64] |= u64::from(pred(r)) << (r % 64);
         }
-        mask
+        RowMask {
+            bits: StateBitmap::from_words(words, nrows).expect("no bit is set past `nrows`"),
+        }
     }
 
     /// Number of rows the mask ranges over.

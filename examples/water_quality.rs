@@ -11,7 +11,8 @@ use modis_datagen::tables::{generate_table_pool, TablePoolConfig};
 
 fn main() {
     // Source tables: water quality, basin, nutrient measurements — simulated
-    // with domain-agnostic informative/noise attributes (see DESIGN.md).
+    // with domain-agnostic informative/noise attributes (the `modis_datagen`
+    // crate documentation says why synthetic pools stand in for real ones).
     let pool = generate_table_pool(&TablePoolConfig {
         n_rows: 300,
         n_informative: 4,
