@@ -118,9 +118,8 @@ pub struct TableSubstrate {
     /// For cluster units: the rows of the universal table matching the
     /// literal. `None` for attribute units.
     unit_masks: Vec<Option<RowMask>>,
-    /// For every unit: the universal-table column of the unit's attribute
-    /// (`None` when the attribute is not in the schema).
-    unit_cols: Vec<Option<usize>>,
+    /// For every unit: the universal-table column of the unit's attribute.
+    unit_cols: Vec<usize>,
     task: TaskSpec,
     cache: Mutex<SieveCache<StateBitmap, StateRecord>>,
     /// Lazily computed full-content fingerprint (the universal table is
@@ -143,8 +142,8 @@ impl TableSubstrate {
     /// Builds the search space directly from an already-constructed
     /// universal table.
     pub fn from_universal(universal: Dataset, task: TaskSpec, config: &TableSpaceConfig) -> Self {
-        let mut units = Vec::new();
-        for attr in universal.schema().attributes() {
+        let (mut units, mut unit_masks, mut unit_cols) = (Vec::new(), Vec::new(), Vec::new());
+        for (col, attr) in universal.schema().attributes().iter().enumerate() {
             let name = &attr.name;
             if name == &task.target
                 || Some(name.as_str()) == task.key.as_deref()
@@ -153,30 +152,20 @@ impl TableSubstrate {
                 continue;
             }
             units.push(TableUnit::Attribute { name: name.clone() });
+            unit_masks.push(None);
+            unit_cols.push(col);
             let clusters = derive_attribute_literals(&universal, name, &config.cluster);
             for c in clusters.into_iter().take(config.max_clusters_per_attr) {
+                // Valuated against the universal table exactly once; every
+                // later materialisation is a word-wise mask intersection.
+                unit_masks.push(Some(c.literal.mask(&universal)));
+                unit_cols.push(col);
                 units.push(TableUnit::Cluster {
                     attribute: name.clone(),
                     literal: c.literal,
                 });
             }
         }
-        // Valuate each cluster literal against the universal table exactly
-        // once; every later materialisation is a word-wise mask intersection.
-        let unit_masks: Vec<Option<RowMask>> = units
-            .iter()
-            .map(|u| match u {
-                TableUnit::Attribute { .. } => None,
-                TableUnit::Cluster { literal, .. } => Some(literal.mask(&universal)),
-            })
-            .collect();
-        let unit_cols: Vec<Option<usize>> = units
-            .iter()
-            .map(|u| match u {
-                TableUnit::Attribute { name } => universal.schema().position(name),
-                TableUnit::Cluster { attribute, .. } => universal.schema().position(attribute),
-            })
-            .collect();
         TableSubstrate {
             projection: TableProjection::new(&universal),
             universal,
@@ -218,9 +207,7 @@ impl TableSubstrate {
                 continue;
             }
             if matches!(unit, TableUnit::Attribute { .. }) {
-                if let Some(c) = self.unit_cols[i] {
-                    masked_cols[c] = true;
-                }
+                masked_cols[self.unit_cols[i]] = true;
             }
         }
         let mut mask = RowMask::all(self.universal.num_rows());
@@ -231,8 +218,7 @@ impl TableSubstrate {
             if let (TableUnit::Cluster { .. }, Some(unit_mask)) = (unit, &self.unit_masks[i]) {
                 // A cluster of a masked attribute no longer removes tuples
                 // (its literal ranges over an empty active domain).
-                let attr_masked = self.unit_cols[i].is_some_and(|c| masked_cols[c]);
-                if !attr_masked {
+                if !masked_cols[self.unit_cols[i]] {
                     mask.subtract(unit_mask);
                 }
             }
