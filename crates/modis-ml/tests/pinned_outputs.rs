@@ -4,7 +4,9 @@
 //! 150 rows; 1–5 features; 2, 3 and 4 classes), and the `to_bits` of
 //! everything it answers through the public API — predictions, per-class
 //! scores, feature importances, the Table-3 metrics of its predictions —
-//! is folded into one FNV-1a hash. The differential tests inside the crate
+//! is folded into one FNV-1a hash; the boosted models are also pinned on
+//! one paper-shaped fixture at their default 50 rounds (`boosted_fixture`).
+//! The differential tests inside the crate
 //! rebuild a model's fields from an old fit and read them back through the
 //! current methods, so they cannot see a changed prediction, score or
 //! importance formula; these hashes can. A hash moves only with a change
@@ -255,6 +257,117 @@ fn multi_output_gbm_answers_are_pinned() {
         }
     }
     check("MultiOutputGbm", h.0, 0x7996_ef7d_eaf0_b3f8);
+}
+
+/// A paper-shaped boosted fixture: 240 rows × 12 features, most columns
+/// with more than 16 distinct cells (so a node's thresholds are quantiles,
+/// not midpoints), ties, `±0.0` and `±inf`. A 50-round fit of depth 3
+/// meets the same row sets again and again, which the small fixtures above
+/// (≤ 150 rows, 8 rounds) rarely do. Labels cut the finite target into
+/// `n_classes` bands, one in eight drawn at random.
+fn boosted_fixture(n_classes: usize) -> Fixture {
+    let inf = f64::INFINITY;
+    let mut g = StdRng::seed_from_u64(47);
+    let row = |g: &mut StdRng| -> Vec<f64> {
+        vec![
+            g.gen_range(-2.0..2.0),
+            g.gen_range(0..40usize) as f64,
+            [-0.0, 0.0, 1.0, -1.0][g.gen_range(0..4usize)],
+            g.gen_range(0.0..1000.0),
+            [-inf, inf, 0.5, -3.0, 2.0, 7.5][g.gen_range(0..6usize)],
+            g.gen_range(0..20usize) as f64 * 0.25,
+            g.gen_range(0..17usize) as f64 - 8.0,
+            g.gen_range(0..3usize) as f64,
+            if g.gen_range(0..6usize) == 0 {
+                [0.0, -0.0][g.gen_range(0..2usize)]
+            } else {
+                g.gen_range(-1.0..1.0)
+            },
+            g.gen_range(0..100usize) as f64 * 1.5,
+            if g.gen_range(0..4usize) == 0 {
+                [-inf, inf][g.gen_range(0..2usize)]
+            } else {
+                g.gen_range(0..24usize) as f64
+            },
+            g.gen_range(-50.0..50.0),
+        ]
+    };
+    let rows: Vec<Vec<f64>> = (0..240).map(|_| row(&mut g)).collect();
+    let probe_rows: Vec<Vec<f64>> = (0..12).map(|_| row(&mut g)).collect();
+    let target: Vec<f64> = rows
+        .iter()
+        .map(|r| {
+            let step = if r[4] > 1.0 { 2.0 } else { -1.0 };
+            r[0] + 0.1 * r[1] + r[2] + step + 0.5 * r[6] + r[8] + g.gen_range(-0.5..0.5)
+        })
+        .collect();
+    let labels: Vec<f64> = target
+        .iter()
+        .map(|&t| {
+            if g.gen_range(0..8usize) == 0 {
+                g.gen_range(0..n_classes) as f64
+            } else {
+                ((t + 6.0) / 12.0 * n_classes as f64)
+                    .floor()
+                    .clamp(0.0, (n_classes - 1) as f64)
+            }
+        })
+        .collect();
+    Fixture {
+        x: Matrix::from_rows(&rows),
+        rows,
+        probes: Matrix::from_rows(&probe_rows),
+        probe_rows,
+        labels,
+        target,
+        n_classes,
+    }
+}
+
+#[test]
+fn paper_shaped_boosted_fits_are_pinned() {
+    let (two, three) = (boosted_fixture(2), boosted_fixture(3));
+    let mut h = Fnv::new();
+    let m = GradientBoostingRegressor::fit(&two.x, &two.target, GbmParams::default());
+    regressor_answers(&mut h, &two, |x| m.predict(x));
+    h.floats(&m.feature_importance());
+    h.word(m.len() as u64);
+    check(
+        "paper-shaped GradientBoostingRegressor",
+        h.0,
+        0x8c08_6d5d_a4ba_f933,
+    );
+
+    for (f, pinned) in [
+        (&two, 0x50f5_0799_c20e_2d02),
+        (&three, 0x597f_111f_087a_60c4),
+    ] {
+        let mut h = Fnv::new();
+        let m = GradientBoostingClassifier::fit(&f.x, &f.labels, f.n_classes, GbmParams::default());
+        classifier_answers(&mut h, f, |x| m.predict(x), |x| m.predict_scores(x));
+        h.floats(&m.feature_importance());
+        check("paper-shaped GradientBoostingClassifier", h.0, pinned);
+    }
+
+    // Three outputs at the surrogate's 30 rounds: the target, the
+    // three-class label and the target's square.
+    let mut h = Fnv::new();
+    let y: Vec<Vec<f64>> = three
+        .target
+        .iter()
+        .zip(&three.labels)
+        .map(|(&t, &l)| vec![t, l, t * t])
+        .collect();
+    let params = GbmParams {
+        n_estimators: 30,
+        ..GbmParams::default()
+    };
+    let m = MultiOutputGbm::fit(&three.rows, &y, params);
+    h.word(m.n_outputs() as u64);
+    for row in three.rows.iter().chain(&three.probe_rows) {
+        h.floats(&m.predict_one(row));
+    }
+    check("paper-shaped MultiOutputGbm", h.0, 0xde6a_244b_91af_b260);
 }
 
 #[test]
