@@ -89,7 +89,7 @@ impl GradientBoostingRegressor {
     pub fn fit(x: &Matrix, y: &[f64], params: GbmParams) -> Self {
         Self::fit_columns(
             &Columns::from_matrix(x),
-            &mut TreeBuilder::default(),
+            &mut TreeBuilder::memoising(),
             y,
             params,
         )
@@ -155,7 +155,7 @@ impl GradientBoostingClassifier {
     pub fn fit(x: &Matrix, y: &[f64], n_classes: usize, params: GbmParams) -> Self {
         let n_classes = n_classes.max(2);
         let cols = Columns::from_matrix(x);
-        let mut builder = TreeBuilder::default();
+        let mut builder = TreeBuilder::memoising();
         let stages = (0..ensemble::stage_count(n_classes))
             .map(|c| {
                 let targets = ensemble::stage_targets(y, n_classes, c);
@@ -232,7 +232,7 @@ impl MultiOutputGbm {
     pub fn fit(x: &[Vec<f64>], y: &[Vec<f64>], params: GbmParams) -> Self {
         let n_outputs = y.first().map(|r| r.len()).unwrap_or(0);
         let cols = Columns::from_matrix(&Matrix::from_rows(x));
-        let mut builder = TreeBuilder::default();
+        let mut builder = TreeBuilder::memoising();
         let models = (0..n_outputs)
             .map(|k| {
                 let yk: Vec<f64> = y.iter().map(|r| r[k]).collect();

@@ -41,28 +41,51 @@
 //!   cannot be reproduced from ranks. A NaN cell lies on neither side of
 //!   any threshold. `encode_view` imputes, so no product fit takes this
 //!   branch; the differential tests do.
+//! * **Split work no round changes, once per fit.** While fits share one
+//!   `Columns`, a node's rows follow from its split path from the root, and
+//!   so does everything its search does for a feature before it reads a
+//!   target: the fewer-than-two-distinct skip, the thresholds, each row's
+//!   threshold bucket and each threshold's side counts. A memoising builder
+//!   (`TreeBuilder::memoising`, which only the three boosted models'
+//!   fits build; a forest gathers new columns per tree) remembers them per
+//!   path and feature, in a trie over (feature, threshold bits, side) that
+//!   needs no hasher, for as long as the builder lives; a later round,
+//!   stage or output that reaches the path reads them and only scores its
+//!   targets. It remembers only what one byte per row holds: `Mse`, a
+//!   ranked feature and at most 255 ascending thresholds, where every row's
+//!   `lo == hi`. The NaN, unranked and unordered cases are searched every
+//!   round. The remembered buckets are capped at `MEMO_BUDGET` bytes.
 //! * **Bit-identity, not closeness.** The fitted tree — feature, threshold
 //!   bits, leaf bits, importance bits — is a function of the order in
 //!   which floats are added. Under `Mse` every threshold therefore keeps
 //!   *its own* left and right accumulator, and each accumulator receives
 //!   exactly the targets of its rows in ascending row order, starting from
 //!   `Iterator::sum`'s identity: pass 1 the sums, pass 2 the squared
-//!   deviations from each side's own mean. The accumulators of the `T`
-//!   thresholds lie in one slice, `[left 0..T | right 0..T]`: a row left of
-//!   thresholds `hi..` and right of thresholds `..lo` (always `lo <= hi`)
-//!   feeds exactly the contiguous run `hi..T + lo` — `T` accumulators for
-//!   every row that no NaN touches, which for the default `T = 16` is a
-//!   fixed-size array the compiler turns into vector adds. The layout
-//!   changes which accumulators are neighbours, not what any one of them is
-//!   fed or in which order, so no bit moves; a NaN cell, the NaN midpoint
-//!   of `-inf` and `+inf` and the one-threshold-at-a-time path are the same
-//!   run, shorter. A prefix-sum sweep over the sorted cells would add the
-//!   same numbers in another order and round differently, so it is not
-//!   allowed for floats. Under `Gini` the sides are integer class counts,
-//!   which are exact in any order: rows are histogrammed per threshold run
-//!   and class and the histogram is prefix-summed; the squared shares are
-//!   then added in ascending class order over a dense class table (no hash
-//!   map, no iteration-order dependence). Candidates are rejected by
+//!   deviations from each side's own mean. A prefix-sum sweep over the
+//!   sorted cells would add the same numbers in another order and round
+//!   differently, so it is not allowed for floats. Two loops keep that
+//!   contract:
+//!   - *Registers.* When every row's `lo == hi` (its bucket `b`), there are
+//!     at most 16 thresholds and the CPU has AVX-512F (one runtime check),
+//!     the accumulators are four `zmm` registers, left and right lanes, and
+//!     a row is added to left lanes `b..T` and right lanes `..b` by a
+//!     masked add, which leaves every other lane as it was. Means are
+//!     divided per lane; a squared deviation is a product, then an add (no
+//!     fused multiply-add). Nothing is loaded or stored per row.
+//!   - *Windowed.* The accumulators of the `T` thresholds lie in one slice,
+//!     `[left 0..T | right 0..T]`: a row left of thresholds `hi..` and
+//!     right of `..lo` (always `lo <= hi`) feeds the contiguous run
+//!     `hi..T + lo`, so every row loads and stores its run at a varying,
+//!     misaligned offset. This is the only other path: CPUs without
+//!     AVX-512F, more than 16 thresholds, a NaN cell, the NaN midpoint of
+//!     `-inf` and `+inf` and the one-threshold-at-a-time path run it, and
+//!     the register loop is tested against it.
+//!
+//!   Under `Gini` the sides are integer class counts, which are exact in
+//!   any order: rows are histogrammed per threshold run and class and the
+//!   histogram is prefix-summed; the squared shares are then added in
+//!   ascending class order over a dense class table (no hash map, no
+//!   iteration-order dependence). Candidates are rejected by
 //!   `min_samples_leaf` before they are scored, compared with a strict
 //!   `score < best` in feature-then-threshold order (first wins), and the
 //!   per-node feature draws happen in pre-order.
@@ -70,9 +93,13 @@
 //!   every skyline it returns; a change to this kernel that moves any
 //!   digest changed a model. The unit tests compare every fitted node with
 //!   the per-threshold index-list search this kernel replaced, kept as a
-//!   test-only oracle (`oracle`), on `f64::to_bits`.
+//!   test-only oracle (`oracle`), on `f64::to_bits`; a proptest compares
+//!   the register loop with the windowed one lane by lane, and the memo
+//!   tests show a boosted fit buckets each (path, feature) at most once and
+//!   fits what a builder without a memo fits.
 
 use std::cmp::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::matrix::Matrix;
 
@@ -226,6 +253,8 @@ impl DecisionTree {
 /// rounds, stages and outputs); a forest gathers each tree's bootstrap
 /// sample from it. See the module documentation.
 pub(crate) struct Columns {
+    /// Unique per process: what a memo's entries are keyed to.
+    id: u64,
     n_rows: usize,
     n_features: usize,
     /// Feature `f` occupies `data[f * n_rows..(f + 1) * n_rows]`.
@@ -307,7 +336,9 @@ impl Columns {
                 col.iter().any(|&v| v != col[0])
             })
             .collect();
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Columns {
+            id: NEXT_ID.fetch_add(1, AtomicOrdering::Relaxed),
             n_rows,
             n_features,
             data,
@@ -385,7 +416,8 @@ fn gini(counts: &[usize], n: usize) -> f64 {
 /// The split search and every buffer it needs, reusable across fits.
 ///
 /// A fitted tree depends only on the arguments of [`TreeBuilder::fit`]; the
-/// builder carries scratch space, never state, from one fit to the next.
+/// builder carries scratch space from one fit to the next and, if it
+/// memoises, split work that reads no target.
 #[derive(Default)]
 pub(crate) struct TreeBuilder {
     /// Row ids; a node owns a contiguous range, in ascending sample order.
@@ -420,6 +452,8 @@ pub(crate) struct TreeBuilder {
     /// Per row `[lo, hi]`: it lies right of thresholds `..lo` and left of
     /// `hi..`.
     bounds: Vec<[u32; 2]>,
+    /// Per row, when every `lo == hi`: that one bound, its bucket.
+    buckets: Vec<u8>,
     /// Per threshold (and class): rows on its left / right. `cnt_l` block
     /// `j` and `cnt_r` block `j + 1` belong to threshold `j`.
     cnt_l: Vec<usize>,
@@ -430,9 +464,114 @@ pub(crate) struct TreeBuilder {
     n_side: Vec<usize>,
     mean: Vec<f64>,
     sq: Vec<f64>,
+    /// The split work that reads no target, per split path; only a
+    /// [`TreeBuilder::memoising`] builder has one.
+    memo: Option<Memo>,
+}
+
+/// The most bucket bytes a [`Memo`] keeps. Past it, a (path, feature) not
+/// yet remembered is bucketed every round, as without a memo.
+const MEMO_BUDGET: usize = 64 << 20;
+
+/// What a memoising builder remembers per split path from the root and
+/// ranked feature under `Mse`: whether the node sees two distinct cells
+/// and, if its thresholds ascend and number at most 255, the thresholds,
+/// each one's left row count and each row's bucket. A path is a trie node,
+/// its children keyed by split (feature, threshold bits, side) and listed
+/// first child, next sibling; entry `path * n_features + f` is feature
+/// `f`'s at `path`.
+#[derive(Default)]
+struct Memo {
+    /// The columns and `max_thresholds` the entries were computed for; a
+    /// fit on anything else starts over.
+    fitted_on: (u64, usize),
+    /// Per path: its split, first child and next sibling (`u32::MAX`: none).
+    paths: Vec<((usize, u64, bool), [u32; 2])>,
+    entries: Vec<Entry>,
+    thresholds: Vec<f64>,
+    n_left: Vec<u32>,
+    buckets: Vec<u8>,
+}
+
+#[derive(Clone, Copy)]
+enum Entry {
+    Unseen,
+    /// Fewer than two distinct cells at the node.
+    NoSplit,
+    /// `n_t` thresholds and left counts from `at`; the node's buckets from
+    /// `rows_at`.
+    Bucketed {
+        at: u32,
+        n_t: u32,
+        rows_at: u32,
+    },
+}
+
+impl Memo {
+    /// Keeps the entries if they were computed for `cols` and
+    /// `max_thresholds`, and starts over otherwise.
+    fn begin(&mut self, cols: &Columns, max_thresholds: usize) {
+        let key = (cols.id, max_thresholds);
+        if self.fitted_on != key || self.paths.is_empty() {
+            *self = Memo {
+                fitted_on: key,
+                paths: vec![((0, 0, false), [u32::MAX; 2])],
+                entries: vec![Entry::Unseen; cols.n_features],
+                ..Memo::default()
+            };
+        }
+    }
+
+    /// The path that extends `path` by `split`, added if new.
+    fn child(&mut self, path: u32, split: (usize, u64, bool), n_features: usize) -> u32 {
+        let mut at = self.paths[path as usize].1[0];
+        while at != u32::MAX {
+            let (key, [_, sibling]) = self.paths[at as usize];
+            if key == split {
+                return at;
+            }
+            at = sibling;
+        }
+        let new = self.paths.len() as u32;
+        let first = std::mem::replace(&mut self.paths[path as usize].1[0], new);
+        self.paths.push((split, [u32::MAX, first]));
+        self.entries
+            .resize(self.entries.len() + n_features, Entry::Unseen);
+        new
+    }
+
+    /// Remembers a bucketed search as entry `slot` unless the budget is
+    /// spent.
+    fn store(&mut self, slot: usize, ts: &[f64], n_side: &[usize], buckets: &[u8]) {
+        if self.buckets.len() + buckets.len() > MEMO_BUDGET {
+            return;
+        }
+        #[cfg(test)]
+        MEMO_STORES.with(|log| log.borrow_mut().push(slot));
+        let (at, rows_at) = (self.thresholds.len(), self.buckets.len());
+        self.thresholds.extend_from_slice(ts);
+        self.n_left
+            .extend(n_side[..ts.len()].iter().map(|&n| n as u32));
+        self.buckets.extend_from_slice(buckets);
+        let n_t = ts.len() as u32;
+        let (at, rows_at) = (at as u32, rows_at as u32);
+        self.entries[slot] = Entry::Bucketed { at, n_t, rows_at };
+    }
 }
 
 impl TreeBuilder {
+    /// A builder that remembers the split work no target changes, per
+    /// split path and feature, across its fits (see the module
+    /// documentation). A node's rows follow from its path only while every
+    /// fit reads the same [`Columns`]: a boosted model's rounds, stages and
+    /// outputs.
+    pub(crate) fn memoising() -> TreeBuilder {
+        TreeBuilder {
+            memo: Some(Memo::default()),
+            ..TreeBuilder::default()
+        }
+    }
+
     /// Fits one tree on `cols` against `y[..cols.n_rows]`; the arguments
     /// mean what they mean to [`DecisionTree::fit_with_features`].
     pub(crate) fn fit(
@@ -473,7 +612,12 @@ impl TreeBuilder {
                     }));
                 }
             }
-            Fit {
+            let mut memo = self.memo.take();
+            let mut active = memo.as_mut().filter(|_| params.criterion == Criterion::Mse);
+            if let Some(memo) = active.as_deref_mut() {
+                memo.begin(cols, params.max_thresholds);
+            }
+            let root = Fit {
                 cols,
                 y,
                 params,
@@ -482,9 +626,12 @@ impl TreeBuilder {
                     .wrapping_mul(0x9E3779B97F4A7C15)
                     .wrapping_add(0xD1B54A32D192ED03),
                 importance: &mut importance,
+                memo: active,
                 s: self,
             }
-            .node(0, n, 0)
+            .node(0, n, 0, 0);
+            self.memo = memo;
+            root
         };
         DecisionTree {
             root,
@@ -503,12 +650,15 @@ struct Fit<'a> {
     max_features: Option<usize>,
     rng_state: u64,
     importance: &'a mut [f64],
+    /// The builder's memo, when it has one and the criterion is `Mse`.
+    memo: Option<&'a mut Memo>,
     s: &'a mut TreeBuilder,
 }
 
 impl Fit<'_> {
-    /// Builds the subtree over `rows[lo..hi]`, pre-order.
-    fn node(&mut self, lo: usize, hi: usize, depth: usize) -> Node {
+    /// Builds the subtree over `rows[lo..hi]`, the rows of memo `path`,
+    /// pre-order.
+    fn node(&mut self, lo: usize, hi: usize, depth: usize, path: u32) -> Node {
         let n = hi - lo;
         let (node_impurity, value) = self.node_stats(lo, hi);
         if depth >= self.params.max_depth
@@ -519,13 +669,19 @@ impl Fit<'_> {
             return Node::Leaf { value };
         }
         self.draw_features();
-        match self.best_split(lo, hi) {
+        match self.best_split(lo, hi, path) {
             Some((feature, threshold, score)) if score < node_impurity - 1e-12 => {
                 self.importance[feature] += (node_impurity - score) * n as f64;
                 let (n_left, n_right) = self.partition(lo, hi, feature, threshold);
                 let mid = lo + n_left;
-                let left = self.node(lo, mid, depth + 1);
-                let right = self.node(mid, mid + n_right, depth + 1);
+                let n_features = self.cols.n_features;
+                let mut child = |right| match self.memo.as_deref_mut() {
+                    Some(m) => m.child(path, (feature, threshold.to_bits(), right), n_features),
+                    None => 0,
+                };
+                let (left_path, right_path) = (child(false), child(true));
+                let left = self.node(lo, mid, depth + 1, left_path);
+                let right = self.node(mid, mid + n_right, depth + 1, right_path);
                 Node::Split {
                     feature,
                     threshold,
@@ -593,23 +749,39 @@ impl Fit<'_> {
 
     /// The admissible `(feature, threshold, weighted impurity)` of lowest
     /// score over the node's candidate features; the first one among equals.
-    fn best_split(&mut self, lo: usize, hi: usize) -> Option<(usize, f64, f64)> {
+    fn best_split(&mut self, lo: usize, hi: usize, path: u32) -> Option<(usize, f64, f64)> {
         let n = hi - lo;
-        let min_leaf = self.params.min_samples_leaf;
-        let n_classes = self.s.labels.len();
-        let mse = |sq: f64, n: usize| if n == 0 { 0.0 } else { sq / n as f64 };
         let mut best: Option<(usize, f64, f64)> = None;
         for at in 0..self.s.features.len() {
             let f = self.s.features[at];
             if !self.cols.varies[f] {
                 continue;
             }
-            if self.cols.rank_space[f] > 0 {
+            let ranked = self.cols.rank_space[f] > 0;
+            // A remembered (path, feature) goes straight to the targets.
+            let slot = Some(path as usize * self.cols.n_features + f).filter(|_| ranked);
+            match slot.zip(self.memo.as_deref()).map(|(at, m)| m.entries[at]) {
+                Some(Entry::NoSplit) => {
+                    #[cfg(test)]
+                    MEMO_READS.with(|c| c.set(c.get() + 1));
+                    continue;
+                }
+                Some(Entry::Bucketed { at, n_t, rows_at }) => {
+                    self.recall(at as usize, n_t as usize, rows_at as usize, n);
+                    self.consider(f, 0, n_t as usize, n, &mut best);
+                    continue;
+                }
+                _ => {}
+            }
+            if ranked {
                 self.distinct_by_rank(f, lo, hi);
             } else {
                 self.distinct_by_sort(f, lo, hi);
             }
             if !self.candidate_thresholds() {
+                if let Some((slot, memo)) = slot.zip(self.memo.as_deref_mut()) {
+                    memo.entries[slot] = Entry::NoSplit;
+                }
                 continue;
             }
             // Thresholds in ascending order are scored together. A NaN among
@@ -620,30 +792,81 @@ impl Fit<'_> {
             let step = if ordered { n_thresholds } else { 1 };
             for start in (0..n_thresholds).step_by(step) {
                 self.bucket_rows(f, lo, hi, start, start + step);
-                self.score_thresholds(step);
-                let s = &*self.s;
-                for j in 0..step {
-                    let (n_l, n_r) = (s.n_side[j], s.n_side[step + j]);
-                    if n_l < min_leaf || n_r < min_leaf {
-                        continue;
-                    }
-                    let (impurity_l, impurity_r) = match self.params.criterion {
-                        Criterion::Mse => (mse(s.sq[j], n_l), mse(s.sq[step + j], n_r)),
-                        Criterion::Gini => (
-                            gini(&s.cnt_l[j * n_classes..][..n_classes], n_l),
-                            gini(&s.cnt_r[(j + 1) * n_classes..][..n_classes], n_r),
-                        ),
-                    };
-                    let wl = n_l as f64 / n as f64;
-                    let wr = 1.0 - wl;
-                    let score = wl * impurity_l + wr * impurity_r;
-                    if best.map(|(_, _, b)| score < b).unwrap_or(true) {
-                        best = Some((f, s.thresholds[start + j], score));
+                self.count_sides(step);
+                let s = &mut *self.s;
+                if self.params.criterion == Criterion::Mse {
+                    // Ranked cells against ascending thresholds: every row's
+                    // `lo == hi`, one bucket.
+                    if ranked && ordered && step <= usize::from(u8::MAX) {
+                        s.buckets.clear();
+                        s.buckets.extend(s.bounds.iter().map(|&[lo, _]| lo as u8));
+                        if let Some((slot, memo)) = slot.zip(self.memo.as_deref_mut()) {
+                            memo.store(slot, &s.thresholds, &s.n_side, &s.buckets);
+                        }
+                        mse_by_bucket(&s.buckets, &s.ys, &s.n_side, &mut s.mean, &mut s.sq);
+                    } else {
+                        let bounds = s.bounds.iter().copied();
+                        mse_windowed(bounds, &s.ys, &s.n_side, &mut s.mean, &mut s.sq);
                     }
                 }
+                self.consider(f, start, step, n, &mut best);
             }
         }
         best
+    }
+
+    /// Loads what the memo holds for a node of `n` rows at `at`, `n_t`,
+    /// `rows_at`, and scores its thresholds against the node's targets.
+    fn recall(&mut self, at: usize, n_t: usize, rows_at: usize, n: usize) {
+        #[cfg(test)]
+        MEMO_READS.with(|c| c.set(c.get() + 1));
+        let memo = self.memo.as_deref().expect("only a memo holds entries");
+        let s = &mut *self.s;
+        let n_left = &memo.n_left[at..at + n_t];
+        s.thresholds.clear();
+        s.thresholds
+            .extend_from_slice(&memo.thresholds[at..at + n_t]);
+        // No NaN cell or threshold: a row not left of a threshold is right.
+        s.n_side.clear();
+        s.n_side.extend(n_left.iter().map(|&l| l as usize));
+        s.n_side.extend(n_left.iter().map(|&l| n - l as usize));
+        let buckets = &memo.buckets[rows_at..rows_at + n];
+        mse_by_bucket(buckets, &s.ys, &s.n_side, &mut s.mean, &mut s.sq);
+    }
+
+    /// Offers `thresholds[start..start + step]`, just scored, to `best`:
+    /// those `min_samples_leaf` admits, by strict `score < best`.
+    fn consider(
+        &self,
+        f: usize,
+        start: usize,
+        step: usize,
+        n: usize,
+        best: &mut Option<(usize, f64, f64)>,
+    ) {
+        let s = &*self.s;
+        let min_leaf = self.params.min_samples_leaf;
+        let n_classes = s.labels.len();
+        let mse = |sq: f64, n: usize| if n == 0 { 0.0 } else { sq / n as f64 };
+        for j in 0..step {
+            let (n_l, n_r) = (s.n_side[j], s.n_side[step + j]);
+            if n_l < min_leaf || n_r < min_leaf {
+                continue;
+            }
+            let (impurity_l, impurity_r) = match self.params.criterion {
+                Criterion::Mse => (mse(s.sq[j], n_l), mse(s.sq[step + j], n_r)),
+                Criterion::Gini => (
+                    gini(&s.cnt_l[j * n_classes..][..n_classes], n_l),
+                    gini(&s.cnt_r[(j + 1) * n_classes..][..n_classes], n_r),
+                ),
+            };
+            let wl = n_l as f64 / n as f64;
+            let wr = 1.0 - wl;
+            let score = wl * impurity_l + wr * impurity_r;
+            if best.map(|(_, _, b)| score < b).unwrap_or(true) {
+                *best = Some((f, s.thresholds[start + j], score));
+            }
+        }
     }
 
     /// Fills `distinct` with ranked feature `f`'s distinct cells at the node,
@@ -768,13 +991,12 @@ impl Fit<'_> {
         }
     }
 
-    /// Fills, for the `n_t` thresholds `bucket_rows` bucketed against, the
-    /// row (and class) counts of both sides and, under `Mse`, both sides'
-    /// sums of squared deviations.
-    fn score_thresholds(&mut self, n_t: usize) {
+    /// Fills `n_side` with both sides' row counts for the `n_t` thresholds
+    /// `bucket_rows` bucketed against, and sweeps the class histograms
+    /// into each side's class counts.
+    fn count_sides(&mut self, n_t: usize) {
         let s = &mut *self.s;
         let n_classes = s.labels.len();
-
         // Integer counts are exact in any order: sweep the histograms.
         for at in n_classes..(n_t + 1) * n_classes {
             s.cnt_l[at] += s.cnt_l[at - n_classes];
@@ -788,42 +1010,6 @@ impl Fit<'_> {
             .extend(s.cnt_l.chunks(n_classes).take(n_t).map(total));
         s.n_side
             .extend(s.cnt_r.chunks(n_classes).skip(1).map(total));
-
-        if self.params.criterion != Criterion::Mse {
-            return;
-        }
-
-        // Float sums are not: every threshold's two sides get their own
-        // accumulator, fed in ascending row order from `sum`'s identity. A
-        // row feeds the left side of thresholds `hi..` and the right side
-        // of `..lo`, and `lo <= hi`: in the `[left | right]` layout that is
-        // the one run `hi..n_t + lo`.
-        let zero: f64 = std::iter::empty::<f64>().sum();
-        for acc in [&mut s.mean, &mut s.sq] {
-            acc.clear();
-            acc.resize(2 * n_t, zero);
-        }
-        let (mean, sq) = (&mut s.mean[..], &mut s.sq[..]);
-        let rows = || s.bounds.iter().zip(&s.ys);
-        for (&[lo, hi], &y) in rows() {
-            on_run(&mut mean[hi as usize..n_t + lo as usize], |sums| {
-                for sum in sums {
-                    *sum += y;
-                }
-            });
-        }
-        for (sum, &n) in mean.iter_mut().zip(&s.n_side) {
-            *sum /= n as f64;
-        }
-        for (&[lo, hi], &y) in rows() {
-            let run = hi as usize..n_t + lo as usize;
-            let means = &mean[run.clone()];
-            on_run(&mut sq[run], |sqs| {
-                for (sq, &mean) in sqs.iter_mut().zip(means) {
-                    *sq += (y - mean).powi(2);
-                }
-            });
-        }
     }
 
     /// Stable partition of `rows[lo..hi]` into the left child's rows
@@ -854,11 +1040,152 @@ impl Fit<'_> {
     }
 }
 
+/// Fills `mean` and `sq`, laid out `[left 0..T | right 0..T]` like
+/// `n_side` (the `T` thresholds' row counts), with each side's mean and sum
+/// of squared deviations from it, a row `[lo, hi]` feeding the left side
+/// of thresholds `hi..` and the right side of `..lo`.
+///
+/// Float sums are not exact in any order: every side gets its own
+/// accumulator, fed in ascending row order from `sum`'s identity. As
+/// `lo <= hi`, a row's sides are the one run `hi..T + lo` of the layout.
+fn mse_windowed(
+    bounds: impl Iterator<Item = [u32; 2]> + Clone,
+    ys: &[f64],
+    n_side: &[usize],
+    mean: &mut Vec<f64>,
+    sq: &mut Vec<f64>,
+) {
+    let n_t = n_side.len() / 2;
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    for acc in [&mut *mean, &mut *sq] {
+        acc.clear();
+        acc.resize(2 * n_t, zero);
+    }
+    let rows = || bounds.clone().zip(ys);
+    for ([lo, hi], &y) in rows() {
+        on_run(&mut mean[hi as usize..n_t + lo as usize], |sums| {
+            for sum in sums {
+                *sum += y;
+            }
+        });
+    }
+    for (sum, &n) in mean.iter_mut().zip(n_side) {
+        *sum /= n as f64;
+    }
+    for ([lo, hi], &y) in rows() {
+        let run = hi as usize..n_t + lo as usize;
+        let means = &mean[run.clone()];
+        on_run(&mut sq[run], |sqs| {
+            for (sq, &mean) in sqs.iter_mut().zip(means) {
+                *sq += (y - mean).powi(2);
+            }
+        });
+    }
+}
+
+/// [`mse_windowed`] for rows that each lie right of thresholds `..b` and
+/// left of `b..`, `b` the row's bucket: in registers when the CPU has
+/// AVX-512F and there are at most 16 thresholds, by the windowed loop
+/// otherwise.
+fn mse_by_bucket(
+    buckets: &[u8],
+    ys: &[f64],
+    n_side: &[usize],
+    mean: &mut Vec<f64>,
+    sq: &mut Vec<f64>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if n_side.len() <= 32 && is_x86_feature_detected!("avx512f") {
+        // SAFETY: the CPU has AVX-512F.
+        return unsafe { mse_avx512(buckets, ys, n_side, mean, sq) };
+    }
+    let bounds = buckets.iter().map(|&b| [u32::from(b); 2]);
+    mse_windowed(bounds, ys, n_side, mean, sq);
+}
+
+/// [`mse_windowed`] on buckets, for at most 16 thresholds, with every
+/// accumulator a register lane: left `0..8`, left `8..16`, right `0..8`,
+/// right `8..16`. A row is added to its lanes, and only to them, by a
+/// masked add, which leaves every other lane as it was; so each lane is fed
+/// exactly its rows' addends, in ascending row order, from `sum`'s
+/// identity, and rounds as its accumulator in the windowed loop does. A
+/// squared deviation is a product, then an add (no fused multiply-add).
+///
+/// # Safety
+///
+/// Call only on a CPU that has AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn mse_avx512(
+    buckets: &[u8],
+    ys: &[f64],
+    n_side: &[usize],
+    mean: &mut Vec<f64>,
+    sq: &mut Vec<f64>,
+) {
+    use std::arch::x86_64::*;
+    let n_t = n_side.len() / 2;
+    let all = (1u32 << n_t) - 1;
+    // A row of bucket `b` is right of thresholds `..b` and left of `b..n_t`:
+    // one mask byte per register.
+    let masks = |b: u8| {
+        let right = (1u32 << b) - 1;
+        (all & !right | right << 16).to_le_bytes()
+    };
+    // Lanes `16 * side + j`, laid out `[left | right]` as `n_side` is.
+    let spread = |lanes: &[f64; 32], out: &mut Vec<f64>| {
+        out.clear();
+        out.extend_from_slice(&lanes[..n_t]);
+        out.extend_from_slice(&lanes[16..16 + n_t]);
+    };
+    let zero = _mm512_set1_pd(std::iter::empty::<f64>().sum());
+    let mut lanes = [0.0; 32];
+
+    let mut sums = [zero; 4];
+    for (&b, &y) in buckets.iter().zip(ys) {
+        let y = _mm512_set1_pd(y);
+        for (sum, k) in sums.iter_mut().zip(masks(b)) {
+            *sum = _mm512_mask_add_pd(*sum, k, *sum, y);
+        }
+    }
+    for (chunk, sum) in lanes.chunks_exact_mut(8).zip(sums) {
+        // SAFETY: `chunk` holds 8 lanes.
+        unsafe { _mm512_storeu_pd(chunk.as_mut_ptr(), sum) };
+    }
+    spread(&lanes, mean);
+    for (sum, &n) in mean.iter_mut().zip(n_side) {
+        *sum /= n as f64;
+    }
+
+    lanes[..n_t].copy_from_slice(&mean[..n_t]);
+    lanes[16..16 + n_t].copy_from_slice(&mean[n_t..]);
+    // SAFETY: `lanes` holds 4 × 8 lanes.
+    let means: [__m512d; 4] =
+        std::array::from_fn(|i| unsafe { _mm512_loadu_pd(lanes[8 * i..].as_ptr()) });
+    let mut sqs = [zero; 4];
+    for (&b, &y) in buckets.iter().zip(ys) {
+        let y = _mm512_set1_pd(y);
+        for ((sq, &mean), k) in sqs.iter_mut().zip(&means).zip(masks(b)) {
+            let d = _mm512_sub_pd(y, mean);
+            *sq = _mm512_mask_add_pd(*sq, k, *sq, _mm512_mul_pd(d, d));
+        }
+    }
+    for (chunk, sq) in lanes.chunks_exact_mut(8).zip(sqs) {
+        // SAFETY: `chunk` holds 8 lanes.
+        unsafe { _mm512_storeu_pd(chunk.as_mut_ptr(), sq) };
+    }
+    spread(&lanes, sq);
+}
+
 #[cfg(test)]
 thread_local! {
     /// Columns `rank_column` has ranked (that is, sorted) on this thread: what
     /// the mechanism tests count. Test-only, like everything from here on.
     static COLUMNS_RANKED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Memo entries this thread has read back, and every (path, feature)
+    /// slot a memoising fit has bucketed, in order.
+    static MEMO_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static MEMO_STORES: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// The split search this module had before [`TreeBuilder`], moved here
@@ -1571,6 +1898,178 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The register kernel adds what the windowed loop adds, on
+        /// `to_bits` of every mean and squared-deviation lane: `n_t` from 1
+        /// to 16, every bucket from 0 to `n_t`, targets among signed zeros,
+        /// infinities, NaN, subnormals and ±1e308. A NaN lane must be NaN
+        /// on both sides, but its sign and payload are left to the
+        /// compiler (which operand of an add it propagates; the windowed
+        /// loop's own debug and release builds differ there); no NaN lane
+        /// reaches a fitted tree, since a NaN score never splits a node.
+        #[test]
+        fn register_kernel_adds_what_the_windowed_loop_adds(
+            seed in any::<u64>(),
+            n_t in 1usize..17,
+            n_rows in 0usize..80,
+        ) {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if !is_x86_feature_detected!("avx512f") {
+                    println!("register kernel not tested: this CPU lacks AVX-512F");
+                    return;
+                }
+                let mut g = StdRng::seed_from_u64(seed);
+                let inf = f64::INFINITY;
+                let special = [-0.0, 0.0, inf, -inf, f64::NAN, 1e-310, -5e-324, 1e308, -1e308];
+                let buckets: Vec<u8> = (0..n_rows).map(|_| g.gen_range(0..n_t + 1) as u8).collect();
+                let ys: Vec<f64> = (0..n_rows)
+                    .map(|_| match g.gen_range(0..4usize) {
+                        0 => special[g.gen_range(0..special.len())],
+                        _ => g.gen_range(-4.0..4.0),
+                    })
+                    .collect();
+                let n_left: Vec<usize> = (0..n_t)
+                    .map(|j| buckets.iter().filter(|&&b| usize::from(b) <= j).count())
+                    .collect();
+                let n_side: Vec<usize> = n_left.iter().copied().chain(n_left.iter().map(|&l| n_rows - l)).collect();
+                let (mut mean, mut sq) = (Vec::new(), Vec::new());
+                // SAFETY: the CPU has AVX-512F.
+                unsafe { mse_avx512(&buckets, &ys, &n_side, &mut mean, &mut sq) };
+                let bounds = buckets.iter().map(|&b| [u32::from(b); 2]);
+                let (mut windowed_mean, mut windowed_sq) = (Vec::new(), Vec::new());
+                mse_windowed(bounds, &ys, &n_side, &mut windowed_mean, &mut windowed_sq);
+                let lanes = |v: &[f64]| -> Vec<Option<u64>> {
+                    v.iter().map(|x| Some(x.to_bits()).filter(|_| !x.is_nan())).collect()
+                };
+                prop_assert_eq!(lanes(&mean), lanes(&windowed_mean));
+                prop_assert_eq!(lanes(&sq), lanes(&windowed_sq));
+            }
+        }
+    }
+
+    /// The memo slots this thread stores and the entries it reads back
+    /// while `fit` runs.
+    fn memo_use(fit: impl FnOnce()) -> (Vec<usize>, usize) {
+        MEMO_STORES.with(|log| log.borrow_mut().clear());
+        let before = MEMO_READS.with(|c| c.get());
+        fit();
+        (
+            MEMO_STORES.with(|log| log.take()),
+            MEMO_READS.with(|c| c.get()) - before,
+        )
+    }
+
+    /// A boosted fit buckets each (path, feature) at most once across all
+    /// its rounds, stages and outputs, and reads it back after that.
+    #[test]
+    fn a_boosted_fit_buckets_each_path_and_feature_at_most_once() {
+        use crate::gbm::{
+            GbmParams, GradientBoostingClassifier, GradientBoostingRegressor, MultiOutputGbm,
+        };
+        let mut g = StdRng::seed_from_u64(47);
+        let rows = matrix(&mut g, 240);
+        let x = Matrix::from_rows(&rows);
+        let y = regression_target(&mut g, &rows);
+        let labels = class_target(&mut g, &rows, 3);
+        let outputs: Vec<Vec<f64>> = y
+            .iter()
+            .zip(&labels)
+            .map(|(&t, &l)| vec![t, l, t * l])
+            .collect();
+        let surrogate = GbmParams {
+            n_estimators: 30,
+            ..GbmParams::default()
+        };
+        let params = GbmParams::default();
+        let regressor = memo_use(|| drop(GradientBoostingRegressor::fit(&x, &y, params)));
+        let classifier = memo_use(|| drop(GradientBoostingClassifier::fit(&x, &labels, 3, params)));
+        let multi_output = memo_use(|| drop(MultiOutputGbm::fit(&rows, &outputs, surrogate)));
+        for (model, (stored, reads)) in [
+            ("regressor", regressor),
+            ("classifier", classifier),
+            ("multi-output", multi_output),
+        ] {
+            assert!(!stored.is_empty(), "{model}: nothing remembered");
+            let mut distinct = stored.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(
+                distinct.len(),
+                stored.len(),
+                "{model}: a (path, feature) bucketed twice"
+            );
+            assert!(
+                reads > stored.len(),
+                "{model}: {reads} reads of {} entries",
+                stored.len()
+            );
+        }
+    }
+
+    /// Round after round and stage after stage, a memoising builder fits
+    /// what a fresh builder fits; moved to other columns or another
+    /// `max_thresholds`, it starts over.
+    #[test]
+    fn a_memoising_builder_fits_what_a_fresh_builder_fits() {
+        let mut g = StdRng::seed_from_u64(9);
+        let mut memoising = TreeBuilder::memoising();
+        for (n, max_thresholds, min_samples_leaf) in [
+            (240, 16, 1),
+            (240, 16, 5),
+            (240, 3, 1),
+            (40, 16, 1),
+            (120, 0, 2),
+        ] {
+            let mut rows = matrix(&mut g, n);
+            for row in &mut rows {
+                row.push(
+                    [f64::NEG_INFINITY, f64::INFINITY, -0.0, 0.0, 1.0][g.gen_range(0..5usize)],
+                );
+            }
+            let cols = Columns::from_matrix(&Matrix::from_rows(&rows));
+            let params = TreeParams {
+                max_depth: 3,
+                min_samples_leaf,
+                max_thresholds,
+                ..TreeParams::default()
+            };
+            for _stage in 0..2 {
+                let mut residual = regression_target(&mut g, &rows);
+                for _round in 0..25 {
+                    let memo = memoising.fit(&cols, &residual, params, None, 0);
+                    let fresh = TreeBuilder::default().fit(&cols, &residual, params, None, 0);
+                    assert_same_tree(&memo, &fresh);
+                    for (i, r) in residual.iter_mut().enumerate() {
+                        *r -= 0.3 * memo.predict_row(&cols, i);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A forest gathers new columns per tree and builds no memoising
+    /// builder: none of its trees reads a memo entry.
+    #[test]
+    fn a_forest_never_reads_a_memo_entry() {
+        use crate::forest::{ForestParams, RandomForest};
+        let mut g = StdRng::seed_from_u64(13);
+        let rows = matrix(&mut g, 150);
+        let x = Matrix::from_rows(&rows);
+        let labels = class_target(&mut g, &rows, 3);
+        let y = regression_target(&mut g, &rows);
+        for (target, n_classes, params) in [
+            (&labels, 3, ForestParams::classification(12)),
+            (&y, 0, ForestParams::regression(12)),
+        ] {
+            let (stored, reads) =
+                memo_use(|| drop(RandomForest::fit(&x, target, n_classes, params)));
+            assert_eq!((stored.len(), reads), (0, 0));
         }
     }
 }
