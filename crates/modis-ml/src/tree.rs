@@ -1968,7 +1968,7 @@ mod tests {
     /// A boosted fit buckets each (path, feature) at most once across all
     /// its rounds, stages and outputs, and reads it back after that.
     #[test]
-    fn a_boosted_fit_buckets_each_path_and_feature_at_most_once() {
+    fn a_boosted_fits_memo_buckets_each_path_and_feature_at_most_once() {
         use crate::gbm::{
             GbmParams, GradientBoostingClassifier, GradientBoostingRegressor, MultiOutputGbm,
         };
