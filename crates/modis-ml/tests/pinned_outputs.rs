@@ -5,20 +5,25 @@
 //! everything it answers through the public API — predictions, per-class
 //! scores, feature importances, the Table-3 metrics of its predictions —
 //! is folded into one FNV-1a hash; the boosted models are also pinned on
-//! one paper-shaped fixture at their default 50 rounds (`boosted_fixture`).
-//! The differential tests inside the crate
+//! one paper-shaped fixture at their default 50 rounds (`boosted_fixture`),
+//! ridge on six features with cells whose products overflow
+//! (`wide_ridge_fixture`), and the encoder on a churn-shaped pool
+//! (`churn_pool`). The differential tests inside the crate
 //! rebuild a model's fields from an old fit and read them back through the
 //! current methods, so they cannot see a changed prediction, score or
 //! importance formula; these hashes can. A hash moves only with a change
 //! that states it changes results.
 
+use modis_data::{Attribute, Dataset, DatasetView, RowMask, Schema, TableProjection, Value};
+use modis_ml::encoding::encode_view_split;
 use modis_ml::feature::{
     fisher_score, fisher_scores, mutual_information, mutual_information_scores,
 };
 use modis_ml::metrics::{accuracy, auc_ovr, f1_score, mae, mse, precision, r2, recall, rmse};
 use modis_ml::{
-    ForestParams, GbmParams, GradientBoostingClassifier, GradientBoostingRegressor,
-    LogisticRegression, Matrix, MultiOutputGbm, RandomForest, RidgeRegression,
+    EncodeOptions, Encoded, ForestParams, GbmParams, GradientBoostingClassifier,
+    GradientBoostingRegressor, LogisticRegression, Matrix, MultiOutputGbm, RandomForest,
+    RidgeRegression,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -239,6 +244,53 @@ fn ridge_regression_answers_are_pinned() {
     check("RidgeRegression", h.0, 0xa89c_0734_5d8d_db39);
 }
 
+/// Six features, the widest row `[1, x_1 … x_6, y]` that fits one 8-lane
+/// register: `±0.0`, subnormals and `±1e154` / `±3e154` (whose products
+/// and sums overflow) beside ordinary cells, in targets too, at row counts
+/// on both sides of a register's 8 lanes and of a 64-row word.
+fn wide_ridge_fixture(n: usize, seed: u64) -> (Matrix, Vec<f64>, Matrix) {
+    let mut g = StdRng::seed_from_u64(seed);
+    let special = [-0.0, 0.0, 5e-324, -1e-310, 1e154, -1e154, 3e154, -3e154];
+    let draw = |g: &mut StdRng, rate: usize| {
+        if g.gen_range(0..rate) == 0 {
+            special[g.gen_range(0..special.len())]
+        } else {
+            g.gen_range(-4.0..4.0)
+        }
+    };
+    // Every other fixture keeps its specials rare, so its fit stays finite.
+    let rate = if seed.is_multiple_of(2) { 4 } else { 97 };
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| (0..6).map(|_| draw(&mut g, rate)).collect())
+        .collect();
+    let target = rows
+        .iter()
+        .map(|r| r[0] - 0.5 * r[3] + draw(&mut g, rate))
+        .collect();
+    let probes: Vec<Vec<f64>> = (0..4)
+        .map(|_| (0..6).map(|_| g.gen_range(-4.0..4.0)).collect())
+        .collect();
+    (Matrix::from_rows(&rows), target, Matrix::from_rows(&probes))
+}
+
+#[test]
+fn six_feature_ridge_answers_are_pinned() {
+    let mut h = Fnv::new();
+    for (i, n) in [0usize, 1, 2, 7, 8, 9, 64, 65, 300].into_iter().enumerate() {
+        for seed in [2 * i as u64, 2 * i as u64 + 1] {
+            let (x, y, probes) = wide_ridge_fixture(n, seed);
+            for alpha in [0.0, 1.0] {
+                let m = RidgeRegression::fit(&x, &y, alpha);
+                h.floats(&m.weights);
+                h.word(m.intercept.to_bits());
+                h.floats(&m.predict(&x));
+                h.floats(&m.predict(&probes));
+            }
+        }
+    }
+    check("six-feature RidgeRegression", h.0, 0x6071_7512_b1ac_ecd6);
+}
+
 #[test]
 fn multi_output_gbm_answers_are_pinned() {
     let mut h = Fnv::new();
@@ -380,4 +432,102 @@ fn feature_scores_are_pinned() {
         h.word(mutual_information(&f.x, &f.labels, 6).to_bits());
     }
     check("feature scores", h.0, 0x9470_3768_2232_bfe4);
+}
+
+/// A churn-shaped pool of 1,000 rows: two floats (one with nulls), an
+/// integer, two categoricals (one with nulls), a noise column, a key and a
+/// linear target.
+fn churn_pool() -> Dataset {
+    const REGIONS: [&str; 4] = ["north", "south", "east", "west"];
+    const TIERS: [&str; 3] = ["basic", "plus", "pro"];
+    let schema = Schema::from_attributes(vec![
+        Attribute::key("id"),
+        Attribute::feature("x1"),
+        Attribute::feature("x2"),
+        Attribute::feature("visits"),
+        Attribute::feature("region"),
+        Attribute::feature("tier"),
+        Attribute::feature("noise"),
+        Attribute::target("y"),
+    ]);
+    let rows = (0..1_000usize)
+        .map(|i| {
+            let unit = |salt: usize| ((i * 37 + salt * 101) % 997) as f64 / 997.0;
+            let (x1, x2, noise) = (unit(1) * 2.0 - 1.0, unit(2) * 2.0 - 1.0, unit(3));
+            let (visits, region, tier) = ((i * 7) % 40, (i * 3) % 4, (i * 5) % 3);
+            let y = 1.5 * x1 - x2 + 0.02 * visits as f64 + 0.3 * tier as f64 - 0.1 * region as f64;
+            vec![
+                Value::Int(i as i64),
+                Value::Float(x1),
+                if i % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(x2)
+                },
+                Value::Int(visits as i64),
+                Value::Str(REGIONS[region].into()),
+                if i % 17 == 0 {
+                    Value::Null
+                } else {
+                    Value::Str(TIERS[tier].into())
+                },
+                Value::Float(noise),
+                Value::Float(y),
+            ]
+        })
+        .collect();
+    Dataset::from_rows("churn", schema, rows).expect("rows match the schema")
+}
+
+fn encoded(h: &mut Fnv, side: &Encoded) {
+    h.word(side.features.n_cols() as u64);
+    h.word(side.features.len() as u64);
+    for row in side.features.rows() {
+        for v in row {
+            h.word(v.to_bits());
+        }
+    }
+    h.floats(&side.targets);
+    for name in &side.feature_names {
+        h.word(name.len() as u64);
+        for byte in name.bytes() {
+            h.word(u64::from(byte));
+        }
+    }
+}
+
+/// What a churn valuation trains and tests on: both sides of
+/// `encode_view_split` on six selections of the pool (all rows, none, one,
+/// 130 rows across word boundaries, every third row, a contiguous range)
+/// at the valuation's ratio 0.7 and at 1.0, with and without the pool's
+/// projection.
+#[test]
+fn churn_shaped_split_encodings_are_pinned() {
+    let data = churn_pool();
+    let projection = TableProjection::new(&data);
+    let n = data.num_rows();
+    let selections = [
+        RowMask::all(n),
+        RowMask::none(n),
+        RowMask::from_pred(n, |r| r == 517),
+        RowMask::from_pred(n, |r| (50..180).contains(&r)),
+        RowMask::from_pred(n, |r| r % 3 == 0),
+        RowMask::from_pred(n, |r| (300..700).contains(&r)),
+    ];
+    let opts = EncodeOptions::regression();
+    let mut h = Fnv::new();
+    for mask in selections {
+        let bare = DatasetView::new(&data, mask, vec![false; 8]);
+        for view in [bare.clone().with_projection(&projection), bare] {
+            for ratio in [0.7, 1.0] {
+                let (train, test) = encode_view_split(&view, &opts, ratio, 1);
+                encoded(&mut h, &train);
+                match &test {
+                    Some(test) => encoded(&mut h, test),
+                    None => h.word(u64::MAX),
+                }
+            }
+        }
+    }
+    check("churn-shaped encode_view_split", h.0, 0x72da_1fc0_93c8_af35);
 }
