@@ -105,11 +105,8 @@ impl StateBitmap {
     /// Builds a bitmap from explicit bits.
     pub fn from_bits(bits: Vec<bool>) -> Self {
         let mut b = StateBitmap::empty(bits.len());
-        let words = b.words_mut();
         for (i, &bit) in bits.iter().enumerate() {
-            if bit {
-                words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-            }
+            b.set(i, bit);
         }
         b
     }
@@ -124,12 +121,8 @@ impl StateBitmap {
             return None;
         }
         let rem = len % WORD_BITS;
-        if rem != 0 {
-            if let Some(&last) = words.last() {
-                if last & !((1u64 << rem) - 1) != 0 {
-                    return None;
-                }
-            }
+        if rem != 0 && words.last().is_some_and(|&last| last >> rem != 0) {
+            return None;
         }
         let storage = if words.len() <= INLINE_WORDS {
             let mut inline = [0; INLINE_WORDS];
@@ -191,14 +184,19 @@ impl StateBitmap {
         b
     }
 
-    /// Iterates the indices of set entries in increasing order.
+    /// Iterates the indices of set entries in increasing order: a plain
+    /// loop over the words, the lowest set bit of the current word first.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words().iter().enumerate().flat_map(|(wi, &word)| {
-            std::iter::successors((word != 0).then_some(word), |w| {
-                let w = w & (w - 1);
-                (w != 0).then_some(w)
-            })
-            .map(move |w| wi * WORD_BITS + w.trailing_zeros() as usize)
+        let mut words = self.words().iter().enumerate();
+        let (mut word, mut base) = (0u64, 0);
+        std::iter::from_fn(move || {
+            while word == 0 {
+                let (i, &next) = words.next()?;
+                (word, base) = (next, i * WORD_BITS);
+            }
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            Some(base + bit)
         })
     }
 

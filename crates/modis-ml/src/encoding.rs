@@ -290,7 +290,7 @@ pub fn encode_view_split(
     struct Numeric<'p> {
         j: usize,
         cells: &'p [f64],
-        /// The running sum until the pass below divides it by `count`.
+        /// Set by the means pass below.
         mean: f64,
         count: usize,
     }
@@ -320,18 +320,32 @@ pub fn encode_view_split(
             });
         }
     }
-    // One pass for every numeric column's mean: each column's sum starts
-    // at `0.0` and takes its addends in ascending row order; only the
-    // columns' chains interleave.
-    for &r in &rows {
-        for column in &mut numeric {
-            if !column.cells[r].is_nan() {
-                column.mean += column.cells[r];
+    // One pass per group of up to four numeric columns for their means:
+    // each column's sum starts at `0.0` and takes its addends in ascending
+    // row order, the group's sums held in registers across the pass; only
+    // their chains interleave. A NaN cell adds `-0.0`, the one addend that
+    // leaves every sum (`±0.0` included) as it was, so the select needs no
+    // branch.
+    fn means<const K: usize>(group: &mut [Numeric<'_>], rows: &[usize]) {
+        let columns: [&[f64]; K] = std::array::from_fn(|k| group[k].cells);
+        let mut sums = [0.0; K];
+        for &r in rows {
+            for (sum, cells) in sums.iter_mut().zip(&columns) {
+                let cell = cells[r];
+                *sum += if cell.is_nan() { -0.0 } else { cell };
             }
         }
+        for (column, sum) in group.iter_mut().zip(sums) {
+            column.mean = sum / column.count as f64;
+        }
     }
-    for column in &mut numeric {
-        column.mean /= column.count as f64;
+    for group in numeric.chunks_mut(4) {
+        match group.len() {
+            1 => means::<1>(group, &rows),
+            2 => means::<2>(group, &rows),
+            3 => means::<3>(group, &rows),
+            _ => means::<4>(group, &rows),
+        }
     }
 
     enum Target<'p> {
@@ -380,18 +394,20 @@ pub fn encode_view_split(
         }
     }
 
-    // One allocation per side, filled a column at a time.
+    // One allocation per side, filled a column at a time, each cell
+    // reached through its row's chunk (a `skip(j).step_by(d)` walk costs
+    // more per cell).
     let d = feature_cols.len();
     let fill = |rows: &[usize]| {
         let mut data = vec![0.0; rows.len() * d];
         for &Numeric { j, cells, mean, .. } in &numeric {
-            for (cell, &r) in data.iter_mut().skip(j).step_by(d).zip(rows) {
-                *cell = if cells[r].is_nan() { mean } else { cells[r] };
+            for (row, &r) in data.chunks_exact_mut(d).zip(rows) {
+                row[j] = if cells[r].is_nan() { mean } else { cells[r] };
             }
         }
         for Categorical { j, codes, ids } in &categorical {
-            for (cell, &r) in data.iter_mut().skip(*j).step_by(d).zip(rows) {
-                *cell = match codes[r] {
+            for (row, &r) in data.chunks_exact_mut(d).zip(rows) {
+                row[*j] = match codes[r] {
                     Dictionary::NULL => -1.0,
                     code => ids[code as usize],
                 };
@@ -859,8 +875,9 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        const COLUMNS: [&str; 10] = [
-            "id", "float", "int", "mixed", "cat", "one_bad", "empty", "flag", "wide", "t",
+        const COLUMNS: [&str; 12] = [
+            "id", "float", "int", "mixed", "cat", "one_bad", "empty", "flag", "wide", "count",
+            "ratio", "t",
         ];
         const SIZES: [usize; 8] = [0, 1, 5, 7, 8, 40, 64, 130];
 
@@ -918,6 +935,17 @@ mod tests {
                 },
                 // One key per row (what a float column is to a dictionary).
                 "wide" => s(&format!("k{row}")),
+                // Two more numeric columns, so that a state often has five
+                // or more and the means pass runs a second group.
+                "count" => match pick {
+                    0 => Value::Null,
+                    _ => Value::Int(g.gen_range(0..40usize) as i64),
+                },
+                "ratio" => match pick {
+                    0 => Value::Float(f64::NAN),
+                    1 => Value::Float(-0.0),
+                    _ => Value::Float(g.gen_range(0.0..1.0)),
+                },
                 "t" if classes => match pick {
                     0 => Value::Null,
                     1 => Value::Int(1),
@@ -1180,6 +1208,38 @@ mod tests {
                 seen[3] |= e.num_features() > 0 && e.len() == 1;
             }
             assert_eq!(seen, [true; 4]);
+        }
+
+        /// The generated states reach the shapes the means pass and the
+        /// fill treat apart: five or more numeric feature columns (a second
+        /// group of register sums), a last group of one to three columns
+        /// after a full one, and a selected null categorical cell.
+        #[test]
+        fn the_generated_states_cover_the_accumulator_groups() {
+            let mut seen = [false; 3];
+            for seed in 0..400 {
+                let mut g = StdRng::seed_from_u64(seed);
+                let n = SIZES[seed as usize % SIZES.len()];
+                let data = table(&mut g, n, seed % 2 == 0, seed % 3 != 0);
+                let projection = TableProjection::new(&data);
+                let (mask, masked, opts) = state(&mut g, n, seed % 2 == 0);
+                let view = DatasetView::new(&data, mask.clone(), masked);
+                let e = encode_view(&view, &opts);
+                let mut numeric = 0;
+                for name in &e.feature_names {
+                    let c = data.schema().position(name).expect("a feature is a column");
+                    let column = projection.column(&data, c);
+                    if mask.count_and(column.numeric()) == mask.count_and(column.non_null()) {
+                        numeric += 1;
+                    } else {
+                        let codes = projection.dictionary(&data, c).codes();
+                        seen[2] |= mask.iter().any(|r| codes[r] == Dictionary::NULL);
+                    }
+                }
+                seen[0] |= numeric >= 5;
+                seen[1] |= numeric > 4 && numeric % 4 != 0;
+            }
+            assert_eq!(seen, [true; 3]);
         }
 
         /// The generator reaches the cases the contract names (otherwise

@@ -42,6 +42,7 @@ pub mod kmeans;
 pub mod linear;
 pub mod matrix;
 pub mod metrics;
+mod simd;
 pub mod tree;
 
 pub use encoding::{encode, EncodeOptions, Encoded, TaskKind};

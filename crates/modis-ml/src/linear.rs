@@ -5,9 +5,28 @@
 //! solver (the feature counts in the MODis workloads are small); logistic
 //! regression uses batch gradient descent. These power the LRavocado model
 //! (task T3) and the logistic classifier.
+//!
+//! Every upper-triangle cell of `XᵀX` over the augmented rows
+//! `[1, x_1 … x_d]`, and every cell of `Xᵀy`, receives its row products
+//! from `0.0` in ascending row order — no pairwise or chunked sums, which
+//! round differently — by one of two paths with the same bits:
+//!
+//! * **registers** (the private `simd` module), when the CPU has AVX-512F
+//!   and the row `[1, x_1 … x_d, y]` fits one 8-lane register (`d ≤ 6`,
+//!   every churn pool): each training row is read straight from the
+//!   [`Matrix`] by one masked load, and each of the `d + 1` rows of
+//!   `[XᵀX | Xᵀy]` is a `zmm` accumulator that adds `broadcast(v_i) · v`,
+//!   a product then an add (no fused multiply-add);
+//! * **portable** (`normal_equations`), everywhere else: the augmented rows
+//!   are copied into one buffer and summed a block of eight cells at a
+//!   time.
+//!
+//! The lower triangle is the mirrored upper one, and the ridge term, the
+//! jitter and the solve are one tail both paths share.
 
 use crate::ensemble;
 use crate::matrix::Matrix;
+use crate::simd;
 
 /// Ridge regression fitted via normal equations.
 #[derive(Debug, Clone)]
@@ -65,8 +84,8 @@ pub(crate) fn solve_linear_system(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Opti
     Some(x)
 }
 
-/// Cells of the normal equations [`RidgeRegression::fit`] accumulates at
-/// once: one register accumulator each, over the rows.
+/// Cells of the normal equations the portable loop accumulates at once:
+/// one accumulator each, over the rows.
 const DOTS: usize = 8;
 
 /// `Σ_r row_r[i] · row_r[start + k]` for the `DOTS` cells `k` of one block,
@@ -86,6 +105,45 @@ fn dots(rows: &[f64], width: usize, i: usize, start: usize) -> [f64; DOTS] {
     sums
 }
 
+/// The portable loop for the upper triangle of `XᵀX` and all of `Xᵀy`:
+/// the augmented rows `[1, x_1 … x_d, y]` are copied into one buffer
+/// (zero-padded to at least one block), and a block of `DOTS` cells of one
+/// row `i` is summed at a time, over the block's contiguous slice of each
+/// row. It runs where the register kernel does not (`d > 6`, or a CPU
+/// without AVX-512F), and is what that kernel is tested against.
+fn normal_equations(x: &Matrix, y: &[f64], xtx: &mut [Vec<f64>], xty: &mut [f64]) {
+    let dim = x.n_cols() + 1;
+    let width = (dim + 1).max(DOTS);
+    let n = x.len().min(y.len());
+    let mut aug = vec![0.0; n * width];
+    for ((out, row), &target) in aug.chunks_exact_mut(width).zip(x.rows()).zip(y) {
+        // Cell by cell: a `copy_from_slice` of a few cells is a `memcpy`
+        // call per row.
+        out[0] = 1.0;
+        for (cell, &value) in out[1..dim].iter_mut().zip(row) {
+            *cell = value;
+        }
+        out[dim] = target;
+    }
+    for i in 0..dim {
+        let mut j = i;
+        while j <= dim {
+            // The last block of a row ends at the row's end; cells it
+            // repeats from the block before are not stored again.
+            let start = j.min(width - DOTS);
+            let sums = dots(&aug, width, i, start);
+            for (cell, sum) in (j..=dim).zip(&sums[j - start..]) {
+                if cell == dim {
+                    xty[i] = *sum;
+                } else {
+                    xtx[i][cell] = *sum;
+                }
+            }
+            j = start + DOTS;
+        }
+    }
+}
+
 impl RidgeRegression {
     /// Fits ridge regression with regularisation strength `alpha`
     /// (`alpha = 0` gives OLS; the intercept is never regularised).
@@ -103,46 +161,21 @@ impl RidgeRegression {
                 alpha,
             };
         }
-        // Normal equations over the augmented rows [1, x_1 … x_d, y]
-        // (zero-padded to at least one block): every upper-triangle cell of
-        // `XᵀX`, and every cell of `Xᵀy`, receives `aug[i] · aug[j]`
-        // (`aug[i] · target`) from `0.0` in ascending row order — no
-        // pairwise or chunked sums, which round differently — and a block
-        // of `DOTS` cells of one row `i` is summed at a time in register
-        // accumulators, over the block's contiguous slice of each row. `XᵀX` is symmetric and `a·b` has the
-        // bits of `b·a`, so the lower triangle is the mirrored upper one.
         let dim = d + 1;
-        let width = (dim + 1).max(DOTS);
-        let n = x.len().min(y.len());
-        let mut aug = vec![0.0; n * width];
-        for ((out, row), &target) in aug.chunks_exact_mut(width).zip(x.rows()).zip(y) {
-            // Cell by cell: a `copy_from_slice` of a few cells is a
-            // `memcpy` call per row.
-            out[0] = 1.0;
-            for (cell, &value) in out[1..dim].iter_mut().zip(row) {
-                *cell = value;
-            }
-            out[dim] = target;
-        }
         let mut xtx = vec![vec![0.0; dim]; dim];
         let mut xty = vec![0.0; dim];
-        for i in 0..dim {
-            let mut j = i;
-            while j <= dim {
-                // The last block of a row ends at the row's end; cells it
-                // repeats from the block before are not stored again.
-                let start = j.min(width - DOTS);
-                let sums = dots(&aug, width, i, start);
-                for (cell, sum) in (j..=dim).zip(&sums[j - start..]) {
-                    if cell == dim {
-                        xty[i] = *sum;
-                    } else {
-                        xtx[i][cell] = *sum;
-                    }
-                }
-                j = start + DOTS;
-            }
+        if !simd::normal_equations(x, y, &mut xtx, &mut xty) {
+            normal_equations(x, y, &mut xtx, &mut xty);
         }
+        Self::solve(xtx, xty, alpha)
+    }
+
+    /// The tail both paths share, from the upper triangle of `XᵀX` and
+    /// `Xᵀy`: `XᵀX` is symmetric and `a·b` has the bits of `b·a`, so the
+    /// lower triangle is the mirrored upper one; then the ridge term, the
+    /// jitter and the solve.
+    fn solve(mut xtx: Vec<Vec<f64>>, xty: Vec<f64>, alpha: f64) -> RidgeRegression {
+        let dim = xty.len();
         for i in 1..dim {
             let (above, below) = xtx.split_at_mut(i);
             for (cell, row) in below[0].iter_mut().zip(above.iter()) {
@@ -538,6 +571,75 @@ mod tests {
                 );
                 assert_eq!(bits(&new.weights), bits(&old.weights), "d {d} n {n}");
             }
+        }
+    }
+
+    /// A cell of the kernel test: signed zeros, subnormals, small integers
+    /// and uniform draws, and unless `tame`, the values whose products
+    /// overflow (`±1e154`) or propagate (`±inf`, NaN).
+    fn awkward(g: &mut StdRng, tame: bool) -> f64 {
+        let inf = f64::INFINITY;
+        let special = [
+            -0.0,
+            0.0,
+            5e-324,
+            -1e-310,
+            1e154,
+            -1e154,
+            inf,
+            -inf,
+            f64::NAN,
+        ];
+        match g.gen_range(0..4usize) {
+            0 => special[g.gen_range(0..if tame { 4usize } else { 9 })],
+            1 => g.gen_range(-3..4) as f64,
+            _ => g.gen_range(-8.0..8.0),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The register kernel writes every cell of `XᵀX` and `Xᵀy` the
+        /// portable loop writes, on `to_bits` — signed zeros, subnormals,
+        /// overflowing products and infinities included — and both solve
+        /// to the same intercept and weights. A NaN cell must be NaN on
+        /// both sides, but its sign and payload are left to the compiler
+        /// (which operand of an add it propagates; the portable loop's own
+        /// debug and release builds differ there).
+        #[test]
+        fn register_kernel_sums_what_the_portable_loop_sums(
+            seed in any::<u64>(),
+            d in 0usize..7,
+            size in 0usize..10,
+        ) {
+            let n = [0, 1, 2, 7, 8, 9, 63, 64, 65, 300][size];
+            let mut g = StdRng::seed_from_u64(seed);
+            let tame = seed.is_multiple_of(2);
+            // `d` columns also without rows.
+            let mut x = Matrix::with_capacity(n, d);
+            for _ in 0..n {
+                x.push_row(&(0..d).map(|_| awkward(&mut g, tame)).collect::<Vec<_>>());
+            }
+            let y: Vec<f64> = (0..n).map(|_| awkward(&mut g, tame)).collect();
+            let dim = d + 1;
+            let (mut xtx, mut xty) = (vec![vec![0.0; dim]; dim], vec![0.0; dim]);
+            if !simd::normal_equations(&x, &y, &mut xtx, &mut xty) {
+                println!("register kernel not tested: this CPU lacks AVX-512F");
+                return;
+            }
+            let (mut want_xtx, mut want_xty) = (vec![vec![0.0; dim]; dim], vec![0.0; dim]);
+            normal_equations(&x, &y, &mut want_xtx, &mut want_xty);
+            let cells = |v: &[f64]| -> Vec<Option<u64>> {
+                v.iter().map(|x| Some(x.to_bits()).filter(|_| !x.is_nan())).collect()
+            };
+            let matrix = |m: &[Vec<f64>]| m.iter().map(|r| cells(r)).collect::<Vec<_>>();
+            prop_assert_eq!(matrix(&xtx), matrix(&want_xtx));
+            prop_assert_eq!(cells(&xty), cells(&want_xty));
+            let new = RidgeRegression::solve(xtx, xty, 1.0);
+            let old = RidgeRegression::solve(want_xtx, want_xty, 1.0);
+            prop_assert_eq!(cells(&[new.intercept]), cells(&[old.intercept]));
+            prop_assert_eq!(cells(&new.weights), cells(&old.weights));
         }
     }
 

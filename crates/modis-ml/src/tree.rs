@@ -66,8 +66,9 @@
 //!   differently, so it is not allowed for floats. Two loops keep that
 //!   contract:
 //!   - *Registers.* When every row's `lo == hi` (its bucket `b`), there are
-//!     at most 16 thresholds and the CPU has AVX-512F (one runtime check),
-//!     the accumulators are four `zmm` registers, left and right lanes, and
+//!     at most 16 thresholds and the CPU has AVX-512F (the kernel and the
+//!     one runtime check live in the private `simd` module), the
+//!     accumulators are four `zmm` registers, left and right lanes, and
 //!     a row is added to left lanes `b..T` and right lanes `..b` by a
 //!     masked add, which leaves every other lane as it was. Means are
 //!     divided per lane; a squared deviation is a product, then an add (no
@@ -102,6 +103,7 @@ use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::matrix::Matrix;
+use crate::simd;
 
 /// Split criterion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1085,8 +1087,8 @@ fn mse_windowed(
 
 /// [`mse_windowed`] for rows that each lie right of thresholds `..b` and
 /// left of `b..`, `b` the row's bucket: in registers when the CPU has
-/// AVX-512F and there are at most 16 thresholds, by the windowed loop
-/// otherwise.
+/// AVX-512F and there are at most 16 thresholds (`simd::mse_by_bucket`),
+/// by the windowed loop otherwise.
 fn mse_by_bucket(
     buckets: &[u8],
     ys: &[f64],
@@ -1094,87 +1096,10 @@ fn mse_by_bucket(
     mean: &mut Vec<f64>,
     sq: &mut Vec<f64>,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if n_side.len() <= 32 && is_x86_feature_detected!("avx512f") {
-        // SAFETY: the CPU has AVX-512F.
-        return unsafe { mse_avx512(buckets, ys, n_side, mean, sq) };
+    if !simd::mse_by_bucket(buckets, ys, n_side, mean, sq) {
+        let bounds = buckets.iter().map(|&b| [u32::from(b); 2]);
+        mse_windowed(bounds, ys, n_side, mean, sq);
     }
-    let bounds = buckets.iter().map(|&b| [u32::from(b); 2]);
-    mse_windowed(bounds, ys, n_side, mean, sq);
-}
-
-/// [`mse_windowed`] on buckets, for at most 16 thresholds, with every
-/// accumulator a register lane: left `0..8`, left `8..16`, right `0..8`,
-/// right `8..16`. A row is added to its lanes, and only to them, by a
-/// masked add, which leaves every other lane as it was; so each lane is fed
-/// exactly its rows' addends, in ascending row order, from `sum`'s
-/// identity, and rounds as its accumulator in the windowed loop does. A
-/// squared deviation is a product, then an add (no fused multiply-add).
-///
-/// # Safety
-///
-/// Call only on a CPU that has AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn mse_avx512(
-    buckets: &[u8],
-    ys: &[f64],
-    n_side: &[usize],
-    mean: &mut Vec<f64>,
-    sq: &mut Vec<f64>,
-) {
-    use std::arch::x86_64::*;
-    let n_t = n_side.len() / 2;
-    let all = (1u32 << n_t) - 1;
-    // A row of bucket `b` is right of thresholds `..b` and left of `b..n_t`:
-    // one mask byte per register.
-    let masks = |b: u8| {
-        let right = (1u32 << b) - 1;
-        (all & !right | right << 16).to_le_bytes()
-    };
-    // Lanes `16 * side + j`, laid out `[left | right]` as `n_side` is.
-    let spread = |lanes: &[f64; 32], out: &mut Vec<f64>| {
-        out.clear();
-        out.extend_from_slice(&lanes[..n_t]);
-        out.extend_from_slice(&lanes[16..16 + n_t]);
-    };
-    let zero = _mm512_set1_pd(std::iter::empty::<f64>().sum());
-    let mut lanes = [0.0; 32];
-
-    let mut sums = [zero; 4];
-    for (&b, &y) in buckets.iter().zip(ys) {
-        let y = _mm512_set1_pd(y);
-        for (sum, k) in sums.iter_mut().zip(masks(b)) {
-            *sum = _mm512_mask_add_pd(*sum, k, *sum, y);
-        }
-    }
-    for (chunk, sum) in lanes.chunks_exact_mut(8).zip(sums) {
-        // SAFETY: `chunk` holds 8 lanes.
-        unsafe { _mm512_storeu_pd(chunk.as_mut_ptr(), sum) };
-    }
-    spread(&lanes, mean);
-    for (sum, &n) in mean.iter_mut().zip(n_side) {
-        *sum /= n as f64;
-    }
-
-    lanes[..n_t].copy_from_slice(&mean[..n_t]);
-    lanes[16..16 + n_t].copy_from_slice(&mean[n_t..]);
-    // SAFETY: `lanes` holds 4 × 8 lanes.
-    let means: [__m512d; 4] =
-        std::array::from_fn(|i| unsafe { _mm512_loadu_pd(lanes[8 * i..].as_ptr()) });
-    let mut sqs = [zero; 4];
-    for (&b, &y) in buckets.iter().zip(ys) {
-        let y = _mm512_set1_pd(y);
-        for ((sq, &mean), k) in sqs.iter_mut().zip(&means).zip(masks(b)) {
-            let d = _mm512_sub_pd(y, mean);
-            *sq = _mm512_mask_add_pd(*sq, k, *sq, _mm512_mul_pd(d, d));
-        }
-    }
-    for (chunk, sq) in lanes.chunks_exact_mut(8).zip(sqs) {
-        // SAFETY: `chunk` holds 8 lanes.
-        unsafe { _mm512_storeu_pd(chunk.as_mut_ptr(), sq) };
-    }
-    spread(&lanes, sq);
 }
 
 #[cfg(test)]
@@ -1918,38 +1843,33 @@ mod tests {
             n_t in 1usize..17,
             n_rows in 0usize..80,
         ) {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if !is_x86_feature_detected!("avx512f") {
-                    println!("register kernel not tested: this CPU lacks AVX-512F");
-                    return;
-                }
-                let mut g = StdRng::seed_from_u64(seed);
-                let inf = f64::INFINITY;
-                let special = [-0.0, 0.0, inf, -inf, f64::NAN, 1e-310, -5e-324, 1e308, -1e308];
-                let buckets: Vec<u8> = (0..n_rows).map(|_| g.gen_range(0..n_t + 1) as u8).collect();
-                let ys: Vec<f64> = (0..n_rows)
-                    .map(|_| match g.gen_range(0..4usize) {
-                        0 => special[g.gen_range(0..special.len())],
-                        _ => g.gen_range(-4.0..4.0),
-                    })
-                    .collect();
-                let n_left: Vec<usize> = (0..n_t)
-                    .map(|j| buckets.iter().filter(|&&b| usize::from(b) <= j).count())
-                    .collect();
-                let n_side: Vec<usize> = n_left.iter().copied().chain(n_left.iter().map(|&l| n_rows - l)).collect();
-                let (mut mean, mut sq) = (Vec::new(), Vec::new());
-                // SAFETY: the CPU has AVX-512F.
-                unsafe { mse_avx512(&buckets, &ys, &n_side, &mut mean, &mut sq) };
-                let bounds = buckets.iter().map(|&b| [u32::from(b); 2]);
-                let (mut windowed_mean, mut windowed_sq) = (Vec::new(), Vec::new());
-                mse_windowed(bounds, &ys, &n_side, &mut windowed_mean, &mut windowed_sq);
-                let lanes = |v: &[f64]| -> Vec<Option<u64>> {
-                    v.iter().map(|x| Some(x.to_bits()).filter(|_| !x.is_nan())).collect()
-                };
-                prop_assert_eq!(lanes(&mean), lanes(&windowed_mean));
-                prop_assert_eq!(lanes(&sq), lanes(&windowed_sq));
+            let mut g = StdRng::seed_from_u64(seed);
+            let inf = f64::INFINITY;
+            let special = [-0.0, 0.0, inf, -inf, f64::NAN, 1e-310, -5e-324, 1e308, -1e308];
+            let buckets: Vec<u8> = (0..n_rows).map(|_| g.gen_range(0..n_t + 1) as u8).collect();
+            let ys: Vec<f64> = (0..n_rows)
+                .map(|_| match g.gen_range(0..4usize) {
+                    0 => special[g.gen_range(0..special.len())],
+                    _ => g.gen_range(-4.0..4.0),
+                })
+                .collect();
+            let n_left: Vec<usize> = (0..n_t)
+                .map(|j| buckets.iter().filter(|&&b| usize::from(b) <= j).count())
+                .collect();
+            let n_side: Vec<usize> = n_left.iter().copied().chain(n_left.iter().map(|&l| n_rows - l)).collect();
+            let (mut mean, mut sq) = (Vec::new(), Vec::new());
+            if !simd::mse_by_bucket(&buckets, &ys, &n_side, &mut mean, &mut sq) {
+                println!("register kernel not tested: this CPU lacks AVX-512F");
+                return;
             }
+            let bounds = buckets.iter().map(|&b| [u32::from(b); 2]);
+            let (mut windowed_mean, mut windowed_sq) = (Vec::new(), Vec::new());
+            mse_windowed(bounds, &ys, &n_side, &mut windowed_mean, &mut windowed_sq);
+            let lanes = |v: &[f64]| -> Vec<Option<u64>> {
+                v.iter().map(|x| Some(x.to_bits()).filter(|_| !x.is_nan())).collect()
+            };
+            prop_assert_eq!(lanes(&mean), lanes(&windowed_mean));
+            prop_assert_eq!(lanes(&sq), lanes(&windowed_sq));
         }
     }
 

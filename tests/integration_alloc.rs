@@ -5,7 +5,10 @@
 //!   `Vec` of row `Vec`s, `encode_view` made one allocation per selected
 //!   row and `RidgeRegression::fit` one more per training row (≈ 1.7 per
 //!   row). The ceiling is what the encoder writing the train/test split
-//!   directly measures (45; 54 while `Encoded::split` copied the matrix);
+//!   directly and ridge summing its normal equations straight from the
+//!   matrix measure (44 where the CPU has AVX-512F, 45 where ridge's
+//!   portable loop copies the augmented rows; 54 while `Encoded::split`
+//!   copied the matrix);
 //! - the borrowed skyline: a warm search's child allocates a fixed number
 //!   of times, however many members the ε-skyline holds. While
 //!   `EpsilonSkyline::entries` copied them, every child paid two
@@ -165,7 +168,21 @@ fn a_valuation_allocates_the_same_whatever_the_row_count() {
         few.abs_diff(many) <= 8,
         "{few} allocations for 250 rows, {many} for 1,000"
     );
-    assert!(many <= 45, "{many} allocations for one 1,000-row valuation");
+    // Ridge sums its normal equations straight from the matrix in AVX-512F
+    // registers; without them its portable loop copies the augmented rows
+    // once more.
+    #[cfg(target_arch = "x86_64")]
+    let ceiling = if is_x86_feature_detected!("avx512f") {
+        44
+    } else {
+        45
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let ceiling = 45;
+    assert!(
+        many <= ceiling,
+        "{many} allocations for one 1,000-row valuation"
+    );
 }
 
 /// Allocations per visited child of a warm search — one whose every
