@@ -15,11 +15,13 @@
 //! view carries, or a transient one for a bare view ([`encode`] wraps a
 //! full-table view around a `Dataset`) — and what depends on the *state* is
 //! decided here, per state, from popcounts and ascending passes over the
-//! selected rows: one for every numeric column's mean together, one per
-//! categorical column's ids — and each kept row is written straight to its
-//! side of the train/test split. The output is bit-identical to the row-scanning
-//! encoder it replaced (kept under `cfg(test)` as the oracle of a
-//! differential proptest); these are the rules that make it so:
+//! selected rows (read from the selection a word at a time): one per group
+//! of up to four numeric columns for their means, the group's sums held in
+//! registers, one per categorical column's ids — and each kept row is
+//! written straight to its side of the train/test split, a column at a
+//! time through the rows' chunks. The output is bit-identical to the
+//! row-scanning encoder it replaced (kept under `cfg(test)` as the oracle
+//! of a differential proptest); these are the rules that make it so:
 //!
 //! * a column is a feature iff it is not the target, a key, excluded or
 //!   masked, and `popcount(selection & non_null) > 0`;
@@ -30,8 +32,9 @@
 //!   `"inf"`, `"nan"` and `Float(NaN)` are non-null and not numeric;
 //! * the imputation mean is `sum / numeric` with the addends added one by
 //!   one in ascending selected-row order from `0.0` — no prefix, pairwise
-//!   or chunked sums, which round differently (the columns' sums share one
-//!   pass; each keeps its own order);
+//!   or chunked sums, which round differently (up to four columns' sums
+//!   share one pass; each keeps its own order, and a NaN cell adds `-0.0`,
+//!   which leaves every sum as it was);
 //! * category ids (and class ids) are numbered by **first appearance among
 //!   the selected rows**, keyed by `Value`'s `Ord`: `Int(3)` and
 //!   `Float(3.0)` are one key, `Str("3")` is another although it reads 3.0;

@@ -20,6 +20,7 @@ fn avx512f() -> bool {
 /// left of `b..`, `b` the row's bucket, in registers: `false` (nothing
 /// written) unless the CPU has AVX-512F and there are at most 16
 /// thresholds.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn mse_by_bucket(
     buckets: &[u8],
     ys: &[f64],
@@ -36,9 +37,9 @@ pub(crate) fn mse_by_bucket(
     false
 }
 
-/// `tree`'s windowed Mse loop on buckets, for at most 16 thresholds, with every
-/// accumulator a register lane: left `0..8`, left `8..16`, right `0..8`,
-/// right `8..16`. A row is added to its lanes, and only to them, by a
+/// `tree`'s windowed Mse loop on buckets, for at most 16 thresholds, with
+/// every accumulator a register lane: left `0..8`, left `8..16`, right
+/// `0..8`, right `8..16`. A row is added to its lanes, and only to them, by a
 /// masked add, which leaves every other lane as it was; so each lane is fed
 /// exactly its rows' addends, in ascending row order, from `sum`'s
 /// identity, and rounds as its accumulator in the windowed loop does. A
@@ -114,6 +115,7 @@ fn mse_avx512(
 /// `[1, x_1 … x_d, y]` of `x` and `y`, written to `xtx` (`d + 1` rows of
 /// `d + 1`) and `xty`, in registers: `false` (nothing written) unless the
 /// CPU has AVX-512F and an augmented row fits one register (`d ≤ 6`).
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn normal_equations(
     x: &Matrix,
     y: &[f64],
