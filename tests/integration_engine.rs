@@ -10,11 +10,12 @@
 
 use std::sync::Arc;
 
-use modis_bench::{task_t1, task_t3};
+use modis_bench::{t5_measures, task_t1, task_t2, task_t3, task_t4};
 use modis_core::prelude::*;
 use modis_core::substrate::Substrate;
+use modis_datagen::t5_recommendation;
 use modis_engine::{Algorithm, Engine, EngineConfig, Scenario, ScenarioOutcome};
-use modis_service::{JobState, Service, ServiceConfig};
+use modis_service::{result_line, JobState, Service, ServiceConfig};
 
 fn oracle_config() -> ModisConfig {
     ModisConfig::default()
@@ -234,6 +235,91 @@ fn engine_is_deterministic_across_repeated_runs() {
         "second run should retrain nothing"
     );
     assert!(second.shared_hits() > 0);
+}
+
+/// Valuates one state of the substrates `fresh` builds 25 times, each time
+/// on a new substrate so no memo can hand an earlier answer back, and
+/// asserts one `to_bits` vector. The state is the whole space less unit 0,
+/// and its `p_Train` lies strictly between the two degenerate values
+/// (0 for a graph, the measure's scale for a table).
+fn valuates_to_one_vector<S: Substrate>(label: &str, fresh: impl Fn() -> S) {
+    let bits = |raw: Vec<f64>| raw.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+    let probe = fresh();
+    let state = probe.forward_start().flipped(0);
+    let raw = probe.evaluate_raw(&state);
+    let specs = probe.measures().specs();
+    let train = specs.iter().position(|spec| spec.name == "p_Train");
+    let train = train.expect("every paper task measures p_Train");
+    let scale = specs[train].scale;
+    assert!(
+        raw[train] > 0.0 && raw[train] < scale,
+        "{label}: a non-degenerate state, p_Train {}",
+        raw[train]
+    );
+    let first = bits(raw);
+    for run in 1..25 {
+        assert_eq!(
+            bits(fresh().evaluate_raw(&state)),
+            first,
+            "{label}: valuation {run}"
+        );
+    }
+}
+
+/// The oracle is a function of the state: T1–T4 and T5 each valuate a state
+/// to the same bits every time, `p_Train` included.
+#[test]
+fn a_state_valuates_to_the_same_bits_every_time() {
+    for (label, workload) in [
+        ("T1", task_t1(21)),
+        ("T2", task_t2(21)),
+        ("T3", task_t3(5)),
+        ("T4", task_t4(21)),
+    ] {
+        valuates_to_one_vector(label, || workload.substrate());
+    }
+    let graph = t5_recommendation(42);
+    valuates_to_one_vector("T5", || {
+        GraphSubstrate::new(graph.clone(), t5_measures(), GraphSpaceConfig::default())
+    });
+}
+
+/// Two fresh services, each over substrates of its own, answer T1–T4 ×
+/// {ApxMODis, BiMODis} with the same `RESULT` lines.
+#[test]
+fn two_fresh_services_answer_with_the_same_result_lines() {
+    let answer = || {
+        let service = Service::new(ServiceConfig::default());
+        let config = oracle_config().with_max_states(15);
+        let mut names = Vec::new();
+        for (task, workload) in [
+            ("t1", task_t1(21)),
+            ("t2", task_t2(21)),
+            ("t3", task_t3(5)),
+            ("t4", task_t4(21)),
+        ] {
+            let substrate: Arc<dyn Substrate> = Arc::new(workload.substrate());
+            for (algorithm, suffix) in [(Algorithm::Apx, "apx"), (Algorithm::Bi, "bi")] {
+                let name = format!("{task}-{suffix}");
+                let scenario = Scenario::new(&name, substrate.clone(), algorithm, config.clone());
+                service.register(scenario).unwrap();
+                names.push(name);
+            }
+        }
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let outcomes = serve(&service, &names);
+        let lines = outcomes.iter().enumerate().map(|(id, outcome)| {
+            assert!(!outcome.result.is_empty(), "{}: a skyline", outcome.name);
+            result_line(id as u64, outcome)
+        });
+        lines.collect::<Vec<String>>()
+    };
+    let first = answer();
+    let second = answer();
+    assert_eq!(first.len(), 8);
+    for (a, b) in first.iter().zip(&second) {
+        assert_eq!(a, b);
+    }
 }
 
 #[test]
