@@ -13,7 +13,7 @@ use modis_bench::baselines::metam;
 use modis_bench::case_studies::{image_feature_pool, xray_material_pool};
 use modis_bench::{
     best_by_raw, print_method_table, print_series, print_table, run_graph_methods,
-    run_table_methods, t5_measures, task_t1, task_t2, task_t3, task_t4, MethodRow, Row, Workload,
+    run_table_methods, t5_measures, task_t1, task_t2, task_t3, task_t4, MethodRow, Row,
 };
 use modis_core::prelude::*;
 use modis_datagen::graphs::{generate_bipartite_graph, GraphConfig};
@@ -101,10 +101,10 @@ fn timed<S: Substrate + ?Sized>(sub: &S, config: ModisConfig) -> impl FnMut(Algo
     move |v| run(sub, v, &config).elapsed_seconds
 }
 
-/// One variant's best primary measure at `config`, on a substrate of its
-/// own: no run of Figure 8 reads another's memo.
-fn best_fresh(workload: &Workload, config: ModisConfig) -> impl FnMut(Algorithm) -> f64 + '_ {
-    move |v| best_primary(&run(&workload.substrate(), v, &config), 0.0)
+/// One variant's best primary measure at `config` on a substrate the panel
+/// shares.
+fn best<S: Substrate + ?Sized>(sub: &S, config: ModisConfig) -> impl FnMut(Algorithm) -> f64 + '_ {
+    move |v| best_primary(&run(sub, v, &config), 0.0)
 }
 
 /// The T5 substrate over the seed-42 recommendation graph, its edges cut
@@ -225,23 +225,23 @@ fn fig8() {
     let with_eps = |e: f64| modis_config(e, 40, 6, surrogate(12));
     let with_maxl = |l: f64| modis_config(0.1, 40, l as usize, surrogate(12));
 
-    let t1 = task_t1(42);
+    let t1 = &task_t1(42).substrate();
     let title = "Figure 8(a) — T1 accuracy vs ε";
     sweep(title, "epsilon", &[0.5, 0.4, 0.3, 0.2, 0.1], |e| {
-        best_fresh(&t1, with_eps(e))
+        best(t1, with_eps(e))
     });
     let title = "Figure 8(b) — T1 accuracy vs maxl";
     sweep(title, "maxl", &[2.0, 3.0, 4.0, 5.0, 6.0], |l| {
-        best_fresh(&t1, with_maxl(l))
+        best(t1, with_maxl(l))
     });
-    let t2 = task_t2(42);
+    let t2 = &task_t2(42).substrate();
     let title = "Figure 8(c) — T2 F1 vs ε";
     sweep(title, "epsilon", &[0.1, 0.08, 0.05, 0.02], |e| {
-        best_fresh(&t2, with_eps(e))
+        best(t2, with_eps(e))
     });
     let title = "Figure 8(d) — T2 F1 vs maxl";
     sweep(title, "maxl", &[2.0, 3.0, 4.0, 5.0, 6.0], |l| {
-        best_fresh(&t2, with_maxl(l))
+        best(t2, with_maxl(l))
     });
 
     println!("\nExpected shape (paper): smaller ε and larger maxl improve accuracy/F1 for all");
@@ -422,7 +422,7 @@ fn case_studies() {
     println!("Case 1: BiMODis generated {} candidate datasets:", bi.len());
     for (i, e) in bi.entries.iter().enumerate().take(3) {
         println!(
-            "  D{} — accuracy {:.3}, training cost {:.3}s, F1 {:.3}, size {:?}",
+            "  D{} — accuracy {:.3}, training cost {:.4}, F1 {:.3}, size {:?}",
             i + 1,
             e.raw[0],
             e.raw[1],

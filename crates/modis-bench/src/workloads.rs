@@ -177,7 +177,7 @@ pub fn task_t4(seed: u64) -> Workload {
     Workload { pool, task, space }
 }
 
-/// Measure set of task T5 (Table 5): P@5/10, R@5/10, NDCG@5/10, training time.
+/// Measure set of task T5 (Table 5): P@5/10, R@5/10, NDCG@5/10, training cost.
 pub fn t5_measures() -> MeasureSet {
     MeasureSet::new(vec![
         MeasureSpec::maximise("p_Pc5"),

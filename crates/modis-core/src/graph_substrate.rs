@@ -8,7 +8,6 @@
 //! cluster is one reducible unit.
 
 use parking_lot::Mutex;
-use std::time::Instant;
 
 use modis_data::StateBitmap;
 use modis_ml::graph::{evaluate_ranking, BipartiteGraph, LightGcn, LightGcnParams};
@@ -32,10 +31,7 @@ pub struct GraphSpaceConfig {
     /// Seed for clustering and splits.
     pub seed: u64,
     /// Capacity of the per-substrate raw-metrics memo (states; 0 =
-    /// unbounded). As with the tabular substrate, tasks measuring wall-clock
-    /// training time only keep byte-identical raw vectors across runs
-    /// sharing one substrate instance while the distinct-state count stays
-    /// within capacity; set 0 for the unbounded pre-eviction behaviour.
+    /// unbounded).
     pub eval_cache_capacity: usize,
 }
 
@@ -57,7 +53,8 @@ impl Default for GraphSpaceConfig {
 
 /// The graph [`Substrate`]: a universal bipartite graph whose edge clusters
 /// are the reducible units; measures are P@k, R@k, NDCG@k for each `k` plus
-/// training time, all provided by the caller as a [`MeasureSet`].
+/// the training cost (`1e-5 · train edges · dim`), all provided by the
+/// caller as a [`MeasureSet`].
 pub struct GraphSubstrate {
     universal: BipartiteGraph,
     edge_cluster: Vec<usize>,
@@ -73,7 +70,7 @@ pub struct GraphSubstrate {
 impl GraphSubstrate {
     /// Builds the graph search space. The caller supplies the measure set in
     /// the order: `P@k…, R@k…, NDCG@k…` for each `k` in
-    /// `config.k_values`, followed by training time.
+    /// `config.k_values`, followed by the training cost.
     pub fn new(universal: BipartiteGraph, measures: MeasureSet, config: GraphSpaceConfig) -> Self {
         let points: Vec<Vec<f64>> = universal
             .edges
@@ -174,16 +171,14 @@ impl Substrate for GraphSubstrate {
         }
         let graph = self.materialize(bitmap);
         let raw = if graph.num_edges() < 10 {
-            // Degenerate graph: worst-case ranking metrics, negligible time.
+            // Degenerate graph: worst-case ranking metrics, no training cost.
             let mut v = vec![0.0; self.config.k_values.len() * 3];
             v.push(0.0);
             v
         } else {
             let (train, test) = graph.split_edges(self.config.train_ratio, self.config.seed);
-            let start = Instant::now();
             let model = LightGcn::fit(&train, self.config.model);
-            let train_seconds = start.elapsed().as_secs_f64()
-                + 1e-5 * train.num_edges() as f64 * self.config.model.dim as f64;
+            let cost = 1e-5 * train.num_edges() as f64 * self.config.model.dim as f64;
             let mut v = Vec::with_capacity(self.config.k_values.len() * 3 + 1);
             let mut recalls = Vec::new();
             let mut ndcgs = Vec::new();
@@ -195,7 +190,7 @@ impl Substrate for GraphSubstrate {
             }
             v.extend(recalls);
             v.extend(ndcgs);
-            v.push(train_seconds);
+            v.push(cost);
             v
         };
         // Align with the measure set length (truncate or pad defensively).
@@ -350,7 +345,7 @@ mod tests {
         let sub = GraphSubstrate::new(block_graph(), t5_measures(), cfg);
         let raw = sub.evaluate_raw(&sub.forward_start());
         assert_eq!(raw.len(), 7);
-        // Ranking metrics in [0,1]; training time positive.
+        // Ranking metrics in [0,1]; training cost positive.
         assert!(raw[..6].iter().all(|&v| (0.0..=1.0).contains(&v)));
         assert!(raw[6] > 0.0);
         // Cached second call identical.

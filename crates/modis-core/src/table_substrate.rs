@@ -54,15 +54,6 @@ pub struct TableSpaceConfig {
     pub max_clusters_per_attr: usize,
     /// Capacity of the per-substrate raw-metrics memo (states; 0 =
     /// unbounded). Evicted entries are simply re-valuated on the next visit.
-    ///
-    /// Caveat for tasks whose measures include wall-clock training time
-    /// (`MetricKind::TrainTime`): re-valuating an evicted state re-measures
-    /// the clock, so byte-identical raw vectors *across runs sharing one
-    /// substrate instance* are only guaranteed while the number of distinct
-    /// states visited stays within capacity (within a single run the
-    /// `ValuationContext` record store, which never evicts, preserves
-    /// determinism regardless). Set 0 to restore the unbounded pre-eviction
-    /// behaviour for such comparisons.
     pub eval_cache_capacity: usize,
 }
 
@@ -698,7 +689,7 @@ mod tests {
         vec![Dataset::from_rows("mixed", schema, rows).unwrap()]
     }
 
-    /// Ridge without `TrainTime`: every raw metric is deterministic.
+    /// Ridge scored on R², MSE and MAE.
     fn ridge_task() -> TaskSpec {
         TaskSpec {
             measures: MeasureSet::new(vec![

@@ -29,13 +29,11 @@
 //! wrong model silently). A scenario that runs again over a warm
 //! evaluation cache loads the same oracle records in the same order, builds
 //! the same training matrix, and gets the model back instead of refitting
-//! it. The key holds no namespace and no fingerprint:
-//! equal matrices fit equal models whatever produced them, and a state
-//! re-trained to a different wall-clock `p_Train` after an eviction is a
-//! different `y`, hence a miss. The memo lives and dies with the process:
-//! it is never exported, shipped or snapshotted (a model is two orders of
-//! magnitude larger than the evaluations it was fitted on, and one fit
-//! rebuilds it).
+//! it. The key holds no namespace and no fingerprint: equal matrices fit
+//! equal models whatever produced them. The memo lives and dies with the
+//! process: it is never exported, shipped or snapshotted (a model is two
+//! orders of magnitude larger than the evaluations it was fitted on, and
+//! one fit rebuilds it).
 //!
 //! A memo entry is a [`FittedSurrogate`]: the model plus the estimates it
 //! has made, keyed by the exact bits of each feature row. A warm scenario

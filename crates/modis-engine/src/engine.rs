@@ -30,13 +30,7 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Total capacity of the shared evaluation cache (entries across all
     /// shards; 0 = unbounded). Cold entries beyond it are reclaimed by
-    /// SIEVE eviction and re-trained on their next visit. For tasks
-    /// whose measures include wall-clock training time, a re-trained state
-    /// re-measures the clock, so cross-scenario byte-stability of raw
-    /// metrics holds only while the distinct states of the served
-    /// scenarios stay within capacity (per-scenario determinism is
-    /// unaffected — each scenario's `ValuationContext` record store never
-    /// evicts).
+    /// SIEVE eviction and re-trained on their next visit.
     pub cache_capacity: usize,
 }
 
@@ -527,9 +521,7 @@ mod tests {
         assert!(stats.hit_rate() >= 0.0);
     }
 
-    /// A 40-row regression pool scored on deterministic measures only (no
-    /// wall-clock `TrainTime`), so a cold and a warm run valuate to the
-    /// same bits.
+    /// A 40-row regression pool scored on R² and MSE.
     fn small_table() -> Arc<dyn Substrate> {
         use modis_core::prelude::*;
         use modis_data::{Attribute, Dataset, Schema, Value};

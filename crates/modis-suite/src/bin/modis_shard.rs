@@ -58,11 +58,6 @@ fn main() {
     register_t3_cluster(&service, &seeds, max_states);
 
     // The daemon's executor thread is the single drain path (`RUN`-driven).
-    // A second concurrent drain could run two scenarios of one namespace
-    // at once and double-train a shared state — harmless for correctness
-    // (last write wins), but the wall-clock `p_Train` metric would then
-    // differ between the two contexts, breaking the byte-identity the
-    // cluster tests assert.
     let daemon = Daemon::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind shard daemon");
     // The parent parses this line to learn the ephemeral port.
     println!("ADDR {}", daemon.addr());

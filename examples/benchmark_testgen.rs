@@ -21,7 +21,7 @@ fn main() {
         measures: MeasureSet::new(vec![
             // accuracy > 0.85  ⇔  normalised (1 − acc) ≤ 0.15
             MeasureSpec::maximise("p_Acc").with_bounds(0.001, 0.15),
-            // training cost < 30 s  ⇔  normalised time ≤ 1 against a 30 s scale
+            // training cost < 30 s  ⇔  normalised cost ≤ 1 against a 30 s scale
             MeasureSpec::minimise("p_Train", 30.0).with_bounds(0.0001, 1.0),
         ]),
         metric_kinds: vec![MetricKind::Accuracy, MetricKind::TrainTime],
@@ -54,7 +54,7 @@ fn main() {
     for (i, e) in skyline.entries.iter().enumerate() {
         let ok = e.raw[0] > 0.85 && e.raw[1] < 30.0;
         println!(
-            "  candidate {} — accuracy {:.3}, training cost {:.3}s, size {:?} {}",
+            "  candidate {} — accuracy {:.3}, training cost {:.4}, size {:?} {}",
             i + 1,
             e.raw[0],
             e.raw[1],

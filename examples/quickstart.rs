@@ -62,7 +62,7 @@ fn main() {
     );
     for (i, entry) in skyline.entries.iter().enumerate() {
         println!(
-            "  D{} — R² {:.3}, training cost {:.3}s, size {:?}",
+            "  D{} — R² {:.3}, training cost {:.4}, size {:?}",
             i + 1,
             entry.raw[0],
             entry.raw[1],
@@ -73,7 +73,7 @@ fn main() {
     // 5. Compare against the original (un-augmented) base table.
     let baseline = evaluate_dataset(substrate.task(), pool.base());
     println!(
-        "\nOriginal base table: R² {:.3}, training cost {:.3}s",
+        "\nOriginal base table: R² {:.3}, training cost {:.4}",
         baseline.raw[0], baseline.raw[1]
     );
 }

@@ -16,7 +16,7 @@ fn main() {
         graph.num_edges()
     );
 
-    // Measures of Table 5: precision/recall/NDCG at 5 and 10, training time.
+    // Measures of Table 5: precision/recall/NDCG at 5 and 10, training cost.
     let measures = MeasureSet::new(vec![
         MeasureSpec::maximise("p_Pc5"),
         MeasureSpec::maximise("p_Pc10"),
@@ -36,7 +36,7 @@ fn main() {
     let full = substrate.forward_start();
     let original = substrate.evaluate_raw(&full);
     println!(
-        "Original graph: P@5 {:.3}, NDCG@10 {:.3}, training {:.2}s",
+        "Original graph: P@5 {:.3}, NDCG@10 {:.3}, training cost {:.4}",
         original[0], original[5], original[6]
     );
 

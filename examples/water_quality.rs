@@ -99,7 +99,7 @@ fn main() {
     println!("\nDiversified skyline ({} datasets):", skyline.len());
     for (i, e) in skyline.entries.iter().enumerate() {
         println!(
-            "  D{} — RMSE {:.3}, R² {:.3}, train {:.3}s, size {:?}",
+            "  D{} — RMSE {:.3}, R² {:.3}, training cost {:.4}, size {:?}",
             i + 1,
             e.raw[0],
             e.raw[1],

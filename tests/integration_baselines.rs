@@ -124,41 +124,49 @@ fn rows_digest(data: &modis_data::Dataset) -> u64 {
     h
 }
 
-/// The witness that moving the baselines changed no result: the rows of
-/// `run_table_methods` on T3 that read no clock, pinned to the bit. Each row
-/// keeps `to_bits` of every raw value except `p_Train` (wall-clock), plus
-/// its size. METAM-MO is left out on purpose: its utility sums every
-/// normalised measure, `p_Train` included, so which joins it keeps can flip
-/// with the clock (ROADMAP item 1). The MODis rows are the search's, pinned
-/// by the end-to-end digests.
+/// The witness that moving the baselines changed no result: the baseline
+/// rows of `run_table_methods` on T3, pinned to the bit. Each row keeps
+/// `to_bits` of every raw value, `p_Train` included, plus its size. The
+/// MODis rows are the search's, pinned by the end-to-end digests.
 #[test]
 fn baseline_rows_are_pinned_t3() {
-    const PINNED: [(&str, [u64; 2], (usize, usize)); 5] = [
+    const PINNED: [(&str, [u64; 3], (usize, usize)); 6] = [
         (
             "Original",
-            [0x3ff422c3f4fdab89, 0x3fedcbb1927e2ba5],
+            [0x3ff422c3f4fdab89, 0x3fedcbb1927e2ba5, 0x3f42599ed7c6fbd2],
             (400, 3),
         ),
-        ("METAM", [0x3fae9111c5ddc9c3, 0x3fc6c357d2e66bad], (400, 13)),
         (
-            "Starmie",
-            [0x3fae9111c5ddc9c5, 0x3fc6c357d2e66bb2],
+            "METAM",
+            [0x3fae9111c5ddc9c3, 0x3fc6c357d2e66bad, 0x3f6b866e43aa79bb],
             (400, 13),
         ),
-        ("SkSFM", [0x3fc7cab0582b3346, 0x3fd677cd3862b210], (400, 5)),
-        ("H2O", [0x3fab9408a40cf45d, 0x3fc5b66731a1841b], (400, 7)),
+        (
+            "METAM-MO",
+            [0x3fae9111c5ddc9c3, 0x3fc6c357d2e66bad, 0x3f6b866e43aa79bb],
+            (400, 13),
+        ),
+        (
+            "Starmie",
+            [0x3fae9111c5ddc9c5, 0x3fc6c357d2e66bb2, 0x3f6b866e43aa79bb],
+            (400, 13),
+        ),
+        (
+            "SkSFM",
+            [0x3fc7cab0582b3346, 0x3fd677cd3862b210, 0x3f52599ed7c6fbd2],
+            (400, 5),
+        ),
+        (
+            "H2O",
+            [0x3fab9408a40cf45d, 0x3fc5b66731a1841b, 0x3f5b866e43aa79bb],
+            (400, 7),
+        ),
     ];
     let workload = task_t3(31);
     let rows = run_table_methods(&workload, &fast_config());
     for (name, bits, size) in PINNED {
         let row = rows.iter().find(|r| r.method == name).unwrap();
-        let got: Vec<u64> = row
-            .raw
-            .iter()
-            .zip(&workload.task.metric_kinds)
-            .filter(|(_, k)| **k != MetricKind::TrainTime)
-            .map(|(v, _)| v.to_bits())
-            .collect();
+        let got: Vec<u64> = row.raw.iter().map(|v| v.to_bits()).collect();
         assert_eq!((got.as_slice(), row.size), (&bits[..], size), "{name}");
     }
 

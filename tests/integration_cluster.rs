@@ -7,11 +7,7 @@
 //!
 //! Byte identity is asserted through the `RESULT` wire encoding, which
 //! carries every float as its IEEE-754 bit pattern: two skylines are
-//! byte-identical iff their `RESULT` payloads are string-equal. For the
-//! T3 workload (whose `p_Train` measure includes real wall-clock) the
-//! identity path is the shipped evaluations themselves — the same
-//! trained valuations answering in both topologies — which is exactly
-//! the guarantee the snapshot-shipping tentpole must provide.
+//! byte-identical iff their `RESULT` payloads are string-equal.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -601,8 +597,7 @@ fn done_field(payload: &str, key: &str) -> u64 {
 /// Grow a 1-shard cluster to 2 shards mid-run: the join ships the moved
 /// namespaces' snapshots, and the new shard's very first requests are
 /// served entirely from the shipped cache — zero paid valuations, byte-
-/// identical skylines to the pre-join run (even though the workload's
-/// `p_Train` measure contains real wall-clock, because nothing retrains).
+/// identical skylines to the pre-join run.
 #[test]
 fn joined_shard_serves_its_first_request_from_the_shipped_warm_cache() {
     let workload = ClusterWorkload {

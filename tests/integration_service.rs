@@ -311,8 +311,7 @@ fn restarted_service_warm_starts_a_real_tabular_workload() {
     drop(first);
 
     // Fresh process, fresh substrate instance; only the snapshot carries
-    // the evaluations across (raw metrics include training wall-clock, so
-    // byte identity is only possible because nothing is retrained).
+    // the evaluations across.
     let revived = Service::from_snapshot(ServiceConfig::default(), &path).unwrap();
     let substrate: Arc<dyn Substrate> = Arc::new(task_t3(5).substrate());
     revived
