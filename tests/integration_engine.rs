@@ -389,3 +389,37 @@ fn a_hot_scenario_keeps_its_hits_between_cold_searches() {
     assert_eq!(cold_trainings, 24 + 28 + 32 + 36);
     assert_eq!(engine.cache_stats().entries, 32);
 }
+
+/// Six namespaces searched in a fixed Zipf-shaped cycle (seven runs of the
+/// hottest pool per cycle, one of each of the three coldest) through an
+/// engine cache smaller than their working set. Every state the cache
+/// cannot answer is a training, so what the cache keeps is what the suite
+/// pays. The working set is 96 states (16 per pool), every pass asks for
+/// 256 and the first pass alone pays for 96; six passes may pay for at
+/// most 400. Evicting by recency alone pays for 544.
+#[test]
+fn a_cache_smaller_than_a_zipf_working_set_keeps_the_hot_pools() {
+    use modis_core::substrate::mock::MockSubstrate;
+    const CYCLE: [usize; 16] = [0, 1, 0, 2, 0, 3, 1, 0, 4, 0, 2, 1, 0, 5, 0, 1];
+    let engine = Engine::new(EngineConfig {
+        worker_threads: 1,
+        cache_shards: 1,
+        cache_capacity: 48,
+        ..EngineConfig::default()
+    });
+    let pools: Vec<Scenario> = (0..6)
+        .map(|pool| {
+            let substrate: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(10));
+            let config = oracle_config().with_max_states(16).with_max_level(6);
+            Scenario::new(format!("pool{pool}"), substrate, Algorithm::Apx, config)
+                .with_cache_namespace(format!("pool{pool}"))
+        })
+        .collect();
+    let mut paid = 0;
+    for _pass in 0..6 {
+        for &pool in &CYCLE {
+            paid += engine.run_scenario(&pools[pool]).result.stats.oracle_calls;
+        }
+    }
+    assert!(paid <= 400, "paid valuations {paid}");
+}

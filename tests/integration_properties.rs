@@ -203,3 +203,79 @@ proptest! {
         prop_assert!((view.missing_ratio() - reference.missing_ratio()).abs() < 1e-12);
     }
 }
+
+/// Resident keys of a `SieveCache`, oldest to newest, read through
+/// `iter_slots` so that looking does not count as a lookup.
+fn resident(cache: &modis_core::sieve_cache::SieveCache<u64, u64>) -> Vec<u64> {
+    cache.iter_slots().map(|(&key, _)| key).collect()
+}
+
+/// A scan does not flush what is asked for most: a full cache of 64 keys,
+/// every one read once and 16 hot ones read eight times, keeps every hot
+/// key through a stream of 256 one-off keys — four times the capacity —
+/// each looked up once and then inserted, the way a miss is valuated and
+/// recorded. Recency alone (a visited bit) is cleared in the hand's first
+/// lap, and the second lap evicts every key that was read. (16 hot keys in
+/// a sketch row of 256 counters: a one-off key would have to share a
+/// counter with a hot key in all four rows to outbid one.)
+#[test]
+fn a_scan_of_one_off_keys_keeps_the_hot_keys() {
+    use modis_core::sieve_cache::SieveCache;
+    const CAPACITY: u64 = 64;
+    let mut cache = SieveCache::new(CAPACITY as usize);
+    for key in 0..CAPACITY {
+        cache.insert(key, key);
+    }
+    let hot: Vec<u64> = (0..CAPACITY).step_by(4).collect();
+    for key in 0..CAPACITY {
+        let reads = if hot.contains(&key) { 8 } else { 1 };
+        for _ in 0..reads {
+            assert!(cache.get(&key).is_some(), "{key} was inserted");
+        }
+    }
+    for key in 1_000..1_000 + 4 * CAPACITY {
+        assert!(cache.get(&key).is_none(), "{key} is new");
+        cache.insert(key, key);
+    }
+    let kept = resident(&cache);
+    assert_eq!(kept.len(), CAPACITY as usize);
+    let lost: Vec<u64> = hot.iter().copied().filter(|k| !kept.contains(k)).collect();
+    assert!(lost.is_empty(), "hot keys flushed by the scan: {lost:?}");
+}
+
+/// Two fresh caches fed one seeded stream of lookups and inserts hold the
+/// same entries in the same order at every checkpoint: what a cache keeps
+/// is a function of what it was asked, in every cache and every process.
+#[test]
+fn two_caches_fed_one_stream_list_the_same_slots() {
+    use modis_core::sieve_cache::SieveCache;
+    let mut state = 0x0dd_ba11_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut caches = [SieveCache::new(32), SieveCache::new(32)];
+    for op in 0..20_000u64 {
+        // A skewed key: small keys are drawn far more often.
+        let key = next() % (1 + next() % 200);
+        let read = next() % 2 == 0;
+        for cache in &mut caches {
+            if read {
+                cache.get(&key);
+            } else {
+                cache.insert(key, op);
+            }
+        }
+        if op % 500 == 499 {
+            let [a, b] = &caches;
+            let list = |c: &SieveCache<u64, u64>| {
+                c.iter_slots().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
+            };
+            assert_eq!(list(a), list(b), "op {op}");
+        }
+    }
+    assert!(caches[0].evictions() > 1_000, "the stream evicts");
+}
