@@ -1,5 +1,7 @@
-//! A bounded memo table with SIEVE eviction ("SIEVE is Simpler than LRU",
-//! Zhang et al., NSDI '24).
+//! A bounded memo table: SIEVE eviction ("SIEVE is Simpler than LRU",
+//! Zhang et al., NSDI '24), TinyLFU admission ("TinyLFU: A Highly
+//! Efficient Cache Admission Policy", Einziger, Friedman & Manes, ACM TOS
+//! 2017).
 //!
 //! The substrates memoise raw metric vectors per state and the engine keeps
 //! a process-wide evaluation store; both previously grew without bound over
@@ -7,14 +9,23 @@
 //! form one FIFO queue, oldest to newest, and each carries a visited bit
 //! that a hit sets. A new entry joins the newest end unvisited. To make
 //! room, the hand walks from where it last stopped toward the newest end,
-//! clearing visited bits and wrapping to the oldest entry, and evicts the
-//! first unvisited entry it meets; no survivor ever moves. So an entry read
-//! once after it was stored outlives a run of one-off entries stored after
-//! it, and a hit costs one store — no per-access list splicing like LRU,
-//! which matters under the `Mutex`es these caches live behind.
+//! clearing visited bits and wrapping to the oldest entry, and picks the
+//! first unvisited entry it meets as the victim; no survivor ever moves. So
+//! an entry read once after it was stored outlives a run of one-off entries
+//! stored after it, and a hit costs one store — no per-access list splicing
+//! like LRU, which matters under the `Mutex`es these caches live behind.
+//!
+//! A count-min sketch counts every lookup, hit or miss, and a newcomer
+//! takes the victim's slot only if the sketch has never seen the victim or
+//! has seen the newcomer more often; otherwise the newcomer is dropped and
+//! the hand stays on the victim. A cache filled without lookups (a restore)
+//! therefore evicts exactly as SIEVE does, and a scan of one-off keys
+//! cannot flush the keys that are asked for again and again. The sketch is
+//! allocated at the first lookup once the cache is half full (before that
+//! every estimate reads 0), so a cache that never fills costs nothing.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// The index that links to no slot.
 const NIL: usize = usize::MAX;
@@ -29,8 +40,66 @@ struct Slot<K, V> {
     newer: usize,
 }
 
-/// A bounded `K → V` map with SIEVE eviction. Capacity 0 means unbounded
-/// (the pre-eviction behaviour).
+/// TinyLFU's frequency filter: four rows of saturating 4-bit counters
+/// (stored in bytes), each of `next_power_of_two(max(16, 4 · capacity))`,
+/// halved every `10 · capacity` increments so old popularity fades.
+struct FrequencySketch {
+    /// The four rows, one after another.
+    counters: Vec<u8>,
+    mask: usize,
+    /// Increments since the last halving, and how many make one.
+    additions: usize,
+    period: usize,
+}
+
+impl FrequencySketch {
+    fn new(capacity: usize) -> Self {
+        let width = (4 * capacity).max(16).next_power_of_two();
+        FrequencySketch {
+            counters: vec![0; 4 * width],
+            mask: width - 1,
+            additions: 0,
+            period: 10 * capacity,
+        }
+    }
+
+    /// The key's counter in each row, by double hashing.
+    fn counters(&self, hash: u64) -> [usize; 4] {
+        let step = (hash >> 32) | 1;
+        std::array::from_fn(|row| {
+            let column = hash.wrapping_add(row as u64 * step) as usize & self.mask;
+            row * (self.mask + 1) + column
+        })
+    }
+
+    fn increment(&mut self, hash: u64) {
+        for idx in self.counters(hash) {
+            self.counters[idx] = (self.counters[idx] + 1).min(15);
+        }
+        self.additions += 1;
+        if self.additions == self.period {
+            self.additions = 0;
+            self.counters.iter_mut().for_each(|count| *count >>= 1);
+        }
+    }
+
+    fn estimate(&self, hash: u64) -> u8 {
+        let row_counts = self.counters(hash).map(|idx| self.counters[idx]);
+        row_counts.into_iter().min().unwrap_or(0)
+    }
+}
+
+/// A key's sketch hash: SipHash under fixed keys (`DefaultHasher::new`),
+/// never randomly keyed, so one stream of lookups and inserts decides the
+/// same way in every cache and every process.
+fn sketch_hash<Q: Hash + ?Sized>(key: &Q) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    key.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// A bounded `K → V` map with SIEVE eviction and TinyLFU admission.
+/// Capacity 0 means unbounded (the pre-eviction behaviour).
 pub struct SieveCache<K, V> {
     capacity: usize,
     map: HashMap<K, usize>,
@@ -42,6 +111,9 @@ pub struct SieveCache<K, V> {
     /// The slot the next eviction examines first.
     hand: usize,
     evictions: usize,
+    /// Lookup counts; `None` (every estimate 0) until the first lookup
+    /// with the cache half full, and forever when it is unbounded.
+    sketch: Option<FrequencySketch>,
 }
 
 impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
@@ -55,6 +127,7 @@ impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
             newest: NIL,
             hand: 0,
             evictions: 0,
+            sketch: None,
         }
     }
 
@@ -68,7 +141,8 @@ impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
         self.slots.is_empty()
     }
 
-    /// Number of entries evicted so far.
+    /// Number of entries evicted so far, newcomers that were not admitted
+    /// included: every insert of a new key that did not stay.
     pub fn evictions(&self) -> usize {
         self.evictions
     }
@@ -84,9 +158,9 @@ impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
         })
     }
 
-    /// Looks up `key`, marking the entry visited. Accepts any borrowed form
-    /// of the key (like `HashMap::get`), so callers can probe without
-    /// materialising an owned key.
+    /// Looks up `key`, counting the lookup and marking the entry visited.
+    /// Accepts any borrowed form of the key (like `HashMap::get`), so
+    /// callers can probe without materialising an owned key.
     pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
         K: std::borrow::Borrow<Q>,
@@ -95,22 +169,30 @@ impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
         self.get_mut(key).map(|value| &*value)
     }
 
-    /// Mutable lookup, marking the entry visited.
+    /// Mutable lookup, counting the lookup and marking the entry visited.
     pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
     where
         K: std::borrow::Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
+        if self.sketch.is_none() && self.capacity > 0 && self.slots.len() >= self.capacity / 2 {
+            self.sketch = Some(FrequencySketch::new(self.capacity));
+        }
+        if let Some(sketch) = &mut self.sketch {
+            sketch.increment(sketch_hash(key));
+        }
         let &idx = self.map.get(key)?;
         let slot = &mut self.slots[idx];
         slot.visited = true;
         Some(&mut slot.value)
     }
 
-    /// Inserts or replaces `key`'s entry, evicting the SIEVE victim when the
-    /// cache is full. Replacing marks the entry visited; a new entry joins
-    /// the newest end unvisited. Returns `true` when an unrelated entry was
-    /// evicted.
+    /// Inserts or replaces `key`'s entry. Replacing marks the entry
+    /// visited; a new entry joins the newest end unvisited. When the cache
+    /// is full, the newcomer replaces the SIEVE victim if the victim was
+    /// never looked up or `key` was looked up more often, and is dropped
+    /// otherwise. Returns `true` when an entry, the victim or the
+    /// newcomer, was evicted.
     pub fn insert(&mut self, key: K, value: V) -> bool {
         if let Some(&idx) = self.map.get(&key) {
             let slot = &mut self.slots[idx];
@@ -129,6 +211,13 @@ impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
             self.slots[idx].visited = false;
             idx = self.newer_wrapping(idx);
         }
+        self.evictions += 1;
+        let victim = self.estimate(&self.slots[idx].key);
+        if victim != 0 && self.estimate(&key) <= victim {
+            // Not asked for more often than the victim: the newcomer leaves.
+            self.hand = idx;
+            return true;
+        }
         // The hand rests where it would have gone next. (A victim that is
         // both oldest and newest is the one entry; its slot stays the hand.)
         self.hand = self.newer_wrapping(idx);
@@ -140,8 +229,14 @@ impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
         slot.key = key;
         slot.value = value;
         slot.visited = false;
-        self.evictions += 1;
         true
+    }
+
+    /// How often the sketch has seen `key` looked up (0 without a sketch).
+    fn estimate(&self, key: &K) -> u8 {
+        self.sketch
+            .as_ref()
+            .map_or(0, |sketch| sketch.estimate(sketch_hash(key)))
     }
 
     /// Slot indices in queue order, oldest to newest.

@@ -30,7 +30,7 @@ use crate::measure::MeasureSet;
 pub struct SubstrateCacheStats {
     /// Entries currently memoised.
     pub entries: usize,
-    /// Entries evicted by the SIEVE policy so far.
+    /// Entries evicted so far (SIEVE victims and unadmitted newcomers).
     pub evictions: usize,
 }
 

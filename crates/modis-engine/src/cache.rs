@@ -8,12 +8,12 @@
 //! each scenario a namespaced handle. Sharding keeps lock contention low
 //! when many worker threads probe the cache concurrently.
 //!
-//! Each shard is a bounded [`SieveCache`]: when a capacity is configured
-//! (see [`SharedEvalCache::with_capacity`] and
-//! [`crate::EngineConfig::cache_capacity`]), evaluations not read since
-//! they were stored are reclaimed by SIEVE eviction instead of growing the
-//! store without bound over long suites; an evicted state is simply
-//! re-trained on its next visit. Evictions are in [`CacheStats::evictions`].
+//! Each shard is a bounded [`SieveCache`] ([`SharedEvalCache::with_capacity`],
+//! [`crate::EngineConfig::cache_capacity`]) instead of a store that grows
+//! over long suites: a full shard picks its victim by SIEVE and admits the
+//! newcomer only if the victim was never looked up or the newcomer was
+//! looked up more often (TinyLFU). An evicted or unadmitted state is
+//! re-trained on its next visit; both count in [`CacheStats::evictions`].
 //!
 //! Namespaces isolate substrates from one another: a `StateBitmap` only
 //! identifies a dataset *relative to* the substrate that produced it, so two
@@ -67,7 +67,7 @@ pub struct CacheStats {
     pub misses: usize,
     /// Evaluations currently stored in the shared cache.
     pub entries: usize,
-    /// Evaluations reclaimed by the SIEVE eviction policy.
+    /// SIEVE victims, plus newcomers TinyLFU admission dropped at once.
     pub evictions: usize,
     /// Entries across the substrate-level memos of every substrate the
     /// engine has run (0 until a scenario executes).
@@ -219,7 +219,7 @@ impl SharedEvalCache {
     /// Creates a cache with `shards` independent lock domains (clamped to
     /// a power of two, minimum 1), bounded at roughly `capacity` total
     /// evaluations (0 = unbounded) spread evenly over the shards; each
-    /// shard evicts with the SIEVE policy once its share fills.
+    /// shard evicts by SIEVE and admits by TinyLFU once its share fills.
     pub fn with_capacity(shards: usize, capacity: usize) -> Self {
         let shards = shards.clamp(1, 1 << 16).next_power_of_two();
         let per_shard = if capacity == 0 {

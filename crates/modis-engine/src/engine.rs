@@ -29,8 +29,8 @@ pub struct EngineConfig {
     /// Shard count of the shared evaluation cache.
     pub cache_shards: usize,
     /// Total capacity of the shared evaluation cache (entries across all
-    /// shards; 0 = unbounded). Cold entries beyond it are reclaimed by
-    /// SIEVE eviction and re-trained on their next visit.
+    /// shards; 0 = unbounded). Beyond it, SIEVE evicts, TinyLFU admits by
+    /// lookup count, and a state that left is re-trained on its next visit.
     pub cache_capacity: usize,
 }
 

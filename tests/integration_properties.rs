@@ -279,3 +279,85 @@ fn two_caches_fed_one_stream_list_the_same_slots() {
     }
     assert!(caches[0].evictions() > 1_000, "the stream evicts");
 }
+
+/// Old popularity fades: the counts halve every `10 · capacity` lookups.
+/// Key 0 is read four times, then waits as the victim while another key
+/// is looked up `others` times; a newcomer looked up three times is then
+/// inserted. It loses to key 0's four reads, and wins once forty lookups
+/// (ten capacities) have halved them.
+#[test]
+fn a_key_read_long_ago_loses_to_a_newcomer_after_ten_capacities_of_lookups() {
+    use modis_core::sieve_cache::SieveCache;
+    let survives = |others: usize| {
+        let mut cache = SieveCache::new(4);
+        for key in 0..4 {
+            cache.insert(key, key);
+        }
+        for _ in 0..4 {
+            cache.get(&0);
+        }
+        // The hand clears key 0's visited bit and evicts key 1, never read.
+        cache.insert(10, 10);
+        for key in [2, 3, 10] {
+            cache.get(&key);
+        }
+        for _ in 0..others {
+            cache.get(&99);
+        }
+        for _ in 0..3 {
+            cache.get(&20);
+        }
+        // The hand passes the visited 2, 3 and 10 and stops at key 0.
+        cache.insert(20, 20);
+        let kept = resident(&cache);
+        assert_eq!(kept.len(), 4);
+        kept.contains(&0) && !kept.contains(&20)
+    };
+    assert!(survives(0), "four reads outbid three lookups");
+    assert!(
+        !survives(40),
+        "four reads halved by forty lookups lose to three"
+    );
+}
+
+/// A victim the sketch has never seen is evicted for any newcomer, even
+/// one never looked up: the rule admits on an empty history, so a cache
+/// filled and refilled without lookups evicts exactly as SIEVE does.
+#[test]
+fn a_victim_never_looked_up_is_evicted_for_any_newcomer() {
+    use modis_core::sieve_cache::SieveCache;
+    let mut cache = SieveCache::new(4);
+    for key in 0..4 {
+        cache.insert(key, key);
+    }
+    // Lookups of a key that is not stored: the sketch exists and has
+    // seen neither the victim (key 0) nor the newcomer.
+    for _ in 0..8 {
+        assert!(cache.get(&99).is_none());
+    }
+    assert!(cache.insert(10, 10));
+    assert_eq!(resident(&cache), [1, 2, 3, 10]);
+    assert_eq!(cache.evictions(), 1);
+}
+
+/// Lookups made while a cache is below half its capacity count for
+/// nothing: the sketch is allocated at the first lookup with the cache
+/// half full, so a cache that never fills never pays for one. Key 0, read
+/// eight times while it was the only entry, is evicted for a newcomer
+/// never looked up, like a key never read.
+#[test]
+fn lookups_below_half_capacity_are_not_counted() {
+    use modis_core::sieve_cache::SieveCache;
+    let mut cache = SieveCache::new(4);
+    cache.insert(0, 0);
+    for _ in 0..8 {
+        cache.get(&0);
+    }
+    for key in 1..4 {
+        cache.insert(key, key);
+        cache.get(&key);
+    }
+    // Every entry is visited: the hand clears them all and wraps to key 0.
+    cache.insert(10, 10);
+    assert_eq!(resident(&cache), [1, 2, 3, 10]);
+}
