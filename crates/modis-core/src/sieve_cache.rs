@@ -18,9 +18,9 @@
 //! A count-min sketch counts every lookup, hit or miss, and a newcomer
 //! takes the victim's slot only if the sketch has never seen the victim or
 //! has seen the newcomer more often; otherwise the newcomer is dropped and
-//! the hand stays on the victim. A cache filled without lookups (a restore)
-//! therefore evicts exactly as SIEVE does, and a scan of one-off keys
-//! cannot flush the keys that are asked for again and again. The sketch is
+//! the hand stays on the victim. A cache that has seen no lookup (a fresh
+//! restore) therefore evicts exactly as SIEVE does, and a scan of one-off
+//! keys cannot flush the keys asked for again and again. The sketch is
 //! allocated at the first lookup once the cache is half full (before that
 //! every estimate reads 0), so a cache that never fills costs nothing.
 
@@ -64,7 +64,7 @@ impl FrequencySketch {
     }
 
     /// The key's counter in each row, by double hashing.
-    fn counters(&self, hash: u64) -> [usize; 4] {
+    fn cells(&self, hash: u64) -> [usize; 4] {
         let step = (hash >> 32) | 1;
         std::array::from_fn(|row| {
             let column = hash.wrapping_add(row as u64 * step) as usize & self.mask;
@@ -73,7 +73,7 @@ impl FrequencySketch {
     }
 
     fn increment(&mut self, hash: u64) {
-        for idx in self.counters(hash) {
+        for idx in self.cells(hash) {
             self.counters[idx] = (self.counters[idx] + 1).min(15);
         }
         self.additions += 1;
@@ -84,7 +84,7 @@ impl FrequencySketch {
     }
 
     fn estimate(&self, hash: u64) -> u8 {
-        let row_counts = self.counters(hash).map(|idx| self.counters[idx]);
+        let row_counts = self.cells(hash).map(|idx| self.counters[idx]);
         row_counts.into_iter().min().unwrap_or(0)
     }
 }
@@ -141,8 +141,8 @@ impl<K: Eq + Hash + Clone, V> SieveCache<K, V> {
         self.slots.is_empty()
     }
 
-    /// Number of entries evicted so far, newcomers that were not admitted
-    /// included: every insert of a new key that did not stay.
+    /// Number of entries evicted so far: SIEVE victims, and newcomers that
+    /// were not admitted (they leave at once).
     pub fn evictions(&self) -> usize {
         self.evictions
     }
