@@ -9,12 +9,12 @@
 //! carries every float as its IEEE-754 bit pattern: two skylines are
 //! byte-identical iff their `RESULT` payloads are string-equal.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -1622,6 +1622,154 @@ fn shard_that_stops_reading_bounds_one_pipeline_and_stalls_no_other_client() {
         assert_eq!(recv(&mut reader), "QUEUED", "reply {i}");
     }
     router.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Replication by cursor
+// ---------------------------------------------------------------------------
+
+/// A scripted shard that logs every request line it receives (heartbeat
+/// `PING`s included, `CTX` prefixes stripped) and answers each as `answer`
+/// says, reading a `SHIP` header's payload off first.
+fn logging_shard(
+    answer: impl Fn(&str) -> String + Send + Sync + 'static,
+) -> (SocketAddr, Arc<Mutex<Vec<String>>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let (seen, answer) = (Arc::clone(&log), Arc::new(answer));
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            let (seen, answer) = (Arc::clone(&seen), Arc::clone(&answer));
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut line = String::new();
+                while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                    let request = forwarded(line.trim_end()).to_string();
+                    if let Some(len) = request
+                        .strip_prefix("SHIP ")
+                        .and_then(|r| r.rsplit(' ').next())
+                    {
+                        let mut payload = vec![0; len.parse().unwrap()];
+                        reader.read_exact(&mut payload).unwrap();
+                    }
+                    let reply = answer(&request);
+                    seen.lock().unwrap().push(request);
+                    let _ = stream.write_all(format!("{reply}\n").as_bytes());
+                    line.clear();
+                }
+            });
+        }
+    });
+    (addr, log)
+}
+
+/// Under K = 2 the router asks a namespace's primary only for what it
+/// recorded after the cursor its last reply carried, and ships a reply to
+/// the replica only when it holds something: after a `RUN`, the first sync
+/// exports `FROM 0` and ships its two bytes, the second exports from the
+/// cursor the first reply carried and, handed nothing, ships nothing.
+#[test]
+fn a_replica_is_synced_from_the_cursor_its_last_shipment_carried() {
+    let shard = || {
+        let exports = AtomicUsize::new(0);
+        logging_shard(move |request| match request.split(' ').next() {
+            Some("PING") => "PONG".into(),
+            Some("EXPORT") => match exports.fetch_add(1, Ordering::SeqCst) {
+                0 => "SHIPMENT 5eed-7 2 beef".into(),
+                k => format!("SHIPMENT 5eed-{:x} 0", 7 + k),
+            },
+            Some("SHIP") => "OK 1".into(),
+            _ => "OK 0".into(),
+        })
+    };
+    let (s0, s1) = (shard(), shard());
+    let config = RouterConfig {
+        replication: 2,
+        heartbeat_interval: Duration::from_secs(3600),
+        ..RouterConfig::default()
+    };
+    let router = Router::bind_with(
+        ClusterSpec::new([("scen", "ns")]).unwrap(),
+        vec![("s0".to_string(), s0.0), ("s1".to_string(), s1.0)],
+        "127.0.0.1:0",
+        config,
+    )
+    .unwrap();
+    // The heartbeat's first round probes both shards before it parks for
+    // the hour; let it finish so no sync of its own joins the two below.
+    let probed = |log: &Mutex<Vec<String>>| log.lock().unwrap().iter().any(|l| l == "PING");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !(probed(&s0.1) && probed(&s1.1)) {
+        assert!(Instant::now() < deadline, "the heartbeat never probed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(100));
+
+    let stream = TcpStream::connect(router.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (&stream).write_all(b"RUN\n").unwrap();
+    assert_eq!(recv(&mut BufReader::new(stream)), "OK 0");
+    router.flush_replication();
+    router.flush_replication();
+    router.stop();
+
+    let owners = router.owners_of("ns");
+    let log_of = |name: &str| if name == "s0" { &s0.1 } else { &s1.1 };
+    let lines = |name: &str, verb: &str| -> Vec<String> {
+        let log = log_of(name).lock().unwrap();
+        log.iter()
+            .filter(|l| l.starts_with(verb))
+            .cloned()
+            .collect()
+    };
+    let (primary, replica) = (owners[0].as_str(), owners[1].as_str());
+    assert_eq!(
+        lines(primary, "EXPORT "),
+        ["EXPORT ns FROM 0", "EXPORT ns FROM 5eed-7"]
+    );
+    assert_eq!(lines(replica, "SHIP "), ["SHIP ns 2"], "no SHIP for len 0");
+    assert!(lines(replica, "EXPORT ").is_empty() && lines(primary, "SHIP ").is_empty());
+}
+
+/// A join made before any `RUN` finds nothing cached for the namespaces
+/// the joiner gains: it lists the ownership moves and sends no `SHIP`.
+#[test]
+fn a_join_before_any_run_lists_the_moves_and_ships_nothing() {
+    let workload = ClusterWorkload {
+        namespaces: 2,
+        rows: 160,
+        max_states: 8,
+    };
+    let cluster = workload.build_cluster(1);
+    let keys: Vec<u64> = (0..workload.namespaces)
+        .map(|i| SharedEvalCache::namespace_key(&workload.namespace(i)))
+        .collect();
+    let joiner = (1..100)
+        .map(|i| format!("shard{i}"))
+        .find(|candidate| {
+            let mut with = cluster.router.shard_map();
+            with.add(candidate.clone());
+            keys.iter()
+                .any(|&key| with.owner_of(key) == Some(candidate.as_str()))
+        })
+        .expect("some candidate name owns a namespace");
+    let new_shard = workload.spawn_shard(&joiner);
+    let shipped = cluster
+        .router
+        .join_shard(&joiner, new_shard.daemon.addr())
+        .expect("join commits");
+    assert!(!shipped.is_empty(), "the joiner took over some namespace");
+    let metrics = new_shard.service.engine().metrics().render();
+    assert!(
+        metrics.contains(&"reactor_requests_total{verb=\"ship\"} 0".to_string()),
+        "{metrics:#?}"
+    );
+    cluster.stop();
+    new_shard.daemon.stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -535,6 +535,73 @@ fn the_surrogate_memo_never_reaches_persistence_and_a_restored_service_refits_on
     std::fs::remove_file(&path).unwrap();
 }
 
+/// `EXPORT <ns> FROM <cursor>` sends only what the cache recorded after
+/// the cursor. After a second run that records `n` new valuations, the
+/// export from the first export's cursor merges exactly `n` entries into a
+/// fresh service; the current cursor exports nothing (`len` 0) and hands
+/// itself back; and a cursor another service minted reads as "from the
+/// start".
+#[test]
+fn an_export_from_a_cursor_carries_only_what_was_recorded_after_it() {
+    /// The cursor and the decoded payload of a `SHIPMENT` reply.
+    fn shipment(reply: &str) -> (String, Vec<u8>) {
+        let fields: Vec<&str> = reply.split_whitespace().collect();
+        assert_eq!(fields[0], "SHIPMENT", "{reply}");
+        let hex = fields.get(3).copied().unwrap_or("");
+        let payload: Vec<u8> = (0..hex.len() / 2)
+            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(
+            payload.len(),
+            fields[2].parse::<usize>().unwrap(),
+            "{reply}"
+        );
+        (fields[1].to_string(), payload)
+    }
+    let export = |service: &Service, from: &str| {
+        shipment(handle_command(service, &format!("EXPORT mock-pool FROM {from}")).text())
+    };
+    let run = |service: &Service, name: &str| {
+        let ticket = service.submit(name).unwrap();
+        assert_eq!(service.run_pending(), 1);
+        done_outcome(service, ticket);
+    };
+    let merged_into_fresh = |payload: &[u8]| {
+        Service::new(ServiceConfig::default())
+            .restore_from_bytes(payload)
+            .unwrap()
+    };
+
+    let service = Service::new(ServiceConfig::default());
+    register_mock_suite(&service, 10);
+    run(&service, "apx");
+    let (first, everything) = export(&service, "0");
+    let recorded = service.cache_stats().entries;
+    assert_eq!(merged_into_fresh(&everything), recorded);
+
+    run(&service, "bi");
+    let n = service.cache_stats().entries - recorded;
+    assert!(n > 0, "the second run recorded nothing new");
+    let (current, delta) = export(&service, &first);
+    assert_eq!(merged_into_fresh(&delta), n, "only what came after {first}");
+
+    let reply = handle_command(&service, &format!("EXPORT mock-pool FROM {current}"));
+    assert_eq!(reply.text(), format!("SHIPMENT {current} 0"));
+
+    let other = Service::new(ServiceConfig::default());
+    register_mock_suite(&other, 12);
+    for name in ["apx", "bi", "div"] {
+        run(&other, name);
+    }
+    let (foreign, _) = export(&other, "0");
+    let (_, all) = export(&service, &foreign);
+    assert_eq!(
+        merged_into_fresh(&all),
+        recorded + n,
+        "{foreign} is not ours"
+    );
+}
+
 #[test]
 fn scheduler_runs_the_cache_warming_scenario_first() {
     let service = Service::new(ServiceConfig::default());
