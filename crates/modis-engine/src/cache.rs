@@ -42,10 +42,15 @@
 //! (`ValuationStats::estimate_reuses`). The estimates live and die with
 //! their model — evicted with it, never exported, shipped or snapshotted —
 //! and a refitted model starts with an empty table.
+//!
+//! Every entry recorded takes the next number of one cache-wide counter,
+//! its stamp, so an export from a [`Cursor`] holds only what came after.
 
 use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
+use std::str::FromStr;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use modis_core::codec::{fnv1a, FNV_OFFSET_BASIS};
@@ -146,7 +151,42 @@ impl PartialEq for dyn KeyPair + '_ {
 impl Eq for dyn KeyPair + '_ {}
 
 struct Shard {
-    map: Mutex<SieveCache<CacheKey, SharedEvaluation>>,
+    /// Each evaluation beside its stamp ([`SharedEvalCache::stamps`]).
+    map: Mutex<SieveCache<CacheKey, (SharedEvaluation, u64)>>,
+}
+
+/// A position in a [`SharedEvalCache`]'s append order, written
+/// `<instance>-<seq>` in hex. A cursor another cache minted (another
+/// process, or this one restarted) reads as the start, as does `0`, the
+/// default. Opaque outside the engine; cursors of one cache order as its
+/// appends (`seq` first), across caches the order means nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Cursor {
+    seq: u64,
+    instance: u64,
+}
+
+impl fmt::Display for Cursor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (self.instance, self.seq) {
+            (0, 0) => f.write_str("0"),
+            (instance, seq) => write!(f, "{instance:x}-{seq:x}"),
+        }
+    }
+}
+
+impl FromStr for Cursor {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let hex = |t: &str| u64::from_str_radix(t, 16).ok();
+        match s.split_once('-') {
+            Some((instance, seq)) => hex(instance).zip(hex(seq)),
+            None => (s == "0").then_some((0, 0)),
+        }
+        .map(|(instance, seq)| Cursor { seq, instance })
+        .ok_or("a cursor is 0 or <instance>-<seq> in hex")
+    }
 }
 
 /// How many fitted surrogates a [`SharedEvalCache`] keeps. A constant, not
@@ -199,6 +239,10 @@ pub struct SharedEvalCache {
     per_shard_capacity: usize,
     hits: AtomicUsize,
     misses: AtomicUsize,
+    /// Names this cache in its [`Cursor`]s; random, read by no valuation.
+    instance: u64,
+    /// The last stamp handed out (see [`Self::export`]).
+    stamps: AtomicU64,
     /// The fitted-surrogate memo (module docs): [`surrogate_key`] → model,
     /// at most [`SURROGATE_MEMO_CAPACITY`] of them.
     surrogates: Mutex<SieveCache<Arc<[u64]>, Arc<FittedSurrogate>>>,
@@ -236,6 +280,8 @@ impl SharedEvalCache {
             per_shard_capacity: per_shard,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
+            instance: RandomState::new().build_hasher().finish(),
+            stamps: AtomicU64::new(0),
             surrogates: Mutex::new(SieveCache::new(SURROGATE_MEMO_CAPACITY)),
         }
     }
@@ -254,62 +300,52 @@ impl SharedEvalCache {
     /// a shard — for persistence. Shards are locked one at a time, so the
     /// export is per-shard (not globally) atomic.
     pub fn export_all(&self) -> Vec<ExportedEvaluation> {
-        self.export(None)
+        self.export(None, Cursor::default()).1
     }
 
-    /// Exports only the entries belonging to the given hashed namespace
-    /// keys ([`Self::namespace_key`]), in the same order — the portable
-    /// unit a cluster ships between shard processes when namespace
-    /// ownership moves.
-    pub fn export_namespaces(&self, keys: &[u64]) -> Vec<ExportedEvaluation> {
-        self.export(Some(keys))
+    /// Exports what the given hashed namespace keys ([`Self::namespace_key`])
+    /// recorded after `after`, in the same order, with the cursor to pass
+    /// next time — the unit a cluster ships between shard processes.
+    pub fn export_namespaces(
+        &self,
+        keys: &[u64],
+        after: Cursor,
+    ) -> (Cursor, Vec<ExportedEvaluation>) {
+        self.export(Some(keys), after)
     }
 
-    /// The one export body: every entry, or only the entries of `keys`.
-    fn export(&self, keys: Option<&[u64]>) -> Vec<ExportedEvaluation> {
+    /// The one export body: the entries of `keys` (or every entry)
+    /// stamped after `after`, and this cache's cursor as of the start. A
+    /// record takes its stamp under its shard's lock, so every entry at or
+    /// before that cursor is in its shard when the scan locks it; one
+    /// recorded during the scan may come again next time, harmlessly.
+    fn export(&self, keys: Option<&[u64]>, after: Cursor) -> (Cursor, Vec<ExportedEvaluation>) {
+        let now = Cursor {
+            seq: self.stamps.load(Ordering::SeqCst),
+            instance: self.instance,
+        };
+        let after = Some(after)
+            .filter(|c| c.instance == self.instance)
+            .map_or(0, |c| c.seq);
         let mut entries = Vec::new();
+        if after >= now.seq {
+            return (now, entries);
+        }
         for shard in &self.shards {
             let map = shard.map.lock().unwrap_or_else(PoisonError::into_inner);
             entries.extend(
                 map.iter_slots()
-                    .filter(|(key, _)| keys.is_none_or(|keys| keys.contains(&key.0)))
-                    .map(|(key, value)| ExportedEvaluation {
+                    .filter(|(key, (_, stamp))| {
+                        *stamp > after && keys.is_none_or(|keys| keys.contains(&key.0))
+                    })
+                    .map(|(key, (evaluation, _))| ExportedEvaluation {
                         namespace: key.0,
                         bitmap: key.1.clone(),
-                        evaluation: value.clone(),
+                        evaluation: evaluation.clone(),
                     }),
             );
         }
-        entries
-    }
-
-    /// A stable content digest over the entries of the given hashed
-    /// namespaces: each resident `(namespace, state)` pair contributes an
-    /// FNV-1a hash, XOR-folded with the entry count so the digest is
-    /// independent of slot geometry, insertion order and shard count. Two
-    /// caches digest equal for a namespace set **iff** they hold the same
-    /// states in it (evaluations are write-once per state, so state
-    /// identity is content identity). The cluster's replication driver
-    /// compares digests to skip re-shipping a namespace whose replica is
-    /// already current — the "incremental" in incremental delta push.
-    pub fn namespace_digest(&self, keys: &[u64]) -> u64 {
-        let mut digest = 0u64;
-        let mut count = 0u64;
-        for shard in &self.shards {
-            let map = shard.map.lock().unwrap_or_else(PoisonError::into_inner);
-            for (key, _) in map.iter_slots() {
-                if keys.contains(&key.0) {
-                    let mut h = fnv1a(FNV_OFFSET_BASIS, &key.0.to_le_bytes());
-                    for &word in key.1.words() {
-                        h = fnv1a(h, &word.to_le_bytes());
-                    }
-                    h = fnv1a(h, &(key.1.len() as u64).to_le_bytes());
-                    digest ^= h;
-                    count += 1;
-                }
-            }
-        }
-        fnv1a(digest, &count.to_le_bytes())
+        (now, entries)
     }
 
     /// Merges exported entries into the cache through the normal hashed
@@ -389,7 +425,7 @@ impl SharedEvalCache {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .get(&(namespace, bitmap) as &dyn KeyPair)
-            .cloned();
+            .map(|(evaluation, _)| evaluation.clone());
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -399,12 +435,9 @@ impl SharedEvalCache {
 
     fn record(&self, namespace: u64, bitmap: &StateBitmap, evaluation: &SharedEvaluation) {
         let shard = self.shard_for(namespace, bitmap);
-        let key = (namespace, bitmap.clone());
-        shard
-            .map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, evaluation.clone());
+        let mut map = shard.map.lock().unwrap_or_else(PoisonError::into_inner);
+        let stamp = self.stamps.fetch_add(1, Ordering::SeqCst) + 1;
+        map.insert((namespace, bitmap.clone()), (evaluation.clone(), stamp));
     }
 
     fn surrogate(
@@ -600,7 +633,7 @@ mod tests {
             SharedEvalCache::namespace_key("keep-a"),
             SharedEvalCache::namespace_key("keep-b"),
         ];
-        let export = source.export_namespaces(&keys);
+        let (_, export) = source.export_namespaces(&keys, Cursor::default());
         assert_eq!(
             export.len(),
             12,
@@ -622,40 +655,6 @@ mod tests {
         assert_eq!(ha.lookup(&b), Some(eval(3.0)));
         assert!(target.handle("drop").lookup(&b).is_none());
         assert_eq!(target.stats().entries, 13);
-    }
-
-    #[test]
-    fn namespace_digest_tracks_content_not_geometry() {
-        let a = Arc::new(SharedEvalCache::with_capacity(4, 0));
-        let b = Arc::new(SharedEvalCache::with_capacity(1, 0));
-        let key = SharedEvalCache::namespace_key("repl");
-        let other = SharedEvalCache::namespace_key("other");
-        assert_eq!(a.namespace_digest(&[key]), b.namespace_digest(&[key]));
-        let (ha, hb) = (a.handle("repl"), b.handle("repl"));
-        // Same states, different insertion order and shard geometry.
-        for i in 0..8 {
-            let mut bm = StateBitmap::empty(16);
-            bm.set(i, true);
-            ha.record(&bm, &eval(i as f64));
-        }
-        for i in (0..8).rev() {
-            let mut bm = StateBitmap::empty(16);
-            bm.set(i, true);
-            hb.record(&bm, &eval(i as f64));
-        }
-        assert_eq!(a.namespace_digest(&[key]), b.namespace_digest(&[key]));
-        // Foreign namespaces do not perturb the digest…
-        a.handle("other").record(&StateBitmap::full(16), &eval(1.0));
-        assert_eq!(a.namespace_digest(&[key]), b.namespace_digest(&[key]));
-        assert_ne!(
-            a.namespace_digest(&[key, other]),
-            b.namespace_digest(&[key])
-        );
-        // …but a new state in the set does.
-        let mut bm = StateBitmap::empty(16);
-        bm.set(9, true);
-        ha.record(&bm, &eval(9.0));
-        assert_ne!(a.namespace_digest(&[key]), b.namespace_digest(&[key]));
     }
 
     #[test]

@@ -58,7 +58,7 @@ mod cache;
 mod engine;
 mod scenario;
 
-pub use cache::{CacheHandle, CacheStats, ExportedEvaluation, SharedEvalCache};
+pub use cache::{CacheHandle, CacheStats, Cursor, ExportedEvaluation, SharedEvalCache};
 pub use engine::{Engine, EngineConfig};
 pub use modis_core::algorithm::Algorithm;
 // `bench_e2e`'s search replay (`layers.rs`) compiles against these names;

@@ -57,8 +57,9 @@
 //!   exactly the namespaces that move as wire shipments (`EXPORT` /
 //!   `SHIP`), so a grown cluster answers its first run from the shipped
 //!   warm cache. With K-way replication (`RouterConfig::replication` ≥ 2)
-//!   the router heartbeats every shard, pushes namespace deltas to the
-//!   K−1 replica owners after each completed `RUN`, and — when a primary
+//!   the router heartbeats every shard, sends the K−1 replica owners what
+//!   the primary recorded since each copy's cursor after each completed
+//!   `RUN` (`EXPORT … FROM <cursor>` / `SHIP`), and — when a primary
 //!   dies — fails over to the freshest warm replica with zero operator
 //!   action: tickets are re-homed, responses flagged `degraded=`, and
 //!   per-shard circuit breakers keep dead shards from stalling traffic.

@@ -21,7 +21,7 @@ use crate::protocol::{self, Kind, Parsed, Verb};
 use crate::reactor::{run_executor, wakeup_pair, Reactor, ReactorConfig, Wakeup};
 use crate::service::{JobState, Service, Ticket};
 use modis_core::telemetry::SpanRecord;
-use modis_engine::ScenarioOutcome;
+use modis_engine::{Cursor, ScenarioOutcome};
 
 /// Outcome of one protocol line.
 pub enum Reply {
@@ -121,17 +121,19 @@ pub fn result_line(id: u64, outcome: &ScenarioOutcome) -> String {
     out
 }
 
-/// Executes `EXPORT <ns>…` against the service: the named namespaces as a
-/// hex-encoded namespace snapshot, prefixed with their stable content
-/// digest and the decoded byte length —
-/// `SHIPMENT <digest> <len> <hex>`. The digest lets a replication driver
-/// skip pushing a payload its replica already holds.
-fn export_reply(service: &Service, namespaces: &[String]) -> String {
+/// Executes `EXPORT <ns>… FROM <after>` against the service: what the
+/// named namespaces recorded after `after` as a hex-encoded namespace
+/// snapshot, prefixed with the cache's cursor and the decoded byte length
+/// — `SHIPMENT <cursor> <len> <hex>`, or `SHIPMENT <cursor> 0` when there
+/// is nothing to send.
+fn export_reply(service: &Service, namespaces: &[String], after: Cursor) -> String {
     use std::fmt::Write as _;
-    let digest = service.namespace_digest(namespaces);
-    let bytes = service.shipment_bytes(namespaces);
+    let (cursor, bytes) = service.shipment(namespaces, after);
     let mut out = String::with_capacity(40 + bytes.len() * 2);
-    let _ = write!(out, "SHIPMENT {digest:x} {} ", bytes.len());
+    let _ = write!(out, "SHIPMENT {cursor} {}", bytes.len());
+    if !bytes.is_empty() {
+        out.push(' ');
+    }
     for b in &bytes {
         let _ = write!(out, "{b:02x}");
     }
@@ -379,8 +381,10 @@ pub(crate) fn execute(service: &Service, request: Parsed) -> Request {
                 ok_reply(service.restore_from(Path::new(&path)))
             }))
         }
-        Verb::Export(namespaces) => {
-            return Request::Offload(Box::new(move |service| export_reply(service, &namespaces)))
+        Verb::Export { namespaces, from } => {
+            return Request::Offload(Box::new(move |service| {
+                export_reply(service, &namespaces, from)
+            }))
         }
         Verb::Ship { payload, .. } => {
             return Request::Offload(Box::new(move |service| {
@@ -891,7 +895,7 @@ mod tests {
         let reply = handle_command(&warm, "EXPORT pool").text().to_string();
         let mut tokens = reply.split_whitespace();
         assert_eq!(tokens.next(), Some("SHIPMENT"));
-        let digest = tokens.next().expect("digest token").to_string();
+        tokens.next().expect("cursor token");
         let len: usize = tokens.next().unwrap().parse().expect("numeric length");
         let hex = tokens.next().expect("hex payload");
         assert!(tokens.next().is_none());
@@ -902,16 +906,17 @@ mod tests {
         assert!(payload.starts_with(crate::snapshot::SNAPSHOT_MAGIC));
 
         // Merge the wire payload into a fresh service: the re-run answers
-        // the byte-identical skyline, and the content digests now agree.
+        // the byte-identical skyline, and the replica exports the same
+        // bytes under a cursor of its own.
         let fresh = service();
         let merged = ship(&fresh, &payload);
         let n: usize = merged.strip_prefix("OK ").expect(&merged).parse().unwrap();
         assert!(n > 0, "a warm namespace ships at least one evaluation");
         let fresh_export = handle_command(&fresh, "EXPORT pool").text().to_string();
         assert_eq!(
-            fresh_export.split_whitespace().nth(1),
-            Some(digest.as_str()),
-            "replica digest matches after the merge"
+            fresh_export.split_whitespace().skip(2).collect::<Vec<_>>(),
+            reply.split_whitespace().skip(2).collect::<Vec<_>>(),
+            "replica exports the same bytes after the merge"
         );
         assert_eq!(handle_command(&fresh, "SUBMIT apx").text(), "TICKET 1");
         assert_eq!(handle_command(&fresh, "RUN").text(), "OK 1");

@@ -33,8 +33,10 @@
 //! |                      | byte-exactly encoded (f64 bit patterns, not decimal)          |
 //! | `SNAPSHOT <path>`    | `OK <bytes>` — persist the evaluation cache                   |
 //! | `RESTORE <path>`     | `OK <entries>` — merge a snapshot file into the live cache    |
-//! | `EXPORT <ns>…`       | `SHIPMENT <digest> <len> <hex>` — the named namespaces as a   |
-//! |                      | hex-encoded snapshot plus their content digest                |
+//! | `EXPORT <ns>…`       | `SHIPMENT <cursor> <len> <hex>` — what the named namespaces   |
+//! | `  [FROM <cursor>]`  | recorded after `FROM`'s cursor (default `0`: everything) as a |
+//! |                      | hex-encoded snapshot, `len` 0 and no hex when there is none;  |
+//! |                      | the reply's cursor is where the next export starts            |
 //! | `SHIP <ns>… <len>`   | `OK <entries>` — `<len>` raw snapshot bytes follow the line;  |
 //! |                      | merged into the live cache (wire-shipped rebalancing/replication)|
 //! | `SHARDS`             | `SHARDS <n>` + `n` `SHARD …` lines — cluster router only      |
@@ -53,6 +55,7 @@
 //! checked against this module by `tests/integration_protocol.rs`.
 
 use modis_core::telemetry::TraceContext;
+use modis_engine::Cursor;
 
 /// One well-formed request. Arguments are already validated and typed;
 /// what a verb *does* is the front-end's business.
@@ -90,8 +93,13 @@ pub enum Verb {
     Snapshot(String),
     /// `RESTORE <path>` — shard-level.
     Restore(String),
-    /// `EXPORT <ns> [<ns>…]` — shard-level.
-    Export(Vec<String>),
+    /// `EXPORT <ns> [<ns>…] [FROM <cursor>]` — shard-level.
+    Export {
+        /// The namespaces to export.
+        namespaces: Vec<String>,
+        /// Export only what was recorded after this cursor.
+        from: Cursor,
+    },
     /// `SHIP <ns> [<ns>…] <len>` — shard-level. [`parse`] yields the
     /// header with an empty `payload`; a [`Framer`] fills in the `len` raw
     /// bytes that follow the header line before handing the request on.
@@ -248,11 +256,7 @@ pub fn parse_request(line: &str) -> Parsed {
         ),
         "SNAPSHOT" => (Kind::Snapshot, non_empty(rest).map(Verb::Snapshot)),
         "RESTORE" => (Kind::Restore, non_empty(rest).map(Verb::Restore)),
-        "EXPORT" => (
-            Kind::Export,
-            non_empty(rest)
-                .map(|names| Verb::Export(names.split_whitespace().map(str::to_string).collect())),
-        ),
+        "EXPORT" => (Kind::Export, parse_export(rest)),
         "SHIP" => (Kind::Ship, parse_ship(rest)),
         "QUIT" => (Kind::Quit, Ok(Verb::Quit)),
         _ => (Kind::Other, Err(UNCLAIMED)),
@@ -270,7 +274,7 @@ pub fn parse_request(line: &str) -> Parsed {
 }
 
 /// The argument of a verb that takes everything after it (`SUBMIT`,
-/// `SNAPSHOT`, `RESTORE`, `EXPORT`); without one the line answers
+/// `SNAPSHOT`, `RESTORE`); without one the line answers
 /// `ERR unknown command`, as it always has.
 fn non_empty(rest: &str) -> Result<String, &'static str> {
     if rest.is_empty() {
@@ -308,6 +312,28 @@ fn parse_explain(rest: &str) -> Result<Verb, &'static str> {
             .map(Verb::Explain)
             .ok_or("ERR EXPLAIN expects a ticket or TRACE <trace-id>"),
     }
+}
+
+/// `EXPORT <ns> [<ns>…] [FROM <cursor>]`: the last two tokens are the
+/// cursor whenever the second-to-last is `FROM`; without them the export
+/// starts at the beginning. A bare `EXPORT` is an unknown command, as it
+/// always was.
+fn parse_export(rest: &str) -> Result<Verb, &'static str> {
+    const FROM_EXPECTS: &str = "ERR EXPORT FROM expects a cursor";
+    let tokens: Vec<&str> = rest.split_whitespace().collect();
+    let (namespaces, from) = match tokens.as_slice() {
+        [] => return Err(UNCLAIMED),
+        [namespaces @ .., from, cursor] if from.eq_ignore_ascii_case("FROM") => {
+            (namespaces, cursor.parse().map_err(|_| FROM_EXPECTS)?)
+        }
+        [.., last] if last.eq_ignore_ascii_case("FROM") => return Err(FROM_EXPECTS),
+        namespaces => (namespaces, Cursor::default()),
+    };
+    if namespaces.is_empty() {
+        return Err("ERR EXPORT expects one or more namespaces");
+    }
+    let namespaces = namespaces.iter().map(|ns| ns.to_string()).collect();
+    Ok(Verb::Export { namespaces, from })
 }
 
 /// `SHIP <ns> [<ns>…] <len>`: at least one namespace, then the payload

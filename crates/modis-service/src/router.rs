@@ -40,14 +40,16 @@
 //!   breaker allows — never a sleep on the front thread — and fails fast
 //!   (`circuit open`) once a shard is declared dead, so no request ever
 //!   hangs on a corpse.
-//! * **Replication shipping over the wire** — after each completed `RUN`
-//!   the primaries' updated namespaces are exported (`EXPORT` → one
-//!   `SHIPMENT` line) and pushed to their replicas with the binary-framed
-//!   `SHIP` verb; a content digest skips unchanged pushes. Rebalancing
-//!   ([`Router::join_shard`] / [`Router::leave_shard`]) uses the same
-//!   wire path — no shared filesystem between shard processes required —
-//!   and moves exactly the minimal replica set (a rank-by-rank rendezvous
-//!   guarantee).
+//! * **Replication shipping over the wire** — the router remembers, per
+//!   `(replica, namespace)`, the shard the copy came from and the cursor
+//!   of that shard's cache it reached. After each completed `RUN` it asks
+//!   every primary with `EXPORT … FROM <cursor>` for what it recorded
+//!   since (one `SHIPMENT` line) and pushes a non-empty reply to the
+//!   replica with the binary-framed `SHIP` verb. Rebalancing
+//!   ([`Router::join_shard`] / [`Router::leave_shard`]) takes the same
+//!   exchange from cursor `0` — no shared filesystem between shard
+//!   processes required — and moves exactly the minimal replica set (a
+//!   rank-by-rank rendezvous guarantee).
 //! * **Transparent failover** — a request owed to a dead shard re-routes
 //!   to the freshest warm replica with zero operator action: `SUBMIT`
 //!   picks the next live owner, `POLL`/`RESULT`/`WAIT` re-home the ticket
@@ -93,7 +95,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use modis_core::telemetry::{Counter, MetricsRegistry, TraceContext, Tracer};
-use modis_engine::SharedEvalCache;
+use modis_engine::{Cursor, SharedEvalCache};
 
 use crate::cluster::{validate_token, ClusterSpec, ShardMap};
 use crate::conn::{
@@ -101,7 +103,7 @@ use crate::conn::{
 };
 use crate::error::ServiceError;
 use crate::poller::{self, Interest, Poller};
-use crate::protocol::{self, Frame, Framer, Parsed, Verb};
+use crate::protocol::{self, Frame, Framer, Kind, Parsed, Verb};
 use crate::reactor::{drain_wakeup, wakeup_pair, Wakeup};
 
 /// Help text of the `router_heartbeat_misses_total{shard}` counter.
@@ -132,7 +134,7 @@ pub struct RouterConfig {
     /// stand-in serving — which is the pre-replication behaviour.
     pub replication: usize,
     /// Period of the background heartbeat thread: every shard is `PING`ed
-    /// once per interval, and pending replication pushes are flushed.
+    /// once per interval, and the replicas are synced while a sync is due.
     pub heartbeat_interval: Duration,
     /// Connect + read timeout of one heartbeat probe. A probe that blows
     /// this deadline counts as a miss.
@@ -411,22 +413,19 @@ impl TicketTable {
     }
 }
 
-/// Replication book-keeping: which namespaces need pushing, and what each
-/// replica last received.
+/// Replication book-keeping: where each replica's copy came from, how far
+/// it reaches, and whether a sync is owed.
 #[derive(Default)]
 struct ReplicationState {
-    /// Namespaces with submitted-but-not-yet-run work: their caches will
-    /// change, pushing now would ship a stale copy.
-    dirty: HashSet<String>,
-    /// Namespaces whose `RUN` completed: the cache settled, push on the
-    /// next flush.
-    ready: HashSet<String>,
-    /// `(replica, namespace)` → the content digest and flush sequence
-    /// number of the last push there: an unchanged digest skips the push
-    /// entirely, and failover prefers the replica with the freshest copy.
-    pushed: HashMap<(String, String), (u64, u64)>,
-    /// Monotonic flush sequence.
-    seq: u64,
+    /// `(replica, namespace)` → the shard the copy was last brought up to
+    /// date from, and that shard's cursor then: the next sync asks the
+    /// same source only for what it recorded after it, and failover
+    /// prefers the replica that reaches furthest into a dead primary's
+    /// record.
+    synced: HashMap<(String, String), (String, Cursor)>,
+    /// A `RUN` completed, a shard was rewired or a sync fell short since
+    /// the last sync: the heartbeat syncs while this is set.
+    due: bool,
 }
 
 /// Locks `mutex` through poisoning: every structure the router guards is
@@ -452,7 +451,7 @@ struct RouterInner {
     /// Per-shard breaker state and failure / success streaks, fed by
     /// heartbeats and forwards.
     health: Mutex<HashMap<String, ShardHealth>>,
-    /// Replication push queue and per-replica freshness.
+    /// Where each replica's copy reaches, and whether a sync is owed.
     replication: Mutex<ReplicationState>,
     /// The router's own span recorder: per-client trace roots, forward
     /// round-trips and failover re-homes, stitched into the same traces
@@ -476,20 +475,6 @@ impl RouterInner {
         let topology = lock(&self.topology);
         let owners = topology.map.owners_of_namespace(namespace, self.k());
         owners.iter().map(|s| s.to_string()).collect()
-    }
-
-    /// Records that `replica` now holds the bytes of `namespace` with
-    /// this content `digest`, as of flush sequence `seq`.
-    fn remember_push(&self, replica: &str, namespace: &str, digest: u64, seq: u64) {
-        let key = (replica.to_string(), namespace.to_string());
-        lock(&self.replication).pushed.insert(key, (digest, seq));
-    }
-
-    /// The next flush sequence number.
-    fn next_seq(&self) -> u64 {
-        let mut rep = lock(&self.replication);
-        rep.seq += 1;
-        rep.seq
     }
 
     /// Pre-registers every per-shard family so scrapes see them (at zero)
@@ -576,14 +561,15 @@ impl RouterInner {
         names
     }
 
-    /// Forgets `shard`'s health and replica-freshness history — the
-    /// recovery path after a rewire (the new process starts from its
-    /// snapshot; pushed copies must be re-shipped).
+    /// Forgets `shard`'s health and the cursors of its copies, and makes a
+    /// sync due — the recovery path after a rewire (the new process starts
+    /// from its snapshot; its copies are synced again from `0`).
     fn reset_health(&self, shard: &str) {
         lock(&self.health).insert(shard.to_string(), ShardHealth::default());
         self.publish_circuit(shard, CircuitState::Closed);
         let mut rep = lock(&self.replication);
-        rep.pushed.retain(|(replica, _), _| replica != shard);
+        rep.synced.retain(|(replica, _), _| replica != shard);
+        rep.due = true;
     }
 
     /// [`one_shot`] against a shard daemon under the lifecycle timeouts.
@@ -598,28 +584,30 @@ impl RouterInner {
             .map_err(|err| unavailable(shard, err))
     }
 
-    /// Exports `namespaces` from a shard over the wire: one `EXPORT`
-    /// round-trip, returning the content digest and the decoded snapshot
-    /// bytes (empty when the shard holds nothing for them).
+    /// Exports what `namespaces` recorded on a shard after `after` over
+    /// the wire: one `EXPORT … FROM` round-trip, returning the shard's
+    /// cursor and the decoded snapshot bytes (empty when there is nothing
+    /// new).
     fn wire_export(
         &self,
         shard: &str,
         addr: SocketAddr,
         namespaces: &[String],
-    ) -> Result<(u64, Vec<u8>), ServiceError> {
-        let head = format!("EXPORT {}", namespaces.join(" "));
+        after: Cursor,
+    ) -> Result<(Cursor, Vec<u8>), ServiceError> {
+        let head = format!("EXPORT {} FROM {after}", namespaces.join(" "));
         let reply = self.ask(shard, addr, &head, &[])?;
         let mut tokens = reply.split_whitespace();
         if tokens.next() != Some("SHIPMENT") {
             return Err(unavailable(shard, &reply));
         }
-        let digest = tokens.next().and_then(|t| u64::from_str_radix(t, 16).ok());
+        let cursor = tokens.next().and_then(|t| t.parse::<Cursor>().ok());
         let len = tokens.next().and_then(|t| t.parse::<usize>().ok());
         // A zero-length shipment renders with no hex token at all.
         let payload = hex_decode(tokens.next().unwrap_or(""));
-        match (digest, len, payload) {
-            (Some(digest), Some(len), Some(payload)) if payload.len() == len => {
-                Ok((digest, payload))
+        match (cursor, len, payload) {
+            (Some(cursor), Some(len), Some(payload)) if payload.len() == len => {
+                Ok((cursor, payload))
             }
             _ => Err(unavailable(shard, "malformed SHIPMENT reply")),
         }
@@ -642,98 +630,75 @@ impl RouterInner {
             .ok_or_else(|| unavailable(shard, &reply))
     }
 
-    /// Marks a namespace as having submitted-but-not-run work.
-    fn mark_dirty(&self, namespace: &str) {
-        if self.k() > 1 {
-            lock(&self.replication).dirty.insert(namespace.to_string());
-        }
-    }
-
-    /// Promotes dirty namespaces to ready — called once a cluster `RUN`
-    /// completed, i.e. their caches have settled.
-    fn promote_dirty(&self) {
-        let mut rep = lock(&self.replication);
-        let dirty: Vec<String> = rep.dirty.drain().collect();
-        rep.ready.extend(dirty);
-    }
-
-    /// Pushes every ready namespace from its live primary to its live
-    /// replicas (digest-skipped when unchanged). Namespaces that fail to
-    /// replicate are requeued for the next flush. Returns the total
-    /// number of `(replica, namespace)` copies currently confirmed warm.
-    fn flush_ready_replication(&self) -> usize {
-        let ready: Vec<String> = {
-            let mut rep = lock(&self.replication);
-            rep.ready.drain().collect()
-        };
-        let mut requeue = Vec::new();
-        for namespace in &ready {
-            if self.replicate_namespace(namespace).is_err() {
-                requeue.push(namespace.clone());
-            }
+    /// Brings `target`'s copy of `namespaces` up to date with `source`
+    /// from cursor `after` — the one path replication and rebalancing
+    /// share: an `EXPORT … FROM`, a `SHIP` only when the reply holds
+    /// anything, then the reply's cursor on record for every namespace.
+    fn sync_copy(
+        &self,
+        (source, source_addr): (&str, SocketAddr),
+        namespaces: &[String],
+        after: Cursor,
+        (target, target_addr): (&str, SocketAddr),
+    ) -> Result<(), ServiceError> {
+        let (cursor, payload) = self.wire_export(source, source_addr, namespaces, after)?;
+        if !payload.is_empty() {
+            self.wire_ship(target, target_addr, namespaces, &payload)?;
         }
         let mut rep = lock(&self.replication);
-        rep.ready.extend(requeue);
-        rep.pushed.len()
+        for namespace in namespaces {
+            let copy = (target.to_string(), namespace.clone());
+            rep.synced.insert(copy, (source.to_string(), cursor));
+        }
+        Ok(())
     }
 
-    /// Ships one namespace from its highest-ranked live owner to every
-    /// other live owner that does not already hold the current bytes.
-    fn replicate_namespace(&self, namespace: &str) -> Result<(), ServiceError> {
-        if self.k() <= 1 {
-            return Ok(());
-        }
-        let owners = self.owners(namespace);
-        let addrs: HashMap<String, SocketAddr> = {
-            let topology = lock(&self.topology);
-            let addr = |o: &String| topology.addr_of(o).map(|a| (o.clone(), a));
-            owners.iter().filter_map(addr).collect()
-        };
-        let primary = owners
-            .iter()
-            .find(|o| !self.shard_down(o) && addrs.contains_key(*o))
-            .cloned()
-            .ok_or_else(|| {
-                let reason = format!("no live owner to export namespace {namespace} from");
-                unavailable(owners.first().map_or("", String::as_str), reason)
-            })?;
-        let namespaces = [namespace.to_string()];
-        let (digest, payload) = self.wire_export(&primary, addrs[&primary], &namespaces)?;
-        if payload.is_empty() {
-            return Ok(());
-        }
-        let seq = self.next_seq();
-        let mut first_err = None;
-        for replica in owners.iter().filter(|o| **o != primary) {
-            let key = (replica.clone(), namespace.to_string());
-            if self.shard_down(replica) {
-                first_err.get_or_insert_with(|| {
-                    unavailable(replica, "replica down during replication flush")
-                });
-                continue;
-            }
-            let Some(addr) = addrs.get(replica).copied() else {
+    /// Brings every live replica up to date with its namespace's
+    /// highest-ranked live owner, from the cursor its copy last reached:
+    /// one [`Self::sync_copy`] per `(primary, replica, cursor)` group. A
+    /// dead owner or a failed exchange leaves the sync due. Returns the
+    /// number of `(replica, namespace)` copies on record.
+    fn sync_replicas(&self) -> usize {
+        lock(&self.replication).due = false;
+        let mut groups: Vec<((String, String, Cursor), Vec<String>)> = Vec::new();
+        let mut short = false;
+        for namespace in self.spec.namespaces() {
+            let (live, dead): (Vec<String>, Vec<String>) = self
+                .owners(namespace)
+                .into_iter()
+                .partition(|owner| !self.shard_down(owner));
+            short |= !dead.is_empty();
+            let Some((primary, replicas)) = live.split_first() else {
                 continue;
             };
-            if lock(&self.replication)
-                .pushed
-                .get(&key)
-                .map(|&(last, _)| last)
-                == Some(digest)
-            {
-                continue;
-            }
-            match self.wire_ship(replica, addr, &namespaces, &payload) {
-                Ok(_) => self.remember_push(replica, namespace, digest, seq),
-                Err(err) => {
-                    first_err.get_or_insert(err);
+            let rep = lock(&self.replication);
+            for replica in replicas {
+                let after = match rep.synced.get(&(replica.clone(), namespace.to_string())) {
+                    Some((source, cursor)) if source == primary => *cursor,
+                    _ => Cursor::default(),
+                };
+                let group = (primary.clone(), replica.clone(), after);
+                match groups.iter_mut().find(|(g, _)| *g == group) {
+                    Some((_, namespaces)) => namespaces.push(namespace.to_string()),
+                    None => groups.push((group, vec![namespace.to_string()])),
                 }
             }
         }
-        match first_err {
-            Some(err) => Err(err),
-            None => Ok(()),
+        for ((primary, replica, after), namespaces) in groups {
+            let addrs = {
+                let topology = lock(&self.topology);
+                (topology.addr_of(&primary), topology.addr_of(&replica))
+            };
+            short |= match addrs {
+                (Some(from), Some(to)) => self
+                    .sync_copy((&primary, from), &namespaces, after, (&replica, to))
+                    .is_err(),
+                _ => true,
+            };
         }
+        let mut rep = lock(&self.replication);
+        rep.due |= short;
+        rep.synced.len()
     }
 
     /// Re-homes a cluster ticket whose shard is dead: re-submits the
@@ -755,12 +720,17 @@ impl RouterInner {
             .filter_map(|o| lock(&self.topology).addr_of(&o).map(|a| (o, a)))
             .collect();
         {
-            // Freshest replica first; the sort is stable, so rendezvous
-            // rank breaks ties.
+            // Freshest replica first: the copy synced furthest into the
+            // dead shard's append order (one synced from elsewhere reaches
+            // nothing of it). The sort is stable, so rendezvous rank
+            // breaks ties.
             let rep = lock(&self.replication);
             candidates.sort_by_key(|(name, _)| {
-                let pushed = rep.pushed.get(&(name.clone(), namespace.clone()));
-                std::cmp::Reverse(pushed.map_or(0, |&(_, seq)| seq))
+                let reach = match rep.synced.get(&(name.clone(), namespace.clone())) {
+                    Some((source, cursor)) if *source == dead => *cursor,
+                    _ => Cursor::default(),
+                };
+                std::cmp::Reverse(reach)
             });
         }
         // The re-submission rides on the original submission's trace, so
@@ -1001,17 +971,16 @@ impl Router {
         health.get(shard).map_or(CircuitState::Closed, |h| h.state)
     }
 
-    /// Promotes every pending namespace and pushes it to its replicas
-    /// immediately, without waiting for the heartbeat thread's next tick.
-    /// Returns the total number of `(replica, namespace)` copies
-    /// currently confirmed warm cluster-wide. A no-op returning 0 when
-    /// replication is off (`replication <= 1`).
+    /// Syncs every live replica with its namespace's primary now, without
+    /// waiting for the heartbeat thread's next tick: each is sent what the
+    /// primary recorded since its copy's cursor. Returns the total number
+    /// of `(replica, namespace)` copies on record cluster-wide. A no-op
+    /// returning 0 when replication is off (`replication <= 1`).
     pub fn flush_replication(&self) -> usize {
         if self.inner.k() <= 1 {
             return 0;
         }
-        self.inner.promote_dirty();
-        self.inner.flush_ready_replication()
+        self.inner.sync_replicas()
     }
 
     /// Adds a shard daemon to the cluster. Ownership is recomputed; every
@@ -1084,7 +1053,7 @@ impl Router {
         lock(&self.inner.tickets).purge_shard(name);
         lock(&self.inner.health).remove(name);
         let mut rep = lock(&self.inner.replication);
-        rep.pushed.retain(|(replica, _), _| replica != name);
+        rep.synced.retain(|(replica, _), _| replica != name);
         Ok(shipped)
     }
 
@@ -1135,36 +1104,14 @@ impl Router {
                 "rendezvous join granted a namespace to an unrelated shard"
             );
             let (source_addr, target_addr) = (addr_of(&source)?, addr_of(&target)?);
-            self.ship(&source, source_addr, &namespaces, &target, target_addr)?;
+            self.inner.sync_copy(
+                (&source, source_addr),
+                &namespaces,
+                Cursor::default(),
+                (&target, target_addr),
+            )?;
         }
         Ok(shipped)
-    }
-
-    /// Ships `namespaces` from one shard to another entirely over the
-    /// wire: `EXPORT` on the source, binary-framed `SHIP` into the
-    /// target. No staging file, no shared filesystem.
-    fn ship(
-        &self,
-        source: &str,
-        source_addr: SocketAddr,
-        namespaces: &[String],
-        target: &str,
-        target_addr: SocketAddr,
-    ) -> Result<(), ServiceError> {
-        let (digest, payload) = self.inner.wire_export(source, source_addr, namespaces)?;
-        if payload.is_empty() {
-            // Nothing cached for these namespaces yet — nothing to ship.
-            return Ok(());
-        }
-        self.inner
-            .wire_ship(target, target_addr, namespaces, &payload)?;
-        if let [namespace] = namespaces {
-            // Single-namespace shipments double as replication pushes:
-            // remember the digest so the next flush can skip it.
-            let seq = self.inner.next_seq();
-            self.inner.remember_push(target, namespace, digest, seq);
-        }
-        Ok(())
     }
 
     /// Stops the router: the front thread flushes a final protocol error
@@ -1228,8 +1175,8 @@ fn replica_plan(
 
 /// The heartbeat thread: probes every shard each interval — connect,
 /// `PING`, expect `PONG`, all under the heartbeat timeout — feeding the
-/// breakers, then flushes pending replication pushes, then parks until
-/// the next interval or [`Router::stop`].
+/// breakers, then syncs the replicas while a sync is due, then parks
+/// until the next interval or [`Router::stop`].
 fn heartbeat_loop(inner: Arc<RouterInner>) {
     let timeout = inner.config.heartbeat_timeout.max(Duration::from_millis(1));
     while !inner.stop.load(Ordering::SeqCst) {
@@ -1247,8 +1194,8 @@ fn heartbeat_loop(inner: Arc<RouterInner>) {
                 _ => inner.note_failure(&name, true),
             }
         }
-        if inner.k() > 1 && !inner.stop.load(Ordering::SeqCst) {
-            let _ = inner.flush_ready_replication();
+        if inner.k() > 1 && lock(&inner.replication).due && !inner.stop.load(Ordering::SeqCst) {
+            inner.sync_replicas();
         }
         std::thread::park_timeout(inner.config.heartbeat_interval);
     }
@@ -1776,6 +1723,10 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
     let (inner, conn) = (route.inner, route.ctx);
     let verb = match &request.verb {
         Ok(verb) => verb,
+        // Shard-level, well-formed or not.
+        Err(_) if request.kind == Kind::Export => {
+            return Expect::Local(protocol::unknown_command(&request.token))
+        }
         Err(reply) => return Expect::Local(reply.clone()),
     };
     match verb {
@@ -1837,7 +1788,6 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
                         if degraded {
                             inner.failover_counter(&primary).inc();
                         }
-                        inner.mark_dirty(&namespace);
                         return Expect::Forward {
                             shard: owner,
                             epoch,
@@ -1927,7 +1877,7 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
         }
         Verb::Quit => Expect::Quit,
         // Shard-level verbs: a client talks to the shard daemon for these.
-        Verb::Restore(_) | Verb::Export(_) => {
+        Verb::Restore(_) | Verb::Export { .. } => {
             Expect::Local(protocol::unknown_command(&request.token))
         }
         Verb::Ship { .. } => Expect::Local(SHIP_IS_SHARD_LEVEL.into()),
@@ -2196,9 +2146,11 @@ fn fold_lines(inner: &Arc<RouterInner>, verb: &FanIn, parts: &[FanPart]) -> Stri
             out
         }
         (FanIn::Run, None) => {
-            // The cluster's queues drained: replica caches can be
-            // refreshed on the next flush.
-            inner.promote_dirty();
+            // The cluster's queues drained: replicas are synced on the
+            // next heartbeat.
+            if inner.k() > 1 {
+                lock(&inner.replication).due = true;
+            }
             format!("OK {}{}", sums[0], degraded_suffix(inner, &skipped))
         }
         (_, None) => format!("OK {}", sums[0]),

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use modis_core::codec::CodecError;
 use modis_core::telemetry::{Counter, Gauge, Histogram, TraceContext};
-use modis_engine::{CacheStats, Engine, EngineConfig, Scenario, ScenarioOutcome};
+use modis_engine::{CacheStats, Cursor, Engine, EngineConfig, Scenario, ScenarioOutcome};
 
 use crate::error::ServiceError;
 use crate::registry::ScenarioRegistry;
@@ -488,34 +488,32 @@ impl Service {
     /// Encodes the given cache namespaces (their evaluations plus their
     /// guard pairs) as an in-memory namespace snapshot — the same
     /// format as [`Service::snapshot_to`], and the portable unit the
-    /// cluster layer moves between shard processes when namespace
-    /// ownership rebalances: what `EXPORT` returns and `SHIP` carries
-    /// shard-to-shard without touching a shared filesystem.
+    /// cluster layer moves between shard processes: what `EXPORT` returns
+    /// and `SHIP` carries shard-to-shard without touching a shared
+    /// filesystem. Empty when the namespaces hold nothing.
     pub fn shipment_bytes(&self, namespaces: &[String]) -> Vec<u8> {
+        self.shipment(namespaces, Cursor::default()).1
+    }
+
+    /// What `EXPORT <ns>… FROM <after>` answers: the cache's cursor, and
+    /// the entries of `namespaces` recorded after `after` encoded as by
+    /// [`Service::shipment_bytes`] — no bytes at all when there are none.
+    pub(crate) fn shipment(&self, namespaces: &[String], after: Cursor) -> (Cursor, Vec<u8>) {
         let keys: Vec<u64> = namespaces
             .iter()
             .map(|ns| modis_engine::SharedEvalCache::namespace_key(ns))
             .collect();
+        let (cursor, entries) = self.engine.cache().export_namespaces(&keys, after);
+        if entries.is_empty() {
+            return (cursor, Vec::new());
+        }
         let guards: Vec<(u64, u64)> = self
             .engine
             .namespace_fingerprints()
             .into_iter()
             .filter(|(key, _)| keys.contains(key))
             .collect();
-        snapshot::encode_entries(&self.engine.cache().export_namespaces(&keys), &guards)
-    }
-
-    /// The stable content digest of the given cache namespaces
-    /// ([`modis_engine::SharedEvalCache::namespace_digest`]): equal
-    /// digests on two shards mean their resident state for those
-    /// namespaces is identical, so a replication driver can skip the
-    /// shipment entirely.
-    pub fn namespace_digest(&self, namespaces: &[String]) -> u64 {
-        let keys: Vec<u64> = namespaces
-            .iter()
-            .map(|ns| modis_engine::SharedEvalCache::namespace_key(ns))
-            .collect();
-        self.engine.cache().namespace_digest(&keys)
+        (cursor, snapshot::encode_entries(&entries, &guards))
     }
 
     /// Merges a full or namespace snapshot from `path` into the live cache

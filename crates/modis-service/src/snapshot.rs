@@ -423,7 +423,8 @@ mod tests {
         let (exporter, _, shipment) = alpha_shipment();
         let alpha = SharedEvalCache::namespace_key("alpha");
         let decoded = decode_snapshot(&shipment).unwrap();
-        let expected = exporter.engine().cache().export_namespaces(&[alpha]);
+        let cache = exporter.engine().cache();
+        let (_, expected) = cache.export_namespaces(&[alpha], Default::default());
         assert_eq!(decoded.entries, expected);
         assert_eq!(decoded.namespace_fingerprints, vec![(alpha, 1)]);
         assert_eq!(decoded.entries.len(), 20, "only alpha's 20 entries travel");

@@ -14,7 +14,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -1672,10 +1672,18 @@ fn logging_shard(
 /// cursor the first reply carried and, handed nothing, ships nothing.
 #[test]
 fn a_replica_is_synced_from_the_cursor_its_last_shipment_carried() {
-    let shard = || {
-        let exports = AtomicUsize::new(0);
+    // The heartbeat's first probe (of `s0`) is held until both syncs
+    // below are done, so no sync of the heartbeat's own joins them.
+    let (release, held) = mpsc::channel::<()>();
+    let shard = |probe: Option<mpsc::Receiver<()>>| {
+        let (probe, exports) = (Mutex::new(probe), AtomicUsize::new(0));
         logging_shard(move |request| match request.split(' ').next() {
-            Some("PING") => "PONG".into(),
+            Some("PING") => {
+                if let Some(held) = probe.lock().unwrap().take() {
+                    let _ = held.recv();
+                }
+                "PONG".into()
+            }
             Some("EXPORT") => match exports.fetch_add(1, Ordering::SeqCst) {
                 0 => "SHIPMENT 5eed-7 2 beef".into(),
                 k => format!("SHIPMENT 5eed-{:x} 0", 7 + k),
@@ -1684,10 +1692,11 @@ fn a_replica_is_synced_from_the_cursor_its_last_shipment_carried() {
             _ => "OK 0".into(),
         })
     };
-    let (s0, s1) = (shard(), shard());
+    let (s0, s1) = (shard(Some(held)), shard(None));
     let config = RouterConfig {
         replication: 2,
         heartbeat_interval: Duration::from_secs(3600),
+        heartbeat_timeout: Duration::from_secs(60),
         ..RouterConfig::default()
     };
     let router = Router::bind_with(
@@ -1697,15 +1706,6 @@ fn a_replica_is_synced_from_the_cursor_its_last_shipment_carried() {
         config,
     )
     .unwrap();
-    // The heartbeat's first round probes both shards before it parks for
-    // the hour; let it finish so no sync of its own joins the two below.
-    let probed = |log: &Mutex<Vec<String>>| log.lock().unwrap().iter().any(|l| l == "PING");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !(probed(&s0.1) && probed(&s1.1)) {
-        assert!(Instant::now() < deadline, "the heartbeat never probed");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    std::thread::sleep(Duration::from_millis(100));
 
     let stream = TcpStream::connect(router.addr()).unwrap();
     stream
@@ -1715,6 +1715,7 @@ fn a_replica_is_synced_from_the_cursor_its_last_shipment_carried() {
     assert_eq!(recv(&mut BufReader::new(stream)), "OK 0");
     router.flush_replication();
     router.flush_replication();
+    drop(release);
     router.stop();
 
     let owners = router.owners_of("ns");

@@ -244,6 +244,16 @@ fn transcript(tag: &str) -> Vec<Case> {
         case("EXPORT pool", "SHIPMENT …").routed("ERR unknown command \"EXPORT\""),
         case("export pool ghost", "SHIPMENT …").shard_only(),
         case("EXPORT ghost", "SHIPMENT …").shard_only(),
+        case("EXPORT pool FROM 0", "SHIPMENT …").shard_only(),
+        case("EXPORT pool FROM", "ERR EXPORT FROM expects a cursor")
+            .routed("ERR unknown command \"EXPORT\"")
+            .was("SHIPMENT …"),
+        case("export pool from zz", "ERR EXPORT FROM expects a cursor")
+            .routed("ERR unknown command \"export\"")
+            .was("SHIPMENT …"),
+        case("EXPORT FROM 0", "ERR EXPORT expects one or more namespaces")
+            .routed("ERR unknown command \"EXPORT\"")
+            .was("SHIPMENT …"),
         case("SHIP", ship_inproc)
             .daemon(ship_expects)
             .was(ship_inproc)

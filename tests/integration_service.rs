@@ -18,7 +18,8 @@ use modis_core::substrate::mock::MockSubstrate;
 use modis_core::substrate::Substrate;
 use modis_data::StateBitmap;
 use modis_engine::{
-    Algorithm, Engine, EngineConfig, ExportedEvaluation, Scenario, ScenarioOutcome, SharedEvalCache,
+    Algorithm, Cursor, Engine, EngineConfig, ExportedEvaluation, Scenario, ScenarioOutcome,
+    SharedEvalCache,
 };
 use modis_service::{
     handle_command, snapshot, Daemon, JobState, Service, ServiceConfig, ServiceError,
@@ -600,6 +601,57 @@ fn an_export_from_a_cursor_carries_only_what_was_recorded_after_it() {
         recorded + n,
         "{foreign} is not ours"
     );
+}
+
+/// An export from a cursor holds what was recorded after it, at any
+/// shard geometry: caches of 1 and 16 shards fed one stream answer the
+/// same entries (a re-recorded state included, a foreign namespace
+/// not), the cursor handed back exports nothing, and a cursor the
+/// other cache minted reads as the start.
+#[test]
+fn a_cursor_export_holds_what_came_after_it_at_any_geometry() {
+    let key = SharedEvalCache::namespace_key("repl");
+    let state = |i: usize| {
+        let mut bm = StateBitmap::empty(16);
+        bm.set(i, true);
+        bm
+    };
+    let eval = |v: f64| SharedEvaluation {
+        raw: vec![v],
+        perf: vec![v],
+    };
+    let by_value = |mut entries: Vec<ExportedEvaluation>| {
+        entries.sort_by(|a, b| a.evaluation.raw[0].total_cmp(&b.evaluation.raw[0]));
+        entries
+    };
+    let mut deltas = Vec::new();
+    let mut cursors = Vec::new();
+    for shards in [1, 16] {
+        let cache = Arc::new(SharedEvalCache::with_capacity(shards, 0));
+        let (repl, other) = (cache.handle("repl"), cache.handle("other"));
+        for i in 0..8 {
+            repl.record(&state(i), &eval(i as f64));
+        }
+        let (first, all) = cache.export_namespaces(&[key], Cursor::default());
+        assert_eq!(all.len(), 8);
+        assert_eq!(first.to_string().parse(), Ok(first));
+        other.record(&state(0), &eval(0.0));
+        for i in [8, 9, 10, 3] {
+            repl.record(&state(i), &eval(i as f64));
+        }
+        let (next, delta) = cache.export_namespaces(&[key], first);
+        assert_eq!(cache.export_namespaces(&[key], next), (next, Vec::new()));
+        deltas.push(by_value(delta));
+        cursors.push((cache, first));
+    }
+    assert_eq!(deltas[0], deltas[1]);
+    let values: Vec<f64> = deltas[0].iter().map(|e| e.evaluation.raw[0]).collect();
+    assert_eq!(values, [3.0, 8.0, 9.0, 10.0]);
+    let (cache, _) = &cursors[0];
+    let (_, foreign) = cursors[1];
+    assert_eq!(cache.export_namespaces(&[key], foreign).1.len(), 11);
+    assert_eq!("0".parse(), Ok(Cursor::default()));
+    assert!("zz".parse::<Cursor>().is_err() && "1-zz".parse::<Cursor>().is_err());
 }
 
 #[test]
