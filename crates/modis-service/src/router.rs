@@ -2146,11 +2146,9 @@ fn fold_lines(inner: &Arc<RouterInner>, verb: &FanIn, parts: &[FanPart]) -> Stri
             out
         }
         (FanIn::Run, None) => {
-            // The cluster's queues drained: replicas are synced on the
-            // next heartbeat.
-            if inner.k() > 1 {
-                lock(&inner.replication).due = true;
-            }
+            // The cluster's queues drained: under K > 1 the replicas are
+            // synced on the next heartbeat.
+            lock(&inner.replication).due = true;
             format!("OK {}{}", sums[0], degraded_suffix(inner, &skipped))
         }
         (_, None) => format!("OK {}", sums[0]),
