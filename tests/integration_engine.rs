@@ -425,3 +425,179 @@ fn a_cache_smaller_than_a_zipf_working_set_keeps_the_hot_pools() {
     }
     assert!(paid <= 400, "paid valuations {paid}");
 }
+
+/// A substrate that delegates everything and counts `state_features` calls.
+struct FeatureCounting<S> {
+    inner: S,
+    calls: std::sync::atomic::AtomicUsize,
+}
+
+impl<S: Substrate> Substrate for FeatureCounting<S> {
+    fn num_units(&self) -> usize {
+        self.inner.num_units()
+    }
+    fn unit_label(&self, unit: usize) -> String {
+        self.inner.unit_label(unit)
+    }
+    fn forward_start(&self) -> modis_data::StateBitmap {
+        self.inner.forward_start()
+    }
+    fn backward_start(&self) -> modis_data::StateBitmap {
+        self.inner.backward_start()
+    }
+    fn measures(&self) -> &MeasureSet {
+        self.inner.measures()
+    }
+    fn evaluate_raw(&self, bitmap: &modis_data::StateBitmap) -> Vec<f64> {
+        self.inner.evaluate_raw(bitmap)
+    }
+    fn state_features(&self, bitmap: &modis_data::StateBitmap) -> Vec<f64> {
+        self.calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.state_features(bitmap)
+    }
+    fn artifact_size(&self, bitmap: &modis_data::StateBitmap) -> (usize, usize) {
+        self.inner.artifact_size(bitmap)
+    }
+    fn protected_units(&self) -> Vec<usize> {
+        self.inner.protected_units()
+    }
+    fn fingerprint(&self) -> u64 {
+        self.inner.fingerprint()
+    }
+    fn memo_stats(&self) -> SubstrateCacheStats {
+        self.inner.memo_stats()
+    }
+}
+
+/// A warm surrogate run on one engine reuses every model and every
+/// estimate its cold run made, so it asks the substrate only for the
+/// feature rows its refits train on: at most one per oracle-backed record
+/// (a shared-cache hit or a training). An estimate the model already holds
+/// is found by state, without featurising the state again.
+#[test]
+fn a_warm_surrogate_run_featurises_only_what_its_refits_train_on() {
+    let counted = Arc::new(FeatureCounting {
+        inner: task_t3(5).substrate(),
+        calls: Default::default(),
+    });
+    let substrate: Arc<dyn Substrate> = counted.clone();
+    let calls = || counted.calls.load(std::sync::atomic::Ordering::Relaxed);
+    let config = oracle_config()
+        .with_max_states(40)
+        .with_estimator(EstimatorMode::default());
+    let engine = Engine::new(EngineConfig::default().with_worker_threads(1));
+    for algorithm in Algorithm::PAPER_VARIANTS {
+        let scenario = Scenario::new(
+            algorithm.name(),
+            substrate.clone(),
+            algorithm,
+            config.clone(),
+        )
+        .with_cache_namespace(algorithm.name());
+        engine.run_scenario(&scenario);
+        let before = calls();
+        let warm = engine.run_scenario(&scenario).result.stats;
+        let featurised = calls() - before;
+        let label = algorithm.name();
+        assert!(warm.surrogate_calls > 0, "{label}: the surrogate took over");
+        assert_eq!(warm.estimate_reuses, warm.surrogate_calls, "{label}");
+        assert!(
+            featurised <= warm.shared_hits + warm.oracle_calls,
+            "{label}: {featurised} feature rows for {} oracle-backed records and {} estimates",
+            warm.shared_hits + warm.oracle_calls,
+            warm.surrogate_calls
+        );
+    }
+}
+
+/// Everything the searches count, cold (a fresh evaluation cache) and warm
+/// (the same cache again, so every oracle valuation is a hit and every
+/// surrogate a reuse), per paper variant in `PAPER_VARIANTS` order:
+/// `ValuationStats` (`estimate_reuses` left out unless `reuses`), the states
+/// valuated, and `BiStats`' pruned children and levels (0 for ApxMODis and
+/// DivMODis).
+fn search_counts<S: Substrate>(
+    substrate: &S,
+    config: &ModisConfig,
+    reuses: bool,
+) -> Vec<[usize; 10]> {
+    let mut counts = Vec::new();
+    for algorithm in Algorithm::PAPER_VARIANTS {
+        let cache = Arc::new(modis_engine::SharedEvalCache::with_capacity(4, 0));
+        for _ in ["cold", "warm"] {
+            let ctx = ValuationContext::new(substrate, config.estimator)
+                .with_hook(cache.handle(algorithm.name()));
+            let (result, bi) = match algorithm {
+                Algorithm::Apx => (apx_modis_with_context(&ctx, config, 1), Default::default()),
+                Algorithm::Div => (div_modis_with_context(&ctx, config), Default::default()),
+                _ => bi_modis_with_context(&ctx, config, algorithm == Algorithm::Bi),
+            };
+            let s = result.stats;
+            counts.push([
+                s.oracle_calls,
+                s.surrogate_calls,
+                s.cache_hits,
+                s.shared_hits,
+                s.surrogate_fits,
+                s.surrogate_reuses,
+                if reuses { s.estimate_reuses } else { 0 },
+                result.states_valuated,
+                bi.pruned,
+                bi.levels,
+            ]);
+        }
+    }
+    counts
+}
+
+/// What the four paper variants count under the default surrogate mode,
+/// cold and warm, pinned on the mock and on two table tasks: remembering
+/// estimates, verdicts or the correlation graph must not move a count.
+#[test]
+fn search_counts_are_pinned_under_the_surrogate() {
+    use modis_core::substrate::mock::MockSubstrate;
+    let surrogate = ModisConfig::default().with_epsilon(0.15);
+    let table = oracle_config()
+        .with_max_states(40)
+        .with_estimator(EstimatorMode::default());
+    let mock = search_counts(&MockSubstrate::new(10), &surrogate, false);
+    let t1 = search_counts(&task_t1(21).substrate(), &table, true);
+    let t3 = search_counts(&task_t3(5).substrate(), &table, true);
+    // [oracle, surrogate, cache hits, shared hits, fits, model reuses,
+    //  estimate reuses, states valuated, pruned, levels], cold then warm,
+    // for ApxMODis, NOBiMODis, BiMODis and DivMODis.
+    let expected_mock = [
+        [12, 188, 0, 0, 1, 0, 0, 200, 0, 0],
+        [0, 188, 0, 12, 0, 1, 0, 200, 0, 0],
+        [13, 188, 0, 0, 1, 0, 0, 200, 0, 3],
+        [0, 188, 0, 13, 0, 1, 0, 200, 0, 3],
+        [12, 188, 0, 0, 1, 0, 0, 200, 31, 4],
+        [0, 188, 0, 12, 0, 1, 0, 200, 31, 4],
+        [12, 188, 0, 0, 1, 0, 0, 200, 0, 0],
+        [0, 188, 0, 12, 0, 1, 0, 200, 0, 0],
+    ];
+    let expected_t1 = [
+        [14, 28, 0, 0, 1, 0, 0, 40, 0, 0],
+        [0, 28, 0, 14, 0, 1, 28, 40, 0, 0],
+        [13, 28, 0, 0, 1, 0, 0, 40, 0, 1],
+        [0, 28, 0, 13, 0, 1, 28, 40, 0, 1],
+        [13, 28, 0, 0, 1, 0, 0, 40, 41, 2],
+        [0, 28, 0, 13, 0, 1, 28, 40, 41, 2],
+        [13, 28, 0, 0, 1, 0, 0, 40, 0, 0],
+        [0, 28, 0, 13, 0, 1, 28, 40, 0, 0],
+    ];
+    let expected_t3 = [
+        [13, 28, 0, 0, 1, 0, 0, 40, 0, 0],
+        [0, 28, 0, 13, 0, 1, 28, 40, 0, 0],
+        [12, 28, 0, 0, 1, 0, 0, 40, 0, 1],
+        [0, 28, 0, 12, 0, 1, 28, 40, 0, 1],
+        [12, 28, 0, 0, 1, 0, 0, 40, 98, 2],
+        [0, 28, 0, 12, 0, 1, 28, 40, 98, 2],
+        [12, 28, 0, 0, 1, 0, 0, 40, 0, 0],
+        [0, 28, 0, 12, 0, 1, 28, 40, 0, 0],
+    ];
+    assert_eq!(mock, expected_mock);
+    assert_eq!(t1, expected_t1);
+    assert_eq!(t3, expected_t3);
+}
