@@ -104,10 +104,15 @@ pub(crate) fn bi_search<S: Substrate + ?Sized>(
     }
 
     let open = || ctx.num_valuated() < config.max_states;
+    // `G_C` and the oracle-record count it was built at: only BiMODis reads
+    // it, and its series of oracle records changes only with that count.
+    let mut corr: Option<(usize, CorrelationGraph)> = None;
     while open() && (forward.next_level().is_some() || backward.next_level().is_some()) {
-        // NOBiMODis never reads the graph, so only a pruning run builds it.
-        let corr =
-            prune.then(|| CorrelationGraph::from_series(&ctx.measure_series(), config.theta));
+        let oracle_records = prune.then(|| ctx.oracle_records());
+        if oracle_records.is_some() && corr.as_ref().map(|(n, _)| *n) != oracle_records {
+            let graph = CorrelationGraph::from_series(&ctx.measure_series(), config.theta);
+            corr = oracle_records.map(|n| (n, graph));
+        }
         for frontier in [&mut forward, &mut backward] {
             if let Some(level) = frontier.next_level().filter(|&l| l < config.max_level) {
                 stats.levels = stats.levels.max(level + 1);
@@ -120,6 +125,10 @@ pub(crate) fn bi_search<S: Substrate + ?Sized>(
             } else {
                 usize::MAX
             };
+            // Once a child is pruned, so is every later sibling: the bound
+            // reads the parent's vector, the deltas, `G_C` and the skyline,
+            // and only a valuation moves them, which a pruned child skips.
+            let mut parent_pruned = false;
             frontier.step_valuating(
                 &mut visited,
                 ctx,
@@ -127,19 +136,20 @@ pub(crate) fn bi_search<S: Substrate + ?Sized>(
                 workers,
                 certain,
                 |child, level, parent_perf| {
-                    if let Some(corr) = corr
-                        .as_ref()
-                        .filter(|_| deltas.observations() >= ARMED_AFTER)
-                    {
-                        let bounds =
-                            PerfBounds::from_parent(parent_perf, &deltas.min, &deltas.max, corr);
-                        let dominated = skyline
-                            .entries()
-                            .any(|e| bounds.epsilon_dominated_by(&e.perf, config.epsilon));
-                        if dominated {
-                            stats.pruned += 1;
-                            return None;
-                        }
+                    parent_pruned = parent_pruned
+                        || corr
+                            .as_ref()
+                            .filter(|_| deltas.observations() >= ARMED_AFTER)
+                            .is_some_and(|(_, corr)| {
+                                let (min, max) = (&deltas.min, &deltas.max);
+                                let bounds = PerfBounds::from_parent(parent_perf, min, max, corr);
+                                skyline
+                                    .entries()
+                                    .any(|e| bounds.epsilon_dominated_by(&e.perf, config.epsilon))
+                            });
+                    if parent_pruned {
+                        stats.pruned += 1;
+                        return None;
                     }
                     let perf = ctx.valuate(child);
                     deltas.observe(parent_perf, &perf);

@@ -19,10 +19,13 @@
 //! [`ValuationStats::surrogate_reuses`]); either way it holds the same bits.
 //!
 //! An estimate is in turn a pure function of the model's bits and the
-//! feature row's bits, so the model comes as a [`FittedSurrogate`], which
-//! remembers what it estimated: a warm request that reuses a model asks it
-//! for rows it has predicted before and gets the stored bits back instead
-//! of walking every tree again ([`ValuationStats::estimate_reuses`]).
+//! feature row's bits, and a substrate's row is a function of the state
+//! (equal fingerprints, equal rows: [`Substrate::fingerprint`]). So the
+//! model comes as a [`FittedSurrogate`], which remembers what it estimated
+//! by substrate fingerprint and state: a warm request that reuses a model
+//! asks it for states it has estimated before and gets the stored bits
+//! back without featurising the state or walking a tree
+//! ([`ValuationStats::estimate_reuses`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -38,42 +41,35 @@ pub use modis_ml::gbm::{GbmParams, MultiOutputGbm};
 
 use crate::substrate::Substrate;
 
-/// How many estimates one [`FittedSurrogate`] remembers. Past it a new row
+/// How many estimates one [`FittedSurrogate`] remembers. Past it a new state
 /// is still predicted exactly, only not remembered: the table stops growing
 /// and never evicts. A constant, not a knob: one default-budget run
 /// valuates at most 200 states, and on `bench_e2e`'s warm workloads no model
-/// is asked for more than 188 distinct rows. Measured with a counting
-/// allocator, an estimate of a paper-task shape (a 24-cell row, two to five
-/// outputs) holds 274–298 bytes with its table slot, so a full table is
-/// 140–153 KB, about the size of a paper model, and the engine's 128-model
-/// memo full of full tables holds ≈ 20 MB of estimates.
+/// is asked for more than 188 distinct states. Measured with a counting
+/// allocator, an estimate of a paper-task shape (a state of ≤ 128 units,
+/// two to five outputs) holds 130–154 bytes with its table slot, so a full
+/// table is 67–79 KB and the engine's 128-model memo of full tables ≈ 10 MB.
 pub(crate) const ESTIMATE_TABLE_CAPACITY: usize = 512;
 
 /// A fitted MO-GBM surrogate `E` and the estimates it has made.
 ///
-/// [`FittedSurrogate::predict`] answers a row it has predicted before from
-/// its table, on the bits [`MultiOutputGbm::predict_one`] returned then,
-/// and asks the model otherwise; so whether a row was remembered changes
-/// no result and no count but [`ValuationStats::estimate_reuses`]. The
-/// table is keyed by the row's `f64::to_bits` (`0.0` and `-0.0`, or two NaN
-/// payloads, are two rows) and hashed with the unkeyed
-/// [`modis_data::bitmap::WordHasher`]: its keys are feature rows the local
-/// substrate computed, never bytes a peer sent. It lives and dies with the
-/// model — in process memory only, never exported, shipped or
-/// snapshotted.
+/// [`FittedSurrogate::predict`] answers a state it has estimated before from
+/// its table, on the bits [`MultiOutputGbm::predict_one`] returned then for
+/// the state's feature row, and featurises the state and asks the model
+/// otherwise; so whether a state was remembered changes no result and no
+/// count but [`ValuationStats::estimate_reuses`]. The table is keyed by the
+/// substrate's fingerprint and the state (the engine hands one model to every
+/// substrate that asked for its training matrix) and hashed with the unkeyed
+/// [`modis_data::bitmap::WordHasher`]: its keys are states the local search
+/// generated, never bytes a peer sent. It lives and dies with the model, in
+/// process memory only, never exported, shipped or snapshotted.
 pub struct FittedSurrogate {
     model: MultiOutputGbm,
     estimates: Mutex<Estimates>,
 }
 
-/// A [`FittedSurrogate`]'s estimates, keyed by the row's `to_bits`.
-#[derive(Default)]
-struct Estimates {
-    /// The key of the row being looked up, built in place, so a lookup
-    /// copies no row onto the heap.
-    probe: Vec<u64>,
-    table: HashMap<Box<[u64]>, Box<[f64]>, BuildWordHasher>,
-}
+/// A [`FittedSurrogate`]'s estimates, by substrate fingerprint and state.
+type Estimates = HashMap<(u64, StateBitmap), Box<[f64]>, BuildWordHasher>;
 
 impl FittedSurrogate {
     /// Fits the model ([`MultiOutputGbm::fit`]); the table starts empty.
@@ -89,29 +85,31 @@ impl FittedSurrogate {
         &self.model
     }
 
-    /// The estimate for `features`, and whether the table answered it
-    /// (`true`) rather than the model (`false`). Either way the bits are
-    /// `model().predict_one(features)`'s; a table hit allocates nothing but
+    /// The estimate for `state` of the substrate whose fingerprint is
+    /// `fingerprint`, and the feature row `features` computed for it when the
+    /// table did not hold the state (`None`: the table answered). Either way
+    /// the bits are `model().predict_one(&features())`'s; a table hit calls
+    /// no `features` and, for a state of ≤ 128 units, allocates nothing but
     /// the returned vector.
-    pub fn predict(&self, features: &[f64]) -> (Vec<f64>, bool) {
-        let key: Box<[u64]> = {
-            let mut estimates = self.estimates.lock();
-            let Estimates { probe, table } = &mut *estimates;
-            probe.clear();
-            probe.extend(features.iter().map(|cell| cell.to_bits()));
-            if let Some(estimate) = table.get(probe.as_slice()) {
-                return (estimate.to_vec(), true);
-            }
-            probe.as_slice().into()
-        };
-        // Predicted outside the lock; two threads that miss on one row at
-        // once both predict it, to the same bits.
-        let estimate = self.model.predict_one(features);
-        let table = &mut self.estimates.lock().table;
+    pub fn predict(
+        &self,
+        fingerprint: u64,
+        state: &StateBitmap,
+        features: impl FnOnce() -> Vec<f64>,
+    ) -> (Vec<f64>, Option<Vec<f64>>) {
+        let key = (fingerprint, state.clone());
+        if let Some(estimate) = self.estimates.lock().get(&key) {
+            return (estimate.to_vec(), None);
+        }
+        // Featurised and predicted outside the lock; two threads that miss
+        // on one state at once both predict it, to the same bits.
+        let row = features();
+        let estimate = self.model.predict_one(&row);
+        let mut table = self.estimates.lock();
         if table.len() < ESTIMATE_TABLE_CAPACITY {
             table.insert(key, estimate.as_slice().into());
         }
-        (estimate, false)
+        (estimate, Some(row))
     }
 }
 
@@ -213,7 +211,7 @@ pub struct ValuationStats {
     pub surrogate_reuses: usize,
     /// Number of surrogate valuations ([`Self::surrogate_calls`]) the
     /// model's [`FittedSurrogate`] answered from its table: the same model
-    /// had estimated the same feature row before.
+    /// had estimated the same state of the same substrate before.
     pub estimate_reuses: usize,
 }
 
@@ -227,12 +225,14 @@ pub(crate) enum Ahead {
     Trained(Vec<f64>),
 }
 
+#[derive(Default)]
 struct Inner {
     records: Vec<TestRecord>,
     /// `Substrate::state_features` of `records[i]`'s state, once something
-    /// has needed it: a surrogate prediction, or the first refit after the
-    /// record became oracle-backed. A state's features never change, so a
-    /// refit computes only the rows it has not seen.
+    /// has needed it: a surrogate prediction the model's table did not
+    /// answer, or the first refit after the record became oracle-backed. A
+    /// state's features never change, so a refit computes only the rows it
+    /// has not seen.
     features: Vec<Option<Vec<f64>>>,
     /// Index of `records` by state. Hashed with
     /// [`modis_data::bitmap::WordHasher`]: only the search inserts here (a
@@ -241,15 +241,29 @@ struct Inner {
     /// Oracle valuations made ahead, by state; empty between a search's
     /// steps.
     parked: HashMap<StateBitmap, Ahead, BuildWordHasher>,
-    surrogate: Option<Arc<FittedSurrogate>>,
+    /// The surrogate, with the substrate's fingerprint its table is asked
+    /// under, read once at the first fit.
+    surrogate: Option<(Arc<FittedSurrogate>, u64)>,
     records_at_last_fit: usize,
     oracle_records: usize,
     stats: ValuationStats,
 }
 
 impl Inner {
+    /// The surrogate and the fingerprint once the warm-up is over. It counts
+    /// oracle-backed *records*, so a shared-cache hit advances it like a
+    /// training and warm and cold runs switch to the surrogate together.
+    fn active_surrogate(&self, mode: EstimatorMode) -> Option<&(Arc<FittedSurrogate>, u64)> {
+        match mode {
+            EstimatorMode::Surrogate { warmup, .. } if self.oracle_records >= warmup => {
+                self.surrogate.as_ref()
+            }
+            _ => None,
+        }
+    }
+
     /// Inserts or upgrades an oracle-backed record for `bitmap`; an upgraded
-    /// record keeps the feature row its surrogate prediction computed.
+    /// record keeps any feature row its surrogate prediction computed.
     fn commit_oracle(&mut self, bitmap: &StateBitmap, perf: &[f64], raw: Vec<f64>) {
         let record = TestRecord {
             bitmap: bitmap.clone(),
@@ -290,16 +304,7 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
             substrate,
             mode,
             hook: None,
-            inner: Mutex::new(Inner {
-                records: Vec::new(),
-                features: Vec::new(),
-                by_bitmap: HashMap::default(),
-                parked: HashMap::default(),
-                surrogate: None,
-                records_at_last_fit: 0,
-                oracle_records: 0,
-                stats: ValuationStats::default(),
-            }),
+            inner: Mutex::default(),
         }
     }
 
@@ -320,36 +325,31 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
     /// Cached records are returned directly ("if t is already in T, it
     /// directly loads t.P", §3).
     pub fn valuate(&self, bitmap: &StateBitmap) -> Vec<f64> {
-        {
-            let mut inner = self.inner.lock();
-            if let Some(&idx) = inner.by_bitmap.get(bitmap) {
-                inner.stats.cache_hits += 1;
-                return inner.records[idx].perf.clone();
-            }
+        let mut inner = self.inner.lock();
+        if let Some(&idx) = inner.by_bitmap.get(bitmap) {
+            inner.stats.cache_hits += 1;
+            return inner.records[idx].perf.clone();
         }
-        if self.surrogate_active() {
-            let feats = self.substrate.state_features(bitmap);
-            let mut inner = self.inner.lock();
-            if let Some(model) = &inner.surrogate {
-                let (mut perf, reused) = model.predict(&feats);
-                for p in &mut perf {
-                    *p = p.clamp(1e-6, 1.0);
-                }
-                inner.stats.surrogate_calls += 1;
-                inner.stats.estimate_reuses += usize::from(reused);
-                let idx = inner.records.len();
-                inner.records.push(TestRecord {
-                    bitmap: bitmap.clone(),
-                    perf: perf.clone(),
-                    raw: Vec::new(),
-                    oracle: false,
-                });
-                inner.features.push(Some(feats));
-                inner.by_bitmap.insert(bitmap.clone(), idx);
-                return perf;
-            }
-        }
-        self.valuate_oracle(bitmap)
+        let Some((model, fingerprint)) = inner.active_surrogate(self.mode) else {
+            drop(inner);
+            return self.valuate_oracle(bitmap);
+        };
+        let (mut perf, row) = model.predict(*fingerprint, bitmap, || {
+            self.substrate.state_features(bitmap)
+        });
+        perf.iter_mut().for_each(|p| *p = p.clamp(1e-6, 1.0));
+        inner.stats.surrogate_calls += 1;
+        inner.stats.estimate_reuses += usize::from(row.is_none());
+        let idx = inner.records.len();
+        inner.records.push(TestRecord {
+            bitmap: bitmap.clone(),
+            perf: perf.clone(),
+            raw: Vec::new(),
+            oracle: false,
+        });
+        inner.features.push(row);
+        inner.by_bitmap.insert(bitmap.clone(), idx);
+        perf
     }
 
     /// Forces an oracle valuation (used for final reporting of skyline
@@ -389,22 +389,6 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
         self.mode
     }
 
-    /// Whether the surrogate has taken over from the oracle (always `false`
-    /// in [`EstimatorMode::Oracle`]).
-    pub(crate) fn surrogate_active(&self) -> bool {
-        match self.mode {
-            EstimatorMode::Oracle => false,
-            EstimatorMode::Surrogate { warmup, .. } => {
-                // Count oracle-backed *records*, not oracle calls: shared-
-                // cache hits then advance the warm-up exactly like fresh
-                // trainings, so warm and cold runs switch to the surrogate at
-                // the same point and stay comparable.
-                let inner = self.inner.lock();
-                inner.oracle_records >= warmup && inner.surrogate.is_some()
-            }
-        }
-    }
-
     /// Whether `bitmap` already has a record in `T`. [`Self::valuate`] on
     /// such a state is a memo hit: it returns the stored performance without
     /// consuming valuation budget. Schedules use this to replay the
@@ -440,14 +424,14 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
         max_states: usize,
     ) -> Vec<&'s StateBitmap> {
         let inner = self.inner.lock();
+        if inner.active_surrogate(self.mode).is_some() {
+            return Vec::new();
+        }
         let oracle_left = match self.mode {
             EstimatorMode::Oracle => usize::MAX,
+            // `max(1)`: with no model fitted yet the next state is the
+            // oracle's even when the warm-up count is met.
             EstimatorMode::Surrogate { warmup, .. } => {
-                if inner.oracle_records >= warmup && inner.surrogate.is_some() {
-                    return Vec::new();
-                }
-                // `max(1)`: with no model fitted yet the next state is the
-                // oracle's even when the warm-up count is met.
                 warmup.saturating_sub(inner.oracle_records).max(1)
             }
         };
@@ -497,22 +481,15 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
 
     /// Raw metric values for a state, valuating with the oracle if needed.
     pub(crate) fn raw_for(&self, bitmap: &StateBitmap) -> Vec<f64> {
-        {
+        let oracle_raw = || {
             let inner = self.inner.lock();
-            if let Some(&idx) = inner.by_bitmap.get(bitmap) {
-                let rec = &inner.records[idx];
-                if rec.oracle {
-                    return rec.raw.clone();
-                }
-            }
-        }
-        self.valuate_oracle(bitmap);
-        let inner = self.inner.lock();
-        inner
-            .by_bitmap
-            .get(bitmap)
-            .map(|&idx| inner.records[idx].raw.clone())
-            .unwrap_or_default()
+            let record = inner.by_bitmap.get(bitmap).map(|&idx| &inner.records[idx]);
+            record.filter(|r| r.oracle).map(|r| r.raw.clone())
+        };
+        oracle_raw().unwrap_or_else(|| {
+            self.valuate_oracle(bitmap);
+            oracle_raw().unwrap_or_default()
+        })
     }
 
     /// Number of valuated states (tests in `T`).
@@ -530,8 +507,15 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
         self.inner.lock().records.clone()
     }
 
-    /// Per-measure series of the oracle-valuated performance values, used to
-    /// maintain the correlation graph `G_C`.
+    /// How many records of `T` are oracle-backed. Records are only added or
+    /// upgraded to oracle, so while this count stands, so does
+    /// [`Self::measure_series`].
+    pub(crate) fn oracle_records(&self) -> usize {
+        self.inner.lock().oracle_records
+    }
+
+    /// Per-measure series of the oracle-valuated performance values, in
+    /// record order, used to maintain the correlation graph `G_C`.
     pub(crate) fn measure_series(&self) -> Vec<Vec<f64>> {
         let inner = self.inner.lock();
         let m = self.substrate.measures().len();
@@ -584,7 +568,11 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
         } else {
             inner.stats.surrogate_fits += 1;
         }
-        inner.surrogate = Some(model);
+        let fingerprint = match &inner.surrogate {
+            Some((_, fingerprint)) => *fingerprint,
+            None => self.substrate.fingerprint(),
+        };
+        inner.surrogate = Some((model, fingerprint));
         inner.records_at_last_fit = n;
     }
 }
@@ -782,84 +770,76 @@ mod tests {
         v.iter().map(|c| c.to_bits()).collect()
     }
 
+    /// The state of 16 units whose word is `i`, and the row a substrate of
+    /// fingerprint `fingerprint` computes for it.
+    fn keyed(fingerprint: u64, i: u64) -> (StateBitmap, Vec<f64>) {
+        let w = i as f64;
+        let row = vec![fingerprint as f64, w * 0.1, (w * 0.37).sin(), -0.05 * w];
+        (StateBitmap::from_words(vec![i], 16).unwrap(), row)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// `FittedSurrogate::predict` answers every row on `predict_one`'s
-        /// bits: asked first or again, for rows that differ only in a zero's
-        /// sign or a NaN's payload (two keys, each answered for itself), and
-        /// with the table at its cap. It reports a hit exactly when a model
-        /// of the table (a miss inserts while below the cap) holds the row,
-        /// and the table never outgrows the cap.
+        /// `FittedSurrogate::predict` answers every state on `predict_one`'s
+        /// bits for the state's row: asked first or again, under two
+        /// fingerprints (two keys, each answered for itself), and with the
+        /// table at its cap. It featurises exactly when it reports a miss,
+        /// which is exactly when a model of the table (a miss inserts while
+        /// below the cap) lacks the key, and the table never outgrows the cap.
         #[test]
         fn predict_returns_predict_ones_bits_first_repeated_and_past_the_cap(
             x in prop::collection::vec(prop::collection::vec(-2.0f64..2.0, 4), 3..16),
-            probes in prop::collection::vec(prop::collection::vec(-2.0f64..2.0, 4), 1..8),
+            probes in prop::collection::vec(0usize..48, 1..16),
             fill in 0usize..3,
-            cell in 0usize..4,
         ) {
             let surrogate = fitted(&x);
             let fill = [0, ESTIMATE_TABLE_CAPACITY - 3, ESTIMATE_TABLE_CAPACITY][fill];
-            let mut rows: Vec<Vec<f64>> = (0..fill).map(|i| vec![4.0 + i as f64; 4]).collect();
-            for probe in probes {
-                rows.extend([probe.clone(), probe.clone()]);
-                let nan = f64::NAN;
-                for special in [0.0, -0.0, nan, f64::from_bits(nan.to_bits() ^ 1)] {
-                    let mut row = probe.clone();
-                    row[cell] = special;
-                    rows.extend([row.clone(), row]);
-                }
-            }
+            // A probe names fingerprint 0 or 1 and one of 24 states; the
+            // filler states are under fingerprint 2.
+            let probes = probes.iter().map(|&p| ((p % 2) as u64, (p / 2) as u64));
+            let keys = (0..fill as u64).map(|i| (2, i));
             let mut table = HashSet::new();
-            for row in &rows {
-                let (estimate, hit) = surrogate.predict(row);
-                prop_assert_eq!(bits(&estimate), bits(&surrogate.model().predict_one(row)));
-                prop_assert_eq!(hit, table.contains(&bits(row)));
+            for key in keys.chain(probes.flat_map(|probe| [probe, probe])) {
+                let (state, row) = keyed(key.0, key.1);
+                let (estimate, computed) = surrogate.predict(key.0, &state, || row.clone());
+                prop_assert_eq!(bits(&estimate), bits(&surrogate.model().predict_one(&row)));
+                let hit = table.contains(&key);
+                prop_assert_eq!(computed.map(|r| bits(&r)), (!hit).then(|| bits(&row)));
                 if !hit && table.len() < ESTIMATE_TABLE_CAPACITY {
-                    table.insert(bits(row));
+                    table.insert(key);
                 }
-                prop_assert_eq!(surrogate.estimates.lock().table.len(), table.len());
+                prop_assert_eq!(surrogate.estimates.lock().len(), table.len());
             }
         }
     }
 
-    /// Eight threads released together predict overlapping rows, each row
+    /// Eight threads released together estimate overlapping states, each
     /// twice: every answer carries `predict_one`'s bits, and the table ends
-    /// up holding every distinct row once.
+    /// up holding every distinct state once.
     #[test]
     fn racing_threads_all_get_predict_ones_bits() {
         let x: Vec<Vec<f64>> = (0..12)
-            .map(|i| {
-                (0..4)
-                    .map(|j| ((i * 5 + j * 3) % 7) as f64 * 0.25)
-                    .collect()
-            })
+            .map(|i| (0..4).map(|j| keyed(j, i).1[j as usize]).collect())
             .collect();
         let surrogate = fitted(&x);
-        let row = |i: usize| {
-            let f = i as f64;
-            vec![(i % 7) as f64 * 0.3, (i % 5) as f64 * -0.2, f * 0.01, f]
-        };
         let barrier = Barrier::new(8);
         std::thread::scope(|scope| {
             for t in 0..8 {
                 let (surrogate, barrier) = (&surrogate, &barrier);
                 scope.spawn(move || {
                     barrier.wait();
-                    let rows = t * 4..t * 4 + 24;
-                    for i in rows.clone().chain(rows) {
-                        let (estimate, _) = surrogate.predict(&row(i));
-                        let direct = surrogate.model().predict_one(&row(i));
-                        assert_eq!(bits(&estimate), bits(&direct), "row {i}");
+                    let states = t * 4..t * 4 + 24;
+                    for i in states.clone().chain(states) {
+                        let (state, row) = keyed(0, i);
+                        let (estimate, _) = surrogate.predict(0, &state, || row.clone());
+                        let direct = surrogate.model().predict_one(&row);
+                        assert_eq!(bits(&estimate), bits(&direct), "state {i}");
                     }
                 });
             }
         });
-        assert_eq!(
-            surrogate.estimates.lock().table.len(),
-            52,
-            "rows 0..52, once each"
-        );
+        assert_eq!(surrogate.estimates.lock().len(), 52, "0..52, once each");
     }
 
     #[test]
@@ -869,6 +849,7 @@ mod tests {
         ctx.valuate(&StateBitmap::full(4));
         ctx.valuate(&StateBitmap::full(4).flipped(0));
         let series = ctx.measure_series();
+        assert_eq!(ctx.oracle_records(), 2);
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].len(), 2);
     }

@@ -162,22 +162,19 @@ impl MeasureSet {
     }
 }
 
-/// Computes the discretised position of a performance vector in the
-/// `(|P|−1)`-dimensional grid of Eq. (1).
+/// Writes the discretised position of a performance vector in the
+/// `(|P|−1)`-dimensional grid of Eq. (1) into `out`, replacing what it held,
+/// so a caller that probes many vectors reuses one buffer.
 ///
 /// The decisive measure (index `decisive`) is excluded from the grid;
 /// remaining coordinates are `⌊log_{1+ε}(p_i / p_l_i)⌋`.
-pub fn position(perf: &[f64], measures: &MeasureSet, epsilon: f64, decisive: usize) -> Vec<i64> {
+pub fn position(perf: &[f64], set: &MeasureSet, epsilon: f64, decisive: usize, out: &mut Vec<i64>) {
     let base = (1.0 + epsilon.max(1e-9)).ln();
-    perf.iter()
-        .enumerate()
-        .filter(|(i, _)| *i != decisive)
-        .map(|(i, &p)| {
-            let spec = measures.spec(i);
-            let ratio = (p.max(1e-9) / spec.lower.max(1e-9)).max(1e-12);
-            (ratio.ln() / base).floor() as i64
-        })
-        .collect()
+    out.clear();
+    for (i, &p) in perf.iter().enumerate().filter(|(i, _)| *i != decisive) {
+        let ratio = (p.max(1e-9) / set.spec(i).lower.max(1e-9)).max(1e-12);
+        out.push((ratio.ln() / base).floor() as i64);
+    }
 }
 
 #[cfg(test)]
@@ -227,15 +224,21 @@ mod tests {
         assert_eq!(set.position("p_Train"), Some(1));
     }
 
+    fn cell(perf: &[f64], set: &MeasureSet, epsilon: f64) -> Vec<i64> {
+        let mut cell = vec![7; 3];
+        position(perf, set, epsilon, set.decisive_index(), &mut cell);
+        cell
+    }
+
     #[test]
     fn position_grid_matches_log_formula() {
         let set = example_set();
         let eps = 0.3;
-        // Decisive = last measure ⇒ grid over p_Acc only.
-        let pos = position(&[0.05, 0.4], &set, eps, set.decisive_index());
-        assert_eq!(pos.len(), 1);
-        assert_eq!(pos[0], 0); // log_{1.3}(0.05/0.05) = 0
-        let pos2 = position(&[0.2, 0.4], &set, eps, set.decisive_index());
+        // Decisive = last measure ⇒ grid over p_Acc only; the buffer's old
+        // contents are replaced.
+        let pos = cell(&[0.05, 0.4], &set, eps);
+        assert_eq!(pos, [0]); // log_{1.3}(0.05/0.05) = 0
+        let pos2 = cell(&[0.2, 0.4], &set, eps);
         let expected = ((0.2f64 / 0.05).ln() / 1.3f64.ln()).floor() as i64;
         assert_eq!(pos2[0], expected);
         assert!(pos2[0] > pos[0]);
@@ -244,8 +247,10 @@ mod tests {
     #[test]
     fn equal_cells_for_close_values() {
         let set = example_set();
-        let a = position(&[0.100, 0.4], &set, 0.5, 1);
-        let b = position(&[0.105, 0.4], &set, 0.5, 1);
+        let (a, b) = (
+            cell(&[0.100, 0.4], &set, 0.5),
+            cell(&[0.105, 0.4], &set, 0.5),
+        );
         assert_eq!(a, b);
     }
 }

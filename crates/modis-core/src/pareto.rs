@@ -24,6 +24,9 @@ pub struct EpsilonSkyline {
     /// input order the finalisation scan's comparison count depends on — is
     /// a function of the offers.
     cells: BTreeMap<Vec<i64>, SkylineEntry>,
+    /// The cell of the vector last located, a buffer every probe reuses: only
+    /// a cell that is inserted allocates its key.
+    cell: Vec<i64>,
 }
 
 impl EpsilonSkyline {
@@ -35,6 +38,7 @@ impl EpsilonSkyline {
             epsilon,
             decisive,
             cells: BTreeMap::new(),
+            cell: Vec::new(),
         }
     }
 
@@ -68,36 +72,32 @@ impl EpsilonSkyline {
         if self.measures.violates_upper(perf) {
             return false;
         }
-        let pos = position(perf, &self.measures, self.epsilon, self.decisive);
-        match self.cells.get_mut(&pos) {
+        let entry = || SkylineEntry {
+            bitmap: bitmap.clone(),
+            perf: perf.to_vec(),
+            raw: Vec::new(),
+            size: (0, 0),
+            level,
+        };
+        let decisive = self.decisive;
+        self.locate(perf);
+        match self.cells.get_mut(self.cell.as_slice()) {
             None => {
-                self.cells.insert(
-                    pos,
-                    SkylineEntry {
-                        bitmap: bitmap.clone(),
-                        perf: perf.to_vec(),
-                        raw: Vec::new(),
-                        size: (0, 0),
-                        level,
-                    },
-                );
+                self.cells.insert(self.cell.clone(), entry());
                 true
             }
-            Some(occupant) => {
-                if perf[self.decisive] < occupant.perf[self.decisive] - 1e-12 {
-                    *occupant = SkylineEntry {
-                        bitmap: bitmap.clone(),
-                        perf: perf.to_vec(),
-                        raw: Vec::new(),
-                        size: (0, 0),
-                        level,
-                    };
-                    true
-                } else {
-                    false
-                }
+            Some(occupant) if perf[decisive] < occupant.perf[decisive] - 1e-12 => {
+                *occupant = entry();
+                true
             }
+            Some(_) => false,
         }
+    }
+
+    /// Writes the grid cell of `perf` into `self.cell`.
+    fn locate(&mut self, perf: &[f64]) {
+        let (measures, epsilon, decisive) = (&self.measures, self.epsilon, self.decisive);
+        position(perf, measures, epsilon, decisive, &mut self.cell);
     }
 
     /// Borrows the current members, in cell-key order. The search loops
@@ -111,8 +111,8 @@ impl EpsilonSkyline {
     pub(crate) fn replace_entries(&mut self, entries: Vec<SkylineEntry>) {
         self.cells.clear();
         for e in entries {
-            let pos = position(&e.perf, &self.measures, self.epsilon, self.decisive);
-            self.cells.insert(pos, e);
+            self.locate(&e.perf);
+            self.cells.insert(self.cell.clone(), e);
         }
     }
 

@@ -238,7 +238,7 @@ impl<P> Frontier<P> {
         lead: &[&StateBitmap],
         certain: usize,
     ) {
-        if workers <= 1 || ctx.surrogate_active() {
+        if workers <= 1 {
             return;
         }
         // The step skips a visited child; the budget is the context's.
@@ -247,6 +247,7 @@ impl<P> Frontier<P> {
             .iter()
             .filter(|child| !visited.contains(child));
         let named = lead.iter().copied().chain(children.take(certain));
+        // In its surrogate phase `ctx` trains none of them.
         ctx.train_ahead(named, config.max_states, workers);
     }
 

@@ -88,7 +88,9 @@ pub trait Substrate: Send + Sync {
     /// and what an evaluation means (the measure set) into one hash; see
     /// `structural_fingerprint`. Implementations whose valuations depend
     /// on more than the structure (e.g. a downstream model spec) should
-    /// override this and mix the extra identity in.
+    /// override this and mix the extra identity in. Equal fingerprints must
+    /// also mean equal [`Self::state_features`] for every bitmap: a fitted
+    /// surrogate remembers its estimates by fingerprint and state.
     fn fingerprint(&self) -> u64 {
         structural_fingerprint(self)
     }

@@ -36,8 +36,8 @@
 //! Being unkeyed, it is predictable, so it may back only the maps whose keys
 //! the search generates itself: `search_common::VisitedSet` and
 //! `ValuationContext`'s record index in `modis-core`, and the estimate table
-//! of `modis-core`'s `FittedSurrogate`, keyed by feature rows the local
-//! substrate computes from those states. Every map a peer can
+//! of `modis-core`'s `FittedSurrogate`, keyed by those states with their
+//! substrate's fingerprint. Every map a peer can
 //! fill — the engine's shared evaluation cache and its fitted-surrogate
 //! memo, both reachable from a `SHIP` / `RESTORE` payload — keeps std's
 //! randomly keyed `RandomState`, so a payload cannot be crafted to collide

@@ -36,10 +36,10 @@
 //! one fit rebuilds it).
 //!
 //! A memo entry is a [`FittedSurrogate`]: the model plus the estimates it
-//! has made, keyed by the exact bits of each feature row. A warm scenario
-//! that gets its model back asks it for the rows it asked for last time,
-//! and the table answers them without walking a tree
-//! (`ValuationStats::estimate_reuses`). The estimates live and die with
+//! has made, keyed by substrate fingerprint and state. A warm scenario
+//! that gets its model back asks it for the states it asked for last time,
+//! and the table answers them without featurising a state or walking a
+//! tree (`ValuationStats::estimate_reuses`). The estimates live and die with
 //! their model — evicted with it, never exported, shipped or snapshotted —
 //! and a refitted model starts with an empty table.
 //!
@@ -196,7 +196,7 @@ impl FromStr for Cursor {
 /// fit away. Measured with a counting allocator, a 30-estimator model on a
 /// 12 × 24 matrix is ≈ 27 KB per output (boxed nodes and a per-tree
 /// importance vector; 81 KB for three measures, 137 KB for five) and its
-/// key ≈ 3 KB: a full memo is at most ≈ 18 MB, plus ≈ 20 MB if every model
+/// key ≈ 3 KB: a full memo is at most ≈ 18 MB, plus ≈ 10 MB if every model
 /// also filled its estimate table (`ESTIMATE_TABLE_CAPACITY`).
 const SURROGATE_MEMO_CAPACITY: usize = 128;
 

@@ -19,8 +19,8 @@
 //!   the visited set's, the record store's and its index's, the
 //!   ε-skyline's — was one more allocation;
 //! - the remembered estimate: a surrogate prediction the model's table
-//!   answers allocates only the vector it returns; the table is probed with
-//!   a key built in place, not with a copy of the feature row.
+//!   answers allocates only the vector it returns; the table is probed by
+//!   fingerprint and state, and the state's feature row is not computed.
 //!
 //! A refactor that brings either cost back trips this file before any
 //! benchmark moves. A test binary of its own: the counting allocator is
@@ -287,9 +287,11 @@ fn cloning_a_state_allocates_only_beyond_128_units() {
     assert_eq!(allocations_of_clone(500), 1);
 }
 
-/// A prediction the estimate table answers allocates once: the returned
-/// vector. (The first prediction, a miss, also sizes the probe buffer and
-/// stores the row.)
+/// An estimate the table answers allocates once: the returned vector. The
+/// table is asked by fingerprint and state, and a state of up to 128 units
+/// is copied into the probe key without allocating; the row is not
+/// computed again. (The first estimate, a miss, computes the row and stores
+/// the estimate.)
 #[test]
 fn a_remembered_estimate_allocates_only_the_returned_vector() {
     let x: Vec<Vec<f64>> = (0..12)
@@ -305,13 +307,13 @@ fn a_remembered_estimate_allocates_only_the_returned_vector() {
         ..GbmParams::default()
     };
     let surrogate = FittedSurrogate::fit(&x, &y, params);
-    let row = vec![0.3; 24];
-    let (first, hit) = surrogate.predict(&row);
-    assert!(!hit);
+    let state = StateBitmap::full(24).flipped(3);
+    let (first, row) = surrogate.predict(7, &state, || vec![0.3; 24]);
+    assert_eq!(row, Some(vec![0.3; 24]));
     let before = ALLOCATIONS.with(Cell::get);
-    let (again, hit) = surrogate.predict(&row);
+    let (again, row) = surrogate.predict(7, &state, || unreachable!("a hit featurises nothing"));
     let made = ALLOCATIONS.with(Cell::get) - before;
-    assert!(hit);
+    assert_eq!(row, None);
     let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<u64>>();
     assert_eq!(bits(&again), bits(&first));
     assert_eq!(made, 1);

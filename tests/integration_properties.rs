@@ -57,8 +57,9 @@ proptest! {
             MeasureSpec::minimise("m2", 1.0),
         ]);
         let b: Vec<f64> = a.iter().map(|v| (v * factor).min(1.0)).collect();
-        let pa = position(&a, &measures, eps, 2);
-        let pb = position(&b, &measures, eps, 2);
+        let (mut pa, mut pb) = (Vec::new(), Vec::new());
+        position(&a, &measures, eps, 2, &mut pa);
+        position(&b, &measures, eps, 2, &mut pb);
         if pa == pb {
             for (x, y) in a.iter().zip(b.iter()).take(2) {
                 let ratio = if x > y { x / y } else { y / x };
