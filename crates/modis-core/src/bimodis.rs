@@ -108,10 +108,10 @@ pub(crate) fn bi_search<S: Substrate + ?Sized>(
     // it, and its series of oracle records changes only with that count.
     let mut corr: Option<(usize, CorrelationGraph)> = None;
     while open() && (forward.next_level().is_some() || backward.next_level().is_some()) {
-        let oracle_records = prune.then(|| ctx.oracle_records());
-        if oracle_records.is_some() && corr.as_ref().map(|(n, _)| *n) != oracle_records {
+        let oracle_records = ctx.oracle_records();
+        if prune && corr.as_ref().map(|(n, _)| *n) != Some(oracle_records) {
             let graph = CorrelationGraph::from_series(&ctx.measure_series(), config.theta);
-            corr = oracle_records.map(|n| (n, graph));
+            corr = Some((oracle_records, graph));
         }
         for frontier in [&mut forward, &mut backward] {
             if let Some(level) = frontier.next_level().filter(|&l| l < config.max_level) {
