@@ -13,7 +13,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -1621,6 +1621,190 @@ fn shard_that_stops_reading_bounds_one_pipeline_and_stalls_no_other_client() {
     for i in 0..POLLS {
         assert_eq!(recv(&mut reader), "QUEUED", "reply {i}");
     }
+    router.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Shard-local ticket ids reach a client as cluster ids
+// ---------------------------------------------------------------------------
+
+/// A scripted shard that answers every line of every connection as
+/// `answer` says — `None` closes the connection unanswered — and logs
+/// each line it is sent (`CTX` prefixes stripped; heartbeat `PING`s are
+/// answered by [`fake_shard`] and not logged).
+fn ticket_shard(
+    answer: impl Fn(&str) -> Option<String> + Send + Sync + 'static,
+) -> (SocketAddr, Arc<Mutex<Vec<String>>>) {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&log);
+    let addr = fake_shard(move |first, mut reader, mut stream| {
+        let mut line = first;
+        loop {
+            let request = forwarded(&line).to_string();
+            seen.lock().unwrap().push(request.clone());
+            let Some(reply) = answer(&request) else {
+                return;
+            };
+            if stream.write_all(format!("{reply}\n").as_bytes()).is_err() {
+                return;
+            }
+            line.clear();
+            if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                return;
+            }
+        }
+    });
+    (addr, log)
+}
+
+/// What a healthy shard answers: each `SUBMIT` takes the next local id
+/// of `next` (shared by both shards, so no local id equals a cluster id),
+/// a `WAIT` is answered one `DONE` per ticket, `RESULT` echoes its id.
+fn ticket_reply(next: &AtomicU64, request: &str) -> String {
+    let (verb, args) = request.split_once(' ').unwrap_or((request, ""));
+    match verb {
+        "SUBMIT" => format!("TICKET {}", next.fetch_add(1, Ordering::SeqCst)),
+        "RUN" => "OK 1".into(),
+        "WAIT" => args
+            .split(' ')
+            .map(|local| format!("DONE {local} entries=0"))
+            .collect::<Vec<_>>()
+            .join("\n"),
+        "RESULT" => format!("RESULT {args} entries=0"),
+        _ => format!("ERR unknown command {verb:?}"),
+    }
+}
+
+/// A shard's name and the lines it was sent.
+type ShardLog = (String, Arc<Mutex<Vec<String>>>);
+
+/// Two ticket shards under `replication: 2` whose first `WAIT` (which goes
+/// to the primary: every ticket is submitted there) closes the connection
+/// unanswered, the router over them, a client, and `[primary, replica]`.
+fn failing_wait_cluster(
+    heartbeat_misses: u32,
+) -> (Router, TcpStream, BufReader<TcpStream>, [ShardLog; 2]) {
+    let (next, waits) = (Arc::new(AtomicU64::new(7)), Arc::new(AtomicUsize::new(0)));
+    let shard = || {
+        let (next, waits) = (Arc::clone(&next), Arc::clone(&waits));
+        ticket_shard(move |request| {
+            let first_wait =
+                request.starts_with("WAIT ") && waits.fetch_add(1, Ordering::SeqCst) == 0;
+            (!first_wait).then(|| ticket_reply(&next, request))
+        })
+    };
+    let (s0, s1) = (shard(), shard());
+    let config = RouterConfig {
+        replication: 2,
+        heartbeat_interval: Duration::from_secs(3600),
+        heartbeat_misses,
+        ..RouterConfig::default()
+    };
+    let router = Router::bind_with(
+        ClusterSpec::new([("scen", "ns")]).unwrap(),
+        vec![("s0".to_string(), s0.0), ("s1".to_string(), s1.0)],
+        "127.0.0.1:0",
+        config,
+    )
+    .unwrap();
+    let stream = TcpStream::connect(router.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let writer = stream.try_clone().unwrap();
+    let owners = router.owners_of("ns");
+    let shards = [0, 1].map(|rank| {
+        let log = if owners[rank] == "s0" { &s0.1 } else { &s1.1 };
+        (owners[rank].clone(), Arc::clone(log))
+    });
+    (router, writer, BufReader::new(stream), shards)
+}
+
+/// The lines `log` holds that start with `verb`.
+fn logged(log: &Mutex<Vec<String>>, verb: &str) -> Vec<String> {
+    let log = log.lock().unwrap();
+    log.iter()
+        .filter(|l| l.starts_with(verb))
+        .cloned()
+        .collect()
+}
+
+/// The primary drops the link a `WAIT` is owed on: the ticket is re-homed
+/// by a one-shot `SUBMIT` + `RUN` on the replica, the wait resumes there,
+/// and the client reads its own cluster id — in the streamed `DONE` and in
+/// a later `RESULT`, which is flagged as served by the replica.
+#[test]
+fn a_wait_whose_primary_drops_the_link_is_rehomed_under_the_cluster_id() {
+    let (router, mut writer, mut reader, [(primary, primary_log), (replica, replica_log)]) =
+        failing_wait_cluster(3);
+    writer.write_all(b"SUBMIT scen\n").unwrap();
+    assert_eq!(recv(&mut reader), "TICKET 1");
+    writer.write_all(b"WAIT 1\n").unwrap();
+    assert_eq!(recv(&mut reader), "DONE 1 entries=0");
+    writer.write_all(b"RESULT 1\n").unwrap();
+    assert_eq!(
+        recv(&mut reader),
+        format!("RESULT 1 entries=0 degraded={replica}")
+    );
+    assert_eq!(logged(&primary_log, "WAIT "), ["WAIT 7"]);
+    assert_eq!(
+        logged(&replica_log, ""),
+        ["SUBMIT scen", "RUN", "WAIT 8", "RESULT 8"],
+        "re-homed under local id 8"
+    );
+    let failovers = format!("router_failovers_total{{shard=\"{primary}\"}} 1");
+    let metrics = router.metrics().render();
+    assert!(metrics.contains(&failovers), "{metrics:#?}");
+    router.stop();
+}
+
+/// With `heartbeat_misses: 1` the dropped `WAIT` opens the primary's
+/// breaker, so a second ticket homed there is re-homed before its `WAIT`
+/// is forwarded: the primary is sent no second `WAIT`.
+#[test]
+fn a_ticket_on_a_primary_whose_breaker_opened_is_rehomed_before_its_wait() {
+    let (router, mut writer, mut reader, [(primary, primary_log), (_, replica_log)]) =
+        failing_wait_cluster(1);
+    writer.write_all(b"SUBMIT scen\nSUBMIT scen\n").unwrap();
+    assert_eq!(recv(&mut reader), "TICKET 1");
+    assert_eq!(recv(&mut reader), "TICKET 2");
+    writer.write_all(b"WAIT 1\n").unwrap();
+    assert_eq!(recv(&mut reader), "DONE 1 entries=0");
+    assert_eq!(router.circuit_state(&primary), CircuitState::Open);
+    writer.write_all(b"WAIT 2\n").unwrap();
+    assert_eq!(recv(&mut reader), "DONE 2 entries=0");
+    assert_eq!(logged(&primary_log, "WAIT "), ["WAIT 7"]);
+    assert_eq!(logged(&replica_log, "WAIT "), ["WAIT 9", "WAIT 10"]);
+    let failovers = format!("router_failovers_total{{shard=\"{primary}\"}} 2");
+    let metrics = router.metrics().render();
+    assert!(metrics.contains(&failovers), "{metrics:#?}");
+    router.stop();
+}
+
+/// A shard's ticket errors name its local id; the client reads its
+/// cluster id in their place, to `POLL`, `WAIT` and `RESULT` alike.
+#[test]
+fn a_shard_ticket_error_reaches_the_client_with_the_cluster_id() {
+    let (shard, log) = ticket_shard(|request| {
+        Some(match request.split_once(' ') {
+            Some(("SUBMIT", _)) => "TICKET 7".into(),
+            Some(("POLL" | "WAIT", local)) => format!("ERR unknown ticket {local}"),
+            Some(("RESULT", local)) => format!("ERR ticket {local} is not finished"),
+            _ => "ERR unexpected".into(),
+        })
+    });
+    let (router, mut writer, mut reader) = fake_cluster(shard, RouterConfig::default());
+    writer
+        .write_all(b"SUBMIT scen\nPOLL 1\nWAIT 1\nRESULT 1\n")
+        .unwrap();
+    assert_eq!(recv(&mut reader), "TICKET 1");
+    assert_eq!(recv(&mut reader), "ERR unknown ticket 1");
+    assert_eq!(recv(&mut reader), "ERR unknown ticket 1");
+    assert_eq!(recv(&mut reader), "ERR ticket 1 is not finished");
+    assert_eq!(
+        *log.lock().unwrap(),
+        ["SUBMIT scen", "POLL 7", "WAIT 7", "RESULT 7"]
+    );
     router.stop();
 }
 
