@@ -18,14 +18,18 @@
 //!   are emitted strictly in request order through an ordered queue of
 //!   expectations, exactly like the reactor's response slots.
 //! * **Ticket remapping** — shards issue process-local ticket ids; the
-//!   router allocates cluster-wide ids and translates on every `SUBMIT`
-//!   response, `POLL`/`RESULT`/`WAIT` request and streamed `DONE` line.
-//!   When a primary dies, a ticket is *re-homed*: the scenario is
-//!   re-submitted on the freshest live replica and the cluster id remapped
-//!   in place, so the client's id keeps working across the failure.
+//!   router allocates cluster-wide ids on every `SUBMIT` response and
+//!   translates them in every `POLL`/`RESULT`/`WAIT` request and every
+//!   reply line naming a ticket. When a primary dies, a ticket is
+//!   *re-homed*: the scenario is re-submitted on the freshest live replica
+//!   and the cluster id remapped in place, so the client's id keeps
+//!   working across the failure.
+//! * **One shape for every reply shards owe** — a forward (`SUBMIT`,
+//!   `POLL`, `RESULT`), a fan-in and a cross-shard `WAIT` hold one part
+//!   per shard (per `WAIT` group), and one loop collects them all.
 //! * **Fan-in verbs** — `RUN`, `STATS`, `SNAPSHOT`, `METRICS`,
 //!   `TRACE DUMP`, `TRACE SLOW` and `EXPLAIN` go to every shard through
-//!   one sender and one expectation, and one renderer builds the reply:
+//!   one sender, and one renderer builds the reply:
 //!   `RUN` drains every live shard concurrently and sums the counts,
 //!   `STATS` aggregates every shard's counters into one cluster-wide line
 //!   (plus a `SHARDS` verb for per-shard telemetry), `SNAPSHOT <path>`
@@ -701,6 +705,19 @@ impl RouterInner {
         rep.synced.len()
     }
 
+    /// The current home of cluster ticket `global`, re-homed onto a live
+    /// replica first when its shard is declared dead or `lost` says the
+    /// link to it just failed. The error is a ready-to-emit protocol line.
+    fn home(&self, global: u64, lost: bool) -> Result<TicketEntry, String> {
+        let Some(entry) = lock(&self.tickets).lookup(global) else {
+            return Err(format!("ERR unknown ticket {global}"));
+        };
+        if lost || self.shard_down(&entry.shard) {
+            return self.failover_ticket(global, &entry);
+        }
+        Ok(entry)
+    }
+
     /// Re-homes a cluster ticket whose shard is dead: re-submits the
     /// scenario on the freshest live replica, runs it there (warm cache —
     /// zero paid valuations when replication kept up), and remaps the
@@ -1332,31 +1349,6 @@ enum Polled {
     Dead,
 }
 
-/// Rewrite applied to a single forwarded response line.
-enum Rewrite {
-    /// `SUBMIT`: translate `TICKET <local>` to a cluster-wide id,
-    /// remembering the scenario (for failover re-submission) and whether
-    /// the request was already routed to a stand-in replica.
-    Submit {
-        /// The submitted scenario name.
-        scenario: String,
-        /// Routed to a replica because the primary was down.
-        degraded: bool,
-    },
-    /// `POLL`: pass through, but re-express `ERR unknown ticket` with the
-    /// cluster id the client asked about.
-    TicketErr {
-        /// The cluster-wide ticket id of the request.
-        global: u64,
-    },
-    /// `RESULT`: rewrite the echoed ticket id to the cluster id and flag
-    /// stand-in service with a trailing ` degraded=<shard>` token.
-    Result {
-        /// The cluster-wide ticket id of the request.
-        global: u64,
-    },
-}
-
 /// STATS keys aggregated cluster-wide, in output order.
 const STAT_KEYS: [&str; 8] = [
     "hits",
@@ -1368,14 +1360,6 @@ const STAT_KEYS: [&str; 8] = [
     "dominance_comparisons",
     "dominance_pruned",
 ];
-
-/// One pending `WAIT` slice on one shard: the `(cluster id, shard-local
-/// id)` pairs still owed.
-struct WaitPart {
-    shard: String,
-    epoch: u64,
-    owed: Vec<(u64, u64)>,
-}
 
 /// A fan-in verb: one the router sends to every shard and answers with
 /// one reply built from all of theirs ([`render_fan_in`] says what each
@@ -1430,62 +1414,195 @@ impl FanIn {
     }
 }
 
-/// One shard's part of a fan-in.
-struct FanPart {
+/// One shard's share of a reply a client is owed: a forward's line, a
+/// fan-in shard's lines, or one `WAIT` group's `DONE`s.
+struct Part {
     shard: String,
+    /// The epoch of the connection the request went out on.
     epoch: u64,
-    /// Lines the shard still owes: one for a one-line verb; for a counted
-    /// verb `None` until its `<HEADER> <n>` line arrives.
+    /// Lines the shard still owes; for a counted fan-in verb `None` until
+    /// its `<HEADER> <n>` line arrives.
     owed: Option<usize>,
-    /// The lines received (a counted verb's header excluded).
+    /// The `(cluster id, shard-local id)` pairs the request names (a
+    /// `WAIT` part drops each as its line arrives).
+    tickets: Vec<(u64, u64)>,
+    /// The lines received (a counted verb's header excluded; a `WAIT`
+    /// streams its lines on instead).
     lines: Vec<String>,
     /// The error line of a shard that failed: it could not be sent the
-    /// verb, lost the link, or headed a counted reply wrongly.
+    /// request, lost the link, or headed a counted reply wrongly.
     failed: Option<String>,
 }
 
-impl FanPart {
+impl Part {
+    /// The part of `shard`, which `sent` says took the request on that
+    /// epoch or could not be sent it.
+    fn sent(
+        shard: String,
+        sent: Result<u64, String>,
+        owed: Option<usize>,
+        tickets: Vec<(u64, u64)>,
+    ) -> Part {
+        Part {
+            shard,
+            epoch: *sent.as_ref().unwrap_or(&0),
+            owed,
+            tickets,
+            lines: Vec::new(),
+            failed: sent.err(),
+        }
+    }
+
     fn done(&self) -> bool {
         self.failed.is_some() || self.owed == Some(0)
     }
+
+    /// Takes one line the shard sent: a counted fan-in part reads its count
+    /// from the first, a `WAIT` part streams each on to the client under
+    /// its cluster id, and every other part keeps it.
+    fn take(&mut self, reply: &Reply, line: String, client: &mut Conn) {
+        let Some(owed) = self.owed else {
+            let header = match reply {
+                Reply::FanIn(verb) => verb.header(),
+                _ => None,
+            };
+            self.owed = header
+                .and_then(|header| line.strip_prefix(header))
+                .and_then(|n| n.trim().parse::<usize>().ok());
+            if self.owed.is_none() {
+                self.failed = Some(format!(
+                    "ERR shard {}: unexpected reply {line:?}",
+                    self.shard
+                ));
+            }
+            return;
+        };
+        self.owed = Some(owed - 1);
+        if let Reply::Wait(_) = reply {
+            // A line no owed ticket names (e.g. a shard-side error)
+            // answers the first.
+            let (line, at) = to_cluster_id(&self.tickets, &line);
+            self.tickets.remove(at.unwrap_or(0));
+            client.queue_line(&line);
+        } else {
+            self.lines.push(line);
+        }
+    }
+}
+
+/// A single-shard forward (`SUBMIT`, `POLL` or `RESULT`) awaiting its one
+/// line.
+struct Forward {
+    /// `SUBMIT`'s scenario (for failover re-submission) and whether it
+    /// went to a stand-in replica because the primary was down.
+    submit: Option<(String, bool)>,
+    /// When the request left the router (feeds the per-shard
+    /// forward-latency histogram on resolution).
+    sent: Instant,
+    /// The original client request, re-dispatched through
+    /// [`route_request`] (which re-resolves ownership and failover)
+    /// when the owed connection dies.
+    request: Parsed,
+    /// Remaining re-dispatch budget for this pipeline position.
+    retries_left: u8,
+    /// The trace context this forward was sent under
+    /// ([`TraceContext::NONE`] when untraced): its round-trip is
+    /// recorded as a `forward` span — the parent of every shard-side
+    /// span the request produced — when the response arrives.
+    trace: TraceContext,
+}
+
+impl Forward {
+    /// What the client is owed once `part` is done: the line — or, when
+    /// the connection died with the line owed and a re-dispatch is left,
+    /// that re-dispatch: [`route_request`] re-resolves ownership (and
+    /// ticket failover) from scratch, so the retry lands on a replica when
+    /// one exists.
+    fn answer(self, route: &mut Route<'_>, part: Part) -> Expect {
+        let inner = route.inner;
+        match part.failed {
+            Some(_) if self.retries_left > 0 => {
+                let mut retry = route_request(route, self.request);
+                if let Expect::Shards {
+                    reply: Reply::Forward(forward),
+                    ..
+                } = &mut retry
+                {
+                    forward.retries_left = self.retries_left - 1;
+                }
+                return retry;
+            }
+            Some(lost) => return Expect::Local(lost),
+            None => {}
+        }
+        let sent = self.sent;
+        inner
+            .metrics
+            .histogram_with(
+                "router_forward_us",
+                "Round-trip latency of single-shard forwards \
+                 (SUBMIT/POLL/RESULT), router-side, in microseconds.",
+                &[("shard", &part.shard)],
+            )
+            .record_duration(sent.elapsed());
+        if self.trace.trace_id != 0 {
+            // Recorded with the context it was *sent* under, so this
+            // span's id is the parent the shard stitched its own spans to.
+            inner
+                .tracer
+                .record_at("forward", self.trace, sent, sent.elapsed());
+        }
+        Expect::Local(match self.submit {
+            Some(submit) => allocate_ticket(inner, &part, submit, self.trace),
+            None => answer_ticket(inner, &part),
+        })
+    }
+}
+
+/// What a client is owed once every [`Part`] of an [`Expect::Shards`] is
+/// done.
+enum Reply {
+    /// A forward's one line, its ticket id translated.
+    Forward(Forward),
+    /// A fan-in verb's one reply, built from every shard's.
+    FanIn(FanIn),
+    /// A cross-shard `WAIT`: these local error lines first, then every
+    /// shard's `DONE`s streamed on in arrival order.
+    Wait(Vec<String>),
 }
 
 /// One response position in a client's ordered pipeline (the router-side
-/// mirror of the reactor's `Slot`). Every shard-owed response carries the
-/// epoch of the connection its request went out on.
+/// mirror of the reactor's `Slot`).
 enum Expect {
     /// The response text is known (may span multiple lines).
     Local(String),
     /// `BYE`, then close the connection.
     Quit,
-    /// One line owed by one shard.
-    Forward {
+    /// A reply owed by shards, one part each (one per `WAIT` group).
+    Shards { reply: Reply, parts: Vec<Part> },
+}
+
+impl Expect {
+    /// A forward's expectation: one line owed by `shard` on `epoch`.
+    fn forward(
         shard: String,
         epoch: u64,
-        rewrite: Rewrite,
-        /// When the request left the router (feeds the per-shard
-        /// forward-latency histogram on resolution).
-        sent: Instant,
-        /// The original client request, re-dispatched through
-        /// [`route_request`] (which re-resolves ownership and failover)
-        /// when the owed connection dies.
+        tickets: Vec<(u64, u64)>,
+        submit: Option<(String, bool)>,
         request: Parsed,
-        /// Remaining re-dispatch budget for this pipeline position.
-        retries_left: u8,
-        /// The trace context this forward was sent under
-        /// ([`TraceContext::NONE`] when untraced): its round-trip is
-        /// recorded as a `forward` span — the parent of every shard-side
-        /// span the request produced — when the response arrives.
         trace: TraceContext,
-    },
-    /// A fan-in verb's reply, owed by every shard.
-    FanIn { verb: FanIn, parts: Vec<FanPart> },
-    /// A cross-shard `WAIT`: local error lines first, then streamed
-    /// `DONE`s merged in arrival order.
-    Wait {
-        pre: Vec<String>,
-        parts: Vec<WaitPart>,
-    },
+    ) -> Expect {
+        Expect::Shards {
+            reply: Reply::Forward(Forward {
+                submit,
+                sent: Instant::now(),
+                request,
+                retries_left: 1,
+                trace,
+            }),
+            parts: vec![Part::sent(shard, Ok(epoch), Some(1), tickets)],
+        }
+    }
 }
 
 /// What one client connection carries on top of its socket: the request
@@ -1541,16 +1658,13 @@ fn reads_tickets(request: &Parsed) -> bool {
 
 /// Whether a forwarded `SUBMIT` in `expects` has not been answered yet.
 fn submit_pending(expects: &VecDeque<Expect>) -> bool {
-    let submit = |expect: &Expect| {
-        matches!(
-            expect,
-            Expect::Forward {
-                rewrite: Rewrite::Submit { .. },
-                ..
-            }
-        )
-    };
-    expects.iter().any(submit)
+    expects.iter().any(|expect| match expect {
+        Expect::Shards {
+            reply: Reply::Forward(forward),
+            ..
+        } => forward.submit.is_some(),
+        _ => false,
+    })
 }
 
 /// The router's front thread: every socket the router serves — the
@@ -1788,18 +1902,8 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
                         if degraded {
                             inner.failover_counter(&primary).inc();
                         }
-                        return Expect::Forward {
-                            shard: owner,
-                            epoch,
-                            rewrite: Rewrite::Submit {
-                                scenario: scenario.clone(),
-                                degraded,
-                            },
-                            sent: Instant::now(),
-                            request,
-                            retries_left: 1,
-                            trace: child,
-                        };
+                        let submit = Some((scenario.clone(), degraded));
+                        return Expect::forward(owner, epoch, Vec::new(), submit, request, child);
                     }
                     Err(err) => last_err = Some(err),
                 }
@@ -1808,19 +1912,18 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
         }
         Verb::Poll(global) | Verb::Result(global) => {
             let global = *global;
-            let poll = matches!(verb, Verb::Poll(_));
-            let Some(mut entry) = lock(&inner.tickets).lookup(global) else {
-                return Expect::Local(format!("ERR unknown ticket {global}"));
+            let verb = if let Verb::Poll(_) = verb {
+                "POLL"
+            } else {
+                "RESULT"
             };
             // A ticket homed on a declared-dead shard is re-homed onto a
             // warm replica *before* forwarding.
-            if inner.shard_down(&entry.shard) {
-                match inner.failover_ticket(global, &entry) {
-                    Ok(rehomed) => entry = rehomed,
-                    Err(line) => return Expect::Local(line),
-                }
-            }
-            let send = |route: &mut Route<'_>, entry: &TicketEntry| {
+            let entry = match inner.home(global, false) {
+                Ok(entry) => entry,
+                Err(line) => return Expect::Local(line),
+            };
+            let send = |route: &mut Route<'_>, entry: TicketEntry| {
                 // Ticket verbs ride on the *submitting* trace, not the
                 // connection's: the poll round-trip shows up on the same
                 // EXPLAIN timeline as the submission it asks about.
@@ -1829,30 +1932,24 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
                     span_id: 0,
                     parent_id: 0,
                 });
-                let line = match poll {
-                    true => format!("POLL {}", entry.local),
-                    false => format!("RESULT {}", entry.local),
-                };
-                let epoch = forward(route, &entry.shard, &with_ctx(child, &line))?;
-                Ok(Expect::Forward {
-                    shard: entry.shard.clone(),
+                let line = with_ctx(child, &format!("{verb} {}", entry.local));
+                let epoch = forward(route, &entry.shard, &line)?;
+                let tickets = vec![(global, entry.local)];
+                Ok(Expect::forward(
+                    entry.shard,
                     epoch,
-                    rewrite: match poll {
-                        true => Rewrite::TicketErr { global },
-                        false => Rewrite::Result { global },
-                    },
-                    sent: Instant::now(),
-                    request: request.clone(),
-                    retries_left: 1,
-                    trace: child,
-                })
+                    tickets,
+                    None,
+                    request.clone(),
+                    child,
+                ))
             };
-            match send(route, &entry) {
+            match send(route, entry) {
                 Ok(expect) => expect,
                 // The forward just failed — maybe the shard died between
                 // heartbeats. One immediate failover attempt.
-                Err(err) => match inner.failover_ticket(global, &entry) {
-                    Ok(rehomed) => send(route, &rehomed).unwrap_or_else(Expect::Local),
+                Err(err) => match inner.home(global, true) {
+                    Ok(rehomed) => send(route, rehomed).unwrap_or_else(Expect::Local),
                     Err(_) => Expect::Local(err),
                 },
             }
@@ -1873,7 +1970,10 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
         Verb::Wait(globals) => {
             let mut parts = Vec::new();
             let pre = forward_waits(route, globals, false, &mut parts);
-            Expect::Wait { pre, parts }
+            Expect::Shards {
+                reply: Reply::Wait(pre),
+                parts,
+            }
         }
         Verb::Quit => Expect::Quit,
         // Shard-level verbs: a client talks to the shard daemon for these.
@@ -1885,50 +1985,38 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
 }
 
 /// Forwards the `WAIT` for `globals`: one per shard serving any of them,
-/// appending a [`WaitPart`] for each that went out. A ticket whose shard
-/// is declared dead — or every ticket, when `rehome` says the shard just
-/// died under them — is first re-homed onto a live replica. Returns one
-/// error line per ticket that could not be waited on.
+/// appending a [`Part`] owing one line per ticket for each that went out.
+/// A ticket whose shard is declared dead — or every ticket, when `lost`
+/// says the shard just died under them — is first re-homed onto a live
+/// replica. Returns one error line per ticket that could not be waited on.
 fn forward_waits(
     route: &mut Route<'_>,
     globals: &[u64],
-    rehome: bool,
-    parts: &mut Vec<WaitPart>,
+    lost: bool,
+    parts: &mut Vec<Part>,
 ) -> Vec<String> {
     let inner = route.inner;
     let mut errors = Vec::new();
     // Per shard, the `(cluster id, shard-local id)` pairs in request order.
     let mut groups: Vec<(String, Vec<(u64, u64)>)> = Vec::new();
     for &global in globals {
-        let entry = lock(&inner.tickets).lookup(global);
-        let homed = match entry {
-            None => Err(format!("ERR unknown ticket {global}")),
-            Some(entry) if rehome || inner.shard_down(&entry.shard) => {
-                inner.failover_ticket(global, &entry)
-            }
-            Some(entry) => Ok(entry),
-        };
-        match homed {
+        match inner.home(global, lost) {
             Ok(entry) => match groups.iter_mut().find(|(shard, _)| *shard == entry.shard) {
-                Some((_, items)) => items.push((global, entry.local)),
+                Some((_, tickets)) => tickets.push((global, entry.local)),
                 None => groups.push((entry.shard, vec![(global, entry.local)])),
             },
             Err(line) => errors.push(line),
         }
     }
-    for (shard, items) in groups {
-        let locals: Vec<String> = items.iter().map(|(_, local)| local.to_string()).collect();
+    for (shard, tickets) in groups {
+        let locals: Vec<String> = tickets.iter().map(|(_, local)| local.to_string()).collect();
         let line = with_ctx(
             inner.tracer.child_context(route.ctx),
             &format!("WAIT {}", locals.join(" ")),
         );
         match forward(route, &shard, &line) {
-            Ok(epoch) => parts.push(WaitPart {
-                shard,
-                epoch,
-                owed: items,
-            }),
-            Err(err) => errors.extend(items.iter().map(|_| err.clone())),
+            Ok(epoch) => parts.push(Part::sent(shard, Ok(epoch), Some(tickets.len()), tickets)),
+            Err(err) => errors.extend(tickets.iter().map(|_| err.clone())),
         }
     }
     errors
@@ -1948,18 +2036,16 @@ fn fan_in(route: &mut Route<'_>, verb: FanIn) -> Expect {
     for shard in shards {
         let line = with_ctx(inner.tracer.child_context(conn), &verb.line(&shard));
         let sent = forward(route, &shard, &line);
-        parts.push(FanPart {
-            shard,
-            epoch: *sent.as_ref().unwrap_or(&0),
-            owed: verb.header().map_or(Some(1), |_| None),
-            lines: Vec::new(),
-            failed: sent.err(),
-        });
+        let owed = verb.header().map_or(Some(1), |_| None);
+        parts.push(Part::sent(shard, sent, owed, Vec::new()));
     }
     if verb.header().is_none() && parts.iter().all(|part| part.failed.is_some()) {
         return Expect::Local(parts.swap_remove(0).failed.expect("every part failed"));
     }
-    Expect::FanIn { verb, parts }
+    Expect::Shards {
+        reply: Reply::FanIn(verb),
+        parts,
+    }
 }
 
 /// The ` degraded=<shards>` suffix appended to degraded `RUN`/`STATS`
@@ -2007,7 +2093,7 @@ fn inject_shard_label(line: &str, shard: &str) -> String {
 /// `TRACE SLOW` and `EXPLAIN` fail whole — a partial snapshot, dump or
 /// timeline silently lies. A one-line verb also fails whole on a shard that
 /// answered an error or an unexpected line.
-fn render_fan_in(inner: &Arc<RouterInner>, verb: &FanIn, parts: &[FanPart]) -> String {
+fn render_fan_in(inner: &Arc<RouterInner>, verb: &FanIn, parts: &[Part]) -> String {
     let Some(header) = verb.header() else {
         return fold_lines(inner, verb, parts);
     };
@@ -2084,7 +2170,7 @@ fn render_fan_in(inner: &Arc<RouterInner>, verb: &FanIn, parts: &[FanPart]) -> S
 
 /// [`render_fan_in`] for `RUN`, `STATS` and `SNAPSHOT`: sums every
 /// shard's one line.
-fn fold_lines(inner: &Arc<RouterInner>, verb: &FanIn, parts: &[FanPart]) -> String {
+fn fold_lines(inner: &Arc<RouterInner>, verb: &FanIn, parts: &[Part]) -> String {
     // `STATS` sums in `STAT_KEYS` order; `RUN` and `SNAPSHOT` into the first.
     let mut sums = [0u64; STAT_KEYS.len()];
     // The shards `RUN`/`STATS` lost, and those that answered `OK` (whose
@@ -2292,235 +2378,120 @@ fn resolve_head(route: &mut Route<'_>, expects: &mut VecDeque<Expect>, client: &
                 expects.clear();
                 return true;
             }
-            Expect::Forward {
-                shard,
-                epoch,
-                rewrite,
-                sent,
-                request,
-                retries_left,
-                trace,
-            } => {
-                let shard_name = shard.clone();
-                let sent_at = *sent;
-                let trace = *trace;
-                match poll_shard(route, &shard_name, *epoch) {
-                    Polled::Line(line) => {
-                        inner
-                            .metrics
-                            .histogram_with(
-                                "router_forward_us",
-                                "Round-trip latency of single-shard forwards \
-                                 (SUBMIT/POLL/RESULT), router-side, in microseconds.",
-                                &[("shard", &shard_name)],
-                            )
-                            .record_duration(sent_at.elapsed());
-                        if trace.trace_id != 0 {
-                            // Recorded with the context it was *sent*
-                            // under, so this span's id is the parent the
-                            // shard stitched its own spans to.
-                            inner
-                                .tracer
-                                .record_at("forward", trace, sent_at, sent_at.elapsed());
-                        }
-                        let reply = apply_rewrite(inner, &shard_name, rewrite, trace, &line);
-                        expects.pop_front();
-                        client.queue_line(&reply);
-                    }
-                    Polled::Pending => return false,
-                    Polled::Dead => {
-                        // The connection died with the response owed. Burn
-                        // one re-dispatch: route_request re-resolves
-                        // ownership (and ticket failover) from scratch, so
-                        // the retry lands on a replica when one exists.
-                        inner.note_failure(&shard_name, false);
-                        let retries = *retries_left;
-                        let request = request.clone();
-                        expects.pop_front();
-                        if retries > 0 {
-                            let mut replacement = route_request(route, request);
-                            if let Expect::Forward { retries_left, .. } = &mut replacement {
-                                *retries_left = retries - 1;
-                            }
-                            expects.push_front(replacement);
-                            continue;
-                        }
-                        let reply = format!("ERR shard {shard_name} unavailable (connection lost)");
-                        client.queue_line(&reply);
+            Expect::Shards { reply, parts } => {
+                if let Reply::Wait(pre) = reply {
+                    for line in pre.drain(..) {
+                        client.queue_line(&line);
                     }
                 }
-            }
-            Expect::FanIn { verb, parts } => {
-                for part in parts.iter_mut() {
-                    while !part.done() {
+                let mut pending = false;
+                let mut i = 0;
+                while i < parts.len() {
+                    while !parts[i].done() {
+                        let part = &mut parts[i];
                         match poll_shard(route, &part.shard, part.epoch) {
-                            Polled::Line(line) => match part.owed {
-                                Some(n) => {
-                                    part.lines.push(line);
-                                    part.owed = Some(n - 1);
-                                }
-                                // A counted reply's `<HEADER> <n>` line.
-                                None => {
-                                    part.owed = verb
-                                        .header()
-                                        .and_then(|header| line.strip_prefix(header))
-                                        .and_then(|n| n.trim().parse::<usize>().ok());
-                                    if part.owed.is_none() {
-                                        part.failed = Some(format!(
-                                            "ERR shard {}: unexpected reply {line:?}",
-                                            part.shard
-                                        ));
-                                    }
-                                }
-                            },
-                            Polled::Pending => break,
+                            Polled::Line(line) => part.take(reply, line, client),
+                            Polled::Pending => {
+                                pending = true;
+                                break;
+                            }
                             Polled::Dead => {
                                 inner.note_failure(&part.shard, false);
                                 part.failed = Some(format!(
                                     "ERR shard {} unavailable (connection lost)",
                                     part.shard
                                 ));
-                            }
-                        }
-                    }
-                }
-                if parts.iter().any(|part| !part.done()) {
-                    return false;
-                }
-                let reply = render_fan_in(inner, verb, parts);
-                expects.pop_front();
-                client.queue_line(&reply);
-            }
-            Expect::Wait { pre, parts } => {
-                for line in pre.drain(..) {
-                    client.queue_line(&line);
-                }
-                let mut any_pending = false;
-                let mut i = 0;
-                while i < parts.len() {
-                    while !parts[i].owed.is_empty() {
-                        let shard = parts[i].shard.clone();
-                        let epoch = parts[i].epoch;
-                        match poll_shard(route, &shard, epoch) {
-                            Polled::Line(line) => {
-                                let owed = &mut parts[i].owed;
-                                let (reply, answered) = rewrite_wait_line(owed, &line);
-                                // A line we cannot attribute (e.g. a
-                                // shard-side error) consumes one owed slot.
-                                owed.remove(answered.unwrap_or(0));
-                                client.queue_line(&reply);
-                            }
-                            Polled::Pending => {
-                                any_pending = true;
-                                break;
-                            }
-                            Polled::Dead => {
-                                // The shard died mid-WAIT: re-home every
+                                // A shard died mid-`WAIT`: re-home every
                                 // still-owed ticket on a live replica and
                                 // resume waiting there.
-                                inner.note_failure(&shard, false);
-                                let orphans: Vec<u64> =
-                                    parts[i].owed.drain(..).map(|(global, _)| global).collect();
-                                for line in forward_waits(route, &orphans, true, parts) {
-                                    client.queue_line(&line);
+                                if let Reply::Wait(_) = reply {
+                                    let orphans: Vec<u64> =
+                                        part.tickets.drain(..).map(|(global, _)| global).collect();
+                                    for line in forward_waits(route, &orphans, true, parts) {
+                                        client.queue_line(&line);
+                                    }
                                 }
                             }
                         }
                     }
                     i += 1;
                 }
-                if any_pending {
+                if pending {
                     return false;
                 }
-                expects.pop_front();
-            }
-        }
-    }
-}
-
-/// Applies a single-line response rewrite.
-fn apply_rewrite(
-    inner: &RouterInner,
-    shard: &str,
-    rewrite: &Rewrite,
-    trace: TraceContext,
-    line: &str,
-) -> String {
-    match rewrite {
-        Rewrite::Submit { scenario, degraded } => match line
-            .strip_prefix("TICKET ")
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            Some(local) => {
-                // The submission's trace id is remembered for `EXPLAIN`.
-                let global = lock(&inner.tickets).allocate(
-                    shard,
-                    local,
-                    scenario,
-                    *degraded,
-                    trace.trace_id,
-                    MAX_TICKETS,
-                );
-                inner.remaps.inc();
-                format!("TICKET {global}")
-            }
-            None => line.to_string(),
-        },
-        Rewrite::TicketErr { global } => {
-            if line.starts_with("ERR unknown ticket") {
-                format!("ERR unknown ticket {global}")
-            } else {
-                line.to_string()
-            }
-        }
-        Rewrite::Result { global } => {
-            if let Some(rest) = line.strip_prefix("RESULT ") {
-                // Stand-in service is flagged: the payload is correct
-                // (warm replica cache) but served by a non-primary.
-                let flag = if lock(&inner.tickets).degraded(*global) {
-                    format!(" degraded={shard}")
-                } else {
-                    String::new()
+                let Some(Expect::Shards { reply, mut parts }) = expects.pop_front() else {
+                    unreachable!("front matched Shards");
                 };
-                match rest.split_once(' ') {
-                    Some((_, payload)) => format!("RESULT {global} {payload}{flag}"),
-                    None => format!("RESULT {global}{flag}"),
-                }
-            } else if line.starts_with("ERR unknown ticket") {
-                format!("ERR unknown ticket {global}")
-            } else if line.starts_with("ERR ticket ") {
-                // `ERR ticket <local> is not finished` — re-express with
-                // the cluster id.
-                format!("ERR ticket {global} is not finished")
-            } else {
-                line.to_string()
+                // The answer (or a forward's re-dispatch) takes the head.
+                let answer = match reply {
+                    Reply::Wait(_) => continue,
+                    Reply::FanIn(verb) => Expect::Local(render_fan_in(inner, &verb, &parts)),
+                    Reply::Forward(forward) => {
+                        forward.answer(route, parts.pop().expect("a forward has one part"))
+                    }
+                };
+                expects.push_front(answer);
             }
         }
     }
 }
 
-/// Rewrites one streamed `WAIT` line (`DONE <local> …` or `ERR unknown
-/// ticket <local>`) to the cluster id its part owes under that local id,
-/// returning the rewritten line and that pair's position in `owed`, when
-/// attributable.
-fn rewrite_wait_line(owed: &[(u64, u64)], line: &str) -> (String, Option<usize>) {
-    let translate = |id: &str| {
-        let local = id.trim().parse::<u64>().ok()?;
-        let at = owed.iter().position(|&(_, l)| l == local)?;
-        Some((owed[at].0, at))
+/// Answers a `SUBMIT` the part's shard took: its `TICKET <local>` gets the
+/// next cluster id, remembering the scenario (for failover re-submission),
+/// whether a stand-in took it, and the submission's trace (for `EXPLAIN`).
+/// Any other line passes through.
+fn allocate_ticket(
+    inner: &RouterInner,
+    part: &Part,
+    (scenario, degraded): (String, bool),
+    trace: TraceContext,
+) -> String {
+    let line = &part.lines[0];
+    let Some(local) = line
+        .strip_prefix("TICKET ")
+        .and_then(|s| s.parse::<u64>().ok())
+    else {
+        return line.clone();
     };
-    if let Some(rest) = line.strip_prefix("DONE ") {
-        if let Some((id, payload)) = rest.split_once(' ') {
-            if let Some((global, at)) = translate(id) {
-                return (format!("DONE {global} {payload}"), Some(at));
-            }
-        }
-    } else if let Some(rest) = line.strip_prefix("ERR unknown ticket ") {
-        if let Some((global, at)) = translate(rest) {
-            return (format!("ERR unknown ticket {global}"), Some(at));
-        }
+    let global = lock(&inner.tickets).allocate(
+        &part.shard,
+        local,
+        &scenario,
+        degraded,
+        trace.trace_id,
+        MAX_TICKETS,
+    );
+    inner.remaps.inc();
+    format!("TICKET {global}")
+}
+
+/// Answers a `POLL` or `RESULT`: the ticket id goes back to the cluster
+/// id, and a `RESULT` served by a stand-in replica is flagged with a
+/// trailing ` degraded=<shard>` — the payload is correct (warm replica
+/// cache) but served by a non-primary.
+fn answer_ticket(inner: &RouterInner, part: &Part) -> String {
+    let (mut line, _) = to_cluster_id(&part.tickets, &part.lines[0]);
+    let degraded = |&(global, _): &(u64, u64)| lock(&inner.tickets).degraded(global);
+    if line.starts_with("RESULT ") && part.tickets.iter().any(degraded) {
+        line.push_str(&format!(" degraded={}", part.shard));
     }
-    (line.to_string(), None)
+    line
+}
+
+/// Rewrites the shard-local ticket id of `DONE <id> …`, `RESULT <id> …`,
+/// `ERR unknown ticket <id>` and `ERR ticket <id> …` to the cluster id
+/// `tickets` pairs it with, returning the line and that pair's position;
+/// any other line, or an id `tickets` does not name, passes through.
+fn to_cluster_id(tickets: &[(u64, u64)], line: &str) -> (String, Option<usize>) {
+    let prefixes = ["DONE ", "RESULT ", "ERR unknown ticket ", "ERR ticket "];
+    let rewritten = prefixes.iter().find_map(|prefix| {
+        let rest = line.strip_prefix(prefix)?;
+        let (id, tail) = rest.split_at(rest.find(' ').unwrap_or(rest.len()));
+        let local = id.parse::<u64>().ok()?;
+        let at = tickets.iter().position(|&(_, l)| l == local)?;
+        Some((format!("{prefix}{}{tail}", tickets[at].0), Some(at)))
+    });
+    rewritten.unwrap_or_else(|| (line.to_string(), None))
 }
 
 #[cfg(test)]
@@ -2585,6 +2556,28 @@ mod tests {
         table.purge_shard("b");
         assert!(table.lookup(global).is_none());
         assert!(!table.remap(999, "c", 1), "unknown ids do not remap");
+    }
+
+    #[test]
+    fn to_cluster_id_names_only_tickets_the_request_names() {
+        // Each line as a shard sends it, then as the client reads it; an
+        // id the request does not name (`POLL`'s `DONE` names none) and
+        // any other line pass through.
+        let rows = [
+            ("DONE 8 entries=0", "DONE 2 entries=0", Some(1)),
+            ("RESULT 7 entries=1", "RESULT 1 entries=1", Some(0)),
+            ("ERR unknown ticket 8", "ERR unknown ticket 2", Some(1)),
+            (
+                "ERR ticket 7 is not finished",
+                "ERR ticket 1 is not finished",
+                Some(0),
+            ),
+            ("DONE entries=0", "DONE entries=0", None),
+            ("ERR unknown ticket 9", "ERR unknown ticket 9", None),
+        ];
+        for (line, client, at) in rows {
+            assert_eq!(to_cluster_id(&[(1, 7), (2, 8)], line), (client.into(), at));
+        }
     }
 
     #[test]
