@@ -6,8 +6,7 @@
 //! (MO-GBM, §2/§6). [`ValuationContext`] wraps a [`Substrate`] with
 //!
 //! * the test-record store `T` (bitmap → normalised performance vector),
-//! * an optional MO-GBM surrogate that takes over after a warm-up of oracle
-//!   valuations and is refreshed periodically,
+//! * an optional MO-GBM surrogate taking over after an oracle warm-up,
 //! * counters used by the efficiency experiments.
 //!
 //! A fitted surrogate is a pure function of its training matrix and
@@ -160,12 +159,13 @@ pub trait EvaluationHook: Send + Sync {
 pub enum EstimatorMode {
     /// Always train the real model (exact but slow).
     Oracle,
-    /// Valuate the first `warmup` states with the oracle, then switch to the
-    /// MO-GBM surrogate (refitted every `refresh` oracle valuations).
+    /// Oracle for the first `warmup` states, then the MO-GBM surrogate. A
+    /// search adds no oracle-backed record past the warm-up until
+    /// `finalize_result`, so it runs on its warm-up fit (ROADMAP item 17(b)).
     Surrogate {
         /// Number of oracle valuations before the surrogate takes over.
         warmup: usize,
-        /// Surrogate refresh period (in recorded tests).
+        /// Refit once this many oracle-backed records follow the last fit.
         refresh: usize,
     },
 }
