@@ -141,23 +141,44 @@ fn the_engine_returns_what_the_core_search_returns() {
     }
 }
 
-/// A fresh BiMODis scenario at two workers trains its start pair and its
-/// first children in waves, and an operator sees them: `engine_wave_states`
-/// holds a sample of two states or more.
+/// A fresh scenario at two workers trains in waves, and an operator sees
+/// them in `engine_wave_states`. ApxMODis, NOBiMODis, DivMODis and the
+/// exact algorithm know every state they valuate before they valuate it,
+/// start state included, so every training ran inside a wave: the states
+/// the histogram counts are the scenario's oracle calls. BiMODis trains
+/// one child at a time once its pruning is armed, so it only shows a wave
+/// of two states or more.
 #[test]
-fn a_fresh_bimodis_scenario_shows_its_waves() {
+fn a_fresh_scenario_shows_its_waves() {
     let substrate: Arc<dyn Substrate> = Arc::new(task_t1(21).substrate());
-    let engine = Engine::new(EngineConfig::default().with_worker_threads(2));
-    let scenario = Scenario::new("t1-bi", substrate, Algorithm::Bi, oracle_config());
-    let outcome = engine.run_scenario(&scenario);
-    assert!(outcome.result.stats.oracle_calls >= 2);
-    let waves = engine.telemetry().metrics.histogram(
-        "engine_wave_states",
-        "States valuated per parallel wave expansion.",
-    );
-    // Bucket i holds the samples of bit width i: 2 and up from bucket 2.
-    let two_or_more: u64 = waves.snapshot()[2..].iter().sum();
-    assert!(two_or_more > 0, "wave sizes {:?}", waves.snapshot());
+    for algorithm in [
+        Algorithm::Apx,
+        Algorithm::NoBi,
+        Algorithm::Bi,
+        Algorithm::Div,
+        Algorithm::Exact,
+    ] {
+        let engine = Engine::new(EngineConfig::default().with_worker_threads(2));
+        let scenario = Scenario::new("t1", substrate.clone(), algorithm, oracle_config());
+        let outcome = engine.run_scenario(&scenario);
+        let oracle_calls = outcome.result.stats.oracle_calls;
+        assert!(oracle_calls >= 2, "{algorithm:?}");
+        let waves = engine.telemetry().metrics.histogram(
+            "engine_wave_states",
+            "States valuated per parallel wave expansion.",
+        );
+        if algorithm == Algorithm::Bi {
+            // Bucket i holds the samples of bit width i: 2 and up from bucket 2.
+            let two_or_more: u64 = waves.snapshot()[2..].iter().sum();
+            assert!(two_or_more > 0, "wave sizes {:?}", waves.snapshot());
+        } else {
+            assert_eq!(
+                waves.value_sum(),
+                oracle_calls as u64,
+                "{algorithm:?}: states trained in a wave"
+            );
+        }
+    }
 }
 
 /// Runs every named request through one drain of `service` and returns
