@@ -47,11 +47,11 @@ impl Algorithm {
     }
 
     /// Runs the search, training up to `workers` states at a time; every
-    /// `workers` value returns the same result. ApxMODis and the exact
-    /// algorithm train their whole traversal that way, NOBiMODis and
-    /// DivMODis every step's children, and BiMODis its start pair and the
-    /// children it valuates before its pruning is armed; the surrogate
-    /// phase runs on the calling thread.
+    /// `workers` value returns the same result. ApxMODis, the exact
+    /// algorithm, NOBiMODis and DivMODis train `s_U` with the first step's
+    /// children and then every step's children that way, BiMODis its start
+    /// pair and the children it valuates before its pruning is armed; the
+    /// surrogate phase runs on the calling thread.
     ///
     /// # Panics
     ///

@@ -6,17 +6,18 @@
 //! (`UPareto`); the search stops when `N` states have been valuated, the
 //! maximum path length is reached, or no new state can be generated.
 //!
-//! Which states get spawned never depends on how they score, so the search
-//! lists its traversal first (`forward_schedule`) and has the context
-//! valuate the list in waves, offering each state in traversal order: the
-//! result is the same for every worker count.
+//! The search is one `search_common::Frontier` visitor that valuates every
+//! child it spawns. Which states get spawned never depends on how they
+//! score, so each step's children, and `s_U` with the first step's, are
+//! trained ahead in waves and committed in traversal order: the result is
+//! the same for every worker count.
 
 use std::time::Instant;
 
 use crate::config::{ModisConfig, SkylineResult};
 use crate::estimator::ValuationContext;
 use crate::pareto::EpsilonSkyline;
-use crate::search_common::{finalize_result, forward_schedule};
+use crate::search_common::{finalize_result, valuate_forward};
 use crate::substrate::Substrate;
 
 /// Runs ApxMODis over a substrate on the calling thread.
@@ -36,20 +37,11 @@ pub fn apx_modis_with_context<S: Substrate + ?Sized>(
     workers: usize,
 ) -> SkylineResult {
     let start = Instant::now();
-    let substrate = ctx.substrate();
-    let measures = substrate.measures().clone();
+    let measures = ctx.substrate().measures().clone();
     let mut skyline = EpsilonSkyline::new(measures, config.epsilon, config.decisive);
-
-    let s_u = substrate.forward_start();
-    let perf_u = ctx.valuate(&s_u);
-    skyline.offer(&s_u, &perf_u, 0);
-
-    let budget = config.max_states.saturating_sub(ctx.num_valuated());
-    let schedule = forward_schedule(ctx, config, budget);
-    ctx.valuate_schedule(&schedule, workers, |state, level, perf| {
+    valuate_forward(ctx, config, workers, |state, level, perf| {
         skyline.offer(state, &perf, level);
     });
-
     finalize_result(&skyline, ctx, start.elapsed().as_secs_f64())
 }
 
@@ -129,11 +121,7 @@ mod tests {
         let sub = MockSubstrate::new(10);
         let cfg = oracle_config().with_max_states(15);
         let res = apx_modis(&sub, &cfg);
-        assert!(
-            res.states_valuated <= 16,
-            "valuated {}",
-            res.states_valuated
-        );
+        assert_eq!(res.states_valuated, cfg.max_states);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use modis_data::stats::euclidean;
 use crate::config::{ModisConfig, SkylineEntry, SkylineResult};
 use crate::estimator::ValuationContext;
 use crate::pareto::EpsilonSkyline;
-use crate::search_common::{finalize_result, Direction, Frontier, VisitedSet};
+use crate::search_common::{finalize_result, Frontier, VisitedSet};
 use crate::substrate::Substrate;
 
 /// Pairwise distance `dis(D_i, D_j)` of Eq. (2).
@@ -115,24 +115,21 @@ pub fn div_modis_with_context<S: Substrate + ?Sized>(
 }
 
 /// DivMODis, training up to `workers` states at a time: it valuates every
-/// child a step spawns, so each step's children are trained ahead. Every
-/// `workers` value returns the same result.
+/// child a step spawns, so each step's children are trained ahead, and
+/// `s_U` with the first step's. Every `workers` value returns the same
+/// result.
 pub(crate) fn div_search<S: Substrate + ?Sized>(
     ctx: &ValuationContext<'_, S>,
     config: &ModisConfig,
     workers: usize,
 ) -> SkylineResult {
     let start = Instant::now();
-    let substrate = ctx.substrate();
-    let measures = substrate.measures().clone();
+    let measures = ctx.substrate().measures().clone();
     let mut skyline = EpsilonSkyline::new(measures, config.epsilon, config.decisive);
     let mut visited = VisitedSet::new();
-    let mut frontier = Frontier::new(substrate, Direction::Forward, config.max_level);
-
-    let s_u = substrate.forward_start();
-    let perf_u = ctx.valuate(&s_u);
-    skyline.offer(&s_u, &perf_u, 0);
-    frontier.start(&mut visited, s_u, ());
+    let mut frontier = Frontier::from_universal(&mut visited, ctx, config, workers, |s_u, perf| {
+        skyline.offer(s_u, &perf, 0);
+    });
 
     // Normalisation constant euc_m: the maximum Euclidean distance among the
     // historical performances in T, updated as the search proceeds.

@@ -378,8 +378,8 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
         self.record_oracle(bitmap, self.substrate.evaluate_raw(bitmap))
     }
 
-    /// The installed [`EvaluationHook`], if any; a schedule's waves probe it
-    /// before training.
+    /// The installed [`EvaluationHook`], if any; a wave probes it before
+    /// training.
     pub(crate) fn hook(&self) -> Option<&Arc<dyn EvaluationHook>> {
         self.hook.as_ref()
     }
@@ -387,14 +387,6 @@ impl<'a, S: Substrate + ?Sized> ValuationContext<'a, S> {
     /// The estimator mode the context was created with.
     pub fn mode(&self) -> EstimatorMode {
         self.mode
-    }
-
-    /// Whether `bitmap` already has a record in `T`. [`Self::valuate`] on
-    /// such a state is a memo hit: it returns the stored performance without
-    /// consuming valuation budget. Schedules use this to replay the
-    /// one-at-a-time budget accounting on re-used (pre-warmed) contexts.
-    pub(crate) fn contains(&self, bitmap: &StateBitmap) -> bool {
-        self.inner.lock().by_bitmap.contains_key(bitmap)
     }
 
     /// Holds oracle valuations made ahead until [`Self::valuate_oracle`]

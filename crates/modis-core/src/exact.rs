@@ -3,6 +3,13 @@
 //! multi-objective optimiser (the pairwise scan of [`crate::dominance`]) to
 //! the valuated set.
 //!
+//! It walks ApxMODis' traversal (`search_common::valuate_forward`):
+//! `s_U`, then every one-flip reduction level by level, each step's
+//! children trained ahead in waves and committed in traversal order, until
+//! `config.max_level` or a budget of `config.max_states` valuated states,
+//! the records a re-used context already holds included. Only then is the
+//! front taken, so the result is the same for every worker count.
+//!
 //! Intended for small search spaces (unit counts up to ~14) and as a ground
 //! truth for testing the approximation quality of ApxMODis/BiMODis.
 
@@ -13,7 +20,7 @@ use modis_data::StateBitmap;
 use crate::config::{ModisConfig, SkylineEntry, SkylineResult};
 use crate::dominance::skyline;
 use crate::estimator::{EstimatorMode, ValuationContext};
-use crate::search_common::forward_schedule;
+use crate::search_common::valuate_forward;
 use crate::substrate::Substrate;
 
 /// Runs the exact algorithm on the calling thread: every state reachable
@@ -27,7 +34,8 @@ pub fn exact_modis<S: Substrate + ?Sized>(substrate: &S, config: &ModisConfig) -
 /// Runs the exact algorithm with an externally managed valuation context
 /// (lets callers install an [`crate::estimator::EvaluationHook`] and share
 /// test records across runs), training up to `workers` states at a time.
-/// Every `workers` value returns the same result.
+/// Every `workers` value returns the same result. Records `ctx` already
+/// holds count toward `config.max_states`, as in every search.
 ///
 /// # Panics
 ///
@@ -38,24 +46,14 @@ pub fn exact_modis_with_context<S: Substrate + ?Sized>(
     config: &ModisConfig,
     workers: usize,
 ) -> SkylineResult {
-    let start = Instant::now();
-    let states = exact_schedule(ctx, config);
-    let mut perfs = Vec::with_capacity(states.len());
-    ctx.valuate_schedule(&states, workers, |_, _, perf| perfs.push(perf));
-    pareto_front(ctx, &states, &perfs, start)
-}
-
-/// `s_U` plus the forward schedule: `config.max_states` states at most,
-/// those `ctx` already holds not counted.
-fn exact_schedule<S: Substrate + ?Sized>(
-    ctx: &ValuationContext<'_, S>,
-    config: &ModisConfig,
-) -> Vec<(StateBitmap, usize)> {
     assert_eq!(ctx.mode(), EstimatorMode::Oracle, "exact needs the oracle");
-    let mut states = vec![(ctx.substrate().forward_start(), 0)];
-    let budget = config.max_states.saturating_sub(1);
-    states.extend(forward_schedule(ctx, config, budget));
-    states
+    let start = Instant::now();
+    let (mut states, mut perfs) = (Vec::new(), Vec::new());
+    valuate_forward(ctx, config, workers, |state, level, perf| {
+        states.push((state.clone(), level));
+        perfs.push(perf);
+    });
+    pareto_front(ctx, &states, &perfs, start)
 }
 
 /// The members of `states` (valuated to `perfs`) within the measures' upper
@@ -95,17 +93,32 @@ fn pareto_front<S: Substrate + ?Sized>(
     }
 }
 
-/// The exact algorithm valuating its states one at a time with
-/// [`ValuationContext::valuate`]: the differential oracle of the
-/// wave-valuated form.
+/// The exact algorithm as one [`crate::search_common::Frontier`] visitor
+/// that valuates every child as it is spawned, nothing trained ahead: the
+/// differential oracle of the wave-valuated form.
 #[cfg(test)]
 pub(crate) fn reference_exact<S: Substrate + ?Sized>(
     ctx: &ValuationContext<'_, S>,
     config: &ModisConfig,
 ) -> SkylineResult {
+    use crate::search_common::{Direction, Frontier, VisitedSet};
     let start = Instant::now();
-    let states = exact_schedule(ctx, config);
-    let perfs: Vec<Vec<f64>> = states.iter().map(|(state, _)| ctx.valuate(state)).collect();
+    let substrate = ctx.substrate();
+    let mut visited = VisitedSet::new();
+    let mut frontier = Frontier::new(substrate, Direction::Forward, config.max_level);
+
+    let s_u = substrate.forward_start();
+    let mut perfs = vec![ctx.valuate(&s_u)];
+    let mut states = vec![(s_u.clone(), 0)];
+    frontier.start(&mut visited, s_u, ());
+
+    let open = || ctx.num_valuated() < config.max_states;
+    while frontier.step(&mut visited, open, |child, level, _| {
+        perfs.push(ctx.valuate(child));
+        states.push((child.clone(), level));
+        Some(())
+    }) {}
+
     pareto_front(ctx, &states, &perfs, start)
 }
 
@@ -162,7 +175,7 @@ mod tests {
             .with_max_states(30)
             .with_max_level(10);
         let res = exact_modis(&sub, &cfg);
-        assert!(res.states_valuated <= 31);
+        assert_eq!(res.states_valuated, cfg.max_states);
     }
 
     /// The contract "valuated with the oracle" is enforced, not assumed: a

@@ -1,17 +1,14 @@
 //! How a [`ValuationContext`] trains ahead: in waves.
 //!
-//! A search knows some of its oracle valuations before it makes them.
-//! ApxMODis and the exact algorithm know all of them: their traversal is a
-//! pure function of the search-space structure (`OpGen` children are
-//! spawned, deduplicated and queued regardless of how they *score*), so each
-//! lists it first ([`crate::search_common::forward_schedule`]) and has the
-//! context valuate the list, a wave at a time. NOBiMODis and DivMODis valuate
-//! every child a step spawns, and BiMODis its start pair and, until its
-//! pruning is armed, its first children; they name those before each step
-//! ([`crate::search_common::Frontier::train_ahead`]), BiMODis its start pair
-//! together with its first step's.
+//! A search knows some of its oracle valuations before it makes them, and
+//! names them to its [`crate::search_common::Frontier`] before each step
+//! ([`crate::search_common::Frontier::train_ahead`]). ApxMODis, the exact
+//! algorithm, NOBiMODis and DivMODis valuate every child a step spawns, so
+//! they name all of them; BiMODis names only those it valuates before its
+//! pruning is armed. Every search names its start state(s) together with
+//! its first step's children, so they are trained in its first wave.
 //!
-//! Either way the context trains the named states ahead
+//! The context trains the named states ahead
 //! ([`ValuationContext::train_ahead`]): the installed [`EvaluationHook`] is
 //! probed on the calling thread, up to `workers` threads train the states
 //! it misses, and each result is *parked* until the search valuates its
@@ -40,27 +37,6 @@ use crate::telemetry;
 const WAVE_FACTOR: usize = 4;
 
 impl<S: Substrate + ?Sized> ValuationContext<'_, S> {
-    /// Valuates `schedule` in order and hands every entry to
-    /// `commit(state, level, perf)` in schedule order: a wave of entries is
-    /// trained ahead by up to `workers` threads, then valuated one at a
-    /// time. Counters, budget and the surrogate's refits come out as if
-    /// every state had gone through [`ValuationContext::valuate`] in turn,
-    /// because every state does.
-    pub(crate) fn valuate_schedule(
-        &self,
-        schedule: &[(StateBitmap, usize)],
-        workers: usize,
-        mut commit: impl FnMut(&StateBitmap, usize, Vec<f64>),
-    ) {
-        for wave in schedule.chunks(workers.max(1) * WAVE_FACTOR) {
-            let states = wave.iter().map(|(state, _)| state);
-            self.train_ahead(states, usize::MAX, workers);
-            for (state, level) in wave {
-                commit(state, *level, self.valuate(state));
-            }
-        }
-    }
-
     /// Makes ahead the oracle valuations of `states` (distinct, in the
     /// order the search will valuate them, within a budget of `max_states`
     /// records), in waves of up to `workers · WAVE_FACTOR` states: the hook
@@ -145,7 +121,6 @@ mod tests {
     use crate::divmodis::div_search;
     use crate::estimator::{EstimatorMode, EvaluationHook, SharedEvaluation};
     use crate::exact::{exact_modis_with_context, reference_exact};
-    use crate::search_common::forward_schedule;
     use crate::substrate::mock::MockSubstrate;
 
     /// The worker counts every comparison runs at.
@@ -189,18 +164,6 @@ mod tests {
             assert_same_result(&waved, &reference, workers);
         }
         reference
-    }
-
-    #[test]
-    fn schedule_matches_sequential_valuation_count() {
-        let sub = MockSubstrate::new(6);
-        let cfg = oracle_config();
-        let schedule_ctx = ValuationContext::new(&sub, EstimatorMode::Oracle);
-        schedule_ctx.valuate(&sub.forward_start());
-        let schedule = forward_schedule(&schedule_ctx, &cfg, cfg.max_states - 1);
-        let ctx = ValuationContext::new(&sub, EstimatorMode::Oracle);
-        let reference = reference_apx(&ctx, &cfg);
-        assert_eq!(1 + schedule.len(), reference.states_valuated);
     }
 
     #[test]
@@ -412,7 +375,8 @@ mod tests {
         }
     }
 
-    /// The searches that train ahead per `Frontier` step.
+    /// The searches compared with their own 1-worker run; ApxMODis and the
+    /// exact algorithm have one-child-at-a-time references instead.
     const FRONTIER_SEARCHES: [Algorithm; 3] = [Algorithm::Bi, Algorithm::NoBi, Algorithm::Div];
 
     fn frontier_search<S: Substrate + ?Sized>(
@@ -425,7 +389,7 @@ mod tests {
             Algorithm::Bi => bi_search(ctx, cfg, true, workers),
             Algorithm::NoBi => bi_search(ctx, cfg, false, workers),
             Algorithm::Div => (div_search(ctx, cfg, workers), BiStats::default()),
-            other => unreachable!("{other:?} lists its whole traversal"),
+            other => unreachable!("{other:?} is compared with its reference"),
         }
     }
 
@@ -541,8 +505,9 @@ mod tests {
         }
     }
 
-    /// Both exact forms share one schedule, so a re-used context's memoised
-    /// states are budget-free memo hits in both.
+    /// Both exact forms share the one budget every search has: a re-used
+    /// context's memoised states replay as memo hits, and the records it
+    /// already held count toward `max_states`.
     #[test]
     fn parallel_exact_matches_sequential_on_prewarmed_context() {
         let sub = MockSubstrate::new(8);
@@ -555,6 +520,7 @@ mod tests {
         };
         let reference = reference_exact(&prewarmed(), &cfg);
         assert!(reference.stats.cache_hits > 0, "the warm-up is replayed");
+        assert_eq!(reference.states_valuated, cfg.max_states);
         for workers in WORKERS {
             let waved = exact_modis_with_context(&prewarmed(), &cfg, workers);
             assert_same_result(&waved, &reference, workers);

@@ -1,6 +1,5 @@
 //! Helpers shared by the MODis search algorithms.
 
-use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
 
 use modis_data::bitmap::BuildWordHasher;
@@ -118,7 +117,7 @@ impl VisitedSet {
 /// The one running of the generator every MODis search is built on: a
 /// level-capped breadth-first frontier that pops a parent, spawns its `OpGen`
 /// children and hands the unvisited ones to the caller's `visit`, which alone
-/// decides what a search does with a child (valuate, bound, schedule).
+/// decides what a search does with a child (valuate, bound, refuse).
 ///
 /// `P` is a per-node payload handed back when the node's children are visited
 /// (`()` for the forward searches, the parent's performance vector for
@@ -221,11 +220,11 @@ impl<P> Frontier<P> {
     }
 
     /// With more than one worker and `ctx` still in its oracle phase, has
-    /// `ctx` train ahead on up to `workers` threads (its `train_ahead`, one
-    /// body with ApxMODis' waves) what the caller is certain to valuate
-    /// next, whatever anything scores: `lead`, states it valuates before
-    /// this frontier's next step, then the first `certain` children that
-    /// step hands to `visit`, as far as a budget of `config.max_states`
+    /// `ctx` train ahead on up to `workers` threads (its `train_ahead`, the
+    /// one wave every search trains in) what the caller is certain to
+    /// valuate next, whatever anything scores: `lead`, states it valuates
+    /// before this frontier's next step, then the first `certain` children
+    /// that step hands to `visit`, as far as a budget of `config.max_states`
     /// valuated states reaches. Each valuation still commits where the
     /// caller makes it, so the search's outcome is the same for every
     /// `workers`.
@@ -270,32 +269,54 @@ impl<P> Frontier<P> {
     }
 }
 
-/// The forward (reduce-from-universal) traversal without its valuations: the
-/// ordered `(child, level)` list a sequential search visits after the start
-/// state `s_U`, honouring the visited-set and `config.max_level`. `budget` is
-/// how many states not yet recorded in `ctx` the schedule may hold — states a
-/// (pre-warmed) context already holds are scheduled but consume none, just as
-/// a sequential `valuate` memo hit leaves `ctx.num_valuated()` unchanged.
-pub(crate) fn forward_schedule<S: Substrate + ?Sized>(
+impl Frontier<()> {
+    /// The forward frontier of a search that valuates every state it
+    /// visits, started at `s_U`: `s_U` is trained ahead in one wave with
+    /// the first step's children ([`Frontier::train_ahead`]), then valuated
+    /// and handed to `visit(s_U, perf)`.
+    pub(crate) fn from_universal<S: Substrate + ?Sized>(
+        visited: &mut VisitedSet,
+        ctx: &ValuationContext<'_, S>,
+        config: &ModisConfig,
+        workers: usize,
+        visit: impl FnOnce(&StateBitmap, Vec<f64>),
+    ) -> Self {
+        let substrate = ctx.substrate();
+        let s_u = substrate.forward_start();
+        let mut frontier = Frontier::new(substrate, Direction::Forward, config.max_level);
+        frontier.start(visited, s_u.clone(), ());
+        frontier.train_ahead(visited, ctx, config, workers, &[&s_u], usize::MAX);
+        visit(&s_u, ctx.valuate(&s_u));
+        frontier
+    }
+}
+
+/// The forward (reduce-from-universal) traversal, every state valuated:
+/// `visit(state, level, perf)` sees `s_U`, then each child in the order
+/// [`Frontier::step`] spawns it while fewer than `config.max_states` states
+/// are valuated, each step's children trained ahead on up to `workers`
+/// threads.
+pub(crate) fn valuate_forward<S: Substrate + ?Sized>(
     ctx: &ValuationContext<'_, S>,
     config: &ModisConfig,
-    budget: usize,
-) -> Vec<(StateBitmap, usize)> {
-    let substrate = ctx.substrate();
+    workers: usize,
+    mut visit: impl FnMut(&StateBitmap, usize, Vec<f64>),
+) {
     let mut visited = VisitedSet::new();
-    let mut frontier = Frontier::new(substrate, Direction::Forward, config.max_level);
-    frontier.start(&mut visited, substrate.forward_start(), ());
-    let left = Cell::new(budget);
-    let mut schedule = Vec::new();
-    let open = || left.get() > 0;
-    while frontier.step(&mut visited, open, |child, level, _| {
-        if !ctx.contains(child) {
-            left.set(left.get() - 1);
-        }
-        schedule.push((child.clone(), level));
-        Some(())
-    }) {}
-    schedule
+    let mut frontier = Frontier::from_universal(&mut visited, ctx, config, workers, |s_u, perf| {
+        visit(s_u, 0, perf)
+    });
+    while frontier.step_valuating(
+        &mut visited,
+        ctx,
+        config,
+        workers,
+        usize::MAX,
+        |child, level, _| {
+            visit(child, level, ctx.valuate(child));
+            Some(())
+        },
+    ) {}
 }
 
 /// Finalises a search: the ε-skyline's members, pruned of exact dominance
@@ -373,7 +394,7 @@ mod tests {
     /// The traversal as the parent commit's `apx.rs` spelled it out, its
     /// valuation stripped (the budget counts emitted states): the one
     /// hand-written BFS left, kept as the differential oracle for
-    /// [`Frontier`] and [`forward_schedule`].
+    /// [`Frontier`].
     fn reference_bfs(
         start: StateBitmap,
         direction: Direction,
@@ -440,10 +461,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// `Frontier` (both directions) and `forward_schedule` emit the
-        /// reference BFS's `(state, level)` sequence, state for state.
+        /// `Frontier` (both directions) emits the reference BFS's
+        /// `(state, level)` sequence, state for state.
         #[test]
-        fn frontier_and_schedule_match_the_reference_bfs(
+        fn frontier_matches_the_reference_bfs(
             num_units in 1usize..11,
             protected_mask in prop::collection::vec(any::<bool>(), 10),
             max_level in 0usize..7,
@@ -472,12 +493,6 @@ mod tests {
                 Some(())
             }) {}
             prop_assert_eq!(&emitted.into_inner(), &expected);
-
-            if !backward {
-                let ctx = ValuationContext::new(&sub, EstimatorMode::Oracle);
-                let config = ModisConfig::default().with_max_level(max_level);
-                prop_assert_eq!(&forward_schedule(&ctx, &config, budget), &expected);
-            }
         }
     }
 

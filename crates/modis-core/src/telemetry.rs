@@ -31,7 +31,7 @@
 //! `Arc` handles are updated with single relaxed atomic operations — the
 //! registry's mutex is only taken at registration and exposition time,
 //! never on the record path. Layers that cannot reach a registry by
-//! reference (a schedule's waves deep inside a search) read the ambient
+//! reference (the waves deep inside a search) read the ambient
 //! telemetry installed by [`with_ambient`] for the current call tree.
 
 use std::cell::RefCell;
@@ -959,7 +959,7 @@ thread_local! {
 /// Runs `f` with `telemetry` installed as this thread's ambient
 /// telemetry (restoring the previous ambient afterwards, panics
 /// included). Deep layers that cannot reach a registry by reference —
-/// a schedule's waves inside a search — read it back with `ambient`.
+/// the waves inside a search — read it back with `ambient`.
 pub fn with_ambient<R>(telemetry: Telemetry, f: impl FnOnce() -> R) -> R {
     struct Restore;
     impl Drop for Restore {

@@ -339,7 +339,7 @@ impl Engine {
             self.telemetry.tracer.span_with("scenario", trace)
         };
         // Install the engine's telemetry as the ambient for the algorithm
-        // call tree, so deep layers (a schedule's waves) can time themselves
+        // call tree, so deep layers (a search's waves) can time themselves
         // without any signature changes.
         let _ = modis_core::dominance::take_tally();
         let result = telemetry::with_ambient(self.telemetry.clone(), || {
