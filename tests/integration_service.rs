@@ -828,6 +828,64 @@ fn namespace_conflicts_are_rejected_at_registration() {
     );
 }
 
+/// `mock-pool`'s evaluations of a 12-unit pool, as `EXPORT` ships them.
+fn twelve_unit_shipment() -> Vec<u8> {
+    let exporter = Service::new(ServiceConfig::default());
+    register_mock_suite(&exporter, 12);
+    exporter.submit("apx").unwrap();
+    exporter.run_pending();
+    exporter.shipment_bytes(&["mock-pool".to_string()])
+}
+
+/// A registered namespace belongs to its substrate before anything has
+/// run on it: a shipment of another pool's evaluations under that name is
+/// refused whole, and the registered scenario still runs.
+#[test]
+fn a_shipment_conflicting_with_a_registered_namespace_is_refused_whole() {
+    let shipment = twelve_unit_shipment();
+    let service = Service::new(ServiceConfig::default());
+    register_mock_suite(&service, 10);
+    let err = service.restore_from_bytes(&shipment).unwrap_err();
+    assert!(
+        matches!(&err, ServiceError::NamespaceConflict { registered_by, .. } if registered_by == "apx"),
+        "{err}"
+    );
+    assert_eq!(service.cache_stats().entries, 0, "nothing merged");
+    service.submit("apx").unwrap();
+    assert_eq!(service.run_pending(), 1);
+}
+
+/// The same over the wire: `SHIP` answers the conflict, and the daemon's
+/// executor still drains a `RUN` sent after it.
+#[test]
+fn a_conflicting_ship_leaves_the_daemon_serving() {
+    let shipment = twelve_unit_shipment();
+    let service = Arc::new(Service::new(ServiceConfig::default()));
+    register_mock_suite(&service, 10);
+    let daemon = Daemon::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut recv = || {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("a reply within 30 s");
+        reply.trim_end().to_string()
+    };
+    let mut burst = format!("SHIP mock-pool {}\n", shipment.len()).into_bytes();
+    burst.extend_from_slice(&shipment);
+    writer.write_all(&burst).unwrap();
+    let shipped = recv();
+    assert!(shipped.starts_with("ERR cache namespace"), "{shipped}");
+    assert_eq!(service.cache_stats().entries, 0, "nothing merged");
+    writer.write_all(b"SUBMIT apx\nRUN\n").unwrap();
+    assert_eq!(recv(), "TICKET 1");
+    assert_eq!(recv(), "OK 1");
+    daemon.stop();
+}
+
 #[test]
 fn tcp_front_end_round_trips_the_protocol_and_snapshot() {
     let path = temp_path("daemon");
