@@ -118,7 +118,9 @@ pub struct Engine {
     /// re-used over a structurally different substrate/task (or over
     /// refreshed data) would silently poison valuations — the engine
     /// rejects it instead. Keyed by the stable hashed key so the map can be
-    /// persisted with cache snapshots and seeded after a restart.
+    /// persisted with cache snapshots and admitted after a restart. The one
+    /// record of who owns a namespace: a service claims at registration, a
+    /// run claims before it searches, and a restore admits its pairs.
     namespace_guard: Mutex<HashMap<u64, u64>>,
     /// The engine's metrics registry + span tracer. The service layer and
     /// reactor register their instruments here too, so one `METRICS`
@@ -199,65 +201,54 @@ impl Engine {
         stats
     }
 
-    /// Verifies that `namespace` is only ever used with one substrate/task
-    /// fingerprint, recording it on first use.
-    ///
-    /// # Panics
-    /// When the namespace was previously used (in this process, or in the
-    /// process a seeded snapshot came from) with a different fingerprint —
-    /// sharing evaluations across incompatible search spaces corrupts
-    /// results silently, so it is rejected loudly.
-    fn guard_namespace(&self, namespace: &str, substrate: &dyn Substrate) {
-        let fingerprint = substrate.fingerprint();
+    /// Claims `namespace` for `fingerprint`: records the pair on first use,
+    /// and on a later use answers `Err` with the fingerprint recorded first
+    /// (in this process, or in the one a restored snapshot came from) when
+    /// it differs — evaluations shared across incompatible search spaces
+    /// would be served as each other's.
+    pub fn claim_namespace(&self, namespace: &str, fingerprint: u64) -> Result<(), u64> {
         let key = SharedEvalCache::namespace_key(namespace);
-        let mut guard = self
-            .namespace_guard
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let seen = *guard.entry(key).or_insert(fingerprint);
-        assert_eq!(
-            seen, fingerprint,
-            "cache namespace {namespace:?} re-used over an incompatible substrate/task \
-             (fingerprint {fingerprint:#x} vs recorded {seen:#x}); use a distinct namespace \
-             per search space"
-        );
+        let seen = *self.guard().entry(key).or_insert(fingerprint);
+        if seen == fingerprint {
+            Ok(())
+        } else {
+            Err(seen)
+        }
     }
 
-    /// The fingerprint recorded for a namespace key
-    /// ([`SharedEvalCache::namespace_key`]), if any — lets callers reject a
-    /// conflicting registration gracefully before [`Engine::run_scenario`]
-    /// would panic on it.
-    pub fn namespace_fingerprint(&self, key: u64) -> Option<u64> {
-        self.namespace_guard
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-            .copied()
+    /// Admits the `(namespace key, fingerprint)` pairs of a snapshot or
+    /// shipment all at once: under one lock, every pair is checked against
+    /// what is recorded (and against the pairs before it), and only when
+    /// none conflicts are the new ones recorded. `Err` names the first
+    /// conflicting key, and then nothing is recorded.
+    pub fn admit_guards(&self, pairs: &[(u64, u64)]) -> Result<(), u64> {
+        let mut guard = self.guard();
+        let mut admitted = HashMap::with_capacity(pairs.len());
+        for &(key, fingerprint) in pairs {
+            let seen = guard.get(&key).or(admitted.get(&key)).copied();
+            if seen.is_some_and(|seen| seen != fingerprint) {
+                return Err(key);
+            }
+            admitted.insert(key, fingerprint);
+        }
+        guard.extend(admitted);
+        Ok(())
     }
 
     /// Every recorded `(namespace key, fingerprint)` pair, sorted by key —
     /// the guard state snapshots persist alongside the cache contents, so
     /// the cross-substrate protection survives a restart.
     pub fn namespace_fingerprints(&self) -> Vec<(u64, u64)> {
-        let guard = self
-            .namespace_guard
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut pairs: Vec<(u64, u64)> = guard.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut pairs: Vec<(u64, u64)> = self.guard().iter().map(|(&k, &v)| (k, v)).collect();
         pairs.sort_unstable();
         pairs
     }
 
-    /// Seeds recorded namespace fingerprints (from a restored snapshot).
-    /// Pairs already recorded in this process keep their first-seen value.
-    pub fn seed_namespace_fingerprints(&self, pairs: &[(u64, u64)]) {
-        let mut guard = self
-            .namespace_guard
+    /// The namespace guard, locked.
+    fn guard(&self) -> std::sync::MutexGuard<'_, HashMap<u64, u64>> {
+        self.namespace_guard
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for &(key, fingerprint) in pairs {
-            guard.entry(key).or_insert(fingerprint);
-        }
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Remembers `substrate` (weakly, deduplicated) for memo telemetry.
@@ -320,7 +311,15 @@ impl Engine {
     /// implicit thread-local parentage.
     pub fn run_scenario_traced(&self, scenario: &Scenario, trace: TraceContext) -> ScenarioOutcome {
         let start = Instant::now();
-        self.guard_namespace(scenario.namespace(), scenario.substrate.as_ref());
+        let fingerprint = scenario.substrate.fingerprint();
+        if let Err(seen) = self.claim_namespace(scenario.namespace(), fingerprint) {
+            panic!(
+                "cache namespace {:?} re-used over an incompatible substrate/task \
+                 (fingerprint {fingerprint:#x} vs recorded {seen:#x}); use a distinct namespace \
+                 per search space",
+                scenario.namespace()
+            );
+        }
         self.track_memo_source(&scenario.substrate);
         let hook = self.cache.handle(scenario.namespace());
         let substrate: &dyn Substrate = scenario.substrate.as_ref();

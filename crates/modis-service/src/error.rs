@@ -11,13 +11,16 @@ pub enum ServiceError {
     UnknownScenario(String),
     /// A registration re-used an existing scenario name.
     DuplicateScenario(String),
-    /// A registration re-used a cache namespace over an incompatible
-    /// substrate/task (different fingerprint) — sharing evaluations across
-    /// such spaces poisons valuations, so it is rejected at registration.
+    /// A registration, restore or shipment re-used a cache namespace over
+    /// an incompatible substrate/task (different fingerprint) — sharing
+    /// evaluations across such spaces poisons valuations, so it is
+    /// rejected and nothing is recorded or merged.
     NamespaceConflict {
-        /// The contested cache namespace.
+        /// The contested cache namespace (`key <hex>` when only its hashed
+        /// key is known).
         namespace: String,
-        /// Name of the scenario that first claimed the namespace.
+        /// The least-named scenario registered under the namespace, or the
+        /// earlier restore that recorded its fingerprint.
         registered_by: String,
     },
     /// A poll referenced a ticket the service never issued — or one whose

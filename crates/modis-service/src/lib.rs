@@ -9,20 +9,22 @@
 //!        │ register(name, scenario)     │ submit(name) → Ticket
 //!        ▼                              ▼
 //!   ┌────────────┐   enqueue   ┌──────────────────┐
-//!   │  scenario  │────────────▶│  cost-aware      │  namespace-grouped,
-//!   │  registry  │             │  scheduler       │  cheapest-first order
-//!   └────────────┘             └────────┬─────────┘
-//!     fingerprint-guarded               │ drain (RUN on the executor)
-//!     namespaces                        ▼
-//!                              ┌──────────────────┐     ┌──────────────┐
-//!                              │ Engine + shared  │◀───▶│  snapshot    │
-//!                              │ evaluation cache │     │  file (disk) │
-//!                              └──────────────────┘     └──────────────┘
+//!   │ scenarios  │────────────▶│  cost-aware      │  namespace-grouped,
+//!   │  by name   │             │  scheduler       │  cheapest-first order
+//!   └─────┬──────┘             └────────┬─────────┘
+//!         │ claim namespace             │ drain (RUN on the executor)
+//!         ▼                             ▼
+//!   ┌─────────────────────────────────────────────┐     ┌──────────────┐
+//!   │ Engine: namespace guard + shared evaluation │◀───▶│  snapshot    │
+//!   │ cache                                       │     │  file (disk) │
+//!   └─────────────────────────────────────────────┘     └──────────────┘
 //! ```
 //!
-//! * `registry` — scenarios are registered once by name; cache
-//!   namespaces are keyed by substrate/task fingerprint, so incompatible
-//!   spaces can never share (and poison) evaluations.
+//! * `service` — the [`Service`]: scenarios are registered once by name,
+//!   each claiming its cache namespace for its substrate/task fingerprint
+//!   in the engine's guard (the one record of namespace ownership, which
+//!   every restore checks too), so incompatible spaces can never share
+//!   (and poison) evaluations; then submit, drain, poll and snapshot.
 //! * `scheduler` — queued runs are ordered so cache-warming runs execute
 //!   before their dependants: namespace groups keep arrival fairness, and
 //!   within a group the cheapest run (by an EWMA over observed paid
@@ -100,7 +102,6 @@ mod net;
 mod poller;
 pub mod protocol;
 mod reactor;
-mod registry;
 mod router;
 mod scheduler;
 mod service;

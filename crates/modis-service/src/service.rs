@@ -4,7 +4,8 @@
 //! cache) for its whole lifetime and keeps it warm across requests:
 //!
 //! 1. **register** — scenarios (substrate × algorithm × config) are
-//!    registered once under a name, with namespace fingerprints checked;
+//!    registered once under a name, each claiming its cache namespace in
+//!    the engine's guard for its substrate's fingerprint;
 //! 2. **submit** — clients enqueue runs by name and get a [`Ticket`];
 //! 3. **schedule** — queued runs are ordered by the cost-aware,
 //!    namespace-grouped scheduler so cache-warming runs go first;
@@ -21,10 +22,11 @@ use std::time::{Duration, Instant};
 
 use modis_core::codec::CodecError;
 use modis_core::telemetry::{Counter, Gauge, Histogram, TraceContext};
-use modis_engine::{CacheStats, Cursor, Engine, EngineConfig, Scenario, ScenarioOutcome};
+use modis_engine::{
+    CacheStats, Cursor, Engine, EngineConfig, Scenario, ScenarioOutcome, SharedEvalCache,
+};
 
 use crate::error::ServiceError;
-use crate::registry::ScenarioRegistry;
 use crate::scheduler::{CostModel, CostScheduler, QueuedRequest};
 use crate::snapshot;
 
@@ -88,7 +90,8 @@ impl JobState {
 }
 
 struct Inner {
-    registry: ScenarioRegistry,
+    /// Registered scenarios by name; entries are never removed.
+    scenarios: HashMap<String, Scenario>,
     scheduler: CostScheduler,
     costs: CostModel,
     jobs: HashMap<u64, JobState>,
@@ -182,7 +185,7 @@ impl Service {
         let metrics = ServiceMetrics::new(&engine);
         Service {
             inner: Mutex::new(Inner {
-                registry: ScenarioRegistry::new(),
+                scenarios: HashMap::new(),
                 scheduler: CostScheduler::new(),
                 costs: CostModel::new(COST_SMOOTHING),
                 jobs: HashMap::new(),
@@ -214,11 +217,11 @@ impl Service {
     /// Creates a service whose shared cache is warm-started from a snapshot
     /// file written by [`Service::snapshot_to`]: [`Service::new`] followed
     /// by [`Service::restore_from`], so a warm start passes the guard check
-    /// `RESTORE` and `SHIP` do. The snapshot's namespace guard is seeded
-    /// into the engine as well, so a substrate that is incompatible with
-    /// what originally filled a namespace (e.g. refreshed data under the old
-    /// name) is rejected at registration instead of silently being served
-    /// the stale evaluations.
+    /// `RESTORE` and `SHIP` do. The snapshot's guard pairs are admitted into
+    /// the engine's namespace guard as well, so a substrate that is
+    /// incompatible with what originally filled a namespace (e.g. refreshed
+    /// data under the old name) is rejected at registration instead of
+    /// silently being served the stale evaluations.
     pub fn from_snapshot(config: ServiceConfig, path: &Path) -> Result<Self, ServiceError> {
         let service = Service::new(config);
         service.restore_from(path)?;
@@ -239,34 +242,37 @@ impl Service {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Registers a scenario under its name; see `ScenarioRegistry::register`
-    /// (`registry.rs`) for the namespace guarantees. On a
-    /// warm-started service the namespace is additionally checked against
-    /// the fingerprint recorded by the *snapshotting* process — the cached
-    /// evaluations under this namespace belong to that substrate, so an
-    /// incompatible one (refreshed data included) is rejected here instead
-    /// of being served stale results.
+    /// Registers a scenario under its name, which must be new, and claims
+    /// its cache namespace in the engine's guard for its substrate's
+    /// fingerprint ([`Engine::claim_namespace`]). A namespace already
+    /// claimed for another fingerprint — by a registered scenario, or by a
+    /// snapshot or shipment restored earlier — is a
+    /// [`ServiceError::NamespaceConflict`]: the evaluations under it
+    /// describe another search space (refreshed data included). A rejected
+    /// scenario claims nothing.
     pub fn register(&self, scenario: Scenario) -> Result<(), ServiceError> {
-        let key = modis_engine::SharedEvalCache::namespace_key(scenario.namespace());
-        if let Some(recorded) = self.engine.namespace_fingerprint(key) {
-            if recorded != scenario.substrate.fingerprint() {
-                return Err(ServiceError::NamespaceConflict {
-                    namespace: scenario.namespace().to_string(),
-                    registered_by: "an earlier process (restored snapshot)".to_string(),
-                });
-            }
+        let mut inner = self.lock();
+        if inner.scenarios.contains_key(&scenario.name) {
+            return Err(ServiceError::DuplicateScenario(scenario.name));
         }
-        self.lock().registry.register(scenario)
+        let fingerprint = scenario.substrate.fingerprint();
+        if self
+            .engine
+            .claim_namespace(scenario.namespace(), fingerprint)
+            .is_err()
+        {
+            let key = SharedEvalCache::namespace_key(scenario.namespace());
+            return Err(namespace_conflict(&inner, key, scenario.namespace()));
+        }
+        inner.scenarios.insert(scenario.name.clone(), scenario);
+        Ok(())
     }
 
     /// Registered scenario names (sorted).
     pub fn scenario_names(&self) -> Vec<String> {
-        self.lock()
-            .registry
-            .names()
-            .into_iter()
-            .map(str::to_string)
-            .collect()
+        let mut names: Vec<String> = self.lock().scenarios.keys().cloned().collect();
+        names.sort_unstable();
+        names
     }
 
     /// Enqueues a run of a registered scenario and returns its ticket.
@@ -299,7 +305,7 @@ impl Service {
         if self.is_stopped() {
             return Err(ServiceError::Stopped);
         }
-        let registered = inner.registry.require(name)?;
+        let registered = require(&inner, name)?;
         let namespace = registered.namespace().to_string();
         // Prior before the first observation: the configured state budget —
         // an upper bound on paid valuations, comparable across scenarios.
@@ -334,7 +340,7 @@ impl Service {
     ) -> Result<Vec<Ticket>, ServiceError> {
         let names: Vec<&str> = names.into_iter().collect();
         for name in &names {
-            self.lock().registry.require(name)?;
+            require(&self.lock(), name)?;
         }
         names.into_iter().map(|n| self.submit(n)).collect()
     }
@@ -375,10 +381,10 @@ impl Service {
                     break;
                 };
                 self.metrics.queue_depth.set(inner.scheduler.len() as i64);
-                let scenario = match inner.registry.get(&request.scenario) {
+                let scenario = match inner.scenarios.get(&request.scenario) {
                     Some(registered) => registered.clone(),
-                    // Registry entries are never removed, so a queued name
-                    // always resolves; guard anyway to stay panic-free.
+                    // Scenarios are never removed, so a queued name always
+                    // resolves; guard anyway to stay panic-free.
                     None => continue,
                 };
                 inner.jobs.insert(request.ticket, JobState::Running);
@@ -501,7 +507,7 @@ impl Service {
     pub(crate) fn shipment(&self, namespaces: &[String], after: Cursor) -> (Cursor, Vec<u8>) {
         let keys: Vec<u64> = namespaces
             .iter()
-            .map(|ns| modis_engine::SharedEvalCache::namespace_key(ns))
+            .map(|ns| SharedEvalCache::namespace_key(ns))
             .collect();
         let (cursor, entries) = self.engine.cache().export_namespaces(&keys, after);
         if entries.is_empty() {
@@ -520,13 +526,14 @@ impl Service {
     /// (hashed insertion, safe while serving), returning the number of
     /// evaluations merged.
     ///
-    /// Guard pairs carried by the file are validated against this engine's
+    /// Guard pairs carried by the file are admitted into this engine's
     /// namespace guard *before* anything is merged: every namespace with an
     /// entry in the file must carry a pair (an entry no fingerprint covers
     /// would later be served to any substrate registered under that name),
     /// and a pair whose fingerprint disagrees with what this process has
-    /// recorded for the same namespace describes a different search space.
-    /// Either way the whole file is rejected and nothing is merged.
+    /// recorded for the same namespace — at a registration, a run or an
+    /// earlier restore — describes a different search space. Either way
+    /// the whole file is rejected and nothing is merged or recorded.
     pub fn restore_from(&self, path: &Path) -> Result<usize, ServiceError> {
         let bytes = std::fs::read(path).map_err(snapshot::SnapshotError::Io)?;
         self.restore_from_bytes(&bytes)
@@ -547,20 +554,14 @@ impl Service {
             let unguarded = CodecError::Invalid("a namespace with slots carries no guard pair");
             return Err(snapshot::SnapshotError::Corrupt(unguarded).into());
         }
-        for &(key, fingerprint) in &decoded.namespace_fingerprints {
-            if let Some(recorded) = self.engine.namespace_fingerprint(key) {
-                if recorded != fingerprint {
-                    return Err(ServiceError::NamespaceConflict {
-                        namespace: format!("key {key:#x}"),
-                        registered_by: "this process (conflicting shipment rejected)".to_string(),
-                    });
-                }
-            }
+        if let Err(key) = self.engine.admit_guards(&decoded.namespace_fingerprints) {
+            return Err(namespace_conflict(
+                &self.lock(),
+                key,
+                &format!("key {key:#x}"),
+            ));
         }
-        let merged = self.engine.cache().merge_exports(decoded.entries);
-        self.engine
-            .seed_namespace_fingerprints(&decoded.namespace_fingerprints);
-        Ok(merged)
+        Ok(self.engine.cache().merge_exports(decoded.entries))
     }
 
     /// Signals the front-end to stop and rejects every later submission.
@@ -578,6 +579,36 @@ impl Service {
     /// Whether [`Service::shutdown`] has been called.
     pub fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
+    }
+}
+
+/// Looks up a registered scenario or returns
+/// [`ServiceError::UnknownScenario`].
+fn require<'a>(inner: &'a Inner, name: &str) -> Result<&'a Scenario, ServiceError> {
+    inner
+        .scenarios
+        .get(name)
+        .ok_or_else(|| ServiceError::UnknownScenario(name.to_string()))
+}
+
+/// The conflict over namespace `key` (shown as `namespace` when no local
+/// scenario names it): owned by the least-named scenario registered under
+/// it, or else by the snapshot or shipment that recorded its pair.
+fn namespace_conflict(inner: &Inner, key: u64, namespace: &str) -> ServiceError {
+    let owner = inner
+        .scenarios
+        .values()
+        .filter(|s| SharedEvalCache::namespace_key(s.namespace()) == key)
+        .min_by(|a, b| a.name.cmp(&b.name));
+    match owner {
+        Some(owner) => ServiceError::NamespaceConflict {
+            namespace: owner.namespace().to_string(),
+            registered_by: owner.name.clone(),
+        },
+        None => ServiceError::NamespaceConflict {
+            namespace: namespace.to_string(),
+            registered_by: "an earlier process (restored snapshot)".to_string(),
+        },
     }
 }
 
@@ -679,6 +710,61 @@ mod tests {
         let service = mock_service();
         service.shutdown();
         assert!(matches!(service.submit("apx"), Err(ServiceError::Stopped)));
+    }
+
+    fn mock_scenario(name: &str, units: usize, namespace: &str) -> Scenario {
+        let substrate: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(units));
+        Scenario::new(name, substrate, Algorithm::Apx, ModisConfig::default())
+            .with_cache_namespace(namespace)
+    }
+
+    #[test]
+    fn registers_and_lists_by_name() {
+        let service = Service::new(ServiceConfig::default());
+        service.register(mock_scenario("b", 6, "pool-b")).unwrap();
+        service.register(mock_scenario("a", 6, "pool-a")).unwrap();
+        assert_eq!(service.scenario_names(), vec!["a", "b"]);
+        assert!(matches!(
+            service.submit("missing"),
+            Err(ServiceError::UnknownScenario(_))
+        ));
+    }
+
+    #[test]
+    fn rejects_duplicate_names() {
+        let service = Service::new(ServiceConfig::default());
+        service.register(mock_scenario("same", 6, "x")).unwrap();
+        assert!(matches!(
+            service.register(mock_scenario("same", 6, "y")),
+            Err(ServiceError::DuplicateScenario(_))
+        ));
+        // The rejected scenario claimed nothing.
+        let y = SharedEvalCache::namespace_key("y");
+        assert!(service.engine().admit_guards(&[(y, 1)]).is_ok());
+    }
+
+    #[test]
+    fn shared_namespace_requires_matching_fingerprint() {
+        let service = Service::new(ServiceConfig::default());
+        service.register(mock_scenario("first", 6, "pool")).unwrap();
+        // Same structure: allowed.
+        service
+            .register(mock_scenario("second", 6, "pool"))
+            .unwrap();
+        // Different unit universe under the same namespace: rejected.
+        let err = service
+            .register(mock_scenario("third", 8, "pool"))
+            .unwrap_err();
+        match err {
+            ServiceError::NamespaceConflict {
+                namespace,
+                registered_by,
+            } => {
+                assert_eq!(namespace, "pool");
+                assert_eq!(registered_by, "first");
+            }
+            other => panic!("unexpected error: {other}"),
+        }
     }
 
     #[test]

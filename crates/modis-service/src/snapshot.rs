@@ -412,7 +412,7 @@ mod tests {
         let exporter = crate::Service::new(crate::ServiceConfig::default());
         let entries = populated_cache().export_all();
         exporter.engine().cache().merge_exports(entries);
-        exporter.engine().seed_namespace_fingerprints(&guards);
+        exporter.engine().admit_guards(&guards).unwrap();
         let shipment = exporter.shipment_bytes(&["alpha".to_string()]);
         (exporter, guards, shipment)
     }
@@ -437,6 +437,27 @@ mod tests {
         for cut in [0, 9, 30, shipment.len() / 2, shipment.len() - 1] {
             assert!(decode_snapshot(&shipment[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    /// Pairs that conflict — with what the engine recorded, or with each
+    /// other — are refused before any of them is recorded, and a shipment
+    /// carrying one merges nothing.
+    #[test]
+    fn conflicting_guard_pairs_admit_nothing() {
+        let (_, _, shipment) = alpha_shipment();
+        let target = crate::Service::new(crate::ServiceConfig::default());
+        let engine = target.engine();
+        assert_eq!(engine.admit_guards(&[(7, 1), (7, 2)]), Err(7));
+        assert_eq!(engine.admit_guards(&[(9, 1)]), Ok(()));
+        assert_eq!(engine.admit_guards(&[(8, 1), (9, 2)]), Err(9));
+        assert_eq!(engine.namespace_fingerprints(), vec![(9, 1)]);
+        let alpha = SharedEvalCache::namespace_key("alpha");
+        engine.admit_guards(&[(alpha, 3)]).unwrap();
+        assert!(matches!(
+            target.restore_from_bytes(&shipment),
+            Err(crate::ServiceError::NamespaceConflict { .. })
+        ));
+        assert_eq!(target.cache_stats().entries, 0);
     }
 
     #[test]

@@ -845,12 +845,14 @@ fn a_shipment_conflicting_with_a_registered_namespace_is_refused_whole() {
     let shipment = twelve_unit_shipment();
     let service = Service::new(ServiceConfig::default());
     register_mock_suite(&service, 10);
+    let guards = service.engine().namespace_fingerprints();
     let err = service.restore_from_bytes(&shipment).unwrap_err();
     assert!(
         matches!(&err, ServiceError::NamespaceConflict { registered_by, .. } if registered_by == "apx"),
         "{err}"
     );
     assert_eq!(service.cache_stats().entries, 0, "nothing merged");
+    assert_eq!(service.engine().namespace_fingerprints(), guards);
     service.submit("apx").unwrap();
     assert_eq!(service.run_pending(), 1);
 }
