@@ -1526,6 +1526,11 @@ fn shard_connection_lost_with_a_reply_owed_is_retried_once_then_reported() {
     router.stop();
 }
 
+/// A shard address that refuses every connection: nothing listens on port
+/// 0. (The port of a listener already closed is not one: a listener bound
+/// to port 0 by a test running meanwhile may be given it, and answer.)
+const REFUSED: &str = "127.0.0.1:0";
+
 /// A forward to a shard that refuses connections makes one attempt: it
 /// fails at once, counts one breaker failure and sleeps nowhere. With the
 /// heartbeat's first miss already counted, that is two misses of the
@@ -1533,10 +1538,7 @@ fn shard_connection_lost_with_a_reply_owed_is_retried_once_then_reported() {
 /// (not `circuit open`) and the breaker stays closed.
 #[test]
 fn a_refused_forward_is_one_failure_and_no_retry() {
-    let shard = TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap();
+    let shard = REFUSED.parse().unwrap();
     let config = RouterConfig {
         heartbeat_interval: Duration::from_secs(3600),
         ..RouterConfig::default()
@@ -2023,14 +2025,15 @@ fn fan_answer(k: u64, request: &str) -> String {
 }
 
 /// A fake shard answering the fan-in verbs as `fault` says. A refusing
-/// shard is the address of a listener already closed.
+/// shard is [`REFUSED`].
 fn fan_shard(k: u64, fault: Fault) -> FanShard {
     let probes = Arc::new(AtomicUsize::new(0));
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
     if fault == Fault::Refuse {
+        let addr = REFUSED.parse().unwrap();
         return FanShard { addr, probes };
     }
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
     let counted = Arc::clone(&probes);
     std::thread::spawn(move || {
         for stream in listener.incoming() {
