@@ -105,6 +105,36 @@ struct Inner {
 }
 
 impl Inner {
+    /// Looks up a registered scenario or returns
+    /// [`ServiceError::UnknownScenario`].
+    fn require(&self, name: &str) -> Result<&Scenario, ServiceError> {
+        self.scenarios
+            .get(name)
+            .ok_or_else(|| ServiceError::UnknownScenario(name.to_string()))
+    }
+
+    /// The conflict over namespace `key` (shown as `namespace` when no
+    /// local scenario names it): owned by the least-named scenario
+    /// registered under it, or else by the snapshot or shipment that
+    /// recorded its pair.
+    fn namespace_conflict(&self, key: u64, namespace: &str) -> ServiceError {
+        let owner = self
+            .scenarios
+            .values()
+            .filter(|s| SharedEvalCache::namespace_key(s.namespace()) == key)
+            .min_by(|a, b| a.name.cmp(&b.name));
+        match owner {
+            Some(owner) => ServiceError::NamespaceConflict {
+                namespace: owner.namespace().to_string(),
+                registered_by: owner.name.clone(),
+            },
+            None => ServiceError::NamespaceConflict {
+                namespace: namespace.to_string(),
+                registered_by: "an earlier process (restored snapshot)".to_string(),
+            },
+        }
+    }
+
     /// Records a finished outcome and evicts the oldest completed outcomes
     /// beyond the retention bound (queued/running jobs are never evicted).
     fn finish_job(&mut self, ticket: u64, outcome: ScenarioOutcome, retention: usize) {
@@ -262,7 +292,7 @@ impl Service {
             .is_err()
         {
             let key = SharedEvalCache::namespace_key(scenario.namespace());
-            return Err(namespace_conflict(&inner, key, scenario.namespace()));
+            return Err(inner.namespace_conflict(key, scenario.namespace()));
         }
         inner.scenarios.insert(scenario.name.clone(), scenario);
         Ok(())
@@ -305,7 +335,7 @@ impl Service {
         if self.is_stopped() {
             return Err(ServiceError::Stopped);
         }
-        let registered = require(&inner, name)?;
+        let registered = inner.require(name)?;
         let namespace = registered.namespace().to_string();
         // Prior before the first observation: the configured state budget —
         // an upper bound on paid valuations, comparable across scenarios.
@@ -340,7 +370,7 @@ impl Service {
     ) -> Result<Vec<Ticket>, ServiceError> {
         let names: Vec<&str> = names.into_iter().collect();
         for name in &names {
-            require(&self.lock(), name)?;
+            self.lock().require(name)?;
         }
         names.into_iter().map(|n| self.submit(n)).collect()
     }
@@ -555,11 +585,9 @@ impl Service {
             return Err(snapshot::SnapshotError::Corrupt(unguarded).into());
         }
         if let Err(key) = self.engine.admit_guards(&decoded.namespace_fingerprints) {
-            return Err(namespace_conflict(
-                &self.lock(),
-                key,
-                &format!("key {key:#x}"),
-            ));
+            return Err(self
+                .lock()
+                .namespace_conflict(key, &format!("key {key:#x}")));
         }
         Ok(self.engine.cache().merge_exports(decoded.entries))
     }
@@ -579,36 +607,6 @@ impl Service {
     /// Whether [`Service::shutdown`] has been called.
     pub fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
-    }
-}
-
-/// Looks up a registered scenario or returns
-/// [`ServiceError::UnknownScenario`].
-fn require<'a>(inner: &'a Inner, name: &str) -> Result<&'a Scenario, ServiceError> {
-    inner
-        .scenarios
-        .get(name)
-        .ok_or_else(|| ServiceError::UnknownScenario(name.to_string()))
-}
-
-/// The conflict over namespace `key` (shown as `namespace` when no local
-/// scenario names it): owned by the least-named scenario registered under
-/// it, or else by the snapshot or shipment that recorded its pair.
-fn namespace_conflict(inner: &Inner, key: u64, namespace: &str) -> ServiceError {
-    let owner = inner
-        .scenarios
-        .values()
-        .filter(|s| SharedEvalCache::namespace_key(s.namespace()) == key)
-        .min_by(|a, b| a.name.cmp(&b.name));
-    match owner {
-        Some(owner) => ServiceError::NamespaceConflict {
-            namespace: owner.namespace().to_string(),
-            registered_by: owner.name.clone(),
-        },
-        None => ServiceError::NamespaceConflict {
-            namespace: namespace.to_string(),
-            registered_by: "an earlier process (restored snapshot)".to_string(),
-        },
     }
 }
 
