@@ -21,10 +21,9 @@
 //!   parameterised dominance bounds BiMODis prunes with;
 //! * [`apx`] / [`bimodis`] / [`divmodis`] / [`exact`] — the paper's
 //!   algorithms (ApxMODis, BiMODis, NOBiMODis, DivMODis, exact), named by
-//!   [`algorithm::Algorithm`]; ApxMODis and exact valuate their traversal
-//!   in waves across a pool of worker threads, and BiMODis, NOBiMODis and
-//!   DivMODis train there, ahead, the oracle valuations they are certain to
-//!   make;
+//!   [`algorithm::Algorithm`]; every search walks a `Frontier` and trains
+//!   ahead, in waves across a pool of worker threads, the oracle
+//!   valuations it is certain to make;
 //! * [`config`] — run configuration and skyline results.
 //!
 //! ## Quick example
