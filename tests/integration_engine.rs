@@ -229,6 +229,89 @@ fn suite_with_shared_pool_reports_cache_hits() {
     assert!(stats.hits >= hits);
 }
 
+/// A state is trained once per cache namespace, by whichever run reaches
+/// it first, so the order in which one namespace's scenarios run decides
+/// only *which* run pays for a shared state. Run forwards and backwards on
+/// fresh engines at 1, 2 and 4 workers, every set below pays the same sum,
+/// reads the same sum of shared hits and returns the same `RESULT` bytes
+/// per scenario; only the split of the cost between the runs moves.
+#[test]
+fn run_order_decides_who_pays_not_how_much() {
+    use modis_core::substrate::mock::MockSubstrate;
+    let surrogate = EstimatorMode::Surrogate {
+        warmup: 10,
+        refresh: 10,
+    };
+    let shared = |name: &str, substrate: &Arc<dyn Substrate>, alg, config| {
+        Scenario::new(name, substrate.clone(), alg, config).with_cache_namespace("pool")
+    };
+    let mut sets: Vec<(String, Vec<Scenario>)> = Vec::new();
+    for units in 8..=10 {
+        let mock: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(units));
+        let config = |n| oracle_config().with_max_states(n).with_max_level(4);
+        let set = vec![
+            shared("cheap", &mock, Algorithm::Apx, config(10)),
+            shared("expensive", &mock, Algorithm::Apx, config(80)),
+        ];
+        sets.push((format!("mock {units} apx 10 + 80"), set));
+    }
+    let mock: Arc<dyn Substrate> = Arc::new(MockSubstrate::new(8));
+    let config = oracle_config()
+        .with_max_states(60)
+        .with_max_level(4)
+        .with_estimator(surrogate);
+    let four = [
+        Algorithm::Apx,
+        Algorithm::Bi,
+        Algorithm::NoBi,
+        Algorithm::Div,
+    ];
+    let set = four.map(|alg| shared(alg.name(), &mock, alg, config.clone()));
+    sets.push(("mock 8 surrogate".to_string(), set.to_vec()));
+    for (task, workload) in [("t1 seed 7", task_t1(7)), ("t3 seed 31", task_t3(31))] {
+        let substrate: Arc<dyn Substrate> = Arc::new(workload.substrate());
+        for estimator in [EstimatorMode::Oracle, surrogate] {
+            let config = oracle_config().with_estimator(estimator);
+            let set = [Algorithm::Apx, Algorithm::Bi]
+                .map(|alg| shared(alg.name(), &substrate, alg, config.clone()));
+            sets.push((format!("{task} {estimator:?}"), set.to_vec()));
+        }
+    }
+
+    let mut split_moved = false;
+    for workers in [1, 2, 4] {
+        for (label, set) in &sets {
+            // (Σ cost, Σ shared hits, per scenario (name, cost, RESULT)).
+            let drain = |order: Vec<&Scenario>| {
+                let engine = Engine::new(EngineConfig::default().with_worker_threads(workers));
+                let mut hits = 0;
+                let mut runs: Vec<(String, usize, String)> = order
+                    .into_iter()
+                    .map(|scenario| {
+                        let outcome = engine.run_scenario(scenario);
+                        hits += outcome.shared_hits();
+                        let line = result_line(0, &outcome);
+                        (outcome.name, outcome.result.valuation_cost(), line)
+                    })
+                    .collect();
+                runs.sort();
+                let cost: usize = runs.iter().map(|run| run.1).sum();
+                (cost, hits, runs)
+            };
+            let forwards = drain(set.iter().collect());
+            let backwards = drain(set.iter().rev().collect());
+            let label = format!("{label} at {workers} workers");
+            assert_eq!(forwards.0, backwards.0, "{label}: Σ cost");
+            assert_eq!(forwards.1, backwards.1, "{label}: Σ shared hits");
+            for (f, b) in forwards.2.iter().zip(&backwards.2) {
+                assert_eq!((&f.0, &f.2), (&b.0, &b.2), "{label}: RESULT bytes");
+                split_moved |= f.1 != b.1;
+            }
+        }
+    }
+    assert!(split_moved, "the order decides who pays");
+}
+
 #[test]
 fn engine_is_deterministic_across_repeated_runs() {
     let substrate: Arc<dyn Substrate> = Arc::new(task_t1(21).substrate());
