@@ -104,9 +104,9 @@ pub struct SkylineResult {
 impl SkylineResult {
     /// The run's *paid* valuation cost: oracle trainings plus surrogate
     /// predictions, excluding valuations answered free of charge by the
-    /// record store or the shared cross-run cache. This is the counter
-    /// cost-aware scheduling feeds on — it measures how expensive the run
-    /// was on this cache state, not how many states it touched.
+    /// record store or the shared cross-run cache. This is a `DONE` line's
+    /// `cost=` — it measures how expensive the run was on this cache
+    /// state, not how many states it touched.
     pub fn valuation_cost(&self) -> usize {
         self.stats.oracle_calls + self.stats.surrogate_calls
     }

@@ -275,7 +275,7 @@ impl Engine {
     }
 
     /// Attributes paid vs cache-served valuations to a namespace. "Paid" is
-    /// the scheduler's cost — [`SkylineResult::valuation_cost`]: model
+    /// a run's `cost=` — [`SkylineResult::valuation_cost`]: model
     /// trainings *plus* surrogate predictions — so on a warm namespace it
     /// counts predictions only.
     ///

@@ -78,7 +78,7 @@ impl ScenarioOutcome {
     }
 
     /// The run's paid valuation cost (oracle trainings + surrogate
-    /// predictions) — the signal cost-aware scheduling feeds on.
+    /// predictions) — what its `DONE` line reads as `cost=`.
     pub fn valuation_cost(&self) -> usize {
         self.result.valuation_cost()
     }

@@ -9,8 +9,8 @@
 //!        │ register(name, scenario)     │ submit(name) → Ticket
 //!        ▼                              ▼
 //!   ┌────────────┐   enqueue   ┌──────────────────┐
-//!   │ scenarios  │────────────▶│  cost-aware      │  namespace-grouped,
-//!   │  by name   │             │  scheduler       │  cheapest-first order
+//!   │ scenarios  │────────────▶│  run queue       │  submission order
+//!   │  by name   │             │  (FIFO)          │
 //!   └─────┬──────┘             └────────┬─────────┘
 //!         │ claim namespace             │ drain (RUN on the executor)
 //!         ▼                             ▼
@@ -24,11 +24,10 @@
 //!   each claiming its cache namespace for its substrate/task fingerprint
 //!   in the engine's guard (the one record of namespace ownership, which
 //!   every restore checks too), so incompatible spaces can never share
-//!   (and poison) evaluations; then submit, drain, poll and snapshot.
-//! * `scheduler` — queued runs are ordered so cache-warming runs execute
-//!   before their dependants: namespace groups keep arrival fairness, and
-//!   within a group the cheapest run (by an EWMA over observed paid
-//!   valuation cost) goes first.
+//!   (and poison) evaluations; then submit, drain, poll and snapshot. A
+//!   drain runs the queue in submission order: a state is trained once
+//!   per namespace by whichever run reaches it first, so the order decides
+//!   only which run pays for it, never how much the runs pay together.
 //! * [`snapshot`] — the shared evaluation cache persists to disk in a
 //!   hand-rolled, versioned, checksummed binary format and warm-starts a
 //!   fresh process: a restarted service answers repeated suites with
@@ -103,7 +102,6 @@ mod poller;
 pub mod protocol;
 mod reactor;
 mod router;
-mod scheduler;
 mod service;
 pub mod snapshot;
 

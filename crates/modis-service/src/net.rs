@@ -41,10 +41,18 @@ impl Reply {
 }
 
 /// A deferred command body: runs on the executor thread, produces the
-/// response line. `SNAPSHOT`, `RESTORE`, `EXPORT` and `SHIP` ride on this
-/// — all serialise or merge cache state, far too slow for the reactor
-/// thread.
+/// response line. `RUN` rides on this, and so do `SNAPSHOT`, `RESTORE`,
+/// `EXPORT` and `SHIP`, which serialise or merge cache state — all far
+/// too slow for the reactor thread.
 pub(crate) type OffloadFn = Box<dyn FnOnce(&Service) -> String + Send>;
+
+/// The body of a `RUN`, on the daemon's executor thread and in
+/// [`handle_command`] alike: drain the run queue under a `drain` span,
+/// answer `OK <n>`.
+pub(crate) fn drain(service: &Service) -> String {
+    let _span = service.engine().tracer().span("drain");
+    format!("OK {}", service.run_pending())
+}
 
 /// How the reactor must answer one request line. Where [`handle_command`]
 /// executes everything synchronously, the reactor defers the verbs whose
@@ -54,10 +62,7 @@ pub(crate) enum Request {
     Immediate(String),
     /// Emit the response in order, then close the connection (`QUIT`).
     CloseAfter(String),
-    /// `RUN`: drain the scheduler queue off-thread, answer `OK <n>` when
-    /// the drain completes.
-    Drain,
-    /// A slow verb without dedicated state (`SNAPSHOT`, `RESTORE`,
+    /// A slow verb without dedicated state (`RUN`, `SNAPSHOT`, `RESTORE`,
     /// `EXPORT`, `SHIP`): run the closure on the executor thread, answer
     /// its returned line.
     Offload(OffloadFn),
@@ -346,7 +351,7 @@ pub(crate) fn execute(service: &Service, request: Parsed) -> Request {
                 Err(err) => format!("ERR {err}"),
             }
         }
-        Verb::Run => return Request::Drain,
+        Verb::Run => return Request::Offload(Box::new(drain)),
         Verb::Wait(tickets) => return Request::Wait(tickets),
         Verb::Poll(id) => match service.poll(Ticket(id)) {
             Ok(JobState::Queued) => "QUEUED".to_string(),
@@ -414,7 +419,6 @@ pub fn handle_command(service: &Service, line: &str) -> Reply {
         }
         (_, Request::Immediate(reply)) => reply,
         (_, Request::CloseAfter(reply)) => return Reply::Close(reply),
-        (_, Request::Drain) => format!("OK {}", service.run_pending()),
         (_, Request::Offload(task)) => task(service),
     })
 }
@@ -635,6 +639,17 @@ mod tests {
         assert!(matches!(handle_command(&service, "QUIT"), Reply::Close(_)));
         // Case-insensitive verbs, tolerant whitespace.
         assert_eq!(handle_command(&service, "  ping  ").text(), "PONG");
+    }
+
+    /// `RUN` has one body: in-process, as on the daemon's executor, the
+    /// drain records its `drain` span.
+    #[test]
+    fn an_in_process_run_records_its_drain_span() {
+        let service = service();
+        assert_eq!(handle_command(&service, "SUBMIT apx").text(), "TICKET 1");
+        assert_eq!(handle_command(&service, "RUN").text(), "OK 1");
+        let dump = handle_command(&service, "TRACE DUMP 64").text().to_string();
+        assert!(dump.lines().any(|l| l.contains(" name=drain ")), "{dump}");
     }
 
     #[test]
@@ -994,8 +1009,8 @@ mod tests {
     #[test]
     fn dispatch_classifies_deferred_verbs() {
         let service = service();
-        assert!(matches!(dispatch(&service, "RUN"), Request::Drain));
-        assert!(matches!(dispatch(&service, "run "), Request::Drain));
+        assert!(matches!(dispatch(&service, "RUN"), Request::Offload(_)));
+        assert!(matches!(dispatch(&service, "run "), Request::Offload(_)));
         match dispatch(&service, "WAIT 3 1 2") {
             Request::Wait(ids) => assert_eq!(ids, vec![3, 1, 2]),
             _ => panic!("WAIT with tickets must defer"),

@@ -220,12 +220,6 @@ fn submit(executor: &Sender<ExecJob>, task: OffloadFn) -> DeferredReply {
     reply
 }
 
-/// The body of a `RUN`: drain the scheduler queue, answer `OK <n>`.
-fn drain(service: &Service) -> String {
-    let _span = service.engine().tracer().span("drain");
-    format!("OK {}", service.run_pending())
-}
-
 /// The executor thread body: `RUN` drains and cache-state verbs arrive
 /// from the reactor, run here one at a time, and each result wakes the
 /// reactor. Serialising them on one thread keeps `RUN` semantics identical
@@ -626,11 +620,6 @@ impl Reactor {
                         }
                         // Deferred verbs re-enter the queue at the front
                         // and resolve on subsequent iterations/sweeps.
-                        Request::Drain => state.slots.push_front(Slot::Deferred(
-                            submit(&self.executor, Box::new(drain)),
-                            kind,
-                            stamp,
-                        )),
                         Request::Offload(task) => state.slots.push_front(Slot::Deferred(
                             submit(&self.executor, task),
                             kind,
@@ -728,6 +717,7 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::drain;
     use std::time::Duration;
 
     #[test]

@@ -7,8 +7,8 @@
 //!    registered once under a name, each claiming its cache namespace in
 //!    the engine's guard for its substrate's fingerprint;
 //! 2. **submit** — clients enqueue runs by name and get a [`Ticket`];
-//! 3. **schedule** — queued runs are ordered by the cost-aware,
-//!    namespace-grouped scheduler so cache-warming runs go first;
+//! 3. **drain** — a drain runs the queued runs one at a time, in
+//!    submission order;
 //! 4. **run** — each run's search valuates its own start states in its
 //!    first wave, so what a run trains is paid for in its own cost;
 //! 5. **snapshot** — the shared cache persists to disk on demand and a
@@ -27,7 +27,6 @@ use modis_engine::{
 };
 
 use crate::error::ServiceError;
-use crate::scheduler::{CostModel, CostScheduler, QueuedRequest};
 use crate::snapshot;
 
 /// Service configuration.
@@ -71,7 +70,7 @@ pub struct Ticket(pub u64);
 /// Lifecycle of a submitted run.
 #[derive(Debug, Clone)]
 pub enum JobState {
-    /// Waiting in the scheduler queue.
+    /// Waiting in the run queue.
     Queued,
     /// Currently executing on the engine.
     Running,
@@ -89,11 +88,24 @@ impl JobState {
     }
 }
 
+/// One queued run request.
+struct QueuedRequest {
+    ticket: u64,
+    /// Registered scenario name.
+    scenario: String,
+    /// When the request was enqueued (feeds the queue-wait histogram).
+    submitted_at: Instant,
+    /// The trace context the request arrived under: carried through the
+    /// queue onto the executor thread so the job's spans (queue wait, run,
+    /// scenario, waves) stitch into the submitter's trace.
+    trace: TraceContext,
+}
+
 struct Inner {
     /// Registered scenarios by name; entries are never removed.
     scenarios: HashMap<String, Scenario>,
-    scheduler: CostScheduler,
-    costs: CostModel,
+    /// The run queue, in submission order.
+    queue: VecDeque<QueuedRequest>,
     jobs: HashMap<u64, JobState>,
     /// Finished tickets in completion order, for bounded retention.
     completed: VecDeque<u64>,
@@ -101,7 +113,6 @@ struct Inner {
     /// completed-outcome retention window so the map stays bounded.
     traces: HashMap<u64, u64>,
     next_ticket: u64,
-    next_seq: u64,
 }
 
 impl Inner {
@@ -171,7 +182,7 @@ impl ServiceMetrics {
         ServiceMetrics {
             queue_depth: metrics.gauge(
                 "service_queue_depth",
-                "Run requests currently waiting in the cost-aware scheduler.",
+                "Run requests currently waiting in the run queue.",
             ),
             jobs_submitted: metrics.counter(
                 "service_jobs_submitted_total",
@@ -205,9 +216,6 @@ pub struct Service {
     started: Instant,
 }
 
-/// EWMA weight of the newest cost observation ([`CostModel::new`]).
-const COST_SMOOTHING: f64 = 0.5;
-
 impl Service {
     /// Creates a service with a cold cache.
     pub fn new(config: ServiceConfig) -> Self {
@@ -216,13 +224,11 @@ impl Service {
         Service {
             inner: Mutex::new(Inner {
                 scenarios: HashMap::new(),
-                scheduler: CostScheduler::new(),
-                costs: CostModel::new(COST_SMOOTHING),
+                queue: VecDeque::new(),
                 jobs: HashMap::new(),
                 completed: VecDeque::new(),
                 traces: HashMap::new(),
                 next_ticket: 1,
-                next_seq: 0,
             }),
             engine,
             config,
@@ -327,6 +333,28 @@ impl Service {
         name: &str,
         ctx: TraceContext,
     ) -> Result<Ticket, ServiceError> {
+        Ok(self.enqueue(&[name], || ctx)?[0])
+    }
+
+    /// Enqueues several runs at once, returning tickets in input order. All
+    /// or nothing: every name is checked before any run is enqueued, and
+    /// a shutdown either comes after all of them or rejects all of them.
+    pub fn submit_many<'a>(
+        &self,
+        names: impl IntoIterator<Item = &'a str>,
+    ) -> Result<Vec<Ticket>, ServiceError> {
+        let names: Vec<&str> = names.into_iter().collect();
+        let tracer = self.engine.tracer();
+        self.enqueue(&names, || tracer.mint_context())
+    }
+
+    /// Checks the stop flag and every name, then appends one run per name
+    /// to the queue under `trace()`, all under one `Inner` lock.
+    fn enqueue(
+        &self,
+        names: &[&str],
+        mut trace: impl FnMut() -> TraceContext,
+    ) -> Result<Vec<Ticket>, ServiceError> {
         let mut inner = self.lock();
         // Checked *under* the inner lock: shutdown() also takes it while
         // setting the flag, so a submission either completes before the
@@ -335,44 +363,29 @@ impl Service {
         if self.is_stopped() {
             return Err(ServiceError::Stopped);
         }
-        let registered = inner.require(name)?;
-        let namespace = registered.namespace().to_string();
-        // Prior before the first observation: the configured state budget —
-        // an upper bound on paid valuations, comparable across scenarios.
-        let prior = registered.config.max_states as f64;
-        let estimated_cost = inner.costs.estimate(name, prior);
-        let ticket = Ticket(inner.next_ticket);
-        inner.next_ticket += 1;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.scheduler.push(QueuedRequest {
-            ticket: ticket.0,
-            scenario: name.to_string(),
-            namespace,
-            seq,
-            estimated_cost,
-            bypassed: 0,
-            submitted_at: Instant::now(),
-            trace: ctx,
-        });
-        inner.jobs.insert(ticket.0, JobState::Queued);
-        inner.traces.insert(ticket.0, ctx.trace_id);
-        self.metrics.jobs_submitted.inc();
-        self.metrics.queue_depth.set(inner.scheduler.len() as i64);
-        Ok(ticket)
-    }
-
-    /// Enqueues several runs at once, returning tickets in input order. All
-    /// or nothing: every name is checked before any run is enqueued.
-    pub fn submit_many<'a>(
-        &self,
-        names: impl IntoIterator<Item = &'a str>,
-    ) -> Result<Vec<Ticket>, ServiceError> {
-        let names: Vec<&str> = names.into_iter().collect();
-        for name in &names {
-            self.lock().require(name)?;
+        for name in names {
+            inner.require(name)?;
         }
-        names.into_iter().map(|n| self.submit(n)).collect()
+        let tickets = names
+            .iter()
+            .map(|name| {
+                let ticket = inner.next_ticket;
+                inner.next_ticket += 1;
+                let trace = trace();
+                inner.queue.push_back(QueuedRequest {
+                    ticket,
+                    scenario: name.to_string(),
+                    submitted_at: Instant::now(),
+                    trace,
+                });
+                inner.jobs.insert(ticket, JobState::Queued);
+                inner.traces.insert(ticket, trace.trace_id);
+                Ticket(ticket)
+            })
+            .collect();
+        self.metrics.jobs_submitted.add(names.len() as u64);
+        self.metrics.queue_depth.set(inner.queue.len() as i64);
+        Ok(tickets)
     }
 
     /// The current state of a submitted run.
@@ -393,10 +406,10 @@ impl Service {
 
     /// Number of runs waiting in the queue.
     pub fn pending(&self) -> usize {
-        self.lock().scheduler.len()
+        self.lock().queue.len()
     }
 
-    /// Drains the queue: executes every queued run in scheduler order on
+    /// Drains the queue: executes every queued run in submission order on
     /// the calling thread. Returns the number of runs executed.
     ///
     /// This is the one drain path: a `RUN` calls it on the daemon's
@@ -407,10 +420,10 @@ impl Service {
         loop {
             let (request, scenario) = {
                 let mut inner = self.lock();
-                let Some(request) = inner.scheduler.pop() else {
+                let Some(request) = inner.queue.pop_front() else {
                     break;
                 };
-                self.metrics.queue_depth.set(inner.scheduler.len() as i64);
+                self.metrics.queue_depth.set(inner.queue.len() as i64);
                 let scenario = match inner.scenarios.get(&request.scenario) {
                     Some(registered) => registered.clone(),
                     // Scenarios are never removed, so a queued name always
@@ -438,31 +451,8 @@ impl Service {
             drop(job_span);
             self.metrics.job_run_us.record_duration(run_start.elapsed());
             self.metrics.jobs_completed.inc();
-            let observed = outcome.valuation_cost() as f64;
-            // Predicted-vs-observed cost accounting per namespace: the
-            // scheduler's whole premise is that EWMA estimates track real
-            // paid cost, so expose both sides of that bet.
-            let registry = self.engine.metrics();
-            let labels = [("namespace", request.namespace.as_str())];
-            registry
-                .counter_with(
-                    "service_predicted_cost_total",
-                    "Scheduler-estimated paid valuation cost of executed jobs, per namespace.",
-                    &labels,
-                )
-                .add(request.estimated_cost.max(0.0).round() as u64);
-            registry
-                .counter_with(
-                    "service_observed_cost_total",
-                    "Observed paid valuation cost of executed jobs, per namespace.",
-                    &labels,
-                )
-                .add(observed.max(0.0).round() as u64);
-            {
-                let mut inner = self.lock();
-                inner.costs.observe(&request.scenario, observed);
-                inner.finish_job(request.ticket, outcome, self.config.completed_retention);
-            }
+            self.lock()
+                .finish_job(request.ticket, outcome, self.config.completed_retention);
             // End-to-end latency (wait + run) against the slow threshold:
             // the trace id is enough to stitch the full timeline later.
             let total = request.submitted_at.elapsed();
@@ -708,6 +698,17 @@ mod tests {
         let service = mock_service();
         service.shutdown();
         assert!(matches!(service.submit("apx"), Err(ServiceError::Stopped)));
+    }
+
+    #[test]
+    fn submit_many_after_shutdown_enqueues_nothing() {
+        let service = mock_service();
+        service.shutdown();
+        assert!(matches!(
+            service.submit_many(["apx", "bi", "div"]),
+            Err(ServiceError::Stopped)
+        ));
+        assert_eq!(service.pending(), 0);
     }
 
     fn mock_scenario(name: &str, units: usize, namespace: &str) -> Scenario {

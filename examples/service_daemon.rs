@@ -29,8 +29,8 @@ fn register_scenarios(service: &Service) {
         .with_max_states(25)
         .with_max_level(3)
         .with_estimator(EstimatorMode::Oracle);
-    // Scenarios over one pool share a cache namespace: the cost-aware
-    // scheduler runs the cheapest first, warming the cache for the rest.
+    // Scenarios over one pool share a cache namespace: the first to run
+    // warms the cache, and the rest answer from it.
     let scenarios = vec![
         Scenario::new("t1/apx", t1.clone(), Algorithm::Apx, fast.clone())
             .with_cache_namespace("t1-pool"),

@@ -214,8 +214,7 @@ fn suite_with_shared_pool_reports_cache_hits() {
 
     let outcomes = serve(&service, &algorithms.map(|alg| alg.name()));
 
-    // Each ticket answers the scenario it named, whatever order the
-    // scheduler ran them in.
+    // Each ticket answers the scenario it named.
     for (outcome, alg) in outcomes.iter().zip(algorithms) {
         assert_eq!(outcome.algorithm, alg);
         assert!(!outcome.result.is_empty(), "{}: a skyline", outcome.name);
