@@ -1564,6 +1564,125 @@ fn a_refused_forward_is_one_failure_and_no_retry() {
     router.stop();
 }
 
+/// The value of `router_heartbeat_misses_total{shard="s0"}`.
+fn s0_misses(router: &Router) -> u64 {
+    let prefix = "router_heartbeat_misses_total{shard=\"s0\"} ";
+    let lines = router.metrics().render();
+    let line = lines.iter().find_map(|l| l.strip_prefix(prefix));
+    line.and_then(|n| n.parse().ok()).unwrap_or(0)
+}
+
+/// A shard that answers every forwarded line at once but never answers
+/// a bare `PING` is alive: each reply line its link delivers counts as a
+/// successful exchange, so while a client keeps requests flowing the
+/// heartbeat's missed probes never add up to `heartbeat_misses` (the
+/// default 3). The breaker stays closed and no reply reads `circuit
+/// open`, though more probes than that miss meanwhile.
+#[test]
+fn a_shard_that_answers_is_not_declared_dead() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let shard = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut line = String::new();
+                // A probe's bare `PING` is read and left unanswered until
+                // the router gives up on it and hangs up.
+                while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                    if line.starts_with("CTX ") && stream.write_all(b"TICKET 7\n").is_err() {
+                        return;
+                    }
+                    line.clear();
+                }
+            });
+        }
+    });
+    let config = RouterConfig {
+        heartbeat_interval: Duration::from_millis(20),
+        heartbeat_timeout: Duration::from_millis(100),
+        ..RouterConfig::default()
+    };
+    let misses = u64::from(config.heartbeat_misses);
+    let (router, mut writer, mut reader) = fake_cluster(shard, config);
+    let start = Instant::now();
+    let mut replies = 0;
+    while start.elapsed() < Duration::from_secs(1) || s0_misses(&router) < misses {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the heartbeat missed only {} probes",
+            s0_misses(&router)
+        );
+        writer.write_all(b"SUBMIT scen\n").unwrap();
+        let reply = recv(&mut reader);
+        assert!(reply.starts_with("TICKET "), "reply {replies}: {reply}");
+        let state = router.circuit_state("s0");
+        assert_eq!(state, CircuitState::Closed, "after {replies} replies");
+        replies += 1;
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    router.stop();
+}
+
+/// With `heartbeat_misses: 1`, a link that closes with a forward owed
+/// declares the shard down, and from then on only the heartbeat dials
+/// it: the one re-dispatch and a request made half a second later both
+/// fail fast with `circuit open`, and the shard sees no second forwarded
+/// connection.
+#[test]
+fn an_open_shard_is_never_dialled_by_a_request() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let shard = listener.local_addr().unwrap();
+    let (probes, dials) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let (probed, dialled) = (Arc::clone(&probes), Arc::clone(&dials));
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            let _ = reader.read_line(&mut line);
+            if line != "PING\n" {
+                // A forwarded line: the connection closes with its reply
+                // owed.
+                dialled.fetch_add(1, Ordering::SeqCst);
+                continue;
+            }
+            let _ = stream.write_all(b"PONG\n");
+            // A probe counts once the router has read its PONG and hung up.
+            let _ = reader.read_line(&mut line);
+            probed.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+    let config = RouterConfig {
+        heartbeat_interval: Duration::from_secs(3600),
+        heartbeat_misses: 1,
+        ..RouterConfig::default()
+    };
+    let (router, mut writer, mut reader) = fake_cluster(shard, config);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while probes.load(Ordering::SeqCst) == 0 {
+        assert!(Instant::now() < deadline, "the first heartbeat never ran");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // The heartbeat records the probe just after the shard sees it.
+    std::thread::sleep(Duration::from_millis(20));
+    let open = "ERR shard s0 unavailable (circuit open)";
+    writer.write_all(b"SUBMIT scen\n").unwrap();
+    assert_eq!(recv(&mut reader), open, "the re-dispatch fails fast");
+    assert_eq!(router.circuit_state("s0"), CircuitState::Open);
+    std::thread::sleep(Duration::from_millis(500));
+    writer.write_all(b"SUBMIT scen\n").unwrap();
+    assert_eq!(recv(&mut reader), open);
+    assert_eq!(
+        dials.load(Ordering::SeqCst),
+        1,
+        "a request dialled a down shard"
+    );
+    assert_eq!(router.circuit_state("s0"), CircuitState::Open);
+    router.stop();
+}
+
 /// A shard that accepts but stops reading: the requests one client
 /// pipelines at it queue in the router only up to `MAX_PIPELINED` — then
 /// that client stops being read — while a second client is served as if
