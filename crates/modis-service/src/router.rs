@@ -36,14 +36,16 @@
 //!   persists every shard to `<path>.<shard>` and removes the partial
 //!   per-shard files when the fan-in fails, and the counted verbs merge
 //!   every shard's lines under a `shard=` label.
-//! * **Heartbeats and circuit breakers** — a background thread `PING`s
-//!   every shard each [`RouterConfig::heartbeat_interval`], feeding a
-//!   per-shard breaker that consecutive failures open and two consecutive
-//!   successes close (closed → open → half-open → closed, exposed as
-//!   `router_circuit_state`). A forward makes one attempt while the
-//!   breaker allows — never a sleep on the front thread — and fails fast
-//!   (`circuit open`) once a shard is declared dead, so no request ever
-//!   hangs on a corpse.
+//! * **Heartbeats and health** — a background thread `PING`s every shard
+//!   each [`RouterConfig::heartbeat_interval`]. A shard is up or down by
+//!   one count, its consecutive failed exchanges: a probe, a reply line
+//!   its pooled link delivers, a forward's connect or write and every
+//!   blocking one-shot exchange each count. It is down once the count
+//!   reaches [`RouterConfig::heartbeat_misses`] and up again after one
+//!   successful exchange (exposed as `router_circuit_state`). A forward
+//!   makes one attempt — never a sleep on the front thread — and fails
+//!   fast (`circuit open`) while a shard is down, so no request ever
+//!   hangs on a corpse, and only the heartbeat dials a down shard.
 //! * **Replication shipping over the wire** — the router remembers, per
 //!   `(replica, namespace)`, the shard the copy came from and the cursor
 //!   of that shard's cache it reached. After each completed `RUN` it asks
@@ -61,7 +63,7 @@
 //!   ` degraded=<shard>` marker, `STATS` appends `degraded=<shards>`, and
 //!   a `METRICS` scrape annotates dead shards — degraded service is
 //!   visible, never silent. [`Router::set_shard_addr`] still rewires a
-//!   restarted shard and resets its breaker.
+//!   restarted shard and resets its health.
 //! * **`WAIT` across shards** — the router splits the ticket list per
 //!   owning shard, forwards per-shard `WAIT`s, and streams the merged
 //!   `DONE` lines back in arrival order (≈ cluster-wide completion
@@ -82,8 +84,8 @@
 //! client that does not read its responses stops being read (and stalls
 //! nobody else), and with nothing ready the thread sleeps in one poller
 //! wait with no timeout. Two things still block the front thread, and
-//! with it every client: `forward` opens a shard connection with a
-//! blocking connect under `CONNECT_TIMEOUT` (2 s), and re-homing a ticket
+//! with it every client: `forward` opens a connection to an up shard with
+//! a blocking connect under `CONNECT_TIMEOUT` (2 s), and re-homing a ticket
 //! (`RouterInner::failover_ticket`, on the `POLL`/`RESULT` path and in
 //! `forward_waits`) runs a blocking one-shot `SUBMIT` and then `RUN` on
 //! each candidate replica, each exchange costing up to `CONNECT_TIMEOUT`
@@ -115,8 +117,8 @@ const HEARTBEAT_MISS_HELP: &str = "Heartbeat probes (PING) a shard failed to ans
 /// Help text of the `router_failovers_total{shard}` counter.
 const FAILOVER_HELP: &str = "Requests transparently re-routed away from this shard to a replica.";
 /// Help text of the `router_circuit_state{shard}` gauge.
-const CIRCUIT_HELP: &str = "Per-shard circuit breaker state: 0 = closed (healthy), \
-     1 = half-open (probing), 2 = open (declared dead).";
+const CIRCUIT_HELP: &str =
+    "Per-shard circuit breaker state: 0 = closed (healthy), 2 = open (declared dead).";
 
 /// Connect timeout for shard connections.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
@@ -143,13 +145,10 @@ pub struct RouterConfig {
     /// Connect + read timeout of one heartbeat probe. A probe that blows
     /// this deadline counts as a miss.
     pub heartbeat_timeout: Duration,
-    /// Consecutive failures (heartbeat misses or forward errors) after
-    /// which a shard's circuit breaker opens and the shard is declared
-    /// dead.
+    /// Consecutive failed exchanges with a shard (heartbeat probes, reply
+    /// lines its links owe, forwards and one-shot exchanges alike) after
+    /// which it is declared dead. One successful exchange brings it back.
     pub heartbeat_misses: u32,
-    /// How long an open circuit stays fail-fast before it turns half-open
-    /// and lets requests through again.
-    pub open_cooldown: Duration,
 }
 
 impl Default for RouterConfig {
@@ -159,95 +158,42 @@ impl Default for RouterConfig {
             heartbeat_interval: Duration::from_millis(150),
             heartbeat_timeout: Duration::from_millis(250),
             heartbeat_misses: 3,
-            open_cooldown: Duration::from_millis(400),
         }
     }
 }
 
-/// One shard's circuit breaker position, exposed per shard as the
+/// Whether a shard is up or down, exposed per shard as the
 /// `router_circuit_state` gauge (whose value is the discriminant) and via
 /// [`Router::circuit_state`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CircuitState {
-    /// Healthy: requests flow normally.
+    /// Up: requests flow normally.
     Closed = 0,
-    /// Probing: once the open cooldown has elapsed, requests go through
-    /// again; two consecutive successes close the breaker, and any failure
-    /// re-opens it.
-    HalfOpen = 1,
-    /// Declared dead: requests fail fast without touching the socket
-    /// until the cooldown elapses.
+    /// Declared dead: requests that need the shard fail fast, and only
+    /// the heartbeat dials it until an exchange succeeds.
     Open = 2,
 }
 
-/// Consecutive successes (probes or forwards) that close a non-closed
-/// breaker, however many failures came before them.
-const CLOSE_STREAK: u32 = 2;
-
-/// Health book-keeping for one shard: the breaker state, the consecutive
-/// miss count that opens it, and the consecutive success count that
-/// closes it again (two, from any depth).
-#[derive(Debug, Clone)]
-struct ShardHealth {
-    state: CircuitState,
-    misses: u32,
-    successes: u32,
-    opened_at: Option<Instant>,
-}
-
-impl Default for ShardHealth {
-    fn default() -> Self {
-        ShardHealth {
-            state: CircuitState::Closed,
-            misses: 0,
-            successes: 0,
-            opened_at: None,
+impl CircuitState {
+    /// The state of a shard with `failures` consecutive failed exchanges
+    /// when `threshold` of them declare it dead.
+    fn of(failures: u32, threshold: u32) -> CircuitState {
+        if failures >= threshold {
+            CircuitState::Open
+        } else {
+            CircuitState::Closed
         }
     }
 }
 
-impl ShardHealth {
-    /// A successful probe or forward: resets the miss streak, extends the
-    /// success streak, and closes a non-closed breaker once that streak
-    /// reaches [`CLOSE_STREAK`].
-    fn on_success(&mut self) {
-        self.misses = 0;
-        self.successes = self.successes.saturating_add(1);
-        if self.state != CircuitState::Closed && self.successes >= CLOSE_STREAK {
-            self.state = CircuitState::Closed;
-            self.opened_at = None;
-        }
-    }
-
-    /// A failed probe or forward: resets the success streak; `threshold`
-    /// consecutive misses open a closed breaker, and any failure while it
-    /// is half-open re-opens it immediately.
-    fn on_failure(&mut self, threshold: u32) {
-        self.misses = self.misses.saturating_add(1);
-        self.successes = 0;
-        let trips = match self.state {
-            CircuitState::Closed => self.misses >= threshold,
-            CircuitState::HalfOpen => true,
-            CircuitState::Open => false,
-        };
-        if trips {
-            self.state = CircuitState::Open;
-            self.opened_at = Some(Instant::now());
-        }
-    }
-
-    /// Whether a request may touch the socket right now. An open breaker
-    /// turns half-open once `cooldown` has elapsed since it opened, and a
-    /// half-open one admits every request until one fails.
-    fn allow_attempt(&mut self, cooldown: Duration) -> bool {
-        if self.state == CircuitState::Open {
-            if self.opened_at.is_some_and(|at| at.elapsed() < cooldown) {
-                return false;
-            }
-            self.state = CircuitState::HalfOpen;
-        }
-        true
-    }
+/// Applies one exchange's outcome to a shard's count of consecutive
+/// failed exchanges: a success clears it, a failure adds one. Returns the
+/// shard's new state when the exchange flipped it between up and down.
+fn tally(failures: &mut u32, ok: bool, threshold: u32) -> Option<CircuitState> {
+    let before = CircuitState::of(*failures, threshold);
+    *failures = if ok { 0 } else { failures.saturating_add(1) };
+    let after = CircuitState::of(*failures, threshold);
+    (after != before).then_some(after)
 }
 
 /// Decodes the lowercase-hex payload of a `SHIPMENT` reply.
@@ -452,9 +398,8 @@ struct RouterInner {
     reconnects: Arc<Counter>,
     /// Shard-local ticket ids remapped to cluster-wide ids.
     remaps: Arc<Counter>,
-    /// Per-shard breaker state and failure / success streaks, fed by
-    /// heartbeats and forwards.
-    health: Mutex<HashMap<String, ShardHealth>>,
+    /// Per member shard, its count of consecutive failed exchanges.
+    health: Mutex<HashMap<String, u32>>,
     /// Where each replica's copy reaches, and whether a sync is owed.
     replication: Mutex<ReplicationState>,
     /// The router's own span recorder: per-client trace roots, forward
@@ -481,9 +426,18 @@ impl RouterInner {
         owners.iter().map(|s| s.to_string()).collect()
     }
 
-    /// Pre-registers every per-shard family so scrapes see them (at zero)
-    /// from the first exposition, not only after the first event.
-    fn register_shard_metrics(&self, shard: &str) {
+    /// The count of consecutive failed exchanges that declares a shard
+    /// dead.
+    fn threshold(&self) -> u32 {
+        self.config.heartbeat_misses.max(1)
+    }
+
+    /// Starts `shard` up with no failure on record, and pre-registers
+    /// every per-shard family so scrapes see them (at zero) from the first
+    /// exposition, not only after the first event.
+    fn admit_shard(&self, shard: &str) {
+        let mut health = lock(&self.health);
+        health.insert(shard.to_string(), 0);
         self.publish_circuit(shard, CircuitState::Closed);
         let _ = self.miss_counter(shard);
         let _ = self.failover_counter(shard);
@@ -512,71 +466,64 @@ impl RouterInner {
             .set(state as i64);
     }
 
-    /// Applies `update` to `shard`'s health record, then publishes the
-    /// breaker position it left.
-    fn with_health<R>(&self, shard: &str, update: impl FnOnce(&mut ShardHealth) -> R) -> R {
-        let (result, state) = {
-            let mut health = lock(&self.health);
-            let entry = health.entry(shard.to_string()).or_default();
-            (update(entry), entry.state)
+    /// Records one exchange with `shard`: one lookup under the health
+    /// lock, and the state gauge published only when the exchange flips
+    /// the shard between up and down. A shard that is not a member (it
+    /// left, or is still joining) has no count to keep.
+    fn note(&self, shard: &str, ok: bool) {
+        let threshold = self.threshold();
+        let mut health = lock(&self.health);
+        let Some(failures) = health.get_mut(shard) else {
+            return;
         };
-        self.publish_circuit(shard, state);
-        result
-    }
-
-    /// Records a successful probe or forward against `shard`.
-    fn note_success(&self, shard: &str) {
-        self.with_health(shard, ShardHealth::on_success);
-    }
-
-    /// Records a failed probe (`heartbeat_miss = true`, counted in the
-    /// miss family) or a failed forward against `shard`.
-    fn note_failure(&self, shard: &str, heartbeat_miss: bool) {
-        if heartbeat_miss {
-            self.miss_counter(shard).inc();
+        if let Some(state) = tally(failures, ok, threshold) {
+            self.publish_circuit(shard, state);
         }
-        let threshold = self.config.heartbeat_misses.max(1);
-        self.with_health(shard, |health| health.on_failure(threshold));
     }
 
-    /// Whether a request may be attempted against `shard` right now
-    /// (possibly flipping an expired open breaker to half-open).
-    fn allow_attempt(&self, shard: &str) -> bool {
-        let cooldown = self.config.open_cooldown;
-        self.with_health(shard, |health| health.allow_attempt(cooldown))
+    /// Records a successful exchange with `shard`: it is up again.
+    fn note_success(&self, shard: &str) {
+        self.note(shard, true);
     }
 
-    /// Whether `shard` is currently declared unhealthy (breaker not
-    /// closed).
+    /// Records a failed exchange with `shard`.
+    fn note_failure(&self, shard: &str) {
+        self.note(shard, false);
+    }
+
+    /// Whether `shard` is currently declared dead.
     fn shard_down(&self, shard: &str) -> bool {
+        let threshold = self.threshold();
         lock(&self.health)
             .get(shard)
-            .is_some_and(|h| h.state != CircuitState::Closed)
+            .is_some_and(|&failures| failures >= threshold)
     }
 
-    /// The sorted names of shards currently declared unhealthy.
+    /// The sorted names of shards currently declared dead.
     fn degraded_shards(&self) -> Vec<String> {
+        let threshold = self.threshold();
         let mut names: Vec<String> = lock(&self.health)
             .iter()
-            .filter(|(_, h)| h.state != CircuitState::Closed)
+            .filter(|(_, &failures)| failures >= threshold)
             .map(|(name, _)| name.clone())
             .collect();
         names.sort();
         names
     }
 
-    /// Forgets `shard`'s health and the cursors of its copies, and makes a
-    /// sync due — the recovery path after a rewire (the new process starts
-    /// from its snapshot; its copies are synced again from `0`).
+    /// Forgets `shard`'s failures and the cursors of its copies, and makes
+    /// a sync due — the recovery path after a rewire (the new process
+    /// starts from its snapshot; its copies are synced again from `0`).
     fn reset_health(&self, shard: &str) {
-        lock(&self.health).insert(shard.to_string(), ShardHealth::default());
-        self.publish_circuit(shard, CircuitState::Closed);
+        self.admit_shard(shard);
         let mut rep = lock(&self.replication);
         rep.synced.retain(|(replica, _), _| replica != shard);
         rep.due = true;
     }
 
-    /// [`one_shot`] against a shard daemon under the lifecycle timeouts.
+    /// [`one_shot`] against a shard daemon under the lifecycle timeouts —
+    /// the one place lifecycle, sync and failover exchanges feed `shard`'s
+    /// health: any reply line is a success.
     fn ask(
         &self,
         shard: &str,
@@ -584,8 +531,16 @@ impl RouterInner {
         head: &str,
         payload: &[u8],
     ) -> Result<String, ServiceError> {
-        one_shot(addr, CONNECT_TIMEOUT, SHIP_TIMEOUT, head, payload)
-            .map_err(|err| unavailable(shard, err))
+        match one_shot(addr, CONNECT_TIMEOUT, SHIP_TIMEOUT, head, payload) {
+            Ok(reply) => {
+                self.note_success(shard);
+                Ok(reply)
+            }
+            Err(err) => {
+                self.note_failure(shard);
+                Err(unavailable(shard, err))
+            }
+        }
     }
 
     /// Exports what `namespaces` recorded on a shard after `after` over
@@ -767,10 +722,7 @@ impl RouterInner {
                 &[],
             ) {
                 Ok(reply) => reply,
-                Err(_) => {
-                    self.note_failure(&name, false);
-                    continue;
-                }
+                Err(_) => continue,
             };
             let Some(local) = submitted
                 .strip_prefix("TICKET ")
@@ -904,7 +856,7 @@ impl Router {
             front_waits: std::sync::atomic::AtomicU64::new(0),
         });
         for shard in &lock(&inner.topology).shards {
-            inner.register_shard_metrics(&shard.name);
+            inner.admit_shard(&shard.name);
         }
         // The front thread's poller and wakeup channel are built here so
         // a failure surfaces as a bind error instead of a silently dead
@@ -980,12 +932,12 @@ impl Router {
         self.inner.owners(namespace)
     }
 
-    /// The current circuit-breaker position of `shard` as seen by the
-    /// heartbeat/forward machinery ([`CircuitState::Closed`] for a shard
-    /// that has never failed).
+    /// Whether `shard` is up or down by its count of consecutive failed
+    /// exchanges ([`CircuitState::Closed`] for a shard that is not a
+    /// member).
     pub fn circuit_state(&self, shard: &str) -> CircuitState {
-        let health = lock(&self.inner.health);
-        health.get(shard).map_or(CircuitState::Closed, |h| h.state)
+        let failures = lock(&self.inner.health).get(shard).copied();
+        CircuitState::of(failures.unwrap_or(0), self.inner.threshold())
     }
 
     /// Syncs every live replica with its namespace's primary now, without
@@ -1033,7 +985,7 @@ impl Router {
         });
         topology.map = after;
         drop(topology);
-        self.inner.register_shard_metrics(name);
+        self.inner.admit_shard(name);
         Ok(shipped)
     }
 
@@ -1191,8 +1143,8 @@ fn replica_plan(
 }
 
 /// The heartbeat thread: probes every shard each interval — connect,
-/// `PING`, expect `PONG`, all under the heartbeat timeout — feeding the
-/// breakers, then syncs the replicas while a sync is due, then parks
+/// `PING`, expect `PONG`, all under the heartbeat timeout — each probe
+/// one exchange of the shard's health, then syncs the replicas while a sync is due, then parks
 /// until the next interval or [`Router::stop`].
 fn heartbeat_loop(inner: Arc<RouterInner>) {
     let timeout = inner.config.heartbeat_timeout.max(Duration::from_millis(1));
@@ -1208,7 +1160,10 @@ fn heartbeat_loop(inner: Arc<RouterInner>) {
             }
             match one_shot(addr, timeout, timeout, "PING", &[]) {
                 Ok(reply) if reply == "PONG" => inner.note_success(&name),
-                _ => inner.note_failure(&name, true),
+                _ => {
+                    inner.note_failure(&name);
+                    inner.miss_counter(&name).inc();
+                }
             }
         }
         if inner.k() > 1 && lock(&inner.replication).due && !inner.stop.load(Ordering::SeqCst) {
@@ -1881,7 +1836,7 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
                 return Expect::Local("ERR cluster has no shards".into());
             };
             // Highest-ranked live owner first; when every owner is down,
-            // still try the primary so the client gets a concrete error.
+            // the primary's forward answers the error (`circuit open`).
             let mut candidates: Vec<String> = owners
                 .iter()
                 .filter(|o| !inner.shard_down(o))
@@ -2261,10 +2216,10 @@ fn field_of(line: &str, key: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Sends one line to `shard` in one attempt, gated by the shard's circuit
-/// breaker (an open circuit fails fast without touching the socket). A
-/// connection the shard refuses, or a fresh link that fails its write, is
-/// one breaker failure and an error at once; only a pooled link that fails
+/// Sends one line to `shard` in one attempt unless it is down (then it
+/// fails fast without touching the socket: only the heartbeat dials a
+/// down shard). A connection the shard refuses, or a fresh link that
+/// fails its write, is one failed exchange and an error at once; only a pooled link that fails
 /// its write (stale: the shard restarted) is replaced, once and at once.
 /// Retrying lives above the forward: an expectation re-dispatches a lost
 /// reply once, `SUBMIT` walks the live owners and a ticket fails over.
@@ -2288,7 +2243,7 @@ fn forward(route: &mut Route<'_>, shard: &str, line: &str) -> Result<u64, String
         route.drop_link(shard);
         inner.reconnects.inc();
     }
-    if !inner.allow_attempt(shard) {
+    if inner.shard_down(shard) {
         return Err(unavailable("circuit open"));
     }
     let mut pooled = route.link(shard).is_some();
@@ -2298,7 +2253,7 @@ fn forward(route: &mut Route<'_>, shard: &str, line: &str) -> Result<u64, String
                 .and_then(Conn::new)
                 .and_then(|conn| route.open(shard, addr, conn));
             if let Err(err) = connected {
-                inner.note_failure(shard, false);
+                inner.note_failure(shard);
                 return Err(unavailable(&err.to_string()));
             }
         }
@@ -2318,7 +2273,7 @@ fn forward(route: &mut Route<'_>, shard: &str, line: &str) -> Result<u64, String
                 route.drop_link(shard);
                 inner.reconnects.inc();
                 if !pooled {
-                    inner.note_failure(shard, false);
+                    inner.note_failure(shard);
                     return Err(unavailable(&err.to_string()));
                 }
                 pooled = false;
@@ -2390,13 +2345,16 @@ fn resolve_head(route: &mut Route<'_>, expects: &mut VecDeque<Expect>, client: &
                     while !parts[i].done() {
                         let part = &mut parts[i];
                         match poll_shard(route, &part.shard, part.epoch) {
-                            Polled::Line(line) => part.take(reply, line, client),
+                            Polled::Line(line) => {
+                                inner.note_success(&part.shard);
+                                part.take(reply, line, client);
+                            }
                             Polled::Pending => {
                                 pending = true;
                                 break;
                             }
                             Polled::Dead => {
-                                inner.note_failure(&part.shard, false);
+                                inner.note_failure(&part.shard);
                                 part.failed = Some(format!(
                                     "ERR shard {} unavailable (connection lost)",
                                     part.shard
@@ -2500,42 +2458,72 @@ mod tests {
     use std::io::Read;
 
     #[test]
-    fn circuit_breaker_walks_closed_open_half_open_closed() {
+    fn circuit_breaker_walks_closed_open_closed() {
         for threshold in 1..=4 {
-            let mut health = ShardHealth::default();
-            assert_eq!(health.state, CircuitState::Closed);
+            let mut failures = 0;
             for _ in 1..threshold {
-                health.on_failure(threshold);
-                assert_eq!(health.state, CircuitState::Closed, "below {threshold}");
+                assert_eq!(
+                    tally(&mut failures, false, threshold),
+                    None,
+                    "below {threshold}"
+                );
             }
-            health.on_failure(threshold);
-            assert_eq!(health.state, CircuitState::Open, "{threshold} reached");
-            assert!(
-                !health.allow_attempt(Duration::from_secs(3600)),
-                "open circuit fails fast inside the cooldown"
-            );
-            assert!(
-                health.allow_attempt(Duration::ZERO),
-                "cooldown elapsed: a trial goes through"
-            );
-            assert_eq!(health.state, CircuitState::HalfOpen);
-            health.on_failure(threshold);
-            assert_eq!(health.state, CircuitState::Open, "failed trial re-opens");
-            assert!(health.allow_attempt(Duration::ZERO));
-            health.on_success();
-            assert_eq!(
-                health.state,
-                CircuitState::HalfOpen,
-                "one success is not enough to close (threshold {threshold})"
-            );
-            health.on_success();
-            assert_eq!(
-                health.state,
-                CircuitState::Closed,
-                "two consecutive successes close the breaker"
-            );
-            assert_eq!(health.misses, 0);
+            let opened = tally(&mut failures, false, threshold);
+            assert_eq!(opened, Some(CircuitState::Open), "{threshold} reached");
+            assert_eq!(tally(&mut failures, false, threshold), None, "stays open");
+            let closed = tally(&mut failures, true, threshold);
+            assert_eq!(closed, Some(CircuitState::Closed), "one success closes");
+            assert_eq!(failures, 0);
+            assert_eq!(tally(&mut failures, true, threshold), None, "stays closed");
         }
+    }
+
+    /// Only a note that flips a member shard between up and down moves
+    /// its state gauge, and a note on a shard that is not a member
+    /// records nothing.
+    #[test]
+    fn a_note_publishes_the_gauge_when_the_shard_flips() {
+        let spec = ClusterSpec::new([("scen", "ns")]).expect("spec");
+        let shards = vec![("s0".to_string(), "127.0.0.1:0".parse().expect("addr"))];
+        let config = RouterConfig {
+            heartbeat_interval: Duration::from_secs(3600),
+            heartbeat_misses: 2,
+            ..RouterConfig::default()
+        };
+        let router = Router::bind_with(spec, shards, "127.0.0.1:0", config).expect("bind");
+        // Nothing listens on port 0: wait out the heartbeat's one miss.
+        let missed = "router_heartbeat_misses_total{shard=\"s0\"} 1";
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !router.metrics().render().iter().any(|l| l == missed) {
+            assert!(
+                Instant::now() < deadline,
+                "the first heartbeat never missed"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let inner = &router.inner;
+        let gauge = "router_circuit_state{shard=\"s0\"} ";
+        let state = || {
+            router
+                .metrics()
+                .render()
+                .into_iter()
+                .find(|l| l.starts_with(gauge))
+        };
+        inner.note_success("s0");
+        for (failures, expected) in [(1, "0"), (2, "2"), (9, "2")] {
+            (0..failures).for_each(|_| inner.note_failure("s0"));
+            assert_eq!(
+                state(),
+                Some(format!("{gauge}{expected}")),
+                "{failures} failures"
+            );
+            inner.note_success("s0");
+            assert_eq!(state(), Some(format!("{gauge}0")), "after {failures}");
+        }
+        inner.note_failure("ghost");
+        assert!(!lock(&inner.health).contains_key("ghost"));
+        router.stop();
     }
 
     #[test]

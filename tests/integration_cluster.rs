@@ -1210,7 +1210,6 @@ fn primary_sigkill_fails_over_to_warm_replica_without_operator_action() {
         heartbeat_interval: Duration::from_millis(40),
         heartbeat_timeout: Duration::from_millis(150),
         heartbeat_misses: 2,
-        open_cooldown: Duration::from_millis(250),
     };
     let router = Router::bind_with(
         t3_cluster_spec(&seeds),
