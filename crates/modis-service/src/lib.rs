@@ -62,8 +62,10 @@
 //!   the primary recorded since each copy's cursor after each completed
 //!   `RUN` (`EXPORT … FROM <cursor>` / `SHIP`), and — when a primary
 //!   dies — fails over to the freshest warm replica with zero operator
-//!   action: tickets are re-homed, responses flagged `degraded=`, and
-//!   per-shard circuit breakers keep dead shards from stalling traffic.
+//!   action: tickets are re-homed, responses flagged `degraded=`, and a
+//!   shard is down after `heartbeat_misses` failed exchanges in a row and
+//!   up after one good one, so dead shards fail fast instead of stalling
+//!   traffic.
 //!
 //! ## Quick example
 //!
