@@ -1403,35 +1403,52 @@ fn forwarded(line: &str) -> &str {
 }
 
 /// A scripted stand-in for a shard daemon — a plain listener, no
-/// `Service` behind it. Heartbeat probes (a bare `PING`: forwarded lines
-/// always carry a `CTX` prefix) are answered `PONG`; every other
-/// connection is handed to `script` with its first line already read.
-/// The threads die with the test process.
+/// `Service` behind it — and how many heartbeat probes it has answered.
+/// Probes (a bare `PING`: forwarded lines always carry a `CTX` prefix)
+/// are answered `PONG`; every other connection is handed to `script` with
+/// its first line already read. The threads die with the test process.
 fn fake_shard(
     script: impl Fn(String, BufReader<TcpStream>, TcpStream) + Send + Sync + 'static,
-) -> SocketAddr {
+) -> (SocketAddr, Arc<AtomicUsize>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let script = Arc::new(script);
+    let probes = Arc::new(AtomicUsize::new(0));
+    let probed = Arc::clone(&probes);
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { break };
-            let script = Arc::clone(&script);
+            let (script, probed) = (Arc::clone(&script), Arc::clone(&probed));
             std::thread::spawn(move || {
                 let mut reader = BufReader::new(stream.try_clone().unwrap());
                 let mut first = String::new();
                 if reader.read_line(&mut first).unwrap_or(0) == 0 {
                     return;
                 }
-                if first.trim_end() == "PING" {
-                    let _ = stream.write_all(b"PONG\n");
-                } else {
-                    script(first, reader, stream);
+                if first.trim_end() != "PING" {
+                    return script(first, reader, stream);
                 }
+                let _ = stream.write_all(b"PONG\n");
+                // A probe counts once the router has read its PONG and
+                // hung up.
+                let _ = reader.read_line(&mut first);
+                probed.fetch_add(1, Ordering::SeqCst);
             });
         }
     });
-    addr
+    (addr, probes)
+}
+
+/// Waits until the router's first heartbeat has probed every shard that
+/// counts in `probes` (no other comes when the interval is an hour).
+fn await_first_probes(probes: &[&AtomicUsize]) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while probes.iter().any(|p| p.load(Ordering::SeqCst) == 0) {
+        assert!(Instant::now() < deadline, "the first heartbeat never ran");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // The heartbeat records the probe just after the shard sees it.
+    std::thread::sleep(Duration::from_millis(20));
 }
 
 /// A router over the one fake shard `s0`, and a client connected to it.
@@ -1453,7 +1470,7 @@ fn fake_cluster(
 /// A reply split mid-line across two segments 50 ms apart is one reply.
 #[test]
 fn shard_reply_split_across_two_writes_is_reassembled() {
-    let shard = fake_shard(|first, _reader, mut stream| {
+    let (shard, _) = fake_shard(|first, _reader, mut stream| {
         assert_eq!(forwarded(&first), "SUBMIT scen");
         stream.write_all(b"TICK").unwrap();
         std::thread::sleep(Duration::from_millis(50));
@@ -1472,7 +1489,7 @@ fn shard_reply_split_across_two_writes_is_reassembled() {
 /// they create instead of racing them.
 #[test]
 fn coalesced_shard_replies_answer_pipelined_requests_in_order() {
-    let shard = fake_shard(|first, mut reader, mut stream| {
+    let (shard, _) = fake_shard(|first, mut reader, mut stream| {
         let mut second = String::new();
         reader.read_line(&mut second).unwrap();
         assert_eq!(forwarded(&first), "SUBMIT scen");
@@ -1509,7 +1526,7 @@ fn coalesced_shard_replies_answer_pipelined_requests_in_order() {
 fn shard_connection_lost_with_a_reply_owed_is_retried_once_then_reported() {
     let attempts = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&attempts);
-    let shard = fake_shard(move |first, _reader, _stream| {
+    let (shard, _) = fake_shard(move |first, _reader, _stream| {
         assert_eq!(forwarded(&first), "SUBMIT scen");
         seen.fetch_add(1, Ordering::SeqCst);
         // Returning drops both halves: closed, nothing answered.
@@ -1631,27 +1648,11 @@ fn a_shard_that_answers_is_not_declared_dead() {
 /// connection.
 #[test]
 fn an_open_shard_is_never_dialled_by_a_request() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let shard = listener.local_addr().unwrap();
-    let (probes, dials) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
-    let (probed, dialled) = (Arc::clone(&probes), Arc::clone(&dials));
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut line = String::new();
-            let _ = reader.read_line(&mut line);
-            if line != "PING\n" {
-                // A forwarded line: the connection closes with its reply
-                // owed.
-                dialled.fetch_add(1, Ordering::SeqCst);
-                continue;
-            }
-            let _ = stream.write_all(b"PONG\n");
-            // A probe counts once the router has read its PONG and hung up.
-            let _ = reader.read_line(&mut line);
-            probed.fetch_add(1, Ordering::SeqCst);
-        }
+    let dials = Arc::new(AtomicUsize::new(0));
+    let dialled = Arc::clone(&dials);
+    // Each forwarded connection closes with its reply owed.
+    let (shard, probes) = fake_shard(move |_, _, _| {
+        dialled.fetch_add(1, Ordering::SeqCst);
     });
     let config = RouterConfig {
         heartbeat_interval: Duration::from_secs(3600),
@@ -1659,13 +1660,7 @@ fn an_open_shard_is_never_dialled_by_a_request() {
         ..RouterConfig::default()
     };
     let (router, mut writer, mut reader) = fake_cluster(shard, config);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while probes.load(Ordering::SeqCst) == 0 {
-        assert!(Instant::now() < deadline, "the first heartbeat never ran");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    // The heartbeat records the probe just after the shard sees it.
-    std::thread::sleep(Duration::from_millis(20));
+    await_first_probes(&[&probes]);
     let open = "ERR shard s0 unavailable (circuit open)";
     writer.write_all(b"SUBMIT scen\n").unwrap();
     assert_eq!(recv(&mut reader), open, "the re-dispatch fails fast");
@@ -1693,7 +1688,7 @@ fn shard_that_stops_reading_bounds_one_pipeline_and_stalls_no_other_client() {
     let resumed = std::sync::Mutex::new(resumed);
     let (report, reported) = std::sync::mpsc::channel::<usize>();
     let report = std::sync::Mutex::new(report);
-    let shard = fake_shard(move |first, mut reader, mut stream| {
+    let (shard, _) = fake_shard(move |first, mut reader, mut stream| {
         assert_eq!(forwarded(&first), "SUBMIT scen");
         stream.write_all(b"TICKET 7\n").unwrap();
         // Not reading: whatever the router forwards piles up unread.
@@ -1751,13 +1746,13 @@ fn shard_that_stops_reading_bounds_one_pipeline_and_stalls_no_other_client() {
 /// A scripted shard that answers every line of every connection as
 /// `answer` says — `None` closes the connection unanswered — and logs
 /// each line it is sent (`CTX` prefixes stripped; heartbeat `PING`s are
-/// answered by [`fake_shard`] and not logged).
+/// answered and counted by [`fake_shard`] and not logged).
 fn ticket_shard(
     answer: impl Fn(&str) -> Option<String> + Send + Sync + 'static,
-) -> (SocketAddr, Arc<Mutex<Vec<String>>>) {
+) -> (SocketAddr, Arc<Mutex<Vec<String>>>, Arc<AtomicUsize>) {
     let log = Arc::new(Mutex::new(Vec::new()));
     let seen = Arc::clone(&log);
-    let addr = fake_shard(move |first, mut reader, mut stream| {
+    let (addr, probes) = fake_shard(move |first, mut reader, mut stream| {
         let mut line = first;
         loop {
             let request = forwarded(&line).to_string();
@@ -1774,7 +1769,7 @@ fn ticket_shard(
             }
         }
     });
-    (addr, log)
+    (addr, log, probes)
 }
 
 /// What a healthy shard answers: each `SUBMIT` takes the next local id
@@ -1800,7 +1795,8 @@ type ShardLog = (String, Arc<Mutex<Vec<String>>>);
 
 /// Two ticket shards under `replication: 2` whose first `WAIT` (which goes
 /// to the primary: every ticket is submitted there) closes the connection
-/// unanswered, the router over them, a client, and `[primary, replica]`.
+/// unanswered, the router over them once its first heartbeat has probed
+/// both, a client, and `[primary, replica]`.
 fn failing_wait_cluster(
     heartbeat_misses: u32,
 ) -> (Router, TcpStream, BufReader<TcpStream>, [ShardLog; 2]) {
@@ -1827,6 +1823,9 @@ fn failing_wait_cluster(
         config,
     )
     .unwrap();
+    // A probe answered after the dropped `WAIT` would bring the primary
+    // back up.
+    await_first_probes(&[&s0.2, &s1.2]);
     let stream = TcpStream::connect(router.addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -1905,7 +1904,7 @@ fn a_ticket_on_a_primary_whose_breaker_opened_is_rehomed_before_its_wait() {
 /// cluster id in their place, to `POLL`, `WAIT` and `RESULT` alike.
 #[test]
 fn a_shard_ticket_error_reaches_the_client_with_the_cluster_id() {
-    let (shard, log) = ticket_shard(|request| {
+    let (shard, log, _) = ticket_shard(|request| {
         Some(match request.split_once(' ') {
             Some(("SUBMIT", _)) => "TICKET 7".into(),
             Some(("POLL" | "WAIT", local)) => format!("ERR unknown ticket {local}"),
