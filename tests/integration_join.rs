@@ -468,3 +468,51 @@ fn one_keyless_table_leaves_the_substrate_only_the_first_table() {
     assert_eq!(sub.universal().name, "D_U");
     assert_eq!(sub.universal().rows(), lone[0].rows());
 }
+
+/// A float key equal to two unequal integer keys (`2^53` and `2^53 + 1`)
+/// joins the group of the first of them in the right table, as the fold's
+/// index grouped it; each left key below equals one stored key only.
+#[test]
+fn a_float_beside_two_large_ints_groups_and_keys_as_the_fold_did() {
+    let schema = || Schema::from_attributes(vec![Attribute::key(KEY), Attribute::feature("a")]);
+    let table = |name: &str, keys: Vec<Value>| {
+        let rows = (0..).zip(keys).map(|(i, k)| vec![k, Value::Int(i)]);
+        Dataset::from_rows(name, schema(), rows.collect()).unwrap()
+    };
+    let right = table(
+        "R",
+        vec![
+            Value::Int(BIG),
+            Value::Float(BIG as f64),
+            Value::Int(BIG + 1),
+        ],
+    );
+    let left = table("L", vec![Value::Int(BIG + 1), Value::Int(BIG)]);
+    for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
+        let want = oracle_hash_join(&left, &right, KEY, kind);
+        assert_same(
+            &hash_join(&left, &right, KEY, kind),
+            &want,
+            &format!("{kind:?}"),
+        );
+    }
+    let pool = [left, right];
+    let got = universal_table(&pool, KEY);
+    assert_same(&got, &oracle_universal_table(&pool, KEY), "D_U");
+    assert_eq!(
+        got.unwrap().num_rows(),
+        3,
+        "2^53 + 1 meets one row, 2^53 two"
+    );
+
+    // A tuple's key is its first table's: `2^53` meets the float, and the
+    // pair then misses `2^53 + 1`, which the float alone would have met.
+    let pool = [
+        table("A", vec![Value::Int(BIG)]),
+        table("F", vec![Value::Float(BIG as f64)]),
+        table("C", vec![Value::Int(BIG + 1)]),
+    ];
+    let got = universal_table(&pool, KEY);
+    assert_same(&got, &oracle_universal_table(&pool, KEY), "first key");
+    assert_eq!(got.unwrap().num_rows(), 2, "the pair and 2^53 + 1 alone");
+}
