@@ -3,9 +3,12 @@
 //! `ApxMODis` starts from a *universal* dataset `D_U` carrying the universal
 //! schema `R_U`, "populated by joining all the tables (with outer join to
 //! preserve all the values besides common attributes, by default)" (§5.2).
-//! This module provides hash equi-joins (inner / left / full outer) and a
-//! multi-way outer join over a shared key.
+//! `D_U` is one n-way full outer join over the shared key, and a hash
+//! equi-join (inner / left / full outer) is its two-table case. No table is
+//! built per source: rows travel as tuples of row indices, one per table,
+//! and each output cell is cloned once, at the end.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use crate::dataset::Dataset;
@@ -34,110 +37,106 @@ pub fn hash_join(
     key: &str,
     kind: JoinKind,
 ) -> Result<Dataset, DataError> {
-    let lk = left
-        .schema()
-        .position(key)
-        .ok_or_else(|| DataError::MissingJoinKey(key.to_string()))?;
-    let rk = right
-        .schema()
-        .position(key)
-        .ok_or_else(|| DataError::MissingJoinKey(key.to_string()))?;
-
-    let out_schema = left.schema().union(right.schema());
-    let mut out = Dataset::new(format!("{}⋈{}", left.name, right.name), out_schema);
-
-    // Column maps from each operand into the output schema.
-    let lmap: Vec<usize> = left
-        .schema()
-        .names()
-        .iter()
-        .map(|n| out.schema().position(n).expect("union contains left attr"))
-        .collect();
-    let rmap: Vec<usize> = right
-        .schema()
-        .names()
-        .iter()
-        .map(|n| out.schema().position(n).expect("union contains right attr"))
-        .collect();
-
-    // Build hash index on the right side.
-    let mut index: HashMap<Value, Vec<usize>> = HashMap::new();
-    for (i, row) in right.rows().iter().enumerate() {
-        let k = row[rk].clone();
-        if k.is_null() {
-            continue;
-        }
-        index.entry(k).or_default().push(i);
-    }
-
-    let width = out.num_columns();
-    let mut right_matched = vec![false; right.num_rows()];
-
-    for lrow in left.rows() {
-        let k = &lrow[lk];
-        let matches = if k.is_null() { None } else { index.get(k) };
-        match matches {
-            Some(ris) if !ris.is_empty() => {
-                for &ri in ris {
-                    right_matched[ri] = true;
-                    let rrow = &right.rows()[ri];
-                    let mut new_row = vec![Value::Null; width];
-                    for (ci, &oi) in lmap.iter().enumerate() {
-                        new_row[oi] = lrow[ci].clone();
-                    }
-                    for (ci, &oi) in rmap.iter().enumerate() {
-                        if new_row[oi].is_null() {
-                            new_row[oi] = rrow[ci].clone();
-                        }
-                    }
-                    out.push_row(new_row);
-                }
-            }
-            _ => {
-                if kind != JoinKind::Inner {
-                    let mut new_row = vec![Value::Null; width];
-                    for (ci, &oi) in lmap.iter().enumerate() {
-                        new_row[oi] = lrow[ci].clone();
-                    }
-                    out.push_row(new_row);
-                }
-            }
-        }
-    }
-
-    if kind == JoinKind::FullOuter {
-        for (ri, rrow) in right.rows().iter().enumerate() {
-            if right_matched[ri] {
-                continue;
-            }
-            let mut new_row = vec![Value::Null; width];
-            for (ci, &oi) in rmap.iter().enumerate() {
-                new_row[oi] = rrow[ci].clone();
-            }
-            out.push_row(new_row);
-        }
-    }
-
-    Ok(out)
+    let name = format!("{}⋈{}", left.name, right.name);
+    join(&[left, right], key, kind, name)
 }
 
 /// Multi-way full outer join over a shared key: the universal table `D_U`.
 ///
-/// Tables are joined left to right; the resulting dataset carries the
-/// universal schema `R_U` of the pool. Returns an empty dataset for an empty
-/// pool.
+/// The result carries the universal schema `R_U` of the pool, attributes in
+/// pool order. A one-table pool is cloned; an empty pool gives an empty table.
 pub fn universal_table(pool: &[Dataset], key: &str) -> Result<Dataset, DataError> {
-    let mut iter = pool.iter();
-    let first = match iter.next() {
-        Some(d) => d.clone(),
-        None => return Ok(Dataset::new("D_U", Schema::new())),
-    };
-    let mut acc = first;
-    for d in iter {
-        acc = hash_join(&acc, d, key, JoinKind::FullOuter)?;
+    match pool {
+        [] => Ok(Dataset::new("D_U", Schema::new())),
+        [only] => Ok(only.clone().with_name("D_U")),
+        _ => join(pool, key, JoinKind::FullOuter, "D_U".into()),
     }
-    acc.name = "D_U".to_string();
-    Ok(acc)
+}
+
+/// Marks a table that holds no row of a tuple.
+const ABSENT: u32 = u32::MAX;
+
+/// Joins two or more tables on `key` as a left-to-right fold of two-table
+/// joins would. A tuple's key is its first row's (a tuple of two or more
+/// rows was formed by a non-null key); table `j` expands it over the rows
+/// its key equals, in row order, and then adds its unmatched rows. A cell
+/// is the first non-null one among the tuple's rows holding the column.
+fn join<T: Borrow<Dataset>>(
+    tables: &[T],
+    key: &str,
+    kind: JoinKind,
+    name: String,
+) -> Result<Dataset, DataError> {
+    let tables: Vec<&Dataset> = tables.iter().map(T::borrow).collect();
+    let position = |t: &&Dataset| t.schema().position(key);
+    let keys = (tables.iter().map(position).collect::<Option<Vec<_>>>())
+        .ok_or_else(|| DataError::MissingJoinKey(key.to_string()))?;
+    let n = tables.len();
+    let mut tuples = vec![ABSENT; tables[0].num_rows() * n];
+    (0..tables[0].num_rows()).for_each(|r| tuples[r * n] = r as u32);
+    for (j, right) in tables.iter().enumerate().skip(1) {
+        // Each key's first and last row, and each row's next row of its key.
+        let mut index: HashMap<&Value, (u32, u32)> = HashMap::with_capacity(right.num_rows());
+        let mut next = vec![ABSENT; right.num_rows()];
+        for (r, row) in (0..).zip(right.rows()) {
+            let k = &row[keys[j]];
+            if k.is_null() {
+                continue;
+            }
+            let (_, last) = index.entry(k).or_insert((r, r));
+            if *last != r {
+                next[*last as usize] = r;
+                *last = r;
+            }
+        }
+        let mut matched = vec![false; right.num_rows()];
+        let mut joined = Vec::with_capacity(tuples.len() + right.num_rows() * n);
+        for tuple in tuples.chunks_exact(n) {
+            let first = tuple.iter().take_while(|&&r| r == ABSENT).count();
+            let k = &tables[first].rows()[tuple[first] as usize][keys[first]];
+            // Null keys are never indexed, so a null key matches nothing.
+            let mut r = index.get(k).map_or(ABSENT, |&(r, _)| r);
+            if r == ABSENT && kind != JoinKind::Inner {
+                joined.extend_from_slice(tuple);
+            }
+            while r != ABSENT {
+                matched[r as usize] = true;
+                joined.extend_from_slice(tuple);
+                let at = joined.len() - n;
+                joined[at + j] = r;
+                r = next[r as usize];
+            }
+        }
+        if kind == JoinKind::FullOuter {
+            for r in (0..right.num_rows()).filter(|&r| !matched[r]) {
+                joined.extend((0..n).map(|t| if t == j { r as u32 } else { ABSENT }));
+            }
+        }
+        tuples = joined;
+    }
+    let schema = (tables[1..].iter()).fold(tables[0].schema().clone(), |s, t| s.union(t.schema()));
+    let at = |c: &&str| schema.position(c).expect("in the union");
+    let maps: Vec<Vec<usize>> = tables
+        .iter()
+        .map(|t| t.schema().names().iter().map(at).collect())
+        .collect();
+    let width = schema.len();
+    let mut out = Dataset::new(name, schema);
+    for tuple in tuples.chunks_exact(n) {
+        let mut row = vec![Value::Null; width];
+        for ((table, map), &r) in tables.iter().zip(&maps).zip(tuple) {
+            if r == ABSENT {
+                continue;
+            }
+            for (cell, &o) in table.rows()[r as usize].iter().zip(map) {
+                if row[o].is_null() {
+                    row[o] = cell.clone();
+                }
+            }
+        }
+        out.push_row(row);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! * [`Literal`] — equality and range conditions carried by operators;
 //! * [`augment`] / [`reduct`] — the primitive `Augment ⊕_c` and
 //!   `Reduct ⊖_c` operators of §3;
-//! * [`hash_join`] / [`universal_table`] — hash/outer joins and the
-//!   universal table `D_U` construction of §5.2;
+//! * [`universal_table`] / [`hash_join`] — `D_U` of §5.2 in one n-way
+//!   outer join (no table built per source), and its two-table case;
 //! * [`derive_attribute_literals`] — per-attribute k-means over active
 //!   domains, deriving the literal lattice used by the search (§6);
 //! * [`StateBitmap`] — the state encoding `L` used by ApxMODis / BiMODis,
