@@ -100,7 +100,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use modis_core::telemetry::{Counter, MetricsRegistry, TraceContext, Tracer};
+use modis_core::telemetry::{Counter, Histogram, MetricsRegistry, TraceContext, Tracer};
 use modis_engine::{Cursor, SharedEvalCache};
 
 use crate::cluster::{validate_token, ClusterSpec, ShardMap};
@@ -400,6 +400,8 @@ struct RouterInner {
     remaps: Arc<Counter>,
     /// Per member shard, its count of consecutive failed exchanges.
     health: Mutex<HashMap<String, u32>>,
+    /// Per shard, its `router_forward_us` series, resolved on first use.
+    forward_us: Mutex<HashMap<String, Arc<Histogram>>>,
     /// Where each replica's copy reaches, and whether a sync is owed.
     replication: Mutex<ReplicationState>,
     /// The router's own span recorder: per-client trace roots, forward
@@ -531,16 +533,9 @@ impl RouterInner {
         head: &str,
         payload: &[u8],
     ) -> Result<String, ServiceError> {
-        match one_shot(addr, CONNECT_TIMEOUT, SHIP_TIMEOUT, head, payload) {
-            Ok(reply) => {
-                self.note_success(shard);
-                Ok(reply)
-            }
-            Err(err) => {
-                self.note_failure(shard);
-                Err(unavailable(shard, err))
-            }
-        }
+        let reply = one_shot(addr, CONNECT_TIMEOUT, SHIP_TIMEOUT, head, payload);
+        self.note(shard, reply.is_ok());
+        reply.map_err(|err| unavailable(shard, err))
     }
 
     /// Exports what `namespaces` recorded on a shard after `after` over
@@ -850,6 +845,7 @@ impl Router {
             reconnects,
             remaps,
             health: Mutex::new(HashMap::new()),
+            forward_us: Mutex::default(),
             replication: Mutex::new(ReplicationState::default()),
             tracer: Arc::new(Tracer::with_capacity(4096)),
             #[cfg(test)]
@@ -1491,15 +1487,18 @@ impl Forward {
             None => {}
         }
         let sent = self.sent;
-        inner
-            .metrics
-            .histogram_with(
-                "router_forward_us",
-                "Round-trip latency of single-shard forwards \
-                 (SUBMIT/POLL/RESULT), router-side, in microseconds.",
-                &[("shard", &part.shard)],
-            )
-            .record_duration(sent.elapsed());
+        let mut series = lock(&inner.forward_us);
+        if !series.contains_key(&part.shard) {
+            let help = "Round-trip latency of single-shard forwards \
+                 (SUBMIT/POLL/RESULT), router-side, in microseconds.";
+            let labels = [("shard", part.shard.as_str())];
+            let histogram = inner
+                .metrics
+                .histogram_with("router_forward_us", help, &labels);
+            series.insert(part.shard.clone(), histogram);
+        }
+        series[&part.shard].record_duration(sent.elapsed());
+        drop(series);
         if self.trace.trace_id != 0 {
             // Recorded with the context it was *sent* under, so this
             // span's id is the parent the shard stitched its own spans to.

@@ -1580,6 +1580,47 @@ fn a_refused_forward_is_one_failure_and_no_retry() {
     router.stop();
 }
 
+/// Each answered forward records one sample in its shard's one
+/// `router_forward_us` series: N forwards, N samples, one series.
+#[test]
+fn answered_forwards_record_one_sample_each_in_one_series() {
+    const N: usize = 6;
+    let (shard, _) = fake_shard(|mut line, mut reader, mut stream| {
+        for ticket in 1.. {
+            let reply = match forwarded(&line) {
+                "SUBMIT scen" => format!("TICKET {ticket}\n"),
+                other => format!("ERR unexpected {other}\n"),
+            };
+            line.clear();
+            if stream.write_all(reply.as_bytes()).is_err()
+                || reader.read_line(&mut line).unwrap_or(0) == 0
+            {
+                return;
+            }
+        }
+    });
+    let config = RouterConfig {
+        heartbeat_interval: Duration::from_secs(3600),
+        ..RouterConfig::default()
+    };
+    let (router, mut writer, mut reader) = fake_cluster(shard, config);
+    for _ in 0..N {
+        writer.write_all(b"SUBMIT scen\n").unwrap();
+        let reply = recv(&mut reader);
+        assert!(reply.starts_with("TICKET "), "{reply}");
+    }
+    let lines = router.metrics().render();
+    let series: Vec<&String> = lines
+        .iter()
+        .filter(|l| l.starts_with("router_forward_us_count"))
+        .collect();
+    assert_eq!(
+        series,
+        [&format!("router_forward_us_count{{shard=\"s0\"}} {N}")]
+    );
+    router.stop();
+}
+
 /// The value of `router_heartbeat_misses_total{shard="s0"}`.
 fn s0_misses(router: &Router) -> u64 {
     let prefix = "router_heartbeat_misses_total{shard=\"s0\"} ";
