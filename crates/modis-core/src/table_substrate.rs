@@ -122,11 +122,10 @@ impl TableSubstrate {
     /// Builds the search space from a pool of source tables.
     pub fn from_pool(pool: &[Dataset], task: TaskSpec, config: &TableSpaceConfig) -> Self {
         let universal = universal_table(pool, &config.join_key).unwrap_or_else(|_| {
-            // The join fails when any table of two or more lacks the key:
-            // the first table alone stands in, and the others are dropped.
-            pool.first()
-                .cloned()
-                .unwrap_or_else(|| Dataset::new("D_U", Default::default()))
+            // The join fails only when a pool of two or more tables has one
+            // without the key: the first table alone stands in, and the
+            // others are dropped.
+            pool[0].clone()
         });
         Self::from_universal(universal, task, config)
     }

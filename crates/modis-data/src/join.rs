@@ -68,9 +68,9 @@ fn join<T: Borrow<Dataset>>(
     name: String,
 ) -> Result<Dataset, DataError> {
     let tables: Vec<&Dataset> = tables.iter().map(T::borrow).collect();
-    let position = |t: &&Dataset| t.schema().position(key);
-    let keys = (tables.iter().map(position).collect::<Option<Vec<_>>>())
-        .ok_or_else(|| DataError::MissingJoinKey(key.to_string()))?;
+    let keys: Option<Vec<_>> = tables.iter().map(|t| t.schema().position(key)).collect();
+    let keys = keys.ok_or_else(|| DataError::MissingJoinKey(key.to_string()))?;
+    assert!(tables.iter().all(|t| t.num_rows() < ABSENT as usize)); // row indices are u32
     let n = tables.len();
     let mut tuples = vec![ABSENT; tables[0].num_rows() * n];
     (0..tables[0].num_rows()).for_each(|r| tuples[r * n] = r as u32);
