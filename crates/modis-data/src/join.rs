@@ -115,10 +115,10 @@ fn join<T: Borrow<Dataset>>(
         tuples = joined;
     }
     let schema = (tables[1..].iter()).fold(tables[0].schema().clone(), |s, t| s.union(t.schema()));
-    let at = |c: &&str| schema.position(c).expect("in the union");
+    let column = |c: &&str| schema.position(c).expect("in the union");
     let maps: Vec<Vec<usize>> = tables
         .iter()
-        .map(|t| t.schema().names().iter().map(at).collect())
+        .map(|t| t.schema().names().iter().map(column).collect())
         .collect();
     let width = schema.len();
     let mut out = Dataset::new(name, schema);
