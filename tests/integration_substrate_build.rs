@@ -6,7 +6,7 @@
 
 use modis_core::prelude::*;
 use modis_core::table_substrate::TableUnit;
-use modis_data::{Attribute, Dataset, Schema, Value};
+use modis_data::{Attribute, Dataset, Schema, StateBitmap, Value};
 
 /// FNV-1a over a byte stream, folded one field at a time.
 struct Fnv(u64);
@@ -175,5 +175,106 @@ fn a_churn_shaped_pool_builds_the_pinned_search_space() {
         .map(|max_clusters| format!("{:016x}", build_digest(&pool, "y", max_clusters)))
         .to_vec();
     let expected = ["e6e79b53986901b6", "ee81daa6d1748bcf"];
+    assert_eq!(got, expected);
+}
+
+/// The churn-shaped pool's substrate fingerprint, alone: fingerprints
+/// persist in snapshots, so how the universal table is stored must not
+/// move it.
+#[test]
+fn a_churn_shaped_pool_has_the_pinned_fingerprint() {
+    let sub = TableSubstrate::from_pool(&churn_shaped_pool(), task("y"), &Default::default());
+    assert_eq!(format!("{:016x}", sub.fingerprint()), "1b365d17e818f2fc");
+}
+
+/// Both start states, every single flip and a chain of every third flip.
+fn sample_states(sub: &TableSubstrate) -> Vec<StateBitmap> {
+    let mut states = vec![sub.forward_start(), sub.backward_start()];
+    states.extend((0..sub.num_units()).map(|i| sub.forward_start().flipped(i)));
+    let mut chain = sub.forward_start();
+    for i in (0..sub.num_units()).step_by(3) {
+        chain = chain.flipped(i);
+        states.push(chain.clone());
+    }
+    states
+}
+
+/// Folds one side of a split: its matrix and targets by `to_bits`, its
+/// feature names, class count and class values (floats by `to_bits`).
+fn fold_encoded(h: &mut Fnv, e: &modis_ml::encoding::Encoded) {
+    h.u64(e.len() as u64);
+    h.u64(e.features.n_cols() as u64);
+    for row in e.features.rows() {
+        row.iter().for_each(|x| h.u64(x.to_bits()));
+    }
+    e.targets.iter().for_each(|x| h.u64(x.to_bits()));
+    e.feature_names.iter().for_each(|n| h.str(n));
+    h.u64(e.n_classes as u64);
+    for v in &e.class_values {
+        match v {
+            Value::Null => h.str("null"),
+            Value::Int(i) => h.u64(*i as u64),
+            Value::Float(f) => h.u64(f.to_bits()),
+            Value::Str(s) => h.str(s),
+            Value::Bool(b) => h.u64(u64::from(*b)),
+        }
+    }
+}
+
+/// `encode_view_split` of sampled states of one pool, folded by `to_bits`
+/// into one digest: the train and test sides (the test side's absence
+/// too) at the task's ratio and seed, and the whole matrix at ratio 1.
+fn encode_digest(pool: &[Dataset], target: &str, classification: bool) -> u64 {
+    use modis_ml::encoding::encode_view_split;
+    let mut spec = task(target);
+    if classification {
+        spec.model = ModelKind::LogisticClassifier;
+    }
+    let sub = TableSubstrate::from_pool(pool, spec, &Default::default());
+    let opts = sub.task().encode_options();
+    let mut h = Fnv::new();
+    for state in sample_states(&sub) {
+        let view = sub.materialize_view(&state);
+        for (ratio, seed) in [(0.7, 1), (0.5, 9), (1.0, 0)] {
+            let (train, test) = encode_view_split(&view, &opts, ratio, seed);
+            fold_encoded(&mut h, &train);
+            match &test {
+                Some(test) => fold_encoded(&mut h, test),
+                None => h.str("no test side"),
+            }
+        }
+    }
+    h.0
+}
+
+#[test]
+fn sampled_states_encode_the_pinned_matrices() {
+    type Generator = fn(u64) -> modis_datagen::TablePool;
+    let generators: [(&str, Generator, bool); 4] = [
+        ("t1", modis_datagen::t1_movie, false),
+        ("t2", modis_datagen::t2_house, true),
+        ("t3", modis_datagen::t3_avocado, false),
+        ("t4", modis_datagen::t4_mental, true),
+    ];
+    let mut got = Vec::new();
+    for (name, generate, classification) in generators {
+        let pool = generate(1);
+        let digest = encode_digest(&pool.tables, &pool.target, classification);
+        got.push(format!("{name}={digest:016x}"));
+    }
+    let churn = churn_shaped_pool();
+    for (target, classification) in [("y", false), ("visits", true), ("region", true)] {
+        let digest = encode_digest(&churn, target, classification);
+        got.push(format!("churn/{target}={digest:016x}"));
+    }
+    let expected = [
+        "t1=f266c100eb29ba22",
+        "t2=8ecf1df8a27a040a",
+        "t3=4fe50d5b5be72d1d",
+        "t4=951ec111c85db408",
+        "churn/y=fd01233bc3fe4ba7",
+        "churn/visits=8150729c642c7d59",
+        "churn/region=6a7c02bfcaac5ec9",
+    ];
     assert_eq!(got, expected);
 }
