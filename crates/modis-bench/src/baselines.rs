@@ -142,24 +142,24 @@ pub fn starmie(
 /// both operands and stacks the rows (Starmie's table union).
 fn union_all(left: &Dataset, right: &Dataset) -> Dataset {
     let schema = left.schema().union(right.schema());
-    let mut out = Dataset::new(format!("{}∪{}", left.name, right.name), schema);
-    let width = out.num_columns();
+    let mut rows = Vec::with_capacity(left.num_rows() + right.num_rows());
     for src in [left, right] {
         let map: Vec<usize> = src
             .schema()
             .names()
             .iter()
-            .map(|n| out.schema().position(n).expect("union schema"))
+            .map(|n| schema.position(n).expect("union schema"))
             .collect();
         for row in src.rows() {
-            let mut new_row = vec![Value::Null; width];
-            for (ci, &oi) in map.iter().enumerate() {
-                new_row[oi] = row[ci].clone();
+            let mut new_row = vec![Value::Null; schema.len()];
+            for (cell, &oi) in row.into_iter().zip(&map) {
+                new_row[oi] = cell;
             }
-            out.push_row(new_row);
+            rows.push(new_row);
         }
     }
-    out
+    let name = format!("{}∪{}", left.name, right.name);
+    Dataset::from_rows(name, schema, rows).expect("rows as wide as the union schema")
 }
 
 /// SkSFM: scikit-learn `SelectFromModel`-style feature selection. A tree
@@ -247,9 +247,8 @@ fn top_k_features(scores: &[f64], k: usize) -> Vec<usize> {
 /// appends them to the base table. Mirrors the paper's observation that
 /// synthetic rows cannot exploit verified external sources.
 pub fn hydragan_like(base: &Dataset, task: &TaskSpec, n_rows: usize, seed: u64) -> BaselineOutput {
-    let mut augmented = base.clone();
     if base.num_rows() == 0 {
-        return finish("HydraGAN", augmented, task);
+        return finish("HydraGAN", base.clone(), task);
     }
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(101);
     let mut next = || {
@@ -258,9 +257,9 @@ pub fn hydragan_like(base: &Dataset, task: &TaskSpec, n_rows: usize, seed: u64) 
             .wrapping_add(1442695040888963407);
         ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
     };
+    let mut rows = base.rows();
     for r in 0..n_rows {
-        let src = r % base.num_rows();
-        let mut row = base.row(src).unwrap().to_vec();
+        let mut row = rows[r % base.num_rows()].clone();
         for cell in &mut row {
             if let Some(x) = cell.as_f64() {
                 if cell.is_numeric() {
@@ -268,13 +267,11 @@ pub fn hydragan_like(base: &Dataset, task: &TaskSpec, n_rows: usize, seed: u64) 
                 }
             }
         }
-        augmented.push_row(row);
+        rows.push(row);
     }
-    finish(
-        "HydraGAN",
-        augmented.with_name(format!("{}+synthetic", base.name)),
-        task,
-    )
+    let name = format!("{}+synthetic", base.name);
+    let augmented = Dataset::from_rows(name, base.schema().clone(), rows).expect("base-wide rows");
+    finish("HydraGAN", augmented, task)
 }
 
 /// Projects a dataset onto the selected feature names plus the task's target

@@ -161,7 +161,7 @@ fn rename_columns(data: &Dataset, renames: &[(&str, &str)]) -> Dataset {
     Dataset::from_rows(
         data.name.clone(),
         Schema::from_attributes(attrs),
-        data.rows().to_vec(),
+        data.rows(),
     )
     .expect("renamed dataset")
 }
@@ -205,7 +205,7 @@ mod tests {
         let sig = &pool.informative[0];
         let col = u.column(u.schema().position(sig).unwrap());
         let distinct_rounded: std::collections::BTreeSet<i64> = col
-            .iter()
+            .values()
             .filter_map(|v| v.as_f64())
             .map(|v| v.round() as i64)
             .collect();

@@ -32,22 +32,19 @@ pub(crate) fn diversification_distance(
 
 /// Diversification score `div(D_F)` of a set of entries.
 pub fn diversification_score(entries: &[SkylineEntry], alpha: f64, euc_max: f64) -> f64 {
-    pairwise_score(entries.len(), |i| &entries[i], alpha, euc_max)
+    pairwise_score(entries.len(), |i, j| {
+        diversification_distance(&entries[i], &entries[j], alpha, euc_max)
+    })
 }
 
-/// `div` over the `n` members `member(0..n)`, pair by pair in slot order —
+/// `div` over `n` members, `distance(i, j)` pair by pair in slot order —
 /// the one summation [`diversification_score`] and [`diversify_level`]'s
 /// trials share, so both add the same distances in the same order.
-fn pairwise_score<'a>(
-    n: usize,
-    member: impl Fn(usize) -> &'a SkylineEntry,
-    alpha: f64,
-    euc_max: f64,
-) -> f64 {
+fn pairwise_score(n: usize, distance: impl Fn(usize, usize) -> f64) -> f64 {
     let mut score = 0.0;
     for i in 0..n {
         for j in (i + 1)..n {
-            score += diversification_distance(member(i), member(j), alpha, euc_max);
+            score += distance(i, j);
         }
     }
     score
@@ -56,8 +53,10 @@ fn pairwise_score<'a>(
 /// One diversification step at a level (Alg. 3): keeps at most `k` entries by
 /// greedy replacement maximising `div`.
 ///
-/// The replacement runs on positions into `entries`; a trial costs one
-/// score and no copy, and the `k` winners are cloned once, at the end.
+/// The replacement runs on positions into `entries`: the distance of every
+/// ordered pair of entries is computed once, into a table, and a trial
+/// sums table entries — no distance and no copy. The `k` winners are cloned
+/// once, at the end.
 pub(crate) fn diversify_level(
     entries: Vec<SkylineEntry>,
     k: usize,
@@ -67,7 +66,11 @@ pub(crate) fn diversify_level(
     if entries.len() <= k {
         return entries;
     }
-    let score_of = |picks: &[usize]| pairwise_score(k, |i| &entries[picks[i]], alpha, euc_max);
+    let n = entries.len();
+    let table: Vec<f64> = (0..n * n)
+        .map(|ij| diversification_distance(&entries[ij / n], &entries[ij % n], alpha, euc_max))
+        .collect();
+    let score_of = |picks: &[usize]| pairwise_score(k, |i, j| table[picks[i] * n + picks[j]]);
     // Initialise with the first k entries — the k lowest cell keys of
     // `EpsilonSkyline::entries` — a deterministic stand-in for the random
     // initialisation of Alg. 3, keeping runs reproducible.

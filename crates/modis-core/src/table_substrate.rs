@@ -16,8 +16,8 @@
 use parking_lot::Mutex;
 
 use modis_data::{
-    derive_attribute_literals, universal_table, ClusterConfig, Dataset, DatasetView, Literal,
-    RowMask, StateBitmap, TableProjection,
+    derive_attribute_literals, universal_table, ClusterConfig, DataError, Dataset, DatasetView,
+    Literal, RowMask, StateBitmap,
 };
 
 use crate::measure::MeasureSet;
@@ -84,27 +84,20 @@ pub use crate::substrate::SubstrateCacheStats;
 
 /// The tabular [`Substrate`]: universal table + units + downstream task.
 ///
-/// Building one ([`TableSubstrate::from_pool`] / `from_universal`) walks
-/// the universal table's non-key, non-target attributes in schema order.
-/// Each contributes an attribute unit and up to `max_clusters_per_attr`
-/// cluster units, whose literals [`derive_attribute_literals`] reads from
-/// one sort of the column's row indices (no cell is cloned). Each cluster
-/// literal then meets the table once, through [`Literal::mask`], which
-/// resolves its column once and tests every cell of it: the packed
-/// [`RowMask`] it returns is kept per cluster unit. No row is copied and no
-/// column is decoded. [`TableSubstrate::materialize_view`] then reduces a
-/// state to a handful of word-wise AND-NOTs plus an attribute mask —
-/// O(rows/64 × cleared units), zero row clones.
-///
-/// Beside the universal table the substrate owns its [`TableProjection`]:
-/// every view it materialises carries it, so each column is decoded at most
-/// once per substrate — on the first state that reads it, not at
-/// construction — and a state's matrix is a gather from it.
+/// Building one ([`TableSubstrate::try_from_pool`] / `from_universal`)
+/// walks the universal table's non-key, non-target attributes in schema
+/// order. Each contributes an attribute unit and up to
+/// `max_clusters_per_attr` cluster units, whose literals
+/// [`derive_attribute_literals`] reads from one sort of the column's row
+/// indices (no cell is cloned). Each cluster literal then meets the table
+/// once, through [`Literal::mask`], which resolves its column once and tests
+/// every cell of it: the packed [`RowMask`] it returns is kept per cluster
+/// unit. No row is copied. [`TableSubstrate::materialize_view`] then
+/// reduces a state to a handful of word-wise AND-NOTs plus an attribute
+/// mask — O(rows/64 × cleared units), zero row clones — and a state's
+/// matrix is a gather from the universal table's typed columns.
 pub struct TableSubstrate {
     universal: Dataset,
-    /// Typed column-major decoding of `universal` (immutable after
-    /// construction, so there is nothing to invalidate); dropped with it.
-    projection: TableProjection,
     units: Vec<TableUnit>,
     /// For cluster units: the rows of the universal table matching the
     /// literal. `None` for attribute units.
@@ -120,14 +113,25 @@ pub struct TableSubstrate {
 
 impl TableSubstrate {
     /// Builds the search space from a pool of source tables.
+    ///
+    /// # Panics
+    /// Where [`Self::try_from_pool`] errs: when a pool of two or more
+    /// tables has one without the join key.
     pub fn from_pool(pool: &[Dataset], task: TaskSpec, config: &TableSpaceConfig) -> Self {
-        let universal = universal_table(pool, &config.join_key).unwrap_or_else(|_| {
-            // The join fails only when a pool of two or more tables has one
-            // without the key: the first table alone stands in, and the
-            // others are dropped.
-            pool[0].clone()
-        });
-        Self::from_universal(universal, task, config)
+        Self::try_from_pool(pool, task, config)
+            .unwrap_or_else(|e| panic!("no universal table for the pool: {e}"))
+    }
+
+    /// Builds the search space from a pool of source tables, or returns the
+    /// join's error: a pool of two or more tables with one lacking the join
+    /// key has no universal table.
+    pub fn try_from_pool(
+        pool: &[Dataset],
+        task: TaskSpec,
+        config: &TableSpaceConfig,
+    ) -> Result<Self, DataError> {
+        let universal = universal_table(pool, &config.join_key)?;
+        Ok(Self::from_universal(universal, task, config))
     }
 
     /// Builds the search space directly from an already-constructed
@@ -158,7 +162,6 @@ impl TableSubstrate {
             }
         }
         TableSubstrate {
-            projection: TableProjection::new(&universal),
             universal,
             units,
             unit_masks,
@@ -214,7 +217,7 @@ impl TableSubstrate {
                 }
             }
         }
-        DatasetView::new(&self.universal, mask, masked_cols).with_projection(&self.projection)
+        DatasetView::new(&self.universal, mask, masked_cols)
     }
 
     /// Materialises the dataset denoted by a state bitmap as an owned copy —
@@ -350,7 +353,9 @@ impl Substrate for TableSubstrate {
         // namespace guard whenever the change lands between sample points.
         // The table is immutable after construction, so the digest is
         // computed once and memoised; fingerprints persist in snapshots, so
-        // everything hashes through the stable FNV hasher.
+        // everything hashes through the stable FNV hasher, and the cells
+        // hash as the row-major stream of `Vec<Value>` rows they were first
+        // stored as: the row count, then per row its width and its cells.
         use crate::codec::StableHasher;
         use std::hash::{Hash, Hasher};
         *self.fingerprint_memo.get_or_init(|| {
@@ -363,10 +368,11 @@ impl Substrate for TableSubstrate {
             format!("{:?}", self.task.metric_kinds).hash(&mut h);
             self.task.train_ratio.to_bits().hash(&mut h);
             self.task.seed.hash(&mut h);
-            let rows = self.universal.rows();
-            rows.len().hash(&mut h);
-            for row in rows {
-                row.hash(&mut h);
+            let u = &self.universal;
+            u.num_rows().hash(&mut h);
+            for r in 0..u.num_rows() {
+                u.num_columns().hash(&mut h);
+                (0..u.num_columns()).for_each(|c| u.column(c).cell(r).hash(&mut h));
             }
             h.finish()
         })
@@ -729,63 +735,15 @@ mod tests {
             assert_eq!(bits(&sub.evaluate_raw(s)), bits(&expected.raw), "{s}");
             assert_eq!(sub.artifact_size(s), owned.reported_size(), "{s}");
 
-            // The null statistics: popcounts against the projection's masks
-            // equal the scan of the same selection's cells.
-            let fast = sub.materialize_view(s);
-            let masked = (0..fast.num_columns())
-                .map(|c| fast.is_col_masked(c))
-                .collect();
-            let scan = DatasetView::new(sub.universal(), fast.mask().clone(), masked);
-            assert!(fast.projection().is_some() && scan.projection().is_none());
-            assert_eq!(fast.reported_size(), scan.reported_size(), "{s}");
+            // The null statistics: popcounts against the columns' masks
+            // equal the owned copy's.
+            let view = sub.materialize_view(s);
+            assert_eq!(view.reported_size(), owned.reported_size(), "{s}");
             assert_eq!(
-                fast.missing_ratio().to_bits(),
-                scan.missing_ratio().to_bits(),
+                view.missing_ratio().to_bits(),
+                owned.missing_ratio().to_bits(),
                 "{s}"
             );
-            assert_eq!(
-                fast.missing_ratio().to_bits(),
-                owned.missing_ratio().to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn views_share_one_projection_decoded_only_where_read() {
-        use modis_ml::encoding::encode_view;
-        let sub = TableSubstrate::from_pool(&mixed_pool(), ridge_task(), &Default::default());
-        let schema = sub.universal().schema();
-        let col = |name: &str| schema.position(name).unwrap();
-        let (a, b) = (
-            sub.materialize_view(&sub.forward_start()),
-            sub.materialize_view(&sub.backward_start()),
-        );
-        let shared = a
-            .projection()
-            .expect("substrate views carry the projection");
-        assert!(std::ptr::eq(shared, b.projection().unwrap()));
-        assert!(
-            (0..schema.len()).all(|c| !shared.is_decoded(c)),
-            "construction and materialisation decode nothing"
-        );
-
-        // The backward start masks every feature: only the target is read.
-        let opts = sub.task().encode_options();
-        encode_view(&b, &opts);
-        assert!(shared.is_decoded(col("y")) && !shared.is_decoded(col("x1")));
-        encode_view(&a, &opts);
-        assert!(["x1", "x2", "visits", "region", "tier", "grade"]
-            .iter()
-            .all(|name| shared.is_decoded(col(name))));
-        assert!(!shared.is_decoded(col("id")), "the key is never encoded");
-        // Dictionaries exist for the columns some state read categorically.
-        for (name, categorical) in [
-            ("region", true),
-            ("grade", true),
-            ("x2", false),
-            ("y", false),
-        ] {
-            assert_eq!(shared.has_dictionary(col(name)), categorical, "{name}");
         }
     }
 

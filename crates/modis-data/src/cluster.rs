@@ -5,9 +5,11 @@
 //! derive one equality/range literal per cluster. This bounds the number of
 //! reduct operators per attribute regardless of `|adom(A)|`.
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
+use crate::column::{order_key, Cells, Column};
 use crate::dataset::Dataset;
 use crate::literal::Literal;
 use crate::value::Value;
@@ -120,7 +122,8 @@ pub fn kmeans_1d(points: &[f64], k: usize, iterations: usize) -> (Vec<usize>, Ve
 ///   value (capped at `max_k` most frequent values).
 ///
 /// The active domain comes from one sort of the column's non-null row
-/// indices; no cell is cloned but the one each equality literal keeps.
+/// indices (a string column sorts its distinct strings once and its rows by
+/// their ranks); no cell is cloned but the one each equality literal keeps.
 pub fn derive_attribute_literals(
     data: &Dataset,
     attribute: &str,
@@ -133,7 +136,7 @@ pub fn derive_attribute_literals(
     let SortedDomain {
         values: adom,
         mut classes,
-    } = SortedDomain::of(data, col);
+    } = SortedDomain::of(data.column(col));
     if adom.is_empty() {
         return Vec::new();
     }
@@ -168,7 +171,7 @@ pub fn derive_attribute_literals(
     } else {
         // Frequency-ranked equality literals; the stable sort keeps equally
         // frequent values in `Value` order.
-        classes.sort_by_key(|&(_, support)| Reverse(support));
+        classes.sort_by_key(|(_, support)| Reverse(*support));
         classes
             .into_iter()
             .take(config.max_k)
@@ -177,7 +180,7 @@ pub fn derive_attribute_literals(
                 attribute: attribute.to_string(),
                 cluster_id: idx,
                 centroid: v.as_f64().unwrap_or(idx as f64),
-                literal: Literal::equals(attribute, v.clone()),
+                literal: Literal::equals(attribute, v.into_owned()),
                 support,
             })
             .collect()
@@ -194,28 +197,44 @@ pub fn derive_attribute_literals(
 /// holds them, the frequency ranking counts the classes a `BTreeMap` keys.
 struct SortedDomain<'a> {
     /// Of each run of adjacent sorted cells equal under `==`, the last.
-    values: Vec<&'a Value>,
+    values: Vec<Cow<'a, Value>>,
     /// Per class of `Ord`-equal cells: its first cell in row order and its
     /// number of rows.
-    classes: Vec<(&'a Value, usize)>,
+    classes: Vec<(Cow<'a, Value>, usize)>,
 }
 
 impl<'a> SortedDomain<'a> {
-    fn of(data: &'a Dataset, col: usize) -> Self {
-        let rows = data.rows();
-        let cell = |r: usize| &rows[r][col];
-        let mut order: Vec<usize> = (0..rows.len()).filter(|&r| !cell(r).is_null()).collect();
-        if order.iter().all(|&r| cell(r).is_numeric()) {
-            // Numbers compare by their `f64` reading: sort that as an
-            // integer key, the row breaking ties.
-            let mut keyed: Vec<(u64, usize)> =
-                order.iter().map(|&r| (order_key(cell(r)), r)).collect();
-            keyed.sort_unstable();
-            for (slot, (_, r)) in order.iter_mut().zip(keyed) {
-                *slot = r;
+    fn of(column: &'a Column) -> Self {
+        let cell = |r: usize| column.cell(r);
+        let mut order: Vec<usize> = column.non_null().iter().collect();
+        // Cells with an integer key sort by it, the row breaking ties:
+        // numbers by their `f64` reading, strings by their rank among the
+        // column's sorted distinct strings, booleans as 0 / 1.
+        let key_of = |key: &dyn Fn(usize) -> u64| Some(order.iter().map(|&r| key(r)).collect());
+        let keys: Option<Vec<u64>> = match column.cells() {
+            Cells::Float(v) | Cells::Int(v) => key_of(&|r| order_key(v[r])),
+            Cells::Bool(v) => key_of(&|r| u64::from(v[r])),
+            Cells::Str { codes, keys } => {
+                let mut sorted: Vec<usize> = (0..keys.len()).collect();
+                sorted.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]));
+                let mut rank = vec![0; keys.len()];
+                for (i, &k) in sorted.iter().enumerate() {
+                    rank[k] = i as u64;
+                }
+                key_of(&|r| rank[codes[r] as usize])
             }
-        } else {
-            order.sort_by(|&a, &b| cell(a).cmp(cell(b)));
+            Cells::Mixed(_) if order.iter().all(|&r| cell(r).is_numeric()) => {
+                key_of(&|r| order_key(cell(r).as_f64().unwrap_or(f64::NAN)))
+            }
+            Cells::Mixed(_) => None,
+        };
+        match keys {
+            Some(keys) => {
+                let mut keyed: Vec<(u64, usize)> = keys.into_iter().zip(order).collect();
+                keyed.sort_unstable();
+                order = keyed.into_iter().map(|(_, r)| r).collect();
+            }
+            None => order.sort_by(|&a, &b| cell(a).cmp(&cell(b))),
         }
         let mut domain = SortedDomain {
             values: Vec::new(),
@@ -223,31 +242,15 @@ impl<'a> SortedDomain<'a> {
         };
         for (i, &r) in order.iter().enumerate() {
             let v = cell(r);
-            if order.get(i + 1).is_none_or(|&next| cell(next) != v) {
-                domain.values.push(v);
+            if order.get(i + 1).is_none_or(|&next| *cell(next) != *v) {
+                domain.values.push(v.clone());
             }
             match domain.classes.last_mut() {
-                Some((first, support)) if Value::cmp(first, v).is_eq() => *support += 1,
+                Some((first, support)) if Value::cmp(first, &v).is_eq() => *support += 1,
                 _ => domain.classes.push((v, 1)),
             }
         }
         domain
-    }
-}
-
-/// An integer key ordering `Int` / `Float` cells as `Value`'s `Ord` does:
-/// by the `f64` reading, `-0.0` tied with `0.0`, every NaN tied and last.
-fn order_key(v: &Value) -> u64 {
-    let x = v.as_f64().unwrap_or(f64::NAN);
-    if x.is_nan() {
-        return u64::MAX;
-    }
-    // `+ 0.0` turns `-0.0` into `0.0` and leaves every other number as is.
-    let bits = (x + 0.0).to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
     }
 }
 

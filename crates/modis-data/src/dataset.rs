@@ -1,33 +1,36 @@
-//! The `Dataset` table type: a row-oriented table conforming to a [`Schema`].
+//! The `Dataset` table type: a table conforming to a [`Schema`], stored as
+//! one [`Column`] per attribute.
 //!
 //! Datasets are the artefacts manipulated by the MODis finite-state
 //! transducer: operators augment them with new attributes/tuples or reduce
-//! them by removing tuples matching a literal (§3).
+//! them by removing tuples matching a literal (§3). Columns are shared
+//! between the tables that hold them (a clone copies no cell), and a table
+//! that changes one copies that column first.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::fmt;
+use std::sync::Arc;
 
+use crate::column::{Column, Pick};
 use crate::error::DataError;
 use crate::schema::{Attribute, Schema};
 use crate::value::Value;
 
 /// A structured table instance `D(A_1 … A_m)`.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     /// Human-readable name (source table id).
     pub name: String,
     schema: Schema,
-    rows: Vec<Vec<Value>>,
+    /// One column per attribute, all of one length: the row count.
+    columns: Vec<Arc<Column>>,
 }
 
 impl Dataset {
     /// Creates an empty dataset with the given schema.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        Dataset {
-            name: name.into(),
-            schema,
-            rows: Vec::new(),
-        }
+        let columns = (0..schema.len()).map(|_| Column::nulls(0)).collect();
+        Dataset::from_columns(name, schema, columns)
     }
 
     /// Creates a dataset from a schema and row data.
@@ -37,11 +40,10 @@ impl Dataset {
     pub fn from_rows(
         name: impl Into<String>,
         schema: Schema,
-        rows: Vec<Vec<Value>>,
+        mut rows: Vec<Vec<Value>>,
     ) -> Result<Self, DataError> {
         let width = schema.len();
-        let mut fixed = Vec::with_capacity(rows.len());
-        for (i, mut r) in rows.into_iter().enumerate() {
+        for (i, r) in rows.iter_mut().enumerate() {
             if r.len() > width {
                 return Err(DataError::RowArity {
                     row: i,
@@ -50,13 +52,26 @@ impl Dataset {
                 });
             }
             r.resize(width, Value::Null);
-            fixed.push(r);
         }
-        Ok(Dataset {
+        let columns = (0..width)
+            .map(|c| rows.iter_mut().map(|r| std::mem::take(&mut r[c])).collect())
+            .collect();
+        Ok(Dataset::from_columns(name, schema, columns))
+    }
+
+    /// Creates a dataset from one column per schema attribute.
+    ///
+    /// # Panics
+    /// When the column count is not the schema's width or the columns'
+    /// lengths differ.
+    pub fn from_columns(name: impl Into<String>, schema: Schema, columns: Vec<Column>) -> Self {
+        assert_eq!(columns.len(), schema.len(), "one column per attribute");
+        assert!(columns.windows(2).all(|w| w[0].len() == w[1].len()));
+        Dataset {
             name: name.into(),
             schema,
-            rows: fixed,
-        })
+            columns: columns.into_iter().map(Arc::new).collect(),
+        }
     }
 
     /// Schema of the dataset.
@@ -64,9 +79,9 @@ impl Dataset {
         &self.schema
     }
 
-    /// Number of tuples `|D|`.
+    /// Number of tuples `|D|` (none without a column).
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// Number of attributes.
@@ -76,44 +91,41 @@ impl Dataset {
 
     /// Whether the dataset contains no tuples.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.num_rows() == 0
     }
 
-    /// Borrow all rows.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        &self.rows
+    /// The cells of attribute `col`.
+    ///
+    /// # Panics
+    /// When `col` is out of range.
+    pub fn column(&self, col: usize) -> &Column {
+        &self.columns[col]
     }
 
-    /// Borrow a single row.
-    pub fn row(&self, i: usize) -> Option<&[Value]> {
-        self.rows.get(i).map(|r| r.as_slice())
+    /// A row-major copy of every row.
+    pub fn rows(&self) -> Vec<Vec<Value>> {
+        (0..self.num_rows())
+            .map(|r| {
+                self.columns
+                    .iter()
+                    .map(|c| c.cell(r).into_owned())
+                    .collect()
+            })
+            .collect()
     }
 
-    /// Value at `(row, column)`.
-    pub fn value(&self, row: usize, col: usize) -> &Value {
-        self.rows
-            .get(row)
-            .and_then(|r| r.get(col))
-            .unwrap_or(&Value::Null)
-    }
-
-    /// Appends a tuple, padding/truncating to the schema width.
-    pub fn push_row(&mut self, mut row: Vec<Value>) {
-        row.resize(self.schema.len(), Value::Null);
-        self.rows.push(row);
-    }
-
-    /// Sets a single cell.
+    /// Sets a single cell (the column is rebuilt around it).
     pub fn set_value(&mut self, row: usize, col: usize, v: Value) -> Result<(), DataError> {
-        let width = self.schema.len();
-        let r = self
-            .rows
-            .get_mut(row)
-            .ok_or(DataError::RowOutOfBounds { row, len: 0 })?;
-        if col >= width {
-            return Err(DataError::UnknownColumnIndex(col));
+        if row >= self.num_rows() {
+            return Err(DataError::RowOutOfBounds { row, len: 0 });
         }
-        r[col] = v;
+        let column = self
+            .columns
+            .get_mut(col)
+            .ok_or(DataError::UnknownColumnIndex(col))?;
+        let mut cells: Vec<Value> = column.values().map(Cow::into_owned).collect();
+        cells[row] = v;
+        *column = Arc::new(cells.into_iter().collect());
         Ok(())
     }
 
@@ -124,29 +136,19 @@ impl Dataset {
         let before = self.schema.len();
         let idx = self.schema.push(attr);
         if self.schema.len() > before {
-            for r in &mut self.rows {
-                r.push(Value::Null);
-            }
+            self.columns.push(Arc::new(Column::nulls(self.num_rows())));
         }
         idx
-    }
-
-    /// The column as a vector of values.
-    pub fn column(&self, col: usize) -> Vec<Value> {
-        self.rows
-            .iter()
-            .map(|r| r.get(col).cloned().unwrap_or(Value::Null))
-            .collect()
     }
 
     /// Active domain `adom(A)` of a column: the set of distinct non-null
     /// values occurring in the dataset (§2).
     pub fn active_domain(&self, col: usize) -> BTreeSet<Value> {
-        self.rows
+        let column = &self.columns[col];
+        column
+            .non_null()
             .iter()
-            .filter_map(|r| r.get(col))
-            .filter(|v| !v.is_null())
-            .cloned()
+            .map(|r| column.cell(r).into_owned())
             .collect()
     }
 
@@ -156,66 +158,55 @@ impl Dataset {
         if total == 0 {
             return 0.0;
         }
-        let missing: usize = self
-            .rows
-            .iter()
-            .map(|r| r.iter().filter(|v| v.is_null()).count())
+        let missing: usize = (self.columns.iter())
+            .map(|c| self.num_rows() - c.non_null().count())
             .sum();
         missing as f64 / total as f64
     }
 
-    /// Projection onto a subset of columns (by index).
-    pub(crate) fn project(&self, indices: &[usize]) -> Dataset {
-        let schema = self.schema.project(indices);
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                indices
-                    .iter()
-                    .map(|&i| r.get(i).cloned().unwrap_or(Value::Null))
-                    .collect()
-            })
-            .collect();
-        Dataset {
-            name: format!("{}#proj", self.name),
-            schema,
-            rows,
-        }
-    }
-
     /// Projection onto a subset of columns (by name); unknown names are
-    /// silently skipped.
+    /// silently skipped. The columns are shared, not copied.
     pub fn project_by_names(&self, names: &[&str]) -> Dataset {
         let idx: Vec<usize> = names
             .iter()
             .filter_map(|n| self.schema.position(n))
             .collect();
-        self.project(&idx)
+        Dataset {
+            name: format!("{}#proj", self.name),
+            schema: self.schema.project(&idx),
+            columns: idx.iter().map(|&i| Arc::clone(&self.columns[i])).collect(),
+        }
+    }
+
+    /// The dataset named `name` holding `rows` of this one, in that order,
+    /// with the columns `masked` marks reading `Null`.
+    pub(crate) fn take(&self, name: String, rows: &[usize], masked: &[bool]) -> Dataset {
+        let picks: Vec<Pick> = rows.iter().map(|&r| Some((0, r))).collect();
+        let nulls: Vec<Pick> = vec![None; rows.len()];
+        let columns = (self.columns.iter().zip(masked))
+            .map(|(c, &m)| Column::gather(&[c], if m { &nulls } else { &picks }))
+            .collect();
+        Dataset::from_columns(name, self.schema.clone(), columns)
     }
 
     /// Selects rows matching a predicate into a new dataset.
     pub fn filter<F: Fn(&[Value]) -> bool>(&self, pred: F) -> Dataset {
-        let rows = self.rows.iter().filter(|r| pred(r)).cloned().collect();
-        Dataset {
-            name: format!("{}#sel", self.name),
-            schema: self.schema.clone(),
-            rows,
-        }
-    }
-
-    /// Removes rows matching a predicate in place; returns removed count.
-    pub fn retain<F: Fn(&[Value]) -> bool>(&mut self, keep: F) -> usize {
-        let before = self.rows.len();
-        self.rows.retain(|r| keep(r));
-        before - self.rows.len()
+        let rows: Vec<usize> = (0..self.num_rows())
+            .zip(self.rows())
+            .filter_map(|(r, row)| pred(&row).then_some(r))
+            .collect();
+        self.take(
+            format!("{}#sel", self.name),
+            &rows,
+            &vec![false; self.num_columns()],
+        )
     }
 
     /// Dataset size `(rows, columns)` as reported in the paper's tables,
     /// excluding all-null columns.
     pub fn reported_size(&self) -> (usize, usize) {
-        let non_null_cols = (0..self.num_columns())
-            .filter(|&c| self.rows.iter().any(|r| !r[c].is_null()))
+        let non_null_cols = (self.columns.iter())
+            .filter(|c| c.non_null().count() > 0)
             .count();
         (self.num_rows(), non_null_cols)
     }
@@ -237,33 +228,20 @@ impl Dataset {
             let j = (state >> 33) as usize % (i + 1);
             indices.swap(i, j);
         }
-        indices.truncate(n);
-        let rows = indices.iter().map(|&i| self.rows[i].clone()).collect();
-        Dataset {
-            name: format!("{}#sample", self.name),
-            schema: self.schema.clone(),
-            rows,
-        }
+        let unmasked = vec![false; self.num_columns()];
+        self.take(format!("{}#sample", self.name), &indices[..n], &unmasked)
     }
 
-    /// Splits the dataset into (train, test) by a ratio, deterministically.
-    pub fn split(&self, train_ratio: f64, seed: u64) -> (Dataset, Dataset) {
-        let shuffled = self.sample(self.num_rows(), seed);
+    /// Splits the dataset into (train, test) by a ratio: the first rows
+    /// train, the rest test. (`seed` is unused: the rows keep their order.)
+    pub fn split(&self, train_ratio: f64, _seed: u64) -> (Dataset, Dataset) {
         let cut = ((self.num_rows() as f64) * train_ratio).round() as usize;
-        let cut = cut.min(self.num_rows());
-        let train_rows = shuffled.rows[..cut].to_vec();
-        let test_rows = shuffled.rows[cut..].to_vec();
+        let rows: Vec<usize> = (0..self.num_rows()).collect();
+        let (train, test) = rows.split_at(cut.min(self.num_rows()));
+        let unmasked = vec![false; self.num_columns()];
         (
-            Dataset {
-                name: format!("{}#train", self.name),
-                schema: self.schema.clone(),
-                rows: train_rows,
-            },
-            Dataset {
-                name: format!("{}#test", self.name),
-                schema: self.schema.clone(),
-                rows: test_rows,
-            },
+            self.take(format!("{}#train", self.name), train, &unmasked),
+            self.take(format!("{}#test", self.name), test, &unmasked),
         )
     }
 
@@ -274,23 +252,11 @@ impl Dataset {
     }
 }
 
-impl fmt::Display for Dataset {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} {} [{} rows]",
-            self.name,
-            self.schema,
-            self.num_rows()
-        )?;
-        for r in self.rows.iter().take(5) {
-            let cells: Vec<String> = r.iter().map(|v| v.to_string()).collect();
-            writeln!(f, "  {}", cells.join(" | "))?;
-        }
-        if self.num_rows() > 5 {
-            writeln!(f, "  … ({} more rows)", self.num_rows() - 5)?;
-        }
-        Ok(())
+/// Two datasets are equal when their names, schemas and cells are, however
+/// the cells are stored.
+impl PartialEq for Dataset {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.schema == other.schema && self.rows() == other.rows()
     }
 }
 
@@ -316,7 +282,7 @@ mod tests {
     fn from_rows_pads_short_rows() {
         let schema = Schema::from_names(["a", "b", "c"]);
         let d = Dataset::from_rows("d", schema, vec![vec![Value::Int(1)]]).unwrap();
-        assert_eq!(d.value(0, 2), &Value::Null);
+        assert!(d.column(2).cell(0).is_null());
     }
 
     #[test]
@@ -344,7 +310,7 @@ mod tests {
         let mut d = toy();
         let idx = d.add_column(Attribute::feature("c"));
         assert_eq!(idx, 2);
-        assert_eq!(d.value(0, 2), &Value::Null);
+        assert!(d.column(2).cell(0).is_null());
         assert_eq!(d.num_columns(), 3);
     }
 

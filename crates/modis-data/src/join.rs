@@ -6,11 +6,12 @@
 //! `D_U` is one n-way full outer join over the shared key, and a hash
 //! equi-join (inner / left / full outer) is its two-table case. No table is
 //! built per source: rows travel as tuples of row indices, one per table,
-//! and each output cell is cloned once, at the end.
+//! and each output column is one gather over them, at the end.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 
+use crate::column::{Column, Pick};
 use crate::dataset::Dataset;
 use crate::error::DataError;
 use crate::schema::Schema;
@@ -44,7 +45,8 @@ pub fn hash_join(
 /// Multi-way full outer join over a shared key: the universal table `D_U`.
 ///
 /// The result carries the universal schema `R_U` of the pool, attributes in
-/// pool order. A one-table pool is cloned; an empty pool gives an empty table.
+/// pool order. A one-table pool shares its table's columns (nothing is
+/// copied); an empty pool gives an empty table.
 pub fn universal_table(pool: &[Dataset], key: &str) -> Result<Dataset, DataError> {
     match pool {
         [] => Ok(Dataset::new("D_U", Schema::new())),
@@ -60,7 +62,8 @@ const ABSENT: u32 = u32::MAX;
 /// joins would. A tuple's key is its first row's (a tuple of two or more
 /// rows was formed by a non-null key); table `j` expands it over the rows
 /// its key equals, in row order, and then adds its unmatched rows. A cell
-/// is the first non-null one among the tuple's rows holding the column.
+/// is the first non-null one among the tuple's rows holding the column:
+/// each output column is gathered from the columns holding it.
 fn join<T: Borrow<Dataset>>(
     tables: &[T],
     key: &str,
@@ -76,10 +79,11 @@ fn join<T: Borrow<Dataset>>(
     (0..tables[0].num_rows()).for_each(|r| tuples[r * n] = r as u32);
     for (j, right) in tables.iter().enumerate().skip(1) {
         // Each key's first and last row, and each row's next row of its key.
-        let mut index: HashMap<&Value, (u32, u32)> = HashMap::with_capacity(right.num_rows());
+        let mut index: HashMap<Cow<Value>, (u32, u32)> = HashMap::with_capacity(right.num_rows());
         let mut next = vec![ABSENT; right.num_rows()];
-        for (r, row) in (0..).zip(right.rows()) {
-            let k = &row[keys[j]];
+        let column = right.column(keys[j]);
+        for r in 0..right.num_rows() as u32 {
+            let k = column.cell(r as usize);
             if k.is_null() {
                 continue;
             }
@@ -93,9 +97,11 @@ fn join<T: Borrow<Dataset>>(
         let mut joined = Vec::with_capacity(tuples.len() + right.num_rows() * n);
         for tuple in tuples.chunks_exact(n) {
             let first = tuple.iter().take_while(|&&r| r == ABSENT).count();
-            let k = &tables[first].rows()[tuple[first] as usize][keys[first]];
+            let k = tables[first]
+                .column(keys[first])
+                .cell(tuple[first] as usize);
             // Null keys are never indexed, so a null key matches nothing.
-            let mut r = index.get(k).map_or(ABSENT, |&(r, _)| r);
+            let mut r = index.get(&*k).map_or(ABSENT, |&(r, _)| r);
             if r == ABSENT && kind != JoinKind::Inner {
                 joined.extend_from_slice(tuple);
             }
@@ -120,23 +126,26 @@ fn join<T: Borrow<Dataset>>(
         .iter()
         .map(|t| t.schema().names().iter().map(column).collect())
         .collect();
-    let width = schema.len();
-    let mut out = Dataset::new(name, schema);
-    for tuple in tuples.chunks_exact(n) {
-        let mut row = vec![Value::Null; width];
-        for ((table, map), &r) in tables.iter().zip(&maps).zip(tuple) {
-            if r == ABSENT {
-                continue;
-            }
-            for (cell, &o) in table.rows()[r as usize].iter().zip(map) {
-                if row[o].is_null() {
-                    row[o] = cell.clone();
-                }
-            }
-        }
-        out.push_row(row);
-    }
-    Ok(out)
+    let columns = (0..schema.len())
+        .map(|o| {
+            // The tables holding column `o`, in pool order, and their columns.
+            let (holders, sources): (Vec<usize>, Vec<&Column>) = (maps.iter().enumerate())
+                .filter_map(|(j, map)| {
+                    Some((j, tables[j].column(map.iter().position(|&m| m == o)?)))
+                })
+                .unzip();
+            let picks: Vec<Pick> = (tuples.chunks_exact(n))
+                .map(|tuple| {
+                    (holders.iter().zip(&sources).enumerate()).find_map(|(s, (&j, column))| {
+                        let r = tuple[j] as usize;
+                        (tuple[j] != ABSENT && column.non_null().get(r)).then_some((s, r))
+                    })
+                })
+                .collect();
+            Column::gather(&sources, &picks)
+        })
+        .collect();
+    Ok(Dataset::from_columns(name, schema, columns))
 }
 
 #[cfg(test)]
@@ -182,7 +191,7 @@ mod tests {
         let j = hash_join(&left(), &right(), "id", JoinKind::LeftOuter).unwrap();
         assert_eq!(j.num_rows(), 3);
         let b = j.schema().position("b").unwrap();
-        assert!(j.value(0, b).is_null());
+        assert!(j.column(b).cell(0).is_null());
     }
 
     #[test]
@@ -191,7 +200,7 @@ mod tests {
         // 2 matches + 1 unmatched left + 1 unmatched right
         assert_eq!(j.num_rows(), 4);
         let ids = j.column(j.schema().position("id").unwrap());
-        assert!(ids.contains(&Value::Int(4)));
+        assert!(ids.values().any(|v| *v == Value::Int(4)));
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! manipulate data:
 //!
 //! * [`Value`] / [`Schema`] / [`Dataset`] — the table model of §2 (local
-//!   schemas, universal schema, active domains, missing values);
+//!   schemas, universal schema, active domains, missing values). A dataset
+//!   is one [`Column`] per attribute: a typed vector (`f64`, `i64`,
+//!   dictionary-coded strings or `bool`) with null and numeric masks, or
+//!   `Value`s where a column mixes variants;
 //! * [`Literal`] — equality and range conditions carried by operators;
 //! * [`augment`] / [`reduct`] — the primitive `Augment ⊕_c` and
 //!   `Reduct ⊖_c` operators of §3;
@@ -19,9 +22,6 @@
 //!   packed into `u64` words;
 //! * [`RowMask`] / [`DatasetView`] — packed selection vectors and
 //!   zero-copy views, the columnar materialisation path;
-//! * [`TableProjection`] — the typed column-major decoding (null/numeric
-//!   masks, `f64` readings, dictionary codes) the owner of an immutable
-//!   table keeps beside it, decoded once per column;
 //! * [`stats`] — Pearson/Spearman correlation, cosine/Euclidean distances and
 //!   column statistics used by correlation-based pruning and
 //!   diversification.
@@ -30,12 +30,12 @@
 
 pub mod bitmap;
 mod cluster;
+mod column;
 mod dataset;
 mod error;
 mod join;
 mod literal;
 mod ops;
-mod projection;
 mod schema;
 pub mod stats;
 mod value;
@@ -43,12 +43,12 @@ mod view;
 
 pub use bitmap::StateBitmap;
 pub use cluster::{derive_attribute_literals, ClusterConfig, DomainCluster};
+pub use column::{Column, Dictionary};
 pub use dataset::Dataset;
 pub use error::DataError;
 pub use join::{hash_join, universal_table, JoinKind};
 pub use literal::{Condition, Literal};
 pub use ops::{augment, mask_attribute, reduct};
-pub use projection::{ColumnProjection, Dictionary, TableProjection};
 pub use schema::{Attribute, AttributeRole, Schema};
 pub use value::Value;
 pub use view::{DatasetView, RowMask};

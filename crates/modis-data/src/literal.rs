@@ -79,10 +79,12 @@ impl Literal {
     /// resolved once and every cell of it tested. A dataset without the
     /// attribute matches no row.
     pub fn mask(&self, data: &Dataset) -> RowMask {
-        let rows = data.rows();
         match data.schema().position(&self.attribute) {
-            Some(col) => RowMask::from_pred(rows.len(), |r| self.matches_value(&rows[r][col])),
-            None => RowMask::none(rows.len()),
+            Some(col) => {
+                let column = data.column(col);
+                RowMask::from_pred(data.num_rows(), |r| self.matches_value(&column.cell(r)))
+            }
+            None => RowMask::none(data.num_rows()),
         }
     }
 
@@ -111,8 +113,9 @@ pub(crate) mod oracle {
     use crate::view::RowMask;
 
     pub(crate) fn mask(literal: &Literal, data: &Dataset) -> RowMask {
+        let rows = data.rows();
         RowMask::from_pred(data.num_rows(), |r| {
-            let row = &data.rows()[r];
+            let row = &rows[r];
             match data.schema().position(&literal.attribute) {
                 Some(col) => row
                     .get(col)

@@ -8,6 +8,7 @@
 //!
 //! Both are polynomial-time and expressible as SPJ queries.
 
+use crate::column::Column;
 use crate::dataset::Dataset;
 use crate::error::DataError;
 use crate::literal::Literal;
@@ -32,34 +33,25 @@ pub fn augment(
         .schema()
         .position(attribute)
         .ok_or_else(|| DataError::UnknownColumn(attribute.to_string()))?;
-
-    let mut out = base.clone();
-    out.name = format!("{}+{}", base.name, attribute);
-    let attr = source
-        .schema()
-        .attribute(src_col)
-        .cloned()
-        .unwrap_or_else(|| Attribute::feature(attribute));
-    out.add_column(attr);
-
-    // Map shared attributes: source column index -> output column index.
-    let shared: Vec<(usize, usize)> = source
-        .schema()
-        .names()
-        .iter()
-        .enumerate()
-        .filter_map(|(si, name)| out.schema().position(name).map(|oi| (si, oi)))
+    let mut schema = base.schema().clone();
+    schema.push(
+        source
+            .schema()
+            .attribute(src_col)
+            .cloned()
+            .unwrap_or_else(|| Attribute::feature(attribute)),
+    );
+    // Base rows are padded with a null new attribute; each added tuple
+    // takes the cells of the source attributes the schema shares.
+    let shared: Vec<_> = (schema.names().iter())
+        .map(|name| source.schema().position(name).map(|c| source.column(c)))
         .collect();
-
-    for r in literal.mask(source).iter() {
-        let row = &source.rows()[r];
-        let mut new_row = vec![Value::Null; out.num_columns()];
-        for &(si, oi) in &shared {
-            new_row[oi] = row.get(si).cloned().unwrap_or(Value::Null);
-        }
-        out.push_row(new_row);
-    }
-    Ok(out)
+    let mut rows = base.rows();
+    rows.extend(literal.mask(source).iter().map(|r| {
+        let cell = |c: &Option<&Column>| c.map_or(Value::Null, |c| c.cell(r).into_owned());
+        shared.iter().map(cell).collect()
+    }));
+    Dataset::from_rows(format!("{}+{}", base.name, attribute), schema, rows)
 }
 
 /// Applies `⊖_c(base)` (§3, Reduct): removes all tuples satisfying the
@@ -85,12 +77,13 @@ pub fn mask_attribute(base: &Dataset, attribute: &str) -> Result<Dataset, DataEr
         .schema()
         .position(attribute)
         .ok_or_else(|| DataError::UnknownColumn(attribute.to_string()))?;
-    let mut out = base.clone();
-    out.name = format!("{}∖{}", base.name, attribute);
-    for r in 0..out.num_rows() {
-        out.set_value(r, col, Value::Null)?;
-    }
-    Ok(out)
+    let mut masked = vec![false; base.num_columns()];
+    masked[col] = true;
+    Ok(
+        DatasetView::new(base, RowMask::all(base.num_rows()), masked)
+            .to_dataset()
+            .with_name(format!("{}∖{}", base.name, attribute)),
+    )
 }
 
 #[cfg(test)]
@@ -133,9 +126,8 @@ mod tests {
         // two source rows satisfy year=2013 and are appended
         assert_eq!(out.num_rows(), 4);
         // original rows have null phosphorus
-        assert!(out
-            .value(0, out.schema().position("phosphorus").unwrap())
-            .is_null());
+        let phosphorus = out.column(out.schema().position("phosphorus").unwrap());
+        assert!(phosphorus.cell(0).is_null());
     }
 
     #[test]

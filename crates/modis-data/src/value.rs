@@ -62,35 +62,6 @@ impl Value {
         matches!(self, Value::Int(_) | Value::Float(_))
     }
 
-    /// Parses a raw text token into the most specific value type.
-    ///
-    /// Empty strings, `"null"`, `"na"`, `"nan"` (case-insensitive) become
-    /// `Null`; integers and floats are recognised; everything else is kept as
-    /// a string.
-    pub fn parse(token: &str) -> Value {
-        let t = token.trim();
-        if t.is_empty() {
-            return Value::Null;
-        }
-        let lower = t.to_ascii_lowercase();
-        if lower == "null" || lower == "na" || lower == "nan" || lower == "none" {
-            return Value::Null;
-        }
-        if lower == "true" {
-            return Value::Bool(true);
-        }
-        if lower == "false" {
-            return Value::Bool(false);
-        }
-        if let Ok(i) = t.parse::<i64>() {
-            return Value::Int(i);
-        }
-        if let Ok(f) = t.parse::<f64>() {
-            return Value::Float(f);
-        }
-        Value::Str(t.to_string())
-    }
-
     /// Rank of the variant used to order heterogeneous values.
     fn variant_rank(&self) -> u8 {
         match self {
@@ -235,16 +206,6 @@ impl From<bool> for Value {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-
-    #[test]
-    fn parse_recognises_types() {
-        assert_eq!(Value::parse("42"), Value::Int(42));
-        assert_eq!(Value::parse("3.5"), Value::Float(3.5));
-        assert_eq!(Value::parse("true"), Value::Bool(true));
-        assert_eq!(Value::parse(""), Value::Null);
-        assert_eq!(Value::parse("NaN"), Value::Null);
-        assert_eq!(Value::parse("hello"), Value::Str("hello".into()));
-    }
 
     #[test]
     fn numeric_cross_type_equality() {

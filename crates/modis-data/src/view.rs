@@ -11,22 +11,15 @@
 //! skipped by the iterators. Materialising a state becomes a handful of
 //! word-wise AND-NOTs over precomputed per-unit masks.
 //!
-//! A view may also carry the base table's [`TableProjection`] — the typed,
-//! column-major decoding its owner keeps beside an immutable table. With
-//! one attached, [`DatasetView::col_is_all_null`],
-//! [`DatasetView::reported_size`] and [`DatasetView::missing_ratio`] are
-//! popcounts of the selection ANDed with the column's null mask instead of
-//! scans over enum cells, and `modis_ml::encoding::encode_view` gathers the
-//! state's matrix from the decoded columns. Without one the same answers
-//! come from the cells (and the encoder decodes a transient projection).
+//! The null statistics a valuation asks of a view —
+//! [`DatasetView::col_is_all_null`], [`DatasetView::reported_size`] and
+//! [`DatasetView::missing_ratio`] — are popcounts of the selection ANDed
+//! with a column's null mask, and `modis_ml::encoding::encode_view` gathers
+//! the state's matrix from the base table's columns.
 
 use crate::bitmap::StateBitmap;
 use crate::dataset::Dataset;
-use crate::projection::TableProjection;
 use crate::schema::Schema;
-use crate::value::Value;
-
-static NULL_VALUE: Value = Value::Null;
 
 /// A packed selection vector over the rows of a table.
 ///
@@ -119,14 +112,12 @@ impl RowMask {
 }
 
 /// A zero-copy dataset: a borrowed base table, a row selection and a set of
-/// masked (all-null reading) attributes — plus, when the base table's owner
-/// keeps one, the table's decoded [`TableProjection`].
+/// masked (all-null reading) attributes.
 #[derive(Debug, Clone)]
 pub struct DatasetView<'a> {
     base: &'a Dataset,
     mask: RowMask,
     masked_cols: Vec<bool>,
-    projection: Option<&'a TableProjection>,
 }
 
 impl<'a> DatasetView<'a> {
@@ -142,7 +133,6 @@ impl<'a> DatasetView<'a> {
             base,
             mask,
             masked_cols,
-            projection: None,
         }
     }
 
@@ -155,22 +145,9 @@ impl<'a> DatasetView<'a> {
         )
     }
 
-    /// Attaches the base table's projection, so the view's null statistics
-    /// and its encoding read decoded columns. `projection` must have been
-    /// created for [`Self::base`], which must not change while it lives.
-    pub fn with_projection(mut self, projection: &'a TableProjection) -> Self {
-        self.projection = Some(projection);
-        self
-    }
-
     /// The borrowed base table.
     pub fn base(&self) -> &'a Dataset {
         self.base
-    }
-
-    /// The base table's projection, when its owner attached one.
-    pub fn projection(&self) -> Option<&'a TableProjection> {
-        self.projection
     }
 
     /// The row-selection mask.
@@ -205,39 +182,15 @@ impl<'a> DatasetView<'a> {
         self.masked_cols.get(c).copied().unwrap_or(false)
     }
 
-    /// Value at `(base_row, col)` honouring the attribute mask; never
-    /// copies. `base_row` indexes the *base* table — pair with
-    /// [`Self::row_indices`].
-    #[inline]
-    pub fn value(&self, base_row: usize, col: usize) -> &'a Value {
-        if self.is_col_masked(col) {
-            &NULL_VALUE
-        } else {
-            self.base
-                .row(base_row)
-                .and_then(|r| r.get(col))
-                .unwrap_or(&NULL_VALUE)
-        }
-    }
-
     /// Iterates the base-table indices of the selected rows in order.
     pub fn row_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.mask.iter()
     }
 
     /// Number of selected rows whose cell in the (unmasked) column `c` is
-    /// not null: a popcount against the projection's null mask when one is
-    /// attached, a scan of the cells otherwise.
+    /// not null: a popcount against the column's null mask.
     fn non_null_count(&self, c: usize) -> usize {
-        match self.projection {
-            Some(p) => self.mask.count_and(p.column(self.base, c).non_null()),
-            None => {
-                let rows = self.base.rows();
-                self.row_indices()
-                    .filter(|&r| !rows[r][c].is_null())
-                    .count()
-            }
-        }
+        self.mask.count_and(self.base.column(c).non_null())
     }
 
     /// Whether column `c` reads entirely null over the selected rows
@@ -281,28 +234,9 @@ impl<'a> DatasetView<'a> {
     /// path for consumers that still need an owned table; the result equals
     /// the clone-and-filter materialisation of the same state.
     pub fn to_dataset(&self) -> Dataset {
-        let rows: Vec<Vec<Value>> = self
-            .row_indices()
-            .filter_map(|r| self.base.row(r))
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(c, v)| {
-                        if self.masked_cols[c] {
-                            Value::Null
-                        } else {
-                            v.clone()
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        Dataset::from_rows(
-            format!("{}#view", self.base.name),
-            self.base.schema().clone(),
-            rows,
-        )
-        .expect("view rows conform to the base schema")
+        let rows: Vec<usize> = self.row_indices().collect();
+        let name = format!("{}#view", self.base.name);
+        self.base.take(name, &rows, &self.masked_cols)
     }
 }
 
@@ -310,6 +244,7 @@ impl<'a> DatasetView<'a> {
 mod tests {
     use super::*;
     use crate::schema::{Attribute, Schema};
+    use crate::value::Value;
 
     fn toy() -> Dataset {
         Dataset::from_rows(
@@ -368,11 +303,10 @@ mod tests {
     fn masked_column_reads_null_and_drops_from_reported_size() {
         let d = toy();
         let v = DatasetView::new(&d, RowMask::all(10), vec![false, true, false]);
-        assert!(v.value(0, 1).is_null());
-        assert_eq!(v.value(0, 0), &Value::Int(0));
         assert_eq!(v.reported_size().1, d.reported_size().1 - 1);
         let owned = v.to_dataset();
         assert!(owned.rows().iter().all(|r| r[1].is_null()));
+        assert_eq!(*owned.column(0).cell(0), Value::Int(0));
     }
 
     #[test]
@@ -384,13 +318,15 @@ mod tests {
         assert_eq!(v.row_indices().collect::<Vec<_>>(), vec![1, 3, 5, 7, 9]);
         let owned = v.to_dataset();
         assert_eq!(owned.num_rows(), 5);
-        assert_eq!(owned.value(0, 0), &Value::Int(1));
+        assert_eq!(*owned.column(0).cell(0), Value::Int(1));
     }
 
+    /// The popcount answers equal a scan of the selected cells, and the
+    /// owned copy's own answers.
     #[test]
     fn projection_answers_equal_the_cell_scan() {
         let d = toy();
-        let projection = TableProjection::new(&d);
+        let rows = d.rows();
         let masks = [
             RowMask::all(10),
             RowMask::none(10),
@@ -400,21 +336,25 @@ mod tests {
         ];
         for mask in masks {
             for masked_cols in [vec![false; 3], vec![false, true, false], vec![true; 3]] {
-                let scan = DatasetView::new(&d, mask.clone(), masked_cols);
-                let fast = scan.clone().with_projection(&projection);
-                assert_eq!(fast.reported_size(), scan.reported_size());
-                assert_eq!(
-                    fast.missing_ratio().to_bits(),
-                    scan.missing_ratio().to_bits()
-                );
+                let view = DatasetView::new(&d, mask.clone(), masked_cols.clone());
+                let null = |r: usize, c: usize| masked_cols[c] || rows[r][c].is_null();
+                let all_null = |c: usize| view.row_indices().all(|r| null(r, c));
+                let cols = (0..3).filter(|&c| !all_null(c)).count();
+                assert_eq!(view.reported_size(), (mask.count(), cols));
                 for c in 0..4 {
-                    assert_eq!(fast.col_is_all_null(c), scan.col_is_all_null(c), "col {c}");
+                    assert_eq!(view.col_is_all_null(c), c == 3 || all_null(c), "col {c}");
                 }
-                // Both equal the owned copy's own answers.
-                let owned = scan.to_dataset();
-                assert_eq!(scan.reported_size(), owned.reported_size());
+                let missing = (view.row_indices())
+                    .map(|r| (0..3).filter(|&c| null(r, c)).count())
+                    .sum::<usize>();
+                if mask.count() > 0 {
+                    let want = missing as f64 / (mask.count() * 3) as f64;
+                    assert_eq!(view.missing_ratio().to_bits(), want.to_bits());
+                }
+                let owned = view.to_dataset();
+                assert_eq!(view.reported_size(), owned.reported_size());
                 assert_eq!(
-                    scan.missing_ratio().to_bits(),
+                    view.missing_ratio().to_bits(),
                     owned.missing_ratio().to_bits()
                 );
             }

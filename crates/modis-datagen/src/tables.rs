@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use modis_data::{Attribute, Dataset, Schema, Value};
+use modis_data::{Attribute, Column, Dataset, Schema, Value};
 
 /// Parameters of a synthetic table-pool workload.
 #[derive(Debug, Clone)]
@@ -153,16 +153,13 @@ pub fn generate_table_pool(config: &TablePoolConfig) -> TablePool {
         Attribute::feature("weak_signal"),
         Attribute::target("target"),
     ]);
-    let base_rows: Vec<Vec<Value>> = (0..n)
-        .map(|i| {
-            vec![
-                Value::Int(i as i64),
-                Value::Float(weak[i]),
-                target_values[i].clone(),
-            ]
-        })
-        .collect();
-    let base = Dataset::from_rows("base", base_schema, base_rows).expect("base rows");
+    let ids = || (0..n).map(|i| Value::Int(i as i64)).collect::<Column>();
+    let base_columns = vec![
+        ids(),
+        weak.iter().map(|&x| Value::Float(x)).collect(),
+        target_values.into_iter().collect(),
+    ];
+    let base = Dataset::from_columns("base", base_schema, base_columns);
 
     // Spread the remaining attributes over the other tables.
     let n_other = config.n_tables.saturating_sub(1).max(1);
@@ -179,20 +176,26 @@ pub fn generate_table_pool(config: &TablePoolConfig) -> TablePool {
                 .map(|(name, _, _)| Attribute::feature(name.clone())),
         );
         let schema = Schema::from_attributes(schema_attrs);
-        let rows: Vec<Vec<Value>> = (0..n)
-            .map(|i| {
-                let mut row = vec![Value::Int(i as i64)];
-                for (_, col, _) in &cols {
-                    if rng.gen_bool(config.missing_rate) {
-                        row.push(Value::Null);
-                    } else {
-                        row.push(Value::Float(col[i]));
-                    }
-                }
-                row
-            })
+        // Cells are drawn row by row, each row's missing flags in column
+        // order, and land in their columns.
+        let mut cells: Vec<Vec<Value>> = vec![Vec::with_capacity(n); cols.len()];
+        for i in 0..n {
+            for ((_, col, _), cells) in cols.iter().zip(&mut cells) {
+                cells.push(if rng.gen_bool(config.missing_rate) {
+                    Value::Null
+                } else {
+                    Value::Float(col[i])
+                });
+            }
+        }
+        let columns = std::iter::once(ids())
+            .chain(cells.into_iter().map(Column::from_iter))
             .collect();
-        tables.push(Dataset::from_rows(format!("source_{t}"), schema, rows).expect("source rows"));
+        tables.push(Dataset::from_columns(
+            format!("source_{t}"),
+            schema,
+            columns,
+        ));
     }
 
     TablePool {

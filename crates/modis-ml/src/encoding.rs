@@ -10,10 +10,10 @@
 //! [`encode_view_split`] is the one encoder body — a valuation calls it with
 //! its train ratio and seed, and [`encode_view`] is it with every row on the
 //! training side. It never looks at a `Value`: what a
-//! cell *is* (null, a finite number, which value class) is decoded once per
-//! column into the base table's [`TableProjection`] — the one a substrate's
-//! view carries, or a transient one for a bare view ([`encode`] wraps a
-//! full-table view around a `Dataset`) — and what depends on the *state* is
+//! cell *is* (null, a finite number, which value class) is what the base
+//! table's [`Column`](modis_data::Column)s store — null and numeric masks,
+//! `f64` readings, dictionary codes ([`encode`] wraps a full-table view
+//! around a `Dataset`) — and what depends on the *state* is
 //! decided here, per state, from popcounts and ascending passes over the
 //! selected rows (read from the selection a word at a time): one per group
 //! of up to four numeric columns for their means, the group's sums held in
@@ -50,7 +50,9 @@
 //!   trains there is no test side and the matrix keeps the selection's
 //!   order.
 
-use modis_data::{AttributeRole, Dataset, DatasetView, Dictionary, TableProjection, Value};
+use std::borrow::Cow;
+
+use modis_data::{AttributeRole, Dataset, DatasetView, Dictionary, Value};
 
 use crate::matrix::Matrix;
 
@@ -208,8 +210,7 @@ pub fn encode(data: &Dataset, opts: &EncodeOptions) -> Encoded {
 }
 
 /// Encodes a zero-copy [`DatasetView`] into a numeric matrix by gathering
-/// from the base table's [`TableProjection`] — the one the view carries, or
-/// a transient one decoded here through the same code when it carries none.
+/// from the base table's columns.
 ///
 /// Produces exactly the matrix [`encode`] would produce on the materialised
 /// view (`view.to_dataset()`): masked attributes read all-null and are
@@ -236,14 +237,6 @@ pub fn encode_view_split(
     let base = view.base();
     let schema = view.schema();
     let mask = view.mask();
-    let transient;
-    let projection = match view.projection() {
-        Some(attached) => attached,
-        None => {
-            transient = TableProjection::new(base);
-            &transient
-        }
-    };
     let target_col = opts
         .target
         .as_ref()
@@ -261,7 +254,7 @@ pub fn encode_view_split(
         {
             continue;
         }
-        let column = projection.column(base, c);
+        let column = base.column(c);
         let non_null = mask.count_and(column.non_null());
         if non_null > 0 {
             feature_cols.push((c, column, non_null));
@@ -290,21 +283,23 @@ pub fn encode_view_split(
     // What each feature column (matrix column `j`) reads like is decided
     // once per state: numbers imputed with the selection's mean, or
     // category ids.
+    //
+    // A numeric column's selected cells are all null (`NaN`) or finite.
     struct Numeric<'p> {
         j: usize,
-        cells: &'p [f64],
+        cells: Cow<'p, [f64]>,
         /// Set by the means pass below.
         mean: f64,
         count: usize,
     }
     struct Categorical<'p> {
         j: usize,
-        codes: &'p [u32],
+        dictionary: Dictionary<'p>,
         ids: Vec<f64>,
     }
     let mut numeric = Vec::new();
     let mut categorical = Vec::new();
-    for (j, &(c, column, non_null)) in feature_cols.iter().enumerate() {
+    for (j, &(_, column, non_null)) in feature_cols.iter().enumerate() {
         let count = mask.count_and(column.numeric());
         if count > 0 && count == non_null {
             numeric.push(Numeric {
@@ -314,13 +309,9 @@ pub fn encode_view_split(
                 count,
             });
         } else {
-            let dictionary = projection.dictionary(base, c);
-            let (ids, _) = first_appearance_ids(dictionary, &rows);
-            categorical.push(Categorical {
-                j,
-                codes: dictionary.codes(),
-                ids,
-            });
+            let dictionary = column.dictionary();
+            let (ids, _) = first_appearance_ids(&dictionary, &rows);
+            categorical.push(Categorical { j, dictionary, ids });
         }
     }
     // One pass per group of up to four numeric columns for their means:
@@ -330,7 +321,7 @@ pub fn encode_view_split(
     // leaves every sum (`±0.0` included) as it was, so the select needs no
     // branch.
     fn means<const K: usize>(group: &mut [Numeric<'_>], rows: &[usize]) {
-        let columns: [&[f64]; K] = std::array::from_fn(|k| group[k].cells);
+        let columns: [&[f64]; K] = std::array::from_fn(|k| &*group[k].cells);
         let mut sums = [0.0; K];
         for &r in rows {
             for (sum, cells) in sums.iter_mut().zip(&columns) {
@@ -353,21 +344,25 @@ pub fn encode_view_split(
 
     enum Target<'p> {
         Absent,
-        Number(&'p [f64]),
-        Class { codes: &'p [u32], ids: Vec<f64> },
+        Number(Cow<'p, [f64]>),
+        Class {
+            dictionary: Dictionary<'p>,
+            ids: Vec<f64>,
+        },
     }
     let mut class_values: Vec<Value> = Vec::new();
     let target = match (target_col, opts.task) {
         (None, _) => Target::Absent,
-        (Some(tc), TaskKind::Regression) => Target::Number(projection.column(base, tc).readings()),
+        (Some(tc), TaskKind::Regression) => Target::Number(base.column(tc).readings()),
         (Some(tc), TaskKind::Classification) => {
-            let dictionary = projection.dictionary(base, tc);
-            let (ids, firsts) = first_appearance_ids(dictionary, &rows);
-            class_values = firsts.iter().map(|&r| base.rows()[r][tc].clone()).collect();
-            Target::Class {
-                codes: dictionary.codes(),
-                ids,
-            }
+            let column = base.column(tc);
+            let dictionary = column.dictionary();
+            let (ids, firsts) = first_appearance_ids(&dictionary, &rows);
+            class_values = firsts
+                .iter()
+                .map(|&r| column.cell(r).into_owned())
+                .collect();
+            Target::Class { dictionary, ids }
         }
     };
 
@@ -378,10 +373,12 @@ pub fn encode_view_split(
     rows.retain(|&r| {
         targets.push(match &target {
             Target::Absent => 0.0,
-            Target::Number(cells) if cells[r].is_nan() => return false,
+            Target::Number(cells) if !cells[r].is_finite() => return false,
             Target::Number(cells) => cells[r],
-            Target::Class { codes, .. } if codes[r] == Dictionary::NULL => return false,
-            Target::Class { codes, ids } => ids[codes[r] as usize],
+            Target::Class { dictionary, ids } => match dictionary.codes()[r] {
+                Dictionary::NULL => return false,
+                code => ids[code as usize],
+            },
         });
         true
     });
@@ -403,12 +400,14 @@ pub fn encode_view_split(
     let d = feature_cols.len();
     let fill = |rows: &[usize]| {
         let mut data = vec![0.0; rows.len() * d];
-        for &Numeric { j, cells, mean, .. } in &numeric {
+        for Numeric { j, cells, mean, .. } in &numeric {
+            let (j, mean) = (*j, *mean);
             for (row, &r) in data.chunks_exact_mut(d).zip(rows) {
                 row[j] = if cells[r].is_nan() { mean } else { cells[r] };
             }
         }
-        for Categorical { j, codes, ids } in &categorical {
+        for Categorical { j, dictionary, ids } in &categorical {
+            let codes = dictionary.codes();
             for (row, &r) in data.chunks_exact_mut(d).zip(rows) {
                 row[*j] = match codes[r] {
                     Dictionary::NULL => -1.0,
@@ -442,7 +441,7 @@ pub fn encode_view_split(
 /// matrix stores it (`-1.0` for a key no selected row holds), and the second
 /// vector holds, per id, the row it first appeared in. The scan stops once
 /// every key has an id: no later row can change either vector.
-fn first_appearance_ids(dictionary: &Dictionary, rows: &[usize]) -> (Vec<f64>, Vec<usize>) {
+fn first_appearance_ids(dictionary: &Dictionary<'_>, rows: &[usize]) -> (Vec<f64>, Vec<usize>) {
     let codes = dictionary.codes();
     let mut ids = vec![-1.0; dictionary.cardinality()];
     let mut firsts = Vec::new();
@@ -459,7 +458,7 @@ fn first_appearance_ids(dictionary: &Dictionary, rows: &[usize]) -> (Vec<f64>, V
     (ids, firsts)
 }
 
-/// The encoder this module had before the projection: 2–5 row-major passes
+/// The encoder this module had before the typed columns: 2–5 row-major passes
 /// per column over the `Value` cells, a `BTreeMap<Value, f64>` per
 /// categorical column. Its body is kept verbatim (it collects row vectors
 /// and hands them to `Matrix::from_rows` at the end) as the reference the
@@ -873,7 +872,7 @@ mod tests {
     mod differential {
         use super::super::oracle;
         use super::*;
-        use modis_data::{RowMask, TableProjection};
+        use modis_data::RowMask;
         use proptest::prelude::*;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -1046,10 +1045,9 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(320))]
 
-            /// The contract of the projection: whatever the row-scanning
+            /// The contract of the typed columns: whatever the row-scanning
             /// encoder produced, the gather produces, bit for bit — for
-            /// many selections of one table sharing one lazily decoded
-            /// projection, and through a transient one.
+            /// many selections of one table.
             #[test]
             fn gather_encodes_what_the_row_scan_encoded(
                 seed in any::<u64>(),
@@ -1060,7 +1058,6 @@ mod tests {
                 let mut g = StdRng::seed_from_u64(seed);
                 let n = SIZES[size];
                 let data = table(&mut g, n, classes, undeclared_target != 0);
-                let projection = TableProjection::new(&data);
                 for at in 0..6 {
                     let (mask, masked, opts) = state(&mut g, n, classes);
                     let context = format!(
@@ -1070,8 +1067,6 @@ mod tests {
                     let bare = DatasetView::new(&data, mask, masked);
                     let expected = oracle::encode_view(&bare, &opts);
                     assert_same(&encode_view(&bare, &opts), &expected, &context);
-                    let attached = bare.clone().with_projection(&projection);
-                    assert_same(&encode_view(&attached, &opts), &expected, &context);
                 }
             }
         }
@@ -1118,7 +1113,6 @@ mod tests {
                 let mut g = StdRng::seed_from_u64(seed);
                 let n = SIZES[size];
                 let data = table(&mut g, n, classes, undeclared_target != 0);
-                let projection = TableProjection::new(&data);
                 for at in 0..4 {
                     let (mask, masked, opts) = state(&mut g, n, classes);
                     let context = format!(
@@ -1126,11 +1120,6 @@ mod tests {
                         mask.iter().collect::<Vec<_>>()
                     );
                     let view = DatasetView::new(&data, mask, masked);
-                    let view = if at % 2 == 0 {
-                        view.with_projection(&projection)
-                    } else {
-                        view
-                    };
                     for ratio in [0.0, 0.5, 0.7, 1.0] {
                         for split_seed in [split_seed, at as u64, 1] {
                             assert_dealt_as_split(&view, &opts, ratio, split_seed, &context);
@@ -1224,18 +1213,18 @@ mod tests {
                 let mut g = StdRng::seed_from_u64(seed);
                 let n = SIZES[seed as usize % SIZES.len()];
                 let data = table(&mut g, n, seed % 2 == 0, seed % 3 != 0);
-                let projection = TableProjection::new(&data);
                 let (mask, masked, opts) = state(&mut g, n, seed % 2 == 0);
                 let view = DatasetView::new(&data, mask.clone(), masked);
                 let e = encode_view(&view, &opts);
                 let mut numeric = 0;
                 for name in &e.feature_names {
                     let c = data.schema().position(name).expect("a feature is a column");
-                    let column = projection.column(&data, c);
+                    let column = data.column(c);
                     if mask.count_and(column.numeric()) == mask.count_and(column.non_null()) {
                         numeric += 1;
                     } else {
-                        let codes = projection.dictionary(&data, c).codes();
+                        let dictionary = column.dictionary();
+                        let codes = dictionary.codes();
                         seen[2] |= mask.iter().any(|r| codes[r] == Dictionary::NULL);
                     }
                 }

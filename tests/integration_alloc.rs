@@ -34,9 +34,7 @@ use modis_core::estimator::{FittedSurrogate, GbmParams};
 use modis_core::pareto::EpsilonSkyline;
 use modis_core::prelude::*;
 use modis_core::substrate::mock::MockSubstrate;
-use modis_data::{
-    Attribute, Dataset, DatasetView, RowMask, Schema, StateBitmap, TableProjection, Value,
-};
+use modis_data::{Attribute, Dataset, DatasetView, RowMask, Schema, StateBitmap, Value};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -132,7 +130,6 @@ fn pool() -> Dataset {
 #[test]
 fn a_valuation_allocates_the_same_whatever_the_row_count() {
     let data = pool();
-    let projection = TableProjection::new(&data);
     let task = TaskSpec {
         name: "churn".into(),
         model: ModelKind::LinearRegressor,
@@ -150,7 +147,7 @@ fn a_valuation_allocates_the_same_whatever_the_row_count() {
     let view = |selected: usize| {
         let mask = RowMask::from_pred(ROWS, |r| r % (ROWS / selected) == 0);
         assert_eq!(mask.count(), selected);
-        DatasetView::new(&data, mask, vec![false; 8]).with_projection(&projection)
+        DatasetView::new(&data, mask, vec![false; 8])
     };
     let (quarter, all) = (view(250), view(ROWS));
     let allocations_of = |view: &DatasetView<'_>| {
@@ -160,9 +157,6 @@ fn a_valuation_allocates_the_same_whatever_the_row_count() {
         assert!(evaluation.raw[0] > 0.8, "R² = {}", evaluation.raw[0]);
         made
     };
-    // The projection decodes a column on its first use; that is paid once
-    // per pool, not per valuation, and stays out of the count.
-    allocations_of(&all);
     let (few, many) = (allocations_of(&quarter), allocations_of(&all));
     assert!(
         few.abs_diff(many) <= 8,

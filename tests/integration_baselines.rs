@@ -100,7 +100,7 @@ fn rows_digest(data: &modis_data::Dataset) -> u64 {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    for row in data.rows() {
+    for row in &data.rows() {
         for cell in row {
             match cell {
                 modis_data::Value::Null => eat(&[0]),

@@ -42,7 +42,7 @@ fn oracle_hash_join(
         .ok_or_else(|| DataError::MissingJoinKey(key.to_string()))?;
 
     let out_schema = left.schema().union(right.schema());
-    let mut out = Dataset::new(format!("{}⋈{}", left.name, right.name), out_schema);
+    let out = Dataset::new(format!("{}⋈{}", left.name, right.name), out_schema);
 
     // Column maps from each operand into the output schema.
     let lmap: Vec<usize> = left
@@ -70,6 +70,8 @@ fn oracle_hash_join(
 
     let width = out.num_columns();
     let mut right_matched = vec![false; right.num_rows()];
+    let right_rows = right.rows();
+    let mut rows = Vec::new();
 
     for lrow in left.rows() {
         let k = &lrow[lk];
@@ -78,7 +80,7 @@ fn oracle_hash_join(
             Some(ris) if !ris.is_empty() => {
                 for &ri in ris {
                     right_matched[ri] = true;
-                    let rrow = &right.rows()[ri];
+                    let rrow = &right_rows[ri];
                     let mut new_row = vec![Value::Null; width];
                     for (ci, &oi) in lmap.iter().enumerate() {
                         new_row[oi] = lrow[ci].clone();
@@ -88,7 +90,7 @@ fn oracle_hash_join(
                             new_row[oi] = rrow[ci].clone();
                         }
                     }
-                    out.push_row(new_row);
+                    rows.push(new_row);
                 }
             }
             _ => {
@@ -97,14 +99,14 @@ fn oracle_hash_join(
                     for (ci, &oi) in lmap.iter().enumerate() {
                         new_row[oi] = lrow[ci].clone();
                     }
-                    out.push_row(new_row);
+                    rows.push(new_row);
                 }
             }
         }
     }
 
     if kind == JoinKind::FullOuter {
-        for (ri, rrow) in right.rows().iter().enumerate() {
+        for (ri, rrow) in right_rows.iter().enumerate() {
             if right_matched[ri] {
                 continue;
             }
@@ -112,11 +114,12 @@ fn oracle_hash_join(
             for (ci, &oi) in rmap.iter().enumerate() {
                 new_row[oi] = rrow[ci].clone();
             }
-            out.push_row(new_row);
+            rows.push(new_row);
         }
     }
 
-    Ok(out)
+    let schema = out.schema().clone();
+    Ok(Dataset::from_rows(out.name, schema, rows).expect("rows of the union schema"))
 }
 
 /// `universal_table` as the pairwise fold it was: the oracle.
@@ -438,10 +441,11 @@ fn a_churn_style_pool_builds_the_substrate_the_fold_built() {
     assert_same_substrate(&pool[..1], "y", "churn, one table");
 }
 
-/// `TableSubstrate::from_pool` falls back to the first table alone when
-/// the join fails, and it fails whenever any table of a pool of two or
-/// more lacks the key: one keyless table drops every other table, keyed
-/// or not. A lone keyless table joins (it is cloned) and needs no fallback.
+/// A pool of two or more tables with one lacking the key has no universal
+/// table: `TableSubstrate::try_from_pool` returns the join's error, keyed
+/// or not the other tables, and `from_pool` panics with it (it once built
+/// over the first table alone, silently dropping the rest). A lone keyless
+/// table joins (its columns are shared) and builds.
 #[test]
 fn one_keyless_table_leaves_the_substrate_only_the_first_table() {
     let tables = modis_datagen::t1_movie(1).tables;
@@ -455,13 +459,25 @@ fn one_keyless_table_leaves_the_substrate_only_the_first_table() {
         t.project_by_names(&names)
     };
     let config = TableSpaceConfig::default();
+    let missing = DataError::MissingJoinKey(KEY.into());
     for keyless_at in [0, 2] {
         let mut pool = tables.clone();
         pool[keyless_at] = drop_key(&pool[keyless_at]);
-        assert!(universal_table(&pool, KEY).is_err());
-        let sub = TableSubstrate::from_pool(&pool, task("target"), &config);
-        // The first table as it is, name included: not a `D_U`.
-        assert_eq!(sub.universal(), &pool[0], "keyless table {keyless_at}");
+        assert_eq!(universal_table(&pool, KEY).unwrap_err(), missing);
+        let built = TableSubstrate::try_from_pool(&pool, task("target"), &config);
+        assert_eq!(
+            built.err(),
+            Some(missing.clone()),
+            "keyless table {keyless_at}"
+        );
+        let panicked = std::panic::catch_unwind(|| {
+            TableSubstrate::from_pool(&pool, task("target"), &config);
+        });
+        let message = panicked.expect_err("from_pool panics");
+        let message = message
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(message.contains(&missing.to_string()), "{message}");
     }
     let lone = [drop_key(&tables[0])];
     let sub = TableSubstrate::from_pool(&lone, task("target"), &config);
