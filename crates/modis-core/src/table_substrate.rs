@@ -354,8 +354,8 @@ impl Substrate for TableSubstrate {
         // The table is immutable after construction, so the digest is
         // computed once and memoised; fingerprints persist in snapshots, so
         // everything hashes through the stable FNV hasher, and the cells
-        // hash as the row-major stream of `Vec<Value>` rows they were first
-        // stored as: the row count, then per row its width and its cells.
+        // hash as a row-major stream of `Vec<Value>` rows — the row count,
+        // then per row its width and its cells — whatever their storage.
         use crate::codec::StableHasher;
         use std::hash::{Hash, Hasher};
         *self.fingerprint_memo.get_or_init(|| {

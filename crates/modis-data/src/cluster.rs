@@ -211,7 +211,7 @@ impl<'a> SortedDomain<'a> {
         // numbers by their `f64` reading, strings by their rank among the
         // column's sorted distinct strings, booleans as 0 / 1.
         let key_of = |key: &dyn Fn(usize) -> u64| Some(order.iter().map(|&r| key(r)).collect());
-        let keys: Option<Vec<u64>> = match column.cells() {
+        let keys: Option<Vec<u64>> = match &column.cells {
             Cells::Float(v) | Cells::Int(v) => key_of(&|r| order_key(v[r])),
             Cells::Bool(v) => key_of(&|r| u64::from(v[r])),
             Cells::Str { codes, keys } => {

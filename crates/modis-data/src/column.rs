@@ -21,7 +21,7 @@
 //!   string column lends its codes, the others number their keys.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::value::Value;
 use crate::view::RowMask;
@@ -48,7 +48,7 @@ pub(crate) enum Cells {
 /// The cells of one attribute (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Column {
-    cells: Cells,
+    pub(crate) cells: Cells,
     non_null: RowMask,
     numeric: RowMask,
 }
@@ -70,10 +70,6 @@ impl Column {
     /// Number of rows.
     pub(crate) fn len(&self) -> usize {
         self.non_null.len()
-    }
-
-    pub(crate) fn cells(&self) -> &Cells {
-        &self.cells
     }
 
     /// The cell at row `r`: borrowed where the column keeps `Value`s,
@@ -144,6 +140,72 @@ impl Column {
         Dictionary { codes, cardinality }
     }
 
+    /// The column of the `n` cells `cell(0..n)`, stored typed when every
+    /// non-null one has one variant; the cells are read, and a string
+    /// column clones one cell per distinct string.
+    pub(crate) fn of<'a>(n: usize, cell: impl Fn(usize) -> &'a Value) -> Column {
+        let non_null = RowMask::from_pred(n, |r| !cell(r).is_null());
+        let first = non_null.iter().next().map(&cell);
+        let one_variant = first.is_none_or(|first| {
+            let kind = std::mem::discriminant(first);
+            (0..n).all(|r| match cell(r) {
+                Value::Null => true,
+                Value::Int(i) => matches!(first, Value::Int(_)) && *i as f64 as i64 == *i,
+                v => std::mem::discriminant(v) == kind,
+            })
+        });
+        let finite = |v: &Value| v.as_f64().is_some_and(f64::is_finite);
+        let numbers = || {
+            (0..n)
+                .map(|r| cell(r).as_f64().unwrap_or(f64::NAN))
+                .collect()
+        };
+        let (cells, numeric) = match first {
+            _ if !one_variant => {
+                let cells = (0..n).map(|r| cell(r).clone()).collect();
+                (
+                    Cells::Mixed(cells),
+                    RowMask::from_pred(n, |r| finite(cell(r))),
+                )
+            }
+            Some(Value::Int(_)) => (Cells::Int(numbers()), non_null.clone()),
+            Some(Value::Bool(_)) => {
+                let v = (0..n).map(|r| matches!(cell(r), Value::Bool(true)));
+                (Cells::Bool(v.collect()), non_null.clone())
+            }
+            Some(Value::Str(_)) => {
+                // Codes in order of first appearance; one clone per key.
+                let mut ids: BTreeMap<&str, u32> = BTreeMap::new();
+                let mut keys = Vec::new();
+                let codes: Vec<u32> = (0..n)
+                    .map(|r| match cell(r).as_str() {
+                        None => Dictionary::NULL,
+                        Some(s) => *ids.entry(s).or_insert_with(|| {
+                            keys.push(cell(r).clone());
+                            code(keys.len() - 1)
+                        }),
+                    })
+                    .collect();
+                let parses: Vec<bool> = keys.iter().map(finite).collect();
+                let numeric = RowMask::from_pred(n, |r| {
+                    codes[r] != Dictionary::NULL && parses[codes[r] as usize]
+                });
+                (Cells::Str { codes, keys }, numeric)
+            }
+            // Floats, or nothing but nulls.
+            _ => {
+                let v = numbers();
+                let numeric = RowMask::from_pred(n, |r| v[r].is_finite());
+                (Cells::Float(v), numeric)
+            }
+        };
+        Column {
+            cells,
+            non_null,
+            numeric,
+        }
+    }
+
     /// The column whose row `k` is `picks[k]`'s cell. When every source
     /// stores numbers (or booleans) of one kind they are copied typed;
     /// otherwise the cells are collected as `Value`s and stored anew.
@@ -193,66 +255,7 @@ impl FromIterator<Value> for Column {
     /// Stores the cells typed when every non-null one has one variant.
     fn from_iter<I: IntoIterator<Item = Value>>(cells: I) -> Self {
         let cells: Vec<Value> = cells.into_iter().collect();
-        let n = cells.len();
-        let non_null = RowMask::from_pred(n, |r| !cells[r].is_null());
-        let first = cells.iter().find(|v| !v.is_null());
-        let one_variant = first.is_none_or(|first| {
-            let kind = std::mem::discriminant(first);
-            cells.iter().all(|v| match v {
-                Value::Null => true,
-                Value::Int(i) => matches!(first, Value::Int(_)) && *i as f64 as i64 == *i,
-                v => std::mem::discriminant(v) == kind,
-            })
-        });
-        let finite = |v: &Value| v.as_f64().is_some_and(f64::is_finite);
-        let numbers = |cells: &[Value]| -> Vec<f64> {
-            cells
-                .iter()
-                .map(|c| c.as_f64().unwrap_or(f64::NAN))
-                .collect()
-        };
-        let (cells, numeric) = match first {
-            _ if !one_variant => {
-                let numeric = RowMask::from_pred(n, |r| finite(&cells[r]));
-                (Cells::Mixed(cells), numeric)
-            }
-            Some(Value::Int(_)) => (Cells::Int(numbers(&cells)), non_null.clone()),
-            Some(Value::Bool(_)) => {
-                let v = cells.iter().map(|c| matches!(c, Value::Bool(true)));
-                (Cells::Bool(v.collect()), non_null.clone())
-            }
-            Some(Value::Str(_)) => {
-                // Codes in order of first appearance; one clone per key.
-                let mut ids: HashMap<&str, u32> = HashMap::new();
-                let mut firsts = Vec::new();
-                let codes: Vec<u32> = (cells.iter().enumerate())
-                    .map(|(r, c)| match c.as_str() {
-                        None => Dictionary::NULL,
-                        Some(s) => *ids.entry(s).or_insert_with(|| {
-                            firsts.push(r);
-                            code(firsts.len() - 1)
-                        }),
-                    })
-                    .collect();
-                let keys: Vec<Value> = firsts.iter().map(|&r| cells[r].clone()).collect();
-                let parses: Vec<bool> = keys.iter().map(finite).collect();
-                let numeric = RowMask::from_pred(n, |r| {
-                    codes[r] != Dictionary::NULL && parses[codes[r] as usize]
-                });
-                (Cells::Str { codes, keys }, numeric)
-            }
-            // Floats, or nothing but nulls.
-            _ => {
-                let v = numbers(&cells);
-                let numeric = RowMask::from_pred(n, |r| v[r].is_finite());
-                (Cells::Float(v), numeric)
-            }
-        };
-        Column {
-            cells,
-            non_null,
-            numeric,
-        }
+        Column::of(cells.len(), |r| &cells[r])
     }
 }
 

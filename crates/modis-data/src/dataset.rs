@@ -40,21 +40,19 @@ impl Dataset {
     pub fn from_rows(
         name: impl Into<String>,
         schema: Schema,
-        mut rows: Vec<Vec<Value>>,
+        rows: Vec<Vec<Value>>,
     ) -> Result<Self, DataError> {
         let width = schema.len();
-        for (i, r) in rows.iter_mut().enumerate() {
-            if r.len() > width {
-                return Err(DataError::RowArity {
-                    row: i,
-                    expected: width,
-                    found: r.len(),
-                });
-            }
-            r.resize(width, Value::Null);
+        if let Some((row, r)) = rows.iter().enumerate().find(|(_, r)| r.len() > width) {
+            let (expected, found) = (width, r.len());
+            return Err(DataError::RowArity {
+                row,
+                expected,
+                found,
+            });
         }
         let columns = (0..width)
-            .map(|c| rows.iter_mut().map(|r| std::mem::take(&mut r[c])).collect())
+            .map(|c| Column::of(rows.len(), |r| rows[r].get(c).unwrap_or(&Value::Null)))
             .collect();
         Ok(Dataset::from_columns(name, schema, columns))
     }

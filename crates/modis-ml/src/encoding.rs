@@ -344,25 +344,27 @@ pub fn encode_view_split(
 
     enum Target<'p> {
         Absent,
-        Number(Cow<'p, [f64]>),
-        Class {
-            dictionary: Dictionary<'p>,
-            ids: Vec<f64>,
-        },
+        Number(&'p [f64]),
+        Class { codes: &'p [u32], ids: Vec<f64> },
     }
     let mut class_values: Vec<Value> = Vec::new();
+    let (readings, dictionary);
     let target = match (target_col, opts.task) {
         (None, _) => Target::Absent,
-        (Some(tc), TaskKind::Regression) => Target::Number(base.column(tc).readings()),
+        (Some(tc), TaskKind::Regression) => {
+            readings = base.column(tc).readings();
+            Target::Number(&readings)
+        }
         (Some(tc), TaskKind::Classification) => {
             let column = base.column(tc);
-            let dictionary = column.dictionary();
+            dictionary = column.dictionary();
             let (ids, firsts) = first_appearance_ids(&dictionary, &rows);
             class_values = firsts
                 .iter()
                 .map(|&r| column.cell(r).into_owned())
                 .collect();
-            Target::Class { dictionary, ids }
+            let codes = dictionary.codes();
+            Target::Class { codes, ids }
         }
     };
 
@@ -375,10 +377,8 @@ pub fn encode_view_split(
             Target::Absent => 0.0,
             Target::Number(cells) if !cells[r].is_finite() => return false,
             Target::Number(cells) => cells[r],
-            Target::Class { dictionary, ids } => match dictionary.codes()[r] {
-                Dictionary::NULL => return false,
-                code => ids[code as usize],
-            },
+            Target::Class { codes, .. } if codes[r] == Dictionary::NULL => return false,
+            Target::Class { codes, ids } => ids[codes[r] as usize],
         });
         true
     });
@@ -401,7 +401,7 @@ pub fn encode_view_split(
     let fill = |rows: &[usize]| {
         let mut data = vec![0.0; rows.len() * d];
         for Numeric { j, cells, mean, .. } in &numeric {
-            let (j, mean) = (*j, *mean);
+            let (j, mean, cells): (usize, f64, &[f64]) = (*j, *mean, cells);
             for (row, &r) in data.chunks_exact_mut(d).zip(rows) {
                 row[j] = if cells[r].is_nan() { mean } else { cells[r] };
             }

@@ -443,9 +443,9 @@ fn a_churn_style_pool_builds_the_substrate_the_fold_built() {
 
 /// A pool of two or more tables with one lacking the key has no universal
 /// table: `TableSubstrate::try_from_pool` returns the join's error, keyed
-/// or not the other tables, and `from_pool` panics with it (it once built
-/// over the first table alone, silently dropping the rest). A lone keyless
-/// table joins (its columns are shared) and builds.
+/// or not the other tables, and `from_pool` panics with it rather than
+/// build a search space without them. A lone keyless table joins (its
+/// columns are shared) and builds.
 #[test]
 fn one_keyless_table_leaves_the_substrate_only_the_first_table() {
     let tables = modis_datagen::t1_movie(1).tables;
