@@ -58,15 +58,6 @@ pub struct Column {
 pub(crate) type Pick = Option<(usize, usize)>;
 
 impl Column {
-    /// A column of `n` null cells.
-    pub(crate) fn nulls(n: usize) -> Self {
-        Column {
-            cells: Cells::Float(vec![f64::NAN; n]),
-            non_null: RowMask::none(n),
-            numeric: RowMask::none(n),
-        }
-    }
-
     /// Number of rows.
     pub(crate) fn len(&self) -> usize {
         self.non_null.len()
@@ -211,11 +202,6 @@ impl Column {
     /// otherwise the cells are collected as `Value`s and stored anew.
     pub(crate) fn gather(sources: &[&Column], picks: &[Pick]) -> Column {
         let n = picks.len();
-        let bit = |mask: fn(&Column) -> &RowMask| {
-            RowMask::from_pred(n, |k| {
-                picks[k].is_some_and(|(s, r)| mask(sources[s]).get(r))
-            })
-        };
         macro_rules! typed {
             ($variant:ident, $null:expr) => {
                 sources
@@ -241,8 +227,12 @@ impl Column {
         match cells {
             Some(cells) => Column {
                 cells,
-                non_null: bit(Column::non_null),
-                numeric: bit(Column::numeric),
+                non_null: RowMask::from_pred(n, |k| {
+                    picks[k].is_some_and(|(s, r)| sources[s].non_null.get(r))
+                }),
+                numeric: RowMask::from_pred(n, |k| {
+                    picks[k].is_some_and(|(s, r)| sources[s].numeric.get(r))
+                }),
             },
             None => (picks.iter())
                 .map(|p| p.map_or(Value::Null, |(s, r)| sources[s].cell(r).into_owned()))

@@ -29,7 +29,9 @@ pub struct Dataset {
 impl Dataset {
     /// Creates an empty dataset with the given schema.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        let columns = (0..schema.len()).map(|_| Column::nulls(0)).collect();
+        let columns = (0..schema.len())
+            .map(|_| Column::of(0, |_| &Value::Null))
+            .collect();
         Dataset::from_columns(name, schema, columns)
     }
 
@@ -134,7 +136,8 @@ impl Dataset {
         let before = self.schema.len();
         let idx = self.schema.push(attr);
         if self.schema.len() > before {
-            self.columns.push(Arc::new(Column::nulls(self.num_rows())));
+            let nulls = Column::of(self.num_rows(), |_| &Value::Null);
+            self.columns.push(Arc::new(nulls));
         }
         idx
     }

@@ -74,16 +74,18 @@ fn join<T: Borrow<Dataset>>(
     let keys: Option<Vec<_>> = tables.iter().map(|t| t.schema().position(key)).collect();
     let keys = keys.ok_or_else(|| DataError::MissingJoinKey(key.to_string()))?;
     assert!(tables.iter().all(|t| t.num_rows() < ABSENT as usize)); // row indices are u32
+                                                                    // Each table's key cells, read once.
+    let key_cells: Vec<Vec<Cow<Value>>> = (tables.iter().zip(&keys))
+        .map(|(t, &k)| t.column(k).values().collect())
+        .collect();
     let n = tables.len();
     let mut tuples = vec![ABSENT; tables[0].num_rows() * n];
     (0..tables[0].num_rows()).for_each(|r| tuples[r * n] = r as u32);
     for (j, right) in tables.iter().enumerate().skip(1) {
         // Each key's first and last row, and each row's next row of its key.
-        let mut index: HashMap<Cow<Value>, (u32, u32)> = HashMap::with_capacity(right.num_rows());
+        let mut index: HashMap<&Value, (u32, u32)> = HashMap::with_capacity(right.num_rows());
         let mut next = vec![ABSENT; right.num_rows()];
-        let column = right.column(keys[j]);
-        for r in 0..right.num_rows() as u32 {
-            let k = column.cell(r as usize);
+        for (r, k) in (0..).zip(&key_cells[j]) {
             if k.is_null() {
                 continue;
             }
@@ -97,11 +99,9 @@ fn join<T: Borrow<Dataset>>(
         let mut joined = Vec::with_capacity(tuples.len() + right.num_rows() * n);
         for tuple in tuples.chunks_exact(n) {
             let first = tuple.iter().take_while(|&&r| r == ABSENT).count();
-            let k = tables[first]
-                .column(keys[first])
-                .cell(tuple[first] as usize);
+            let k = &key_cells[first][tuple[first] as usize];
             // Null keys are never indexed, so a null key matches nothing.
-            let mut r = index.get(&*k).map_or(ABSENT, |&(r, _)| r);
+            let mut r = index.get(&**k).map_or(ABSENT, |&(r, _)| r);
             if r == ABSENT && kind != JoinKind::Inner {
                 joined.extend_from_slice(tuple);
             }

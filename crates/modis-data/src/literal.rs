@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use crate::column::Cells;
 use crate::dataset::Dataset;
 use crate::value::Value;
 use crate::view::RowMask;
@@ -79,12 +80,16 @@ impl Literal {
     /// resolved once and every cell of it tested. A dataset without the
     /// attribute matches no row.
     pub fn mask(&self, data: &Dataset) -> RowMask {
-        match data.schema().position(&self.attribute) {
-            Some(col) => {
-                let column = data.column(col);
-                RowMask::from_pred(data.num_rows(), |r| self.matches_value(&column.cell(r)))
+        let Some(col) = data.schema().position(&self.attribute) else {
+            return RowMask::none(data.num_rows());
+        };
+        let column = data.column(col);
+        match (&self.condition, &column.cells) {
+            // A number column holds each cell's reading, `NaN` at a null.
+            (Condition::Range { lo, hi }, Cells::Float(v) | Cells::Int(v)) => {
+                RowMask::from_pred(v.len(), |r| v[r] >= *lo && v[r] <= *hi)
             }
-            None => RowMask::none(data.num_rows()),
+            _ => RowMask::from_pred(data.num_rows(), |r| self.matches_value(&column.cell(r))),
         }
     }
 
