@@ -205,6 +205,136 @@ proptest! {
     }
 }
 
+/// One cell of a drawn column. `kind` picks what the column holds: 0
+/// floats (NaN of either payload, ±inf, ±0.0), 1 integers (the `i64`
+/// extremes, 2^53 and 2^53 + 1, which no `f64` keeps), 2 strings (padded
+/// numbers among words), 3 booleans, 4 all of these; every kind draws
+/// nulls too.
+fn drawn_cell(kind: u64, draw: u64) -> Value {
+    let pick = (draw >> 8) % 9;
+    if draw.is_multiple_of(7) {
+        return Value::Null;
+    }
+    let number = [
+        Value::Float(f64::NAN),
+        Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+        Value::Float(f64::INFINITY),
+        Value::Float(f64::NEG_INFINITY),
+        Value::Float(-0.0),
+        Value::Float(0.0),
+        Value::Float(pick as f64 / 4.0 - 1.0),
+        Value::Float(2.5),
+        Value::Float(-1.25),
+    ];
+    let integer = [i64::MIN, i64::MAX, 1 << 53, (1 << 53) + 1, 0, 1, -3, 7, 2];
+    let text = [
+        "north", " 2.5 ", "inf", "", "south", "7", "nan", "north", "x",
+    ];
+    let cell = |kind: u64| match kind {
+        0 => number[pick as usize].clone(),
+        // 2^53 + 1 only in one column in four, so typed integers show too.
+        1 if pick == 3 && !draw.is_multiple_of(4) => Value::Int(5),
+        1 => Value::Int(integer[pick as usize]),
+        2 => Value::Str(text[pick as usize].into()),
+        _ => Value::Bool(draw & 1 == 1),
+    };
+    match kind {
+        4 => cell((draw >> 20) % 4),
+        kind => cell(kind),
+    }
+}
+
+/// A cell by its exact bits, so a float's sign and NaN payload count.
+fn cell_bits(v: &Value) -> (u8, u64, String) {
+    match v {
+        Value::Null => (0, 0, String::new()),
+        Value::Int(i) => (1, *i as u64, String::new()),
+        Value::Float(x) => (2, x.to_bits(), String::new()),
+        Value::Str(s) => (3, 0, s.clone()),
+        Value::Bool(b) => (4, u64::from(*b), String::new()),
+    }
+}
+
+/// A table of drawn columns, one of each kind, and its cells as drawn.
+fn drawn_table(seed: u64, n: usize) -> (Dataset, Vec<Vec<Value>>) {
+    let mut state = seed | 1;
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|_| {
+            (0..5)
+                .map(|kind| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    drawn_cell(kind, state >> 11)
+                })
+                .collect()
+        })
+        .collect();
+    let schema = Schema::from_names(["f", "i", "s", "b", "m"]);
+    (
+        Dataset::from_rows("drawn", schema, rows.clone()).unwrap(),
+        rows,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// However a column stores its cells (typed or as values), the table
+    /// gives every cell back by bits, and a view's copy of a selection
+    /// keeps them too.
+    #[test]
+    fn columns_give_back_every_cell_by_bits(seed in any::<u64>(), n in 0usize..70) {
+        use modis_data::{DatasetView, RowMask};
+        let (data, rows) = drawn_table(seed, n);
+        let bits = |rows: &[Vec<Value>]| -> Vec<Vec<(u8, u64, String)>> {
+            rows.iter().map(|r| r.iter().map(cell_bits).collect()).collect()
+        };
+        prop_assert_eq!(bits(&data.rows()), bits(&rows));
+        let mask = RowMask::from_pred(n, |r| (seed >> (r % 64)) & 1 == 1);
+        let kept: Vec<Vec<Value>> = mask.iter().map(|r| rows[r].clone()).collect();
+        let copy = DatasetView::new(&data, mask, vec![false; 5]).to_dataset();
+        prop_assert_eq!(bits(&copy.rows()), bits(&kept));
+    }
+
+    /// Every literal's mask, on every kind of column, is the per-cell test
+    /// of its condition: `==` for an equality, the `f64` reading for a
+    /// range, `Null` for `IS NULL`.
+    #[test]
+    fn literal_masks_equal_the_per_cell_test(
+        seed in any::<u64>(),
+        n in 0usize..70,
+        draws in prop::collection::vec(any::<u64>(), 6),
+    ) {
+        let (data, rows) = drawn_table(seed, n);
+        let bound = |d: u64| [f64::NEG_INFINITY, -1.0, -0.0, 0.5, 2.5, f64::INFINITY][(d % 6) as usize];
+        for (c, name) in ["f", "i", "s", "b", "m"].into_iter().enumerate() {
+            let (lo, hi) = (bound(draws[0]), bound(draws[1]));
+            let target = drawn_cell(draws[2] % 5, draws[3]);
+            for literal in [
+                Literal::range(name, lo, hi),
+                Literal::equals(name, target.clone()),
+                Literal::is_null(name),
+            ] {
+                let (lo, hi) = (lo.min(hi), lo.max(hi));
+                let expected: Vec<bool> = rows
+                    .iter()
+                    .map(|row| match &literal.condition {
+                        modis_data::Condition::Range { .. } => {
+                            row[c].as_f64().is_some_and(|x| x >= lo && x <= hi)
+                        }
+                        modis_data::Condition::Equals(t) => &row[c] == t,
+                        modis_data::Condition::IsNull => row[c].is_null(),
+                    })
+                    .collect();
+                let mask = literal.mask(&data);
+                let got: Vec<bool> = (0..n).map(|r| mask.get(r)).collect();
+                prop_assert_eq!(got, expected, "{}", literal);
+            }
+        }
+    }
+}
+
 /// Resident keys of a `SieveCache`, oldest to newest, read through
 /// `iter_slots` so that looking does not count as a lookup.
 fn resident(cache: &modis_core::sieve_cache::SieveCache<u64, u64>) -> Vec<u64> {
