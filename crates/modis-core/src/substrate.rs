@@ -68,6 +68,8 @@ pub trait Substrate: Send + Sync {
     /// Numeric feature encoding of a state, used to train/query the
     /// surrogate estimator. Implementations should return cheap,
     /// artefact-level summary statistics (never model-inference results).
+    /// The surrogate's trees split only on ordered values: a feature that
+    /// reads NaN for any state it is fitted on is never split on.
     fn state_features(&self, bitmap: &StateBitmap) -> Vec<f64>;
 
     /// Reported artefact size `(rows, columns)` / `(edges, feature dims)`.

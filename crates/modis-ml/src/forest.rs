@@ -71,6 +71,7 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Fits a forest; `n_classes > 0` switches vote-based prediction on.
+    /// No tree splits on a feature holding a NaN cell.
     pub fn fit(x: &Matrix, y: &[f64], n_classes: usize, params: ForestParams) -> RandomForest {
         let n = x.len();
         let n_features = x.n_cols();

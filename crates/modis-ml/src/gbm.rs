@@ -85,7 +85,7 @@ pub struct GradientBoostingRegressor {
 }
 
 impl GradientBoostingRegressor {
-    /// Fits the regressor.
+    /// Fits the regressor. No tree splits on a feature holding a NaN cell.
     pub fn fit(x: &Matrix, y: &[f64], params: GbmParams) -> Self {
         Self::fit_columns(
             &Columns::from_matrix(x),
@@ -151,7 +151,8 @@ pub struct GradientBoostingClassifier {
 }
 
 impl GradientBoostingClassifier {
-    /// Fits the classifier for labels in `0..n_classes`.
+    /// Fits the classifier for labels in `0..n_classes`. No tree splits on
+    /// a feature holding a NaN cell.
     pub fn fit(x: &Matrix, y: &[f64], n_classes: usize, params: GbmParams) -> Self {
         let n_classes = n_classes.max(2);
         let cols = Columns::from_matrix(x);
@@ -228,7 +229,8 @@ pub struct MultiOutputGbm {
 impl MultiOutputGbm {
     /// Fits one boosted regressor per column of `y`. The callers hold one
     /// cached feature row per record — tens of rows — so `x` stays a slice
-    /// of rows and is copied into a [`Matrix`] here.
+    /// of rows and is copied into a [`Matrix`] here. No tree splits on a
+    /// feature holding a NaN cell.
     pub fn fit(x: &[Vec<f64>], y: &[Vec<f64>], params: GbmParams) -> Self {
         let n_outputs = y.first().map(|r| r.len()).unwrap_or(0);
         let cols = Columns::from_matrix(&Matrix::from_rows(x));

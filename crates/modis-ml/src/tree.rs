@@ -12,79 +12,75 @@
 //!
 //! * **Layout.** `Columns` is the row-major design [`Matrix`] transposed
 //!   once per fit by `Columns::from_matrix` (feature `f` is one contiguous
-//!   slice), the rank of every cell within its feature — the one sort a
-//!   fit makes per feature; cells that compare equal (`0.0` and `-0.0`)
-//!   share a rank — plus a flag per feature saying whether its cells differ
-//!   at all: a constant column is never a candidate. A boosted model
-//!   transposes and ranks `x` once and shares the `Columns` across all its
-//!   rounds, one-vs-rest stages and (for `MultiOutputGbm`) outputs, and
-//!   reads its training-row predictions back from them; a forest does so
-//!   once and gathers each tree's bootstrap rows from it, ranks copied
-//!   along with the cells (ranks order cells; they need not be dense). The
-//!   builder owns every scratch buffer, so a node allocates nothing per
-//!   feature or per threshold.
+//!   slice), the rank of every cell within its feature — the one sort a fit
+//!   makes per feature; cells that compare equal (`0.0` and `-0.0`) share a
+//!   rank — plus a flag per feature saying whether it is a split candidate
+//!   at all: a constant column is not, nor is a column holding a NaN cell
+//!   (below). A boosted model transposes and ranks `x` once and shares the
+//!   `Columns` across all its rounds, one-vs-rest stages and (for
+//!   `MultiOutputGbm`) outputs, and reads its training-row predictions back
+//!   from them; a forest does so once and gathers each tree's bootstrap
+//!   rows from it, ranks copied along with the cells (ranks order cells;
+//!   they need not be dense). The builder owns every scratch buffer, so a
+//!   node allocates nothing per feature or per threshold.
+//! * **A tree splits only on ordered values.** A feature holding a NaN cell
+//!   has no order to rank by and is never a split candidate, like a
+//!   constant one; a NaN midpoint (of `-inf` and `+inf`) is never a
+//!   candidate threshold, so a node left with no threshold is a leaf. Every
+//!   candidate feature is therefore ranked and every threshold list
+//!   ascends: each row lies in exactly one *bucket* `b`, right (`>`) of
+//!   thresholds `..b` and left (`<=`) of `b..`. `encode_view` imputes, so
+//!   no product fit holds a NaN cell.
 //! * **One pass per feature, no sort per node.** A node's rows mark their
 //!   ranks in a bitset, in ascending row order, and the first cell seen
 //!   with a rank represents it — the cell a stable sort followed by `dedup`
 //!   would keep, which matters for the sign of a zero. Walking the set bits
 //!   yields the node's distinct cells in ascending order; from them come
 //!   the ≤ `max_thresholds` candidate thresholds, one merge of the two
-//!   ascending lists bounds every distinct cell by the run of thresholds it
-//!   lies right (`>`) and left (`<=`) of, and one pass over the rows looks
-//!   each row's bounds up under its rank and histograms it. All thresholds
-//!   are then scored together without materialising a `left`/`right` index
-//!   list.
-//! * **The one retained branch: a column holding a NaN cell** is left
-//!   unranked and is sorted node by node as before (`sort_by`, `dedup`, two
-//!   binary searches per row). `partial_cmp` is no total order there, so
-//!   what `sort_by` leaves depends on the order it met the cells in and
-//!   cannot be reproduced from ranks. A NaN cell lies on neither side of
-//!   any threshold. `encode_view` imputes, so no product fit takes this
-//!   branch; the differential tests do.
+//!   ascending lists buckets every distinct cell, and one pass over the
+//!   rows looks each row's bucket up under its rank and histograms it. All
+//!   thresholds are then scored together without materialising a
+//!   `left`/`right` index list.
 //! * **Split work no round changes, once per fit.** While fits share one
 //!   `Columns`, a node's rows follow from its split path from the root, and
 //!   so does everything its search does for a feature before it reads a
-//!   target: the fewer-than-two-distinct skip, the thresholds, each row's
-//!   threshold bucket and each threshold's side counts. A memoising builder
-//!   (`TreeBuilder::memoising`, which only the three boosted models'
-//!   fits build; a forest gathers new columns per tree) remembers them per
-//!   path and feature, in a trie over (feature, threshold bits, side) that
-//!   needs no hasher, for as long as the builder lives; a later round,
-//!   stage or output that reaches the path reads them and only scores its
-//!   targets. It remembers only what one byte per row holds: `Mse`, a
-//!   ranked feature and at most 255 ascending thresholds, where every row's
-//!   `lo == hi`. The NaN, unranked and unordered cases are searched every
-//!   round. The remembered buckets are capped at `MEMO_BUDGET` bytes.
+//!   target: whether it has a threshold, the thresholds, each row's bucket
+//!   and each threshold's side counts. A memoising builder
+//!   (`TreeBuilder::memoising`, which only the three boosted models' fits
+//!   build; a forest gathers new columns per tree) remembers them per path
+//!   and feature, in a trie over (feature, threshold bits, side) that needs
+//!   no hasher, for as long as the builder lives; a later round, stage or
+//!   output that reaches the path reads them and only scores its targets.
+//!   It remembers only what one byte per row holds: `Mse` and at most 255
+//!   thresholds. The remembered buckets are capped at `MEMO_BUDGET` bytes.
 //! * **Bit-identity, not closeness.** The fitted tree — feature, threshold
-//!   bits, leaf bits, importance bits — is a function of the order in
-//!   which floats are added. Under `Mse` every threshold therefore keeps
-//!   *its own* left and right accumulator, and each accumulator receives
-//!   exactly the targets of its rows in ascending row order, starting from
+//!   bits, leaf bits, importance bits — is a function of the order in which
+//!   floats are added. Under `Mse` every threshold therefore keeps *its
+//!   own* left and right accumulator, and each accumulator receives exactly
+//!   the targets of its rows in ascending row order, starting from
 //!   `Iterator::sum`'s identity: pass 1 the sums, pass 2 the squared
 //!   deviations from each side's own mean. A prefix-sum sweep over the
 //!   sorted cells would add the same numbers in another order and round
 //!   differently, so it is not allowed for floats. Two loops keep that
 //!   contract:
-//!   - *Registers.* When every row's `lo == hi` (its bucket `b`), there are
-//!     at most 16 thresholds and the CPU has AVX-512F (the kernel and the
-//!     one runtime check live in the private `simd` module), the
-//!     accumulators are four `zmm` registers, left and right lanes, and
-//!     a row is added to left lanes `b..T` and right lanes `..b` by a
-//!     masked add, which leaves every other lane as it was. Means are
-//!     divided per lane; a squared deviation is a product, then an add (no
-//!     fused multiply-add). Nothing is loaded or stored per row.
+//!   - *Registers.* When there are at most 16 thresholds and the CPU has
+//!     AVX-512F (the kernel and the one runtime check live in the private
+//!     `simd` module), the accumulators are four `zmm` registers, left and
+//!     right lanes, and a row in bucket `b` is added to left lanes `b..T`
+//!     and right lanes `..b` by a masked add, which leaves every other lane
+//!     as it was. Means are divided per lane; a squared deviation is a
+//!     product, then an add (no fused multiply-add). Nothing is loaded or
+//!     stored per row.
 //!   - *Windowed.* The accumulators of the `T` thresholds lie in one slice,
-//!     `[left 0..T | right 0..T]`: a row left of thresholds `hi..` and
-//!     right of `..lo` (always `lo <= hi`) feeds the contiguous run
-//!     `hi..T + lo`, so every row loads and stores its run at a varying,
+//!     `[left 0..T | right 0..T]`: a row in bucket `b` feeds the contiguous
+//!     run `b..T + b`, so every row loads and stores its run at a varying,
 //!     misaligned offset. This is the only other path: CPUs without
-//!     AVX-512F, more than 16 thresholds, a NaN cell, the NaN midpoint of
-//!     `-inf` and `+inf` and the one-threshold-at-a-time path run it, and
-//!     the register loop is tested against it.
+//!     AVX-512F and more than 16 thresholds run it, and the register loop
+//!     is tested against it.
 //!
 //!   Under `Gini` the sides are integer class counts, which are exact in
-//!   any order: rows are histogrammed per threshold run and class and the
-//!   histogram is prefix-summed; the squared shares are then added in
+//!   any order: rows are histogrammed per bucket and class and the
+//!   histogram is swept up and down; the squared shares are then added in
 //!   ascending class order over a dense class table (no hash map, no
 //!   iteration-order dependence). Candidates are rejected by
 //!   `min_samples_leaf` before they are scored, compared with a strict
@@ -94,13 +90,13 @@
 //!   every skyline it returns; a change to this kernel that moves any
 //!   digest changed a model. The unit tests compare every fitted node with
 //!   the per-threshold index-list search this kernel replaced, kept as a
-//!   test-only oracle (`oracle`), on `f64::to_bits`; a proptest compares
-//!   the register loop with the windowed one lane by lane, and the memo
-//!   tests show a boosted fit buckets each (path, feature) at most once and
-//!   fits what a builder without a memo fits.
+//!   test-only oracle (`oracle`, fitted with every column that holds a NaN
+//!   cell zeroed), on `f64::to_bits`; a proptest compares the register loop
+//!   with the windowed one lane by lane, and the memo tests show a boosted
+//!   fit buckets each (path, feature) at most once and fits what a builder
+//!   without a memo fits.
 
-use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::matrix::Matrix;
 use crate::simd;
@@ -166,7 +162,8 @@ pub struct DecisionTree {
 }
 
 impl DecisionTree {
-    /// Fits a tree on the full feature set.
+    /// Fits a tree on the full feature set. A feature holding a NaN cell is
+    /// never split on, nor is the NaN midpoint of `-inf` and `+inf`.
     pub fn fit(x: &Matrix, y: &[f64], params: TreeParams) -> DecisionTree {
         Self::fit_with_features(x, y, params, None, 0)
     }
@@ -267,13 +264,10 @@ pub(crate) struct Columns {
     /// they need not be dense (a gathered sample keeps its source's).
     ranks: Vec<u32>,
     /// Per feature, one more than its largest possible rank; 0 for a
-    /// feature holding a NaN cell, which has no order to rank by and is
-    /// sorted per node instead.
+    /// feature holding a NaN cell, which has no order to rank by.
     rank_space: Vec<usize>,
-    /// Whether feature `f` has a cell that differs from its first cell. A
-    /// feature that does not has fewer than two distinct values at every
-    /// node and is never a split candidate. (A NaN cell differs from
-    /// itself, so such a column is left to the per-node check.)
+    /// Whether feature `f` is ranked and has a cell that differs from its
+    /// first cell. A feature that is not is never a split candidate.
     varies: Vec<bool>,
 }
 
@@ -335,12 +329,12 @@ impl Columns {
         let varies = (0..n_features)
             .map(|f| {
                 let col = &data[f * n_rows..(f + 1) * n_rows];
-                col.iter().any(|&v| v != col[0])
+                rank_space[f] > 0 && col.iter().any(|&v| v != col[0])
             })
             .collect();
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Columns {
-            id: NEXT_ID.fetch_add(1, AtomicOrdering::Relaxed),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             n_rows,
             n_features,
             data,
@@ -441,20 +435,13 @@ pub(crate) struct TreeBuilder {
     /// and the candidate thresholds derived from them.
     distinct: Vec<f64>,
     thresholds: Vec<f64>,
-    /// Ranked feature. A bit per rank present at the node; per present
-    /// rank the first cell seen with it, and the thresholds it lies right
-    /// (`..lo`) and left (`hi..`) of as `[lo, hi]`; the present ranks in
-    /// ascending order.
+    /// A bit per rank present at the node; per present rank the first cell
+    /// seen with it and its bucket; the present ranks in ascending order.
     seen: Vec<u64>,
     first_cell: Vec<f64>,
-    rank_bounds: Vec<[u32; 2]>,
+    rank_bucket: Vec<u32>,
     present: Vec<u32>,
-    /// Unranked feature: its cells at the node's rows.
-    xs: Vec<f64>,
-    /// Per row `[lo, hi]`: it lies right of thresholds `..lo` and left of
-    /// `hi..`.
-    bounds: Vec<[u32; 2]>,
-    /// Per row, when every `lo == hi`: that one bound, its bucket.
+    /// Per row, its bucket as a byte (at most 255 thresholds).
     buckets: Vec<u8>,
     /// Per threshold (and class): rows on its left / right. `cnt_l` block
     /// `j` and `cnt_r` block `j + 1` belong to threshold `j`.
@@ -476,19 +463,18 @@ pub(crate) struct TreeBuilder {
 const MEMO_BUDGET: usize = 64 << 20;
 
 /// What a memoising builder remembers per split path from the root and
-/// ranked feature under `Mse`: whether the node sees two distinct cells
-/// and, if its thresholds ascend and number at most 255, the thresholds,
-/// each one's left row count and each row's bucket. A path is a trie node,
-/// its children keyed by split (feature, threshold bits, side) and listed
-/// first child, next sibling; entry `path * n_features + f` is feature
-/// `f`'s at `path`.
+/// feature under `Mse`: whether the node has a candidate threshold and, if
+/// it has at most 255, the thresholds, each one's left row count and each
+/// row's bucket. A path is a trie node, its children keyed by split
+/// (feature, threshold bits, side) and listed first child, next sibling;
+/// entry `path * n_features + f` is feature `f`'s at `path`.
 #[derive(Default)]
 struct Memo {
     /// The columns and `max_thresholds` the entries were computed for; a
     /// fit on anything else starts over.
     fitted_on: (u64, usize),
     /// Per path: its split, first child and next sibling (`u32::MAX`: none).
-    paths: Vec<((usize, u64, bool), [u32; 2])>,
+    paths: Vec<((usize, u64, bool), u32, u32)>,
     entries: Vec<Entry>,
     thresholds: Vec<f64>,
     n_left: Vec<u32>,
@@ -498,7 +484,7 @@ struct Memo {
 #[derive(Clone, Copy)]
 enum Entry {
     Unseen,
-    /// Fewer than two distinct cells at the node.
+    /// No candidate threshold at the node.
     NoSplit,
     /// `n_t` thresholds and left counts from `at`; the node's buckets from
     /// `rows_at`.
@@ -517,7 +503,7 @@ impl Memo {
         if self.fitted_on != key || self.paths.is_empty() {
             *self = Memo {
                 fitted_on: key,
-                paths: vec![((0, 0, false), [u32::MAX; 2])],
+                paths: vec![((0, 0, false), u32::MAX, u32::MAX)],
                 entries: vec![Entry::Unseen; cols.n_features],
                 ..Memo::default()
             };
@@ -526,17 +512,17 @@ impl Memo {
 
     /// The path that extends `path` by `split`, added if new.
     fn child(&mut self, path: u32, split: (usize, u64, bool), n_features: usize) -> u32 {
-        let mut at = self.paths[path as usize].1[0];
+        let mut at = self.paths[path as usize].1;
         while at != u32::MAX {
-            let (key, [_, sibling]) = self.paths[at as usize];
+            let (key, _, sibling) = self.paths[at as usize];
             if key == split {
                 return at;
             }
             at = sibling;
         }
         let new = self.paths.len() as u32;
-        let first = std::mem::replace(&mut self.paths[path as usize].1[0], new);
-        self.paths.push((split, [u32::MAX, first]));
+        let first = std::mem::replace(&mut self.paths[path as usize].1, new);
+        self.paths.push((split, u32::MAX, first));
         self.entries
             .resize(self.entries.len() + n_features, Entry::Unseen);
         new
@@ -674,8 +660,7 @@ impl Fit<'_> {
         match self.best_split(lo, hi, path) {
             Some((feature, threshold, score)) if score < node_impurity - 1e-12 => {
                 self.importance[feature] += (node_impurity - score) * n as f64;
-                let (n_left, n_right) = self.partition(lo, hi, feature, threshold);
-                let mid = lo + n_left;
+                let mid = lo + self.partition(lo, hi, feature, threshold);
                 let n_features = self.cols.n_features;
                 let mut child = |right| match self.memo.as_deref_mut() {
                     Some(m) => m.child(path, (feature, threshold.to_bits(), right), n_features),
@@ -683,7 +668,7 @@ impl Fit<'_> {
                 };
                 let (left_path, right_path) = (child(false), child(true));
                 let left = self.node(lo, mid, depth + 1, left_path);
-                let right = self.node(mid, mid + n_right, depth + 1, right_path);
+                let right = self.node(mid, hi, depth + 1, right_path);
                 Node::Split {
                     feature,
                     threshold,
@@ -759,10 +744,9 @@ impl Fit<'_> {
             if !self.cols.varies[f] {
                 continue;
             }
-            let ranked = self.cols.rank_space[f] > 0;
             // A remembered (path, feature) goes straight to the targets.
-            let slot = Some(path as usize * self.cols.n_features + f).filter(|_| ranked);
-            match slot.zip(self.memo.as_deref()).map(|(at, m)| m.entries[at]) {
+            let slot = path as usize * self.cols.n_features + f;
+            match self.memo.as_deref().map(|m| m.entries[slot]) {
                 Some(Entry::NoSplit) => {
                     #[cfg(test)]
                     MEMO_READS.with(|c| c.set(c.get() + 1));
@@ -770,49 +754,38 @@ impl Fit<'_> {
                 }
                 Some(Entry::Bucketed { at, n_t, rows_at }) => {
                     self.recall(at as usize, n_t as usize, rows_at as usize, n);
-                    self.consider(f, 0, n_t as usize, n, &mut best);
+                    self.consider(f, n_t as usize, n, &mut best);
                     continue;
                 }
                 _ => {}
             }
-            if ranked {
-                self.distinct_by_rank(f, lo, hi);
-            } else {
-                self.distinct_by_sort(f, lo, hi);
-            }
+            self.distinct_by_rank(f, lo, hi);
             if !self.candidate_thresholds() {
-                if let Some((slot, memo)) = slot.zip(self.memo.as_deref_mut()) {
+                if let Some(memo) = self.memo.as_deref_mut() {
                     memo.entries[slot] = Entry::NoSplit;
                 }
                 continue;
             }
-            // Thresholds in ascending order are scored together. A NaN among
-            // them (a NaN cell, or the midpoint of -inf and +inf) breaks the
-            // order every row is bucketed against; then one at a time.
-            let n_thresholds = self.s.thresholds.len();
-            let ordered = self.s.thresholds.windows(2).all(|w| w[0] <= w[1]);
-            let step = if ordered { n_thresholds } else { 1 };
-            for start in (0..n_thresholds).step_by(step) {
-                self.bucket_rows(f, lo, hi, start, start + step);
-                self.count_sides(step);
-                let s = &mut *self.s;
-                if self.params.criterion == Criterion::Mse {
-                    // Ranked cells against ascending thresholds: every row's
-                    // `lo == hi`, one bucket.
-                    if ranked && ordered && step <= usize::from(u8::MAX) {
-                        s.buckets.clear();
-                        s.buckets.extend(s.bounds.iter().map(|&[lo, _]| lo as u8));
-                        if let Some((slot, memo)) = slot.zip(self.memo.as_deref_mut()) {
-                            memo.store(slot, &s.thresholds, &s.n_side, &s.buckets);
-                        }
-                        mse_by_bucket(&s.buckets, &s.ys, &s.n_side, &mut s.mean, &mut s.sq);
-                    } else {
-                        let bounds = s.bounds.iter().copied();
-                        mse_windowed(bounds, &s.ys, &s.n_side, &mut s.mean, &mut s.sq);
+            self.count_sides(f, lo, hi);
+            let n_t = self.s.thresholds.len();
+            let s = &mut *self.s;
+            if self.params.criterion == Criterion::Mse {
+                let ranks = self.cols.column_ranks(f);
+                let buckets = s.rows[lo..hi]
+                    .iter()
+                    .map(|&r| s.rank_bucket[ranks[r] as usize]);
+                if n_t <= usize::from(u8::MAX) {
+                    s.buckets.clear();
+                    s.buckets.extend(buckets.map(|b| b as u8));
+                    if let Some(memo) = self.memo.as_deref_mut() {
+                        memo.store(slot, &s.thresholds, &s.n_side, &s.buckets);
                     }
+                    mse_by_bucket(&s.buckets, &s.ys, &s.n_side, &mut s.mean, &mut s.sq);
+                } else {
+                    mse_windowed(buckets, &s.ys, &s.n_side, &mut s.mean, &mut s.sq);
                 }
-                self.consider(f, start, step, n, &mut best);
             }
+            self.consider(f, n_t, n, &mut best);
         }
         best
     }
@@ -828,7 +801,7 @@ impl Fit<'_> {
         s.thresholds.clear();
         s.thresholds
             .extend_from_slice(&memo.thresholds[at..at + n_t]);
-        // No NaN cell or threshold: a row not left of a threshold is right.
+        // A row not left of a threshold is right of it.
         s.n_side.clear();
         s.n_side.extend(n_left.iter().map(|&l| l as usize));
         s.n_side.extend(n_left.iter().map(|&l| n - l as usize));
@@ -836,27 +809,20 @@ impl Fit<'_> {
         mse_by_bucket(buckets, &s.ys, &s.n_side, &mut s.mean, &mut s.sq);
     }
 
-    /// Offers `thresholds[start..start + step]`, just scored, to `best`:
-    /// those `min_samples_leaf` admits, by strict `score < best`.
-    fn consider(
-        &self,
-        f: usize,
-        start: usize,
-        step: usize,
-        n: usize,
-        best: &mut Option<(usize, f64, f64)>,
-    ) {
+    /// Offers the `n_t` thresholds just scored to `best`: those
+    /// `min_samples_leaf` admits, by strict `score < best`.
+    fn consider(&self, f: usize, n_t: usize, n: usize, best: &mut Option<(usize, f64, f64)>) {
         let s = &*self.s;
         let min_leaf = self.params.min_samples_leaf;
         let n_classes = s.labels.len();
         let mse = |sq: f64, n: usize| if n == 0 { 0.0 } else { sq / n as f64 };
-        for j in 0..step {
-            let (n_l, n_r) = (s.n_side[j], s.n_side[step + j]);
+        for j in 0..n_t {
+            let (n_l, n_r) = (s.n_side[j], s.n_side[n_t + j]);
             if n_l < min_leaf || n_r < min_leaf {
                 continue;
             }
             let (impurity_l, impurity_r) = match self.params.criterion {
-                Criterion::Mse => (mse(s.sq[j], n_l), mse(s.sq[step + j], n_r)),
+                Criterion::Mse => (mse(s.sq[j], n_l), mse(s.sq[n_t + j], n_r)),
                 Criterion::Gini => (
                     gini(&s.cnt_l[j * n_classes..][..n_classes], n_l),
                     gini(&s.cnt_r[(j + 1) * n_classes..][..n_classes], n_r),
@@ -866,12 +832,12 @@ impl Fit<'_> {
             let wr = 1.0 - wl;
             let score = wl * impurity_l + wr * impurity_r;
             if best.map(|(_, _, b)| score < b).unwrap_or(true) {
-                *best = Some((f, s.thresholds[start + j], score));
+                *best = Some((f, s.thresholds[j], score));
             }
         }
     }
 
-    /// Fills `distinct` with ranked feature `f`'s distinct cells at the node,
+    /// Fills `distinct` with feature `f`'s distinct cells at the node,
     /// ascending, and `present` with their ranks: the node's rows mark
     /// their ranks in a bitset in ascending row order, the first cell seen
     /// with a rank represents it (the cell a stable sort followed by
@@ -884,7 +850,7 @@ impl Fit<'_> {
         s.seen.resize(rank_space.div_ceil(64), 0);
         if s.first_cell.len() < rank_space {
             s.first_cell.resize(rank_space, 0.0);
-            s.rank_bounds.resize(rank_space, [0, 0]);
+            s.rank_bucket.resize(rank_space, 0);
         }
         for &row in &s.rows[lo..hi] {
             let rank = ranks[row] as usize;
@@ -907,24 +873,9 @@ impl Fit<'_> {
         }
     }
 
-    /// Fills `distinct` with unranked feature `f`'s distinct cells at the
-    /// node and `xs` with its cell per row. A NaN cell makes the comparator
-    /// no total order; what `sort_by` then leaves cannot be told from
-    /// ranks, so this column is sorted node by node.
-    fn distinct_by_sort(&mut self, f: usize, lo: usize, hi: usize) {
-        let s = &mut *self.s;
-        let col = self.cols.column(f);
-        s.xs.clear();
-        s.xs.extend(s.rows[lo..hi].iter().map(|&r| col[r]));
-        s.distinct.clear();
-        s.distinct.extend_from_slice(&s.xs);
-        s.distinct
-            .sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
-        s.distinct.dedup();
-    }
-
-    /// Derives the candidate thresholds from `distinct`; `false` when the
-    /// node sees fewer than two distinct values.
+    /// Derives the candidate thresholds from `distinct`, ascending; `false`
+    /// when there is none: the node sees fewer than two distinct values, or
+    /// only `-inf` and `+inf`, whose NaN midpoint is no candidate.
     fn candidate_thresholds(&mut self) -> bool {
         let s = &mut *self.s;
         let vals = &s.distinct;
@@ -934,8 +885,8 @@ impl Fit<'_> {
         let max_thresholds = self.params.max_thresholds;
         s.thresholds.clear();
         if max_thresholds == 0 || vals.len() <= max_thresholds {
-            s.thresholds
-                .extend(vals.windows(2).map(|w| (w[0] + w[1]) / 2.0));
+            let midpoints = vals.windows(2).map(|w| (w[0] + w[1]) / 2.0);
+            s.thresholds.extend(midpoints.filter(|t| !t.is_nan()));
         } else {
             s.thresholds.extend((1..=max_thresholds).map(|i| {
                 let q = i as f64 / (max_thresholds as f64 + 1.0);
@@ -943,62 +894,32 @@ impl Fit<'_> {
                 vals[idx]
             }));
         }
-        true
+        !s.thresholds.is_empty()
     }
 
-    /// For `thresholds[from..to]` — ascending, or a single one — finds
-    /// every row's `[lo, hi]` and histograms the rows, by class, under
-    /// both. A row is right of the thresholds below its cell and left of
-    /// those at or above it; a NaN cell (or threshold) is on neither side,
-    /// which is why "not left of" is spelt `!(x <= t)` and not `x > t`.
-    fn bucket_rows(&mut self, f: usize, lo: usize, hi: usize, from: usize, to: usize) {
+    /// Buckets feature `f`'s distinct cells at the node (cells and
+    /// thresholds both ascend: one merge) and histograms the node's rows,
+    /// each read under its rank, by bucket and class. A row in bucket `b`
+    /// is left of thresholds `b..` and right of `..b`, so sweeping the one
+    /// histogram up and down gives each side's class counts, and `n_side`
+    /// both sides' row counts.
+    fn count_sides(&mut self, f: usize, lo: usize, hi: usize) {
         let s = &mut *self.s;
-        let ts = &s.thresholds[from..to];
-        let n_classes = s.labels.len();
-        for cnt in [&mut s.cnt_l, &mut s.cnt_r] {
-            cnt.clear();
-            cnt.resize((ts.len() + 1) * n_classes, 0);
+        let (ts, n_t, n_classes) = (&s.thresholds, s.thresholds.len(), s.labels.len());
+        let mut below = 0;
+        for (&rank, &x) in s.present.iter().zip(&s.distinct) {
+            while below < n_t && x > ts[below] {
+                below += 1;
+            }
+            s.rank_bucket[rank as usize] = below as u32;
         }
-        s.bounds.clear();
-        let mut record = |bounds: [u32; 2], class: usize| {
-            s.cnt_l[bounds[1] as usize * n_classes + class] += 1;
-            s.cnt_r[bounds[0] as usize * n_classes + class] += 1;
-            s.bounds.push(bounds);
-        };
-        if self.cols.rank_space[f] > 0 {
-            // Cells and thresholds both ascend: one merge bounds every
-            // distinct cell, and a row reads its bounds under its rank.
-            let (mut below, mut not_above) = (0, 0);
-            for (&rank, &x) in s.present.iter().zip(&s.distinct) {
-                while below < ts.len() && x > ts[below] {
-                    below += 1;
-                }
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                while not_above < ts.len() && !(x <= ts[not_above]) {
-                    not_above += 1;
-                }
-                s.rank_bounds[rank as usize] = [below as u32, not_above as u32];
-            }
-            let ranks = self.cols.column_ranks(f);
-            for (&row, &class) in s.rows[lo..hi].iter().zip(&s.cls) {
-                record(s.rank_bounds[ranks[row] as usize], class);
-            }
-        } else {
-            for (&x, &class) in s.xs.iter().zip(&s.cls) {
-                let below = ts.partition_point(|&t| x > t);
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                let not_above = ts.partition_point(|&t| !(x <= t));
-                record([below as u32, not_above as u32], class);
-            }
+        s.cnt_l.clear();
+        s.cnt_l.resize((n_t + 1) * n_classes, 0);
+        let ranks = self.cols.column_ranks(f);
+        for (&row, &class) in s.rows[lo..hi].iter().zip(&s.cls) {
+            s.cnt_l[s.rank_bucket[ranks[row] as usize] as usize * n_classes + class] += 1;
         }
-    }
-
-    /// Fills `n_side` with both sides' row counts for the `n_t` thresholds
-    /// `bucket_rows` bucketed against, and sweeps the class histograms
-    /// into each side's class counts.
-    fn count_sides(&mut self, n_t: usize) {
-        let s = &mut *self.s;
-        let n_classes = s.labels.len();
+        s.cnt_r.clone_from(&s.cnt_l);
         // Integer counts are exact in any order: sweep the histograms.
         for at in n_classes..(n_t + 1) * n_classes {
             s.cnt_l[at] += s.cnt_l[at - n_classes];
@@ -1016,14 +937,8 @@ impl Fit<'_> {
 
     /// Stable partition of `rows[lo..hi]` into the left child's rows
     /// (`<= threshold`) followed by the right child's (`> threshold`);
-    /// returns both counts. A NaN cell goes to neither child.
-    fn partition(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        feature: usize,
-        threshold: f64,
-    ) -> (usize, usize) {
+    /// returns the left child's count.
+    fn partition(&mut self, lo: usize, hi: usize, feature: usize, threshold: f64) -> usize {
         let s = &mut *self.s;
         let col = self.cols.column(feature);
         s.spill.clear();
@@ -1033,25 +948,25 @@ impl Fit<'_> {
             if col[row] <= threshold {
                 s.rows[end_left] = row;
                 end_left += 1;
-            } else if col[row] > threshold {
+            } else {
                 s.spill.push(row);
             }
         }
-        s.rows[end_left..end_left + s.spill.len()].copy_from_slice(&s.spill);
-        (end_left - lo, s.spill.len())
+        s.rows[end_left..hi].copy_from_slice(&s.spill);
+        end_left - lo
     }
 }
 
 /// Fills `mean` and `sq`, laid out `[left 0..T | right 0..T]` like
 /// `n_side` (the `T` thresholds' row counts), with each side's mean and sum
-/// of squared deviations from it, a row `[lo, hi]` feeding the left side
-/// of thresholds `hi..` and the right side of `..lo`.
+/// of squared deviations from it, a row in bucket `b` feeding the left side
+/// of thresholds `b..` and the right side of `..b`.
 ///
 /// Float sums are not exact in any order: every side gets its own
-/// accumulator, fed in ascending row order from `sum`'s identity. As
-/// `lo <= hi`, a row's sides are the one run `hi..T + lo` of the layout.
+/// accumulator, fed in ascending row order from `sum`'s identity. A row's
+/// sides are the one run `b..T + b` of the layout.
 fn mse_windowed(
-    bounds: impl Iterator<Item = [u32; 2]> + Clone,
+    buckets: impl Iterator<Item = u32> + Clone,
     ys: &[f64],
     n_side: &[usize],
     mean: &mut Vec<f64>,
@@ -1063,9 +978,9 @@ fn mse_windowed(
         acc.clear();
         acc.resize(2 * n_t, zero);
     }
-    let rows = || bounds.clone().zip(ys);
-    for ([lo, hi], &y) in rows() {
-        on_run(&mut mean[hi as usize..n_t + lo as usize], |sums| {
+    let runs = || buckets.clone().map(|b| b as usize..n_t + b as usize);
+    for (run, &y) in runs().zip(ys) {
+        on_run(&mut mean[run], |sums| {
             for sum in sums {
                 *sum += y;
             }
@@ -1074,8 +989,7 @@ fn mse_windowed(
     for (sum, &n) in mean.iter_mut().zip(n_side) {
         *sum /= n as f64;
     }
-    for ([lo, hi], &y) in rows() {
-        let run = hi as usize..n_t + lo as usize;
+    for (run, &y) in runs().zip(ys) {
         let means = &mean[run.clone()];
         on_run(&mut sq[run], |sqs| {
             for (sq, &mean) in sqs.iter_mut().zip(means) {
@@ -1085,10 +999,9 @@ fn mse_windowed(
     }
 }
 
-/// [`mse_windowed`] for rows that each lie right of thresholds `..b` and
-/// left of `b..`, `b` the row's bucket: in registers when the CPU has
-/// AVX-512F and there are at most 16 thresholds (`simd::mse_by_bucket`),
-/// by the windowed loop otherwise.
+/// [`mse_windowed`] in registers when the CPU has AVX-512F and there are
+/// at most 16 thresholds (`simd::mse_by_bucket`), by the windowed loop
+/// otherwise.
 fn mse_by_bucket(
     buckets: &[u8],
     ys: &[f64],
@@ -1097,8 +1010,7 @@ fn mse_by_bucket(
     sq: &mut Vec<f64>,
 ) {
     if !simd::mse_by_bucket(buckets, ys, n_side, mean, sq) {
-        let bounds = buckets.iter().map(|&b| [u32::from(b); 2]);
-        mse_windowed(bounds, ys, n_side, mean, sq);
+        mse_windowed(buckets.iter().map(|&b| u32::from(b)), ys, n_side, mean, sq);
     }
 }
 
@@ -1114,9 +1026,9 @@ thread_local! {
 }
 
 /// The split search this module had before [`TreeBuilder`], moved here
-/// verbatim: the oracle the differential tests (here, in `gbm` and in
-/// `forest`) compare every fitted tree with. Nothing of it is compiled into
-/// the product.
+/// verbatim but for one line (a NaN midpoint is not a candidate): the
+/// oracle the differential tests (here, in `gbm` and in `forest`) compare
+/// every fitted tree with. Nothing of it is compiled into the product.
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::{next_rand, Criterion, DecisionTree, Node, TreeParams};
@@ -1248,7 +1160,7 @@ pub(crate) mod oracle {
             if vals.len() < 2 {
                 continue;
             }
-            let thresholds: Vec<f64> =
+            let mut thresholds: Vec<f64> =
                 if params.max_thresholds == 0 || vals.len() <= params.max_thresholds {
                     vals.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect()
                 } else {
@@ -1260,6 +1172,7 @@ pub(crate) mod oracle {
                         })
                         .collect()
                 };
+            thresholds.retain(|t| !t.is_nan()); // A NaN midpoint is not a candidate.
             for &t in &thresholds {
                 let left: Vec<usize> = indices.iter().copied().filter(|&i| x[i][f] <= t).collect();
                 let right: Vec<usize> = indices.iter().copied().filter(|&i| x[i][f] > t).collect();
@@ -1374,12 +1287,17 @@ pub(crate) mod fixtures {
         x
     }
 
-    /// Overwrites one cell with NaN (no-op on an empty matrix).
-    pub(crate) fn inject_nan(g: &mut StdRng, x: &mut [Vec<f64>]) {
-        if !x.is_empty() {
-            let (row, col) = (g.gen_range(0..x.len()), g.gen_range(0..WIDTH));
-            x[row][col] = f64::NAN;
+    /// `x` with every column that holds a NaN cell set to `0.0`: what the
+    /// oracle fits where the builder fits `x`. A constant column is never
+    /// split on, as a column holding a NaN cell is not.
+    pub(crate) fn zero_nan_columns(x: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let mut zeroed = x.to_vec();
+        for f in 0..x.first().map_or(0, Vec::len) {
+            if x.iter().any(|row| row[f].is_nan()) {
+                zeroed.iter_mut().for_each(|row| row[f] = 0.0);
+            }
         }
+        zeroed
     }
 
     /// A regression target with signal in four columns, rounded to
@@ -1497,7 +1415,7 @@ mod tests {
         assert_eq!(t1.predict(&x), t2.predict(&x));
     }
 
-    use super::fixtures::{bits, class_target, inject_nan, matrix, regression_target, SIZES};
+    use super::fixtures::*;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -1548,7 +1466,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(160))]
 
         /// The differential test of the kernel: whatever the previous split
-        /// search fitted, the builder fits, bit for bit.
+        /// search fitted, the builder fits, bit for bit; with a NaN cell,
+        /// what it fitted with that cell's column zeroed.
         #[test]
         fn builder_fits_the_oracles_tree_bit_for_bit(
             seed in any::<u64>(),
@@ -1567,8 +1486,9 @@ mod tests {
             } else {
                 regression_target(&mut g, &x)
             };
-            if nan_cell {
-                inject_nan(&mut g, &mut x);
+            if nan_cell && !x.is_empty() {
+                let (row, col) = (g.gen_range(0..x.len()), g.gen_range(0..WIDTH));
+                x[row][col] = f64::NAN;
             }
             let params = TreeParams {
                 max_depth: [2, 4, 6][depth],
@@ -1579,32 +1499,21 @@ mod tests {
             };
             let max_features = [None, None, Some(1), Some(3), Some(100)][subset];
             let tree_seed = seed >> 9;
-            // `sort_by` may panic on a comparator that is not a total order,
-            // which a NaN cell makes of this one; both kernels sort the same
-            // cells in the same order, so they panic on the same inputs.
-            let outcome = |fit: &dyn Fn() -> DecisionTree| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(fit)).ok()
-            };
-            let matrix = Matrix::from_rows(&x);
-            let new = outcome(&|| {
-                DecisionTree::fit_with_features(&matrix, &y, params, max_features, tree_seed)
-            });
-            let old = outcome(&|| {
-                oracle::fit_with_features(&x, &y, params, max_features, tree_seed)
-            });
-            match (&new, &old) {
-                (Some(new), Some(old)) => assert_same_tree(new, old),
-                (None, None) => assert!(nan_cell, "only a NaN cell may panic a fit"),
-                _ => panic!("one kernel panicked, the other fitted"),
-            }
+            let new = DecisionTree::fit_with_features(
+                &Matrix::from_rows(&x), &y, params, max_features, tree_seed,
+            );
+            let old = oracle::fit_with_features(
+                &zero_nan_columns(&x), &y, params, max_features, tree_seed,
+            );
+            assert_same_tree(&new, &old);
         }
 
-        /// What ranks could get wrong and the fixture never shows: a
-        /// `±inf` column (the midpoint of `-inf` and `+inf` is a NaN
-        /// threshold no row is on either side of), a column of signed
-        /// zeros under a `max_thresholds` small enough that the zero a node
-        /// keeps is itself a threshold (its sign bit is in the fitted
-        /// tree), and row counts one past a bitset word.
+        /// What ranks could get wrong and the fixture never shows: a `±inf`
+        /// column (the midpoint of `-inf` and `+inf` is NaN, no candidate
+        /// threshold), a column of signed zeros under a `max_thresholds`
+        /// small enough that the zero a node keeps is itself a threshold
+        /// (its sign bit is in the fitted tree), and row counts one past a
+        /// bitset word.
         #[test]
         fn ranked_kernel_keeps_infinities_signed_zeros_and_word_boundaries(
             seed in any::<u64>(),
@@ -1646,27 +1555,29 @@ mod tests {
         }
     }
 
-    /// Inputs on which a threshold is NaN or equals the largest value, a
-    /// child is empty, or a row belongs to neither child.
+    /// Inputs on which a midpoint is NaN, a threshold equals the largest
+    /// value, a child is empty, or a column or the target holds a NaN; the
+    /// oracle fits each NaN-holding column zeroed.
     #[test]
     fn degenerate_thresholds_and_empty_children_match_the_oracle() {
         let nan = f64::NAN;
         let inf = f64::INFINITY;
         let column = |cells: &[f64]| -> Vec<Vec<f64>> { cells.iter().map(|&c| vec![c]).collect() };
         let cases: Vec<(Vec<Vec<f64>>, Vec<f64>)> = vec![
-            // A column of nothing but NaN: every midpoint is NaN.
+            // A column of nothing but NaN: never split on.
             (column(&[nan, nan, nan, nan]), vec![1.0, 2.0, 3.0, 4.0]),
             // -inf and +inf neighbours: their midpoint is NaN.
             (
                 column(&[-inf, inf, -inf, inf, 1.0]),
                 vec![1.0, 2.0, 1.0, 2.0, 5.0],
             ),
-            // Two values and one NaN row under `max_thresholds = 1`: the
-            // threshold is the larger value, the right child is empty.
+            // Two values and one NaN row, which holds the outlying target.
             (
                 column(&[1.0, 2.0, nan, 1.0, 2.0]),
                 vec![1.0, 1.0, 9.0, 1.0, 1.0],
             ),
+            // Two values under `max_thresholds = 1`: the threshold is the
+            // larger value, the right child is empty.
             (column(&[1.0, 2.0, 1.0, 2.0]), vec![1.0, 2.0, 3.0, 4.0]),
             // A NaN target.
             (column(&[1.0, 2.0, 3.0, 4.0]), vec![1.0, nan, 3.0, 4.0]),
@@ -1693,11 +1604,55 @@ mod tests {
                             ..TreeParams::default()
                         };
                         let new = DecisionTree::fit(&Matrix::from_rows(x), y, params);
-                        let old = oracle::fit_with_features(x, y, params, None, 0);
+                        let old =
+                            oracle::fit_with_features(&zero_nan_columns(x), y, params, None, 0);
                         assert_same_tree(&new, &old);
                     }
                 }
             }
+        }
+    }
+
+    /// A column holding a NaN cell is never split on, however well its other
+    /// cells separate the targets: the tree is the oracle's with the column
+    /// zeroed, and the column gains no importance, which every split adds.
+    #[test]
+    fn a_feature_holding_nan_is_never_split_on() {
+        let x: Vec<Vec<f64>> = (0..24)
+            .map(|i| vec![if i == 5 { f64::NAN } else { i as f64 }, (i % 3) as f64])
+            .collect();
+        let y: Vec<f64> = (0..24).map(|i| if i < 12 { 1.0 } else { 4.0 }).collect();
+        for criterion in [Criterion::Mse, Criterion::Gini] {
+            let params = TreeParams {
+                criterion,
+                ..TreeParams::default()
+            };
+            let tree = DecisionTree::fit(&Matrix::from_rows(&x), &y, params);
+            let old = oracle::fit_with_features(&zero_nan_columns(&x), &y, params, None, 0);
+            assert_same_tree(&tree, &old);
+            assert_eq!(tree.feature_importance()[0], 0.0, "{criterion:?}");
+        }
+    }
+
+    /// The midpoint of `-inf` and `+inf` is NaN, which no row lies on either
+    /// side of: it is no candidate, so a node whose feature holds only those
+    /// two is a leaf, even when `min_samples_leaf = 0` would admit two
+    /// empty children.
+    #[test]
+    fn a_nan_midpoint_is_never_a_threshold() {
+        let inf = f64::INFINITY;
+        let rows = vec![vec![-inf], vec![inf], vec![-inf], vec![inf]];
+        let (x, y) = (Matrix::from_rows(&rows), vec![1.0, 2.0, 1.0, 2.0]);
+        for (criterion, leaf) in [(Criterion::Mse, 1.5), (Criterion::Gini, 1.0)] {
+            let params = TreeParams {
+                min_samples_leaf: 0,
+                criterion,
+                ..TreeParams::default()
+            };
+            let tree = DecisionTree::fit(&x, &y, params);
+            assert_eq!(tree.predict(&x), [leaf; 4], "{criterion:?}");
+            let old = oracle::fit_with_features(&rows, &y, params, None, 0);
+            assert_same_tree(&tree, &old);
         }
     }
 
@@ -1862,9 +1817,9 @@ mod tests {
                 println!("register kernel not tested: this CPU lacks AVX-512F");
                 return;
             }
-            let bounds = buckets.iter().map(|&b| [u32::from(b); 2]);
             let (mut windowed_mean, mut windowed_sq) = (Vec::new(), Vec::new());
-            mse_windowed(bounds, &ys, &n_side, &mut windowed_mean, &mut windowed_sq);
+            let single = buckets.iter().map(|&b| u32::from(b));
+            mse_windowed(single, &ys, &n_side, &mut windowed_mean, &mut windowed_sq);
             let lanes = |v: &[f64]| -> Vec<Option<u64>> {
                 v.iter().map(|x| Some(x.to_bits()).filter(|_| !x.is_nan())).collect()
             };
