@@ -46,9 +46,8 @@
 //! Every entry recorded takes the next number of one cache-wide counter,
 //! its stamp, so an export from a [`Cursor`] holds only what came after.
 
-use std::borrow::Borrow;
 use std::fmt;
-use std::hash::{BuildHasher, Hash, Hasher, RandomState};
+use std::hash::{BuildHasher, Hasher, RandomState};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -100,55 +99,6 @@ impl CacheStats {
 }
 
 type CacheKey = (u64, StateBitmap);
-
-/// Borrowed-key view of a `(namespace, StateBitmap)` cache key, so probes
-/// can be answered without cloning the bitmap into an owned tuple: both the
-/// owned `CacheKey` and a transient `(u64, &StateBitmap)` present as
-/// `dyn KeyPair`, and the `Hash`/`Eq` impls below mirror the owned tuple's
-/// field-sequential semantics exactly (the `Borrow` contract).
-trait KeyPair {
-    fn namespace(&self) -> u64;
-    fn bitmap(&self) -> &StateBitmap;
-}
-
-impl KeyPair for CacheKey {
-    fn namespace(&self) -> u64 {
-        self.0
-    }
-    fn bitmap(&self) -> &StateBitmap {
-        &self.1
-    }
-}
-
-impl KeyPair for (u64, &StateBitmap) {
-    fn namespace(&self) -> u64 {
-        self.0
-    }
-    fn bitmap(&self) -> &StateBitmap {
-        self.1
-    }
-}
-
-impl<'a> Borrow<dyn KeyPair + 'a> for CacheKey {
-    fn borrow(&self) -> &(dyn KeyPair + 'a) {
-        self
-    }
-}
-
-impl Hash for dyn KeyPair + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.namespace().hash(state);
-        self.bitmap().hash(state);
-    }
-}
-
-impl PartialEq for dyn KeyPair + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.namespace() == other.namespace() && self.bitmap() == other.bitmap()
-    }
-}
-
-impl Eq for dyn KeyPair + '_ {}
 
 struct Shard {
     /// Each evaluation beside its stamp ([`SharedEvalCache::stamps`]).
@@ -419,12 +369,12 @@ impl SharedEvalCache {
 
     fn lookup(&self, namespace: u64, bitmap: &StateBitmap) -> Option<SharedEvaluation> {
         let shard = self.shard_for(namespace, bitmap);
-        // Probe through the borrowed-key view: a hit costs no allocation.
+        // A state of up to 128 units is stored inline: the key allocates nothing.
         let found = shard
             .map
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .get(&(namespace, bitmap) as &dyn KeyPair)
+            .get(&(namespace, bitmap.clone()))
             .map(|(evaluation, _)| evaluation.clone());
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
