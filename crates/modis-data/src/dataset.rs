@@ -212,40 +212,6 @@ impl Dataset {
         (self.num_rows(), non_null_cols)
     }
 
-    /// Random sample of `n` rows (deterministic given the `seed`).
-    pub fn sample(&self, n: usize, seed: u64) -> Dataset {
-        if n >= self.num_rows() {
-            return self.clone();
-        }
-        // A simple LCG keeps this dependency free and deterministic.
-        let mut state = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let mut indices: Vec<usize> = (0..self.num_rows()).collect();
-        for i in (1..indices.len()).rev() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
-            indices.swap(i, j);
-        }
-        let unmasked = vec![false; self.num_columns()];
-        self.take(format!("{}#sample", self.name), &indices[..n], &unmasked)
-    }
-
-    /// Splits the dataset into (train, test) by a ratio: the first rows
-    /// train, the rest test. (`seed` is unused: the rows keep their order.)
-    pub fn split(&self, train_ratio: f64, _seed: u64) -> (Dataset, Dataset) {
-        let cut = ((self.num_rows() as f64) * train_ratio).round() as usize;
-        let rows: Vec<usize> = (0..self.num_rows()).collect();
-        let (train, test) = rows.split_at(cut.min(self.num_rows()));
-        let unmasked = vec![false; self.num_columns()];
-        (
-            self.take(format!("{}#train", self.name), train, &unmasked),
-            self.take(format!("{}#test", self.name), test, &unmasked),
-        )
-    }
-
     /// Renames the dataset, builder style.
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
@@ -329,20 +295,5 @@ mod tests {
         let mut d = toy();
         d.add_column(Attribute::feature("empty"));
         assert_eq!(d.reported_size(), (3, 2));
-    }
-
-    #[test]
-    fn split_partitions_all_rows() {
-        let d = toy();
-        let (tr, te) = d.split(0.67, 7);
-        assert_eq!(tr.num_rows() + te.num_rows(), d.num_rows());
-    }
-
-    #[test]
-    fn sample_is_deterministic() {
-        let d = toy();
-        let s1 = d.sample(2, 42);
-        let s2 = d.sample(2, 42);
-        assert_eq!(s1.rows(), s2.rows());
     }
 }

@@ -22,9 +22,8 @@
 //!   packed into `u64` words;
 //! * [`RowMask`] / [`DatasetView`] — packed selection vectors and
 //!   zero-copy views, the columnar materialisation path;
-//! * [`stats`] — Pearson/Spearman correlation, cosine/Euclidean distances and
-//!   column statistics used by correlation-based pruning and
-//!   diversification.
+//! * [`stats`] — Pearson/Spearman correlation and cosine/Euclidean distances,
+//!   used by correlation-based pruning and diversification.
 
 #![warn(missing_docs)]
 

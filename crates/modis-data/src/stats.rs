@@ -1,60 +1,9 @@
-//! Column statistics and correlation measures.
+//! Correlation measures and vector distances.
 //!
 //! BiMODis maintains a correlation graph `G_C` whose edges connect measures
 //! with Spearman correlation coefficient above a threshold θ (§5.3); the
-//! diversification distance also needs column summary statistics.
-
-/// Summary statistics of a numeric column.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnStats {
-    /// Number of non-null numeric cells.
-    pub count: usize,
-    /// Number of null cells.
-    pub nulls: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-}
-
-impl ColumnStats {
-    /// Computes summary statistics from an optional-valued column.
-    pub fn from_values(values: &[Option<f64>]) -> ColumnStats {
-        let present: Vec<f64> = values
-            .iter()
-            .filter_map(|v| *v)
-            .filter(|v| v.is_finite())
-            .collect();
-        let nulls = values.len() - present.len();
-        if present.is_empty() {
-            return ColumnStats {
-                count: 0,
-                nulls,
-                mean: 0.0,
-                std_dev: 0.0,
-                min: 0.0,
-                max: 0.0,
-            };
-        }
-        let count = present.len();
-        let mean = present.iter().sum::<f64>() / count as f64;
-        let var = present.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / count as f64;
-        let min = present.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = present.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        ColumnStats {
-            count,
-            nulls,
-            mean,
-            std_dev: var.sqrt(),
-            min,
-            max,
-        }
-    }
-}
+//! diversification distance of DivMODis is the Euclidean distance between
+//! performance vectors.
 
 /// Mean of a slice (0 for an empty slice).
 pub fn mean(xs: &[f64]) -> f64 {
@@ -167,23 +116,6 @@ pub fn cosine_similarity(xs: &[f64], ys: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn column_stats_basic() {
-        let s = ColumnStats::from_values(&[Some(1.0), Some(2.0), Some(3.0), None]);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.nulls, 1);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-    }
-
-    #[test]
-    fn column_stats_empty() {
-        let s = ColumnStats::from_values(&[None, None]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.nulls, 2);
-    }
 
     #[test]
     fn pearson_perfect_correlation() {
