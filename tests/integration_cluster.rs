@@ -2080,6 +2080,133 @@ fn a_replica_is_synced_from_the_cursor_its_last_shipment_carried() {
     assert!(lines(replica, "EXPORT ").is_empty() && lines(primary, "SHIP ").is_empty());
 }
 
+/// A [`logging_shard`] that replicates by cursor: its first `EXPORT` is
+/// answered with two bytes at cursor `5eed-7`, every later one with
+/// nothing new at the next cursor, a `SHIP` with `OK 1` and a `PING` with
+/// what `probe` returns.
+fn cursor_shard(
+    probe: impl Fn() -> String + Send + Sync + 'static,
+) -> (SocketAddr, Arc<Mutex<Vec<String>>>) {
+    let exports = AtomicUsize::new(0);
+    logging_shard(move |request| match request.split(' ').next() {
+        Some("PING") => probe(),
+        Some("EXPORT") => match exports.fetch_add(1, Ordering::SeqCst) {
+            0 => "SHIPMENT 5eed-7 2 beef".into(),
+            k => format!("SHIPMENT 5eed-{:x} 0", 7 + k),
+        },
+        Some("SHIP") => "OK 1".into(),
+        _ => "OK 0".into(),
+    })
+}
+
+/// A shard that joins as a namespace's replica keeps the cursor its join
+/// reached: the join ships the copy from the primary (`EXPORT … FROM 0`),
+/// and the next sync asks the primary only for what it recorded after the
+/// cursor that reply carried, not from `0` again.
+#[test]
+fn a_joined_replica_is_synced_from_the_cursor_its_join_reached() {
+    let pong = || "PONG".to_string();
+    let (s0, s1) = (cursor_shard(pong), cursor_shard(pong));
+    let config = RouterConfig {
+        replication: 2,
+        heartbeat_interval: Duration::from_secs(3600),
+        ..RouterConfig::default()
+    };
+    let router = Router::bind_with(
+        ClusterSpec::new([("scen", "ns")]).unwrap(),
+        vec![("s0".to_string(), s0.0), ("s1".to_string(), s1.0)],
+        "127.0.0.1:0",
+        config,
+    )
+    .unwrap();
+    let primary = router.owners_of("ns")[0].clone();
+    let key = SharedEvalCache::namespace_key("ns");
+    let joiner = (1..100)
+        .map(|i| format!("shard{i}"))
+        .find(|candidate| {
+            let mut with = router.shard_map();
+            with.add(candidate.clone());
+            with.owners_of(key, 2) == [primary.as_str(), candidate.as_str()]
+        })
+        .expect("some candidate name joins as the replica");
+    let joined = cursor_shard(pong);
+    let shipped = router.join_shard(&joiner, joined.0).unwrap();
+    assert_eq!(
+        shipped.iter().map(|s| (&s.from, &s.to)).collect::<Vec<_>>(),
+        [(&primary, &joiner)]
+    );
+    router.flush_replication();
+    router.stop();
+
+    let primary_log = if primary == "s0" { &s0.1 } else { &s1.1 };
+    assert_eq!(
+        logged(primary_log, "EXPORT "),
+        ["EXPORT ns FROM 0", "EXPORT ns FROM 5eed-7"]
+    );
+    assert_eq!(
+        logged(&joined.1, "SHIP "),
+        ["SHIP ns 2"],
+        "no SHIP for len 0"
+    );
+}
+
+/// A rewired shard is a fresh process: its breaker, opened by a failed
+/// probe, starts closed again, and the cursors of its old copies are
+/// forgotten, so the next sync asks their primary for `EXPORT … FROM 0`.
+#[test]
+fn a_rewired_shard_starts_with_no_failures_and_no_cursors() {
+    let map = ShardMap::from_names(["s0", "s1"]);
+    let owners = map.owners_of(SharedEvalCache::namespace_key("ns"), 2);
+    let (primary, replica) = (owners[0].to_string(), owners[1].to_string());
+    // The replica's first probe waits until the test drops `release`, then
+    // fails; every other probe is answered.
+    let (release, held) = mpsc::channel::<()>();
+    let held = Mutex::new(Some(held));
+    let replica_shard = cursor_shard(move || {
+        let first = held.lock().unwrap().take();
+        if let Some(held) = first {
+            let _ = held.recv();
+            return "NOPE".into();
+        }
+        "PONG".into()
+    });
+    let primary_shard = cursor_shard(|| "PONG".to_string());
+    let config = RouterConfig {
+        replication: 2,
+        heartbeat_interval: Duration::from_secs(3600),
+        heartbeat_timeout: Duration::from_secs(60),
+        heartbeat_misses: 1,
+    };
+    let router = Router::bind_with(
+        ClusterSpec::new([("scen", "ns")]).unwrap(),
+        vec![
+            (primary.clone(), primary_shard.0),
+            (replica.clone(), replica_shard.0),
+        ],
+        "127.0.0.1:0",
+        config,
+    )
+    .unwrap();
+    router.flush_replication();
+    drop(release);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while router.circuit_state(&replica) == CircuitState::Closed {
+        assert!(Instant::now() < deadline, "the failed probe never counted");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    router.set_shard_addr(&replica, replica_shard.0).unwrap();
+    assert_eq!(router.circuit_state(&replica), CircuitState::Closed);
+    let gauge = format!("router_circuit_state{{shard=\"{replica}\"}} 0");
+    assert!(router.metrics().render().contains(&gauge));
+    router.flush_replication();
+    router.stop();
+
+    // The first sync reached cursor `5eed-7`; the rewire forgot it.
+    let exports = logged(&primary_shard.1, "EXPORT ");
+    assert_eq!(exports[..2], ["EXPORT ns FROM 0", "EXPORT ns FROM 0"]);
+    assert_eq!(logged(&replica_shard.1, "SHIP "), ["SHIP ns 2"]);
+}
+
 /// A join made before any `RUN` finds nothing cached for the namespaces
 /// the joiner gains: it lists the ownership moves and sends no `SHIP`.
 #[test]
