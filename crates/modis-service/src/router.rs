@@ -36,16 +36,16 @@
 //!   persists every shard to `<path>.<shard>` and removes the partial
 //!   per-shard files when the fan-in fails, and the counted verbs merge
 //!   every shard's lines under a `shard=` label.
-//! * **Heartbeats and health** — a background thread `PING`s every shard
-//!   each [`RouterConfig::heartbeat_interval`]. A shard is up or down by
-//!   one count, its consecutive failed exchanges: a probe, a reply line
-//!   its pooled link delivers, a forward's connect or write and every
-//!   blocking one-shot exchange each count. It is down once the count
-//!   reaches [`RouterConfig::heartbeat_misses`] and up again after one
-//!   successful exchange (exposed as `router_circuit_state`). A forward
-//!   makes one attempt — never a sleep on the front thread — and fails
-//!   fast (`circuit open`) while a shard is down, so no request ever
-//!   hangs on a corpse, and only the heartbeat dials a down shard.
+//! * **Heartbeats and health** — a background thread `PING`s every member,
+//!   in name order, each [`RouterConfig::heartbeat_interval`]. A shard is
+//!   up or down by one count on its member record, its consecutive failed
+//!   exchanges: a probe, a reply line its pooled link delivers, a forward's
+//!   connect or write and every blocking one-shot exchange each count. It
+//!   is down from [`RouterConfig::heartbeat_misses`] on and up again after
+//!   one successful exchange (`router_circuit_state`). A forward makes one
+//!   attempt — never a sleep on the front thread — and fails fast
+//!   (`circuit open`) while a shard is down, so no request ever hangs on a
+//!   corpse, and only the heartbeat dials a down shard.
 //! * **Replication shipping over the wire** — the router remembers, per
 //!   `(replica, namespace)`, the shard the copy came from and the cursor
 //!   of that shard's cache it reached. After each completed `RUN` it asks
@@ -70,29 +70,31 @@
 //!   order), rewritten to cluster ids; tickets stranded by a mid-`WAIT`
 //!   shard death are re-homed and the wait resumes on the replica.
 //!
-//! The router itself holds no evaluation state and does no search work —
-//! it is a routing and fan-out *policy* (placement, the ticket table,
-//! health, failover, the ordered queue of expectations) on top of the
-//! connection core the daemon's reactor runs on (the crate's private
-//! `conn` module). **One** front thread drives every socket the router
-//! serves through one [`crate::poller::Poller`]: the listener, the wakeup
-//! channel, every client connection and every pooled shard connection —
-//! each non-blocking under its own token, a shard connection recording the
-//! client that owns it, so a shard reply wakes exactly the client it is
-//! owed to. Requests to a shard and responses to a client queue in the
-//! connection's write buffer and leave as the socket accepts them, a
-//! client that does not read its responses stops being read (and stalls
-//! nobody else), and with nothing ready the thread sleeps in one poller
-//! wait with no timeout. Two things still block the front thread, and
-//! with it every client: `forward` opens a connection to an up shard with
-//! a blocking connect under `CONNECT_TIMEOUT` (2 s), and re-homing a ticket
-//! (`RouterInner::failover_ticket`, on the `POLL`/`RESULT` path and in
-//! `forward_waits`) runs a blocking one-shot `SUBMIT` and then `RUN` on
-//! each candidate replica, each exchange costing up to `CONNECT_TIMEOUT`
-//! plus `SHIP_TIMEOUT` (120 s). The heartbeat and shipping exchanges block
-//! too, off the front thread.
+//! The router itself holds no evaluation state and does no search work — it
+//! is a routing and fan-out *policy* on top of the connection core the
+//! daemon's reactor runs on (the crate's private `conn` module), and its
+//! shared state is two locks: the topology (one member record per shard —
+//! address, failure count and instruments — the ownership map and the replica
+//! cursors) and the ticket table; no lock is held across a shard exchange.
+//! **One** front thread drives every socket the router serves through one
+//! [`crate::poller::Poller`]: the listener, the wakeup channel, every client
+//! connection and every pooled shard connection — each non-blocking under its
+//! own token, a shard connection recording the client that owns it, so a
+//! shard reply wakes exactly the client it is owed to. Requests to a shard
+//! and responses to a client queue in the connection's write buffer and leave
+//! as the socket accepts them, a client that does not read its responses
+//! stops being read (and stalls nobody else), and with nothing ready the
+//! thread sleeps in one poller wait with no timeout. Two things still block
+//! the front thread, and with it every client: `forward` opens a connection
+//! to an up shard with a blocking connect under `CONNECT_TIMEOUT` (2 s), and
+//! re-homing a ticket (`RouterInner::failover_ticket`, on the `POLL`/`RESULT`
+//! path and in `forward_waits`) runs a blocking one-shot `SUBMIT` and then
+//! `RUN` on each candidate replica, each exchange costing up to
+//! `CONNECT_TIMEOUT` plus `SHIP_TIMEOUT` (120 s). The heartbeat and shipping
+//! exchanges block too, off the front thread.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -100,7 +102,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use modis_core::telemetry::{Counter, Histogram, MetricsRegistry, TraceContext, Tracer};
+use modis_core::telemetry::{Counter, Gauge, Histogram, MetricsRegistry, TraceContext, Tracer};
 use modis_engine::{Cursor, SharedEvalCache};
 
 use crate::cluster::{validate_token, ClusterSpec, ShardMap};
@@ -119,6 +121,9 @@ const FAILOVER_HELP: &str = "Requests transparently re-routed away from this sha
 /// Help text of the `router_circuit_state{shard}` gauge.
 const CIRCUIT_HELP: &str =
     "Per-shard circuit breaker state: 0 = closed (healthy), 2 = open (declared dead).";
+/// Help text of the `router_forward_us{shard}` histogram.
+const FORWARD_HELP: &str = "Round-trip latency of single-shard forwards \
+     (SUBMIT/POLL/RESULT), router-side, in microseconds.";
 
 /// Connect timeout for shard connections.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
@@ -247,23 +252,74 @@ fn unavailable(shard: &str, reason: impl ToString) -> ServiceError {
     }
 }
 
-/// One shard's identity and current address.
-#[derive(Debug, Clone)]
-struct ShardState {
-    name: String,
+/// What the router knows about one member shard: its address, its count
+/// of consecutive failed exchanges, and its four per-shard instruments,
+/// resolved once when the record is made (at bind, join or rewire), so a
+/// scrape shows every family at zero from then on.
+struct Member {
     addr: SocketAddr,
+    failures: u32,
+    misses: Arc<Counter>,
+    failovers: Arc<Counter>,
+    circuit: Arc<Gauge>,
+    forward_us: Arc<Histogram>,
 }
 
-/// The live topology: shard addresses plus the ownership map, kept under
-/// one lock so routing decisions always see a consistent pair.
+impl Member {
+    /// A fresh record for shard `name` at `addr`: no failure on record,
+    /// its state gauge published closed.
+    fn new(metrics: &MetricsRegistry, name: &str, addr: SocketAddr) -> Member {
+        let labels = [("shard", name)];
+        let counter = |family, help| metrics.counter_with(family, help, &labels);
+        let circuit = metrics.gauge_with("router_circuit_state", CIRCUIT_HELP, &labels);
+        circuit.set(CircuitState::Closed as i64);
+        Member {
+            addr,
+            failures: 0,
+            misses: counter("router_heartbeat_misses_total", HEARTBEAT_MISS_HELP),
+            failovers: counter("router_failovers_total", FAILOVER_HELP),
+            circuit,
+            forward_us: metrics.histogram_with("router_forward_us", FORWARD_HELP, &labels),
+        }
+    }
+
+    /// Whether the shard is declared dead.
+    fn down(&self, threshold: u32) -> bool {
+        self.failures >= threshold
+    }
+}
+
+/// The live topology: the member records, the ownership map and where
+/// each replica's copy reaches, kept under one lock so routing decisions
+/// always see a consistent set.
 struct Topology {
-    shards: Vec<ShardState>,
+    members: BTreeMap<String, Member>,
     map: ShardMap,
+    /// `(replica, namespace)` → the shard the copy was last brought up to
+    /// date from, and that shard's cursor then: the next sync asks the
+    /// same source only for what it recorded after it, and failover
+    /// prefers the replica that reaches furthest into a dead primary's
+    /// record. Kept apart from [`Member`]: a joining shard's copies are
+    /// shipped before it is a member.
+    synced: HashMap<(String, String), (String, Cursor)>,
 }
 
 impl Topology {
-    fn addr_of(&self, name: &str) -> Option<SocketAddr> {
-        self.shards.iter().find(|s| s.name == name).map(|s| s.addr)
+    /// How far `replica`'s copy of `namespace` reaches into `source`'s
+    /// record: the cursor on record when it was last synced from
+    /// `source`, else the start.
+    fn reach(&self, replica: &str, namespace: &str, source: &str) -> Cursor {
+        let copy = (replica.to_string(), namespace.to_string());
+        match self.synced.get(&copy) {
+            Some((from, cursor)) if from == source => *cursor,
+            _ => Cursor::default(),
+        }
+    }
+
+    /// `shard`'s name and address while it is a member that is up.
+    fn up(&self, shard: &str, threshold: u32) -> Option<(String, SocketAddr)> {
+        let member = self.members.get(shard).filter(|m| !m.down(threshold))?;
+        Some((shard.to_string(), member.addr))
     }
 }
 
@@ -291,13 +347,12 @@ struct TicketEntry {
 /// FIFO up to `MAX_TICKETS` (the shard daemons bound their
 /// own completed-job retention, so an unbounded router-side table would
 /// mostly map ids the shards have already forgotten — and grow with every
-/// request the router ever served).
+/// request the router ever served). Ids ascend, so the first entry is the
+/// oldest.
 #[derive(Default)]
 struct TicketTable {
     next: u64,
-    forward: HashMap<u64, TicketEntry>,
-    /// Allocation order, for FIFO eviction.
-    order: VecDeque<u64>,
+    forward: BTreeMap<u64, TicketEntry>,
 }
 
 impl TicketTable {
@@ -311,9 +366,8 @@ impl TicketTable {
         retention: usize,
     ) -> u64 {
         self.next += 1;
-        let global = self.next;
         self.forward.insert(
-            global,
+            self.next,
             TicketEntry {
                 shard: shard.to_string(),
                 local,
@@ -322,15 +376,10 @@ impl TicketTable {
                 trace,
             },
         );
-        self.order.push_back(global);
-        if retention > 0 {
-            while self.order.len() > retention {
-                if let Some(oldest) = self.order.pop_front() {
-                    self.forward.remove(&oldest);
-                }
-            }
+        while self.forward.len() > retention {
+            self.forward.pop_first();
         }
-        global
+        self.next
     }
 
     /// Re-homes a cluster ticket onto a replica's fresh local id, marking
@@ -358,24 +407,7 @@ impl TicketTable {
     /// replaced), so its local ids no longer name anything.
     fn purge_shard(&mut self, shard: &str) {
         self.forward.retain(|_, e| e.shard != shard);
-        let forward = &self.forward;
-        self.order.retain(|g| forward.contains_key(g));
     }
-}
-
-/// Replication book-keeping: where each replica's copy came from, how far
-/// it reaches, and whether a sync is owed.
-#[derive(Default)]
-struct ReplicationState {
-    /// `(replica, namespace)` → the shard the copy was last brought up to
-    /// date from, and that shard's cursor then: the next sync asks the
-    /// same source only for what it recorded after it, and failover
-    /// prefers the replica that reaches furthest into a dead primary's
-    /// record.
-    synced: HashMap<(String, String), (String, Cursor)>,
-    /// A `RUN` completed, a shard was rewired or a sync fell short since
-    /// the last sync: the heartbeat syncs while this is set.
-    due: bool,
 }
 
 /// Locks `mutex` through poisoning: every structure the router guards is
@@ -389,6 +421,9 @@ struct RouterInner {
     topology: Mutex<Topology>,
     tickets: Mutex<TicketTable>,
     stop: AtomicBool,
+    /// A `RUN` completed, a shard was rewired or a sync fell short since
+    /// the last sync: the heartbeat syncs the replicas while this is set.
+    sync_due: AtomicBool,
     config: RouterConfig,
     /// The router's own instruments; rendered (unrelabeled — `router_*`
     /// family names cannot collide with shard-side families) at the head
@@ -398,12 +433,6 @@ struct RouterInner {
     reconnects: Arc<Counter>,
     /// Shard-local ticket ids remapped to cluster-wide ids.
     remaps: Arc<Counter>,
-    /// Per member shard, its count of consecutive failed exchanges.
-    health: Mutex<HashMap<String, u32>>,
-    /// Per shard, its `router_forward_us` series, resolved on first use.
-    forward_us: Mutex<HashMap<String, Arc<Histogram>>>,
-    /// Where each replica's copy reaches, and whether a sync is owed.
-    replication: Mutex<ReplicationState>,
     /// The router's own span recorder: per-client trace roots, forward
     /// round-trips and failover re-homes, stitched into the same traces
     /// as the shard-side spans and rendered into `EXPLAIN` timelines
@@ -434,52 +463,21 @@ impl RouterInner {
         self.config.heartbeat_misses.max(1)
     }
 
-    /// Starts `shard` up with no failure on record, and pre-registers
-    /// every per-shard family so scrapes see them (at zero) from the first
-    /// exposition, not only after the first event.
-    fn admit_shard(&self, shard: &str) {
-        let mut health = lock(&self.health);
-        health.insert(shard.to_string(), 0);
-        self.publish_circuit(shard, CircuitState::Closed);
-        let _ = self.miss_counter(shard);
-        let _ = self.failover_counter(shard);
+    /// Reads `shard`'s member record under the topology lock; `None` when
+    /// it is not a member (it left, or is still joining).
+    fn member<R>(&self, shard: &str, read: impl FnOnce(&Member) -> R) -> Option<R> {
+        lock(&self.topology).members.get(shard).map(read)
     }
 
-    fn miss_counter(&self, shard: &str) -> Arc<Counter> {
-        let labels = [("shard", shard)];
-        self.metrics.counter_with(
-            "router_heartbeat_misses_total",
-            HEARTBEAT_MISS_HELP,
-            &labels,
-        )
-    }
-
-    /// The failover counter of `shard` — the shard routed *away from*.
-    fn failover_counter(&self, shard: &str) -> Arc<Counter> {
-        let labels = [("shard", shard)];
-        self.metrics
-            .counter_with("router_failovers_total", FAILOVER_HELP, &labels)
-    }
-
-    /// Publishes `shard`'s breaker position to the state gauge.
-    fn publish_circuit(&self, shard: &str, state: CircuitState) {
-        self.metrics
-            .gauge_with("router_circuit_state", CIRCUIT_HELP, &[("shard", shard)])
-            .set(state as i64);
-    }
-
-    /// Records one exchange with `shard`: one lookup under the health
-    /// lock, and the state gauge published only when the exchange flips
-    /// the shard between up and down. A shard that is not a member (it
-    /// left, or is still joining) has no count to keep.
+    /// Records one exchange with `shard` on its member record, publishing
+    /// the state gauge only when the exchange flips the shard between up
+    /// and down. A shard that is not a member has no count to keep.
     fn note(&self, shard: &str, ok: bool) {
         let threshold = self.threshold();
-        let mut health = lock(&self.health);
-        let Some(failures) = health.get_mut(shard) else {
-            return;
-        };
-        if let Some(state) = tally(failures, ok, threshold) {
-            self.publish_circuit(shard, state);
+        if let Some(member) = lock(&self.topology).members.get_mut(shard) {
+            if let Some(state) = tally(&mut member.failures, ok, threshold) {
+                member.circuit.set(state as i64);
+            }
         }
     }
 
@@ -496,31 +494,15 @@ impl RouterInner {
     /// Whether `shard` is currently declared dead.
     fn shard_down(&self, shard: &str) -> bool {
         let threshold = self.threshold();
-        lock(&self.health)
-            .get(shard)
-            .is_some_and(|&failures| failures >= threshold)
+        self.member(shard, |member| member.down(threshold)) == Some(true)
     }
 
     /// The sorted names of shards currently declared dead.
     fn degraded_shards(&self) -> Vec<String> {
         let threshold = self.threshold();
-        let mut names: Vec<String> = lock(&self.health)
-            .iter()
-            .filter(|(_, &failures)| failures >= threshold)
-            .map(|(name, _)| name.clone())
-            .collect();
-        names.sort();
-        names
-    }
-
-    /// Forgets `shard`'s failures and the cursors of its copies, and makes
-    /// a sync due — the recovery path after a rewire (the new process
-    /// starts from its snapshot; its copies are synced again from `0`).
-    fn reset_health(&self, shard: &str) {
-        self.admit_shard(shard);
-        let mut rep = lock(&self.replication);
-        rep.synced.retain(|(replica, _), _| replica != shard);
-        rep.due = true;
+        let topology = lock(&self.topology);
+        let down = topology.members.iter().filter(|(_, m)| m.down(threshold));
+        down.map(|(name, _)| name.clone()).collect()
     }
 
     /// [`one_shot`] against a shard daemon under the lifecycle timeouts —
@@ -599,10 +581,10 @@ impl RouterInner {
         if !payload.is_empty() {
             self.wire_ship(target, target_addr, namespaces, &payload)?;
         }
-        let mut rep = lock(&self.replication);
+        let mut topology = lock(&self.topology);
         for namespace in namespaces {
             let copy = (target.to_string(), namespace.clone());
-            rep.synced.insert(copy, (source.to_string(), cursor));
+            topology.synced.insert(copy, (source.to_string(), cursor));
         }
         Ok(())
     }
@@ -613,46 +595,39 @@ impl RouterInner {
     /// dead owner or a failed exchange leaves the sync due. Returns the
     /// number of `(replica, namespace)` copies on record.
     fn sync_replicas(&self) -> usize {
-        lock(&self.replication).due = false;
-        let mut groups: Vec<((String, String, Cursor), Vec<String>)> = Vec::new();
+        self.sync_due.store(false, Ordering::SeqCst);
+        let threshold = self.threshold();
+        // Per `[primary, replica]` and cursor, the namespaces synced together.
+        type Group = ([(String, SocketAddr); 2], Cursor);
+        let mut groups: Vec<(Group, Vec<String>)> = Vec::new();
         let mut short = false;
-        for namespace in self.spec.namespaces() {
-            let (live, dead): (Vec<String>, Vec<String>) = self
-                .owners(namespace)
-                .into_iter()
-                .partition(|owner| !self.shard_down(owner));
-            short |= !dead.is_empty();
-            let Some((primary, replicas)) = live.split_first() else {
-                continue;
-            };
-            let rep = lock(&self.replication);
-            for replica in replicas {
-                let after = match rep.synced.get(&(replica.clone(), namespace.to_string())) {
-                    Some((source, cursor)) if source == primary => *cursor,
-                    _ => Cursor::default(),
+        {
+            let topology = lock(&self.topology);
+            let up = |owner: &&str| topology.up(owner, threshold);
+            for namespace in self.spec.namespaces() {
+                let owners = topology.map.owners_of_namespace(namespace, self.k());
+                let live: Vec<_> = owners.iter().filter_map(up).collect();
+                short |= live.len() < owners.len();
+                let Some((primary, replicas)) = live.split_first() else {
+                    continue;
                 };
-                let group = (primary.clone(), replica.clone(), after);
-                match groups.iter_mut().find(|(g, _)| *g == group) {
-                    Some((_, namespaces)) => namespaces.push(namespace.to_string()),
-                    None => groups.push((group, vec![namespace.to_string()])),
+                for replica in replicas {
+                    let after = topology.reach(&replica.0, namespace, &primary.0);
+                    let group = ([primary.clone(), replica.clone()], after);
+                    match groups.iter_mut().find(|(g, _)| *g == group) {
+                        Some((_, namespaces)) => namespaces.push(namespace.to_string()),
+                        None => groups.push((group, vec![namespace.to_string()])),
+                    }
                 }
             }
         }
-        for ((primary, replica, after), namespaces) in groups {
-            let addrs = {
-                let topology = lock(&self.topology);
-                (topology.addr_of(&primary), topology.addr_of(&replica))
-            };
-            short |= match addrs {
-                (Some(from), Some(to)) => self
-                    .sync_copy((&primary, from), &namespaces, after, (&replica, to))
-                    .is_err(),
-                _ => true,
-            };
+        for (([(primary, from), (replica, to)], after), namespaces) in groups {
+            short |= self
+                .sync_copy((&primary, from), &namespaces, after, (&replica, to))
+                .is_err();
         }
-        let mut rep = lock(&self.replication);
-        rep.due |= short;
-        rep.synced.len()
+        self.sync_due.fetch_or(short, Ordering::SeqCst);
+        lock(&self.topology).synced.len()
     }
 
     /// The current home of cluster ticket `global`, re-homed onto a live
@@ -680,26 +655,20 @@ impl RouterInner {
         let Some(namespace) = self.spec.namespace_of(&entry.scenario).map(str::to_string) else {
             return Err(no_replica());
         };
-        let mut candidates: Vec<(String, SocketAddr)> = self
-            .owners(&namespace)
-            .into_iter()
-            .filter(|o| *o != dead && !self.shard_down(o))
-            .filter_map(|o| lock(&self.topology).addr_of(&o).map(|a| (o, a)))
-            .collect();
-        {
+        let threshold = self.threshold();
+        let candidates: Vec<(String, SocketAddr)> = {
+            let topology = lock(&self.topology);
+            let owners = topology.map.owners_of_namespace(&namespace, self.k());
+            let others = owners.into_iter().filter(|owner| *owner != dead);
+            let mut live: Vec<(String, SocketAddr)> =
+                others.filter_map(|o| topology.up(o, threshold)).collect();
             // Freshest replica first: the copy synced furthest into the
             // dead shard's append order (one synced from elsewhere reaches
             // nothing of it). The sort is stable, so rendezvous rank
             // breaks ties.
-            let rep = lock(&self.replication);
-            candidates.sort_by_key(|(name, _)| {
-                let reach = match rep.synced.get(&(name.clone(), namespace.clone())) {
-                    Some((source, cursor)) if *source == dead => *cursor,
-                    _ => Cursor::default(),
-                };
-                std::cmp::Reverse(reach)
-            });
-        }
+            live.sort_by_key(|(name, _)| Reverse(topology.reach(name, &namespace, &dead)));
+            live
+        };
         // The re-submission rides on the original submission's trace, so
         // the `failover` span (and the replacement shard's spans) stitch
         // into the same EXPLAIN timeline as the first attempt.
@@ -735,7 +704,7 @@ impl RouterInner {
             if !lock(&self.tickets).remap(global, &name, local) {
                 return Err(format!("ERR unknown ticket {global}"));
             }
-            self.failover_counter(&dead).inc();
+            self.member(&dead, |member| member.failovers.inc());
             if entry.trace != 0 {
                 self.tracer
                     .record_at("failover", ctx, failover_start, failover_start.elapsed());
@@ -806,8 +775,9 @@ impl Router {
                 "a cluster needs at least one shard",
             ));
         }
+        let metrics = Arc::new(MetricsRegistry::new());
         let mut map = ShardMap::new();
-        let mut states = Vec::new();
+        let mut members = BTreeMap::new();
         for (name, addr) in shards {
             if let Err(reason) = validate_token(&name, "shard name") {
                 return Err(io::Error::new(io::ErrorKind::InvalidInput, reason));
@@ -818,12 +788,11 @@ impl Router {
                     format!("shard name {name:?} listed twice"),
                 ));
             }
-            states.push(ShardState { name, addr });
+            members.insert(name.clone(), Member::new(&metrics, &name, addr));
         }
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let metrics = Arc::new(MetricsRegistry::new());
         let reconnects = metrics.counter(
             "router_reconnects_total",
             "Shard connections re-established after a send failure or rewire.",
@@ -835,25 +804,21 @@ impl Router {
         let inner = Arc::new(RouterInner {
             spec,
             topology: Mutex::new(Topology {
-                shards: states,
+                members,
                 map,
+                synced: HashMap::new(),
             }),
             tickets: Mutex::new(TicketTable::default()),
             stop: AtomicBool::new(false),
+            sync_due: AtomicBool::new(false),
             config,
             metrics,
             reconnects,
             remaps,
-            health: Mutex::new(HashMap::new()),
-            forward_us: Mutex::default(),
-            replication: Mutex::new(ReplicationState::default()),
             tracer: Arc::new(Tracer::with_capacity(4096)),
             #[cfg(test)]
             front_waits: std::sync::atomic::AtomicU64::new(0),
         });
-        for shard in &lock(&inner.topology).shards {
-            inner.admit_shard(&shard.name);
-        }
         // The front thread's poller and wakeup channel are built here so
         // a failure surfaces as a bind error instead of a silently dead
         // thread.
@@ -904,13 +869,8 @@ impl Router {
     /// The current shard set with addresses, sorted by name.
     pub fn shards(&self) -> Vec<(String, SocketAddr)> {
         let topology = lock(&self.inner.topology);
-        let mut shards: Vec<(String, SocketAddr)> = topology
-            .shards
-            .iter()
-            .map(|s| (s.name.clone(), s.addr))
-            .collect();
-        shards.sort();
-        shards
+        let members = topology.members.iter();
+        members.map(|(name, m)| (name.clone(), m.addr)).collect()
     }
 
     /// The shard currently owning `namespace` (the replication primary).
@@ -932,7 +892,7 @@ impl Router {
     /// exchanges ([`CircuitState::Closed`] for a shard that is not a
     /// member).
     pub fn circuit_state(&self, shard: &str) -> CircuitState {
-        let failures = lock(&self.inner.health).get(shard).copied();
+        let failures = self.inner.member(shard, |member| member.failures);
         CircuitState::of(failures.unwrap_or(0), self.inner.threshold())
     }
 
@@ -962,7 +922,7 @@ impl Router {
         let _lifecycle = lock(&self.lifecycle);
         let before = {
             let topology = lock(&self.inner.topology);
-            if topology.addr_of(name).is_some() {
+            if topology.members.contains_key(name) {
                 return Err(ServiceError::InvalidTopology(format!(
                     "shard {name:?} is already a member"
                 )));
@@ -974,14 +934,10 @@ impl Router {
 
         let shipped = self.ship_plan(&before, &after, Some((name, addr)))?;
 
+        let member = Member::new(&self.inner.metrics, name, addr);
         let mut topology = lock(&self.inner.topology);
-        topology.shards.push(ShardState {
-            name: name.to_string(),
-            addr,
-        });
+        topology.members.insert(name.to_string(), member);
         topology.map = after;
-        drop(topology);
-        self.inner.admit_shard(name);
         Ok(shipped)
     }
 
@@ -996,9 +952,11 @@ impl Router {
         let _lifecycle = lock(&self.lifecycle);
         let before = {
             let topology = lock(&self.inner.topology);
-            topology.addr_of(name).ok_or_else(|| {
-                ServiceError::InvalidTopology(format!("shard {name:?} is not a member"))
-            })?;
+            if !topology.members.contains_key(name) {
+                return Err(ServiceError::InvalidTopology(format!(
+                    "shard {name:?} is not a member"
+                )));
+            }
             topology.map.clone()
         };
         if before.len() == 1 {
@@ -1011,14 +969,13 @@ impl Router {
 
         let shipped = self.ship_plan(&before, &after, None)?;
 
-        let mut topology = lock(&self.inner.topology);
-        topology.shards.retain(|s| s.name != name);
-        topology.map = after;
-        drop(topology);
+        {
+            let mut topology = lock(&self.inner.topology);
+            topology.members.remove(name);
+            topology.synced.retain(|(replica, _), _| replica != name);
+            topology.map = after;
+        }
         lock(&self.inner.tickets).purge_shard(name);
-        lock(&self.inner.health).remove(name);
-        let mut rep = lock(&self.inner.replication);
-        rep.synced.retain(|(replica, _), _| replica != name);
         Ok(shipped)
     }
 
@@ -1033,17 +990,18 @@ impl Router {
         let _lifecycle = lock(&self.lifecycle);
         {
             let mut topology = lock(&self.inner.topology);
-            let shard = topology
-                .shards
-                .iter_mut()
-                .find(|s| s.name == name)
-                .ok_or_else(|| {
-                    ServiceError::InvalidTopology(format!("shard {name:?} is not a member"))
-                })?;
-            shard.addr = addr;
+            let Some(member) = topology.members.get_mut(name) else {
+                return Err(ServiceError::InvalidTopology(format!(
+                    "shard {name:?} is not a member"
+                )));
+            };
+            *member = Member::new(&self.inner.metrics, name, addr);
+            topology.synced.retain(|(replica, _), _| replica != name);
         }
         lock(&self.inner.tickets).purge_shard(name);
-        self.inner.reset_health(name);
+        // The new process starts from its snapshot: its copies are synced
+        // again from `0`.
+        self.inner.sync_due.store(true, Ordering::SeqCst);
         Ok(())
     }
 
@@ -1058,8 +1016,9 @@ impl Router {
     ) -> Result<Vec<ShippedNamespace>, ServiceError> {
         let addr_of = |shard: &str| match joiner {
             Some((name, addr)) if name == shard => Ok(addr),
-            _ => lock(&self.inner.topology)
-                .addr_of(shard)
+            _ => self
+                .inner
+                .member(shard, |member| member.addr)
                 .ok_or_else(|| ServiceError::InvalidTopology(format!("shard {shard:?} vanished"))),
         };
         let (shipped, by_pair) = replica_plan(&self.inner, before, after);
@@ -1145,12 +1104,12 @@ fn replica_plan(
 fn heartbeat_loop(inner: Arc<RouterInner>) {
     let timeout = inner.config.heartbeat_timeout.max(Duration::from_millis(1));
     while !inner.stop.load(Ordering::SeqCst) {
-        let shards: Vec<(String, SocketAddr)> = lock(&inner.topology)
-            .shards
+        let members: Vec<(String, SocketAddr, Arc<Counter>)> = lock(&inner.topology)
+            .members
             .iter()
-            .map(|s| (s.name.clone(), s.addr))
+            .map(|(name, m)| (name.clone(), m.addr, Arc::clone(&m.misses)))
             .collect();
-        for (name, addr) in shards {
+        for (name, addr, misses) in members {
             if inner.stop.load(Ordering::SeqCst) {
                 return;
             }
@@ -1158,11 +1117,12 @@ fn heartbeat_loop(inner: Arc<RouterInner>) {
                 Ok(reply) if reply == "PONG" => inner.note_success(&name),
                 _ => {
                     inner.note_failure(&name);
-                    inner.miss_counter(&name).inc();
+                    misses.inc();
                 }
             }
         }
-        if inner.k() > 1 && lock(&inner.replication).due && !inner.stop.load(Ordering::SeqCst) {
+        let due = inner.sync_due.load(Ordering::SeqCst);
+        if inner.k() > 1 && due && !inner.stop.load(Ordering::SeqCst) {
             inner.sync_replicas();
         }
         std::thread::park_timeout(inner.config.heartbeat_interval);
@@ -1487,18 +1447,8 @@ impl Forward {
             None => {}
         }
         let sent = self.sent;
-        let mut series = lock(&inner.forward_us);
-        if !series.contains_key(&part.shard) {
-            let help = "Round-trip latency of single-shard forwards \
-                 (SUBMIT/POLL/RESULT), router-side, in microseconds.";
-            let labels = [("shard", part.shard.as_str())];
-            let histogram = inner
-                .metrics
-                .histogram_with("router_forward_us", help, &labels);
-            series.insert(part.shard.clone(), histogram);
-        }
-        series[&part.shard].record_duration(sent.elapsed());
-        drop(series);
+        let elapsed = sent.elapsed();
+        inner.member(&part.shard, |m| m.forward_us.record_duration(elapsed));
         if self.trace.trace_id != 0 {
             // Recorded with the context it was *sent* under, so this
             // span's id is the parent the shard stitched its own spans to.
@@ -1809,19 +1759,17 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
         }
         Verb::Shards => {
             let topology = lock(&inner.topology);
-            let mut shards: Vec<&ShardState> = topology.shards.iter().collect();
-            shards.sort_by(|a, b| a.name.cmp(&b.name));
-            let mut out = format!("SHARDS {}", shards.len());
-            for shard in shards {
+            let mut out = format!("SHARDS {}", topology.members.len());
+            for (name, member) in &topology.members {
                 let owned = inner
                     .spec
                     .namespaces()
                     .iter()
-                    .filter(|ns| topology.map.owner_of_namespace(ns) == Some(shard.name.as_str()))
+                    .filter(|ns| topology.map.owner_of_namespace(ns) == Some(name.as_str()))
                     .count();
                 out.push_str(&format!(
-                    "\nSHARD {} addr={} namespaces={owned}",
-                    shard.name, shard.addr
+                    "\nSHARD {name} addr={} namespaces={owned}",
+                    member.addr
                 ));
             }
             Expect::Local(out)
@@ -1854,7 +1802,7 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
                     Ok(epoch) => {
                         let degraded = owner != primary;
                         if degraded {
-                            inner.failover_counter(&primary).inc();
+                            inner.member(&primary, |member| member.failovers.inc());
                         }
                         let submit = Some((scenario.clone(), degraded));
                         return Expect::forward(owner, epoch, Vec::new(), submit, request, child);
@@ -1917,10 +1865,12 @@ fn route_request(route: &mut Route<'_>, request: Parsed) -> Expect {
         Verb::TraceDump(n) => fan_in(route, FanIn::TraceDump(*n)),
         Verb::TraceSlow(n) => fan_in(route, FanIn::TraceSlow(*n)),
         Verb::ExplainTrace(trace) => fan_in(route, FanIn::Explain(*trace)),
-        Verb::Explain(global) => match lock(&inner.tickets).lookup(*global) {
-            Some(entry) => fan_in(route, FanIn::Explain(entry.trace)),
-            None => Expect::Local(format!("ERR unknown ticket {global}")),
-        },
+        Verb::Explain(global) => {
+            let Some(entry) = lock(&inner.tickets).lookup(*global) else {
+                return Expect::Local(format!("ERR unknown ticket {global}"));
+            };
+            fan_in(route, FanIn::Explain(entry.trace))
+        }
         Verb::Wait(globals) => {
             let mut parts = Vec::new();
             let pre = forward_waits(route, globals, false, &mut parts);
@@ -2111,7 +2061,7 @@ fn render_fan_in(inner: &Arc<RouterInner>, verb: &FanIn, parts: &[Part]) -> Stri
             // ties.
             out.sort_by_key(|line| field_of(line, "start_us="));
         }
-        FanIn::TraceSlow(_) => out.sort_by_key(|line| std::cmp::Reverse(field_of(line, "dur_us="))),
+        FanIn::TraceSlow(_) => out.sort_by_key(|line| Reverse(field_of(line, "dur_us="))),
         _ => {}
     }
     let mut reply = format!("{header} {}", out.len());
@@ -2188,7 +2138,7 @@ fn fold_lines(inner: &Arc<RouterInner>, verb: &FanIn, parts: &[Part]) -> String 
         (FanIn::Run, None) => {
             // The cluster's queues drained: under K > 1 the replicas are
             // synced on the next heartbeat.
-            lock(&inner.replication).due = true;
+            inner.sync_due.store(true, Ordering::SeqCst);
             format!("OK {}{}", sums[0], degraded_suffix(inner, &skipped))
         }
         (_, None) => format!("OK {}", sums[0]),
@@ -2231,7 +2181,8 @@ fn field_of(line: &str, key: &str) -> u64 {
 fn forward(route: &mut Route<'_>, shard: &str, line: &str) -> Result<u64, String> {
     let inner = route.inner;
     let unavailable = |reason: &str| format!("ERR shard {shard} unavailable ({reason})");
-    let Some(addr) = lock(&inner.topology).addr_of(shard) else {
+    let threshold = inner.threshold();
+    let Some((addr, down)) = inner.member(shard, |m| (m.addr, m.down(threshold))) else {
         return Err(unavailable("not a member"));
     };
     // A rewired shard invalidates the cached connection.
@@ -2242,7 +2193,7 @@ fn forward(route: &mut Route<'_>, shard: &str, line: &str) -> Result<u64, String
         route.drop_link(shard);
         inner.reconnects.inc();
     }
-    if inner.shard_down(shard) {
+    if down {
         return Err(unavailable("circuit open"));
     }
     let mut pooled = route.link(shard).is_some();
@@ -2287,7 +2238,7 @@ fn forward(route: &mut Route<'_>, shard: &str, line: &str) -> Result<u64, String
 /// mismatch) or rewired connection means the response is lost — never
 /// read a newer connection's lines for an older request.
 fn poll_shard(route: &mut Route<'_>, shard: &str, epoch: u64) -> Polled {
-    let current_addr = lock(&route.inner.topology).addr_of(shard);
+    let current_addr = route.inner.member(shard, |member| member.addr);
     let Some((_, Entry { state: link, .. })) = route.link(shard) else {
         return Polled::Dead;
     };
@@ -2521,7 +2472,7 @@ mod tests {
             assert_eq!(state(), Some(format!("{gauge}0")), "after {failures}");
         }
         inner.note_failure("ghost");
-        assert!(!lock(&inner.health).contains_key("ghost"));
+        assert!(!lock(&inner.topology).members.contains_key("ghost"));
         router.stop();
     }
 
