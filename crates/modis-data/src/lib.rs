@@ -22,7 +22,7 @@
 //!   packed into `u64` words;
 //! * [`RowMask`] / [`DatasetView`] — packed selection vectors and
 //!   zero-copy views, the columnar materialisation path;
-//! * [`stats`] — Pearson/Spearman correlation and cosine/Euclidean distances,
+//! * [`stats`] — Pearson/Spearman correlation and the Euclidean distance,
 //!   used by correlation-based pruning and diversification.
 
 #![warn(missing_docs)]

@@ -93,26 +93,6 @@ pub fn euclidean(xs: &[f64], ys: &[f64]) -> f64 {
         .sqrt()
 }
 
-/// Cosine similarity between two vectors; 0 if either has zero norm.
-pub fn cosine_similarity(xs: &[f64], ys: &[f64]) -> f64 {
-    let n = xs.len().max(ys.len());
-    let mut dot = 0.0;
-    let mut na = 0.0;
-    let mut nb = 0.0;
-    for i in 0..n {
-        let a = xs.get(i).copied().unwrap_or(0.0);
-        let b = ys.get(i).copied().unwrap_or(0.0);
-        dot += a * b;
-        na += a * a;
-        nb += b * b;
-    }
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na.sqrt() * nb.sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,8 +127,6 @@ mod tests {
     #[test]
     fn euclidean_and_cosine() {
         assert!((euclidean(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert!((cosine_similarity(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-12);
-        assert_eq!(cosine_similarity(&[0.0], &[1.0]), 0.0);
     }
 
     #[test]
