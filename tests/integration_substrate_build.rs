@@ -6,7 +6,7 @@
 
 use modis_core::prelude::*;
 use modis_core::table_substrate::TableUnit;
-use modis_data::{Attribute, Dataset, Schema, StateBitmap, Value};
+use modis_data::{Attribute, ClusterConfig, Dataset, Schema, StateBitmap, Value};
 
 /// FNV-1a over a byte stream, folded one field at a time.
 struct Fnv(u64);
@@ -49,13 +49,20 @@ fn task(target: &str) -> TaskSpec {
     }
 }
 
-/// Builds the substrate and folds what its construction decided.
+/// Builds the substrate under the default clustering and folds what its
+/// construction decided.
 fn build_digest(pool: &[Dataset], target: &str, max_clusters_per_attr: usize) -> u64 {
     let config = TableSpaceConfig {
         max_clusters_per_attr,
         ..TableSpaceConfig::default()
     };
-    let sub = TableSubstrate::from_pool(pool, task(target), &config);
+    config_digest(pool, target, &config)
+}
+
+/// Builds the substrate under `config` and folds what its construction
+/// decided.
+fn config_digest(pool: &[Dataset], target: &str, config: &TableSpaceConfig) -> u64 {
+    let sub = TableSubstrate::from_pool(pool, task(target), config);
     let mut h = Fnv::new();
     h.u64(sub.num_units() as u64);
     for (i, unit) in sub.units().iter().enumerate() {
@@ -167,6 +174,47 @@ fn a_churn_shaped_pool_builds_the_pinned_search_space() {
         .map(|max_clusters| format!("{:016x}", build_digest(&pool, "y", max_clusters)))
         .to_vec();
     let expected = ["e6e79b53986901b6", "ee81daa6d1748bcf"];
+    assert_eq!(got, expected);
+}
+
+/// The paper's clustering (`max_k` 30, 25 iterations) with every cluster
+/// exposed as a unit: k-means runs with more centroids than one 8-point
+/// chunk of the assignment scan holds.
+#[test]
+fn the_paper_clustering_builds_the_pinned_search_spaces() {
+    let config = TableSpaceConfig {
+        cluster: ClusterConfig::default(),
+        max_clusters_per_attr: 30,
+        ..TableSpaceConfig::default()
+    };
+    type Generator = fn(u64) -> modis_datagen::TablePool;
+    let generators: [(&str, Generator); 4] = [
+        ("t1", modis_datagen::t1_movie),
+        ("t2", modis_datagen::t2_house),
+        ("t3", modis_datagen::t3_avocado),
+        ("t4", modis_datagen::t4_mental),
+    ];
+    let mut got = Vec::new();
+    for (name, generate) in generators {
+        for seed in [1, 15] {
+            let pool = generate(seed);
+            let digest = config_digest(&pool.tables, &pool.target, &config);
+            got.push(format!("{name}/{seed}={digest:016x}"));
+        }
+    }
+    let digest = config_digest(&churn_shaped_pool(), "y", &config);
+    got.push(format!("churn={digest:016x}"));
+    let expected = [
+        "t1/1=12a07e2b2478970f",
+        "t1/15=ae7aa2e01bb1153d",
+        "t2/1=e851c57f87bd01b6",
+        "t2/15=a1f2bf8243ef5ab7",
+        "t3/1=6a5a7a896e9ffb71",
+        "t3/15=86dafe9029cc873f",
+        "t4/1=01c4b27ae5085805",
+        "t4/15=187a17c64e9d9d6a",
+        "churn=dcd822268e0a05ba",
+    ];
     assert_eq!(got, expected);
 }
 
