@@ -103,7 +103,7 @@ pub fn generate_table_pool(config: &TablePoolConfig) -> TablePool {
     let target_values: Vec<Value> = if config.n_classes >= 2 {
         // Quantile bucketing into classes.
         let mut sorted = raw_target.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        sorted.sort_by(f64::total_cmp);
         let thresholds: Vec<f64> = (1..config.n_classes)
             .map(|c| sorted[(c * n / config.n_classes).min(n - 1)])
             .collect();
