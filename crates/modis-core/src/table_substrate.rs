@@ -88,8 +88,9 @@ pub use crate::substrate::SubstrateCacheStats;
 /// walks the universal table's non-key, non-target attributes in schema
 /// order. Each contributes an attribute unit and up to
 /// `max_clusters_per_attr` cluster units, whose literals
-/// [`derive_attribute_literals`] reads from one sort of the column's row
-/// indices (no cell is cloned). Each cluster literal then meets the table
+/// [`derive_attribute_literals`] reads from the column's typed storage (a
+/// sort of a number column's integer keys, a count of a string column's
+/// codes; no cell is cloned). Each cluster literal then meets the table
 /// once, through [`Literal::mask`], which resolves its column once and tests
 /// every cell of it: the packed [`RowMask`] it returns is kept per cluster
 /// unit. No row is copied. [`TableSubstrate::materialize_view`] then

@@ -7,7 +7,6 @@
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
 
 use crate::column::{order_key, Cells, Column};
 use crate::dataset::Dataset;
@@ -47,25 +46,36 @@ impl Default for ClusterConfig {
     }
 }
 
+/// Points the assignment step of [`kmeans_1d`] scans at a time.
+const LANES: usize = 8;
+
 /// One-dimensional k-means (Lloyd's algorithm) with deterministic
 /// quantile-based initialisation.
 ///
 /// Returns the assignment of every point to a cluster and the centroids.
+/// The initial centroids are quantiles of the points sorted by
+/// [`order_key`] (ascending, `-0.0` tied with `0.0`, NaN last): a number
+/// column's points come so and are not copied. A point joins the first
+/// nearest centroid (a strict `<` scan, eight points at a time), and a
+/// cluster's sum adds its points in point order, a run of one cluster's
+/// points in a register: the operations, so the bits, of one
+/// `sums[c] += p` per point.
 pub fn kmeans_1d(points: &[f64], k: usize, iterations: usize) -> (Vec<usize>, Vec<f64>) {
     assert!(k > 0, "k must be positive");
     if points.is_empty() {
         return (Vec::new(), Vec::new());
     }
     let k = k.min(points.len());
-    let mut sorted = points.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let mut sorted = Cow::Borrowed(points);
+    if !points.is_sorted_by_key(|&p| order_key(p)) {
+        sorted.to_mut().sort_by_key(|&p| order_key(p));
+    }
 
     // Quantile initialisation keeps the procedure deterministic.
     let mut centroids: Vec<f64> = (0..k)
         .map(|i| {
             let q = (i as f64 + 0.5) / k as f64;
-            let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-            sorted[idx]
+            sorted[((sorted.len() - 1) as f64 * q).round() as usize]
         })
         .collect();
     centroids.dedup();
@@ -76,35 +86,42 @@ pub fn kmeans_1d(points: &[f64], k: usize, iterations: usize) -> (Vec<usize>, Ve
     }
 
     let mut assignment = vec![0usize; points.len()];
+    let (chunks, rest) = points.as_chunks::<LANES>();
+    let mut last = [0.0; LANES];
+    last[..rest.len()].copy_from_slice(rest);
     for _ in 0..iterations {
         // Assignment step.
-        for (i, &p) in points.iter().enumerate() {
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
+        for (chunk, out) in chunks
+            .iter()
+            .chain([&last])
+            .zip(assignment.chunks_mut(LANES))
+        {
+            let (mut best, mut best_d) = ([0u64; LANES], [f64::INFINITY; LANES]);
             for (c, &ctr) in centroids.iter().enumerate() {
-                let d = (p - ctr).abs();
-                if d < best_d {
-                    best_d = d;
-                    best = c;
+                for l in 0..LANES {
+                    let d = (chunk[l] - ctr).abs();
+                    let closer = d < best_d[l];
+                    best_d[l] = if closer { d } else { best_d[l] };
+                    best[l] = if closer { c as u64 } else { best[l] };
                 }
             }
-            assignment[i] = best;
+            out.iter_mut()
+                .zip(best)
+                .for_each(|(out, c)| *out = c as usize);
         }
         // Update step.
-        let mut sums = vec![0.0f64; centroids.len()];
-        let mut counts = vec![0usize; centroids.len()];
-        for (i, &p) in points.iter().enumerate() {
-            sums[assignment[i]] += p;
-            counts[assignment[i]] += 1;
+        let (mut sums, mut start) = (vec![(0.0, 0); centroids.len()], 0);
+        for run in assignment.chunk_by(|a, b| a == b) {
+            let (sum, count) = &mut sums[run[0]];
+            *sum = points[start..][..run.len()].iter().fold(*sum, |s, p| s + p);
+            (*count, start) = (*count + run.len(), start + run.len());
         }
         let mut moved = false;
-        for c in 0..centroids.len() {
-            if counts[c] > 0 {
-                let new_c = sums[c] / counts[c] as f64;
-                if (new_c - centroids[c]).abs() > 1e-12 {
-                    moved = true;
-                }
-                centroids[c] = new_c;
+        for (centroid, &(sum, count)) in centroids.iter_mut().zip(&sums) {
+            if count > 0 {
+                let new_c = sum / count as f64;
+                moved |= (new_c - *centroid).abs() > 1e-12;
+                *centroid = new_c;
             }
         }
         if !moved {
@@ -121,213 +138,273 @@ pub fn kmeans_1d(points: &[f64], k: usize, iterations: usize) -> (Vec<usize>, Ve
 /// * Small / categorical domains produce one equality literal per distinct
 ///   value (capped at `max_k` most frequent values).
 ///
-/// The active domain comes from one sort of the column's non-null row
-/// indices (a string column sorts its distinct strings once and its rows by
-/// their ranks); no cell is cloned but the one each equality literal keeps.
+/// The active domain comes from the column's typed storage: a number
+/// column sorts its cells' integer keys once, a string column counts its
+/// dictionary codes, and only a boolean or mixed column sorts its rows. No
+/// cell is cloned but the one each equality literal keeps.
 pub fn derive_attribute_literals(
     data: &Dataset,
     attribute: &str,
     config: &ClusterConfig,
 ) -> Vec<DomainCluster> {
-    let col = match data.schema().position(attribute) {
-        Some(c) => c,
-        None => return Vec::new(),
-    };
-    let SortedDomain {
-        values: adom,
-        mut classes,
-    } = SortedDomain::of(data.column(col));
-    if adom.is_empty() {
+    let Some(col) = data.schema().position(attribute) else {
         return Vec::new();
-    }
-
-    let numeric: Vec<f64> = adom.iter().filter_map(|v| v.as_f64()).collect();
-    let all_numeric = numeric.len() == adom.len();
-
-    if all_numeric && adom.len() > config.max_k {
-        let k = config.max_k.max(1);
-        let (assignment, centroids) = kmeans_1d(&numeric, k, config.iterations);
-        let mut clusters: BTreeMap<usize, (f64, f64, usize)> = BTreeMap::new();
-        for (i, &c) in assignment.iter().enumerate() {
-            let v = numeric[i];
-            let e = clusters
-                .entry(c)
-                .or_insert((f64::INFINITY, f64::NEG_INFINITY, 0));
-            e.0 = e.0.min(v);
-            e.1 = e.1.max(v);
-            e.2 += 1;
+    };
+    let (column, max_k) = (data.column(col), config.max_k);
+    let domain = match &column.cells {
+        Cells::Float(v) => Domain::of_numbers(column, v, Value::Float, max_k),
+        Cells::Int(v) => Domain::of_numbers(column, v, |x| Value::Int(x as i64), max_k),
+        Cells::Str { codes, keys } => Domain::of_strings(codes, keys, max_k),
+        Cells::Bool(_) | Cells::Mixed(_) => Domain::of_cells(column, max_k),
+    };
+    let cluster = |cluster_id, centroid, literal, support| DomainCluster {
+        attribute: attribute.to_string(),
+        cluster_id,
+        centroid,
+        literal,
+        support,
+    };
+    match domain {
+        Domain::Points(points) => {
+            let (assignment, centroids) = kmeans_1d(&points, max_k.max(1), config.iterations);
+            let mut clusters = vec![None; centroids.len()];
+            for (&c, &v) in assignment.iter().zip(&points) {
+                let (lo, hi, n) = clusters[c].get_or_insert((f64::INFINITY, f64::NEG_INFINITY, 0));
+                (*lo, *hi, *n) = (lo.min(v), hi.max(v), *n + 1);
+            }
+            let clusters = centroids.into_iter().zip(clusters);
+            (clusters.filter_map(|(centroid, cluster)| Some((centroid, cluster?))))
+                .enumerate()
+                .map(|(i, (mean, (lo, hi, n)))| {
+                    cluster(i, mean, Literal::range(attribute, lo, hi), n)
+                })
+                .collect()
         }
-        clusters
-            .into_iter()
-            .enumerate()
-            .map(|(idx, (c, (lo, hi, support)))| DomainCluster {
-                attribute: attribute.to_string(),
-                cluster_id: idx,
-                centroid: centroids.get(c).copied().unwrap_or((lo + hi) / 2.0),
-                literal: Literal::range(attribute, lo, hi),
-                support,
-            })
-            .collect()
-    } else {
-        // Frequency-ranked equality literals; the stable sort keeps equally
-        // frequent values in `Value` order.
-        classes.sort_by_key(|(_, support)| Reverse(*support));
-        classes
-            .into_iter()
-            .take(config.max_k)
-            .enumerate()
-            .map(|(idx, (v, support))| DomainCluster {
-                attribute: attribute.to_string(),
-                cluster_id: idx,
-                centroid: v.as_f64().unwrap_or(idx as f64),
-                literal: Literal::equals(attribute, v.into_owned()),
-                support,
-            })
-            .collect()
+        Domain::Classes(mut classes) => {
+            // Frequency-ranked equality literals; the stable sort keeps
+            // equally frequent values in `Value` order.
+            classes.sort_by_key(|(_, support)| Reverse(*support));
+            (classes.into_iter().take(max_k).enumerate())
+                .map(|(i, (v, n))| {
+                    let centroid = v.as_f64().unwrap_or(i as f64);
+                    cluster(i, centroid, Literal::equals(attribute, v.into_owned()), n)
+                })
+                .collect()
+        }
     }
 }
 
-/// The active domain `adom(A)` of one column, read from a single sort of
-/// its non-null rows in `Value` order (row order among equal cells).
+/// What the active domain `adom(A)` of one column yields: k-means points
+/// when it holds more than `max_k` values and each reads as a number, else
+/// its frequency classes.
 ///
-/// It has two readings because `Value`'s `==` is finer than its `Ord` and
-/// not transitive: `Int(2^53)` and `Int(2^53 + 1)` are `Ord`-equal but not
-/// `==`, both `==` `Float(2^53)`, and `Float(inf)` is not `==` itself.
-/// The k-means points are the distinct values as a collected `BTreeSet`
-/// holds them, the frequency ranking counts the classes a `BTreeMap` keys.
-struct SortedDomain<'a> {
-    /// Of each run of adjacent sorted cells equal under `==`, the last.
-    values: Vec<Cow<'a, Value>>,
-    /// Per class of `Ord`-equal cells: its first cell in row order and its
-    /// number of rows.
-    classes: Vec<(Cow<'a, Value>, usize)>,
+/// `Value`'s `==` is finer than its `Ord` and not transitive: `Int(2^53)`
+/// and `Int(2^53 + 1)` are `Ord`-equal but not `==`, both `==`
+/// `Float(2^53)`, and `Float(inf)` is not `==` itself. The values are the
+/// cells in `Value` order, one per run of adjacent `==` cells (the last in
+/// row order), as a collected `BTreeSet` holds them; the classes are those
+/// a `BTreeMap` keys.
+enum Domain<'a> {
+    /// Each value's `f64` reading, in `Value` order.
+    Points(Vec<f64>),
+    /// The classes of `Ord`-equal cells.
+    Classes(Classes<'a>),
 }
 
-impl<'a> SortedDomain<'a> {
-    fn of(column: &'a Column) -> Self {
+/// Per class of `Ord`-equal cells, in `Value` order: its first cell in row
+/// order and its number of rows.
+type Classes<'a> = Vec<(Cow<'a, Value>, usize)>;
+
+impl<'a> Domain<'a> {
+    /// The points if there are more than `max_k` and each reads as a
+    /// number, else the classes.
+    fn new(points: Option<Vec<f64>>, max_k: usize, classes: impl FnOnce() -> Classes<'a>) -> Self {
+        match points.filter(|points| points.len() > max_k) {
+            Some(points) => Domain::Points(points),
+            None => Domain::Classes(classes()),
+        }
+    }
+
+    /// A float or integer column's domain from one sort of its non-null
+    /// cells' [`order_key`]s: a run of equal keys is one class and one
+    /// value, but one value per cell when infinite. Only the keys of
+    /// `±0.0` and NaN stand for more than one bit pattern; their cells are
+    /// read from the first (class) or last (value) row holding them.
+    fn of_numbers(column: &Column, cells: &[f64], value: fn(f64) -> Value, max_k: usize) -> Self {
+        // A null row holds NaN, whose key sorts last: cut to the non-null
+        // count, the sorted keys of every row are those of the cells.
+        let mut keys: Vec<u64> = cells.iter().map(|&x| order_key(x)).collect();
+        keys.sort_unstable();
+        keys.truncate(column.non_null().count());
+        let cell = |key: u64, last: bool| {
+            if key != order_key(0.0) && key != order_key(f64::NAN) {
+                // The inverse of `order_key`.
+                return f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key });
+            }
+            let mut rows = column
+                .non_null()
+                .iter()
+                .filter(|&r| order_key(cells[r]) == key);
+            cells[if last { rows.last() } else { rows.next() }.unwrap()]
+        };
+        let infinite = [f64::INFINITY, f64::NEG_INFINITY].map(order_key);
+        let mut values = keys.clone();
+        values.dedup_by(|a, b| a == b && !infinite.contains(a));
+        let points = values.into_iter().map(|key| cell(key, true)).collect();
+        Domain::new(Some(points), max_k, || {
+            let class = |run: &[u64]| (Cow::Owned(value(cell(run[0], false))), run.len());
+            keys.chunk_by(u64::eq).map(class).collect()
+        })
+    }
+
+    /// A string column's domain from counting its dictionary codes: each
+    /// distinct string, in order, is one value and one class.
+    fn of_strings(codes: &[u32], keys: &'a [Value], max_k: usize) -> Self {
+        let mut rows = vec![0usize; keys.len()];
+        for &code in codes {
+            // A null row's code is past every key.
+            if let Some(n) = rows.get_mut(code as usize) {
+                *n += 1;
+            }
+        }
+        let mut order: Vec<usize> = (0..keys.len()).filter(|&k| rows[k] > 0).collect();
+        order.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]));
+        let points = order.iter().map(|&k| keys[k].as_f64()).collect();
+        Domain::new(points, max_k, || {
+            order
+                .iter()
+                .map(|&k| (Cow::Borrowed(&keys[k]), rows[k]))
+                .collect()
+        })
+    }
+
+    /// A boolean or mixed column's domain from one stable sort of its
+    /// non-null rows in `Value` order.
+    fn of_cells(column: &'a Column, max_k: usize) -> Self {
         let cell = |r: usize| column.cell(r);
         let mut order: Vec<usize> = column.non_null().iter().collect();
-        // Cells with an integer key sort by it, the row breaking ties:
-        // numbers by their `f64` reading, strings by their rank among the
-        // column's sorted distinct strings, booleans as 0 / 1.
-        let key_of = |key: &dyn Fn(usize) -> u64| Some(order.iter().map(|&r| key(r)).collect());
-        let keys: Option<Vec<u64>> = match &column.cells {
-            Cells::Float(v) | Cells::Int(v) => key_of(&|r| order_key(v[r])),
-            Cells::Bool(v) => key_of(&|r| u64::from(v[r])),
-            Cells::Str { codes, keys } => {
-                let mut sorted: Vec<usize> = (0..keys.len()).collect();
-                sorted.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]));
-                let mut rank = vec![0; keys.len()];
-                for (i, &k) in sorted.iter().enumerate() {
-                    rank[k] = i as u64;
-                }
-                key_of(&|r| rank[codes[r] as usize])
-            }
-            Cells::Mixed(_) if order.iter().all(|&r| cell(r).is_numeric()) => {
-                key_of(&|r| order_key(cell(r).as_f64().unwrap_or(f64::NAN)))
-            }
-            Cells::Mixed(_) => None,
-        };
-        match keys {
-            Some(keys) => {
-                let mut keyed: Vec<(u64, usize)> = keys.into_iter().zip(order).collect();
-                keyed.sort_unstable();
-                order = keyed.into_iter().map(|(_, r)| r).collect();
-            }
-            None => order.sort_by(|&a, &b| cell(a).cmp(&cell(b))),
-        }
-        let mut domain = SortedDomain {
-            values: Vec::new(),
-            classes: Vec::new(),
-        };
+        order.sort_by(|&a, &b| cell(a).cmp(&cell(b)));
+        let (mut values, mut classes) = (Vec::new(), Vec::<(Cow<Value>, usize)>::new());
         for (i, &r) in order.iter().enumerate() {
             let v = cell(r);
             if order.get(i + 1).is_none_or(|&next| *cell(next) != *v) {
-                domain.values.push(v.clone());
+                values.push(v.as_f64());
             }
-            match domain.classes.last_mut() {
+            match classes.last_mut() {
                 Some((first, support)) if Value::cmp(first, &v).is_eq() => *support += 1,
-                _ => domain.classes.push((v, 1)),
+                _ => classes.push((v, 1)),
             }
         }
-        domain
+        Domain::new(values.into_iter().collect(), max_k, || classes)
     }
 }
 
-/// `derive_attribute_literals` as it was before it sorted the column once:
-/// the active domain from a cloning `BTreeSet`, the frequencies from a
-/// cloning `BTreeMap`. The oracle the differential test below compares
-/// every derivation with; nothing of it is compiled into the product.
+/// `derive_attribute_literals` and `kmeans_1d` as they were before the
+/// typed passes: the active domain from a cloning `BTreeSet`, the
+/// frequencies from a cloning `BTreeMap`, and k-means that sorts a copy of
+/// its points and sums them through memory. One change is deliberate: that
+/// sort puts NaN last, where `partial_cmp` left the order around a NaN to
+/// std's sort (a mixed column's readings can hold a NaN before a smaller
+/// one). The oracles the differential tests below compare with; nothing of
+/// them is compiled into the product.
 #[cfg(test)]
 pub(crate) mod oracle {
     use std::collections::BTreeMap;
 
-    use super::{kmeans_1d, ClusterConfig, DomainCluster};
+    use super::{ClusterConfig, DomainCluster};
+    use crate::column::order_key;
     use crate::dataset::Dataset;
     use crate::literal::Literal;
     use crate::value::Value;
+
+    pub(crate) fn kmeans_1d(points: &[f64], k: usize, iterations: usize) -> (Vec<usize>, Vec<f64>) {
+        let k = k.min(points.len());
+        let mut sorted = points.to_vec();
+        sorted.sort_by_key(|&p| order_key(p));
+        let quantile = |i| (sorted.len() - 1) as f64 * ((i as f64 + 0.5) / k as f64);
+        let mut centroids: Vec<f64> = (0..k)
+            .map(|i| sorted[quantile(i).round() as usize])
+            .collect();
+        centroids.dedup();
+        while centroids.len() < k {
+            centroids.push(centroids[centroids.len() - 1] + 1e-9 * centroids.len() as f64);
+        }
+        let mut assignment = vec![0usize; points.len()];
+        for _ in 0..iterations {
+            for (i, &p) in points.iter().enumerate() {
+                let (mut best, mut best_d) = (0, f64::INFINITY);
+                for (c, &ctr) in centroids.iter().enumerate() {
+                    if (p - ctr).abs() < best_d {
+                        (best, best_d) = (c, (p - ctr).abs());
+                    }
+                }
+                assignment[i] = best;
+            }
+            let (mut sums, mut counts) = (vec![0.0f64; k], vec![0usize; k]);
+            for (&c, &p) in assignment.iter().zip(points) {
+                sums[c] += p;
+                counts[c] += 1;
+            }
+            let mut moved = false;
+            for c in (0..k).filter(|&c| counts[c] > 0) {
+                let new_c = sums[c] / counts[c] as f64;
+                moved |= (new_c - centroids[c]).abs() > 1e-12;
+                centroids[c] = new_c;
+            }
+            if !moved {
+                break;
+            }
+        }
+        (assignment, centroids)
+    }
 
     pub(crate) fn derive_attribute_literals(
         data: &Dataset,
         attribute: &str,
         config: &ClusterConfig,
     ) -> Vec<DomainCluster> {
-        let col = match data.schema().position(attribute) {
-            Some(c) => c,
-            None => return Vec::new(),
+        let Some(col) = data.schema().position(attribute) else {
+            return Vec::new();
         };
         let adom = data.active_domain(col);
-        if adom.is_empty() {
-            return Vec::new();
-        }
-
-        let numeric: Vec<f64> = adom.iter().filter_map(|v| v.as_f64()).collect();
-        let all_numeric = numeric.len() == adom.len();
-
-        if all_numeric && adom.len() > config.max_k {
+        let cluster = |cluster_id, centroid, literal, support| DomainCluster {
+            attribute: attribute.to_string(),
+            cluster_id,
+            centroid,
+            literal,
+            support,
+        };
+        let numeric: Option<Vec<f64>> = adom.iter().map(Value::as_f64).collect();
+        if let Some(numeric) = numeric.filter(|_| adom.len() > config.max_k) {
             let k = config.max_k.max(1);
             let (assignment, centroids) = kmeans_1d(&numeric, k, config.iterations);
             let mut clusters: BTreeMap<usize, (f64, f64, usize)> = BTreeMap::new();
-            for (i, &c) in assignment.iter().enumerate() {
-                let v = numeric[i];
+            for (&c, &v) in assignment.iter().zip(&numeric) {
                 let e = clusters
                     .entry(c)
                     .or_insert((f64::INFINITY, f64::NEG_INFINITY, 0));
-                e.0 = e.0.min(v);
-                e.1 = e.1.max(v);
-                e.2 += 1;
+                *e = (e.0.min(v), e.1.max(v), e.2 + 1);
             }
-            clusters
-                .into_iter()
-                .enumerate()
-                .map(|(idx, (c, (lo, hi, support)))| DomainCluster {
-                    attribute: attribute.to_string(),
-                    cluster_id: idx,
-                    centroid: centroids.get(c).copied().unwrap_or((lo + hi) / 2.0),
-                    literal: Literal::range(attribute, lo, hi),
-                    support,
+            (clusters.into_iter().enumerate())
+                .map(|(i, (c, (lo, hi, n)))| {
+                    cluster(i, centroids[c], Literal::range(attribute, lo, hi), n)
                 })
                 .collect()
         } else {
             let mut freq: BTreeMap<Value, usize> = BTreeMap::new();
-            for row in data.rows() {
-                let v = &row[col];
-                if !v.is_null() {
-                    *freq.entry(v.clone()).or_insert(0) += 1;
-                }
+            for row in data.rows().into_iter().filter(|row| !row[col].is_null()) {
+                *freq.entry(row[col].clone()).or_insert(0) += 1;
             }
             let mut ranked: Vec<(Value, usize)> = freq.into_iter().collect();
             ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            ranked
-                .into_iter()
-                .take(config.max_k)
-                .enumerate()
-                .map(|(idx, (v, support))| DomainCluster {
-                    attribute: attribute.to_string(),
-                    cluster_id: idx,
-                    centroid: v.as_f64().unwrap_or(idx as f64),
-                    literal: Literal::equals(attribute, v),
-                    support,
+            (ranked.into_iter().take(config.max_k).enumerate())
+                .map(|(i, (v, n))| {
+                    cluster(
+                        i,
+                        v.as_f64().unwrap_or(i as f64),
+                        Literal::equals(attribute, v),
+                        n,
+                    )
                 })
                 .collect()
         }
@@ -338,6 +415,7 @@ pub(crate) mod oracle {
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use crate::view::RowMask;
     use proptest::prelude::*;
 
     fn numeric_data(n: usize) -> Dataset {
@@ -413,7 +491,8 @@ mod tests {
     /// numbers with the edge cases of `Value`'s order (2^53 and 2^53 + 1,
     /// NaN, ±inf, ±0.0, floats equal to an `Int`), 1 plain floats, 2
     /// strings (padded numeric and plain), 3 padded numeric strings only, 4
-    /// booleans, 5 everything, 6 nothing but nulls.
+    /// booleans, 5 everything, 6 nothing but nulls, 7 kind 0's numbers as
+    /// floats (a float column), 8 integers (an integer column).
     fn drawn_cell(kind: usize, draw: u64) -> Value {
         const TWO_53: i64 = 1 << 53;
         let pick = (draw % 23) as usize;
@@ -446,6 +525,8 @@ mod tests {
             2 => text,
             3 => Value::Str(format!("{:>3}", n % 9)),
             4 => Value::Bool(draw & 1 == 1),
+            7 => Value::Float(number.as_f64().unwrap()),
+            8 => Value::Int(number.as_f64().unwrap().clamp(-1e18, 1e18) as i64),
             5 => [number, text, Value::Bool(draw & 1 == 1)]
                 .into_iter()
                 .nth((draw >> 40) as usize % 3)
@@ -462,7 +543,7 @@ mod tests {
         /// resolved-column mask equals the per-row oracle mask.
         #[test]
         fn sorted_pass_derivation_matches_the_cloning_oracle(
-            kind in 0usize..7,
+            kind in 0usize..9,
             draws in prop::collection::vec(any::<u64>(), 0..90),
         ) {
             let rows: Vec<Vec<Value>> = draws
@@ -476,13 +557,54 @@ mod tests {
                 let got = derive_attribute_literals(&data, "x", &cfg);
                 let want = oracle::derive_attribute_literals(&data, "x", &cfg);
                 prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
-                let extra = [Literal::is_null("x"), Literal::equals("absent", 1)];
+                let extra = [
+                    Literal::is_null("x"),
+                    Literal::equals("absent", 1),
+                    Literal::equals("x", "not in the dictionary"),
+                    Literal::equals("x", Value::Null),
+                ];
+                // Against the per-row test, the column looked up per row.
+                let cells = data.rows();
                 for literal in got.iter().map(|c| &c.literal).chain(&extra) {
-                    prop_assert_eq!(
-                        literal.mask(&data),
-                        crate::literal::oracle::mask(literal, &data)
-                    );
+                    let col = || data.schema().position(&literal.attribute);
+                    let matches = |r: usize| col().is_some_and(|c| literal.matches_value(&cells[r][c]));
+                    prop_assert_eq!(literal.mask(&data), RowMask::from_pred(cells.len(), matches));
                 }
+            }
+        }
+
+        /// The chunked kernel returns the oracle's assignments and
+        /// centroids: on sorted points of every length modulo 8 (`shape`
+        /// 0: kind 0's numbers, NaN, ±inf and ±0.0 among them; 1: near-equal
+        /// numbers at 2^53, where `fl(p - c)` ties; 2: three values, fewer
+        /// points than k + 3, which pads the quantiles), and on the same
+        /// points unsorted, as a string or mixed column's come. A NaN's
+        /// sign and payload are no value's: LLVM may commute an add, and
+        /// x86 keeps the first operand's NaN.
+        #[test]
+        fn the_chunked_kernel_matches_the_oracle_bit_for_bit(
+            shape in 0usize..3,
+            draws in prop::collection::vec(any::<u64>(), 0..1100),
+            k in 1usize..40,
+            iterations in 0usize..26,
+        ) {
+            let n = if shape == 2 { draws.len() % (k + 3) } else { draws.len() };
+            let point = |&d: &u64| match shape {
+                0 => drawn_cell(0, d).as_f64().unwrap_or(0.5),
+                1 => (1u64 << 53) as f64 + 2.0 * ((d >> 8) % 64) as f64,
+                _ => (d % 3) as f64,
+            };
+            let points: Vec<f64> = draws[..n].iter().map(point).collect();
+            let mut sorted = points.clone();
+            sorted.sort_by_key(|&p| order_key(p));
+            let bits = |(a, c): (Vec<usize>, Vec<f64>)| {
+                (a, c.iter().map(|x| if x.is_nan() { 0 } else { x.to_bits() }).collect::<Vec<_>>())
+            };
+            for points in [&sorted, &points] {
+                prop_assert_eq!(
+                    bits(kmeans_1d(points, k, iterations)),
+                    bits(oracle::kmeans_1d(points, k, iterations))
+                );
             }
         }
     }

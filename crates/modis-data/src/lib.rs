@@ -17,7 +17,7 @@
 //! * [`universal_table`] / [`hash_join`] — `D_U` of §5.2 in one n-way
 //!   outer join (no table built per source), and its two-table case;
 //! * [`derive_attribute_literals`] — per-attribute k-means over active
-//!   domains, deriving the literal lattice used by the search (§6);
+//!   domains read from typed columns: the search's literal lattice (§6);
 //! * [`StateBitmap`] — the state encoding `L` used by ApxMODis / BiMODis,
 //!   packed into `u64` words;
 //! * [`RowMask`] / [`DatasetView`] — packed selection vectors and

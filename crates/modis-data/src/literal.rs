@@ -89,6 +89,11 @@ impl Literal {
             (Condition::Range { lo, hi }, Cells::Float(v) | Cells::Int(v)) => {
                 RowMask::from_pred(v.len(), |r| v[r] >= *lo && v[r] <= *hi)
             }
+            // A string column compares codes (a null's is past every key).
+            (Condition::Equals(target @ Value::Str(_)), Cells::Str { codes, keys }) => {
+                let code = keys.iter().position(|key| key == target);
+                RowMask::from_pred(codes.len(), |r| Some(codes[r] as usize) == code)
+            }
             _ => RowMask::from_pred(data.num_rows(), |r| self.matches_value(&column.cell(r))),
         }
     }
@@ -106,29 +111,6 @@ impl fmt::Display for Literal {
             Condition::Range { lo, hi } => write!(f, "{} ∈ [{}, {}]", self.attribute, lo, hi),
             Condition::IsNull => write!(f, "{} IS NULL", self.attribute),
         }
-    }
-}
-
-/// The mask of a literal as it was computed before [`Literal::mask`]
-/// resolved the column once: a schema lookup per row. Test-only.
-#[cfg(test)]
-pub(crate) mod oracle {
-    use super::Literal;
-    use crate::dataset::Dataset;
-    use crate::view::RowMask;
-
-    pub(crate) fn mask(literal: &Literal, data: &Dataset) -> RowMask {
-        let rows = data.rows();
-        RowMask::from_pred(data.num_rows(), |r| {
-            let row = &rows[r];
-            match data.schema().position(&literal.attribute) {
-                Some(col) => row
-                    .get(col)
-                    .map(|v| literal.matches_value(v))
-                    .unwrap_or(false),
-                None => false,
-            }
-        })
     }
 }
 
