@@ -8,10 +8,10 @@
 use std::borrow::Cow;
 use std::cmp::Reverse;
 
-use crate::column::{order_key, Cells, Column};
+use crate::column::{Cells, Column};
 use crate::dataset::Dataset;
 use crate::literal::Literal;
-use crate::value::Value;
+use crate::value::{order_key, Value};
 
 /// One derived cluster of an attribute's active domain.
 #[derive(Debug, Clone, PartialEq)]
@@ -312,10 +312,9 @@ pub(crate) mod oracle {
     use std::collections::BTreeMap;
 
     use super::{ClusterConfig, DomainCluster};
-    use crate::column::order_key;
     use crate::dataset::Dataset;
     use crate::literal::Literal;
-    use crate::value::Value;
+    use crate::value::{order_key, Value};
 
     pub(crate) fn kmeans_1d(points: &[f64], k: usize, iterations: usize) -> (Vec<usize>, Vec<f64>) {
         let k = k.min(points.len());

@@ -277,22 +277,6 @@ fn code(index: usize) -> u32 {
     u32::try_from(index).expect("fewer than 2^32 distinct values")
 }
 
-/// An integer key ordering numbers as `Value`'s `Ord` orders `Int` and
-/// `Float` cells: by the `f64` reading, `-0.0` tied with `0.0`, every NaN
-/// tied and last.
-pub(crate) fn order_key(x: f64) -> u64 {
-    if x.is_nan() {
-        return u64::MAX;
-    }
-    // `+ 0.0` turns `-0.0` into `0.0` and leaves every other number as is.
-    let bits = (x + 0.0).to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

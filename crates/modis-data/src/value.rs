@@ -125,19 +125,25 @@ impl Ord for Value {
             _ => {
                 let a = self.as_f64().unwrap_or(f64::NAN);
                 let b = other.as_f64().unwrap_or(f64::NAN);
-                total_cmp_f64(a, b)
+                order_key(a).cmp(&order_key(b))
             }
         }
     }
 }
 
-/// Total order over floats with NaN sorted last.
-fn total_cmp_f64(a: f64, b: f64) -> Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
+/// The integer key of `Value`'s order on numbers (`Int` and `Float` cells
+/// by their `f64` reading): `-0.0` tied with `0.0`, every NaN tied and
+/// last.
+pub(crate) fn order_key(x: f64) -> u64 {
+    if x.is_nan() {
+        return u64::MAX;
+    }
+    // `+ 0.0` turns `-0.0` into `0.0` and leaves every other number as is.
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
