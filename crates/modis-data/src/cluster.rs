@@ -284,18 +284,14 @@ impl<'a> Domain<'a> {
         let cell = |r: usize| column.cell(r);
         let mut order: Vec<usize> = column.non_null().iter().collect();
         order.sort_by(|&a, &b| cell(a).cmp(&cell(b)));
-        let (mut values, mut classes) = (Vec::new(), Vec::<(Cow<Value>, usize)>::new());
-        for (i, &r) in order.iter().enumerate() {
-            let v = cell(r);
-            if order.get(i + 1).is_none_or(|&next| *cell(next) != *v) {
-                values.push(v.as_f64());
-            }
-            match classes.last_mut() {
-                Some((first, support)) if Value::cmp(first, &v).is_eq() => *support += 1,
-                _ => classes.push((v, 1)),
-            }
-        }
-        Domain::new(values.into_iter().collect(), max_k, || classes)
+        let values = order.chunk_by(|&a, &b| cell(a) == cell(b));
+        let points = values
+            .map(|run| cell(run[run.len() - 1]).as_f64())
+            .collect();
+        Domain::new(points, max_k, || {
+            let classes = order.chunk_by(|&a, &b| cell(a).cmp(&cell(b)).is_eq());
+            classes.map(|run| (cell(run[0]), run.len())).collect()
+        })
     }
 }
 
