@@ -87,13 +87,13 @@ pub fn kmeans_1d(points: &[f64], k: usize, iterations: usize) -> (Vec<usize>, Ve
 
     let mut assignment = vec![0usize; points.len()];
     let (chunks, rest) = points.as_chunks::<LANES>();
-    let mut last = [0.0; LANES];
-    last[..rest.len()].copy_from_slice(rest);
+    let mut tail = [0.0; LANES];
+    tail[..rest.len()].copy_from_slice(rest);
     for _ in 0..iterations {
         // Assignment step.
         for (chunk, out) in chunks
             .iter()
-            .chain([&last])
+            .chain([&tail])
             .zip(assignment.chunks_mut(LANES))
         {
             let (mut best, mut best_d) = ([0u64; LANES], [f64::INFINITY; LANES]);
