@@ -520,12 +520,12 @@ mod tests {
             2 => text,
             3 => Value::Str(format!("{:>3}", n % 9)),
             4 => Value::Bool(draw & 1 == 1),
-            7 => Value::Float(number.as_f64().unwrap()),
-            8 => Value::Int(number.as_f64().unwrap().clamp(-1e18, 1e18) as i64),
             5 => [number, text, Value::Bool(draw & 1 == 1)]
                 .into_iter()
                 .nth((draw >> 40) as usize % 3)
                 .unwrap(),
+            7 => Value::Float(number.as_f64().unwrap()),
+            8 => Value::Int(number.as_f64().unwrap().clamp(-1e18, 1e18) as i64),
             _ => Value::Null,
         }
     }
@@ -535,7 +535,7 @@ mod tests {
 
         /// The sorted-pass derivation returns exactly what the cloning
         /// oracle returns (the sign of zero included), and every literal's
-        /// resolved-column mask equals the per-row oracle mask.
+        /// resolved-column mask equals the per-row test.
         #[test]
         fn sorted_pass_derivation_matches_the_cloning_oracle(
             kind in 0usize..9,
@@ -558,7 +558,7 @@ mod tests {
                     Literal::equals("x", "not in the dictionary"),
                     Literal::equals("x", Value::Null),
                 ];
-                // Against the per-row test, the column looked up per row.
+                // The per-row test looks the column up for every row.
                 let cells = data.rows();
                 for literal in got.iter().map(|c| &c.literal).chain(&extra) {
                     let col = || data.schema().position(&literal.attribute);
@@ -593,7 +593,7 @@ mod tests {
             let mut sorted = points.clone();
             sorted.sort_by_key(|&p| order_key(p));
             let bits = |(a, c): (Vec<usize>, Vec<f64>)| {
-                (a, c.iter().map(|x| if x.is_nan() { 0 } else { x.to_bits() }).collect::<Vec<_>>())
+                (a, c.iter().map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() }).collect::<Vec<_>>())
             };
             for points in [&sorted, &points] {
                 prop_assert_eq!(
