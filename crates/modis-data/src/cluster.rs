@@ -54,12 +54,9 @@ const LANES: usize = 8;
 ///
 /// Returns the assignment of every point to a cluster and the centroids.
 /// The initial centroids are quantiles of the points sorted by
-/// [`order_key`] (ascending, `-0.0` tied with `0.0`, NaN last): a number
-/// column's points come so and are not copied. A point joins the first
-/// nearest centroid (a strict `<` scan, eight points at a time), and a
-/// cluster's sum adds its points in point order, a run of one cluster's
-/// points in a register: the operations, so the bits, of one
-/// `sums[c] += p` per point.
+/// [`order_key`] (NaN last), as a number column's come. A point joins the
+/// first nearest centroid, eight points at a time, and a cluster's sum adds
+/// its points in point order in a register: the bits of `sums[c] += p`.
 pub fn kmeans_1d(points: &[f64], k: usize, iterations: usize) -> (Vec<usize>, Vec<f64>) {
     assert!(k > 0, "k must be positive");
     if points.is_empty() {
@@ -91,11 +88,8 @@ pub fn kmeans_1d(points: &[f64], k: usize, iterations: usize) -> (Vec<usize>, Ve
     tail[..rest.len()].copy_from_slice(rest);
     for _ in 0..iterations {
         // Assignment step.
-        for (chunk, out) in chunks
-            .iter()
-            .chain([&tail])
-            .zip(assignment.chunks_mut(LANES))
-        {
+        let padded = chunks.iter().chain([&tail]);
+        for (chunk, out) in padded.zip(assignment.chunks_mut(LANES)) {
             let (mut best, mut best_d) = ([0u64; LANES], [f64::INFINITY; LANES]);
             for (c, &ctr) in centroids.iter().enumerate() {
                 for l in 0..LANES {
@@ -138,10 +132,8 @@ pub fn kmeans_1d(points: &[f64], k: usize, iterations: usize) -> (Vec<usize>, Ve
 /// * Small / categorical domains produce one equality literal per distinct
 ///   value (capped at `max_k` most frequent values).
 ///
-/// The active domain comes from the column's typed storage: a number
-/// column sorts its cells' integer keys once, a string column counts its
-/// dictionary codes, and only a boolean or mixed column sorts its rows. No
-/// cell is cloned but the one each equality literal keeps.
+/// The active domain is read from the column's typed storage; no cell is
+/// cloned but the one each equality literal keeps.
 pub fn derive_attribute_literals(
     data: &Dataset,
     attribute: &str,
@@ -152,10 +144,9 @@ pub fn derive_attribute_literals(
     };
     let (column, max_k) = (data.column(col), config.max_k);
     let domain = match &column.cells {
-        Cells::Float(v) => Domain::of_numbers(column, v, Value::Float, max_k),
-        Cells::Int(v) => Domain::of_numbers(column, v, |x| Value::Int(x as i64), max_k),
-        Cells::Str { codes, keys } => Domain::of_strings(codes, keys, max_k),
-        Cells::Bool(_) | Cells::Mixed(_) => Domain::of_cells(column, max_k),
+        Cells::Float(v) | Cells::Int(v) => number_domain(column, v, max_k),
+        Cells::Str { codes, keys } => string_domain(codes, keys, max_k),
+        Cells::Bool(_) | Cells::Mixed(_) => cell_domain(column, max_k),
     };
     let cluster = |cluster_id, centroid, literal, support| DomainCluster {
         attribute: attribute.to_string(),
@@ -194,115 +185,101 @@ pub fn derive_attribute_literals(
     }
 }
 
-/// What the active domain `adom(A)` of one column yields: k-means points
-/// when it holds more than `max_k` values and each reads as a number, else
-/// its frequency classes.
+/// What the active domain `adom(A)` of one column yields, in `Value`
+/// order: k-means points when it holds more than `max_k` values and each
+/// reads as a number, else its frequency classes.
 ///
 /// `Value`'s `==` is finer than its `Ord` and not transitive: `Int(2^53)`
 /// and `Int(2^53 + 1)` are `Ord`-equal but not `==`, both `==`
 /// `Float(2^53)`, and `Float(inf)` is not `==` itself. The values are the
-/// cells in `Value` order, one per run of adjacent `==` cells (the last in
-/// row order), as a collected `BTreeSet` holds them; the classes are those
-/// a `BTreeMap` keys.
+/// cells one per run of adjacent `==` cells (the last in row order), as a
+/// collected `BTreeSet` holds them; the classes are those a `BTreeMap` keys.
 enum Domain<'a> {
-    /// Each value's `f64` reading, in `Value` order.
+    /// Each value's `f64` reading.
     Points(Vec<f64>),
-    /// The classes of `Ord`-equal cells.
-    Classes(Classes<'a>),
+    /// Per class of `Ord`-equal cells: its first cell in row order and its
+    /// number of rows.
+    Classes(Vec<(Cow<'a, Value>, usize)>),
 }
 
-/// Per class of `Ord`-equal cells, in `Value` order: its first cell in row
-/// order and its number of rows.
-type Classes<'a> = Vec<(Cow<'a, Value>, usize)>;
+/// A float or integer column's domain from one sort of its cells'
+/// [`order_key`]s: a run of equal keys is one class and one value, but one
+/// value per cell when infinite. Only the keys of `±0.0` and NaN stand for
+/// more than one bit pattern; their cells are read from the first (class)
+/// or last (value) row holding them.
+fn number_domain(column: &Column, cells: &[f64], max_k: usize) -> Domain<'static> {
+    // A null row holds NaN, whose key sorts last: cut to the non-null
+    // count, the sorted keys of every row are those of the cells.
+    let mut keys: Vec<u64> = cells.iter().map(|&x| order_key(x)).collect();
+    keys.sort_unstable();
+    keys.truncate(column.non_null().count());
+    let cell = |key: u64, last: bool| {
+        if key != order_key(0.0) && key != order_key(f64::NAN) {
+            // The inverse of `order_key`.
+            return f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key });
+        }
+        let mut rows = column
+            .non_null()
+            .iter()
+            .filter(|&r| order_key(cells[r]) == key);
+        cells[if last { rows.last() } else { rows.next() }.unwrap()]
+    };
+    let infinite = [f64::INFINITY, f64::NEG_INFINITY].map(order_key);
+    let mut values = keys.clone();
+    values.dedup_by(|a, b| a == b && !infinite.contains(a));
+    if values.len() > max_k {
+        return Domain::Points(values.into_iter().map(|key| cell(key, true)).collect());
+    }
+    let value = match column.cells {
+        Cells::Int(_) => |x: f64| Value::Int(x as i64),
+        _ => Value::Float,
+    };
+    let class = |run: &[u64]| (Cow::Owned(value(cell(run[0], false))), run.len());
+    Domain::Classes(keys.chunk_by(u64::eq).map(class).collect())
+}
 
-impl<'a> Domain<'a> {
-    /// The points if there are more than `max_k` and each reads as a
-    /// number, else the classes.
-    fn new(points: Option<Vec<f64>>, max_k: usize, classes: impl FnOnce() -> Classes<'a>) -> Self {
-        match points.filter(|points| points.len() > max_k) {
-            Some(points) => Domain::Points(points),
-            None => Domain::Classes(classes()),
+/// A string column's domain from counting its dictionary codes: each
+/// distinct string, in order, is one value and one class.
+fn string_domain<'a>(codes: &[u32], keys: &'a [Value], max_k: usize) -> Domain<'a> {
+    let mut rows = vec![0usize; keys.len()];
+    for &code in codes {
+        // A null row's code is past every key.
+        if let Some(n) = rows.get_mut(code as usize) {
+            *n += 1;
         }
     }
-
-    /// A float or integer column's domain from one sort of its non-null
-    /// cells' [`order_key`]s: a run of equal keys is one class and one
-    /// value, but one value per cell when infinite. Only the keys of
-    /// `±0.0` and NaN stand for more than one bit pattern; their cells are
-    /// read from the first (class) or last (value) row holding them.
-    fn of_numbers(column: &Column, cells: &[f64], value: fn(f64) -> Value, max_k: usize) -> Self {
-        // A null row holds NaN, whose key sorts last: cut to the non-null
-        // count, the sorted keys of every row are those of the cells.
-        let mut keys: Vec<u64> = cells.iter().map(|&x| order_key(x)).collect();
-        keys.sort_unstable();
-        keys.truncate(column.non_null().count());
-        let cell = |key: u64, last: bool| {
-            if key != order_key(0.0) && key != order_key(f64::NAN) {
-                // The inverse of `order_key`.
-                return f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key });
-            }
-            let mut rows = column
-                .non_null()
-                .iter()
-                .filter(|&r| order_key(cells[r]) == key);
-            cells[if last { rows.last() } else { rows.next() }.unwrap()]
-        };
-        let infinite = [f64::INFINITY, f64::NEG_INFINITY].map(order_key);
-        let mut values = keys.clone();
-        values.dedup_by(|a, b| a == b && !infinite.contains(a));
-        let points = values.into_iter().map(|key| cell(key, true)).collect();
-        Domain::new(Some(points), max_k, || {
-            let class = |run: &[u64]| (Cow::Owned(value(cell(run[0], false))), run.len());
-            keys.chunk_by(u64::eq).map(class).collect()
-        })
+    let mut order: Vec<usize> = (0..keys.len()).filter(|&k| rows[k] > 0).collect();
+    order.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]));
+    let points: Option<Vec<f64>> = order.iter().map(|&k| keys[k].as_f64()).collect();
+    if let Some(points) = points.filter(|points| points.len() > max_k) {
+        return Domain::Points(points);
     }
+    let class = |&k: &usize| (Cow::Borrowed(&keys[k]), rows[k]);
+    Domain::Classes(order.iter().map(class).collect())
+}
 
-    /// A string column's domain from counting its dictionary codes: each
-    /// distinct string, in order, is one value and one class.
-    fn of_strings(codes: &[u32], keys: &'a [Value], max_k: usize) -> Self {
-        let mut rows = vec![0usize; keys.len()];
-        for &code in codes {
-            // A null row's code is past every key.
-            if let Some(n) = rows.get_mut(code as usize) {
-                *n += 1;
-            }
-        }
-        let mut order: Vec<usize> = (0..keys.len()).filter(|&k| rows[k] > 0).collect();
-        order.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]));
-        let points = order.iter().map(|&k| keys[k].as_f64()).collect();
-        Domain::new(points, max_k, || {
-            order
-                .iter()
-                .map(|&k| (Cow::Borrowed(&keys[k]), rows[k]))
-                .collect()
-        })
+/// A boolean or mixed column's domain from one stable sort of its non-null
+/// rows in `Value` order.
+fn cell_domain(column: &Column, max_k: usize) -> Domain<'_> {
+    let cell = |r: usize| column.cell(r);
+    let mut order: Vec<usize> = column.non_null().iter().collect();
+    order.sort_by(|&a, &b| cell(a).cmp(&cell(b)));
+    let values = order.chunk_by(|&a, &b| cell(a) == cell(b));
+    let points: Option<Vec<f64>> = values
+        .map(|run| cell(run[run.len() - 1]).as_f64())
+        .collect();
+    if let Some(points) = points.filter(|points| points.len() > max_k) {
+        return Domain::Points(points);
     }
-
-    /// A boolean or mixed column's domain from one stable sort of its
-    /// non-null rows in `Value` order.
-    fn of_cells(column: &'a Column, max_k: usize) -> Self {
-        let cell = |r: usize| column.cell(r);
-        let mut order: Vec<usize> = column.non_null().iter().collect();
-        order.sort_by(|&a, &b| cell(a).cmp(&cell(b)));
-        let values = order.chunk_by(|&a, &b| cell(a) == cell(b));
-        let points = values
-            .map(|run| cell(run[run.len() - 1]).as_f64())
-            .collect();
-        Domain::new(points, max_k, || {
-            let classes = order.chunk_by(|&a, &b| cell(a).cmp(&cell(b)).is_eq());
-            classes.map(|run| (cell(run[0]), run.len())).collect()
-        })
-    }
+    let classes = order.chunk_by(|&a, &b| cell(a).cmp(&cell(b)).is_eq());
+    Domain::Classes(classes.map(|run| (cell(run[0]), run.len())).collect())
 }
 
 /// `derive_attribute_literals` and `kmeans_1d` as they were before the
-/// typed passes: the active domain from a cloning `BTreeSet`, the
-/// frequencies from a cloning `BTreeMap`, and k-means that sorts a copy of
-/// its points and sums them through memory. One change is deliberate: that
-/// sort puts NaN last, where `partial_cmp` left the order around a NaN to
-/// std's sort (a mixed column's readings can hold a NaN before a smaller
-/// one). The oracles the differential tests below compare with; nothing of
-/// them is compiled into the product.
+/// typed passes, the oracles the differential tests below compare with:
+/// the active domain from a cloning `BTreeSet`, the frequencies from a
+/// cloning `BTreeMap`, k-means that sorts by `partial_cmp` and sums
+/// through memory.
 #[cfg(test)]
 pub(crate) mod oracle {
     use std::collections::BTreeMap;
@@ -310,41 +287,63 @@ pub(crate) mod oracle {
     use super::{ClusterConfig, DomainCluster};
     use crate::dataset::Dataset;
     use crate::literal::Literal;
-    use crate::value::{order_key, Value};
+    use crate::value::Value;
 
     pub(crate) fn kmeans_1d(points: &[f64], k: usize, iterations: usize) -> (Vec<usize>, Vec<f64>) {
+        assert!(k > 0, "k must be positive");
+        if points.is_empty() {
+            return (Vec::new(), Vec::new());
+        }
         let k = k.min(points.len());
         let mut sorted = points.to_vec();
-        sorted.sort_by_key(|&p| order_key(p));
-        let quantile = |i| (sorted.len() - 1) as f64 * ((i as f64 + 0.5) / k as f64);
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+
+        // Quantile initialisation keeps the procedure deterministic.
         let mut centroids: Vec<f64> = (0..k)
-            .map(|i| sorted[quantile(i).round() as usize])
+            .map(|i| {
+                let q = (i as f64 + 0.5) / k as f64;
+                let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+                sorted[idx]
+            })
             .collect();
         centroids.dedup();
         while centroids.len() < k {
-            centroids.push(centroids[centroids.len() - 1] + 1e-9 * centroids.len() as f64);
+            // Pad duplicated centroids with small offsets to keep k slots.
+            let last = *centroids.last().unwrap();
+            centroids.push(last + 1e-9 * centroids.len() as f64);
         }
+
         let mut assignment = vec![0usize; points.len()];
         for _ in 0..iterations {
+            // Assignment step.
             for (i, &p) in points.iter().enumerate() {
-                let (mut best, mut best_d) = (0, f64::INFINITY);
+                let mut best = 0usize;
+                let mut best_d = f64::INFINITY;
                 for (c, &ctr) in centroids.iter().enumerate() {
-                    if (p - ctr).abs() < best_d {
-                        (best, best_d) = (c, (p - ctr).abs());
+                    let d = (p - ctr).abs();
+                    if d < best_d {
+                        best_d = d;
+                        best = c;
                     }
                 }
                 assignment[i] = best;
             }
-            let (mut sums, mut counts) = (vec![0.0f64; k], vec![0usize; k]);
-            for (&c, &p) in assignment.iter().zip(points) {
-                sums[c] += p;
-                counts[c] += 1;
+            // Update step.
+            let mut sums = vec![0.0f64; centroids.len()];
+            let mut counts = vec![0usize; centroids.len()];
+            for (i, &p) in points.iter().enumerate() {
+                sums[assignment[i]] += p;
+                counts[assignment[i]] += 1;
             }
             let mut moved = false;
-            for c in (0..k).filter(|&c| counts[c] > 0) {
-                let new_c = sums[c] / counts[c] as f64;
-                moved |= (new_c - centroids[c]).abs() > 1e-12;
-                centroids[c] = new_c;
+            for c in 0..centroids.len() {
+                if counts[c] > 0 {
+                    let new_c = sums[c] / counts[c] as f64;
+                    if (new_c - centroids[c]).abs() > 1e-12 {
+                        moved = true;
+                    }
+                    centroids[c] = new_c;
+                }
             }
             if !moved {
                 break;
@@ -358,48 +357,62 @@ pub(crate) mod oracle {
         attribute: &str,
         config: &ClusterConfig,
     ) -> Vec<DomainCluster> {
-        let Some(col) = data.schema().position(attribute) else {
-            return Vec::new();
+        let col = match data.schema().position(attribute) {
+            Some(c) => c,
+            None => return Vec::new(),
         };
         let adom = data.active_domain(col);
-        let cluster = |cluster_id, centroid, literal, support| DomainCluster {
-            attribute: attribute.to_string(),
-            cluster_id,
-            centroid,
-            literal,
-            support,
-        };
-        let numeric: Option<Vec<f64>> = adom.iter().map(Value::as_f64).collect();
-        if let Some(numeric) = numeric.filter(|_| adom.len() > config.max_k) {
+        if adom.is_empty() {
+            return Vec::new();
+        }
+
+        let numeric: Vec<f64> = adom.iter().filter_map(|v| v.as_f64()).collect();
+        let all_numeric = numeric.len() == adom.len();
+
+        if all_numeric && adom.len() > config.max_k {
             let k = config.max_k.max(1);
             let (assignment, centroids) = kmeans_1d(&numeric, k, config.iterations);
             let mut clusters: BTreeMap<usize, (f64, f64, usize)> = BTreeMap::new();
-            for (&c, &v) in assignment.iter().zip(&numeric) {
+            for (i, &c) in assignment.iter().enumerate() {
+                let v = numeric[i];
                 let e = clusters
                     .entry(c)
                     .or_insert((f64::INFINITY, f64::NEG_INFINITY, 0));
-                *e = (e.0.min(v), e.1.max(v), e.2 + 1);
+                e.0 = e.0.min(v);
+                e.1 = e.1.max(v);
+                e.2 += 1;
             }
-            (clusters.into_iter().enumerate())
-                .map(|(i, (c, (lo, hi, n)))| {
-                    cluster(i, centroids[c], Literal::range(attribute, lo, hi), n)
+            clusters
+                .into_iter()
+                .enumerate()
+                .map(|(idx, (c, (lo, hi, support)))| DomainCluster {
+                    attribute: attribute.to_string(),
+                    cluster_id: idx,
+                    centroid: centroids.get(c).copied().unwrap_or((lo + hi) / 2.0),
+                    literal: Literal::range(attribute, lo, hi),
+                    support,
                 })
                 .collect()
         } else {
             let mut freq: BTreeMap<Value, usize> = BTreeMap::new();
-            for row in data.rows().into_iter().filter(|row| !row[col].is_null()) {
-                *freq.entry(row[col].clone()).or_insert(0) += 1;
+            for row in data.rows() {
+                let v = &row[col];
+                if !v.is_null() {
+                    *freq.entry(v.clone()).or_insert(0) += 1;
+                }
             }
             let mut ranked: Vec<(Value, usize)> = freq.into_iter().collect();
             ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            (ranked.into_iter().take(config.max_k).enumerate())
-                .map(|(i, (v, n))| {
-                    cluster(
-                        i,
-                        v.as_f64().unwrap_or(i as f64),
-                        Literal::equals(attribute, v),
-                        n,
-                    )
+            ranked
+                .into_iter()
+                .take(config.max_k)
+                .enumerate()
+                .map(|(idx, (v, support))| DomainCluster {
+                    attribute: attribute.to_string(),
+                    cluster_id: idx,
+                    centroid: v.as_f64().unwrap_or(idx as f64),
+                    literal: Literal::equals(attribute, v),
+                    support,
                 })
                 .collect()
         }
@@ -482,6 +495,47 @@ mod tests {
         assert!(derive_attribute_literals(&data, "nope", &ClusterConfig::default()).is_empty());
     }
 
+    /// The one declared change from the old kernel: the initial centroids
+    /// are quantiles of the points with NaN last, where the old
+    /// `partial_cmp` sort left the order around a NaN to std's sort. Only a
+    /// string or mixed column's readings come unsorted, as this column's do.
+    #[test]
+    fn a_nan_point_sorts_last_where_the_old_kernel_left_it() {
+        let (_, centroids) = kmeans_1d(&[f64::NAN, 2.0, 1.0], 3, 0);
+        assert_eq!(format!("{centroids:?}"), "[1.0, 2.0, NaN]");
+        let cells = [
+            Value::Str("27 ".into()),
+            Value::Float(5.0),
+            Value::Bool(true),
+            Value::Float(f64::NAN),
+            Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Bool(false),
+            Value::Float(f64::NAN),
+            Value::Str("8 ".into()),
+            Value::Str("11 ".into()),
+            Value::Int(-20),
+        ];
+        let rows = cells.into_iter().map(|v| vec![v]).collect();
+        let data = Dataset::from_rows("mixed", Schema::from_names(["x"]), rows).unwrap();
+        let cfg = ClusterConfig {
+            max_k: 4,
+            iterations: 20,
+        };
+        let ranges = |clusters: Vec<DomainCluster>| {
+            let ranges = clusters.iter().map(|c| c.literal.to_string());
+            ranges.collect::<Vec<_>>().join(" | ")
+        };
+        let got = ranges(derive_attribute_literals(&data, "x", &cfg));
+        let want = "x ∈ [-inf, -inf] | x ∈ [-20, 1] | x ∈ [5, 11] | x ∈ [27, 27]";
+        assert_eq!(got, want);
+        // The old kernel gave x ∈ [-inf, -inf] | x ∈ [-20, 8] | x ∈ [11, 27].
+        let old = ranges(oracle::derive_attribute_literals(&data, "x", &cfg));
+        assert_ne!(got, old);
+    }
+
     /// One cell of a drawn column. `kind` picks the column's mixture: 0
     /// numbers with the edge cases of `Value`'s order (2^53 and 2^53 + 1,
     /// NaN, ±inf, ±0.0, floats equal to an `Int`), 1 plain floats, 2
@@ -551,7 +605,13 @@ mod tests {
                 let cfg = ClusterConfig { max_k, iterations: 20 };
                 let got = derive_attribute_literals(&data, "x", &cfg);
                 let want = oracle::derive_attribute_literals(&data, "x", &cfg);
-                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                // The declared change (see the test above): readings with a
+                // NaN before a smaller one start from the NaN-last order.
+                let adom = data.active_domain(1);
+                let readings: Option<Vec<f64>> = adom.iter().map(Value::as_f64).collect();
+                if !readings.is_some_and(|r| r.iter().any(|x| x.is_nan()) && !r.is_sorted_by_key(|&x| order_key(x))) {
+                    prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                }
                 let extra = [
                     Literal::is_null("x"),
                     Literal::equals("absent", 1),
@@ -569,13 +629,11 @@ mod tests {
         }
 
         /// The chunked kernel returns the oracle's assignments and
-        /// centroids: on sorted points of every length modulo 8 (`shape`
-        /// 0: kind 0's numbers, NaN, ±inf and ±0.0 among them; 1: near-equal
-        /// numbers at 2^53, where `fl(p - c)` ties; 2: three values, fewer
-        /// points than k + 3, which pads the quantiles), and on the same
-        /// points unsorted, as a string or mixed column's come. A NaN's
-        /// sign and payload are no value's: LLVM may commute an add, and
-        /// x86 keeps the first operand's NaN.
+        /// centroids on sorted points of every length modulo 8 (`shape` 0:
+        /// kind 0's numbers, NaN and ±inf among them; 1: near-equal numbers
+        /// at 2^53, where `fl(p - c)` ties; 2: n near k, which pads the
+        /// quantiles), and on the same points unsorted if none is NaN. A
+        /// NaN's sign and payload are no value's (LLVM may commute an add).
         #[test]
         fn the_chunked_kernel_matches_the_oracle_bit_for_bit(
             shape in 0usize..3,
@@ -595,7 +653,8 @@ mod tests {
             let bits = |(a, c): (Vec<usize>, Vec<f64>)| {
                 (a, c.iter().map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() }).collect::<Vec<_>>())
             };
-            for points in [&sorted, &points] {
+            let unsorted = Some(&points).filter(|points| !points.iter().any(|p| p.is_nan()));
+            for points in [Some(&sorted), unsorted].into_iter().flatten() {
                 prop_assert_eq!(
                     bits(kmeans_1d(points, k, iterations)),
                     bits(oracle::kmeans_1d(points, k, iterations))
