@@ -90,7 +90,10 @@ impl StateBitmap {
     pub fn full(n: usize) -> Self {
         let mut b = StateBitmap::empty(n);
         b.words_mut().fill(u64::MAX);
-        b.clear_tail();
+        if !n.is_multiple_of(WORD_BITS) {
+            // The bits past `n` stay zero.
+            b.words_mut()[n / WORD_BITS] &= (1u64 << (n % WORD_BITS)) - 1;
+        }
         b
     }
 
@@ -233,51 +236,12 @@ impl StateBitmap {
         }
     }
 
-    /// In-place word-wise intersection (`self &= other`). `self` keeps its
-    /// length; entries of `other` beyond it are ignored, entries missing
-    /// from `other` read 0.
-    pub(crate) fn and_with(&mut self, other: &StateBitmap) {
-        let other = other.words();
-        let words = self.words_mut();
-        for (w, o) in words.iter_mut().zip(other) {
-            *w &= o;
-        }
-        for w in words.iter_mut().skip(other.len()) {
-            *w = 0;
-        }
-    }
-
-    /// In-place word-wise union (`self |= other`). `self` keeps its length;
-    /// entries of `other` beyond it are ignored.
-    pub(crate) fn or_with(&mut self, other: &StateBitmap) {
-        for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
-            *w |= o;
-        }
-        self.clear_tail();
-    }
-
     /// In-place word-wise difference (`self &= !other`). `self` keeps its
     /// length; entries of `other` beyond it are ignored.
     pub(crate) fn and_not_with(&mut self, other: &StateBitmap) {
         for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
             *w &= !o;
         }
-    }
-
-    /// Word-wise intersection. The result has `self`'s length; entries of
-    /// `other` beyond it are ignored, entries missing from `other` read 0.
-    pub fn and(&self, other: &StateBitmap) -> StateBitmap {
-        let mut out = self.clone();
-        out.and_with(other);
-        out
-    }
-
-    /// Word-wise union. The result has `self`'s length; entries of `other`
-    /// beyond it are ignored.
-    pub fn or(&self, other: &StateBitmap) -> StateBitmap {
-        let mut out = self.clone();
-        out.or_with(other);
-        out
     }
 
     /// Number of entries set in both bitmaps: the popcount of the word-wise
@@ -290,17 +254,6 @@ impl StateBitmap {
             .zip(other.words())
             .map(|(a, b)| (a & b).count_ones() as usize)
             .sum()
-    }
-
-    /// Zeroes any bits of the last word beyond `len`, restoring the padding
-    /// invariant after a word-wise op that may have set them.
-    fn clear_tail(&mut self) {
-        let rem = self.len % WORD_BITS;
-        if rem != 0 {
-            if let Some(last) = self.words_mut().last_mut() {
-                *last &= (1u64 << rem) - 1;
-            }
-        }
     }
 
     /// Cosine similarity between two bitmaps viewed as 0/1 vectors.
@@ -363,32 +316,21 @@ impl Ord for StateBitmap {
     /// backing derived, so deterministic tie-breaks in `finalize_result`
     /// sort skyline entries exactly as before.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        let (a, b) = (self.words(), other.words());
         let common = self.len.min(other.len);
-        let full_words = common / WORD_BITS;
-        for w in 0..full_words {
-            let diff = a[w] ^ b[w];
+        let pairs = self.words().iter().zip(other.words()).enumerate();
+        for (w, (a, b)) in pairs.take(words_for(common)) {
+            // Only the first `common` bits count, in the last word too.
+            let live = common - w * WORD_BITS;
+            let mask = if live < WORD_BITS {
+                (1u64 << live) - 1
+            } else {
+                u64::MAX
+            };
+            let diff = (a ^ b) & mask;
             if diff != 0 {
+                // The lowest differing bit decides, `false < true`.
                 let bit = diff.trailing_zeros();
-                return if a[w] >> bit & 1 == 0 {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                };
-            }
-        }
-        let rem = common % WORD_BITS;
-        if rem != 0 {
-            let mask = (1u64 << rem) - 1;
-            let diff = (a[full_words] ^ b[full_words]) & mask;
-            if diff != 0 {
-                let bit = diff.trailing_zeros();
-                return if a[full_words] >> bit & 1 == 0 {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                };
+                return (a >> bit & 1).cmp(&(b >> bit & 1));
             }
         }
         self.len.cmp(&other.len)
@@ -567,23 +509,14 @@ mod tests {
 
     #[test]
     fn word_ops_match_bitwise_semantics() {
-        let a = StateBitmap::from_bits(vec![true, true, false, false]);
+        let mut a = StateBitmap::from_bits(vec![true, true, false, false]);
         let b = StateBitmap::from_bits(vec![true, false, true, false]);
-        assert_eq!(
-            a.and(&b),
-            StateBitmap::from_bits(vec![true, false, false, false])
-        );
-        assert_eq!(
-            a.or(&b),
-            StateBitmap::from_bits(vec![true, true, true, false])
-        );
+        assert_eq!(a.intersection_count(&b), 1);
         // Shorter `other` reads as zero-padded.
         let short = StateBitmap::from_bits(vec![true]);
-        assert_eq!(
-            a.and(&short),
-            StateBitmap::from_bits(vec![true, false, false, false])
-        );
-        assert_eq!(a.or(&short).len(), 4);
+        assert_eq!(a.intersection_count(&short), 1);
+        a.and_not_with(&b);
+        assert_eq!(a, StateBitmap::from_bits(vec![false, true, false, false]));
     }
 
     /// The `Hash` stream is the one the derived impl over `{ words:
@@ -691,18 +624,11 @@ mod tests {
 
             // Binary operations: `self`'s length, `other` zero-padded.
             let other = |i: usize| i < lb && mb[i];
-            let and: Vec<bool> = (0..la).map(|i| ma[i] && other(i)).collect();
-            let or: Vec<bool> = (0..la).map(|i| ma[i] || other(i)).collect();
             let and_not: Vec<bool> = (0..la).map(|i| ma[i] && !other(i)).collect();
-            prop_assert_eq!(a.and(&b).bits(), and.clone());
-            prop_assert_eq!(a.or(&b).bits(), or.clone());
-            let (mut x, mut y, mut z) = (a.clone(), a.clone(), a.clone());
-            x.and_with(&b);
-            y.or_with(&b);
-            z.and_not_with(&b);
-            prop_assert_eq!((x.bits(), y.bits(), z.bits()), (and.clone(), or, and_not));
-            prop_assert_eq!(a.or(&b).count_ones(), (0..la).filter(|&i| ma[i] || other(i)).count());
-            let common = and.iter().filter(|&&v| v).count();
+            let mut diff = a.clone();
+            diff.and_not_with(&b);
+            prop_assert_eq!(diff.bits(), and_not);
+            let common = (0..la).filter(|&i| ma[i] && other(i)).count();
             prop_assert_eq!(a.intersection_count(&b), common);
             let (na, nb) = (ones.len() as f64, mb.iter().filter(|&&v| v).count() as f64);
             let cosine = if na == 0.0 || nb == 0.0 {

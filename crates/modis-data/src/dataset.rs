@@ -190,19 +190,6 @@ impl Dataset {
         Dataset::from_columns(name, self.schema.clone(), columns)
     }
 
-    /// Selects rows matching a predicate into a new dataset.
-    pub fn filter<F: Fn(&[Value]) -> bool>(&self, pred: F) -> Dataset {
-        let rows: Vec<usize> = (0..self.num_rows())
-            .zip(self.rows())
-            .filter_map(|(r, row)| pred(&row).then_some(r))
-            .collect();
-        self.take(
-            format!("{}#sel", self.name),
-            &rows,
-            &vec![false; self.num_columns()],
-        )
-    }
-
     /// Dataset size `(rows, columns)` as reported in the paper's tables,
     /// excluding all-null columns.
     pub fn reported_size(&self) -> (usize, usize) {
@@ -286,8 +273,6 @@ mod tests {
         let d = toy();
         let p = d.project_by_names(&["b"]);
         assert_eq!(p.num_columns(), 1);
-        let f = d.filter(|r| r[0] == Value::Int(1));
-        assert_eq!(f.num_rows(), 2);
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl Literal {
             _ => RowMask::from_pred(data.num_rows(), |r| self.matches_value(&column.cell(r))),
         }
     }
-
-    /// Number of rows of `data` satisfying the literal.
-    pub fn selectivity_count(&self, data: &Dataset) -> usize {
-        self.mask(data).count()
-    }
 }
 
 impl fmt::Display for Literal {
@@ -136,14 +131,14 @@ mod tests {
     fn equality_literal_matches() {
         let d = toy();
         let lit = Literal::equals("season", "spring");
-        assert_eq!(lit.selectivity_count(&d), 1);
+        assert_eq!(lit.mask(&d).count(), 1);
     }
 
     #[test]
     fn range_literal_matches_numeric() {
         let d = toy();
         let lit = Literal::range("year", 2000.0, 2006.0);
-        assert_eq!(lit.selectivity_count(&d), 2);
+        assert_eq!(lit.mask(&d).count(), 2);
     }
 
     #[test]
@@ -155,14 +150,14 @@ mod tests {
     #[test]
     fn null_literals() {
         let d = toy();
-        assert_eq!(Literal::is_null("season").selectivity_count(&d), 1);
+        assert_eq!(Literal::is_null("season").mask(&d).count(), 1);
     }
 
     #[test]
     fn unknown_attribute_never_matches() {
         let d = toy();
         let lit = Literal::equals("missing", 1);
-        assert_eq!(lit.selectivity_count(&d), 0);
+        assert_eq!(lit.mask(&d).count(), 0);
     }
 
     #[test]

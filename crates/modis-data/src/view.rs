@@ -171,11 +171,6 @@ impl<'a> DatasetView<'a> {
         self.base.num_columns()
     }
 
-    /// Whether the view selects no rows.
-    pub fn is_empty(&self) -> bool {
-        self.num_rows() == 0
-    }
-
     /// Whether column `c` is masked (reads as `Null`).
     #[inline]
     pub fn is_col_masked(&self, c: usize) -> bool {
@@ -365,7 +360,7 @@ mod tests {
     fn empty_view_is_safe() {
         let d = toy();
         let v = DatasetView::new(&d, RowMask::none(10), vec![false; 3]);
-        assert!(v.is_empty());
+        assert_eq!(v.num_rows(), 0);
         assert_eq!(v.reported_size(), (0, 0));
         assert_eq!(v.missing_ratio(), 0.0);
         assert_eq!(v.to_dataset().num_rows(), 0);

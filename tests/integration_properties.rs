@@ -98,7 +98,7 @@ proptest! {
         let (out, removed) = reduct(&data, &lit);
         prop_assert_eq!(removed, matching);
         prop_assert_eq!(out.num_rows(), values.len() - matching);
-        prop_assert_eq!(lit.selectivity_count(&out), 0);
+        prop_assert_eq!(lit.mask(&out).count(), 0);
     }
 
     /// Bitmap cosine similarity is symmetric and bounded by [0, 1].
@@ -186,12 +186,9 @@ proptest! {
         let view = DatasetView::new(&data, mask, masked_cols.clone());
 
         // Reference: clone, filter rows, null out the masked column.
-        let next = std::cell::Cell::new(0usize);
-        let mut reference = data.filter(|_| {
-            let idx = next.get();
-            next.set(idx + 1);
-            keep_bits[idx]
-        });
+        let kept = data.rows().into_iter().zip(&keep_bits).filter(|(_, &keep)| keep);
+        let kept = kept.map(|(row, _)| row).collect();
+        let mut reference = Dataset::from_rows("d", data.schema().clone(), kept).unwrap();
         for r in 0..reference.num_rows() {
             reference.set_value(r, mask_col, Value::Null).unwrap();
         }
