@@ -316,19 +316,12 @@ impl Ord for StateBitmap {
     /// backing derived, so deterministic tie-breaks in `finalize_result`
     /// sort skyline entries exactly as before.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let common = self.len.min(other.len);
-        let pairs = self.words().iter().zip(other.words()).enumerate();
-        for (w, (a, b)) in pairs.take(words_for(common)) {
-            // Only the first `common` bits count, in the last word too.
-            let live = common - w * WORD_BITS;
-            let mask = if live < WORD_BITS {
-                (1u64 << live) - 1
-            } else {
-                u64::MAX
-            };
-            let diff = (a ^ b) & mask;
+        for (a, b) in self.words().iter().zip(other.words()) {
+            let diff = a ^ b;
             if diff != 0 {
-                // The lowest differing bit decides, `false < true`.
+                // The lowest differing bit decides, `false < true`. Past the
+                // shorter bitmap's end its zero padding puts it first, as its
+                // length would.
                 let bit = diff.trailing_zeros();
                 return (a >> bit & 1).cmp(&(b >> bit & 1));
             }

@@ -601,15 +601,16 @@ mod tests {
                 .map(|(i, &d)| vec![Value::Int(i as i64), drawn_cell(kind, d)])
                 .collect();
             let data = Dataset::from_rows("drawn", Schema::from_names(["id", "x"]), rows).unwrap();
+            // The declared change (see the test above): readings with a NaN
+            // before a smaller one, whose order the old sort left to std
+            // (which may panic), start from the NaN-last order.
+            let readings: Option<Vec<f64>> = data.active_domain(1).iter().map(Value::as_f64).collect();
+            let changed = readings.is_some_and(|r| r.iter().any(|x| x.is_nan()) && !r.is_sorted_by_key(|&x| order_key(x)));
             for max_k in [1, 2, 4, 30] {
                 let cfg = ClusterConfig { max_k, iterations: 20 };
                 let got = derive_attribute_literals(&data, "x", &cfg);
-                let want = oracle::derive_attribute_literals(&data, "x", &cfg);
-                // The declared change (see the test above): readings with a
-                // NaN before a smaller one start from the NaN-last order.
-                let adom = data.active_domain(1);
-                let readings: Option<Vec<f64>> = adom.iter().map(Value::as_f64).collect();
-                if !readings.is_some_and(|r| r.iter().any(|x| x.is_nan()) && !r.is_sorted_by_key(|&x| order_key(x))) {
+                if !changed {
+                    let want = oracle::derive_attribute_literals(&data, "x", &cfg);
                     prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
                 }
                 let extra = [
